@@ -33,14 +33,14 @@
 
 // CLI entry point: exiting with a status code is this file's job.
 #![allow(clippy::disallowed_methods)]
+use qmc_bench::ckpt_driver::{run_serial_tfim_ckpt, run_sse_ckpt, run_worldline_ckpt};
 use qmc_comm::{job_seconds, run_model, run_threads, Communicator, MachineModel, SerialComm};
 use qmc_lattice::{Chain, Square};
 use qmc_rng::{Buffered, StreamFactory, Xoshiro256StarStar};
 use qmc_stats::BinningAnalysis;
 use qmc_tfim::parallel::DistTfim;
-use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
-use qmc_worldline::{Worldline, WorldlineParams};
+use qmc_worldline::WorldlineParams;
 use std::collections::HashMap;
 
 fn main() {
@@ -127,9 +127,19 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, defaul
 /// `--checkpoint-dir D` / `--resume`.
 struct CkptRequest {
     store: qmc_ckpt::CkptStore,
-    every: usize,
-    full_every: usize,
+    cadence: qmc_ckpt::Cadence,
     resume: bool,
+}
+
+impl CkptRequest {
+    fn policy(&self) -> qmc_ckpt::Policy<'_> {
+        qmc_ckpt::Policy {
+            store: &self.store,
+            cadence: self.cadence,
+            resume: self.resume,
+            stop: None,
+        }
+    }
 }
 
 /// Parse the checkpoint flags; `None` when checkpointing was not asked
@@ -153,10 +163,10 @@ fn ckpt_request(flags: &HashMap<String, String>, engine: &str) -> Option<CkptReq
         eprintln!("cannot open checkpoint dir '{dir}': {e}");
         std::process::exit(2);
     });
+    let every = if every == 0 { 100 } else { every };
     Some(CkptRequest {
         store,
-        every: if every == 0 { 100 } else { every },
-        full_every,
+        cadence: qmc_ckpt::Cadence::new(every, full_every).expect("cadence is nonzero here"),
         resume,
     })
 }
@@ -189,7 +199,7 @@ fn run_serve(flags: &HashMap<String, String>) {
     };
     let workers = cfg.workers;
     let server = qmc_serve::Server::start(cfg, &addr).unwrap_or_else(|e| {
-        eprintln!("cannot bind '{addr}': {e}");
+        eprintln!("cannot start server on '{addr}': {e}");
         std::process::exit(2);
     });
     println!(
@@ -365,31 +375,10 @@ fn run_worldline(flags: &HashMap<String, String>) {
     };
     let therm: usize = get(flags, "therm", sweeps / 5);
     let mut rng = Buffered::new(Xoshiro256StarStar::new(get(flags, "seed", 1)));
-    let (sim, series) = match ckpt_request(flags, "worldline") {
-        None => {
-            let mut sim = Worldline::new(params);
-            let series = sim.run(&mut rng, therm, sweeps);
-            (sim, series)
-        }
-        Some(req) => {
-            let ck = qmc_bench::ckpt_driver::CkptCfg {
-                store: &req.store,
-                every: req.every,
-                full_every: req.full_every,
-                resume: req.resume,
-                stop: None,
-            };
-            qmc_bench::ckpt_driver::run_worldline_ckpt(
-                params,
-                &mut rng,
-                therm,
-                sweeps,
-                Some(&ck),
-                None,
-            )
-            .expect("no simulated crash requested")
-        }
-    };
+    let req = ckpt_request(flags, "worldline");
+    let ck = req.as_ref().map(CkptRequest::policy);
+    let (sim, series) = run_worldline_ckpt(params, &mut rng, therm, sweeps, ck.as_ref(), None)
+        .expect("no simulated crash requested");
 
     let be = BinningAnalysis::new(&series.energy, 16);
     let (chi, chi_err) = series.susceptibility();
@@ -445,66 +434,22 @@ fn run_sse(flags: &HashMap<String, String>) {
     let mut rng = Buffered::new(Xoshiro256StarStar::new(get(flags, "seed", 1)));
 
     let req = ckpt_request(flags, "sse");
-    let ck = req.as_ref().map(|req| qmc_bench::ckpt_driver::CkptCfg {
-        store: &req.store,
-        every: req.every,
-        full_every: req.full_every,
-        resume: req.resume,
-        stop: None,
-    });
+    let ck = req.as_ref().map(CkptRequest::policy);
+    let ck = ck.as_ref();
+    // `ck = None` is the plain run: no "checkpointing on?" fork.
     let series = match lattice {
-        "chain" => {
-            let lat = Chain::new(l);
-            match &ck {
-                None => {
-                    let mut sse = qmc_sse::Sse::new(&lat, j, beta, &mut rng);
-                    sse.run(&mut rng, therm, sweeps)
-                }
-                Some(ck) => {
-                    qmc_bench::ckpt_driver::run_sse_ckpt(
-                        &lat,
-                        j,
-                        beta,
-                        &mut rng,
-                        therm,
-                        sweeps,
-                        Some(ck),
-                        None,
-                    )
-                    .expect("no simulated crash requested")
-                    .1
-                }
-            }
-        }
+        "chain" => run_sse_ckpt(&Chain::new(l), j, beta, &mut rng, therm, sweeps, ck, None),
         "square" => {
-            let ly = get(flags, "ly", l);
-            let lat = Square::new(l, ly);
-            match &ck {
-                None => {
-                    let mut sse = qmc_sse::Sse::new(&lat, j, beta, &mut rng);
-                    sse.run(&mut rng, therm, sweeps)
-                }
-                Some(ck) => {
-                    qmc_bench::ckpt_driver::run_sse_ckpt(
-                        &lat,
-                        j,
-                        beta,
-                        &mut rng,
-                        therm,
-                        sweeps,
-                        Some(ck),
-                        None,
-                    )
-                    .expect("no simulated crash requested")
-                    .1
-                }
-            }
+            let lat = Square::new(l, get(flags, "ly", l));
+            run_sse_ckpt(&lat, j, beta, &mut rng, therm, sweeps, ck, None)
         }
         other => {
             eprintln!("unknown --lattice '{other}' (chain|square)");
             std::process::exit(2);
         }
-    };
+    }
+    .expect("no simulated crash requested")
+    .1;
 
     let be = BinningAnalysis::new(&series.energy_samples(), 16);
     let (c, c_err) = series.specific_heat();
@@ -574,32 +519,11 @@ fn run_tfim(flags: &HashMap<String, String>) {
             }
             let mut rng = Buffered::new(Xoshiro256StarStar::new(seed));
             let wolff = get(flags, "wolff", 1);
-            let (eng, series) = match ckpt_request(flags, "tfim") {
-                None => {
-                    let mut eng = SerialTfim::new(model);
-                    let series = eng.run(&mut rng, therm, sweeps, wolff);
-                    (eng, series)
-                }
-                Some(req) => {
-                    let ck = qmc_bench::ckpt_driver::CkptCfg {
-                        store: &req.store,
-                        every: req.every,
-                        full_every: req.full_every,
-                        resume: req.resume,
-                        stop: None,
-                    };
-                    qmc_bench::ckpt_driver::run_serial_tfim_ckpt(
-                        model,
-                        &mut rng,
-                        therm,
-                        sweeps,
-                        wolff,
-                        Some(&ck),
-                        None,
-                    )
-                    .expect("no simulated crash requested")
-                }
-            };
+            let req = ckpt_request(flags, "tfim");
+            let ck = req.as_ref().map(CkptRequest::policy);
+            let (eng, series) =
+                run_serial_tfim_ckpt(model, &mut rng, therm, sweeps, wolff, ck.as_ref(), None)
+                    .expect("no simulated crash requested");
             report(&series);
             if let Some(mut mine) = qmc_obs::finish() {
                 mine.absorb_registry(eng.metrics());

@@ -1,23 +1,20 @@
 //! Stepwise checkpointed drivers for the serial engines.
 //!
-//! Each driver replays the exact sweep/measure sequence of its engine's
-//! `run()` method (one combined `for s in 0..therm + sweeps` loop with
-//! the thermalization/measurement split on `s >= therm`), but writes an
-//! atomic checkpoint generation every `CkptCfg::every` sweeps — *before*
-//! the sweep whose index it carries — and can resume from the newest
-//! valid generation. Because the checkpoint captures engine, RNG, and
-//! accumulated series together, a resumed run continues the identical
-//! fixed-seed trajectory bit for bit; the crash-at-every-boundary tests
-//! in `tests/checkpoint.rs` pin this for every engine and every sweep
-//! index.
+//! Each driver is a step closure over [`qmc_ckpt::drive`], the one
+//! sweep-boundary run loop, replaying the exact sweep/measure sequence of
+//! its engine's `run()` method (thermalization/measurement split on `s >=
+//! therm`). The checkpoint captures engine, RNG, and accumulated series
+//! together, so a resumed run continues the identical fixed-seed
+//! trajectory bit for bit; the crash-at-every-boundary tests in
+//! `tests/checkpoint.rs` pin this for every engine and every sweep index.
+//! With `ck = None` a driver *is* the plain run, so callers need no
+//! "checkpointing on?" fork.
 //!
-//! `kill_at: Some(k)` simulates a crash: the driver returns `None` just
-//! before sweep `k` runs (after any checkpoint due at `k` was written),
-//! leaving the store exactly as a real mid-run failure would.
+//! `None` = the run ended early: a simulated crash just before sweep
+//! `kill_at` (the store left exactly as a real mid-run failure would), or
+//! a drain (`Policy::stop` raised).
 
-use qmc_ckpt::{
-    plan_sections, restore_sections, Checkpoint, CkptStore, Decoder, Encoder, SectionPlan,
-};
+use qmc_ckpt::{drive, Checkpoint, CkptError, End, Policy};
 use qmc_lattice::Lattice;
 use qmc_rng::Rng64;
 use qmc_sse::{Sse, SseSeries};
@@ -26,122 +23,11 @@ use qmc_tfim::serial::{SerialTfim, TfimSeries};
 use qmc_tfim::TfimModel;
 use qmc_worldline::estimators::TimeSeries;
 use qmc_worldline::{GenericParams, GenericWorldline, Worldline, WorldlineParams};
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Checkpoint policy shared by the serial drivers.
-pub struct CkptCfg<'a> {
-    /// Generation store (atomic write + retain-K pruning).
-    pub store: &'a CkptStore,
-    /// Write a generation every `every` sweeps.
-    pub every: usize,
-    /// Write every `full_every`-th generation as a full snapshot; the
-    /// generations in between are deltas against the last full one
-    /// (sections whose state is unchanged are stored as base
-    /// references). `0` disables deltas entirely — every generation is
-    /// a full snapshot, matching the pre-delta behaviour.
-    pub full_every: usize,
-    /// Resume from the newest valid generation before sweeping.
-    pub resume: bool,
-    /// Graceful-drain flag: when set (observed at a sweep boundary) the
-    /// driver writes a final full checkpoint generation and returns
-    /// early instead of being killed mid-write. A later run with
-    /// `resume: true` continues the identical trajectory bit for bit.
-    pub stop: Option<&'a AtomicBool>,
-}
-
-/// Shared loop: restore (optionally), then for each sweep write the due
-/// checkpoint, honour `kill_at`, and run `step`. Returns `false` when
-/// the simulated crash fired.
-fn drive<E, R, S>(
-    eng: &mut E,
-    rng: &mut R,
-    series: &mut S,
-    total: usize,
-    ck: Option<&CkptCfg<'_>>,
-    kill_at: Option<usize>,
-    mut step: impl FnMut(&mut E, &mut R, &mut S, usize),
-) -> bool
-where
-    E: Checkpoint,
-    R: Checkpoint,
-    S: Checkpoint,
-{
-    let mut start = 0usize;
-    if let Some(ck) = ck {
-        if ck.resume {
-            if let Some((generation, file)) = ck.store.latest() {
-                let meta = file.require("meta").expect("checkpoint meta section");
-                let mut dec = Decoder::new(meta);
-                let s0 = dec.u64().expect("checkpoint sweep index") as usize;
-                assert_eq!(generation, s0 as u64, "generation = sweep index");
-                if file.get("engine").is_some() {
-                    // Legacy monolithic layout (files written before the
-                    // sectioned format). Restore works, but everything is
-                    // left dirty: a delta against this file would have to
-                    // reference section names it never carried, so the
-                    // next write degrades to a full snapshot instead.
-                    file.restore("engine", eng).expect("restore engine");
-                    file.restore("rng", rng).expect("restore rng");
-                    file.restore("series", series).expect("restore series");
-                } else {
-                    restore_sections(&file, "engine", eng).expect("restore engine");
-                    restore_sections(&file, "rng", rng).expect("restore rng");
-                    restore_sections(&file, "series", series).expect("restore series");
-                }
-                start = s0;
-            }
-        }
-    }
-    for s in start..total {
-        // A drain request is honoured at the sweep boundary: write a
-        // final (full) generation, then exit cleanly instead of being
-        // killed mid-write.
-        let draining = ck
-            .and_then(|c| c.stop)
-            .is_some_and(|f| f.load(Ordering::SeqCst));
-        if let Some(ck) = ck {
-            if draining || s % ck.every == 0 {
-                // A drain can land between cadence boundaries, where the
-                // generation-index arithmetic below has no meaning —
-                // draining always forces a full snapshot.
-                let gen_index = s / ck.every;
-                let want_full = draining || ck.full_every == 0 || gen_index % ck.full_every == 0;
-                // The base must be strictly older: resuming exactly at a
-                // checkpoint boundary would otherwise try to write this
-                // generation as a delta against itself.
-                let delta = !want_full && ck.store.delta_base().is_some_and(|b| b < s as u64);
-                let mut meta = Encoder::new();
-                meta.u64(s as u64);
-                let mut plan = vec![("meta".to_string(), SectionPlan::Payload(meta.into_bytes()))];
-                plan_sections(&mut plan, "engine", eng, delta);
-                plan_sections(&mut plan, "rng", rng, delta);
-                plan_sections(&mut plan, "series", series, delta);
-                match ck.store.write_plan(s as u64, plan, delta) {
-                    Ok(_) => {
-                        // Only a durably written generation may mark state
-                        // clean: a false "clean" would let a later delta
-                        // reference a base that never captured it.
-                        eng.mark_clean();
-                        rng.mark_clean();
-                        series.mark_clean();
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "warning: checkpoint generation {s} not written: {e}; continuing"
-                        );
-                    }
-                }
-            }
-        }
-        if draining {
-            return false;
-        }
-        if kill_at == Some(s) {
-            return false;
-        }
-        step(eng, rng, series, s);
-    }
-    true
+/// `true` when every sweep ran. A store that does not restore is a
+/// caller error here (wrong directory, wrong engine), not tenant input.
+fn finished(end: Result<End, CkptError>) -> bool {
+    end.expect("restore from checkpoint") == End::Finished
 }
 
 /// Checkpointed serial TFIM run; draw-for-draw identical to
@@ -153,15 +39,13 @@ pub fn run_serial_tfim_ckpt<R: Rng64 + Checkpoint>(
     therm: usize,
     sweeps: usize,
     wolff_per_sweep: usize,
-    ck: Option<&CkptCfg<'_>>,
+    ck: Option<&Policy<'_>>,
     kill_at: Option<usize>,
 ) -> Option<(SerialTfim, TfimSeries)> {
     let mut eng = SerialTfim::new(model);
     let mut series = TfimSeries::default();
     let done = drive(
-        &mut eng,
-        rng,
-        &mut series,
+        (&mut eng, rng, &mut series),
         therm + sweeps,
         ck,
         kill_at,
@@ -174,8 +58,9 @@ pub fn run_serial_tfim_ckpt<R: Rng64 + Checkpoint>(
                 series.record(&eng.measure());
             }
         },
+        |_, _| {},
     );
-    done.then_some((eng, series))
+    finished(done).then_some((eng, series))
 }
 
 /// Checkpointed replica-packed TFIM run; draw-for-draw identical to
@@ -189,16 +74,14 @@ pub fn run_packed_tfim_ckpt<R: Rng64 + Checkpoint>(
     rng: &mut R,
     therm: usize,
     sweeps: usize,
-    ck: Option<&CkptCfg<'_>>,
+    ck: Option<&Policy<'_>>,
     kill_at: Option<usize>,
 ) -> Option<(PackedReplicas, PackedSeries)> {
     let mut eng = PackedReplicas::new(model, lanes);
     let mut series = PackedSeries::new(lanes);
     let mut meas = Vec::with_capacity(lanes);
     let done = drive(
-        &mut eng,
-        rng,
-        &mut series,
+        (&mut eng, rng, &mut series),
         therm + sweeps,
         ck,
         kill_at,
@@ -209,8 +92,9 @@ pub fn run_packed_tfim_ckpt<R: Rng64 + Checkpoint>(
                 series.record(&meas);
             }
         },
+        |_, _| {},
     );
-    done.then_some((eng, series))
+    finished(done).then_some((eng, series))
 }
 
 /// Checkpointed world-line chain run; draw-for-draw identical to
@@ -220,16 +104,14 @@ pub fn run_worldline_ckpt<R: Rng64 + Checkpoint>(
     rng: &mut R,
     therm: usize,
     sweeps: usize,
-    ck: Option<&CkptCfg<'_>>,
+    ck: Option<&Policy<'_>>,
     kill_at: Option<usize>,
 ) -> Option<(Worldline, TimeSeries)> {
     let mut eng = Worldline::new(params);
     let mut series = TimeSeries::new(params.l);
     series.set_beta(params.beta);
     let done = drive(
-        &mut eng,
-        rng,
-        &mut series,
+        (&mut eng, rng, &mut series),
         therm + sweeps,
         ck,
         kill_at,
@@ -240,8 +122,9 @@ pub fn run_worldline_ckpt<R: Rng64 + Checkpoint>(
                 series.record_correlations(eng);
             }
         },
+        |_, _| {},
     );
-    done.then_some((eng, series))
+    finished(done).then_some((eng, series))
 }
 
 /// Checkpointed generic world-line run; draw-for-draw identical to
@@ -252,7 +135,7 @@ pub fn run_generic_worldline_ckpt<L: Lattice, R: Rng64 + Checkpoint>(
     rng: &mut R,
     therm: usize,
     sweeps: usize,
-    ck: Option<&CkptCfg<'_>>,
+    ck: Option<&Policy<'_>>,
     kill_at: Option<usize>,
 ) -> Option<(GenericWorldline<L>, TimeSeries)> {
     let n_sites = lattice.num_sites();
@@ -260,9 +143,7 @@ pub fn run_generic_worldline_ckpt<L: Lattice, R: Rng64 + Checkpoint>(
     let mut series = TimeSeries::new(n_sites);
     series.set_beta(params.beta);
     let done = drive(
-        &mut eng,
-        rng,
-        &mut series,
+        (&mut eng, rng, &mut series),
         therm + sweeps,
         ck,
         kill_at,
@@ -272,8 +153,9 @@ pub fn run_generic_worldline_ckpt<L: Lattice, R: Rng64 + Checkpoint>(
                 series.record(&eng.measure());
             }
         },
+        |_, _| {},
     );
-    done.then_some((eng, series))
+    finished(done).then_some((eng, series))
 }
 
 /// Checkpointed SSE run; draw-for-draw identical to [`Sse::run`]
@@ -290,15 +172,13 @@ pub fn run_sse_ckpt<L: Lattice, R: Rng64 + Checkpoint>(
     rng: &mut R,
     therm: usize,
     sweeps: usize,
-    ck: Option<&CkptCfg<'_>>,
+    ck: Option<&Policy<'_>>,
     kill_at: Option<usize>,
 ) -> Option<(Sse, SseSeries)> {
     let mut eng = Sse::new(lattice, j, beta, rng);
     let mut series = eng.begin_series(sweeps);
     let done = drive(
-        &mut eng,
-        rng,
-        &mut series,
+        (&mut eng, rng, &mut series),
         therm + sweeps,
         ck,
         kill_at,
@@ -310,6 +190,7 @@ pub fn run_sse_ckpt<L: Lattice, R: Rng64 + Checkpoint>(
                 eng.record_measurement(series);
             }
         },
+        |_, _| {},
     );
-    done.then_some((eng, series))
+    finished(done).then_some((eng, series))
 }

@@ -18,51 +18,15 @@
 //! the caller exits non-zero when any verdict fails (the
 //! `scripts/check.sh elastic` stage).
 
-use qmc_ckpt::{Checkpoint, CkptStore};
+use qmc_ckpt::CkptStore;
 use qmc_comm::{run_threads, run_threads_elastic, Communicator};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig};
-use qmc_rng::{Rng64, StreamFactory};
+use qmc_rng::{CountingRng, StreamFactory};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Counts raw draws while forwarding to the wrapped generator; the
-/// count rides in the checkpoint so a respawned rank reports the same
-/// total as the uninterrupted reference.
-struct CountingRng<R> {
-    inner: R,
-    draws: u64,
-}
-
-impl<R: Rng64> Rng64 for CountingRng<R> {
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.inner.next_u64()
-    }
-
-    fn fill_u64(&mut self, out: &mut [u64]) {
-        self.draws += out.len() as u64;
-        self.inner.fill_u64(out);
-    }
-}
-
-impl<R: Checkpoint> Checkpoint for CountingRng<R> {
-    fn kind(&self) -> &'static str {
-        "bench.counting-rng"
-    }
-
-    fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.u64(self.draws);
-        enc.state(&self.inner);
-    }
-
-    fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        self.draws = dec.u64()?;
-        dec.load_state(&mut self.inner)
-    }
-}
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -104,10 +68,7 @@ type RankOut = (Vec<f64>, Vec<f64>, u64);
 fn reference(cfg: &PtConfig) -> Vec<RankOut> {
     let cfg2 = cfg.clone();
     run_threads(cfg.betas.len(), move |comm| {
-        let mut rng = CountingRng {
-            inner: StreamFactory::new(17).stream(comm.rank()),
-            draws: 0,
-        };
+        let mut rng = CountingRng::new(StreamFactory::new(17).stream(comm.rank()));
         let (e, r) = run_pt_parallel_ckpt(comm, &cfg2, &mut rng, None, |_, _| {});
         (e, r, rng.draws)
     })
@@ -139,10 +100,7 @@ pub fn elastic_demo(quick: bool) -> (String, bool) {
         let dir2 = dir.clone();
         let fired2 = Arc::clone(&fired);
         run_threads_elastic(cfg.betas.len(), Duration::from_secs(60), 1, move |comm| {
-            let mut rng = CountingRng {
-                inner: StreamFactory::new(17).stream(comm.rank()),
-                draws: 0,
-            };
+            let mut rng = CountingRng::new(StreamFactory::new(17).stream(comm.rank()));
             let store = CkptStore::new(&dir2, 3).expect("store");
             let ck = PtCheckpointing {
                 store: &store,
@@ -193,10 +151,7 @@ pub fn elastic_demo(quick: bool) -> (String, bool) {
         let dir2 = seed_dir.clone();
         let every = cfg.sweeps / 2;
         run_threads(cfg.betas.len(), move |comm| {
-            let mut rng = CountingRng {
-                inner: StreamFactory::new(17).stream(comm.rank()),
-                draws: 0,
-            };
+            let mut rng = CountingRng::new(StreamFactory::new(17).stream(comm.rank()));
             let store = CkptStore::new(&dir2, 3).expect("seed store");
             let ck = PtCheckpointing {
                 store: &store,
@@ -227,10 +182,7 @@ pub fn elastic_demo(quick: bool) -> (String, bool) {
         let dir2 = dir.to_path_buf();
         let every = cfg.sweeps / 2;
         run_threads(shrunk.betas.len(), move |comm| {
-            let mut rng = CountingRng {
-                inner: StreamFactory::new(17).stream(comm.rank()),
-                draws: 0,
-            };
+            let mut rng = CountingRng::new(StreamFactory::new(17).stream(comm.rank()));
             let store = CkptStore::new(&dir2, 3).expect("resize store");
             let ck = PtCheckpointing {
                 store: &store,

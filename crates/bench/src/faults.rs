@@ -89,23 +89,23 @@ fn faulty_run(
     run_threads_with_timeout(RANKS, timeout, move |comm| {
         let mut rng = StreamFactory::new(cfg.seed).stream(comm.rank());
         let mut faulty = FaultyComm::new(comm, plan);
-        let result = match &ckpt {
-            None => run_pt_parallel_ckpt(&mut faulty, &cfg, &mut rng, None, |c, s| c.tick_sweep(s)),
-            Some((dir, every, resume)) => {
-                let store = CkptStore::new(dir, 3).expect("checkpoint dir");
-                let ck = PtCheckpointing {
-                    store: &store,
-                    every: *every,
-                    full_every: 2,
-                    resume: *resume,
-                    stop: None,
-                    elastic_from: None,
-                };
-                run_pt_parallel_ckpt(&mut faulty, &cfg, &mut rng, Some(&ck), |c, s| {
-                    c.tick_sweep(s)
-                })
-            }
-        };
+        let opened = ckpt.as_ref().map(|(dir, every, resume)| {
+            let store = CkptStore::new(dir, 3).expect("checkpoint dir");
+            (store, *every, *resume)
+        });
+        let ck = opened
+            .as_ref()
+            .map(|&(ref store, every, resume)| PtCheckpointing {
+                store,
+                every,
+                full_every: 2,
+                resume,
+                stop: None,
+                elastic_from: None,
+            });
+        let result = run_pt_parallel_ckpt(&mut faulty, &cfg, &mut rng, ck.as_ref(), |c, s| {
+            c.tick_sweep(s)
+        });
         let stats = faulty.fault_stats();
         qmc_obs::publish_fault_stats(&stats);
         (result, stats)

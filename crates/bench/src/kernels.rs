@@ -286,10 +286,9 @@ pub fn bench_kernels_checked(quick: bool) -> (String, bool) {
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let store = qmc_ckpt::CkptStore::new(&dir, 2).expect("scratch checkpoint dir");
-            let ck = crate::ckpt_driver::CkptCfg {
+            let ck = qmc_ckpt::Policy {
                 store: &store,
-                every,
-                full_every,
+                cadence: qmc_ckpt::Cadence::new(every, full_every).expect("nonzero cadence"),
                 resume: false,
                 stop: None,
             };

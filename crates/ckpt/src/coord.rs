@@ -1,9 +1,9 @@
 //! Rank-0-coordinated checkpointing over any [`Communicator`].
 //!
 //! Each rank serializes its local state; rank 0 gathers all of it and
-//! writes a single atomic file. Two layouts exist: the legacy one from
-//! [`write_coordinated`] (one opaque `rank{r}` section holding each
-//! rank's whole serialized [`CkptFile`]) and the sectioned one from
+//! writes a single atomic file. Two layouts exist: the legacy v1 one
+//! (one opaque `rank{r}` section holding each rank's whole serialized
+//! [`CkptFile`]; no longer written, still restored) and the sectioned one from
 //! [`write_coordinated_sections`] (flattened `rank{r}/{name}` sections,
 //! which is what lets a delta write reference an individual rank's
 //! unchanged section in the base generation). On restore, rank 0 loads
@@ -24,34 +24,6 @@ use std::path::PathBuf;
 /// Section name for a rank's payload inside the coordinated file.
 fn rank_section(rank: usize) -> String {
     format!("rank{rank}")
-}
-
-/// Gather every rank's `local` file at rank 0 and write generation
-/// `generation` atomically. Returns the written path on rank 0 (`None`
-/// elsewhere, and `None` on rank 0 if the write failed — a checkpoint
-/// write failure must not kill a healthy run, so it is reported, not
-/// propagated).
-pub fn write_coordinated<C: Communicator>(
-    comm: &mut C,
-    store: &CkptStore,
-    generation: u64,
-    local: &CkptFile,
-) -> Option<PathBuf> {
-    let bytes = local.to_bytes();
-    let gathered = comm.gather_bytes(0, &bytes)?;
-    let mut outer = CkptFile::new();
-    for (rank, payload) in gathered.into_iter().enumerate() {
-        outer.add(&rank_section(rank), payload);
-    }
-    match store.write(generation, &outer) {
-        Ok(path) => Some(path),
-        Err(e) => {
-            eprintln!(
-                "warning: checkpoint generation {generation} not written ({e}); run continues"
-            );
-            None
-        }
-    }
 }
 
 /// Gather every rank's *section plan* at rank 0 and write generation
@@ -235,41 +207,10 @@ pub fn restore_coordinated<C: Communicator>(
     comm: &mut C,
     store: &CkptStore,
 ) -> Option<(u64, CkptFile)> {
-    let me = comm.rank();
-    let world = comm.size();
-    // Rank 0 encodes [present u8][generation u64][file bytes] so absence
-    // broadcasts consistently instead of deadlocking non-root ranks.
-    let msg = if me == 0 {
-        match store.latest() {
-            Some((generation, file)) => match covered_ranks(&file) {
-                Some(n) if n == world => {
-                    let mut m = vec![1u8];
-                    m.extend_from_slice(&generation.to_le_bytes());
-                    m.extend_from_slice(&file.to_bytes());
-                    m
-                }
-                covered => {
-                    eprintln!(
-                        "warning: checkpoint generation {generation} covers {} rank(s) but this \
-                         world has {world}; all ranks resume fresh",
-                        covered.map_or_else(|| "an invalid set of".to_string(), |n| n.to_string())
-                    );
-                    vec![0u8]
-                }
-            },
-            None => vec![0u8],
-        }
-    } else {
-        Vec::new()
-    };
-    let msg = comm.broadcast_bytes(0, msg);
-    let (generation, outer) = decode_restore_broadcast(me, &msg)?;
-    let file = extract_rank_file(&outer, me)?;
-    if me != 0 {
-        // Rank 0's restore was counted inside `CkptStore::latest`.
-        qmc_obs::counter_add("ckpt.restores", 1);
+    match restore_coordinated_remapped(comm, store, |_| None) {
+        ElasticRestore::Resumed(generation, file) => Some((generation, file)),
+        ElasticRestore::Fresh | ElasticRestore::Joined(_) => None,
     }
-    Some((generation, file))
 }
 
 /// Per-rank outcome of [`restore_coordinated_remapped`]. Rank-consistent:
@@ -304,43 +245,32 @@ pub fn restore_coordinated_remapped<C: Communicator>(
 ) -> ElasticRestore {
     let me = comm.rank();
     let world = comm.size();
+    // Rank 0 encodes [present u8][generation u64][file bytes] so absence
+    // broadcasts consistently instead of deadlocking non-root ranks.
     let msg = if me == 0 {
-        match store.latest() {
-            Some((generation, file)) => {
-                let covered = covered_ranks(&file);
-                let outer = match covered {
-                    Some(n) if n == world => Some(file),
-                    Some(n) => match remap(n).filter(|m| valid_mapping(m, n, world)) {
-                        Some(mapping) => Some(remap_outer(&file, &mapping)),
-                        None => {
-                            eprintln!(
-                                "warning: checkpoint generation {generation} covers {n} rank(s) \
-                                 but this world has {world} and no remap applies; all ranks \
-                                 resume fresh"
-                            );
-                            None
-                        }
-                    },
-                    None => {
-                        eprintln!(
-                            "warning: checkpoint generation {generation} covers an invalid rank \
-                             set; all ranks resume fresh"
-                        );
-                        None
-                    }
-                };
-                match outer {
-                    Some(outer) => {
-                        let mut m = vec![1u8];
-                        m.extend_from_slice(&generation.to_le_bytes());
-                        m.extend_from_slice(&outer.to_bytes());
-                        m
-                    }
-                    None => vec![0u8],
-                }
+        let present = store.latest().and_then(|(generation, file)| {
+            let covered = covered_ranks(&file);
+            let outer = match covered {
+                Some(n) if n == world => Some(file),
+                Some(n) => remap(n)
+                    .filter(|m| valid_mapping(m, n, world))
+                    .map(|m| remap_outer(&file, &m)),
+                None => None,
+            };
+            if outer.is_none() {
+                eprintln!(
+                    "warning: checkpoint generation {generation} covers {} rank(s) but this \
+                     world has {world} and no remap applies; all ranks resume fresh",
+                    covered.map_or_else(|| "an invalid set of".to_string(), |n| n.to_string())
+                );
             }
-            None => vec![0u8],
-        }
+            let outer = outer?;
+            let mut m = vec![1u8];
+            m.extend_from_slice(&generation.to_le_bytes());
+            m.extend_from_slice(&outer.to_bytes());
+            Some(m)
+        });
+        present.unwrap_or_else(|| vec![0u8])
     } else {
         Vec::new()
     };
@@ -407,6 +337,24 @@ mod tests {
             std::env::temp_dir().join(format!("qmc-ckpt-coord-{}-{label}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The v1 monolithic writer, kept as a fixture so the legacy-layout
+    /// restore paths stay covered: each rank's whole serialized
+    /// [`CkptFile`] goes into one opaque `rank{r}` section. Nothing
+    /// outside these tests writes that layout any more.
+    fn write_coordinated<C: Communicator>(
+        comm: &mut C,
+        store: &CkptStore,
+        generation: u64,
+        local: &CkptFile,
+    ) -> Option<PathBuf> {
+        let gathered = comm.gather_bytes(0, &local.to_bytes())?;
+        let mut outer = CkptFile::new();
+        for (rank, payload) in gathered.into_iter().enumerate() {
+            outer.add(&rank_section(rank), payload);
+        }
+        store.write(generation, &outer).ok()
     }
 
     fn roundtrip_world(dir: &Path, ranks: usize) -> Vec<(u64, Vec<u8>)> {

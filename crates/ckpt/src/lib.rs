@@ -5,8 +5,10 @@
 //! substrate: a [`Checkpoint`] trait over a versioned, length-prefixed
 //! binary wire format (schema [`SCHEMA`]) with per-section CRC32, an
 //! atomic on-disk [`CkptStore`] (write-to-temp + rename, retain last K,
-//! fall back past torn or CRC-bad generations), and rank-0-coordinated
-//! [`coord`] write/restore over any [`qmc_comm::Communicator`].
+//! fall back past torn or CRC-bad generations), rank-0-coordinated
+//! [`coord`] write/restore over any [`qmc_comm::Communicator`], and the
+//! one sweep-boundary run loop, [`drive`], that every checkpointed driver
+//! shares.
 //!
 //! The contract every implementor must honor: after `save` → `load` into
 //! a freshly constructed value, the resumed object continues the
@@ -16,6 +18,7 @@
 //! therefore round-trip exactly.
 
 mod crc32;
+mod drive;
 mod file;
 mod store;
 mod wire;
@@ -26,6 +29,7 @@ pub mod registry;
 
 pub use crc32::crc32;
 pub use delta::{RawCkpt, SectionData, SectionPlan, SCHEMA_V2};
+pub use drive::{drive, meta_plan, read_meta, Cadence, End, Policy};
 pub use file::{CkptFile, SCHEMA};
 pub use store::{namespace_key, CkptStore};
 pub use wire::{CkptError, Decoder, Encoder};
@@ -211,15 +215,20 @@ pub fn plan_sections(
     }
 }
 
-/// Restore `state` from every `prefix/…` section of a materialized
-/// file, in file order. Errors if the file holds no such sections (a
-/// monolithic v1-era layout should take the [`CkptFile::restore`] path
-/// instead).
+/// Restore `state` from whichever layout a materialized file holds
+/// under `prefix`: every sectioned `prefix/…` entry in file order, or one
+/// legacy monolithic `prefix` section (files written before the sectioned
+/// format). The legacy path leaves `state` dirty, so the next write
+/// degrades to a full snapshot instead of a delta referencing section
+/// names that file never carried. Errors if the file holds neither.
 pub fn restore_sections(
     file: &CkptFile,
     prefix: &str,
     state: &mut impl Checkpoint,
 ) -> Result<(), CkptError> {
+    if file.get(prefix).is_some() {
+        return file.restore(prefix, state);
+    }
     let p = format!("{prefix}/");
     let mut found = false;
     for (name, payload) in file.sections() {

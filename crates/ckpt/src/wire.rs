@@ -7,7 +7,8 @@
 use crate::Checkpoint;
 use std::fmt;
 
-/// Everything that can go wrong reading a checkpoint.
+/// Everything that can go wrong reading a checkpoint or setting up a
+/// checkpointed run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
     /// Ran out of bytes while reading `what`.
@@ -26,6 +27,9 @@ pub enum CkptError {
     Corrupt { detail: String },
     /// Filesystem error surfaced while reading.
     Io { detail: String },
+    /// A checkpoint cadence of zero sweeps ("every 0 sweeps") was asked
+    /// for; there is no such schedule.
+    ZeroCadence,
 }
 
 impl fmt::Display for CkptError {
@@ -50,6 +54,7 @@ impl fmt::Display for CkptError {
             }
             CkptError::Corrupt { detail } => write!(f, "corrupt checkpoint: {detail}"),
             CkptError::Io { detail } => write!(f, "checkpoint i/o error: {detail}"),
+            CkptError::ZeroCadence => write!(f, "checkpoint cadence must be at least 1 sweep"),
         }
     }
 }

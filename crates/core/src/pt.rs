@@ -222,119 +222,15 @@ pub struct PtConfig {
 /// an extra message; accepted swaps exchange configuration payloads.
 /// Returns `(my_energy_series, pair_acceptance_rates)`; the acceptance
 /// vector is allreduced so every rank sees all pairs.
-pub fn run_pt_parallel<C: Communicator, R: Rng64>(
+///
+/// This is [`run_pt_parallel_ckpt`] with checkpointing off and no sweep
+/// hook — there is one loop, not a plain copy and a checkpointed copy.
+pub fn run_pt_parallel<C: Communicator, R: Rng64 + qmc_ckpt::Checkpoint>(
     comm: &mut C,
     cfg: &PtConfig,
     rng: &mut R,
 ) -> (Vec<f64>, Vec<f64>) {
-    let PtConfig {
-        l,
-        jx,
-        jz,
-        m,
-        ref betas,
-        therm,
-        sweeps,
-        exchange_every,
-        seed,
-    } = *cfg;
-    assert_eq!(
-        comm.size(),
-        betas.len(),
-        "one rank per temperature required"
-    );
-    assert!(betas.windows(2).all(|w| w[0] < w[1]));
-    let me = comm.rank();
-    let mut replica = Worldline::new(WorldlineParams {
-        l,
-        jx,
-        jz,
-        beta: betas[me],
-        m,
-    });
-    let neighbor_weights: Vec<PlaqWeights> = betas
-        .iter()
-        .map(|&b| PlaqWeights::new(jx, jz, b / m as f64))
-        .collect();
-
-    let mut accepted = vec![0.0f64; betas.len() - 1];
-    let mut attempted = vec![0.0f64; betas.len() - 1];
-    let mut energies = Vec::with_capacity(sweeps);
-    let mut step = 0u64;
-
-    let do_phase = |replica: &mut Worldline,
-                    comm: &mut C,
-                    step: u64,
-                    accepted: &mut [f64],
-                    attempted: &mut [f64]| {
-        let _span = qmc_obs::span("pt.exchange");
-        let phase = (step % 2) as usize;
-        // The pair for me: partner above if my index parity == phase,
-        // else partner below (if any).
-        let pair_k = if me % 2 == phase {
-            me // pair (me, me+1)
-        } else {
-            me.wrapping_sub(1) // pair (me−1, me)
-        };
-        if pair_k == usize::MAX || pair_k + 1 >= betas.len() {
-            return;
-        }
-        let partner = if pair_k == me { me + 1 } else { me - 1 };
-        // Exchange the two cross log-weights.
-        let lw_own = replica.log_weight();
-        let lw_cross = replica.log_weight_with(&neighbor_weights[partner]);
-        let payload = util::f64s_to_bytes(&[lw_own, lw_cross]);
-        let other = util::bytes_to_f64s(&comm.sendrecv_bytes(partner, 7, &payload, partner, 7));
-        let (lw_partner_own, lw_partner_cross) = (other[0], other[1]);
-        let log_ratio = lw_cross + lw_partner_cross - lw_own - lw_partner_own;
-        // Common random number: both sides derive the same coin.
-        let coin = SplitMix64::new(
-            seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (pair_k as u64) << 32,
-        )
-        .next_f64_of();
-        if me == pair_k {
-            attempted[pair_k] += 1.0;
-            qmc_obs::counter_add("pt.swaps_attempted", 1);
-        }
-        if coin < log_ratio.exp() {
-            if me == pair_k {
-                accepted[pair_k] += 1.0;
-                qmc_obs::counter_add("pt.swaps_accepted", 1);
-            }
-            let mine = replica.export_spins();
-            let theirs = comm.sendrecv_bytes(partner, 8, &mine, partner, 8);
-            replica.import_spins(&theirs);
-        }
-    };
-
-    // A run-level span bounds the whole loop so per-rank attribution
-    // (compute = span time minus in-span comm) covers loop bookkeeping
-    // and the gaps between per-step guards; `pt.step` nests inside it
-    // for trace granularity.
-    let run_span = qmc_obs::span("pt.run");
-    for s in 0..therm + sweeps {
-        let _step = qmc_obs::span("pt.step");
-        replica.sweep(rng);
-        if s % exchange_every == 0 {
-            do_phase(&mut replica, comm, step, &mut accepted, &mut attempted);
-            step += 1;
-        }
-        if s >= therm {
-            let e = qmc_worldline::estimators::measure(&replica).energy_per_site;
-            qmc_obs::health_record("energy", e);
-            energies.push(e);
-        }
-    }
-    drop(run_span);
-
-    let acc = comm.allreduce_f64(&accepted, ReduceOp::Sum);
-    let att = comm.allreduce_f64(&attempted, ReduceOp::Sum);
-    let rates = acc
-        .iter()
-        .zip(&att)
-        .map(|(a, t)| if *t > 0.0 { a / t } else { 0.0 })
-        .collect();
-    (energies, rates)
+    run_pt_parallel_ckpt(comm, cfg, rng, None, |_, _| {})
 }
 
 impl qmc_ckpt::Checkpoint for PtLadder {
@@ -394,7 +290,9 @@ impl qmc_ckpt::Checkpoint for PtLadder {
     }
 }
 
-/// Checkpoint policy for [`run_pt_parallel_ckpt`].
+/// Checkpoint policy for [`run_pt_parallel_ckpt`]: the coordinated-run
+/// façade over [`qmc_ckpt::Cadence`] (`every`, `full_every`) plus the
+/// store, resume, collective-drain and elastic-remap knobs.
 pub struct PtCheckpointing<'a> {
     /// Generation store; every rank must name the same directory (the
     /// writes themselves are coordinated through rank 0).
@@ -429,17 +327,22 @@ pub struct PtCheckpointing<'a> {
     pub elastic_from: Option<&'a [f64]>,
 }
 
-/// [`run_pt_parallel`] with coordinated checkpoint/restore and a
-/// per-sweep hook.
+/// The distributed parallel-tempering loop, with optional coordinated
+/// checkpoint/restore and a per-sweep hook.
 ///
-/// The sweep/exchange/measure sequence — and therefore every random draw
-/// on every rank — is identical to [`run_pt_parallel`]; a run with
-/// `ck = None` returns bit-identical results (pinned by the checkpoint
-/// integration tests). Checkpoints are written *before* the sweep whose
-/// index they carry, so resuming generation `g` replays sweeps `g..` and
-/// lands on the same trajectory. `on_sweep` runs after the checkpoint
-/// write at the top of every iteration: it is the injection point for
+/// Checkpointing draws no random numbers and exchanges no user-tag
+/// messages, so every random draw on every rank is independent of `ck`.
+/// Checkpoints are written *before* the sweep whose index they carry, so
+/// resuming generation `g` replays sweeps `g..` on the same trajectory.
+/// Cadence, full-vs-delta, the `meta` header and the layout switch come
+/// from the helpers the serial loop [`qmc_ckpt::drive`] is built from;
+/// only the collective drain verdict and the rank-0-coordinated write are
+/// this loop's own. `on_sweep` runs after the checkpoint write at the top
+/// of every iteration: it is the injection point for
 /// [`qmc_comm::FaultyComm::tick_sweep`]-style rank kills.
+///
+/// Panics on a zero `ck.every` ([`qmc_ckpt::CkptError::ZeroCadence`]) and
+/// on a newest generation that does not restore.
 pub fn run_pt_parallel_ckpt<C, R, F>(
     comm: &mut C,
     cfg: &PtConfig,
@@ -488,32 +391,26 @@ where
     let mut step = 0u64;
     let mut start = 0usize;
 
-    if let Some(ck) = ck {
+    // The frozen façade converts into the one shared cadence rule; "every
+    // 0 sweeps" is refused here instead of dividing by zero below.
+    let ck = ck.map(|ck| {
+        let cadence = qmc_ckpt::Cadence::new(ck.every, ck.full_every)
+            .unwrap_or_else(|e| panic!("rank {me}: {e}"));
+        (ck, cadence)
+    });
+
+    if let Some((ck, _)) = ck {
         if ck.resume {
             use qmc_ckpt::coord::ElasticRestore;
-            let restored = match ck.elastic_from {
-                None => match qmc_ckpt::coord::restore_coordinated(comm, ck.store) {
-                    Some((generation, file)) => ElasticRestore::Resumed(generation, file),
-                    None => ElasticRestore::Fresh,
-                },
-                Some(old_betas) => {
-                    let old: Vec<f64> = old_betas.to_vec();
-                    let new: Vec<f64> = betas.clone();
-                    qmc_ckpt::coord::restore_coordinated_remapped(
-                        comm,
-                        ck.store,
-                        move |old_world| {
-                            // Only a checkpoint from the declared pre-resize
-                            // ladder is remappable; anything else degrades.
-                            (old_world == old.len()).then(|| {
-                                new.iter()
-                                    .map(|b| old.iter().position(|ob| ob.to_bits() == b.to_bits()))
-                                    .collect()
-                            })
-                        },
-                    )
-                }
-            };
+            // A checkpoint from another world size degrades to a fresh
+            // start on every rank — unless it is from the declared
+            // pre-resize ladder, which is remapped by β (bit equality).
+            let restored =
+                qmc_ckpt::coord::restore_coordinated_remapped(comm, ck.store, |old_world| {
+                    let old = ck.elastic_from.filter(|old| old.len() == old_world)?;
+                    let same = |b: &f64| old.iter().position(|ob| ob.to_bits() == b.to_bits());
+                    Some(betas.iter().map(same).collect())
+                });
             match restored {
                 ElasticRestore::Fresh => {}
                 ElasticRestore::Joined(generation) => {
@@ -528,45 +425,17 @@ where
                     step = (generation).div_ceil(exchange_every as u64);
                 }
                 ElasticRestore::Resumed(generation, file) => {
-                    let meta = file
-                        .require("meta")
-                        .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
-                    let mut dec = qmc_ckpt::Decoder::new(meta);
-                    let s0 = dec
-                        .u64()
-                        .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"))
-                        as usize;
-                    let step0 = dec
-                        .u64()
-                        .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
-                    if file.get("replica").is_some() {
-                        // Legacy monolithic layout: restore, but leave the
-                        // state dirty so the next delta write degrades to a
-                        // full snapshot (this file carries no sectioned
-                        // names a delta could reference).
-                        file.restore("replica", &mut replica)
-                            .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
-                        file.restore("rng", rng)
-                            .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
-                    } else {
-                        qmc_ckpt::restore_sections(&file, "replica", &mut replica)
-                            .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
-                        qmc_ckpt::restore_sections(&file, "rng", rng)
-                            .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
-                    }
-                    let stats = file
-                        .require("stats")
-                        .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
-                    let mut dec = qmc_ckpt::Decoder::new(stats);
-                    let acc = dec
-                        .f64s()
-                        .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
-                    let att = dec
-                        .f64s()
-                        .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
-                    energies = dec
-                        .f64s()
-                        .unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
+                    let mut step0 = [0u64];
+                    let restored = (|| {
+                        let s0 = qmc_ckpt::read_meta(&file, generation, &mut step0)?;
+                        qmc_ckpt::restore_sections(&file, "replica", &mut replica)?;
+                        qmc_ckpt::restore_sections(&file, "rng", rng)?;
+                        let mut dec = qmc_ckpt::Decoder::new(file.require("stats")?);
+                        Ok::<_, qmc_ckpt::CkptError>((s0, dec.f64s()?, dec.f64s()?, dec.f64s()?))
+                    })();
+                    let (s0, acc, att, series) =
+                        restored.unwrap_or_else(|e| panic!("rank {me}: resume failed: {e}"));
+                    energies = series;
                     if acc.len() == betas.len() - 1 {
                         accepted = acc;
                         attempted = att;
@@ -593,11 +462,7 @@ where
                             betas.len()
                         );
                     }
-                    assert_eq!(
-                        generation, s0 as u64,
-                        "checkpoint generation must equal its sweep index"
-                    );
-                    step = step0;
+                    step = step0[0];
                     start = s0;
                 }
             }
@@ -611,6 +476,8 @@ where
                     attempted: &mut [f64]| {
         let _span = qmc_obs::span("pt.exchange");
         let phase = (step % 2) as usize;
+        // The pair for me: partner above if my index parity == phase,
+        // else partner below (if any).
         let pair_k = if me % 2 == phase {
             me // pair (me, me+1)
         } else {
@@ -620,16 +487,18 @@ where
             return;
         }
         let partner = if pair_k == me { me + 1 } else { me - 1 };
+        // Exchange the two cross log-weights.
         let lw_own = replica.log_weight();
         let lw_cross = replica.log_weight_with(&neighbor_weights[partner]);
         let payload = util::f64s_to_bytes(&[lw_own, lw_cross]);
         let other = util::bytes_to_f64s(&comm.sendrecv_bytes(partner, 7, &payload, partner, 7));
         let (lw_partner_own, lw_partner_cross) = (other[0], other[1]);
         let log_ratio = lw_cross + lw_partner_cross - lw_own - lw_partner_own;
+        // Common random number: both sides derive the same coin.
         let coin = SplitMix64::new(
             seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (pair_k as u64) << 32,
         )
-        .next_f64_of();
+        .next_f64();
         if me == pair_k {
             attempted[pair_k] += 1.0;
             qmc_obs::counter_add("pt.swaps_attempted", 1);
@@ -645,48 +514,36 @@ where
         }
     };
 
-    // Run-level span: see run_pt_parallel — bounds attribution over the
-    // whole loop, with `pt.step` nested inside for trace granularity.
+    // A run-level span bounds the whole loop so per-rank attribution
+    // (compute = span time minus in-span comm) covers loop bookkeeping
+    // and the gaps between per-step guards; `pt.step` nests inside it
+    // for trace granularity.
     let run_span = qmc_obs::span("pt.run");
+    let stop = ck.and_then(|(c, _)| c.stop);
     for s in start..therm + sweeps {
         let _step_span = qmc_obs::span("pt.step");
         // Drain check (collective): rank 0 reads the stop flag, every
         // rank hears the same verdict, so the final coordinated write
         // below sees all ranks or none. No RNG draws are involved, so a
         // run with the flag never raised stays bit-identical.
-        let draining = if ck.is_some_and(|c| c.stop.is_some()) {
+        let draining = stop.is_some() && {
             let mine = if me == 0 {
-                let raised = ck
-                    .and_then(|c| c.stop)
-                    .is_some_and(|f| f.load(std::sync::atomic::Ordering::SeqCst));
+                let raised = stop.is_some_and(|f| f.load(std::sync::atomic::Ordering::SeqCst));
                 vec![raised as u8]
             } else {
                 Vec::new()
             };
             comm.broadcast_bytes(0, mine)[0] != 0
-        } else {
-            false
         };
-        if let Some(ck) = ck {
-            if draining || s % ck.every == 0 {
-                let gen_index = s / ck.every;
-                // A drain can land between cadence boundaries where the
-                // generation-index arithmetic is meaningless — draining
-                // always writes a full snapshot.
-                let want_full = draining || ck.full_every == 0 || gen_index % ck.full_every == 0;
+        if let Some((ck, cadence)) = ck {
+            if let Some(want_full) = cadence.due(s, draining) {
                 let (_, committed) = qmc_ckpt::coord::write_coordinated_sections(
                     comm,
                     ck.store,
                     s as u64,
                     want_full,
                     |delta| {
-                        let mut meta = qmc_ckpt::Encoder::new();
-                        meta.u64(s as u64);
-                        meta.u64(step);
-                        let mut plan = vec![(
-                            "meta".to_string(),
-                            qmc_ckpt::SectionPlan::Payload(meta.into_bytes()),
-                        )];
+                        let mut plan = vec![qmc_ckpt::meta_plan(s, &[step])];
                         qmc_ckpt::plan_sections(&mut plan, "replica", &replica, delta);
                         qmc_ckpt::plan_sections(&mut plan, "rng", rng, delta);
                         let mut st = qmc_ckpt::Encoder::new();
@@ -738,17 +595,6 @@ where
         .map(|(a, t)| if *t > 0.0 { a / t } else { 0.0 })
         .collect();
     (energies, rates)
-}
-
-/// Helper trait bridging SplitMix to a one-shot uniform draw.
-trait OneShot {
-    fn next_f64_of(self) -> f64;
-}
-
-impl OneShot for SplitMix64 {
-    fn next_f64_of(mut self) -> f64 {
-        self.next_f64()
-    }
 }
 
 /// Build a geometric β ladder from `beta_min` to `beta_max` with `n`

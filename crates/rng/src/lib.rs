@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 
 mod buffered;
+mod counting;
 mod lcg;
 mod lfg;
 mod splitmix;
@@ -58,6 +59,7 @@ mod stream;
 mod xoshiro;
 
 pub use buffered::Buffered;
+pub use counting::CountingRng;
 pub use lcg::Lcg64;
 pub use lfg::LaggedFibonacci55;
 pub use splitmix::SplitMix64;

@@ -1,12 +1,12 @@
-//! Job execution: one checkpointed drive loop per job kind.
-//!
-//! The server cannot depend on `qmc-bench` (which depends on this crate
-//! for the demo), so the serial drive loop here mirrors
-//! `qmc_bench::ckpt_driver` — restore from the newest generation,
-//! checkpoint *before* the sweep whose index the generation carries,
-//! honour kill/drain at sweep boundaries — against the same `qmc-ckpt`
-//! section plans, so a job checkpointed by one incarnation of a worker
-//! resumes bit-identically in the next.
+//! Job execution: engine set-up, the step closure, and outcome mapping
+//! for each job kind. Neither kind owns a run loop: a serial TFIM job is
+//! a step closure over [`qmc_ckpt::drive`] — the single sweep-boundary
+//! loop (restore, checkpoint *before* the sweep whose index the
+//! generation carries, drain/kill at sweep boundaries) that `qmc-bench`'s
+//! `run_*_ckpt` drivers also run through, so a job checkpointed by one
+//! incarnation of a worker — or by the bench driver — resumes
+//! bit-identically in the next; a parallel-tempering job hands its policy
+//! to `qmc_core::pt::run_pt_parallel_ckpt`.
 //!
 //! Kills come in two flavors, both deterministic:
 //! * serial jobs abort at a chosen sweep boundary, leaving the store
@@ -20,9 +20,7 @@
 //!   scheduler's requeue path unless both policies are unavailable.
 
 use crate::job::{JobKind, JobObservables, JobSpec};
-use qmc_ckpt::{
-    plan_sections, restore_sections, Checkpoint, CkptStore, Decoder, Encoder, SectionPlan,
-};
+use qmc_ckpt::{drive, Cadence, CkptStore, End, Policy};
 use qmc_comm::{run_threads, run_threads_elastic, Communicator, ElasticError};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig};
 use qmc_obs::Registry;
@@ -114,6 +112,15 @@ impl Default for RunCtl<'_> {
 /// Run one attempt of `spec` under `ctl`. The spec must already be
 /// validated; parameter errors here are bugs, not tenant input.
 pub fn run_job(spec: &JobSpec, ctl: RunCtl<'_>) -> Outcome {
+    // "Every 0 sweeps" is no schedule; retrying would hit the same wall.
+    let cadence = match Cadence::new(ctl.every, ctl.full_every) {
+        Ok(cadence) => cadence,
+        Err(e) => {
+            return Outcome::Failed {
+                reason: e.to_string(),
+            }
+        }
+    };
     match &spec.kind {
         JobKind::Tfim {
             lx,
@@ -131,7 +138,7 @@ pub fn run_job(spec: &JobSpec, ctl: RunCtl<'_>) -> Outcome {
                 beta: spec.betas[0],
                 m: *m,
             };
-            run_tfim(model, *wolff, spec, ctl)
+            run_tfim(model, *wolff, spec, ctl, cadence)
         }
         JobKind::PtXxz {
             l,
@@ -156,105 +163,76 @@ pub fn run_job(spec: &JobSpec, ctl: RunCtl<'_>) -> Outcome {
     }
 }
 
-/// Serial TFIM drive loop (mirrors `qmc_bench::ckpt_driver::drive`).
-fn run_tfim(model: TfimModel, wolff: usize, spec: &JobSpec, mut ctl: RunCtl<'_>) -> Outcome {
+/// Serial TFIM attempt: a step closure over the shared [`drive`] loop.
+fn run_tfim(
+    model: TfimModel,
+    wolff: usize,
+    spec: &JobSpec,
+    mut ctl: RunCtl<'_>,
+    cadence: Cadence,
+) -> Outcome {
     let therm = spec.therm as usize;
     let total = therm + spec.sweeps as usize;
     let mut eng = SerialTfim::new(model);
     let mut series = TfimSeries::default();
     let mut rng = Xoshiro256StarStar::new(spec.seed);
 
-    let mut start = 0usize;
-    if let Some(store) = ctl.store {
-        if ctl.resume {
-            if let Some((generation, file)) = store.latest() {
-                // A restore failure (corrupt generation, or a checkpoint
-                // written by a different spec) is terminal for the job,
-                // not the worker: report it instead of panicking the
-                // pool thread.
-                let restored = (|| -> Result<usize, String> {
-                    let meta = file.require("meta").map_err(|e| e.to_string())?;
-                    let mut dec = Decoder::new(meta);
-                    let s0 = dec.u64().map_err(|e| e.to_string())? as usize;
-                    if generation != s0 as u64 {
-                        return Err(format!(
-                            "generation {generation} != checkpointed sweep {s0}"
-                        ));
-                    }
-                    restore_sections(&file, "engine", &mut eng).map_err(|e| e.to_string())?;
-                    restore_sections(&file, "rng", &mut rng).map_err(|e| e.to_string())?;
-                    restore_sections(&file, "series", &mut series).map_err(|e| e.to_string())?;
-                    Ok(s0)
-                })();
-                match restored {
-                    Ok(s0) => start = s0,
-                    Err(e) => {
-                        return Outcome::Failed {
-                            reason: format!("restore from checkpoint generation {generation}: {e}"),
-                        }
-                    }
-                }
+    let policy = ctl.store.map(|store| Policy {
+        store,
+        cadence,
+        resume: ctl.resume,
+        stop: ctl.stop,
+    });
+    let end = drive(
+        (&mut eng, &mut rng, &mut series),
+        total,
+        policy.as_ref(),
+        ctl.kill_at.map(|k| k as usize),
+        |eng, rng, series, s| {
+            eng.metropolis_sweep(rng);
+            for _ in 0..wolff {
+                eng.wolff_update(rng);
             }
-        }
-    }
-
-    let mean = |series: &TfimSeries| -> f64 {
-        if series.energy.is_empty() {
-            f64::NAN
-        } else {
-            series.energy.iter().sum::<f64>() / series.energy.len() as f64
-        }
-    };
-
-    for s in start..total {
-        let draining = ctl.stop.is_some_and(|f| f.load(Ordering::SeqCst));
-        if let Some(store) = ctl.store {
-            if draining || s % ctl.every == 0 {
-                let gen_index = s / ctl.every;
-                let want_full =
-                    draining || ctl.full_every == 0 || gen_index.is_multiple_of(ctl.full_every);
-                let delta = !want_full && store.delta_base().is_some_and(|b| b < s as u64);
-                let mut meta = Encoder::new();
-                meta.u64(s as u64);
-                let mut plan = vec![("meta".to_string(), SectionPlan::Payload(meta.into_bytes()))];
-                plan_sections(&mut plan, "engine", &eng, delta);
-                plan_sections(&mut plan, "rng", &rng, delta);
-                plan_sections(&mut plan, "series", &series, delta);
-                if store.write_plan(s as u64, plan, delta).is_ok() {
-                    eng.mark_clean();
-                    rng.mark_clean();
-                    series.mark_clean();
-                }
-                if let Some(snap) = ctl.snapshot.as_deref_mut() {
-                    snap(s as u64, total as u64, mean(&series));
-                }
+            if s >= therm {
+                series.record(&eng.measure());
             }
-        }
-        if draining {
-            return Outcome::Drained { at_sweep: s as u64 };
-        }
-        if ctl.kill_at == Some(s as u64) {
-            // Die exactly as the crash-matrix tests do: after any
-            // generation due at this boundary, before the sweep runs.
-            return Outcome::Killed { at_sweep: s as u64 };
-        }
-        eng.metropolis_sweep(&mut rng);
-        for _ in 0..wolff {
-            eng.wolff_update(&mut rng);
-        }
-        if s >= therm {
-            series.record(&eng.measure());
-        }
-    }
-    let obs = JobObservables {
-        energy: vec![series.energy.clone()],
-        extra: vec![series.abs_m.clone()],
-    };
-    Outcome::Done {
-        obs,
-        metrics: eng.metrics().clone(),
-        respawns: 0,
-        resized: false,
+        },
+        |series, s| {
+            if let Some(snap) = ctl.snapshot.as_deref_mut() {
+                let e = &series.energy;
+                let mean = if e.is_empty() {
+                    f64::NAN
+                } else {
+                    e.iter().sum::<f64>() / e.len() as f64
+                };
+                snap(s as u64, total as u64, mean);
+            }
+        },
+    );
+    match end {
+        Ok(End::Finished) => Outcome::Done {
+            obs: JobObservables {
+                // Cloned, not moved: the server retains results, and a
+                // clone drops the series' spare growth capacity.
+                energy: vec![series.energy.clone()],
+                extra: vec![series.abs_m.clone()],
+            },
+            metrics: eng.metrics().clone(),
+            respawns: 0,
+            resized: false,
+        },
+        Ok(End::Drained { at }) => Outcome::Drained {
+            at_sweep: at as u64,
+        },
+        Ok(End::Killed { at }) => Outcome::Killed {
+            at_sweep: at as u64,
+        },
+        // A restore failure (corrupt generation, or a checkpoint written
+        // by a different spec) is terminal for the job, not the worker:
+        // report it instead of panicking the pool thread.
+        Err(e) => Outcome::Failed {
+            reason: format!("restore from checkpoint: {e}"),
+        },
     }
 }
 

@@ -105,7 +105,12 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (port 0 for ephemeral) and start the thread pool.
+    /// A default cadence of zero is refused here, as `InvalidInput`
+    /// carrying [`qmc_ckpt::CkptError::ZeroCadence`], rather than failing
+    /// every job that leaves its own `ckpt_every` at "0 = server default".
     pub fn start(cfg: ServeConfig, addr: &str) -> io::Result<Server> {
+        qmc_ckpt::Cadence::new(cfg.ckpt_every, 0)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = FrameListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {

@@ -275,3 +275,35 @@ fn evicted_results_return_a_clean_error() {
     admin.drain().expect("drain ack");
     server.join();
 }
+
+/// Regression: `--ckpt-every 0` used to start fine and then fail every
+/// job that left `ckpt_every` at "0 = server default" with a
+/// remainder-by-zero panic inside the attempt. Start-up refuses it, and
+/// an attempt handed a zero cadence directly fails with the same typed
+/// reason instead of panicking.
+#[test]
+fn a_zero_cadence_is_refused_at_start_up_and_per_attempt() {
+    let zero = qmc_ckpt::CkptError::ZeroCadence;
+    let cfg = ServeConfig {
+        ckpt_root: scratch("zero-cadence"),
+        ckpt_every: 0,
+        ..ServeConfig::default()
+    };
+    let err = Server::start(cfg, "127.0.0.1:0")
+        .err()
+        .expect("a zero cadence must not start");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(err.get_ref().and_then(|e| e.downcast_ref()), Some(&zero));
+
+    let store = qmc_ckpt::CkptStore::new(scratch("zero-attempt"), 3).unwrap();
+    let ctl = RunCtl {
+        store: Some(&store),
+        every: 0,
+        ..Default::default()
+    };
+    let outcome = run_job(&tfim_spec("alice", "zero", 3), ctl);
+    assert!(
+        matches!(&outcome, Outcome::Failed { reason } if *reason == zero.to_string()),
+        "{outcome:?}"
+    );
+}

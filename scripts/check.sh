@@ -28,42 +28,28 @@ echo "== tier-1: cargo build --release =="
 cargo build --release
 
 echo "== tier-1: cargo test -q =="
+# Every test binary runs exactly once per profile, here: the unit suites
+# (qmc-ckpt delta store / GC race / coordinated restore / shared drive
+# loop, qmc-verify trace checker, qmc-bench `faults`), the comm
+# conformance and deadlock-detector suites, and the integration suites —
+# observability (determinism + artifact schema), checkpoint (crash-at-
+# every-boundary matrix, drain, v1 resume, bench<->serve cross-resume),
+# alloc_guard (zero steady-state allocations), explore (DPOR budgets +
+# model<->implementation conformance), serve, elastic. The stages below
+# only add what `cargo test` does not run: lints, demos, drills.
 cargo test -q
 
-echo "== observability: determinism + artifact schema =="
-cargo test -q -p qmc-bench --test observability
+echo "== benchmark: builds against this tree, offline and locked =="
+# benchmark/ is a standalone package with its own lock file: an API or
+# crate-graph break against it must fail here, not in the pipeline.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "== fault injection: comm conformance + crash/resume matrix =="
-cargo test -q -p qmc-comm --test conformance
-cargo test -q -p qmc-bench --test checkpoint
-cargo test -q -p qmc-bench --lib faults
-
-echo "== checkpointing: delta store, GC race, coordinated restore =="
-# The qmc-ckpt unit suites: v2 delta parsing/resolution, delta chains
-# (prune/base retention, torn-delta fallback, compaction), the
-# store-open GC vs live-writer race, and world-size-mismatch /
-# truncated-broadcast degradation in coordinated restore.
-cargo test -q -p qmc-ckpt
-
-echo "== verify: protocol trace checker + workspace lint =="
-# qmc-lint over the workspace (token-level invariants), the trace
-# checker's self-tests, the runtime deadlock-detector suite, the
-# zero-steady-state-allocation guard, and the recorded-PT verification.
+echo "== verify: workspace lint + recorded-PT verification =="
+# qmc-lint over the workspace (token-level invariants), then `repro
+# verify`: the recorded-PT protocol check, and (act 4) the explore
+# budget+ratio guards, regenerating VERIFY_explore.json.
 cargo run -q -p qmc-verify --bin qmc-lint
-cargo test -q -p qmc-verify
-cargo test -q -p qmc-comm --test deadlock
-cargo test -q -p qmc-bench --test alloc_guard
 cargo run -q -p qmc-bench --bin repro -- verify
-
-echo "== explore: DPOR protocol exploration + model conformance =="
-# Exhaustive interleaving exploration (sleep sets + DPOR) of the
-# checkpoint-commit, drain-verdict, and scheduler protocol models at
-# the committed budgets, plus the model<->implementation conformance
-# suite: every seeded mutant's minimized counterexample must replay
-# against the real Sched / CkptStore / ThreadComm and reproduce the
-# violation. (`repro verify` act 4 re-runs the budget+ratio guards and
-# regenerates VERIFY_explore.json.)
-cargo test -q -p qmc-bench --test explore
 
 echo "== serve: multi-tenant job server fault drill =="
 # 240 jobs from four tenants over TCP with five injected worker deaths,
@@ -78,8 +64,9 @@ echo "== elastic: rank respawn + ladder resize drill =="
 # bit-identical (observables + RNG draw counts) after an in-place
 # respawn; the same death with a zero budget shrinks the β ladder and
 # resumes the survivors deterministically. The crash matrix behind it
-# is pinned as the `elastic` integration test; the binary regenerates
-# VERIFY_elastic.json.
+# is pinned as the `elastic` integration test, run here a second time
+# under the release profile the drill binary uses; the binary
+# regenerates VERIFY_elastic.json.
 cargo test -q --release -p qmc-bench --test elastic
 cargo run -q --release -p qmc-bench --bin repro -- elastic --quick
 

@@ -11,13 +11,13 @@
 
 use qmc_bench::ckpt_driver::{
     run_generic_worldline_ckpt, run_packed_tfim_ckpt, run_serial_tfim_ckpt, run_sse_ckpt,
-    run_worldline_ckpt, CkptCfg,
+    run_worldline_ckpt,
 };
-use qmc_ckpt::{load_state, save_state, Checkpoint, CkptStore};
+use qmc_ckpt::{load_state, save_state, Cadence, Checkpoint, CkptStore, Policy};
 use qmc_comm::{run_threads, run_threads_with_timeout, Communicator, FaultPlan, FaultyComm};
-use qmc_core::pt::{run_pt_parallel, run_pt_parallel_ckpt, PtCheckpointing, PtConfig, PtLadder};
+use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig, PtLadder};
 use qmc_lattice::{Chain, Square};
-use qmc_rng::{Rng64, StreamFactory, Xoshiro256StarStar};
+use qmc_rng::{CountingRng, Rng64, StreamFactory, Xoshiro256StarStar};
 use qmc_sse::Sse;
 use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
@@ -25,48 +25,6 @@ use qmc_worldline::{GenericParams, GenericWorldline, Worldline, WorldlineParams}
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Counts raw draws while forwarding to the wrapped generator, and
-/// checkpoints the count alongside the generator state — so a resumed
-/// run reports the same total draw count as an uninterrupted one.
-struct CountingRng<R> {
-    inner: R,
-    draws: u64,
-}
-
-impl<R> CountingRng<R> {
-    fn new(inner: R) -> Self {
-        Self { inner, draws: 0 }
-    }
-}
-
-impl<R: Rng64> Rng64 for CountingRng<R> {
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.inner.next_u64()
-    }
-
-    fn fill_u64(&mut self, out: &mut [u64]) {
-        self.draws += out.len() as u64;
-        self.inner.fill_u64(out);
-    }
-}
-
-impl<R: Checkpoint> Checkpoint for CountingRng<R> {
-    fn kind(&self) -> &'static str {
-        "test.counting-rng"
-    }
-
-    fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.u64(self.draws);
-        enc.state(&self.inner);
-    }
-
-    fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        self.draws = dec.u64()?;
-        dec.load_state(&mut self.inner)
-    }
-}
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -87,7 +45,7 @@ fn scratch(label: &str) -> PathBuf {
 fn crash_matrix<T, F>(label: &str, total: usize, every: usize, run: F)
 where
     T: PartialEq + std::fmt::Debug,
-    F: Fn(Option<&CkptCfg<'_>>, Option<usize>) -> Option<(T, u64)>,
+    F: Fn(Option<&Policy<'_>>, Option<usize>) -> Option<(T, u64)>,
 {
     let reference = run(None, None).expect("reference run completes");
     for k in 1..total {
@@ -96,10 +54,9 @@ where
         // `full_every: 3` exercises the delta chains: most generations in
         // the matrix are deltas against an earlier full snapshot, so every
         // bit-identity assertion below also covers delta restore.
-        let ck = CkptCfg {
+        let ck = Policy {
             store: &store,
-            every,
-            full_every: 3,
+            cadence: Cadence::new(every, 3).unwrap(),
             resume: false,
             stop: None,
         };
@@ -107,10 +64,9 @@ where
             run(Some(&ck), Some(k)).is_none(),
             "{label}: kill at sweep {k} must abort the run"
         );
-        let ck = CkptCfg {
+        let ck = Policy {
             store: &store,
-            every,
-            full_every: 3,
+            cadence: Cadence::new(every, 3).unwrap(),
             resume: true,
             stop: None,
         };
@@ -189,10 +145,9 @@ fn packed_delta_checkpoints_stay_under_half_full_size() {
     let run = |every: usize, full_every: usize| -> u64 {
         let dir = scratch("packed-delta");
         let store = CkptStore::new(&dir, 2).expect("scratch store");
-        let ck = CkptCfg {
+        let ck = Policy {
             store: &store,
-            every,
-            full_every,
+            cadence: Cadence::new(every, full_every).unwrap(),
             resume: false,
             stop: None,
         };
@@ -359,25 +314,32 @@ fn pt_cfg() -> PtConfig {
     }
 }
 
-/// `run_pt_parallel_ckpt` with checkpointing off must be bit-identical
-/// to `run_pt_parallel` on every rank.
+/// Regression: `every: 0` used to reach `s % every` in the PT loop and
+/// die with a remainder-by-zero; the shared cadence rule names the mistake.
 #[test]
-fn pt_ckpt_driver_matches_run_pt_parallel() {
-    let cfg = pt_cfg();
-    let cfg2 = cfg.clone();
-    let plain = run_threads(4, move |comm| {
-        let mut rng = StreamFactory::new(17).stream(comm.rank());
-        run_pt_parallel(comm, &cfg2, &mut rng)
-    });
-    let cfg2 = cfg.clone();
-    let drv = run_threads(4, move |comm| {
-        let mut rng = StreamFactory::new(17).stream(comm.rank());
-        run_pt_parallel_ckpt(comm, &cfg2, &mut rng, None, |_, _| {})
-    });
-    for (p, d) in plain.iter().zip(&drv) {
-        assert_eq!(bits(&p.0), bits(&d.0), "energy series diverged");
-        assert_eq!(bits(&p.1), bits(&d.1), "acceptance rates diverged");
-    }
+#[should_panic(expected = "checkpoint cadence must be at least 1 sweep")]
+fn pt_refuses_a_zero_checkpoint_cadence_by_name() {
+    let store = CkptStore::new(scratch("pt-zero"), 2).expect("store");
+    let ck = PtCheckpointing {
+        store: &store,
+        every: 0,
+        full_every: 0,
+        resume: false,
+        stop: None,
+        elastic_from: None,
+    };
+    let cfg = PtConfig {
+        betas: vec![1.0],
+        ..pt_cfg()
+    };
+    let mut rng = Xoshiro256StarStar::new(1);
+    run_pt_parallel_ckpt(
+        &mut qmc_comm::SerialComm::new(),
+        &cfg,
+        &mut rng,
+        Some(&ck),
+        |_, _| {},
+    );
 }
 
 /// Kill rank 2 of a 4-rank ThreadWorld PT run through the fault layer
@@ -517,10 +479,9 @@ fn v1_monolithic_checkpoints_resume_under_the_delta_driver() {
 
     // Resume from the v1 file with delta checkpointing fully enabled.
     let store = CkptStore::new(&dir, 2).expect("scratch store");
-    let ck = CkptCfg {
+    let ck = Policy {
         store: &store,
-        every: 5,
-        full_every: 3,
+        cadence: Cadence::new(5, 3).unwrap(),
         resume: true,
         stop: None,
     };
@@ -534,6 +495,84 @@ fn v1_monolithic_checkpoints_resume_under_the_delta_driver() {
         "the resumed run wrote new generations after the v1 file"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One loop, one section layout: a serial TFIM store written by the
+/// bench driver and killed at sweep k resumes under `qmc_serve::run_job`
+/// to the bit-identical series, and the other way round.
+#[test]
+fn bench_and_serve_resume_each_others_tfim_stores() {
+    use qmc_serve::{run_job, JobKind, JobSpec, Outcome, RunCtl};
+    let (therm, sweeps, every, seed) = (6usize, 12usize, 5usize, 7u64);
+    let model = TfimModel {
+        lx: 8,
+        ly: 1,
+        j: 1.0,
+        h: 2.0,
+        beta: 1.0,
+        m: 4,
+    };
+    let spec = JobSpec {
+        tenant: "alice".into(),
+        name: "cross".into(),
+        kind: JobKind::Tfim {
+            lx: model.lx,
+            ly: model.ly,
+            j: model.j,
+            h: model.h,
+            m: model.m,
+            wolff: 1,
+        },
+        betas: vec![model.beta],
+        therm: therm as u32,
+        sweeps: sweeps as u32,
+        seed,
+        priority: 0,
+        ckpt_every: every as u32,
+    };
+    // Each side returns (energy, |m|) bit patterns, `None` when killed.
+    let bench = |ck: Option<&Policy<'_>>, kill: Option<usize>| {
+        let mut rng = Xoshiro256StarStar::new(seed);
+        run_serial_tfim_ckpt(model, &mut rng, therm, sweeps, 1, ck, kill)
+            .map(|(_, s)| (bits(&s.energy), bits(&s.abs_m)))
+    };
+    let serve = |store: &CkptStore, kill: Option<usize>| {
+        let ctl = RunCtl {
+            store: Some(store),
+            every,
+            kill_at: kill.map(|k| k as u64),
+            ..Default::default()
+        };
+        match run_job(&spec, ctl) {
+            Outcome::Done { obs, .. } => Some((bits(&obs.energy[0]), bits(&obs.extra[0]))),
+            Outcome::Killed { .. } => None,
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    };
+    let reference = bench(None, None);
+    assert!(reference.is_some());
+    for k in [1, 5, 9, 17] {
+        let dir = scratch("cross");
+        let store = CkptStore::new(&dir, 2).expect("scratch store");
+        let policy = |resume| Policy {
+            store: &store,
+            cadence: Cadence::new(every, 3).unwrap(),
+            resume,
+            stop: None,
+        };
+        assert!(bench(Some(&policy(false)), Some(k)).is_none());
+        assert_eq!(serve(&store, None), reference, "bench → serve, kill at {k}");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let store = CkptStore::new(&dir, 2).expect("scratch store");
+        assert!(serve(&store, Some(k)).is_none());
+        assert_eq!(
+            bench(Some(&policy(true)), None),
+            reference,
+            "serve → bench, kill at {k}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The serial PT ladder checkpoints as one unit (replicas + pair stats +
@@ -596,7 +635,7 @@ fn serial_tfim_drains_at_sweep_boundary_and_resumes_bit_identical() {
         fn kind(&self) -> &'static str {
             // Shares `CountingRng`'s kind and layout so the drained
             // checkpoint can be resumed by either wrapper.
-            "test.counting-rng"
+            "rng.counting"
         }
 
         fn save(&self, enc: &mut qmc_ckpt::Encoder) {
@@ -629,10 +668,9 @@ fn serial_tfim_drains_at_sweep_boundary_and_resumes_bit_identical() {
     let dir = scratch("drain");
     let store = CkptStore::new(&dir, 3).expect("scratch store");
     let flag = AtomicBool::new(false);
-    let ck = CkptCfg {
+    let ck = Policy {
         store: &store,
-        every,
-        full_every: 3,
+        cadence: Cadence::new(every, 3).unwrap(),
         resume: false,
         stop: Some(&flag),
     };
@@ -657,10 +695,9 @@ fn serial_tfim_drains_at_sweep_boundary_and_resumes_bit_identical() {
 
     // Resume (plain counting RNG — the checkpoint layouts match) and
     // land exactly on the undisturbed trajectory.
-    let ck = CkptCfg {
+    let ck = Policy {
         store: &store,
-        every,
-        full_every: 3,
+        cadence: Cadence::new(every, 3).unwrap(),
         resume: true,
         stop: None,
     };

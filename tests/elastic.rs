@@ -12,57 +12,14 @@
 //! re-grows) to fit, survivors are remapped onto the new world by β,
 //! and a re-grown rung joins fresh at the checkpoint boundary.
 
-use qmc_ckpt::{Checkpoint, CkptStore};
+use qmc_ckpt::CkptStore;
 use qmc_comm::{run_threads, run_threads_elastic, Communicator};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig, PtLadder};
-use qmc_rng::{Rng64, StreamFactory};
+use qmc_rng::{CountingRng, StreamFactory};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Counts raw draws while forwarding to the wrapped generator, and
-/// checkpoints the count alongside the generator state — so a respawned
-/// rank that rolled back to generation `g` ends the run with exactly
-/// the reference's total draw count.
-struct CountingRng<R> {
-    inner: R,
-    draws: u64,
-}
-
-impl<R> CountingRng<R> {
-    fn new(inner: R) -> Self {
-        Self { inner, draws: 0 }
-    }
-}
-
-impl<R: Rng64> Rng64 for CountingRng<R> {
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.inner.next_u64()
-    }
-
-    fn fill_u64(&mut self, out: &mut [u64]) {
-        self.draws += out.len() as u64;
-        self.inner.fill_u64(out);
-    }
-}
-
-impl<R: Checkpoint> Checkpoint for CountingRng<R> {
-    fn kind(&self) -> &'static str {
-        "test.counting-rng"
-    }
-
-    fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.u64(self.draws);
-        enc.state(&self.inner);
-    }
-
-    fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        self.draws = dec.u64()?;
-        dec.load_state(&mut self.inner)
-    }
-}
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()

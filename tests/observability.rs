@@ -15,37 +15,12 @@ use qmc_obs::{
     analyze, chrome_trace_json, gather_ranks, metrics_json, ObsConfig, OnlineBinning, RunMeta,
     SegmentKind,
 };
-use qmc_rng::{Rng64, StreamFactory, Xoshiro256StarStar};
+use qmc_rng::{CountingRng, Rng64, StreamFactory, Xoshiro256StarStar};
 use qmc_sse::Sse;
 use qmc_tfim::parallel::DistTfim;
 use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
 use qmc_worldline::{GenericParams, GenericWorldline, Worldline, WorldlineParams};
-
-/// Counts raw draws while forwarding to the wrapped generator. Both the
-/// scalar and the bulk path count, so buffered streams are covered too.
-struct CountingRng<R> {
-    inner: R,
-    draws: u64,
-}
-
-impl<R> CountingRng<R> {
-    fn new(inner: R) -> Self {
-        Self { inner, draws: 0 }
-    }
-}
-
-impl<R: Rng64> Rng64 for CountingRng<R> {
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.inner.next_u64()
-    }
-
-    fn fill_u64(&mut self, out: &mut [u64]) {
-        self.draws += out.len() as u64;
-        self.inner.fill_u64(out);
-    }
-}
 
 /// Exact bit patterns of a float series (equality must be bitwise, not
 /// approximate — instrumentation may not change even the last ulp).
