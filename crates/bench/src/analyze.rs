@@ -22,8 +22,8 @@
 use qmc_comm::{run_threads, Communicator};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtConfig};
 use qmc_obs::{
-    analysis_json, analyze, chrome_trace_json, gather_ranks, render_report, ObsConfig, RankObs,
-    RunMeta, TracingComm,
+    analysis_json, analyze, chrome_trace_json, gather_ranks, render_report, Analysis, CommDir,
+    ObsConfig, RankObs, RunMeta, TracingComm,
 };
 use qmc_rng::StreamFactory;
 use std::fmt::Write as _;
@@ -88,6 +88,52 @@ pub fn run_traced(slow_rank: Option<usize>) -> (Vec<RankObs>, Vec<f64>) {
     )
 }
 
+/// Rebuild a [`qmc_verify::WorldTrace`] from the traced user-level comm
+/// events. Ranks are indexed by their `rank` field; gaps (a rank that
+/// recorded nothing) are empty.
+fn world_trace(ranks: &[RankObs]) -> qmc_verify::WorldTrace {
+    let n = ranks.iter().map(|r| r.rank + 1).max().unwrap_or(0) as usize;
+    let mut tr = qmc_verify::WorldTrace {
+        ranks: vec![Vec::new(); n],
+    };
+    for r in ranks {
+        let events = &mut tr.ranks[r.rank as usize];
+        for e in &r.comm_events {
+            events.push(match e.dir {
+                CommDir::Send => qmc_verify::Event::Send {
+                    dst: e.peer as usize,
+                    tag: e.tag,
+                    bytes: e.bytes as usize,
+                    internal: false,
+                },
+                CommDir::Recv => qmc_verify::Event::Recv {
+                    src: e.peer as usize,
+                    tag: e.tag,
+                    bytes: e.bytes as usize,
+                    internal: false,
+                },
+            });
+        }
+    }
+    tr
+}
+
+/// [`qmc_obs::analyze`] behind the protocol gate: when no rank
+/// overflowed its comm ring, the reconstructed event trace is first
+/// validated with [`qmc_verify::check`] — a violation is returned as
+/// `Err` rather than silently producing a nonsense DAG. (With overflow
+/// the trace is incomplete, so the check is skipped and the unmatched
+/// counts tell the story instead.)
+pub fn checked_analyze(ranks: &[RankObs]) -> Result<Analysis, String> {
+    if ranks.iter().all(|r| r.dropped_comm_events == 0) {
+        qmc_verify::check(&world_trace(ranks)).map_err(|vs| {
+            let lines: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
+            format!("protocol check failed: {}", lines.join("; "))
+        })?;
+    }
+    analyze(ranks)
+}
+
 /// Metadata describing the analyze demo run.
 pub fn demo_meta() -> RunMeta {
     let cfg = demo_cfg();
@@ -109,32 +155,16 @@ pub fn analyze_demo(_quick: bool) -> (String, bool) {
         out,
         "analyze demo: 4-rank ThreadWorld parallel tempering (traced)"
     );
-    match analyze(&ranks) {
+    match checked_analyze(&ranks) {
         Ok(a) => {
             out.push_str(&render_report(&a));
             let json = analysis_json(&demo_meta(), &a);
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ANALYSIS_run.json");
-            match std::fs::write(path, &json) {
-                Ok(()) => {
-                    let _ = writeln!(out, "wrote {path}");
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "could not write {path}: {e}");
-                }
-            }
-            let trace = chrome_trace_json(&ranks);
-            let tpath = concat!(env!("CARGO_MANIFEST_DIR"), "/../../trace.json");
-            match std::fs::write(tpath, &trace) {
-                Ok(()) => {
-                    let _ = writeln!(
-                        out,
-                        "wrote {tpath} (open in https://ui.perfetto.dev — flow arrows \
-                         draw the same messages the critical path walks)"
-                    );
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "could not write {tpath}: {e}");
-                }
+            crate::write_artifact(&mut out, "", "ANALYSIS_run.json", &json);
+            if crate::write_artifact(&mut out, "", "trace.json", &chrome_trace_json(&ranks)) {
+                out.push_str(
+                    "  (open trace.json in https://ui.perfetto.dev — flow arrows draw the \
+                     same messages the critical path walks)\n",
+                );
             }
             (out, true)
         }
@@ -163,7 +193,7 @@ mod tests {
             );
             assert_eq!(r.dropped_comm_events, 0);
         }
-        let a = analyze(&ranks).expect("clean analysis");
+        let a = checked_analyze(&ranks).expect("clean analysis");
         assert!(!a.critical_path.is_empty());
         assert!(a.matched_messages > 0);
         for att in &a.ranks {
@@ -174,5 +204,26 @@ mod tests {
                 att.coverage()
             );
         }
+    }
+
+    #[test]
+    fn protocol_violation_is_reported() {
+        // A recv with no send anywhere and a claimed-complete trace.
+        let r0 = RankObs {
+            rank: 0,
+            comm_events: vec![qmc_obs::CommEvent {
+                dir: CommDir::Recv,
+                peer: 0,
+                tag: 5,
+                seq: 0,
+                bytes: 8,
+                t0_us: 1.0,
+                t1_us: 2.0,
+                span_id: 0,
+            }],
+            ..Default::default()
+        };
+        let err = checked_analyze(&[r0]).unwrap_err();
+        assert!(err.starts_with("protocol check failed"), "{err}");
     }
 }

@@ -9,13 +9,12 @@
 //! `--quick` shrinks sweep counts ~10× for smoke runs; the full settings
 //! are what EXPERIMENTS.md records.
 //!
-//! `repro bench` times the hot update kernels with fixed seeds and
-//! writes `BENCH_kernels.json` at the repository root (it is kept out of
-//! `all` so physics regeneration never overwrites the benchmark
-//! artifact). With `--assert-guards` it exits non-zero when the
-//! `packed_speedup_vs_scalar` guard misses its target (≥ 4x full,
-//! ≥ 2x relaxed under `--quick`) — the `scripts/check.sh bench-quick`
-//! stage.
+//! `repro bench` prints the four in-window ratio guards of the hot
+//! kernels (packed-vs-scalar speedup; obs, trace and checkpoint
+//! overhead) and exits non-zero when the packed speedup misses its
+//! target (≥ 4x full, ≥ 2x relaxed under `--quick`) — the
+//! `scripts/check.sh bench-quick` stage. Absolute per-layer timings
+//! live in `benchmark/`.
 //!
 //! `repro verify` records a 4-rank parallel-tempering run through the
 //! `qmc-verify` tracing layer, proves the captured comm traffic
@@ -97,8 +96,15 @@ fn main() {
             _ => args.push(a),
         }
     }
+    const SWITCHES: [&str; 4] = ["--quick", "--metrics", "--trace", "--resume"];
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !SWITCHES.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag '{bad}'");
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
-    let assert_guards = args.iter().any(|a| a == "--assert-guards");
     let metrics = args.iter().any(|a| a == "--metrics");
     let trace = args.iter().any(|a| a == "--trace");
     let resume = args.iter().any(|a| a == "--resume");
@@ -115,7 +121,7 @@ fn main() {
         }
         eprintln!(
             "usage: repro <f1|f2|f3|f4|f5|t1|t2|t3|t4|t5|t6|all|bench|faults|verify|analyze|serve-demo|elastic> \
-             [--quick] [--metrics] [--trace] [--health-every N] [--assert-guards] \
+             [--quick] [--metrics] [--trace] [--health-every N] \
              [--checkpoint-every N] [--checkpoint-dir D] [--resume]"
         );
         std::process::exit(2);
@@ -140,10 +146,10 @@ fn main() {
         }
         if *name == "bench" {
             println!("=== bench ===");
-            let (report, guards_ok) = qmc_bench::kernels::bench_kernels_checked(quick);
+            let (report, ok) = qmc_bench::kernels::bench_guards(quick);
             print!("{report}");
-            if assert_guards && !guards_ok {
-                eprintln!("bench guard failed: packed_speedup_vs_scalar below target");
+            if !ok {
+                eprintln!("bench guard failed: packed speedup vs scalar below target");
                 std::process::exit(1);
             }
             continue;

@@ -75,7 +75,17 @@ fn reference(cfg: &PtConfig) -> Vec<RankOut> {
 }
 
 /// Run the demo; returns the rendered report and an overall verdict.
+/// Writes `VERIFY_elastic.json`.
 pub fn elastic_demo(quick: bool) -> (String, bool) {
+    let (mut out, mut ok, json) = elastic_acts(quick);
+    ok &= crate::write_artifact(&mut out, "  ", "VERIFY_elastic.json", &json);
+    let _ = writeln!(out, "elastic: {}", if ok { "PASS" } else { "FAIL" });
+    (out, ok)
+}
+
+/// Both acts: the report so far, whether every verdict held, and the
+/// `VERIFY_elastic.json` text (schema `qmc-elastic/v1`).
+pub fn elastic_acts(quick: bool) -> (String, bool, String) {
     let mut out = String::new();
     let mut ok = true;
     let cfg = cfg(quick);
@@ -219,21 +229,13 @@ pub fn elastic_demo(quick: bool) -> (String, bool) {
         if shrink_rows { "yes" } else { "NO" }
     );
 
-    // Artifact with the counts and verdicts, next to the other repro
-    // outputs.
-    let json = format!(
-        "{{\n  \"schema\": \"qmc-elastic/v1\",\n  \"respawns\": {respawns},\n  \"resizes\": 1,\n  \"verdicts\": {{\n    \"respawn_bit_identical\": {respawn_identical},\n    \"shrink_deterministic\": {shrink_deterministic},\n    \"shrink_full_history\": {shrink_rows}\n  }}\n}}\n"
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../VERIFY_elastic.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "  wrote VERIFY_elastic.json ({} bytes)", json.len());
-        }
-        Err(e) => {
-            ok = false;
-            let _ = writeln!(out, "  could not write VERIFY_elastic.json: {e}");
-        }
-    }
-    let _ = writeln!(out, "elastic: {}", if ok { "PASS" } else { "FAIL" });
-    (out, ok)
+    let mut json = qmc_obs::json::JsonWriter::artifact("qmc-elastic/v1");
+    json.key("respawns").u64(respawns as u64);
+    json.key("resizes").u64(1);
+    json.key("verdicts").begin_object();
+    json.key("respawn_bit_identical").bool(respawn_identical);
+    json.key("shrink_deterministic").bool(shrink_deterministic);
+    json.key("shrink_full_history").bool(shrink_rows);
+    json.end_object();
+    (out, ok, json.finish())
 }

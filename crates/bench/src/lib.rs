@@ -8,6 +8,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::Write as _;
+
 pub mod analyze;
 pub mod ckpt_driver;
 pub mod elastic;
@@ -19,6 +21,23 @@ pub mod scaling;
 pub mod serve_demo;
 pub mod validation;
 pub mod verify;
+
+/// Write `text` as the artifact `file` at the repository root and log
+/// the outcome as one `indent`ed line of `out`; false when the write
+/// failed.
+pub(crate) fn write_artifact(out: &mut String, indent: &str, file: &str, text: &str) -> bool {
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    match std::fs::write(&path, text) {
+        Ok(()) => {
+            let _ = writeln!(out, "{indent}wrote {file} ({} bytes)", text.len());
+            true
+        }
+        Err(e) => {
+            let _ = writeln!(out, "{indent}could not write {file}: {e}");
+            false
+        }
+    }
+}
 
 /// Everything, in order — `repro all`.
 pub fn run_all(quick: bool) -> String {

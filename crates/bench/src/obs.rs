@@ -125,31 +125,10 @@ pub fn obs_demo(metrics: bool, trace: bool, quick: bool) -> String {
 pub fn write_artifacts(meta: &RunMeta, ranks: &[RankObs], metrics: bool, trace: bool) -> String {
     let mut out = String::new();
     if metrics {
-        let json = metrics_json(meta, ranks);
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS_run.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => {
-                let _ = writeln!(out, "wrote {path}");
-            }
-            Err(e) => {
-                let _ = writeln!(out, "could not write {path}: {e}");
-            }
-        }
+        crate::write_artifact(&mut out, "", "METRICS_run.json", &metrics_json(meta, ranks));
     }
-    if trace {
-        let json = chrome_trace_json(ranks);
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../trace.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => {
-                let _ = writeln!(
-                    out,
-                    "wrote {path} (open in https://ui.perfetto.dev or chrome://tracing)"
-                );
-            }
-            Err(e) => {
-                let _ = writeln!(out, "could not write {path}: {e}");
-            }
-        }
+    if trace && crate::write_artifact(&mut out, "", "trace.json", &chrome_trace_json(ranks)) {
+        out.push_str("  (open trace.json in https://ui.perfetto.dev or chrome://tracing)\n");
     }
     out
 }

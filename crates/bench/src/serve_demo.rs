@@ -298,15 +298,7 @@ pub fn serve_demo(quick: bool) -> (String, bool) {
         .param("tenants", TENANTS.len())
         .param("kills", KILLS.len());
     let json = metrics_json(&meta, std::slice::from_ref(&fleet_obs));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS_serve.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote METRICS_serve.json ({} bytes)", json.len());
-        }
-        Err(e) => {
-            let _ = writeln!(out, "could not write METRICS_serve.json: {e}");
-        }
-    }
+    crate::write_artifact(&mut out, "", "METRICS_serve.json", &json);
 
     let _ = writeln!(
         out,

@@ -163,7 +163,8 @@ pub fn verify_demo() -> (String, bool) {
         out,
         "[4/4] explore: exhaustive protocol exploration (sleep sets + DPOR)"
     );
-    ok &= explore_act(&mut out);
+    let (explored, json) = explore_act(&mut out);
+    ok &= explored && crate::write_artifact(&mut out, "      ", "VERIFY_explore.json", &json);
 
     let _ = writeln!(out, "verify: {}", if ok { "PASS" } else { "FAIL" });
     (out, ok)
@@ -180,14 +181,15 @@ const RESPAWN_CEILING: u64 = 4_000;
 /// reduction instances.
 const MIN_REDUCTION: f64 = 2.0;
 
-/// Act 4 body: returns overall pass, appends to the report, and writes
-/// `VERIFY_explore.json`.
-fn explore_act(out: &mut String) -> bool {
+/// Act 4 body: appends to the report and returns the overall pass with
+/// the `VERIFY_explore.json` text (schema `qmc-verify-explore/v1`).
+pub fn explore_act(out: &mut String) -> (bool, String) {
     let mut ok = true;
+    let mut json = qmc_obs::json::JsonWriter::artifact("qmc-verify-explore/v1");
 
     // (a) The four protocol models must be invariant-clean within
     // their committed ceilings.
-    let mut model_rows = Vec::new();
+    json.key("models").begin_array();
     let runs: [(&str, qmc_verify::ExploreStats, bool, u64); 4] = {
         let ckpt = explore(&CkptCommitModel::new(3, 2, 2), Budget::with_faults(2));
         let drain = explore(&DrainModel::new(4, 3), Budget::with_faults(0));
@@ -238,17 +240,20 @@ fn explore_act(out: &mut String) -> bool {
                 stats.transitions
             );
         }
-        model_rows.push(format!(
-            "{{\"model\": \"{name}\", \"clean\": {clean}, \
-             \"transitions\": {}, \"unique_states\": {}, \
-             \"executions\": {}, \"ceiling\": {ceiling}}}",
-            stats.transitions, stats.unique_states, stats.executions
-        ));
+        json.begin_object();
+        json.key("model").str(name);
+        json.key("clean").bool(*clean);
+        json.key("transitions").u64(stats.transitions);
+        json.key("unique_states").u64(stats.unique_states);
+        json.key("executions").u64(stats.executions);
+        json.key("ceiling").u64(*ceiling);
+        json.end_object();
     }
+    json.end_array();
 
     // (b) DPOR must genuinely reduce: same verdict as the naive
     // enumeration, at least MIN_REDUCTION times fewer transitions.
-    let mut reduction_rows = Vec::new();
+    json.key("reduction").begin_array();
     {
         type Counted = (u64, bool);
         fn stat<A>(o: &Outcome<A>) -> Counted {
@@ -288,12 +293,15 @@ fn explore_act(out: &mut String) -> bool {
                      ({ratio:.1}x < {MIN_REDUCTION:.1}x)"
                 );
             }
-            reduction_rows.push(format!(
-                "{{\"instance\": \"{name}\", \"dpor\": {d}, \"naive\": {n}, \
-                 \"ratio\": {ratio:.3}}}"
-            ));
+            json.begin_object();
+            json.key("instance").str(name);
+            json.key("dpor").u64(*d);
+            json.key("naive").u64(*n);
+            json.key("ratio").f64_fixed(ratio, 3);
+            json.end_object();
         }
     }
+    json.end_array();
 
     // (c) Teeth: a seeded drain mutant must produce a minimized,
     // rendered counterexample (rank 0 stops on a raised flag without
@@ -349,26 +357,20 @@ fn explore_act(out: &mut String) -> bool {
         }
     }
 
-    // Artifact with guard verdicts, next to the other repro outputs.
-    let json = format!
-(
-        "{{\n  \"schema\": \"qmc-verify-explore/v1\",\n  \"models\": [\n    {}\n  ],\n  \"reduction\": [\n    {}\n  ],\n  \"mutants\": [\n    {{\"model\": \"drain SkipFinalBroadcast\", \"schedule_len\": {ce_len}}},\n    {{\"model\": \"respawn EagerReset\", \"schedule_len\": {respawn_ce_len}}}\n  ],\n  \"guards\": {{\"all_clean_within_ceiling\": {ok}, \"min_reduction_ratio\": {MIN_REDUCTION:.1}}}\n}}\n",
-        model_rows.join(",\n    "),
-        reduction_rows.join(",\n    ")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../VERIFY_explore.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => {
-            let _ = writeln!(
-                out,
-                "      wrote VERIFY_explore.json ({} bytes)",
-                json.len()
-            );
-        }
-        Err(e) => {
-            ok = false;
-            let _ = writeln!(out, "      could not write VERIFY_explore.json: {e}");
-        }
+    json.key("mutants").begin_array();
+    for (model, len) in [
+        ("drain SkipFinalBroadcast", ce_len),
+        ("respawn EagerReset", respawn_ce_len),
+    ] {
+        json.begin_object();
+        json.key("model").str(model);
+        json.key("schedule_len").u64(len as u64);
+        json.end_object();
     }
-    ok
+    json.end_array();
+    json.key("guards").begin_object();
+    json.key("all_clean_within_ceiling").bool(ok);
+    json.key("min_reduction_ratio").f64_fixed(MIN_REDUCTION, 1);
+    json.end_object();
+    (ok, json.finish())
 }

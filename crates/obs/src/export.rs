@@ -1,11 +1,11 @@
 //! Machine-readable exporters: the versioned `qmc-metrics/v1` artifact and
 //! Chrome trace-event JSON.
 //!
-//! Both emitters are hand-rolled string builders (the workspace is
-//! deliberately dependency-free); the in-repo [`crate::json`] parser reads
-//! the artifacts back in the schema round-trip tests.
+//! Both go through [`JsonWriter`]; the in-repo [`crate::json`] parser
+//! reads the artifacts back in the schema round-trip tests.
 
 use crate::analysis::match_flows;
+use crate::json::JsonWriter;
 use crate::record::{CommSummary, RankObs};
 
 /// Schema identifier written into every metrics artifact.
@@ -45,65 +45,51 @@ impl RunMeta {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn comm_json(w: &mut JsonWriter, c: Option<&CommSummary>) {
+    let Some(c) = c else {
+        w.null();
+        return;
+    };
+    w.begin_object();
+    w.key("messages_sent").u64(c.messages_sent);
+    w.key("bytes_sent").u64(c.bytes_sent);
+    w.key("messages_recv").u64(c.messages_recv);
+    w.key("bytes_recv").u64(c.bytes_recv);
+    w.key("max_message_bytes").u64(c.max_message_bytes);
+    w.key("comm_seconds").f64(c.comm_seconds);
+    w.key("compute_seconds").f64(c.compute_seconds);
+    w.key("recv_wait_seconds").f64(c.recv_wait_seconds);
+    w.end_object();
 }
 
-fn comm_json(c: &CommSummary, indent: &str) -> String {
-    format!(
-        "{{\n{i}  \"messages_sent\": {},\n{i}  \"bytes_sent\": {},\n\
-         {i}  \"messages_recv\": {},\n{i}  \"bytes_recv\": {},\n\
-         {i}  \"max_message_bytes\": {},\n{i}  \"comm_seconds\": {},\n\
-         {i}  \"compute_seconds\": {},\n{i}  \"recv_wait_seconds\": {}\n{i}}}",
-        c.messages_sent,
-        c.bytes_sent,
-        c.messages_recv,
-        c.bytes_recv,
-        c.max_message_bytes,
-        c.comm_seconds,
-        c.compute_seconds,
-        c.recv_wait_seconds,
-        i = indent,
-    )
+fn counters_json(w: &mut JsonWriter, counters: &[(String, u64)]) {
+    w.begin_object();
+    for (k, v) in counters {
+        w.key(k).u64(*v);
+    }
+    w.end_object();
+}
+
+/// The members of `run` that the metrics and analysis artifacts share.
+pub(crate) fn run_fields(w: &mut JsonWriter, meta: &RunMeta) {
+    w.key("name").str(&meta.name);
+    w.key("engine").str(&meta.engine);
+    w.key("backend").str(&meta.backend);
+    w.key("ranks").u64(meta.ranks);
 }
 
 /// Render the `qmc-metrics/v1` artifact for a set of per-rank records
 /// (typically the output of [`crate::gather_ranks`] on rank 0).
 pub fn metrics_json(meta: &RunMeta, ranks: &[RankObs]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{METRICS_SCHEMA}\",\n"));
+    let mut w = JsonWriter::artifact(METRICS_SCHEMA);
 
-    // Run header.
-    out.push_str("  \"run\": {\n");
-    out.push_str(&format!("    \"name\": \"{}\",\n", esc(&meta.name)));
-    out.push_str(&format!("    \"engine\": \"{}\",\n", esc(&meta.engine)));
-    out.push_str(&format!("    \"backend\": \"{}\",\n", esc(&meta.backend)));
-    out.push_str(&format!("    \"ranks\": {},\n", meta.ranks));
-    out.push_str("    \"params\": {");
-    for (i, (k, v)) in meta.params.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n      \"{}\": \"{}\"", esc(k), esc(v)));
+    w.key("run").begin_object();
+    run_fields(&mut w, meta);
+    w.key("params").begin_object();
+    for (k, v) in &meta.params {
+        w.key(k).str(v);
     }
-    if !meta.params.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("}\n  },\n");
+    w.end_object().end_object();
 
     // Cross-rank totals: summed counters, merged comm stats.
     let mut totals: Vec<(String, u64)> = Vec::new();
@@ -131,99 +117,55 @@ pub fn metrics_json(meta: &RunMeta, ranks: &[RankObs]) -> String {
                 recv_wait_seconds: a.recv_wait_seconds + c.recv_wait_seconds,
             }),
         });
-    out.push_str("  \"totals\": {\n    \"counters\": {");
-    for (i, (k, v)) in totals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n      \"{}\": {v}", esc(k)));
-    }
-    if !totals.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("},\n    \"comm\": ");
-    match &comm_total {
-        Some(c) => out.push_str(&comm_json(c, "    ")),
-        None => out.push_str("null"),
-    }
-    out.push_str("\n  },\n");
+    w.key("totals").begin_object();
+    w.key("counters");
+    counters_json(&mut w, &totals);
+    w.key("comm");
+    comm_json(&mut w, comm_total.as_ref());
+    w.end_object();
 
     // Per-rank detail.
-    out.push_str("  \"ranks\": [");
-    for (ri, r) in ranks.iter().enumerate() {
-        if ri > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"rank\": {},\n", r.rank));
-        out.push_str(&format!("      \"spans\": {},\n", r.spans.len()));
-        out.push_str(&format!("      \"dropped_spans\": {},\n", r.dropped_spans));
-        out.push_str("      \"counters\": {");
-        for (i, (k, v)) in r.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    w.key("ranks").begin_array();
+    for r in ranks {
+        w.begin_object();
+        w.key("rank").u64(r.rank);
+        w.key("spans").u64(r.spans.len() as u64);
+        w.key("dropped_spans").u64(r.dropped_spans);
+        w.key("counters");
+        counters_json(&mut w, &r.counters);
+        w.key("histograms").begin_object();
+        for h in &r.hists {
+            w.key(&h.name).begin_object();
+            w.key("count").u64(h.count);
+            w.key("sum").u64(h.sum);
+            w.key("min").u64(h.min);
+            w.key("max").u64(h.max);
+            w.key("buckets").begin_array();
+            for &(lo, c) in &h.buckets {
+                w.begin_array().u64(lo).u64(c).end_array();
             }
-            out.push_str(&format!("\n        \"{}\": {v}", esc(k)));
+            w.end_array().end_object();
         }
-        if !r.counters.is_empty() {
-            out.push_str("\n      ");
+        w.end_object();
+        w.key("health").begin_array();
+        for h in &r.health {
+            w.begin_object();
+            w.key("name").str(&h.name);
+            w.key("count").u64(h.count);
+            w.key("mean").f64(h.mean);
+            w.key("std_dev").f64(h.std_dev);
+            w.key("error").f64(h.error);
+            w.key("tau_int").f64(h.tau_int);
+            w.key("drift_z").f64(h.drift_z);
+            w.end_object();
         }
-        out.push_str("},\n      \"histograms\": {");
-        for (i, h) in r.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n        \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                esc(&h.name),
-                h.count,
-                h.sum,
-                h.min,
-                h.max
-            ));
-            for (j, (lo, c)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{lo}, {c}]"));
-            }
-            out.push_str("]}");
-        }
-        if !r.hists.is_empty() {
-            out.push_str("\n      ");
-        }
-        out.push_str("},\n      \"health\": [");
-        for (i, h) in r.health.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n        {{\"name\": \"{}\", \"count\": {}, \"mean\": {}, \"std_dev\": {}, \
-                 \"error\": {}, \"tau_int\": {}, \"drift_z\": {}}}",
-                esc(&h.name),
-                h.count,
-                h.mean,
-                h.std_dev,
-                h.error,
-                h.tau_int,
-                h.drift_z
-            ));
-        }
-        if !r.health.is_empty() {
-            out.push_str("\n      ");
-        }
-        out.push_str("],\n      \"comm\": ");
-        match &r.comm {
-            Some(c) => out.push_str(&comm_json(c, "      ")),
-            None => out.push_str("null"),
-        }
-        out.push_str("\n    }");
+        w.end_array();
+        w.key("comm");
+        comm_json(&mut w, r.comm.as_ref());
+        w.end_object();
     }
-    if !ranks.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    w.end_array();
+    w.finish()
 }
 
 /// Render per-rank spans as Chrome trace-event JSON (the "JSON Array
@@ -240,38 +182,32 @@ pub fn metrics_json(meta: &RunMeta, ranks: &[RankObs]) -> String {
 /// instant `dropped_spans` marker (plus a stderr warning) so a
 /// truncated trace is never mistaken for a complete one.
 pub fn chrome_trace_json(ranks: &[RankObs]) -> String {
-    fn push_ev(out: &mut String, first: &mut bool, ev: &str) {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str("\n    ");
-        out.push_str(ev);
+    /// The `pid`/`tid`/`ts` tail every timed event carries.
+    fn track(w: &mut JsonWriter, tid: u64, ts_us: f64) {
+        w.key("pid").u64(0);
+        w.key("tid").u64(tid);
+        w.key("ts").f64_fixed(ts_us, 3);
     }
-    fn close_ev(out: &mut String, first: &mut bool, tid: u64, s: &crate::record::OwnedSpan) {
-        push_ev(
-            out,
-            first,
-            &format!(
-                "{{\"name\": \"{}\", \"ph\": \"E\", \"pid\": 0, \"tid\": {tid}, \"ts\": {:.3}}}",
-                esc(&s.name),
-                s.t1_us
-            ),
-        );
+    fn close_ev(w: &mut JsonWriter, tid: u64, s: &crate::record::OwnedSpan) {
+        w.begin_object();
+        w.key("name").str(&s.name);
+        w.key("ph").str("E");
+        track(w, tid, s.t1_us);
+        w.end_object();
     }
 
-    let mut out = String::from("{\n  \"traceEvents\": [");
-    let mut first = true;
+    let mut w = JsonWriter::object();
+    w.key("traceEvents").begin_array();
     for r in ranks {
         let tid = r.rank;
-        push_ev(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {tid}, \
-                 \"args\": {{\"name\": \"rank {tid}\"}}}}"
-            ),
-        );
+        w.begin_object();
+        w.key("name").str("thread_name");
+        w.key("ph").str("M");
+        w.key("pid").u64(0);
+        w.key("tid").u64(tid);
+        w.key("args").begin_object();
+        w.key("name").str(&format!("rank {tid}"));
+        w.end_object().end_object();
 
         // Completed spans → a properly nested event stream: visit spans by
         // start time (outermost first on ties), closing every open span
@@ -294,27 +230,23 @@ pub fn chrome_trace_json(ranks: &[RankObs]) -> String {
             let s = &r.spans[i];
             while let Some(&top) = stack.last() {
                 if r.spans[top].t1_us <= s.t0_us {
-                    close_ev(&mut out, &mut first, tid, &r.spans[top]);
+                    close_ev(&mut w, tid, &r.spans[top]);
                     stack.pop();
                 } else {
                     break;
                 }
             }
-            push_ev(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\": \"{}\", \"ph\": \"B\", \"pid\": 0, \"tid\": {tid}, \
-                     \"ts\": {:.3}, \"args\": {{\"span\": {}}}}}",
-                    esc(&s.name),
-                    s.t0_us,
-                    s.id
-                ),
-            );
+            w.begin_object();
+            w.key("name").str(&s.name);
+            w.key("ph").str("B");
+            track(&mut w, tid, s.t0_us);
+            w.key("args").begin_object();
+            w.key("span").u64(s.id);
+            w.end_object().end_object();
             stack.push(i);
         }
         while let Some(top) = stack.pop() {
-            close_ev(&mut out, &mut first, tid, &r.spans[top]);
+            close_ev(&mut w, tid, &r.spans[top]);
         }
 
         // Ring overflow is data loss: mark it in-band so the truncated
@@ -326,16 +258,15 @@ pub fn chrome_trace_json(ranks: &[RankObs]) -> String {
                 r.dropped_spans, r.dropped_comm_events
             );
             let ts = r.spans.first().map(|s| s.t0_us).unwrap_or(0.0);
-            push_ev(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\": \"dropped_spans\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \
-                     \"tid\": {tid}, \"ts\": {ts:.3}, \"args\": {{\"dropped_spans\": {}, \
-                     \"dropped_comm_events\": {}}}}}",
-                    r.dropped_spans, r.dropped_comm_events
-                ),
-            );
+            w.begin_object();
+            w.key("name").str("dropped_spans");
+            w.key("ph").str("i");
+            w.key("s").str("t");
+            track(&mut w, tid, ts);
+            w.key("args").begin_object();
+            w.key("dropped_spans").u64(r.dropped_spans);
+            w.key("dropped_comm_events").u64(r.dropped_comm_events);
+            w.end_object().end_object();
         }
     }
 
@@ -343,28 +274,24 @@ pub fn chrome_trace_json(ranks: &[RankObs]) -> String {
     // "s" end sits at send completion on the sender's track, the "f"
     // (binding-point "e") end at receive completion on the receiver's.
     for (i, f) in match_flows(ranks).flows.iter().enumerate() {
-        push_ev(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\": \"msg tag {}\", \"cat\": \"comm\", \"ph\": \"s\", \"id\": {i}, \
-                 \"pid\": 0, \"tid\": {}, \"ts\": {:.3}}}",
-                f.tag, f.src, f.send.t1_us
-            ),
-        );
-        push_ev(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\": \"msg tag {}\", \"cat\": \"comm\", \"ph\": \"f\", \"bp\": \"e\", \
-                 \"id\": {i}, \"pid\": 0, \"tid\": {}, \"ts\": {:.3}}}",
-                f.tag, f.dst, f.recv.t1_us
-            ),
-        );
+        let name = format!("msg tag {}", f.tag);
+        for (ph, tid, ts) in [("s", f.src, f.send.t1_us), ("f", f.dst, f.recv.t1_us)] {
+            w.begin_object();
+            w.key("name").str(&name);
+            w.key("cat").str("comm");
+            w.key("ph").str(ph);
+            if ph == "f" {
+                w.key("bp").str("e");
+            }
+            w.key("id").u64(i as u64);
+            track(&mut w, tid, ts);
+            w.end_object();
+        }
     }
 
-    out.push_str("\n  ],\n  \"displayTimeUnit\": \"ms\"\n}\n");
-    out
+    w.end_array();
+    w.key("displayTimeUnit").str("ms");
+    w.finish()
 }
 
 #[cfg(test)]

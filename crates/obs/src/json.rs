@@ -1,10 +1,189 @@
-//! A minimal JSON reader for validating the crate's own artifacts.
+//! The workspace's one JSON writer and a minimal reader for its output.
 //!
-//! The workspace is dependency-free, so the schema round-trip and trace
-//! validity tests need an in-repo parser. It accepts standard JSON
-//! (objects, arrays, strings with the common escapes plus `\uXXXX`,
-//! numbers, booleans, null) — enough to read back `METRICS_run.json` and
-//! `trace.json`; it is not meant as a general-purpose library.
+//! The workspace is dependency-free, so every artifact (`METRICS_*`,
+//! `ANALYSIS_*`, `VERIFY_*`, `trace.json`) is written by [`JsonWriter`]
+//! and the schema round-trip tests read it back with [`Json::parse`]. The
+//! reader accepts standard JSON (objects, arrays, strings with the common
+//! escapes plus `\uXXXX`, numbers, booleans, null); it is not meant as a
+//! general-purpose library.
+
+use std::fmt::Write as _;
+
+/// Streaming JSON writer: values are appended in document order, commas
+/// and the fixed 2-space indentation are the writer's business. There are
+/// no settings. Inside an object every value follows a [`Self::key`];
+/// every `begin_*` is closed by the matching `end_*`, and
+/// [`Self::finish`] closes the root object.
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    /// One entry per open container: whether it holds an element yet.
+    open: Vec<bool>,
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// Start a document whose root is an object.
+    pub fn object() -> Self {
+        let mut w = Self {
+            out: String::new(),
+            open: Vec::new(),
+            after_key: false,
+        };
+        w.begin_object();
+        w
+    }
+
+    /// Start a versioned artifact: a root object whose first member is
+    /// the schema identifier. The one place that member is written.
+    pub fn artifact(schema: &str) -> Self {
+        let mut w = Self::object();
+        w.key("schema").str(schema);
+        w
+    }
+
+    /// Close the root object and return the document.
+    pub fn finish(mut self) -> String {
+        assert_eq!(self.open.len(), 1, "unbalanced begin/end");
+        self.end_object();
+        self.out.push('\n');
+        self.out
+    }
+
+    /// Separator and indentation owed before the next key or element.
+    fn element(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+            return;
+        }
+        if let Some(has_elements) = self.open.last_mut() {
+            if *has_elements {
+                self.out.push(',');
+            }
+            *has_elements = true;
+            self.newline();
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.open.len() {
+            self.out.push_str("  ");
+        }
+    }
+
+    fn begin(&mut self, bracket: char) -> &mut Self {
+        self.element();
+        self.out.push(bracket);
+        self.open.push(false);
+        self
+    }
+
+    fn end(&mut self, bracket: char) -> &mut Self {
+        let had_elements = self.open.pop().expect("end without begin");
+        if had_elements {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self
+    }
+
+    /// Open an object value.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.begin('{')
+    }
+
+    /// Close the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.end('}')
+    }
+
+    /// Open an array value.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.begin('[')
+    }
+
+    /// Close the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.end(']')
+    }
+
+    /// Member name inside an object; the next call writes its value.
+    pub fn key(&mut self, name: &str) -> &mut Self {
+        self.element();
+        self.quoted(name);
+        self.out.push_str(": ");
+        self.after_key = true;
+        self
+    }
+
+    /// String value.
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        self.element();
+        self.quoted(v);
+        self
+    }
+
+    /// Unsigned integer, every digit written (readers that go through
+    /// `f64` round above 2⁵³; the text does not).
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.scalar(format_args!("{v}"))
+    }
+
+    /// Float in shortest round-trip form; NaN and ±∞ become `null`.
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        if v.is_finite() {
+            self.scalar(format_args!("{v}"))
+        } else {
+            self.null()
+        }
+    }
+
+    /// Float with `digits` decimals; NaN and ±∞ become `null`.
+    pub fn f64_fixed(&mut self, v: f64, digits: usize) -> &mut Self {
+        if v.is_finite() {
+            self.scalar(format_args!("{v:.digits$}"))
+        } else {
+            self.null()
+        }
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        self.scalar(format_args!("{v}"))
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.scalar(format_args!("null"))
+    }
+
+    fn scalar(&mut self, text: std::fmt::Arguments<'_>) -> &mut Self {
+        self.element();
+        let _ = self.out.write_fmt(text);
+        self
+    }
+
+    /// The one string escape: quotes, backslash and control characters;
+    /// everything else (non-ASCII included) is written as UTF-8.
+    fn quoted(&mut self, s: &str) {
+        self.out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                '\r' => self.out.push_str("\\r"),
+                '\t' => self.out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(self.out, "\\u{:04x}", c as u32);
+                }
+                c => self.out.push(c),
+            }
+        }
+        self.out.push('"');
+    }
+}
 
 /// A parsed JSON value. Object keys keep their document order.
 #[derive(Debug, Clone, PartialEq)]
@@ -307,6 +486,69 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn writer_escapes_every_string_through_one_function() {
+        let nasty = "q\"uote back\\slash nl\n cr\r tab\t bell\u{7} nul\u{0} β→∞ 🎲";
+        let mut w = JsonWriter::artifact(nasty);
+        w.key(nasty).str(nasty);
+        let text = w.finish();
+        assert!(!text.contains('\u{7}') && !text.contains('\u{0}'));
+        assert!(text.contains("\\u0007") && text.contains("β→∞ 🎲"));
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some(nasty));
+        assert_eq!(doc.get(nasty).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn writer_numbers_are_exact_or_null() {
+        let mut w = JsonWriter::object();
+        w.key("max").u64(u64::MAX);
+        w.key("third").f64(1.0 / 3.0);
+        w.key("fixed").f64_fixed(2.0 / 3.0, 3);
+        w.key("bad").begin_array();
+        w.f64(f64::NAN)
+            .f64(f64::INFINITY)
+            .f64_fixed(f64::NEG_INFINITY, 2);
+        w.end_array();
+        let text = w.finish();
+        // Every digit is in the text; a reader that goes through f64
+        // (ours does) rounds, the artifact does not.
+        assert!(text.contains("\"max\": 18446744073709551615,"));
+        assert!(text.contains("\"fixed\": 0.667,"));
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("max").unwrap().as_f64(), Some(u64::MAX as f64));
+        assert_eq!(doc.get("third").unwrap().as_f64(), Some(1.0 / 3.0));
+        let bad = doc.get("bad").unwrap().as_arr().unwrap();
+        assert_eq!(bad.len(), 3);
+        assert!(bad.iter().all(Json::is_null));
+    }
+
+    #[test]
+    fn writer_nests_and_indents_by_two() {
+        let mut w = JsonWriter::object();
+        w.key("empty_obj").begin_object().end_object();
+        w.key("empty_arr").begin_array().end_array();
+        w.key("rows").begin_array();
+        w.begin_object().key("ok").bool(true).end_object();
+        w.begin_array().u64(1).null().str("x").end_array();
+        w.end_array();
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\n  \"empty_obj\": {},\n  \"empty_arr\": [],\n  \"rows\": [\n    {\n      \"ok\": true\n    },\n    [\n      1,\n      null,\n      \"x\"\n    ]\n  ]\n}\n"
+        );
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("empty_obj"), Some(&Json::Obj(vec![])));
+        assert_eq!(doc.get("empty_arr"), Some(&Json::Arr(vec![])));
+        let rows = doc.get("rows").unwrap().as_arr().unwrap();
+        assert_eq!(rows[0].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(
+            rows[1],
+            Json::Arr(vec![Json::Num(1.0), Json::Null, Json::Str("x".into())])
+        );
+        assert_eq!(JsonWriter::object().finish(), "{}\n");
     }
 
     #[test]

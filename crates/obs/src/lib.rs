@@ -24,7 +24,9 @@
 //!   `qmc-metrics/v1` JSON artifact and a Chrome trace-event file (one
 //!   track per rank; load `trace.json` in Perfetto or `chrome://tracing`).
 //!   Per-rank records are merged at finalize with [`gather_ranks`] over any
-//!   [`qmc_comm::Communicator`].
+//!   [`qmc_comm::Communicator`]. These, the analysis artifact and the
+//!   `VERIFY_*` files of `qmc-bench` are all written by
+//!   [`json::JsonWriter`], the workspace's only JSON emitter.
 //!
 //! Instrumentation must never perturb physics: nothing here draws random
 //! numbers or reorders messages, so fixed-seed trajectories are
@@ -64,8 +66,8 @@ mod span;
 mod trace;
 
 pub use analysis::{
-    analysis_json, analyze, match_flows, render_report, world_trace, Analysis, Flow, FlowMatch,
-    RankAttribution, Segment, SegmentKind, ANALYSIS_SCHEMA,
+    analysis_json, analyze, match_flows, render_report, Analysis, Flow, FlowMatch, RankAttribution,
+    Segment, SegmentKind, ANALYSIS_SCHEMA,
 };
 pub use export::{chrome_trace_json, metrics_json, RunMeta};
 pub use health::{replica_agreement, HealthMonitor, OnlineBinning};

@@ -495,7 +495,9 @@ struct Cursor<'a> {
 
 impl Cursor<'_> {
     fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        if self.pos + n > self.b.len() {
+        // `n` comes from an untrusted length prefix: compare against what
+        // is left, never add to `pos`.
+        if n > self.b.len() - self.pos {
             return Err(format!("truncated at byte {} (need {n} more)", self.pos));
         }
         let s = &self.b[self.pos..self.pos + n];
@@ -604,6 +606,13 @@ mod tests {
         let mut extra = bytes.clone();
         extra.push(0);
         assert!(RankObs::from_bytes(&extra).is_err());
+        // A hostile length prefix (first span name, u64::MAX bytes) is an
+        // error, not an overflowed bounds check.
+        let mut hostile = Vec::new();
+        for v in [0u64, 0, 1, u64::MAX] {
+            put_u64(&mut hostile, v);
+        }
+        assert!(RankObs::from_bytes(&hostile).is_err());
     }
 
     #[test]

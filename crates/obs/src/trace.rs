@@ -18,7 +18,12 @@
 //! merger in [`crate::analysis`] pairs them on that key into
 //! happens-before edges. Collective-internal traffic is forwarded
 //! verbatim and untraced (it would swamp the ring and its causality is
-//! already implied by the SPMD collective ordering).
+//! already implied by the SPMD collective ordering). The counters are a
+//! linear-scanned `Vec<(peer, tag, count)>` — a rank talks to a handful
+//! of peers over a handful of tags, and the scan keeps the traced hot
+//! path inside the 2 % budget `repro bench` guards — and they advance
+//! even when recording is off: the peer cannot see our flag, and both
+//! ends must agree.
 
 use std::time::Duration;
 

@@ -13,8 +13,7 @@
 //! 2. draws all lane variates with **one** batched [`Rng64::fill_u64`]
 //!    call of 32 words — each draw supplies two independent 32-bit
 //!    decision lanes (lane `j` consumes the low half of draw `j/2` when
-//!    `j` is even, the high half when odd — the RNG lane discipline
-//!    documented in DESIGN.md);
+//!    `j` is even, the high half when odd — see *RNG lane discipline*);
 //! 3. assembles per-lane 6-bit table indices eight lanes at a time with
 //!    a bit→byte spread and resolves every acceptance as an integer
 //!    compare `r ≤ thr` against the precomputed [`PackedAcceptTable`]
@@ -23,13 +22,25 @@
 //!    below any statistical resolution of the estimators);
 //! 4. merges all accepted flips with a single masked XOR into the word.
 //!
-//! [`PackedTfimLadder`] reuses the same kernel with a per-lane threshold
-//! table — one β per lane — and adds bitwise replica exchange between
-//! adjacent rungs. [`PackedDistTfim`] distributes the replica-packed
-//! lattice over a processor mesh, exchanging ghost *words* (8 bytes per
-//! boundary cell, all 64 lanes in one message). [`PackedSpatialTfim`]
-//! packs 64 consecutive sites of a single replica instead, for lattices
-//! whose x-extent divides by 64.
+//! # RNG lane discipline
+//!
+//! Every site word consumes exactly [`DRAWS_PER_WORD`] raw draws whatever
+//! the active lane count, so the stream layout is model-determined: adding
+//! or removing replicas never re-times anyone's variates — the contract
+//! the distributed engines keep with per-rank streams. Two decisions per
+//! draw halve the RNG cost; a 64-draw stride would cap the speedup over
+//! the scalar sweep near 3.6×, below the 4× that `repro bench` guards.
+//!
+//! # Measurement and checkpoints
+//!
+//! Observables never unpack: a [`LaneCounter`] streams the bond-equality
+//! words `!(w ^ neighbour)`, transposes blocks of 64 and popcounts per
+//! lane, and the counts become signed bond sums by `2·eq − n_bonds` in
+//! the scalar estimator's float operation order. The word array is
+//! checkpointed verbatim (lane count validated on restore), and
+//! [`PackedSeries`] forwards each lane's chunked dirty tracking under
+//! `l{i}/` section names, which keeps delta generations under half a full
+//! snapshot (`packed_delta_checkpoints_stay_under_half_full_size`).
 //!
 //! The scalar engines are untouched: their fixed-seed trajectories remain
 //! bit-identical. The packed path is validated statistically — against
@@ -38,11 +49,9 @@
 //! [`SerialTfim::measure`] on equal configurations (same integer bond
 //! sums, same float operation order).
 
-use crate::parallel::{dir_bytes_counter, dir_id, grid_for, FLOPS_PER_UPDATE};
 use crate::serial::{SerialTfim, TfimMeasurement, TfimSeries};
 use crate::{AcceptTable, StCouplings, TfimModel};
-use qmc_comm::{Communicator, ReduceOp};
-use qmc_lattice::{Decomposition, Dir, LaneCounter, PackedLattice, Subdomain};
+use qmc_lattice::{LaneCounter, PackedLattice};
 use qmc_obs::{CounterId, Registry};
 use qmc_rng::Rng64;
 
@@ -105,11 +114,6 @@ impl PackedAcceptTable {
     #[inline(always)]
     fn get(&self, idx: usize) -> u32 {
         self.thr[idx & 63]
-    }
-
-    /// Raw threshold row (per-lane ladder tables are flat copies).
-    fn row(&self) -> [u32; 64] {
-        self.thr
     }
 }
 
@@ -693,780 +697,11 @@ impl qmc_ckpt::Checkpoint for PackedSeries {
     }
 }
 
-/// Parallel-tempering ladder over β with one rung per lane: every rung
-/// advances through the shared packed sweep kernel (per-lane threshold
-/// tables, since each β has its own couplings), and adjacent rungs
-/// exchange configurations with a bitwise lane swap.
-#[derive(Debug, Clone)]
-pub struct PackedTfimLadder {
-    model: TfimModel,
-    cs: Vec<StCouplings>,
-    tables: Vec<[u32; 64]>,
-    lat: PackedLattice,
-    rbuf: Vec<u64>,
-    metrics: Registry,
-    id_accepted: CounterId,
-    id_proposed: CounterId,
-    /// Swap acceptance counters per adjacent pair `(k, k+1)`.
-    swap_accepted: Vec<u64>,
-    swap_attempted: Vec<u64>,
-    /// Alternating exchange phase (even pairs, then odd pairs).
-    phase: usize,
-    spins_dirty: bool,
-}
-
-impl PackedTfimLadder {
-    /// Ladder with one rung per entry of `betas` (2..=64 rungs); `model`
-    /// supplies the lattice and couplings template, its `beta` field is
-    /// replaced per rung.
-    pub fn new(model: TfimModel, betas: &[f64]) -> Self {
-        assert!((2..=64).contains(&betas.len()), "ladder needs 2..=64 rungs");
-        assert!(betas.iter().all(|&b| b > 0.0), "β must be positive");
-        let model = model.validated();
-        let cells = model.lx * model.ly * model.m;
-        let k_sp = if model.ly > 1 { 4 } else { 2 };
-        let cs: Vec<StCouplings> = betas
-            .iter()
-            .map(|&beta| TfimModel { beta, ..model }.couplings())
-            .collect();
-        // Padded to 64 rows (zero thresholds beyond the last rung): the
-        // resolver visits every bit lane and the inactive ones are masked
-        // off afterwards, so the per-lane table lookup stays branch-free.
-        let mut tables: Vec<[u32; 64]> = cs
-            .iter()
-            .map(|c| PackedAcceptTable::new(c, k_sp).row())
-            .collect();
-        tables.resize(64, [0u32; 64]);
-        let mut metrics = Registry::new();
-        let id_accepted = metrics.counter("tfim.accepted");
-        let id_proposed = metrics.counter("tfim.proposed");
-        Self {
-            model,
-            cs,
-            tables,
-            lat: PackedLattice::new(cells, betas.len()),
-            rbuf: vec![0; DRAWS_PER_WORD],
-            metrics,
-            id_accepted,
-            id_proposed,
-            swap_accepted: vec![0; betas.len().saturating_sub(1)],
-            swap_attempted: vec![0; betas.len().saturating_sub(1)],
-            phase: 0,
-            spins_dirty: true,
-        }
-    }
-
-    /// Number of rungs.
-    pub fn rungs(&self) -> usize {
-        self.lat.lanes()
-    }
-
-    /// The couplings of rung `k`.
-    pub fn couplings(&self, k: usize) -> &StCouplings {
-        &self.cs[k]
-    }
-
-    /// Swap acceptance rate of the pair `(k, k+1)`.
-    pub fn swap_rate(&self, k: usize) -> f64 {
-        self.swap_accepted[k] as f64 / self.swap_attempted[k].max(1) as f64
-    }
-
-    /// One packed checkerboard sweep advancing every rung (per-lane
-    /// acceptance tables; otherwise identical to
-    /// [`PackedReplicas::metropolis_sweep`]).
-    #[qmc_hot::hot]
-    pub fn metropolis_sweep<R: Rng64>(&mut self, rng: &mut R) {
-        let _span = qmc_obs::span("tfim.packed_ladder_sweep");
-        let m = self.model;
-        let (lx, ly, mm) = (m.lx, m.ly, m.m);
-        let slice = lx * ly;
-        let lanes = self.lat.lanes();
-        let lane_mask = self.lat.lane_mask();
-        let tables = &self.tables[..64];
-        let rbuf = &mut self.rbuf[..DRAWS_PER_WORD];
-        let words = self.lat.words_mut();
-        let mut accepted = 0u64;
-        for color in 0..2usize {
-            for t in 0..mm {
-                let up = ((t + 1) % mm) * slice;
-                let down = ((t + mm - 1) % mm) * slice;
-                let tslice = t * slice;
-                for y in 0..ly {
-                    let row = tslice + y * lx;
-                    let (north, south) = if ly > 1 {
-                        (
-                            tslice + ((y + 1) % ly) * lx,
-                            tslice + ((y + ly - 1) % ly) * lx,
-                        )
-                    } else {
-                        (0, 0)
-                    };
-                    let x0 = (color + y + t) % 2;
-                    for x in (x0..lx).step_by(2) {
-                        let xp = if x + 1 == lx { 0 } else { x + 1 };
-                        let xm = if x == 0 { lx - 1 } else { x - 1 };
-                        let i = row + x;
-                        let w = words[i];
-                        let pl = Planes::gather(
-                            ly,
-                            words[row + xp],
-                            words[row + xm],
-                            words[north + x],
-                            words[south + x],
-                            words[up + y * lx + x],
-                            words[down + y * lx + x],
-                        );
-                        rng.fill_u64(rbuf);
-                        let flip =
-                            resolve_word(w, pl, rbuf, |j, idx| tables[j][idx & 63]) & lane_mask;
-                        words[i] = w ^ flip;
-                        accepted += u64::from(flip.count_ones());
-                    }
-                }
-            }
-        }
-        self.metrics
-            .add(self.id_proposed, (slice * mm * lanes) as u64);
-        self.metrics.add(self.id_accepted, accepted);
-        if accepted > 0 {
-            self.spins_dirty = true;
-        }
-    }
-
-    /// One replica-exchange phase: alternating even/odd adjacent pairs.
-    /// Accepted swaps exchange the two rungs' configurations with a
-    /// bitwise lane swap over every word; the acceptance uses the exact
-    /// action difference from per-lane bond sums:
-    /// `Δ = (K_s' − K_s)·ΔΣSP + (K_τ' − K_τ)·ΔΣT`, `P = min(1, e^{−Δ})`.
-    pub fn exchange<R: Rng64>(&mut self, rng: &mut R) {
-        let _span = qmc_obs::span("tfim.packed_ladder_exchange");
-        let (_, sps, tts) = lane_counts(&self.model, &self.lat);
-        let lanes = self.lat.lanes();
-        let phase = self.phase;
-        self.phase ^= 1;
-        let mut k = phase;
-        while k + 1 < lanes {
-            let (a, b) = (k, k + 1);
-            // Equal-bond counts and signed bond sums differ by an
-            // affine map with equal offsets, so the *differences* agree.
-            let dsp = 2.0 * (sps[b] as f64 - sps[a] as f64);
-            let dtt = 2.0 * (tts[b] as f64 - tts[a] as f64);
-            let delta = (self.cs[b].k_space - self.cs[a].k_space) * dsp
-                + (self.cs[b].k_time - self.cs[a].k_time) * dtt;
-            self.swap_attempted[a] += 1;
-            if rng.metropolis((-delta).exp()) {
-                self.swap_accepted[a] += 1;
-                for w in self.lat.words_mut() {
-                    let x = ((*w >> a) ^ (*w >> b)) & 1;
-                    *w ^= (x << a) | (x << b);
-                }
-                self.spins_dirty = true;
-            }
-            k += 2;
-        }
-    }
-
-    /// Measure every rung with its own couplings.
-    pub fn measure_into(&self, out: &mut Vec<TfimMeasurement>) {
-        out.clear();
-        let (ups, sps, tts) = lane_counts(&self.model, &self.lat);
-        for lane in 0..self.lat.lanes() {
-            out.push(lane_measurement(
-                &self.cs[lane],
-                &self.model,
-                ups[lane],
-                sps[lane],
-                tts[lane],
-            ));
-        }
-    }
-
-    /// Thermalize then record `sweeps` measurements per rung, with one
-    /// exchange phase after every sweep.
-    pub fn run<R: Rng64>(&mut self, rng: &mut R, therm: usize, sweeps: usize) -> Vec<TfimSeries> {
-        for _ in 0..therm {
-            self.metropolis_sweep(rng);
-            self.exchange(rng);
-        }
-        let mut series: Vec<TfimSeries> = (0..self.lat.lanes())
-            .map(|_| TfimSeries::default())
-            .collect();
-        let mut meas = Vec::with_capacity(self.lat.lanes());
-        for _ in 0..sweeps {
-            self.metropolis_sweep(rng);
-            self.exchange(rng);
-            self.measure_into(&mut meas);
-            for (s, m) in series.iter_mut().zip(&meas) {
-                s.record(m);
-            }
-        }
-        series
-    }
-}
-
-/// Spatially packed single-replica TFIM engine: bit `j` of word `k` in a
-/// row is the spin at `x = 64·k + j`, so one word update advances 32
-/// checkerboard-active sites. Requires `lx % 64 == 0` (check with
-/// [`Self::supports`]); replica packing is the general-purpose mode.
-#[derive(Debug, Clone)]
-pub struct PackedSpatialTfim {
-    model: TfimModel,
-    c: StCouplings,
-    /// `lx/64 · ly · m` words, 64 sites each.
-    lat: PackedLattice,
-    table: PackedAcceptTable,
-    rbuf: Vec<u64>,
-    metrics: Registry,
-    id_accepted: CounterId,
-    id_proposed: CounterId,
-    spins_dirty: bool,
-}
-
-impl PackedSpatialTfim {
-    /// True when the model's layout admits spatial packing.
-    pub fn supports(model: &TfimModel) -> bool {
-        model.lx.is_multiple_of(64)
-    }
-
-    /// Fresh fully-aligned engine (panics unless [`Self::supports`]).
-    pub fn new(model: TfimModel) -> Self {
-        let model = model.validated();
-        assert!(
-            Self::supports(&model),
-            "spatial packing needs lx % 64 == 0 (lx = {}); use PackedReplicas",
-            model.lx
-        );
-        let c = model.couplings();
-        let k_sp = if model.ly > 1 { 4 } else { 2 };
-        let words = (model.lx / 64) * model.ly * model.m;
-        let mut metrics = Registry::new();
-        let id_accepted = metrics.counter("tfim.accepted");
-        let id_proposed = metrics.counter("tfim.proposed");
-        Self {
-            model,
-            c,
-            lat: PackedLattice::new(words, 64),
-            table: PackedAcceptTable::new(&c, k_sp),
-            rbuf: vec![0; DRAWS_PER_WORD / 2],
-            metrics,
-            id_accepted,
-            id_proposed,
-            spins_dirty: true,
-        }
-    }
-
-    /// Model parameters.
-    pub fn model(&self) -> &TfimModel {
-        &self.model
-    }
-
-    /// Metropolis proposals accepted so far.
-    pub fn accepted(&self) -> u64 {
-        self.metrics.value(self.id_accepted)
-    }
-
-    /// Metropolis proposals made so far.
-    pub fn proposed(&self) -> u64 {
-        self.metrics.value(self.id_proposed)
-    }
-
-    #[inline]
-    fn word_of(&self, x: usize, y: usize, t: usize) -> (usize, usize) {
-        let wpr = self.model.lx / 64;
-        ((t * self.model.ly + y) * wpr + x / 64, x % 64)
-    }
-
-    /// Load a scalar configuration (layout `(t·ly + y)·lx + x`, ±1).
-    pub fn load_config(&mut self, spins: &[i8]) {
-        let m = self.model;
-        assert_eq!(spins.len(), m.lx * m.ly * m.m, "configuration length");
-        for t in 0..m.m {
-            for y in 0..m.ly {
-                for x in 0..m.lx {
-                    let (w, b) = self.word_of(x, y, t);
-                    self.lat.set(w, b, spins[(t * m.ly + y) * m.lx + x]);
-                }
-            }
-        }
-        self.spins_dirty = true;
-    }
-
-    /// Extract the scalar configuration.
-    pub fn extract_config(&self, out: &mut [i8]) {
-        let m = self.model;
-        assert_eq!(out.len(), m.lx * m.ly * m.m, "configuration length");
-        for t in 0..m.m {
-            for y in 0..m.ly {
-                for x in 0..m.lx {
-                    let (w, b) = self.word_of(x, y, t);
-                    out[(t * m.ly + y) * m.lx + x] = self.lat.get(w, b);
-                }
-            }
-        }
-    }
-
-    /// One bitwise checkerboard sweep: each word update resolves its 32
-    /// active-parity sites with 16 draws from one batched fill (two
-    /// 32-bit decision lanes per draw, consecutive active sites taking
-    /// the low then the high half). The x±1 neighbours come from shifts
-    /// with carries across adjacent words (periodic wrap within the row).
-    #[qmc_hot::hot]
-    pub fn metropolis_sweep<R: Rng64>(&mut self, rng: &mut R) {
-        let _span = qmc_obs::span("tfim.packed_spatial_sweep");
-        let m = self.model;
-        let (ly, mm) = (m.ly, m.m);
-        let wpr = m.lx / 64;
-        let slice = wpr * ly;
-        let table = self.table;
-        let rbuf = &mut self.rbuf[..DRAWS_PER_WORD / 2];
-        let words = self.lat.words_mut();
-        let mut accepted = 0u64;
-        for color in 0..2usize {
-            for t in 0..mm {
-                let up = ((t + 1) % mm) * slice;
-                let down = ((t + mm - 1) % mm) * slice;
-                let tslice = t * slice;
-                for y in 0..ly {
-                    let row = tslice + y * wpr;
-                    let (north, south) = if ly > 1 {
-                        (
-                            tslice + ((y + 1) % ly) * wpr,
-                            tslice + ((y + ly - 1) % ly) * wpr,
-                        )
-                    } else {
-                        (0, 0)
-                    };
-                    // Bit parity equals x parity (64 | lx), so one parity
-                    // selects this row's checkerboard-active sites.
-                    let par = (color + y + t) % 2;
-                    for k in 0..wpr {
-                        let i = row + k;
-                        let w = words[i];
-                        let nxt = words[row + if k + 1 == wpr { 0 } else { k + 1 }];
-                        let prv = words[row + if k == 0 { wpr - 1 } else { k - 1 }];
-                        let east = (w >> 1) | (nxt << 63);
-                        let west = (w << 1) | (prv >> 63);
-                        let pl = Planes::gather(
-                            ly,
-                            east,
-                            west,
-                            words[north + k],
-                            words[south + k],
-                            words[up + y * wpr + k],
-                            words[down + y * wpr + k],
-                        );
-                        rng.fill_u64(rbuf);
-                        let (mut sw, mut q0, mut q1, mut q2, mut u0, mut u1) = (
-                            w >> par,
-                            pl.s0 >> par,
-                            pl.s1 >> par,
-                            pl.s2 >> par,
-                            pl.t0 >> par,
-                            pl.t1 >> par,
-                        );
-                        let mut flip = 0u64;
-                        let mut bit = 1u64 << par;
-                        for &r in rbuf.iter() {
-                            let idx = ((sw & 1)
-                                | (q0 & 1) << 1
-                                | (q1 & 1) << 2
-                                | (q2 & 1) << 3
-                                | (u0 & 1) << 4
-                                | (u1 & 1) << 5) as usize;
-                            flip |= (((r as u32) <= table.get(idx)) as u64).wrapping_mul(bit);
-                            sw >>= 2;
-                            q0 >>= 2;
-                            q1 >>= 2;
-                            q2 >>= 2;
-                            u0 >>= 2;
-                            u1 >>= 2;
-                            bit <<= 2;
-                            let idx = ((sw & 1)
-                                | (q0 & 1) << 1
-                                | (q1 & 1) << 2
-                                | (q2 & 1) << 3
-                                | (u0 & 1) << 4
-                                | (u1 & 1) << 5) as usize;
-                            flip |=
-                                ((((r >> 32) as u32) <= table.get(idx)) as u64).wrapping_mul(bit);
-                            sw >>= 2;
-                            q0 >>= 2;
-                            q1 >>= 2;
-                            q2 >>= 2;
-                            u0 >>= 2;
-                            u1 >>= 2;
-                            bit <<= 2;
-                        }
-                        words[i] = w ^ flip;
-                        accepted += u64::from(flip.count_ones());
-                    }
-                }
-            }
-        }
-        self.metrics.add(self.id_proposed, (slice * mm * 64) as u64);
-        self.metrics.add(self.id_accepted, accepted);
-        if accepted > 0 {
-            self.spins_dirty = true;
-        }
-    }
-
-    /// Measure the configuration (popcount bond sums; bit-identical to
-    /// [`SerialTfim::measure`] on the same configuration).
-    pub fn measure(&self) -> TfimMeasurement {
-        let m = self.model;
-        let (ly, mm) = (m.ly, m.m);
-        let wpr = m.lx / 64;
-        let slice = wpr * ly;
-        let words = self.lat.words();
-        let (mut up_cnt, mut speq, mut teq) = (0u64, 0u64, 0u64);
-        for t in 0..mm {
-            let tslice = t * slice;
-            let tup = ((t + 1) % mm) * slice;
-            for y in 0..ly {
-                let row = tslice + y * wpr;
-                let north = tslice + ((y + 1) % ly) * wpr;
-                for k in 0..wpr {
-                    let w = words[row + k];
-                    up_cnt += u64::from(w.count_ones());
-                    let nxt = words[row + if k + 1 == wpr { 0 } else { k + 1 }];
-                    let east = (w >> 1) | (nxt << 63);
-                    speq += u64::from((!(w ^ east)).count_ones());
-                    if ly > 1 {
-                        speq += u64::from((!(w ^ words[north + k])).count_ones());
-                    }
-                    teq += u64::from((!(w ^ words[tup + y * wpr + k])).count_ones());
-                }
-            }
-        }
-        lane_measurement(&self.c, &self.model, up_cnt, speq, teq)
-    }
-
-    /// Thermalize then record `sweeps` measurements.
-    pub fn run<R: Rng64>(&mut self, rng: &mut R, therm: usize, sweeps: usize) -> TfimSeries {
-        for _ in 0..therm {
-            self.metropolis_sweep(rng);
-        }
-        let mut series = TfimSeries::default();
-        for _ in 0..sweeps {
-            self.metropolis_sweep(rng);
-            series.record(&self.measure());
-        }
-        series
-    }
-}
-
-impl qmc_ckpt::Checkpoint for PackedSpatialTfim {
-    fn kind(&self) -> &'static str {
-        "engine.tfim.packed-spatial"
-    }
-
-    fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.u64s(self.lat.words());
-        qmc_ckpt::registry::save_registry(enc, &self.metrics);
-    }
-
-    fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        let words = dec.u64s()?;
-        if words.len() != self.lat.cells() {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "packed spatial tfim: engine has {} words, checkpoint has {}",
-                self.lat.cells(),
-                words.len()
-            )));
-        }
-        self.lat.words_mut().copy_from_slice(&words);
-        self.spins_dirty = true;
-        qmc_ckpt::registry::load_registry(dec, &mut self.metrics)
-    }
-}
-
-/// Replica-packed distributed TFIM engine: the spatial block decomposition
-/// of [`crate::parallel::DistTfim`] with one packed word (all lanes) per
-/// cell. Halo exchange moves boundary *words* — 8 bytes per cell carrying
-/// all 64 replicas — through the same persistent caller-owned buffers.
-pub struct PackedDistTfim {
-    model: TfimModel,
-    c: StCouplings,
-    sub: Subdomain,
-    rank: usize,
-    lat: PackedLattice,
-    slice_stride: usize,
-    table: PackedAcceptTable,
-    rbuf: Vec<u64>,
-    metrics: Registry,
-    id_accepted: CounterId,
-    id_proposed: CounterId,
-    send_buf: Vec<u8>,
-    recv_buf: Vec<u8>,
-    halo: Vec<PackedHaloDir>,
-}
-
-/// Precomputed halo plan for one mesh direction (packed variant: the
-/// payload is `u64` words, 8 bytes per strip cell per slice).
-struct PackedHaloDir {
-    neighbor: usize,
-    from: usize,
-    tag: u32,
-    send_idx: Vec<usize>,
-    recv_idx: Vec<usize>,
-    bytes_ctr: CounterId,
-}
-
-impl PackedDistTfim {
-    /// Build the rank-local state (collective) for `lanes` replicas.
-    pub fn new<C: Communicator>(model: TfimModel, lanes: usize, comm: &C) -> Self {
-        let model = model.validated();
-        let grid = grid_for(&model, comm.size());
-        assert_eq!(grid.size(), comm.size(), "grid/communicator size mismatch");
-        let decomp = Decomposition::new(model.lx, model.ly, grid);
-        let sub = decomp.subdomain(comm.rank());
-        let slice_stride = sub.padded_len();
-        let c = model.couplings();
-        let k_sp = if model.ly > 1 { 4 } else { 2 };
-        let strip = sub.w.max(sub.h) * model.m * 8;
-        let rank = comm.rank();
-        let dirs: &[Dir] = if model.ly == 1 {
-            &[Dir::East, Dir::West]
-        } else {
-            &Dir::ALL
-        };
-        let mut metrics = Registry::new();
-        let id_accepted = metrics.counter("tfim.accepted");
-        let id_proposed = metrics.counter("tfim.proposed");
-        let halo = dirs
-            .iter()
-            .map(|&dir| PackedHaloDir {
-                neighbor: grid.neighbor(rank, dir),
-                from: grid.neighbor(rank, dir.opposite()),
-                tag: 120 + dir_id(dir),
-                send_idx: sub.send_strip(dir),
-                recv_idx: sub.recv_strip(dir.opposite()),
-                bytes_ctr: metrics.counter(dir_bytes_counter(dir)),
-            })
-            .collect();
-        Self {
-            model,
-            c,
-            sub,
-            rank,
-            lat: PackedLattice::new(slice_stride * model.m, lanes),
-            slice_stride,
-            table: PackedAcceptTable::new(&c, k_sp),
-            rbuf: vec![0; DRAWS_PER_WORD],
-            metrics,
-            id_accepted,
-            id_proposed,
-            send_buf: Vec::with_capacity(strip),
-            recv_buf: Vec::with_capacity(strip),
-            halo,
-        }
-    }
-
-    /// Number of packed replicas.
-    pub fn lanes(&self) -> usize {
-        self.lat.lanes()
-    }
-
-    /// The block this rank owns.
-    pub fn subdomain(&self) -> Subdomain {
-        self.sub
-    }
-
-    /// This rank's engine metrics (acceptance + halo byte counters).
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    /// Exchange ghost frames: one aggregated message per direction, each
-    /// boundary cell serialized as an 8-byte little-endian word carrying
-    /// every lane. Allocation-free in steady state (persistent buffers,
-    /// precomputed strips, [`Communicator::sendrecv_bytes_into`]).
-    pub fn halo_exchange<C: Communicator>(&mut self, comm: &mut C) {
-        let _span = qmc_obs::span("tfim.packed_halo_exchange");
-        let halo = std::mem::take(&mut self.halo);
-        let mut send = std::mem::take(&mut self.send_buf);
-        let mut recv = std::mem::take(&mut self.recv_buf);
-        let words = self.lat.words_mut();
-        for hd in &halo {
-            send.clear();
-            for t in 0..self.model.m {
-                let base = t * self.slice_stride;
-                for &i in &hd.send_idx {
-                    send.extend_from_slice(&words[base + i].to_le_bytes());
-                }
-            }
-
-            let incoming: &[u8] = if hd.neighbor == self.rank && hd.from == self.rank {
-                &send
-            } else {
-                self.metrics.add(hd.bytes_ctr, send.len() as u64);
-                comm.sendrecv_bytes_into(hd.neighbor, hd.tag, &send, hd.from, hd.tag, &mut recv);
-                &recv
-            };
-
-            assert_eq!(
-                incoming.len(),
-                hd.recv_idx.len() * self.model.m * 8,
-                "packed halo payload size mismatch"
-            );
-            let mut chunks = incoming.chunks_exact(8);
-            for t in 0..self.model.m {
-                let base = t * self.slice_stride;
-                for &i in &hd.recv_idx {
-                    let bytes: [u8; 8] = chunks.next().expect("sized above").try_into().expect("8");
-                    words[base + i] = u64::from_le_bytes(bytes);
-                }
-            }
-        }
-        self.halo = halo;
-        self.send_buf = send;
-        self.recv_buf = recv;
-    }
-
-    /// Update every interior site of global parity `color` across all
-    /// lanes; returns the number of per-lane proposals.
-    #[qmc_hot::hot]
-    fn half_sweep<R: Rng64>(&mut self, color: usize, rng: &mut R) -> u64 {
-        let m = self.model;
-        let sub = self.sub;
-        let w2 = sub.w + 2;
-        let lanes = self.lat.lanes();
-        let lane_mask = self.lat.lane_mask();
-        let table = self.table;
-        let rbuf = &mut self.rbuf[..DRAWS_PER_WORD];
-        let words = self.lat.words_mut();
-        let mut proposals = 0u64;
-        let mut accepted = 0u64;
-        for t in 0..m.m {
-            let base = t * self.slice_stride;
-            let up = ((t + 1) % m.m) * self.slice_stride;
-            let down = ((t + m.m - 1) % m.m) * self.slice_stride;
-            for iy in 0..sub.h {
-                let gy = sub.y0 + iy;
-                for ix in 0..sub.w {
-                    let gx = sub.x0 + ix;
-                    if (gx + gy + t) % 2 != color {
-                        continue;
-                    }
-                    let li = sub.local(ix as isize, iy as isize);
-                    let w = words[base + li];
-                    let pl = Planes::gather(
-                        m.ly,
-                        words[base + li + 1],
-                        words[base + li - 1],
-                        words[base + li + w2],
-                        words[base + li - w2],
-                        words[up + li],
-                        words[down + li],
-                    );
-                    rng.fill_u64(rbuf);
-                    let flip = resolve_word(w, pl, rbuf, |_, idx| table.get(idx)) & lane_mask;
-                    words[base + li] = w ^ flip;
-                    proposals += lanes as u64;
-                    accepted += u64::from(flip.count_ones());
-                }
-            }
-        }
-        self.metrics.add(self.id_proposed, proposals);
-        self.metrics.add(self.id_accepted, accepted);
-        proposals
-    }
-
-    /// One full sweep: two parity halves, each followed by a halo
-    /// exchange; per-lane site updates are charged to the communicator.
-    #[qmc_hot::hot]
-    pub fn sweep<C: Communicator, R: Rng64>(&mut self, comm: &mut C, rng: &mut R) {
-        let _span = qmc_obs::span("tfim.packed_dist_sweep");
-        for color in 0..2 {
-            let proposals = self.half_sweep(color, rng);
-            comm.compute(proposals as f64 * FLOPS_PER_UPDATE);
-            self.halo_exchange(comm);
-        }
-    }
-
-    /// Measure every lane globally (collective; identical on all ranks).
-    pub fn measure_into<C: Communicator>(&self, comm: &mut C, out: &mut Vec<TfimMeasurement>) {
-        let _span = qmc_obs::span("tfim.packed_measure");
-        let m = self.model;
-        let sub = self.sub;
-        let w2 = sub.w + 2;
-        let lanes = self.lat.lanes();
-        let mask = self.lat.lane_mask();
-        let words = self.lat.words();
-        let mut ups = LaneCounter::new();
-        let mut speq = LaneCounter::new();
-        let mut teq = LaneCounter::new();
-        for t in 0..m.m {
-            let base = t * self.slice_stride;
-            let up = ((t + 1) % m.m) * self.slice_stride;
-            for iy in 0..sub.h {
-                for ix in 0..sub.w {
-                    let li = sub.local(ix as isize, iy as isize);
-                    let w = words[base + li];
-                    ups.push(w);
-                    speq.push(!(w ^ words[base + li + 1]) & mask);
-                    if m.ly > 1 {
-                        speq.push(!(w ^ words[base + li + w2]) & mask);
-                    }
-                    teq.push(!(w ^ words[up + li]) & mask);
-                }
-            }
-        }
-        let (u, s, tt) = (ups.finish(), speq.finish(), teq.finish());
-        // Local per-lane [up, sp_eq, t_eq] counts → one allreduce.
-        let mut local = Vec::with_capacity(3 * lanes);
-        for lane in 0..lanes {
-            local.push(u[lane] as f64);
-            local.push(s[lane] as f64);
-            local.push(tt[lane] as f64);
-        }
-        let global = comm.allreduce_f64(&local, ReduceOp::Sum);
-        out.clear();
-        for lane in 0..lanes {
-            out.push(lane_measurement(
-                &self.c,
-                &self.model,
-                global[3 * lane] as u64,
-                global[3 * lane + 1] as u64,
-                global[3 * lane + 2] as u64,
-            ));
-        }
-    }
-
-    /// Thermalize and run, recording one measurement per lane per sweep
-    /// (identical series on every rank).
-    pub fn run<C: Communicator, R: Rng64>(
-        &mut self,
-        comm: &mut C,
-        rng: &mut R,
-        therm: usize,
-        sweeps: usize,
-    ) -> Vec<TfimSeries> {
-        self.halo_exchange(comm);
-        for _ in 0..therm {
-            self.sweep(comm, rng);
-        }
-        let mut series: Vec<TfimSeries> = (0..self.lat.lanes())
-            .map(|_| TfimSeries::default())
-            .collect();
-        let mut meas = Vec::with_capacity(self.lat.lanes());
-        for _ in 0..sweeps {
-            self.sweep(comm, rng);
-            self.measure_into(comm, &mut meas);
-            for (sr, mm) in series.iter_mut().zip(&meas) {
-                sr.record(mm);
-            }
-        }
-        series
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qmc_ckpt::Checkpoint;
-    use qmc_comm::run_threads;
-    use qmc_rng::{StreamFactory, Xoshiro256StarStar};
+    use qmc_rng::Xoshiro256StarStar;
     use qmc_stats::BinningAnalysis;
 
     fn chain(lx: usize, h: f64, beta: f64, m: usize) -> TfimModel {
@@ -1707,129 +942,6 @@ mod tests {
         for eng in &engines {
             assert!(eng.measure().energy_per_site.is_finite());
         }
-    }
-
-    #[test]
-    fn packed_ladder_rungs_match_ed() {
-        let model = chain(4, 1.0, 1.0, 32);
-        let betas = [0.6, 1.0, 1.6, 2.4];
-        let mut ladder = PackedTfimLadder::new(model, &betas);
-        let mut rng = Xoshiro256StarStar::new(11);
-        let series = ladder.run(&mut rng, 2000, 15_000);
-
-        let lat = qmc_lattice::Chain::new(4);
-        for (k, &beta) in betas.iter().enumerate() {
-            let exact =
-                qmc_ed::tfim::thermal(&lat, &qmc_ed::tfim::TfimParams { j: 1.0, h: 1.0 }, beta);
-            let b = BinningAnalysis::new(&series[k].energy, 16);
-            let trotter = (beta / 32.0).powi(2) * 2.0;
-            assert!(
-                (b.mean - exact.energy / 4.0).abs() < 5.0 * b.error().max(3e-4) + trotter,
-                "rung {k} (β={beta}): E {} ± {} vs {}",
-                b.mean,
-                b.error(),
-                exact.energy / 4.0
-            );
-        }
-        for k in 0..betas.len() - 1 {
-            let rate = ladder.swap_rate(k);
-            assert!(rate > 0.05 && rate <= 1.0, "pair {k} swap rate {rate}");
-        }
-    }
-
-    #[test]
-    fn spatial_packing_matches_scalar_means() {
-        // lx = 64 chain: big enough for spatial packing, and the scalar
-        // engine provides the reference means (ED cannot reach L=64).
-        let model = chain(64, 1.0, 1.0, 8);
-        assert!(PackedSpatialTfim::supports(&model));
-        let mut packed = PackedSpatialTfim::new(model);
-        let mut rng = Xoshiro256StarStar::new(21);
-        let pseries = packed.run(&mut rng, 1000, 8000);
-        let bp = BinningAnalysis::new(&pseries.energy, 16);
-
-        let mut scalar = SerialTfim::new(model);
-        let mut srng = Xoshiro256StarStar::new(22);
-        let sseries = scalar.run(&mut srng, 1000, 8000, 0);
-        let bs = BinningAnalysis::new(&sseries.energy, 16);
-        let err = (bp.error().powi(2) + bs.error().powi(2)).sqrt().max(5e-4);
-        assert!(
-            (bp.mean - bs.mean).abs() < 5.0 * err,
-            "spatial {} ± {} vs scalar {} ± {}",
-            bp.mean,
-            bp.error(),
-            bs.mean,
-            bs.error()
-        );
-        assert!(!PackedSpatialTfim::supports(&chain(8, 1.0, 1.0, 8)));
-    }
-
-    #[test]
-    fn spatial_config_roundtrip_and_bitwise_measure() {
-        let model = chain(64, 1.3, 1.2, 6); // odd-ish extents: m = 6
-        let mut scalar = SerialTfim::new(model);
-        let mut rng = Xoshiro256StarStar::new(31);
-        for _ in 0..10 {
-            scalar.metropolis_sweep(&mut rng);
-        }
-        let mut packed = PackedSpatialTfim::new(model);
-        packed.load_config(scalar.export_spins());
-        let mut back = vec![0i8; scalar.export_spins().len()];
-        packed.extract_config(&mut back);
-        assert_eq!(&back[..], scalar.export_spins());
-        let sm = scalar.measure();
-        let pm = packed.measure();
-        assert_eq!(sm.energy_per_site.to_bits(), pm.energy_per_site.to_bits());
-        assert_eq!(sm.sigma_x.to_bits(), pm.sigma_x.to_bits());
-        assert_eq!(sm.abs_m.to_bits(), pm.abs_m.to_bits());
-    }
-
-    #[test]
-    fn packed_dist_pooled_matches_ed() {
-        let model = chain(8, 1.0, 1.0, 16);
-        let results = run_threads(4, move |comm| {
-            let mut eng = PackedDistTfim::new(model, 8, comm);
-            let mut rng = StreamFactory::new(5).stream(comm.rank());
-            eng.run(comm, &mut rng, 1200, 5000)
-        });
-        let lat = qmc_lattice::Chain::new(8);
-        let exact = qmc_ed::tfim::thermal(&lat, &qmc_ed::tfim::TfimParams { j: 1.0, h: 1.0 }, 1.0);
-        let (e, de) = pooled(&results[0], |s| &s.energy);
-        let trotter = (1.0f64 / 16.0).powi(2) * 2.0;
-        assert!(
-            (e - exact.energy / 8.0).abs() < 4.0 * de.max(2e-4) + trotter,
-            "E {e} ± {de} vs {}",
-            exact.energy / 8.0
-        );
-        // Collective measurements: identical series on every rank.
-        for r in &results[1..] {
-            for (a, b) in r.iter().zip(&results[0]) {
-                assert_eq!(a.energy, b.energy);
-            }
-        }
-    }
-
-    #[test]
-    fn packed_dist_deterministic_and_counts_halo_bytes() {
-        let model = chain(8, 1.0, 1.0, 8);
-        let run = || {
-            run_threads(2, move |comm| {
-                let mut eng = PackedDistTfim::new(model, 4, comm);
-                let mut rng = StreamFactory::new(123).stream(comm.rank());
-                let series = eng.run(comm, &mut rng, 20, 40);
-                let halo: u64 = ["east", "west"]
-                    .iter()
-                    .map(|d| eng.metrics().get(&format!("tfim.halo_bytes.{d}")))
-                    .sum();
-                (series, halo)
-            })
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a[0].0[0].energy, b[0].0[0].energy);
-        // 8 bytes per boundary word, 2 directions, m slices, per exchange:
-        // initial + 2 per sweep over 60 sweeps.
-        assert_eq!(a[0].1, 2 * 8 * 8 * (1 + 2 * 60));
     }
 
     #[test]

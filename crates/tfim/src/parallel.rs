@@ -263,7 +263,7 @@ impl DistTfim {
                     }
                     let tp = self.spins[up + li] as i32 + self.spins[down + li] as i32;
                     proposals += 1;
-                    // lint: allow(hot-scalar-spin-loop) — reference scalar halo kernel; packed equivalent is PackedDistTfim
+                    // lint: allow(hot-scalar-spin-loop) — the one halo-exchanging kernel; packing is per replica (PackedReplicas), not per subdomain
                     if rng.metropolis(self.accept.ratio(s, sp, tp)) {
                         self.spins[base + li] = -s;
                         accepted += 1;
@@ -431,7 +431,7 @@ impl qmc_ckpt::Checkpoint for DistTfim {
     }
 }
 
-pub(crate) fn dir_id(d: Dir) -> u32 {
+fn dir_id(d: Dir) -> u32 {
     match d {
         Dir::East => 0,
         Dir::West => 1,
@@ -440,7 +440,7 @@ pub(crate) fn dir_id(d: Dir) -> u32 {
     }
 }
 
-pub(crate) fn dir_bytes_counter(d: Dir) -> &'static str {
+fn dir_bytes_counter(d: Dir) -> &'static str {
     match d {
         Dir::East => "tfim.halo_bytes.east",
         Dir::West => "tfim.halo_bytes.west",

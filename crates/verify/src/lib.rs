@@ -5,7 +5,7 @@
 //! crashes: a message matched out of order, an extra RNG draw, a
 //! transcendental sneaking back into a table-driven kernel — all leave
 //! the program running and the physics subtly wrong. This crate holds
-//! the two mechanical checkers that keep those invariants honest:
+//! the three mechanical checkers that keep those invariants honest:
 //!
 //! * **Comm-protocol model checker** ([`trace`], [`checker`]):
 //!   [`RecordingComm`] captures per-rank event traces over any
@@ -18,9 +18,10 @@
 //!   cycle instead of hanging the suite.
 //! * **Workspace invariant linter** ([`lint`], `qmc-lint` binary):
 //!   a dependency-free token-level scanner enforcing the kernel and
-//!   serialization disciplines (`hot-transcendental`, `hot-alloc`,
-//!   `wall-clock`, `ckpt-hashmap`, `lib-unwrap`) across the workspace,
-//!   with per-site waiver comments as the audit trail.
+//!   serialization disciplines (ten rules, tabulated in [`lint`]) across
+//!   the workspace, with per-site waiver comments as the audit trail and
+//!   one fixture per rule under `fixtures/` that the self-tests require
+//!   to fire, so a rule cannot rot into a no-op.
 //! * **Exhaustive protocol explorer** ([`explore`], [`model`]): the
 //!   checkpoint-commit, drain-verdict, and `qmc-serve` scheduler
 //!   protocols modeled as deterministic per-process step functions;

@@ -39,9 +39,16 @@ echo "== tier-1: cargo test -q =="
 # only add what `cargo test` does not run: lints, demos, drills.
 cargo test -q
 
+echo "== one emitter: the schema key and the string escape live in obs/json.rs only =="
+if grep -rnE --include='*.rs' '\\"schema\\"|key\("schema"\)|fn esc' crates | grep -v '^crates/obs/src/json\.rs:'; then exit 1; fi
+
 echo "== benchmark: builds against this tree, offline and locked =="
-# benchmark/ is a standalone package with its own lock file: an API or
-# crate-graph break against it must fail here, not in the pipeline.
+# benchmark/ is a standalone package with its own frozen lock file: an
+# API or crate-graph break against it must fail here, not in the
+# pipeline. The rule for the crates it reaches: a dependency edge may be
+# removed (a leftover lock entry still resolves under --locked), never
+# added — a new edge or crate needs a lock update, and benchmark/ changes
+# only in a [benchmark] PR.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== verify: workspace lint + recorded-PT verification =="
@@ -77,11 +84,12 @@ echo "== analyze: causal trace -> critical-path report =="
 cargo run -q --release -p qmc-bench --bin repro -- analyze
 
 echo "== bench-quick: packed-kernel speedup guard =="
-# A shrunk fixed-seed bench run (median of 5) asserting the multi-spin
-# coded sweep stays >= 2x the scalar kernel (the full-run target is 4x;
-# --quick relaxes it so gate latency stays in seconds). Exits non-zero
-# when the guard misses.
-cargo run -q --release -p qmc-bench --bin repro -- bench --quick --assert-guards
+# The four in-window ratio guards on shrunk fixed-seed work. The
+# multi-spin coded sweep must stay >= 2x the scalar kernel, median over
+# median of 5 (the full-run target is 4x; --quick relaxes it so gate
+# latency stays in seconds) or the run exits non-zero; the obs / trace /
+# ckpt overhead lines are printed and warn.
+cargo run -q --release -p qmc-bench --bin repro -- bench --quick
 
 if [ "$FULL" = "1" ]; then
   if cargo miri --version >/dev/null 2>&1; then

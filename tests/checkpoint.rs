@@ -17,7 +17,7 @@ use qmc_ckpt::{load_state, save_state, Cadence, Checkpoint, CkptStore, Policy};
 use qmc_comm::{run_threads, run_threads_with_timeout, Communicator, FaultPlan, FaultyComm};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig, PtLadder};
 use qmc_lattice::{Chain, Square};
-use qmc_rng::{CountingRng, Rng64, StreamFactory, Xoshiro256StarStar};
+use qmc_rng::{Buffered, CountingRng, Rng64, StreamFactory, Xoshiro256StarStar};
 use qmc_sse::Sse;
 use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
@@ -127,48 +127,59 @@ fn packed_tfim_resumes_bit_identical_at_every_boundary() {
     });
 }
 
-/// Steady-state delta generations of the packed driver stay under half
-/// the size of full snapshots: the always-dirty spin words are small next
-/// to the accumulated per-lane series, whose chunked dirty tracking only
-/// re-writes new row chunks.
+/// Steady-state delta generations stay under half the size of full
+/// snapshots, for the packed driver (the always-dirty spin words are small
+/// next to the accumulated per-lane series, whose chunked dirty tracking
+/// only re-writes new row chunks) and for the serial driver (one series,
+/// the whole 16×16×8 lattice dirty every generation).
 #[test]
 fn packed_delta_checkpoints_stay_under_half_full_size() {
-    let model = TfimModel {
-        lx: 8,
-        ly: 8,
+    let square = |l: usize, m: usize| TfimModel {
+        lx: l,
+        ly: l,
         j: 1.0,
         h: 2.0,
         beta: 1.0,
-        m: 4,
+        m,
     };
-    let (lanes, sweeps, every) = (16usize, 600usize, 5usize);
-    let run = |every: usize, full_every: usize| -> u64 {
-        let dir = scratch("packed-delta");
-        let store = CkptStore::new(&dir, 2).expect("scratch store");
-        let ck = Policy {
-            store: &store,
-            cadence: Cadence::new(every, full_every).unwrap(),
-            resume: false,
-            stop: None,
-        };
+    let (sweeps, every) = (600usize, 5usize);
+    let packed = |ck: &Policy<'_>| {
         let mut rng = Xoshiro256StarStar::new(37);
-        run_packed_tfim_ckpt(model, lanes, &mut rng, 0, sweeps, Some(&ck), None)
-            .expect("run completes");
-        let written = store.bytes_written();
-        let _ = std::fs::remove_dir_all(&dir);
-        written
+        run_packed_tfim_ckpt(square(8, 4), 16, &mut rng, 0, sweeps, Some(ck), None).is_some()
     };
-    let gens = sweeps.div_ceil(every) as u64;
-    let first = run(sweeps + 1, 0); // a single full generation at sweep 0
-    let full_total = run(every, 0); // every generation a full snapshot
-    let delta_total = run(every, usize::MAX); // generation 0 full, rest deltas
-    let full_per_gen = (full_total - first) as f64 / (gens - 1) as f64;
-    let delta_per_gen = (delta_total - first) as f64 / (gens - 1) as f64;
-    let ratio = delta_per_gen / full_per_gen;
-    assert!(
-        ratio <= 0.5,
-        "packed delta generations {delta_per_gen:.0} B vs full {full_per_gen:.0} B = {ratio:.3}x"
-    );
+    let serial = |ck: &Policy<'_>| {
+        let mut rng = Buffered::new(Xoshiro256StarStar::new(21));
+        run_serial_tfim_ckpt(square(16, 8), &mut rng, 0, sweeps, 1, Some(ck), None).is_some()
+    };
+    type Driver<'a> = &'a dyn Fn(&Policy<'_>) -> bool;
+    let drivers: [(&str, Driver); 2] = [("packed", &packed), ("serial", &serial)];
+    for (name, driver) in drivers {
+        let run = |every: usize, full_every: usize| -> u64 {
+            let dir = scratch("delta-bytes");
+            let store = CkptStore::new(&dir, 2).expect("scratch store");
+            let ck = Policy {
+                store: &store,
+                cadence: Cadence::new(every, full_every).unwrap(),
+                resume: false,
+                stop: None,
+            };
+            assert!(driver(&ck), "{name} run completes");
+            let written = store.bytes_written();
+            let _ = std::fs::remove_dir_all(&dir);
+            written
+        };
+        let gens = sweeps.div_ceil(every) as u64;
+        let first = run(sweeps + 1, 0); // a single full generation at sweep 0
+        let full_total = run(every, 0); // every generation a full snapshot
+        let delta_total = run(every, usize::MAX); // generation 0 full, rest deltas
+        let full_per_gen = (full_total - first) as f64 / (gens - 1) as f64;
+        let delta_per_gen = (delta_total - first) as f64 / (gens - 1) as f64;
+        let ratio = delta_per_gen / full_per_gen;
+        assert!(
+            ratio <= 0.5,
+            "{name} delta generations {delta_per_gen:.0} B vs full {full_per_gen:.0} B = {ratio:.3}x"
+        );
+    }
 }
 
 #[test]

@@ -223,3 +223,28 @@ fn sse_2d_reaches_lanczos_ground_state() {
         b.error()
     );
 }
+
+/// `repro` used to test each known `--flag` with `any(..)` and ignore the
+/// rest, so a typo (`bench --asert-guards`) ran unguarded and exited 0.
+/// An unrecognised flag is refused before anything runs.
+#[test]
+fn repro_refuses_unknown_flags() {
+    let repro = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro runs")
+    };
+    for args in [
+        &["bench", "--asert-guards"][..],
+        &["t1", "--quick", "--bogus"],
+    ] {
+        let out = repro(args);
+        let flag = args.last().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before refusing");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{args:?}: stderr {err:?} names no flag");
+    }
+    assert_eq!(repro(&["t1", "--quick"]).status.code(), Some(0));
+}

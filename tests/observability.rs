@@ -12,8 +12,7 @@ use qmc_comm::{run_threads, Communicator};
 use qmc_lattice::{Chain, Square};
 use qmc_obs::json::Json;
 use qmc_obs::{
-    analyze, chrome_trace_json, gather_ranks, metrics_json, ObsConfig, OnlineBinning, RunMeta,
-    SegmentKind,
+    chrome_trace_json, gather_ranks, metrics_json, ObsConfig, OnlineBinning, RunMeta, SegmentKind,
 };
 use qmc_rng::{CountingRng, Rng64, StreamFactory, Xoshiro256StarStar};
 use qmc_sse::Sse;
@@ -415,7 +414,7 @@ fn critical_path_span_ids_exist_in_recorded_spans() {
     // Every compute segment the critical path names must point at a span
     // that is actually in the trace (span id 0 = outside any span).
     let (ranks, _) = qmc_bench::analyze::run_traced(None);
-    let a = analyze(&ranks).expect("clean analysis");
+    let a = qmc_bench::analyze::checked_analyze(&ranks).expect("clean analysis");
     let mut checked = 0;
     for seg in &a.critical_path {
         if seg.kind != SegmentKind::Compute || seg.span_id == 0 {
@@ -443,7 +442,7 @@ fn slow_rank_is_dragged_onto_critical_path() {
     // rank 3 both as the straggler and as the rank dominating the
     // critical path's compute time.
     let (ranks, _) = qmc_bench::analyze::run_traced(Some(3));
-    let a = analyze(&ranks).expect("clean analysis");
+    let a = qmc_bench::analyze::checked_analyze(&ranks).expect("clean analysis");
     assert_eq!(a.straggler, 3, "stalled rank not flagged as straggler");
     assert_eq!(
         a.path_dominant_rank(),
@@ -455,4 +454,150 @@ fn slow_rank_is_dragged_onto_critical_path() {
         "stall should show as load imbalance, got {:.2}x",
         a.imbalance
     );
+}
+
+/// Key paths of a document in first-seen order: object members as
+/// `a.b`, array elements collapsed to `a[]`. Members of the maps whose
+/// keys are data (run parameters, counter and histogram names) collapse
+/// to `*`, so the list is the artifact's shape, not the run's content.
+fn key_paths(doc: &Json) -> Vec<String> {
+    fn walk(v: &Json, path: &str, names_are_data: bool, out: &mut Vec<String>) {
+        match v {
+            Json::Obj(members) => {
+                for (k, child) in members {
+                    let k = if names_are_data { "*" } else { k.as_str() };
+                    let p = if path.is_empty() {
+                        k.to_string()
+                    } else {
+                        format!("{path}.{k}")
+                    };
+                    if !out.contains(&p) {
+                        out.push(p.clone());
+                    }
+                    let data_map = matches!(k, "params" | "counters" | "histograms");
+                    walk(child, &p, data_map, out);
+                }
+            }
+            Json::Arr(items) => {
+                for item in items {
+                    walk(item, &format!("{path}[]"), false, out);
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    walk(doc, "", false, &mut out);
+    out
+}
+
+/// Every JSON artifact, rendered by the producer its `repro` command
+/// writes to disk: it parses, it carries its schema string, and its key
+/// paths are — name for name, in order — those of the files committed
+/// before the emitters were merged into `qmc_obs::json::JsonWriter` (the
+/// two `VERIFY_*` had no reader at all until now). Changing an
+/// artifact's shape means changing its row.
+#[test]
+fn every_artifact_keeps_its_schema_and_key_paths() {
+    const COMM: &str = "messages_sent bytes_sent messages_recv bytes_recv max_message_bytes \
+                        comm_seconds compute_seconds recv_wait_seconds";
+    let prefixed = |prefix: &str, keys: &str| -> String {
+        let keys: Vec<String> = keys
+            .split_whitespace()
+            .map(|k| format!("{prefix}.{k}"))
+            .collect();
+        format!("{prefix} {}", keys.join(" "))
+    };
+    let metrics = format!(
+        "schema run run.name run.engine run.backend run.ranks run.params run.params.* \
+         totals totals.counters totals.counters.* {} \
+         ranks ranks[].rank ranks[].spans ranks[].dropped_spans \
+         ranks[].counters ranks[].counters.* ranks[].histograms ranks[].histograms.* \
+         ranks[].histograms.*.count ranks[].histograms.*.sum ranks[].histograms.*.min \
+         ranks[].histograms.*.max ranks[].histograms.*.buckets \
+         ranks[].health ranks[].health[].name ranks[].health[].count ranks[].health[].mean \
+         ranks[].health[].std_dev ranks[].health[].error ranks[].health[].tau_int \
+         ranks[].health[].drift_z {}",
+        prefixed("totals.comm", COMM),
+        prefixed("ranks[].comm", COMM)
+    );
+    let trace = "traceEvents traceEvents[].name traceEvents[].ph traceEvents[].pid \
+                 traceEvents[].tid traceEvents[].args traceEvents[].args.name traceEvents[].ts \
+                 traceEvents[].args.span";
+    let trace_obs = format!("{trace} displayTimeUnit");
+    let trace_flows =
+        format!("{trace} traceEvents[].cat traceEvents[].id traceEvents[].bp displayTimeUnit");
+
+    fn obs_ranks() -> Vec<qmc_obs::RankObs> {
+        let config = ObsConfig::new().with_metrics(true).with_health_every(0);
+        qmc_bench::obs::run_instrumented(30, &config)
+    }
+    fn analyze_ranks() -> Vec<qmc_obs::RankObs> {
+        qmc_bench::analyze::run_traced(None).0
+    }
+    type Row<'a> = (&'a str, fn() -> String, Option<&'a str>, &'a str);
+    let table: [Row; 6] = [
+        (
+            "METRICS_run.json",
+            || metrics_json(&qmc_bench::obs::demo_meta(30), &obs_ranks()),
+            Some("qmc-metrics/v1"),
+            &metrics,
+        ),
+        (
+            "trace.json (obs)",
+            || chrome_trace_json(&obs_ranks()),
+            None,
+            &trace_obs,
+        ),
+        (
+            "ANALYSIS_run.json",
+            || {
+                let a = qmc_bench::analyze::checked_analyze(&analyze_ranks()).expect("clean");
+                qmc_obs::analysis_json(&qmc_bench::analyze::demo_meta(), &a)
+            },
+            Some("qmc-analysis/v1"),
+            "schema run run.name run.engine run.backend run.ranks wall_us imbalance straggler \
+             messages messages.matched messages.unmatched_sends messages.unmatched_recvs \
+             ranks ranks[].rank ranks[].wall_us ranks[].compute_us ranks[].wait_us \
+             ranks[].send_us ranks[].coverage ranks[].messages_in ranks[].messages_out \
+             critical_path critical_path.total_us critical_path.segments \
+             critical_path.segments[].kind critical_path.segments[].rank \
+             critical_path.segments[].from_rank critical_path.segments[].label \
+             critical_path.segments[].span_id critical_path.segments[].t0_us \
+             critical_path.segments[].t1_us",
+        ),
+        (
+            "trace.json (analyze)",
+            || chrome_trace_json(&analyze_ranks()),
+            None,
+            &trace_flows,
+        ),
+        (
+            "VERIFY_explore.json",
+            || qmc_bench::verify::explore_act(&mut String::new()).1,
+            Some("qmc-verify-explore/v1"),
+            "schema models models[].model models[].clean models[].transitions \
+             models[].unique_states models[].executions models[].ceiling \
+             reduction reduction[].instance reduction[].dpor reduction[].naive reduction[].ratio \
+             mutants mutants[].model mutants[].schedule_len \
+             guards guards.all_clean_within_ceiling guards.min_reduction_ratio",
+        ),
+        (
+            "VERIFY_elastic.json",
+            || qmc_bench::elastic::elastic_acts(true).2,
+            Some("qmc-elastic/v1"),
+            "schema respawns resizes verdicts verdicts.respawn_bit_identical \
+             verdicts.shrink_deterministic verdicts.shrink_full_history",
+        ),
+    ];
+    for (file, produce, schema, want) in table {
+        let doc = Json::parse(&produce()).unwrap_or_else(|e| panic!("{file} does not parse: {e}"));
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            schema,
+            "{file} schema"
+        );
+        let want: Vec<&str> = want.split_whitespace().collect();
+        assert_eq!(key_paths(&doc), want, "{file} key paths");
+    }
 }
