@@ -108,7 +108,7 @@ pub fn run_worldline_ckpt<R: Rng64 + Checkpoint>(
     kill_at: Option<usize>,
 ) -> Option<(Worldline, TimeSeries)> {
     let mut eng = Worldline::new(params);
-    let mut series = TimeSeries::new(params.l);
+    let mut series = TimeSeries::with_capacity(params.l, sweeps);
     series.set_beta(params.beta);
     let done = drive(
         (&mut eng, rng, &mut series),
@@ -140,7 +140,7 @@ pub fn run_generic_worldline_ckpt<L: Lattice, R: Rng64 + Checkpoint>(
 ) -> Option<(GenericWorldline<L>, TimeSeries)> {
     let n_sites = lattice.num_sites();
     let mut eng = GenericWorldline::new(lattice, params);
-    let mut series = TimeSeries::new(n_sites);
+    let mut series = TimeSeries::with_capacity(n_sites, sweeps);
     series.set_beta(params.beta);
     let done = drive(
         (&mut eng, rng, &mut series),

@@ -40,7 +40,7 @@ pub mod packed;
 
 pub use chain::Chain;
 pub use decomp::{Decomposition, Dir, ProcGrid, Subdomain};
-pub use packed::{parity_mask, transpose64, LaneCounter, PackedLattice};
+pub use packed::{parity_mask, transpose64, DoubledRing, LaneCounter, PackedLattice};
 pub use square::Square;
 
 /// An undirected bond between two sites, tagged with its checkerboard

@@ -1,7 +1,7 @@
 //! Bit-packed spin storage for multi-spin coding.
 //!
 //! Ising spins are two-valued, so a `u64` word holds 64 of them; bitwise
-//! kernels then update all 64 with the same handful of instructions. Two
+//! kernels then update all 64 with the same handful of instructions. Three
 //! packings are useful (see DESIGN.md "Multi-spin coding"):
 //!
 //! * **Replica packing** (primary): bit `j` of word `i` is spin `i` of
@@ -12,8 +12,15 @@
 //!   single replica — neighbour words come from shifts with carries
 //!   across word boundaries, and checkerboard sweeps mask alternating
 //!   bits. Denser, but only when the fast-varying extent divides by 64.
+//! * **Ring, doubled** ([`DoubledRing`]): a periodic ring of `n` sites
+//!   stored twice back to back (`x‖x`), so the ring rotated by `r` is
+//!   simply bits `r..r+n` of the doubled string — a funnel shift, no
+//!   wrap-around case, any `n`. One shift + XOR + popcount per word then
+//!   counts the anti-parallel pairs at distance `r`, which is all a
+//!   translation-averaged `⟨Sᶻ₀Sᶻᵣ⟩` needs. A measurement scratch, not an
+//!   engine state: it is reloaded from the scalar configuration.
 //!
-//! [`PackedLattice`] is the storage type shared by both modes: a flat
+//! [`PackedLattice`] is the storage type shared by the first two: a flat
 //! `Vec<u64>` of *cells* (lattice sites in replica mode, 64-site groups in
 //! spatial mode) with up to 64 active *lanes* per cell. The convention
 //! throughout the workspace is **bit 1 ⇔ spin +1**.
@@ -219,6 +226,76 @@ impl LaneCounter {
     }
 }
 
+/// A periodic ring of `n` two-valued sites packed twice over (`x‖x`) for
+/// all-distance pair counting (see the module docs, "ring, doubled").
+///
+/// Bits `0..n` and `n..2n` both hold the ring and every other bit is
+/// zero; the storage is `2·⌈n/64⌉ + 1` words so that [`Self::mismatches`]
+/// may read one word past the shifted window for every `r ∈ 0..=n`
+/// without a bounds case. Sized once by [`Self::new`]; [`Self::load`] and
+/// [`Self::mismatches`] never allocate.
+#[derive(Debug, Clone)]
+pub struct DoubledRing {
+    /// Length of the ring currently loaded.
+    n: usize,
+    words: Vec<u64>,
+}
+
+impl DoubledRing {
+    /// All-zero scratch that can hold any ring of up to `capacity` sites.
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            n: capacity,
+            words: vec![0; 2 * capacity.div_ceil(64) + 1],
+        }
+    }
+
+    /// Replace the contents with `sites` (bit 1 ⇔ `true`); the ring
+    /// length becomes `sites.len()`, which must fit the capacity.
+    pub fn load(&mut self, sites: &[bool]) {
+        let n = sites.len();
+        let used = 2 * n.div_ceil(64) + 1;
+        assert!(
+            used <= self.words.len(),
+            "ring of {n} sites does not fit this scratch"
+        );
+        self.n = n;
+        self.words[..used].fill(0);
+        // Second copy starts at bit n = 64·q + s.
+        let (q, s) = (n / 64, n % 64);
+        for (k, chunk) in sites.chunks(64).enumerate() {
+            let mut x = 0u64;
+            for (b, &up) in chunk.iter().enumerate() {
+                x |= (up as u64) << b;
+            }
+            self.words[k] |= x;
+            self.words[q + k] |= x << s;
+            // `(x >> 1) >> (63 − s)` is `x >> (64 − s)` without the
+            // undefined 64-bit shift at s = 0 (where it must give 0).
+            self.words[q + k + 1] |= (x >> 1) >> (63 - s);
+        }
+    }
+
+    /// Number of sites `i` whose value differs from site `(i + r) mod n`,
+    /// for any `r ∈ 0..=n`: `Σ_w popcount((x ≫ r) ^ x)` over the ring's
+    /// `⌈n/64⌉` words, the last one masked to the ring length.
+    pub fn mismatches(&self, r: usize) -> u32 {
+        let n = self.n;
+        assert!(r <= n, "distance {r} exceeds the ring length {n}");
+        let (q, s) = (r / 64, r % 64);
+        let nw = n.div_ceil(64);
+        let tail_mask = !0u64 >> ((64 - n % 64) % 64);
+        let mut count = 0;
+        for w in 0..nw {
+            // Funnel shift: bits r + 64·w .. r + 64·w + 64 of x‖x.
+            let shifted = (self.words[q + w] >> s) | ((self.words[q + w + 1] << 1) << (63 - s));
+            let mask = if w + 1 == nw { tail_mask } else { !0 };
+            count += ((shifted ^ self.words[w]) & mask).count_ones();
+        }
+        count
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,5 +394,76 @@ mod tests {
             lc.push(w);
         }
         assert_eq!(lc.finish(), expect);
+    }
+
+    /// Ring lengths on both sides of every word boundary up to 200.
+    const RING_SIZES: [usize; 12] = [2, 4, 8, 20, 62, 64, 66, 100, 126, 128, 130, 200];
+
+    fn naive_mismatches(sites: &[bool], r: usize) -> u32 {
+        let n = sites.len();
+        (0..n).filter(|&i| sites[i] != sites[(i + r) % n]).count() as u32
+    }
+
+    fn assert_ring_matches_naive(ring: &mut DoubledRing, sites: &[bool], what: &str) {
+        ring.load(sites);
+        for r in 0..=sites.len() {
+            assert_eq!(
+                ring.mismatches(r),
+                naive_mismatches(sites, r),
+                "{what}: n = {}, r = {r}",
+                sites.len()
+            );
+        }
+    }
+
+    #[test]
+    fn doubled_ring_mismatches_match_naive_bit_loop() {
+        let mut x = 0x1234_5678_9abc_def0u64;
+        for n in RING_SIZES {
+            let mut ring = DoubledRing::new(n);
+            assert_ring_matches_naive(&mut ring, &vec![true; n], "all up");
+            assert_ring_matches_naive(&mut ring, &vec![false; n], "all down");
+            let neel: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+            assert_ring_matches_naive(&mut ring, &neel, "Neel");
+            // One flipped site on each side of every word boundary.
+            for site in [0, 1, 62, 63, 64, 65, 126, 127, 128, 129, n - 2, n - 1] {
+                if site < n {
+                    let mut one = vec![false; n];
+                    one[site] = true;
+                    assert_ring_matches_naive(&mut ring, &one, "single flipped site");
+                }
+            }
+            for _ in 0..8 {
+                let random: Vec<bool> = (0..n)
+                    .map(|_| {
+                        x = x
+                            .wrapping_mul(0x2545_F491_4F6C_DD1D)
+                            .wrapping_add(0x9E37_79B9_7F4A_7C15);
+                        (x >> 40) & 1 == 1
+                    })
+                    .collect();
+                assert_ring_matches_naive(&mut ring, &random, "random");
+            }
+        }
+    }
+
+    #[test]
+    fn doubled_ring_reload_leaves_no_stale_bits() {
+        // A long all-up ring sets every bit a shorter one could see;
+        // reloading must clear all of them, whatever the new length.
+        let mut ring = DoubledRing::new(200);
+        for n in RING_SIZES {
+            ring.load(&[true; 200]);
+            let sites: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+            assert_ring_matches_naive(&mut ring, &sites, "reloaded shorter");
+            ring.load(&[true; 200]);
+            assert_ring_matches_naive(&mut ring, &vec![false; n], "reloaded all down");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn doubled_ring_rejects_a_ring_beyond_its_capacity() {
+        DoubledRing::new(64).load(&[true; 65]);
     }
 }

@@ -1218,6 +1218,22 @@ mod tests {
     }
 
     #[test]
+    fn lattice_ring_kernel_passes_the_hot_rules() {
+        // `DoubledRing::{load, mismatches}` run once per sweep in every
+        // measuring driver, but qmc-lattice cannot name the attribute: it
+        // has no dependencies, and an edge to qmc-hot would invalidate
+        // the frozen benchmark/Cargo.lock (built --locked). The marker is
+        // applied here instead, so the same rules still judge the code.
+        let mut src = include_str!("../../lattice/src/packed.rs").to_string();
+        for sig in ["pub fn load(&mut self", "pub fn mismatches(&self"] {
+            assert_eq!(src.matches(sig).count(), 1, "{sig} moved or was renamed");
+            src = src.replace(sig, &format!("#[qmc_hot::hot]\n{sig}"));
+        }
+        let findings = lint_source("crates/lattice/src/packed.rs", &src);
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
     fn ckpt_rule_triggers_on_impl_checkpoint_outside_ckpt_crate() {
         let src = "
             struct S;

@@ -194,6 +194,12 @@ impl Worldline {
         self.spins[t * self.params.l + i]
     }
 
+    /// The `l` spins of row `t`.
+    #[inline]
+    pub(crate) fn row(&self, t: usize) -> &[bool] {
+        &self.spins[t * self.params.l..(t + 1) * self.params.l]
+    }
+
     #[inline]
     fn flip(&mut self, i: usize, t: usize) {
         let idx = t * self.params.l + i;
@@ -511,7 +517,7 @@ impl Worldline {
         for _ in 0..therm {
             self.sweep(rng);
         }
-        let mut series = crate::estimators::TimeSeries::new(self.params.l);
+        let mut series = crate::estimators::TimeSeries::with_capacity(self.params.l, sweeps);
         series.set_beta(self.params.beta);
         for _ in 0..sweeps {
             self.sweep(rng);

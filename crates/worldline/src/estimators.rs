@@ -6,6 +6,7 @@
 //! `C = β² [⟨ε²⟩ − ⟨ε⟩² − ⟨∂ε/∂β⟩]` because `ε` itself depends on β.
 
 use crate::engine::Worldline;
+use qmc_lattice::DoubledRing;
 use qmc_stats::jackknife_pair;
 
 /// One sweep's measurements.
@@ -78,41 +79,71 @@ pub struct TimeSeries {
     /// Rows captured by the last successful snapshot: completed row
     /// chunks below this mark are immutable and checkpoint as clean.
     clean_rows: usize,
+    /// Scratch of [`TimeSeries::record_correlations`], sized once and
+    /// never checkpointed: one bit-packed spin row, and the anti-parallel
+    /// pair count per distance summed over the rows of a configuration.
+    ring: DoubledRing,
+    mismatches: Vec<u64>,
 }
 
 impl TimeSeries {
     /// Empty series for a chain of length `l`.
     pub fn new(l: usize) -> Self {
+        Self::with_capacity(l, 0)
+    }
+
+    /// Empty series for a chain of length `l` with room for `sweeps`
+    /// recorded rows, so a run of known length never grows its columns
+    /// inside the measured loop.
+    pub fn with_capacity(l: usize, sweeps: usize) -> Self {
         Self {
             l,
             beta: 0.0,
-            energy: Vec::new(),
-            denergy: Vec::new(),
-            magnetization: Vec::new(),
-            staggered: Vec::new(),
-            chi: Vec::new(),
+            energy: Vec::with_capacity(sweeps),
+            denergy: Vec::with_capacity(sweeps),
+            magnetization: Vec::with_capacity(sweeps),
+            staggered: Vec::with_capacity(sweeps),
+            chi: Vec::with_capacity(sweeps),
             corr_sum: vec![0.0; l / 2 + 1],
             corr_count: 0,
             clean_rows: 0,
+            ring: DoubledRing::new(l),
+            mismatches: vec![0; l / 2 + 1],
         }
     }
 
     /// Accumulate the equal-time spin correlation `⟨Sᶻ_i Sᶻ_{i+r}⟩`
     /// averaged over all sites and imaginary-time rows of the current
     /// configuration.
+    ///
+    /// Every term is ±¼, so with `mism(r)` the number of (site, row)
+    /// pairs whose spin differs from the one `r` sites along its row,
+    ///
+    /// `Σ_t Σ_i Sᶻ_{i,t} Sᶻ_{i+r,t} = (L·rows − 2·mism(r)) / 4`,
+    ///
+    /// and each row contributes to `mism(r)` by one shift + XOR +
+    /// popcount per word of the bit-packed row ([`DoubledRing`]). The
+    /// integer count is summed over the rows first and converted once;
+    /// the result is exact in f64 (a small integer times ¼, as every
+    /// partial sum of the term-by-term loop was, with the same `+0.0`
+    /// when the terms cancel), so the accumulated sums are bit-identical
+    /// to the scalar triple loop's. Cost: O(rows·L²/64) word operations
+    /// instead of O(rows·L²) multiply-adds — 34 816 products become
+    /// 64 × 17 shift-XOR-popcounts at L = 32, m = 32.
+    #[qmc_hot::hot]
     pub fn record_correlations(&mut self, w: &Worldline) {
-        let l = self.l;
         let rows = w.rows();
-        for (r, slot) in self.corr_sum.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for t in 0..rows {
-                for i in 0..l {
-                    let a = if w.spin(i, t) { 0.5 } else { -0.5 };
-                    let b = if w.spin((i + r) % l, t) { 0.5 } else { -0.5 };
-                    acc += a * b;
-                }
+        self.mismatches.fill(0);
+        for t in 0..rows {
+            self.ring.load(w.row(t));
+            for (r, count) in self.mismatches.iter_mut().enumerate() {
+                *count += self.ring.mismatches(r) as u64;
             }
-            *slot += acc / (l * rows) as f64;
+        }
+        let pairs = self.l * rows;
+        for (slot, &mism) in self.corr_sum.iter_mut().zip(&self.mismatches) {
+            let acc = (pairs as i64 - 2 * mism as i64) as f64 * 0.25;
+            *slot += acc / pairs as f64;
         }
         self.corr_count += 1;
     }
@@ -521,6 +552,81 @@ mod tests {
             (series.mean_energy() + 0.25).abs() < 0.02,
             "E = {}",
             series.mean_energy()
+        );
+    }
+
+    /// The term-by-term triple loop `record_correlations` ran before the
+    /// packed kernel: the reference its sums must equal bit for bit.
+    fn accumulate_correlations_scalar(w: &Worldline, corr_sum: &mut [f64]) {
+        let l = w.params().l;
+        let rows = w.rows();
+        for (r, slot) in corr_sum.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for t in 0..rows {
+                for i in 0..l {
+                    let a = if w.spin(i, t) { 0.5 } else { -0.5 };
+                    let b = if w.spin((i + r) % l, t) { 0.5 } else { -0.5 };
+                    acc += a * b;
+                }
+            }
+            *slot += acc / (l * rows) as f64;
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn packed_correlations_equal_scalar_loop_bit_for_bit() {
+        for (k, l) in [4, 8, 32, 66].into_iter().enumerate() {
+            let mut w = Worldline::new(WorldlineParams {
+                l,
+                jx: 1.0,
+                jz: 1.0,
+                beta: 1.0,
+                m: 8,
+            });
+            let mut rng = Xoshiro256StarStar::new(70 + k as u64);
+            let mut series = TimeSeries::with_capacity(l, 40);
+            let mut oracle = vec![0.0; l / 2 + 1];
+            // The Néel start is the first sample: C(r) = ±¼ exactly.
+            for sweep in 0..40 {
+                series.record_correlations(&w);
+                accumulate_correlations_scalar(&w, &mut oracle);
+                assert_eq!(
+                    bits(&series.corr_sum),
+                    bits(&oracle),
+                    "l = {l}, sweep {sweep}"
+                );
+                w.sweep(&mut rng);
+            }
+            assert_eq!(series.corr_count, 40);
+        }
+    }
+
+    #[test]
+    fn cancelling_correlation_terms_record_positive_zero() {
+        // Straight world lines ↑↑↓↓ in every row: two parallel and two
+        // anti-parallel pairs at r = 1, so the sum is exactly zero — and
+        // must be the scalar loop's +0.0.
+        let mut w = Worldline::new(WorldlineParams {
+            l: 4,
+            jx: 1.0,
+            jz: 1.0,
+            beta: 1.0,
+            m: 2,
+        });
+        w.import_spins(&[1, 1, 0, 0].repeat(w.rows()));
+        let mut series = TimeSeries::new(4);
+        series.record_correlations(&w);
+        let mut oracle = vec![0.0; 3];
+        accumulate_correlations_scalar(&w, &mut oracle);
+        assert_eq!(bits(&series.corr_sum), bits(&oracle));
+        assert_eq!(
+            bits(&series.corr_sum),
+            bits(&[0.25, 0.0, -0.25]),
+            "C(1) must be +0.0, not -0.0"
         );
     }
 

@@ -562,7 +562,8 @@ impl<L: Lattice> GenericWorldline<L> {
         for _ in 0..therm {
             self.sweep(rng);
         }
-        let mut series = crate::estimators::TimeSeries::new(self.lattice.num_sites());
+        let mut series =
+            crate::estimators::TimeSeries::with_capacity(self.lattice.num_sites(), sweeps);
         series.set_beta(self.params.beta);
         for _ in 0..sweeps {
             self.sweep(rng);

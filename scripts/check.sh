@@ -51,6 +51,21 @@ echo "== benchmark: builds against this tree, offline and locked =="
 # only in a [benchmark] PR.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark: every workload runs correct at a tenth of its size =="
+# The build only proves benchmark/ compiles. Its oracles, consistency
+# and bit-identity checks judge this tree here, so a break fails the gate
+# and not the pipeline: a run that finds an output wrong still exits 0
+# and says so in its result line, hence the grep. Under a minute, not a
+# measurement, writes only the git-ignored benchmark/out/.
+bench_report="$(benchmark/run.sh --workload all --quick)"
+bench_results="$(grep '^{"correct": ' <<<"$bench_report" || true)"
+if [ -z "$bench_results" ] ||
+   grep -qv '^{"correct": true, "attempted": [0-9]*, "failed": 0, ' <<<"$bench_results"; then
+  echo "benchmark --quick: no result line, or a workload is incorrect or has failed operations:" >&2
+  cut -c1-120 <<<"$bench_results" >&2
+  exit 1
+fi
+
 echo "== verify: workspace lint + recorded-PT verification =="
 # qmc-lint over the workspace (token-level invariants), then `repro
 # verify`: the recorded-PT protocol check, and (act 4) the explore

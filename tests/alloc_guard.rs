@@ -10,11 +10,12 @@
 //! (thread-local, so the parallel test harness and unrelated test
 //! threads cannot bleed into each other's counts).
 
-use qmc_lattice::Square;
+use qmc_lattice::{Chain, Square};
 use qmc_rng::{Buffered, Xoshiro256StarStar};
 use qmc_sse::Sse;
 use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
+use qmc_worldline::estimators::{measure, TimeSeries};
 use qmc_worldline::{GenericParams, GenericWorldline, Worldline, WorldlineParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -137,4 +138,46 @@ fn sse_sweep_is_allocation_free() {
     // growth legitimately reallocates, so steady state starts after it.
     let _ = sse.run(&mut rng, 500, 0);
     assert_steady_state_clean("Sse::sweep", 100, || sse.sweep(&mut rng));
+}
+
+#[test]
+fn sse_recorded_sweep_is_allocation_free() {
+    let lat = Chain::new(64);
+    let mut rng = Xoshiro256StarStar::new(25);
+    let mut sse = Sse::new(&lat, 1.0, 2.0, &mut rng);
+    let _ = sse.run(&mut rng, 500, 0);
+    let mut series = sse.begin_series(100);
+    assert_steady_state_clean("Sse::sweep + record_measurement", 100, || {
+        sse.sweep(&mut rng);
+        sse.record_measurement(&mut series);
+    });
+    assert_eq!(series.n_ops.len(), 100);
+}
+
+#[test]
+fn worldline_recorded_sweep_is_allocation_free() {
+    let params = WorldlineParams {
+        l: 32,
+        jx: 1.0,
+        jz: 1.0,
+        beta: 2.0,
+        m: 8,
+    };
+    let mut w = Worldline::new(params);
+    let mut rng = Xoshiro256StarStar::new(26);
+    for _ in 0..50 {
+        w.sweep(&mut rng);
+    }
+    let mut series = TimeSeries::with_capacity(params.l, 100);
+    series.set_beta(params.beta);
+    assert_steady_state_clean(
+        "Worldline::sweep + record + record_correlations",
+        100,
+        || {
+            w.sweep(&mut rng);
+            series.record(&measure(&w));
+            series.record_correlations(&w);
+        },
+    );
+    assert_eq!(series.len(), 100);
 }
