@@ -6,16 +6,33 @@
 //! taken inside one timing window*, where scheduler and thermal drift
 //! are common-mode. Those stay here, on fixed seeds and fixed work:
 //!
-//! * `packed speedup vs scalar` ≥ 4× (2× under `--quick`): the
-//!   replica-packed multi-spin sweep against the scalar table-driven
-//!   sweep, median over median. The only hard guard — a miss is exit 1.
+//! * `packed speedup vs scalar` ≥ 1.6× (1.2× under `--quick`): the
+//!   replica-packed multi-spin sweep against the scalar sweep, median
+//!   over median. The only hard guard — a miss is exit 1. The floor was
+//!   4× (2×) while the denominator was the site-by-site loop; with the
+//!   colour kernel `SerialTfim::metropolis_sweep` itself runs 2.1× faster
+//!   on this model (8.7 → 4.1 ns per site), so the same unchanged
+//!   `PackedReplicas` that reads 4.0–6.1× against the old loop (median of
+//!   six runs 5.2×) reads 1.5–2.7× (median of seven 2.1×) against the new
+//!   one, same host, same day. The number now says what 64-lane packing,
+//!   with its own RNG discipline and approximate `u32` thresholds, still
+//!   buys over a bit-exact scalar kernel — no longer "branch-free vs
+//!   branchy". 1.6 is 0.8 × 2.1 rounded down, the margin 4.0 had against
+//!   5.0; 1.2 only asks that packed still beats scalar. The two medians
+//!   are taken seconds apart, and this host's speed drifts on that scale:
+//!   single runs scatter ±30 % around the median.
 //! * `obs overhead` ≤ 1.02×, `trace overhead` ≤ 1.02×: recorder on vs
 //!   off and `TracingComm` vs bare, paired best-of-N.
 //! * `ckpt overhead` ≤ 1.03×: a checkpoint every 100 sweeps, the write
 //!   time taken inside the run it slows.
 //!
 //! The three overhead lines warn instead of failing: on a shared box
-//! percent-level ratios are reported, not enforced.
+//! percent-level ratios are reported, not enforced. They divide fixed
+//! costs by the scalar sweep, which the colour kernel halved, so each
+//! excess over 1 weighs twice what it did: on one host `ckpt overhead`
+//! read 1.016–1.017 before and 1.033–1.034 after with the write itself
+//! unchanged, `trace overhead` 1.013–1.014 and 1.019–1.035. The targets
+//! were not moved with it.
 
 use qmc_comm::Communicator;
 use qmc_rng::{Buffered, Xoshiro256StarStar};
@@ -228,13 +245,13 @@ fn ckpt_overhead(scale: usize) -> f64 {
 }
 
 /// `repro bench`: the rendered guard lines and whether the packed
-/// speedup met its target (≥ 4× full, ≥ 2× under `--quick`, which times
-/// a handful of sweeps — enough to smoke the guard at a relaxed
+/// speedup met its target (≥ 1.6× full, ≥ 1.2× under `--quick`, which
+/// times a handful of sweeps — enough to smoke the guard at a relaxed
 /// threshold, not to certify the full one).
 pub fn bench_guards(quick: bool) -> (String, bool) {
     let scale = if quick { 10 } else { 1 };
     let packed = packed_speedup(scale);
-    let packed_target = if quick { 2.0 } else { 4.0 };
+    let packed_target = if quick { 1.2 } else { 1.6 };
     let packed_ok = packed >= packed_target;
     let obs = obs_overhead(scale);
     let trace = trace_overhead(scale);

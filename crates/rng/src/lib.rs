@@ -66,6 +66,20 @@ pub use splitmix::SplitMix64;
 pub use stream::{StreamFactory, StreamKind};
 pub use xoshiro::Xoshiro256StarStar;
 
+/// The raw → unit-interval map behind [`Rng64::next_f64`]: the top 53 bits
+/// of `raw` times 2⁻⁵³, a value in `[0, 1)`.
+///
+/// Both steps are exact in `f64` (an integer below 2⁵³, then a power-of-two
+/// scale), so for any `p` in `[0, 1)` the comparison `unit_f64(raw) < p` is
+/// the integer comparison `(raw >> 11) < ⌈p·2⁵³⌉`. Kernels that resolve
+/// acceptances on raw draws (the TFIM colour kernel's thresholds) rest on
+/// that identity and cite this function as its one definition.
+#[inline]
+pub fn unit_f64(raw: u64) -> f64 {
+    const SCALE: f64 = 1.0 / ((1u64 << 53) as f64);
+    ((raw >> 11) as f64) * SCALE
+}
+
 /// A source of raw 64-bit randomness plus the derived distributions Monte
 /// Carlo kernels need.
 ///
@@ -90,9 +104,7 @@ pub trait Rng64 {
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     fn next_f64(&mut self) -> f64 {
-        // Take the top 53 bits; multiply by 2^-53.
-        const SCALE: f64 = 1.0 / ((1u64 << 53) as f64);
-        ((self.next_u64() >> 11) as f64) * SCALE
+        unit_f64(self.next_u64())
     }
 
     /// Uniform `f64` in `(0, 1]` — convenient when a logarithm follows.
@@ -223,6 +235,27 @@ mod tests {
             let y = rng.next_f64_open_zero();
             assert!(y > 0.0 && y <= 1.0);
         }
+    }
+
+    #[test]
+    fn next_f64_is_unit_f64_of_the_raw_stream_all_generators() {
+        // `next_f64` used to spell the map out in place; routing it
+        // through `unit_f64` must not move a bit of any stream.
+        fn check<R: Rng64 + Clone>(rng: R) {
+            let (mut raw, mut unit) = (rng.clone(), rng);
+            for _ in 0..10_000 {
+                let x = raw.next_u64();
+                let spelled_out = ((x >> 11) as f64) * (1.0 / ((1u64 << 53) as f64));
+                assert_eq!(unit.next_f64().to_bits(), spelled_out.to_bits());
+                assert_eq!(unit_f64(x).to_bits(), spelled_out.to_bits());
+            }
+        }
+        check(SplitMix64::new(5));
+        check(Lcg64::new(5));
+        check(Xoshiro256StarStar::new(5));
+        check(LaggedFibonacci55::new(5));
+        assert_eq!(unit_f64(u64::MAX), 1.0 - 2f64.powi(-53));
+        assert_eq!(unit_f64((1 << 11) - 1), 0.0);
     }
 
     #[test]

@@ -1,0 +1,552 @@
+//! The checkerboard colour kernel: one Metropolis pass over every site of
+//! one colour, for both engines. The crate docs ("Colour kernel") say why
+//! the three passes are legal and why the thresholds are exact; this
+//! module is the only place the table index, the threshold constructor
+//! and the resolve loop are written down, and it holds the one restore
+//! check ([`restore_spins`], not a sweep-rate function) that keeps the
+//! ±1 invariant its byte arithmetic needs.
+
+use crate::AcceptTable;
+use qmc_rng::Rng64;
+
+/// Sites of scratch a block of rows may fill. 1 024 index bytes plus 513
+/// raw draws are 5 KB, which stays in L1 next to the seven spin rows a
+/// block streams through, and is small enough to be a local of the
+/// caller's sweep: on the heap it would double `tfim_chain_crit`'s whole
+/// 39 KB footprint, and as an array inside the engine it would be copied
+/// with every move of one.
+const BLOCK: usize = 1024;
+
+/// Threshold of a ratio `≥ 1`: above every `raw >> 11`, and the mark of
+/// "accepted without consuming a draw".
+const NO_DRAW: u64 = u64::MAX;
+
+/// Flat [`AcceptTable`] index `((s+1)/2)·27 + (sp+4)·3 + (tp+2)/2` of a
+/// site with spin `s`, spatial neighbour sum `sp` and temporal neighbour
+/// sum `tp`, in byte arithmetic: every intermediate is within `0..=53`
+/// as long as every spin is ±1, which is the engines' invariant.
+#[qmc_hot::hot]
+#[inline(always)]
+fn flat_index(s: i8, sp: i8, tp: i8) -> u8 {
+    (((s + 1) >> 1) * 27 + (sp + 4) * 3 + ((tp + 2) >> 1)) as u8
+}
+
+/// The acceptance predicate of one table entry as an integer threshold on
+/// `raw >> 11`: `NO_DRAW` where `ratio ≥ 1`, `⌈ratio·2⁵³⌉` otherwise.
+///
+/// [`qmc_rng::unit_f64`] maps a raw draw to `n·2⁻⁵³` with `n = raw >> 11`,
+/// exactly; scaling an `f64` below 1 by 2⁵³ is exact too (a power of two,
+/// and it cannot overflow), and for an integer `n`, `n < y ⇔ n < ⌈y⌉`. So
+/// `n < threshold(ratio)` is `ratio >= 1.0 || unit_f64(raw) < ratio` for
+/// every `raw` and every `ratio` — 0, subnormals and `1 − 2⁻⁵³` included —
+/// and a draw is consumed exactly when the threshold is not `NO_DRAW`.
+#[qmc_hot::hot]
+fn threshold(ratio: f64) -> u64 {
+    if ratio >= 1.0 {
+        NO_DRAW
+    } else {
+        (ratio * (1u64 << 53) as f64).ceil() as u64
+    }
+}
+
+/// [`threshold`] of every [`AcceptTable`] entry, by [`flat_index`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Thresholds([u64; 54]);
+
+impl Thresholds {
+    #[qmc_hot::hot]
+    pub(crate) fn new(table: &AcceptTable) -> Self {
+        let mut thr = [0; 54];
+        for s in [-1i8, 1] {
+            for sp in -4i8..=4 {
+                for tp in [-2i8, 0, 2] {
+                    thr[flat_index(s, sp, tp) as usize] =
+                        threshold(table.ratio(s, sp.into(), tp.into()));
+                }
+            }
+        }
+        Self(thr)
+    }
+}
+
+/// Replace `spins` by the checkpointed configuration `raw`, or refuse it
+/// whole: the length and every value are checked before a byte lands, so
+/// a refused checkpoint leaves the engine as it was and an accepted one
+/// keeps "every stored spin is ±1" — the invariant [`flat_index`] needs.
+pub(crate) fn restore_spins(
+    spins: &mut [i8],
+    raw: &[u8],
+    engine: &str,
+) -> Result<(), qmc_ckpt::CkptError> {
+    if raw.len() != spins.len() {
+        return Err(qmc_ckpt::CkptError::corrupt(format!(
+            "{engine} spins: engine has {} cells, checkpoint has {}",
+            spins.len(),
+            raw.len()
+        )));
+    }
+    if let Some(&b) = raw.iter().find(|&&b| !matches!(b as i8, 1 | -1)) {
+        return Err(qmc_ckpt::CkptError::corrupt(format!(
+            "{engine} spin value {} is not ±1",
+            b as i8
+        )));
+    }
+    for (dst, &b) in spins.iter_mut().zip(raw) {
+        *dst = b as i8;
+    }
+    Ok(())
+}
+
+/// A block's scratch: the table index of every cell of its rows (both
+/// colours, and the ghost or wrap cells between rows — the index pass
+/// tests neither parity nor position) and the raw draws its colour sites
+/// consume, plus one slot the resolve loop may read but never uses when
+/// the last sites of a full block consume nothing. A local of the sweep
+/// that owns it, so it is zeroed once per sweep.
+pub(crate) struct Scratch {
+    idx: [u8; BLOCK],
+    draws: [u64; BLOCK / 2 + 1],
+}
+
+impl Scratch {
+    #[qmc_hot::hot]
+    pub(crate) fn new() -> Self {
+        Self {
+            idx: [0; BLOCK],
+            draws: [0; BLOCK / 2 + 1],
+        }
+    }
+}
+
+/// How an engine lays its space-time lattice out in one `i8` array:
+/// `slices` time slices of `slice_stride` cells, each holding `rows` rows
+/// of `width` sites, row `y` starting `origin + y·row_stride` into its
+/// slice. The time direction always wraps; the two engines differ in what
+/// lies around a row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    pub slices: usize,
+    pub slice_stride: usize,
+    pub rows: usize,
+    pub row_stride: usize,
+    pub width: usize,
+    pub origin: usize,
+    /// `(x + y + t) mod 2` of the site at column 0, row 0, slice 0.
+    pub parity: usize,
+    /// Rows couple to the rows north and south of them (`ly > 1`).
+    pub square: bool,
+    /// `true`: the slice is the whole periodic lattice, so column 0 and
+    /// column `width − 1` are each other's west / east neighbours and row
+    /// 0 and row `rows − 1` each other's south / north (`SerialTfim`).
+    /// `false`: a ghost frame surrounds the rows, so every neighbour is
+    /// one cell or one `row_stride` away (`DistTfim`).
+    pub wraps: bool,
+}
+
+/// One block of a colour pass: columns `a..a + n` of the `rows` rows from
+/// `r0` on, row `i` of them indexed at `idx[i·pitch..][..n]`.
+struct Block {
+    r0: usize,
+    rows: usize,
+    a: usize,
+    n: usize,
+    pitch: usize,
+    colour: usize,
+}
+
+/// Where a row and its north, south, up and down neighbour rows start,
+/// and the column (0 or 1) of its first site of the colour being swept.
+struct Row {
+    cur: usize,
+    north: usize,
+    south: usize,
+    up: usize,
+    down: usize,
+    first: usize,
+}
+
+/// Walks a layout's rows in sweep order; `(t, y)` is the row `next` yields.
+struct Rows<'a> {
+    layout: &'a Layout,
+    t: usize,
+    y: usize,
+    colour: usize,
+}
+
+impl Iterator for Rows<'_> {
+    type Item = Row;
+
+    #[qmc_hot::hot]
+    #[inline]
+    fn next(&mut self) -> Option<Row> {
+        let row = self.layout.row(self.t, self.y, self.colour);
+        self.y += 1;
+        if self.y == self.layout.rows {
+            (self.t, self.y) = (self.t + 1, 0);
+        }
+        Some(row)
+    }
+}
+
+impl Layout {
+    #[qmc_hot::hot]
+    #[inline]
+    fn row(&self, t: usize, y: usize, colour: usize) -> Row {
+        let in_slice = self.origin + y * self.row_stride;
+        let cur = t * self.slice_stride + in_slice;
+        let rs = self.row_stride;
+        let north = if self.wraps && y + 1 == self.rows {
+            cur - y * rs
+        } else {
+            cur + rs
+        };
+        let south = if self.wraps && y == 0 {
+            cur + (self.rows - 1) * rs
+        } else {
+            cur - rs
+        };
+        let t_up = if t + 1 == self.slices { 0 } else { t + 1 };
+        let t_down = if t == 0 { self.slices } else { t } - 1;
+        Row {
+            cur,
+            north,
+            south,
+            up: t_up * self.slice_stride + in_slice,
+            down: t_down * self.slice_stride + in_slice,
+            first: (colour + self.parity + y + t) % 2,
+        }
+    }
+
+    /// The rows `r0..`, in sweep order (slice by slice, row by row).
+    #[qmc_hot::hot]
+    #[inline]
+    fn rows_from(&self, r0: usize, colour: usize) -> Rows<'_> {
+        Rows {
+            layout: self,
+            t: r0 / self.rows,
+            y: r0 % self.rows,
+            colour,
+        }
+    }
+
+    /// How many rows from `(t, y)` on, itself included, lie one
+    /// `row_stride` apart with each of their neighbour rows at one common
+    /// distance: pass 1 indexes such a run as a single span. A ghost frame
+    /// makes the rest of a slice uniform; without one a row whose north or
+    /// south wraps stands alone, and the slices of a chain are its rows,
+    /// all alike but the first and the last.
+    #[qmc_hot::hot]
+    #[inline]
+    fn uniform_rows(&self, t: usize, y: usize) -> usize {
+        let inner = |at: usize, of: usize| {
+            if at == 0 || at + 1 == of {
+                1
+            } else {
+                of - 1 - at
+            }
+        };
+        if !self.wraps {
+            self.rows - y
+        } else if self.rows > 1 {
+            inner(y, self.rows)
+        } else if self.slice_stride == self.row_stride {
+            inner(t, self.slices)
+        } else {
+            1
+        }
+    }
+
+    /// One Metropolis pass over every site of `colour`, in the order and
+    /// with the draws of a site-by-site loop over slices, rows and
+    /// columns. Returns `(proposed, accepted)`.
+    #[qmc_hot::hot]
+    pub(crate) fn half_sweep<R: Rng64>(
+        &self,
+        spins: &mut [i8],
+        thr: &Thresholds,
+        colour: usize,
+        scratch: &mut Scratch,
+        rng: &mut R,
+    ) -> (u64, u64) {
+        debug_assert!(
+            !self.wraps || self.width.is_multiple_of(2),
+            "an odd ring has no checkerboard"
+        );
+        // A block is whole rows, `pitch` index bytes apart as they are
+        // `row_stride` spins apart, or one segment of a row too wide for
+        // that. A row counts at its pitch rounded up to even, so a block's
+        // colour sites never outnumber its draw slots.
+        let (seg, pitch) = if self.row_stride.next_multiple_of(2) <= BLOCK {
+            (self.width, self.row_stride)
+        } else {
+            (BLOCK, BLOCK)
+        };
+        let block_rows = BLOCK / pitch.next_multiple_of(2);
+        let all_rows = self.slices * self.rows;
+        let (mut proposed, mut accepted) = (0, 0);
+        for r0 in (0..all_rows).step_by(block_rows) {
+            for a in (0..self.width).step_by(seg) {
+                let block = Block {
+                    r0,
+                    rows: block_rows.min(all_rows - r0),
+                    a,
+                    n: seg.min(self.width - a),
+                    pitch,
+                    colour,
+                };
+                let (sites, need) = self.index(&mut scratch.idx, spins, thr, &block);
+                // Pass 2 — exactly the draws the block consumes, in one batch.
+                rng.fill_u64(&mut scratch.draws[..need]);
+                proposed += sites;
+                accepted += self.resolve(spins, thr, scratch, need, &block);
+            }
+        }
+        (proposed, accepted)
+    }
+
+    /// Pass 1 — index every site of the block's rows, a uniform run of
+    /// rows at a time (the ghost or wrap cells between the rows of a run
+    /// are indexed along and never read). Returns the block's colour sites
+    /// and how many of them will consume a draw.
+    #[qmc_hot::hot]
+    fn index(&self, idx: &mut [u8], spins: &[i8], thr: &Thresholds, block: &Block) -> (u64, usize) {
+        let &Block {
+            r0,
+            a,
+            n,
+            pitch,
+            colour,
+            ..
+        } = block;
+        let last = self.width - 1;
+        // Columns indexed by slices: all of them between ghosts, all but
+        // the wrap columns of a periodic row.
+        let (lo, hi) = if self.wraps {
+            (a.max(1), (a + n).min(last))
+        } else {
+            (a, a + n)
+        };
+        let (mut sites, mut need) = (0, 0);
+        let mut rows = self.rows_from(r0, colour);
+        let mut i = 0;
+        while i < block.rows {
+            let run = self.uniform_rows(rows.t, rows.y).min(block.rows - i);
+            let head = self.row(rows.t, rows.y, colour);
+            if lo < hi {
+                let cells = (run - 1) * pitch + (hi - lo);
+                let out = &mut idx[i * pitch + (lo - a)..][..cells];
+                index_span(out, spins, &head, lo, self.square);
+            }
+            for (k, (row, idx)) in rows
+                .by_ref()
+                .zip(idx[i * pitch..].chunks_mut(pitch))
+                .take(run)
+                .enumerate()
+            {
+                debug_assert!(
+                    row.cur == head.cur + k * pitch
+                        && [row.north, row.south, row.up, row.down]
+                            .map(|o| o.wrapping_sub(row.cur))
+                            == [head.north, head.south, head.up, head.down]
+                                .map(|o| o.wrapping_sub(head.cur)),
+                    "row {k} of a run of {run} is not uniform with its head"
+                );
+                // A periodic row's wrap column of the colour being swept
+                // (the other one is never read), one site at a time: its
+                // west / east is the row's other end.
+                if self.wraps && (row.first == 0 && a == 0 || row.first == last % 2 && a + n > last)
+                {
+                    let (x, west, east) = if row.first == 0 {
+                        (0, last, 1)
+                    } else {
+                        (last, last - 1, 0)
+                    };
+                    let mut sp = spins[row.cur + west] + spins[row.cur + east];
+                    if self.square {
+                        sp += spins[row.north + x] + spins[row.south + x];
+                    }
+                    let tp = spins[row.up + x] + spins[row.down + x];
+                    idx[x - a] = flat_index(spins[row.cur + x], sp, tp);
+                }
+                let first = (row.first + a) % 2;
+                for &k in idx[first..n].iter().step_by(2) {
+                    debug_assert!(k < 54, "a stored spin is not ±1");
+                    need += usize::from(thr.0[usize::from(k)] != NO_DRAW);
+                }
+                sites += ((n + 1 - first) / 2) as u64;
+            }
+            i += run;
+        }
+        (sites, need)
+    }
+
+    /// Pass 3 — resolve the block's colour sites in site order, without a
+    /// branch, on the `need` draws pass 2 fetched. Returns the flips.
+    #[qmc_hot::hot]
+    fn resolve(
+        &self,
+        spins: &mut [i8],
+        thr: &Thresholds,
+        scratch: &Scratch,
+        need: usize,
+        block: &Block,
+    ) -> u64 {
+        let &Block {
+            r0,
+            a,
+            n,
+            pitch,
+            colour,
+            ..
+        } = block;
+        let (mut j, mut accepted) = (0, 0);
+        for (row, idx) in self
+            .rows_from(r0, colour)
+            .zip(scratch.idx.chunks(pitch))
+            .take(block.rows)
+        {
+            let first = (row.first + a) % 2;
+            let (cur, idx) = (&mut spins[row.cur + a..][..n], &idx[..n]);
+            // Counted per row: a counter that lives across rows gets
+            // spilled, and an add to memory per site costs the loop 12 %.
+            let mut flips = 0;
+            for (s, k) in cur[first..].chunks_mut(2).zip(idx[first..].chunks(2)) {
+                let t = thr.0[usize::from(k[0])];
+                let accept = (scratch.draws[j] >> 11) < t;
+                j += usize::from(t != NO_DRAW);
+                s[0] = if accept { -s[0] } else { s[0] };
+                flips += u64::from(accept);
+            }
+            accepted += flips;
+        }
+        debug_assert_eq!(j, need, "pass 1 counted the draws pass 3 consumes");
+        accepted
+    }
+}
+
+/// Pass 1 for `out.len()` consecutive cells starting at column `lo` of
+/// `row` — on through the rows that follow it, when they are uniform with
+/// it: byte arithmetic over seven contiguous runs of spins, each cell's
+/// neighbours taken at `row`'s distances. Nothing here depends on a
+/// cell's colour or on another cell's outcome, so the loops vectorise.
+#[qmc_hot::hot]
+#[inline]
+#[allow(clippy::needless_range_loop)] // `k` walks eight equally long slices
+fn index_span(out: &mut [u8], spins: &[i8], row: &Row, lo: usize, square: bool) {
+    let n = out.len();
+    let run = |start: usize| &spins[start..start + n];
+    let (cur, west, east) = (
+        run(row.cur + lo),
+        run(row.cur + lo - 1),
+        run(row.cur + lo + 1),
+    );
+    let (up, down) = (run(row.up + lo), run(row.down + lo));
+    if square {
+        let (north, south) = (run(row.north + lo), run(row.south + lo));
+        for k in 0..n {
+            let sp = west[k] + east[k] + north[k] + south[k];
+            out[k] = flat_index(cur[k], sp, up[k] + down[k]);
+        }
+    } else {
+        for k in 0..n {
+            out[k] = flat_index(cur[k], west[k] + east[k], up[k] + down[k]);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::StCouplings;
+    use qmc_rng::unit_f64;
+
+    /// `(J, h, β, m)`: the `tfim2d_halo` and `tfim_chain_crit` models of
+    /// the benchmark, three generic sets, and one whose `K_τ ≈ 196` makes
+    /// `e^{−ΔS}` underflow to 0 on one side and overflow to ∞ on the other.
+    const COUPLINGS: [(f64, f64, f64, usize); 6] = [
+        (1.0, 3.044, 2.0, 32),
+        (1.0, 1.0, 16.0, 128),
+        (1.0, 0.4, 2.0, 32),
+        (0.7, 2.5, 0.5, 8),
+        (2.0, 0.05, 4.0, 64),
+        (1.0, 1e-170, 8.0, 8),
+    ];
+
+    fn tables() -> impl Iterator<Item = AcceptTable> {
+        COUPLINGS
+            .iter()
+            .map(|&(j, h, beta, m)| AcceptTable::new(&StCouplings::new(j, h, beta / m as f64)))
+    }
+
+    fn domain() -> impl Iterator<Item = (i8, i8, i8)> {
+        [-1i8, 1].into_iter().flat_map(|s| {
+            (-4i8..=4).flat_map(move |sp| [-2i8, 0, 2].into_iter().map(move |tp| (s, sp, tp)))
+        })
+    }
+
+    #[test]
+    fn flat_index_is_the_accept_table_layout() {
+        let mut seen = [false; 54];
+        for (s, sp, tp) in domain() {
+            let (s32, sp32, tp32) = (i32::from(s), i32::from(sp), i32::from(tp));
+            let spelled_out = ((s32 + 1) / 2) * 27 + (sp32 + 4) * 3 + (tp32 + 2) / 2;
+            assert_eq!(i32::from(flat_index(s, sp, tp)), spelled_out);
+            seen[usize::from(flat_index(s, sp, tp))] = true;
+        }
+        assert!(seen.iter().all(|&hit| hit), "the 54 points fill 0..54");
+        for table in tables() {
+            let thr = Thresholds::new(&table);
+            for (s, sp, tp) in domain() {
+                assert_eq!(
+                    thr.0[usize::from(flat_index(s, sp, tp))],
+                    threshold(table.ratio(s, sp.into(), tp.into()))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_decide_exactly_as_the_f64_predicate() {
+        // The identity the kernel rests on, against the definition it
+        // cites (`qmc_rng::unit_f64`): for every ratio a table can hold
+        // and raw draws on both sides of the threshold and at both ends
+        // of the range, low 11 bits clear and set.
+        let synthetic = [
+            0.0,
+            5e-324,
+            2f64.powi(-53),
+            0.5,
+            1.0 - 2f64.powi(-53),
+            1.0,
+            1.0 + 2f64.powi(-52),
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let from_tables = tables().flat_map(|table| {
+            domain().map(move |(s, sp, tp)| table.ratio(s, sp.into(), tp.into()))
+        });
+        let mut met = (false, false, false); // an entry of 0, of ∞, one consuming no draw
+        for ratio in from_tables.chain(synthetic) {
+            let thr = threshold(ratio);
+            met.0 |= ratio == 0.0;
+            met.1 |= ratio == f64::INFINITY;
+            met.2 |= thr == NO_DRAW;
+            // `metropolis` skips the draw on `ratio >= 1.0` (false for NaN).
+            let skips_draw = ratio >= 1.0;
+            assert_eq!(thr == NO_DRAW, skips_draw, "ratio {ratio:e}");
+            let top = (1u64 << 53) - 1;
+            let around = [thr.wrapping_sub(1), thr, thr.wrapping_add(1), 0, top];
+            for n in around.into_iter().filter(|&n| n <= top) {
+                for low in [0u64, (1 << 11) - 1] {
+                    let raw = n << 11 | low;
+                    assert_eq!(
+                        (raw >> 11) < thr,
+                        ratio >= 1.0 || unit_f64(raw) < ratio,
+                        "ratio {ratio:e} (threshold {thr}) at raw {raw:#x}"
+                    );
+                }
+            }
+        }
+        assert_eq!(met, (true, true, true));
+    }
+}

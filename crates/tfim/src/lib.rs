@@ -31,10 +31,63 @@
 //! [`serial`] holds the single-memory engine (Metropolis + Wolff cluster
 //! updates); [`parallel`] the distributed engine over any
 //! [`qmc_comm::Communicator`].
+//!
+//! # Colour kernel
+//!
+//! Both engines sweep a colour with one private kernel (`colour.rs`),
+//! which reproduces, decision for decision and draw for draw, the loop
+//! "for every site of the colour, slice by slice, row by row, column by
+//! column: `if rng.metropolis(table.ratio(s, sp, tp)) { flip }`". Within a
+//! colour nothing a site reads is written: its six neighbours — ghosts
+//! included — have the other colour, and its own spin is read by no other
+//! site. So the order of evaluation is free as long as the *draws* are
+//! handed out in site order, and a block of rows is done in three passes:
+//!
+//! 1. **Index.** For every site of the rows — both colours, because
+//!    testing parity costs more than the arithmetic — the flat
+//!    [`AcceptTable`] index `((s+1)/2)·27 + (sp+4)·3 + (tp+2)/2`, as byte
+//!    arithmetic over seven contiguous runs of spins (the row, its west
+//!    and east shifts, the rows north, south, up and down; chains skip
+//!    north and south). No branch, no dependence between sites: the loop
+//!    vectorises. Consecutive rows whose neighbour rows lie at the same
+//!    distances go through it as one span, the cells between them indexed
+//!    along and never read, so narrow rows vectorise too.
+//!    [`parallel::DistTfim`] hands over ghost-padded rows, whose every
+//!    neighbour is a fixed distance away: a whole slice is one span.
+//!    [`serial::SerialTfim`] hands over periodic ones: the rows (for a
+//!    chain, the slices) that touch no wrap form the spans, a row whose
+//!    north or south wraps goes alone, and of the two wrap columns of a
+//!    row the one that has the colour is indexed by itself.
+//! 2. **Draw.** Count the colour sites of the block whose ratio is below
+//!    1 and fetch exactly that many raw outputs with one
+//!    [`fill_u64`](qmc_rng::Rng64::fill_u64) — by that method's contract
+//!    the outputs repeated `next_u64` calls would have produced.
+//! 3. **Resolve**, in site order and without a branch: `accept =
+//!    (draw[j] >> 11) < thr[k]; j += (thr[k] != u64::MAX); spin = if
+//!    accept { −spin } else { spin }`.
+//!
+//! `thr[k]` is an *exact* integer threshold: `u64::MAX` where `ratio ≥ 1`
+//! (always accepted, no draw consumed) and `⌈ratio·2⁵³⌉` otherwise.
+//! [`qmc_rng::unit_f64`] — the one definition behind `next_f64` — maps a
+//! raw draw `x` to `(x >> 11)·2⁻⁵³` exactly; scaling an `f64` below 1 by
+//! 2⁵³ is exact; and an integer `n` is below `y` exactly when it is below
+//! `⌈y⌉`. So `(x >> 11) < thr` *is* `ratio >= 1.0 || next_f64() < ratio`
+//! for every `x` and every table entry (0, subnormals and `1 − 2⁻⁵³`
+//! included), not an approximation of it like the `u32` thresholds of
+//! [`packed`].
+//!
+//! The scratch of a block — 1 024 index bytes and 513 draws, 5 KB — is a
+//! local of the sweep that calls the kernel, not a field and not a heap
+//! buffer: it stays in L1 next to the rows it describes, and it leaves
+//! the heap footprint of an engine (39 KB for a 64 × 128 chain) where it
+//! was. A block is whole rows; a row too wide for one is split into
+//! segments. The byte arithmetic of pass 1 is why "every stored spin,
+//! ghosts included, is ±1" is an invariant of both engines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod colour;
 pub mod packed;
 pub mod parallel;
 pub mod serial;

@@ -20,6 +20,7 @@
 //! [`FLOPS_PER_UPDATE`] per site update, which is how the T1/T2/T3 scaling
 //! tables are produced.
 
+use crate::colour::{Layout, Scratch, Thresholds};
 use crate::serial::{TfimMeasurement, TfimSeries};
 use crate::{AcceptTable, StCouplings, TfimModel};
 use qmc_comm::{Communicator, ReduceOp};
@@ -43,6 +44,14 @@ pub fn grid_for(model: &TfimModel, p: usize) -> ProcGrid {
 }
 
 /// Per-rank state of the distributed TFIM engine.
+///
+/// Invariant: every stored spin — interior, ghost strip and the never
+/// exchanged frame corners alike — is `+1` or `−1`. The Metropolis kernel
+/// forms its table index by byte arithmetic on a site and its six
+/// neighbours, ghosts included, so this is load-bearing: construction
+/// fills the whole padded block with `+1`, a halo exchange copies peers'
+/// interior spins, and a checkpoint is validated whole before it replaces
+/// anything.
 pub struct DistTfim {
     model: TfimModel,
     c: StCouplings,
@@ -52,8 +61,8 @@ pub struct DistTfim {
     /// Spins with ghosts: `m` slices of `(w+2)·(h+2)`, value ±1.
     spins: Vec<i8>,
     slice_stride: usize,
-    /// Shared precomputed Metropolis acceptance-ratio table.
-    accept: AcceptTable,
+    /// Exact integer acceptance thresholds of the shared [`AcceptTable`].
+    thr: Thresholds,
     /// Engine-owned metrics: acceptance counters plus per-direction halo
     /// byte counts. Always live, so reported acceptance rates are the
     /// same whether or not the observability layer is enabled.
@@ -70,6 +79,34 @@ pub struct DistTfim {
     halo: Vec<HaloDir>,
 }
 
+/// One strip of a slice — a row or a column of the padded block — as the
+/// arithmetic progression of local indices it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Strip {
+    start: usize,
+    stride: usize,
+    len: usize,
+}
+
+impl Strip {
+    /// The progression through `idx`, which must be one.
+    fn of(idx: &[usize]) -> Self {
+        let start = idx[0];
+        let stride = idx.get(1).map_or(1, |&second| second - start);
+        assert!(
+            idx.iter()
+                .enumerate()
+                .all(|(k, &i)| i == start + k * stride),
+            "halo strip {idx:?} is not an arithmetic progression"
+        );
+        Self {
+            start,
+            stride,
+            len: idx.len(),
+        }
+    }
+}
+
 /// Precomputed halo-exchange plan for one mesh direction.
 struct HaloDir {
     /// Rank my edge strip is sent to.
@@ -78,10 +115,10 @@ struct HaloDir {
     from: usize,
     /// Message tag (distinct per direction).
     tag: u32,
-    /// Interior local indices gathered into the send buffer.
-    send_idx: Vec<usize>,
-    /// Ghost local indices the received strip scatters into.
-    recv_idx: Vec<usize>,
+    /// Interior strip gathered into the send buffer.
+    send: Strip,
+    /// Ghost strip the received bytes scatter into.
+    recv: Strip,
     /// Per-direction halo byte counter (`tfim.halo_bytes.<dir>`) in the
     /// engine registry; counts actually-sent messages, not self-wraps.
     bytes_ctr: CounterId,
@@ -123,8 +160,8 @@ impl DistTfim {
                 // `dir.opposite()`-facing ghosts.
                 from: grid.neighbor(rank, dir.opposite()),
                 tag: 100 + dir_id(dir),
-                send_idx: sub.send_strip(dir),
-                recv_idx: sub.recv_strip(dir.opposite()),
+                send: Strip::of(&sub.send_strip(dir)),
+                recv: Strip::of(&sub.recv_strip(dir.opposite())),
                 bytes_ctr: metrics.counter(dir_bytes_counter(dir)),
             })
             .collect();
@@ -137,7 +174,7 @@ impl DistTfim {
             rank,
             spins,
             slice_stride,
-            accept: AcceptTable::new(&c),
+            thr: Thresholds::new(&AcceptTable::new(&c)),
             metrics,
             id_accepted,
             id_proposed,
@@ -192,20 +229,19 @@ impl DistTfim {
     /// neighbours, tags) is precomputed at construction and the send/recv
     /// byte buffers are persistent fields reused across exchanges (via
     /// [`Communicator::sendrecv_bytes_into`]).
+    #[qmc_hot::hot]
     pub fn halo_exchange<C: Communicator>(&mut self, comm: &mut C) {
         let _span = qmc_obs::span("tfim.halo_exchange");
         // Detach the plan and buffers from `self` so the gather/scatter
-        // loops can index `self.spins` without borrow conflicts.
+        // loops can borrow `self.spins` without conflicts.
         let halo = std::mem::take(&mut self.halo);
         let mut send = std::mem::take(&mut self.send_buf);
         let mut recv = std::mem::take(&mut self.recv_buf);
         for hd in &halo {
             send.clear();
-            for t in 0..self.model.m {
-                let base = t * self.slice_stride;
-                for &i in &hd.send_idx {
-                    send.push(self.spins[base + i] as u8);
-                }
+            let Strip { start, stride, len } = hd.send;
+            for slice in self.spins.chunks_exact(self.slice_stride) {
+                send.extend((0..len).map(|k| slice[start + k * stride] as u8));
             }
 
             let incoming: &[u8] = if hd.neighbor == self.rank && hd.from == self.rank {
@@ -218,14 +254,17 @@ impl DistTfim {
 
             assert_eq!(
                 incoming.len(),
-                hd.recv_idx.len() * self.model.m,
+                hd.recv.len * self.model.m,
                 "halo payload size mismatch"
             );
-            let mut it = incoming.iter();
-            for t in 0..self.model.m {
-                let base = t * self.slice_stride;
-                for &i in &hd.recv_idx {
-                    self.spins[base + i] = *it.next().expect("sized above") as i8;
+            for (slice, strip) in self
+                .spins
+                .chunks_exact_mut(self.slice_stride)
+                .zip(incoming.chunks_exact(hd.recv.len))
+            {
+                for (k, &b) in strip.iter().enumerate() {
+                    debug_assert!(b as i8 == 1 || b as i8 == -1, "halo spin {b} is not ±1");
+                    slice[hd.recv.start + k * hd.recv.stride] = b as i8;
                 }
             }
         }
@@ -234,13 +273,43 @@ impl DistTfim {
         self.recv_buf = recv;
     }
 
-    /// Update every interior site of global parity `color`; returns the
-    /// number of proposals (== sites of that parity).
+    /// The ghost-padded block as the colour kernel sees it.
+    fn layout(&self) -> Layout {
+        let sub = self.sub;
+        Layout {
+            slices: self.model.m,
+            slice_stride: self.slice_stride,
+            rows: sub.h,
+            row_stride: sub.w + 2,
+            width: sub.w,
+            origin: sub.local(0, 0),
+            parity: (sub.x0 + sub.y0) % 2,
+            square: self.model.ly > 1,
+            wraps: false,
+        }
+    }
+
+    /// Update every interior site of global parity `color` with the colour
+    /// kernel (see the crate docs); returns the number of proposals
+    /// (== sites of that parity).
     #[qmc_hot::hot]
-    fn half_sweep<R: Rng64>(&mut self, color: usize, rng: &mut R) -> u64 {
+    fn half_sweep<R: Rng64>(&mut self, color: usize, scratch: &mut Scratch, rng: &mut R) -> u64 {
+        let (proposals, accepted) =
+            self.layout()
+                .half_sweep(&mut self.spins, &self.thr, color, scratch, rng);
+        self.metrics.add(self.id_proposed, proposals);
+        self.metrics.add(self.id_accepted, accepted);
+        proposals
+    }
+
+    /// The site-by-site half-sweep [`Self::half_sweep`] replaced, kept as
+    /// the oracle it is compared against after every half-sweep.
+    #[cfg(test)]
+    fn half_sweep_scalar<R: Rng64>(&mut self, color: usize, rng: &mut R) -> u64 {
         let m = self.model;
         let sub = self.sub;
         let w2 = sub.w + 2;
+        let accept = AcceptTable::new(&self.c);
         let mut proposals = 0u64;
         let mut accepted = 0u64;
         for t in 0..m.m {
@@ -263,8 +332,7 @@ impl DistTfim {
                     }
                     let tp = self.spins[up + li] as i32 + self.spins[down + li] as i32;
                     proposals += 1;
-                    // lint: allow(hot-scalar-spin-loop) — the one halo-exchanging kernel; packing is per replica (PackedReplicas), not per subdomain
-                    if rng.metropolis(self.accept.ratio(s, sp, tp)) {
+                    if rng.metropolis(accept.ratio(s, sp, tp)) {
                         self.spins[base + li] = -s;
                         accepted += 1;
                     }
@@ -281,10 +349,11 @@ impl DistTfim {
     #[qmc_hot::hot]
     pub fn sweep<C: Communicator, R: Rng64>(&mut self, comm: &mut C, rng: &mut R) {
         let _span = qmc_obs::span("tfim.sweep");
+        let mut scratch = Scratch::new();
         for color in 0..2 {
             let proposals = {
                 let _half = qmc_obs::span("tfim.half_sweep");
-                self.half_sweep(color, rng)
+                self.half_sweep(color, &mut scratch, rng)
             };
             comm.compute(proposals as f64 * FLOPS_PER_UPDATE);
             self.halo_exchange(comm);
@@ -292,26 +361,38 @@ impl DistTfim {
     }
 
     /// Local contributions `(ΣSP, ΣT, Σs)` over owned sites (each site
-    /// owns its +x/+y bonds; edge partners come from current ghosts).
+    /// owns its +x/+y bonds; edge partners come from current ghosts): per
+    /// row, the dot products of the row with its east, north and up
+    /// neighbour rows and its own sum, in one pass over four slices —
+    /// `i32` within a row, `i64` across rows, so the sums are the integers
+    /// a site-by-site loop reaches.
+    #[qmc_hot::hot]
+    #[allow(clippy::needless_range_loop)] // `k` walks four equally long slices
     fn local_sums(&self) -> (f64, f64, f64) {
-        let m = self.model;
-        let sub = self.sub;
-        let w2 = sub.w + 2;
+        let (w, w2) = (self.sub.w, self.sub.w + 2);
+        let square = self.model.ly > 1;
         let (mut sp, mut tt, mut tot) = (0i64, 0i64, 0i64);
-        for t in 0..m.m {
-            let base = t * self.slice_stride;
-            let up = ((t + 1) % m.m) * self.slice_stride;
-            for iy in 0..sub.h {
-                for ix in 0..sub.w {
-                    let li = sub.local(ix as isize, iy as isize);
-                    let s = self.spins[base + li] as i64;
-                    sp += s * self.spins[base + li + 1] as i64;
-                    if m.ly > 1 {
-                        sp += s * self.spins[base + li + w2] as i64;
-                    }
-                    tt += s * self.spins[up + li] as i64;
-                    tot += s;
+        for t in 0..self.model.m {
+            let up = if t + 1 == self.model.m { 0 } else { t + 1 };
+            for iy in 0..self.sub.h {
+                let in_slice = self.sub.local(0, iy as isize);
+                let at = t * self.slice_stride + in_slice;
+                let run = |start: usize| &self.spins[start..start + w];
+                let (row, east, above) =
+                    (run(at), run(at + 1), run(up * self.slice_stride + in_slice));
+                // A chain owns no +y bond; its `north` is never read.
+                let north = if square { run(at + w2) } else { east };
+                let (mut row_sp, mut row_tt, mut row_tot) = (0i32, 0i32, 0i32);
+                for k in 0..w {
+                    let s = row[k];
+                    let bonds = if square { east[k] + north[k] } else { east[k] };
+                    row_sp += i32::from(s * bonds);
+                    row_tt += i32::from(s * above[k]);
+                    row_tot += i32::from(s);
                 }
+                sp += i64::from(row_sp);
+                tt += i64::from(row_tt);
+                tot += i64::from(row_tot);
             }
         }
         (sp as f64, tt as f64, tot as f64)
@@ -409,24 +490,7 @@ impl qmc_ckpt::Checkpoint for DistTfim {
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        let raw = dec.bytes()?;
-        if raw.len() != self.spins.len() {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "dist tfim spins: rank block has {} cells, checkpoint has {}",
-                self.spins.len(),
-                raw.len()
-            )));
-        }
-        for (dst, &b) in self.spins.iter_mut().zip(raw) {
-            *dst = match b as i8 {
-                s @ (1 | -1) => s,
-                s => {
-                    return Err(qmc_ckpt::CkptError::corrupt(format!(
-                        "dist tfim spin value {s} is not ±1"
-                    )))
-                }
-            };
-        }
+        crate::colour::restore_spins(&mut self.spins, dec.bytes()?, "dist tfim")?;
         qmc_ckpt::registry::load_registry(dec, &mut self.metrics)
     }
 }
@@ -452,8 +516,9 @@ fn dir_bytes_counter(d: Dir) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qmc_ckpt::Checkpoint;
     use qmc_comm::{run_threads, SerialComm};
-    use qmc_rng::{StreamFactory, Xoshiro256StarStar};
+    use qmc_rng::{CountingRng, StreamFactory, Xoshiro256StarStar};
     use qmc_stats::BinningAnalysis;
 
     fn chain_model(lx: usize, h: f64, beta: f64, m: usize) -> TfimModel {
@@ -613,17 +678,21 @@ mod tests {
 
             let mut b = DistTfim::new(model, comm);
             b.spins.copy_from_slice(&a.spins);
+            // The reference takes its strips from the lattice crate's
+            // index lists, not from the engine's `Strip` progressions.
             type Plan = (usize, usize, u32, Vec<usize>, Vec<usize>);
             let plan: Vec<Plan> = b
                 .halo
                 .iter()
-                .map(|hd| {
+                .zip(Dir::ALL)
+                .map(|(hd, dir)| {
+                    assert_eq!(hd.tag, 100 + dir_id(dir));
                     (
                         hd.neighbor,
                         hd.from,
                         hd.tag,
-                        hd.send_idx.clone(),
-                        hd.recv_idx.clone(),
+                        b.sub.send_strip(dir),
+                        b.sub.recv_strip(dir.opposite()),
                     )
                 })
                 .collect();
@@ -754,5 +823,158 @@ mod tests {
             speedup > 8.0 && speedup <= 16.0,
             "speedup at P=16: {speedup} (t1={t1}, t16={t16})"
         );
+    }
+
+    const fn square_model(lx: usize, ly: usize, h: f64, beta: f64, m: usize) -> TfimModel {
+        TfimModel {
+            lx,
+            ly,
+            j: 1.0,
+            h,
+            beta,
+            m,
+        }
+    }
+
+    #[test]
+    fn colour_kernel_matches_site_by_site_oracle_after_every_half_sweep() {
+        // Two engines per rank on one fixed seed, one stepped by the
+        // colour kernel and one by the loop it replaced: after every
+        // half-sweep the whole ghost-padded block, both counters and the
+        // number of raw draws agree. Shapes: chains and squares on 1–4
+        // ranks, self-wrapped directions, 1-, 2- and 3-wide blocks, 192
+        // rows of 6 (128 fit a kernel block — not a whole number of
+        // slices, so a run of rows is cut mid-slice), a padded row that
+        // fills a block exactly (1022 + 2), and rows too wide for one:
+        // 1023 alone (an odd segment), 1024 + 3, 1024 + 1024 + 2.
+        let cases = [
+            (chain_model(8, 1.0, 1.0, 8), 2, 12),
+            (chain_model(10, 1.0, 1.0, 4), 1, 12),
+            (chain_model(10, 1.2, 1.5, 4), 3, 12),
+            (chain_model(4, 1.0, 1.0, 4), 4, 12),
+            (square_model(8, 8, 2.0, 1.0, 4), 1, 8),
+            (square_model(6, 6, 2.5, 1.0, 4), 2, 12),
+            (square_model(6, 10, 3.0, 1.5, 4), 3, 12),
+            (square_model(16, 16, 2.0, 1.0, 8), 4, 8),
+            (square_model(12, 12, 3.044, 2.0, 6), 4, 8),
+            (square_model(12, 12, 3.044, 2.0, 32), 4, 4),
+            (chain_model(2044, 1.0, 1.0, 2), 2, 6),
+            (chain_model(2046, 1.3, 0.5, 2), 2, 6),
+            (chain_model(2054, 1.3, 0.5, 2), 2, 6),
+            (chain_model(2050, 1.0, 1.0, 2), 1, 6),
+            (square_model(64, 64, 3.044, 2.0, 32), 2, 2),
+        ];
+        for (model, ranks, sweeps) in cases {
+            let accepted = run_threads(ranks, move |comm| {
+                let rank = comm.rank();
+                let stream = || CountingRng::new(StreamFactory::new(71).stream(rank));
+                let (mut rng_fast, mut rng_slow) = (stream(), stream());
+                let mut fast = DistTfim::new(model, comm);
+                let mut slow = DistTfim::new(model, comm);
+                fast.halo_exchange(comm);
+                slow.halo_exchange(comm);
+                let mut scratch = Scratch::new();
+                for sweep in 0..sweeps {
+                    for color in 0..2 {
+                        let at = format!("{model:?} rank {rank} sweep {sweep} colour {color}");
+                        let proposals = fast.half_sweep(color, &mut scratch, &mut rng_fast);
+                        assert_eq!(
+                            proposals,
+                            slow.half_sweep_scalar(color, &mut rng_slow),
+                            "{at}"
+                        );
+                        assert!(fast.spins == slow.spins, "spins differ: {at}");
+                        assert_eq!(fast.accepted(), slow.accepted(), "{at}");
+                        assert_eq!(fast.proposed(), slow.proposed(), "{at}");
+                        assert_eq!(rng_fast.draws, rng_slow.draws, "{at}");
+                        fast.halo_exchange(comm);
+                        slow.halo_exchange(comm);
+                    }
+                }
+                assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
+                fast.accepted()
+            });
+            assert!(
+                accepted.iter().sum::<u64>() > 0,
+                "{model:?}: nothing flipped"
+            );
+        }
+    }
+
+    #[test]
+    fn local_sums_match_a_site_by_site_count() {
+        for (model, ranks) in [
+            (chain_model(10, 1.2, 1.5, 4), 3),
+            (square_model(6, 10, 3.0, 1.5, 4), 3),
+            (square_model(12, 12, 3.044, 2.0, 6), 4),
+        ] {
+            run_threads(ranks, move |comm| {
+                let mut eng = DistTfim::new(model, comm);
+                let mut rng = StreamFactory::new(13).stream(comm.rank());
+                let _ = eng.run(comm, &mut rng, 10, 0);
+                let (sub, w2) = (eng.sub, eng.sub.w + 2);
+                let (mut sp, mut tt, mut tot) = (0i64, 0i64, 0i64);
+                for t in 0..model.m {
+                    for iy in 0..sub.h {
+                        for ix in 0..sub.w {
+                            let li = sub.local(ix as isize, iy as isize);
+                            let s = eng.at(t, li) as i64;
+                            sp += s * eng.at(t, li + 1) as i64;
+                            if model.ly > 1 {
+                                sp += s * eng.at(t, li + w2) as i64;
+                            }
+                            tt += s * eng.at((t + 1) % model.m, li) as i64;
+                            tot += s;
+                        }
+                    }
+                }
+                assert_eq!(eng.local_sums(), (sp as f64, tt as f64, tot as f64));
+            });
+        }
+    }
+
+    #[test]
+    fn refused_checkpoint_leaves_the_engine_untouched() {
+        // A blob every CRC accepts, whose last spin byte is 0: `load`
+        // used to copy spin by spin and stop there, leaving all but one
+        // cell of the block replaced. It must be refused before anything
+        // lands, so the engine goes on exactly like one that never saw it.
+        let model = square_model(6, 6, 2.5, 1.0, 4);
+        let engine_after = |sweeps: usize| {
+            let mut comm = SerialComm::new();
+            let mut eng = DistTfim::new(model, &comm);
+            let mut rng = Xoshiro256StarStar::new(19);
+            let _ = eng.run(&mut comm, &mut rng, sweeps, 0);
+            (eng, rng, comm)
+        };
+        let (mut eng, mut rng, mut comm) = engine_after(20);
+        let (mut twin, mut twin_rng, mut twin_comm) = engine_after(20);
+        let (donor, ..) = engine_after(30);
+        assert!(donor.spins != eng.spins);
+
+        let mut blob = qmc_ckpt::save_state(&donor);
+        // kind tag (length-prefixed), body length, spin count, spins.
+        let last_spin = 8 + donor.kind().len() + 8 + 8 + donor.spins.len() - 1;
+        assert_eq!(blob[last_spin] as i8, *donor.spins.last().unwrap());
+        blob[last_spin] = 0;
+        let mut file = qmc_ckpt::CkptFile::new();
+        file.add("engine", blob);
+        let file = qmc_ckpt::CkptFile::from_bytes(&file.to_bytes()).expect("CRC-valid file");
+        let refused = file.restore("engine", &mut eng);
+        assert!(
+            matches!(refused, Err(qmc_ckpt::CkptError::Corrupt { .. })),
+            "{refused:?}"
+        );
+
+        assert!(eng.spins == twin.spins, "a refused load replaced spins");
+        assert_eq!(eng.accepted(), twin.accepted());
+        assert_eq!(eng.proposed(), twin.proposed());
+        for _ in 0..10 {
+            eng.sweep(&mut comm, &mut rng);
+            twin.sweep(&mut twin_comm, &mut twin_rng);
+        }
+        assert!(eng.spins == twin.spins);
+        assert_eq!(eng.accepted(), twin.accepted());
+        assert_eq!(rng.next_u64(), twin_rng.next_u64());
     }
 }

@@ -1,11 +1,17 @@
 //! Single-memory TFIM path-integral engine (Metropolis + Wolff).
 
+use crate::colour::{Layout, Scratch, Thresholds};
 use crate::{AcceptTable, StCouplings, TfimModel};
 use qmc_obs::{CounterId, Registry};
 use qmc_rng::Rng64;
 
 /// Spacetime spin configuration of the mapped classical model plus update
-/// kernels. Spins are `±1`, indexed `(t·ly + y)·lx + x`.
+/// kernels. Spins are indexed `(t·ly + y)·lx + x`.
+///
+/// Invariant: every stored spin is `+1` or `−1`. The Metropolis kernel
+/// forms its table index by byte arithmetic on seven spins, so this is
+/// load-bearing; every way in ([`Self::import_spins`], checkpoint restore)
+/// validates the whole configuration before it replaces anything.
 #[derive(Debug, Clone)]
 pub struct SerialTfim {
     model: TfimModel,
@@ -21,8 +27,9 @@ pub struct SerialTfim {
     metrics: Registry,
     id_accepted: CounterId,
     id_proposed: CounterId,
-    /// Precomputed acceptance ratios (no `exp` in the sweep loop).
-    accept: AcceptTable,
+    /// Exact integer acceptance thresholds of the [`AcceptTable`] (no
+    /// `exp`, no float compare in the sweep loop).
+    thr: Thresholds,
     /// Wolff add probabilities `1 − e^{−2K}`, precomputed per bond type.
     wolff_p_space: f64,
     wolff_p_time: f64,
@@ -116,7 +123,7 @@ impl SerialTfim {
             metrics,
             id_accepted,
             id_proposed,
-            accept: AcceptTable::new(&c),
+            thr: Thresholds::new(&AcceptTable::new(&c)),
             wolff_p_space: 1.0 - (-2.0 * c.k_space).exp(),
             wolff_p_time: 1.0 - (-2.0 * c.k_time).exp(),
             stack: Vec::new(),
@@ -194,7 +201,7 @@ impl SerialTfim {
     /// `ΔS = 2 s (K_s Σ_spatial s' + K_τ Σ_temporal s')`.
     ///
     /// Reference implementation kept for the consistency tests; the sweep
-    /// kernel uses the precomputed [`AcceptTable`] instead.
+    /// kernel uses thresholds precomputed from the [`AcceptTable`] instead.
     #[cfg(test)]
     fn flip_cost(&self, x: usize, y: usize, t: usize) -> f64 {
         let s = self.spin(x, y, t) as f64;
@@ -213,22 +220,55 @@ impl SerialTfim {
         2.0 * s * (self.c.k_space * spatial + self.c.k_time * temporal)
     }
 
+    /// The periodic `(t·ly + y)·lx + x` array as the colour kernel sees it.
+    fn layout(&self) -> Layout {
+        let m = &self.model;
+        Layout {
+            slices: m.m,
+            slice_stride: m.lx * m.ly,
+            rows: m.ly,
+            row_stride: m.lx,
+            width: m.lx,
+            origin: 0,
+            parity: 0,
+            square: m.ly > 1,
+            wraps: true,
+        }
+    }
+
     /// One full Metropolis sweep in checkerboard order (the exact update
-    /// schedule the parallel engine uses).
-    ///
-    /// Table-driven hot loop: the neighbour sums are gathered as integers
-    /// and the acceptance ratio comes from [`AcceptTable`], so no
-    /// transcendental function runs per proposal. Proposal order and the
-    /// random-number stream are identical to the previous `exp`-per-site
-    /// implementation.
+    /// schedule the parallel engine uses): the colour kernel, once per
+    /// colour (see the crate docs). Proposal order, decisions and the
+    /// random-number stream are those of a site-by-site loop over colour,
+    /// slice, row and column calling `rng.metropolis(ratio)`.
     #[qmc_hot::hot]
     pub fn metropolis_sweep<R: Rng64>(&mut self, rng: &mut R) {
         let _span = qmc_obs::span("tfim.metropolis_sweep");
+        let layout = self.layout();
+        let mut scratch = Scratch::new();
+        // Counters accumulate in locals and flush once per sweep: the hot
+        // loop stays free of registry indexing (2% overhead budget).
+        let (mut proposed, mut accepted) = (0u64, 0u64);
+        for colour in 0..2 {
+            let (p, a) = layout.half_sweep(&mut self.spins, &self.thr, colour, &mut scratch, rng);
+            proposed += p;
+            accepted += a;
+        }
+        self.metrics.add(self.id_proposed, proposed);
+        self.metrics.add(self.id_accepted, accepted);
+        if accepted > 0 {
+            self.spins_dirty = true;
+        }
+    }
+
+    /// The site-by-site sweep [`Self::metropolis_sweep`] replaced, kept as
+    /// the oracle its trajectory is compared against.
+    #[cfg(test)]
+    fn metropolis_sweep_scalar<R: Rng64>(&mut self, rng: &mut R) {
         let m = self.model;
         let (lx, ly, mm) = (m.lx, m.ly, m.m);
         let slice = lx * ly;
-        // Counters accumulate in locals and flush once per sweep: the hot
-        // loop stays free of registry indexing (2% overhead budget).
+        let accept = AcceptTable::new(&self.c);
         let mut accepted = 0u64;
         let mut proposed = 0u64;
         for color in 0..2usize {
@@ -246,8 +286,6 @@ impl SerialTfim {
                     } else {
                         (0, 0)
                     };
-                    // Sites of parity `color` in this row start at x0 and
-                    // step by 2 — same visit order as the old parity test.
                     let x0 = (color + y + t) % 2;
                     for x in (x0..lx).step_by(2) {
                         let xp = if x + 1 == lx { 0 } else { x + 1 };
@@ -261,8 +299,7 @@ impl SerialTfim {
                         let tp = self.spins[up + y * lx + x] as i32
                             + self.spins[down + y * lx + x] as i32;
                         proposed += 1;
-                        // lint: allow(hot-scalar-spin-loop) — reference scalar kernel the packed path is validated against
-                        if rng.metropolis(self.accept.ratio(s, sp, tp)) {
+                        if rng.metropolis(accept.ratio(s, sp, tp)) {
                             self.spins[i] = -s;
                             accepted += 1;
                         }
@@ -413,25 +450,7 @@ impl SerialTfim {
     }
 
     fn load_spins(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        let raw = dec.bytes()?;
-        if raw.len() != self.spins.len() {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "tfim spins: engine has {} sites, checkpoint has {}",
-                self.spins.len(),
-                raw.len()
-            )));
-        }
-        for (dst, &b) in self.spins.iter_mut().zip(raw) {
-            *dst = match b as i8 {
-                s @ (1 | -1) => s,
-                s => {
-                    return Err(qmc_ckpt::CkptError::corrupt(format!(
-                        "tfim spin value {s} is not ±1"
-                    )))
-                }
-            };
-        }
-        Ok(())
+        crate::colour::restore_spins(&mut self.spins, dec.bytes()?, "tfim")
     }
 }
 
@@ -610,7 +629,7 @@ mod tests {
     use super::*;
     use qmc_ed::tfim::{full_spectrum, thermal, TfimParams};
     use qmc_lattice::Chain;
-    use qmc_rng::Xoshiro256StarStar;
+    use qmc_rng::{CountingRng, Xoshiro256StarStar};
     use qmc_stats::BinningAnalysis;
 
     fn model(lx: usize, h: f64, beta: f64, m: usize) -> TfimModel {
@@ -803,6 +822,18 @@ mod tests {
                 beta: 1.0,
                 m: 8,
             },
+            // Wrap columns next to each other's neighbours, a row as wide
+            // as the benchmark's, and one wider than a kernel block.
+            TfimModel {
+                lx: 6,
+                ly: 4,
+                j: 1.0,
+                h: 3.0,
+                beta: 1.5,
+                m: 6,
+            },
+            model(64, 1.0, 4.0, 16),
+            model(2050, 1.0, 1.0, 2),
         ] {
             let mut fast = SerialTfim::new(m);
             let mut slow = SerialTfim::new(m);
@@ -841,6 +872,111 @@ mod tests {
                 after - before,
                 cost
             );
+        }
+    }
+
+    #[test]
+    fn colour_kernel_matches_site_by_site_oracle_after_every_sweep() {
+        // The exp reference above pins the spins; the loop the colour
+        // kernel replaced also pins what it does not look at — both
+        // counters, the dirty flag and the number of raw draws — with
+        // Wolff updates interleaved as `run` interleaves them.
+        for (m, wolff) in [
+            (model(8, 1.3, 1.7, 8), 0),
+            (model(64, 1.0, 16.0, 128), 1),
+            (model(2050, 1.0, 1.0, 2), 0),
+            (
+                TfimModel {
+                    lx: 6,
+                    ly: 4,
+                    j: 1.0,
+                    h: 3.0,
+                    beta: 1.5,
+                    m: 6,
+                },
+                2,
+            ),
+        ] {
+            let mut fast = SerialTfim::new(m);
+            let mut slow = SerialTfim::new(m);
+            let mut rng_fast = CountingRng::new(Xoshiro256StarStar::new(47));
+            let mut rng_slow = rng_fast.clone();
+            for sweep in 0..12 {
+                qmc_ckpt::Checkpoint::mark_clean(&mut fast);
+                qmc_ckpt::Checkpoint::mark_clean(&mut slow);
+                fast.metropolis_sweep(&mut rng_fast);
+                slow.metropolis_sweep_scalar(&mut rng_slow);
+                assert!(fast.spins == slow.spins, "{m:?} sweep {sweep}");
+                assert_eq!(fast.accepted(), slow.accepted(), "{m:?} sweep {sweep}");
+                assert_eq!(fast.proposed(), slow.proposed(), "{m:?} sweep {sweep}");
+                assert_eq!(fast.spins_dirty, slow.spins_dirty, "{m:?} sweep {sweep}");
+                assert_eq!(rng_fast.draws, rng_slow.draws, "{m:?} sweep {sweep}");
+                for _ in 0..wolff {
+                    assert_eq!(
+                        fast.wolff_update(&mut rng_fast),
+                        slow.wolff_update(&mut rng_slow)
+                    );
+                }
+            }
+            assert!(fast.accepted() > 0);
+            assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
+        }
+    }
+
+    #[test]
+    fn refused_checkpoint_leaves_the_engine_untouched() {
+        // Blobs every CRC accepts, whose last spin byte is 0, through
+        // the whole-blob and the sectioned path: `load_spins` used to
+        // copy spin by spin and stop there, leaving all but one site
+        // replaced. They must be refused before anything lands, so the
+        // engine goes on exactly like one that never saw them.
+        let engine_after = |sweeps: usize| {
+            let mut eng = SerialTfim::new(model(8, 1.3, 1.7, 8));
+            let mut rng = Xoshiro256StarStar::new(23);
+            let _ = eng.run(&mut rng, sweeps, 0, 1);
+            (eng, rng)
+        };
+        let (donor, _) = engine_after(30);
+        let restore_tampered =
+            |eng: &mut SerialTfim, mut blob: Vec<u8>, last_spin: usize, section| {
+                assert_eq!(blob[last_spin] as i8, *donor.spins.last().unwrap());
+                blob[last_spin] = 0;
+                let mut file = qmc_ckpt::CkptFile::new();
+                file.add("engine", blob);
+                let file =
+                    qmc_ckpt::CkptFile::from_bytes(&file.to_bytes()).expect("CRC-valid file");
+                let blob = file.require("engine").unwrap();
+                match section {
+                    Some(name) => qmc_ckpt::load_section_bytes(blob, name, eng),
+                    None => qmc_ckpt::load_state(blob, eng),
+                }
+            };
+        use qmc_ckpt::Checkpoint as _;
+        // kind tag (length-prefixed), body length, spin count, spins.
+        let last_spin = 8 + donor.kind().len() + 8 + 8 + donor.spins.len() - 1;
+        let whole = (qmc_ckpt::save_state(&donor), None);
+        let section = (qmc_ckpt::save_section_bytes(&donor, "spins"), Some("spins"));
+        assert_eq!(section.0.len(), last_spin + 1);
+        for (blob, section) in [whole, section] {
+            let (mut eng, mut rng) = engine_after(20);
+            let (mut twin, mut twin_rng) = engine_after(20);
+            assert!(donor.spins != eng.spins);
+            let refused = restore_tampered(&mut eng, blob, last_spin, section);
+            assert!(
+                matches!(refused, Err(qmc_ckpt::CkptError::Corrupt { .. })),
+                "{section:?}: {refused:?}"
+            );
+            assert!(
+                eng.spins == twin.spins,
+                "{section:?}: a refused load replaced spins"
+            );
+            assert_eq!(eng.accepted(), twin.accepted());
+            assert_eq!(eng.proposed(), twin.proposed());
+            let _ = eng.run(&mut rng, 10, 0, 1);
+            let _ = twin.run(&mut twin_rng, 10, 0, 1);
+            assert!(eng.spins == twin.spins);
+            assert_eq!(eng.accepted(), twin.accepted());
+            assert_eq!(rng.next_u64(), twin_rng.next_u64());
         }
     }
 }

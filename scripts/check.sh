@@ -100,10 +100,13 @@ cargo run -q --release -p qmc-bench --bin repro -- analyze
 
 echo "== bench-quick: packed-kernel speedup guard =="
 # The four in-window ratio guards on shrunk fixed-seed work. The
-# multi-spin coded sweep must stay >= 2x the scalar kernel, median over
-# median of 5 (the full-run target is 4x; --quick relaxes it so gate
+# multi-spin coded sweep must stay >= 1.2x the scalar kernel, median over
+# median of 5 (the full-run target is 1.6x; --quick relaxes it so gate
 # latency stays in seconds) or the run exits non-zero; the obs / trace /
-# ckpt overhead lines are printed and warn.
+# ckpt overhead lines are printed and warn. The floors were 2x / 4x while
+# the scalar kernel was the site-by-site loop: the colour kernel made the
+# denominator 2.1x faster, so an unchanged packed engine reads ~2.1x
+# (--quick: 2.0-2.5x) where it read ~5x.
 cargo run -q --release -p qmc-bench --bin repro -- bench --quick
 
 if [ "$FULL" = "1" ]; then

@@ -10,9 +10,11 @@
 //! (thread-local, so the parallel test harness and unrelated test
 //! threads cannot bleed into each other's counts).
 
+use qmc_comm::SerialComm;
 use qmc_lattice::{Chain, Square};
 use qmc_rng::{Buffered, Xoshiro256StarStar};
 use qmc_sse::Sse;
+use qmc_tfim::parallel::DistTfim;
 use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
 use qmc_worldline::estimators::{measure, TimeSeries};
@@ -94,6 +96,26 @@ fn serial_tfim_sweep_is_allocation_free() {
     assert_steady_state_clean("SerialTfim::metropolis_sweep", 100, || {
         eng.metropolis_sweep(&mut rng)
     });
+}
+
+#[test]
+fn dist_tfim_sweep_is_allocation_free() {
+    // Two half-sweeps of the colour kernel (scratch on the stack) and two
+    // halo exchanges through the persistent buffers; on one rank both
+    // directions wrap onto the rank itself.
+    let model = TfimModel {
+        lx: 16,
+        ly: 16,
+        j: 1.0,
+        h: 2.0,
+        beta: 1.0,
+        m: 8,
+    };
+    let mut comm = SerialComm::new();
+    let mut eng = DistTfim::new(model, &comm);
+    let mut rng = Buffered::new(Xoshiro256StarStar::new(27));
+    let _ = eng.run(&mut comm, &mut rng, 20, 0); // warmup: ghosts, RNG buffer
+    assert_steady_state_clean("DistTfim::sweep", 100, || eng.sweep(&mut comm, &mut rng));
 }
 
 #[test]
