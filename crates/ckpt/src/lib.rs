@@ -6,9 +6,10 @@
 //! binary wire format (schema [`SCHEMA`]) with per-section CRC32, an
 //! atomic on-disk [`CkptStore`] (write-to-temp + rename, retain last K,
 //! fall back past torn or CRC-bad generations), rank-0-coordinated
-//! [`coord`] write/restore over any [`qmc_comm::Communicator`], and the
-//! one sweep-boundary run loop, [`drive`], that every checkpointed driver
-//! shares.
+//! [`coord`] write/restore over any [`qmc_comm::Communicator`], the one
+//! sweep-boundary run loop, [`drive`], that every checkpointed driver
+//! shares, and the one `rows/k` + `head` protocol, [`chunk`], that every
+//! append-only measurement series is sectioned by.
 //!
 //! The contract every implementor must honor: after `save` → `load` into
 //! a freshly constructed value, the resumed object continues the
@@ -23,6 +24,7 @@ mod file;
 mod store;
 mod wire;
 
+pub mod chunk;
 pub mod coord;
 pub mod delta;
 pub mod registry;
@@ -89,6 +91,16 @@ impl DirtySections {
 /// (see [`delta`]). The defaults expose the whole state as a single
 /// always-dirty `"state"` section, which keeps every existing
 /// implementation correct (just never smaller than a full snapshot).
+///
+/// A type writes one of the two groups by hand and derives the other. A
+/// small value (a generator, an accumulator) writes `save` / `load` and
+/// takes the sectioned defaults. A sectioned value writes the four
+/// sectioned methods, with every restore check in `load_section`, and its
+/// `save` / `load` are the one-line calls [`save_sections_in_order`] /
+/// [`load_sections_in_order`]. Only a value whose whole-blob layout
+/// predates its sections and orders the fields differently — the three
+/// [`chunk`]ed series and the packed batch that nests them — writes both,
+/// sharing each check as one function.
 pub trait Checkpoint {
     /// Stable type tag written ahead of the payload; `load` rejects a
     /// payload whose tag does not match (e.g. resuming an SSE run with
@@ -193,6 +205,30 @@ pub fn load_section_bytes(
     sub.expect_empty()
 }
 
+/// [`Checkpoint::save`] of a value whose whole-blob body is its section
+/// bodies concatenated in [`Checkpoint::dirty_sections`] order. Not for a
+/// value that takes the default `save_section`, which calls `save`, nor
+/// for one whose section list depends on what is being restored (a
+/// [`chunk`]ed series has as many `rows/k` as its length asks for).
+pub fn save_sections_in_order(state: &impl Checkpoint, enc: &mut Encoder) {
+    for (name, _) in state.dirty_sections().iter() {
+        state.save_section(name, enc);
+    }
+}
+
+/// [`Checkpoint::load`] counterpart of [`save_sections_in_order`]: every
+/// check is the one `load_section` makes, and the sections it restores
+/// come back dirty, as they are absent from any delta base.
+pub fn load_sections_in_order(
+    state: &mut impl Checkpoint,
+    dec: &mut Decoder,
+) -> Result<(), CkptError> {
+    for (name, _) in state.dirty_sections().iter() {
+        state.load_section(name, dec)?;
+    }
+    Ok(())
+}
+
 /// Append `state`'s sections to a write plan under `prefix/…` names.
 /// When `delta` is set, clean sections are planned as base references
 /// (no payload serialized at all); otherwise every section is a payload.
@@ -244,44 +280,6 @@ pub fn restore_sections(
     }
     state.mark_clean();
     Ok(())
-}
-
-/// Fixed-size row chunking for append-only measurement series.
-///
-/// A growing time series dominates full-snapshot bytes in steady state;
-/// splitting it into immutable completed chunks (`rows/0`, `rows/1`, …)
-/// plus a small always-dirty head makes most of those bytes clean, which
-/// is where delta checkpoints win. A chunk is dirty iff a row was
-/// appended past the last snapshot's row count overlaps it — completed
-/// chunks below that mark never change again.
-pub mod chunk {
-    /// Rows per chunk.
-    pub const ROWS: usize = 64;
-
-    /// Number of chunks covering `len` rows (0 for an empty series).
-    pub fn count(len: usize) -> usize {
-        len.div_ceil(ROWS)
-    }
-
-    /// True when chunk `k` overlaps rows appended after `clean_rows`.
-    pub fn is_dirty(k: usize, clean_rows: usize) -> bool {
-        (k + 1) * ROWS > clean_rows
-    }
-
-    /// Row range of chunk `k` in a series of `len` rows.
-    pub fn range(k: usize, len: usize) -> core::ops::Range<usize> {
-        k * ROWS..len.min((k + 1) * ROWS)
-    }
-
-    /// Section name of chunk `k`.
-    pub fn name(k: usize) -> String {
-        format!("rows/{k}")
-    }
-
-    /// Parse a chunk index back out of a section name.
-    pub fn parse(name: &str) -> Option<usize> {
-        name.strip_prefix("rows/")?.parse().ok()
-    }
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ use qmc_obs::Registry;
 use qmc_rng::{StreamFactory, Xoshiro256StarStar};
 use qmc_tfim::serial::{SerialTfim, TfimSeries};
 use qmc_tfim::TfimModel;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -158,7 +159,7 @@ pub fn run_job(spec: &JobSpec, ctl: RunCtl<'_>) -> Outcome {
                 exchange_every: *exchange_every,
                 seed: spec.seed,
             };
-            run_pt(cfg, spec, ctl)
+            run_pt(cfg, ctl)
         }
     }
 }
@@ -253,13 +254,11 @@ static KILL_HOOK: Mutex<()> = Mutex::new(());
 /// ladder: the dying rank's β is dropped and the survivors resume
 /// remapped onto the smaller world. Only when neither applies does the
 /// attempt report `Killed` for the scheduler's requeue path.
-fn run_pt(cfg: PtConfig, spec: &JobSpec, mut ctl: RunCtl<'_>) -> Outcome {
-    let every = ctl.every;
-    let full_every = ctl.full_every;
+fn run_pt(cfg: PtConfig, mut ctl: RunCtl<'_>) -> Outcome {
+    let cadence = (ctl.every, ctl.full_every);
     let dir = ctl.store.map(|s| s.dir().to_path_buf());
     let therm = cfg.therm;
     let sweeps = cfg.sweeps;
-    let seed = spec.seed;
 
     if let Some(kill_sweep) = ctl.kill_at {
         // One-shot injected death: rank `1 % size` panics at the
@@ -282,20 +281,8 @@ fn run_pt(cfg: PtConfig, spec: &JobSpec, mut ctl: RunCtl<'_>) -> Outcome {
             let dir2 = dir.clone();
             let fired = fired.clone();
             run_threads_elastic(ranks, Duration::from_secs(20), budget, move |comm| {
-                let mut rng = StreamFactory::new(seed).stream(comm.rank());
-                let store = dir2
-                    .as_ref()
-                    .map(|d| CkptStore::new(d, 3).expect("job store"));
-                let ck = store.as_ref().map(|s| PtCheckpointing {
-                    store: s,
-                    every,
-                    full_every,
-                    resume: true,
-                    stop: None,
-                    elastic_from: elastic_from.as_deref(),
-                });
-                let fired = fired.clone();
-                run_pt_parallel_ckpt(comm, &cfg2, &mut rng, ck.as_ref(), move |c, s| {
+                let (dir, from) = (dir2.as_deref(), elastic_from.as_deref());
+                pt_rank(comm, &cfg2, dir, cadence, None, from, |c, s| {
                     if s as u64 == kill_sweep
                         && c.rank() == 1 % c.size()
                         && !fired.swap(true, Ordering::SeqCst)
@@ -353,19 +340,15 @@ fn run_pt(cfg: PtConfig, spec: &JobSpec, mut ctl: RunCtl<'_>) -> Outcome {
     // on rank 0 and broadcasts the verdict, so this is rank-consistent.
     let stop_outer = ctl.stop;
     let results = run_threads(ranks, move |comm| {
-        let mut rng = StreamFactory::new(seed).stream(comm.rank());
-        let store = dir2
-            .as_ref()
-            .map(|d| CkptStore::new(d, 3).expect("job store"));
-        let ck = store.as_ref().map(|s| PtCheckpointing {
-            store: s,
-            every,
-            full_every,
-            resume: true,
-            stop: stop_outer,
-            elastic_from: None,
-        });
-        run_pt_parallel_ckpt(comm, &cfg2, &mut rng, ck.as_ref(), |_, _| {})
+        pt_rank(
+            comm,
+            &cfg2,
+            dir2.as_deref(),
+            cadence,
+            stop_outer,
+            None,
+            |_, _| {},
+        )
     });
     let mut snap = ctl.snapshot.take();
     let drained = results
@@ -379,6 +362,30 @@ fn run_pt(cfg: PtConfig, spec: &JobSpec, mut ctl: RunCtl<'_>) -> Outcome {
         return Outcome::Drained { at_sweep: at };
     }
     pt_outcome(results, therm, sweeps, snap, 0, false)
+}
+
+/// One rank of a PT job: its stream of the job's seed, the job's store
+/// (when it has one) as the coordinated checkpoint policy, and the run.
+fn pt_rank<C: Communicator>(
+    comm: &mut C,
+    cfg: &PtConfig,
+    dir: Option<&Path>,
+    (every, full_every): (usize, usize),
+    stop: Option<&AtomicBool>,
+    elastic_from: Option<&[f64]>,
+    on_sweep: impl FnMut(&mut C, usize),
+) -> (Vec<f64>, Vec<f64>) {
+    let mut rng = StreamFactory::new(cfg.seed).stream(comm.rank());
+    let store = dir.map(|d| CkptStore::new(d, 3).expect("job store"));
+    let ck = store.as_ref().map(|s| PtCheckpointing {
+        store: s,
+        every,
+        full_every,
+        resume: true,
+        stop,
+        elastic_from,
+    });
+    run_pt_parallel_ckpt(comm, cfg, &mut rng, ck.as_ref(), on_sweep)
 }
 
 fn pt_outcome(

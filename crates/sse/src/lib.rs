@@ -498,52 +498,6 @@ impl Sse {
         series
     }
 
-    /// Serialize the sampler state (basis state + operator string) into a
-    /// self-contained byte checkpoint. Restoring with
-    /// [`Sse::restore_checkpoint`] on an engine with the same lattice and
-    /// couplings resumes the exact Markov chain (given the same RNG
-    /// state).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.n_sites + 8 * self.ops.len());
-        out.extend_from_slice(&(self.n_sites as u64).to_le_bytes());
-        out.extend_from_slice(&(self.ops.len() as u64).to_le_bytes());
-        out.extend(self.state.iter().map(|&s| s as u8));
-        for &op in &self.ops {
-            out.extend_from_slice(&op.to_le_bytes());
-        }
-        out
-    }
-
-    /// Restore a checkpoint produced by [`Sse::checkpoint`].
-    ///
-    /// Panics if the checkpoint does not match this engine's lattice or
-    /// fails the internal consistency check.
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) {
-        assert!(bytes.len() >= 16, "checkpoint truncated");
-        let n_sites = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")) as usize;
-        let n_ops_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        assert_eq!(
-            n_sites, self.n_sites,
-            "checkpoint is for a different lattice"
-        );
-        let expect = 16 + n_sites + 8 * n_ops_len;
-        assert_eq!(bytes.len(), expect, "checkpoint length mismatch");
-        self.state.clear();
-        self.state
-            .extend(bytes[16..16 + n_sites].iter().map(|&b| b != 0));
-        self.ops.clear();
-        for chunk in bytes[16 + n_sites..].chunks_exact(8) {
-            self.ops
-                .push(Op::from_le_bytes(chunk.try_into().expect("8 bytes")));
-        }
-        self.n_ops = self.ops.iter().filter(|&&o| o != IDENTITY).count();
-        self.state_dirty = true;
-        self.ops_dirty = true;
-        self.rebuild_diag_tables();
-        self.check_consistency()
-            .unwrap_or_else(|e| panic!("corrupt checkpoint: {e}"));
-    }
-
     /// Validate internal consistency: propagating `|α⟩` through the whole
     /// string must return to `|α⟩`, and every operator must act on an
     /// anti-parallel bond at its insertion point. Test support.
@@ -577,41 +531,11 @@ impl qmc_ckpt::Checkpoint for Sse {
     }
 
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.u64(self.n_sites as u64);
-        enc.bools(&self.state);
-        enc.i64s(&self.ops);
+        qmc_ckpt::save_sections_in_order(self, enc);
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        let n_sites = dec.u64()? as usize;
-        if n_sites != self.n_sites {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "sse checkpoint is for {n_sites} sites, engine has {}",
-                self.n_sites
-            )));
-        }
-        let state = dec.bools()?;
-        if state.len() != self.n_sites {
-            return Err(qmc_ckpt::CkptError::corrupt(
-                "sse basis state has the wrong length",
-            ));
-        }
-        let ops = dec.i64s()?;
-        for &op in &ops {
-            if op != IDENTITY && (op < 0 || (op / 2) as usize >= self.bonds.len()) {
-                return Err(qmc_ckpt::CkptError::corrupt(format!(
-                    "sse operator code {op} out of range"
-                )));
-            }
-        }
-        self.state = state;
-        self.ops = ops;
-        self.n_ops = self.ops.iter().filter(|&&o| o != IDENTITY).count();
-        self.state_dirty = true;
-        self.ops_dirty = true;
-        self.rebuild_diag_tables();
-        self.check_consistency()
-            .map_err(qmc_ckpt::CkptError::corrupt)
+        qmc_ckpt::load_sections_in_order(self, dec)
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
@@ -656,6 +580,7 @@ impl qmc_ckpt::Checkpoint for Sse {
                     ));
                 }
                 self.state = state;
+                self.state_dirty = true;
                 Ok(())
             }
             "ops" => {
@@ -668,6 +593,7 @@ impl qmc_ckpt::Checkpoint for Sse {
                     }
                 }
                 self.ops = ops;
+                self.ops_dirty = true;
                 self.n_ops = self.ops.iter().filter(|&&o| o != IDENTITY).count();
                 self.rebuild_diag_tables();
                 self.check_consistency()
@@ -686,16 +612,45 @@ impl qmc_ckpt::Checkpoint for Sse {
 }
 
 impl SseSeries {
-    /// [`Sse::record_measurement`] is the only writer of the rows and of
-    /// the correlation sample count, and advances both together; a
-    /// restored series where they differ would average its correlations
-    /// over the wrong number of samples.
-    fn check_corr_count(&self) -> Result<(), qmc_ckpt::CkptError> {
-        if self.corr_count != self.n_ops.len() as u64 {
+    /// The columns, in the order both checkpoint layouts store them.
+    fn columns(&self) -> [&[f64]; 3] {
+        [&self.n_ops, &self.magnetization, &self.staggered]
+    }
+
+    fn columns_mut(&mut self) -> [&mut Vec<f64>; 3] {
+        [
+            &mut self.n_ops,
+            &mut self.magnetization,
+            &mut self.staggered,
+        ]
+    }
+
+    /// Refuse head fields of either layout that belong to another
+    /// lattice, or that count another number of correlation samples than
+    /// `rows`: [`Sse::record_measurement`] is the only writer of both and
+    /// advances them together, so a series where they differ would
+    /// average its correlations over the wrong number of samples.
+    fn check_head(
+        &self,
+        (n_sites, n_bonds): (usize, usize),
+        corr_sum: &[f64],
+        corr_count: u64,
+        rows: usize,
+    ) -> Result<(), qmc_ckpt::CkptError> {
+        if n_sites != self.n_sites || n_bonds != self.n_bonds {
             return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "sse series counts {} correlation samples for {} rows",
-                self.corr_count,
-                self.n_ops.len()
+                "sse series is for {n_sites} sites / {n_bonds} bonds, engine has {} / {}",
+                self.n_sites, self.n_bonds
+            )));
+        }
+        if corr_sum.len() != self.corr_sum.len() {
+            return Err(qmc_ckpt::CkptError::corrupt(
+                "sse series correlation table has the wrong length",
+            ));
+        }
+        if corr_count != rows as u64 {
+            return Err(qmc_ckpt::CkptError::corrupt(format!(
+                "sse series counts {corr_count} correlation samples for {rows} rows"
             )));
         }
         Ok(())
@@ -712,9 +667,9 @@ impl qmc_ckpt::Checkpoint for SseSeries {
         enc.f64(self.j);
         enc.u64(self.n_sites as u64);
         enc.u64(self.n_bonds as u64);
-        enc.f64s(&self.n_ops);
-        enc.f64s(&self.magnetization);
-        enc.f64s(&self.staggered);
+        for col in self.columns() {
+            enc.f64s(col);
+        }
         enc.f64s(&self.corr_sum);
         enc.u64(self.corr_count);
     }
@@ -722,69 +677,41 @@ impl qmc_ckpt::Checkpoint for SseSeries {
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
         let beta = dec.f64()?;
         let j = dec.f64()?;
-        let n_sites = dec.u64()? as usize;
-        let n_bonds = dec.u64()? as usize;
-        if n_sites != self.n_sites || n_bonds != self.n_bonds {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "sse series is for {n_sites} sites / {n_bonds} bonds, engine has {} / {}",
-                self.n_sites, self.n_bonds
-            )));
-        }
+        let shape = (dec.u64()? as usize, dec.u64()? as usize);
+        let cols = [dec.f64s()?, dec.f64s()?, dec.f64s()?];
+        let corr_sum = dec.f64s()?;
+        let corr_count = dec.u64()?;
+        self.check_head(shape, &corr_sum, corr_count, cols[0].len())?;
+        qmc_ckpt::chunk::check_columns("sse", &cols)?;
         self.beta = beta;
         self.j = j;
-        self.n_ops = dec.f64s()?;
-        self.magnetization = dec.f64s()?;
-        self.staggered = dec.f64s()?;
-        let corr_sum = dec.f64s()?;
-        if corr_sum.len() != self.corr_sum.len() {
-            return Err(qmc_ckpt::CkptError::corrupt(
-                "sse series correlation table has the wrong length",
-            ));
+        for (col, restored) in self.columns_mut().into_iter().zip(cols) {
+            *col = restored;
         }
         self.corr_sum = corr_sum;
-        self.corr_count = dec.u64()?;
-        let n = self.n_ops.len();
-        if self.magnetization.len() != n || self.staggered.len() != n {
-            return Err(qmc_ckpt::CkptError::corrupt(
-                "sse series columns have unequal lengths",
-            ));
-        }
-        self.check_corr_count()?;
+        self.corr_count = corr_count;
         self.clean_rows = 0;
         Ok(())
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
-        use qmc_ckpt::chunk;
-        let mut s = qmc_ckpt::DirtySections::new();
-        for k in 0..chunk::count(self.n_ops.len()) {
-            s.push(chunk::name(k), chunk::is_dirty(k, self.clean_rows));
-        }
-        // Head last: it carries the total row count, so restoring it
-        // validates that every chunk before it arrived intact.
-        s.push("head", true);
-        s
+        qmc_ckpt::chunk::sections(self.n_ops.len(), self.clean_rows)
     }
 
     fn save_section(&self, name: &str, enc: &mut qmc_ckpt::Encoder) {
-        use qmc_ckpt::chunk;
-        if name == "head" {
-            enc.f64(self.beta);
-            enc.f64(self.j);
-            enc.u64(self.n_sites as u64);
-            enc.u64(self.n_bonds as u64);
-            enc.f64s(&self.corr_sum);
-            enc.u64(self.corr_count);
-            enc.u64(self.n_ops.len() as u64);
-            return;
+        match qmc_ckpt::chunk::parse(name) {
+            Some(k) => qmc_ckpt::chunk::save_rows(k, &self.columns(), enc),
+            None if name == "head" => {
+                enc.f64(self.beta);
+                enc.f64(self.j);
+                enc.u64(self.n_sites as u64);
+                enc.u64(self.n_bonds as u64);
+                enc.f64s(&self.corr_sum);
+                enc.u64(self.corr_count);
+                enc.u64(self.n_ops.len() as u64);
+            }
+            None => panic!("series.sse has no checkpoint section {name:?}"),
         }
-        let k = chunk::parse(name)
-            .unwrap_or_else(|| panic!("series.sse has no checkpoint section {name:?}"));
-        enc.u64(k as u64);
-        let r = chunk::range(k, self.n_ops.len());
-        enc.f64s(&self.n_ops[r.clone()]);
-        enc.f64s(&self.magnetization[r.clone()]);
-        enc.f64s(&self.staggered[r]);
     }
 
     fn load_section(
@@ -793,72 +720,30 @@ impl qmc_ckpt::Checkpoint for SseSeries {
         dec: &mut qmc_ckpt::Decoder,
     ) -> Result<(), qmc_ckpt::CkptError> {
         use qmc_ckpt::chunk;
-        if name == "head" {
-            let beta = dec.f64()?;
-            let j = dec.f64()?;
-            let n_sites = dec.u64()? as usize;
-            let n_bonds = dec.u64()? as usize;
-            if n_sites != self.n_sites || n_bonds != self.n_bonds {
-                return Err(qmc_ckpt::CkptError::corrupt(format!(
-                    "sse series is for {n_sites} sites / {n_bonds} bonds, engine has {} / {}",
-                    self.n_sites, self.n_bonds
-                )));
+        match chunk::parse(name) {
+            Some(k) => {
+                chunk::load_rows("sse", k, &mut self.columns_mut(), dec)?;
+                self.clean_rows = self.clean_rows.min(k * chunk::ROWS);
+                Ok(())
             }
-            let corr_sum = dec.f64s()?;
-            if corr_sum.len() != self.corr_sum.len() {
-                return Err(qmc_ckpt::CkptError::corrupt(
-                    "sse series correlation table has the wrong length",
-                ));
+            None if name == "head" => {
+                let beta = dec.f64()?;
+                let j = dec.f64()?;
+                let shape = (dec.u64()? as usize, dec.u64()? as usize);
+                let corr_sum = dec.f64s()?;
+                let corr_count = dec.u64()?;
+                self.check_head(shape, &corr_sum, corr_count, self.n_ops.len())?;
+                chunk::check_rows("sse", dec.u64()? as usize, self.n_ops.len())?;
+                self.beta = beta;
+                self.j = j;
+                self.corr_sum = corr_sum;
+                self.corr_count = corr_count;
+                Ok(())
             }
-            self.beta = beta;
-            self.j = j;
-            self.corr_sum = corr_sum;
-            self.corr_count = dec.u64()?;
-            let n = dec.u64()? as usize;
-            if n != self.n_ops.len() {
-                return Err(qmc_ckpt::CkptError::corrupt(format!(
-                    "sse series head claims {n} rows, chunks supplied {}",
-                    self.n_ops.len()
-                )));
-            }
-            return self.check_corr_count();
-        }
-        let Some(k) = chunk::parse(name) else {
-            return Err(qmc_ckpt::CkptError::MissingSection {
+            None => Err(qmc_ckpt::CkptError::MissingSection {
                 name: name.to_string(),
-            });
-        };
-        let stored = dec.u64()? as usize;
-        if stored != k {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "sse series chunk {k} carries index {stored}"
-            )));
+            }),
         }
-        if k == 0 {
-            self.n_ops.clear();
-            self.magnetization.clear();
-            self.staggered.clear();
-            self.clean_rows = 0;
-        }
-        if self.n_ops.len() != k * chunk::ROWS {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "sse series chunk {k} arrived at row {}",
-                self.n_ops.len()
-            )));
-        }
-        let n_ops = dec.f64s()?;
-        let magnetization = dec.f64s()?;
-        let staggered = dec.f64s()?;
-        let n = n_ops.len();
-        if n == 0 || n > chunk::ROWS || magnetization.len() != n || staggered.len() != n {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "sse series chunk {k} has malformed columns"
-            )));
-        }
-        self.n_ops.extend_from_slice(&n_ops);
-        self.magnetization.extend_from_slice(&magnetization);
-        self.staggered.extend_from_slice(&staggered);
-        Ok(())
     }
 
     fn mark_clean(&mut self) {
@@ -1035,7 +920,7 @@ mod tests {
             a.sweep(&mut rng);
             a.adjust_cutoff();
         }
-        let ckpt = a.checkpoint();
+        let ckpt = qmc_ckpt::save_state(&a);
         let rng_saved = rng;
 
         // Continue A for 50 sweeps.
@@ -1049,7 +934,7 @@ mod tests {
         let mut rng_b = rng_saved;
         let mut dummy_rng = Xoshiro256StarStar::new(0);
         let mut b = Sse::new(&lat, 1.0, 1.5, &mut dummy_rng);
-        b.restore_checkpoint(&ckpt);
+        qmc_ckpt::load_state(&ckpt, &mut b).expect("own checkpoint restores");
         let mut trace_b = Vec::new();
         for _ in 0..50 {
             b.sweep(&mut rng_b);
@@ -1059,12 +944,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different lattice")]
     fn checkpoint_rejects_wrong_lattice() {
         let mut rng = Xoshiro256StarStar::new(32);
         let a = Sse::new(&Chain::new(8), 1.0, 1.0, &mut rng);
         let mut b = Sse::new(&Chain::new(4), 1.0, 1.0, &mut rng);
-        b.restore_checkpoint(&a.checkpoint());
+        let refused = qmc_ckpt::load_state(&qmc_ckpt::save_state(&a), &mut b);
+        assert_eq!(
+            refused,
+            Err(qmc_ckpt::CkptError::corrupt(
+                "sse checkpoint is for 8 sites, engine has 4"
+            ))
+        );
     }
 
     #[test]

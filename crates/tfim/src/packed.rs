@@ -548,14 +548,11 @@ impl qmc_ckpt::Checkpoint for PackedReplicas {
     }
 
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        self.save_words(enc);
-        qmc_ckpt::registry::save_registry(enc, &self.metrics);
+        qmc_ckpt::save_sections_in_order(self, enc);
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        self.load_words(dec)?;
-        self.spins_dirty = true;
-        qmc_ckpt::registry::load_registry(dec, &mut self.metrics)
+        qmc_ckpt::load_sections_in_order(self, dec)
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {

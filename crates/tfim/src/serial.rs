@@ -443,33 +443,17 @@ impl SerialTfim {
     }
 }
 
-impl SerialTfim {
-    fn save_spins(&self, enc: &mut qmc_ckpt::Encoder) {
-        let raw: Vec<u8> = self.spins.iter().map(|&s| s as u8).collect();
-        enc.bytes(&raw);
-    }
-
-    fn load_spins(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        crate::colour::restore_spins(&mut self.spins, dec.bytes()?, "tfim")
-    }
-}
-
 impl qmc_ckpt::Checkpoint for SerialTfim {
     fn kind(&self) -> &'static str {
         "engine.tfim.serial"
     }
 
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        self.save_spins(enc);
-        qmc_ckpt::registry::save_registry(enc, &self.metrics);
+        qmc_ckpt::save_sections_in_order(self, enc);
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        // The engine must already be constructed with the same model: the
-        // configuration is restored, the derived tables are not re-read.
-        self.load_spins(dec)?;
-        self.spins_dirty = true;
-        qmc_ckpt::registry::load_registry(dec, &mut self.metrics)
+        qmc_ckpt::load_sections_in_order(self, dec)
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
@@ -482,7 +466,10 @@ impl qmc_ckpt::Checkpoint for SerialTfim {
 
     fn save_section(&self, name: &str, enc: &mut qmc_ckpt::Encoder) {
         match name {
-            "spins" => self.save_spins(enc),
+            "spins" => {
+                let raw: Vec<u8> = self.spins.iter().map(|&s| s as u8).collect();
+                enc.bytes(&raw);
+            }
             "metrics" => qmc_ckpt::registry::save_registry(enc, &self.metrics),
             _ => panic!("engine.tfim.serial has no checkpoint section {name:?}"),
         }
@@ -494,7 +481,14 @@ impl qmc_ckpt::Checkpoint for SerialTfim {
         dec: &mut qmc_ckpt::Decoder,
     ) -> Result<(), qmc_ckpt::CkptError> {
         match name {
-            "spins" => self.load_spins(dec),
+            // The engine must already be constructed with the same model:
+            // the configuration is restored, the derived tables are not
+            // re-read.
+            "spins" => {
+                crate::colour::restore_spins(&mut self.spins, dec.bytes()?, "tfim")?;
+                self.spins_dirty = true;
+                Ok(())
+            }
             "metrics" => qmc_ckpt::registry::load_registry(dec, &mut self.metrics),
             _ => Err(qmc_ckpt::CkptError::MissingSection {
                 name: name.to_string(),
@@ -507,59 +501,53 @@ impl qmc_ckpt::Checkpoint for SerialTfim {
     }
 }
 
+impl TfimSeries {
+    /// The columns, in the order both checkpoint layouts store them.
+    fn columns(&self) -> [&[f64]; 4] {
+        [&self.energy, &self.abs_m, &self.m2, &self.sigma_x]
+    }
+
+    fn columns_mut(&mut self) -> [&mut Vec<f64>; 4] {
+        [
+            &mut self.energy,
+            &mut self.abs_m,
+            &mut self.m2,
+            &mut self.sigma_x,
+        ]
+    }
+}
+
 impl qmc_ckpt::Checkpoint for TfimSeries {
     fn kind(&self) -> &'static str {
         "series.tfim"
     }
 
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.f64s(&self.energy);
-        enc.f64s(&self.abs_m);
-        enc.f64s(&self.m2);
-        enc.f64s(&self.sigma_x);
+        for col in self.columns() {
+            enc.f64s(col);
+        }
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        self.energy = dec.f64s()?;
-        self.abs_m = dec.f64s()?;
-        self.m2 = dec.f64s()?;
-        self.sigma_x = dec.f64s()?;
-        let n = self.energy.len();
-        if self.abs_m.len() != n || self.m2.len() != n || self.sigma_x.len() != n {
-            return Err(qmc_ckpt::CkptError::corrupt(
-                "tfim series columns have unequal lengths",
-            ));
+        let cols = [dec.f64s()?, dec.f64s()?, dec.f64s()?, dec.f64s()?];
+        qmc_ckpt::chunk::check_columns("tfim", &cols)?;
+        for (col, restored) in self.columns_mut().into_iter().zip(cols) {
+            *col = restored;
         }
         self.clean_rows = 0;
         Ok(())
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
-        use qmc_ckpt::chunk;
-        let mut s = qmc_ckpt::DirtySections::new();
-        for k in 0..chunk::count(self.len()) {
-            s.push(chunk::name(k), chunk::is_dirty(k, self.clean_rows));
-        }
-        // Head last: it carries the total row count, so restoring it
-        // validates that every chunk before it arrived intact.
-        s.push("head", true);
-        s
+        qmc_ckpt::chunk::sections(self.len(), self.clean_rows)
     }
 
     fn save_section(&self, name: &str, enc: &mut qmc_ckpt::Encoder) {
-        use qmc_ckpt::chunk;
-        if name == "head" {
-            enc.u64(self.len() as u64);
-            return;
+        match qmc_ckpt::chunk::parse(name) {
+            Some(k) => qmc_ckpt::chunk::save_rows(k, &self.columns(), enc),
+            None if name == "head" => enc.u64(self.len() as u64),
+            None => panic!("series.tfim has no checkpoint section {name:?}"),
         }
-        let k = chunk::parse(name)
-            .unwrap_or_else(|| panic!("series.tfim has no checkpoint section {name:?}"));
-        enc.u64(k as u64);
-        let r = chunk::range(k, self.len());
-        enc.f64s(&self.energy[r.clone()]);
-        enc.f64s(&self.abs_m[r.clone()]);
-        enc.f64s(&self.m2[r.clone()]);
-        enc.f64s(&self.sigma_x[r]);
     }
 
     fn load_section(
@@ -568,55 +556,17 @@ impl qmc_ckpt::Checkpoint for TfimSeries {
         dec: &mut qmc_ckpt::Decoder,
     ) -> Result<(), qmc_ckpt::CkptError> {
         use qmc_ckpt::chunk;
-        if name == "head" {
-            let n = dec.u64()? as usize;
-            if n != self.len() {
-                return Err(qmc_ckpt::CkptError::corrupt(format!(
-                    "tfim series head claims {n} rows, chunks supplied {}",
-                    self.len()
-                )));
+        match chunk::parse(name) {
+            Some(k) => {
+                chunk::load_rows("tfim", k, &mut self.columns_mut(), dec)?;
+                self.clean_rows = self.clean_rows.min(k * chunk::ROWS);
+                Ok(())
             }
-            return Ok(());
-        }
-        let Some(k) = chunk::parse(name) else {
-            return Err(qmc_ckpt::CkptError::MissingSection {
+            None if name == "head" => chunk::check_rows("tfim", dec.u64()? as usize, self.len()),
+            None => Err(qmc_ckpt::CkptError::MissingSection {
                 name: name.to_string(),
-            });
-        };
-        let stored = dec.u64()? as usize;
-        if stored != k {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "tfim series chunk {k} carries index {stored}"
-            )));
+            }),
         }
-        if k == 0 {
-            self.energy.clear();
-            self.abs_m.clear();
-            self.m2.clear();
-            self.sigma_x.clear();
-            self.clean_rows = 0;
-        }
-        if self.len() != k * chunk::ROWS {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "tfim series chunk {k} arrived at row {}",
-                self.len()
-            )));
-        }
-        let energy = dec.f64s()?;
-        let abs_m = dec.f64s()?;
-        let m2 = dec.f64s()?;
-        let sigma_x = dec.f64s()?;
-        let n = energy.len();
-        if n == 0 || n > chunk::ROWS || abs_m.len() != n || m2.len() != n || sigma_x.len() != n {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "tfim series chunk {k} has malformed columns"
-            )));
-        }
-        self.energy.extend_from_slice(&energy);
-        self.abs_m.extend_from_slice(&abs_m);
-        self.m2.extend_from_slice(&m2);
-        self.sigma_x.extend_from_slice(&sigma_x);
-        Ok(())
     }
 
     fn mark_clean(&mut self) {

@@ -534,34 +534,11 @@ impl qmc_ckpt::Checkpoint for Worldline {
     }
 
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.bools(&self.spins);
-        enc.u64(self.local_accepted);
-        enc.u64(self.local_proposed);
-        enc.u64(self.straight_accepted);
-        enc.u64(self.straight_proposed);
+        qmc_ckpt::save_sections_in_order(self, enc);
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        let spins = dec.bools()?;
-        if spins.len() != self.spins.len() {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "worldline spins: engine has {} cells, checkpoint has {}",
-                self.spins.len(),
-                spins.len()
-            )));
-        }
-        self.spins = spins;
-        self.spins_dirty = true;
-        self.local_accepted = dec.u64()?;
-        self.local_proposed = dec.u64()?;
-        self.straight_accepted = dec.u64()?;
-        self.straight_proposed = dec.u64()?;
-        if !self.log_weight().is_finite() {
-            return Err(qmc_ckpt::CkptError::corrupt(
-                "worldline checkpoint is not a valid configuration",
-            ));
-        }
-        Ok(())
+        qmc_ckpt::load_sections_in_order(self, dec)
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
@@ -601,6 +578,7 @@ impl qmc_ckpt::Checkpoint for Worldline {
                     )));
                 }
                 self.spins = spins;
+                self.spins_dirty = true;
                 if !self.log_weight().is_finite() {
                     return Err(qmc_ckpt::CkptError::corrupt(
                         "worldline checkpoint is not a valid configuration",

@@ -228,6 +228,46 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
+impl TimeSeries {
+    /// The columns, in the order both checkpoint layouts store them.
+    fn columns(&self) -> [&[f64]; 5] {
+        [
+            &self.energy,
+            &self.denergy,
+            &self.magnetization,
+            &self.staggered,
+            &self.chi,
+        ]
+    }
+
+    fn columns_mut(&mut self) -> [&mut Vec<f64>; 5] {
+        [
+            &mut self.energy,
+            &mut self.denergy,
+            &mut self.magnetization,
+            &mut self.staggered,
+            &mut self.chi,
+        ]
+    }
+
+    /// Refuse head fields of either layout that belong to another chain
+    /// length.
+    fn check_head(&self, l: usize, corr_sum: &[f64]) -> Result<(), qmc_ckpt::CkptError> {
+        if l != self.l {
+            return Err(qmc_ckpt::CkptError::corrupt(format!(
+                "worldline series is for l={}, checkpoint has l={l}",
+                self.l
+            )));
+        }
+        if corr_sum.len() != self.corr_sum.len() {
+            return Err(qmc_ckpt::CkptError::corrupt(
+                "worldline series correlation table has the wrong length",
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl qmc_ckpt::Checkpoint for TimeSeries {
     fn kind(&self) -> &'static str {
         "series.worldline"
@@ -236,87 +276,55 @@ impl qmc_ckpt::Checkpoint for TimeSeries {
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
         enc.u64(self.l as u64);
         enc.f64(self.beta);
-        enc.f64s(&self.energy);
-        enc.f64s(&self.denergy);
-        enc.f64s(&self.magnetization);
-        enc.f64s(&self.staggered);
-        enc.f64s(&self.chi);
+        for col in self.columns() {
+            enc.f64s(col);
+        }
         enc.f64s(&self.corr_sum);
         enc.u64(self.corr_count);
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
         let l = dec.u64()? as usize;
-        if l != self.l {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "worldline series is for l={}, checkpoint has l={l}",
-                self.l
-            )));
-        }
-        self.beta = dec.f64()?;
-        self.energy = dec.f64s()?;
-        self.denergy = dec.f64s()?;
-        self.magnetization = dec.f64s()?;
-        self.staggered = dec.f64s()?;
-        self.chi = dec.f64s()?;
+        let beta = dec.f64()?;
+        let cols = [
+            dec.f64s()?,
+            dec.f64s()?,
+            dec.f64s()?,
+            dec.f64s()?,
+            dec.f64s()?,
+        ];
         let corr_sum = dec.f64s()?;
-        if corr_sum.len() != self.corr_sum.len() {
-            return Err(qmc_ckpt::CkptError::corrupt(
-                "worldline series correlation table has the wrong length",
-            ));
+        let corr_count = dec.u64()?;
+        self.check_head(l, &corr_sum)?;
+        qmc_ckpt::chunk::check_columns("worldline", &cols)?;
+        self.beta = beta;
+        for (col, restored) in self.columns_mut().into_iter().zip(cols) {
+            *col = restored;
         }
         self.corr_sum = corr_sum;
-        self.corr_count = dec.u64()?;
-        let n = self.energy.len();
-        if [
-            self.denergy.len(),
-            self.magnetization.len(),
-            self.staggered.len(),
-            self.chi.len(),
-        ]
-        .iter()
-        .any(|&len| len != n)
-        {
-            return Err(qmc_ckpt::CkptError::corrupt(
-                "worldline series columns have unequal lengths",
-            ));
-        }
+        self.corr_count = corr_count;
         self.clean_rows = 0;
         Ok(())
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
-        use qmc_ckpt::chunk;
-        let mut s = qmc_ckpt::DirtySections::new();
-        for k in 0..chunk::count(self.len()) {
-            s.push(chunk::name(k), chunk::is_dirty(k, self.clean_rows));
-        }
-        // Head last: it carries β, the correlation accumulators (which
-        // change every sweep) and the total row count, so restoring it
-        // validates that every chunk before it arrived intact.
-        s.push("head", true);
-        s
+        // The head also carries β and the correlation accumulators, which
+        // change every sweep.
+        qmc_ckpt::chunk::sections(self.len(), self.clean_rows)
     }
 
     fn save_section(&self, name: &str, enc: &mut qmc_ckpt::Encoder) {
-        use qmc_ckpt::chunk;
-        if name == "head" {
-            enc.u64(self.l as u64);
-            enc.f64(self.beta);
-            enc.f64s(&self.corr_sum);
-            enc.u64(self.corr_count);
-            enc.u64(self.len() as u64);
-            return;
+        match qmc_ckpt::chunk::parse(name) {
+            Some(k) => qmc_ckpt::chunk::save_rows(k, &self.columns(), enc),
+            None if name == "head" => {
+                enc.u64(self.l as u64);
+                enc.f64(self.beta);
+                enc.f64s(&self.corr_sum);
+                enc.u64(self.corr_count);
+                enc.u64(self.len() as u64);
+            }
+            None => panic!("series.worldline has no checkpoint section {name:?}"),
         }
-        let k = chunk::parse(name)
-            .unwrap_or_else(|| panic!("series.worldline has no checkpoint section {name:?}"));
-        enc.u64(k as u64);
-        let r = chunk::range(k, self.len());
-        enc.f64s(&self.energy[r.clone()]);
-        enc.f64s(&self.denergy[r.clone()]);
-        enc.f64s(&self.magnetization[r.clone()]);
-        enc.f64s(&self.staggered[r.clone()]);
-        enc.f64s(&self.chi[r]);
     }
 
     fn load_section(
@@ -325,80 +333,28 @@ impl qmc_ckpt::Checkpoint for TimeSeries {
         dec: &mut qmc_ckpt::Decoder,
     ) -> Result<(), qmc_ckpt::CkptError> {
         use qmc_ckpt::chunk;
-        if name == "head" {
-            let l = dec.u64()? as usize;
-            if l != self.l {
-                return Err(qmc_ckpt::CkptError::corrupt(format!(
-                    "worldline series is for l={}, checkpoint has l={l}",
-                    self.l
-                )));
+        match chunk::parse(name) {
+            Some(k) => {
+                chunk::load_rows("worldline", k, &mut self.columns_mut(), dec)?;
+                self.clean_rows = self.clean_rows.min(k * chunk::ROWS);
+                Ok(())
             }
-            self.beta = dec.f64()?;
-            let corr_sum = dec.f64s()?;
-            if corr_sum.len() != self.corr_sum.len() {
-                return Err(qmc_ckpt::CkptError::corrupt(
-                    "worldline series correlation table has the wrong length",
-                ));
+            None if name == "head" => {
+                let l = dec.u64()? as usize;
+                let beta = dec.f64()?;
+                let corr_sum = dec.f64s()?;
+                let corr_count = dec.u64()?;
+                self.check_head(l, &corr_sum)?;
+                chunk::check_rows("worldline", dec.u64()? as usize, self.len())?;
+                self.beta = beta;
+                self.corr_sum = corr_sum;
+                self.corr_count = corr_count;
+                Ok(())
             }
-            self.corr_sum = corr_sum;
-            self.corr_count = dec.u64()?;
-            let n = dec.u64()? as usize;
-            if n != self.len() {
-                return Err(qmc_ckpt::CkptError::corrupt(format!(
-                    "worldline series head claims {n} rows, chunks supplied {}",
-                    self.len()
-                )));
-            }
-            return Ok(());
-        }
-        let Some(k) = chunk::parse(name) else {
-            return Err(qmc_ckpt::CkptError::MissingSection {
+            None => Err(qmc_ckpt::CkptError::MissingSection {
                 name: name.to_string(),
-            });
-        };
-        let stored = dec.u64()? as usize;
-        if stored != k {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "worldline series chunk {k} carries index {stored}"
-            )));
+            }),
         }
-        if k == 0 {
-            self.energy.clear();
-            self.denergy.clear();
-            self.magnetization.clear();
-            self.staggered.clear();
-            self.chi.clear();
-            self.clean_rows = 0;
-        }
-        if self.len() != k * chunk::ROWS {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "worldline series chunk {k} arrived at row {}",
-                self.len()
-            )));
-        }
-        let energy = dec.f64s()?;
-        let denergy = dec.f64s()?;
-        let magnetization = dec.f64s()?;
-        let staggered = dec.f64s()?;
-        let chi = dec.f64s()?;
-        let n = energy.len();
-        if n == 0
-            || n > chunk::ROWS
-            || denergy.len() != n
-            || magnetization.len() != n
-            || staggered.len() != n
-            || chi.len() != n
-        {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "worldline series chunk {k} has malformed columns"
-            )));
-        }
-        self.energy.extend_from_slice(&energy);
-        self.denergy.extend_from_slice(&denergy);
-        self.magnetization.extend_from_slice(&magnetization);
-        self.staggered.extend_from_slice(&staggered);
-        self.chi.extend_from_slice(&chi);
-        Ok(())
     }
 
     fn mark_clean(&mut self) {

@@ -579,38 +579,11 @@ impl<L: Lattice> qmc_ckpt::Checkpoint for GenericWorldline<L> {
     }
 
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.bools(&self.spins);
-        enc.u64(self.window_accepted);
-        enc.u64(self.window_proposed);
-        enc.u64(self.ring_accepted);
-        enc.u64(self.ring_proposed);
-        enc.u64(self.straight_accepted);
-        enc.u64(self.straight_proposed);
+        qmc_ckpt::save_sections_in_order(self, enc);
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        let spins = dec.bools()?;
-        if spins.len() != self.spins.len() {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "generic worldline spins: engine has {} cells, checkpoint has {}",
-                self.spins.len(),
-                spins.len()
-            )));
-        }
-        self.spins = spins;
-        self.spins_dirty = true;
-        self.window_accepted = dec.u64()?;
-        self.window_proposed = dec.u64()?;
-        self.ring_accepted = dec.u64()?;
-        self.ring_proposed = dec.u64()?;
-        self.straight_accepted = dec.u64()?;
-        self.straight_proposed = dec.u64()?;
-        if !self.log_weight().is_finite() {
-            return Err(qmc_ckpt::CkptError::corrupt(
-                "generic worldline checkpoint is not a valid configuration",
-            ));
-        }
-        Ok(())
+        qmc_ckpt::load_sections_in_order(self, dec)
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
@@ -652,6 +625,7 @@ impl<L: Lattice> qmc_ckpt::Checkpoint for GenericWorldline<L> {
                     )));
                 }
                 self.spins = spins;
+                self.spins_dirty = true;
                 if !self.log_weight().is_finite() {
                     return Err(qmc_ckpt::CkptError::corrupt(
                         "generic worldline checkpoint is not a valid configuration",

@@ -42,6 +42,13 @@ cargo test -q
 echo "== one emitter: the schema key and the string escape live in obs/json.rs only =="
 if grep -rnE --include='*.rs' '\\"schema\\"|key\("schema"\)|fn esc' crates | grep -v '^crates/obs/src/json\.rs:'; then exit 1; fi
 
+echo "== one protocol: the rows/k + head chunk arithmetic and its refusals live in qmc-ckpt only =="
+# A chunked series lists its columns and writes its head; which rows a
+# chunk holds, when it is dirty and every reason to refuse one are
+# qmc_ckpt::chunk's, tested once in crates/ckpt/tests/chunk.rs. A hit
+# here is a second copy of the protocol growing back in an engine crate.
+if grep -rnE --include='*.rs' 'chunk::(range|is_dirty|name|count)\(|carries index|arrived at row|malformed columns|head claims' crates | grep -v '^crates/ckpt/'; then exit 1; fi
+
 echo "== benchmark: builds against this tree, offline and locked =="
 # benchmark/ is a standalone package with its own frozen lock file: an
 # API or crate-graph break against it must fail here, not in the
