@@ -1,6 +1,6 @@
-//! Committed trajectory pins for the two TFIM engines.
+//! Committed trajectory pins for the TFIM and world-line engines.
 //!
-//! Every row is a fixed-seed run reduced to five numbers: an FNV-1a
+//! Every TFIM row is a fixed-seed run reduced to five numbers: an FNV-1a
 //! fingerprint of the `energy` / `m2` series bits, one of the final spins
 //! (for `DistTfim` the whole ghost-padded block of every rank, in rank
 //! order), the raw draws served, and the accepted / proposed counters.
@@ -9,12 +9,27 @@
 //! judged against committed numbers and not only against an oracle that
 //! lives in the same diff. A literal is never edited to make a kernel
 //! change pass: a mismatch means the change moved a draw or a decision.
+//!
+//! The world-line rows were recorded the same way on commit 9486c87,
+//! before the chain engine's table-driven replica step: `Worldline` and
+//! `GenericWorldline` (whose moves that step leaves alone — pinned so its
+//! own kernel change starts pinned) reduced to a fingerprint of every
+//! sweep's measurement and log-weight bits, one of the final spins, the
+//! raw draws served and the move counters; the serial and the threaded
+//! parallel-tempering drivers to every rung's energy bits, the swap-rate
+//! bits and the draws.
 
 use qmc_comm::{run_threads, Communicator};
+use qmc_core::pt::{run_pt_parallel, PtConfig, PtLadder};
+use qmc_lattice::{Chain, Lattice, Square};
 use qmc_rng::{CountingRng, StreamFactory, Xoshiro256StarStar};
 use qmc_tfim::parallel::DistTfim;
 use qmc_tfim::serial::{SerialTfim, TfimSeries};
 use qmc_tfim::TfimModel;
+use qmc_worldline::estimators::{measure, Measurement};
+use qmc_worldline::weights::PlaqWeights;
+use qmc_worldline::{GenericParams, GenericWorldline, Worldline, WorldlineParams};
+use std::fmt;
 
 /// FNV-1a over a stream of 64-bit words, little-endian byte order.
 #[derive(Clone, Copy)]
@@ -35,6 +50,21 @@ impl Fnv {
         for s in spins {
             self.word(s as u8 as u64);
         }
+    }
+
+    fn f64s(&mut self, xs: impl IntoIterator<Item = f64>) {
+        for x in xs {
+            self.word(x.to_bits());
+        }
+    }
+
+    fn measurement(&mut self, m: &Measurement) {
+        self.f64s([
+            m.energy_per_site,
+            m.denergy_per_site,
+            m.magnetization,
+            m.staggered,
+        ]);
     }
 }
 
@@ -64,6 +94,17 @@ const fn pin(series: u64, spins: u64, draws: u64, accepted: u64, proposed: u64) 
         draws,
         accepted,
         proposed,
+    }
+}
+
+/// A pin prints as the source text of its literal.
+impl fmt::Display for Pin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "pin({:#018x}, {:#018x}, {}, {}, {})",
+            self.series, self.spins, self.draws, self.accepted, self.proposed
+        )
     }
 }
 
@@ -173,15 +214,16 @@ fn run_dist(&(model, ranks, seed, therm, sweeps, _): &DistCase) -> Pin {
 }
 
 /// Runs every case and reports all mismatches at once, as source lines.
-fn check<C: std::fmt::Debug>(cases: &[C], run: impl Fn(&C) -> Pin, want: impl Fn(&C) -> Pin) {
+fn check<C: fmt::Debug, P: PartialEq + fmt::Display>(
+    cases: &[C],
+    run: impl Fn(&C) -> P,
+    want: impl Fn(&C) -> P,
+) {
     let mut wrong = String::new();
     for (k, case) in cases.iter().enumerate() {
         let got = run(case);
         if got != want(case) {
-            wrong += &format!(
-                "\n  case {k}: pin({:#018x}, {:#018x}, {}, {}, {}) from {case:?}",
-                got.series, got.spins, got.draws, got.accepted, got.proposed
-            );
+            wrong += &format!("\n  case {k}: {got} from {case:?}");
         }
     }
     assert!(wrong.is_empty(), "fixed-seed trajectories moved:{wrong}");
@@ -195,4 +237,263 @@ fn serial_tfim_trajectories_match_their_pins() {
 #[test]
 fn dist_tfim_trajectories_match_their_pins() {
     check(DIST, run_dist, |c| c.5);
+}
+
+/// What a world-line run is reduced to; `counters` in the order the
+/// engine checkpoints them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WlPin<const N: usize> {
+    series: u64,
+    spins: u64,
+    draws: u64,
+    counters: [u64; N],
+}
+
+const fn wl<const N: usize>(series: u64, spins: u64, draws: u64, counters: [u64; N]) -> WlPin<N> {
+    WlPin {
+        series,
+        spins,
+        draws,
+        counters,
+    }
+}
+
+impl<const N: usize> fmt::Display for WlPin<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "wl({:#018x}, {:#018x}, {}, {:?})",
+            self.series, self.spins, self.draws, self.counters
+        )
+    }
+}
+
+/// `((l, m, jx, jz, β), seed, sweeps)`: every sweep is fingerprinted, from
+/// the Néel start on.
+type ChainCase = ((usize, usize, f64, f64, f64), u64, usize, WlPin<4>);
+
+#[rustfmt::skip]
+const CHAIN: &[ChainCase] = &[
+    // The benchmark's `pt_xxz_ckpt` rung shape at its two hottest rungs.
+    ((32, 32, 1.0, 1.0, 2.0), 51, 200, wl(0x8968a75969ee9c9c, 0xe7d70652d4d3d6e5, 155261, [5240, 148354, 2159, 6400])),
+    ((32, 32, 1.0, 1.0, 2.4), 52, 200, wl(0x5a553a432bc1107d, 0x4572de0ffed11e25, 155598, [6960, 150587, 1438, 6400])),
+    // The smallest chain (every neighbour index wraps), odd m, XXZ both ways.
+    ((4, 2, 1.0, 0.7, 1.3), 53, 400, wl(0x7dfb1a2624644ac8, 0xfcd805606911ac25, 3917, [308, 1835, 1036, 1600])),
+    ((6, 3, 1.0, 1.0, 1.5), 54, 400, wl(0x3629822b0e993e5f, 0x5a0b7a7d8571b7a5, 7886, [744, 4488, 1215, 2400])),
+    ((8, 4, 0.6, 1.0, 1.0), 55, 400, wl(0x89081e2f0283a382, 0x5f6cdb634debc725, 12188, [194, 7904, 2305, 3200])),
+    ((16, 8, 1.0, 0.3, 4.0), 56, 300, wl(0xd77deb4386ff43f2, 0xb5d83f186915f325, 24090, [7405, 23363, 853, 4800])),
+    ((64, 16, 1.0, 1.0, 1.0), 57, 150, wl(0x445b7fd32974804e, 0xc9261d28c406a325, 110163, [2164, 96280, 6411, 9600])),
+];
+
+fn run_chain(&((l, m, jx, jz, beta), seed, sweeps, _): &ChainCase) -> WlPin<4> {
+    let mut eng = Worldline::new(WorldlineParams { l, jx, jz, beta, m });
+    // A neighbouring rung's table, as an exchange phase evaluates it.
+    let other = PlaqWeights::new(jx, jz, 1.2 * beta / m as f64);
+    let mut rng = CountingRng::new(Xoshiro256StarStar::new(seed));
+    let mut series = Fnv::new();
+    for _ in 0..sweeps {
+        eng.sweep(&mut rng);
+        series.measurement(&measure(&eng));
+        series.f64s([eng.log_weight(), eng.log_weight_with(&other)]);
+    }
+    let mut spins = Fnv::new();
+    spins.spins(eng.export_spins().iter().map(|&s| s as i8));
+    WlPin {
+        series: series.0,
+        spins: spins.0,
+        draws: rng.draws,
+        counters: [
+            eng.local_accepted,
+            eng.local_proposed,
+            eng.straight_accepted,
+            eng.straight_proposed,
+        ],
+    }
+}
+
+/// `((jx, jz, β, m), seed, sweeps)` on a lattice given per test.
+type GenericCase = ((f64, f64, f64, usize), u64, usize, WlPin<6>);
+
+#[rustfmt::skip]
+const GENERIC_SQUARE_4X4: &[GenericCase] = &[
+    ((1.0, 1.0, 1.0, 4), 61, 120, wl(0xd1a7c627a689baa3, 0xbae06c8064c6d525, 15919, [607, 8762, 26, 15360, 936, 1920])),
+    ((1.0, 0.5, 2.0, 3), 62, 120, wl(0x5a359eac5c14103b, 0xf8947c9cae1dac65, 9440, [1237, 4757, 397, 11520, 514, 1920])),
+];
+
+#[rustfmt::skip]
+const GENERIC_CHAIN_8: &[GenericCase] = &[
+    ((1.0, 1.0, 1.0, 4), 63, 300, wl(0xa52babf4f08c7c5b, 0x8fd71b735872a2e5, 9125, [457, 5684, 0, 0, 1678, 2400])),
+    ((0.6, 1.0, 2.0, 8), 64, 300, wl(0xa5f184275ae9d26d, 0x0422282e5bc9ab25, 17175, [774, 13865, 0, 0, 1011, 2400])),
+];
+
+fn run_generic<L: Lattice>(
+    lattice: L,
+    &((jx, jz, beta, m), seed, sweeps, _): &GenericCase,
+) -> WlPin<6> {
+    let n = lattice.num_sites();
+    let mut eng = GenericWorldline::new(lattice, GenericParams { jx, jz, beta, m });
+    let mut rng = CountingRng::new(Xoshiro256StarStar::new(seed));
+    let mut series = Fnv::new();
+    for _ in 0..sweeps {
+        eng.sweep(&mut rng);
+        series.measurement(&eng.measure());
+        series.f64s([eng.log_weight()]);
+    }
+    let mut spins = Fnv::new();
+    for row in 0..eng.rows() {
+        spins.spins((0..n).map(|site| eng.spin(site, row) as i8));
+    }
+    WlPin {
+        series: series.0,
+        spins: spins.0,
+        draws: rng.draws,
+        counters: [
+            eng.window_accepted,
+            eng.window_proposed,
+            eng.ring_accepted,
+            eng.ring_proposed,
+            eng.straight_accepted,
+            eng.straight_proposed,
+        ],
+    }
+}
+
+/// What a tempering run is reduced to: every rung's energy series in rung
+/// order, the pair swap rates, and the draws of every generator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PtPin {
+    energies: u64,
+    rates: u64,
+    draws: u64,
+}
+
+const fn pt(energies: u64, rates: u64, draws: u64) -> PtPin {
+    PtPin {
+        energies,
+        rates,
+        draws,
+    }
+}
+
+impl fmt::Display for PtPin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "pt({:#018x}, {:#018x}, {})",
+            self.energies, self.rates, self.draws
+        )
+    }
+}
+
+/// `((l, m, jx, jz), β of the hottest rung, rungs, seed, thermalization,
+/// recorded sweeps, exchange_every)`; adjacent rungs are a factor 1.2
+/// apart, as in the benchmark's ladder. The serial ladder always has four
+/// rungs; the threaded one runs a rung per rank.
+type PtCase = (
+    (usize, usize, f64, f64),
+    f64,
+    usize,
+    u64,
+    usize,
+    usize,
+    usize,
+    PtPin,
+);
+
+fn ladder(beta0: f64, rungs: usize) -> Vec<f64> {
+    (0..rungs).map(|k| beta0 * 1.2f64.powi(k as i32)).collect()
+}
+
+#[rustfmt::skip]
+const PT_SERIAL: &[PtCase] = &[
+    ((8, 8, 1.0, 1.0), 0.5, 4, 71, 20, 120, 2, pt(0x7d1c6ee6d4f209ba, 0x6fba6c145a96767e, 27752)),
+    ((16, 8, 1.0, 0.5), 1.0, 4, 72, 20, 80, 1, pt(0xd11d982e3038f3e9, 0x88f723262d813475, 38236)),
+    ((32, 32, 1.0, 1.0), 2.0, 4, 73, 6, 30, 2, pt(0xa4ebb7e05ef834ce, 0x9b448a0e96633250, 116585)),
+];
+
+fn run_pt_serial(&((l, m, jx, jz), beta0, rungs, seed, therm, sweeps, every, _): &PtCase) -> PtPin {
+    let mut pt = PtLadder::new(l, jx, jz, m, ladder(beta0, rungs));
+    let mut rng = CountingRng::new(Xoshiro256StarStar::new(seed));
+    let series = pt.run(&mut rng, therm, sweeps, every);
+    let mut energies = Fnv::new();
+    for rung in &series {
+        energies.f64s(rung.iter().copied());
+    }
+    let mut rates = Fnv::new();
+    rates.f64s((0..rungs - 1).map(|k| pt.stats().rate(k)));
+    rates.word(pt.stats().round_trips);
+    PtPin {
+        energies: energies.0,
+        rates: rates.0,
+        draws: rng.draws,
+    }
+}
+
+#[rustfmt::skip]
+const PT_THREADS: &[PtCase] = &[
+    ((8, 8, 1.0, 1.0), 0.5, 2, 81, 20, 120, 2, pt(0x50f058eac9458aa6, 0x2db6bfa576c71655, 13293)),
+    ((8, 8, 1.0, 1.0), 0.5, 4, 82, 20, 120, 2, pt(0xbf2f3a38ad0523a9, 0x471f654e7c838ed8, 27540)),
+    ((16, 8, 1.0, 0.5), 1.0, 4, 83, 20, 80, 1, pt(0x71e62cbe16fc19d9, 0x0c9ab2f8a6d0a7c3, 37988)),
+    ((32, 32, 1.0, 1.0), 2.0, 2, 84, 6, 30, 2, pt(0x095f81490cf95f0c, 0xf4077a9635d32b68, 56027)),
+    ((32, 32, 1.0, 1.0), 2.0, 4, 85, 6, 30, 2, pt(0xf8355320dd9a3288, 0xc99ac12b1dd6c975, 113516)),
+];
+
+fn run_pt_threads(
+    &((l, m, jx, jz), beta0, ranks, seed, therm, sweeps, exchange_every, _): &PtCase,
+) -> PtPin {
+    let cfg = PtConfig {
+        l,
+        jx,
+        jz,
+        m,
+        betas: ladder(beta0, ranks),
+        therm,
+        sweeps,
+        exchange_every,
+        seed: seed + 1000,
+    };
+    let per_rank = run_threads(ranks, move |comm| {
+        let mut rng = CountingRng::new(StreamFactory::new(seed).stream(comm.rank()));
+        let (energy, rates) = run_pt_parallel(comm, &cfg, &mut rng);
+        (energy, rates, rng.draws)
+    });
+    let mut energies = Fnv::new();
+    let mut rates = Fnv::new();
+    rates.f64s(per_rank[0].1.iter().copied());
+    let mut draws = 0;
+    for (energy, rank_rates, rank_draws) in &per_rank {
+        assert_eq!(rank_rates, &per_rank[0].1, "the swap rates are collective");
+        energies.f64s(energy.iter().copied());
+        draws += rank_draws;
+    }
+    PtPin {
+        energies: energies.0,
+        rates: rates.0,
+        draws,
+    }
+}
+
+#[test]
+fn chain_worldline_trajectories_match_their_pins() {
+    check(CHAIN, run_chain, |c| c.3);
+}
+
+#[test]
+fn generic_worldline_trajectories_match_their_pins() {
+    check(
+        GENERIC_SQUARE_4X4,
+        |c| run_generic(Square::new(4, 4), c),
+        |c| c.3,
+    );
+    check(GENERIC_CHAIN_8, |c| run_generic(Chain::new(8), c), |c| c.3);
+}
+
+#[test]
+fn serial_pt_ladder_trajectories_match_their_pins() {
+    check(PT_SERIAL, run_pt_serial, |c| c.7);
+}
+
+#[test]
+fn threaded_pt_trajectories_match_their_pins() {
+    check(PT_THREADS, run_pt_threads, |c| c.7);
 }
