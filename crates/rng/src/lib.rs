@@ -72,12 +72,36 @@ pub use xoshiro::Xoshiro256StarStar;
 /// Both steps are exact in `f64` (an integer below 2⁵³, then a power-of-two
 /// scale), so for any `p` in `[0, 1)` the comparison `unit_f64(raw) < p` is
 /// the integer comparison `(raw >> 11) < ⌈p·2⁵³⌉`. Kernels that resolve
-/// acceptances on raw draws (the TFIM colour kernel's thresholds) rest on
-/// that identity and cite this function as its one definition.
+/// acceptances on raw draws (the TFIM colour kernel and the world-line
+/// corner-move row kernel, through [`threshold`]) rest on that identity
+/// and cite this function as its one definition.
 #[inline]
 pub fn unit_f64(raw: u64) -> f64 {
     const SCALE: f64 = 1.0 / ((1u64 << 53) as f64);
     ((raw >> 11) as f64) * SCALE
+}
+
+/// [`threshold`] of a ratio `≥ 1`: above every `raw >> 11`, and the mark of
+/// "accepted without consuming a draw".
+pub const NO_DRAW: u64 = u64::MAX;
+
+/// The predicate of [`Rng64::metropolis`] for one tabulated `ratio` as an
+/// integer threshold on `raw >> 11`: [`NO_DRAW`] where `ratio ≥ 1`,
+/// `⌈ratio·2⁵³⌉` otherwise.
+///
+/// [`unit_f64`] maps a raw draw to `n·2⁻⁵³` with `n = raw >> 11`, exactly;
+/// scaling an `f64` below 1 by 2⁵³ is exact too (a power of two, and it
+/// cannot overflow), and for an integer `n`, `n < y ⇔ n < ⌈y⌉`. So
+/// `n < threshold(ratio)` is `ratio >= 1.0 || unit_f64(raw) < ratio` for
+/// every `raw` and every `ratio` — 0, subnormals and `1 − 2⁻⁵³` included —
+/// and a draw is consumed exactly when the threshold is not `NO_DRAW`.
+/// Meant for building a kernel's table, not for its inner loop.
+pub fn threshold(ratio: f64) -> u64 {
+    if ratio >= 1.0 {
+        NO_DRAW
+    } else {
+        (ratio * (1u64 << 53) as f64).ceil() as u64
+    }
 }
 
 /// A source of raw 64-bit randomness plus the derived distributions Monte

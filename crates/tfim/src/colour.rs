@@ -1,13 +1,13 @@
 //! The checkerboard colour kernel: one Metropolis pass over every site of
 //! one colour, for both engines. The crate docs ("Colour kernel") say why
-//! the three passes are legal and why the thresholds are exact; this
-//! module is the only place the table index, the threshold constructor
-//! and the resolve loop are written down, and it holds the one restore
-//! check ([`restore_spins`], not a sweep-rate function) that keeps the
-//! ±1 invariant its byte arithmetic needs.
+//! the three passes are legal and why the thresholds are exact
+//! ([`qmc_rng::threshold`] is their one constructor); this module is the
+//! only place the table index and the resolve loop are written down, and
+//! it holds the one restore check ([`restore_spins`], not a sweep-rate
+//! function) that keeps the ±1 invariant its byte arithmetic needs.
 
 use crate::AcceptTable;
-use qmc_rng::Rng64;
+use qmc_rng::{threshold, Rng64, NO_DRAW};
 
 /// Sites of scratch a block of rows may fill. 1 024 index bytes plus 513
 /// raw draws are 5 KB, which stays in L1 next to the seven spin rows a
@@ -17,10 +17,6 @@ use qmc_rng::Rng64;
 /// with every move of one.
 const BLOCK: usize = 1024;
 
-/// Threshold of a ratio `≥ 1`: above every `raw >> 11`, and the mark of
-/// "accepted without consuming a draw".
-const NO_DRAW: u64 = u64::MAX;
-
 /// Flat [`AcceptTable`] index `((s+1)/2)·27 + (sp+4)·3 + (tp+2)/2` of a
 /// site with spin `s`, spatial neighbour sum `sp` and temporal neighbour
 /// sum `tp`, in byte arithmetic: every intermediate is within `0..=53`
@@ -29,24 +25,6 @@ const NO_DRAW: u64 = u64::MAX;
 #[inline(always)]
 fn flat_index(s: i8, sp: i8, tp: i8) -> u8 {
     (((s + 1) >> 1) * 27 + (sp + 4) * 3 + ((tp + 2) >> 1)) as u8
-}
-
-/// The acceptance predicate of one table entry as an integer threshold on
-/// `raw >> 11`: `NO_DRAW` where `ratio ≥ 1`, `⌈ratio·2⁵³⌉` otherwise.
-///
-/// [`qmc_rng::unit_f64`] maps a raw draw to `n·2⁻⁵³` with `n = raw >> 11`,
-/// exactly; scaling an `f64` below 1 by 2⁵³ is exact too (a power of two,
-/// and it cannot overflow), and for an integer `n`, `n < y ⇔ n < ⌈y⌉`. So
-/// `n < threshold(ratio)` is `ratio >= 1.0 || unit_f64(raw) < ratio` for
-/// every `raw` and every `ratio` — 0, subnormals and `1 − 2⁻⁵³` included —
-/// and a draw is consumed exactly when the threshold is not `NO_DRAW`.
-#[qmc_hot::hot]
-fn threshold(ratio: f64) -> u64 {
-    if ratio >= 1.0 {
-        NO_DRAW
-    } else {
-        (ratio * (1u64 << 53) as f64).ceil() as u64
-    }
 }
 
 /// [`threshold`] of every [`AcceptTable`] entry, by [`flat_index`].

@@ -66,7 +66,8 @@
 //!    (draw[j] >> 11) < thr[k]; j += (thr[k] != u64::MAX); spin = if
 //!    accept { −spin } else { spin }`.
 //!
-//! `thr[k]` is an *exact* integer threshold: `u64::MAX` where `ratio ≥ 1`
+//! `thr[k]` is an *exact* integer threshold ([`qmc_rng::threshold`], which
+//! the world-line corner moves share): `u64::MAX` where `ratio ≥ 1`
 //! (always accepted, no draw consumed) and `⌈ratio·2⁵³⌉` otherwise.
 //! [`qmc_rng::unit_f64`] — the one definition behind `next_f64` — maps a
 //! raw draw `x` to `(x >> 11)·2⁻⁵³` exactly; scaling an `f64` below 1 by

@@ -12,7 +12,7 @@
 //! | `ckpt-hashmap`      | no `HashMap`/`HashSet` in checkpoint/wire-serialization files — iteration order would break the deterministic format |
 //! | `lib-unwrap`        | no `.unwrap()` in library crates' non-test code       |
 //! | `ckpt-unbounded-chain` | no `.write_delta(`/`.write_plan(` in a file that never mentions a `full_every` cadence knob or `compact` — an unbounded delta chain grows restore cost without limit |
-//! | `hot-scalar-spin-loop` | no per-spin `.metropolis(`/`.bernoulli(` decision inside `#[qmc_hot::hot]` functions — the sanctioned shapes batch their draws and resolve without a branch: the TFIM colour kernel (`qmc_tfim`'s `colour.rs`: exact integer thresholds on raw draws, bit-identical to the per-spin loop) and the multi-spin-coded `qmc_tfim::packed` (bitwise acceptance, 64 replicas a word); scalar per-spin branching in a hot kernel must be a waived reference path |
+//! | `hot-scalar-spin-loop` | no per-spin `.metropolis(`/`.bernoulli(` decision inside `#[qmc_hot::hot]` functions — the sanctioned shapes compare raw draws with exact integer thresholds (`qmc_rng::threshold`), bit-identical to the per-spin loop: the TFIM colour kernel (`qmc_tfim`'s `colour.rs`, which batches its draws and resolves without a branch) and the world-line corner-move row kernel (`qmc_worldline`'s `Worldline::corner_row`, one draw per proposal that needs one); or code many replicas a word, the multi-spin-coded `qmc_tfim::packed` (bitwise acceptance, 64 replicas a word); scalar per-spin branching in a hot kernel must be a waived reference path |
 //! | `hot-wall-clock`    | no `Instant::now`/`SystemTime::now` inside `#[qmc_hot::hot]` functions, *any* crate — timing belongs in `qmc_obs::span` guards around the kernel, not per-iteration clock reads inside it |
 //! | `net-unbounded-queue` | no `.push(`/`.push_back(` in a network-fed file (`TcpStream`/`TcpListener`/`FrameConn`/`FrameListener`/`recv_frame`) that never mentions a quota — a hostile peer must hit an admission bound, not grow server memory |
 //! | `blocking-recv-no-stop` | no blocking `.recv(`/`.recv_frame(`/`.read(`/`.read_exact(` inside a `loop`/`while` body of a network-fed file that never consults a timeout, stop flag, drain, or deadline — a dead peer parks that loop forever and the thread never re-checks shutdown |

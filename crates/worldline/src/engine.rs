@@ -1,7 +1,7 @@
 //! The world-line configuration and its Monte Carlo moves.
 
-use crate::weights::{classify, PlaqClass, PlaqWeights};
-use qmc_rng::Rng64;
+use crate::weights::{by_pattern, classify, pattern, PlaqClass, PlaqWeights};
+use qmc_rng::{threshold, Rng64, NO_DRAW};
 
 /// Simulation parameters for the world-line engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,14 +44,14 @@ pub struct Worldline {
     /// [`qmc_ckpt::Checkpoint::mark_clean`]).
     spins_dirty: bool,
     weights: PlaqWeights,
-    /// Precomputed corner-move acceptance ratios over all 2⁹ neighbourhood
-    /// spin patterns (see [`local_move_key`]): the hot kernel is a single
-    /// table load, no classify/divide per proposal.
-    local_ratio: Box<[f64; 512]>,
-    /// Scratch for [`Self::ratio_for_flips`] (reused; no per-move allocation).
-    cells_scratch: Vec<(usize, usize)>,
-    /// Scratch for straight-line flip lists (reused; no per-move allocation).
-    flips_scratch: Vec<(usize, usize)>,
+    /// Sampling weight of a shaded cell by its corner [`pattern`]: what the
+    /// straight-line move multiplies.
+    cell_w: [f64; 16],
+    /// The corner move's acceptance over all 2⁹ neighbourhood spin patterns
+    /// (see [`local_move_key`]) as [`threshold`]s on a raw draw: the row
+    /// kernel is one table load and one integer compare per proposal, no
+    /// classify, divide or float conversion.
+    local_thr: Box<[u64; 512]>,
     /// Local-move acceptance counters (accepted, proposed-with-precondition).
     pub local_accepted: u64,
     /// Local proposals satisfying the flippable precondition.
@@ -94,44 +94,73 @@ fn local_move_key(
         | (jptu as usize) << 8
 }
 
-/// Tabulate the corner-move ratio for every neighbourhood pattern by
-/// evaluating the exact expression [`Worldline::ratio_local_fast`] uses
-/// (same classify calls, same multiplication order — entries are
-/// bit-identical to the on-the-fly computation). Patterns whose *current*
-/// cells are forbidden can never be queried from a valid configuration;
-/// they get ratio 0.
-fn build_local_ratio_table(w: &PlaqWeights) -> Box<[f64; 512]> {
-    let mut table = Box::new([0.0f64; 512]);
-    for key in 0..512usize {
-        let bit = |b: usize| (key >> b) & 1 == 1;
-        let (a0, itd, jtd, ituu, jtuu, imt, imtu, jpt, jptu) = (
-            bit(0),
-            bit(1),
-            bit(2),
-            bit(3),
-            bit(4),
-            bit(5),
-            bit(6),
-            bit(7),
-            bit(8),
-        );
-        let b0 = !a0;
-        let c1_old = classify((itd, jtd), (a0, b0));
-        let c1_new = classify((itd, jtd), (!a0, !b0));
-        let c2_old = classify((a0, b0), (ituu, jtuu));
-        let c2_new = classify((!a0, !b0), (ituu, jtuu));
-        let c3_old = classify((imt, a0), (imtu, a0));
-        let c3_new = classify((imt, !a0), (imtu, !a0));
-        let c4_old = classify((b0, jpt), (b0, jptu));
-        let c4_new = classify((!b0, jpt), (!b0, jptu));
-        let denom = w.weight(c1_old) * w.weight(c2_old) * w.weight(c3_old) * w.weight(c4_old);
-        table[key] = if denom > 0.0 {
-            (w.weight(c1_new) * w.weight(c2_new) * w.weight(c3_new) * w.weight(c4_new)) / denom
-        } else {
-            0.0
-        };
+/// The corner-move weight ratio of the neighbourhood pattern `key`
+/// ([`local_move_key`]): the four affected cells classified and their
+/// weights multiplied in the order the hand-enumerated reference (the
+/// `cfg(test)` `Worldline::ratio_local_fast`) uses, so the bits are its bits.
+/// Patterns whose *current* cells are forbidden can never be queried from
+/// a valid configuration; they get ratio 0.
+fn local_ratio(w: &PlaqWeights, key: usize) -> f64 {
+    let bit = |b: usize| (key >> b) & 1 == 1;
+    let (a0, itd, jtd, ituu, jtuu, imt, imtu, jpt, jptu) = (
+        bit(0),
+        bit(1),
+        bit(2),
+        bit(3),
+        bit(4),
+        bit(5),
+        bit(6),
+        bit(7),
+        bit(8),
+    );
+    let b0 = !a0;
+    let c1_old = classify((itd, jtd), (a0, b0));
+    let c1_new = classify((itd, jtd), (!a0, !b0));
+    let c2_old = classify((a0, b0), (ituu, jtuu));
+    let c2_new = classify((!a0, !b0), (ituu, jtuu));
+    let c3_old = classify((imt, a0), (imtu, a0));
+    let c3_new = classify((imt, !a0), (imtu, !a0));
+    let c4_old = classify((b0, jpt), (b0, jptu));
+    let c4_new = classify((!b0, jpt), (!b0, jptu));
+    let denom = w.weight(c1_old) * w.weight(c2_old) * w.weight(c3_old) * w.weight(c4_old);
+    if denom > 0.0 {
+        (w.weight(c1_new) * w.weight(c2_new) * w.weight(c3_new) * w.weight(c4_new)) / denom
+    } else {
+        0.0
     }
-    table
+}
+
+/// [`threshold`] of [`local_ratio`] for every neighbourhood pattern.
+fn local_thresholds(w: &PlaqWeights) -> Box<[u64; 512]> {
+    Box::new(std::array::from_fn(|key| threshold(local_ratio(w, key))))
+}
+
+/// `i + 1` on a ring of `n`: a wrap test, not a division.
+#[inline]
+fn succ(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
+    }
+}
+
+/// `i − 1` on a ring of `n`.
+#[inline]
+fn pred(i: usize, n: usize) -> usize {
+    if i == 0 {
+        n - 1
+    } else {
+        i - 1
+    }
+}
+
+/// `rng.metropolis(ratio)` for `thr = threshold(ratio)`: the same verdict
+/// for every raw draw, and a draw consumed exactly when it consumes one.
+#[qmc_hot::hot]
+#[inline(always)]
+fn accepts<R: Rng64>(thr: u64, rng: &mut R) -> bool {
+    thr == NO_DRAW || (rng.next_u64() >> 11) < thr
 }
 
 impl Worldline {
@@ -156,16 +185,14 @@ impl Worldline {
             }
         }
         let weights = PlaqWeights::new(params.jx, params.jz, params.dtau());
-        let local_ratio = build_local_ratio_table(&weights);
         Self {
             params,
             rows,
             spins,
             spins_dirty: true,
             weights,
-            local_ratio,
-            cells_scratch: Vec::with_capacity(4 * rows),
-            flips_scratch: Vec::with_capacity(rows),
+            cell_w: by_pattern(|class| weights.weight(class)),
+            local_thr: local_thresholds(&weights),
             local_accepted: 0,
             local_proposed: 0,
             straight_accepted: 0,
@@ -208,11 +235,12 @@ impl Worldline {
 
     #[inline]
     fn row_up(&self, t: usize) -> usize {
-        if t + 1 == self.rows {
-            0
-        } else {
-            t + 1
-        }
+        succ(t, self.rows)
+    }
+
+    #[inline]
+    fn row_down(&self, t: usize) -> usize {
+        pred(t, self.rows)
     }
 
     /// Class of the shaded cell at `(i, t)` (caller guarantees `i + t`
@@ -229,14 +257,28 @@ impl Worldline {
         )
     }
 
-    /// The shaded cell (left site index) containing site `i` during
-    /// interval `t`.
-    #[inline]
-    fn cell_of_site(&self, i: usize, t: usize) -> usize {
-        if (i + t).is_multiple_of(2) {
-            i
-        } else {
-            (i + self.params.l - 1) % self.params.l
+    /// Visit the corner [`pattern`] of every shaded cell in row-major
+    /// order (rows ascending, cells left to right — the order every sum
+    /// over cells is taken in, so part of its bits).
+    ///
+    /// Always inlined: the visitor's running sums have to stay in registers,
+    /// and through a call they are loaded and stored once per cell.
+    #[qmc_hot::hot]
+    #[inline(always)]
+    pub(crate) fn for_each_pattern<F: FnMut(usize)>(&self, mut f: F) {
+        let l = self.params.l;
+        for t in 0..self.rows {
+            let (bottom, top) = (self.row(t), self.row(self.row_up(t)));
+            // The seam cell `(l − 1, 0)` of an odd row is taken out of the
+            // loop: a wrap test per cell costs these walks a quarter.
+            let mut i = t % 2;
+            while i + 1 < l {
+                f(pattern((bottom[i], bottom[i + 1]), (top[i], top[i + 1])));
+                i += 2;
+            }
+            if i < l {
+                f(pattern((bottom[i], bottom[0]), (top[i], top[0])));
+            }
         }
     }
 
@@ -250,18 +292,13 @@ impl Worldline {
     /// weight table — the quantity parallel tempering needs to evaluate a
     /// configuration at a neighbouring temperature (same `l` and `m`,
     /// different `Δτ`).
+    ///
+    /// One table add per shaded cell; a sum that meets a cell of weight
+    /// ≤ 0 is −∞ from there on (no weight is +∞).
     pub fn log_weight_with(&self, weights: &PlaqWeights) -> f64 {
+        let ln_w = by_pattern(|class| weights.ln_weight(class));
         let mut s = 0.0;
-        for t in 0..self.rows {
-            let start = t % 2;
-            for i in (start..self.params.l).step_by(2) {
-                let w = weights.weight(self.cell_class(i, t));
-                if w <= 0.0 {
-                    return f64::NEG_INFINITY;
-                }
-                s += w.ln();
-            }
-        }
+        self.for_each_pattern(|p| s += ln_w[p]);
         s
     }
 
@@ -285,70 +322,10 @@ impl Worldline {
         debug_assert!(self.log_weight().is_finite(), "imported invalid config");
     }
 
-    /// Weight ratio (new/old) for flipping the given `(site, row)` spins,
-    /// computed generically over the affected shaded cells.
-    fn ratio_for_flips(&mut self, flips: &[(usize, usize)]) -> f64 {
-        // Collect affected shaded cells (interval t and t−1 per spin) into
-        // the reusable scratch buffer — no steady-state allocation.
-        let mut cells = std::mem::take(&mut self.cells_scratch);
-        cells.clear();
-        for &(i, t) in flips {
-            let t_down = if t == 0 { self.rows - 1 } else { t - 1 };
-            cells.push((self.cell_of_site(i, t), t));
-            cells.push((self.cell_of_site(i, t_down), t_down));
-        }
-        cells.sort_unstable();
-        cells.dedup();
-
-        let mut old = 1.0;
-        for &(c, t) in &cells {
-            old *= self.weights.weight(self.cell_class(c, t));
-        }
-        debug_assert!(old > 0.0, "current configuration must be valid");
-
-        for &(i, t) in flips {
-            self.flip(i, t);
-        }
-        let mut new = 1.0;
-        for &(c, t) in &cells {
-            new *= self.weights.weight(self.cell_class(c, t));
-        }
-        for &(i, t) in flips {
-            self.flip(i, t);
-        }
-        self.cells_scratch = cells;
-        new / old
-    }
-
-    /// Table key for the corner move on unshaded cell `(i, t)`: pack the
-    /// nine spins the ratio depends on (see [`local_move_key`]). Valid
-    /// only when the move precondition holds.
-    #[inline]
-    fn local_key(&self, i: usize, t: usize) -> usize {
-        let l = self.params.l;
-        let j = (i + 1) % l;
-        let tu = self.row_up(t);
-        let td = if t == 0 { self.rows - 1 } else { t - 1 };
-        let tuu = self.row_up(tu);
-        let im = (i + l - 1) % l;
-        let jp = (j + 1) % l;
-        local_move_key(
-            self.spin(i, t),
-            self.spin(i, td),
-            self.spin(j, td),
-            self.spin(i, tuu),
-            self.spin(j, tuu),
-            self.spin(im, t),
-            self.spin(im, tu),
-            self.spin(jp, t),
-            self.spin(jp, tu),
-        )
-    }
-
     /// Reference weight ratio for the local corner move on unshaded cell
     /// `(i, t)` — hand-enumerates the four affected shaded cells. The hot
-    /// path now reads [`Self::local_ratio`] instead (built from exactly
-    /// this expression); this stays as the test oracle for the table.
+    /// path reads [`Self::local_thr`] instead (built from exactly this
+    /// expression by [`local_ratio`]); this stays as the test oracle.
     #[cfg(test)]
     fn ratio_local_fast(&self, i: usize, t: usize) -> f64 {
         let l = self.params.l;
@@ -393,11 +370,7 @@ impl Worldline {
         );
         let l = self.params.l;
         for t in 0..self.rows {
-            // Unshaded cells in interval t: i + t odd.
-            let start = (t + 1) % 2;
-            for i in (start..l).step_by(2) {
-                self.try_local(i, t, rng);
-            }
+            self.corner_row(t, rng);
         }
         for _ in 0..l {
             let i = rng.index(l);
@@ -424,46 +397,84 @@ impl Worldline {
         }
     }
 
-    /// Attempt the corner move on the unshaded cell `(i, t)`.
+    /// Offer the corner move to every unshaded cell of interval `t`
+    /// (`i + t` odd), left to right — neighbouring cells share columns, so
+    /// the order is part of the trajectory.
+    ///
+    /// A cell `(i, t)` with a vertical world-line segment on exactly one
+    /// side (`s(i,·) = a0`, `s(j,·) = ¬a0` on rows `t` and `t+1`) is a
+    /// proposal; its nine-spin neighbourhood indexes the threshold table
+    /// and [`accepts`] decides it.
     #[qmc_hot::hot]
-    fn try_local<R: Rng64>(&mut self, i: usize, t: usize, rng: &mut R) {
+    fn corner_row<R: Rng64>(&mut self, t: usize, rng: &mut R) {
         let l = self.params.l;
-        let j = (i + 1) % l;
         let tu = self.row_up(t);
-        // Precondition: a vertical world-line segment on exactly one side.
-        let (a0, a1) = (self.spin(i, t), self.spin(i, tu));
-        let (b0, b1) = (self.spin(j, t), self.spin(j, tu));
-        if a0 != a1 || b0 != b1 || a0 == b0 {
-            return;
-        }
-        self.local_proposed += 1;
-        let ratio = self.local_ratio[self.local_key(i, t)];
-        // lint: allow(hot-scalar-spin-loop) — reference plaquette kernel; ratios depend on 4-spin patterns
-        if rng.metropolis(ratio) {
-            for (s, r) in [(i, t), (i, tu), (j, t), (j, tu)] {
-                self.flip(s, r);
+        // Distinct rows because m ≥ 2.
+        let row = |t: usize| t * l..(t + 1) * l;
+        let rows = [row(self.row_down(t)), row(t), row(tu), row(self.row_up(tu))];
+        let [down, lo, hi, up] = self
+            .spins
+            .get_disjoint_mut(rows)
+            .expect("four distinct rows");
+        let (mut proposed, mut accepted) = (0, 0);
+        let mut i = (t + 1) % 2;
+        while i < l {
+            let j = succ(i, l);
+            let (a0, b0) = (lo[i], lo[j]);
+            if a0 == hi[i] && b0 == hi[j] && a0 != b0 {
+                proposed += 1;
+                let (im, jp) = (pred(i, l), succ(j, l));
+                let thr = self.local_thr[local_move_key(
+                    a0, down[i], down[j], up[i], up[j], lo[im], hi[im], lo[jp], hi[jp],
+                )];
+                if accepts(thr, rng) {
+                    // Both columns are constant over the two rows and
+                    // opposite, so flipping the four corners swaps them.
+                    (lo[i], hi[i]) = (b0, b0);
+                    (lo[j], hi[j]) = (a0, a0);
+                    accepted += 1;
+                }
             }
-            self.local_accepted += 1;
+            i += 2;
         }
+        self.local_proposed += proposed;
+        self.local_accepted += accepted;
     }
 
     /// Attempt the straight-line move: flip site `i` on every row
     /// (changes total magnetization by ±1 world line).
+    ///
+    /// Column `i` is a corner of one shaded cell per interval: the cell
+    /// with left site `i` on rows `t ≡ i (mod 2)` (column `i` is its left
+    /// column) and the one with left site `i − 1` on the others (its right
+    /// column). Both products start at 1 and take the cells in ascending
+    /// `(left site, row)` order — for `i = 0` site 0's cells come before
+    /// site `l − 1`'s — which fixes the bits of the ratio.
     #[qmc_hot::hot]
     fn try_straight_line<R: Rng64>(&mut self, i: usize, rng: &mut R) {
         self.straight_proposed += 1;
-        let mut flips = std::mem::take(&mut self.flips_scratch);
-        flips.clear();
-        flips.extend((0..self.rows).map(|t| (i, t)));
-        let ratio = self.ratio_for_flips(&flips);
+        let l = self.params.l;
+        let own = (i, 0b0101);
+        let left = (pred(i, l), 0b1010);
+        let (mut old, mut new) = (1.0, 1.0);
+        for (c, column) in if i == 0 { [own, left] } else { [left, own] } {
+            let j = succ(c, l);
+            for t in (c % 2..self.rows).step_by(2) {
+                let (bottom, top) = (self.row(t), self.row(self.row_up(t)));
+                let p = pattern((bottom[c], bottom[j]), (top[c], top[j]));
+                old *= self.cell_w[p];
+                new *= self.cell_w[p ^ column];
+            }
+        }
+        debug_assert!(old > 0.0, "current configuration must be valid");
+        let ratio = new / old;
         // lint: allow(hot-scalar-spin-loop) — straight-line move flips a whole column per decision, not one spin
         if ratio > 0.0 && rng.metropolis(ratio) {
-            for &(s, r) in &flips {
-                self.flip(s, r);
+            for t in 0..self.rows {
+                self.flip(i, t);
             }
             self.straight_accepted += 1;
         }
-        self.flips_scratch = flips;
     }
 
     /// Total magnetization `Σ (s − ½)` of row `t` (conserved across rows
@@ -577,13 +588,16 @@ impl qmc_ckpt::Checkpoint for Worldline {
                         spins.len()
                     )));
                 }
-                self.spins = spins;
-                self.spins_dirty = true;
+                // Judged in place of the current spins, which go back
+                // untouched if the candidate is refused.
+                let current = std::mem::replace(&mut self.spins, spins);
                 if !self.log_weight().is_finite() {
+                    self.spins = current;
                     return Err(qmc_ckpt::CkptError::corrupt(
                         "worldline checkpoint is not a valid configuration",
                     ));
                 }
+                self.spins_dirty = true;
                 Ok(())
             }
             "counters" => {
@@ -608,6 +622,310 @@ impl qmc_ckpt::Checkpoint for Worldline {
 mod tests {
     use super::*;
     use qmc_rng::Xoshiro256StarStar;
+
+    /// The replica step as it was before the table-driven walks, kept as
+    /// the oracle they are compared against: the generic sorted-cell-list
+    /// ratio, the corner move cell by cell on the `f64` ratio, the
+    /// straight-line move through a flip list, the log-weight with one
+    /// `ln` per cell.
+    impl Worldline {
+        /// The shaded cell (left site index) containing site `i` during
+        /// interval `t`.
+        fn cell_of_site(&self, i: usize, t: usize) -> usize {
+            if (i + t).is_multiple_of(2) {
+                i
+            } else {
+                (i + self.params.l - 1) % self.params.l
+            }
+        }
+
+        /// Weight ratio (new/old) for flipping the given `(site, row)`
+        /// spins, computed generically over the affected shaded cells.
+        fn ratio_for_flips(&mut self, flips: &[(usize, usize)]) -> f64 {
+            let mut cells = Vec::new();
+            for &(i, t) in flips {
+                let t_down = self.row_down(t);
+                cells.push((self.cell_of_site(i, t), t));
+                cells.push((self.cell_of_site(i, t_down), t_down));
+            }
+            cells.sort_unstable();
+            cells.dedup();
+
+            let mut old = 1.0;
+            for &(c, t) in &cells {
+                old *= self.weights.weight(self.cell_class(c, t));
+            }
+            assert!(old > 0.0, "current configuration must be valid");
+
+            for &(i, t) in flips {
+                self.flip(i, t);
+            }
+            let mut new = 1.0;
+            for &(c, t) in &cells {
+                new *= self.weights.weight(self.cell_class(c, t));
+            }
+            for &(i, t) in flips {
+                self.flip(i, t);
+            }
+            new / old
+        }
+
+        /// Table key for the corner move on unshaded cell `(i, t)`.
+        fn local_key(&self, i: usize, t: usize) -> usize {
+            let l = self.params.l;
+            let j = (i + 1) % l;
+            let tu = self.row_up(t);
+            let td = self.row_down(t);
+            let tuu = self.row_up(tu);
+            let im = (i + l - 1) % l;
+            let jp = (j + 1) % l;
+            local_move_key(
+                self.spin(i, t),
+                self.spin(i, td),
+                self.spin(j, td),
+                self.spin(i, tuu),
+                self.spin(j, tuu),
+                self.spin(im, t),
+                self.spin(im, tu),
+                self.spin(jp, t),
+                self.spin(jp, tu),
+            )
+        }
+
+        /// Attempt the corner move on the unshaded cell `(i, t)`.
+        fn try_local<R: Rng64>(&mut self, i: usize, t: usize, rng: &mut R) {
+            let l = self.params.l;
+            let j = (i + 1) % l;
+            let tu = self.row_up(t);
+            let (a0, a1) = (self.spin(i, t), self.spin(i, tu));
+            let (b0, b1) = (self.spin(j, t), self.spin(j, tu));
+            if a0 != a1 || b0 != b1 || a0 == b0 {
+                return;
+            }
+            self.local_proposed += 1;
+            let ratio = local_ratio(&self.weights, self.local_key(i, t));
+            if rng.metropolis(ratio) {
+                for (s, r) in [(i, t), (i, tu), (j, t), (j, tu)] {
+                    self.flip(s, r);
+                }
+                self.local_accepted += 1;
+            }
+        }
+
+        /// The corner moves of interval `t`, cell by cell.
+        fn corner_row_cell_by_cell<R: Rng64>(&mut self, t: usize, rng: &mut R) {
+            for i in ((t + 1) % 2..self.params.l).step_by(2) {
+                self.try_local(i, t, rng);
+            }
+        }
+
+        /// Attempt the straight-line move through its flip list.
+        fn try_straight_line_sorted<R: Rng64>(&mut self, i: usize, rng: &mut R) {
+            self.straight_proposed += 1;
+            let flips: Vec<_> = (0..self.rows).map(|t| (i, t)).collect();
+            let ratio = self.ratio_for_flips(&flips);
+            if ratio > 0.0 && rng.metropolis(ratio) {
+                for &(s, r) in &flips {
+                    self.flip(s, r);
+                }
+                self.straight_accepted += 1;
+            }
+        }
+
+        /// Log-weight with one classify, one match and one `ln` per cell.
+        fn log_weight_cell_by_cell(&self, weights: &PlaqWeights) -> f64 {
+            let mut s = 0.0;
+            for t in 0..self.rows {
+                for i in (t % 2..self.params.l).step_by(2) {
+                    let w = weights.weight(self.cell_class(i, t));
+                    if w <= 0.0 {
+                        return f64::NEG_INFINITY;
+                    }
+                    s += w.ln();
+                }
+            }
+            s
+        }
+
+        /// The energy fields of `estimators::measure` through
+        /// [`Worldline::for_each_cell`] and two class matches per cell.
+        fn energies_cell_by_cell(&self) -> [u64; 2] {
+            let (m, l) = (self.params.m as f64, self.params.l as f64);
+            let (mut eps, mut deps) = (0.0, 0.0);
+            self.for_each_cell(|class| {
+                eps += self.weights.energy(class);
+                deps += self.weights.denergy(class);
+            });
+            [(eps / m / l).to_bits(), (deps / (m * m) / l).to_bits()]
+        }
+
+        fn counters(&self) -> [u64; 4] {
+            [
+                self.local_accepted,
+                self.local_proposed,
+                self.straight_accepted,
+                self.straight_proposed,
+            ]
+        }
+    }
+
+    /// `(l, m, jx, jz, β)`: the shapes `tests/trajectory_pins.rs` pins, a
+    /// second `l = 4` chain (every neighbour index wraps) and `Jx = 0`
+    /// (`w_flip = 0`: ratios of exactly 0, which still consume a draw).
+    const SHAPES: [(usize, usize, f64, f64, f64); 9] = [
+        (32, 32, 1.0, 1.0, 2.0),
+        (32, 32, 1.0, 1.0, 2.4),
+        (4, 2, 1.0, 0.7, 1.3),
+        (6, 3, 1.0, 1.0, 1.5),
+        (8, 4, 0.6, 1.0, 1.0),
+        (16, 8, 1.0, 0.3, 4.0),
+        (64, 16, 1.0, 1.0, 1.0),
+        (4, 3, 1.0, 1.0, 2.0),
+        (8, 4, 0.0, 1.0, 1.0),
+    ];
+
+    fn shape((l, m, jx, jz, beta): (usize, usize, f64, f64, f64)) -> Worldline {
+        Worldline::new(WorldlineParams { l, jx, jz, beta, m })
+    }
+
+    #[test]
+    fn table_walks_follow_the_oracle_move_for_move() {
+        // Old and new paths from copies of one generator: after every row
+        // pass and every straight-line attempt the spins, the counters and
+        // the generator's state agree; a third engine checks that `sweep`
+        // is those passes in that order.
+        for (k, &case) in SHAPES.iter().enumerate() {
+            let start = (shape(case), Xoshiro256StarStar::new(900 + k as u64));
+            let (mut new, mut old, mut whole) = (start.clone(), start.clone(), start);
+            let agree = |(a, rng_a): &(Worldline, _), (b, rng_b): &(Worldline, _), at: &str| {
+                assert_eq!(a.spins, b.spins, "{case:?}: spins after {at}");
+                assert_eq!(a.counters(), b.counters(), "{case:?}: counters after {at}");
+                assert_eq!(rng_a, rng_b, "{case:?}: draws after {at}");
+            };
+            let l = case.0;
+            for sweep in 0..200 {
+                for t in 0..new.0.rows {
+                    new.0.corner_row(t, &mut new.1);
+                    old.0.corner_row_cell_by_cell(t, &mut old.1);
+                    agree(&new, &old, &format!("sweep {sweep} row {t}"));
+                }
+                for attempt in 0..l {
+                    let i = new.1.index(l);
+                    assert_eq!(i, old.1.index(l));
+                    new.0.try_straight_line(i, &mut new.1);
+                    old.0.try_straight_line_sorted(i, &mut old.1);
+                    agree(&new, &old, &format!("sweep {sweep} attempt {attempt}"));
+                }
+                whole.0.sweep(&mut whole.1);
+                agree(&whole, &old, &format!("sweep {sweep}"));
+            }
+            let [local, _, straight, _] = old.0.counters();
+            assert!(straight > 0, "{case:?}: no straight-line move accepted");
+            assert!(
+                case.2 == 0.0 || local > 0,
+                "{case:?}: no corner move accepted"
+            );
+        }
+    }
+
+    /// Serves one scripted raw output, counting how often it is asked.
+    struct Scripted {
+        raw: u64,
+        draws: u32,
+    }
+
+    impl Rng64 for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.raw
+        }
+    }
+
+    #[test]
+    fn every_corner_threshold_decides_as_metropolis_does() {
+        let top = (1u64 << 53) - 1;
+        let mut met = (false, false); // a ratio of exactly 0, one consuming no draw
+        for (jx, jz, dtau) in [
+            (1.0, 1.0, 0.0625),
+            (1.0, 0.7, 0.65),
+            (0.6, 1.0, 0.25),
+            (1.0, -0.5, 0.5),
+            (0.0, 1.0, 0.25),
+        ] {
+            let w = PlaqWeights::new(jx, jz, dtau);
+            let thresholds = local_thresholds(&w);
+            for (key, &thr) in thresholds.iter().enumerate() {
+                let ratio = local_ratio(&w, key);
+                met.0 |= ratio == 0.0;
+                met.1 |= thr == NO_DRAW;
+                let around = [thr.wrapping_sub(1), thr, thr.wrapping_add(1), 0, top];
+                let raws = around
+                    .into_iter()
+                    .filter(|&n| n <= top)
+                    .flat_map(|n| [n << 11, n << 11 | 0x7ff])
+                    .chain([0, u64::MAX]);
+                for raw in raws {
+                    let (mut by_thr, mut by_f64) =
+                        (Scripted { raw, draws: 0 }, Scripted { raw, draws: 0 });
+                    assert_eq!(
+                        accepts(thr, &mut by_thr),
+                        by_f64.metropolis(ratio),
+                        "({jx}, {jz}, {dtau}) key {key:#05x}: ratio {ratio:e} (threshold {thr}) at raw {raw:#x}"
+                    );
+                    assert_eq!(
+                        by_thr.draws, by_f64.draws,
+                        "key {key:#05x}: draws for ratio {ratio:e}"
+                    );
+                }
+            }
+        }
+        assert_eq!(met, (true, true));
+    }
+
+    #[test]
+    fn table_log_weight_and_measure_equal_the_cell_by_cell_sums_bit_for_bit() {
+        let energies = |w: &Worldline| {
+            let m = crate::estimators::measure(w);
+            [m.energy_per_site.to_bits(), m.denergy_per_site.to_bits()]
+        };
+        for (k, &case) in SHAPES.iter().enumerate() {
+            let mut w = shape(case);
+            let (l, m, jx, jz, beta) = case;
+            let other = PlaqWeights::new(jx, jz, 1.2 * beta / m as f64);
+            let mut rng = Xoshiro256StarStar::new(950 + k as u64);
+            for sweep in 0..60 {
+                w.sweep(&mut rng);
+                for weights in [w.weights, other] {
+                    let (table, cells) = (
+                        w.log_weight_with(&weights),
+                        w.log_weight_cell_by_cell(&weights),
+                    );
+                    assert!(table.is_finite());
+                    assert_eq!(
+                        table.to_bits(),
+                        cells.to_bits(),
+                        "{case:?} sweep {sweep}: {table} vs {cells}"
+                    );
+                }
+                assert_eq!(
+                    energies(&w),
+                    w.energies_cell_by_cell(),
+                    "{case:?} sweep {sweep}"
+                );
+            }
+            // A forbidden configuration — one spin flipped, anywhere — is
+            // −∞ by both routes wherever the broken cells sit in the sum,
+            // and the same NaN energy.
+            for (i, t) in [(0, 0), (l - 1, 0), (l / 2, w.rows - 1), (l - 1, w.rows - 1)] {
+                w.flip(i, t);
+                assert_eq!(w.log_weight(), f64::NEG_INFINITY);
+                assert_eq!(w.log_weight_cell_by_cell(&other), f64::NEG_INFINITY);
+                assert_eq!(w.log_weight_with(&other), f64::NEG_INFINITY);
+                assert_eq!(energies(&w), w.energies_cell_by_cell());
+                w.flip(i, t);
+            }
+        }
+    }
 
     fn params(l: usize, m: usize, beta: f64) -> WorldlineParams {
         WorldlineParams {
@@ -784,7 +1102,7 @@ mod tests {
                             && w.spin(i, t) != w.spin(j, t)
                         {
                             let fast = w.ratio_local_fast(i, t);
-                            let table = w.local_ratio[w.local_key(i, t)];
+                            let table = local_ratio(&w.weights, w.local_key(i, t));
                             assert_eq!(
                                 table.to_bits(),
                                 fast.to_bits(),

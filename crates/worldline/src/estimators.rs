@@ -6,6 +6,7 @@
 //! `C = β² [⟨ε²⟩ − ⟨ε⟩² − ⟨∂ε/∂β⟩]` because `ε` itself depends on β.
 
 use crate::engine::Worldline;
+use crate::weights::by_pattern;
 use qmc_lattice::DoubledRing;
 use qmc_stats::jackknife_pair;
 
@@ -27,11 +28,13 @@ pub fn measure(w: &Worldline) -> Measurement {
     let p = *w.params();
     let m = p.m as f64;
     let wt = *w.weights();
+    let e = by_pattern(|class| wt.energy(class));
+    let de = by_pattern(|class| wt.denergy(class));
     let mut eps = 0.0;
     let mut deps = 0.0;
-    w.for_each_cell(|class| {
-        eps += wt.energy(class);
-        deps += wt.denergy(class);
+    w.for_each_pattern(|p| {
+        eps += e[p];
+        deps += de[p];
     });
     // ε = (1/m) Σ e_cell ; ∂ε/∂β = (1/m²) Σ ∂e/∂Δτ (since Δτ = β/m).
     let energy = eps / m / p.l as f64;

@@ -25,15 +25,17 @@
 //! * **straight-line move** — flip one site's full imaginary-time column
 //!   (changes total magnetization).
 //!
-//! Acceptance uses the same generic collect-affected-cells weight ratio
-//! as the 1-D engine: no hand-derived case analysis. Observables: energy
-//! (τ-derivative estimator), uniform χ, staggered structure factor.
+//! Acceptance uses a generic collect-affected-cells weight ratio (sort,
+//! dedup, multiply, flip, multiply, flip back): no hand-derived case
+//! analysis — the route the 1-D engine keeps as its test oracle.
+//! Observables: energy (τ-derivative estimator), uniform χ, staggered
+//! structure factor.
 //!
 //! The restriction to the zero spatial-winding sector and the `O(Δτ²)`
 //! Trotter error carry over from the 1-D engine (see crate docs); both
 //! are quantified against the SSE and Lanczos oracles in the tests.
 
-use crate::weights::{classify, PlaqWeights};
+use crate::weights::{by_pattern, classify, pattern, PlaqWeights};
 use qmc_lattice::{Bond, Lattice};
 use qmc_rng::Rng64;
 
@@ -71,9 +73,9 @@ pub struct GenericWorldline<L: Lattice> {
     /// Distinct ring-window lists `(first_row, length)`, one per
     /// plaquette color pair.
     window_sets: Vec<Vec<(usize, usize)>>,
-    /// Cell weight by 4-bit corner-spin pattern (`a0 | b0<<1 | a1<<2 |
-    /// b1<<3`): folds classify + class match into one table load. Entries
-    /// are exactly `weights.weight(classify(..))` for each pattern.
+    /// Cell weight by corner-spin [`pattern`]: folds classify + class match
+    /// into one table load. Entries are exactly
+    /// `weights.weight(classify(..))` for each pattern.
     cell_w: [f64; 16],
     /// Scratch for [`Self::ratio_for_flips`] (reused; no per-move
     /// allocation).
@@ -194,12 +196,6 @@ impl<L: Lattice> GenericWorldline<L> {
             plaquettes.push((plaq, set_id as u8));
         }
 
-        let mut cell_w = [0.0f64; 16];
-        for (idx, w) in cell_w.iter_mut().enumerate() {
-            let bit = |b: usize| (idx >> b) & 1 == 1;
-            *w = weights.weight(classify((bit(0), bit(1)), (bit(2), bit(3))));
-        }
-
         Self {
             lattice,
             params,
@@ -210,7 +206,7 @@ impl<L: Lattice> GenericWorldline<L> {
             spins,
             plaquettes,
             window_sets,
-            cell_w,
+            cell_w: by_pattern(|class| weights.weight(class)),
             cells_scratch: Vec::new(),
             flips_scratch: Vec::new(),
             window_accepted: 0,
@@ -275,11 +271,11 @@ impl<L: Lattice> GenericWorldline<L> {
     #[inline]
     fn cell_weight(&self, b: &Bond, t: usize) -> f64 {
         let tu = self.row_up(t);
-        let idx = (self.spin(b.a as usize, t) as usize)
-            | (self.spin(b.b as usize, t) as usize) << 1
-            | (self.spin(b.a as usize, tu) as usize) << 2
-            | (self.spin(b.b as usize, tu) as usize) << 3;
-        self.cell_w[idx]
+        let (i, j) = (b.a as usize, b.b as usize);
+        self.cell_w[pattern(
+            (self.spin(i, t), self.spin(j, t)),
+            (self.spin(i, tu), self.spin(j, tu)),
+        )]
     }
 
     /// Log-weight of the whole configuration (−∞ if invalid).
@@ -624,13 +620,16 @@ impl<L: Lattice> qmc_ckpt::Checkpoint for GenericWorldline<L> {
                         spins.len()
                     )));
                 }
-                self.spins = spins;
-                self.spins_dirty = true;
+                // Judged in place of the current spins, which go back
+                // untouched if the candidate is refused.
+                let current = std::mem::replace(&mut self.spins, spins);
                 if !self.log_weight().is_finite() {
+                    self.spins = current;
                     return Err(qmc_ckpt::CkptError::corrupt(
                         "generic worldline checkpoint is not a valid configuration",
                     ));
                 }
+                self.spins_dirty = true;
                 Ok(())
             }
             "counters" => {

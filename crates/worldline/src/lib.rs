@@ -10,11 +10,44 @@
 //! * [`weights`] — the exact two-site propagator matrix elements and their
 //!   τ-derivatives (energy/heat-capacity estimators).
 //! * [`engine`] — the configuration, the local plaquette-corner move and
-//!   the temporal straight-line (magnetization-changing) move, both
-//!   accepted via a *generic* weight-ratio evaluation over the affected
-//!   shaded plaquettes (no hand-derived special cases to get wrong).
+//!   the temporal straight-line (magnetization-changing) move, and the
+//!   log-weight a tempering exchange compares.
 //! * [`estimators`] — energy, specific heat, uniform susceptibility and
 //!   spin-spin correlations measured on the world-line configuration.
+//! * [`generic`] — the same algorithm on any bond-coloured lattice, whose
+//!   moves still take the generic route described below.
+//!
+//! # What is hot and what is oracle
+//!
+//! A replica step of the chain engine — sweep, log-weights, measurement —
+//! is three table-driven walks over `Vec<bool>` rows, none of which
+//! sorts, allocates, classifies a plaquette or takes a logarithm per cell:
+//!
+//! * **Corner moves** go row by row, cells left to right (neighbouring
+//!   cells share columns, so the order is part of the trajectory). The
+//!   nine spins a move's ratio depends on index 512 integer thresholds
+//!   `⌈ratio·2⁵³⌉` ([`qmc_rng::threshold`], shared with the TFIM colour
+//!   kernel), and a proposal that needs a draw is one
+//!   `next_u64() >> 11 < thr` — the predicate of `metropolis(ratio)` for
+//!   every raw draw, consuming a draw exactly when it does.
+//! * **A straight-line move** touches one shaded cell per interval, on
+//!   alternating sides of its column. Their weights, old and with the
+//!   column's two corner bits flipped, come from one 16-entry table by
+//!   corner pattern and are multiplied in ascending `(left site, row)`
+//!   order — the order a sorted cell list would give — so the ratio has the
+//!   bits it always had.
+//! * **Log-weight and energy** add `ln w`, `e` and `∂e/∂Δτ` from 16-entry
+//!   tables in row-major cell order; the three logarithms are taken once
+//!   per call, and a forbidden cell still makes the sum −∞.
+//!
+//! The route these replaced — collect the affected cells of an arbitrary
+//! flip list, sort, dedup, multiply, flip, multiply, flip back: *generic*,
+//! with no hand-derived case to get wrong — is how [`generic`]'s window,
+//! ring and straight-line moves are still accepted, and in [`engine`] it
+//! survives as the `cfg(test)` oracle the walks are compared against move
+//! for move, next to the `f64` corner ratio and the cell-by-cell sums.
+//! `tests/trajectory_pins.rs` holds fixed-seed fingerprints of both
+//! engines recorded before the walks existed.
 //!
 //! # Known, documented restrictions (shared with the 1993-era codes)
 //!

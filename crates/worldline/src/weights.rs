@@ -50,6 +50,35 @@ pub fn classify(bottom: (bool, bool), top: (bool, bool)) -> PlaqClass {
     }
 }
 
+/// Index of a plaquette's corner spins into a 16-entry per-pattern table
+/// ([`by_pattern`]): `a0 | b0<<1 | a1<<2 | b1<<3`, with `a` the
+/// left (first) site, `b` the right one, `0` the bottom row and `1` the top.
+/// Flipping the left site's column on both rows is `^ 0b0101`, the right
+/// site's `^ 0b1010`.
+#[inline]
+pub(crate) fn pattern(bottom: (bool, bool), top: (bool, bool)) -> usize {
+    bottom.0 as usize | (bottom.1 as usize) << 1 | (top.0 as usize) << 2 | (top.1 as usize) << 3
+}
+
+/// `of(class)` for each of the 16 corner patterns, by [`pattern`]: folds
+/// [`classify`] and the class match into one table load, each entry the
+/// very `f64` that `of` returns for the pattern's class (`of` runs once
+/// per class, so a logarithm in it is taken three times, not per cell).
+pub(crate) fn by_pattern(of: impl Fn(PlaqClass) -> f64) -> [f64; 16] {
+    use PlaqClass::*;
+    let [parallel, anti, flip, forbidden] =
+        [DiagonalParallel, DiagonalAnti, Flip, Forbidden].map(of);
+    std::array::from_fn(|p| {
+        let bit = |b: usize| (p >> b) & 1 == 1;
+        match classify((bit(0), bit(1)), (bit(2), bit(3))) {
+            DiagonalParallel => parallel,
+            DiagonalAnti => anti,
+            Flip => flip,
+            Forbidden => forbidden,
+        }
+    })
+}
+
 /// Precomputed plaquette weights and estimator coefficients for one
 /// `(Jx, Jz, Δτ)`.
 #[derive(Debug, Clone, Copy)]
@@ -110,6 +139,17 @@ impl PlaqWeights {
             de_parallel,
             de_anti,
             de_flip,
+        }
+    }
+
+    /// Log of the sampling weight of a class, −∞ where the weight is not
+    /// positive (a forbidden plaquette, or a flip at `Jx = 0`).
+    pub(crate) fn ln_weight(&self, class: PlaqClass) -> f64 {
+        let w = self.weight(class);
+        if w <= 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            w.ln()
         }
     }
 

@@ -99,6 +99,15 @@ echo "== elastic: rank respawn + ladder resize drill =="
 cargo test -q --release -p qmc-bench --test elastic
 cargo run -q --release -p qmc-bench --bin repro -- elastic --quick
 
+echo "== pins: fixed-seed trajectories and checkpoint bytes under the profile that is timed =="
+# `cargo test` above runs the pins under the dev profile (opt-level 2, no
+# LTO), but the benchmark and `repro` are built release + thin LTO, and
+# the pins are about f64 bits: a kernel whose rounding moved only under
+# the inlining the timed profile does would pass every stage above and
+# still publish other numbers than it pinned. Same literals, second
+# profile.
+cargo test -q --release -p qmc-bench --test trajectory_pins --test layout_pins
+
 echo "== analyze: causal trace -> critical-path report =="
 # Records the 4-rank traced PT demo, merges the per-rank streams into
 # the happens-before DAG, and prints the critical path + attribution.

@@ -18,6 +18,7 @@ use qmc_tfim::parallel::DistTfim;
 use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
 use qmc_worldline::estimators::{measure, TimeSeries};
+use qmc_worldline::weights::PlaqWeights;
 use qmc_worldline::{GenericParams, GenericWorldline, Worldline, WorldlineParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -202,4 +203,31 @@ fn worldline_recorded_sweep_is_allocation_free() {
         },
     );
     assert_eq!(series.len(), 100);
+}
+
+#[test]
+fn worldline_exchange_phase_is_allocation_free() {
+    // What a tempering rung evaluates between sweeps: its own log-weight,
+    // the log-weight under a neighbour's table, and a measurement, each a
+    // walk over per-pattern tables built on the stack.
+    let params = WorldlineParams {
+        l: 32,
+        jx: 1.0,
+        jz: 1.0,
+        beta: 2.0,
+        m: 8,
+    };
+    let mut w = Worldline::new(params);
+    let mut rng = Xoshiro256StarStar::new(28);
+    for _ in 0..50 {
+        w.sweep(&mut rng);
+    }
+    let neighbour = PlaqWeights::new(params.jx, params.jz, 1.2 * params.dtau());
+    let mut sum = 0.0;
+    assert_steady_state_clean(
+        "Worldline::log_weight + log_weight_with + measure",
+        100,
+        || sum += w.log_weight() + w.log_weight_with(&neighbour) + measure(&w).energy_per_site,
+    );
+    assert!(sum.is_finite());
 }
