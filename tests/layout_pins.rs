@@ -236,3 +236,176 @@ fn sse_bodies_match_their_pins() {
     assert_eq!(series.n_ops.len(), SWEEPS);
     check(&eng, &series, &rng, SSE);
 }
+
+// ---------------------------------------------------------------------
+// The checksum itself and the images a store holds. Recorded on commit
+// 8e5b7a3, where `crc32` was one table look-up per byte and a generation
+// was a `ckpt-<gen>.qckpt` file put in place by temp + rename: a faster
+// checksum must return these values, and a store that keeps generations
+// some other way must still materialise these images.
+// ---------------------------------------------------------------------
+
+/// The first `len` bytes of a fixed xorshift64 stream (little-endian
+/// words).
+fn xorshift_bytes(len: usize) -> Vec<u8> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut out = Vec::with_capacity(len + 8);
+    while out.len() < len {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+    out.truncate(len);
+    out
+}
+
+/// `(length of the xorshift stream, CRC32)`.
+#[rustfmt::skip]
+const CRC_STREAM: &[(usize, u32)] = &[
+    (0, 0x00000000),
+    (1, 0x7a6530d8),
+    (7, 0xe9be8f59),
+    (8, 0x4f3926ad),
+    (9, 0xc34cddf7),
+    (63, 0x4717b872),
+    (64, 0x93418255),
+    (65, 0xb3fa51dc),
+    (6811, 0x3fe8fbe3),
+    (1048576, 0x665310df),
+];
+
+#[test]
+fn crc32_matches_its_pinned_values() {
+    // The IEEE 802.3 check values every implementation publishes.
+    assert_eq!(crc32(b""), 0);
+    assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    let got: Vec<(usize, u32)> = [0, 1, 7, 8, 9, 63, 64, 65, 6811, 1 << 20]
+        .iter()
+        .map(|&len| (len, crc32(&xorshift_bytes(len))))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(len, crc)| format!("\n    ({len}, {crc:#010x}),"))
+        .collect();
+    assert!(got == CRC_STREAM, "crc32 moved; it now returns:{table}");
+}
+
+/// `(generation, byte length, CRC32)` of `load(generation).to_bytes()`.
+type ImagePin = (u64, usize, u32);
+
+/// Compares the materialised image of every generation `store` lists.
+fn check_images(store: &qmc_ckpt::CkptStore, want: &[ImagePin]) {
+    let got: Vec<ImagePin> = store
+        .generations()
+        .into_iter()
+        .map(|g| {
+            let image = store.load(g).expect("a listed generation loads").to_bytes();
+            (g, image.len(), crc32(&image))
+        })
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(g, len, crc)| format!("\n    ({g}, {len}, {crc:#010x}),"))
+        .collect();
+    assert!(
+        got == want,
+        "generation images moved; the store now holds:{table}"
+    );
+}
+
+fn pin_dir(label: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("qmc-layout-pins-{}-{label}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A 2-rank tempering run of 40 sweeps that commits every 2, every 8th
+/// commit a full image, into a store that retains 4 generations.
+fn pt_pin_store(dir: &std::path::Path) {
+    use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig};
+    let cfg = PtConfig {
+        l: 8,
+        jx: 1.0,
+        jz: 1.0,
+        m: 8,
+        betas: vec![0.5, 1.0],
+        therm: 10,
+        sweeps: 30,
+        exchange_every: 2,
+        seed: 99,
+    };
+    let dir = dir.to_path_buf();
+    qmc_comm::run_threads(2, move |comm| {
+        use qmc_comm::Communicator;
+        let mut rng = qmc_rng::StreamFactory::new(17).stream(comm.rank());
+        let store = qmc_ckpt::CkptStore::new(&dir, 4).expect("store");
+        let ck = PtCheckpointing {
+            store: &store,
+            every: 2,
+            full_every: 8,
+            resume: false,
+            stop: None,
+            elastic_from: None,
+        };
+        run_pt_parallel_ckpt(comm, &cfg, &mut rng, Some(&ck), |_, _| {});
+    });
+}
+
+#[rustfmt::skip]
+const PT_IMAGES: &[ImagePin] = &[
+    (32, 1531, 0x5dae8cc7),
+    (34, 1563, 0xb77e7b9a),
+    (36, 1595, 0xf200a9d4),
+    (38, 1627, 0x53d05d29),
+];
+
+#[test]
+fn pt_store_images_match_their_pins() {
+    let dir = pin_dir("pt");
+    pt_pin_store(&dir);
+    let store = qmc_ckpt::CkptStore::new(&dir, 4).expect("reopen");
+    check_images(&store, PT_IMAGES);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A serial world-line run of 160 sweeps through `qmc_ckpt::drive`: a
+/// commit every 10, every 4th a full image, retain 3. The first 64-row
+/// chunk of the series is complete and clean from sweep 74 on, so the
+/// newest generations are a delta chain on the full image at sweep 120.
+fn serial_pin_store(dir: &std::path::Path) {
+    let store = qmc_ckpt::CkptStore::new(dir, 3).expect("store");
+    let ck = qmc_ckpt::Policy {
+        store: &store,
+        cadence: qmc_ckpt::Cadence::new(10, 4).expect("cadence"),
+        resume: false,
+        stop: None,
+    };
+    let params = WorldlineParams {
+        l: 8,
+        jx: 1.0,
+        jz: 1.0,
+        beta: 1.0,
+        m: 8,
+    };
+    let mut rng = Xoshiro256StarStar::new(106);
+    run_worldline_ckpt(params, &mut rng, 10, 150, Some(&ck), None).expect("run completes");
+}
+
+#[rustfmt::skip]
+const SERIAL_IMAGES: &[ImagePin] = &[
+    (120, 5248, 0x696e667f),
+    (130, 5648, 0xba0ecdab),
+    (140, 6161, 0xf9e535eb),
+    (150, 6561, 0x11dce7ba),
+];
+
+#[test]
+fn serial_store_images_match_their_pins() {
+    let dir = pin_dir("serial");
+    serial_pin_store(&dir);
+    let store = qmc_ckpt::CkptStore::new(&dir, 3).expect("reopen");
+    check_images(&store, SERIAL_IMAGES);
+    let _ = std::fs::remove_dir_all(&dir);
+}
