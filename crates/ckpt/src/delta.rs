@@ -26,8 +26,10 @@
 //! automatically forward-compatible with old full checkpoints.
 
 use crate::crc32::crc32;
-use crate::file::{envelope_body, envelope_seal, CkptFile, SCHEMA};
-use crate::wire::{CkptError, Decoder, Encoder};
+use crate::file::{
+    envelope_body, envelope_close, envelope_open, prefixed, CkptFile, ENVELOPE_LEN, SCHEMA,
+};
+use crate::wire::{CkptError, Decoder};
 
 /// Schema identifier for delta-capable checkpoint files.
 pub const SCHEMA_V2: &str = "qmc-ckpt/v2";
@@ -73,7 +75,31 @@ pub struct RawCkpt {
 impl RawCkpt {
     /// Serialize as a v2 file (full when `base` is `None`).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        self.image([0, 0]).0
+    }
+
+    /// [`RawCkpt::to_bytes`] with `room` around it (see
+    /// [`envelope_open`]), and per section in file order the CRC32 of the
+    /// payload it stands for — summed here, once, for a payload; the
+    /// reference's own for a base reference.
+    pub(crate) fn image(&self, room: [usize; 2]) -> (Vec<u8>, Vec<u32>) {
+        let body_len = prefixed(SCHEMA_V2.len())
+            + 1
+            + self.base.map_or(0, |_| 8)
+            + 8
+            + self
+                .sections
+                .iter()
+                .map(|(name, data)| {
+                    prefixed(name.len())
+                        + 1
+                        + match data {
+                            SectionData::Payload(p) => prefixed(p.len()) + 4,
+                            SectionData::BaseRef { .. } => 8,
+                        }
+                })
+                .sum::<usize>();
+        let mut enc = envelope_open(room, body_len);
         enc.str(SCHEMA_V2);
         match self.base {
             None => enc.u8(0),
@@ -83,22 +109,28 @@ impl RawCkpt {
             }
         }
         enc.u64(self.sections.len() as u64);
+        let mut crcs = Vec::with_capacity(self.sections.len());
         for (name, data) in &self.sections {
             enc.str(name);
-            match data {
+            crcs.push(match data {
                 SectionData::Payload(p) => {
+                    let crc = crc32(p);
                     enc.u8(0);
                     enc.bytes(p);
-                    enc.u32(crc32(p));
+                    enc.u32(crc);
+                    crc
                 }
                 SectionData::BaseRef { crc, len } => {
                     enc.u8(1);
                     enc.u32(*crc);
                     enc.u32(*len);
+                    *crc
                 }
-            }
+            });
         }
-        envelope_seal(&enc.into_bytes())
+        let image = envelope_close(enc, room);
+        debug_assert_eq!(image.len(), room[0] + ENVELOPE_LEN + body_len);
+        (image, crcs)
     }
 
     /// Parse and fully validate either schema: v1 files come back as

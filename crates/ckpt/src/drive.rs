@@ -58,7 +58,7 @@ impl Cadence {
 
 /// Checkpoint policy of one run.
 pub struct Policy<'a> {
-    /// Generation store (atomic write + retain-K pruning).
+    /// Generation store (one in-place write per commit, retain-K rule).
     pub store: &'a CkptStore,
     /// Write cadence and full-snapshot rule.
     pub cadence: Cadence,

@@ -45,13 +45,33 @@ pub(crate) fn envelope_body(bytes: &[u8]) -> Result<&[u8], CkptError> {
     Ok(&bytes[MAGIC.len()..body_end])
 }
 
-/// Close a file body (everything after the magic) into the shared
-/// envelope: magic + body + trailer + whole-file CRC.
-pub(crate) fn envelope_seal(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + body.len() + TRAILER.len() + 4);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(body);
-    let file_crc = crc32(&out);
+/// Bytes [`envelope_open`] and [`envelope_close`] add around a body.
+pub(crate) const ENVELOPE_LEN: usize = MAGIC.len() + TRAILER.len() + 4;
+
+/// Wire size of a length-prefixed string or byte slice of `len` bytes.
+pub(crate) const fn prefixed(len: usize) -> usize {
+    8 + len
+}
+
+/// Open a file image of `body_len` body bytes in one exactly sized
+/// buffer with room around the image: `room[0]` zero bytes in front
+/// that are not part of it, and capacity for `room[1]` more after it
+/// (the store's slot header and end mark go there, so they and the image
+/// reach the file in one write without a second image-sized buffer).
+/// The magic is written; the caller encodes the body — the schema
+/// string onward — and hands the encoder to [`envelope_close`].
+pub(crate) fn envelope_open(room: [usize; 2], body_len: usize) -> Encoder {
+    let mut buf = Vec::with_capacity(room[0] + ENVELOPE_LEN + body_len + room[1]);
+    buf.resize(room[0], 0);
+    buf.extend_from_slice(MAGIC);
+    Encoder::appending_to(buf)
+}
+
+/// Close an image opened with the same `room`: trailer + CRC of the
+/// image so far (the room in front is not summed).
+pub(crate) fn envelope_close(enc: Encoder, room: [usize; 2]) -> Vec<u8> {
+    let mut out = enc.into_bytes();
+    let file_crc = crc32(&out[room[0]..]);
     out.extend_from_slice(TRAILER);
     out.extend_from_slice(&file_crc.to_le_bytes());
     out
@@ -129,15 +149,35 @@ impl CkptFile {
     /// `(name, payload, crc32(payload))`, then trailer magic + CRC32 of
     /// everything before the trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        self.image([0, 0]).0
+    }
+
+    /// [`CkptFile::to_bytes`] with `room` around it (see
+    /// [`envelope_open`]), and the CRC32 of every section in file order:
+    /// each payload is summed once, for the image and for whoever indexes
+    /// the sections afterwards.
+    pub(crate) fn image(&self, room: [usize; 2]) -> (Vec<u8>, Vec<u32>) {
+        let body_len = prefixed(SCHEMA.len())
+            + 8
+            + self
+                .sections
+                .iter()
+                .map(|(name, payload)| prefixed(name.len()) + prefixed(payload.len()) + 4)
+                .sum::<usize>();
+        let mut enc = envelope_open(room, body_len);
         enc.str(SCHEMA);
         enc.u64(self.sections.len() as u64);
+        let mut crcs = Vec::with_capacity(self.sections.len());
         for (name, payload) in &self.sections {
+            let crc = crc32(payload);
             enc.str(name);
             enc.bytes(payload);
-            enc.u32(crc32(payload));
+            enc.u32(crc);
+            crcs.push(crc);
         }
-        envelope_seal(&enc.into_bytes())
+        let image = envelope_close(enc, room);
+        debug_assert_eq!(image.len(), room[0] + ENVELOPE_LEN + body_len);
+        (image, crcs)
     }
 
     /// Parse and fully validate a serialized file: magic, schema,

@@ -4,12 +4,20 @@
 //! resumed is a trajectory lost. This crate provides the serialization
 //! substrate: a [`Checkpoint`] trait over a versioned, length-prefixed
 //! binary wire format (schema [`SCHEMA`]) with per-section CRC32, an
-//! atomic on-disk [`CkptStore`] (write-to-temp + rename, retain last K,
-//! fall back past torn or CRC-bad generations), rank-0-coordinated
-//! [`coord`] write/restore over any [`qmc_comm::Communicator`], the one
-//! sweep-boundary run loop, [`drive`], that every checkpointed driver
-//! shares, and the one `rows/k` + `head` protocol, [`chunk`], that every
-//! append-only measurement series is sectioned by.
+//! on-disk [`CkptStore`] (each generation one in-place write into a
+//! recycled slot file, retain last K, fall back past torn or CRC-bad
+//! generations), rank-0-coordinated [`coord`] write/restore over any
+//! [`qmc_comm::Communicator`], the one sweep-boundary run loop,
+//! [`drive`], that every checkpointed driver shares, and the one
+//! `rows/k` + `head` protocol, [`chunk`], that every append-only
+//! measurement series is sectioned by.
+//!
+//! What the store promises: a process killed anywhere inside a commit
+//! leaves every generation the directory held before it loadable, because
+//! a commit only overwrites a slot the retain rule no longer keeps and a
+//! half-written slot lacks its end mark; nothing is fsynced (the promise
+//! is against a killed process, not a power cut); one writer per
+//! directory. See [`CkptStore`]'s module for the slot layout.
 //!
 //! The contract every implementor must honor: after `save` → `load` into
 //! a freshly constructed value, the resumed object continues the
@@ -99,8 +107,10 @@ impl DirtySections {
 /// `save` / `load` are the one-line calls [`save_sections_in_order`] /
 /// [`load_sections_in_order`]. Only a value whose whole-blob layout
 /// predates its sections and orders the fields differently — the three
-/// [`chunk`]ed series and the packed batch that nests them — writes both,
-/// sharing each check as one function.
+/// [`chunk`]ed series and the packed batch that nests them — or whose
+/// sections can only be judged together — SSE's operator string against
+/// the basis state it arrives with — writes both, sharing each check as
+/// one function.
 pub trait Checkpoint {
     /// Stable type tag written ahead of the payload; `load` rejects a
     /// payload whose tag does not match (e.g. resuming an SSE run with

@@ -1,13 +1,48 @@
-//! Atomic, generation-numbered checkpoint storage with delta chains.
+//! Generation-numbered checkpoint storage with delta chains, written in
+//! place into recycled slot files.
 //!
-//! Writes go to a hidden temp file in the same directory followed by a
-//! `rename`, so a crash never leaves a half-written file under the final
-//! name. Old generations are pruned down to the newest K after every
-//! successful write — but never a base generation that a retained delta
-//! still references. Readers walk generations newest-first, materialize
-//! delta chains transparently, and skip any generation whose chain fails
-//! to parse (torn, CRC-bad, wrong schema) — the run then resumes from
-//! the most recent generation that survived intact.
+//! A generation's v1/v2 image sits in `slot-<n>.qckpt` between a fixed
+//! 36-byte header — magic `QMCSLOT\0`, the directory's write counter
+//! `seq`, the generation, the image length and a CRC over those — and a
+//! 4-byte end mark that repeats the header's CRC. Bytes past the mark
+//! are ignored, so a shorter occupant needs no truncate. What a
+//! directory *holds* is decided by one pure rule ([`kept`]) over what its
+//! files say: the newest `retain` generations in write order —
+//! `(seq, generation)`, not generation number — plus every base a kept
+//! delta references, the higher `seq` winning when one generation sits
+//! in two places. Every reader ([`CkptStore::generations`],
+//! [`CkptStore::load`], [`CkptStore::latest`], a fresh store on another
+//! rank) scans the disk and applies that rule with its own `retain`; a
+//! slot whose occupant the rule does not keep is free space.
+//!
+//! A commit is therefore one in-place write: the writer keeps the
+//! directory's table in memory (one scan, at its first write or
+//! restore), overwrites a slot the rule does not keep, and creates
+//! `slot-<max+1>` only when there is none — `retain` + chain depth + 1
+//! files, then never again. No temp file, rename, unlink or directory
+//! read per commit.
+//!
+//! **What a kill can leave behind.** Only a slot the rule does not keep
+//! is ever overwritten, so a process killed anywhere inside a commit
+//! leaves every kept generation loadable and [`CkptStore::latest`]
+//! returns the newest of them. The slot being written is torn — a
+//! prefix of the new bytes, the previous occupant's after them — and
+//! fails its header CRC or lacks the end mark, which is the last thing a
+//! write puts down; it is then free space again. The image's own CRCs
+//! cannot stand in for the mark: a section is followed by its CRC, and a
+//! CRC summed over `payload ‖ crc(payload)` no longer depends on the
+//! payload, so two generations of one shape close with the *same*
+//! whole-file CRC and a splice of them at a section boundary passes
+//! every check of the image format (the unit test
+//! `a_splice_of_two_generations_passes_as_an_image_but_not_as_a_slot`
+//! shows it). Nothing is fsynced, here or before: the guarantee is
+//! against a killed process, not a lost power supply. One writer per
+//! directory: the table is not re-read between commits, so two stores
+//! committing into one directory overwrite each other's generations.
+//!
+//! Legacy `ckpt-<generation>.qckpt` files (temp + rename, older builds)
+//! are still listed, loaded and used as delta bases, as `seq` 0, and are
+//! unlinked once the rule drops them; they are never written.
 //!
 //! Delta writes resolve against the *base cache*: the section index
 //! (name, CRC32, length) of the last generation this store successfully
@@ -20,20 +55,193 @@ use crate::crc32::crc32;
 use crate::delta::{peek_base, RawCkpt, SectionData, SectionPlan};
 use crate::file::CkptFile;
 use crate::wire::CkptError;
+use std::cmp::Reverse;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 const EXT: &str = "qckpt";
 
-/// Directories with a write currently in flight (between the temp-file
-/// write and the atomic rename), shared by every store in the process.
-/// All communicator backends in this workspace are in-process threads,
-/// so this registry sees every writer that could race a store open —
-/// `gc_temp_files` consults it before sweeping, closing the window where
-/// one rank's store open deleted another rank's live temp file.
-static ACTIVE_WRITERS: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+const SLOT_MAGIC: &[u8; 8] = b"QMCSLOT\0";
+/// Magic, `seq`, generation, image length (8 bytes each) and the CRC of
+/// those 32 bytes.
+const SLOT_HEADER_LEN: usize = 36;
+/// The header's CRC once more, after the image.
+const SLOT_MARK_LEN: usize = 4;
+/// Room an image needs around it to be written as a slot.
+const SLOT_ROOM: [usize; 2] = [SLOT_HEADER_LEN, SLOT_MARK_LEN];
+
+/// The fixed header in front of a slot's image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlotHeader {
+    seq: u64,
+    generation: u64,
+    image_len: u64,
+}
+
+impl SlotHeader {
+    /// Write the header into `out` and return its CRC, the end mark.
+    fn encode(&self, out: &mut [u8]) -> [u8; SLOT_MARK_LEN] {
+        out[..8].copy_from_slice(SLOT_MAGIC);
+        out[8..16].copy_from_slice(&self.seq.to_le_bytes());
+        out[16..24].copy_from_slice(&self.generation.to_le_bytes());
+        out[24..32].copy_from_slice(&self.image_len.to_le_bytes());
+        let mark = crc32(&out[..32]).to_le_bytes();
+        out[32..SLOT_HEADER_LEN].copy_from_slice(&mark);
+        mark
+    }
+
+    fn decode(bytes: &[u8]) -> Option<(Self, &[u8])> {
+        let head = bytes.get(..SLOT_HEADER_LEN)?;
+        let u64_at = |i: usize| u64::from_le_bytes(head[i..i + 8].try_into().expect("8 bytes"));
+        let mark = &head[32..];
+        (&head[..8] == SLOT_MAGIC && crc32(&head[..32]).to_le_bytes() == mark).then(|| {
+            let header = Self {
+                seq: u64_at(8),
+                generation: u64_at(16),
+                image_len: u64_at(24),
+            };
+            (header, mark)
+        })
+    }
+}
+
+/// The header and image of a slot file's occupant, or `None` for a slot
+/// that holds none: bad header, stated length not present, or no end
+/// mark after the image — the write that put the header there did not
+/// get to its last byte (new header, the previous occupant's bytes
+/// further on). The image's own CRCs are checked by whoever parses it.
+fn slot_image(bytes: &[u8]) -> Option<(SlotHeader, &[u8])> {
+    let (header, mark) = SlotHeader::decode(bytes)?;
+    let end = SLOT_HEADER_LEN.checked_add(usize::try_from(header.image_len).ok()?)?;
+    let image = bytes.get(SLOT_HEADER_LEN..end)?;
+    (bytes.get(end..end.checked_add(SLOT_MARK_LEN)?)? == mark).then_some((header, image))
+}
+
+/// Where a generation's image lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Place {
+    /// `ckpt-<generation>.qckpt`, written by an older build.
+    Legacy,
+    /// `slot-<n>.qckpt`.
+    Slot(u32),
+}
+
+/// One generation a directory holds, as far as the retain rule needs to
+/// know it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    place: Place,
+    /// Position in the directory's write order (0 for legacy files).
+    seq: u64,
+    generation: u64,
+    /// Base generation a delta image references.
+    base: Option<u64>,
+}
+
+/// What a directory's files say.
+#[derive(Debug, Default)]
+struct Table {
+    entries: Vec<Entry>,
+    /// Slot files with no occupant: torn, unreadable, or a failed write.
+    free: Vec<u32>,
+}
+
+impl Table {
+    fn next_slot(&self) -> u32 {
+        let used = self.entries.iter().filter_map(|e| match e.place {
+            Place::Slot(n) => Some(n),
+            Place::Legacy => None,
+        });
+        used.chain(self.free.iter().copied())
+            .max()
+            .map_or(0, |n| n + 1)
+    }
+}
+
+/// Index of the entry that speaks for `generation`: the one written last
+/// when it sits in two places (a compaction, a re-write).
+fn live(entries: &[Entry], generation: u64) -> Option<usize> {
+    (0..entries.len())
+        .filter(|&i| entries[i].generation == generation)
+        .max_by_key(|&i| (entries[i].seq, entries[i].place))
+}
+
+/// The retain rule — indices into `entries`, newest first in write order:
+/// the newest `retain` live generations by `(seq, generation)`, so a run
+/// that starts over at generation 2 beside another run's 100..103 is
+/// newer than they are, plus, transitively, every base a kept delta
+/// references. An entry shadowed by a later write of its generation is
+/// never kept.
+fn kept(entries: &[Entry], retain: usize) -> Vec<usize> {
+    let newest_first = |v: &mut Vec<usize>| {
+        v.sort_unstable_by_key(|&i| Reverse((entries[i].seq, entries[i].generation)))
+    };
+    let mut frontier: Vec<usize> = (0..entries.len())
+        .filter(|&i| live(entries, entries[i].generation) == Some(i))
+        .collect();
+    newest_first(&mut frontier);
+    frontier.truncate(retain);
+    let mut keep = Vec::with_capacity(entries.len());
+    while let Some(i) = frontier.pop() {
+        if !keep.contains(&i) {
+            keep.push(i);
+            frontier.extend(entries[i].base.and_then(|b| live(entries, b)));
+        }
+    }
+    newest_first(&mut keep);
+    keep
+}
+
+/// File name of the image at `place` (`generation` names a legacy file).
+fn file_name(place: Place, generation: u64) -> String {
+    match place {
+        Place::Slot(n) => format!("slot-{n}.{EXT}"),
+        Place::Legacy => format!("ckpt-{generation:010}.{EXT}"),
+    }
+}
+
+/// `<number>` of a `<prefix><number>.qckpt` file name.
+fn numbered<T: std::str::FromStr>(name: &str, prefix: &str) -> Option<T> {
+    let number = name.strip_prefix(prefix)?.strip_suffix(EXT)?;
+    number.strip_suffix('.')?.parse().ok()
+}
+
+/// Read `dir` into a [`Table`]. Only names [`file_name`] would give are
+/// slots or legacy files; a legacy file is listed by name, as it always
+/// was.
+fn scan(dir: &Path) -> Table {
+    let mut table = Table::default();
+    for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let read = || fs::read(entry.path()).unwrap_or_default();
+        let slot = numbered(name, "slot-").filter(|&n| file_name(Place::Slot(n), 0) == name);
+        let legacy = numbered(name, "ckpt-").filter(|&g| file_name(Place::Legacy, g) == name);
+        if let Some(n) = slot {
+            match slot_image(&read()) {
+                Some((header, image)) => table.entries.push(Entry {
+                    place: Place::Slot(n),
+                    seq: header.seq,
+                    generation: header.generation,
+                    base: peek_base(image),
+                }),
+                None => table.free.push(n),
+            }
+        } else if let Some(generation) = legacy {
+            table.entries.push(Entry {
+                place: Place::Legacy,
+                seq: 0,
+                generation,
+                base: peek_base(&read()),
+            });
+        }
+    }
+    table.free.sort_unstable();
+    table
+}
 
 /// Map one namespace segment onto a safe directory name: keep
 /// `[A-Za-z0-9._-]`, replace the rest with `_`, and turn anything that
@@ -72,37 +280,20 @@ pub fn namespace_key(name: &str) -> String {
         .join("/")
 }
 
-/// Normalized directory key for the writer registry (two stores may name
-/// the same directory through different paths).
-fn registry_key(dir: &Path) -> PathBuf {
-    fs::canonicalize(dir).unwrap_or_else(|_| dir.to_path_buf())
-}
-
-/// RAII registration of an in-flight write on `dir`.
-struct WriterGuard {
-    key: PathBuf,
-}
-
-impl WriterGuard {
-    fn register(dir: &Path) -> Self {
-        let key = registry_key(dir);
-        ACTIVE_WRITERS
-            .lock()
-            .expect("checkpoint writer registry poisoned")
-            .push(key.clone());
-        Self { key }
-    }
-}
-
-impl Drop for WriterGuard {
-    fn drop(&mut self) {
-        let mut reg = ACTIVE_WRITERS
-            .lock()
-            .expect("checkpoint writer registry poisoned");
-        if let Some(i) = reg.iter().position(|k| k == &self.key) {
-            reg.swap_remove(i);
+/// A plan of payloads only as the full file it describes.
+fn payloads_file(plan: Vec<(String, SectionPlan)>) -> std::io::Result<CkptFile> {
+    let mut file = CkptFile::new();
+    for (name, p) in plan {
+        match p {
+            SectionPlan::Payload(b) => file.add(&name, b),
+            SectionPlan::Clean => {
+                return Err(std::io::Error::other(format!(
+                    "clean section {name:?} in a full write plan"
+                )))
+            }
         }
     }
+    Ok(file)
 }
 
 /// Section index of the last successfully written (or restored)
@@ -113,12 +304,21 @@ struct BaseCache {
     index: Vec<(String, u32, u32)>,
 }
 
-/// A directory of `ckpt-<generation>.qckpt` files, retaining the last K
+/// What the one writer of a directory remembers between commits.
+#[derive(Default)]
+struct Writer {
+    /// The directory as of this store's last scan plus its own commits;
+    /// `None` until the first write or restore.
+    table: Option<Table>,
+    base: Option<BaseCache>,
+}
+
+/// A directory of `slot-<n>.qckpt` files holding the last K generations
 /// (plus any older base a retained delta still needs).
 pub struct CkptStore {
     dir: PathBuf,
     retain: usize,
-    base: Mutex<Option<BaseCache>>,
+    writer: Mutex<Writer>,
     written: AtomicU64,
 }
 
@@ -131,15 +331,9 @@ impl CkptStore {
         let store = Self {
             dir,
             retain: retain.max(1),
-            base: Mutex::new(None),
+            writer: Mutex::new(Writer::default()),
             written: AtomicU64::new(0),
         };
-        // A crash between `fs::write(tmp)` and `rename` leaves an orphan
-        // temp file behind; opening the store is the natural point to
-        // sweep them. The sweep itself skips directories with a write in
-        // flight (see `gc_temp_files`) — in coordinated runs every rank
-        // opens the store while only rank 0 writes, and an unguarded
-        // sweep here used to delete rank 0's live temp file mid-write.
         store.gc_temp_files();
         Ok(store)
     }
@@ -165,34 +359,20 @@ impl CkptStore {
         Self::new(dir, retain)
     }
 
-    /// Remove orphaned `.ckpt-*.qckpt.tmp` files left by a writer that
-    /// crashed between the temp write and the atomic rename.
-    ///
-    /// Best-effort (unlink errors are ignored). A temp file is only live
-    /// *during* a write, and every writer in the process registers
-    /// itself for the duration of that window — so the sweep runs under
-    /// the registry lock and skips the directory entirely while a write
-    /// is in flight, rather than assuming single-writer. Returns how
-    /// many files were removed.
+    /// Remove the hidden temp files an older build's writer left behind
+    /// when it died between its temp write and its rename. No writer
+    /// makes them any more, so every one is an orphan. Best-effort
+    /// (unlink errors are ignored); returns how many were removed.
     pub fn gc_temp_files(&self) -> usize {
-        let reg = ACTIVE_WRITERS
-            .lock()
-            .expect("checkpoint writer registry poisoned");
-        let me = registry_key(&self.dir);
-        if reg.iter().any(|k| k == &me) {
-            return 0;
-        }
         let mut removed = 0;
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if name.starts_with(".ckpt-")
-                    && name.ends_with(&format!(".{EXT}.tmp"))
-                    && fs::remove_file(entry.path()).is_ok()
-                {
-                    removed += 1;
-                }
+        for entry in fs::read_dir(&self.dir).into_iter().flatten().flatten() {
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else { continue };
+            if name.starts_with(".ckpt-")
+                && name.ends_with(&format!(".{EXT}.tmp"))
+                && fs::remove_file(entry.path()).is_ok()
+            {
+                removed += 1;
             }
         }
         removed
@@ -203,52 +383,133 @@ impl CkptStore {
         &self.dir
     }
 
-    /// Total serialized bytes this store instance has written (full and
-    /// delta files alike); the `ckpt_delta_bytes` bench guard reads this.
+    /// Total bytes this store instance has handed to the file system
+    /// (slot headers and full and delta images alike); the
+    /// `ckpt_delta_bytes` bench guard reads this.
     pub fn bytes_written(&self) -> u64 {
         self.written.load(Ordering::Relaxed)
     }
 
-    fn path_for(&self, generation: u64) -> PathBuf {
-        self.dir.join(format!("ckpt-{generation:010}.{EXT}"))
+    fn path_of(&self, place: Place, generation: u64) -> PathBuf {
+        self.dir.join(file_name(place, generation))
     }
 
-    /// Temp-write + atomic rename, registered with the writer registry
-    /// for the duration so a concurrent store open cannot sweep the live
-    /// temp file.
-    fn write_bytes_atomic(&self, generation: u64, bytes: &[u8]) -> std::io::Result<PathBuf> {
-        let final_path = self.path_for(generation);
-        let tmp_path = self.dir.join(format!(".ckpt-{generation:010}.{EXT}.tmp"));
-        let _writing = WriterGuard::register(&self.dir);
-        fs::write(&tmp_path, bytes)?;
-        fs::rename(&tmp_path, &final_path)?;
-        qmc_obs::counter_add("ckpt.write_bytes", bytes.len() as u64);
-        self.written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(final_path)
+    fn writer(&self) -> MutexGuard<'_, Writer> {
+        self.writer
+            .lock()
+            .expect("checkpoint writer state poisoned")
     }
 
-    /// Replace the base cache with `file`'s section index.
-    fn seed_cache(&self, generation: u64, file: &CkptFile) {
+    /// Commit `buf` — an image with [`SLOT_ROOM`] around it — as
+    /// `generation` with one in-place write, and make it the delta
+    /// base (`index` is its materialized section index).
+    ///
+    /// The slot is one the retain rule, applied to what is committed so
+    /// far, does not keep (a free one first, else the oldest unkept
+    /// occupant), or a new file when every slot is kept. The generation
+    /// being written displaces nothing until it has landed, and its own
+    /// base is the delta base, which the rule keeps: a kill mid-write
+    /// costs only the slot. A failed write returns the error, leaves the
+    /// slot without an occupant and the delta base where it was.
+    fn commit(
+        &self,
+        writer: &mut Writer,
+        generation: u64,
+        base: Option<u64>,
+        mut buf: Vec<u8>,
+        index: Vec<(String, u32, u32)>,
+    ) -> std::io::Result<PathBuf> {
+        let table = writer.table.get_or_insert_with(|| scan(&self.dir));
+        let seq = table.entries.iter().map(|e| e.seq).max().unwrap_or(0) + 1;
+        let header = SlotHeader {
+            seq,
+            generation,
+            image_len: (buf.len() - SLOT_HEADER_LEN) as u64,
+        };
+        let mark = header.encode(&mut buf[..SLOT_HEADER_LEN]);
+        buf.extend_from_slice(&mark);
+
+        let keep = kept(&table.entries, self.retain);
+        let oldest_unkept = table
+            .entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e.place {
+                Place::Slot(n) if !keep.contains(&i) => Some((e.seq, i, n)),
+                _ => None,
+            });
+        // From here the slot holds nothing the table may count on.
+        let (slot, exists) = if !table.free.is_empty() {
+            (table.free.remove(0), true)
+        } else if let Some((_, i, n)) = oldest_unkept.min() {
+            table.entries.remove(i);
+            (n, true)
+        } else {
+            (table.next_slot(), false)
+        };
+        let path = self.path_of(Place::Slot(slot), generation);
+        let mut open = fs::OpenOptions::new();
+        if exists {
+            open.write(true);
+        } else {
+            open.write(true).create_new(true);
+        }
+        // A slot that cannot be opened is not this store's to use (it
+        // stays out of the table); one that took a short write is free.
+        let mut file = open.open(&path)?;
+        if let Err(e) = file.write_all(&buf) {
+            table.free.push(slot);
+            table.free.sort_unstable();
+            return Err(e);
+        }
+        drop(file);
+        table.entries.push(Entry {
+            place: Place::Slot(slot),
+            seq,
+            generation,
+            base,
+        });
+        qmc_obs::counter_add("ckpt.write_bytes", buf.len() as u64);
+        self.written.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        writer.base = Some(BaseCache { generation, index });
+
+        // Legacy files leave as the rule drops them; a directory without
+        // any (the steady state) is not touched.
+        if table.entries.iter().any(|e| e.place == Place::Legacy) {
+            let keep = kept(&table.entries, self.retain);
+            for i in (0..table.entries.len()).rev() {
+                let e = table.entries[i];
+                if e.place == Place::Legacy && !keep.contains(&i) {
+                    let _ = fs::remove_file(self.path_of(e.place, e.generation));
+                    table.entries.remove(i);
+                }
+            }
+        }
+        Ok(path)
+    }
+
+    /// Write `file` as a full generation `generation` (see the module
+    /// doc for what a kill mid-write leaves). Records the bytes written
+    /// under the `ckpt.write_bytes` observability counter and makes this
+    /// generation the delta base for subsequent
+    /// [`CkptStore::write_delta`] calls. Returns the slot file's path.
+    pub fn write(&self, generation: u64, file: &CkptFile) -> std::io::Result<PathBuf> {
+        self.write_full(&mut self.writer(), generation, file)
+    }
+
+    fn write_full(
+        &self,
+        writer: &mut Writer,
+        generation: u64,
+        file: &CkptFile,
+    ) -> std::io::Result<PathBuf> {
+        let (buf, crcs) = file.image(SLOT_ROOM);
         let index = file
             .sections()
-            .map(|(n, p)| (n.to_string(), crc32(p), p.len() as u32))
+            .zip(crcs)
+            .map(|((n, p), crc)| (n.to_string(), crc, p.len() as u32))
             .collect();
-        *self.base.lock().expect("checkpoint base cache poisoned") =
-            Some(BaseCache { generation, index });
-    }
-
-    /// Atomically write `file` as a full generation `generation`, then
-    /// prune old generations beyond the retain limit. Records the
-    /// serialized size under the `ckpt.write_bytes` observability
-    /// counter and makes this generation the delta base for subsequent
-    /// [`CkptStore::write_delta`] calls.
-    pub fn write(&self, generation: u64, file: &CkptFile) -> std::io::Result<PathBuf> {
-        let bytes = file.to_bytes();
-        let path = self.write_bytes_atomic(generation, &bytes)?;
-        self.seed_cache(generation, file);
-        self.prune();
-        Ok(path)
+        self.commit(writer, generation, None, buf, index)
     }
 
     /// Generation a delta write would reference, if the store has one:
@@ -256,87 +517,70 @@ impl CkptStore {
     /// Callers consult this *before* serializing so clean sections can
     /// be planned as [`SectionPlan::Clean`] and never serialized.
     pub fn delta_base(&self) -> Option<u64> {
-        self.base
-            .lock()
-            .expect("checkpoint base cache poisoned")
-            .as_ref()
-            .map(|c| c.generation)
+        self.writer().base.as_ref().map(|c| c.generation)
     }
 
-    /// Atomically write a delta generation: `Clean` plan entries become
-    /// 8-byte references into the cached base generation, `Payload`
-    /// entries are stored verbatim. Errors if a clean section has no
-    /// counterpart in the base (callers pair this with
-    /// [`CkptStore::delta_base`]); degrades to a plain full write when
-    /// the plan has no clean entries. On success the new generation
-    /// becomes the delta base for the next write.
+    /// Write a delta generation: `Clean` plan entries become 8-byte
+    /// references into the cached base generation, `Payload` entries are
+    /// stored verbatim. Errors if a clean section has no counterpart in
+    /// the base (callers pair this with [`CkptStore::delta_base`]);
+    /// degrades to a plain full write when the plan has no clean
+    /// entries. On success the new generation becomes the delta base for
+    /// the next write.
     pub fn write_delta(
         &self,
         generation: u64,
         plan: Vec<(String, SectionPlan)>,
     ) -> std::io::Result<PathBuf> {
+        let mut writer = self.writer();
         if !plan.iter().any(|(_, p)| matches!(p, SectionPlan::Clean)) {
             // Nothing to reference — a "delta" carrying every payload is
             // just a full snapshot; write it as one.
-            let mut file = CkptFile::new();
-            for (name, p) in plan {
-                if let SectionPlan::Payload(b) = p {
-                    file.add(&name, b);
-                }
-            }
-            return self.write(generation, &file);
+            return self.write_full(&mut writer, generation, &payloads_file(plan)?);
         }
-        let (base_generation, index, sections) = {
-            let cache = self.base.lock().expect("checkpoint base cache poisoned");
-            let Some(cache) = cache.as_ref() else {
-                return Err(std::io::Error::other(
-                    "delta write with no base generation (no prior successful write)",
-                ));
-            };
-            if cache.generation >= generation {
-                return Err(std::io::Error::other(format!(
-                    "delta generation {generation} must be newer than its base {}",
-                    cache.generation
-                )));
-            }
-            let mut index = Vec::with_capacity(plan.len());
-            let mut sections = Vec::with_capacity(plan.len());
-            for (name, p) in plan {
-                match p {
-                    SectionPlan::Payload(b) => {
-                        index.push((name.clone(), crc32(&b), b.len() as u32));
-                        sections.push((name, SectionData::Payload(b)));
-                    }
-                    SectionPlan::Clean => {
-                        let Some((_, crc, len)) = cache.index.iter().find(|(n, _, _)| *n == name)
-                        else {
-                            return Err(std::io::Error::other(format!(
-                                "clean section {name:?} has no counterpart in base generation {}",
-                                cache.generation
-                            )));
-                        };
-                        index.push((name.clone(), *crc, *len));
-                        sections.push((
-                            name,
-                            SectionData::BaseRef {
-                                crc: *crc,
-                                len: *len,
-                            },
-                        ));
-                    }
-                }
-            }
-            (cache.generation, index, sections)
+        let Some(cache) = writer.base.as_ref() else {
+            return Err(std::io::Error::other(
+                "delta write with no base generation (no prior successful write)",
+            ));
         };
+        if cache.generation >= generation {
+            return Err(std::io::Error::other(format!(
+                "delta generation {generation} must be newer than its base {}",
+                cache.generation
+            )));
+        }
+        let mut sections = Vec::with_capacity(plan.len());
+        for (name, p) in plan {
+            let data = match p {
+                SectionPlan::Payload(b) => SectionData::Payload(b),
+                SectionPlan::Clean => {
+                    let Some(&(_, crc, len)) = cache.index.iter().find(|(n, _, _)| *n == name)
+                    else {
+                        return Err(std::io::Error::other(format!(
+                            "clean section {name:?} has no counterpart in base generation {}",
+                            cache.generation
+                        )));
+                    };
+                    SectionData::BaseRef { crc, len }
+                }
+            };
+            sections.push((name, data));
+        }
         let raw = RawCkpt {
-            base: Some(base_generation),
+            base: Some(cache.generation),
             sections,
         };
-        let path = self.write_bytes_atomic(generation, &raw.to_bytes())?;
-        *self.base.lock().expect("checkpoint base cache poisoned") =
-            Some(BaseCache { generation, index });
-        self.prune();
-        Ok(path)
+        let (buf, crcs) = raw.image(SLOT_ROOM);
+        let index = raw
+            .sections
+            .into_iter()
+            .zip(crcs)
+            .map(|((name, data), crc)| match data {
+                SectionData::Payload(p) => (name, crc, p.len() as u32),
+                SectionData::BaseRef { len, .. } => (name, crc, len),
+            })
+            .collect();
+        self.commit(&mut writer, generation, raw.base, buf, index)
     }
 
     /// Write a planned generation: a delta against the cached base when
@@ -352,72 +596,18 @@ impl CkptStore {
         if delta {
             self.write_delta(generation, plan)
         } else {
-            let mut file = CkptFile::new();
-            for (name, p) in plan {
-                match p {
-                    SectionPlan::Payload(b) => file.add(&name, b),
-                    SectionPlan::Clean => {
-                        return Err(std::io::Error::other(format!(
-                            "clean section {name:?} in a full write plan"
-                        )))
-                    }
-                }
-            }
-            self.write(generation, &file)
+            self.write(generation, &payloads_file(plan)?)
         }
     }
 
-    /// Delete the oldest generations until at most `retain` remain —
-    /// except that a base generation referenced (transitively) by any
-    /// retained delta is kept alive regardless of age, because dropping
-    /// it would orphan the whole chain. Best-effort: unlink errors are
-    /// ignored (a stale extra file is harmless; readers pick the newest
-    /// valid one regardless).
-    fn prune(&self) {
-        let gens = self.generations();
-        if gens.len() <= self.retain {
-            return;
-        }
-        let mut keep: Vec<u64> = gens[gens.len() - self.retain..].to_vec();
-        let mut frontier = keep.clone();
-        while let Some(g) = frontier.pop() {
-            if let Some(b) = self.read_base(g) {
-                if gens.contains(&b) && !keep.contains(&b) {
-                    keep.push(b);
-                    frontier.push(b);
-                }
-            }
-        }
-        for &g in &gens {
-            if !keep.contains(&g) {
-                let _ = fs::remove_file(self.path_for(g));
-            }
-        }
-    }
-
-    /// Base generation `generation`'s file references, from a cheap
-    /// header peek (no CRC validation; `None` for full/v1/unreadable).
-    fn read_base(&self, generation: u64) -> Option<u64> {
-        peek_base(&fs::read(self.path_for(generation)).ok()?)
-    }
-
-    /// All on-disk generation numbers, sorted ascending. Files that do
-    /// not match the `ckpt-<gen>.qckpt` pattern are ignored.
+    /// The generations the directory holds by the retain rule, sorted
+    /// ascending by number.
     pub fn generations(&self) -> Vec<u64> {
-        let mut gens = Vec::new();
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if let Some(g) = name
-                    .strip_prefix("ckpt-")
-                    .and_then(|r| r.strip_suffix(&format!(".{EXT}")))
-                    .and_then(|g| g.parse::<u64>().ok())
-                {
-                    gens.push(g);
-                }
-            }
-        }
+        let table = scan(&self.dir);
+        let mut gens: Vec<u64> = kept(&table.entries, self.retain)
+            .into_iter()
+            .map(|i| table.entries[i].generation)
+            .collect();
         gens.sort_unstable();
         gens
     }
@@ -427,60 +617,99 @@ impl CkptStore {
     /// Every file in the chain is CRC-validated and every base reference
     /// re-verified against the materialized base payloads.
     pub fn load(&self, generation: u64) -> Result<CkptFile, CkptError> {
-        let path = self.path_for(generation);
+        self.load_in(&scan(&self.dir), generation)
+    }
+
+    /// [`CkptStore::load`] against an already scanned directory.
+    fn load_in(&self, table: &Table, generation: u64) -> Result<CkptFile, CkptError> {
+        let Some(entry) = live(&table.entries, generation).map(|i| table.entries[i]) else {
+            return Err(CkptError::Io {
+                detail: format!("{}: no generation {generation}", self.dir.display()),
+            });
+        };
+        let path = self.path_of(entry.place, generation);
         let bytes = fs::read(&path).map_err(|e| CkptError::Io {
             detail: format!("{}: {e}", path.display()),
         })?;
-        let raw = RawCkpt::from_bytes(&bytes)?;
+        let image = match entry.place {
+            Place::Legacy => &bytes[..],
+            // The slot may have been written again since the scan.
+            Place::Slot(_) => match slot_image(&bytes) {
+                Some((h, image)) if (h.seq, h.generation) == (entry.seq, generation) => image,
+                _ => {
+                    return Err(CkptError::Io {
+                        detail: format!("{}: generation {generation} is gone", path.display()),
+                    })
+                }
+            },
+        };
+        let raw = RawCkpt::from_bytes(image)?;
         match raw.base {
             None => raw.resolve(None),
             Some(b) if b >= generation => Err(CkptError::corrupt(format!(
                 "delta generation {generation} references a non-older base {b}"
             ))),
             Some(b) => {
-                let base = self.load(b)?;
+                let base = self.load_in(table, b)?;
                 raw.resolve(Some(&base))
             }
         }
     }
 
-    /// Newest generation whose whole chain parses and passes every CRC,
-    /// walking backwards past torn or corrupt generations (a torn delta
-    /// falls back to its base's generation if that one is intact on its
-    /// own or via an earlier chain). Bumps the `ckpt.restores`
-    /// observability counter on success and seeds the delta-base cache,
-    /// so a resumed run's next checkpoint can be written as a delta.
-    /// `None` when no valid checkpoint exists.
-    pub fn latest(&self) -> Option<(u64, CkptFile)> {
-        for &g in self.generations().iter().rev() {
-            if let Ok(file) = self.load(g) {
-                qmc_obs::counter_add("ckpt.restores", 1);
-                self.seed_cache(g, &file);
-                return Some((g, file));
+    /// The newest kept generation, in write order, whose whole chain
+    /// parses and passes every CRC, with `writer` brought up to date
+    /// with the disk: its table is the fresh scan, its delta base the
+    /// generation found.
+    fn restore_newest(&self, writer: &mut Writer) -> Option<(Entry, CkptFile)> {
+        let table = writer.table.insert(scan(&self.dir));
+        for i in kept(&table.entries, self.retain) {
+            let entry = table.entries[i];
+            if let Ok(file) = self.load_in(table, entry.generation) {
+                let index = file
+                    .sections()
+                    .map(|(n, p)| (n.to_string(), crc32(p), p.len() as u32))
+                    .collect();
+                writer.base = Some(BaseCache {
+                    generation: entry.generation,
+                    index,
+                });
+                return Some((entry, file));
             }
         }
         None
     }
 
+    /// Newest generation — in write order — whose whole chain parses and
+    /// passes every CRC, walking backwards past torn or corrupt
+    /// generations (a torn delta falls back to its base's generation if
+    /// that one is intact on its own or via an earlier chain). Bumps the
+    /// `ckpt.restores` observability counter on success and seeds the
+    /// delta-base cache, so a resumed run's next checkpoint can be
+    /// written as a delta. `None` when no valid checkpoint exists.
+    pub fn latest(&self) -> Option<(u64, CkptFile)> {
+        let (entry, file) = self.restore_newest(&mut self.writer())?;
+        qmc_obs::counter_add("ckpt.restores", 1);
+        Some((entry.generation, file))
+    }
+
     /// Collapse the newest valid generation's delta chain into a fresh
     /// standalone full snapshot (ROADMAP: checkpoint compaction): the
-    /// chain is materialized, rewritten atomically under the same
-    /// generation number, and bases it no longer needs are pruned.
-    /// Returns the compacted generation, `None` when the store is empty
-    /// (or holds only corrupt files). A crash mid-compaction leaves the
-    /// original chain untouched — the rewrite rides the same temp+rename
-    /// discipline as every other write.
+    /// chain is materialized and written as a full image under the same
+    /// generation number into a slot the rule does not keep; its higher
+    /// `seq` makes it the one readers take, and the delta it replaces
+    /// and the bases only that delta needed become free space. Returns
+    /// the compacted generation, `None` when the store is empty (or
+    /// holds only corrupt files). A crash mid-compaction leaves the
+    /// original chain untouched, like any other commit.
     pub fn compact(&self) -> std::io::Result<Option<u64>> {
-        for &g in self.generations().iter().rev() {
-            let Ok(file) = self.load(g) else { continue };
-            if self.read_base(g).is_some() {
-                self.write_bytes_atomic(g, &file.to_bytes())?;
-            }
-            self.seed_cache(g, &file);
-            self.prune();
-            return Ok(Some(g));
+        let mut writer = self.writer();
+        let Some((entry, file)) = self.restore_newest(&mut writer) else {
+            return Ok(None);
+        };
+        if entry.base.is_some() {
+            self.write_full(&mut writer, entry.generation, &file)?;
         }
-        Ok(None)
+        Ok(Some(entry.generation))
     }
 }
 
@@ -520,6 +749,46 @@ mod tests {
         f
     }
 
+    /// `a` and `b` of 64 bytes each, both different for every `tag`.
+    fn two_sections(tag: u8) -> CkptFile {
+        let mut f = CkptFile::new();
+        f.add("a", vec![tag; 64]);
+        f.add("b", vec![!tag; 64]);
+        f
+    }
+    /// Wire size of `two_sections`' section `b`, and of the `QEND` mark.
+    const SECTION_B_LEN: usize = (8 + 1) + (8 + 64) + 4;
+    const TRAILER_LEN: usize = 4;
+
+    /// The bytes a commit of `file` puts into a slot.
+    fn slot_bytes(seq: u64, generation: u64, file: &CkptFile) -> Vec<u8> {
+        let mut buf = file.image(SLOT_ROOM).0;
+        let header = SlotHeader {
+            seq,
+            generation,
+            image_len: (buf.len() - SLOT_HEADER_LEN) as u64,
+        };
+        let mark = header.encode(&mut buf[..SLOT_HEADER_LEN]);
+        buf.extend_from_slice(&mark);
+        buf
+    }
+
+    /// Base generation the live image of `generation` references.
+    fn base_of(store: &CkptStore, generation: u64) -> Option<u64> {
+        let table = scan(store.dir());
+        table.entries[live(&table.entries, generation).expect("generation is held")].base
+    }
+
+    /// Names in the store's directory, sorted.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn namespaced_stores_do_not_collide() {
         let root = scratch("ns");
@@ -537,15 +806,17 @@ mod tests {
     #[test]
     fn hostile_namespace_names_cannot_escape_root() {
         let root = scratch("ns-hostile");
-        fs::create_dir_all(&root).unwrap();
-        let canon_root = fs::canonicalize(&root).unwrap();
         for name in ["../../etc/job", "..", ".", "a/../../b", "", "😀/\0x"] {
             let store = CkptStore::open_namespace(&root, name, 2).unwrap();
             store.write(1, &file_with(1)).unwrap();
-            let dir = fs::canonicalize(store.dir()).unwrap();
+            // Below the root by plain names only: nothing walks back up.
+            let below = store.dir().strip_prefix(&root);
             assert!(
-                dir.starts_with(&canon_root),
-                "name {name:?} escaped to {dir:?}"
+                below.is_ok_and(|p| p
+                    .components()
+                    .all(|c| matches!(c, std::path::Component::Normal(_)))),
+                "name {name:?} escaped to {:?}",
+                store.dir()
             );
         }
     }
@@ -654,31 +925,28 @@ mod tests {
         assert!(store.generations().is_empty());
     }
 
-    // ---- store-open GC race (regression: a non-zero rank opening the
-    // store used to sweep rank 0's live temp file mid-write) ----
+    // ---- store open beside a live writer: in coordinated runs every
+    // rank opens the store while rank 0 writes ----
 
     #[test]
-    fn store_open_does_not_sweep_a_live_writers_temp_file() {
-        let dir = scratch("gc-race");
+    fn store_open_leaves_a_half_written_slot_alone() {
+        let dir = scratch("open-race");
         let store = CkptStore::new(&dir, 3).unwrap();
-        // Freeze rank 0 between `fs::write(tmp)` and `rename`: register
-        // the writer guard and put the temp file on disk by hand.
-        let tmp = dir.join(format!(".ckpt-{:010}.{EXT}.tmp", 5));
-        let guard = WriterGuard::register(store.dir());
-        fs::write(&tmp, b"live in-flight write").unwrap();
+        store.write(1, &file_with(1)).unwrap();
+        // Freeze rank 0 half-way through the write of generation 2.
+        let p2 = store.write(2, &file_with(2)).unwrap();
+        let whole = fs::read(&p2).unwrap();
+        fs::write(&p2, &whole[..whole.len() / 2]).unwrap();
 
-        // Another rank opens the same store concurrently — its GC sweep
-        // must leave the live temp file alone.
-        let _other = CkptStore::new(&dir, 3).unwrap();
-        assert!(
-            tmp.exists(),
-            "store open swept a live temp file out from under an active writer"
-        );
+        // Another rank opens the same store: the open changes nothing.
+        let before = (names(&dir), fs::read(&p2).unwrap());
+        let other = CkptStore::new(&dir, 3).unwrap();
+        assert_eq!((names(&dir), fs::read(&p2).unwrap()), before);
+        assert_eq!(other.generations(), vec![1], "a half-written slot is empty");
 
-        // Once the writer is gone (crash case), the next open may sweep.
-        drop(guard);
-        let _third = CkptStore::new(&dir, 3).unwrap();
-        assert!(!tmp.exists(), "orphaned temp file must still be collected");
+        // Rank 0 finishes; the generation is there for everyone.
+        fs::write(&p2, &whole).unwrap();
+        assert_eq!(other.generations(), vec![1, 2]);
     }
 
     #[test]
@@ -713,19 +981,19 @@ mod tests {
     fn delta_chain_materializes_through_latest() {
         let store = CkptStore::new(scratch("delta-rt"), 4).unwrap();
         assert_eq!(store.delta_base(), None);
-        store.write(1, &full_file(1)).unwrap();
+        let p1 = store.write(1, &full_file(1)).unwrap();
         assert_eq!(store.delta_base(), Some(1));
         store.write_delta(2, delta_plan(2)).unwrap();
         assert_eq!(store.delta_base(), Some(2));
-        store.write_delta(3, delta_plan(3)).unwrap();
+        let p3 = store.write_delta(3, delta_plan(3)).unwrap();
 
         let (g, f) = store.latest().unwrap();
         assert_eq!(g, 3);
         assert_eq!(f.get("big"), Some(&[0xABu8; 256][..]), "clean via chain");
         assert_eq!(f.get("small"), Some(&[3u8; 4][..]), "dirty from the delta");
         // The delta files really are small: big's 256 bytes appear once.
-        let full_len = fs::metadata(store.path_for(1)).unwrap().len();
-        let delta_len = fs::metadata(store.path_for(3)).unwrap().len();
+        let full_len = fs::metadata(p1).unwrap().len();
+        let delta_len = fs::metadata(p3).unwrap().len();
         assert!(
             delta_len * 2 < full_len,
             "delta file ({delta_len} B) should be far smaller than full ({full_len} B)"
@@ -743,7 +1011,7 @@ mod tests {
         let store = CkptStore::new(scratch("delta-alldirty"), 3).unwrap();
         let plan = vec![("small".to_string(), SectionPlan::Payload(vec![5; 4]))];
         store.write_delta(1, plan).unwrap();
-        assert_eq!(store.read_base(1), None, "no-clean delta is a full file");
+        assert_eq!(base_of(&store, 1), None, "no-clean delta is a full file");
         let (g, f) = store.latest().unwrap();
         assert_eq!(g, 1);
         assert_eq!(f.get("small"), Some(&[5u8; 4][..]));
@@ -780,9 +1048,9 @@ mod tests {
     #[test]
     fn delta_whose_base_is_missing_is_skipped() {
         let store = CkptStore::new(scratch("delta-orphan"), 4).unwrap();
-        store.write(1, &full_file(1)).unwrap();
+        let p1 = store.write(1, &full_file(1)).unwrap();
         store.write_delta(2, delta_plan(2)).unwrap();
-        fs::remove_file(store.path_for(1)).unwrap();
+        fs::remove_file(p1).unwrap();
         assert!(
             store.latest().is_none(),
             "orphaned delta must not materialize"
@@ -818,7 +1086,7 @@ mod tests {
         store.write_delta(3, delta_plan(3)).unwrap();
         assert_eq!(store.generations(), vec![1, 2, 3], "chain pins its bases");
         assert_eq!(store.compact().unwrap(), Some(3));
-        assert_eq!(store.read_base(3), None, "compacted file is standalone");
+        assert_eq!(base_of(&store, 3), None, "compacted image is standalone");
         assert_eq!(
             store.generations(),
             vec![3],
@@ -837,27 +1105,417 @@ mod tests {
         let store = CkptStore::new(scratch("compact-crash"), 2).unwrap();
         store.write(1, &full_file(1)).unwrap();
         store.write_delta(2, delta_plan(2)).unwrap();
-        // Simulate the crash: compaction died after writing its temp
-        // file but before the rename.
-        fs::write(
-            store.dir().join(format!(".ckpt-{:010}.{EXT}.tmp", 2)),
-            b"half-compacted",
-        )
-        .unwrap();
-        // Reopen: the orphan is swept, the original chain still reads.
+        // Simulate the crash: compaction died half-way through writing
+        // the full image of generation 2 into the next slot.
+        let whole = slot_bytes(3, 2, &full_file(2));
+        fs::write(store.dir().join("slot-2.qckpt"), &whole[..whole.len() / 2]).unwrap();
+        // Reopen: the original chain still reads.
         let store = CkptStore::new(store.dir().to_path_buf(), 2).unwrap();
+        assert_eq!(base_of(&store, 2), Some(1));
         let (g, f) = store.latest().unwrap();
         assert_eq!(g, 2);
         assert_eq!(f.get("big"), Some(&[0xABu8; 256][..]));
         assert_eq!(f.get("small"), Some(&[2u8; 4][..]));
-        // And a retried compaction completes.
+        // And a retried compaction completes, into the torn slot.
         assert_eq!(store.compact().unwrap(), Some(2));
-        assert_eq!(store.read_base(2), None);
+        assert_eq!(base_of(&store, 2), None);
+        assert_eq!(names(store.dir()).len(), 3);
     }
 
     #[test]
     fn empty_store_compacts_to_none() {
         let store = CkptStore::new(scratch("compact-empty"), 2).unwrap();
         assert_eq!(store.compact().unwrap(), None);
+    }
+
+    // ---- slots ----
+
+    /// Two generations of one shape, spliced at a section boundary, pass
+    /// every check the image format has; the slot's end mark is what
+    /// tells a finished write from that.
+    #[test]
+    fn a_splice_of_two_generations_passes_as_an_image_but_not_as_a_slot() {
+        let (old, new) = (two_sections(1), two_sections(2));
+        let (old_image, new_image) = (old.to_bytes(), new.to_bytes());
+        assert_eq!(
+            old_image[old_image.len() - 4..],
+            new_image[new_image.len() - 4..]
+        );
+        let cut = new_image.len() - 4 - TRAILER_LEN - SECTION_B_LEN;
+        let mut splice = new_image[..cut].to_vec();
+        splice.extend_from_slice(&old_image[cut..]);
+        let parsed = CkptFile::from_bytes(&splice).expect("the image format cannot tell");
+        assert_eq!(parsed.get("a"), new.get("a"));
+        assert_eq!(parsed.get("b"), old.get("b"));
+
+        let (old_slot, new_slot) = (slot_bytes(1, 1, &old), slot_bytes(2, 2, &new));
+        assert_eq!(slot_image(&new_slot).unwrap().1, &new_image[..]);
+        let cut = SLOT_HEADER_LEN + cut;
+        let mut torn = new_slot[..cut].to_vec();
+        torn.extend_from_slice(&old_slot[cut..]);
+        assert!(slot_image(&torn).is_none());
+    }
+
+    #[test]
+    fn a_slot_is_whole_only_with_every_byte_up_to_its_end_mark() {
+        let mut slot = slot_bytes(7, 9, &file_with(1));
+        let whole = slot.len();
+        // Bytes past the mark are not the occupant's.
+        slot.extend_from_slice(b"left over from a longer occupant");
+        let (header, image) = slot_image(&slot).unwrap();
+        assert_eq!((header.seq, header.generation), (7, 9));
+        assert_eq!(image, &file_with(1).to_bytes()[..]);
+        for cut in 0..whole {
+            assert!(slot_image(&slot[..cut]).is_none(), "cut at {cut}");
+        }
+        for i in 0..SLOT_HEADER_LEN {
+            let mut bad = slot.clone();
+            bad[i] ^= 0x40;
+            assert!(slot_image(&bad).is_none(), "header byte {i} flipped");
+        }
+    }
+
+    #[test]
+    fn retain_rule_orders_by_write_and_closes_over_bases() {
+        let e = |slot, seq, generation, base| Entry {
+            place: Place::Slot(slot),
+            seq,
+            generation,
+            base,
+        };
+        // 7 full, 8 on 7, 9 on 8, then 3 (a run that started over) full.
+        let entries = [
+            e(0, 1, 7, None),
+            e(1, 2, 8, Some(7)),
+            e(2, 3, 9, Some(8)),
+            e(3, 4, 3, None),
+        ];
+        assert_eq!(kept(&entries, 1), [3]);
+        assert_eq!(kept(&entries, 2), [3, 2, 1, 0]);
+        // 9 compacted under a later seq: the delta it replaces and the
+        // bases only that delta needed are dropped.
+        let mut entries = entries.to_vec();
+        entries.push(e(4, 5, 9, None));
+        assert_eq!(kept(&entries, 2), [4, 3]);
+        // A legacy file is older than any slot.
+        entries.push(Entry {
+            place: Place::Legacy,
+            seq: 0,
+            generation: 50,
+            base: None,
+        });
+        assert_eq!(kept(&entries, 4), [4, 3, 1, 0]);
+        assert_eq!(kept(&entries, 5), [4, 3, 1, 0, 5]);
+    }
+
+    /// Bugfix: `write(2)` beside another run's 100..103 used to be
+    /// unlinked by its own prune, and a crash there resumed from 103.
+    #[test]
+    fn write_order_not_generation_number_decides_what_is_newest() {
+        let dir = scratch("write-order");
+        {
+            let stale = CkptStore::new(&dir, 4).unwrap();
+            for g in 100..=103 {
+                stale.write(g, &file_with(g as u8)).unwrap();
+            }
+        }
+        // A fresh run (no resume) starts over in the same directory.
+        let store = CkptStore::new(&dir, 4).unwrap();
+        store.write(2, &file_with(2)).unwrap();
+        assert_eq!(store.generations(), vec![2, 101, 102, 103]);
+        let reopened = CkptStore::new(&dir, 4).unwrap();
+        let (g, f) = reopened.latest().unwrap();
+        assert_eq!((g, f.get("data")), (2, Some(&[2u8; 16][..])));
+        store.write(4, &file_with(4)).unwrap();
+        store.write(6, &file_with(6)).unwrap();
+        assert_eq!(store.generations(), vec![2, 4, 6, 103]);
+        assert_eq!(CkptStore::new(&dir, 4).unwrap().latest().unwrap().0, 6);
+        store.write(8, &file_with(8)).unwrap();
+        assert_eq!(store.generations(), vec![2, 4, 6, 8]);
+    }
+
+    #[test]
+    fn a_refused_slot_is_an_error_and_moves_nothing() {
+        let dir = scratch("refused");
+        let store = CkptStore::new(&dir, 4).unwrap();
+        store.write(1, &full_file(1)).unwrap();
+        // The next commit needs a new file; a directory squats its name.
+        let squat = dir.join("slot-1.qckpt");
+        fs::create_dir(&squat).unwrap();
+        let before = store.bytes_written();
+        assert!(store.write(2, &full_file(2)).is_err());
+        assert!(store.write_delta(2, delta_plan(2)).is_err());
+        assert_eq!(store.delta_base(), Some(1), "the base stays where it was");
+        assert_eq!(store.bytes_written(), before);
+        assert_eq!(store.generations(), vec![1]);
+        // A fresh store finds the squatter in its scan and fails alike.
+        let fresh = CkptStore::new(&dir, 4).unwrap();
+        assert!(fresh.write(2, &full_file(2)).is_err());
+        assert_eq!(fresh.generations(), vec![1]);
+        fs::remove_dir(&squat).unwrap();
+        store.write_delta(2, delta_plan(2)).unwrap();
+        assert_eq!(store.generations(), vec![1, 2]);
+        assert_eq!(store.latest().unwrap().0, 2);
+    }
+
+    /// After the slots exist a commit creates, renames and unlinks
+    /// nothing: the directory's names and its modification time stay.
+    #[test]
+    fn steady_state_commits_touch_no_directory_entry() {
+        let dir = scratch("no-dir-op");
+        let store = CkptStore::new(&dir, 4).unwrap();
+        let commit = |g: u64| {
+            if g.is_multiple_of(4) {
+                store.write(g, &full_file(g as u8)).unwrap();
+            } else {
+                store.write_delta(g, delta_plan(g as u8)).unwrap();
+            }
+        };
+        (0..24).for_each(commit);
+        let slots = names(&dir);
+        assert_eq!(slots.len(), 4 + 3 + 1, "retain + chain depth + 1 files");
+        let modified = fs::metadata(&dir).unwrap().modified().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        (24..224).for_each(commit);
+        assert_eq!(names(&dir), slots);
+        assert_eq!(fs::metadata(&dir).unwrap().modified().unwrap(), modified);
+        assert_eq!(store.generations(), vec![220, 221, 222, 223]);
+        assert_eq!(store.latest().unwrap().0, 223);
+    }
+
+    #[test]
+    fn legacy_files_are_read_built_on_and_dropped_never_written() {
+        let dir = scratch("legacy");
+        fs::create_dir_all(&dir).unwrap();
+        // What an older build left: a full, a delta on it, and the temp
+        // file of a writer that died before its rename.
+        fs::write(dir.join("ckpt-0000000001.qckpt"), full_file(1).to_bytes()).unwrap();
+        let big = full_file(1);
+        let big = big.get("big").unwrap();
+        let delta = RawCkpt {
+            base: Some(1),
+            sections: vec![
+                (
+                    "big".into(),
+                    SectionData::BaseRef {
+                        crc: crc32(big),
+                        len: big.len() as u32,
+                    },
+                ),
+                ("small".into(), SectionData::Payload(vec![2; 4])),
+            ],
+        };
+        fs::write(dir.join("ckpt-0000000002.qckpt"), delta.to_bytes()).unwrap();
+        fs::write(dir.join(".ckpt-0000000003.qckpt.tmp"), b"half-written").unwrap();
+
+        let store = CkptStore::new(&dir, 2).unwrap();
+        assert_eq!(
+            names(&dir),
+            ["ckpt-0000000001.qckpt", "ckpt-0000000002.qckpt"]
+        );
+        assert_eq!(store.generations(), vec![1, 2]);
+        let (g, f) = store.latest().unwrap();
+        assert_eq!((g, f.get("small")), (2, Some(&[2u8; 4][..])));
+        // A delta lands on the newest legacy generation, in a slot.
+        store.write_delta(3, delta_plan(3)).unwrap();
+        assert_eq!(base_of(&store, 3), Some(2));
+        assert_eq!(store.generations(), vec![1, 2, 3]);
+        let f = CkptStore::new(&dir, 2).unwrap().load(3).unwrap();
+        assert_eq!(f.get("big"), Some(&[0xABu8; 256][..]));
+        // Once `retain` newer generations stand on their own the legacy
+        // files are gone and only slots remain.
+        store.write(4, &full_file(4)).unwrap();
+        assert_eq!(store.generations(), vec![1, 2, 3, 4]);
+        store.write(5, &full_file(5)).unwrap();
+        assert_eq!(store.generations(), vec![4, 5]);
+        assert!(names(&dir).iter().all(|n| n.starts_with("slot-")));
+    }
+
+    // ---- the atomicity proof: a commit torn at every byte ----
+
+    fn snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        names(dir)
+            .into_iter()
+            .map(|n| {
+                let bytes = fs::read(dir.join(&n)).unwrap();
+                (n, bytes)
+            })
+            .collect()
+    }
+
+    /// What a fresh store on `dir` lists, each generation materialised.
+    fn holdings(dir: &Path, retain: usize) -> Vec<(u64, Vec<u8>)> {
+        let store = CkptStore::new(dir, retain).unwrap();
+        let gens = store.generations();
+        gens.into_iter()
+            .map(|g| {
+                (
+                    g,
+                    store.load(g).expect("a listed generation loads").to_bytes(),
+                )
+            })
+            .collect()
+    }
+
+    /// Bring a store to a steady state with `setup`, let `commit` write
+    /// the next generation, and replay that one write torn after every
+    /// byte over a copy of the directory as it was before: a fresh store
+    /// must list exactly the committed generations (and the new one only
+    /// at full length), load each bit-identical, name `newest.0` (at full
+    /// length `newest.1`) as the latest, and take `next` as its next
+    /// commit.
+    fn torn_at_every_byte(
+        label: &str,
+        retain: usize,
+        setup: impl Fn(&CkptStore),
+        commit: impl Fn(&CkptStore),
+        newest: (u64, u64),
+        next: impl Fn(&CkptStore),
+    ) {
+        let dir = scratch(label);
+        let store = CkptStore::new(&dir, retain).unwrap();
+        setup(&store);
+        let before = snapshot(&dir);
+        let committed = holdings(&dir, retain);
+        commit(&store);
+        let landed = holdings(&dir, retain);
+        let changed: Vec<_> = snapshot(&dir)
+            .into_iter()
+            .filter(|f| !before.contains(f))
+            .collect();
+        let [(victim, after)] = &changed[..] else {
+            panic!("{label}: a commit writes one file, not {}", changed.len());
+        };
+        let (header, _) = slot_image(after).expect("the commit landed");
+        let written = &after[..SLOT_HEADER_LEN + header.image_len as usize + SLOT_MARK_LEN];
+        let old = before
+            .iter()
+            .find(|(n, _)| n == victim)
+            .map(|(_, b)| &b[..]);
+        for cut in 0..=written.len() {
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            for (name, bytes) in &before {
+                fs::write(dir.join(name), bytes).unwrap();
+            }
+            let mut torn = written[..cut].to_vec();
+            torn.extend_from_slice(old.and_then(|o| o.get(cut..)).unwrap_or_default());
+            fs::write(dir.join(victim), torn).unwrap();
+
+            let whole = cut == written.len();
+            let (expect, newest) = if whole {
+                (&landed, newest.1)
+            } else {
+                (&committed, newest.0)
+            };
+            assert_eq!(&holdings(&dir, retain), expect, "{label}: cut at {cut}");
+            let reopened = CkptStore::new(&dir, retain).unwrap();
+            assert_eq!(
+                reopened.latest().unwrap().0,
+                newest,
+                "{label}: cut at {cut}"
+            );
+            next(&reopened);
+        }
+    }
+
+    /// `next` for the matrices: a delta on whatever was restored lands
+    /// and loads.
+    fn delta_lands(generation: u64) -> impl Fn(&CkptStore) {
+        move |store| {
+            store.write_delta(generation, delta_plan(0xEE)).unwrap();
+            let f = CkptStore::new(store.dir(), 1).unwrap().latest().unwrap();
+            assert_eq!(f.0, generation);
+            assert_eq!(f.1.get("small"), Some(&[0xEEu8; 4][..]));
+        }
+    }
+
+    /// A full image whose length depends on `g`, so a slot's next
+    /// occupant is sometimes shorter and sometimes longer than the last.
+    fn sized_file(g: u64) -> CkptFile {
+        let mut f = full_file(g as u8);
+        f.add("pad", vec![g as u8; (g as usize * 37) % 90]);
+        f
+    }
+
+    #[test]
+    fn torn_full_commit_keeps_every_committed_generation() {
+        for retain in [2, 4] {
+            torn_at_every_byte(
+                "torn-full",
+                retain,
+                |s| (1..=9).for_each(|g| drop(s.write(g, &sized_file(g)).unwrap())),
+                |s| drop(s.write(10, &sized_file(10)).unwrap()),
+                (9, 10),
+                delta_lands(11),
+            );
+        }
+    }
+
+    /// Every generation of one shape: a tear at a section boundary
+    /// leaves a splice the image format accepts.
+    #[test]
+    fn torn_commit_over_an_occupant_of_the_same_shape_is_free_space() {
+        torn_at_every_byte(
+            "torn-same-shape",
+            2,
+            |s| (1..=5).for_each(|g| drop(s.write(g, &two_sections(g as u8)).unwrap())),
+            |s| drop(s.write(6, &two_sections(6)).unwrap()),
+            (5, 6),
+            |s| drop(s.write(7, &two_sections(7)).unwrap()),
+        );
+    }
+
+    #[test]
+    fn torn_delta_commit_keeps_every_committed_chain() {
+        let chain = |s: &CkptStore, g: u64| {
+            if g.is_multiple_of(3) {
+                s.write(g, &sized_file(g)).unwrap();
+            } else {
+                s.write_delta(g, delta_plan(g as u8)).unwrap();
+            }
+        };
+        for retain in [2, 4] {
+            // The torn commit is a delta (13), then a full image (15).
+            for last in [12, 14] {
+                torn_at_every_byte(
+                    "torn-delta",
+                    retain,
+                    |s| (0..=last).for_each(|g| chain(s, g)),
+                    |s| chain(s, last + 1),
+                    (last, last + 1),
+                    delta_lands(last + 2),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn torn_first_write_of_a_new_slot_file_is_free_space() {
+        torn_at_every_byte(
+            "torn-new-slot",
+            4,
+            |s| (1..=2).for_each(|g| drop(s.write(g, &sized_file(g)).unwrap())),
+            |s| drop(s.write_delta(3, delta_plan(3)).unwrap()),
+            (2, 3),
+            delta_lands(4),
+        );
+    }
+
+    #[test]
+    fn torn_compaction_keeps_the_chain_it_was_collapsing() {
+        for retain in [1, 2] {
+            torn_at_every_byte(
+                "torn-compact",
+                retain,
+                |s| {
+                    s.write(1, &full_file(1)).unwrap();
+                    (2..=4).for_each(|g| drop(s.write_delta(g, delta_plan(g as u8)).unwrap()));
+                },
+                |s| assert_eq!(s.compact().unwrap(), Some(4)),
+                (4, 4),
+                delta_lands(5),
+            );
+        }
     }
 }

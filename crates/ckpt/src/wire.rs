@@ -82,6 +82,12 @@ impl Encoder {
         Self::default()
     }
 
+    /// Encoder that appends to `buf` (whatever it already holds stays
+    /// in front).
+    pub(crate) fn appending_to(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// Finished byte vector.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -502,8 +502,14 @@ impl Sse {
     /// string must return to `|α⟩`, and every operator must act on an
     /// anti-parallel bond at its insertion point. Test support.
     pub fn check_consistency(&self) -> Result<(), String> {
-        let mut state = self.state.clone();
-        for (p, &op) in self.ops.iter().enumerate() {
+        self.check_string(&self.state, &self.ops)
+    }
+
+    /// [`Sse::check_consistency`] of a candidate basis state and operator
+    /// string (codes in range) on this engine's bonds.
+    fn check_string(&self, alpha: &[bool], ops: &[i64]) -> Result<(), String> {
+        let mut state = alpha.to_vec();
+        for (p, &op) in ops.iter().enumerate() {
             if op == IDENTITY {
                 continue;
             }
@@ -518,10 +524,61 @@ impl Sse {
                 state[jj] = !state[jj];
             }
         }
-        if state != self.state {
+        if state != alpha {
             return Err("state does not close around the imaginary-time circle".into());
         }
         Ok(())
+    }
+
+    /// The basis state a `spins` body holds; refused unless it is one of
+    /// this lattice.
+    fn decode_state(&self, dec: &mut qmc_ckpt::Decoder) -> Result<Vec<bool>, qmc_ckpt::CkptError> {
+        let n_sites = dec.u64()? as usize;
+        if n_sites != self.n_sites {
+            return Err(qmc_ckpt::CkptError::corrupt(format!(
+                "sse checkpoint is for {n_sites} sites, engine has {}",
+                self.n_sites
+            )));
+        }
+        let state = dec.bools()?;
+        if state.len() != self.n_sites {
+            return Err(qmc_ckpt::CkptError::corrupt(
+                "sse basis state has the wrong length",
+            ));
+        }
+        Ok(state)
+    }
+
+    /// The operator string an `ops` body holds; refused unless every
+    /// code names a bond and the string closes around `alpha`.
+    fn decode_ops(
+        &self,
+        dec: &mut qmc_ckpt::Decoder,
+        alpha: &[bool],
+    ) -> Result<Vec<i64>, qmc_ckpt::CkptError> {
+        let ops = dec.i64s()?;
+        for &op in &ops {
+            if op != IDENTITY && (op < 0 || (op / 2) as usize >= self.bonds.len()) {
+                return Err(qmc_ckpt::CkptError::corrupt(format!(
+                    "sse operator code {op} out of range"
+                )));
+            }
+        }
+        self.check_string(alpha, &ops)
+            .map_err(qmc_ckpt::CkptError::corrupt)?;
+        Ok(ops)
+    }
+
+    fn restore_state(&mut self, state: Vec<bool>) {
+        self.state = state;
+        self.state_dirty = true;
+    }
+
+    fn restore_ops(&mut self, ops: Vec<i64>) {
+        self.ops = ops;
+        self.ops_dirty = true;
+        self.n_ops = self.ops.iter().filter(|&&o| o != IDENTITY).count();
+        self.rebuild_diag_tables();
     }
 }
 
@@ -534,8 +591,15 @@ impl qmc_ckpt::Checkpoint for Sse {
         qmc_ckpt::save_sections_in_order(self, enc);
     }
 
+    /// Both sections in order, judged together before either is kept: a
+    /// blob whose string does not close around its own basis state
+    /// leaves the engine as it was.
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        qmc_ckpt::load_sections_in_order(self, dec)
+        let state = self.decode_state(dec)?;
+        let ops = self.decode_ops(dec, &state)?;
+        self.restore_state(state);
+        self.restore_ops(ops);
+        Ok(())
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
@@ -566,38 +630,14 @@ impl qmc_ckpt::Checkpoint for Sse {
     ) -> Result<(), qmc_ckpt::CkptError> {
         match name {
             "spins" => {
-                let n_sites = dec.u64()? as usize;
-                if n_sites != self.n_sites {
-                    return Err(qmc_ckpt::CkptError::corrupt(format!(
-                        "sse checkpoint is for {n_sites} sites, engine has {}",
-                        self.n_sites
-                    )));
-                }
-                let state = dec.bools()?;
-                if state.len() != self.n_sites {
-                    return Err(qmc_ckpt::CkptError::corrupt(
-                        "sse basis state has the wrong length",
-                    ));
-                }
-                self.state = state;
-                self.state_dirty = true;
+                let state = self.decode_state(dec)?;
+                self.restore_state(state);
                 Ok(())
             }
             "ops" => {
-                let ops = dec.i64s()?;
-                for &op in &ops {
-                    if op != IDENTITY && (op < 0 || (op / 2) as usize >= self.bonds.len()) {
-                        return Err(qmc_ckpt::CkptError::corrupt(format!(
-                            "sse operator code {op} out of range"
-                        )));
-                    }
-                }
-                self.ops = ops;
-                self.ops_dirty = true;
-                self.n_ops = self.ops.iter().filter(|&&o| o != IDENTITY).count();
-                self.rebuild_diag_tables();
-                self.check_consistency()
-                    .map_err(qmc_ckpt::CkptError::corrupt)
+                let ops = self.decode_ops(dec, &self.state)?;
+                self.restore_ops(ops);
+                Ok(())
             }
             _ => Err(qmc_ckpt::CkptError::MissingSection {
                 name: name.to_string(),

@@ -29,8 +29,8 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 # Every test binary runs exactly once per profile, here: the unit suites
-# (qmc-ckpt delta store / GC race / coordinated restore / shared drive
-# loop, qmc-verify trace checker, qmc-bench `faults`), the comm
+# (qmc-ckpt slot store / torn-write matrix / coordinated restore / shared
+# drive loop, qmc-verify trace checker, qmc-bench `faults`), the comm
 # conformance and deadlock-detector suites, and the integration suites —
 # observability (determinism + artifact schema), checkpoint (crash-at-
 # every-boundary matrix, drain, v1 resume, bench<->serve cross-resume),
@@ -48,6 +48,20 @@ echo "== one protocol: the rows/k + head chunk arithmetic and its refusals live 
 # qmc_ckpt::chunk's, tested once in crates/ckpt/tests/chunk.rs. A hit
 # here is a second copy of the protocol growing back in an engine crate.
 if grep -rnE --include='*.rs' 'chunk::(range|is_dirty|name|count)\(|carries index|arrived at row|malformed columns|head claims' crates | grep -v '^crates/ckpt/'; then exit 1; fi
+
+echo "== one commit path: no rename, no canonicalize, no temp file in qmc-ckpt =="
+# A generation reaches the disk by one in-place write into a slot file
+# (crates/ckpt/src/store.rs). A hit here is the temp + rename path, or
+# the writer registry it needed, growing back. The temp-file suffix may
+# appear where the orphans of older builds are swept, and in the unit
+# tests that plant them.
+if grep -rnE --include='*.rs' 'fs::rename|canonicalize' crates/ckpt/src; then exit 1; fi
+if awk 'FNR == 1 { gc = 0; tests = 0 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        /pub fn gc_temp_files/ { gc = 1 }
+        gc && /^    }$/ { gc = 0 }
+        !gc && !tests && /\.tmp/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/ckpt/src/*.rs; then exit 1; fi
 
 echo "== benchmark: builds against this tree, offline and locked =="
 # benchmark/ is a standalone package with its own frozen lock file: an
@@ -105,7 +119,8 @@ echo "== pins: fixed-seed trajectories and checkpoint bytes under the profile th
 # the pins are about f64 bits: a kernel whose rounding moved only under
 # the inlining the timed profile does would pass every stage above and
 # still publish other numbers than it pinned. Same literals, second
-# profile.
+# profile. layout_pins also holds the crc32 table, the images two
+# fixed-seed stores materialise and their slot files byte for byte.
 cargo test -q --release -p qmc-bench --test trajectory_pins --test layout_pins
 
 echo "== analyze: causal trace -> critical-path report =="

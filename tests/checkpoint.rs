@@ -440,6 +440,120 @@ fn pt_recovers_bit_identical_after_injected_rank_kill() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A directory an older build left behind — `ckpt-<generation>.qckpt`
+/// files it put in place by temp + rename, the newer one a delta on the
+/// older, and the temp file of a writer that died before its rename —
+/// resumes bit-identically; the run's own generations go into slot files
+/// and the legacy files are gone once `retain` newer generations exist.
+#[test]
+fn pt_resumes_from_a_legacy_directory_and_leaves_only_slots() {
+    use qmc_ckpt::{crc32, RawCkpt, SectionData};
+    use std::sync::atomic::AtomicBool;
+    let cfg = pt_cfg();
+    let (every, retain) = (2, 3);
+    let drain_after = (cfg.therm + cfg.sweeps) / 2 - 1;
+
+    let cfg2 = cfg.clone();
+    let reference = run_threads(4, move |comm| {
+        let mut rng = StreamFactory::new(17).stream(comm.rank());
+        run_pt_parallel_ckpt(comm, &cfg2, &mut rng, None, |_, _| {})
+    });
+
+    // Half a run into a store of today's, to have generations to copy.
+    let source = scratch("pt-legacy-source");
+    let (cfg2, dir2) = (cfg.clone(), source.clone());
+    run_threads(4, move |comm| {
+        let flag = AtomicBool::new(false);
+        let store = CkptStore::new(&dir2, retain).expect("store");
+        let ck = PtCheckpointing {
+            store: &store,
+            every,
+            full_every: 2,
+            resume: false,
+            stop: Some(&flag),
+            elastic_from: None,
+        };
+        let mut rng = StreamFactory::new(17).stream(comm.rank());
+        run_pt_parallel_ckpt(comm, &cfg2, &mut rng, Some(&ck), |_, s| {
+            if s == drain_after {
+                flag.store(true, Ordering::SeqCst);
+            }
+        })
+    });
+    let store = CkptStore::new(&source, retain).expect("store");
+    let gens = store.generations();
+    let &[.., older, newer] = &gens[..] else {
+        panic!("half a run leaves two generations, not {gens:?}");
+    };
+    assert_eq!(newer, (drain_after + 1) as u64);
+    let (full, on_it) = (store.load(older).unwrap(), store.load(newer).unwrap());
+
+    // The same two generations as the older build wrote them.
+    let dir = scratch("pt-legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    let legacy = |g: u64| dir.join(format!("ckpt-{g:010}.qckpt"));
+    std::fs::write(legacy(older), full.to_bytes()).unwrap();
+    let delta = RawCkpt {
+        base: Some(older),
+        sections: on_it
+            .sections()
+            .map(|(name, payload)| {
+                let data = if full.get(name) == Some(payload) {
+                    SectionData::BaseRef {
+                        crc: crc32(payload),
+                        len: payload.len() as u32,
+                    }
+                } else {
+                    SectionData::Payload(payload.to_vec())
+                };
+                (name.to_string(), data)
+            })
+            .collect(),
+    };
+    std::fs::write(legacy(newer), delta.to_bytes()).unwrap();
+    let orphan = dir.join(format!(".ckpt-{:010}.qckpt.tmp", newer + every as u64));
+    std::fs::write(&orphan, b"half-written").unwrap();
+
+    let (cfg2, dir2) = (cfg.clone(), dir.clone());
+    let resumed = run_threads(4, move |comm| {
+        let store = CkptStore::new(&dir2, retain).expect("store");
+        let ck = PtCheckpointing {
+            store: &store,
+            every,
+            full_every: 2,
+            resume: true,
+            stop: None,
+            elastic_from: None,
+        };
+        let mut rng = StreamFactory::new(17).stream(comm.rank());
+        let mut first_sweep = None;
+        let out = run_pt_parallel_ckpt(comm, &cfg2, &mut rng, Some(&ck), |_, s| {
+            first_sweep.get_or_insert(s);
+        });
+        (out, first_sweep)
+    });
+    for (r, (d, first_sweep)) in reference.iter().zip(&resumed) {
+        assert_eq!(
+            *first_sweep,
+            Some(newer as usize),
+            "a resume, not a fresh start"
+        );
+        assert_eq!(bits(&r.0), bits(&d.0), "resume from legacy files diverged");
+        assert_eq!(bits(&r.1), bits(&d.1), "legacy resume rates diverged");
+    }
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert!(
+        names.len() > retain && names.iter().all(|n| n.starts_with("slot-")),
+        "legacy and temp files must be gone: {names:?}"
+    );
+    let _ = std::fs::remove_dir_all(&source);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Forward compatibility: a v1 monolithic checkpoint (the pre-delta
 /// layout — whole engine/rng/series states as single opaque sections)
 /// must still resume under the sectioned delta driver, continue

@@ -1,4 +1,4 @@
-//! A refused `spins` section leaves a world-line engine as it was.
+//! A refused section leaves an engine as it was.
 //!
 //! Both engines are offered, into a thermalised and snapshotted
 //! configuration, another run's spins with the last one flipped: the right
@@ -7,12 +7,20 @@
 //! inside a whole blob. Before the engines judged the candidate first and
 //! kept it second, the refusal left the broken configuration in place and
 //! the section marked dirty.
+//!
+//! The SSE engine is offered its own operator string with one
+//! off-diagonal operator made diagonal: the right length, every code a
+//! bond of the lattice, but a string that no longer closes around the
+//! basis state. Before the engine judged the candidate against the state
+//! first, the refusal left the open string, its operator count and a
+//! dirty flag behind — and a whole blob left its spins behind as well.
 
 use qmc_ckpt::{
     load_section_bytes, load_state, save_section_bytes, save_state, Checkpoint, CkptError,
 };
-use qmc_lattice::{Lattice, Square};
+use qmc_lattice::{Chain, Lattice, Square};
 use qmc_rng::Xoshiro256StarStar;
+use qmc_sse::Sse;
 use qmc_worldline::{GenericParams, GenericWorldline, Worldline, WorldlineParams};
 
 /// Everything a caller can see of an engine: spins, counters, and the
@@ -137,4 +145,76 @@ fn refused_spins_leave_a_generic_engine_as_it_was() {
             (spins, counters)
         },
     );
+}
+
+#[test]
+fn a_refused_operator_string_leaves_an_sse_engine_as_it_was() {
+    // Everything a caller can see: both section bodies, the operator
+    // count, the cutoff and the dirty flags.
+    type SeenSse = (Vec<u8>, Vec<u8>, usize, usize, Vec<(String, bool)>);
+    let see = |e: &Sse| -> SeenSse {
+        let sections = e.dirty_sections();
+        let sections = sections
+            .iter()
+            .map(|(name, dirty)| (name.to_string(), dirty));
+        (
+            save_section_bytes(e, "spins"),
+            save_section_bytes(e, "ops"),
+            e.n_ops(),
+            e.cutoff(),
+            sections.collect(),
+        )
+    };
+    let snapshotted = || {
+        let mut rng = Xoshiro256StarStar::new(5);
+        let mut eng = Sse::new(&Chain::new(8), 1.0, 2.0, &mut rng);
+        (0..200).for_each(|_| eng.sweep(&mut rng));
+        eng.mark_clean();
+        (eng, rng)
+    };
+    let (intact, _) = snapshotted();
+    let before = see(&intact);
+    assert_eq!(
+        before.4,
+        [("spins".to_string(), false), ("ops".to_string(), false)]
+    );
+
+    // One little-endian i64 per slot of the string closes the `ops` body
+    // and the whole blob alike; odd codes are off-diagonal.
+    let mut section = before.1.clone();
+    let mut blob = save_state(&intact);
+    let string = 8 * intact.cutoff();
+    let codes = section[section.len() - string..].chunks_exact(8);
+    let k = codes
+        .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .position(|op| op >= 0 && op % 2 == 1)
+        .expect("a thermalised string holds an off-diagonal operator");
+    for body in [&mut section, &mut blob] {
+        let at = body.len() - string + 8 * k;
+        body[at] ^= 1;
+    }
+
+    let mut wrong = String::new();
+    for (what, as_section, bytes) in [("section", true, section), ("whole blob", false, blob)] {
+        let (mut target, mut rng) = snapshotted();
+        let refused = if as_section {
+            load_section_bytes(&bytes, "ops", &mut target)
+        } else {
+            load_state(&bytes, &mut target)
+        };
+        if !matches!(refused, Err(CkptError::Corrupt { .. })) {
+            wrong += &format!("\n  {what}: {refused:?}");
+        }
+        if see(&target) != before {
+            wrong += &format!("\n  {what}: the refused restore changed the engine");
+        }
+        // The probability tables are private; a trajectory shows them.
+        let (mut twin, mut twin_rng) = snapshotted();
+        (0..20).for_each(|_| target.sweep(&mut rng));
+        (0..20).for_each(|_| twin.sweep(&mut twin_rng));
+        if see(&target) != see(&twin) {
+            wrong += &format!("\n  {what}: the engine continues on another trajectory");
+        }
+    }
+    assert!(wrong.is_empty(), "engine.sse:{wrong}");
 }

@@ -446,8 +446,9 @@ fn skip_quota_counterexample_replays_on_real_sched() {
 
 /// Two coordinated rounds against a real `CkptStore` over `ThreadComm`;
 /// round 2's persist is forced to fail by squatting a directory on the
-/// store's temp path for generation 2 (permission games don't work
-/// under root, but `fs::write` onto a directory fails for anyone).
+/// name of the slot file generation 2 needs (permission games don't
+/// work under root, but opening a directory for writing fails for
+/// anyone).
 /// `gate` selects the correct commit-ack gate or the
 /// [`CkptMutation::SkipAckGate`] bug (believe the generation landed
 /// without consulting the broadcast ack). Returns each rank's believed
@@ -475,9 +476,10 @@ fn ckpt_two_rounds_with_failed_write(dir: &std::path::Path, gate: bool) -> Vec<u
     });
     assert!(believed.iter().all(|&b| b == 1), "round 1 must commit");
 
-    // Generation 2's temp write now hits a directory and fails.
-    let squat = dir.join(".ckpt-0000000002.qckpt.tmp");
-    std::fs::create_dir(&squat).expect("squat the generation-2 temp path");
+    // Generation 1 sits in slot 0; generation 2's write now hits a
+    // directory and fails.
+    let squat = dir.join("slot-1.qckpt");
+    std::fs::create_dir(&squat).expect("squat the next slot's name");
     let dir2 = dir.to_path_buf();
     let believed = run_threads(2, move |comm| {
         let rank = comm.rank();

@@ -292,6 +292,20 @@ fn crc32_matches_its_pinned_values() {
     assert!(got == CRC_STREAM, "crc32 moved; it now returns:{table}");
 }
 
+/// Compares `(key, byte length, CRC32)` rows and, on a mismatch, prints
+/// what was found as source lines.
+fn check_rows<K: PartialEq + std::fmt::Debug>(
+    got: &[(K, usize, u32)],
+    want: &[(K, usize, u32)],
+    what: &str,
+) {
+    let table: String = got
+        .iter()
+        .map(|(key, len, crc)| format!("\n    ({key:?}, {len}, {crc:#010x}),"))
+        .collect();
+    assert!(got == want, "{what}:{table}");
+}
+
 /// `(generation, byte length, CRC32)` of `load(generation).to_bytes()`.
 type ImagePin = (u64, usize, u32);
 
@@ -305,14 +319,30 @@ fn check_images(store: &qmc_ckpt::CkptStore, want: &[ImagePin]) {
             (g, image.len(), crc32(&image))
         })
         .collect();
-    let table: String = got
-        .iter()
-        .map(|(g, len, crc)| format!("\n    ({g}, {len}, {crc:#010x}),"))
+    check_rows(&got, want, "generation images moved; the store now holds");
+}
+
+/// `(file name, byte length, CRC32)` of every file in a store's
+/// directory: which slot a generation lands in, the `seq` it is written
+/// under and what an earlier, longer occupant leaves behind it are all
+/// fixed by the order of the commits. Recorded with the slot layout.
+type SlotPin = (&'static str, usize, u32);
+
+fn check_slots(dir: &std::path::Path, want: &[SlotPin]) {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("store directory")
+        .map(|entry| {
+            let entry = entry.expect("directory entry");
+            let name = entry.file_name().into_string().expect("utf-8 name");
+            (name, std::fs::read(entry.path()).expect("slot file"))
+        })
         .collect();
-    assert!(
-        got == want,
-        "generation images moved; the store now holds:{table}"
-    );
+    files.sort();
+    let got: Vec<(&str, usize, u32)> = files
+        .iter()
+        .map(|(name, bytes)| (name.as_str(), bytes.len(), crc32(bytes)))
+        .collect();
+    check_rows(&got, want, "slot files moved; the directory now holds");
 }
 
 fn pin_dir(label: &str) -> std::path::PathBuf {
@@ -361,12 +391,22 @@ const PT_IMAGES: &[ImagePin] = &[
     (38, 1627, 0x53d05d29),
 ];
 
+#[rustfmt::skip]
+const PT_SLOTS: &[SlotPin] = &[
+    ("slot-0.qckpt", 1539, 0xdac691d6),
+    ("slot-1.qckpt", 1571, 0x47d19244),
+    ("slot-2.qckpt", 1603, 0x73fb68aa),
+    ("slot-3.qckpt", 1635, 0xa76ead9d),
+    ("slot-4.qckpt", 1667, 0x6d2f4d47),
+];
+
 #[test]
 fn pt_store_images_match_their_pins() {
     let dir = pin_dir("pt");
     pt_pin_store(&dir);
     let store = qmc_ckpt::CkptStore::new(&dir, 4).expect("reopen");
     check_images(&store, PT_IMAGES);
+    check_slots(&dir, PT_SLOTS);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -401,11 +441,23 @@ const SERIAL_IMAGES: &[ImagePin] = &[
     (150, 6561, 0x11dce7ba),
 ];
 
+#[rustfmt::skip]
+const SERIAL_SLOTS: &[SlotPin] = &[
+    ("slot-0.qckpt", 3688, 0x257a59a9),
+    ("slot-1.qckpt", 2375, 0x2d6eb2d2),
+    ("slot-2.qckpt", 2775, 0x15bb7824),
+    ("slot-3.qckpt", 3175, 0x95012c77),
+    ("slot-4.qckpt", 5288, 0xc866629f),
+    ("slot-5.qckpt", 3060, 0xa9b623e2),
+    ("slot-6.qckpt", 3574, 0x67ce7192),
+];
+
 #[test]
 fn serial_store_images_match_their_pins() {
     let dir = pin_dir("serial");
     serial_pin_store(&dir);
     let store = qmc_ckpt::CkptStore::new(&dir, 3).expect("reopen");
     check_images(&store, SERIAL_IMAGES);
+    check_slots(&dir, SERIAL_SLOTS);
     let _ = std::fs::remove_dir_all(&dir);
 }
