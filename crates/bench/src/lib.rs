@@ -18,6 +18,7 @@ pub mod figures;
 pub mod kernels;
 pub mod obs;
 pub mod scaling;
+pub mod sched_model;
 pub mod serve_demo;
 pub mod validation;
 pub mod verify;

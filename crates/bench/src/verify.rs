@@ -11,25 +11,29 @@
 //! 2. Feed the checker a deliberately broken crossed-receive program and
 //!    show it reports the exact wait-for cycle.
 //! 3. Run `qmc-lint` over the workspace sources.
-//! 4. Exhaustively explore the checkpoint-commit, drain-verdict, and
-//!    scheduler protocol models (sleep sets + DPOR) at the committed
-//!    instance sizes: all three must be invariant-clean under their
-//!    transition ceilings, DPOR must beat the naive enumeration by at
-//!    least 2×, and a seeded drain mutant must yield a minimized,
+//! 4. Exhaustively explore the checkpoint-commit, drain-verdict and
+//!    respawn-barrier protocol models (sleep sets + DPOR) and the job
+//!    lifecycle of the real `qmc_serve::Sched` (every reachable state,
+//!    [`crate::sched_model`]) at the committed instance sizes: all four
+//!    must be invariant-clean under their transition ceilings, DPOR
+//!    must beat the naive enumeration by at least 2×, and a seeded
+//!    drain, respawn and scheduler bug must each yield a minimized,
 //!    rendered counterexample (the gate's teeth). Writes
 //!    `VERIFY_explore.json` (schema `qmc-verify-explore/v1`).
 //!
 //! Returns the report text and whether everything passed (the CLI turns
 //! a failure into a non-zero exit for `scripts/check.sh`).
 
+use crate::sched_model::{Misuse, SchedModel};
 use qmc_comm::Communicator;
 use qmc_core::pt::{run_pt_parallel, PtConfig};
 use qmc_rng::StreamFactory;
 use qmc_verify::model::{
-    CkptCommitModel, DrainModel, DrainMutation, RespawnModel, RespawnMutation, SchedModel,
+    CkptCommitModel, DrainModel, DrainMutation, RespawnModel, RespawnMutation,
 };
 use qmc_verify::{
-    check, explore, explore_naive, lint, record_threads, Budget, Event, Outcome, WorldTrace,
+    check, explore, explore_naive, lint, record_threads, Budget, Event, ExploreStats, Outcome,
+    WorldTrace,
 };
 use std::fmt::Write as _;
 
@@ -175,7 +179,10 @@ pub fn verify_demo() -> (String, bool) {
 /// model grew state; either deserves a red gate, not a silent slowdown.
 const CKPT_CEILING: u64 = 40_000;
 const DRAIN_CEILING: u64 = 6_000;
-const SCHED_CEILING: u64 = 600_000;
+/// Re-based when the row began to search the real `Sched`'s reachable
+/// states (159 088 transitions measured; it was 320 305 interleavings of
+/// the mirror model under a ceiling of 600 000).
+const SCHED_CEILING: u64 = 300_000;
 const RESPAWN_CEILING: u64 = 4_000;
 /// Minimum acceptable DPOR-vs-naive transition ratio on the committed
 /// reduction instances.
@@ -187,41 +194,35 @@ pub fn explore_act(out: &mut String) -> (bool, String) {
     let mut ok = true;
     let mut json = qmc_obs::json::JsonWriter::artifact("qmc-verify-explore/v1");
 
-    // (a) The four protocol models must be invariant-clean within
-    // their committed ceilings.
+    // (a) The three protocol models and the real scheduler must be
+    // invariant-clean within their committed ceilings.
     json.key("models").begin_array();
-    let runs: [(&str, qmc_verify::ExploreStats, bool, u64); 4] = {
-        let ckpt = explore(&CkptCommitModel::new(3, 2, 2), Budget::with_faults(2));
-        let drain = explore(&DrainModel::new(4, 3), Budget::with_faults(0));
-        let sched = explore(&SchedModel::new(2, 2, 2, 2), Budget::with_faults(2));
-        let respawn = explore(&RespawnModel::new(3), Budget::with_faults(0));
-        [
-            (
-                "ckpt-commit(3 ranks, 2 rounds, full_every 2, 2 faults)",
-                ckpt.stats(),
-                ckpt.is_clean(),
-                CKPT_CEILING,
-            ),
-            (
-                "drain-verdict(4 ranks, 3 sweeps)",
-                drain.stats(),
-                drain.is_clean(),
-                DRAIN_CEILING,
-            ),
-            (
-                "scheduler(2 tenants x 2 jobs, 2 workers, quota 2, 2 faults)",
-                sched.stats(),
-                sched.is_clean(),
-                SCHED_CEILING,
-            ),
-            (
-                "respawn-barrier(3 ranks, 1 crash)",
-                respawn.stats(),
-                respawn.is_clean(),
-                RESPAWN_CEILING,
-            ),
-        ]
-    };
+    fn row<A>(name: &str, ceiling: u64, found: Outcome<A>) -> (&str, ExploreStats, bool, u64) {
+        (name, found.stats(), found.is_clean(), ceiling)
+    }
+    let (two, none) = (Budget::with_faults(2), Budget::with_faults(0));
+    let runs = [
+        row(
+            "ckpt-commit(3 ranks, 2 rounds, full_every 2, 2 faults)",
+            CKPT_CEILING,
+            explore(&CkptCommitModel::new(3, 2, 2), two),
+        ),
+        row(
+            "drain-verdict(4 ranks, 3 sweeps)",
+            DRAIN_CEILING,
+            explore(&DrainModel::new(4, 3), none),
+        ),
+        row(
+            "qmc_serve::Sched(2 tenants x 2 jobs, 2 workers, quota 2, 2 faults; every state)",
+            SCHED_CEILING,
+            SchedModel::new(2, 2, 2, 2).explore(two),
+        ),
+        row(
+            "respawn-barrier(3 ranks, 1 crash)",
+            RESPAWN_CEILING,
+            explore(&RespawnModel::new(3), none),
+        ),
+    ];
     for (name, stats, clean, ceiling) in &runs {
         let within = stats.transitions <= *ceiling;
         if *clean && within {
@@ -262,7 +263,7 @@ pub fn explore_act(out: &mut String) -> (bool, String) {
         let instances: [(&str, Counted, Counted); 2] = {
             let m1 = CkptCommitModel::new(3, 1, 1);
             let m2 = DrainModel::new(3, 2);
-            let b = Budget::with_faults(0);
+            let b = none;
             [
                 (
                     "ckpt-commit(3 ranks, 1 round)",
@@ -303,65 +304,28 @@ pub fn explore_act(out: &mut String) -> (bool, String) {
     }
     json.end_array();
 
-    // (c) Teeth: a seeded drain mutant must produce a minimized,
-    // rendered counterexample (rank 0 stops on a raised flag without
-    // broadcasting the verdict; the world deadlocks on the receive).
-    let mutant = DrainModel::new(3, 2).mutated(DrainMutation::SkipFinalBroadcast);
-    let mut ce_len = 0usize;
-    match explore(&mutant, Budget::with_faults(0)) {
-        Outcome::Violation(ce) => {
-            ce_len = ce.schedule.len();
-            let _ = writeln!(
-                out,
-                "      OK, flagged: drain SkipFinalBroadcast mutant, minimized \
-                 to {ce_len} steps:"
-            );
-            for line in ce.render().lines() {
-                let _ = writeln!(out, "      {line}");
-            }
-        }
-        other => {
-            ok = false;
-            let _ = writeln!(
-                out,
-                "      FAIL: drain mutant not flagged (got {:?})",
-                other.stats()
-            );
-        }
-    }
-
-    // Same teeth for the elastic-world rejoin: resetting the mailboxes
-    // while an incarnation-0 thread still runs must be caught as stale
-    // residue reaching incarnation 1.
-    let mutant = RespawnModel::new(2).mutated(RespawnMutation::EagerReset);
-    let mut respawn_ce_len = 0usize;
-    match explore(&mutant, Budget::with_faults(0)) {
-        Outcome::Violation(ce) => {
-            respawn_ce_len = ce.schedule.len();
-            let _ = writeln!(
-                out,
-                "      OK, flagged: respawn EagerReset mutant, minimized \
-                 to {respawn_ce_len} steps:"
-            );
-            for line in ce.render().lines() {
-                let _ = writeln!(out, "      {line}");
-            }
-        }
-        other => {
-            ok = false;
-            let _ = writeln!(
-                out,
-                "      FAIL: respawn mutant not flagged (got {:?})",
-                other.stats()
-            );
-        }
-    }
+    // (c) Teeth: each seeded bug must produce a minimized, rendered
+    // counterexample. Rank 0 stops on a raised flag without broadcasting
+    // the verdict and the world deadlocks on the receive; the mailboxes
+    // are reset while an incarnation-0 thread still runs and stale
+    // residue reaches incarnation 1; a worker leaves on the drain
+    // without asking the scheduler (the rule the deleted scheduler model
+    // had drifted to) and a queued job is stranded.
+    let drain = DrainModel::new(3, 2).mutated(DrainMutation::SkipFinalBroadcast);
+    let respawn = RespawnModel::new(2).mutated(RespawnMutation::EagerReset);
+    let sched = SchedModel {
+        misuse: Some(Misuse::ExitOnDrain),
+        ..SchedModel::new(1, 1, 1, 1)
+    };
+    let mutants = [
+        flagged(out, "drain SkipFinalBroadcast", explore(&drain, none)),
+        flagged(out, "respawn EagerReset", explore(&respawn, none)),
+        flagged(out, "sched ExitOnDrain", sched.explore(none)),
+    ];
+    ok &= mutants.iter().all(|(_, len)| *len > 0);
 
     json.key("mutants").begin_array();
-    for (model, len) in [
-        ("drain SkipFinalBroadcast", ce_len),
-        ("respawn EagerReset", respawn_ce_len),
-    ] {
+    for (model, len) in mutants {
         json.begin_object();
         json.key("model").str(model);
         json.key("schedule_len").u64(len as u64);
@@ -373,4 +337,27 @@ pub fn explore_act(out: &mut String) -> (bool, String) {
     json.key("min_reduction_ratio").f64_fixed(MIN_REDUCTION, 1);
     json.end_object();
     (ok, json.finish())
+}
+
+/// Report one seeded bug: its minimized counterexample rendered under
+/// an OK line, or a FAIL line when the search did not flag it. Returns
+/// the `mutants` row, a schedule length of 0 meaning "not flagged".
+fn flagged<'a, A>(out: &mut String, name: &'a str, found: Outcome<A>) -> (&'a str, usize) {
+    let Outcome::Violation(ce) = found else {
+        let _ = writeln!(
+            out,
+            "      FAIL: {name} mutant not flagged (got {:?})",
+            found.stats()
+        );
+        return (name, 0);
+    };
+    let len = ce.schedule.len();
+    let _ = writeln!(
+        out,
+        "      OK, flagged: {name} mutant, minimized to {len} steps:"
+    );
+    for line in ce.render().lines() {
+        let _ = writeln!(out, "      {line}");
+    }
+    (name, len)
 }

@@ -102,6 +102,13 @@ impl JobSpec {
         if self.tenant.is_empty() || self.tenant.len() > 64 {
             return Err("tenant name must be 1..=64 bytes".into());
         }
+        // The metrics namespace is `tenant.<name>.` and the checkpoint
+        // namespace `<tenant>/<job>`: a separator inside the tenant name
+        // would let tenant `a` read `a.b`'s counters through its Stats
+        // prefix, and `a/b` + `c` share a directory key with `a` + `b/c`.
+        if self.tenant.contains(['.', '/']) {
+            return Err("tenant name must not contain '.' or '/'".into());
+        }
         if self.name.is_empty() || self.name.len() > 128 {
             return Err("job name must be 1..=128 bytes".into());
         }
@@ -377,6 +384,19 @@ mod tests {
         s.betas = vec![f64::NAN];
         assert!(s.validate().is_err(), "NaN beta");
         assert!(tfim_spec().validate().is_ok());
+    }
+
+    #[test]
+    fn validation_refuses_separators_in_tenant_names() {
+        for tenant in ["a.b", "a/b", ".", "/"] {
+            let mut s = tfim_spec();
+            s.tenant = tenant.into();
+            let err = s.validate().expect_err(tenant);
+            assert!(err.contains("tenant name must not contain"), "{err}");
+        }
+        let mut s = tfim_spec();
+        s.name = "scan/beta-2.0".into();
+        assert!(s.validate().is_ok(), "job names keep both separators");
     }
 
     /// A single quota-compliant submission must not be able to exhaust

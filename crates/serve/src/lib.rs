@@ -33,8 +33,8 @@ pub mod wire;
 pub use client::Client;
 pub use job::{JobKind, JobObservables, JobSpec};
 pub use run::{run_job, Outcome, RunCtl};
-pub use sched::{JobState, KillSpec, Sched, TenantQuota};
-pub use server::{ServeConfig, Server};
+pub use sched::{JobState, KillSpec, Next, Sched, TenantQuota};
+pub use server::{ServeConfig, Server, MAX_ATTEMPTS};
 
 use qmc_ckpt::CkptError;
 use qmc_comm::tcp::FrameError;

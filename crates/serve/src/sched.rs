@@ -4,11 +4,16 @@
 //! This module is pure bookkeeping — no sockets, no threads — so every
 //! transition is unit-testable. The server wraps one [`Sched`] in a
 //! mutex and drives it from the acceptor, the connection handlers, and
-//! the worker pool.
+//! the worker pool; each lock-held decision of a worker is one method
+//! here ([`Sched::next_work`], [`Sched::settle`]), and the state-space
+//! explorer (`qmc_bench::sched_model`) calls the same methods on a clone
+//! per transition, so what is explored is what runs.
 
 use crate::job::{JobObservables, JobSpec};
+use crate::run::Outcome;
 use qmc_obs::{HealthMonitor, HealthSnapshot, RankObs, Registry};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-tenant admission limits.
@@ -52,6 +57,31 @@ pub enum JobState {
     Failed,
 }
 
+impl JobState {
+    /// Holds a slot of its tenant's quota (queued or running).
+    pub fn is_active(self) -> bool {
+        matches!(self, JobState::Queued | JobState::Running)
+    }
+
+    /// Holds its checkpoint namespace: active, or parked by a drain with
+    /// the generations a restarted server resumes from. `Done` and
+    /// `Failed` release the name and the worker removes the directory.
+    pub fn is_live(self) -> bool {
+        self.is_active() || self == JobState::Paused
+    }
+}
+
+/// What an idle worker does next ([`Sched::next_work`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Next {
+    /// Run one attempt of this job (it is now `Running`).
+    Run(u64),
+    /// Nothing is queued; wait for a submission, a requeue or a drain.
+    Wait,
+    /// Draining and nothing is queued: leave the pool.
+    Exit,
+}
+
 /// One progress snapshot retained for streaming.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapRec {
@@ -68,7 +98,7 @@ pub struct SnapRec {
 }
 
 /// Everything the server tracks about one accepted job.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct JobRec {
     /// The submitted spec.
     pub spec: JobSpec,
@@ -99,12 +129,15 @@ pub struct JobRec {
 const SNAPSHOT_RING: usize = 64;
 
 /// The scheduler: job table, pending queue, counters, tenant health.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct Sched {
     /// All accepted jobs, indexed by id. `None` marks a terminal job
     /// whose record was evicted after its result-retention TTL expired
-    /// (ids are never reused, so the slot stays).
-    jobs: Vec<Option<JobRec>>,
+    /// (ids are never reused, so the slot stays). Behind `Arc` so that a
+    /// clone of the scheduler — the explorer takes one per transition —
+    /// shares the records and copies only the one it changes; the server
+    /// never clones, so there `make_mut` never copies.
+    jobs: Vec<Option<Arc<JobRec>>>,
     /// Ids awaiting a worker.
     pending: Vec<u64>,
     /// Set once a drain begins; rejects new submissions.
@@ -118,7 +151,7 @@ pub struct Sched {
 impl Sched {
     /// The record for `id`, if it exists and has not been evicted.
     pub fn job(&self, id: u64) -> Option<&JobRec> {
-        self.jobs.get(id as usize).and_then(Option::as_ref)
+        self.jobs.get(id as usize).and_then(Option::as_deref)
     }
 
     /// True when `id` was a real job whose terminal record has since
@@ -133,14 +166,16 @@ impl Sched {
     /// acts on must have its record.
     fn rec(&self, id: u64) -> &JobRec {
         self.jobs[id as usize]
-            .as_ref()
+            .as_deref()
             .expect("only terminal jobs are evicted; a live id keeps its record")
     }
 
     fn rec_mut(&mut self, id: u64) -> &mut JobRec {
-        self.jobs[id as usize]
-            .as_mut()
-            .expect("only terminal jobs are evicted; a live id keeps its record")
+        Arc::make_mut(
+            self.jobs[id as usize]
+                .as_mut()
+                .expect("only terminal jobs are evicted; a live id keeps its record"),
+        )
     }
 
     /// Evict terminal (Done/Failed) records older than `ttl`, freeing
@@ -186,10 +221,7 @@ impl Sched {
             .jobs
             .iter()
             .flatten()
-            .filter(|j| {
-                j.spec.tenant == spec.tenant
-                    && matches!(j.state, JobState::Queued | JobState::Running)
-            })
+            .filter(|j| j.spec.tenant == spec.tenant && j.state.is_active())
             .count();
         if active >= quota.max_active {
             self.obs.counter_add("serve.jobs_rejected", 1);
@@ -206,13 +238,11 @@ impl Sched {
         // Failed jobs release the name — the worker removes their
         // checkpoint directory, so reuse starts from a clean store.)
         let ns_key = qmc_ckpt::namespace_key(&spec.namespace());
-        let live_collision = self.jobs.iter().flatten().any(|j| {
-            j.ns_key == ns_key
-                && matches!(
-                    j.state,
-                    JobState::Queued | JobState::Running | JobState::Paused
-                )
-        });
+        let live_collision = self
+            .jobs
+            .iter()
+            .flatten()
+            .any(|j| j.ns_key == ns_key && j.state.is_live());
         if live_collision {
             self.obs.counter_add("serve.jobs_rejected", 1);
             return Err(format!(
@@ -223,7 +253,7 @@ impl Sched {
         }
         let id = self.jobs.len() as u64;
         let kill_at = kills.iter().find(|k| k.job == id).map(|k| k.at_sweep);
-        self.jobs.push(Some(JobRec {
+        self.jobs.push(Some(Arc::new(JobRec {
             spec,
             ns_key,
             state: JobState::Queued,
@@ -234,7 +264,7 @@ impl Sched {
             result: None,
             error: None,
             finished: None,
-        }));
+        })));
         // Bounded by construction: admission above enforces the tenant
         // quota before anything is queued.
         self.pending.push(id);
@@ -256,6 +286,55 @@ impl Sched {
         rec.state = JobState::Running;
         rec.attempts += 1;
         Some(id)
+    }
+
+    /// What an idle worker does next. Dispatch comes before the drain
+    /// check on purpose: a drain still runs every queued job to its
+    /// first sweep boundary, where the attempt checkpoints and parks it,
+    /// so no accepted job is left `Queued` when the pool winds down.
+    pub fn next_work(&mut self) -> Next {
+        match self.pop_next() {
+            Some(id) => Next::Run(id),
+            None if self.draining => Next::Exit,
+            None => Next::Wait,
+        }
+    }
+
+    /// Apply the outcome of the attempt a worker just ran and return the
+    /// job's new state. What the worker owes it: a `Queued` job needs a
+    /// worker woken, and a job that is no longer [`JobState::is_live`]
+    /// has released its namespace, so its checkpoint directory goes.
+    /// `max_attempts` caps how often a killed job is requeued.
+    pub fn settle(&mut self, id: u64, outcome: Outcome, max_attempts: u32) -> JobState {
+        match outcome {
+            Outcome::Done {
+                obs,
+                metrics,
+                respawns,
+                resized,
+            } => {
+                // A PT attempt that rode through a worker death in place
+                // (rank respawn and/or ladder resize) completes like any
+                // other — only the elastic counters record the event.
+                self.note_elastic(respawns, resized);
+                self.complete(id, obs, &metrics);
+            }
+            Outcome::Killed { at_sweep } => {
+                self.requeue_capped(
+                    id,
+                    max_attempts,
+                    format!("worker killed at sweep {at_sweep}"),
+                );
+            }
+            Outcome::Drained { .. } => self.pause(id),
+            Outcome::Failed { reason } => self.fail(id, reason),
+        }
+        self.rec(id).state
+    }
+
+    /// Ids awaiting a worker, in no particular order.
+    pub fn pending(&self) -> &[u64] {
+        &self.pending
     }
 
     /// Number of jobs awaiting a worker.
@@ -283,7 +362,7 @@ impl Sched {
 
     /// A worker finished the job: store the result, fold the engine's
     /// registry into the tenant namespace, feed tenant health.
-    pub fn complete(&mut self, id: u64, obs: JobObservables, engine_metrics: &Registry) {
+    fn complete(&mut self, id: u64, obs: JobObservables, engine_metrics: &Registry) {
         let rec = self.rec_mut(id);
         rec.state = JobState::Done;
         // lint: allow(wall-clock) — the result-retention TTL is wall time
@@ -315,7 +394,7 @@ impl Sched {
 
     /// A worker died running the job: put it back in the queue (the
     /// armed kill is disarmed — a requeue retries for real).
-    pub fn requeue(&mut self, id: u64) {
+    fn requeue(&mut self, id: u64) {
         let rec = self.rec_mut(id);
         rec.state = JobState::Queued;
         rec.kill_at = None;
@@ -330,10 +409,8 @@ impl Sched {
     /// Requeue with a retry cap: if the job has already started
     /// `max_attempts` attempts, transition it to [`JobState::Failed`]
     /// with `last_error` instead of queueing attempt `max_attempts + 1`.
-    /// Returns `true` if the job was requeued, `false` if it was failed
-    /// (the caller must then release any per-job resources exactly as
-    /// it does for [`Sched::fail`]).
-    pub fn requeue_capped(&mut self, id: u64, max_attempts: u32, last_error: String) -> bool {
+    /// Returns `true` if the job was requeued, `false` if it was failed.
+    fn requeue_capped(&mut self, id: u64, max_attempts: u32, last_error: String) -> bool {
         if self.rec(id).attempts >= max_attempts {
             self.obs.counter_add("serve.worker_kills", 1);
             self.fail(
@@ -349,7 +426,7 @@ impl Sched {
     /// A PT world rode through a worker death in place: record how it
     /// survived (`respawns` in-place rank respawns and/or one ladder
     /// `resize`) without the job ever leaving `Running`.
-    pub fn note_elastic(&mut self, respawns: u32, resized: bool) {
+    fn note_elastic(&mut self, respawns: u32, resized: bool) {
         if respawns > 0 {
             self.obs.counter_add("serve.respawns", respawns as u64);
         }
@@ -359,7 +436,7 @@ impl Sched {
     }
 
     /// A drain checkpointed the job mid-run and parked it.
-    pub fn pause(&mut self, id: u64) {
+    fn pause(&mut self, id: u64) {
         self.rec_mut(id).state = JobState::Paused;
         self.obs.counter_add("serve.jobs_drained", 1);
     }
@@ -367,7 +444,7 @@ impl Sched {
     /// An attempt died in a way a retry cannot fix (restore error,
     /// worker panic): park the job as Failed with the reason, releasing
     /// its quota slot and namespace instead of looping the failure.
-    pub fn fail(&mut self, id: u64, reason: String) {
+    fn fail(&mut self, id: u64, reason: String) {
         let rec = self.rec_mut(id);
         rec.state = JobState::Failed;
         rec.error = Some(reason);
@@ -586,6 +663,89 @@ mod tests {
         assert_eq!(sched.obs.counter("serve.jobs_failed"), 1);
         assert_eq!(sched.obs.counter("serve.requeues"), 2);
         assert_eq!(sched.obs.counter("serve.worker_kills"), 3);
+    }
+
+    #[test]
+    fn next_work_dispatches_first_and_exits_only_when_draining_and_idle() {
+        let mut sched = Sched::default();
+        assert_eq!(sched.next_work(), Next::Wait, "idle, not draining");
+        let quota = TenantQuota::default();
+        let id = sched.submit(spec("a", "j", 0), &quota, &[]).unwrap();
+        // A drain that finds a job queued still hands it to a worker: the
+        // attempt parks it at its first boundary.
+        sched.draining = true;
+        assert_eq!(sched.next_work(), Next::Run(id));
+        let rec = sched.job(id).unwrap();
+        assert_eq!((rec.state, rec.attempts), (JobState::Running, 1));
+        assert_eq!(sched.next_work(), Next::Exit, "draining, nothing pending");
+    }
+
+    #[test]
+    fn settle_done_drained_and_failed_arms() {
+        let mut sched = Sched::default();
+        let quota = TenantQuota { max_active: 3 };
+        let submit = |sched: &mut Sched, name| sched.submit(spec("a", name, 0), &quota, &[]);
+        let ids = ["done", "parked", "broken"].map(|n| submit(&mut sched, n).unwrap());
+        for id in ids {
+            assert_eq!(sched.next_work(), Next::Run(id));
+        }
+        let done = Outcome::Done {
+            obs: JobObservables::default(),
+            metrics: Registry::new(),
+            respawns: 2,
+            resized: true,
+        };
+        assert_eq!(sched.settle(ids[0], done, 5), JobState::Done);
+        assert_eq!(sched.obs.counter("serve.respawns"), 2);
+        assert_eq!(sched.obs.counter("serve.resizes"), 1);
+        assert_eq!(sched.obs.counter("tenant.a.jobs_completed"), 1);
+
+        let parked = sched.settle(ids[1], Outcome::Drained { at_sweep: 4 }, 5);
+        assert_eq!(parked, JobState::Paused);
+        assert!(parked.is_live() && !parked.is_active());
+        assert_eq!(sched.obs.counter("serve.jobs_drained"), 1);
+
+        let reason = "restore error".to_string();
+        let broken = sched.settle(ids[2], Outcome::Failed { reason }, 5);
+        assert!(broken == JobState::Failed && !broken.is_live());
+        let err = sched.job(ids[2]).unwrap().error.as_deref();
+        assert_eq!(err, Some("restore error"));
+
+        // Done and Failed gave their names back; the parked job keeps
+        // its namespace (a restarted server resumes from it) but not its
+        // quota slot.
+        assert!(submit(&mut sched, "done").is_ok());
+        assert!(submit(&mut sched, "broken").is_ok());
+        let err = submit(&mut sched, "parked").unwrap_err();
+        assert!(err.contains("collides"), "{err}");
+        assert!(submit(&mut sched, "third").is_ok());
+    }
+
+    #[test]
+    fn settle_killed_requeues_under_the_cap_then_fails_and_frees_the_slot() {
+        let mut sched = Sched::default();
+        let quota = TenantQuota { max_active: 1 };
+        let id = sched.submit(spec("a", "crashy", 0), &quota, &[]).unwrap();
+        let killed = || Outcome::Killed { at_sweep: 7 };
+
+        assert_eq!(sched.next_work(), Next::Run(id));
+        assert_eq!(sched.settle(id, killed(), 2), JobState::Queued);
+        assert_eq!(sched.pending(), [id]);
+        let full = sched.submit(spec("a", "other", 0), &quota, &[]);
+        assert!(
+            full.unwrap_err().contains("quota"),
+            "a requeue holds its slot"
+        );
+
+        assert_eq!(sched.next_work(), Next::Run(id));
+        assert_eq!(sched.settle(id, killed(), 2), JobState::Failed);
+        assert!(sched.pending().is_empty(), "a capped job is not queued");
+        let err = sched.job(id).unwrap().error.clone().unwrap();
+        assert!(err.contains("retry cap reached (2 attempts)") && err.contains("sweep 7"));
+        assert_eq!(sched.obs.counter("serve.requeues"), 1);
+        assert_eq!(sched.obs.counter("serve.worker_kills"), 2);
+        // The quota slot and the namespace are both free again.
+        assert!(sched.submit(spec("a", "crashy", 0), &quota, &[]).is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! with work in hand.
 
 use crate::run::{run_job, Outcome, RunCtl};
-use crate::sched::{JobState, KillSpec, Sched, TenantQuota};
+use crate::sched::{JobState, KillSpec, Next, Sched, TenantQuota};
 use crate::wire::{Msg, PROTO_VERSION};
 use qmc_ckpt::CkptStore;
 use qmc_comm::tcp::{FrameConn, FrameError, FrameListener};
@@ -42,8 +42,6 @@ pub struct ServeConfig {
     pub quota: TenantQuota,
     /// Deterministic injected worker deaths (demo / fault drills).
     pub kills: Vec<KillSpec>,
-    /// Per-frame payload cap for client connections.
-    pub max_frame: usize,
     /// Tenant name granted operator powers: sessions handshaken as this
     /// tenant may read unfiltered `Stats` and request a `Drain`. Every
     /// other session sees only its own tenant's counters and cannot
@@ -54,15 +52,18 @@ pub struct ServeConfig {
     /// against tenants that never `Await` their results. `None` retains
     /// every record for the server's lifetime.
     pub ttl: Option<Duration>,
-    /// Retry cap: a job whose worker dies after `max_attempts` started
-    /// attempts transitions to `Failed` with the last error instead of
-    /// being requeued forever.
-    pub max_attempts: u32,
-    /// In-place rank respawns a PT attempt may perform before falling
-    /// back to a ladder resize (see [`crate::run::RunCtl`]); deaths the
-    /// attempt rides through never reach the requeue path at all.
-    pub respawn_budget: usize,
 }
+
+/// Per-frame payload cap for client connections.
+const MAX_FRAME: usize = 1024 * 1024;
+/// Retry cap: a job whose worker dies after this many started attempts
+/// transitions to `Failed` with the last error instead of being
+/// requeued forever.
+pub const MAX_ATTEMPTS: u32 = 5;
+/// In-place rank respawns a PT attempt may perform before falling back
+/// to a ladder resize (see [`crate::run::RunCtl`]); deaths the attempt
+/// rides through never reach the requeue path at all.
+const RESPAWN_BUDGET: usize = 1;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -72,11 +73,8 @@ impl Default for ServeConfig {
             ckpt_every: 10,
             quota: TenantQuota::default(),
             kills: Vec::new(),
-            max_frame: 1024 * 1024,
             admin: "admin".into(),
             ttl: None,
-            max_attempts: 5,
-            respawn_budget: 1,
         }
     }
 }
@@ -92,6 +90,17 @@ struct Shared {
     /// Drain requested: reject new jobs, checkpoint in-flight ones,
     /// wind every thread down.
     stop: AtomicBool,
+}
+
+impl Shared {
+    /// Raise the stop flag in-flight attempts poll, close admission, and
+    /// wake every thread that may be waiting on either condvar.
+    fn begin_drain(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.sched.lock().expect("scheduler lock").draining = true;
+        self.work_cv.notify_all();
+        self.update_cv.notify_all();
+    }
 }
 
 /// A running job server. Dropping the handle does NOT stop the server;
@@ -149,12 +158,7 @@ impl Server {
     /// Begin a graceful drain: reject new submissions, checkpoint
     /// in-flight jobs at their next sweep boundary, wind down.
     pub fn drain(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        let mut sched = self.shared.sched.lock().expect("scheduler lock");
-        sched.draining = true;
-        drop(sched);
-        self.shared.work_cv.notify_all();
-        self.shared.update_cv.notify_all();
+        self.shared.begin_drain();
     }
 
     /// Wait for the acceptor and every worker to exit (requires
@@ -208,7 +212,7 @@ fn accept_loop(listener: FrameListener, shared: Arc<Shared>) {
 
 /// One client connection: Hello handshake, then a command loop.
 fn handle_conn(mut conn: FrameConn, shared: Arc<Shared>) {
-    conn.set_max_frame(shared.cfg.max_frame);
+    conn.set_max_frame(MAX_FRAME);
     let _ = conn.set_recv_timeout(Some(Duration::from_millis(100)));
     let peer = conn.peer().to_string();
 
@@ -401,13 +405,7 @@ fn handle_conn(mut conn: FrameConn, shared: Arc<Shared>) {
                 }
             }
             Msg::Drain => {
-                shared.stop.store(true, Ordering::SeqCst);
-                {
-                    let mut sched = shared.sched.lock().expect("scheduler lock");
-                    sched.draining = true;
-                }
-                shared.work_cv.notify_all();
-                shared.update_cv.notify_all();
+                shared.begin_drain();
                 let _ = send_msg(&mut conn, &Msg::Draining);
                 return;
             }
@@ -474,143 +472,105 @@ fn send_msg(conn: &mut FrameConn, msg: &Msg) -> Result<(), FrameError> {
 }
 
 /// One worker: pull, run, report, repeat — until drained and idle.
+/// Every decision is [`Sched`]'s; this loop owns the waiting, the
+/// checkpoint directory and the attempt itself.
 fn worker_loop(shared: Arc<Shared>) {
     loop {
-        // Pull the next job (or exit if draining with nothing queued).
-        let job = {
+        // Ask the scheduler what to do, then snapshot what the attempt
+        // needs so it runs without the lock.
+        let (id, spec, kill_at) = {
             let mut sched = shared.sched.lock().expect("scheduler lock");
-            loop {
+            let id = loop {
                 // Retention sweep rides the worker tick (the 100 ms
                 // condvar timeout below), so eviction needs no thread of
                 // its own.
                 if let Some(ttl) = shared.cfg.ttl {
                     sched.evict_expired(ttl);
                 }
-                if let Some(id) = sched.pop_next() {
-                    break Some(id);
+                match sched.next_work() {
+                    Next::Run(id) => break id,
+                    Next::Exit => return,
+                    Next::Wait => {
+                        sched = shared
+                            .work_cv
+                            .wait_timeout(sched, Duration::from_millis(100))
+                            .expect("scheduler lock")
+                            .0;
+                    }
                 }
-                if shared.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .work_cv
-                    .wait_timeout(sched, Duration::from_millis(100))
-                    .expect("scheduler lock");
-                sched = guard;
-            }
-        };
-        let Some(id) = job else { return };
-
-        // Snapshot what the attempt needs, then run without the lock.
-        let (spec, kill_at) = {
-            let sched = shared.sched.lock().expect("scheduler lock");
+            };
             let rec = sched.job(id).expect("a dispatched job is never evicted");
-            (rec.spec.clone(), rec.kill_at)
+            (id, rec.spec.clone(), rec.kill_at)
         };
         let every = if spec.ckpt_every > 0 {
             spec.ckpt_every as usize
         } else {
             shared.cfg.ckpt_every
         };
-        let store = match CkptStore::open_namespace(&shared.cfg.ckpt_root, &spec.namespace(), 3) {
-            Ok(store) => store,
-            Err(e) => {
-                let mut sched = shared.sched.lock().expect("scheduler lock");
-                sched.fail(id, format!("open checkpoint namespace: {e}"));
-                drop(sched);
-                shared.update_cv.notify_all();
-                continue;
-            }
-        };
-        let mut on_snapshot = |sweep: u64, total: u64, mean: f64| {
-            let mut sched = shared.sched.lock().expect("scheduler lock");
-            sched.record_snapshot(id, sweep, total, mean);
-            drop(sched);
-            shared.update_cv.notify_all();
-        };
-        // An attempt must not be able to take the pool thread down with
-        // it: a panic anywhere in the drive loop (engine invariant, PT
-        // world restore, store I/O) fails the *job* — clients get the
-        // reason via Await — and the worker lives on.
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(
-                &spec,
-                RunCtl {
-                    store: Some(&store),
-                    every,
-                    full_every: 3,
-                    resume: true,
-                    kill_at,
-                    stop: Some(&shared.stop),
-                    snapshot: Some(&mut on_snapshot),
-                    respawn_budget: shared.cfg.respawn_budget,
-                },
-            )
-        }));
-        let outcome = match attempt {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                let reason = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked".into());
-                Outcome::Failed {
-                    reason: format!("attempt panicked: {reason}"),
-                }
+        let store = CkptStore::open_namespace(&shared.cfg.ckpt_root, &spec.namespace(), 3);
+        let outcome = match &store {
+            Err(e) => Outcome::Failed {
+                reason: format!("open checkpoint namespace: {e}"),
+            },
+            Ok(store) => {
+                let mut on_snapshot = |sweep: u64, total: u64, mean: f64| {
+                    let mut sched = shared.sched.lock().expect("scheduler lock");
+                    sched.record_snapshot(id, sweep, total, mean);
+                    drop(sched);
+                    shared.update_cv.notify_all();
+                };
+                // An attempt must not be able to take the pool thread
+                // down with it: a panic anywhere in the drive loop
+                // (engine invariant, PT world restore, store I/O) fails
+                // the *job* — clients get the reason via Await — and the
+                // worker lives on.
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_job(
+                        &spec,
+                        RunCtl {
+                            store: Some(store),
+                            every,
+                            full_every: 3,
+                            resume: true,
+                            kill_at,
+                            stop: Some(&shared.stop),
+                            snapshot: Some(&mut on_snapshot),
+                            respawn_budget: RESPAWN_BUDGET,
+                        },
+                    )
+                }))
+                .unwrap_or_else(|payload| {
+                    let reason = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "worker panicked".into());
+                    Outcome::Failed {
+                        reason: format!("attempt panicked: {reason}"),
+                    }
+                })
             }
         };
 
-        let mut sched = shared.sched.lock().expect("scheduler lock");
-        let release_namespace = match outcome {
-            Outcome::Done {
-                obs,
-                metrics,
-                respawns,
-                resized,
-            } => {
-                // A PT attempt that rode through a worker death in place
-                // (rank respawn and/or ladder resize) completes like any
-                // other — only the elastic counters record the event.
-                sched.note_elastic(respawns, resized);
-                sched.complete(id, obs, &metrics);
-                true
-            }
-            Outcome::Killed { at_sweep } => {
-                if sched.requeue_capped(
-                    id,
-                    shared.cfg.max_attempts,
-                    format!("worker killed at sweep {at_sweep}"),
-                ) {
-                    drop(sched);
-                    // The "respawned" worker is this same thread looping
-                    // around; wake a sibling in case it is idle.
-                    shared.work_cv.notify_one();
-                    shared.update_cv.notify_all();
-                    continue;
-                }
-                // Retry cap reached: the job is now Failed, so release
-                // its namespace like any other terminal state.
-                true
-            }
-            // A paused job's checkpoints are exactly what a restarted
-            // server resumes from; keep them.
-            Outcome::Drained { .. } => {
-                sched.pause(id);
-                false
-            }
-            Outcome::Failed { reason } => {
-                sched.fail(id, reason);
-                true
-            }
-        };
-        drop(sched);
-        if release_namespace {
+        let state = shared
+            .sched
+            .lock()
+            .expect("scheduler lock")
+            .settle(id, outcome, MAX_ATTEMPTS);
+        if state == JobState::Queued {
+            // The "respawned" worker is this same thread looping around;
+            // wake a sibling in case it is idle.
+            shared.work_cv.notify_one();
+        } else if !state.is_live() {
             // Terminal states free the job's namespace: removing the
             // checkpoint directory keeps finished jobs from accumulating
             // on disk without bound, and guarantees a reused name starts
-            // from a clean store instead of a stale generation.
-            let _ = std::fs::remove_dir_all(store.dir());
+            // from a clean store instead of a stale generation. (A
+            // paused job's checkpoints are exactly what a restarted
+            // server resumes from; they stay.)
+            if let Ok(store) = &store {
+                let _ = std::fs::remove_dir_all(store.dir());
+            }
         }
         shared.update_cv.notify_all();
     }

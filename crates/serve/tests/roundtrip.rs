@@ -100,6 +100,21 @@ fn submit_await_drain_round_trip_matches_direct_run() {
         assert!(health.iter().all(|h| !h.name.contains("alice")));
     }
 
+    // A tenant name is one segment of the metrics namespace. `bob` is a
+    // dotted prefix of `bob.ops`, so bob's `tenant.bob.` filter would
+    // show that tenant's counters if it could ever own any: its
+    // submission is refused, and nosy bob finds nothing under the name.
+    let mut ops = Client::connect(addr, "bob.ops").expect("bob.ops connects");
+    let err = ops
+        .submit(&tfim_spec("bob.ops", "job-c", 5))
+        .expect_err("a dotted tenant must be refused");
+    assert!(err.to_string().contains("must not contain"), "got: {err}");
+    let (counters, health) = bob.stats("bob.ops").expect("stats reply");
+    assert!(!counters
+        .iter()
+        .any(|(k, _)| k.starts_with("tenant.bob.ops")));
+    assert!(health.iter().all(|h| !h.name.contains("bob.ops")));
+
     // Drain is an operator action: a tenant session is refused, the
     // admin session is honored.
     let err = alice.drain().expect_err("tenant drain must be refused");

@@ -5,11 +5,11 @@
 //! schedule; it is sound for deadlock-freedom only because buffered
 //! sends make the greedy replay confluent. The coordination protocols
 //! layered on the comm substrate (coordinated checkpoint commit, the
-//! drain-verdict broadcast, the qmc-serve scheduler lifecycle) make
-//! control decisions from message *contents* and from crash timing, so
-//! one schedule proves nothing about the rest. This module explores
-//! **every distinguishable interleaving** of a protocol expressed as a
-//! pure state machine:
+//! drain-verdict broadcast, the respawn barrier) and the qmc-serve
+//! scheduler lifecycle make control decisions from message *contents*
+//! and from crash timing, so one schedule proves nothing about the
+//! rest. This module explores **every distinguishable interleaving** of
+//! a protocol expressed as a pure state machine:
 //!
 //! * A [`Model`] supplies the initial state, the enabled actions of a
 //!   state, a deterministic transition function, a safety invariant
@@ -30,6 +30,9 @@
 //!   baseline: on a small instance both must return the same verdict,
 //!   and the transition-count ratio is the reduction factor recorded in
 //!   `VERIFY_explore.json`.
+//! * [`explore_states`] is the same engine with reduction disabled and
+//!   a visited set: every reachable state once, for a machine behind one
+//!   lock, whose interleavings explode while its states stay few.
 //! * Faults (crashes, write failures, worker kills) are ordinary
 //!   actions flagged by [`Model::is_fault`]; the explorer enforces
 //!   [`Budget::max_faults`] per execution, so "crash at any step, up to
@@ -210,13 +213,36 @@ impl<A> Outcome<A> {
 
 /// Explore with sleep sets + dynamic partial-order reduction.
 pub fn explore<M: Model>(model: &M, budget: Budget) -> Outcome<M::Action> {
-    explore_inner(model, budget, true)
+    explore_inner(model, budget, true, None)
 }
 
 /// Explore every interleaving with no reduction (ground-truth
 /// baseline; use only on small instances).
 pub fn explore_naive<M: Model>(model: &M, budget: Budget) -> Outcome<M::Action> {
-    explore_inner(model, budget, false)
+    explore_inner(model, budget, false, None)
+}
+
+/// Explore every reachable state instead of every interleaving: no
+/// reduction, and a (state, faults spent) pair is expanded only the
+/// first time it is reached. This is the search for a machine whose
+/// every action is one region under a single lock: almost no two
+/// actions commute there, so partial-order reduction has nothing to
+/// remove and the interleavings explode while the states they pass
+/// through stay few. Every reached state meets the invariant check and
+/// every quiescent one the final-state check.
+///
+/// `key` projects a state onto what tells it apart from every state
+/// that behaves differently; the visited set holds keys, so only the
+/// states on the search stack are alive at once. `unique_states` counts
+/// the pairs expanded.
+pub fn explore_states<M: Model, K: Eq + Hash>(
+    model: &M,
+    budget: Budget,
+    key: impl Fn(&M::State) -> K,
+) -> Outcome<M::Action> {
+    let mut visited = HashSet::new();
+    let mut first_visit = |s: &M::State, faults| visited.insert((key(s), faults));
+    explore_inner(model, budget, false, Some(&mut first_visit))
 }
 
 /// One node of the DFS stack.
@@ -378,12 +404,27 @@ fn minimize<M: Model>(
     (fallback, fallback_state.clone())
 }
 
-fn explore_inner<M: Model>(model: &M, budget: Budget, reduce: bool) -> Outcome<M::Action> {
+/// Records a reached (state, faults spent) pair; true when it is new.
+type FirstVisit<'a, S> = &'a mut dyn FnMut(&S, usize) -> bool;
+
+/// The search behind the three entry points. With a `first_visit`, a
+/// state that is not new is a leaf.
+fn explore_inner<M: Model>(
+    model: &M,
+    budget: Budget,
+    reduce: bool,
+    mut first_visit: Option<FirstVisit<M::State>>,
+) -> Outcome<M::Action> {
     let mut stats = ExploreStats::default();
+    let revisits_end = first_visit.is_some();
     let mut seen: HashSet<M::State> = HashSet::new();
+    let mut visit = |s: &M::State, faults| match first_visit.as_mut() {
+        Some(first_visit) => first_visit(s, faults),
+        None => seen.insert(s.clone()),
+    };
 
     let init = model.init();
-    seen.insert(init.clone());
+    visit(&init, 0);
     stats.unique_states = 1;
     if let Some(msg) = violation_of(model, &init) {
         return finish_violation(model, &budget, &[], &init, msg, false, stats);
@@ -494,17 +535,19 @@ fn explore_inner<M: Model>(model: &M, budget: Budget, reduce: bool) -> Outcome<M
         let next = model.apply(&state, &action);
         let depth = stack.len();
         stats.max_depth = stats.max_depth.max(depth);
-        if seen.insert(next.clone()) {
-            stats.unique_states += 1;
-        }
+        let next_faults = faults_used + usize::from(model.is_fault(&action));
+        let fresh = visit(&next, next_faults);
+        stats.unique_states += u64::from(fresh);
         if let Some(msg) = violation_of(model, &next) {
             return finish_violation(model, &budget, &stack, &next, msg, false, stats);
+        }
+        if revisits_end && !fresh {
+            continue;
         }
         if depth >= budget.max_depth {
             return Outcome::BudgetExceeded(stats);
         }
 
-        let next_faults = faults_used + usize::from(model.is_fault(&action));
         let child_enabled = enabled_within(model, &next, next_faults, &budget);
         if child_enabled.is_empty() {
             stats.executions += 1;
@@ -801,6 +844,31 @@ mod tests {
             panic!("expected two-crash violation");
         };
         assert_eq!(ce.schedule, vec![true, true], "minimized to two crashes");
+    }
+
+    #[test]
+    fn state_search_expands_each_state_once_and_keys_on_fault_spend() {
+        let budget = Budget::with_faults(2);
+        let out = explore_states(&Counters { n: 3, limit: 2 }, budget, Vec::clone);
+        assert!(out.is_clean());
+        // 3^3 states; each offers one action per counter below the limit.
+        assert_eq!(out.stats().unique_states, 27);
+        assert_eq!(out.stats().transitions, 54);
+        assert_eq!(out.stats().executions, 1);
+
+        let Outcome::Violation(ce) = explore_states(&Race, budget, |s| *s) else {
+            panic!("expected violation");
+        };
+        assert_eq!(ce.schedule, vec![0, 1], "shortest schedule");
+
+        // A key that forgets the crash count: (1 step, 1 crash) must not
+        // pass for the visited (1 step, 0 crashes), or the second crash
+        // is never tried. The faults spent are part of the node.
+        let Outcome::Violation(ce) = explore_states(&Crashy, budget, |s| s.0) else {
+            panic!("expected two-crash violation");
+        };
+        assert_eq!(ce.schedule, vec![true, true]);
+        assert!(explore_states(&Crashy, Budget::with_faults(1), |s| s.0).is_clean());
     }
 
     #[test]

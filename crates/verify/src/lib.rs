@@ -23,14 +23,17 @@
 //!   one fixture per rule under `fixtures/` that the self-tests require
 //!   to fire, so a rule cannot rot into a no-op.
 //! * **Exhaustive protocol explorer** ([`explore`], [`model`]): the
-//!   checkpoint-commit, drain-verdict, and `qmc-serve` scheduler
-//!   protocols modeled as deterministic per-process step functions;
+//!   checkpoint-commit, drain-verdict and respawn-barrier protocols
+//!   modeled as deterministic per-process step functions;
 //!   [`explore`] enumerates *every* distinguishable interleaving of
 //!   deliveries, crashes, and write failures (sleep sets + dynamic
 //!   partial-order reduction) within a configurable depth/fault
 //!   budget, and renders any violation as a minimized counterexample
 //!   schedule. The `tests/explore.rs` conformance suite replays those
-//!   schedules against the real `Sched`/`CkptStore`/`ThreadComm`.
+//!   schedules against the real `CkptStore`/`ThreadComm`. The job
+//!   server's scheduler needs no model: [`explore_states`] walks every
+//!   reachable state of the real `qmc_serve::Sched`
+//!   (`qmc_bench::sched_model`).
 //!
 //! `repro verify` and `scripts/check.sh` run all three on every gate.
 
@@ -44,6 +47,8 @@ pub mod model;
 pub mod trace;
 
 pub use checker::{check, Report, Violation, WaitEdge};
-pub use explore::{explore, explore_naive, Budget, CounterExample, ExploreStats, Model, Outcome};
+pub use explore::{
+    explore, explore_naive, explore_states, Budget, CounterExample, ExploreStats, Model, Outcome,
+};
 pub use lint::{lint_source, lint_workspace, workspace_root_from, Finding, Rule};
 pub use trace::{record_threads, Event, RecordingComm, WorldTrace};

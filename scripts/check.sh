@@ -34,9 +34,10 @@ echo "== tier-1: cargo test -q =="
 # conformance and deadlock-detector suites, and the integration suites —
 # observability (determinism + artifact schema), checkpoint (crash-at-
 # every-boundary matrix, drain, v1 resume, bench<->serve cross-resume),
-# alloc_guard (zero steady-state allocations), explore (DPOR budgets +
-# model<->implementation conformance), serve, elastic. The stages below
-# only add what `cargo test` does not run: lints, demos, drills.
+# alloc_guard (zero steady-state allocations), explore (DPOR and
+# state-search budgets + mutant replays on the real code), serve,
+# elastic. The stages below only add what `cargo test` does not run:
+# lints, demos, drills.
 cargo test -q
 
 echo "== one emitter: the schema key and the string escape live in obs/json.rs only =="
@@ -62,6 +63,15 @@ if awk 'FNR == 1 { gc = 0; tests = 0 }
         gc && /^    }$/ { gc = 0 }
         !gc && !tests && /\.tmp/ { print FILENAME ":" FNR ": " $0; hit = 1 }
         END { exit !hit }' crates/ckpt/src/*.rs; then exit 1; fi
+
+echo "== one scheduler: qmc-verify's models restate nothing of qmc_serve::Sched =="
+# The job lifecycle is explored on the scheduler that ships:
+# crates/bench/src/sched_model.rs calls Sched::{submit, next_work, settle} on a
+# clone per transition. The models under crates/verify/src/model mirror
+# message protocols only. A hit here is the scheduler mirror growing
+# back: a job state, a quota, a priority or a requeue written a second
+# time, beside the code it would drift from.
+if grep -rnE --include='*.rs' 'JobSt|Queued|Paused|quota|priorit|requeue|pop_next' crates/verify/src/model; then exit 1; fi
 
 echo "== benchmark: builds against this tree, offline and locked =="
 # benchmark/ is a standalone package with its own frozen lock file: an

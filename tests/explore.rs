@@ -1,31 +1,28 @@
-//! Model–implementation conformance for the DPOR-explored protocol
-//! models (`qmc_verify::model`).
+//! The explored protocols, checked at their committed sizes
+//! (`qmc_verify::model`, `qmc_bench::sched_model`).
 //!
-//! Three claims, each checked here:
+//! Two claims, each checked here:
 //!
-//! 1. **Clean within budget** — the unmutated checkpoint-commit,
-//!    drain-verdict, and scheduler models explore invariant-clean at
-//!    the committed instance sizes, under the committed transition
-//!    ceilings (a regression here means the protocol grew a real race
-//!    or the model grew state the budget can't cover).
-//! 2. **Mutants reproduce on the real code** — every seeded mutation's
-//!    minimized counterexample schedule, replayed deterministically
-//!    against the *real* implementation (`qmc_serve::Sched`,
-//!    `qmc_ckpt::coord::write_coordinated_sections` over `ThreadComm`,
+//! 1. **Clean within budget** — the checkpoint-commit and drain-verdict
+//!    models and the job lifecycle explore invariant-clean at the
+//!    committed instance sizes, under the committed transition ceilings
+//!    (a regression here means the protocol grew a real race or the
+//!    instance grew state the budget can't cover). The lifecycle is not
+//!    a model of `qmc_serve::Sched`: every transition calls the real
+//!    scheduler.
+//! 2. **Seeded bugs come back minimised, and are real** — every
+//!    commit / drain mutant's minimized counterexample schedule,
+//!    replayed deterministically against the *real* implementation
+//!    (`qmc_ckpt::coord::write_coordinated_sections` over `ThreadComm`,
 //!    blocking verdict receives over `ThreadComm`), exhibits the same
-//!    violation the model checker reported. The models are not toys —
-//!    they predict real behavior.
-//! 3. **Bisimulation on the happy paths** — handwritten schedules step
-//!    the scheduler model and the real `Sched` side by side, comparing
-//!    an abstraction of the real state after every action.
+//!    violation the model checker reported; every scheduler mutant is a
+//!    way of misusing the real `Sched`, so its counterexample already is
+//!    the real code misbehaving.
 
+use qmc_bench::sched_model::{End, Misuse, SchedAction, SchedModel, Worker};
 use qmc_ckpt::{CkptStore, SectionPlan};
 use qmc_comm::{run_threads, run_threads_with_timeout, Communicator};
-use qmc_obs::Registry;
-use qmc_serve::{JobKind, JobObservables, JobSpec, Sched, TenantQuota};
-use qmc_verify::model::{
-    CkptCommitModel, CkptMutation, DrainModel, DrainMutation, SchedModel, SchedMutation,
-};
+use qmc_verify::model::{CkptCommitModel, CkptMutation, DrainModel, DrainMutation};
 use qmc_verify::{explore, explore_naive, Budget, Outcome};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,14 +65,60 @@ fn drain_verdict_explores_clean_within_committed_budget() {
 
 #[test]
 fn scheduler_explores_clean_within_committed_budget() {
-    let m = SchedModel::new(2, 2, 2, 2);
-    let out = explore(&m, Budget::with_faults(2));
+    let out = SchedModel::new(2, 2, 2, 2).explore(Budget::with_faults(2));
     assert!(out.is_clean(), "expected clean, got {:?}", out.stats());
     assert!(
-        out.stats().transitions <= 600_000,
+        out.stats().transitions <= 300_000,
         "committed ceiling blown: {} transitions",
         out.stats().transitions
     );
+}
+
+/// What the committed instance cannot reach: a refused namespace
+/// collision, and — with its two faults under the server's cap of five —
+/// the retry cap. With a cap of 2, two kills of one job fail it for
+/// good and its tenant's next submission must find the slot and the name
+/// free; a drain that begins with a job queued still sees it dispatched
+/// and parked. The two schedules below are walked, not assumed.
+#[test]
+fn scheduler_small_instances_and_a_reachable_retry_cap_explore_clean() {
+    let colliding = |quota| SchedModel {
+        ns_collide: true,
+        ..SchedModel::new(1, 2, 1, quota)
+    };
+    let m = SchedModel {
+        max_attempts: 2,
+        ..SchedModel::new(1, 2, 2, 1)
+    };
+    for m in [SchedModel::new(2, 1, 1, 1), colliding(1), colliding(2), m] {
+        let out = m.explore(Budget::with_faults(2));
+        assert!(out.is_clean(), "{m:?}: expected clean, got {out:?}");
+        assert!(
+            out.stats().transitions <= 2_000,
+            "{m:?}: committed ceiling blown: {} transitions",
+            out.stats().transitions
+        );
+    }
+
+    use qmc_serve::JobState;
+    use qmc_verify::Model;
+    let (submit, next) = (SchedAction::Submit(0), SchedAction::Next(0));
+    let settle = |end| SchedAction::Settle(0, end);
+    let walk = |acts: &[SchedAction]| {
+        acts.iter().fold(m.init(), |s, a| {
+            assert!(m.actions(&s).contains(a), "{a:?} is not enabled");
+            m.apply(&s, a)
+        })
+    };
+    // Cap reached: Failed, and the quota-1 tenant is admitted again.
+    let killed = settle(End::Killed);
+    let s = walk(&[submit, next, killed, next, killed, submit]);
+    assert_eq!(s.sched.job(0).expect("kept").state, JobState::Failed);
+    assert_eq!(s.sched.job(1).expect("admitted").state, JobState::Queued);
+    // Dispatch while draining: queued before the drain, parked after it.
+    let s = walk(&[submit, SchedAction::Drain, next, settle(End::Drained), next]);
+    assert_eq!(s.sched.job(0).expect("kept").state, JobState::Paused);
+    assert_eq!(s.workers[0], Worker::Exited, "nothing left to run");
 }
 
 #[test]
@@ -106,338 +149,66 @@ fn dpor_agrees_with_naive_and_reduces_on_committed_instances() {
 }
 
 // ---------------------------------------------------------------------------
-// 2 + 3. Scheduler: bisimulation harness over the real `Sched`.
+// 2. Scheduler: each way of misusing the real `Sched` is caught.
 // ---------------------------------------------------------------------------
 
-use qmc_verify::model::{JobSt, SchedAction, SchedState};
-
-/// What the harness knows about one model job's real-world twin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RealId {
-    NotSubmitted,
-    Rejected,
-    Id(u64),
-}
-
-/// Steps the model and the real scheduler in lockstep and compares an
-/// abstraction of the real state against the model state after every
-/// action. The mutation glue flags replay a *model mutant's*
-/// counterexample by making the harness drive the real code the way
-/// the buggy code would.
-struct Harness {
-    model: SchedModel,
-    state: SchedState,
-    sched: Sched,
-    real: Vec<RealId>,
-    /// worker index → model job it is executing.
-    workers: Vec<Option<usize>>,
-    /// Glue for [`SchedMutation::ForgetRequeue`]: a killed worker frees
-    /// itself without requeueing its job.
-    forget_requeue: bool,
-    /// Glue for [`SchedMutation::SkipQuota`]: admission runs with an
-    /// unbounded quota.
-    skip_quota: bool,
-}
-
-impl Harness {
-    fn new(model: SchedModel) -> Self {
-        let state = qmc_verify::Model::init(&model);
-        let njobs = model.tenants * model.jobs_per_tenant;
-        Harness {
-            model,
-            state,
-            sched: Sched::default(),
-            real: vec![RealId::NotSubmitted; njobs],
-            workers: vec![None; model.workers],
-            forget_requeue: matches!(model.mutation, Some(SchedMutation::ForgetRequeue)),
-            skip_quota: matches!(model.mutation, Some(SchedMutation::SkipQuota)),
-        }
-    }
-
-    fn model_job_of(&self, rid: u64) -> usize {
-        self.real
-            .iter()
-            .position(|r| *r == RealId::Id(rid))
-            .expect("dispatched id maps to a model job")
-    }
-
-    fn spec_for(&self, job: usize) -> JobSpec {
-        let tenant = job / self.model.jobs_per_tenant;
-        // Colliding instances share one sanitized name per tenant;
-        // otherwise every job gets its own namespace.
-        let name = if self.model.ns_collide {
-            format!("shared-{tenant}")
-        } else {
-            format!("job-{job}")
-        };
-        let priority =
-            u8::from(self.model.jobs_per_tenant > 1 && job % self.model.jobs_per_tenant == 1);
-        JobSpec {
-            tenant: format!("t{tenant}"),
-            name,
-            kind: JobKind::Tfim {
-                lx: 4,
-                ly: 1,
-                j: 1.0,
-                h: 2.0,
-                m: 4,
-                wolff: 1,
-            },
-            betas: vec![1.0],
-            therm: 2,
-            sweeps: 4,
-            seed: job as u64,
-            priority,
-            ckpt_every: 0,
-        }
-    }
-
-    /// Apply one model action to both worlds.
-    fn step(&mut self, a: SchedAction) {
-        match a {
-            SchedAction::Submit { tenant } => {
-                let t = tenant as usize;
-                let job = (0..self.model.jobs_per_tenant)
-                    .map(|j| t * self.model.jobs_per_tenant + j)
-                    .find(|&id| self.real[id] == RealId::NotSubmitted)
-                    .expect("a job left to submit");
-                let quota = TenantQuota {
-                    max_active: if self.skip_quota {
-                        usize::MAX
-                    } else {
-                        self.model.quota
-                    },
-                };
-                self.real[job] = match self.sched.submit(self.spec_for(job), &quota, &[]) {
-                    Ok(rid) => RealId::Id(rid),
-                    Err(_) => RealId::Rejected,
-                };
-            }
-            SchedAction::Dispatch { worker } => {
-                let rid = self.sched.pop_next().expect("model says a job is pending");
-                self.workers[worker as usize] = Some(self.model_job_of(rid));
-            }
-            SchedAction::Complete { worker } => {
-                let job = self.workers[worker as usize].take().expect("busy worker");
-                let RealId::Id(rid) = self.real[job] else {
-                    panic!("running job has a real id");
-                };
-                self.sched
-                    .complete(rid, JobObservables::default(), &Registry::new());
-            }
-            SchedAction::Fail { worker } => {
-                let job = self.workers[worker as usize].take().expect("busy worker");
-                let RealId::Id(rid) = self.real[job] else {
-                    panic!("running job has a real id");
-                };
-                self.sched.fail(rid, "injected failure".into());
-            }
-            SchedAction::Kill { worker } => {
-                let job = self.workers[worker as usize].take().expect("busy worker");
-                let RealId::Id(rid) = self.real[job] else {
-                    panic!("running job has a real id");
-                };
-                if !self.forget_requeue {
-                    self.sched.requeue(rid);
-                }
-                // ForgetRequeue glue: the worker frees itself, the
-                // record stays Running — exactly the modeled bug.
-            }
-            SchedAction::Drain => self.sched.draining = true,
-            SchedAction::DrainPark { worker } => {
-                let job = self.workers[worker as usize].take().expect("busy worker");
-                let RealId::Id(rid) = self.real[job] else {
-                    panic!("running job has a real id");
-                };
-                self.sched.pause(rid);
-            }
-        }
-        self.state = qmc_verify::Model::apply(&self.model, &self.state, &a);
-    }
-
-    /// The abstraction function: project the real scheduler onto the
-    /// model's state space and compare.
-    fn assert_conforms(&self, ctx: &str) {
-        use qmc_serve::JobState;
-        let (jobs, pending, workers, draining) = self.state.snapshot();
-        assert_eq!(draining, self.sched.draining, "{ctx}: draining flag");
-        assert_eq!(
-            pending.len(),
-            self.sched.pending_len(),
-            "{ctx}: pending queue length"
-        );
-        for (job, st) in jobs.iter().enumerate() {
-            let real = self.real[job];
-            match (st, real) {
-                (JobSt::NotSubmitted, RealId::NotSubmitted) => {}
-                (JobSt::Rejected, RealId::Rejected) => {}
-                (st, RealId::Id(rid)) => {
-                    let rec = self.sched.job(rid).expect("live id keeps its record");
-                    let want = match st {
-                        JobSt::Queued => JobState::Queued,
-                        JobSt::Running(_) => JobState::Running,
-                        JobSt::Paused => JobState::Paused,
-                        JobSt::Done => JobState::Done,
-                        JobSt::Failed => JobState::Failed,
-                        other => panic!("{ctx}: model job {job} is {other:?} but a real id exists"),
-                    };
-                    assert_eq!(rec.state, want, "{ctx}: job {job} state");
-                }
-                (st, real) => panic!("{ctx}: model job {job} is {st:?}, real twin is {real:?}"),
-            }
-        }
-        for (w, slot) in workers.iter().enumerate() {
-            assert_eq!(
-                slot.map(|j| j as usize),
-                self.workers[w],
-                "{ctx}: worker {w} assignment"
-            );
-        }
-    }
-
-    fn replay(&mut self, schedule: &[SchedAction]) {
-        for a in schedule {
-            self.step(*a);
-        }
-    }
-}
-
-#[test]
-fn sched_bisimulation_happy_path_priority_dispatch() {
-    let m = SchedModel::new(1, 2, 1, 2);
-    let mut h = Harness::new(m);
-    let script = [
-        SchedAction::Submit { tenant: 0 },
-        SchedAction::Submit { tenant: 0 },
-        // Job 1 carries priority 1, so the single worker takes it first.
-        SchedAction::Dispatch { worker: 0 },
-        SchedAction::Complete { worker: 0 },
-        SchedAction::Dispatch { worker: 0 },
-        SchedAction::Complete { worker: 0 },
-    ];
-    for (i, a) in script.iter().enumerate() {
-        h.step(*a);
-        h.assert_conforms(&format!("after action {i} ({a:?})"));
-    }
-    // The priority-1 job (model job 1) ran first.
-    assert_eq!(h.workers, vec![None]);
-}
-
-#[test]
-fn sched_bisimulation_kill_requeue_redispatch() {
-    let m = SchedModel::new(1, 1, 1, 1);
-    let mut h = Harness::new(m);
-    let script = [
-        SchedAction::Submit { tenant: 0 },
-        SchedAction::Dispatch { worker: 0 },
-        SchedAction::Kill { worker: 0 },
-        SchedAction::Dispatch { worker: 0 },
-        SchedAction::Complete { worker: 0 },
-    ];
-    for (i, a) in script.iter().enumerate() {
-        h.step(*a);
-        h.assert_conforms(&format!("after action {i} ({a:?})"));
-    }
-}
-
-#[test]
-fn sched_bisimulation_quota_and_ns_rejection() {
-    // Quota: second submit while the first is active is rejected.
-    let mut h = Harness::new(SchedModel::new(1, 2, 1, 1));
-    h.step(SchedAction::Submit { tenant: 0 });
-    h.assert_conforms("after first submit");
-    h.step(SchedAction::Submit { tenant: 0 });
-    h.assert_conforms("after over-quota submit");
-
-    // Namespace: quota of 2 admits both by count, but the shared
-    // namespace key rejects the second.
-    let mut h = Harness::new(SchedModel::new(1, 2, 1, 2).with_ns_collision());
-    h.step(SchedAction::Submit { tenant: 0 });
-    h.step(SchedAction::Submit { tenant: 0 });
-    h.assert_conforms("after colliding submit");
-}
-
-#[test]
-fn sched_bisimulation_drain_park_and_fail() {
-    let mut h = Harness::new(SchedModel::new(1, 1, 1, 1));
-    let script = [
-        SchedAction::Submit { tenant: 0 },
-        SchedAction::Dispatch { worker: 0 },
-        SchedAction::Drain,
-        SchedAction::DrainPark { worker: 0 },
-    ];
-    for (i, a) in script.iter().enumerate() {
-        h.step(*a);
-        h.assert_conforms(&format!("after action {i} ({a:?})"));
-    }
-
-    let mut h = Harness::new(SchedModel::new(1, 1, 1, 1));
-    let script = [
-        SchedAction::Submit { tenant: 0 },
-        SchedAction::Dispatch { worker: 0 },
-        SchedAction::Fail { worker: 0 },
-    ];
-    for (i, a) in script.iter().enumerate() {
-        h.step(*a);
-        h.assert_conforms(&format!("after action {i} ({a:?})"));
+/// Explore a misused 1-worker, quota-1 scheduler and return the
+/// minimised counterexample.
+fn sched_counterexample(
+    jobs: usize,
+    misuse: Misuse,
+) -> Box<qmc_verify::CounterExample<SchedAction>> {
+    let m = SchedModel {
+        misuse: Some(misuse),
+        ..SchedModel::new(1, jobs, 1, 1)
+    };
+    match m.explore(Budget::with_faults(1)) {
+        Outcome::Violation(ce) => ce,
+        other => panic!("{m:?} must violate, got {:?}", other.stats()),
     }
 }
 
 #[test]
 fn forget_requeue_counterexample_replays_on_real_sched() {
-    let m = SchedModel::new(1, 1, 1, 1).mutated(SchedMutation::ForgetRequeue);
-    let Outcome::Violation(ce) = explore(&m, Budget::with_faults(1)) else {
-        panic!("forgetting the requeue must violate");
-    };
+    let ce = sched_counterexample(1, Misuse::ForgetRequeue);
     assert!(ce.message.contains("lost"), "message: {}", ce.message);
-
-    // Replay the minimized schedule against the real scheduler, with
-    // the harness reproducing the buggy worker loop.
-    let mut h = Harness::new(m);
-    h.replay(&ce.schedule);
-    // The violation is real: the record still says Running, but no
-    // worker holds the job and nothing is pending — the job is lost.
-    let RealId::Id(rid) = h.real[0] else {
-        panic!("the job was submitted")
-    };
-    assert_eq!(
-        h.sched.job(rid).expect("record kept").state,
-        qmc_serve::JobState::Running,
-        "record claims an executor"
-    );
-    assert!(h.workers.iter().all(Option::is_none), "no worker has it");
-    assert_eq!(h.sched.pending_len(), 0, "and it is not queued either");
+    // Minimal: submit, dispatch, kill.
+    let want = [
+        SchedAction::Submit(0),
+        SchedAction::Next(0),
+        SchedAction::Settle(0, End::Killed),
+    ];
+    assert_eq!(ce.schedule, want);
 }
 
 #[test]
 fn skip_quota_counterexample_replays_on_real_sched() {
-    let m = SchedModel::new(1, 2, 1, 1).mutated(SchedMutation::SkipQuota);
-    let Outcome::Violation(ce) = explore(&m, Budget::with_faults(0)) else {
-        panic!("skipping the quota check must violate");
-    };
-    assert!(ce.message.contains("quota"), "message: {}", ce.message);
-
-    let mut h = Harness::new(m);
-    h.replay(&ce.schedule);
-    // Both jobs were admitted even though the tenant's quota is 1.
-    let active = (0..2)
-        .filter(|&j| {
-            matches!(h.real[j], RealId::Id(rid)
-                if matches!(h.sched.job(rid).expect("kept").state,
-                    qmc_serve::JobState::Queued | qmc_serve::JobState::Running))
-        })
-        .count();
+    let ce = sched_counterexample(2, Misuse::SkipQuota);
     assert!(
-        active > m.quota,
-        "over-admission reproduced: {active} active"
+        ce.message.contains("active jobs, quota is"),
+        "message: {}",
+        ce.message
     );
+    // Minimal: two submits back to back.
+    assert_eq!(ce.schedule, [SchedAction::Submit(0); 2]);
+}
 
-    // The unglued real scheduler rejects the same schedule's second
-    // submit — the bug lives in the mutation, not the implementation.
-    let mut h = Harness::new(SchedModel::new(1, 2, 1, 1));
-    h.replay(&ce.schedule);
-    h.assert_conforms("unmutated replay");
-    assert_eq!(h.real[1], RealId::Rejected);
+/// The rule the deleted mirror model had drifted to: no dispatch once a
+/// drain begins. Driven that way the real scheduler strands a job.
+#[test]
+fn exit_on_drain_counterexample_strands_a_queued_job() {
+    let ce = sched_counterexample(1, Misuse::ExitOnDrain);
+    assert!(
+        ce.message.contains("left Queued"),
+        "message: {}",
+        ce.message
+    );
+    let want = [
+        SchedAction::Submit(0),
+        SchedAction::Drain,
+        SchedAction::Next(0),
+    ];
+    assert_eq!(ce.schedule, want);
 }
 
 // ---------------------------------------------------------------------------
