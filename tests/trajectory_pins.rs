@@ -135,6 +135,26 @@ const SERIAL: &[SerialCase] = &[
     (model(6, 6, 2.5, 1.0, 4), 19, 10, 40, 2, pin(0x9c97675b88b79d60, 0xd486ab794f18149b, 29009, 1369, 7200)),
     (model(64, 4, 3.044, 2.0, 8), 20, 3, 12, 1, pin(0x400e9bccf44d89a5, 0x7be22d60cdf747db, 49040, 9026, 30720)),
     (model(64, 64, 3.044, 2.0, 32), 21, 2, 6, 0, pin(0x17f555d49edab53d, 0xadf3e2eb2794189b, 974020, 153027, 1048576)),
+    // Wolff-heavy rows, recorded on commit 7b1396d, before the cluster
+    // move stepped by index arithmetic: two slices (a site's up and down
+    // neighbours are one site), the narrowest chain, widths that are no
+    // power of two, squares with ly != lx at three clusters a sweep, an
+    // ordered point (the cluster is nearly the lattice: deepest stack) and
+    // a disordered one (nearly every cluster is its seed).
+    (model(4, 1, 1.0, 0.5, 2), 22, 10, 40, 3, pin(0x5080eb438fd90d1b, 0x77ddf87b1260f95b, 1587, 30, 400)),
+    (model(8, 1, 0.6, 1.0, 2), 23, 10, 40, 2, pin(0x65c9ab10ebf84a1f, 0xe7bd443d38499225, 2358, 57, 800)),
+    (model(4, 4, 1.5, 0.5, 2), 24, 10, 40, 2, pin(0xd5cf90733b746729, 0xa26a269578cf0125, 6201, 164, 1600)),
+    (model(4, 1, 1.0, 4.0, 32), 25, 10, 40, 2, pin(0x514c3ea3404b1008, 0x9b2ef2213b3742e5, 20985, 642, 6400)),
+    (model(6, 1, 1.0, 3.0, 12), 26, 10, 40, 2, pin(0xf3495733cf5a95a8, 0xb93230ce5b0f319b, 11071, 511, 3600)),
+    (model(10, 1, 0.9, 2.5, 10), 27, 10, 40, 2, pin(0x8e3f2e5f2a7997f1, 0xae664003989d921b, 15951, 571, 5000)),
+    (model(10, 4, 2.5, 1.5, 6), 28, 10, 40, 3, pin(0x086b1df95b5be37d, 0xe5421eadce3fb6e5, 73496, 2027, 12000)),
+    (model(4, 6, 2.0, 2.0, 8), 29, 10, 40, 3, pin(0x4a007872d6137a9a, 0xd4f33d08ab02f4db, 60464, 986, 9600)),
+    (model(6, 10, 3.044, 1.0, 4), 30, 10, 40, 3, pin(0x34d16e77aecec91d, 0x7aeadf1b80f1cd25, 54532, 3423, 12000)),
+    (model(16, 1, 0.1, 4.0, 16), 31, 10, 40, 2, pin(0xd832d85847876813, 0xf3686360e9e9b325, 51284, 7, 12800)),
+    (model(64, 1, 0.2, 8.0, 32), 32, 5, 20, 1, pin(0x703779a7cd3d4567, 0x0d22dac57879efa5, 129583, 159, 51200)),
+    (model(6, 6, 0.5, 2.0, 8), 33, 10, 40, 2, pin(0xd007fb7d7633441d, 0x62fe7ce4d8a6a525, 67184, 90, 14400)),
+    (model(16, 1, 100.0, 0.2, 8), 34, 10, 40, 2, pin(0x5e1b65b63dcabca0, 0x008b9eb6be74d35b, 2932, 6187, 6400)),
+    (model(8, 4, 60.0, 0.3, 6), 35, 10, 40, 3, pin(0x73cf453fb85117f6, 0x25e0a511e61c77e5, 5182, 8819, 9600)),
 ];
 
 fn run_serial(&(model, seed, therm, sweeps, wolff, _): &SerialCase) -> Pin {
