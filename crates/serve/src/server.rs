@@ -219,6 +219,20 @@ fn handle_conn(mut conn: FrameConn, shared: Arc<Shared>) {
     // Handshake: first frame must be a version-matched Hello.
     let tenant = loop {
         match recv_msg(&mut conn, &shared, &peer, "<handshake>") {
+            // An empty tenant is nobody's name, and as a `Stats` filter it
+            // is the admin's global view: such a session would read every
+            // tenant's counters.
+            Ok(Some(Msg::Hello { proto, tenant }))
+                if proto == PROTO_VERSION && tenant.is_empty() =>
+            {
+                let _ = send_msg(
+                    &mut conn,
+                    &Msg::Error {
+                        detail: format!("peer {peer}: the tenant name is empty"),
+                    },
+                );
+                return;
+            }
             Ok(Some(Msg::Hello { proto, tenant })) if proto == PROTO_VERSION => {
                 let _ = send_msg(
                     &mut conn,

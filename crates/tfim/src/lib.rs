@@ -84,6 +84,33 @@
 //! was. A block is whole rows; a row too wide for one is split into
 //! segments. The byte arithmetic of pass 1 is why "every stored spin,
 //! ghosts included, is ±1" is an invariant of both engines.
+//!
+//! # Wolff update
+//!
+//! [`serial::SerialTfim::wolff_update`] reproduces, draw for draw, the
+//! textbook loop: "mark a random seed and push it; pop a site, and for
+//! each neighbour in the order +x, −x, +y, −y, +t, −t that is unmarked and
+//! reads the site's spin `s`: `if rng.bernoulli(p) { mark, push }`; flip
+//! the popped site" — with `p = 1 − e^{−2K}` of the bond's kind. It keeps
+//! no marks. A site is flipped when it is *pushed*, so every member of the
+//! cluster reads `−s` from the moment it joins, whereas in the loop above
+//! a member reads `s` while it waits on the stack and `−s` once popped;
+//! everything outside the cluster reads what it read before in both. The
+//! loop's test "unmarked and equal to `s`" is therefore the one compare
+//! `spin == s`: the same bonds consume a draw, in the same order, and the
+//! same sites join, last in, first out. That holds for `m = 2` too, where
+//! +t and −t are one site: a hit on the first bond flips it and the second
+//! finds `−s`; a miss leaves `s` and the second bond draws again, as it
+//! did.
+//!
+//! Neighbours are reached by index arithmetic against wrap tests (`± 1`,
+//! `± lx`, `± lx·ly`), the column and row travelling with the site on the
+//! stack, so the only divisions of an update place its seed. A bond is
+//! decided on the raw draw, `(x >> 11) < ⌈p·2⁵³⌉` — the identity above.
+//! But `bernoulli` draws whatever `p` is, where `metropolis` skips the
+//! draw at `ratio ≥ 1`: `p = 1` (`K_τ` large enough that `e^{−2K}` rounds
+//! away) is the threshold 2⁵³, above every `x >> 11`, and not
+//! [`qmc_rng::NO_DRAW`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

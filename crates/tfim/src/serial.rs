@@ -2,8 +2,8 @@
 
 use crate::colour::{Layout, Scratch, Thresholds};
 use crate::{AcceptTable, StCouplings, TfimModel};
-use qmc_obs::{CounterId, Registry};
-use qmc_rng::Rng64;
+use qmc_obs::{CounterId, HistId, Registry};
+use qmc_rng::{threshold, Rng64};
 
 /// Spacetime spin configuration of the mapped classical model plus update
 /// kernels. Spins are indexed `(t·ly + y)·lx + x`.
@@ -27,15 +27,45 @@ pub struct SerialTfim {
     metrics: Registry,
     id_accepted: CounterId,
     id_proposed: CounterId,
+    id_cluster: HistId,
     /// Exact integer acceptance thresholds of the [`AcceptTable`] (no
     /// `exp`, no float compare in the sweep loop).
     thr: Thresholds,
-    /// Wolff add probabilities `1 − e^{−2K}`, precomputed per bond type.
-    wolff_p_space: f64,
-    wolff_p_time: f64,
-    // Wolff scratch
-    stack: Vec<usize>,
-    in_cluster: Vec<bool>,
+    /// Wolff add probabilities `1 − e^{−2K}` per bond type, as thresholds
+    /// on `raw >> 11` ([`always_draw_threshold`]).
+    wolff_thr_space: u64,
+    wolff_thr_time: u64,
+    /// Wolff scratch: the cluster sites whose bonds are still to be tried.
+    /// It grows to the deepest stack a run has met, by doubling; sized to
+    /// the lattice up front it would more than double the heap footprint
+    /// of a cache-resident engine.
+    stack: Vec<Member>,
+}
+
+/// A cluster site on the Wolff stack, eight bytes: its index and its
+/// column and row, carried along so that no neighbour costs a division.
+#[derive(Debug, Clone, Copy, Default)]
+struct Member {
+    site: u32,
+    x: u16,
+    y: u16,
+}
+
+/// Slots the Wolff stack keeps free above its top: one site pushes at most
+/// its six neighbours.
+const PUSHES: usize = 6;
+
+/// Entries the Wolff stack starts with: room for a seed's pushes, and a
+/// power of two, as is then every size doubling reaches from it.
+const STACK_START: usize = 16;
+
+/// [`Rng64::bernoulli`]`(p)` as an integer threshold on `raw >> 11`:
+/// [`threshold`]'s `⌈p·2⁵³⌉`, by the same identity. But `bernoulli` draws
+/// whatever `p` is where `metropolis` skips the draw at `ratio ≥ 1`, so
+/// `p = 1` is 2⁵³ — above every `raw >> 11` — and not `NO_DRAW`, which
+/// reads "accepted without a draw".
+fn always_draw_threshold(p: f64) -> u64 {
+    threshold(p).min(1 << 53)
 }
 
 /// One sweep's raw measurements.
@@ -107,6 +137,13 @@ impl SerialTfim {
     pub fn new(model: TfimModel) -> Self {
         let model = model.validated();
         let n = model.lx * model.ly * model.m;
+        // Refused here, not truncated on a push.
+        assert!(
+            u32::try_from(n).is_ok()
+                && u16::try_from(model.lx).is_ok()
+                && u16::try_from(model.ly).is_ok(),
+            "a Wolff stack entry indexes at most 2³² sites in rows and columns of at most 65 535"
+        );
         let c = model.couplings();
         let mut metrics = Registry::new();
         let id_accepted = metrics.counter("tfim.accepted");
@@ -114,7 +151,7 @@ impl SerialTfim {
         // Registered eagerly (not on first Wolff update) so a freshly
         // constructed engine has the exact registry shape a checkpoint
         // expects, however many updates the checkpointed run had done.
-        metrics.hist("tfim.wolff_cluster");
+        let id_cluster = metrics.hist("tfim.wolff_cluster");
         Self {
             c,
             spins: vec![1; n],
@@ -123,11 +160,11 @@ impl SerialTfim {
             metrics,
             id_accepted,
             id_proposed,
+            id_cluster,
             thr: Thresholds::new(&AcceptTable::new(&c)),
-            wolff_p_space: 1.0 - (-2.0 * c.k_space).exp(),
-            wolff_p_time: 1.0 - (-2.0 * c.k_time).exp(),
-            stack: Vec::new(),
-            in_cluster: vec![false; n],
+            wolff_thr_space: always_draw_threshold(1.0 - (-2.0 * c.k_space).exp()),
+            wolff_thr_time: always_draw_threshold(1.0 - (-2.0 * c.k_time).exp()),
+            stack: vec![Member::default(); STACK_START],
         }
     }
 
@@ -171,6 +208,7 @@ impl SerialTfim {
 
     /// The six (or four, for chains) neighbour indices of a site, with
     /// coupling kind: `(index, is_temporal)`.
+    #[cfg(test)]
     fn neighbors(&self, x: usize, y: usize, t: usize) -> [(usize, bool); 6] {
         let m = &self.model;
         let xp = self.idx((x + 1) % m.lx, y, t);
@@ -315,36 +353,138 @@ impl SerialTfim {
     }
 
     /// One Wolff cluster update (grows a single cluster and always flips
-    /// it; bond-type-dependent add probabilities `1 − e^{−2K}`).
+    /// it; bond-type-dependent add probabilities `1 − e^{−2K}`). Returns
+    /// the cluster size. Draw for draw the update of the crate docs
+    /// ("Wolff update").
+    #[qmc_hot::hot]
     pub fn wolff_update<R: Rng64>(&mut self, rng: &mut R) -> usize {
         let _span = qmc_obs::span("tfim.wolff");
+        let size = if self.model.ly > 1 {
+            self.flip_cluster::<true, R>(rng)
+        } else {
+            self.flip_cluster::<false, R>(rng)
+        };
+        // A Wolff update always flips its (≥ 1 site) cluster.
+        self.spins_dirty = true;
+        self.metrics.record(self.id_cluster, size as u64);
+        size
+    }
+
+    /// Grows a cluster from a random seed, flipping every site as it is
+    /// pushed, and returns its size. A site's bonds are tried in the order
+    /// +x, −x, (+y, −y,) +t, −t and sites are taken last in, first out.
+    #[qmc_hot::hot]
+    fn flip_cluster<const SQUARE: bool, R: Rng64>(&mut self, rng: &mut R) -> usize {
+        let (lx, ly) = (self.model.lx, self.model.ly);
+        let (slice, n) = (lx * ly, self.spins.len());
+        let (thr_s, thr_t) = (self.wolff_thr_space, self.wolff_thr_time);
+        let (spins, stack) = (&mut self.spins[..], &mut self.stack);
+
+        let seed = rng.index(n);
+        // The only divisions of an update; every later coordinate is a
+        // neighbour's, one step from a known one.
+        let in_slice = seed % slice;
+        let s = spins[seed];
+        spins[seed] = -s;
+        stack[0] = Member {
+            site: seed as u32,
+            x: (in_slice % lx) as u16,
+            y: (in_slice / lx) as u16,
+        };
+        let (mut top, mut size) = (1, 0);
+        while top > 0 {
+            top -= 1;
+            size += 1;
+            let Member { site, x, y } = stack[top];
+            if stack.len() < top + PUSHES {
+                stack.resize(2 * stack.len(), Member::default());
+            }
+            let at = site as usize;
+            // A neighbour that still reads `s` is outside the cluster (a
+            // member was flipped when it was pushed): its bond is live and
+            // consumes one draw. The slot above the top is written either
+            // way; the top moves only on a hit.
+            let mut try_bond = |to: usize, x: u16, y: u16, thr: u64| {
+                if spins[to] == s {
+                    let hit = (rng.next_u64() >> 11) < thr;
+                    spins[to] = if hit { -s } else { s };
+                    stack[top] = Member {
+                        site: to as u32,
+                        x,
+                        y,
+                    };
+                    top += usize::from(hit);
+                }
+            };
+            if usize::from(x) + 1 == lx {
+                try_bond(at + 1 - lx, 0, y, thr_s);
+            } else {
+                try_bond(at + 1, x + 1, y, thr_s);
+            }
+            if x == 0 {
+                try_bond(at + lx - 1, (lx - 1) as u16, y, thr_s);
+            } else {
+                try_bond(at - 1, x - 1, y, thr_s);
+            }
+            if SQUARE {
+                if usize::from(y) + 1 == ly {
+                    try_bond(at + lx - slice, x, 0, thr_s);
+                } else {
+                    try_bond(at + lx, x, y + 1, thr_s);
+                }
+                if y == 0 {
+                    try_bond(at + slice - lx, x, (ly - 1) as u16, thr_s);
+                } else {
+                    try_bond(at - lx, x, y - 1, thr_s);
+                }
+            }
+            let up = if at + slice >= n {
+                at + slice - n
+            } else {
+                at + slice
+            };
+            try_bond(up, x, y, thr_t);
+            let down = if at < slice {
+                at + n - slice
+            } else {
+                at - slice
+            };
+            try_bond(down, x, y, thr_t);
+        }
+        size
+    }
+
+    /// The update [`Self::wolff_update`] replaced — a membership array,
+    /// coordinates by division, `bernoulli` per bond, sites flipped as
+    /// they are popped — kept as the oracle it is compared against.
+    #[cfg(test)]
+    fn wolff_update_scalar<R: Rng64>(&mut self, rng: &mut R) -> usize {
         let n = self.spins.len();
         let seed = rng.index(n);
-        let (p_s, p_t) = (self.wolff_p_space, self.wolff_p_time);
+        let p_s = 1.0 - (-2.0 * self.c.k_space).exp();
+        let p_t = 1.0 - (-2.0 * self.c.k_time).exp();
 
-        self.in_cluster.iter_mut().for_each(|b| *b = false);
-        self.stack.clear();
-        self.stack.push(seed);
-        self.in_cluster[seed] = true;
+        let mut in_cluster = vec![false; n];
+        let mut stack = vec![seed];
+        in_cluster[seed] = true;
         let mut size = 0usize;
 
-        while let Some(site) = self.stack.pop() {
+        while let Some(site) = stack.pop() {
             size += 1;
             let (x, y, t) = self.coords(site);
             let s = self.spins[site];
             for (nb, is_t) in self.neighbors(x, y, t) {
-                if nb == usize::MAX || self.in_cluster[nb] || self.spins[nb] != s {
+                if nb == usize::MAX || in_cluster[nb] || self.spins[nb] != s {
                     continue;
                 }
                 let p = if is_t { p_t } else { p_s };
                 if rng.bernoulli(p) {
-                    self.in_cluster[nb] = true;
-                    self.stack.push(nb);
+                    in_cluster[nb] = true;
+                    stack.push(nb);
                 }
             }
             self.spins[site] = -s;
         }
-        // A Wolff update always flips its (≥ 1 site) cluster.
         self.spins_dirty = true;
         self.metrics.record_named("tfim.wolff_cluster", size as u64);
         size
@@ -370,6 +510,7 @@ impl SerialTfim {
         self.spins_dirty = true;
     }
 
+    #[cfg(test)]
     fn coords(&self, i: usize) -> (usize, usize, usize) {
         let m = &self.model;
         let x = i % m.lx;
@@ -378,8 +519,25 @@ impl SerialTfim {
         (x, y, t)
     }
 
-    /// Raw bond sums `(ΣSP, ΣT)` over the whole configuration.
+    /// Raw bond sums `(ΣSP, ΣT)` over the whole configuration: every site
+    /// owns its +x (and +y) and +t bond, so each bond is counted exactly
+    /// once — the array against itself one column on around each row, one
+    /// row on around each slice and one slice on around the lot.
+    #[qmc_hot::hot]
     pub fn bond_sums(&self) -> (f64, f64) {
+        let (lx, slice) = (self.model.lx, self.model.lx * self.model.ly);
+        let mut sp = ring_dot(&self.spins, lx, 1);
+        if self.model.ly > 1 {
+            sp += ring_dot(&self.spins, slice, lx);
+        }
+        let tt = ring_dot(&self.spins, self.spins.len(), slice);
+        (sp as f64, tt as f64)
+    }
+
+    /// The site-by-site count [`Self::bond_sums`] replaced, kept as its
+    /// oracle.
+    #[cfg(test)]
+    fn bond_sums_scalar(&self) -> (f64, f64) {
         let m = &self.model;
         let mut sp = 0i64;
         let mut tt = 0i64;
@@ -387,8 +545,6 @@ impl SerialTfim {
             for y in 0..m.ly {
                 for x in 0..m.lx {
                     let s = self.spin(x, y, t) as i64;
-                    // Each site owns its +x (and +y) bond: every spatial
-                    // bond is counted exactly once.
                     sp += s * self.spin((x + 1) % m.lx, y, t) as i64;
                     if m.ly > 1 {
                         sp += s * self.spin(x, (y + 1) % m.ly, t) as i64;
@@ -406,8 +562,7 @@ impl SerialTfim {
         let m = &self.model;
         let n = m.n_sites();
         let (sp, tt) = self.bond_sums();
-        let total: i64 = self.spins.iter().map(|&s| s as i64).sum();
-        let mag = total as f64 / (n * m.m) as f64;
+        let mag = sum(&self.spins) as f64 / (n * m.m) as f64;
         TfimMeasurement {
             energy_per_site: self.c.energy(n, m.m, sp, tt) / n as f64,
             abs_m: mag.abs(),
@@ -441,6 +596,78 @@ impl SerialTfim {
         }
         series
     }
+}
+
+/// Byte lanes [`sum_by`] adds in: one SSE2 register.
+const LANES: usize = 16;
+
+/// Cells [`sum_by`] takes before it widens its lanes: 63 terms of
+/// magnitude ≤ 2 to a lane stay inside an `i8` whatever their signs. A
+/// lane given more can wrap — silently under the release profile, with a
+/// panic under dev.
+const NARROW: usize = 63 * LANES;
+
+/// `Σ term(a[k], b[k])` for terms within `−2..=2`, added up in byte lanes
+/// and widened once per [`NARROW`] cells — an exact integer, whatever the
+/// order of the additions. No branch, no dependence between cells: the
+/// lane loop is one load, one `term` and one byte add per register.
+#[qmc_hot::hot]
+#[inline(always)]
+fn sum_by(a: &[i8], b: &[i8], term: impl Fn(i8, i8) -> i8) -> i64 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut total = 0;
+    for (a, b) in a.chunks(NARROW).zip(b.chunks(NARROW)) {
+        let (a, b) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+        for (&x, &y) in a.remainder().iter().zip(b.remainder()) {
+            total += i64::from(term(x, y));
+        }
+        let mut lanes = [0i8; LANES];
+        for (a, b) in a.zip(b) {
+            for (lane, (&x, &y)) in lanes.iter_mut().zip(a.iter().zip(b)) {
+                *lane += term(x, y);
+            }
+        }
+        total += lanes.iter().map(|&lane| i64::from(lane)).sum::<i64>();
+    }
+    total
+}
+
+/// `Σ a[k]·b[k]` over two equally long runs of ±1 spins. For such bytes
+/// `x ^ y` is 0 where they agree and −2 where they differ, so
+/// `x·y = 1 + (x ^ y)` and the product costs an exclusive or.
+#[qmc_hot::hot]
+#[inline]
+fn dot(a: &[i8], b: &[i8]) -> i64 {
+    a.len() as i64 + sum_by(a, b, |x, y| x ^ y)
+}
+
+/// `Σ a[k]·a[k′]` over an array of `period`-cell rings laid end to end,
+/// `k′` being the cell `step` on from `k` around `k`'s own ring. The array
+/// is walked as one long ring whatever the period, so that narrow rings
+/// still make long runs; that pairs the last `step` cells of every ring
+/// with the head of the ring after it, which is then exchanged for the
+/// ring's own head.
+#[qmc_hot::hot]
+#[inline]
+fn ring_dot(a: &[i8], period: usize, step: usize) -> i64 {
+    let n = a.len();
+    let mut total = dot(&a[..n - step], &a[step..]) + dot(&a[n - step..], &a[..step]);
+    for own in (0..n).step_by(period) {
+        let next = if own + period == n { 0 } else { own + period };
+        let last = &a[own + period - step..own + period];
+        for ((&x, &own), &next) in last.iter().zip(&a[own..]).zip(&a[next..]) {
+            // x·own − x·next, each product as in `dot`.
+            total += i64::from((x ^ own) - (x ^ next));
+        }
+    }
+    total
+}
+
+/// `Σ a[k]` over a run of ±1 spins.
+#[qmc_hot::hot]
+#[inline]
+fn sum(a: &[i8]) -> i64 {
+    sum_by(a, a, |x, _| x)
 }
 
 impl qmc_ckpt::Checkpoint for SerialTfim {
@@ -864,12 +1091,148 @@ mod tests {
                 for _ in 0..wolff {
                     assert_eq!(
                         fast.wolff_update(&mut rng_fast),
-                        slow.wolff_update(&mut rng_slow)
+                        slow.wolff_update_scalar(&mut rng_slow)
                     );
                 }
             }
             assert!(fast.accepted() > 0);
             assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
+        }
+    }
+
+    /// `(lx, ly, h, β, m)` of every Wolff row of `tests/trajectory_pins.rs`
+    /// — two slices, the narrowest chain, widths that are no power of two,
+    /// `ly ≠ lx`, ordered and disordered points, the benchmark's chain —
+    /// and a chain whose columns do not fit a byte.
+    const WOLFF_GEOMETRIES: [(usize, usize, f64, f64, usize); 22] = [
+        (4, 1, 0.7, 2.0, 16),
+        (6, 1, 1.3, 1.7, 6),
+        (64, 1, 1.0, 16.0, 128),
+        (64, 1, 0.4, 2.0, 8),
+        (6, 4, 3.0, 1.5, 6),
+        (6, 6, 2.5, 1.0, 4),
+        (64, 4, 3.044, 2.0, 8),
+        (4, 1, 1.0, 0.5, 2),
+        (8, 1, 0.6, 1.0, 2),
+        (4, 4, 1.5, 0.5, 2),
+        (4, 1, 1.0, 4.0, 32),
+        (6, 1, 1.0, 3.0, 12),
+        (10, 1, 0.9, 2.5, 10),
+        (10, 4, 2.5, 1.5, 6),
+        (4, 6, 2.0, 2.0, 8),
+        (6, 10, 3.044, 1.0, 4),
+        (16, 1, 0.1, 4.0, 16),
+        (64, 1, 0.2, 8.0, 32),
+        (6, 6, 0.5, 2.0, 8),
+        (16, 1, 100.0, 0.2, 8),
+        (8, 4, 60.0, 0.3, 6),
+        (300, 1, 0.8, 1.0, 4),
+    ];
+
+    fn wolff_models() -> impl Iterator<Item = TfimModel> {
+        WOLFF_GEOMETRIES
+            .iter()
+            .map(|&(lx, ly, h, beta, m)| TfimModel {
+                ly,
+                ..model(lx, h, beta, m)
+            })
+    }
+
+    #[test]
+    fn wolff_kernel_matches_the_membership_array_oracle_after_every_update() {
+        for m in wolff_models() {
+            for seed in [3, 59] {
+                let mut fast = SerialTfim::new(m);
+                let mut slow = SerialTfim::new(m);
+                let mut rng_fast = CountingRng::new(Xoshiro256StarStar::new(seed));
+                let mut rng_slow = rng_fast.clone();
+                for sweep in 0..8 {
+                    fast.metropolis_sweep(&mut rng_fast);
+                    slow.metropolis_sweep(&mut rng_slow);
+                    for _ in 0..3 {
+                        qmc_ckpt::Checkpoint::mark_clean(&mut fast);
+                        let size = fast.wolff_update(&mut rng_fast);
+                        assert_eq!(size, slow.wolff_update_scalar(&mut rng_slow));
+                        assert!(fast.spins == slow.spins, "{m:?} seed {seed} sweep {sweep}");
+                        assert_eq!(rng_fast.draws, rng_slow.draws, "{m:?} sweep {sweep}");
+                        assert!(fast.spins_dirty);
+                    }
+                }
+                let hist = |eng: &SerialTfim| format!("{:?}", eng.metrics.hists());
+                assert_eq!(hist(&fast), hist(&slow), "{m:?} seed {seed}");
+                assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn wolff_thresholds_decide_as_bernoulli_and_always_draw() {
+        // `bernoulli(p)` is `unit_f64(raw) < p` on a draw it always takes:
+        // p = 1 must sit above every `raw >> 11` without being `NO_DRAW`.
+        let top = (1u64 << 53) - 1;
+        assert_eq!(always_draw_threshold(1.0), top + 1);
+        assert_eq!(always_draw_threshold(0.0), 0);
+        let couplings = wolff_models().map(|m| m.couplings());
+        let ps = couplings.flat_map(|c| [c.k_space, c.k_time].map(|k| 1.0 - (-2.0 * k).exp()));
+        for p in ps.chain([0.0, 5e-324, 0.5, 1.0 - 2f64.powi(-53), 1.0]) {
+            let thr = always_draw_threshold(p);
+            assert_ne!(thr, qmc_rng::NO_DRAW);
+            let around = [thr.wrapping_sub(1), thr, thr + 1, 0, top];
+            for n in around.into_iter().filter(|&n| n <= top) {
+                for low in [0u64, (1 << 11) - 1] {
+                    let raw = n << 11 | low;
+                    assert_eq!((raw >> 11) < thr, qmc_rng::unit_f64(raw) < p, "p {p:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a Wolff stack entry indexes at most")]
+    fn a_lattice_a_stack_entry_cannot_index_is_refused() {
+        let _ = SerialTfim::new(model(1 << 16, 1.0, 1.0, 2));
+    }
+
+    #[test]
+    fn bond_sums_match_a_site_by_site_count_and_measure_bit_for_bit() {
+        // Every engine starts from the checkerboard, where each bond is
+        // anti-aligned and a byte lane takes its largest term cell after
+        // cell, and one has slices longer than the 1 008 cells a lane adds
+        // up before it widens: an accumulator too narrow for that wraps
+        // without a word under the release profile.
+        let big = TfimModel {
+            ly: 40,
+            ..model(64, 3.044, 2.0, 4)
+        };
+        for m in wolff_models().chain([big]) {
+            let mut eng = SerialTfim::new(m);
+            let mut rng = Xoshiro256StarStar::new(61);
+            let staggered: Vec<i8> = (0..eng.spins.len())
+                .map(|i| {
+                    let (x, y, t) = eng.coords(i);
+                    1 - 2 * ((x + y + t) % 2) as i8
+                })
+                .collect();
+            eng.import_spins(&staggered);
+            assert_eq!(eng.bond_sums().1, -(staggered.len() as f64));
+            for sweep in 0..6 {
+                let (sp, tt) = eng.bond_sums_scalar();
+                assert_eq!(eng.bond_sums(), (sp, tt), "{m:?} sweep {sweep}");
+                let n = m.n_sites();
+                let total: i64 = eng.spins.iter().map(|&s| s as i64).sum();
+                let mag = total as f64 / (n * m.m) as f64;
+                let want = [
+                    eng.c.energy(n, m.m, sp, tt) / n as f64,
+                    mag.abs(),
+                    mag * mag,
+                    eng.c.sigma_x(n, m.m, tt),
+                ];
+                let got = eng.measure();
+                let got = [got.energy_per_site, got.abs_m, got.m2, got.sigma_x];
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{m:?}");
+                eng.metropolis_sweep(&mut rng);
+                eng.wolff_update(&mut rng);
+            }
         }
     }
 

@@ -131,7 +131,11 @@ echo "== pins: fixed-seed trajectories and checkpoint bytes under the profile th
 # still publish other numbers than it pinned. Same literals, second
 # profile. layout_pins also holds the crc32 table, the images two
 # fixed-seed stores materialise and their slot files byte for byte.
+# qmc-tfim's unit suite rides along for its oracle comparisons: the
+# measurement adds up in byte lanes, and an accumulator too narrow
+# panics under dev but wraps without a word under release.
 cargo test -q --release -p qmc-bench --test trajectory_pins --test layout_pins
+cargo test -q --release -p qmc-tfim
 
 echo "== analyze: causal trace -> critical-path report =="
 # Records the 4-rank traced PT demo, merges the per-rank streams into

@@ -100,6 +100,32 @@ fn serial_tfim_sweep_is_allocation_free() {
 }
 
 #[test]
+fn serial_tfim_recorded_sweep_is_allocation_free() {
+    // What `SerialTfim::run` does per sweep, at the benchmark's critical
+    // chain, where a cluster is a third of the lattice. The Wolff stack is
+    // not sized to the lattice: it doubles up to the deepest cluster a run
+    // has met, so the warm-up (fixed seed) is what brings it to size.
+    let model = TfimModel {
+        lx: 64,
+        ly: 1,
+        j: 1.0,
+        h: 1.0,
+        beta: 16.0,
+        m: 128,
+    };
+    let mut eng = SerialTfim::new(model);
+    let mut rng = Xoshiro256StarStar::new(29);
+    let _ = eng.run(&mut rng, 400, 0, 1);
+    let mut energy = 0.0;
+    assert_steady_state_clean("SerialTfim: Metropolis + Wolff + measure", 200, || {
+        eng.metropolis_sweep(&mut rng);
+        eng.wolff_update(&mut rng);
+        energy += eng.measure().energy_per_site;
+    });
+    assert!(energy.is_finite());
+}
+
+#[test]
 fn dist_tfim_sweep_is_allocation_free() {
     // Two half-sweeps of the colour kernel (scratch on the stack) and two
     // halo exchanges through the persistent buffers; on one rank both

@@ -1,6 +1,9 @@
 //! Pins the `repro serve-demo` fault drill: a multi-tenant job server
 //! under injected worker deaths must lose zero jobs and resume every
-//! killed or drained job bit-identically.
+//! killed or drained job bit-identically; and the handshake refuses the
+//! one tenant name that would read every tenant's counters.
+
+use qmc_serve::{Client, JobKind, JobSpec, ServeConfig, ServeError, Server};
 
 #[test]
 fn serve_demo_loses_nothing_and_resumes_bit_identical() {
@@ -35,4 +38,64 @@ fn serve_demo_loses_nothing_and_resumes_bit_identical() {
         "the drain/restart act must resume bit-identically:\n{report}"
     );
     assert!(report.contains("[PASS]"), "{report}");
+}
+
+#[test]
+fn an_empty_tenant_name_is_refused_at_the_handshake() {
+    // A non-admin session's `Stats` filter is pinned to its tenant name,
+    // and the filter `""` is the admin's global view: a session that
+    // handshook with an empty name read every tenant's counters.
+    let ckpt_root =
+        std::env::temp_dir().join(format!("qmc-serve-empty-tenant-{}", std::process::id()));
+    let cfg = ServeConfig {
+        workers: 1,
+        ckpt_root: ckpt_root.clone(),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg, "127.0.0.1:0").expect("server start");
+    let mut alice = Client::connect(server.addr(), "alice").expect("alice connects");
+    let spec = JobSpec {
+        tenant: "alice".into(),
+        name: "job".into(),
+        kind: JobKind::Tfim {
+            lx: 4,
+            ly: 1,
+            j: 1.0,
+            h: 2.0,
+            m: 4,
+            wolff: 1,
+        },
+        betas: vec![1.0],
+        therm: 5,
+        sweeps: 15,
+        seed: 3,
+        priority: 0,
+        ckpt_every: 4,
+    };
+    let job = alice.submit(&spec).expect("alice submits");
+    alice.await_result(job, |_, _, _, _| {}).expect("result");
+
+    match Client::connect(server.addr(), "") {
+        Err(ServeError::Rejected(detail)) => {
+            assert!(detail.contains("tenant name is empty"), "{detail}")
+        }
+        Err(other) => panic!("the refusal must be a typed error, got {other:?}"),
+        Ok(mut nobody) => {
+            let (counters, _) = nobody.stats("").expect("stats");
+            let leaked: Vec<_> = counters
+                .iter()
+                .filter(|(name, _)| name.starts_with("tenant.alice."))
+                .collect();
+            panic!("an empty-tenant session handshook and reads {leaked:?}");
+        }
+    }
+    // Named tenants are served as before, each its own view.
+    let mut bob = Client::connect(server.addr(), "bob").expect("bob connects");
+    let (counters, _) = bob.stats("").expect("bob stats");
+    assert!(counters
+        .iter()
+        .all(|(n, _)| !n.starts_with("tenant.alice.")));
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(ckpt_root);
 }
