@@ -1,4 +1,4 @@
-//! Committed trajectory pins for the TFIM and world-line engines.
+//! Committed trajectory pins for the TFIM, world-line and SSE engines.
 //!
 //! Every TFIM row is a fixed-seed run reduced to five numbers: an FNV-1a
 //! fingerprint of the `energy` / `m2` series bits, one of the final spins
@@ -18,11 +18,18 @@
 //! raw draws served and the move counters; the serial and the threaded
 //! parallel-tempering drivers to every rung's energy bits, the swap-rate
 //! bits and the draws.
+//!
+//! The SSE rows were recorded on commit 5a8d861, before the sweep walked
+//! an occupied-slot list: `Sse::run` (thermalization with cutoff growth,
+//! then recorded sweeps) reduced to every sweep's measurement bits, the
+//! correlation means, the final basis state and operator string as their
+//! checkpoint sections hold them, the cutoff and the raw draws served.
 
 use qmc_comm::{run_threads, Communicator};
 use qmc_core::pt::{run_pt_parallel, PtConfig, PtLadder};
 use qmc_lattice::{Chain, Lattice, Square};
 use qmc_rng::{CountingRng, StreamFactory, Xoshiro256StarStar};
+use qmc_sse::Sse;
 use qmc_tfim::parallel::DistTfim;
 use qmc_tfim::serial::{SerialTfim, TfimSeries};
 use qmc_tfim::TfimModel;
@@ -41,7 +48,11 @@ impl Fnv {
     }
 
     fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
@@ -516,4 +527,103 @@ fn serial_pt_ladder_trajectories_match_their_pins() {
 #[test]
 fn threaded_pt_trajectories_match_their_pins() {
     check(PT_THREADS, run_pt_threads, |c| c.7);
+}
+
+/// What an SSE run is reduced to: the `n_ops` / magnetization / staggered
+/// bits of every recorded sweep, the correlation means, the basis state
+/// and the operator string (the bytes of their checkpoint sections, so
+/// the string is pinned as the `i64`s it is written as), the cutoff and
+/// the raw draws served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SsePin {
+    series: u64,
+    corr: u64,
+    spins: u64,
+    ops: u64,
+    cutoff: usize,
+    draws: u64,
+}
+
+const fn sse(series: u64, corr: u64, spins: u64, ops: u64, cutoff: usize, draws: u64) -> SsePin {
+    SsePin {
+        series,
+        corr,
+        spins,
+        ops,
+        cutoff,
+        draws,
+    }
+}
+
+impl fmt::Display for SsePin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "sse({:#018x}, {:#018x}, {:#018x}, {:#018x}, {}, {})",
+            self.series, self.corr, self.spins, self.ops, self.cutoff, self.draws
+        )
+    }
+}
+
+/// `(β, seed, thermalization, recorded sweeps)` at `J = 1` on a lattice
+/// given per test.
+type SseCase = ((f64, u64, usize, usize), SsePin);
+
+#[rustfmt::skip]
+const SSE_CHAIN_64: &[SseCase] = &[
+    // The benchmark's `heis_sse_scan` chain at both ends of its β scan.
+    ((1.0, 91, 200, 200), sse(0x9cdad9b13b6c4d8a, 0xcaa9bb8b82e12344, 0x9c59dc55405feb05, 0xc10e0a64768d4998, 64, 44913)),
+    ((16.0, 92, 200, 100), sse(0x3d8688b143844f4d, 0x181fe250dfbe4a60, 0xd08eeab54c7f6d01, 0x50df719ba8edd113, 1039, 327365)),
+];
+
+#[rustfmt::skip]
+const SSE_CHAIN_6: &[SseCase] = &[
+    ((2.0, 93, 300, 300), sse(0x06183ec27cfd14ed, 0xe04394e8ce29af43, 0x7649e2493e68fb8d, 0x86ac9736d38bad6c, 31, 27689)),
+];
+
+#[rustfmt::skip]
+const SSE_SQUARE_4X4: &[SseCase] = &[
+    ((2.0, 94, 300, 300), sse(0x50d2747fa9e79ca5, 0x7a18e47571cb2f1e, 0x7f413b7eae12db24, 0xc2285760a4150ed6, 84, 56021)),
+];
+
+#[rustfmt::skip]
+const SSE_SQUARE_8X6: &[SseCase] = &[
+    ((4.0, 95, 200, 200), sse(0xbf21d2ff10ba676b, 0x21068907db9afc8b, 0xa82e6f84d85c51e6, 0x2d44f3a1cb263c7d, 363, 131393)),
+];
+
+fn run_sse<L: Lattice>(lattice: L, &((beta, seed, therm, sweeps), _): &SseCase) -> SsePin {
+    let mut rng = CountingRng::new(Xoshiro256StarStar::new(seed));
+    let mut eng = Sse::new(&lattice, 1.0, beta, &mut rng);
+    let series = eng.run(&mut rng, therm, sweeps);
+    let mut rows = Fnv::new();
+    for ((n, m), s) in series
+        .n_ops
+        .iter()
+        .zip(&series.magnetization)
+        .zip(&series.staggered)
+    {
+        rows.f64s([*n, *m, *s]);
+    }
+    let mut corr = Fnv::new();
+    corr.f64s(series.correlations());
+    let mut spins = Fnv::new();
+    spins.bytes(&qmc_ckpt::save_section_bytes(&eng, "spins"));
+    let mut ops = Fnv::new();
+    ops.bytes(&qmc_ckpt::save_section_bytes(&eng, "ops"));
+    SsePin {
+        series: rows.0,
+        corr: corr.0,
+        spins: spins.0,
+        ops: ops.0,
+        cutoff: eng.cutoff(),
+        draws: rng.draws,
+    }
+}
+
+#[test]
+fn sse_trajectories_match_their_pins() {
+    check(SSE_CHAIN_64, |c| run_sse(Chain::new(64), c), |c| c.1);
+    check(SSE_CHAIN_6, |c| run_sse(Chain::new(6), c), |c| c.1);
+    check(SSE_SQUARE_4X4, |c| run_sse(Square::new(4, 4), c), |c| c.1);
+    check(SSE_SQUARE_8X6, |c| run_sse(Square::new(8, 6), c), |c| c.1);
 }
