@@ -10,6 +10,7 @@
 //! rank holds its message but still looks blocked.
 
 use crate::deadlock::RankState;
+use crate::COLLECTIVE_TAG_BASE;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -26,6 +27,21 @@ struct Inner {
     queues: HashMap<(usize, u32), VecDeque<Msg>>,
     state: RankState,
     epoch: u64,
+}
+
+impl Inner {
+    /// Take the oldest message queued for `(src, tag)`. A collective's
+    /// tag carries its sequence number and never comes back, so its queue
+    /// is dropped once empty; a user tag's queue stays, and the next
+    /// message on it (the next halo exchange) reuses its buffer.
+    fn pop(&mut self, src: usize, tag: u32) -> Option<Msg> {
+        let queue = self.queues.get_mut(&(src, tag))?;
+        let msg = queue.pop_front();
+        if tag >= COLLECTIVE_TAG_BASE && queue.is_empty() {
+            self.queues.remove(&(src, tag));
+        }
+        msg
+    }
 }
 
 /// One rank's incoming mailbox, keyed by `(source, tag)`, plus the
@@ -106,10 +122,8 @@ impl Mailbox {
         let deadline = Instant::now() + timeout;
         let mut inner = self.lock();
         loop {
-            if let Some(queue) = inner.queues.get_mut(&(src, tag)) {
-                if let Some(msg) = queue.pop_front() {
-                    return Some(msg);
-                }
+            if let Some(msg) = inner.pop(src, tag) {
+                return Some(msg);
             }
             // lint: allow(wall-clock)
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -133,10 +147,8 @@ impl Mailbox {
     /// empty.
     pub fn register_waiting(&self, src: usize, tag: u32) -> Option<Msg> {
         let mut inner = self.lock();
-        if let Some(queue) = inner.queues.get_mut(&(src, tag)) {
-            if let Some(msg) = queue.pop_front() {
-                return Some(msg);
-            }
+        if let Some(msg) = inner.pop(src, tag) {
+            return Some(msg);
         }
         inner.epoch += 1;
         let epoch = inner.epoch;
@@ -153,11 +165,9 @@ impl Mailbox {
         let deadline = Instant::now() + slice;
         let mut inner = self.lock();
         loop {
-            if let Some(queue) = inner.queues.get_mut(&(src, tag)) {
-                if let Some(msg) = queue.pop_front() {
-                    inner.state = RankState::Running;
-                    return Some(msg);
-                }
+            if let Some(msg) = inner.pop(src, tag) {
+                inner.state = RankState::Running;
+                return Some(msg);
             }
             // lint: allow(wall-clock)
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -186,6 +196,12 @@ impl Mailbox {
     /// Snapshot the owner's wait state (for the deadlock detector).
     pub fn wait_state(&self) -> RankState {
         self.lock().state
+    }
+
+    /// How many `(src, tag)` queues the mailbox holds, empty ones included.
+    #[cfg(test)]
+    pub fn keys(&self) -> usize {
+        self.lock().queues.len()
     }
 
     /// Reset the mailbox for an elastic respawn round: drop every
@@ -387,6 +403,25 @@ mod tests {
             panic!("expected waiting");
         };
         assert!(epoch >= 2, "epoch {epoch} did not advance across reset");
+    }
+
+    #[test]
+    fn emptied_collective_queues_go_and_user_queues_stay() {
+        let mb = Mailbox::new();
+        let msg = || Msg {
+            bytes: vec![0],
+            depart: 0.0,
+        };
+        let coll = COLLECTIVE_TAG_BASE + 64;
+        mb.put(0, 5, msg());
+        mb.put(1, coll, msg());
+        mb.put(1, coll, msg());
+        assert_eq!(mb.keys(), 2);
+        let _ = mb.take(0, 0, 5, Duration::from_secs(1));
+        let _ = mb.take(0, 1, coll, Duration::from_secs(1));
+        assert_eq!(mb.keys(), 2, "the collective queue still holds a message");
+        let _ = mb.register_waiting(1, coll).expect("second message");
+        assert_eq!(mb.keys(), 1, "only the user tag's queue is left");
     }
 
     #[test]

@@ -609,6 +609,33 @@ mod tests {
         assert_eq!(out, vec![1]);
     }
 
+    /// Queues left in every mailbox of a `ranks`-rank world after `n`
+    /// allreduces, counted once every rank has returned.
+    fn mailbox_keys_after_allreduces(ranks: usize, n: usize) -> usize {
+        let boxes = run_threads(ranks, |c| {
+            for k in 0..n {
+                let sum = c.allreduce_f64(&[k as f64], crate::ReduceOp::Sum);
+                assert_eq!(sum, [(ranks * k) as f64]);
+            }
+            c.boxes.clone()
+        });
+        boxes[0].iter().map(Mailbox::keys).sum()
+    }
+
+    #[test]
+    fn collectives_leave_no_queue_behind() {
+        // Every collective has a tag of its own; a queue kept per tag
+        // grew the map for the length of a run.
+        for ranks in [2, 3] {
+            let after_10 = mailbox_keys_after_allreduces(ranks, 10);
+            let after_10k = mailbox_keys_after_allreduces(ranks, 10_000);
+            assert!(
+                after_10k <= after_10,
+                "{ranks} ranks: {after_10k} queues after 10 000 allreduces, {after_10} after 10"
+            );
+        }
+    }
+
     #[test]
     fn message_order_preserved_between_pair() {
         let out = run_threads(2, |c| {

@@ -24,6 +24,16 @@
 //! local world-line moves (it changes winding and magnetization sectors
 //! freely).
 //!
+//! A sweep is three passes, and only the first walks all `M` slots of
+//! the string: the diagonal pass, which inserts and removes operators,
+//! lists the slots that end it holding one, and the link and loop
+//! passes walk that list — `n` operators, not `M` slots. The link table
+//! is never reset (every leg of an occupied slot is rewritten each sweep,
+//! and no pass reads an identity leg), and a loop marks each leg it visits
+//! in the link table itself, kept or flipped: that mark is how a later
+//! loop start knows the leg is taken, and what the free-spin pass reads
+//! to tell whether a site's spin flipped.
+//!
 //! Estimators: `⟨H⟩ = −⟨n⟩/β + N_b J/4`,
 //! `C = ⟨n²⟩ − ⟨n⟩² − ⟨n⟩`, uniform χ from the conserved magnetization,
 //! and the staggered structure factor from `|α⟩`.
@@ -51,6 +61,13 @@ type Op = i64;
 
 const IDENTITY: Op = -1;
 
+/// The marks [`Sse::loop_update`] leaves on a visited leg in the link
+/// table, where every link proper is `≥ 0`: its loop was kept, or
+/// flipped. `FLIP = KEEP − 1`, so a loop whose coin is `flip ∈ {0, 1}`
+/// marks its legs `KEEP − flip`.
+const KEEP: i64 = -1;
+const FLIP: i64 = -2;
+
 /// SSE engine for the isotropic Heisenberg antiferromagnet (`J > 0`).
 #[derive(Debug, Clone)]
 pub struct Sse {
@@ -71,12 +88,21 @@ pub struct Sse {
     prob_insert: Vec<f64>,
     /// `prob_remove[k] = k/(β·N_b·(J/2))`, indexed by `k = M − n + 1`.
     prob_remove: Vec<f64>,
-    // Scratch for link building / loop traversal.
+    /// `M` entries; after a diagonal pass the first `n` are the slots that
+    /// hold an operator, in increasing order — all the link and loop
+    /// passes walk.
+    occupied: Vec<u32>,
+    /// Vertex-leg link table, `4M` entries: leg `4p + k` of slot `p` is
+    /// `k = 0, 1` below the operator on the bond's two sites and `k = 2, 3`
+    /// above them. Only the legs of occupied slots are meaningful — every
+    /// one is rewritten each sweep, identity legs hold whatever they last
+    /// held — and after the loop pass each visited leg holds its loop's
+    /// mark ([`KEEP`] / [`FLIP`]) instead of its link.
     links: Vec<i64>,
+    /// First / last leg on each site round the string. `vfirst` is `-1` on
+    /// a site no operator acts on, and `vlast` then holds a stale leg.
     vfirst: Vec<i64>,
     vlast: Vec<i64>,
-    flipped: Vec<bool>,
-    visited: Vec<bool>,
     /// Basis state changed since the last successful checkpoint snapshot
     /// (conservatively true on construction; cleared only by
     /// [`qmc_ckpt::Checkpoint::mark_clean`]).
@@ -206,25 +232,30 @@ impl Sse {
             n_ops: 0,
             prob_insert: Vec::new(),
             prob_remove: Vec::new(),
+            occupied: Vec::new(),
             links: Vec::new(),
-            vfirst: Vec::new(),
-            vlast: Vec::new(),
-            flipped: Vec::new(),
-            visited: Vec::new(),
+            vfirst: vec![-1; n_sites],
+            vlast: vec![-1; n_sites],
             state_dirty: true,
             ops_dirty: true,
         };
-        sse.rebuild_diag_tables();
+        sse.fit_to_cutoff();
         sse
     }
 
-    /// (Re)build the per-free-slot-count diagonal probability tables up to
-    /// the current cutoff. Each entry is computed with exactly the f64
-    /// expression the sweep loop previously evaluated in place, so
-    /// fixed-seed trajectories are bit-identical; called whenever the
-    /// cutoff `M` changes.
-    fn rebuild_diag_tables(&mut self) {
+    /// Size what the cutoff `M` sizes; called whenever it changes, so a
+    /// sweep never allocates. The per-free-slot-count diagonal probability
+    /// tables are rebuilt, each entry with exactly the f64 expression the
+    /// sweep loop previously evaluated in place, so fixed-seed trajectories
+    /// are bit-identical. The occupied list takes `M` entries and the link
+    /// table grows to `4M` legs (it never shrinks: legs past `4M` are
+    /// identity legs of no slot, and nothing reads those).
+    fn fit_to_cutoff(&mut self) {
         let m = self.ops.len();
+        assert!(
+            u32::try_from(m).is_ok(),
+            "an operator string of {m} slots does not fit the u32 occupied list"
+        );
         let nb = self.bonds.len() as f64;
         let half_j = self.j / 2.0;
         self.prob_insert.clear();
@@ -233,6 +264,10 @@ impl Sse {
         self.prob_remove.clear();
         self.prob_remove
             .extend((0..=m).map(|k| k as f64 / (self.beta * nb * half_j)));
+        self.occupied.resize(m, 0);
+        if self.links.len() < 4 * m {
+            self.links.resize(4 * m, KEEP);
+        }
     }
 
     /// Current string cutoff `M`.
@@ -246,34 +281,42 @@ impl Sse {
     }
 
     /// Diagonal update: insert/remove diagonal operators at fixed state
-    /// propagation, flipping through off-diagonal vertices.
+    /// propagation, flipping through off-diagonal vertices. Lists the
+    /// slots that end the pass holding an operator in `occupied[..n]`.
     #[qmc_hot::hot]
     fn diagonal_update<R: Rng64>(&mut self, rng: &mut R) {
         let m = self.ops.len();
         debug_assert!(self.prob_insert.len() == m + 1, "stale probability tables");
+        debug_assert!(
+            self.occupied.len() == m,
+            "occupied list not fitted to the cutoff"
+        );
+        let mut listed = 0;
         for p in 0..m {
-            match self.ops[p] {
+            let occupied = match self.ops[p] {
                 IDENTITY => {
                     let b = rng.index(self.bonds.len());
                     let (i, jj) = self.bonds[b];
-                    if self.state[i as usize] != self.state[jj as usize] {
-                        let prob = self.prob_insert[m - self.n_ops];
-                        // lint: allow(hot-scalar-spin-loop) — reference SSE diagonal update (operator-string algorithm, not spin-parallel)
-                        if rng.metropolis(prob) {
-                            self.ops[p] = 2 * b as Op;
-                            self.n_ops += 1;
-                            self.ops_dirty = true;
-                        }
+                    let anti = self.state[i as usize] != self.state[jj as usize];
+                    // lint: allow(hot-scalar-spin-loop) — reference SSE diagonal update (operator-string algorithm, not spin-parallel)
+                    let insert = anti && rng.metropolis(self.prob_insert[m - self.n_ops]);
+                    if insert {
+                        self.ops[p] = 2 * b as Op;
+                        self.n_ops += 1;
+                        self.ops_dirty = true;
                     }
+                    insert
                 }
                 op if op % 2 == 0 => {
                     let prob = self.prob_remove[m - self.n_ops + 1];
                     // lint: allow(hot-scalar-spin-loop) — reference SSE diagonal update (operator-string algorithm, not spin-parallel)
-                    if rng.metropolis(prob) {
+                    let remove = rng.metropolis(prob);
+                    if remove {
                         self.ops[p] = IDENTITY;
                         self.n_ops -= 1;
                         self.ops_dirty = true;
                     }
+                    !remove
                 }
                 op => {
                     // Off-diagonal: propagate the state.
@@ -281,21 +324,115 @@ impl Sse {
                     let (i, jj) = self.bonds[b];
                     self.state[i as usize] = !self.state[i as usize];
                     self.state[jj as usize] = !self.state[jj as usize];
+                    true
                 }
+            };
+            // Written every slot, kept by moving past it: `listed ≤ p`.
+            self.occupied[listed] = p as u32;
+            listed += usize::from(occupied);
+        }
+        debug_assert_eq!(listed, self.n_ops);
+    }
+
+    /// Build the doubly linked vertex-leg list over the occupied slots:
+    /// each leg is joined to the neighbouring leg on its site round the
+    /// imaginary-time circle. All four legs of every occupied slot are
+    /// written; identity legs are left as they are.
+    #[qmc_hot::hot]
+    fn build_links(&mut self) {
+        let (links, vfirst, vlast) = (&mut self.links, &mut self.vfirst, &mut self.vlast);
+        vfirst.fill(-1);
+        for &p in &self.occupied[..self.n_ops] {
+            let p = p as usize;
+            let (i, jj) = self.bonds[(self.ops[p] / 2) as usize];
+            for (k, site) in [(0, i as usize), (1, jj as usize)] {
+                let in_leg = (4 * p + k) as i64;
+                if vfirst[site] < 0 {
+                    vfirst[site] = in_leg;
+                } else {
+                    links[vlast[site] as usize] = in_leg;
+                    links[in_leg as usize] = vlast[site];
+                }
+                vlast[site] = in_leg + 2;
+            }
+        }
+        for site in 0..self.n_sites {
+            if vfirst[site] >= 0 {
+                links[vlast[site] as usize] = vfirst[site];
+                links[vfirst[site] as usize] = vlast[site];
             }
         }
     }
 
-    /// Build the doubly linked vertex-leg list.
+    /// Deterministic operator-loop update: construct every loop once,
+    /// flip each with probability ½, then update `|α⟩` (free spins flip
+    /// with probability ½).
+    ///
+    /// Loops are started from the legs of the occupied slots in increasing
+    /// order, so each draws its coin where a scan of all `4M` legs would.
+    /// A visited leg's link is overwritten with its loop's mark, which is
+    /// also how a later start knows the leg is taken. A walk that reaches
+    /// a marked leg other than its start is a corrupt table — and with
+    /// finitely many legs, a walk that never closes must reach one.
     #[qmc_hot::hot]
-    fn build_links(&mut self) {
+    fn loop_update<R: Rng64>(&mut self, rng: &mut R) {
+        let (ops, links) = (&mut self.ops, &mut self.links);
+        let mut flipped_any = 0;
+        for &p in &self.occupied[..self.n_ops] {
+            let legs = 4 * p as usize;
+            for v0 in legs..legs + 4 {
+                if links[v0] < 0 {
+                    continue;
+                }
+                // lint: allow(hot-scalar-spin-loop) — loop-flip seed draw of the directed-loop update (branchy by construction)
+                let flip = Op::from(rng.bernoulli(0.5));
+                let mark = KEEP - flip;
+                flipped_any |= flip;
+                let mut v = v0;
+                loop {
+                    ops[v / 4] ^= flip; // diagonal ↔ off-diagonal
+                    let exit = v ^ 1; // same-side partner leg
+                    let next = links[exit];
+                    links[v] = mark;
+                    links[exit] = mark;
+                    if next == v0 as i64 {
+                        break;
+                    }
+                    assert!(
+                        next >= 0 && links[next as usize] >= 0,
+                        "operator loop failed to close (corrupt links)"
+                    );
+                    v = next as usize;
+                }
+            }
+        }
+        self.ops_dirty |= flipped_any != 0;
+
+        for site in 0..self.n_sites {
+            let first = self.vfirst[site];
+            if first < 0 {
+                // lint: allow(hot-scalar-spin-loop) — free-site flip: one draw per unconstrained site, no packed SSE path
+                if rng.bernoulli(0.5) {
+                    self.state[site] = !self.state[site];
+                    self.state_dirty = true;
+                }
+            } else if self.links[first as usize] == FLIP {
+                self.state[site] = !self.state[site];
+                self.state_dirty = true;
+            }
+        }
+    }
+
+    /// The link pass [`Self::build_links`] replaced — every slot of the
+    /// string walked, every leg reset first — kept as the oracle it is
+    /// compared against. Returns the link table (`-1` on identity legs)
+    /// and the first leg on each site.
+    #[cfg(test)]
+    fn build_links_scalar(&self) -> (Vec<i64>, Vec<i64>) {
         let m = self.ops.len();
-        self.links.clear();
-        self.links.resize(4 * m, -1);
-        self.vfirst.clear();
-        self.vfirst.resize(self.n_sites, -1);
-        self.vlast.clear();
-        self.vlast.resize(self.n_sites, -1);
+        let mut links = vec![-1; 4 * m];
+        let mut vfirst = vec![-1; self.n_sites];
+        let mut vlast = vec![-1i64; self.n_sites];
 
         for p in 0..m {
             if self.ops[p] == IDENTITY {
@@ -306,39 +443,38 @@ impl Sse {
             for (k, site) in [(0usize, i as usize), (1, jj as usize)] {
                 let in_leg = (4 * p + k) as i64;
                 let out_leg = (4 * p + k + 2) as i64;
-                if self.vlast[site] >= 0 {
-                    self.links[self.vlast[site] as usize] = in_leg;
-                    self.links[in_leg as usize] = self.vlast[site];
+                if vlast[site] >= 0 {
+                    links[vlast[site] as usize] = in_leg;
+                    links[in_leg as usize] = vlast[site];
                 } else {
-                    self.vfirst[site] = in_leg;
+                    vfirst[site] = in_leg;
                 }
-                self.vlast[site] = out_leg;
+                vlast[site] = out_leg;
             }
         }
         for site in 0..self.n_sites {
-            if self.vfirst[site] >= 0 {
-                self.links[self.vlast[site] as usize] = self.vfirst[site];
-                self.links[self.vfirst[site] as usize] = self.vlast[site];
+            if vfirst[site] >= 0 {
+                links[vlast[site] as usize] = vfirst[site];
+                links[vfirst[site] as usize] = vlast[site];
             }
         }
+        (links, vfirst)
     }
 
-    /// Deterministic operator-loop update: construct every loop once,
-    /// flip each with probability ½, then update `|α⟩` (free spins flip
-    /// with probability ½).
-    #[qmc_hot::hot]
-    fn loop_update<R: Rng64>(&mut self, rng: &mut R) {
+    /// The loop pass [`Self::loop_update`] replaced — every leg of the
+    /// string scanned, visits and flips in two per-leg arrays, a step
+    /// counter as the closure guard — kept as the oracle it is compared
+    /// against, over [`Self::build_links_scalar`]'s tables.
+    #[cfg(test)]
+    fn loop_update_scalar<R: Rng64>(&mut self, links: &[i64], vfirst: &[i64], rng: &mut R) {
         let m = self.ops.len();
-        self.visited.clear();
-        self.visited.resize(4 * m, false);
-        self.flipped.clear();
-        self.flipped.resize(4 * m, false);
+        let mut visited = vec![false; 4 * m];
+        let mut flipped = vec![false; 4 * m];
 
         for v0 in 0..4 * m {
-            if self.links[v0] < 0 || self.visited[v0] {
+            if links[v0] < 0 || visited[v0] {
                 continue;
             }
-            // lint: allow(hot-scalar-spin-loop) — loop-flip seed draw of the directed-loop update (branchy by construction)
             let flip = rng.bernoulli(0.5);
             let mut v = v0;
             let mut guard = 0usize;
@@ -348,17 +484,17 @@ impl Sse {
                     guard <= 8 * m + 8,
                     "operator loop failed to close (corrupt links)"
                 );
-                self.visited[v] = true;
-                self.flipped[v] = flip;
+                visited[v] = true;
+                flipped[v] = flip;
                 let p = v / 4;
                 if flip {
                     self.ops[p] ^= 1; // diagonal ↔ off-diagonal
                     self.ops_dirty = true;
                 }
                 let exit = v ^ 1; // same-side partner leg
-                self.visited[exit] = true;
-                self.flipped[exit] = flip;
-                v = self.links[exit] as usize;
+                visited[exit] = true;
+                flipped[exit] = flip;
+                v = links[exit] as usize;
                 if v == v0 {
                     break;
                 }
@@ -366,13 +502,12 @@ impl Sse {
         }
 
         for site in 0..self.n_sites {
-            if self.vfirst[site] < 0 {
-                // lint: allow(hot-scalar-spin-loop) — free-site flip: one draw per unconstrained site, no packed SSE path
+            if vfirst[site] < 0 {
                 if rng.bernoulli(0.5) {
                     self.state[site] = !self.state[site];
                     self.state_dirty = true;
                 }
-            } else if self.flipped[self.vfirst[site] as usize] {
+            } else if flipped[vfirst[site] as usize] {
                 self.state[site] = !self.state[site];
                 self.state_dirty = true;
             }
@@ -389,7 +524,7 @@ impl Sse {
         if n + n / 3 > m {
             self.ops.resize(n + n / 3 + 10, IDENTITY);
             self.ops_dirty = true;
-            self.rebuild_diag_tables();
+            self.fit_to_cutoff();
         }
     }
 
@@ -578,7 +713,7 @@ impl Sse {
         self.ops = ops;
         self.ops_dirty = true;
         self.n_ops = self.ops.iter().filter(|&&o| o != IDENTITY).count();
-        self.rebuild_diag_tables();
+        self.fit_to_cutoff();
     }
 }
 
@@ -1191,6 +1326,129 @@ mod tests {
             assert_eq!(sse.prob_insert[k].to_bits(), insert.to_bits(), "k={k}");
             assert_eq!(sse.prob_remove[k].to_bits(), remove.to_bits(), "k={k}");
         }
+    }
+
+    /// One sweep by the passes the occupied-slot list replaced.
+    fn sweep_scalar<R: Rng64>(sse: &mut Sse, rng: &mut R) {
+        sse.diagonal_update(rng);
+        let (links, vfirst) = sse.build_links_scalar();
+        sse.loop_update_scalar(&links, &vfirst, rng);
+    }
+
+    /// Steps the new passes and the oracle side by side from one engine and
+    /// one stream, the cutoff growing over the first half. Returns how many
+    /// sweeps left the state, and the string, unchanged.
+    fn assert_sweeps_track_scalar_oracle<L: Lattice>(
+        lat: &L,
+        beta: f64,
+        seed: u64,
+        what: &str,
+    ) -> (usize, usize) {
+        use qmc_ckpt::Checkpoint;
+        let mut rng = qmc_rng::CountingRng::new(Xoshiro256StarStar::new(seed));
+        let mut new = Sse::new(lat, 1.0, beta, &mut rng);
+        let (mut old, mut old_rng) = (new.clone(), rng.clone());
+        let sweeps = 120;
+        let mut clean = (0, 0);
+        for sweep in 0..sweeps {
+            new.mark_clean();
+            old.mark_clean();
+            new.sweep(&mut rng);
+            sweep_scalar(&mut old, &mut old_rng);
+            let at = format!("{what} β = {beta}, sweep {sweep}");
+            assert_eq!(new.ops, old.ops, "{at}: ops");
+            assert_eq!(new.state, old.state, "{at}: state");
+            assert_eq!(
+                (new.state_dirty, new.ops_dirty),
+                (old.state_dirty, old.ops_dirty),
+                "{at}: dirty flags"
+            );
+            assert_eq!(rng.draws, old_rng.draws, "{at}: draws");
+            new.check_consistency()
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            clean.0 += usize::from(!new.state_dirty);
+            clean.1 += usize::from(!new.ops_dirty);
+            if sweep < sweeps / 2 {
+                new.adjust_cutoff();
+                old.adjust_cutoff();
+            }
+        }
+        clean
+    }
+
+    #[test]
+    fn occupied_list_passes_equal_full_string_scan() {
+        // Tiny β: sweeps with no operator, no flipped loop and no flipped
+        // free spin, so both dirty flags are seen false as well as true.
+        let (state_clean, ops_clean) =
+            assert_sweeps_track_scalar_oracle(&Chain::new(4), 0.05, 69, "chain");
+        assert!(
+            state_clean > 0 && ops_clean > 0,
+            "{state_clean} / {ops_clean}"
+        );
+        for (l, beta) in [(4, 1.0), (6, 2.0), (8, 4.0), (10, 0.5), (16, 1.0)] {
+            assert_sweeps_track_scalar_oracle(&Chain::new(l), beta, 70 + l as u64, "chain");
+        }
+        for (l, beta) in [(64, 1.0), (64, 16.0), (66, 3.0), (128, 2.0)] {
+            assert_sweeps_track_scalar_oracle(&Chain::new(l), beta, 90 + l as u64, "chain");
+        }
+        for (lx, ly, beta) in [
+            (4, 4, 0.1),
+            (4, 4, 2.0),
+            (6, 4, 1.0),
+            (4, 6, 3.0),
+            (8, 6, 4.0),
+            (8, 8, 2.0),
+        ] {
+            let what = format!("square {lx}x{ly}");
+            assert_sweeps_track_scalar_oracle(&Square::new(lx, ly), beta, (lx * ly) as u64, &what);
+        }
+    }
+
+    #[test]
+    fn restored_string_keeps_tracking_the_oracle() {
+        // A restore changes the cutoff under a link table that is not reset
+        // between sweeps: a longer string into a shorter engine's scratch
+        // and back.
+        use qmc_ckpt::{load_state, save_state};
+        let mut rng = Xoshiro256StarStar::new(80);
+        let lat = Chain::new(16);
+        let mut cold = Sse::new(&lat, 1.0, 8.0, &mut rng);
+        let mut hot = Sse::new(&lat, 1.0, 0.5, &mut rng);
+        let _ = cold.run(&mut rng, 200, 0);
+        let _ = hot.run(&mut rng, 200, 0);
+        assert!(cold.cutoff() > hot.cutoff());
+        let (cold_blob, hot_blob) = (save_state(&cold), save_state(&hot));
+        for blob in [&cold_blob, &hot_blob, &cold_blob] {
+            load_state(blob, &mut hot).expect("own checkpoint restores");
+            let (mut old, mut old_rng) = (hot.clone(), rng);
+            for sweep in 0..30 {
+                hot.sweep(&mut rng);
+                sweep_scalar(&mut old, &mut old_rng);
+                assert_eq!(
+                    (&hot.ops, &hot.state),
+                    (&old.ops, &old.state),
+                    "sweep {sweep}"
+                );
+            }
+            assert_eq!(rng.next_u64(), old_rng.next_u64());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "operator loop failed to close (corrupt links)")]
+    fn corrupt_link_table_fails_to_close() {
+        let mut rng = Xoshiro256StarStar::new(81);
+        let mut sse = Sse::new(&Chain::new(8), 1.0, 2.0, &mut rng);
+        let _ = sse.run(&mut rng, 20, 0);
+        sse.diagonal_update(&mut rng);
+        sse.build_links();
+        assert!(sse.n_ops > 0);
+        // The first loop's exit leg links to itself: its first step lands
+        // on a leg that walk has just marked.
+        let exit = 4 * sse.occupied[0] as usize + 1;
+        sse.links[exit] = exit as i64;
+        sse.loop_update(&mut rng);
     }
 
     #[test]

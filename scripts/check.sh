@@ -133,9 +133,12 @@ echo "== pins: fixed-seed trajectories and checkpoint bytes under the profile th
 # fixed-seed stores materialise and their slot files byte for byte.
 # qmc-tfim's unit suite rides along for its oracle comparisons: the
 # measurement adds up in byte lanes, and an accumulator too narrow
-# panics under dev but wraps without a word under release.
+# panics under dev but wraps without a word under release. qmc-sse's
+# does too: its sweep is compared pass for pass against the full-string
+# scan it replaced, under the inlining the benchmark times.
 cargo test -q --release -p qmc-bench --test trajectory_pins --test layout_pins
 cargo test -q --release -p qmc-tfim
+cargo test -q --release -p qmc-sse
 
 echo "== analyze: causal trace -> critical-path report =="
 # Records the 4-rank traced PT demo, merges the per-rank streams into

@@ -204,6 +204,24 @@ fn sse_recorded_sweep_is_allocation_free() {
 }
 
 #[test]
+fn cold_sse_recorded_sweep_is_allocation_free() {
+    // The cold end of the benchmark's β scan: the string grows from 64
+    // slots to over a thousand while thermalizing, and the occupied-slot
+    // list must have grown with it, not be left to grow in the sweeps.
+    let lat = Chain::new(64);
+    let mut rng = Xoshiro256StarStar::new(30);
+    let mut sse = Sse::new(&lat, 1.0, 16.0, &mut rng);
+    let _ = sse.run(&mut rng, 500, 0);
+    assert!(sse.cutoff() > 1000, "cutoff {}", sse.cutoff());
+    let mut series = sse.begin_series(200);
+    assert_steady_state_clean("Sse at β = 16: sweep + record_measurement", 200, || {
+        sse.sweep(&mut rng);
+        sse.record_measurement(&mut series);
+    });
+    assert_eq!(series.n_ops.len(), 200);
+}
+
+#[test]
 fn worldline_recorded_sweep_is_allocation_free() {
     let params = WorldlineParams {
         l: 32,
