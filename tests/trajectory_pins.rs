@@ -24,12 +24,17 @@
 //! then recorded sweeps) reduced to every sweep's measurement bits, the
 //! correlation means, the final basis state and operator string as their
 //! checkpoint sections hold them, the cutoff and the raw draws served.
+//!
+//! The `PackedReplicas` row was recorded on commit 9114e64, before the
+//! packed engine's checkpoint layout pin (until then the only fix on its
+//! trajectory) was deleted with its checkpoint support.
 
 use qmc_comm::{run_threads, Communicator};
 use qmc_core::pt::{run_pt_parallel, PtConfig, PtLadder};
 use qmc_lattice::{Chain, Lattice, Square};
 use qmc_rng::{CountingRng, StreamFactory, Xoshiro256StarStar};
 use qmc_sse::Sse;
+use qmc_tfim::packed::PackedReplicas;
 use qmc_tfim::parallel::DistTfim;
 use qmc_tfim::serial::{SerialTfim, TfimSeries};
 use qmc_tfim::TfimModel;
@@ -268,6 +273,58 @@ fn serial_tfim_trajectories_match_their_pins() {
 #[test]
 fn dist_tfim_trajectories_match_their_pins() {
     check(DIST, run_dist, |c| c.5);
+}
+
+/// What a replica-packed run is reduced to: every lane's energy and σˣ
+/// bits, lane after lane, the raw draws served, and the accepted /
+/// proposed counters summed over lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedPin {
+    series: u64,
+    draws: u64,
+    accepted: u64,
+    proposed: u64,
+}
+
+impl fmt::Display for PackedPin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "PackedPin {{ series: {:#018x}, draws: {}, accepted: {}, proposed: {} }}",
+            self.series, self.draws, self.accepted, self.proposed
+        )
+    }
+}
+
+/// `(model, lanes, seed, thermalization, recorded sweeps)`.
+type PackedCase = (TfimModel, usize, u64, usize, usize, PackedPin);
+
+/// Recorded on commit 9114e64, where the only thing that fixed this
+/// trajectory was the packed checkpoint layout pin: this is that pin's
+/// run, through `PackedReplicas::run` instead of the checkpointed driver.
+#[rustfmt::skip]
+const PACKED: &[PackedCase] = &[
+    (model(4, 4, 2.0, 1.0, 4), 5, 102, 20, 150, PackedPin { series: 0x1a4db38f5aafbf79, draws: 348160, accepted: 5980, proposed: 54400 }),
+];
+
+fn run_packed(&(model, lanes, seed, therm, sweeps, _): &PackedCase) -> PackedPin {
+    let mut eng = PackedReplicas::new(model, lanes);
+    let mut rng = CountingRng::new(Xoshiro256StarStar::new(seed));
+    let mut series = Fnv::new();
+    for lane in eng.run(&mut rng, therm, sweeps) {
+        series.f64s(lane.energy.iter().chain(&lane.sigma_x).copied());
+    }
+    PackedPin {
+        series: series.0,
+        draws: rng.draws,
+        accepted: eng.accepted(),
+        proposed: eng.proposed(),
+    }
+}
+
+#[test]
+fn packed_replicas_trajectory_matches_its_pin() {
+    check(PACKED, run_packed, |c| c.5);
 }
 
 /// What a world-line run is reduced to; `counters` in the order the
