@@ -18,7 +18,6 @@ use qmc_ckpt::{drive, Checkpoint, CkptError, End, Policy};
 use qmc_lattice::Lattice;
 use qmc_rng::Rng64;
 use qmc_sse::{Sse, SseSeries};
-use qmc_tfim::packed::{PackedReplicas, PackedSeries};
 use qmc_tfim::serial::{SerialTfim, TfimSeries};
 use qmc_tfim::TfimModel;
 use qmc_worldline::estimators::TimeSeries;
@@ -56,40 +55,6 @@ pub fn run_serial_tfim_ckpt<R: Rng64 + Checkpoint>(
             }
             if s >= therm {
                 series.record(&eng.measure());
-            }
-        },
-        |_, _| {},
-    );
-    finished(done).then_some((eng, series))
-}
-
-/// Checkpointed replica-packed TFIM run; draw-for-draw identical to
-/// [`PackedReplicas::run`]. The checkpoint captures the bit-packed
-/// configuration verbatim (plus per-lane series with chunked dirty
-/// tracking), so a resumed run continues every lane bit for bit.
-#[allow(clippy::too_many_arguments)]
-pub fn run_packed_tfim_ckpt<R: Rng64 + Checkpoint>(
-    model: TfimModel,
-    lanes: usize,
-    rng: &mut R,
-    therm: usize,
-    sweeps: usize,
-    ck: Option<&Policy<'_>>,
-    kill_at: Option<usize>,
-) -> Option<(PackedReplicas, PackedSeries)> {
-    let mut eng = PackedReplicas::new(model, lanes);
-    let mut series = PackedSeries::new(lanes);
-    let mut meas = Vec::with_capacity(lanes);
-    let done = drive(
-        (&mut eng, rng, &mut series),
-        therm + sweeps,
-        ck,
-        kill_at,
-        |eng, rng, series, s| {
-            eng.metropolis_sweep(rng);
-            if s >= therm {
-                eng.measure_into(&mut meas);
-                series.record(&meas);
             }
         },
         |_, _| {},

@@ -107,7 +107,7 @@ impl DirtySections {
 /// `save` / `load` are the one-line calls [`save_sections_in_order`] /
 /// [`load_sections_in_order`]. Only a value whose whole-blob layout
 /// predates its sections and orders the fields differently — the three
-/// [`chunk`]ed series and the packed batch that nests them — or whose
+/// [`chunk`]ed series — or whose
 /// sections can only be judged together — SSE's operator string against
 /// the basis state it arrives with — writes both, sharing each check as
 /// one function.

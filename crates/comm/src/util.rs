@@ -23,28 +23,6 @@ pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
         .collect()
 }
 
-/// Encode a `u64` slice as little-endian bytes.
-pub fn u64s_to_bytes(data: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 8);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decode little-endian bytes into `u64`s.
-pub fn bytes_to_u64s(bytes: &[u8]) -> Vec<u64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "byte payload length {} is not a multiple of 8",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,14 +58,6 @@ mod tests {
             for (a, b) in back.iter().zip(&xs) {
                 assert!(a.to_bits() == b.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn u64_roundtrip() {
-        for len in [0usize, 1, 3, 8, 64] {
-            let xs: Vec<u64> = (0..len as u64).map(scramble).collect();
-            assert_eq!(bytes_to_u64s(&u64s_to_bytes(&xs)), xs);
         }
     }
 

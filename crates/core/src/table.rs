@@ -28,17 +28,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: format a row of `f64`s with `prec` decimals.
-    pub fn row_f64(&mut self, cells: &[f64], prec: usize) {
-        let formatted: Vec<String> = cells.iter().map(|v| format!("{v:.prec$}")).collect();
-        self.row(&formatted);
-    }
-
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render to a string.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -86,8 +75,8 @@ mod tests {
     #[test]
     fn renders_aligned_table() {
         let mut t = Table::new("demo", &["beta", "E"]);
-        t.row_f64(&[0.5, -0.25], 3);
-        t.row_f64(&[10.0, -0.456], 3);
+        t.row(&["0.500".into(), "-0.250".into()]);
+        t.row(&["10.000".into(), "-0.456".into()]);
         let s = t.render();
         assert!(s.contains("## demo"));
         assert!(s.contains("beta"));

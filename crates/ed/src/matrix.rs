@@ -62,18 +62,6 @@ impl SymMatrix {
             *out = row.iter().zip(x).map(|(a, b)| a * b).sum();
         }
     }
-
-    /// Verify symmetry to tolerance (used by debug assertions in tests).
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        for i in 0..self.n {
-            for j in 0..i {
-                if (self.get(i, j) - self.get(j, i)).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 /// Eigenvalues (ascending) and, optionally, the matching orthonormal

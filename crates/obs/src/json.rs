@@ -251,14 +251,6 @@ impl Json {
         }
     }
 
-    /// Object members, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// True for `null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)

@@ -13,9 +13,9 @@ pub enum JobKind {
         lx: usize,
         /// Lattice extent in y.
         ly: usize,
-        /// Ising coupling.
+        /// Ising coupling (finite, > 0).
         j: f64,
-        /// Transverse field.
+        /// Transverse field (finite, > 0).
         h: f64,
         /// Trotter slices.
         m: usize,
@@ -25,13 +25,13 @@ pub enum JobKind {
     /// Parallel-tempering XXZ world-line ladder: one ThreadWorld rank
     /// per β in the schedule (≥ 2 temperatures).
     PtXxz {
-        /// Chain length.
+        /// Chain length (even, ≥ 4, engine constraint).
         l: usize,
-        /// XY coupling.
+        /// XY coupling (finite).
         jx: f64,
-        /// Z coupling.
+        /// Z coupling (finite).
         jz: f64,
-        /// Trotter slices.
+        /// Trotter slices (≥ 2).
         m: usize,
         /// Replica-exchange cadence in sweeps.
         exchange_every: usize,
@@ -126,13 +126,21 @@ impl JobSpec {
         }
         match &self.kind {
             JobKind::Tfim {
-                lx, ly, m, wolff, ..
+                lx,
+                ly,
+                j,
+                h,
+                m,
+                wolff,
             } => {
                 if self.betas.len() != 1 {
                     return Err("serial TFIM jobs take exactly one beta".into());
                 }
                 // Mirror TfimModel::validated so a bad spec is rejected
                 // at admission instead of panicking a worker.
+                if !(j.is_finite() && *j > 0.0 && h.is_finite() && *h > 0.0) {
+                    return Err("TFIM couplings j and h must be finite and positive".into());
+                }
                 if *lx < 4 || *lx % 2 != 0 {
                     return Err("TFIM lattice needs even lx >= 4".into());
                 }
@@ -154,9 +162,10 @@ impl JobSpec {
             }
             JobKind::PtXxz {
                 l,
+                jx,
+                jz,
                 m,
                 exchange_every,
-                ..
             } => {
                 if self.betas.len() < 2 {
                     return Err("parallel tempering needs at least two betas".into());
@@ -164,14 +173,18 @@ impl JobSpec {
                 if !self.betas.windows(2).all(|w| w[0] < w[1]) {
                     return Err("the beta ladder must be strictly increasing".into());
                 }
-                if *l == 0 || *m == 0 || *exchange_every == 0 {
-                    return Err("PT XXZ needs l >= 1, m >= 1, exchange_every >= 1".into());
-                }
                 if *l > MAX_CHAIN {
                     return Err(format!("PT XXZ chain length limit is {MAX_CHAIN}"));
                 }
                 if *m > MAX_SLICES {
                     return Err(format!("PT XXZ Trotter slice limit is {MAX_SLICES}"));
+                }
+                // Mirror Worldline::new, which every rank runs.
+                if *l < 4 || *l % 2 != 0 || *m < 2 || *exchange_every == 0 {
+                    return Err("PT XXZ needs even l >= 4, m >= 2, exchange_every >= 1".into());
+                }
+                if !(jx.is_finite() && jz.is_finite()) {
+                    return Err("PT XXZ couplings jx and jz must be finite".into());
                 }
             }
         }
@@ -397,6 +410,47 @@ mod tests {
         let mut s = tfim_spec();
         s.name = "scan/beta-2.0".into();
         assert!(s.validate().is_ok(), "job names keep both separators");
+    }
+
+    /// Every spec the engines refuse is refused here first: before these
+    /// checks each of them was admitted and then panicked its worker
+    /// (`TfimModel::validated`, `Worldline::new`).
+    #[test]
+    fn validation_mirrors_the_engine_checks() {
+        let tfim = |j: f64, h: f64| JobSpec {
+            kind: JobKind::Tfim {
+                lx: 4,
+                ly: 1,
+                j,
+                h,
+                m: 4,
+                wolff: 1,
+            },
+            ..tfim_spec()
+        };
+        let pt = |l: usize, jx: f64, jz: f64, m: usize| JobSpec {
+            kind: JobKind::PtXxz {
+                l,
+                jx,
+                jz,
+                m,
+                exchange_every: 2,
+            },
+            betas: vec![0.5, 1.0],
+            ..tfim_spec()
+        };
+        assert!(tfim(1.0, 2.0).validate().is_ok());
+        assert!(pt(4, 1.0, 1.0, 2).validate().is_ok());
+        for (what, spec, says) in [
+            ("TFIM h = 0", tfim(1.0, 0.0), "j and h"),
+            ("TFIM j = NaN", tfim(f64::NAN, 2.0), "j and h"),
+            ("PT l = 3", pt(3, 1.0, 1.0, 8), "even l >= 4"),
+            ("PT m = 1", pt(8, 1.0, 1.0, 1), "m >= 2"),
+            ("PT jz = NaN", pt(8, 1.0, f64::NAN, 8), "jx and jz"),
+        ] {
+            let err = spec.validate().expect_err(what);
+            assert!(err.contains(says), "{what}: {err}");
+        }
     }
 
     /// A single quota-compliant submission must not be able to exhaust

@@ -121,69 +121,6 @@ impl Accumulator {
     }
 }
 
-/// Weighted streaming mean accumulator (for reweighted estimators where
-/// each sample carries a weight, e.g. multicanonical → canonical).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WeightedAccumulator {
-    weight_sum: f64,
-    weighted_sum: f64,
-    weighted_sq_sum: f64,
-    count: u64,
-}
-
-impl WeightedAccumulator {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add an observation with weight `w ≥ 0`.
-    #[inline]
-    pub fn push(&mut self, x: f64, w: f64) {
-        debug_assert!(w >= 0.0, "negative weight");
-        self.weight_sum += w;
-        self.weighted_sum += w * x;
-        self.weighted_sq_sum += w * x * x;
-        self.count += 1;
-    }
-
-    /// Weighted mean (0 if total weight is 0).
-    pub fn mean(&self) -> f64 {
-        if self.weight_sum == 0.0 {
-            0.0
-        } else {
-            self.weighted_sum / self.weight_sum
-        }
-    }
-
-    /// Weighted variance around the weighted mean.
-    pub fn variance(&self) -> f64 {
-        if self.weight_sum == 0.0 {
-            return 0.0;
-        }
-        let m = self.mean();
-        (self.weighted_sq_sum / self.weight_sum - m * m).max(0.0)
-    }
-
-    /// Total weight.
-    pub fn weight_sum(&self) -> f64 {
-        self.weight_sum
-    }
-
-    /// Number of observations pushed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Merge another weighted accumulator.
-    pub fn merge(&mut self, other: &WeightedAccumulator) {
-        self.weight_sum += other.weight_sum;
-        self.weighted_sum += other.weighted_sum;
-        self.weighted_sq_sum += other.weighted_sq_sum;
-        self.count += other.count;
-    }
-}
-
 impl qmc_ckpt::Checkpoint for Accumulator {
     fn kind(&self) -> &'static str {
         "stats.accumulator"
@@ -203,27 +140,6 @@ impl qmc_ckpt::Checkpoint for Accumulator {
         self.m2 = dec.f64()?;
         self.min = dec.f64()?;
         self.max = dec.f64()?;
-        Ok(())
-    }
-}
-
-impl qmc_ckpt::Checkpoint for WeightedAccumulator {
-    fn kind(&self) -> &'static str {
-        "stats.weighted_accumulator"
-    }
-
-    fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.f64(self.weight_sum);
-        enc.f64(self.weighted_sum);
-        enc.f64(self.weighted_sq_sum);
-        enc.u64(self.count);
-    }
-
-    fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        self.weight_sum = dec.f64()?;
-        self.weighted_sum = dec.f64()?;
-        self.weighted_sq_sum = dec.f64()?;
-        self.count = dec.u64()?;
         Ok(())
     }
 }
@@ -322,27 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_equal_weights_match_unweighted() {
-        let xs = [1.0, 5.0, 3.0, 7.0];
-        let mut w = WeightedAccumulator::new();
-        let mut u = Accumulator::new();
-        for &x in &xs {
-            w.push(x, 2.0);
-            u.push(x);
-        }
-        assert!((w.mean() - u.mean()).abs() < 1e-14);
-        assert!((w.variance() - u.variance_population()).abs() < 1e-14);
-    }
-
-    #[test]
-    fn weighted_zero_weight_ignored_in_mean() {
-        let mut w = WeightedAccumulator::new();
-        w.push(100.0, 0.0);
-        w.push(2.0, 1.0);
-        assert!((w.mean() - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn accumulators_checkpoint_round_trips_bitwise() {
         let mut a = Accumulator::new();
         a.extend(&series(37, 1e3, 99));
@@ -359,32 +254,5 @@ mod tests {
         a.push(5.0);
         back.push(5.0);
         assert_eq!(a.mean().to_bits(), back.mean().to_bits());
-
-        let mut w = WeightedAccumulator::new();
-        w.push(1.5, 2.0);
-        w.push(-3.0, 0.5);
-        let bytes = qmc_ckpt::save_state(&w);
-        let mut wback = WeightedAccumulator::new();
-        qmc_ckpt::load_state(&bytes, &mut wback).unwrap();
-        assert_eq!(w.count(), wback.count());
-        assert_eq!(w.mean().to_bits(), wback.mean().to_bits());
-        assert_eq!(w.weight_sum().to_bits(), wback.weight_sum().to_bits());
-    }
-
-    #[test]
-    fn weighted_merge_matches_combined() {
-        let mut a = WeightedAccumulator::new();
-        a.push(1.0, 1.0);
-        a.push(2.0, 3.0);
-        let mut b = WeightedAccumulator::new();
-        b.push(5.0, 2.0);
-        let mut c = WeightedAccumulator::new();
-        for (x, w) in [(1.0, 1.0), (2.0, 3.0), (5.0, 2.0)] {
-            c.push(x, w);
-        }
-        a.merge(&b);
-        assert!((a.mean() - c.mean()).abs() < 1e-14);
-        assert!((a.variance() - c.variance()).abs() < 1e-14);
-        assert_eq!(a.count(), c.count());
     }
 }

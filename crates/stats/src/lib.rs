@@ -5,18 +5,16 @@
 //! is where error bars come from. This crate implements the standard
 //! toolkit:
 //!
-//! * [`Accumulator`] / [`WeightedAccumulator`] — single-pass (Welford)
-//!   mean/variance accumulation, mergeable across parallel ranks.
+//! * [`Accumulator`] — single-pass (Welford) mean/variance accumulation,
+//!   mergeable across parallel ranks.
 //! * [`binning`] — blocking ("binning") analysis: the error estimate as a
 //!   function of bin size converges to the true error of correlated data.
 //! * [`mod@jackknife`] — bias-corrected errors for arbitrary nonlinear
 //!   functions of time-series means (specific heat, Binder cumulants…).
 //! * [`autocorr`] — integrated autocorrelation time with Sokal's automatic
 //!   windowing.
-//! * [`histogram`] — fixed-bin energy histograms.
-//! * [`reweight`] — single-histogram (Ferrenberg–Swendsen) and
-//!   multiple-histogram (WHAM) reweighting, all in log space via
-//!   [`logsumexp`].
+//! * [`logsumexp`] — the log-space sum the exact-diagonalization
+//!   partition functions in `qmc-ed` go through.
 //!
 //! ```
 //! use qmc_stats::BinningAnalysis;
@@ -34,25 +32,20 @@
 
 pub mod autocorr;
 pub mod binning;
-pub mod histogram;
 pub mod jackknife;
-pub mod reweight;
 
 mod accum;
 
-pub use accum::{Accumulator, WeightedAccumulator};
+pub use accum::Accumulator;
 pub use autocorr::integrated_autocorrelation_time;
 pub use binning::BinningAnalysis;
-pub use histogram::Histogram;
 pub use jackknife::{jackknife, jackknife_pair, JackknifeEstimate};
-pub use reweight::{reweight_series, Wham};
 
 /// Numerically stable `log(Σ exp(x_i))`.
 ///
-/// The density of states spans hundreds of orders of magnitude even for
-/// small systems, so *all* partition-function arithmetic in this workspace
-/// goes through this function (see the log-representation discussion in
-/// any multihistogram reference).
+/// Boltzmann weights `e^{−βE_k}` span hundreds of orders of magnitude
+/// even for small systems, so *all* partition-function arithmetic in this
+/// workspace goes through this function.
 pub fn logsumexp(xs: &[f64]) -> f64 {
     let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     if m == f64::NEG_INFINITY {
@@ -60,18 +53,6 @@ pub fn logsumexp(xs: &[f64]) -> f64 {
     }
     let s: f64 = xs.iter().map(|&x| (x - m).exp()).sum();
     m + s.ln()
-}
-
-/// Stable `log(exp(a) + exp(b))`.
-pub fn logaddexp(a: f64, b: f64) -> f64 {
-    if a == f64::NEG_INFINITY {
-        return b;
-    }
-    if b == f64::NEG_INFINITY {
-        return a;
-    }
-    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    hi + (lo - hi).exp().ln_1p()
 }
 
 #[cfg(test)]
@@ -101,27 +82,5 @@ mod tests {
     #[test]
     fn logsumexp_single_element() {
         assert!((logsumexp(&[-5.0]) + 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn logaddexp_commutative_and_correct() {
-        let v = logaddexp(2.0, 3.0);
-        let w = logaddexp(3.0, 2.0);
-        let direct = (2.0f64.exp() + 3.0f64.exp()).ln();
-        assert!((v - direct).abs() < 1e-12);
-        assert!((v - w).abs() < 1e-15);
-    }
-
-    #[test]
-    fn logaddexp_with_neg_inf_identity() {
-        assert_eq!(logaddexp(f64::NEG_INFINITY, 7.0), 7.0);
-        assert_eq!(logaddexp(7.0, f64::NEG_INFINITY), 7.0);
-    }
-
-    #[test]
-    fn logaddexp_extreme_difference_returns_larger() {
-        // When the small term underflows, the large one must survive.
-        let v = logaddexp(0.0, -1e6);
-        assert_eq!(v, 0.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Multi-spin-coded TFIM sweep kernels: 64 spins per `u64`, updated with
 //! bitwise logic and **no per-spin branch, no per-spin RNG call**.
 //!
-//! # Replica packing (primary mode)
+//! # Replica packing
 //!
 //! [`PackedReplicas`] runs up to 64 independent replicas of the same
 //! model in lockstep: bit `j` of word `i` is spin `i` of replica `j`
@@ -24,32 +24,30 @@
 //!
 //! # RNG lane discipline
 //!
-//! Every site word consumes exactly [`DRAWS_PER_WORD`] raw draws whatever
-//! the active lane count, so the stream layout is model-determined: adding
-//! or removing replicas never re-times anyone's variates — the contract
-//! the distributed engines keep with per-rank streams. Two decisions per
-//! draw halve the RNG cost; a 64-draw stride would cap the speedup over
-//! the scalar sweep near 3.6×, below the 4× that `repro bench` guards.
+//! Every site word consumes exactly `DRAWS_PER_WORD` (32) raw draws
+//! whatever the active lane count, so the stream layout is
+//! model-determined: adding or removing replicas never re-times anyone's
+//! variates — the contract the distributed engines keep with per-rank
+//! streams. Two decisions per draw halve the RNG cost of a site word;
+//! with a 64-draw stride the speedup over the old site-by-site scalar
+//! loop was capped near 3.6×. Against today's colour kernel `repro bench`
+//! guards ≥ 1.6×.
 //!
-//! # Measurement and checkpoints
+//! # Measurement
 //!
 //! Observables never unpack: a [`LaneCounter`] streams the bond-equality
 //! words `!(w ^ neighbour)`, transposes blocks of 64 and popcounts per
 //! lane, and the counts become signed bond sums by `2·eq − n_bonds` in
-//! the scalar estimator's float operation order. The word array is
-//! checkpointed verbatim (lane count validated on restore), and
-//! [`PackedSeries`] forwards each lane's chunked dirty tracking under
-//! `l{i}/` section names, which keeps delta generations under half a full
-//! snapshot (`packed_delta_checkpoints_stay_under_half_full_size`).
+//! the scalar estimator's float operation order.
 //!
 //! The scalar engines are untouched: their fixed-seed trajectories remain
 //! bit-identical. The packed path is validated statistically — against
 //! the exact-diagonalization oracle and against scalar-path means — in
 //! the tests below, and its measurements are *bit-identical* to
-//! [`SerialTfim::measure`] on equal configurations (same integer bond
-//! sums, same float operation order).
+//! [`SerialTfim::measure`](crate::serial::SerialTfim::measure) on equal
+//! configurations (same integer bond sums, same float operation order).
 
-use crate::serial::{SerialTfim, TfimMeasurement, TfimSeries};
+use crate::serial::{TfimMeasurement, TfimSeries};
 use crate::{AcceptTable, StCouplings, TfimModel};
 use qmc_lattice::{LaneCounter, PackedLattice};
 use qmc_obs::{CounterId, Registry};
@@ -218,7 +216,8 @@ fn resolve_word(w: u64, pl: Planes, rnd: &[u64], thr: impl Fn(usize, usize) -> u
 /// Per-lane `(up-spin, equal-spatial-bond, equal-temporal-bond)` counts
 /// of a replica-packed spacetime configuration — the integer inputs to
 /// every packed observable. Each site owns its `+x` (and `+y`) and `+t`
-/// bonds, exactly like [`SerialTfim::bond_sums`].
+/// bonds, exactly like
+/// [`SerialTfim::bond_sums`](crate::serial::SerialTfim::bond_sums).
 fn lane_counts(model: &TfimModel, lat: &PackedLattice) -> ([u64; 64], [u64; 64], [u64; 64]) {
     let (lx, ly, mm) = (model.lx, model.ly, model.m);
     let slice = lx * ly;
@@ -285,7 +284,6 @@ pub struct PackedReplicas {
     metrics: Registry,
     id_accepted: CounterId,
     id_proposed: CounterId,
-    spins_dirty: bool,
 }
 
 impl PackedReplicas {
@@ -307,54 +305,7 @@ impl PackedReplicas {
             metrics,
             id_accepted,
             id_proposed,
-            spins_dirty: true,
         }
-    }
-
-    /// Pack one scalar engine per lane (all must share the same model).
-    pub fn from_engines(engines: &[SerialTfim]) -> Self {
-        assert!(
-            !engines.is_empty() && engines.len() <= 64,
-            "1..=64 replicas per packed batch"
-        );
-        let model = *engines[0].model();
-        let mut packed = Self::new(model, engines.len());
-        for (lane, eng) in engines.iter().enumerate() {
-            assert_eq!(*eng.model(), model, "all packed replicas share one model");
-            packed.lat.pack_lane(lane, eng.export_spins());
-        }
-        packed
-    }
-
-    /// Hand every lane's configuration back to its scalar engine.
-    pub fn unpack_into_engines(&self, engines: &mut [SerialTfim]) {
-        assert_eq!(engines.len(), self.lat.lanes(), "engine count != lanes");
-        let mut buf = vec![0i8; self.lat.cells()];
-        for (lane, eng) in engines.iter_mut().enumerate() {
-            self.lat.unpack_lane(lane, &mut buf);
-            eng.import_spins(&buf);
-        }
-    }
-
-    /// Load one replica's scalar configuration into a lane.
-    pub fn load_replica(&mut self, lane: usize, spins: &[i8]) {
-        self.lat.pack_lane(lane, spins);
-        self.spins_dirty = true;
-    }
-
-    /// Extract one replica's scalar configuration.
-    pub fn extract_replica(&self, lane: usize, out: &mut [i8]) {
-        self.lat.unpack_lane(lane, out);
-    }
-
-    /// Model parameters.
-    pub fn model(&self) -> &TfimModel {
-        &self.model
-    }
-
-    /// Number of packed replicas.
-    pub fn lanes(&self) -> usize {
-        self.lat.lanes()
     }
 
     /// Metropolis proposals accepted across all lanes (`tfim.accepted`).
@@ -372,14 +323,10 @@ impl PackedReplicas {
         self.accepted() as f64 / self.proposed().max(1) as f64
     }
 
-    /// Engine metrics registry.
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
     /// One bitwise checkerboard Metropolis sweep over every lane: the
-    /// site visit order matches [`SerialTfim::metropolis_sweep`]; each
-    /// site consumes [`DRAWS_PER_WORD`] raw draws through one batched
+    /// site visit order matches
+    /// [`SerialTfim::metropolis_sweep`](crate::serial::SerialTfim::metropolis_sweep);
+    /// each site consumes `DRAWS_PER_WORD` raw draws through one batched
     /// [`Rng64::fill_u64`] call and resolves all lanes branch-free.
     #[qmc_hot::hot]
     pub fn metropolis_sweep<R: Rng64>(&mut self, rng: &mut R) {
@@ -434,15 +381,13 @@ impl PackedReplicas {
         self.metrics
             .add(self.id_proposed, (slice * mm * lanes) as u64);
         self.metrics.add(self.id_accepted, accepted);
-        if accepted > 0 {
-            self.spins_dirty = true;
-        }
     }
 
     /// Measure every lane into `out` (cleared first). Per-lane bond sums
     /// come from 64×64 bit transposes plus popcounts, and each entry is
-    /// bit-identical to [`SerialTfim::measure`] on the same
-    /// configuration.
+    /// bit-identical to
+    /// [`SerialTfim::measure`](crate::serial::SerialTfim::measure) on the
+    /// same configuration.
     pub fn measure_into(&self, out: &mut Vec<TfimMeasurement>) {
         let _span = qmc_obs::span("tfim.packed_measure");
         out.clear();
@@ -456,13 +401,6 @@ impl PackedReplicas {
                 tts[lane],
             ));
         }
-    }
-
-    /// Measure every lane (allocating convenience wrapper).
-    pub fn measure_all(&self) -> Vec<TfimMeasurement> {
-        let mut out = Vec::with_capacity(self.lat.lanes());
-        self.measure_into(&mut out);
-        out
     }
 
     /// Thermalize then record `sweeps` measurements per lane.
@@ -485,219 +423,10 @@ impl PackedReplicas {
     }
 }
 
-impl SerialTfim {
-    /// Batch a set of independent scalar engines through the bit-packed
-    /// sweep path: pack one engine per lane, run `sweeps` packed
-    /// checkerboard sweeps, and hand the configurations back. Returns the
-    /// packed `(accepted, proposed)` counters.
-    ///
-    /// The scalar per-engine path is untouched (and remains bit-identical
-    /// under fixed seeds); this driver samples the same distribution
-    /// roughly an order of magnitude faster per site update.
-    pub fn sweep_packed<R: Rng64>(
-        engines: &mut [SerialTfim],
-        rng: &mut R,
-        sweeps: usize,
-    ) -> (u64, u64) {
-        let mut packed = PackedReplicas::from_engines(engines);
-        for _ in 0..sweeps {
-            packed.metropolis_sweep(rng);
-        }
-        packed.unpack_into_engines(engines);
-        (packed.accepted(), packed.proposed())
-    }
-}
-
-impl PackedReplicas {
-    fn save_words(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.u64(self.lat.lanes() as u64);
-        enc.u64(self.lat.cells() as u64);
-        enc.u64s(self.lat.words());
-    }
-
-    fn load_words(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        let lanes = dec.u64()? as usize;
-        let cells = dec.u64()? as usize;
-        if lanes != self.lat.lanes() || cells != self.lat.cells() {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "packed tfim: engine is {}×{} (cells×lanes), checkpoint is {cells}×{lanes}",
-                self.lat.cells(),
-                self.lat.lanes()
-            )));
-        }
-        let words = dec.u64s()?;
-        if words.len() != cells {
-            return Err(qmc_ckpt::CkptError::corrupt(
-                "packed tfim: word count does not match header",
-            ));
-        }
-        let mask = self.lat.lane_mask();
-        if words.iter().any(|&w| w & !mask != 0) {
-            return Err(qmc_ckpt::CkptError::corrupt(
-                "packed tfim: inactive lane bits set in checkpoint",
-            ));
-        }
-        self.lat.words_mut().copy_from_slice(&words);
-        Ok(())
-    }
-}
-
-impl qmc_ckpt::Checkpoint for PackedReplicas {
-    fn kind(&self) -> &'static str {
-        "engine.tfim.packed"
-    }
-
-    fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        qmc_ckpt::save_sections_in_order(self, enc);
-    }
-
-    fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        qmc_ckpt::load_sections_in_order(self, dec)
-    }
-
-    fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
-        let mut s = qmc_ckpt::DirtySections::new();
-        s.push("spins", self.spins_dirty);
-        s.push("metrics", true);
-        s
-    }
-
-    fn save_section(&self, name: &str, enc: &mut qmc_ckpt::Encoder) {
-        match name {
-            "spins" => self.save_words(enc),
-            "metrics" => qmc_ckpt::registry::save_registry(enc, &self.metrics),
-            _ => panic!("engine.tfim.packed has no checkpoint section {name:?}"),
-        }
-    }
-
-    fn load_section(
-        &mut self,
-        name: &str,
-        dec: &mut qmc_ckpt::Decoder,
-    ) -> Result<(), qmc_ckpt::CkptError> {
-        match name {
-            "spins" => {
-                self.load_words(dec)?;
-                self.spins_dirty = true;
-                Ok(())
-            }
-            "metrics" => qmc_ckpt::registry::load_registry(dec, &mut self.metrics),
-            _ => Err(qmc_ckpt::CkptError::MissingSection {
-                name: name.to_string(),
-            }),
-        }
-    }
-
-    fn mark_clean(&mut self) {
-        self.spins_dirty = false;
-    }
-}
-
-/// Per-lane measurement series of a packed batch, checkpointable as one
-/// unit: lane `i`'s sections are prefixed `l{i}/`, so the chunked dirty
-/// tracking of each [`TfimSeries`] (only new row chunks re-write) carries
-/// over to delta checkpoints of the whole batch.
-#[derive(Debug, Clone, Default)]
-pub struct PackedSeries {
-    /// One series per lane.
-    pub lanes: Vec<TfimSeries>,
-}
-
-impl PackedSeries {
-    /// Empty series for `lanes` replicas.
-    pub fn new(lanes: usize) -> Self {
-        Self {
-            lanes: (0..lanes).map(|_| TfimSeries::default()).collect(),
-        }
-    }
-
-    /// Record one measurement per lane.
-    pub fn record(&mut self, meas: &[TfimMeasurement]) {
-        assert_eq!(meas.len(), self.lanes.len(), "measurement count != lanes");
-        for (s, m) in self.lanes.iter_mut().zip(meas) {
-            s.record(m);
-        }
-    }
-}
-
-fn parse_lane_section(name: &str) -> Option<(usize, &str)> {
-    let rest = name.strip_prefix('l')?;
-    let (lane, section) = rest.split_once('/')?;
-    Some((lane.parse().ok()?, section))
-}
-
-impl qmc_ckpt::Checkpoint for PackedSeries {
-    fn kind(&self) -> &'static str {
-        "series.tfim.packed"
-    }
-
-    fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        enc.u64(self.lanes.len() as u64);
-        for s in &self.lanes {
-            enc.state(s);
-        }
-    }
-
-    fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        let n = dec.u64()? as usize;
-        if n != self.lanes.len() {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "packed series: have {} lanes, checkpoint has {n}",
-                self.lanes.len()
-            )));
-        }
-        for s in &mut self.lanes {
-            dec.load_state(s)?;
-        }
-        Ok(())
-    }
-
-    fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
-        let mut out = qmc_ckpt::DirtySections::new();
-        for (i, s) in self.lanes.iter().enumerate() {
-            for (name, dirty) in s.dirty_sections().iter() {
-                out.push(format!("l{i}/{name}"), dirty);
-            }
-        }
-        out
-    }
-
-    fn save_section(&self, name: &str, enc: &mut qmc_ckpt::Encoder) {
-        let (lane, section) = parse_lane_section(name)
-            .unwrap_or_else(|| panic!("series.tfim.packed has no checkpoint section {name:?}"));
-        self.lanes[lane].save_section(section, enc);
-    }
-
-    fn load_section(
-        &mut self,
-        name: &str,
-        dec: &mut qmc_ckpt::Decoder,
-    ) -> Result<(), qmc_ckpt::CkptError> {
-        let Some((lane, section)) = parse_lane_section(name) else {
-            return Err(qmc_ckpt::CkptError::MissingSection {
-                name: name.to_string(),
-            });
-        };
-        if lane >= self.lanes.len() {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "packed series: section for lane {lane} of {}",
-                self.lanes.len()
-            )));
-        }
-        self.lanes[lane].load_section(section, dec)
-    }
-
-    fn mark_clean(&mut self) {
-        for s in &mut self.lanes {
-            s.mark_clean();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qmc_ckpt::Checkpoint;
+    use crate::serial::SerialTfim;
     use qmc_rng::Xoshiro256StarStar;
     use qmc_stats::BinningAnalysis;
 
@@ -830,10 +559,10 @@ mod tests {
         }
     }
 
-    /// Satellite: pack/unpack round-trips through engines at sizes not
-    /// divisible by 64, single-replica worlds, and odd y/t extents (the
-    /// checkerboard parity cases), asserting exact configuration
-    /// recovery plus bitwise energy agreement per lane.
+    /// Scalar configurations packed one per lane, at sizes not divisible
+    /// by 64, single-replica worlds, and odd y/t extents (the
+    /// checkerboard parity cases): every lane unpacks to exactly what was
+    /// packed, and measures bit for bit what the scalar engine measures.
     #[test]
     fn pack_unpack_roundtrip_and_bitwise_measure_agreement() {
         for (model, lanes) in [
@@ -850,19 +579,20 @@ mod tests {
                     eng.metropolis_sweep(&mut rng);
                 }
             }
-            let originals: Vec<Vec<i8>> =
-                engines.iter().map(|e| e.export_spins().to_vec()).collect();
 
-            let packed = PackedReplicas::from_engines(&engines);
-            // Round trip: unpack returns exactly what was packed.
-            let mut back: Vec<SerialTfim> = (0..lanes).map(|_| SerialTfim::new(model)).collect();
-            packed.unpack_into_engines(&mut back);
-            for (eng, orig) in back.iter().zip(&originals) {
-                assert_eq!(eng.export_spins(), &orig[..]);
+            let mut packed = PackedReplicas::new(model, lanes);
+            for (lane, eng) in engines.iter().enumerate() {
+                packed.lat.pack_lane(lane, eng.export_spins());
+            }
+            let mut back = vec![0i8; packed.lat.cells()];
+            for (lane, eng) in engines.iter().enumerate() {
+                packed.lat.unpack_lane(lane, &mut back);
+                assert_eq!(&back[..], eng.export_spins());
             }
 
             // Bitwise measurement agreement per configuration.
-            let meas = packed.measure_all();
+            let mut meas = Vec::new();
+            packed.measure_into(&mut meas);
             for (eng, pm) in engines.iter().zip(&meas) {
                 let sm = eng.measure();
                 assert_eq!(sm.energy_per_site.to_bits(), pm.energy_per_site.to_bits());
@@ -922,87 +652,5 @@ mod tests {
             bs.mean,
             bs.error()
         );
-    }
-
-    #[test]
-    fn sweep_packed_batches_scalar_engines() {
-        let model = chain(8, 1.2, 1.5, 16);
-        let mut engines: Vec<SerialTfim> = (0..8).map(|_| SerialTfim::new(model)).collect();
-        let mut rng = Xoshiro256StarStar::new(3);
-        let (accepted, proposed) = SerialTfim::sweep_packed(&mut engines, &mut rng, 500);
-        assert_eq!(proposed, 500 * 8 * 128);
-        assert!(accepted > 0 && accepted < proposed);
-        // The batch leaves every engine in a valid, decorrelated state:
-        // measurements are finite and the engines differ pairwise.
-        let spins0 = engines[0].export_spins().to_vec();
-        assert!(engines[1..].iter().any(|e| e.export_spins() != &spins0[..]));
-        for eng in &engines {
-            assert!(eng.measure().energy_per_site.is_finite());
-        }
-    }
-
-    #[test]
-    fn packed_checkpoint_roundtrip_is_bit_identical() {
-        let model = chain(8, 1.1, 1.4, 8);
-        let mut eng = PackedReplicas::new(model, 24);
-        let mut rng = Xoshiro256StarStar::new(77);
-        for _ in 0..20 {
-            eng.metropolis_sweep(&mut rng);
-        }
-        let bytes = qmc_ckpt::save_state(&eng);
-        let mut restored = PackedReplicas::new(model, 24);
-        qmc_ckpt::load_state(&bytes, &mut restored).expect("restore");
-        assert_eq!(restored.lat.words(), eng.lat.words());
-        assert_eq!(restored.accepted(), eng.accepted());
-        // Continuing both produces identical trajectories.
-        let mut ra = Xoshiro256StarStar::new(5);
-        let mut rb = Xoshiro256StarStar::new(5);
-        eng.metropolis_sweep(&mut ra);
-        restored.metropolis_sweep(&mut rb);
-        assert_eq!(restored.lat.words(), eng.lat.words());
-
-        // Wrong lane count is rejected, not silently truncated.
-        let mut wrong = PackedReplicas::new(model, 23);
-        assert!(qmc_ckpt::load_state(&bytes, &mut wrong).is_err());
-    }
-
-    #[test]
-    fn packed_series_sections_roundtrip_with_lane_prefixes() {
-        let mut series = PackedSeries::new(3);
-        let meas: Vec<TfimMeasurement> = (0..3)
-            .map(|k| TfimMeasurement {
-                energy_per_site: -1.0 - k as f64,
-                abs_m: 0.5,
-                m2: 0.25,
-                sigma_x: 0.7,
-            })
-            .collect();
-        for _ in 0..70 {
-            series.record(&meas);
-        }
-        // Chunked dirty tracking carries the lane prefix.
-        series.mark_clean();
-        for _ in 0..3 {
-            series.record(&meas);
-        }
-        let dirty: Vec<String> = series
-            .dirty_sections()
-            .iter()
-            .filter(|(_, d)| *d)
-            .map(|(n, _)| n.to_string())
-            .collect();
-        // Per lane: the second row chunk (rows 64..73) and the head.
-        assert_eq!(dirty.len(), 6, "{dirty:?}");
-        assert!(dirty.contains(&"l0/rows/1".to_string()));
-        assert!(dirty.contains(&"l2/head".to_string()));
-        assert!(!dirty.contains(&"l1/rows/0".to_string()));
-
-        let bytes = qmc_ckpt::save_state(&series);
-        let mut restored = PackedSeries::new(3);
-        qmc_ckpt::load_state(&bytes, &mut restored).expect("restore");
-        for (a, b) in restored.lanes.iter().zip(&series.lanes) {
-            assert_eq!(a.energy, b.energy);
-            assert_eq!(a.sigma_x, b.sigma_x);
-        }
     }
 }

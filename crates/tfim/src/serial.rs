@@ -10,7 +10,7 @@ use qmc_rng::{threshold, Rng64};
 ///
 /// Invariant: every stored spin is `+1` or `−1`. The Metropolis kernel
 /// forms its table index by byte arithmetic on seven spins, so this is
-/// load-bearing; every way in ([`Self::import_spins`], checkpoint restore)
+/// load-bearing; the one way in besides the updates, checkpoint restore,
 /// validates the whole configuration before it replaces anything.
 #[derive(Debug, Clone)]
 pub struct SerialTfim {
@@ -490,24 +490,9 @@ impl SerialTfim {
         size
     }
 
-    /// The raw spacetime configuration, indexed `(t·ly + y)·lx + x` — the
-    /// bridge to the bit-packed sweep path (see [`crate::packed`]).
+    /// The raw spacetime configuration, indexed `(t·ly + y)·lx + x`.
     pub fn export_spins(&self) -> &[i8] {
         &self.spins
-    }
-
-    /// Replace the spacetime configuration (±1 per site, same layout as
-    /// [`Self::export_spins`]). Used by the packed drivers to hand a
-    /// batch-updated configuration back to the scalar engine.
-    pub fn import_spins(&mut self, spins: &[i8]) {
-        assert_eq!(
-            spins.len(),
-            self.spins.len(),
-            "configuration length mismatch"
-        );
-        assert!(spins.iter().all(|&s| s == 1 || s == -1), "spins must be ±1");
-        self.spins.copy_from_slice(spins);
-        self.spins_dirty = true;
     }
 
     #[cfg(test)]
@@ -1213,7 +1198,7 @@ mod tests {
                     1 - 2 * ((x + y + t) % 2) as i8
                 })
                 .collect();
-            eng.import_spins(&staggered);
+            eng.spins.copy_from_slice(&staggered);
             assert_eq!(eng.bond_sums().1, -(staggered.len() as f64));
             for sweep in 0..6 {
                 let (sp, tt) = eng.bond_sums_scalar();

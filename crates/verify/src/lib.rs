@@ -22,10 +22,10 @@
 //!   the workspace, with per-site waiver comments as the audit trail and
 //!   one fixture per rule under `fixtures/` that the self-tests require
 //!   to fire, so a rule cannot rot into a no-op.
-//! * **Exhaustive protocol explorer** ([`explore`], [`model`]): the
+//! * **Exhaustive protocol explorer** ([`mod@explore`], [`model`]): the
 //!   checkpoint-commit, drain-verdict and respawn-barrier protocols
 //!   modeled as deterministic per-process step functions;
-//!   [`explore`] enumerates *every* distinguishable interleaving of
+//!   [`fn@explore`] enumerates *every* distinguishable interleaving of
 //!   deliveries, crashes, and write failures (sleep sets + dynamic
 //!   partial-order reduction) within a configurable depth/fault
 //!   budget, and renders any violation as a minimized counterexample

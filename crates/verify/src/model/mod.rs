@@ -1,5 +1,5 @@
 //! Protocol models: the workspace's message-passing coordination
-//! protocols extracted as pure state machines for the [`crate::explore`]
+//! protocols extracted as pure state machines for the [`mod@crate::explore`]
 //! DPOR explorer.
 //!
 //! Three of the four explored protocols are hand-written *mirrors* and

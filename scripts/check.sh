@@ -24,6 +24,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+# A doc link to a deleted, renamed or private item, or an ambiguous one,
+# fails here instead of rotting in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+
 echo "== tier-1: cargo build --release =="
 cargo build --release
 

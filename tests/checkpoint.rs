@@ -10,8 +10,7 @@
 //! coordinated checkpoint.
 
 use qmc_bench::ckpt_driver::{
-    run_generic_worldline_ckpt, run_packed_tfim_ckpt, run_serial_tfim_ckpt, run_sse_ckpt,
-    run_worldline_ckpt,
+    run_generic_worldline_ckpt, run_serial_tfim_ckpt, run_sse_ckpt, run_worldline_ckpt,
 };
 use qmc_ckpt::{load_state, save_state, Cadence, Checkpoint, CkptStore, Policy};
 use qmc_comm::{run_threads, run_threads_with_timeout, Communicator, FaultPlan, FaultyComm};
@@ -101,85 +100,50 @@ fn serial_tfim_resumes_bit_identical_at_every_boundary() {
     });
 }
 
-/// The replica-packed TFIM engine through the same crash matrix: every
-/// lane of the bit-packed configuration, the per-lane series, and the
-/// draw count must survive a kill-and-resume at every sweep boundary.
+/// Steady-state delta generations of the serial TFIM driver stay under
+/// half the size of full snapshots: the whole 16×16×8 lattice is dirty
+/// every generation, but the accumulated series' chunked dirty tracking
+/// re-writes only new row chunks.
 #[test]
-fn packed_tfim_resumes_bit_identical_at_every_boundary() {
-    let (therm, sweeps, every) = (6, 12, 5);
-    crash_matrix("packed-tfim", therm + sweeps, every, |ck, kill| {
-        let model = TfimModel {
-            lx: 8,
-            ly: 8,
-            j: 1.0,
-            h: 2.0,
-            beta: 1.0,
-            m: 4,
-        };
-        let mut rng = CountingRng::new(Xoshiro256StarStar::new(29));
-        let (eng, series) = run_packed_tfim_ckpt(model, 12, &mut rng, therm, sweeps, ck, kill)?;
-        let mut b = Vec::new();
-        for lane in &series.lanes {
-            b.extend(bits(&lane.energy));
-            b.extend(bits(&lane.sigma_x));
-        }
-        Some(((b, eng.accepted(), eng.proposed()), rng.draws))
-    });
-}
-
-/// Steady-state delta generations stay under half the size of full
-/// snapshots, for the packed driver (the always-dirty spin words are small
-/// next to the accumulated per-lane series, whose chunked dirty tracking
-/// only re-writes new row chunks) and for the serial driver (one series,
-/// the whole 16×16×8 lattice dirty every generation).
-#[test]
-fn packed_delta_checkpoints_stay_under_half_full_size() {
-    let square = |l: usize, m: usize| TfimModel {
-        lx: l,
-        ly: l,
+fn serial_tfim_delta_checkpoints_stay_under_half_full_size() {
+    let model = TfimModel {
+        lx: 16,
+        ly: 16,
         j: 1.0,
         h: 2.0,
         beta: 1.0,
-        m,
+        m: 8,
     };
     let (sweeps, every) = (600usize, 5usize);
-    let packed = |ck: &Policy<'_>| {
-        let mut rng = Xoshiro256StarStar::new(37);
-        run_packed_tfim_ckpt(square(8, 4), 16, &mut rng, 0, sweeps, Some(ck), None).is_some()
-    };
-    let serial = |ck: &Policy<'_>| {
-        let mut rng = Buffered::new(Xoshiro256StarStar::new(21));
-        run_serial_tfim_ckpt(square(16, 8), &mut rng, 0, sweeps, 1, Some(ck), None).is_some()
-    };
-    type Driver<'a> = &'a dyn Fn(&Policy<'_>) -> bool;
-    let drivers: [(&str, Driver); 2] = [("packed", &packed), ("serial", &serial)];
-    for (name, driver) in drivers {
-        let run = |every: usize, full_every: usize| -> u64 {
-            let dir = scratch("delta-bytes");
-            let store = CkptStore::new(&dir, 2).expect("scratch store");
-            let ck = Policy {
-                store: &store,
-                cadence: Cadence::new(every, full_every).unwrap(),
-                resume: false,
-                stop: None,
-            };
-            assert!(driver(&ck), "{name} run completes");
-            let written = store.bytes_written();
-            let _ = std::fs::remove_dir_all(&dir);
-            written
+    let run = |every: usize, full_every: usize| -> u64 {
+        let dir = scratch("delta-bytes");
+        let store = CkptStore::new(&dir, 2).expect("scratch store");
+        let ck = Policy {
+            store: &store,
+            cadence: Cadence::new(every, full_every).unwrap(),
+            resume: false,
+            stop: None,
         };
-        let gens = sweeps.div_ceil(every) as u64;
-        let first = run(sweeps + 1, 0); // a single full generation at sweep 0
-        let full_total = run(every, 0); // every generation a full snapshot
-        let delta_total = run(every, usize::MAX); // generation 0 full, rest deltas
-        let full_per_gen = (full_total - first) as f64 / (gens - 1) as f64;
-        let delta_per_gen = (delta_total - first) as f64 / (gens - 1) as f64;
-        let ratio = delta_per_gen / full_per_gen;
+        let mut rng = Buffered::new(Xoshiro256StarStar::new(21));
         assert!(
-            ratio <= 0.5,
-            "{name} delta generations {delta_per_gen:.0} B vs full {full_per_gen:.0} B = {ratio:.3}x"
+            run_serial_tfim_ckpt(model, &mut rng, 0, sweeps, 1, Some(&ck), None).is_some(),
+            "run completes"
         );
-    }
+        let written = store.bytes_written();
+        let _ = std::fs::remove_dir_all(&dir);
+        written
+    };
+    let gens = sweeps.div_ceil(every) as u64;
+    let first = run(sweeps + 1, 0); // a single full generation at sweep 0
+    let full_total = run(every, 0); // every generation a full snapshot
+    let delta_total = run(every, usize::MAX); // generation 0 full, rest deltas
+    let full_per_gen = (full_total - first) as f64 / (gens - 1) as f64;
+    let delta_per_gen = (delta_total - first) as f64 / (gens - 1) as f64;
+    let ratio = delta_per_gen / full_per_gen;
+    assert!(
+        ratio <= 0.5,
+        "delta generations {delta_per_gen:.0} B vs full {full_per_gen:.0} B = {ratio:.3}x"
+    );
 }
 
 #[test]
@@ -260,16 +224,6 @@ fn ckpt_drivers_match_plain_runs() {
     let (_, drv) = run_serial_tfim_ckpt(model, &mut rng, 10, 30, 1, None, None).unwrap();
     assert_eq!(bits(&plain.energy), bits(&drv.energy));
     assert_eq!(bits(&plain.sigma_x), bits(&drv.sigma_x));
-
-    // Replica-packed TFIM.
-    let mut rng = Xoshiro256StarStar::new(29);
-    let plain = qmc_tfim::packed::PackedReplicas::new(model, 12).run(&mut rng, 10, 30);
-    let mut rng = Xoshiro256StarStar::new(29);
-    let (_, drv) = run_packed_tfim_ckpt(model, 12, &mut rng, 10, 30, None, None).unwrap();
-    for (p, d) in plain.iter().zip(&drv.lanes) {
-        assert_eq!(bits(&p.energy), bits(&d.energy));
-        assert_eq!(bits(&p.sigma_x), bits(&d.sigma_x));
-    }
 
     // World-line chain.
     let params = WorldlineParams {

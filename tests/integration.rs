@@ -10,7 +10,7 @@ use qmc_core::replica::run_replicas;
 use qmc_ed::xxz::{full_spectrum, XxzParams};
 use qmc_lattice::{Chain, Square};
 use qmc_rng::{StreamFactory, Xoshiro256StarStar};
-use qmc_stats::{BinningAnalysis, Histogram, Wham};
+use qmc_stats::BinningAnalysis;
 use qmc_tfim::parallel::DistTfim;
 use qmc_tfim::TfimModel;
 use qmc_worldline::{Worldline, WorldlineParams};
@@ -110,40 +110,6 @@ fn thread_and_model_machines_agree_physically() {
     // Same seeds, same rank count ⇒ *identical* Markov chains.
     assert_eq!(threads[0].energy, modeled[0].result.energy);
     assert!(job_seconds(&modeled) > 0.0);
-}
-
-/// Histogram reweighting across worldline runs: two nearby temperatures
-/// WHAM-combined interpolate to a third, matching ED.
-#[test]
-fn wham_interpolates_worldline_histograms() {
-    let l = 8;
-    let lat = Chain::new(l);
-    let spec = full_spectrum(&lat, &XxzParams::heisenberg(1.0));
-
-    // Collect energy histograms at two temperatures (total energy bins).
-    let run_hist = |beta: f64, seed: u64| {
-        let mut wl = Worldline::new(WorldlineParams {
-            l,
-            jx: 1.0,
-            jz: 1.0,
-            beta,
-            m: 16,
-        });
-        let mut rng = Xoshiro256StarStar::new(seed);
-        let series = wl.run(&mut rng, 3_000, 30_000);
-        let mut h = Histogram::new(-6.0, 2.0, 64);
-        for &e in &series.energy {
-            h.record(e * l as f64);
-        }
-        h
-    };
-    let betas = [0.8, 1.25];
-    let hists = vec![run_hist(betas[0], 7), run_hist(betas[1], 8)];
-    let wham = Wham::solve(&betas, &hists, 1e-10, 2000);
-    let interp = wham.mean_energy(1.0) / l as f64;
-    let exact = spec.energy(1.0) / l as f64;
-    // WHAM inherits the worldline's Trotter bias plus interpolation error.
-    assert!((interp - exact).abs() < 0.02, "WHAM {interp} vs ED {exact}");
 }
 
 /// Parallel tempering beats plain Metropolis at relaxing from a cold

@@ -14,8 +14,7 @@
 //! mismatch means a byte on disk moved.
 
 use qmc_bench::ckpt_driver::{
-    run_generic_worldline_ckpt, run_packed_tfim_ckpt, run_serial_tfim_ckpt, run_sse_ckpt,
-    run_worldline_ckpt,
+    run_generic_worldline_ckpt, run_serial_tfim_ckpt, run_sse_ckpt, run_worldline_ckpt,
 };
 use qmc_ckpt::{crc32, save_section_bytes, save_state, Checkpoint};
 use qmc_lattice::{Chain, Square};
@@ -90,53 +89,6 @@ fn serial_tfim_bodies_match_their_pins() {
         run_serial_tfim_ckpt(CHAIN_MODEL, &mut rng, THERM, SWEEPS, 1, None, None).unwrap();
     assert_eq!(series.len(), SWEEPS);
     check(&eng, &series, &rng, SERIAL_TFIM);
-}
-
-#[rustfmt::skip]
-const PACKED_TFIM: &[Pin] = &[
-    ("engine", 644, 0xe4873b1b),
-    ("engine:spins", 570, 0x0a2784e9),
-    ("engine:metrics", 108, 0x971d2e11),
-    ("series", 24337, 0x66f56211),
-    ("series:l0/rows/0", 2122, 0x61c51d54),
-    ("series:l0/rows/1", 2122, 0x8eff96ed),
-    ("series:l0/rows/2", 778, 0x0740ebad),
-    ("series:l0/head", 42, 0x28b2862a),
-    ("series:l1/rows/0", 2122, 0x78ccd2da),
-    ("series:l1/rows/1", 2122, 0x54fce6b4),
-    ("series:l1/rows/2", 778, 0x5ffabe9b),
-    ("series:l1/head", 42, 0x28b2862a),
-    ("series:l2/rows/0", 2122, 0x4fe4d369),
-    ("series:l2/rows/1", 2122, 0x69d16988),
-    ("series:l2/rows/2", 778, 0xe333e125),
-    ("series:l2/head", 42, 0x28b2862a),
-    ("series:l3/rows/0", 2122, 0xf9aaa28c),
-    ("series:l3/rows/1", 2122, 0xc54b3272),
-    ("series:l3/rows/2", 778, 0x0e9bac03),
-    ("series:l3/head", 42, 0x28b2862a),
-    ("series:l4/rows/0", 2122, 0x4909abf1),
-    ("series:l4/rows/1", 2122, 0x1fa6a2dd),
-    ("series:l4/rows/2", 778, 0x70f2445c),
-    ("series:l4/head", 42, 0x28b2862a),
-    ("rng", 64, 0x19d6bb8c),
-    ("rng:state", 64, 0x19d6bb8c),
-];
-
-#[test]
-fn packed_tfim_bodies_match_their_pins() {
-    let model = TfimModel {
-        lx: 4,
-        ly: 4,
-        j: 1.0,
-        h: 2.0,
-        beta: 1.0,
-        m: 4,
-    };
-    let mut rng = Xoshiro256StarStar::new(102);
-    let (eng, series) =
-        run_packed_tfim_ckpt(model, 5, &mut rng, THERM, SWEEPS, None, None).unwrap();
-    assert_eq!(series.lanes.len(), 5);
-    check(&eng, &series, &rng, PACKED_TFIM);
 }
 
 #[rustfmt::skip]

@@ -1,7 +1,8 @@
 //! Pins the `repro serve-demo` fault drill: a multi-tenant job server
 //! under injected worker deaths must lose zero jobs and resume every
-//! killed or drained job bit-identically; and the handshake refuses the
-//! one tenant name that would read every tenant's counters.
+//! killed or drained job bit-identically; the handshake refuses the
+//! one tenant name that would read every tenant's counters; and a spec
+//! its engine would refuse is refused at submit.
 
 use qmc_serve::{Client, JobKind, JobSpec, ServeConfig, ServeError, Server};
 
@@ -96,6 +97,47 @@ fn an_empty_tenant_name_is_refused_at_the_handshake() {
         .iter()
         .all(|(n, _)| !n.starts_with("tenant.alice.")));
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(ckpt_root);
+}
+
+#[test]
+fn a_spec_its_engine_refuses_comes_back_rejected() {
+    // Admitted, this TFIM spec panicked its worker in
+    // `TfimModel::validated` and the job ended `Failed`.
+    let ckpt_root =
+        std::env::temp_dir().join(format!("qmc-serve-refused-spec-{}", std::process::id()));
+    let cfg = ServeConfig {
+        workers: 1,
+        ckpt_root: ckpt_root.clone(),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg, "127.0.0.1:0").expect("server start");
+    let mut alice = Client::connect(server.addr(), "alice").expect("alice connects");
+    let spec = JobSpec {
+        tenant: "alice".into(),
+        name: "no-field".into(),
+        kind: JobKind::Tfim {
+            lx: 4,
+            ly: 1,
+            j: 1.0,
+            h: 0.0,
+            m: 4,
+            wolff: 1,
+        },
+        betas: vec![1.0],
+        therm: 5,
+        sweeps: 15,
+        seed: 3,
+        priority: 0,
+        ckpt_every: 4,
+    };
+    match alice.submit(&spec) {
+        Err(ServeError::Rejected(reason)) => {
+            assert!(reason.contains("j and h"), "{reason}")
+        }
+        other => panic!("h = 0 must be rejected at submit, got {other:?}"),
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(ckpt_root);
 }

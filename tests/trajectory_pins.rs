@@ -25,9 +25,11 @@
 //! correlation means, the final basis state and operator string as their
 //! checkpoint sections hold them, the cutoff and the raw draws served.
 //!
-//! The `PackedReplicas` row was recorded on commit 9114e64, before the
-//! packed engine's checkpoint layout pin (until then the only fix on its
-//! trajectory) was deleted with its checkpoint support.
+//! The `PackedReplicas` row was recorded on commit 9114e64, where the
+//! only fix on that trajectory was the packed checkpoint layout pin: it
+//! is that pin's run, through `PackedReplicas::run` instead of the
+//! checkpointed driver, recorded before the pin was deleted with the
+//! engine's checkpoint support.
 
 use qmc_comm::{run_threads, Communicator};
 use qmc_core::pt::{run_pt_parallel, PtConfig, PtLadder};
@@ -299,9 +301,6 @@ impl fmt::Display for PackedPin {
 /// `(model, lanes, seed, thermalization, recorded sweeps)`.
 type PackedCase = (TfimModel, usize, u64, usize, usize, PackedPin);
 
-/// Recorded on commit 9114e64, where the only thing that fixed this
-/// trajectory was the packed checkpoint layout pin: this is that pin's
-/// run, through `PackedReplicas::run` instead of the checkpointed driver.
 #[rustfmt::skip]
 const PACKED: &[PackedCase] = &[
     (model(4, 4, 2.0, 1.0, 4), 5, 102, 20, 150, PackedPin { series: 0x1a4db38f5aafbf79, draws: 348160, accepted: 5980, proposed: 54400 }),
