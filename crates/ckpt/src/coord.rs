@@ -616,4 +616,169 @@ mod tests {
             assert_eq!(small, vec![2u8; 4], "dirty section from the delta");
         }
     }
+
+    // ---- byte identity with the flattened plan ----
+
+    /// The coordinated write as a single writer would do it: decide full
+    /// or delta from the store's own base, flatten every rank's plan
+    /// under `rank{r}/…` and hand it to `write_plan`. The oracle the
+    /// coordinated path must match file for file and byte for byte.
+    fn write_flattened(
+        store: &CkptStore,
+        generation: u64,
+        want_full: bool,
+        ranks: usize,
+        plan: impl Fn(usize, bool) -> Vec<(String, SectionPlan)>,
+    ) -> bool {
+        let delta = !want_full && store.delta_base().is_some_and(|b| b < generation);
+        let mut global = Vec::new();
+        for rank in 0..ranks {
+            for (name, p) in plan(rank, delta) {
+                global.push((format!("rank{rank}/{name}"), p));
+            }
+        }
+        store.write_plan(generation, global, delta).is_ok()
+    }
+
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Rank `rank`'s plan at `round` of sequence `seq`: `meta` always
+    /// dirty, three more sections dirty at random, payloads of random
+    /// length (a quarter of them empty). One round in four every section
+    /// of every rank is dirty, so a delta decision finds nothing clean.
+    fn random_plan(seq: u64, round: u64, rank: usize, delta: bool) -> Vec<(String, SectionPlan)> {
+        let round_draw = mix(mix(seq) ^ round);
+        let all_dirty = round_draw.is_multiple_of(4);
+        ["meta", "a", "b/c", "d"]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let h = mix(round_draw ^ ((rank as u64) << 8 | i as u64));
+                let dirty = i == 0 || all_dirty || !h.is_multiple_of(3);
+                let plan = if delta && !dirty {
+                    SectionPlan::Clean
+                } else {
+                    let len = match (h >> 8) % 4 {
+                        0 => 0,
+                        1 => (h >> 16) % 16,
+                        _ => (h >> 16) % 700,
+                    };
+                    SectionPlan::Payload((0..len).map(|j| (mix(h ^ j) >> 56) as u8).collect())
+                };
+                (name.to_string(), plan)
+            })
+            .collect()
+    }
+
+    /// Every entry of `dir`: name, and the bytes of a file (`None` for
+    /// a directory).
+    fn listing(dir: &Path) -> Vec<(String, Option<Vec<u8>>)> {
+        let mut out: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let bytes = e
+                    .file_type()
+                    .unwrap()
+                    .is_file()
+                    .then(|| std::fs::read(e.path()).unwrap());
+                (e.file_name().into_string().unwrap(), bytes)
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Randomised commit sequences on 1–4 ranks: full commits, deltas
+    /// with clean sections, deltas with nothing clean (a v1 image), empty
+    /// payloads, a write that fails and, in half the sequences, a resume
+    /// half-way. After every commit the coordinated store's directory
+    /// and `bytes_written()` equal those of the flattened plan written
+    /// through `write_plan` into a sibling directory.
+    #[test]
+    fn coordinated_commits_match_the_flattened_plan_byte_for_byte() {
+        // v2 deltas, v1 images of a delta decision, empty payloads,
+        // failed writes, resumes.
+        let mut seen = [0usize; 5];
+        for ranks in 1..=4 {
+            for seq in 0..6u64 {
+                let (dir, odir) = (scratch("ident"), scratch("ident-oracle"));
+                std::fs::create_dir_all(&odir).unwrap();
+                let seq = seq + 10 * ranks as u64;
+                let counts = run_threads(ranks, |comm| {
+                    let rank = comm.rank();
+                    let retain = 3 + (seq % 3) as usize;
+                    let fail_round = 1 + seq % (retain as u64 - 1);
+                    let resume_round = seq.is_multiple_of(2).then_some(8);
+                    let mut store = CkptStore::new(&dir, retain).unwrap();
+                    let mut oracle = CkptStore::new(&odir, retain).unwrap();
+                    let mut tally = [0usize; 5];
+                    for round in 0..14u64 {
+                        let generation = 2 * round + 2;
+                        if resume_round == Some(round) {
+                            store = CkptStore::new(&dir, retain).unwrap();
+                            let restored = restore_coordinated(comm, &store).map(|r| r.0);
+                            if rank == 0 {
+                                oracle = CkptStore::new(&odir, retain).unwrap();
+                                assert_eq!(restored, oracle.latest().map(|r| r.0));
+                                tally[4] += 1;
+                            }
+                        }
+                        let want_full = mix(seq ^ round.wrapping_mul(77)).is_multiple_of(3);
+                        let squat = (rank == 0 && round == fail_round).then(|| {
+                            let name = format!("slot-{}.qckpt", listing(&dir).len());
+                            for d in [&dir, &odir] {
+                                std::fs::create_dir(d.join(&name)).unwrap();
+                            }
+                            name
+                        });
+                        let (_, committed) =
+                            write_coordinated_sections(comm, &store, generation, want_full, |d| {
+                                random_plan(seq, round, rank, d)
+                            });
+                        if rank != 0 {
+                            continue;
+                        }
+                        let plan = |r, d| random_plan(seq, round, r, d);
+                        let delta =
+                            !want_full && oracle.delta_base().is_some_and(|b| b < generation);
+                        let plans: Vec<_> = (0..ranks).map(|r| plan(r, delta)).collect();
+                        let ok = write_flattened(&oracle, generation, want_full, ranks, plan);
+                        let ctx = format!("{ranks} ranks, sequence {seq}, round {round}");
+                        assert_eq!(committed, ok, "{ctx}");
+                        if let Some(name) = squat {
+                            assert!(!ok, "{ctx}: the squatted slot must fail the write");
+                            tally[3] += 1;
+                            for d in [&dir, &odir] {
+                                std::fs::remove_dir(d.join(&name)).unwrap();
+                            }
+                        }
+                        assert_eq!(listing(&dir), listing(&odir), "{ctx}");
+                        assert_eq!(store.bytes_written(), oracle.bytes_written(), "{ctx}");
+                        let sections = plans.iter().flatten();
+                        let clean = sections.clone().any(|(_, p)| *p == SectionPlan::Clean);
+                        tally[0] += usize::from(ok && delta && clean);
+                        tally[1] += usize::from(ok && delta && !clean);
+                        tally[2] += usize::from(
+                            ok && sections
+                                .clone()
+                                .any(|(_, p)| *p == SectionPlan::Payload(Vec::new())),
+                        );
+                    }
+                    tally
+                });
+                for (total, n) in seen.iter_mut().zip(counts[0]) {
+                    *total += n;
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+                let _ = std::fs::remove_dir_all(&odir);
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "coverage {seen:?}");
+    }
 }
