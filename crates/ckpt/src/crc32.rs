@@ -4,9 +4,12 @@
 //! workspace dependency graph) when the TCP frame transport started
 //! guarding its frames with the same checksum; this module re-exports it
 //! so every existing `crate::crc32::crc32` call site — and the public
-//! `qmc_ckpt::crc32` path — keeps working unchanged.
+//! `qmc_ckpt::crc32` path — keeps working unchanged. The image writers
+//! also continue a checksum ([`crc32_update`]) and join two
+//! ([`crc32_combine`]), so a payload's bytes are summed once.
 
 pub use qmc_comm::crc::crc32;
+pub(crate) use qmc_comm::crc::{crc32_combine, crc32_update};
 
 #[cfg(test)]
 mod tests {

@@ -26,9 +26,7 @@
 //! automatically forward-compatible with old full checkpoints.
 
 use crate::crc32::crc32;
-use crate::file::{
-    envelope_body, envelope_close, envelope_open, prefixed, CkptFile, ENVELOPE_LEN, SCHEMA,
-};
+use crate::file::{envelope_body, image, read_section, Body, CkptFile, Format, SCHEMA};
 use crate::wire::{CkptError, Decoder};
 
 /// Schema identifier for delta-capable checkpoint files.
@@ -79,58 +77,27 @@ impl RawCkpt {
     }
 
     /// [`RawCkpt::to_bytes`] with `room` around it (see
-    /// [`envelope_open`]), and per section in file order the CRC32 of the
-    /// payload it stands for — summed here, once, for a payload; the
-    /// reference's own for a base reference.
+    /// [`crate::file::image_open`]), and per section in file order the
+    /// CRC32 of the payload it stands for — summed here, once, for a
+    /// payload; the reference's own for a base reference.
     pub(crate) fn image(&self, room: [usize; 2]) -> (Vec<u8>, Vec<u32>) {
-        let body_len = prefixed(SCHEMA_V2.len())
-            + 1
-            + self.base.map_or(0, |_| 8)
-            + 8
-            + self
-                .sections
-                .iter()
-                .map(|(name, data)| {
-                    prefixed(name.len())
-                        + 1
-                        + match data {
-                            SectionData::Payload(p) => prefixed(p.len()) + 4,
-                            SectionData::BaseRef { .. } => 8,
-                        }
-                })
-                .sum::<usize>();
-        let mut enc = envelope_open(room, body_len);
-        enc.str(SCHEMA_V2);
-        match self.base {
-            None => enc.u8(0),
-            Some(g) => {
-                enc.u8(1);
-                enc.u64(g);
-            }
-        }
-        enc.u64(self.sections.len() as u64);
-        let mut crcs = Vec::with_capacity(self.sections.len());
-        for (name, data) in &self.sections {
-            enc.str(name);
-            crcs.push(match data {
-                SectionData::Payload(p) => {
-                    let crc = crc32(p);
-                    enc.u8(0);
-                    enc.bytes(p);
-                    enc.u32(crc);
-                    crc
-                }
-                SectionData::BaseRef { crc, len } => {
-                    enc.u8(1);
-                    enc.u32(*crc);
-                    enc.u32(*len);
-                    *crc
-                }
-            });
-        }
-        let image = envelope_close(enc, room);
-        debug_assert_eq!(image.len(), room[0] + ENVELOPE_LEN + body_len);
-        (image, crcs)
+        let crcs: Vec<u32> = self
+            .sections
+            .iter()
+            .map(|(_, data)| match data {
+                SectionData::Payload(p) => crc32(p),
+                SectionData::BaseRef { crc, .. } => *crc,
+            })
+            .collect();
+        let sections = self.sections.iter().zip(&crcs).map(|((name, data), &crc)| {
+            let body = match data {
+                SectionData::Payload(p) => Body::Payload(p, crc),
+                SectionData::BaseRef { len, .. } => Body::BaseRef(crc, *len),
+            };
+            (name.as_str(), body)
+        });
+        let format = Format::V2 { base: self.base };
+        (image(room, format, sections), crcs)
     }
 
     /// Parse and fully validate either schema: v1 files come back as
@@ -139,64 +106,39 @@ impl RawCkpt {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
         let mut dec = Decoder::new(envelope_body(bytes)?);
         let schema = dec.str()?;
-        if schema == SCHEMA {
-            let n = dec.u64()?;
-            let mut sections = Vec::new();
-            for _ in 0..n {
-                let name = dec.str()?;
-                let payload = dec.bytes()?.to_vec();
-                let crc = dec.u32()?;
-                if crc32(&payload) != crc {
-                    return Err(CkptError::BadCrc { section: name });
-                }
-                sections.push((name, SectionData::Payload(payload)));
-            }
-            dec.expect_empty()?;
-            return Ok(Self {
-                base: None,
-                sections,
-            });
-        }
-        if schema != SCHEMA_V2 {
+        let base = if schema == SCHEMA {
+            None
+        } else if schema != SCHEMA_V2 {
             return Err(CkptError::BadSchema { found: schema });
-        }
-        let base = match dec.u8()? {
-            0 => None,
-            1 => Some(dec.u64()?),
-            k => {
-                return Err(CkptError::corrupt(format!(
-                    "invalid checkpoint kind byte {k}"
-                )))
+        } else {
+            match dec.u8()? {
+                0 => None,
+                1 => Some(dec.u64()?),
+                k => {
+                    return Err(CkptError::corrupt(format!(
+                        "invalid checkpoint kind byte {k}"
+                    )))
+                }
             }
         };
         let n = dec.u64()?;
         let mut sections = Vec::new();
         for _ in 0..n {
-            let name = dec.str()?;
-            let data = match dec.u8()? {
-                0 => {
-                    let payload = dec.bytes()?.to_vec();
-                    let crc = dec.u32()?;
-                    if crc32(&payload) != crc {
+            let (name, body) = read_section(&mut dec, schema == SCHEMA_V2)?;
+            let data = match body {
+                Body::Payload(payload, crc) => {
+                    if crc32(payload) != crc {
                         return Err(CkptError::BadCrc { section: name });
                     }
-                    SectionData::Payload(payload)
+                    SectionData::Payload(payload.to_vec())
                 }
-                1 => {
+                Body::BaseRef(crc, len) => {
                     if base.is_none() {
                         return Err(CkptError::corrupt(format!(
                             "section {name:?} is a base reference in a full file"
                         )));
                     }
-                    SectionData::BaseRef {
-                        crc: dec.u32()?,
-                        len: dec.u32()?,
-                    }
-                }
-                t => {
-                    return Err(CkptError::corrupt(format!(
-                        "invalid section tag {t} in section {name:?}"
-                    )))
+                    SectionData::BaseRef { crc, len }
                 }
             };
             sections.push((name, data));

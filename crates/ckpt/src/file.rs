@@ -4,7 +4,8 @@
 //! or a section CRC and is rejected as a whole — readers then fall back
 //! to the previous generation (see [`crate::CkptStore`]).
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_combine, crc32_update};
+use crate::delta::SCHEMA_V2;
 use crate::wire::{CkptError, Decoder, Encoder};
 use crate::Checkpoint;
 
@@ -45,7 +46,7 @@ pub(crate) fn envelope_body(bytes: &[u8]) -> Result<&[u8], CkptError> {
     Ok(&bytes[MAGIC.len()..body_end])
 }
 
-/// Bytes [`envelope_open`] and [`envelope_close`] add around a body.
+/// Bytes the envelope (magic, trailer, whole-file CRC) adds around a body.
 pub(crate) const ENVELOPE_LEN: usize = MAGIC.len() + TRAILER.len() + 4;
 
 /// Wire size of a length-prefixed string or byte slice of `len` bytes.
@@ -53,28 +54,201 @@ pub(crate) const fn prefixed(len: usize) -> usize {
     8 + len
 }
 
-/// Open a file image of `body_len` body bytes in one exactly sized
-/// buffer with room around the image: `room[0]` zero bytes in front
-/// that are not part of it, and capacity for `room[1]` more after it
-/// (the store's slot header and end mark go there, so they and the image
-/// reach the file in one write without a second image-sized buffer).
-/// The magic is written; the caller encodes the body — the schema
-/// string onward — and hands the encoder to [`envelope_close`].
-pub(crate) fn envelope_open(room: [usize; 2], body_len: usize) -> Encoder {
-    let mut buf = Vec::with_capacity(room[0] + ENVELOPE_LEN + body_len + room[1]);
-    buf.resize(room[0], 0);
-    buf.extend_from_slice(MAGIC);
-    Encoder::appending_to(buf)
+/// v2 section tag: a payload and its CRC follow.
+pub(crate) const TAG_PAYLOAD: u8 = 0;
+/// v2 section tag: a reference to the base's payload follows.
+pub(crate) const TAG_BASE_REF: u8 = 1;
+
+/// The two image formats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Format {
+    /// `qmc-ckpt/v1`: untagged sections, every one a payload.
+    V1,
+    /// `qmc-ckpt/v2`: tagged sections; a delta names its base.
+    V2 {
+        /// The generation a delta is against (`None`: a full image).
+        base: Option<u64>,
+    },
 }
 
-/// Close an image opened with the same `room`: trailer + CRC of the
-/// image so far (the room in front is not summed).
-pub(crate) fn envelope_close(enc: Encoder, room: [usize; 2]) -> Vec<u8> {
+impl Format {
+    /// Whether sections carry a tag byte.
+    pub(crate) fn tagged(self) -> bool {
+        matches!(self, Format::V2 { .. })
+    }
+
+    /// Header bytes after the magic: schema string, a v2 image's kind
+    /// byte and base, the section count.
+    fn header_len(self) -> usize {
+        match self {
+            Format::V1 => prefixed(SCHEMA.len()) + 8,
+            Format::V2 { base } => prefixed(SCHEMA_V2.len()) + 1 + base.map_or(0, |_| 8) + 8,
+        }
+    }
+}
+
+/// What follows a section's name (and, in v2, its tag).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Body<'a> {
+    /// The section's bytes and their CRC-32.
+    Payload(&'a [u8], u32),
+    /// A v2 delta's reference to the base's payload: its CRC-32 and
+    /// length.
+    BaseRef(u32, u32),
+}
+
+impl Body<'_> {
+    /// Bytes [`frame_section`] appends for section `name`.
+    pub(crate) fn wire_len(&self, tagged: bool, name: &str) -> usize {
+        prefixed(name.len())
+            + usize::from(tagged)
+            + match self {
+                Body::Payload(p, _) => prefixed(p.len()) + 4,
+                Body::BaseRef(..) => 8,
+            }
+    }
+}
+
+/// Append section `name` to an image (or a fragment of one) in `enc`:
+/// the length-prefixed name, the tag when `tagged` (v2), then the
+/// length-prefixed payload and its CRC-32, or the base reference. `crc`
+/// is the CRC-32 of the bytes in front of the section; the result is
+/// that of the bytes up to its end. The framing bytes are summed here,
+/// the payload is not: its CRC, computed once by whoever owns the bytes,
+/// is folded in with [`crc32_combine`].
+///
+/// The one place in the crate that writes a section's framing
+/// (`scripts/check.sh` fails on a second).
+pub(crate) fn frame_section(
+    enc: &mut Encoder,
+    crc: u32,
+    tagged: bool,
+    name: &str,
+    body: Body<'_>,
+) -> u32 {
+    let start = enc.len();
+    enc.str(name);
+    match body {
+        Body::Payload(payload, payload_crc) => {
+            if tagged {
+                enc.u8(TAG_PAYLOAD);
+            }
+            enc.bytes(payload);
+            let framing = &enc.written()[start..enc.len() - payload.len()];
+            let crc = crc32_combine(
+                crc32_update(crc, framing),
+                payload_crc,
+                payload.len() as u64,
+            );
+            enc.u32(payload_crc);
+            crc32_update(crc, &payload_crc.to_le_bytes())
+        }
+        Body::BaseRef(base_crc, len) => {
+            assert!(
+                tagged,
+                "section {name:?}: a v1 image has no base references"
+            );
+            enc.u8(TAG_BASE_REF);
+            enc.u32(base_crc);
+            enc.u32(len);
+            crc32_update(crc, &enc.written()[start..])
+        }
+    }
+}
+
+/// Read back one section [`frame_section`] wrote, without checking the
+/// payload's CRC (callers that need the bytes check it; rank 0 placing
+/// other ranks' fragments does not read them).
+pub(crate) fn read_section<'a>(
+    dec: &mut Decoder<'a>,
+    tagged: bool,
+) -> Result<(String, Body<'a>), CkptError> {
+    let name = dec.str()?;
+    let tag = if tagged { dec.u8()? } else { TAG_PAYLOAD };
+    let body = match tag {
+        TAG_PAYLOAD => {
+            let payload = dec.bytes()?;
+            Body::Payload(payload, dec.u32()?)
+        }
+        TAG_BASE_REF => Body::BaseRef(dec.u32()?, dec.u32()?),
+        t => {
+            return Err(CkptError::corrupt(format!(
+                "invalid section tag {t} in section {name:?}"
+            )))
+        }
+    };
+    Ok((name, body))
+}
+
+/// Open an image of `format` holding `n_sections` sections whose framing
+/// takes `sections_len` bytes, in one exactly sized buffer with room
+/// around the image: `room[0]` zero bytes in front that are not part of
+/// it, and capacity for `room[1]` more after it (the store's slot header
+/// and end mark go there, so they and the image reach the file in one
+/// write without a second image-sized buffer). Writes the magic and the
+/// header; returns the encoder and the CRC-32 of the image so far.
+pub(crate) fn image_open(
+    room: [usize; 2],
+    format: Format,
+    n_sections: usize,
+    sections_len: usize,
+) -> (Encoder, u32) {
+    let len = ENVELOPE_LEN + format.header_len() + sections_len;
+    let mut buf = Vec::with_capacity(room[0] + len + room[1]);
+    buf.resize(room[0], 0);
+    buf.extend_from_slice(MAGIC);
+    let mut enc = Encoder::appending_to(buf);
+    match format {
+        Format::V1 => enc.str(SCHEMA),
+        Format::V2 { base } => {
+            enc.str(SCHEMA_V2);
+            // Kind byte: 0 = full, 1 = delta on the base that follows.
+            enc.u8(u8::from(base.is_some()));
+            if let Some(g) = base {
+                enc.u64(g);
+            }
+        }
+    }
+    enc.u64(n_sections as u64);
+    let crc = crc32(&enc.written()[room[0]..]);
+    (enc, crc)
+}
+
+/// Close an image opened with the same `room`: trailer + `crc`, the
+/// CRC-32 of the image so far (the room in front is not part of it).
+pub(crate) fn image_close(enc: Encoder, room: [usize; 2], crc: u32) -> Vec<u8> {
     let mut out = enc.into_bytes();
-    let file_crc = crc32(&out[room[0]..]);
+    debug_assert_eq!(
+        crc,
+        crc32(&out[room[0]..]),
+        "the image's CRC summed in parts is its CRC"
+    );
     out.extend_from_slice(TRAILER);
-    out.extend_from_slice(&file_crc.to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// A whole image of `format` with `room` around it: every section framed
+/// by [`frame_section`], each payload summed once (by the caller, for
+/// its CRC) and never again for the image's.
+pub(crate) fn image<'a, I>(room: [usize; 2], format: Format, sections: I) -> Vec<u8>
+where
+    I: Iterator<Item = (&'a str, Body<'a>)> + Clone,
+{
+    let tagged = format.tagged();
+    let (n, len) = sections.clone().fold((0, 0), |(n, len), (name, body)| {
+        (n + 1, len + body.wire_len(tagged, name))
+    });
+    let (mut enc, mut crc) = image_open(room, format, n, len);
+    for (name, body) in sections {
+        crc = frame_section(&mut enc, crc, tagged, name, body);
+    }
+    let image = image_close(enc, room, crc);
+    debug_assert_eq!(
+        image.len(),
+        room[0] + ENVELOPE_LEN + format.header_len() + len
+    );
+    image
 }
 
 /// An in-memory checkpoint file: an ordered list of named sections.
@@ -153,31 +327,17 @@ impl CkptFile {
     }
 
     /// [`CkptFile::to_bytes`] with `room` around it (see
-    /// [`envelope_open`]), and the CRC32 of every section in file order:
+    /// [`image_open`]), and the CRC32 of every section in file order:
     /// each payload is summed once, for the image and for whoever indexes
     /// the sections afterwards.
     pub(crate) fn image(&self, room: [usize; 2]) -> (Vec<u8>, Vec<u32>) {
-        let body_len = prefixed(SCHEMA.len())
-            + 8
-            + self
-                .sections
-                .iter()
-                .map(|(name, payload)| prefixed(name.len()) + prefixed(payload.len()) + 4)
-                .sum::<usize>();
-        let mut enc = envelope_open(room, body_len);
-        enc.str(SCHEMA);
-        enc.u64(self.sections.len() as u64);
-        let mut crcs = Vec::with_capacity(self.sections.len());
-        for (name, payload) in &self.sections {
-            let crc = crc32(payload);
-            enc.str(name);
-            enc.bytes(payload);
-            enc.u32(crc);
-            crcs.push(crc);
-        }
-        let image = envelope_close(enc, room);
-        debug_assert_eq!(image.len(), room[0] + ENVELOPE_LEN + body_len);
-        (image, crcs)
+        let crcs: Vec<u32> = self.sections.iter().map(|(_, p)| crc32(p)).collect();
+        let sections = self
+            .sections
+            .iter()
+            .zip(&crcs)
+            .map(|((name, p), &crc)| (name.as_str(), Body::Payload(p, crc)));
+        (image(room, Format::V1, sections), crcs)
     }
 
     /// Parse and fully validate a serialized file: magic, schema,
@@ -191,13 +351,14 @@ impl CkptFile {
         let n = dec.u64()?;
         let mut sections = Vec::new();
         for _ in 0..n {
-            let name = dec.str()?;
-            let payload = dec.bytes()?.to_vec();
-            let crc = dec.u32()?;
-            if crc32(&payload) != crc {
+            let (name, body) = read_section(&mut dec, false)?;
+            let Body::Payload(payload, crc) = body else {
+                unreachable!("an untagged section is a payload")
+            };
+            if crc32(payload) != crc {
                 return Err(CkptError::BadCrc { section: name });
             }
-            sections.push((name, payload));
+            sections.push((name, payload.to_vec()));
         }
         dec.expect_empty()?;
         Ok(Self { sections })

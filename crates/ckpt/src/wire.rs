@@ -93,6 +93,11 @@ impl Encoder {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub(crate) fn written(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
