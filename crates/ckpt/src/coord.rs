@@ -1,23 +1,42 @@
 //! Rank-0-coordinated checkpointing over any [`Communicator`].
 //!
-//! Each rank serializes its local state; rank 0 gathers all of it and
-//! writes a single atomic file. Two layouts exist: the legacy v1 one
-//! (one opaque `rank{r}` section holding each rank's whole serialized
-//! [`CkptFile`]; no longer written, still restored) and the sectioned one from
-//! [`write_coordinated_sections`] (flattened `rank{r}/{name}` sections,
-//! which is what lets a delta write reference an individual rank's
-//! unchanged section in the base generation). On restore, rank 0 loads
-//! the newest valid generation — validating that its rank coverage
-//! matches the *current* world size — and broadcasts the whole file;
-//! every rank then extracts its own sections from either layout.
-//! Because the gather/broadcast ride the existing deterministic
-//! collectives, a checkpoint round never perturbs the fixed-seed
-//! trajectory — it draws no random numbers and exchanges no user-tag
-//! messages.
+//! **A commit** ([`write_coordinated_sections`]) is two collectives, a
+//! gather and a broadcast. Every rank decides full-vs-delta by itself
+//! from what all ranks already know alike — the generation the last
+//! committed ack, or a resume, made the base, which its [`RankBase`]
+//! keeps — builds its section plan and frames it straight into a
+//! *fragment*: its sections as they will sit on disk, under `rank{r}/…`
+//! names, each payload's CRC-32 summed once by the rank that owns the
+//! bytes, and the fragment's own CRC-32 built from those. The gather
+//! brings the fragments to rank 0, which writes `slot header ‖ image
+//! header ‖ fragment₀ ‖ … ‖ fragment_{P−1} ‖ trailer` with one write,
+//! summing only the header and taking the image's CRC from the P
+//! fragment CRCs (`crc32_combine`); the broadcast then tells every rank
+//! whether the generation landed. Rank 0's share of a commit therefore
+//! does not grow with the bytes the P ranks write. The files are those
+//! [`CkptStore::write_plan`] writes for the same sections: a delta in
+//! which no rank has a clean section is a v1 full image, and one with any
+//! base reference frames every section tagged (rank 0 re-frames the
+//! fragments of ranks that had nothing clean).
+//!
+//! **Restore** reads two layouts: the sectioned one written here
+//! (flattened `rank{r}/{name}` sections, which is what lets a delta
+//! reference one rank's unchanged section in the base generation) and
+//! the legacy v1 one (one opaque `rank{r}` section holding each rank's
+//! whole serialized [`CkptFile`]; no longer written). Rank 0 loads the
+//! newest valid generation — validating that its rank coverage matches
+//! the *current* world size — and broadcasts the whole file; every rank
+//! then extracts its own sections from either layout.
+//!
+//! Because both ride the deterministic collectives, a checkpoint round
+//! never perturbs the fixed-seed trajectory — it draws no random numbers
+//! and exchanges no user-tag messages.
 
+use crate::crc32::crc32;
 use crate::delta::SectionPlan;
+use crate::file::{frame_section, Body, Fragment, SectionIndex};
 use crate::wire::{Decoder, Encoder};
-use crate::{CkptFile, CkptStore};
+use crate::{CkptError, CkptFile, CkptStore};
 use qmc_comm::Communicator;
 use std::path::PathBuf;
 
@@ -26,72 +45,98 @@ fn rank_section(rank: usize) -> String {
     format!("rank{rank}")
 }
 
-/// Gather every rank's *section plan* at rank 0 and write generation
-/// `generation` as a full snapshot or a delta against the store's
-/// cached base. Rank 0 decides (`delta` = not `want_full` and a base
-/// exists) and broadcasts the decision before `build` runs, so every
-/// rank serializes — or skips — the same sections; clean sections in a
-/// delta round are never serialized at all. The gathered plans are
-/// flattened into `rank{r}/{name}` global sections.
+/// What one rank knows of the store's delta base: the generation the
+/// last committed ack, or a resume, made it, and the CRC-32 and length
+/// of this rank's own sections in it — all a clean section's base
+/// reference needs. Every rank updates its copy from the same acks and
+/// the same restore, so every rank derives the same full-vs-delta
+/// decision without a message; rank 0's store refuses a delta on any
+/// other base.
+#[derive(Debug, Clone, Default)]
+pub struct RankBase {
+    base: Option<(u64, SectionIndex)>,
+}
+
+impl RankBase {
+    /// The base a coordinated restore leaves this rank with: the
+    /// generation it resumed (with its sections) or joined, or none.
+    pub fn restored(restore: &ElasticRestore) -> Self {
+        let base = match restore {
+            ElasticRestore::Fresh => None,
+            ElasticRestore::Joined(generation) => Some((*generation, Vec::new())),
+            ElasticRestore::Resumed(generation, file) => {
+                let index = file
+                    .sections()
+                    .map(|(name, p)| (name.to_string(), crc32(p), p.len() as u32))
+                    .collect();
+                Some((*generation, index))
+            }
+        };
+        Self { base }
+    }
+
+    /// Generation a delta would be written against.
+    pub fn generation(&self) -> Option<u64> {
+        self.base.as_ref().map(|(generation, _)| *generation)
+    }
+
+    /// CRC-32 and length of this rank's section `name` in the base.
+    fn section(&self, name: &str) -> Option<(u32, u32)> {
+        let (_, index) = self.base.as_ref()?;
+        index
+            .iter()
+            .find(|(n, ..)| n == name)
+            .map(|&(_, crc, len)| (crc, len))
+    }
+}
+
+/// How a rank framed its fragment (first byte of its footer).
+const UNTAGGED: u8 = 0;
+const TAGGED: u8 = 1;
+const REFUSED: u8 = 2;
+/// What follows a rank's fragment in its gather message: how it was
+/// framed (u8), the base its references are against (u64), its section
+/// count (u64) and its CRC-32 (u32).
+const FOOTER_LEN: usize = 1 + 8 + 8 + 4;
+
+/// Write generation `generation` from every rank's *section plan*, as a
+/// full snapshot or a delta against the base in `base` (see the module
+/// doc). Each rank decides `delta` = not `want_full` and its base is
+/// older than `generation`, and `build(delta)` plans its sections; clean
+/// sections in a delta round are never serialized at all.
 ///
 /// Returns `(path, committed)`: the written path on rank 0 (`None`
 /// elsewhere, and on a failed write, which is reported, not
-/// propagated), and a *rank-consistent* commit flag. Callers must gate
-/// `mark_clean` on `committed` — clearing dirty flags for a write that
-/// never landed would make the next delta reference state the base
-/// doesn't hold.
+/// propagated), and a *rank-consistent* commit flag, on which `base`
+/// moves to this generation. Callers must gate `mark_clean` on
+/// `committed` — clearing dirty flags for a write that never landed
+/// would make the next delta reference state the base doesn't hold.
 pub fn write_coordinated_sections<C: Communicator>(
     comm: &mut C,
     store: &CkptStore,
+    base: &mut RankBase,
     generation: u64,
     want_full: bool,
     build: impl FnOnce(bool) -> Vec<(String, SectionPlan)>,
 ) -> (Option<PathBuf>, bool) {
-    // Only rank 0 owns the store's base cache, so only it can decide
-    // full-vs-delta; the decision must reach every rank before any plan
-    // is built. The base must be strictly older than `generation`:
-    // resuming exactly at a checkpoint boundary would otherwise re-write
-    // this generation as a delta against itself.
-    let decision = if comm.rank() == 0 {
-        vec![u8::from(
-            !want_full && store.delta_base().is_some_and(|b| b < generation),
-        )]
-    } else {
-        Vec::new()
-    };
-    let decision = comm.broadcast_bytes(0, decision);
-    let delta = decision.first() == Some(&1);
-
-    let plan = build(delta);
-    let mut enc = Encoder::new();
-    enc.u64(plan.len() as u64);
-    for (name, p) in &plan {
-        enc.str(name);
-        match p {
-            SectionPlan::Payload(b) => {
-                enc.u8(0);
-                enc.bytes(b);
-            }
-            SectionPlan::Clean => enc.u8(1),
-        }
-    }
-    let local = enc.into_bytes();
-
-    let path = comm.gather_bytes(0, &local).and_then(|gathered| {
-        let mut global = Vec::new();
-        for (rank, payload) in gathered.into_iter().enumerate() {
-            if decode_plan(&payload, rank, &mut global).is_none() {
-                eprintln!(
-                    "warning: checkpoint generation {generation}: rank {rank} plan unreadable; \
-                     generation skipped"
-                );
-                return None;
-            }
-        }
+    let me = comm.rank();
+    // The base must be strictly older than `generation`: resuming
+    // exactly at a checkpoint boundary would otherwise re-write this
+    // generation as a delta against itself.
+    let delta_on = base.generation().filter(|&b| !want_full && b < generation);
+    let plan = build(delta_on.is_some());
+    let (message, index) = frame_plan(me, plan, delta_on, base).unwrap_or_else(|e| {
+        eprintln!("warning: rank {me}: checkpoint generation {generation}: {e}");
+        let mut refused = Encoder::new();
+        footer(&mut refused, REFUSED, 0, 0, 0);
+        (refused.into_bytes(), Vec::new())
+    });
+    let gathered = comm.gather_bytes(0, &message);
+    drop(message);
+    let path = gathered.and_then(|messages| {
         // Chain bounding is the caller's policy: every driver derives
         // `want_full` from its full-snapshot cadence before calling in.
-        // lint: allow(ckpt-unbounded-chain) — bounded by the caller's want_full
-        match store.write_plan(generation, global, delta) {
+        match place_fragments(store, generation, delta_on, &messages) {
             Ok(path) => Some(path),
             Err(e) => {
                 eprintln!(
@@ -102,33 +147,151 @@ pub fn write_coordinated_sections<C: Communicator>(
         }
     });
 
-    // Second broadcast: did the write land? All ranks must agree before
-    // any of them clears dirty flags.
-    let ack = if comm.rank() == 0 {
+    // Did the write land? All ranks must agree before any of them clears
+    // dirty flags or moves its base.
+    let ack = if me == 0 {
         vec![u8::from(path.is_some())]
     } else {
         Vec::new()
     };
-    let ack = comm.broadcast_bytes(0, ack);
-    (path, ack.first() == Some(&1))
+    let committed = comm.broadcast_bytes(0, ack).first() == Some(&1);
+    if committed {
+        base.base = Some((generation, index));
+    }
+    (path, committed)
 }
 
-/// Decode one rank's serialized section plan into `out` under
-/// `rank{rank}/…` names. `None` on any framing error.
-fn decode_plan(bytes: &[u8], rank: usize, out: &mut Vec<(String, SectionPlan)>) -> Option<()> {
+/// Append the footer of a gather message (see [`FOOTER_LEN`]).
+fn footer(enc: &mut Encoder, how: u8, base: u64, sections: u64, crc: u32) {
+    enc.u8(how);
+    enc.u64(base);
+    enc.u64(sections);
+    enc.u32(crc);
+}
+
+fn read_footer(bytes: &[u8]) -> Result<(u8, u64, u64, u32), CkptError> {
     let mut dec = Decoder::new(bytes);
-    let n = dec.u64().ok()?;
-    for _ in 0..n {
-        let name = dec.str().ok()?;
-        let plan = match dec.u8().ok()? {
-            0 => SectionPlan::Payload(dec.bytes().ok()?.to_vec()),
-            1 => SectionPlan::Clean,
-            _ => return None,
-        };
-        out.push((format!("rank{rank}/{name}"), plan));
+    Ok((dec.u8()?, dec.u64()?, dec.u64()?, dec.u32()?))
+}
+
+/// This rank's plan framed under `rank{me}/…` names: the gather message
+/// (fragment ‖ footer) and the index `base` becomes if the commit lands.
+/// The fragment is tagged when this rank references the base (`delta_on`
+/// is its generation), untagged otherwise. `Err` for a plan that cannot
+/// be written: a clean section in a full write, or one the base lacks.
+fn frame_plan(
+    me: usize,
+    plan: Vec<(String, SectionPlan)>,
+    delta_on: Option<u64>,
+    base: &RankBase,
+) -> Result<(Vec<u8>, SectionIndex), String> {
+    let bodies = plan
+        .iter()
+        .map(|(name, p)| match (p, delta_on) {
+            (SectionPlan::Payload(bytes), _) => Ok(Body::Payload(bytes, crc32(bytes))),
+            (SectionPlan::Clean, None) => Err(format!("clean section {name:?} in a full write")),
+            (SectionPlan::Clean, Some(g)) => match base.section(name) {
+                Some((crc, len)) => Ok(Body::BaseRef(crc, len)),
+                None => Err(format!(
+                    "clean section {name:?} has no counterpart in base generation {g}"
+                )),
+            },
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let tagged = bodies.iter().any(|b| matches!(b, Body::BaseRef(..)));
+    let names: Vec<String> = plan.iter().map(|(n, _)| format!("rank{me}/{n}")).collect();
+    let len: usize = names
+        .iter()
+        .zip(&bodies)
+        .map(|(name, body)| body.wire_len(tagged, name))
+        .sum();
+    let mut enc = Encoder::appending_to(Vec::with_capacity(len + FOOTER_LEN));
+    let mut crc = 0;
+    for (name, body) in names.iter().zip(&bodies) {
+        crc = frame_section(&mut enc, crc, tagged, name, *body);
     }
-    dec.expect_empty().ok()?;
-    Some(())
+    let how = if tagged { TAGGED } else { UNTAGGED };
+    footer(
+        &mut enc,
+        how,
+        delta_on.unwrap_or(0),
+        bodies.len() as u64,
+        crc,
+    );
+    let sums: Vec<(u32, u32)> = bodies.iter().map(Body::crc_len).collect();
+    let index = plan
+        .into_iter()
+        .zip(sums)
+        .map(|((name, _), (crc, len))| (name, crc, len))
+        .collect();
+    Ok((enc.into_bytes(), index))
+}
+
+/// Rank 0: place every rank's fragment in one image and commit it. A
+/// tagged fragment must reference the base this rank decided a delta on
+/// (`delta_on`): a rank that derived another decision is refused here,
+/// rank-consistently, instead of landing references to a base the file
+/// does not name.
+fn place_fragments(
+    store: &CkptStore,
+    generation: u64,
+    delta_on: Option<u64>,
+    messages: &[Vec<u8>],
+) -> Result<PathBuf, String> {
+    let mut parts = Vec::with_capacity(messages.len());
+    let mut tagged = false;
+    for (rank, msg) in messages.iter().enumerate() {
+        let unreadable = || format!("rank {rank}'s fragment is unreadable");
+        let split = msg.len().checked_sub(FOOTER_LEN).ok_or_else(unreadable)?;
+        let (bytes, footer) = msg.split_at(split);
+        let (how, on, sections, crc) = read_footer(footer).map_err(|_| unreadable())?;
+        match how {
+            UNTAGGED => {}
+            TAGGED if delta_on == Some(on) => tagged = true,
+            TAGGED => {
+                return Err(format!(
+                    "rank {rank} framed a delta on generation {on}, rank 0 {}",
+                    delta_on.map_or("a full image".to_string(), |g| format!("a delta on {g}"))
+                ))
+            }
+            REFUSED => return Err(format!("rank {rank} could not frame its sections")),
+            _ => return Err(unreadable()),
+        }
+        parts.push((
+            how,
+            Fragment {
+                bytes,
+                sections,
+                crc,
+            },
+        ));
+    }
+    // A base reference anywhere makes a v2 image, in which every section
+    // is tagged; without one a delta is a v1 image, as `write_delta`'s.
+    let retagged = parts
+        .iter()
+        .map(|(how, part)| {
+            (tagged && *how == UNTAGGED)
+                .then(|| part.tagged_copy())
+                .transpose()
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    let fragments: Vec<Fragment<'_>> = parts
+        .iter()
+        .zip(&retagged)
+        .map(|((_, part), copy)| match copy {
+            Some((bytes, crc)) => Fragment {
+                bytes,
+                crc: *crc,
+                ..*part
+            },
+            None => *part,
+        })
+        .collect();
+    store
+        .write_fragments(generation, delta_on.filter(|_| tagged), &fragments)
+        .map_err(|e| e.to_string())
 }
 
 /// Number of ranks a coordinated file covers, from its section names
@@ -536,7 +699,8 @@ mod tests {
             run_threads(3, move |comm| {
                 let store = CkptStore::new(&dir, 2).unwrap();
                 let me = comm.rank() as u8;
-                write_coordinated_sections(comm, &store, 5, true, move |_| {
+                let base = &mut RankBase::default();
+                write_coordinated_sections(comm, &store, base, 5, true, move |_| {
                     vec![("payload".to_string(), SectionPlan::Payload(vec![me; 4]))]
                 });
             });
@@ -596,8 +760,11 @@ mod tests {
                     ]
                 }
             };
-            let (_, committed_full) = write_coordinated_sections(comm, &store, 1, true, build(1));
-            let (_, committed_delta) = write_coordinated_sections(comm, &store, 2, false, build(2));
+            let mut base = RankBase::default();
+            let (_, committed_full) =
+                write_coordinated_sections(comm, &store, &mut base, 1, true, build(1));
+            let (_, committed_delta) =
+                write_coordinated_sections(comm, &store, &mut base, 2, false, build(2));
             comm.barrier();
             let (g, mine) = restore_coordinated(comm, &store).expect("checkpoint exists");
             (
@@ -619,10 +786,11 @@ mod tests {
 
     // ---- byte identity with the flattened plan ----
 
-    /// The coordinated write as a single writer would do it: decide full
-    /// or delta from the store's own base, flatten every rank's plan
-    /// under `rank{r}/…` and hand it to `write_plan`. The oracle the
-    /// coordinated path must match file for file and byte for byte.
+    /// The coordinated write as it was before ranks framed their own
+    /// sections: rank 0 decides full or delta from its store's base,
+    /// flattens every rank's plan under `rank{r}/…` and hands it to
+    /// `write_plan`. The oracle the coordinated path must match file for
+    /// file and byte for byte.
     fn write_flattened(
         store: &CkptStore,
         generation: u64,
@@ -716,16 +884,19 @@ mod tests {
                     let fail_round = 1 + seq % (retain as u64 - 1);
                     let resume_round = seq.is_multiple_of(2).then_some(8);
                     let mut store = CkptStore::new(&dir, retain).unwrap();
+                    let mut base = RankBase::default();
                     let mut oracle = CkptStore::new(&odir, retain).unwrap();
                     let mut tally = [0usize; 5];
                     for round in 0..14u64 {
                         let generation = 2 * round + 2;
                         if resume_round == Some(round) {
                             store = CkptStore::new(&dir, retain).unwrap();
-                            let restored = restore_coordinated(comm, &store).map(|r| r.0);
+                            let restored = restore_coordinated_remapped(comm, &store, |_| None);
+                            base = RankBase::restored(&restored);
                             if rank == 0 {
                                 oracle = CkptStore::new(&odir, retain).unwrap();
-                                assert_eq!(restored, oracle.latest().map(|r| r.0));
+                                let newest = oracle.latest().map(|r| r.0);
+                                assert_eq!(base.generation(), newest);
                                 tally[4] += 1;
                             }
                         }
@@ -737,10 +908,10 @@ mod tests {
                             }
                             name
                         });
-                        let (_, committed) =
-                            write_coordinated_sections(comm, &store, generation, want_full, |d| {
-                                random_plan(seq, round, rank, d)
-                            });
+                        let plan = |d| random_plan(seq, round, rank, d);
+                        let (_, committed) = write_coordinated_sections(
+                            comm, &store, &mut base, generation, want_full, plan,
+                        );
                         if rank != 0 {
                             continue;
                         }

@@ -98,6 +98,14 @@ pub(crate) enum Body<'a> {
 }
 
 impl Body<'_> {
+    /// CRC-32 and length of the payload the section stands for.
+    pub(crate) fn crc_len(&self) -> (u32, u32) {
+        match *self {
+            Body::Payload(p, crc) => (crc, p.len() as u32),
+            Body::BaseRef(crc, len) => (crc, len),
+        }
+    }
+
     /// Bytes [`frame_section`] appends for section `name`.
     pub(crate) fn wire_len(&self, tagged: bool, name: &str) -> usize {
         prefixed(name.len())
@@ -249,6 +257,68 @@ where
         room[0] + ENVELOPE_LEN + format.header_len() + len
     );
     image
+}
+
+/// Name, CRC-32 and length of each section of a generation, in file
+/// order: what a delta's base references are resolved against.
+pub(crate) type SectionIndex = Vec<(String, u32, u32)>;
+
+/// Consecutive sections of an image, framed by [`frame_section`] on the
+/// rank that owns their bytes: the framed bytes, how many sections they
+/// hold, and their CRC-32.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fragment<'a> {
+    pub(crate) bytes: &'a [u8],
+    pub(crate) sections: u64,
+    pub(crate) crc: u32,
+}
+
+impl Fragment<'_> {
+    /// Name, CRC-32 and length of every section, from the framing alone
+    /// (no payload is summed); an error unless the bytes are exactly
+    /// `sections` sections.
+    pub(crate) fn index(&self, tagged: bool) -> Result<SectionIndex, CkptError> {
+        let mut dec = Decoder::new(self.bytes);
+        let index = (0..self.sections)
+            .map(|_| {
+                let (name, body) = read_section(&mut dec, tagged)?;
+                let (crc, len) = body.crc_len();
+                Ok((name, crc, len))
+            })
+            .collect::<Result<_, CkptError>>()?;
+        dec.expect_empty()?;
+        Ok(index)
+    }
+
+    /// The untagged (v1) sections re-framed tagged, for a v2 image, and
+    /// their CRC-32. Each payload's CRC is the one framed with it.
+    pub(crate) fn tagged_copy(&self) -> Result<(Vec<u8>, u32), CkptError> {
+        let mut dec = Decoder::new(self.bytes);
+        let mut enc = Encoder::appending_to(Vec::with_capacity(
+            self.bytes.len() + self.sections as usize,
+        ));
+        let mut crc = 0;
+        for _ in 0..self.sections {
+            let (name, body) = read_section(&mut dec, false)?;
+            crc = frame_section(&mut enc, crc, true, &name, body);
+        }
+        dec.expect_empty()?;
+        Ok((enc.into_bytes(), crc))
+    }
+}
+
+/// An image of `format` holding `parts` in order between its header and
+/// its trailer, with `room` around it. The parts are copied, not read:
+/// the image's CRC-32 is built from theirs.
+pub(crate) fn fragments_image(room: [usize; 2], format: Format, parts: &[Fragment<'_>]) -> Vec<u8> {
+    let n = parts.iter().map(|p| p.sections as usize).sum();
+    let len = parts.iter().map(|p| p.bytes.len()).sum();
+    let (mut enc, mut crc) = image_open(room, format, n, len);
+    for part in parts {
+        enc.raw(part.bytes);
+        crc = crc32_combine(crc, part.crc, part.bytes.len() as u64);
+    }
+    image_close(enc, room, crc)
 }
 
 /// An in-memory checkpoint file: an ordered list of named sections.

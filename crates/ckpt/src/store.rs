@@ -53,7 +53,7 @@
 
 use crate::crc32::crc32;
 use crate::delta::{peek_base, RawCkpt, SectionData, SectionPlan};
-use crate::file::CkptFile;
+use crate::file::{fragments_image, CkptFile, Format, Fragment, SectionIndex};
 use crate::wire::CkptError;
 use std::cmp::Reverse;
 use std::fs;
@@ -300,8 +300,8 @@ fn payloads_file(plan: Vec<(String, SectionPlan)>) -> std::io::Result<CkptFile> 
 /// generation: what a delta write's base references resolve against.
 struct BaseCache {
     generation: u64,
-    /// `(name, crc32, len)` per section of the materialized generation.
-    index: Vec<(String, u32, u32)>,
+    /// Every section of the materialized generation.
+    index: SectionIndex,
 }
 
 /// What the one writer of a directory remembers between commits.
@@ -417,7 +417,7 @@ impl CkptStore {
         generation: u64,
         base: Option<u64>,
         mut buf: Vec<u8>,
-        index: Vec<(String, u32, u32)>,
+        index: SectionIndex,
     ) -> std::io::Result<PathBuf> {
         let table = writer.table.get_or_insert_with(|| scan(&self.dir));
         let seq = table.entries.iter().map(|e| e.seq).max().unwrap_or(0) + 1;
@@ -598,6 +598,42 @@ impl CkptStore {
         } else {
             self.write(generation, &payloads_file(plan)?)
         }
+    }
+
+    /// Write a generation whose sections arrive framed by the ranks that
+    /// own them ([`crate::coord`]): `parts` in order between the image
+    /// header and its trailer, as a v2 delta on `base` — which must be
+    /// the cached base, older than `generation` — or, with `base` `None`,
+    /// as a v1 full image. Nothing in `parts` is summed again: the
+    /// image's CRC comes from theirs, the delta-base index from their
+    /// framing. Slot, retain rule, delta base, [`CkptStore::bytes_written`]
+    /// and `ckpt.write_bytes` come out as from [`CkptStore::write_plan`]
+    /// with the same sections.
+    pub(crate) fn write_fragments(
+        &self,
+        generation: u64,
+        base: Option<u64>,
+        parts: &[Fragment<'_>],
+    ) -> std::io::Result<PathBuf> {
+        let mut writer = self.writer();
+        if let Some(b) = base {
+            let cached = writer.base.as_ref().map(|c| c.generation);
+            if cached != Some(b) || b >= generation {
+                return Err(std::io::Error::other(format!(
+                    "delta generation {generation} on base {b}, but the store's base is {cached:?}"
+                )));
+            }
+        }
+        let format = match base {
+            Some(_) => Format::V2 { base },
+            None => Format::V1,
+        };
+        let mut index = Vec::new();
+        for part in parts {
+            index.extend(part.index(format.tagged()).map_err(std::io::Error::other)?);
+        }
+        let buf = fragments_image(SLOT_ROOM, format, parts);
+        self.commit(&mut writer, generation, base, buf, index)
     }
 
     /// The generations the directory holds by the retain rule, sorted

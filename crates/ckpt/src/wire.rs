@@ -108,6 +108,11 @@ impl Encoder {
         self.buf.is_empty()
     }
 
+    /// Append bytes that are already encoded.
+    pub(crate) fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Write a raw byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

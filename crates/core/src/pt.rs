@@ -334,10 +334,12 @@ pub struct PtCheckpointing<'a> {
 /// messages, so every random draw on every rank is independent of `ck`.
 /// Checkpoints are written *before* the sweep whose index they carry, so
 /// resuming generation `g` replays sweeps `g..` on the same trajectory.
-/// Cadence, full-vs-delta, the `meta` header and the layout switch come
-/// from the helpers the serial loop [`qmc_ckpt::drive`] is built from;
-/// only the collective drain verdict and the rank-0-coordinated write are
-/// this loop's own. `on_sweep` runs after the checkpoint write at the top
+/// The cadence and its full-snapshot rule, the `meta` header and the
+/// layout switch come from the helpers the serial loop
+/// [`qmc_ckpt::drive`] is built from; only the collective drain verdict
+/// and the coordinated write — each rank framing its own sections, the
+/// delta decision derived on every rank from its
+/// [`qmc_ckpt::coord::RankBase`] — are this loop's own. `on_sweep` runs after the checkpoint write at the top
 /// of every iteration: it is the injection point for
 /// [`qmc_comm::FaultyComm::tick_sweep`]-style rank kills.
 ///
@@ -399,9 +401,12 @@ where
         (ck, cadence)
     });
 
+    // What every rank knows of the store's delta base; the commits and
+    // the resume below move it alike on every rank.
+    let mut base = qmc_ckpt::coord::RankBase::default();
     if let Some((ck, _)) = ck {
         if ck.resume {
-            use qmc_ckpt::coord::ElasticRestore;
+            use qmc_ckpt::coord::{ElasticRestore, RankBase};
             // A checkpoint from another world size degrades to a fresh
             // start on every rank — unless it is from the declared
             // pre-resize ladder, which is remapped by β (bit equality).
@@ -411,6 +416,7 @@ where
                     let same = |b: &f64| old.iter().position(|ob| ob.to_bits() == b.to_bits());
                     Some(betas.iter().map(same).collect())
                 });
+            base = RankBase::restored(&restored);
             match restored {
                 ElasticRestore::Fresh => {}
                 ElasticRestore::Joined(generation) => {
@@ -540,6 +546,7 @@ where
                 let (_, committed) = qmc_ckpt::coord::write_coordinated_sections(
                     comm,
                     ck.store,
+                    &mut base,
                     s as u64,
                     want_full,
                     |delta| {

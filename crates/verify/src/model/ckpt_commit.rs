@@ -4,16 +4,17 @@
 //!
 //! Protocol per round (generation `g = round + 1`):
 //!
-//! 1. Rank 0 decides full vs delta (`delta = !want_full && a base
-//!    generation is committed`) and broadcasts the decision.
-//! 2. Every rank receives the decision and sends its section plan
-//!    (tagged with the delta flag it believes applies) to rank 0.
-//! 3. Rank 0 gathers all plans, persists the archive (which may
+//! 1. Every rank derives full vs delta by itself (`delta on b` when not
+//!    `want_full` and its base `b` is set; full otherwise) and frames its
+//!    section plan; ranks other than 0 send it to rank 0. No message
+//!    carries the decision.
+//! 2. Rank 0 gathers all plans, persists the archive (which may
 //!    *fail*), then broadcasts the commit ack carrying the outcome.
-//! 4. Each rank marks its dirty tracking clean and advances its
-//!    latest-generation belief **only if the ack says the write
-//!    committed** — this is the gate the real callers implement with
-//!    `if committed { state.mark_clean() }`.
+//! 3. Each rank marks its dirty tracking clean, advances its
+//!    latest-generation belief and moves its delta base to `g` **only
+//!    if the ack says the write committed** — the gate the real callers
+//!    implement with `if committed { state.mark_clean() }`, and the one
+//!    `RankBase` applies inside the writer.
 //!
 //! Faults: any rank may crash at any action boundary; a blocked rank
 //! whose awaited peer is dead (and the channel drained) aborts —
@@ -27,23 +28,21 @@
 //!   generation (one-directional: staying dirty after a successful
 //!   commit is safe; marking clean after a failed one is a lost
 //!   update at restore time).
-//! * **decision agreement**: every section plan in flight carries
-//!   exactly the delta decision rank 0 broadcast for that round — a
-//!   rank substituting its own guess would make rank 0 assemble a
-//!   delta archive on a full base or vice versa.
+//! * **decision agreement**: every rank derives the same decision for a
+//!   round — full, or a delta on the same base. With no broadcast
+//!   behind it, that holds only because every rank moved its base on
+//!   the same acks; a rank that frames references to another base than
+//!   rank 0's would have rank 0 assemble an archive the store refuses.
 //! * **generation agreement**: ranks that complete the protocol agree
 //!   on the latest committed generation.
 //!
 //! Seeded mutations: [`CkptMutation::SkipAckGate`] marks clean
-//! regardless of the ack outcome; [`CkptMutation::LocalDecision`] has
-//! ranks guess the delta decision locally instead of using the
-//! broadcast value.
+//! regardless of the ack outcome; [`CkptMutation::BaseOnFailedAck`] has
+//! the ranks other than 0 move their delta base on any ack.
 
 use crate::checker::WaitEdge;
 use crate::explore::Model;
 
-/// Tag used in rendered wait-for edges for the decision broadcast.
-pub const TAG_DECIDE: u32 = 0x10;
 /// Tag used in rendered wait-for edges for the plan gather.
 pub const TAG_PLAN: u32 = 0x11;
 /// Tag used in rendered wait-for edges for the commit-ack broadcast.
@@ -55,9 +54,10 @@ pub enum CkptMutation {
     /// Mark clean / advance latest regardless of the commit-ack
     /// outcome (drops the `if committed` gate).
     SkipAckGate,
-    /// Ranks use a local guess ("delta whenever this is not the first
-    /// round") instead of the broadcast decision.
-    LocalDecision,
+    /// Ranks other than 0 move their delta base to the round's
+    /// generation on any ack, committed or not (they take the ack's
+    /// arrival for its verdict; rank 0 saw the write fail first-hand).
+    BaseOnFailedAck,
 }
 
 /// The coordinated checkpoint-commit protocol model.
@@ -99,17 +99,10 @@ impl CkptCommitModel {
 /// In-flight protocol message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Msg {
-    /// Rank 0's full-vs-delta decision.
-    Decide {
-        /// True for a delta archive on the committed base.
-        delta: bool,
-    },
     /// A rank's section plan for the round.
     Plan {
         /// Round the plan belongs to.
         round: u8,
-        /// The delta flag the sender believes applies.
-        delta: bool,
     },
     /// Commit acknowledgement.
     Ack {
@@ -121,8 +114,9 @@ pub enum Msg {
 /// Per-rank protocol phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Rank 0: about to decide full vs delta.
-    Decide,
+    /// About to derive the round's decision and frame (rank > 0: send)
+    /// the section plan.
+    Plan,
     /// Rank 0: gathering section plans.
     WaitPlans,
     /// Rank 0: persisting the archive.
@@ -132,8 +126,6 @@ pub enum Phase {
         /// Outcome of the persist.
         ok: bool,
     },
-    /// Rank > 0: awaiting the decision broadcast.
-    WaitDecide,
     /// Rank > 0: awaiting the commit ack.
     WaitAck,
     /// All rounds completed.
@@ -157,11 +149,14 @@ pub struct CkptState {
     round: Vec<u8>,
     dirty: Vec<bool>,
     latest: Vec<Option<u8>>,
+    /// Per rank: the generation its deltas are framed against.
+    base: Vec<Option<u8>>,
     /// Generations present in the (crash-surviving) store, sorted.
     committed: Vec<u8>,
-    /// Rank 0's broadcast decision per round (model bookkeeping for
-    /// the decision-agreement invariant).
-    decision: Vec<Option<bool>>,
+    /// Per round and rank (`round * ranks + rank`): the decision the
+    /// rank derived — `Some(None)` full, `Some(Some(b))` delta on `b` —
+    /// kept for the decision-agreement invariant.
+    decided: Vec<Option<Option<u8>>>,
     /// Rank 0: which ranks' plans arrived this round.
     plan_got: Vec<bool>,
     /// In-flight messages, FIFO per (src, dst) channel.
@@ -189,12 +184,15 @@ impl CkptState {
 /// One scheduler choice in the checkpoint-commit protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CkptAction {
-    /// Rank 0 decides and broadcasts full vs delta.
-    Decide {
-        /// Round being decided.
+    /// Rank `rank` derives its decision for `round` and frames its plan
+    /// (rank > 0: and sends it to rank 0).
+    Plan {
+        /// Planning rank.
+        rank: u8,
+        /// Round being planned.
         round: u8,
-        /// The decision taken.
-        delta: bool,
+        /// The decision derived: `None` full, `Some(b)` delta on `b`.
+        delta_on: Option<u8>,
     },
     /// Rank 0 receives the section plan from `src`.
     RecvPlan {
@@ -216,11 +214,6 @@ pub enum CkptAction {
         /// Outcome carried by the ack.
         ok: bool,
     },
-    /// Rank `rank` receives the decision and sends its plan.
-    RecvDecide {
-        /// Receiving rank.
-        rank: u8,
-    },
     /// Rank `rank` receives the commit ack and applies the gate.
     RecvAck {
         /// Receiving rank.
@@ -241,11 +234,10 @@ pub enum CkptAction {
 impl CkptAction {
     fn rank(&self) -> u8 {
         match self {
-            CkptAction::Decide { .. }
-            | CkptAction::RecvPlan { .. }
+            CkptAction::RecvPlan { .. }
             | CkptAction::Write { .. }
             | CkptAction::SendAcks { .. } => 0,
-            CkptAction::RecvDecide { rank }
+            CkptAction::Plan { rank, .. }
             | CkptAction::RecvAck { rank }
             | CkptAction::Crash { rank }
             | CkptAction::Abort { rank } => *rank,
@@ -256,15 +248,14 @@ impl CkptAction {
     /// dependence relation.
     fn channels(&self, n: u8) -> Vec<(u8, u8)> {
         match self {
-            CkptAction::Decide { .. } | CkptAction::SendAcks { .. } => {
-                (1..n).map(|r| (0, r)).collect()
-            }
+            CkptAction::SendAcks { .. } => (1..n).map(|r| (0, r)).collect(),
+            CkptAction::Plan { rank, .. } if *rank > 0 => vec![(*rank, 0)],
             CkptAction::RecvPlan { src } => vec![(*src, 0)],
-            CkptAction::RecvDecide { rank } => vec![(0, *rank), (*rank, 0)],
             CkptAction::RecvAck { rank } => vec![(0, *rank)],
-            CkptAction::Write { .. } | CkptAction::Crash { .. } | CkptAction::Abort { .. } => {
-                Vec::new()
-            }
+            CkptAction::Plan { .. }
+            | CkptAction::Write { .. }
+            | CkptAction::Crash { .. }
+            | CkptAction::Abort { .. } => Vec::new(),
         }
     }
 
@@ -283,6 +274,25 @@ impl CkptCommitModel {
     fn dead(phase: Phase) -> bool {
         matches!(phase, Phase::Crashed | Phase::Aborted)
     }
+
+    /// Apply the ack of `round` to rank `r`: the `if committed` gate on
+    /// dirty flags and belief, and on the delta base.
+    fn take_ack(&self, t: &mut CkptState, r: usize, round: u8, ok: bool) {
+        let g = Self::gen_of(round);
+        if ok || self.mutation == Some(CkptMutation::SkipAckGate) {
+            t.dirty[r] = false;
+            t.latest[r] = Some(g);
+        }
+        if ok || (r > 0 && self.mutation == Some(CkptMutation::BaseOnFailedAck)) {
+            t.base[r] = Some(g);
+        }
+        t.round[r] = round + 1;
+        t.phase[r] = if round + 1 == self.rounds {
+            Phase::Done
+        } else {
+            Phase::Plan
+        };
+    }
 }
 
 impl Model for CkptCommitModel {
@@ -292,20 +302,13 @@ impl Model for CkptCommitModel {
     fn init(&self) -> CkptState {
         let n = self.ranks;
         CkptState {
-            phase: (0..n)
-                .map(|r| {
-                    if r == 0 {
-                        Phase::Decide
-                    } else {
-                        Phase::WaitDecide
-                    }
-                })
-                .collect(),
+            phase: vec![Phase::Plan; n],
             round: vec![0; n],
             dirty: vec![true; n],
             latest: vec![None; n],
+            base: vec![None; n],
             committed: Vec::new(),
-            decision: vec![None; self.rounds as usize],
+            decided: vec![None; self.rounds as usize * n],
             plan_got: vec![false; n],
             msgs: Vec::new(),
         }
@@ -314,55 +317,48 @@ impl Model for CkptCommitModel {
     fn actions(&self, s: &CkptState) -> Vec<CkptAction> {
         let n = self.ranks as u8;
         let mut acts = Vec::new();
-        // Rank 0.
-        match s.phase[0] {
-            Phase::Decide => {
-                let k = s.round[0];
-                let delta = !self.want_full(k) && !s.committed.is_empty();
-                acts.push(CkptAction::Decide { round: k, delta });
-            }
-            Phase::WaitPlans => {
-                let mut peer_dead = false;
-                for r in 1..n {
-                    if s.plan_got[r as usize] {
-                        continue;
+        for r in 0..n {
+            let ri = r as usize;
+            match s.phase[ri] {
+                Phase::Plan => {
+                    let round = s.round[ri];
+                    let delta_on = s.base[ri].filter(|_| !self.want_full(round));
+                    acts.push(CkptAction::Plan {
+                        rank: r,
+                        round,
+                        delta_on,
+                    });
+                }
+                Phase::WaitPlans => {
+                    let mut peer_dead = false;
+                    for p in 1..n {
+                        if s.plan_got[p as usize] {
+                            continue;
+                        }
+                        if s.head(p, 0).is_some() {
+                            acts.push(CkptAction::RecvPlan { src: p });
+                        } else if Self::dead(s.phase[p as usize]) {
+                            peer_dead = true;
+                        }
                     }
-                    if s.head(r, 0).is_some() {
-                        acts.push(CkptAction::RecvPlan { src: r });
-                    } else if Self::dead(s.phase[r as usize]) {
-                        peer_dead = true;
+                    if peer_dead {
+                        acts.push(CkptAction::Abort { rank: 0 });
                     }
                 }
-                if peer_dead {
-                    acts.push(CkptAction::Abort { rank: 0 });
+                Phase::Persist => {
+                    let round = s.round[0];
+                    acts.push(CkptAction::Write { round, ok: true });
+                    acts.push(CkptAction::Write { round, ok: false });
                 }
-            }
-            Phase::Persist => {
-                let k = s.round[0];
-                acts.push(CkptAction::Write { round: k, ok: true });
-                acts.push(CkptAction::Write {
-                    round: k,
-                    ok: false,
-                });
-            }
-            Phase::Commit { ok } => {
-                acts.push(CkptAction::SendAcks {
-                    round: s.round[0],
-                    ok,
-                });
-            }
-            _ => {}
-        }
-        // Ranks > 0.
-        for r in 1..n {
-            match s.phase[r as usize] {
-                Phase::WaitDecide | Phase::WaitAck => {
+                Phase::Commit { ok } => {
+                    acts.push(CkptAction::SendAcks {
+                        round: s.round[0],
+                        ok,
+                    });
+                }
+                Phase::WaitAck => {
                     if s.head(0, r).is_some() {
-                        acts.push(if s.phase[r as usize] == Phase::WaitDecide {
-                            CkptAction::RecvDecide { rank: r }
-                        } else {
-                            CkptAction::RecvAck { rank: r }
-                        });
+                        acts.push(CkptAction::RecvAck { rank: r });
                     } else if Self::dead(s.phase[0]) {
                         acts.push(CkptAction::Abort { rank: r });
                     }
@@ -383,20 +379,27 @@ impl Model for CkptCommitModel {
         let n = self.ranks as u8;
         let mut t = s.clone();
         match *a {
-            CkptAction::Decide { round, delta } => {
-                t.decision[round as usize] = Some(delta);
+            CkptAction::Plan {
+                rank,
+                round,
+                delta_on,
+            } => {
+                let ri = rank as usize;
+                t.decided[round as usize * self.ranks + ri] = Some(delta_on);
                 // New sweeps ran since the last checkpoint.
-                t.dirty[0] = true;
-                for r in 1..n {
-                    t.msgs.push((0, r, Msg::Decide { delta }));
-                }
-                t.plan_got = vec![false; self.ranks];
-                t.plan_got[0] = true; // rank 0's own plan
-                t.phase[0] = if n == 1 {
-                    Phase::Persist
+                t.dirty[ri] = true;
+                if rank == 0 {
+                    t.plan_got = vec![false; self.ranks];
+                    t.plan_got[0] = true;
+                    t.phase[0] = if n == 1 {
+                        Phase::Persist
+                    } else {
+                        Phase::WaitPlans
+                    };
                 } else {
-                    Phase::WaitPlans
-                };
+                    t.msgs.push((rank, 0, Msg::Plan { round }));
+                    t.phase[ri] = Phase::WaitAck;
+                }
             }
             CkptAction::RecvPlan { src } => {
                 let m = t.pop(src, 0);
@@ -417,54 +420,16 @@ impl Model for CkptCommitModel {
                 for r in 1..n {
                     t.msgs.push((0, r, Msg::Ack { ok }));
                 }
-                if ok || self.mutation == Some(CkptMutation::SkipAckGate) {
-                    t.dirty[0] = false;
-                    t.latest[0] = Some(Self::gen_of(round));
-                }
-                t.round[0] = round + 1;
-                t.phase[0] = if t.round[0] == self.rounds {
-                    Phase::Done
-                } else {
-                    Phase::Decide
-                };
-            }
-            CkptAction::RecvDecide { rank } => {
-                let Msg::Decide { delta } = t.pop(0, rank) else {
-                    // FIFO heads always match the phase under this
-                    // protocol; a mismatch means the model drifted.
-                    panic!("rank {rank} expected Decide at head");
-                };
-                t.dirty[rank as usize] = true;
-                let sent = if self.mutation == Some(CkptMutation::LocalDecision) {
-                    t.round[rank as usize] > 0
-                } else {
-                    delta
-                };
-                t.msgs.push((
-                    rank,
-                    0,
-                    Msg::Plan {
-                        round: t.round[rank as usize],
-                        delta: sent,
-                    },
-                ));
-                t.phase[rank as usize] = Phase::WaitAck;
+                self.take_ack(&mut t, 0, round, ok);
             }
             CkptAction::RecvAck { rank } => {
                 let Msg::Ack { ok } = t.pop(0, rank) else {
+                    // FIFO heads always match the phase under this
+                    // protocol; a mismatch means the model drifted.
                     panic!("rank {rank} expected Ack at head");
                 };
-                let k = t.round[rank as usize];
-                if ok || self.mutation == Some(CkptMutation::SkipAckGate) {
-                    t.dirty[rank as usize] = false;
-                    t.latest[rank as usize] = Some(Self::gen_of(k));
-                }
-                t.round[rank as usize] = k + 1;
-                t.phase[rank as usize] = if k + 1 == self.rounds {
-                    Phase::Done
-                } else {
-                    Phase::WaitDecide
-                };
+                let round = t.round[rank as usize];
+                self.take_ack(&mut t, rank as usize, round, ok);
             }
             CkptAction::Crash { rank } => {
                 t.phase[rank as usize] = Phase::Crashed;
@@ -498,22 +463,20 @@ impl Model for CkptCommitModel {
                 ));
             }
         }
-        // Decision agreement: every plan in flight matches rank 0's
-        // broadcast decision for its round.
-        for (_, _, m) in &s.msgs {
-            if let Msg::Plan { round, delta } = m {
-                match s.decision.get(*round as usize).copied().flatten() {
-                    Some(d) if d == *delta => {}
-                    Some(d) => {
-                        return Err(format!(
-                            "round {round}: a rank planned {} but rank 0 decided {}",
-                            flavor(*delta),
-                            flavor(d)
-                        ));
-                    }
-                    None => {
-                        return Err(format!("round {round}: plan in flight before any decision"));
-                    }
+        // Decision agreement: every rank that planned a round derived
+        // the same decision for it.
+        for (round, row) in s.decided.chunks(self.ranks).enumerate() {
+            let mut planned = row
+                .iter()
+                .enumerate()
+                .filter_map(|(r, d)| d.map(|d| (r, d)));
+            if let Some((r0, d0)) = planned.next() {
+                if let Some((r, d)) = planned.find(|&(_, d)| d != d0) {
+                    return Err(format!(
+                        "round {round}: rank {r0} derived {} but rank {r} derived {}",
+                        flavor(d0),
+                        flavor(d)
+                    ));
                 }
             }
         }
@@ -564,11 +527,6 @@ impl Model for CkptCommitModel {
         let mut edges = Vec::new();
         for r in 0..self.ranks {
             match s.phase[r] {
-                Phase::WaitDecide => edges.push(WaitEdge {
-                    rank: r,
-                    src: 0,
-                    tag: TAG_DECIDE,
-                }),
                 Phase::WaitAck => edges.push(WaitEdge {
                     rank: r,
                     src: 0,
@@ -593,10 +551,19 @@ impl Model for CkptCommitModel {
 
     fn describe(&self, a: &CkptAction) -> String {
         match *a {
-            CkptAction::Decide { round, delta } => format!(
-                "rank 0: decide gen {} is {} and broadcast",
+            CkptAction::Plan {
+                rank,
+                round,
+                delta_on,
+            } => format!(
+                "rank {rank}: derive gen {} as {} and {}",
                 CkptCommitModel::gen_of(round),
-                flavor(delta)
+                flavor(delta_on),
+                if rank == 0 {
+                    "frame its plan"
+                } else {
+                    "send its plan"
+                }
             ),
             CkptAction::RecvPlan { src } => format!("rank 0: receive section plan from rank {src}"),
             CkptAction::Write { round, ok } => format!(
@@ -608,9 +575,6 @@ impl Model for CkptCommitModel {
                 "rank 0: broadcast commit ack (gen {}, committed={ok}) and apply gate",
                 CkptCommitModel::gen_of(round)
             ),
-            CkptAction::RecvDecide { rank } => {
-                format!("rank {rank}: receive decision, send section plan")
-            }
             CkptAction::RecvAck { rank } => format!("rank {rank}: receive commit ack, apply gate"),
             CkptAction::Crash { rank } => format!("rank {rank}: CRASH"),
             CkptAction::Abort { rank } => format!("rank {rank}: abort (peer dead)"),
@@ -618,11 +582,10 @@ impl Model for CkptCommitModel {
     }
 }
 
-fn flavor(delta: bool) -> &'static str {
-    if delta {
-        "delta"
-    } else {
-        "full"
+fn flavor(delta_on: Option<u8>) -> String {
+    match delta_on {
+        None => "full".to_string(),
+        Some(b) => format!("a delta on gen {b}"),
     }
 }
 
@@ -660,8 +623,8 @@ mod tests {
             "message: {}",
             ce.message
         );
-        // Minimal run: decide, rank 1 plans, plan received, write
-        // fails, acks broadcast (mutant cleans rank 0 anyway).
+        // Minimal run: both ranks plan, plan received, write fails,
+        // acks broadcast (mutant cleans rank 0 anyway).
         assert_eq!(ce.schedule.len(), 5, "schedule: {:#?}", ce.schedule);
         assert!(matches!(
             ce.schedule[3],
@@ -670,22 +633,28 @@ mod tests {
     }
 
     #[test]
-    fn local_decision_mutant_is_caught() {
-        // full_every = 1 => every round full; the mutant guesses
-        // "delta after round 0" and diverges at round 1.
-        let m = CkptCommitModel::new(2, 2, 1).mutated(CkptMutation::LocalDecision);
-        let out = explore(&m, Budget::with_faults(0));
+    fn base_on_failed_ack_mutant_is_caught() {
+        // Round 0 is full and its write fails; round 1 may be a delta.
+        // Rank 1 moved its base on the failed ack and derives a delta on
+        // gen 1 where rank 0, with no base, derives full.
+        let m = CkptCommitModel::new(2, 2, 2).mutated(CkptMutation::BaseOnFailedAck);
+        let out = explore(&m, Budget::with_faults(1));
         let Outcome::Violation(ce) = out else {
             panic!("mutant must violate decision agreement");
         };
         assert!(
-            ce.message.contains("planned delta but rank 0 decided full"),
+            ce.message
+                .contains("derived full but rank 1 derived a delta on gen 1"),
             "message: {}",
             ce.message
         );
+        assert!(ce
+            .schedule
+            .iter()
+            .any(|a| matches!(a, CkptAction::Write { ok: false, .. })));
         // The unmutated protocol on the same instance is clean.
-        let clean = CkptCommitModel::new(2, 2, 1);
-        assert!(explore(&clean, Budget::with_faults(0)).is_clean());
+        let clean = CkptCommitModel::new(2, 2, 2);
+        assert!(explore(&clean, Budget::with_faults(1)).is_clean());
     }
 
     #[test]

@@ -69,6 +69,22 @@ if awk 'FNR == 1 { gc = 0; tests = 0 }
         !gc && !tests && /\.tmp/ { print FILENAME ":" FNR ": " $0; hit = 1 }
         END { exit !hit }' crates/ckpt/src/*.rs; then exit 1; fi
 
+echo "== one framing: a section's name, tag, payload and CRC are written by frame_section only =="
+# Every image (CkptFile::image, RawCkpt::image) and every rank's fragment
+# of a coordinated commit frames its sections through frame_section in
+# crates/ckpt/src/file.rs, which folds a payload's CRC into the image's
+# instead of summing the bytes again. A hit here is a second framing
+# growing back: a section tag written, or a length-prefixed payload
+# followed by its CRC.
+if awk 'FNR == 1 { fr = 0; tests = 0; prev = "" }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        /^pub\(crate\) fn frame_section\(/ { fr = 1 }
+        fr && /^}$/ { fr = 0; next }
+        fr || tests || /^[[:space:]]*(\/\/|$)/ { next }
+        /\.u8\(TAG_/ || (prev ~ /\.bytes\([^)]/ && /\.u32\([^)]/) { print FILENAME ":" FNR ": " $0; hit = 1 }
+        { prev = $0 }
+        END { exit !hit }' crates/ckpt/src/*.rs; then exit 1; fi
+
 echo "== one scheduler: qmc-verify's models restate nothing of qmc_serve::Sched =="
 # The job lifecycle is explored on the scheduler that ships:
 # crates/bench/src/sched_model.rs calls Sched::{submit, next_work, settle} on a

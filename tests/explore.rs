@@ -20,7 +20,8 @@
 //!    the real code misbehaving.
 
 use qmc_bench::sched_model::{End, Misuse, SchedAction, SchedModel, Worker};
-use qmc_ckpt::{CkptStore, SectionPlan};
+use qmc_ckpt::coord::{write_coordinated_sections, ElasticRestore, RankBase};
+use qmc_ckpt::{CkptFile, CkptStore, SectionPlan};
 use qmc_comm::{run_threads, run_threads_with_timeout, Communicator};
 use qmc_verify::model::{CkptCommitModel, CkptMutation, DrainModel, DrainMutation};
 use qmc_verify::{explore, explore_naive, Budget, Outcome};
@@ -236,8 +237,8 @@ fn ckpt_two_rounds_with_failed_write(dir: &std::path::Path, gate: bool) -> Vec<u
                 SectionPlan::Payload(vec![rank as u8; 8]),
             )]
         };
-        let (_, committed) =
-            qmc_ckpt::coord::write_coordinated_sections(comm, &store, 1, true, build);
+        let base = &mut RankBase::default();
+        let (_, committed) = write_coordinated_sections(comm, &store, base, 1, true, build);
         let mut believed = 0u64;
         if committed {
             believed = 1;
@@ -262,8 +263,8 @@ fn ckpt_two_rounds_with_failed_write(dir: &std::path::Path, gate: bool) -> Vec<u
                 SectionPlan::Payload(vec![rank as u8; 8]),
             )]
         };
-        let (_, committed) =
-            qmc_ckpt::coord::write_coordinated_sections(comm, &store, 2, true, build);
+        let base = &mut RankBase::default();
+        let (_, committed) = write_coordinated_sections(comm, &store, base, 2, true, build);
         // The gate: only a rank-consistent committed ack may advance
         // the believed generation (and, in the real driver, clear the
         // dirty flags the next delta builds on).
@@ -326,75 +327,84 @@ fn skip_ack_gate_counterexample_replays_on_real_store() {
     );
 }
 
-/// [`CkptMutation::LocalDecision`]'s counterexample (a rank plans delta
-/// while rank 0 decided full) replays on the real writer: the divergent
-/// plan reaches `write_plan`, which refuses a `Clean` section in a full
-/// archive, so the generation never commits. The control honoring the
-/// broadcast decision commits it.
+/// [`CkptMutation::BaseOnFailedAck`]'s counterexample (the first write
+/// fails, rank 1 moves its delta base to it anyway, and at the next
+/// round derives a delta where rank 0, with no base, derives full)
+/// replays on the real writer: rank 1 frames a base reference to a
+/// generation the store never held, rank 0 refuses the tagged fragment,
+/// and the generation commits on no rank. The control, whose rank 1
+/// keeps its base on the failed ack, commits it as a full image.
 #[test]
-fn local_decision_counterexample_replays_on_real_store() {
-    let m = CkptCommitModel::new(2, 2, 1).mutated(CkptMutation::LocalDecision);
-    let Outcome::Violation(ce) = explore(&m, Budget::with_faults(0)) else {
+fn base_on_failed_ack_counterexample_replays_on_real_store() {
+    let m = CkptCommitModel::new(2, 2, 2).mutated(CkptMutation::BaseOnFailedAck);
+    let Outcome::Violation(ce) = explore(&m, Budget::with_faults(1)) else {
         panic!("mutant must violate decision agreement");
     };
     assert!(
-        ce.message.contains("planned delta but rank 0 decided full"),
+        ce.message
+            .contains("rank 0 derived full but rank 1 derived a delta on gen 1"),
         "message: {}",
         ce.message
     );
+    use qmc_verify::model::CkptAction;
+    assert!(
+        ce.schedule
+            .iter()
+            .any(|a| matches!(a, CkptAction::Write { ok: false, .. })),
+        "the minimized schedule injects the failed write: {:#?}",
+        ce.schedule
+    );
 
-    for honor_broadcast in [false, true] {
-        let dir = scratch(if honor_broadcast {
-            "decide-ok"
-        } else {
-            "decide"
-        });
+    for mutant in [true, false] {
+        let dir = scratch(if mutant { "base" } else { "base-ok" });
         let dir2 = dir.clone();
         let committed = run_threads(2, move |comm| {
             let rank = comm.rank();
             let store = CkptStore::new(&dir2, 4).expect("store");
+            let mut base = RankBase::default();
+            // Generation 1 needs slot 0, whose name a directory squats.
+            let squat = dir2.join("slot-0.qckpt");
+            if rank == 0 {
+                std::fs::create_dir(&squat).expect("squat the first slot's name");
+            }
             comm.barrier();
-            let full = |_| {
-                vec![(
-                    "spins".to_string(),
-                    SectionPlan::Payload(vec![rank as u8; 8]),
-                )]
-            };
-            let (_, committed) =
-                qmc_ckpt::coord::write_coordinated_sections(comm, &store, 1, true, full);
-            assert!(committed, "round 1 commits everywhere");
-            // Round 2: rank 0 decides FULL. The mutant rank ignores the
-            // broadcast decision and plans from its *local* guess
-            // ("nothing changed since my last write → send Clean").
-            let plan = move |broadcast_delta: bool| {
-                let delta_guess = if honor_broadcast || rank == 0 {
-                    broadcast_delta
-                } else {
-                    true // LocalDecision bug: private guess, not the broadcast
-                };
-                let section = if delta_guess {
+            let spins = vec![rank as u8; 8];
+            let full = |_| vec![("spins".to_string(), SectionPlan::Payload(spins.clone()))];
+            let (_, committed) = write_coordinated_sections(comm, &store, &mut base, 1, true, full);
+            assert!(!committed, "round 1 fails everywhere");
+            if mutant && rank == 1 {
+                // The bug: the ack arrived, so rank 1 takes generation 1
+                // for its base, with the sections it tried to write.
+                let mut tried = CkptFile::new();
+                tried.add("spins", spins.clone());
+                base = RankBase::restored(&ElasticRestore::Resumed(1, tried));
+            }
+            if rank == 0 {
+                std::fs::remove_dir(&squat).expect("unsquat");
+            }
+            // Round 2 may be a delta; the spins did not move.
+            let plan = |delta| {
+                let spins = if delta {
                     SectionPlan::Clean
                 } else {
-                    SectionPlan::Payload(vec![rank as u8; 8])
+                    SectionPlan::Payload(spins.clone())
                 };
-                vec![("spins".to_string(), section)]
+                vec![("spins".to_string(), spins)]
             };
-            let (_, committed) =
-                qmc_ckpt::coord::write_coordinated_sections(comm, &store, 2, true, plan);
-            committed
+            write_coordinated_sections(comm, &store, &mut base, 2, false, plan).1
         });
         let store = CkptStore::new(&dir, 4).expect("reopen");
-        if honor_broadcast {
-            assert!(committed.iter().all(|&c| c), "control commits round 2");
-            assert_eq!(store.generations(), vec![1, 2]);
-        } else {
-            // The real writer detects the modeled divergence: a Clean
-            // section in a full archive is refused, rank-consistently.
+        if mutant {
+            // The real writer detects the modeled divergence: a delta
+            // fragment in a full commit is refused, rank-consistently.
             assert!(
                 committed.iter().all(|&c| !c),
                 "mutant round 2 must not commit"
             );
-            assert_eq!(store.generations(), vec![1]);
+            assert!(store.generations().is_empty());
+        } else {
+            assert!(committed.iter().all(|&c| c), "control commits round 2");
+            assert_eq!(store.generations(), vec![2]);
         }
     }
 }
