@@ -34,9 +34,9 @@
 
 use crate::crc32::crc32;
 use crate::delta::SectionPlan;
-use crate::file::{frame_section, Body, Fragment, SectionIndex};
+use crate::file::{frame_section, prefixed, Body, Fragment, SectionIndex};
 use crate::wire::{Decoder, Encoder};
-use crate::{CkptError, CkptFile, CkptStore};
+use crate::{write_section, written_sections, Checkpoint, CkptError, CkptFile, CkptStore};
 use qmc_comm::Communicator;
 use std::path::PathBuf;
 
@@ -99,11 +99,161 @@ const REFUSED: u8 = 2;
 /// count (u64) and its CRC-32 (u32).
 const FOOTER_LEN: usize = 1 + 8 + 8 + 4;
 
-/// Write generation `generation` from every rank's *section plan*, as a
-/// full snapshot or a delta against the base in `base` (see the module
-/// doc). Each rank decides `delta` = not `want_full` and its base is
-/// older than `generation`, and `build(delta)` plans its sections; clean
-/// sections in a delta round are never serialized at all.
+/// One rank's sections of a coordinated commit, written straight into
+/// the fragment rank 0 places in the image: each named `rank{r}/…`,
+/// framed where it is written, its payload's CRC-32 summed there, once.
+/// [`write_coordinated_sections`] hands one to its `build`.
+///
+/// The fragment is untagged (v1 framing) until a section is a base
+/// reference, which tags it, re-framing what was written before. A
+/// section the commit cannot hold — a clean one in a full commit, or one
+/// the base lacks — refuses the whole fragment, and rank 0 then writes
+/// nothing.
+pub struct RankSections<'a> {
+    base: &'a RankBase,
+    /// The base generation when this commit is a delta.
+    delta_on: Option<u64>,
+    /// `rank{r}/`, then the name of the section being framed.
+    name: String,
+    prefix_len: usize,
+    enc: Encoder,
+    /// CRC-32 of the fragment so far.
+    crc: u32,
+    tagged: bool,
+    /// Every section so far, under its name without `rank{r}/`.
+    index: SectionIndex,
+    refused: Option<String>,
+}
+
+impl<'a> RankSections<'a> {
+    fn new(rank: usize, base: &'a RankBase, delta_on: Option<u64>) -> Self {
+        let name = format!("rank{rank}/");
+        // The base's sections are the best guess at this fragment's size.
+        let hint = base.base.as_ref().map_or(0, |(_, index)| {
+            let framed = |n: &str, len| prefixed(name.len() + n.len()) + 1 + prefixed(len) + 4;
+            index
+                .iter()
+                .map(|(n, _, len)| framed(n, *len as usize))
+                .sum()
+        });
+        Self {
+            base,
+            delta_on,
+            prefix_len: name.len(),
+            name,
+            enc: Encoder::appending_to(Vec::with_capacity(hint + FOOTER_LEN)),
+            crc: 0,
+            tagged: false,
+            index: Vec::new(),
+            refused: None,
+        }
+    }
+
+    /// Whether this commit is a delta, in which a section unchanged since
+    /// the base is a reference to it instead of its bytes.
+    pub fn delta(&self) -> bool {
+        self.delta_on.is_some()
+    }
+
+    /// Section `name`, holding what `write` encodes.
+    pub fn payload(&mut self, name: &str, mut write: impl FnMut(&mut Encoder)) {
+        self.frame(name.to_string(), Body::Written(&mut write));
+    }
+
+    /// Section `name`, unchanged since the base: a reference to the
+    /// base's bytes.
+    pub fn clean(&mut self, name: &str) {
+        self.refer(name.to_string());
+    }
+
+    /// Every section of `state` under `prefix/…`, as
+    /// [`crate::plan_sections`] plans them: written, except the clean
+    /// ones of a delta, which are references.
+    pub fn state(&mut self, prefix: &str, state: &impl Checkpoint) {
+        for (name, written) in written_sections(state, self.delta()) {
+            let full = format!("{prefix}/{name}");
+            if written {
+                self.frame(
+                    full,
+                    Body::Written(&mut |enc| write_section(enc, state, &name)),
+                );
+            } else {
+                self.refer(full);
+            }
+        }
+    }
+
+    /// The sections of a plan built beforehand, in order.
+    pub fn plan(&mut self, plan: Vec<(String, SectionPlan)>) {
+        for (name, section) in plan {
+            match section {
+                SectionPlan::Payload(bytes) => {
+                    self.frame(name, Body::Written(&mut |enc| enc.raw(&bytes)))
+                }
+                SectionPlan::Clean => self.refer(name),
+            }
+        }
+    }
+
+    fn frame(&mut self, local: String, body: Body<'_>) {
+        if self.refused.is_some() {
+            return;
+        }
+        self.name.truncate(self.prefix_len);
+        self.name.push_str(&local);
+        let (crc, (sum, len)) =
+            frame_section(&mut self.enc, self.crc, self.tagged, &self.name, body);
+        self.crc = crc;
+        self.index.push((local, sum, len));
+    }
+
+    fn refer(&mut self, local: String) {
+        if self.refused.is_some() {
+            return;
+        }
+        let Some(on) = self.delta_on else {
+            self.refused = Some(format!("clean section {local:?} in a full write"));
+            return;
+        };
+        let Some((crc, len)) = self.base.section(&local) else {
+            self.refused = Some(format!(
+                "clean section {local:?} has no counterpart in base generation {on}"
+            ));
+            return;
+        };
+        if !self.tagged {
+            let so_far = Fragment {
+                bytes: self.enc.written(),
+                sections: self.index.len() as u64,
+                crc: self.crc,
+            };
+            let (bytes, crc) = so_far
+                .tagged_copy()
+                .expect("a fragment this rank framed reads back");
+            (self.enc, self.crc, self.tagged) = (Encoder::appending_to(bytes), crc, true);
+        }
+        self.frame(local, Body::BaseRef(crc, len));
+    }
+
+    /// The gather message (fragment ‖ footer) and the index the base
+    /// becomes if the commit lands, or why there is none.
+    fn finish(mut self) -> Result<(Vec<u8>, SectionIndex), String> {
+        if let Some(why) = self.refused {
+            return Err(why);
+        }
+        let how = if self.tagged { TAGGED } else { UNTAGGED };
+        let on = self.delta_on.unwrap_or(0);
+        footer(&mut self.enc, how, on, self.index.len() as u64, self.crc);
+        Ok((self.enc.into_bytes(), self.index))
+    }
+}
+
+/// Write generation `generation` from every rank's sections, as a full
+/// snapshot or a delta against the base in `base` (see the module doc).
+/// Each rank decides `delta` = not `want_full` and its base is older
+/// than `generation`, and `build` writes its sections into the
+/// [`RankSections`] it is handed; clean sections in a delta round are
+/// never serialized at all.
 ///
 /// Returns `(path, committed)`: the written path on rank 0 (`None`
 /// elsewhere, and on a failed write, which is reported, not
@@ -117,16 +267,17 @@ pub fn write_coordinated_sections<C: Communicator>(
     base: &mut RankBase,
     generation: u64,
     want_full: bool,
-    build: impl FnOnce(bool) -> Vec<(String, SectionPlan)>,
+    build: impl FnOnce(&mut RankSections<'_>),
 ) -> (Option<PathBuf>, bool) {
     let me = comm.rank();
     // The base must be strictly older than `generation`: resuming
     // exactly at a checkpoint boundary would otherwise re-write this
     // generation as a delta against itself.
     let delta_on = base.generation().filter(|&b| !want_full && b < generation);
-    let plan = build(delta_on.is_some());
-    let (message, index) = frame_plan(me, plan, delta_on, base).unwrap_or_else(|e| {
-        eprintln!("warning: rank {me}: checkpoint generation {generation}: {e}");
+    let mut sections = RankSections::new(me, base, delta_on);
+    build(&mut sections);
+    let (message, index) = sections.finish().unwrap_or_else(|why| {
+        eprintln!("warning: rank {me}: checkpoint generation {generation}: {why}");
         let mut refused = Encoder::new();
         footer(&mut refused, REFUSED, 0, 0, 0);
         (refused.into_bytes(), Vec::new())
@@ -172,59 +323,6 @@ fn footer(enc: &mut Encoder, how: u8, base: u64, sections: u64, crc: u32) {
 fn read_footer(bytes: &[u8]) -> Result<(u8, u64, u64, u32), CkptError> {
     let mut dec = Decoder::new(bytes);
     Ok((dec.u8()?, dec.u64()?, dec.u64()?, dec.u32()?))
-}
-
-/// This rank's plan framed under `rank{me}/…` names: the gather message
-/// (fragment ‖ footer) and the index `base` becomes if the commit lands.
-/// The fragment is tagged when this rank references the base (`delta_on`
-/// is its generation), untagged otherwise. `Err` for a plan that cannot
-/// be written: a clean section in a full write, or one the base lacks.
-fn frame_plan(
-    me: usize,
-    plan: Vec<(String, SectionPlan)>,
-    delta_on: Option<u64>,
-    base: &RankBase,
-) -> Result<(Vec<u8>, SectionIndex), String> {
-    let bodies = plan
-        .iter()
-        .map(|(name, p)| match (p, delta_on) {
-            (SectionPlan::Payload(bytes), _) => Ok(Body::Payload(bytes, crc32(bytes))),
-            (SectionPlan::Clean, None) => Err(format!("clean section {name:?} in a full write")),
-            (SectionPlan::Clean, Some(g)) => match base.section(name) {
-                Some((crc, len)) => Ok(Body::BaseRef(crc, len)),
-                None => Err(format!(
-                    "clean section {name:?} has no counterpart in base generation {g}"
-                )),
-            },
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let tagged = bodies.iter().any(|b| matches!(b, Body::BaseRef(..)));
-    let names: Vec<String> = plan.iter().map(|(n, _)| format!("rank{me}/{n}")).collect();
-    let len: usize = names
-        .iter()
-        .zip(&bodies)
-        .map(|(name, body)| body.wire_len(tagged, name))
-        .sum();
-    let mut enc = Encoder::appending_to(Vec::with_capacity(len + FOOTER_LEN));
-    let mut crc = 0;
-    for (name, body) in names.iter().zip(&bodies) {
-        crc = frame_section(&mut enc, crc, tagged, name, *body);
-    }
-    let how = if tagged { TAGGED } else { UNTAGGED };
-    footer(
-        &mut enc,
-        how,
-        delta_on.unwrap_or(0),
-        bodies.len() as u64,
-        crc,
-    );
-    let sums: Vec<(u32, u32)> = bodies.iter().map(Body::crc_len).collect();
-    let index = plan
-        .into_iter()
-        .zip(sums)
-        .map(|((name, _), (crc, len))| (name, crc, len))
-        .collect();
-    Ok((enc.into_bytes(), index))
 }
 
 /// Rank 0: place every rank's fragment in one image and commit it. A
@@ -700,8 +798,11 @@ mod tests {
                 let store = CkptStore::new(&dir, 2).unwrap();
                 let me = comm.rank() as u8;
                 let base = &mut RankBase::default();
-                write_coordinated_sections(comm, &store, base, 5, true, move |_| {
-                    vec![("payload".to_string(), SectionPlan::Payload(vec![me; 4]))]
+                write_coordinated_sections(comm, &store, base, 5, true, |sections| {
+                    sections.plan(vec![(
+                        "payload".to_string(),
+                        SectionPlan::Payload(vec![me; 4]),
+                    )])
                 });
             });
         }
@@ -746,18 +847,13 @@ mod tests {
             let store = CkptStore::new(&dir, 4).unwrap();
             let me = comm.rank() as u8;
             let build = |tag: u8| {
-                move |delta: bool| {
-                    vec![
-                        (
-                            "big".to_string(),
-                            if delta {
-                                SectionPlan::Clean
-                            } else {
-                                SectionPlan::Payload(vec![me; 128])
-                            },
-                        ),
-                        ("small".to_string(), SectionPlan::Payload(vec![tag; 4])),
-                    ]
+                move |sections: &mut RankSections| {
+                    if sections.delta() {
+                        sections.clean("big");
+                    } else {
+                        sections.payload("big", |enc| enc.raw(&[me; 128]));
+                    }
+                    sections.payload("small", |enc| enc.raw(&[tag; 4]));
                 }
             };
             let mut base = RankBase::default();
@@ -908,9 +1004,11 @@ mod tests {
                             }
                             name
                         });
-                        let plan = |d| random_plan(seq, round, rank, d);
+                        let build = |sections: &mut RankSections| {
+                            sections.plan(random_plan(seq, round, rank, sections.delta()))
+                        };
                         let (_, committed) = write_coordinated_sections(
-                            comm, &store, &mut base, generation, want_full, plan,
+                            comm, &store, &mut base, generation, want_full, build,
                         );
                         if rank != 0 {
                             continue;

@@ -26,7 +26,7 @@
 //! automatically forward-compatible with old full checkpoints.
 
 use crate::crc32::crc32;
-use crate::file::{envelope_body, image, read_section, Body, CkptFile, Format, SCHEMA};
+use crate::file::{envelope_body, image, read_section, Body, CkptFile, Format, Stored, SCHEMA};
 use crate::wire::{CkptError, Decoder};
 
 /// Schema identifier for delta-capable checkpoint files.
@@ -89,13 +89,18 @@ impl RawCkpt {
                 SectionData::BaseRef { crc, .. } => *crc,
             })
             .collect();
-        let sections = self.sections.iter().zip(&crcs).map(|((name, data), &crc)| {
-            let body = match data {
-                SectionData::Payload(p) => Body::Payload(p, crc),
-                SectionData::BaseRef { len, .. } => Body::BaseRef(crc, *len),
-            };
-            (name.as_str(), body)
-        });
+        let sections = self
+            .sections
+            .iter()
+            .zip(&crcs)
+            .map(|((name, data), &crc)| {
+                let body = match data {
+                    SectionData::Payload(p) => Body::Payload(p, crc),
+                    SectionData::BaseRef { len, .. } => Body::BaseRef(crc, *len),
+                };
+                (name.as_str(), body)
+            })
+            .collect();
         let format = Format::V2 { base: self.base };
         (image(room, format, sections), crcs)
     }
@@ -124,15 +129,15 @@ impl RawCkpt {
         let n = dec.u64()?;
         let mut sections = Vec::new();
         for _ in 0..n {
-            let (name, body) = read_section(&mut dec, schema == SCHEMA_V2)?;
-            let data = match body {
-                Body::Payload(payload, crc) => {
+            let (name, stored) = read_section(&mut dec, schema == SCHEMA_V2)?;
+            let data = match stored {
+                Stored::Payload(payload, crc) => {
                     if crc32(payload) != crc {
                         return Err(CkptError::BadCrc { section: name });
                     }
                     SectionData::Payload(payload.to_vec())
                 }
-                Body::BaseRef(crc, len) => {
+                Stored::BaseRef(crc, len) => {
                     if base.is_none() {
                         return Err(CkptError::corrupt(format!(
                             "section {name:?} is a base reference in a full file"

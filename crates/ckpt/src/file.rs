@@ -88,30 +88,26 @@ impl Format {
 }
 
 /// What follows a section's name (and, in v2, its tag).
-#[derive(Debug, Clone, Copy)]
 pub(crate) enum Body<'a> {
-    /// The section's bytes and their CRC-32.
+    /// The section's bytes and their CRC-32, already summed.
     Payload(&'a [u8], u32),
+    /// The section's bytes as the closure writes them in place; their
+    /// CRC-32 is summed there, once.
+    Written(&'a mut dyn FnMut(&mut Encoder)),
     /// A v2 delta's reference to the base's payload: its CRC-32 and
     /// length.
     BaseRef(u32, u32),
 }
 
 impl Body<'_> {
-    /// CRC-32 and length of the payload the section stands for.
-    pub(crate) fn crc_len(&self) -> (u32, u32) {
-        match *self {
-            Body::Payload(p, crc) => (crc, p.len() as u32),
-            Body::BaseRef(crc, len) => (crc, len),
-        }
-    }
-
-    /// Bytes [`frame_section`] appends for section `name`.
+    /// Bytes [`frame_section`] appends for section `name` (a written
+    /// payload's own bytes not counted: they are not known before).
     pub(crate) fn wire_len(&self, tagged: bool, name: &str) -> usize {
         prefixed(name.len())
             + usize::from(tagged)
             + match self {
                 Body::Payload(p, _) => prefixed(p.len()) + 4,
+                Body::Written(_) => prefixed(0) + 4,
                 Body::BaseRef(..) => 8,
             }
     }
@@ -120,10 +116,11 @@ impl Body<'_> {
 /// Append section `name` to an image (or a fragment of one) in `enc`:
 /// the length-prefixed name, the tag when `tagged` (v2), then the
 /// length-prefixed payload and its CRC-32, or the base reference. `crc`
-/// is the CRC-32 of the bytes in front of the section; the result is
-/// that of the bytes up to its end. The framing bytes are summed here,
-/// the payload is not: its CRC, computed once by whoever owns the bytes,
-/// is folded in with [`crc32_combine`].
+/// is the CRC-32 of the bytes in front of the section; returned are that
+/// of the bytes up to its end, and the CRC-32 and length of the payload
+/// the section stands for. The framing bytes are summed here, a payload
+/// once — by the caller, or here when written in place — and folded into
+/// the running CRC with [`crc32_combine`], not summed again.
 ///
 /// The one place in the crate that writes a section's framing
 /// (`scripts/check.sh` fails on a second).
@@ -133,33 +130,67 @@ pub(crate) fn frame_section(
     tagged: bool,
     name: &str,
     body: Body<'_>,
-) -> u32 {
+) -> (u32, (u32, u32)) {
     let start = enc.len();
     enc.str(name);
-    match body {
-        Body::Payload(payload, payload_crc) => {
-            if tagged {
-                enc.u8(TAG_PAYLOAD);
-            }
-            enc.bytes(payload);
-            let framing = &enc.written()[start..enc.len() - payload.len()];
-            let crc = crc32_combine(
-                crc32_update(crc, framing),
-                payload_crc,
-                payload.len() as u64,
-            );
-            enc.u32(payload_crc);
-            crc32_update(crc, &payload_crc.to_le_bytes())
+    if let Body::BaseRef(base_crc, len) = body {
+        assert!(
+            tagged,
+            "section {name:?}: a v1 image has no base references"
+        );
+        enc.u8(TAG_BASE_REF);
+        enc.u32(base_crc);
+        enc.u32(len);
+        return (crc32_update(crc, &enc.written()[start..]), (base_crc, len));
+    }
+    if tagged {
+        enc.u8(TAG_PAYLOAD);
+    }
+    let head = enc.len() + 8;
+    let mut summed = None;
+    enc.prefixed(|enc| match body {
+        Body::Payload(bytes, sum) => {
+            enc.raw(bytes);
+            summed = Some(sum);
         }
-        Body::BaseRef(base_crc, len) => {
-            assert!(
-                tagged,
-                "section {name:?}: a v1 image has no base references"
-            );
-            enc.u8(TAG_BASE_REF);
-            enc.u32(base_crc);
-            enc.u32(len);
-            crc32_update(crc, &enc.written()[start..])
+        Body::Written(write) => write(enc),
+        Body::BaseRef(..) => unreachable!("framed above"),
+    });
+    let payload = &enc.written()[head..];
+    let sum = summed.unwrap_or_else(|| crc32(payload));
+    let len = payload.len();
+    let crc = crc32_combine(
+        crc32_update(crc, &enc.written()[start..head]),
+        sum,
+        len as u64,
+    );
+    enc.u32(sum);
+    (crc32_update(crc, &sum.to_le_bytes()), (sum, len as u32))
+}
+
+/// A section as it sits in an image.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stored<'a> {
+    /// The payload and the CRC-32 framed with it.
+    Payload(&'a [u8], u32),
+    /// A reference to the base's payload: its CRC-32 and length.
+    BaseRef(u32, u32),
+}
+
+impl<'a> Stored<'a> {
+    /// CRC-32 and length of the payload the section stands for.
+    pub(crate) fn crc_len(self) -> (u32, u32) {
+        match self {
+            Stored::Payload(p, crc) => (crc, p.len() as u32),
+            Stored::BaseRef(crc, len) => (crc, len),
+        }
+    }
+
+    /// The section framed again as it is.
+    pub(crate) fn body(self) -> Body<'a> {
+        match self {
+            Stored::Payload(p, crc) => Body::Payload(p, crc),
+            Stored::BaseRef(crc, len) => Body::BaseRef(crc, len),
         }
     }
 }
@@ -170,15 +201,15 @@ pub(crate) fn frame_section(
 pub(crate) fn read_section<'a>(
     dec: &mut Decoder<'a>,
     tagged: bool,
-) -> Result<(String, Body<'a>), CkptError> {
+) -> Result<(String, Stored<'a>), CkptError> {
     let name = dec.str()?;
     let tag = if tagged { dec.u8()? } else { TAG_PAYLOAD };
     let body = match tag {
         TAG_PAYLOAD => {
             let payload = dec.bytes()?;
-            Body::Payload(payload, dec.u32()?)
+            Stored::Payload(payload, dec.u32()?)
         }
-        TAG_BASE_REF => Body::BaseRef(dec.u32()?, dec.u32()?),
+        TAG_BASE_REF => Stored::BaseRef(dec.u32()?, dec.u32()?),
         t => {
             return Err(CkptError::corrupt(format!(
                 "invalid section tag {t} in section {name:?}"
@@ -239,24 +270,17 @@ pub(crate) fn image_close(enc: Encoder, room: [usize; 2], crc: u32) -> Vec<u8> {
 /// A whole image of `format` with `room` around it: every section framed
 /// by [`frame_section`], each payload summed once (by the caller, for
 /// its CRC) and never again for the image's.
-pub(crate) fn image<'a, I>(room: [usize; 2], format: Format, sections: I) -> Vec<u8>
-where
-    I: Iterator<Item = (&'a str, Body<'a>)> + Clone,
-{
+pub(crate) fn image(room: [usize; 2], format: Format, sections: Vec<(&str, Body<'_>)>) -> Vec<u8> {
     let tagged = format.tagged();
-    let (n, len) = sections.clone().fold((0, 0), |(n, len), (name, body)| {
-        (n + 1, len + body.wire_len(tagged, name))
-    });
-    let (mut enc, mut crc) = image_open(room, format, n, len);
+    let len = sections
+        .iter()
+        .map(|(name, body)| body.wire_len(tagged, name))
+        .sum();
+    let (mut enc, mut crc) = image_open(room, format, sections.len(), len);
     for (name, body) in sections {
-        crc = frame_section(&mut enc, crc, tagged, name, body);
+        crc = frame_section(&mut enc, crc, tagged, name, body).0;
     }
-    let image = image_close(enc, room, crc);
-    debug_assert_eq!(
-        image.len(),
-        room[0] + ENVELOPE_LEN + format.header_len() + len
-    );
-    image
+    image_close(enc, room, crc)
 }
 
 /// Name, CRC-32 and length of each section of a generation, in file
@@ -281,8 +305,8 @@ impl Fragment<'_> {
         let mut dec = Decoder::new(self.bytes);
         let index = (0..self.sections)
             .map(|_| {
-                let (name, body) = read_section(&mut dec, tagged)?;
-                let (crc, len) = body.crc_len();
+                let (name, stored) = read_section(&mut dec, tagged)?;
+                let (crc, len) = stored.crc_len();
                 Ok((name, crc, len))
             })
             .collect::<Result<_, CkptError>>()?;
@@ -299,8 +323,8 @@ impl Fragment<'_> {
         ));
         let mut crc = 0;
         for _ in 0..self.sections {
-            let (name, body) = read_section(&mut dec, false)?;
-            crc = frame_section(&mut enc, crc, true, &name, body);
+            let (name, stored) = read_section(&mut dec, false)?;
+            crc = frame_section(&mut enc, crc, true, &name, stored.body()).0;
         }
         dec.expect_empty()?;
         Ok((enc.into_bytes(), crc))
@@ -406,7 +430,8 @@ impl CkptFile {
             .sections
             .iter()
             .zip(&crcs)
-            .map(|((name, p), &crc)| (name.as_str(), Body::Payload(p, crc)));
+            .map(|((name, p), &crc)| (name.as_str(), Body::Payload(p, crc)))
+            .collect();
         (image(room, Format::V1, sections), crcs)
     }
 
@@ -421,8 +446,8 @@ impl CkptFile {
         let n = dec.u64()?;
         let mut sections = Vec::new();
         for _ in 0..n {
-            let (name, body) = read_section(&mut dec, false)?;
-            let Body::Payload(payload, crc) = body else {
+            let (name, stored) = read_section(&mut dec, false)?;
+            let Stored::Payload(payload, crc) = stored else {
                 unreachable!("an untagged section is a payload")
             };
             if crc32(payload) != crc {

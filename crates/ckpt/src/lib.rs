@@ -185,11 +185,28 @@ pub fn load_state(bytes: &[u8], state: &mut impl Checkpoint) -> Result<(), CkptE
 /// [`save_state`], so type mismatches are still caught per section).
 pub fn save_section_bytes(state: &impl Checkpoint, name: &str) -> Vec<u8> {
     let mut enc = Encoder::new();
-    enc.str(state.kind());
-    let mut body = Encoder::new();
-    state.save_section(name, &mut body);
-    enc.bytes(&body.into_bytes());
+    write_section(&mut enc, state, name);
     enc.into_bytes()
+}
+
+/// Append the bytes [`save_section_bytes`] returns to `enc`.
+pub(crate) fn write_section(enc: &mut Encoder, state: &impl Checkpoint, name: &str) {
+    enc.str(state.kind());
+    enc.prefixed(|body| state.save_section(name, body));
+}
+
+/// `state`'s sections in [`Checkpoint::dirty_sections`] order, each with
+/// whether a write carries its bytes: every section of a full write, the
+/// dirty ones of a delta (a clean one is a base reference, never
+/// serialized).
+pub(crate) fn written_sections(
+    state: &impl Checkpoint,
+    delta: bool,
+) -> impl Iterator<Item = (String, bool)> {
+    let sections = state.dirty_sections().entries;
+    sections
+        .into_iter()
+        .map(move |(name, dirty)| (name, dirty || !delta))
 }
 
 /// Restore section `name` of `state` from bytes produced by
@@ -248,16 +265,13 @@ pub fn plan_sections(
     state: &impl Checkpoint,
     delta: bool,
 ) {
-    for (name, dirty) in state.dirty_sections().iter() {
-        let full_name = format!("{prefix}/{name}");
-        if dirty || !delta {
-            plan.push((
-                full_name,
-                SectionPlan::Payload(save_section_bytes(state, name)),
-            ));
+    for (name, written) in written_sections(state, delta) {
+        let section = if written {
+            SectionPlan::Payload(save_section_bytes(state, &name))
         } else {
-            plan.push((full_name, SectionPlan::Clean));
-        }
+            SectionPlan::Clean
+        };
+        plan.push((format!("{prefix}/{name}"), section));
     }
 }
 

@@ -146,8 +146,20 @@ impl Encoder {
 
     /// Write a length-prefixed byte slice.
     pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.reserve(8 + v.len());
         self.u64(v.len() as u64);
         self.buf.extend_from_slice(v);
+    }
+
+    /// Write whatever `body` writes, length-prefixed: the layout of
+    /// [`Encoder::bytes`] over a separately encoded body, without the
+    /// separate buffer.
+    pub(crate) fn prefixed(&mut self, body: impl FnOnce(&mut Self)) {
+        let at = self.buf.len();
+        self.u64(0);
+        body(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Write a length-prefixed UTF-8 string.
@@ -157,6 +169,7 @@ impl Encoder {
 
     /// Write a length-prefixed `u64` slice.
     pub fn u64s(&mut self, v: &[u64]) {
+        self.buf.reserve(8 + 8 * v.len());
         self.u64(v.len() as u64);
         for &x in v {
             self.u64(x);
@@ -165,6 +178,7 @@ impl Encoder {
 
     /// Write a length-prefixed `i64` slice.
     pub fn i64s(&mut self, v: &[i64]) {
+        self.buf.reserve(8 + 8 * v.len());
         self.u64(v.len() as u64);
         for &x in v {
             self.i64(x);
@@ -173,6 +187,7 @@ impl Encoder {
 
     /// Write a length-prefixed `f64` slice (bit patterns).
     pub fn f64s(&mut self, v: &[f64]) {
+        self.buf.reserve(8 + 8 * v.len());
         self.u64(v.len() as u64);
         for &x in v {
             self.f64(x);
@@ -189,9 +204,7 @@ impl Encoder {
     /// body, so the reader can verify type and skip on error.
     pub fn state(&mut self, s: &impl Checkpoint) {
         self.str(s.kind());
-        let mut body = Encoder::new();
-        s.save(&mut body);
-        self.bytes(&body.buf);
+        self.prefixed(|body| s.save(body));
     }
 }
 

@@ -10,6 +10,9 @@
 //! [`crc32_combine`] joins the checksums of two adjacent byte runs
 //! without reading either, so a writer that already knows the CRC of a
 //! payload never sums it a second time for the CRC of what contains it.
+//! The kernel uses the same join on itself: each step waits on the one
+//! before, so a run of [`TWO_STREAMS`] bytes or more is summed as two
+//! halves side by side, whose chains overlap, and the halves joined.
 //!
 //! Lives in `qmc-comm` — the bottom of the workspace dependency graph —
 //! because both the checkpoint wire format (`qmc-ckpt`) and the TCP
@@ -74,6 +77,29 @@ fn word(w: u32, k: usize) -> u32 {
         ^ TABLES[k][(w >> 24) as usize]
 }
 
+/// One sixteen-byte step.
+#[inline(always)]
+fn step16(crc: u32, s: &[u8]) -> u32 {
+    let le = |i: usize| u32::from_le_bytes([s[i], s[i + 1], s[i + 2], s[i + 3]]);
+    word(crc ^ le(0), 12) ^ word(le(4), 8) ^ word(le(8), 4) ^ word(le(12), 0)
+}
+
+/// `bytes` folded into a running (pre-inverted) checksum, one chain.
+fn fold(mut crc: u32, bytes: &[u8]) -> u32 {
+    let mut steps = bytes.chunks_exact(16);
+    for s in &mut steps {
+        crc = step16(crc, s);
+    }
+    for &b in steps.remainder() {
+        crc = step(crc, b);
+    }
+    crc
+}
+
+/// Runs at least this long are summed as two halves side by side: below
+/// it the join costs more than the overlap saves.
+pub const TWO_STREAMS: usize = 256;
+
 /// CRC-32 of `bytes` (IEEE, reflected, init/xorout `0xFFFF_FFFF`).
 pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0, bytes)
@@ -82,16 +108,19 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// The CRC-32 of `a ‖ bytes`, given `crc = crc32(a)`:
 /// `crc32_update(0, b) == crc32(b)`.
 pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
-    let mut crc = !crc;
-    let mut steps = bytes.chunks_exact(16);
-    for s in &mut steps {
-        let le = |i: usize| u32::from_le_bytes([s[i], s[i + 1], s[i + 2], s[i + 3]]);
-        crc = word(crc ^ le(0), 12) ^ word(le(4), 8) ^ word(le(8), 4) ^ word(le(12), 0);
+    if bytes.len() < TWO_STREAMS {
+        return !fold(!crc, bytes);
     }
-    for &b in steps.remainder() {
-        crc = step(crc, b);
+    // `a` is whole steps and no longer than `b`, so the zip takes every
+    // step of `a` and the same number of `b`'s.
+    let (a, b) = bytes.split_at(bytes.len() / 32 * 16);
+    let (mut ca, mut cb) = (!crc, !0);
+    for (sa, sb) in a.chunks_exact(16).zip(b.chunks_exact(16)) {
+        ca = step16(ca, sa);
+        cb = step16(cb, sb);
     }
-    !crc
+    let cb = fold(cb, &b[a.len()..]);
+    crc32_combine(!ca, !cb, b.len() as u64)
 }
 
 /// x⁰.
@@ -218,7 +247,8 @@ mod tests {
     }
 
     /// Every split of a buffer into sixteen-byte steps and a tail, at
-    /// every alignment of its first byte.
+    /// every alignment of its first byte, on either side of
+    /// [`TWO_STREAMS`].
     #[test]
     fn sliced_equals_bytewise_at_every_length_and_offset() {
         let data = xorshift_bytes(308);

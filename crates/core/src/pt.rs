@@ -549,19 +549,15 @@ where
                     &mut base,
                     s as u64,
                     want_full,
-                    |delta| {
-                        let mut plan = vec![qmc_ckpt::meta_plan(s, &[step])];
-                        qmc_ckpt::plan_sections(&mut plan, "replica", &replica, delta);
-                        qmc_ckpt::plan_sections(&mut plan, "rng", rng, delta);
-                        let mut st = qmc_ckpt::Encoder::new();
-                        st.f64s(&accepted);
-                        st.f64s(&attempted);
-                        st.f64s(&energies);
-                        plan.push((
-                            "stats".to_string(),
-                            qmc_ckpt::SectionPlan::Payload(st.into_bytes()),
-                        ));
-                        plan
+                    |sections| {
+                        sections.plan(vec![qmc_ckpt::meta_plan(s, &[step])]);
+                        sections.state("replica", &replica);
+                        sections.state("rng", rng);
+                        sections.payload("stats", |st| {
+                            st.f64s(&accepted);
+                            st.f64s(&attempted);
+                            st.f64s(&energies);
+                        });
                     },
                 );
                 // Every rank saw the same commit ack, so either all mark

@@ -20,7 +20,7 @@
 //!    the real code misbehaving.
 
 use qmc_bench::sched_model::{End, Misuse, SchedAction, SchedModel, Worker};
-use qmc_ckpt::coord::{write_coordinated_sections, ElasticRestore, RankBase};
+use qmc_ckpt::coord::{write_coordinated_sections, ElasticRestore, RankBase, RankSections};
 use qmc_ckpt::{CkptFile, CkptStore, SectionPlan};
 use qmc_comm::{run_threads, run_threads_with_timeout, Communicator};
 use qmc_verify::model::{CkptCommitModel, CkptMutation, DrainModel, DrainMutation};
@@ -231,11 +231,11 @@ fn ckpt_two_rounds_with_failed_write(dir: &std::path::Path, gate: bool) -> Vec<u
         let rank = comm.rank();
         let store = CkptStore::new(&dir2, 4).expect("store");
         comm.barrier();
-        let build = |_delta: bool| {
-            vec![(
+        let build = |sections: &mut RankSections| {
+            sections.plan(vec![(
                 "spins".to_string(),
                 SectionPlan::Payload(vec![rank as u8; 8]),
-            )]
+            )])
         };
         let base = &mut RankBase::default();
         let (_, committed) = write_coordinated_sections(comm, &store, base, 1, true, build);
@@ -257,11 +257,11 @@ fn ckpt_two_rounds_with_failed_write(dir: &std::path::Path, gate: bool) -> Vec<u
         let rank = comm.rank();
         let store = CkptStore::new(&dir2, 4).expect("store");
         comm.barrier();
-        let build = |_delta: bool| {
-            vec![(
+        let build = |sections: &mut RankSections| {
+            sections.plan(vec![(
                 "spins".to_string(),
                 SectionPlan::Payload(vec![rank as u8; 8]),
-            )]
+            )])
         };
         let base = &mut RankBase::default();
         let (_, committed) = write_coordinated_sections(comm, &store, base, 2, true, build);
@@ -369,8 +369,18 @@ fn base_on_failed_ack_counterexample_replays_on_real_store() {
             }
             comm.barrier();
             let spins = vec![rank as u8; 8];
-            let full = |_| vec![("spins".to_string(), SectionPlan::Payload(spins.clone()))];
-            let (_, committed) = write_coordinated_sections(comm, &store, &mut base, 1, true, full);
+            let spins_section = |delta| {
+                let section = if delta {
+                    SectionPlan::Clean
+                } else {
+                    SectionPlan::Payload(spins.clone())
+                };
+                vec![("spins".to_string(), section)]
+            };
+            let build =
+                |sections: &mut RankSections| sections.plan(spins_section(sections.delta()));
+            let (_, committed) =
+                write_coordinated_sections(comm, &store, &mut base, 1, true, build);
             assert!(!committed, "round 1 fails everywhere");
             if mutant && rank == 1 {
                 // The bug: the ack arrived, so rank 1 takes generation 1
@@ -383,15 +393,7 @@ fn base_on_failed_ack_counterexample_replays_on_real_store() {
                 std::fs::remove_dir(&squat).expect("unsquat");
             }
             // Round 2 may be a delta; the spins did not move.
-            let plan = |delta| {
-                let spins = if delta {
-                    SectionPlan::Clean
-                } else {
-                    SectionPlan::Payload(spins.clone())
-                };
-                vec![("spins".to_string(), spins)]
-            };
-            write_coordinated_sections(comm, &store, &mut base, 2, false, plan).1
+            write_coordinated_sections(comm, &store, &mut base, 2, false, build).1
         });
         let store = CkptStore::new(&dir, 4).expect("reopen");
         if mutant {
