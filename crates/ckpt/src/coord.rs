@@ -336,16 +336,17 @@ fn place_fragments(
     delta_on: Option<u64>,
     messages: &[Vec<u8>],
 ) -> Result<PathBuf, String> {
+    let copies: Vec<(Vec<u8>, u32)>;
     let mut parts = Vec::with_capacity(messages.len());
-    let mut tagged = false;
+    let mut untagged = Vec::new();
     for (rank, msg) in messages.iter().enumerate() {
         let unreadable = || format!("rank {rank}'s fragment is unreadable");
         let split = msg.len().checked_sub(FOOTER_LEN).ok_or_else(unreadable)?;
         let (bytes, footer) = msg.split_at(split);
         let (how, on, sections, crc) = read_footer(footer).map_err(|_| unreadable())?;
         match how {
-            UNTAGGED => {}
-            TAGGED if delta_on == Some(on) => tagged = true,
+            UNTAGGED => untagged.push(rank),
+            TAGGED if delta_on == Some(on) => {}
             TAGGED => {
                 return Err(format!(
                     "rank {rank} framed a delta on generation {on}, rank 0 {}",
@@ -355,40 +356,31 @@ fn place_fragments(
             REFUSED => return Err(format!("rank {rank} could not frame its sections")),
             _ => return Err(unreadable()),
         }
-        parts.push((
-            how,
-            Fragment {
-                bytes,
-                sections,
-                crc,
-            },
-        ));
+        parts.push(Fragment {
+            bytes,
+            sections,
+            crc,
+        });
     }
     // A base reference anywhere makes a v2 image, in which every section
     // is tagged; without one a delta is a v1 image, as `write_delta`'s.
-    let retagged = parts
-        .iter()
-        .map(|(how, part)| {
-            (tagged && *how == UNTAGGED)
-                .then(|| part.tagged_copy())
-                .transpose()
-        })
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())?;
-    let fragments: Vec<Fragment<'_>> = parts
-        .iter()
-        .zip(&retagged)
-        .map(|((_, part), copy)| match copy {
-            Some((bytes, crc)) => Fragment {
+    let tagged = untagged.len() < parts.len();
+    if tagged {
+        copies = untagged
+            .iter()
+            .map(|&r| parts[r].tagged_copy())
+            .collect::<Result<_, _>>()
+            .map_err(|e| e.to_string())?;
+        for (&r, (bytes, crc)) in untagged.iter().zip(&copies) {
+            parts[r] = Fragment {
                 bytes,
                 crc: *crc,
-                ..*part
-            },
-            None => *part,
-        })
-        .collect();
+                ..parts[r]
+            };
+        }
+    }
     store
-        .write_fragments(generation, delta_on.filter(|_| tagged), &fragments)
+        .write_fragments(generation, delta_on.filter(|_| tagged), &parts)
         .map_err(|e| e.to_string())
 }
 

@@ -73,14 +73,13 @@ pub struct RawCkpt {
 impl RawCkpt {
     /// Serialize as a v2 file (full when `base` is `None`).
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.image([0, 0]).0
+        self.image().0
     }
 
-    /// [`RawCkpt::to_bytes`] with `room` around it (see
-    /// [`crate::file::image_open`]), and per section in file order the
-    /// CRC32 of the payload it stands for — summed here, once, for a
-    /// payload; the reference's own for a base reference.
-    pub(crate) fn image(&self, room: [usize; 2]) -> (Vec<u8>, Vec<u32>) {
+    /// [`RawCkpt::to_bytes`], and per section in file order the CRC32 of
+    /// the payload it stands for — summed here, once, for a payload; the
+    /// reference's own for a base reference.
+    pub(crate) fn image(&self) -> (Vec<u8>, Vec<u32>) {
         let crcs: Vec<u32> = self
             .sections
             .iter()
@@ -102,7 +101,7 @@ impl RawCkpt {
             })
             .collect();
         let format = Format::V2 { base: self.base };
-        (image(room, format, sections), crcs)
+        (image(format, sections), crcs)
     }
 
     /// Parse and fully validate either schema: v1 files come back as

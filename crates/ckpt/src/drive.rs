@@ -90,11 +90,16 @@ pub enum End {
 /// generation carries, then the driver's own counters.
 pub fn meta_plan(sweep: usize, extra: &[u64]) -> (String, SectionPlan) {
     let mut enc = Encoder::new();
+    write_meta(&mut enc, sweep, extra);
+    ("meta".to_string(), SectionPlan::Payload(enc.into_bytes()))
+}
+
+/// The payload of [`meta_plan`], appended to `enc`.
+pub fn write_meta(enc: &mut Encoder, sweep: usize, extra: &[u64]) {
     enc.u64(sweep as u64);
     for &x in extra {
         enc.u64(x);
     }
-    ("meta".to_string(), SectionPlan::Payload(enc.into_bytes()))
 }
 
 /// Decode the `meta` section written by [`meta_plan`] into the sweep

@@ -46,9 +46,6 @@ pub(crate) fn envelope_body(bytes: &[u8]) -> Result<&[u8], CkptError> {
     Ok(&bytes[MAGIC.len()..body_end])
 }
 
-/// Bytes the envelope (magic, trailer, whole-file CRC) adds around a body.
-pub(crate) const ENVELOPE_LEN: usize = MAGIC.len() + TRAILER.len() + 4;
-
 /// Wire size of a length-prefixed string or byte slice of `len` bytes.
 pub(crate) const fn prefixed(len: usize) -> usize {
     8 + len
@@ -219,24 +216,14 @@ pub(crate) fn read_section<'a>(
     Ok((name, body))
 }
 
-/// Open an image of `format` holding `n_sections` sections whose framing
-/// takes `sections_len` bytes, in one exactly sized buffer with room
-/// around the image: `room[0]` zero bytes in front that are not part of
-/// it, and capacity for `room[1]` more after it (the store's slot header
-/// and end mark go there, so they and the image reach the file in one
-/// write without a second image-sized buffer). Writes the magic and the
-/// header; returns the encoder and the CRC-32 of the image so far.
-pub(crate) fn image_open(
-    room: [usize; 2],
-    format: Format,
-    n_sections: usize,
-    sections_len: usize,
-) -> (Encoder, u32) {
-    let len = ENVELOPE_LEN + format.header_len() + sections_len;
-    let mut buf = Vec::with_capacity(room[0] + len + room[1]);
-    buf.resize(room[0], 0);
-    buf.extend_from_slice(MAGIC);
-    let mut enc = Encoder::appending_to(buf);
+/// Start an image of `format` holding `n_sections` sections, with room
+/// for `capacity` more bytes: the magic and the header. Returns the
+/// encoder and the CRC-32 of the image so far.
+pub(crate) fn image_head(format: Format, n_sections: usize, capacity: usize) -> (Encoder, u32) {
+    let mut enc = Encoder::appending_to(Vec::with_capacity(
+        MAGIC.len() + format.header_len() + capacity,
+    ));
+    enc.raw(MAGIC);
     match format {
         Format::V1 => enc.str(SCHEMA),
         Format::V2 { base } => {
@@ -249,38 +236,35 @@ pub(crate) fn image_open(
         }
     }
     enc.u64(n_sections as u64);
-    let crc = crc32(&enc.written()[room[0]..]);
+    let crc = crc32(enc.written());
     (enc, crc)
 }
 
-/// Close an image opened with the same `room`: trailer + `crc`, the
-/// CRC-32 of the image so far (the room in front is not part of it).
-pub(crate) fn image_close(enc: Encoder, room: [usize; 2], crc: u32) -> Vec<u8> {
-    let mut out = enc.into_bytes();
-    debug_assert_eq!(
-        crc,
-        crc32(&out[room[0]..]),
-        "the image's CRC summed in parts is its CRC"
-    );
-    out.extend_from_slice(TRAILER);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// The trailer that closes an image whose bytes before it sum to `crc`.
+pub(crate) fn image_tail(crc: u32) -> [u8; 8] {
+    let mut tail = [0; 8];
+    tail[..4].copy_from_slice(TRAILER);
+    tail[4..].copy_from_slice(&crc.to_le_bytes());
+    tail
 }
 
-/// A whole image of `format` with `room` around it: every section framed
-/// by [`frame_section`], each payload summed once (by the caller, for
-/// its CRC) and never again for the image's.
-pub(crate) fn image(room: [usize; 2], format: Format, sections: Vec<(&str, Body<'_>)>) -> Vec<u8> {
+/// A whole image of `format`: every section framed by [`frame_section`],
+/// each payload summed once (by the caller, for its CRC) and never again
+/// for the image's.
+pub(crate) fn image(format: Format, sections: Vec<(&str, Body<'_>)>) -> Vec<u8> {
     let tagged = format.tagged();
-    let len = sections
+    let len: usize = sections
         .iter()
         .map(|(name, body)| body.wire_len(tagged, name))
         .sum();
-    let (mut enc, mut crc) = image_open(room, format, sections.len(), len);
+    let (mut enc, mut crc) = image_head(format, sections.len(), len + TRAILER.len() + 4);
     for (name, body) in sections {
         crc = frame_section(&mut enc, crc, tagged, name, body).0;
     }
-    image_close(enc, room, crc)
+    let mut image = enc.into_bytes();
+    debug_assert_eq!(crc, crc32(&image), "the CRC summed in parts is the image's");
+    image.extend_from_slice(&image_tail(crc));
+    image
 }
 
 /// Name, CRC-32 and length of each section of a generation, in file
@@ -298,20 +282,21 @@ pub(crate) struct Fragment<'a> {
 }
 
 impl Fragment<'_> {
-    /// Name, CRC-32 and length of every section, from the framing alone
-    /// (no payload is summed); an error unless the bytes are exactly
-    /// `sections` sections.
-    pub(crate) fn index(&self, tagged: bool) -> Result<SectionIndex, CkptError> {
+    /// Append the name, CRC-32 and length of every section to `index`,
+    /// from the framing alone (no payload is summed); an error unless
+    /// the bytes are exactly `sections` sections.
+    pub(crate) fn index_into(
+        &self,
+        tagged: bool,
+        index: &mut SectionIndex,
+    ) -> Result<(), CkptError> {
         let mut dec = Decoder::new(self.bytes);
-        let index = (0..self.sections)
-            .map(|_| {
-                let (name, stored) = read_section(&mut dec, tagged)?;
-                let (crc, len) = stored.crc_len();
-                Ok((name, crc, len))
-            })
-            .collect::<Result<_, CkptError>>()?;
-        dec.expect_empty()?;
-        Ok(index)
+        for _ in 0..self.sections {
+            let (name, stored) = read_section(&mut dec, tagged)?;
+            let (crc, len) = stored.crc_len();
+            index.push((name, crc, len));
+        }
+        dec.expect_empty()
     }
 
     /// The untagged (v1) sections re-framed tagged, for a v2 image, and
@@ -331,18 +316,23 @@ impl Fragment<'_> {
     }
 }
 
-/// An image of `format` holding `parts` in order between its header and
-/// its trailer, with `room` around it. The parts are copied, not read:
-/// the image's CRC-32 is built from theirs.
-pub(crate) fn fragments_image(room: [usize; 2], format: Format, parts: &[Fragment<'_>]) -> Vec<u8> {
+/// The head and the tail that make `parts`, in order between them, an
+/// image of `format`. The parts are not read: the image's CRC-32 is
+/// built from theirs.
+pub(crate) fn fragments_frame(format: Format, parts: &[Fragment<'_>]) -> (Vec<u8>, [u8; 8]) {
     let n = parts.iter().map(|p| p.sections as usize).sum();
-    let len = parts.iter().map(|p| p.bytes.len()).sum();
-    let (mut enc, mut crc) = image_open(room, format, n, len);
-    for part in parts {
-        enc.raw(part.bytes);
-        crc = crc32_combine(crc, part.crc, part.bytes.len() as u64);
-    }
-    image_close(enc, room, crc)
+    let (head, head_crc) = image_head(format, n, 0);
+    let crc = parts.iter().fold(head_crc, |crc, part| {
+        crc32_combine(crc, part.crc, part.bytes.len() as u64)
+    });
+    debug_assert_eq!(
+        crc,
+        parts
+            .iter()
+            .fold(head_crc, |crc, p| crc32_update(crc, p.bytes)),
+        "every part's CRC is the CRC of its bytes"
+    );
+    (head.into_bytes(), image_tail(crc))
 }
 
 /// An in-memory checkpoint file: an ordered list of named sections.
@@ -417,14 +407,13 @@ impl CkptFile {
     /// `(name, payload, crc32(payload))`, then trailer magic + CRC32 of
     /// everything before the trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.image([0, 0]).0
+        self.image().0
     }
 
-    /// [`CkptFile::to_bytes`] with `room` around it (see
-    /// [`image_open`]), and the CRC32 of every section in file order:
-    /// each payload is summed once, for the image and for whoever indexes
-    /// the sections afterwards.
-    pub(crate) fn image(&self, room: [usize; 2]) -> (Vec<u8>, Vec<u32>) {
+    /// [`CkptFile::to_bytes`], and the CRC32 of every section in file
+    /// order: each payload is summed once, for the image and for whoever
+    /// indexes the sections afterwards.
+    pub(crate) fn image(&self) -> (Vec<u8>, Vec<u32>) {
         let crcs: Vec<u32> = self.sections.iter().map(|(_, p)| crc32(p)).collect();
         let sections = self
             .sections
@@ -432,7 +421,7 @@ impl CkptFile {
             .zip(&crcs)
             .map(|((name, p), &crc)| (name.as_str(), Body::Payload(p, crc)))
             .collect();
-        (image(room, Format::V1, sections), crcs)
+        (image(Format::V1, sections), crcs)
     }
 
     /// Parse and fully validate a serialized file: magic, schema,

@@ -39,7 +39,7 @@ pub mod registry;
 
 pub use crc32::crc32;
 pub use delta::{RawCkpt, SectionData, SectionPlan, SCHEMA_V2};
-pub use drive::{drive, meta_plan, read_meta, Cadence, End, Policy};
+pub use drive::{drive, meta_plan, read_meta, write_meta, Cadence, End, Policy};
 pub use file::{CkptFile, SCHEMA};
 pub use store::{namespace_key, CkptStore};
 pub use wire::{CkptError, Decoder, Encoder};

@@ -53,11 +53,11 @@
 
 use crate::crc32::crc32;
 use crate::delta::{peek_base, RawCkpt, SectionData, SectionPlan};
-use crate::file::{fragments_image, CkptFile, Format, Fragment, SectionIndex};
+use crate::file::{fragments_frame, CkptFile, Format, Fragment, SectionIndex};
 use crate::wire::CkptError;
 use std::cmp::Reverse;
 use std::fs;
-use std::io::Write;
+use std::io::{IoSlice, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -70,8 +70,6 @@ const SLOT_MAGIC: &[u8; 8] = b"QMCSLOT\0";
 const SLOT_HEADER_LEN: usize = 36;
 /// The header's CRC once more, after the image.
 const SLOT_MARK_LEN: usize = 4;
-/// Room an image needs around it to be written as a slot.
-const SLOT_ROOM: [usize; 2] = [SLOT_HEADER_LEN, SLOT_MARK_LEN];
 
 /// The fixed header in front of a slot's image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +116,20 @@ fn slot_image(bytes: &[u8]) -> Option<(SlotHeader, &[u8])> {
     let end = SLOT_HEADER_LEN.checked_add(usize::try_from(header.image_len).ok()?)?;
     let image = bytes.get(SLOT_HEADER_LEN..end)?;
     (bytes.get(end..end.checked_add(SLOT_MARK_LEN)?)? == mark).then_some((header, image))
+}
+
+/// `write_all` over `bufs` in order, with as few writes as the file
+/// takes (one, for a regular file).
+fn write_all_vectored(file: &mut fs::File, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    while !bufs.is_empty() {
+        match file.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Where a generation's image lives.
@@ -400,9 +412,10 @@ impl CkptStore {
             .expect("checkpoint writer state poisoned")
     }
 
-    /// Commit `buf` — an image with [`SLOT_ROOM`] around it — as
-    /// `generation` with one in-place write, and make it the delta
-    /// base (`index` is its materialized section index).
+    /// Commit the image that `parts` make in order as `generation` with
+    /// one in-place (vectored) write of slot header, parts and end mark,
+    /// and make it the delta base (`index` is its materialized section
+    /// index).
     ///
     /// The slot is one the retain rule, applied to what is committed so
     /// far, does not keep (a free one first, else the oldest unkept
@@ -416,18 +429,24 @@ impl CkptStore {
         writer: &mut Writer,
         generation: u64,
         base: Option<u64>,
-        mut buf: Vec<u8>,
+        parts: &[&[u8]],
         index: SectionIndex,
     ) -> std::io::Result<PathBuf> {
         let table = writer.table.get_or_insert_with(|| scan(&self.dir));
         let seq = table.entries.iter().map(|e| e.seq).max().unwrap_or(0) + 1;
+        let image_len: usize = parts.iter().map(|p| p.len()).sum();
         let header = SlotHeader {
             seq,
             generation,
-            image_len: (buf.len() - SLOT_HEADER_LEN) as u64,
+            image_len: image_len as u64,
         };
-        let mark = header.encode(&mut buf[..SLOT_HEADER_LEN]);
-        buf.extend_from_slice(&mark);
+        let mut head = [0; SLOT_HEADER_LEN];
+        let mark = header.encode(&mut head);
+        let mut bytes = Vec::with_capacity(parts.len() + 2);
+        bytes.push(IoSlice::new(&head));
+        bytes.extend(parts.iter().map(|p| IoSlice::new(p)));
+        bytes.push(IoSlice::new(&mark));
+        let written = (SLOT_HEADER_LEN + image_len + SLOT_MARK_LEN) as u64;
 
         let keep = kept(&table.entries, self.retain);
         let oldest_unkept = table
@@ -457,7 +476,7 @@ impl CkptStore {
         // A slot that cannot be opened is not this store's to use (it
         // stays out of the table); one that took a short write is free.
         let mut file = open.open(&path)?;
-        if let Err(e) = file.write_all(&buf) {
+        if let Err(e) = write_all_vectored(&mut file, &mut bytes) {
             table.free.push(slot);
             table.free.sort_unstable();
             return Err(e);
@@ -469,8 +488,8 @@ impl CkptStore {
             generation,
             base,
         });
-        qmc_obs::counter_add("ckpt.write_bytes", buf.len() as u64);
-        self.written.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        qmc_obs::counter_add("ckpt.write_bytes", written);
+        self.written.fetch_add(written, Ordering::Relaxed);
         writer.base = Some(BaseCache { generation, index });
 
         // Legacy files leave as the rule drops them; a directory without
@@ -503,13 +522,13 @@ impl CkptStore {
         generation: u64,
         file: &CkptFile,
     ) -> std::io::Result<PathBuf> {
-        let (buf, crcs) = file.image(SLOT_ROOM);
+        let (image, crcs) = file.image();
         let index = file
             .sections()
             .zip(crcs)
             .map(|((n, p), crc)| (n.to_string(), crc, p.len() as u32))
             .collect();
-        self.commit(writer, generation, None, buf, index)
+        self.commit(writer, generation, None, &[&image], index)
     }
 
     /// Generation a delta write would reference, if the store has one:
@@ -570,7 +589,7 @@ impl CkptStore {
             base: Some(cache.generation),
             sections,
         };
-        let (buf, crcs) = raw.image(SLOT_ROOM);
+        let (image, crcs) = raw.image();
         let index = raw
             .sections
             .into_iter()
@@ -580,7 +599,7 @@ impl CkptStore {
                 SectionData::BaseRef { len, .. } => (name, crc, len),
             })
             .collect();
-        self.commit(&mut writer, generation, raw.base, buf, index)
+        self.commit(&mut writer, generation, raw.base, &[&image], index)
     }
 
     /// Write a planned generation: a delta against the cached base when
@@ -628,12 +647,17 @@ impl CkptStore {
             Some(_) => Format::V2 { base },
             None => Format::V1,
         };
-        let mut index = Vec::new();
+        let mut index = Vec::with_capacity(parts.iter().map(|p| p.sections as usize).sum());
         for part in parts {
-            index.extend(part.index(format.tagged()).map_err(std::io::Error::other)?);
+            part.index_into(format.tagged(), &mut index)
+                .map_err(std::io::Error::other)?;
         }
-        let buf = fragments_image(SLOT_ROOM, format, parts);
-        self.commit(&mut writer, generation, base, buf, index)
+        let (head, tail) = fragments_frame(format, parts);
+        let mut image = Vec::with_capacity(parts.len() + 2);
+        image.push(&head[..]);
+        image.extend(parts.iter().map(|p| p.bytes));
+        image.push(&tail);
+        self.commit(&mut writer, generation, base, &image, index)
     }
 
     /// The generations the directory holds by the retain rule, sorted
@@ -798,13 +822,15 @@ mod tests {
 
     /// The bytes a commit of `file` puts into a slot.
     fn slot_bytes(seq: u64, generation: u64, file: &CkptFile) -> Vec<u8> {
-        let mut buf = file.image(SLOT_ROOM).0;
+        let image = file.to_bytes();
+        let mut buf = vec![0; SLOT_HEADER_LEN];
         let header = SlotHeader {
             seq,
             generation,
-            image_len: (buf.len() - SLOT_HEADER_LEN) as u64,
+            image_len: image.len() as u64,
         };
-        let mark = header.encode(&mut buf[..SLOT_HEADER_LEN]);
+        let mark = header.encode(&mut buf);
+        buf.extend_from_slice(&image);
         buf.extend_from_slice(&mark);
         buf
     }

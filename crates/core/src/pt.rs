@@ -550,7 +550,7 @@ where
                     s as u64,
                     want_full,
                     |sections| {
-                        sections.plan(vec![qmc_ckpt::meta_plan(s, &[step])]);
+                        sections.payload("meta", |enc| qmc_ckpt::write_meta(enc, s, &[step]));
                         sections.state("replica", &replica);
                         sections.state("rng", rng);
                         sections.payload("stats", |st| {
