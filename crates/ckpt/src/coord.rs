@@ -4,15 +4,15 @@
 //! gather and a broadcast. Every rank decides full-vs-delta by itself
 //! from what all ranks already know alike — the generation the last
 //! committed ack, or a resume, made the base, which its [`RankBase`]
-//! keeps — builds its section plan and frames it straight into a
-//! *fragment*: its sections as they will sit on disk, under `rank{r}/…`
-//! names, each payload's CRC-32 summed once by the rank that owns the
-//! bytes, and the fragment's own CRC-32 built from those. The gather
-//! brings the fragments to rank 0, which writes `slot header ‖ image
-//! header ‖ fragment₀ ‖ … ‖ fragment_{P−1} ‖ trailer` with one write,
-//! summing only the header and taking the image's CRC from the P
-//! fragment CRCs (`crc32_combine`); the broadcast then tells every rank
-//! whether the generation landed. Rank 0's share of a commit therefore
+//! keeps — and serializes its sections straight into a *fragment*
+//! ([`RankSections`]): its sections as they will sit on disk, under
+//! `rank{r}/…` names, each payload's CRC-32 summed once by the rank that
+//! owns the bytes, and the fragment's own CRC-32 built from those. The
+//! gather brings the fragments to rank 0, which writes `slot header ‖
+//! image header ‖ fragment₀ ‖ … ‖ fragment_{P−1} ‖ trailer ‖ end mark`
+//! with one (vectored) write, summing only the header and taking the
+//! image's CRC from the P fragment CRCs (`crc32_combine`); the broadcast
+//! then tells every rank whether the generation landed. Rank 0's share of a commit therefore
 //! does not grow with the bytes the P ranks write. The files are those
 //! [`CkptStore::write_plan`] writes for the same sections: a delta in
 //! which no rank has a clean section is a v1 full image, and one with any
@@ -50,8 +50,8 @@ fn rank_section(rank: usize) -> String {
 /// of this rank's own sections in it — all a clean section's base
 /// reference needs. Every rank updates its copy from the same acks and
 /// the same restore, so every rank derives the same full-vs-delta
-/// decision without a message; rank 0's store refuses a delta on any
-/// other base.
+/// decision without a message; rank 0 refuses a fragment framed against
+/// any other base.
 #[derive(Debug, Clone, Default)]
 pub struct RankBase {
     base: Option<(u64, SectionIndex)>,
@@ -76,7 +76,7 @@ impl RankBase {
     }
 
     /// Generation a delta would be written against.
-    pub fn generation(&self) -> Option<u64> {
+    pub(crate) fn generation(&self) -> Option<u64> {
         self.base.as_ref().map(|(generation, _)| *generation)
     }
 
@@ -90,7 +90,7 @@ impl RankBase {
     }
 }
 
-/// How a rank framed its fragment (first byte of its footer).
+// How a rank framed its fragment: the first byte of its footer.
 const UNTAGGED: u8 = 0;
 const TAGGED: u8 = 1;
 const REFUSED: u8 = 2;
@@ -158,12 +158,6 @@ impl<'a> RankSections<'a> {
     /// Section `name`, holding what `write` encodes.
     pub fn payload(&mut self, name: &str, mut write: impl FnMut(&mut Encoder)) {
         self.frame(name.to_string(), Body::Written(&mut write));
-    }
-
-    /// Section `name`, unchanged since the base: a reference to the
-    /// base's bytes.
-    pub fn clean(&mut self, name: &str) {
-        self.refer(name.to_string());
     }
 
     /// Every section of `state` under `prefix/…`, as
@@ -840,12 +834,13 @@ mod tests {
             let me = comm.rank() as u8;
             let build = |tag: u8| {
                 move |sections: &mut RankSections| {
-                    if sections.delta() {
-                        sections.clean("big");
+                    let big = if sections.delta() {
+                        SectionPlan::Clean
                     } else {
-                        sections.payload("big", |enc| enc.raw(&[me; 128]));
-                    }
-                    sections.payload("small", |enc| enc.raw(&[tag; 4]));
+                        SectionPlan::Payload(vec![me; 128])
+                    };
+                    let small = SectionPlan::Payload(vec![tag; 4]);
+                    sections.plan(vec![("big".to_string(), big), ("small".to_string(), small)]);
                 }
             };
             let mut base = RankBase::default();
@@ -905,11 +900,34 @@ mod tests {
 
     /// Rank `rank`'s plan at `round` of sequence `seq`: `meta` always
     /// dirty, three more sections dirty at random, payloads of random
-    /// length (a quarter of them empty). One round in four every section
-    /// of every rank is dirty, so a delta decision finds nothing clean.
+    /// length (a quarter of them empty), then the sections of
+    /// [`random_state`]. One round in four every section of every rank is
+    /// dirty, so a delta decision finds nothing clean.
     fn random_plan(seq: u64, round: u64, rank: usize, delta: bool) -> Vec<(String, SectionPlan)> {
-        let round_draw = mix(mix(seq) ^ round);
-        let all_dirty = round_draw.is_multiple_of(4);
+        let mut plan = random_payloads(seq, round, rank, delta);
+        crate::plan_sections(&mut plan, "state", &random_state(seq, round, rank), delta);
+        plan
+    }
+
+    /// The same plan as the coordinated writer gets it: the payloads as a
+    /// plan, the state's sections through [`RankSections::state`].
+    fn random_sections(seq: u64, round: u64, rank: usize, sections: &mut RankSections) {
+        sections.plan(random_payloads(seq, round, rank, sections.delta()));
+        sections.state("state", &random_state(seq, round, rank));
+    }
+
+    fn round_draw(seq: u64, round: u64) -> (u64, bool) {
+        let draw = mix(mix(seq) ^ round);
+        (draw, draw.is_multiple_of(4))
+    }
+
+    fn random_payloads(
+        seq: u64,
+        round: u64,
+        rank: usize,
+        delta: bool,
+    ) -> Vec<(String, SectionPlan)> {
+        let (round_draw, all_dirty) = round_draw(seq, round);
         ["meta", "a", "b/c", "d"]
             .iter()
             .enumerate()
@@ -929,6 +947,42 @@ mod tests {
                 (name.to_string(), plan)
             })
             .collect()
+    }
+
+    /// A value of two sections whose dirtiness and bytes are drawn.
+    struct Drawn {
+        draw: u64,
+        all_dirty: bool,
+    }
+
+    fn random_state(seq: u64, round: u64, rank: usize) -> Drawn {
+        let (round_draw, all_dirty) = round_draw(seq, round);
+        Drawn {
+            draw: mix(round_draw ^ 0xD0 ^ rank as u64),
+            all_dirty,
+        }
+    }
+
+    impl crate::Checkpoint for Drawn {
+        fn kind(&self) -> &'static str {
+            "test.drawn"
+        }
+        fn save(&self, enc: &mut Encoder) {
+            crate::save_sections_in_order(self, enc);
+        }
+        fn load(&mut self, _: &mut Decoder) -> Result<(), CkptError> {
+            Ok(())
+        }
+        fn dirty_sections(&self) -> crate::DirtySections {
+            let mut s = crate::DirtySections::new();
+            s.push("x", self.all_dirty || !self.draw.is_multiple_of(3));
+            s.push("y/z", self.all_dirty || self.draw.is_multiple_of(2));
+            s
+        }
+        fn save_section(&self, name: &str, enc: &mut Encoder) {
+            let h = mix(self.draw ^ name.len() as u64);
+            enc.u64s(&vec![h; (h % 300) as usize]);
+        }
     }
 
     /// Every entry of `dir`: name, and the bytes of a file (`None` for
@@ -996,9 +1050,7 @@ mod tests {
                             }
                             name
                         });
-                        let build = |sections: &mut RankSections| {
-                            sections.plan(random_plan(seq, round, rank, sections.delta()))
-                        };
+                        let build = |s: &mut RankSections| random_sections(seq, round, rank, s);
                         let (_, committed) = write_coordinated_sections(
                             comm, &store, &mut base, generation, want_full, build,
                         );

@@ -26,7 +26,7 @@
 //! automatically forward-compatible with old full checkpoints.
 
 use crate::crc32::crc32;
-use crate::file::{envelope_body, image, read_section, Body, CkptFile, Format, Stored, SCHEMA};
+use crate::file::{envelope_body, image, read_section, CkptFile, Format, Stored, SCHEMA};
 use crate::wire::{CkptError, Decoder};
 
 /// Schema identifier for delta-capable checkpoint files.
@@ -93,15 +93,15 @@ impl RawCkpt {
             .iter()
             .zip(&crcs)
             .map(|((name, data), &crc)| {
-                let body = match data {
-                    SectionData::Payload(p) => Body::Payload(p, crc),
-                    SectionData::BaseRef { len, .. } => Body::BaseRef(crc, *len),
+                let stored = match data {
+                    SectionData::Payload(p) => Stored::Payload(p, crc),
+                    SectionData::BaseRef { len, .. } => Stored::BaseRef(crc, *len),
                 };
-                (name.as_str(), body)
+                (name.as_str(), stored)
             })
-            .collect();
+            .collect::<Vec<_>>();
         let format = Format::V2 { base: self.base };
-        (image(format, sections), crcs)
+        (image(format, &sections), crcs)
     }
 
     /// Parse and fully validate either schema: v1 files come back as

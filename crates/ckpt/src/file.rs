@@ -96,20 +96,6 @@ pub(crate) enum Body<'a> {
     BaseRef(u32, u32),
 }
 
-impl Body<'_> {
-    /// Bytes [`frame_section`] appends for section `name` (a written
-    /// payload's own bytes not counted: they are not known before).
-    pub(crate) fn wire_len(&self, tagged: bool, name: &str) -> usize {
-        prefixed(name.len())
-            + usize::from(tagged)
-            + match self {
-                Body::Payload(p, _) => prefixed(p.len()) + 4,
-                Body::Written(_) => prefixed(0) + 4,
-                Body::BaseRef(..) => 8,
-            }
-    }
-}
-
 /// Append section `name` to an image (or a fragment of one) in `enc`:
 /// the length-prefixed name, the tag when `tagged` (v2), then the
 /// length-prefixed payload and its CRC-32, or the base reference. `crc`
@@ -190,6 +176,16 @@ impl<'a> Stored<'a> {
             Stored::BaseRef(crc, len) => Body::BaseRef(crc, len),
         }
     }
+
+    /// Bytes [`frame_section`] takes for it under `name`.
+    fn wire_len(self, tagged: bool, name: &str) -> usize {
+        prefixed(name.len())
+            + usize::from(tagged)
+            + match self {
+                Stored::Payload(p, _) => prefixed(p.len()) + 4,
+                Stored::BaseRef(..) => 8,
+            }
+    }
 }
 
 /// Read back one section [`frame_section`] wrote, without checking the
@@ -251,15 +247,15 @@ pub(crate) fn image_tail(crc: u32) -> [u8; 8] {
 /// A whole image of `format`: every section framed by [`frame_section`],
 /// each payload summed once (by the caller, for its CRC) and never again
 /// for the image's.
-pub(crate) fn image(format: Format, sections: Vec<(&str, Body<'_>)>) -> Vec<u8> {
+pub(crate) fn image(format: Format, sections: &[(&str, Stored<'_>)]) -> Vec<u8> {
     let tagged = format.tagged();
     let len: usize = sections
         .iter()
-        .map(|(name, body)| body.wire_len(tagged, name))
+        .map(|&(name, stored)| stored.wire_len(tagged, name))
         .sum();
     let (mut enc, mut crc) = image_head(format, sections.len(), len + TRAILER.len() + 4);
-    for (name, body) in sections {
-        crc = frame_section(&mut enc, crc, tagged, name, body).0;
+    for &(name, stored) in sections {
+        crc = frame_section(&mut enc, crc, tagged, name, stored.body()).0;
     }
     let mut image = enc.into_bytes();
     debug_assert_eq!(crc, crc32(&image), "the CRC summed in parts is the image's");
@@ -419,9 +415,9 @@ impl CkptFile {
             .sections
             .iter()
             .zip(&crcs)
-            .map(|((name, p), &crc)| (name.as_str(), Body::Payload(p, crc)))
-            .collect();
-        (image(Format::V1, sections), crcs)
+            .map(|((name, p), &crc)| (name.as_str(), Stored::Payload(p, crc)))
+            .collect::<Vec<_>>();
+        (image(Format::V1, &sections), crcs)
     }
 
     /// Parse and fully validate a serialized file: magic, schema,

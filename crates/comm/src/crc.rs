@@ -11,7 +11,7 @@
 //! without reading either, so a writer that already knows the CRC of a
 //! payload never sums it a second time for the CRC of what contains it.
 //! The kernel uses the same join on itself: each step waits on the one
-//! before, so a run of [`TWO_STREAMS`] bytes or more is summed as two
+//! before, so a run of `TWO_STREAMS` bytes or more is summed as two
 //! halves side by side, whose chains overlap, and the halves joined.
 //!
 //! Lives in `qmc-comm` — the bottom of the workspace dependency graph —
@@ -98,7 +98,7 @@ fn fold(mut crc: u32, bytes: &[u8]) -> u32 {
 
 /// Runs at least this long are summed as two halves side by side: below
 /// it the join costs more than the overlap saves.
-pub const TWO_STREAMS: usize = 256;
+const TWO_STREAMS: usize = 256;
 
 /// CRC-32 of `bytes` (IEEE, reflected, init/xorout `0xFFFF_FFFF`).
 pub fn crc32(bytes: &[u8]) -> u32 {

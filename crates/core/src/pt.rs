@@ -339,9 +339,10 @@ pub struct PtCheckpointing<'a> {
 /// [`qmc_ckpt::drive`] is built from; only the collective drain verdict
 /// and the coordinated write — each rank framing its own sections, the
 /// delta decision derived on every rank from its
-/// [`qmc_ckpt::coord::RankBase`] — are this loop's own. `on_sweep` runs after the checkpoint write at the top
-/// of every iteration: it is the injection point for
-/// [`qmc_comm::FaultyComm::tick_sweep`]-style rank kills.
+/// [`qmc_ckpt::coord::RankBase`] — are this loop's own. `on_sweep` runs
+/// after the checkpoint write at the top of every iteration: it is the
+/// injection point for [`qmc_comm::FaultyComm::tick_sweep`]-style rank
+/// kills.
 ///
 /// Panics on a zero `ck.every` ([`qmc_ckpt::CkptError::ZeroCadence`]) and
 /// on a newest generation that does not restore.

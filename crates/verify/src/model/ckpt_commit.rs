@@ -31,8 +31,9 @@
 //! * **decision agreement**: every rank derives the same decision for a
 //!   round — full, or a delta on the same base. With no broadcast
 //!   behind it, that holds only because every rank moved its base on
-//!   the same acks; a rank that frames references to another base than
-//!   rank 0's would have rank 0 assemble an archive the store refuses.
+//!   the same acks. The real writer refuses a fragment framed against
+//!   another base than rank 0's, so a divergence loses the generation
+//!   instead of landing references the file's base does not hold.
 //! * **generation agreement**: ranks that complete the protocol agree
 //!   on the latest committed generation.
 //!

@@ -30,11 +30,12 @@
 //!
 //! The three mirrors:
 //!
-//! * [`ckpt_commit`]: coordinated full-vs-delta checkpoint write with
-//!   rank-0 decision broadcast, plan gather, persist, and the
-//!   commit-ack broadcast that gates `mark_clean` — under crash and
-//!   write-failure injection (mirrors
-//!   `qmc_ckpt::coord::write_coordinated_sections` and its callers).
+//! * [`ckpt_commit`]: coordinated full-vs-delta checkpoint write — the
+//!   decision each rank derives from the acks it saw, plan gather,
+//!   persist, and the commit-ack broadcast that gates `mark_clean` and
+//!   moves the delta base — under crash and write-failure injection
+//!   (mirrors `qmc_ckpt::coord::write_coordinated_sections` and its
+//!   callers).
 //! * [`drain`]: the graceful-drain verdict broadcast at sweep
 //!   boundaries — every rank must stop at the same sweep in every
 //!   schedule (mirrors the drain check in
