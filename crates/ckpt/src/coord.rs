@@ -3,21 +3,25 @@
 //! **A commit** ([`write_coordinated_sections`]) is two collectives, a
 //! gather and a broadcast. Every rank decides full-vs-delta by itself
 //! from what all ranks already know alike — the generation the last
-//! committed ack, or a resume, made the base, which its [`RankBase`]
+//! committed ack, or a resume, made the base, which its [`DeltaBase`]
 //! keeps — and serializes its sections straight into a *fragment*
-//! ([`RankSections`]): its sections as they will sit on disk, under
-//! `rank{r}/…` names, each payload's CRC-32 summed once by the rank that
-//! owns the bytes, and the fragment's own CRC-32 built from those. The
-//! gather brings the fragments to rank 0, which writes `slot header ‖
-//! image header ‖ fragment₀ ‖ … ‖ fragment_{P−1} ‖ trailer ‖ end mark`
-//! with one (vectored) write, summing only the header and taking the
-//! image's CRC from the P fragment CRCs (`crc32_combine`); the broadcast
-//! then tells every rank whether the generation landed. Rank 0's share of a commit therefore
-//! does not grow with the bytes the P ranks write. The files are those
-//! [`CkptStore::write_plan`] writes for the same sections: a delta in
-//! which no rank has a clean section is a v1 full image, and one with any
-//! base reference frames every section tagged (rank 0 re-frames the
-//! fragments of ranks that had nothing clean).
+//! ([`RankSections`], the section writer a serial store uses too): its
+//! sections as they will sit on disk, under `rank{r}/…` names, each
+//! payload's CRC-32 summed once by the rank that owns the bytes, and the
+//! fragment's own CRC-32 built from those. The gather brings the
+//! fragments to rank 0, which writes `slot header ‖ image header ‖
+//! fragment₀ ‖ … ‖ fragment_{P−1} ‖ trailer ‖ end mark` with one
+//! (vectored) write, summing only the header and taking the image's CRC
+//! from the P fragment CRCs (`crc32_combine`); the broadcast then tells
+//! every rank whether the generation landed. Rank 0's share of a commit
+//! therefore does not grow with the bytes the P ranks write. A serial
+//! store's commit is the same with one fragment and no collective
+//! ([`CkptStore::write_sections`]). The files are those a plan of the
+//! flattened sections made as a `RawCkpt` or a [`CkptFile`] image (the
+//! unit tests' reference): a delta in which no rank has a clean section
+//! is a v1 full image, and one with any base reference frames every
+//! section tagged (rank 0 re-frames the fragments of ranks that had
+//! nothing clean).
 //!
 //! **Restore** reads two layouts: the sectioned one written here
 //! (flattened `rank{r}/{name}` sections, which is what lets a delta
@@ -45,34 +49,46 @@ fn rank_section(rank: usize) -> String {
     format!("rank{rank}")
 }
 
-/// What one rank knows of the store's delta base: the generation the
-/// last committed ack, or a resume, made it, and the CRC-32 and length
-/// of this rank's own sections in it — all a clean section's base
-/// reference needs. Every rank updates its copy from the same acks and
-/// the same restore, so every rank derives the same full-vs-delta
-/// decision without a message; rank 0 refuses a fragment framed against
-/// any other base.
+/// What a writer knows of the generation its next delta is written
+/// against: the generation the last commit, or a restore, made the base,
+/// and the CRC-32 and length of the writer's own sections in it — all a
+/// clean section's base reference needs. A [`CkptStore`] keeps one for
+/// its serial writes; in a coordinated commit every rank keeps its own,
+/// moved by the same acks and the same restore, so every rank derives the
+/// same full-vs-delta decision without a message, and rank 0 refuses a
+/// fragment framed against any other base.
 #[derive(Debug, Clone, Default)]
-pub struct RankBase {
+pub struct DeltaBase {
     base: Option<(u64, SectionIndex)>,
 }
 
-impl RankBase {
+impl DeltaBase {
     /// The base a coordinated restore leaves this rank with: the
-    /// generation it resumed (with its sections) or joined, or none.
+    /// generation it resumed, with its sections, or none. A remapped
+    /// restore leaves every rank with none, so the first commit after a
+    /// resize is full: a moved rank's sections sit under another rank's
+    /// names in that generation.
     pub fn restored(restore: &ElasticRestore) -> Self {
-        let base = match restore {
-            ElasticRestore::Fresh => None,
-            ElasticRestore::Joined(generation) => Some((*generation, Vec::new())),
-            ElasticRestore::Resumed(generation, file) => {
-                let index = file
-                    .sections()
-                    .map(|(name, p)| (name.to_string(), crc32(p), p.len() as u32))
-                    .collect();
-                Some((*generation, index))
-            }
-        };
-        Self { base }
+        match restore {
+            ElasticRestore::Resumed(generation, file) => Self::of(*generation, file),
+            _ => Self::default(),
+        }
+    }
+
+    /// `generation`, whose sections `file` holds.
+    pub(crate) fn of(generation: u64, file: &CkptFile) -> Self {
+        let index = file
+            .sections()
+            .map(|(name, p)| (name.to_string(), crc32(p), p.len() as u32))
+            .collect();
+        Self::at(generation, index)
+    }
+
+    /// `generation`, whose sections `index` lists.
+    pub(crate) fn at(generation: u64, index: SectionIndex) -> Self {
+        Self {
+            base: Some((generation, index)),
+        }
     }
 
     /// Generation a delta would be written against.
@@ -80,8 +96,17 @@ impl RankBase {
         self.base.as_ref().map(|(generation, _)| *generation)
     }
 
-    /// CRC-32 and length of this rank's section `name` in the base.
-    fn section(&self, name: &str) -> Option<(u32, u32)> {
+    /// The base a commit of `generation` is a delta on, `None` when it is
+    /// full: the one place the crate decides. A delta needs a base, not
+    /// `want_full`, and a base strictly older than `generation` —
+    /// resuming exactly at a checkpoint boundary would otherwise re-write
+    /// this generation as a delta against itself.
+    pub(crate) fn delta_on(&self, generation: u64, want_full: bool) -> Option<u64> {
+        self.generation().filter(|&b| !want_full && b < generation)
+    }
+
+    /// CRC-32 and length of the writer's section `name` in the base.
+    pub(crate) fn section(&self, name: &str) -> Option<(u32, u32)> {
         let (_, index) = self.base.as_ref()?;
         index
             .iter()
@@ -99,35 +124,37 @@ const REFUSED: u8 = 2;
 /// count (u64) and its CRC-32 (u32).
 const FOOTER_LEN: usize = 1 + 8 + 8 + 4;
 
-/// One rank's sections of a coordinated commit, written straight into
-/// the fragment rank 0 places in the image: each named `rank{r}/…`,
-/// framed where it is written, its payload's CRC-32 summed there, once.
-/// [`write_coordinated_sections`] hands one to its `build`.
+/// The sections of one commit, written straight into the fragment the
+/// store places in the image: each framed where it is written, its
+/// payload's CRC-32 summed there, once. The crate's one section writer:
+/// [`CkptStore::write_sections`] hands one to its `build` for a serial
+/// store, under the section names as given, and
+/// [`write_coordinated_sections`] one per rank, under `rank{r}/…`.
 ///
 /// The fragment is untagged (v1 framing) until a section is a base
 /// reference, which tags it, re-framing what was written before. A
 /// section the commit cannot hold — a clean one in a full commit, or one
-/// the base lacks — refuses the whole fragment, and rank 0 then writes
-/// nothing.
+/// the base lacks — refuses the whole fragment, and nothing is written.
 pub struct RankSections<'a> {
-    base: &'a RankBase,
+    base: &'a DeltaBase,
     /// The base generation when this commit is a delta.
     delta_on: Option<u64>,
-    /// `rank{r}/`, then the name of the section being framed.
+    /// The name prefix, then the name of the section being framed.
     name: String,
     prefix_len: usize,
     enc: Encoder,
     /// CRC-32 of the fragment so far.
     crc: u32,
     tagged: bool,
-    /// Every section so far, under its name without `rank{r}/`.
+    /// Every section so far, under its name without the prefix.
     index: SectionIndex,
     refused: Option<String>,
 }
 
 impl<'a> RankSections<'a> {
-    fn new(rank: usize, base: &'a RankBase, delta_on: Option<u64>) -> Self {
-        let name = format!("rank{rank}/");
+    /// Sections named `prefix…` (`name` is the prefix), a delta on
+    /// `delta_on` when that is set, which `base` must have decided.
+    pub(crate) fn new(name: String, base: &'a DeltaBase, delta_on: Option<u64>) -> Self {
         // The base's sections are the best guess at this fragment's size.
         let hint = base.base.as_ref().map_or(0, |(_, index)| {
             let framed = |n: &str, len| prefixed(name.len() + n.len()) + 1 + prefixed(len) + 4;
@@ -229,16 +256,14 @@ impl<'a> RankSections<'a> {
         self.frame(local, Body::BaseRef(crc, len));
     }
 
-    /// The gather message (fragment ‖ footer) and the index the base
-    /// becomes if the commit lands, or why there is none.
-    fn finish(mut self) -> Result<(Vec<u8>, SectionIndex), String> {
-        if let Some(why) = self.refused {
-            return Err(why);
+    /// The framed sections, their CRC-32, whether they are tagged, and
+    /// the index the base becomes if the commit lands — or why the
+    /// commit cannot hold them.
+    pub(crate) fn finish(self) -> Result<(Encoder, u32, bool, SectionIndex), String> {
+        match self.refused {
+            Some(why) => Err(why),
+            None => Ok((self.enc, self.crc, self.tagged, self.index)),
         }
-        let how = if self.tagged { TAGGED } else { UNTAGGED };
-        let on = self.delta_on.unwrap_or(0);
-        footer(&mut self.enc, how, on, self.index.len() as u64, self.crc);
-        Ok((self.enc.into_bytes(), self.index))
     }
 }
 
@@ -258,24 +283,29 @@ impl<'a> RankSections<'a> {
 pub fn write_coordinated_sections<C: Communicator>(
     comm: &mut C,
     store: &CkptStore,
-    base: &mut RankBase,
+    base: &mut DeltaBase,
     generation: u64,
     want_full: bool,
     build: impl FnOnce(&mut RankSections<'_>),
 ) -> (Option<PathBuf>, bool) {
     let me = comm.rank();
-    // The base must be strictly older than `generation`: resuming
-    // exactly at a checkpoint boundary would otherwise re-write this
-    // generation as a delta against itself.
-    let delta_on = base.generation().filter(|&b| !want_full && b < generation);
-    let mut sections = RankSections::new(me, base, delta_on);
+    let delta_on = base.delta_on(generation, want_full);
+    let mut sections = RankSections::new(format!("rank{me}/"), base, delta_on);
     build(&mut sections);
-    let (message, index) = sections.finish().unwrap_or_else(|why| {
-        eprintln!("warning: rank {me}: checkpoint generation {generation}: {why}");
-        let mut refused = Encoder::new();
-        footer(&mut refused, REFUSED, 0, 0, 0);
-        (refused.into_bytes(), Vec::new())
-    });
+    let (message, index) = match sections.finish() {
+        Ok((mut enc, crc, tagged, index)) => {
+            let how = if tagged { TAGGED } else { UNTAGGED };
+            let on = delta_on.unwrap_or(0);
+            footer(&mut enc, how, on, index.len() as u64, crc);
+            (enc.into_bytes(), index)
+        }
+        Err(why) => {
+            eprintln!("warning: rank {me}: checkpoint generation {generation}: {why}");
+            let mut refused = Encoder::new();
+            footer(&mut refused, REFUSED, 0, 0, 0);
+            (refused.into_bytes(), Vec::new())
+        }
+    };
     let gathered = comm.gather_bytes(0, &message);
     drop(message);
     let path = gathered.and_then(|messages| {
@@ -301,7 +331,7 @@ pub fn write_coordinated_sections<C: Communicator>(
     };
     let committed = comm.broadcast_bytes(0, ack).first() == Some(&1);
     if committed {
-        base.base = Some((generation, index));
+        *base = DeltaBase::at(generation, index);
     }
     (path, committed)
 }
@@ -357,7 +387,7 @@ fn place_fragments(
         });
     }
     // A base reference anywhere makes a v2 image, in which every section
-    // is tagged; without one a delta is a v1 image, as `write_delta`'s.
+    // is tagged; without one a delta is a v1 image, as a serial one is.
     let tagged = untagged.len() < parts.len();
     if tagged {
         copies = untagged
@@ -373,8 +403,11 @@ fn place_fragments(
             };
         }
     }
+    // Rank 0 does not index the other ranks' sections: the store keeps
+    // no base of its own for this generation; every rank keeps its own.
+    let base = delta_on.filter(|_| tagged);
     store
-        .write_fragments(generation, delta_on.filter(|_| tagged), &parts)
+        .write_fragments(&mut store.writer(), generation, base, &parts, None)
         .map_err(|e| e.to_string())
 }
 
@@ -397,14 +430,24 @@ fn covered_ranks(outer: &CkptFile) -> Option<usize> {
     ((n > 0) && (0..n).all(|r| ranks.contains(&r))).then_some(n)
 }
 
-/// Decode the restore broadcast `[present u8][generation u64][file
-/// bytes]`. Degrades to `None` — with a warning, never a panic — on a
-/// truncated or unparsable message, honoring the restore contract that
-/// corrupt bytes mean "no checkpoint", not a crash.
-fn decode_restore_broadcast(me: usize, msg: &[u8]) -> Option<(u64, CkptFile)> {
-    if msg.first() != Some(&1) {
-        return None;
-    }
+/// What the restore broadcast's first byte says: no checkpoint, the file
+/// as the store holds it, or the file remapped onto a world of another
+/// size.
+const ABSENT: u8 = 0;
+const AS_WRITTEN: u8 = 1;
+const REMAPPED: u8 = 2;
+
+/// Decode the restore broadcast `[kind u8][generation u64][file bytes]`
+/// into the generation, the file and whether it was remapped. Degrades
+/// to `None` — with a warning, never a panic — on a truncated or
+/// unparsable message, honoring the restore contract that corrupt bytes
+/// mean "no checkpoint", not a crash.
+fn decode_restore_broadcast(me: usize, msg: &[u8]) -> Option<(u64, CkptFile, bool)> {
+    let remapped = match msg.first() {
+        Some(&AS_WRITTEN) => false,
+        Some(&REMAPPED) => true,
+        _ => return None,
+    };
     let Some(gen_bytes) = msg.get(1..9) else {
         eprintln!(
             "warning: rank {me}: broadcast checkpoint truncated ({} bytes); resuming fresh",
@@ -414,7 +457,7 @@ fn decode_restore_broadcast(me: usize, msg: &[u8]) -> Option<(u64, CkptFile)> {
     };
     let generation = u64::from_le_bytes(gen_bytes.try_into().expect("slice is exactly 8 bytes"));
     match CkptFile::from_bytes(&msg[9..]) {
-        Ok(f) => Some((generation, f)),
+        Ok(f) => Some((generation, f, remapped)),
         Err(e) => {
             // Rank 0 already validated; a broadcast that corrupts bytes
             // would be a comm bug, but degrade to "no checkpoint".
@@ -455,20 +498,26 @@ pub fn restore_coordinated<C: Communicator>(
     store: &CkptStore,
 ) -> Option<(u64, CkptFile)> {
     match restore_coordinated_remapped(comm, store, |_| None) {
-        ElasticRestore::Resumed(generation, file) => Some((generation, file)),
+        ElasticRestore::Resumed(generation, file) | ElasticRestore::Remapped(generation, file) => {
+            Some((generation, file))
+        }
         ElasticRestore::Fresh | ElasticRestore::Joined(_) => None,
     }
 }
 
 /// Per-rank outcome of [`restore_coordinated_remapped`]. Rank-consistent:
 /// either the whole world is `Fresh`, or every rank got the same
-/// generation and is `Resumed` or `Joined`.
+/// generation and is `Resumed`, or every rank is `Remapped` or `Joined`.
 pub enum ElasticRestore {
     /// No usable checkpoint (none on disk, or the remap declined the
     /// mismatch): every rank starts from scratch.
     Fresh,
     /// This rank's state was rehydrated from the given generation.
     Resumed(u64, CkptFile),
+    /// This rank's state was rehydrated from the given generation, which
+    /// a world of another size wrote: from the sections of the old rank
+    /// the remap maps onto it.
+    Remapped(u64, CkptFile),
     /// A checkpoint at the given generation exists for the world, but
     /// maps no old rank onto this one (the world re-grew): start fresh
     /// state *at that generation's boundary*, not at sweep zero.
@@ -492,16 +541,16 @@ pub fn restore_coordinated_remapped<C: Communicator>(
 ) -> ElasticRestore {
     let me = comm.rank();
     let world = comm.size();
-    // Rank 0 encodes [present u8][generation u64][file bytes] so absence
+    // Rank 0 encodes [kind u8][generation u64][file bytes] so absence
     // broadcasts consistently instead of deadlocking non-root ranks.
     let msg = if me == 0 {
         let present = store.latest().and_then(|(generation, file)| {
             let covered = covered_ranks(&file);
             let outer = match covered {
-                Some(n) if n == world => Some(file),
+                Some(n) if n == world => Some((AS_WRITTEN, file)),
                 Some(n) => remap(n)
                     .filter(|m| valid_mapping(m, n, world))
-                    .map(|m| remap_outer(&file, &m)),
+                    .map(|m| (REMAPPED, remap_outer(&file, &m))),
                 None => None,
             };
             if outer.is_none() {
@@ -511,18 +560,18 @@ pub fn restore_coordinated_remapped<C: Communicator>(
                     covered.map_or_else(|| "an invalid set of".to_string(), |n| n.to_string())
                 );
             }
-            let outer = outer?;
-            let mut m = vec![1u8];
+            let (kind, outer) = outer?;
+            let mut m = vec![kind];
             m.extend_from_slice(&generation.to_le_bytes());
             m.extend_from_slice(&outer.to_bytes());
             Some(m)
         });
-        present.unwrap_or_else(|| vec![0u8])
+        present.unwrap_or_else(|| vec![ABSENT])
     } else {
         Vec::new()
     };
     let msg = comm.broadcast_bytes(0, msg);
-    let Some((generation, outer)) = decode_restore_broadcast(me, &msg) else {
+    let Some((generation, outer, remapped)) = decode_restore_broadcast(me, &msg) else {
         return ElasticRestore::Fresh;
     };
     match extract_rank_file(&outer, me) {
@@ -531,7 +580,11 @@ pub fn restore_coordinated_remapped<C: Communicator>(
                 // Rank 0's restore was counted inside `CkptStore::latest`.
                 qmc_obs::counter_add("ckpt.restores", 1);
             }
-            ElasticRestore::Resumed(generation, file)
+            if remapped {
+                ElasticRestore::Remapped(generation, file)
+            } else {
+                ElasticRestore::Resumed(generation, file)
+            }
         }
         None => ElasticRestore::Joined(generation),
     }
@@ -717,7 +770,7 @@ mod tests {
             let mapping = mapping.clone();
             match restore_coordinated_remapped(comm, &store, move |_old| mapping) {
                 ElasticRestore::Fresh => ("fresh".to_string(), Vec::new()),
-                ElasticRestore::Resumed(g, f) => {
+                ElasticRestore::Resumed(g, f) | ElasticRestore::Remapped(g, f) => {
                     (format!("resumed@{g}"), f.get("payload").unwrap().to_vec())
                 }
                 ElasticRestore::Joined(g) => (format!("joined@{g}"), Vec::new()),
@@ -783,7 +836,7 @@ mod tests {
             run_threads(3, move |comm| {
                 let store = CkptStore::new(&dir, 2).unwrap();
                 let me = comm.rank() as u8;
-                let base = &mut RankBase::default();
+                let base = &mut DeltaBase::default();
                 write_coordinated_sections(comm, &store, base, 5, true, |sections| {
                     sections.plan(vec![(
                         "payload".to_string(),
@@ -819,8 +872,9 @@ mod tests {
         let mut f = CkptFile::new();
         f.add("rank0", vec![1, 2]);
         good.extend_from_slice(&f.to_bytes());
-        let (g, file) = decode_restore_broadcast(0, &good).expect("valid broadcast decodes");
-        assert_eq!(g, 9);
+        let (g, file, remapped) =
+            decode_restore_broadcast(0, &good).expect("valid broadcast decodes");
+        assert_eq!((g, remapped), (9, false));
         assert_eq!(file.get("rank0"), Some(&[1u8, 2][..]));
     }
 
@@ -843,7 +897,7 @@ mod tests {
                     sections.plan(vec![("big".to_string(), big), ("small".to_string(), small)]);
                 }
             };
-            let mut base = RankBase::default();
+            let mut base = DeltaBase::default();
             let (_, committed_full) =
                 write_coordinated_sections(comm, &store, &mut base, 1, true, build(1));
             let (_, committed_delta) =
@@ -869,10 +923,14 @@ mod tests {
 
     // ---- byte identity with the flattened plan ----
 
+    /// A writer of a whole plan: the store's own, or the reference.
+    type Write = fn(&CkptStore, u64, Vec<(String, SectionPlan)>, bool) -> std::io::Result<PathBuf>;
+
     /// The coordinated write as it was before ranks framed their own
     /// sections: rank 0 decides full or delta from its store's base,
     /// flattens every rank's plan under `rank{r}/…` and hands it to
-    /// `write_plan`. The oracle the coordinated path must match file for
+    /// `write`. With the serial writer of that time
+    /// (`reference_write_plan`), the oracle every path must match file for
     /// file and byte for byte.
     fn write_flattened(
         store: &CkptStore,
@@ -880,6 +938,7 @@ mod tests {
         want_full: bool,
         ranks: usize,
         plan: impl Fn(usize, bool) -> Vec<(String, SectionPlan)>,
+        write: Write,
     ) -> bool {
         let delta = !want_full && store.delta_base().is_some_and(|b| b < generation);
         let mut global = Vec::new();
@@ -888,7 +947,7 @@ mod tests {
                 global.push((format!("rank{rank}/{name}"), p));
             }
         }
-        store.write_plan(generation, global, delta).is_ok()
+        write(store, generation, global, delta).is_ok()
     }
 
     fn mix(mut z: u64) -> u64 {
@@ -909,11 +968,13 @@ mod tests {
         plan
     }
 
-    /// The same plan as the coordinated writer gets it: the payloads as a
-    /// plan, the state's sections through [`RankSections::state`].
-    fn random_sections(seq: u64, round: u64, rank: usize, sections: &mut RankSections) {
-        sections.plan(random_payloads(seq, round, rank, sections.delta()));
-        sections.state("state", &random_state(seq, round, rank));
+    /// The same plan as a section writer gets it, under `prefix…`: the
+    /// payloads as a plan, the state's sections through
+    /// [`RankSections::state`].
+    fn random_sections(seq: u64, round: u64, rank: usize, prefix: &str, s: &mut RankSections) {
+        let payloads = random_payloads(seq, round, rank, s.delta()).into_iter();
+        s.plan(payloads.map(|(n, p)| (format!("{prefix}{n}"), p)).collect());
+        s.state(&format!("{prefix}state"), &random_state(seq, round, rank));
     }
 
     fn round_draw(seq: u64, round: u64) -> (u64, bool) {
@@ -1007,9 +1068,11 @@ mod tests {
     /// Randomised commit sequences on 1–4 ranks: full commits, deltas
     /// with clean sections, deltas with nothing clean (a v1 image), empty
     /// payloads, a write that fails and, in half the sequences, a resume
-    /// half-way. After every commit the coordinated store's directory
-    /// and `bytes_written()` equal those of the flattened plan written
-    /// through `write_plan` into a sibling directory.
+    /// (a reopen and `latest()`) half-way. After every commit three
+    /// stores equal, in their directories and `bytes_written()`, the
+    /// flattened plan written through the reference writer into a sibling
+    /// directory: the coordinated one, and on rank 0 a serial one written
+    /// through `write_sections` and one through `write_plan`.
     #[test]
     fn coordinated_commits_match_the_flattened_plan_byte_for_byte() {
         // v2 deltas, v1 images of a delta decision, empty payloads,
@@ -1017,62 +1080,83 @@ mod tests {
         let mut seen = [0usize; 5];
         for ranks in 1..=4 {
             for seq in 0..6u64 {
-                let (dir, odir) = (scratch("ident"), scratch("ident-oracle"));
-                std::fs::create_dir_all(&odir).unwrap();
+                // Coordinated, reference, `write_sections`, `write_plan`.
+                let dirs = ["ident", "ident-oracle", "ident-serial", "ident-plan"].map(scratch);
                 let seq = seq + 10 * ranks as u64;
                 let counts = run_threads(ranks, |comm| {
                     let rank = comm.rank();
                     let retain = 3 + (seq % 3) as usize;
                     let fail_round = 1 + seq % (retain as u64 - 1);
                     let resume_round = seq.is_multiple_of(2).then_some(8);
-                    let mut store = CkptStore::new(&dir, retain).unwrap();
-                    let mut base = RankBase::default();
-                    let mut oracle = CkptStore::new(&odir, retain).unwrap();
+                    let open = |dir: &PathBuf| CkptStore::new(dir, retain).unwrap();
+                    let mut stores = dirs.each_ref().map(open);
+                    let mut base = DeltaBase::default();
                     let mut tally = [0usize; 5];
                     for round in 0..14u64 {
                         let generation = 2 * round + 2;
                         if resume_round == Some(round) {
-                            store = CkptStore::new(&dir, retain).unwrap();
-                            let restored = restore_coordinated_remapped(comm, &store, |_| None);
-                            base = RankBase::restored(&restored);
+                            stores = dirs.each_ref().map(open);
+                            let restored = restore_coordinated_remapped(comm, &stores[0], |_| None);
+                            base = DeltaBase::restored(&restored);
                             if rank == 0 {
-                                oracle = CkptStore::new(&odir, retain).unwrap();
-                                let newest = oracle.latest().map(|r| r.0);
-                                assert_eq!(base.generation(), newest);
+                                let newest = stores[1..]
+                                    .iter()
+                                    .map(|s| s.latest().map(|(g, f)| (g, f.to_bytes())))
+                                    .collect::<Vec<_>>();
+                                assert!(newest.iter().all(|n| *n == newest[0]));
+                                assert_eq!(base.generation(), newest[0].as_ref().map(|n| n.0));
                                 tally[4] += 1;
                             }
                         }
                         let want_full = mix(seq ^ round.wrapping_mul(77)).is_multiple_of(3);
                         let squat = (rank == 0 && round == fail_round).then(|| {
-                            let name = format!("slot-{}.qckpt", listing(&dir).len());
-                            for d in [&dir, &odir] {
+                            let name = format!("slot-{}.qckpt", listing(&dirs[0]).len());
+                            for d in &dirs {
                                 std::fs::create_dir(d.join(&name)).unwrap();
                             }
                             name
                         });
-                        let build = |s: &mut RankSections| random_sections(seq, round, rank, s);
+                        let build = |s: &mut RankSections| random_sections(seq, round, rank, "", s);
                         let (_, committed) = write_coordinated_sections(
-                            comm, &store, &mut base, generation, want_full, build,
+                            comm, &stores[0], &mut base, generation, want_full, build,
                         );
                         if rank != 0 {
                             continue;
                         }
+                        let [_, oracle, serial, planned] = &stores;
                         let plan = |r, d| random_plan(seq, round, r, d);
                         let delta =
                             !want_full && oracle.delta_base().is_some_and(|b| b < generation);
                         let plans: Vec<_> = (0..ranks).map(|r| plan(r, delta)).collect();
-                        let ok = write_flattened(&oracle, generation, want_full, ranks, plan);
+                        let flat = |store, write| {
+                            write_flattened(store, generation, want_full, ranks, plan, write)
+                        };
+                        let ok = flat(oracle, crate::store::reference_write_plan);
+                        let flattened = |s: &mut RankSections| {
+                            for r in 0..ranks {
+                                random_sections(seq, round, r, &format!("rank{r}/"), s);
+                            }
+                        };
+                        let written = [
+                            committed,
+                            serial
+                                .write_sections(generation, want_full, flattened)
+                                .is_ok(),
+                            flat(planned, CkptStore::write_plan),
+                        ];
                         let ctx = format!("{ranks} ranks, sequence {seq}, round {round}");
-                        assert_eq!(committed, ok, "{ctx}");
+                        assert_eq!(written, [ok; 3], "{ctx}");
                         if let Some(name) = squat {
                             assert!(!ok, "{ctx}: the squatted slot must fail the write");
                             tally[3] += 1;
-                            for d in [&dir, &odir] {
+                            for d in &dirs {
                                 std::fs::remove_dir(d.join(&name)).unwrap();
                             }
                         }
-                        assert_eq!(listing(&dir), listing(&odir), "{ctx}");
-                        assert_eq!(store.bytes_written(), oracle.bytes_written(), "{ctx}");
+                        for (store, dir) in stores.iter().zip(&dirs) {
+                            assert_eq!(listing(dir), listing(&dirs[1]), "{ctx}");
+                            assert_eq!(store.bytes_written(), oracle.bytes_written(), "{ctx}");
+                        }
                         let sections = plans.iter().flatten();
                         let clean = sections.clone().any(|(_, p)| *p == SectionPlan::Clean);
                         tally[0] += usize::from(ok && delta && clean);
@@ -1088,10 +1172,57 @@ mod tests {
                 for (total, n) in seen.iter_mut().zip(counts[0]) {
                     *total += n;
                 }
-                let _ = std::fs::remove_dir_all(&dir);
-                let _ = std::fs::remove_dir_all(&odir);
+                for d in &dirs {
+                    let _ = std::fs::remove_dir_all(d);
+                }
             }
         }
         assert!(seen.iter().all(|&n| n > 0), "coverage {seen:?}");
+    }
+
+    /// Bugfix: a rank the remap moved framed its first delta against the
+    /// sections of the old rank it came from, under its new name. Every
+    /// rank saw the commit acked, and the generation then failed its CRC
+    /// on load, so `latest()` went back to before the resize. After a
+    /// remapped restore no rank has a base, and that commit is full.
+    #[test]
+    fn the_first_commit_after_a_remapped_restore_is_full_and_loads() {
+        let dir = scratch("remap-delta");
+        // Section `a` holds `[r; 8]` for old rank `r`, and never changes.
+        let section_a = |rank: usize, sections: &mut RankSections| {
+            let a = if sections.delta() {
+                SectionPlan::Clean
+            } else {
+                SectionPlan::Payload(vec![rank as u8; 8])
+            };
+            sections.plan(vec![("a".to_string(), a)]);
+        };
+        let dir3 = dir.clone();
+        let committed = run_threads(3, move |comm| {
+            let store = CkptStore::new(&dir3, 4).unwrap();
+            let rank = comm.rank();
+            let build = |s: &mut RankSections| section_a(rank, s);
+            write_coordinated_sections(comm, &store, &mut DeltaBase::default(), 1, true, build).1
+        });
+        assert_eq!(committed, [true; 3]);
+        let dir2 = dir.clone();
+        let committed = run_threads(2, move |comm| {
+            let store = CkptStore::new(&dir2, 4).unwrap();
+            let restored =
+                restore_coordinated_remapped(comm, &store, |_| Some(vec![Some(0), Some(2)]));
+            let mut base = DeltaBase::restored(&restored);
+            let ElasticRestore::Remapped(1, file) = restored else {
+                panic!("rank {}: not a remapped resume", comm.rank())
+            };
+            let old = usize::from(file.get("a").unwrap()[0]);
+            let build = |s: &mut RankSections| section_a(old, s);
+            write_coordinated_sections(comm, &store, &mut base, 2, false, build).1
+        });
+        assert_eq!(committed, [true; 2]);
+        let store = CkptStore::new(&dir, 4).unwrap();
+        let file = store.load(2).expect("generation 2 loads");
+        assert_eq!(file.get("rank1/a"), Some(&[2u8; 8][..]));
+        assert_eq!(store.latest().unwrap().0, 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -73,35 +73,18 @@ pub struct RawCkpt {
 impl RawCkpt {
     /// Serialize as a v2 file (full when `base` is `None`).
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.image().0
-    }
-
-    /// [`RawCkpt::to_bytes`], and per section in file order the CRC32 of
-    /// the payload it stands for — summed here, once, for a payload; the
-    /// reference's own for a base reference.
-    pub(crate) fn image(&self) -> (Vec<u8>, Vec<u32>) {
-        let crcs: Vec<u32> = self
-            .sections
-            .iter()
-            .map(|(_, data)| match data {
-                SectionData::Payload(p) => crc32(p),
-                SectionData::BaseRef { crc, .. } => *crc,
-            })
-            .collect();
         let sections = self
             .sections
             .iter()
-            .zip(&crcs)
-            .map(|((name, data), &crc)| {
+            .map(|(name, data)| {
                 let stored = match data {
-                    SectionData::Payload(p) => Stored::Payload(p, crc),
-                    SectionData::BaseRef { len, .. } => Stored::BaseRef(crc, *len),
+                    SectionData::Payload(p) => Stored::Payload(p, crc32(p)),
+                    SectionData::BaseRef { crc, len } => Stored::BaseRef(*crc, *len),
                 };
                 (name.as_str(), stored)
             })
             .collect::<Vec<_>>();
-        let format = Format::V2 { base: self.base };
-        (image(format, &sections), crcs)
+        image(Format::V2 { base: self.base }, &sections)
     }
 
     /// Parse and fully validate either schema: v1 files come back as

@@ -12,14 +12,13 @@
 //! The parallel-tempering loop in `qmc_core::pt` keeps its own body — its
 //! drain verdict is a broadcast and its writes are rank-0-coordinated —
 //! but takes every *decision* from here: [`Cadence::due`] is the only
-//! copy of the cadence modulus and the full-vs-delta rule, [`meta_plan`] /
-//! [`read_meta`] the only `meta` header codec, [`restore_sections`] the
-//! only legacy-vs-sectioned layout switch.
+//! copy of the cadence modulus and the full-snapshot rule, [`write_meta`]
+//! / [`read_meta`] the only `meta` header codec, [`restore_sections`] the
+//! only legacy-vs-sectioned layout switch. Whether a due generation is a
+//! delta is the writer's to decide, from its base (`DeltaBase`), in the
+//! serial store and on every rank alike.
 
-use crate::{
-    plan_sections, restore_sections, Checkpoint, CkptError, CkptFile, CkptStore, Decoder, Encoder,
-    SectionPlan,
-};
+use crate::{restore_sections, Checkpoint, CkptError, CkptFile, CkptStore, Decoder, Encoder};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// When generations are written, and which of them are full snapshots.
@@ -86,15 +85,9 @@ pub enum End {
     Killed { at: usize },
 }
 
-/// The `meta` section every driver plans first: the sweep index the
-/// generation carries, then the driver's own counters.
-pub fn meta_plan(sweep: usize, extra: &[u64]) -> (String, SectionPlan) {
-    let mut enc = Encoder::new();
-    write_meta(&mut enc, sweep, extra);
-    ("meta".to_string(), SectionPlan::Payload(enc.into_bytes()))
-}
-
-/// The payload of [`meta_plan`], appended to `enc`.
+/// The payload of the `meta` section every driver writes first, appended
+/// to `enc`: the sweep index the generation carries, then the driver's
+/// own counters.
 pub fn write_meta(enc: &mut Encoder, sweep: usize, extra: &[u64]) {
     enc.u64(sweep as u64);
     for &x in extra {
@@ -102,7 +95,7 @@ pub fn write_meta(enc: &mut Encoder, sweep: usize, extra: &[u64]) {
     }
 }
 
-/// Decode the `meta` section written by [`meta_plan`] into the sweep
+/// Decode the `meta` section written by [`write_meta`] into the sweep
 /// index (which must equal `generation`) and `extra`.
 pub fn read_meta(file: &CkptFile, generation: u64, extra: &mut [u64]) -> Result<usize, CkptError> {
     let mut dec = Decoder::new(file.require("meta")?);
@@ -157,15 +150,13 @@ where
             .is_some_and(|f| f.load(Ordering::SeqCst));
         if let Some(p) = policy {
             if let Some(want_full) = p.cadence.due(s, draining) {
-                // The base must be strictly older: resuming exactly at a
-                // checkpoint boundary would otherwise try to write this
-                // generation as a delta against itself.
-                let delta = !want_full && p.store.delta_base().is_some_and(|b| b < s as u64);
-                let mut plan = vec![meta_plan(s, &[])];
-                plan_sections(&mut plan, "engine", eng, delta);
-                plan_sections(&mut plan, "rng", rng, delta);
-                plan_sections(&mut plan, "series", series, delta);
-                match p.store.write_plan(s as u64, plan, delta) {
+                let written = p.store.write_sections(s as u64, want_full, |sections| {
+                    sections.payload("meta", |enc| write_meta(enc, s, &[]));
+                    sections.state("engine", eng);
+                    sections.state("rng", rng);
+                    sections.state("series", series);
+                });
+                match written {
                     Ok(_) => {
                         // Only a durably written generation may mark
                         // state clean: a false "clean" would let a later

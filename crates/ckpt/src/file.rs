@@ -161,14 +161,6 @@ pub(crate) enum Stored<'a> {
 }
 
 impl<'a> Stored<'a> {
-    /// CRC-32 and length of the payload the section stands for.
-    pub(crate) fn crc_len(self) -> (u32, u32) {
-        match self {
-            Stored::Payload(p, crc) => (crc, p.len() as u32),
-            Stored::BaseRef(crc, len) => (crc, len),
-        }
-    }
-
     /// The section framed again as it is.
     pub(crate) fn body(self) -> Body<'a> {
         match self {
@@ -189,8 +181,8 @@ impl<'a> Stored<'a> {
 }
 
 /// Read back one section [`frame_section`] wrote, without checking the
-/// payload's CRC (callers that need the bytes check it; rank 0 placing
-/// other ranks' fragments does not read them).
+/// payload's CRC (callers that need the bytes check it; rank 0 re-framing
+/// another rank's fragment does not read them).
 pub(crate) fn read_section<'a>(
     dec: &mut Decoder<'a>,
     tagged: bool,
@@ -278,23 +270,6 @@ pub(crate) struct Fragment<'a> {
 }
 
 impl Fragment<'_> {
-    /// Append the name, CRC-32 and length of every section to `index`,
-    /// from the framing alone (no payload is summed); an error unless
-    /// the bytes are exactly `sections` sections.
-    pub(crate) fn index_into(
-        &self,
-        tagged: bool,
-        index: &mut SectionIndex,
-    ) -> Result<(), CkptError> {
-        let mut dec = Decoder::new(self.bytes);
-        for _ in 0..self.sections {
-            let (name, stored) = read_section(&mut dec, tagged)?;
-            let (crc, len) = stored.crc_len();
-            index.push((name, crc, len));
-        }
-        dec.expect_empty()
-    }
-
     /// The untagged (v1) sections re-framed tagged, for a v2 image, and
     /// their CRC-32. Each payload's CRC is the one framed with it.
     pub(crate) fn tagged_copy(&self) -> Result<(Vec<u8>, u32), CkptError> {
@@ -403,21 +378,12 @@ impl CkptFile {
     /// `(name, payload, crc32(payload))`, then trailer magic + CRC32 of
     /// everything before the trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.image().0
-    }
-
-    /// [`CkptFile::to_bytes`], and the CRC32 of every section in file
-    /// order: each payload is summed once, for the image and for whoever
-    /// indexes the sections afterwards.
-    pub(crate) fn image(&self) -> (Vec<u8>, Vec<u32>) {
-        let crcs: Vec<u32> = self.sections.iter().map(|(_, p)| crc32(p)).collect();
         let sections = self
             .sections
             .iter()
-            .zip(&crcs)
-            .map(|((name, p), &crc)| (name.as_str(), Stored::Payload(p, crc)))
+            .map(|(name, p)| (name.as_str(), Stored::Payload(p, crc32(p))))
             .collect::<Vec<_>>();
-        (image(Format::V1, &sections), crcs)
+        image(Format::V1, &sections)
     }
 
     /// Parse and fully validate a serialized file: magic, schema,

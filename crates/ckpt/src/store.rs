@@ -44,15 +44,22 @@
 //! are still listed, loaded and used as delta bases, as `seq` 0, and are
 //! unlinked once the rule drops them; they are never written.
 //!
-//! Delta writes resolve against the *base cache*: the section index
-//! (name, CRC32, length) of the last generation this store successfully
-//! wrote or restored. [`CkptStore::delta_base`] exposes the cached
-//! generation so callers can decide full-vs-delta *before* serializing —
-//! a clean section in a delta plan is never serialized at all, which is
-//! the entire point of incremental checkpointing.
+//! **One writer.** Every generation goes the same way: a
+//! [`RankSections`] frames the sections into a fragment, `write_fragments`
+//! puts an image header and trailer around the fragments and `commit`
+//! writes the slot. A serial store frames one fragment
+//! ([`CkptStore::write_sections`]; [`CkptStore::write`] and
+//! [`CkptStore::write_plan`] are adapters over it), a coordinated commit
+//! one per rank ([`crate::coord`]). A serial delta resolves against the
+//! store's own [`DeltaBase`] — the section index (name, CRC32, length)
+//! of the last generation it wrote or restored — which also decides
+//! full-vs-delta *before* anything is serialized: a clean section of a
+//! delta is never serialized at all, which is the entire point of
+//! incremental checkpointing.
 
+use crate::coord::{DeltaBase, RankSections};
 use crate::crc32::crc32;
-use crate::delta::{peek_base, RawCkpt, SectionData, SectionPlan};
+use crate::delta::{peek_base, RawCkpt, SectionPlan};
 use crate::file::{fragments_frame, CkptFile, Format, Fragment, SectionIndex};
 use crate::wire::CkptError;
 use std::cmp::Reverse;
@@ -174,7 +181,7 @@ impl Table {
 }
 
 /// Index of the entry that speaks for `generation`: the one written last
-/// when it sits in two places (a compaction, a re-write).
+/// when it sits in two places (a re-write).
 fn live(entries: &[Entry], generation: u64) -> Option<usize> {
     (0..entries.len())
         .filter(|&i| entries[i].generation == generation)
@@ -292,37 +299,14 @@ pub fn namespace_key(name: &str) -> String {
         .join("/")
 }
 
-/// A plan of payloads only as the full file it describes.
-fn payloads_file(plan: Vec<(String, SectionPlan)>) -> std::io::Result<CkptFile> {
-    let mut file = CkptFile::new();
-    for (name, p) in plan {
-        match p {
-            SectionPlan::Payload(b) => file.add(&name, b),
-            SectionPlan::Clean => {
-                return Err(std::io::Error::other(format!(
-                    "clean section {name:?} in a full write plan"
-                )))
-            }
-        }
-    }
-    Ok(file)
-}
-
-/// Section index of the last successfully written (or restored)
-/// generation: what a delta write's base references resolve against.
-struct BaseCache {
-    generation: u64,
-    /// Every section of the materialized generation.
-    index: SectionIndex,
-}
-
 /// What the one writer of a directory remembers between commits.
 #[derive(Default)]
-struct Writer {
+pub(crate) struct Writer {
     /// The directory as of this store's last scan plus its own commits;
     /// `None` until the first write or restore.
     table: Option<Table>,
-    base: Option<BaseCache>,
+    /// What the store's serial deltas are written against.
+    base: DeltaBase,
 }
 
 /// A directory of `slot-<n>.qckpt` files holding the last K generations
@@ -406,31 +390,28 @@ impl CkptStore {
         self.dir.join(file_name(place, generation))
     }
 
-    fn writer(&self) -> MutexGuard<'_, Writer> {
+    pub(crate) fn writer(&self) -> MutexGuard<'_, Writer> {
         self.writer
             .lock()
             .expect("checkpoint writer state poisoned")
     }
 
     /// Commit the image that `parts` make in order as `generation` with
-    /// one in-place (vectored) write of slot header, parts and end mark,
-    /// and make it the delta base (`index` is its materialized section
-    /// index).
+    /// one in-place (vectored) write of slot header, parts and end mark.
     ///
     /// The slot is one the retain rule, applied to what is committed so
     /// far, does not keep (a free one first, else the oldest unkept
     /// occupant), or a new file when every slot is kept. The generation
     /// being written displaces nothing until it has landed, and its own
     /// base is the delta base, which the rule keeps: a kill mid-write
-    /// costs only the slot. A failed write returns the error, leaves the
-    /// slot without an occupant and the delta base where it was.
+    /// costs only the slot. A failed write returns the error and leaves
+    /// the slot without an occupant.
     fn commit(
         &self,
         writer: &mut Writer,
         generation: u64,
         base: Option<u64>,
         parts: &[&[u8]],
-        index: SectionIndex,
     ) -> std::io::Result<PathBuf> {
         let table = writer.table.get_or_insert_with(|| scan(&self.dir));
         let seq = table.entries.iter().map(|e| e.seq).max().unwrap_or(0) + 1;
@@ -490,7 +471,6 @@ impl CkptStore {
         });
         qmc_obs::counter_add("ckpt.write_bytes", written);
         self.written.fetch_add(written, Ordering::Relaxed);
-        writer.base = Some(BaseCache { generation, index });
 
         // Legacy files leave as the rule drops them; a directory without
         // any (the steady state) is not touched.
@@ -507,157 +487,96 @@ impl CkptStore {
         Ok(path)
     }
 
-    /// Write `file` as a full generation `generation` (see the module
-    /// doc for what a kill mid-write leaves). Records the bytes written
-    /// under the `ckpt.write_bytes` observability counter and makes this
-    /// generation the delta base for subsequent
-    /// [`CkptStore::write_delta`] calls. Returns the slot file's path.
-    pub fn write(&self, generation: u64, file: &CkptFile) -> std::io::Result<PathBuf> {
-        self.write_full(&mut self.writer(), generation, file)
-    }
-
-    fn write_full(
-        &self,
-        writer: &mut Writer,
-        generation: u64,
-        file: &CkptFile,
-    ) -> std::io::Result<PathBuf> {
-        let (image, crcs) = file.image();
-        let index = file
-            .sections()
-            .zip(crcs)
-            .map(|((n, p), crc)| (n.to_string(), crc, p.len() as u32))
-            .collect();
-        self.commit(writer, generation, None, &[&image], index)
-    }
-
-    /// Generation a delta write would reference, if the store has one:
-    /// the last generation this instance successfully wrote or restored.
-    /// Callers consult this *before* serializing so clean sections can
-    /// be planned as [`SectionPlan::Clean`] and never serialized.
-    pub fn delta_base(&self) -> Option<u64> {
-        self.writer().base.as_ref().map(|c| c.generation)
-    }
-
-    /// Write a delta generation: `Clean` plan entries become 8-byte
-    /// references into the cached base generation, `Payload` entries are
-    /// stored verbatim. Errors if a clean section has no counterpart in
-    /// the base (callers pair this with [`CkptStore::delta_base`]);
-    /// degrades to a plain full write when the plan has no clean
-    /// entries. On success the new generation becomes the delta base for
-    /// the next write.
-    pub fn write_delta(
+    /// Write generation `generation` from the sections `build` frames
+    /// into the [`RankSections`] it is handed: a delta on the store's
+    /// base unless `want_full`, the base is missing or it is not older
+    /// than `generation` (then every section is written), and a v1 full
+    /// image when no section is a base reference. A clean section the
+    /// commit cannot hold is an error and writes nothing. On success the
+    /// generation becomes the base; a failed write leaves the base where
+    /// it was. See the module doc for what a kill mid-write leaves, and
+    /// for `ckpt.write_bytes`. Returns the slot file's path. `build` runs
+    /// with the store's writer held, so it must not call into the store.
+    pub fn write_sections(
         &self,
         generation: u64,
-        plan: Vec<(String, SectionPlan)>,
+        want_full: bool,
+        build: impl FnOnce(&mut RankSections<'_>),
     ) -> std::io::Result<PathBuf> {
         let mut writer = self.writer();
-        if !plan.iter().any(|(_, p)| matches!(p, SectionPlan::Clean)) {
-            // Nothing to reference — a "delta" carrying every payload is
-            // just a full snapshot; write it as one.
-            return self.write_full(&mut writer, generation, &payloads_file(plan)?);
-        }
-        let Some(cache) = writer.base.as_ref() else {
-            return Err(std::io::Error::other(
-                "delta write with no base generation (no prior successful write)",
-            ));
+        let on = writer.base.delta_on(generation, want_full);
+        let mut sections = RankSections::new(String::new(), &writer.base, on);
+        build(&mut sections);
+        let (enc, crc, tagged, index) = sections.finish().map_err(std::io::Error::other)?;
+        let part = Fragment {
+            bytes: enc.written(),
+            sections: index.len() as u64,
+            crc,
         };
-        if cache.generation >= generation {
-            return Err(std::io::Error::other(format!(
-                "delta generation {generation} must be newer than its base {}",
-                cache.generation
-            )));
-        }
-        let mut sections = Vec::with_capacity(plan.len());
-        for (name, p) in plan {
-            let data = match p {
-                SectionPlan::Payload(b) => SectionData::Payload(b),
-                SectionPlan::Clean => {
-                    let Some(&(_, crc, len)) = cache.index.iter().find(|(n, _, _)| *n == name)
-                    else {
-                        return Err(std::io::Error::other(format!(
-                            "clean section {name:?} has no counterpart in base generation {}",
-                            cache.generation
-                        )));
-                    };
-                    SectionData::BaseRef { crc, len }
-                }
-            };
-            sections.push((name, data));
-        }
-        let raw = RawCkpt {
-            base: Some(cache.generation),
-            sections,
-        };
-        let (image, crcs) = raw.image();
-        let index = raw
-            .sections
-            .into_iter()
-            .zip(crcs)
-            .map(|((name, data), crc)| match data {
-                SectionData::Payload(p) => (name, crc, p.len() as u32),
-                SectionData::BaseRef { len, .. } => (name, crc, len),
-            })
-            .collect();
-        self.commit(&mut writer, generation, raw.base, &[&image], index)
+        let base = on.filter(|_| tagged);
+        self.write_fragments(&mut writer, generation, base, &[part], Some(index))
     }
 
-    /// Write a planned generation: a delta against the cached base when
-    /// `delta` is set, else a plain full snapshot. `delta` must come
-    /// from a [`CkptStore::delta_base`] check made before the plan was
-    /// built, so clean sections were never serialized.
+    /// Write `file` as a full generation `generation`
+    /// ([`CkptStore::write_sections`]).
+    pub fn write(&self, generation: u64, file: &CkptFile) -> std::io::Result<PathBuf> {
+        // lint: allow(ckpt-unbounded-chain) — a full write bounds any chain
+        self.write_sections(generation, true, |s| {
+            file.sections()
+                .for_each(|(name, p)| s.payload(name, |enc| enc.raw(p)))
+        })
+    }
+
+    /// Generation the store's next delta would be written against, if it
+    /// has one: the last generation this instance successfully wrote or
+    /// restored.
+    pub fn delta_base(&self) -> Option<u64> {
+        self.writer().base.generation()
+    }
+
+    /// Write a planned generation ([`CkptStore::write_sections`]): a delta
+    /// on the store's base when `delta` is set, else a full snapshot.
+    /// `delta` must come from a [`CkptStore::delta_base`] check made
+    /// before the plan was built, so clean sections were never
+    /// serialized.
     pub fn write_plan(
         &self,
         generation: u64,
         plan: Vec<(String, SectionPlan)>,
         delta: bool,
     ) -> std::io::Result<PathBuf> {
-        if delta {
-            self.write_delta(generation, plan)
-        } else {
-            self.write(generation, &payloads_file(plan)?)
-        }
+        // lint: allow(ckpt-unbounded-chain) — the caller's cadence bounds the chain
+        self.write_sections(generation, !delta, |s| s.plan(plan))
     }
 
-    /// Write a generation whose sections arrive framed by the ranks that
-    /// own them ([`crate::coord`]): `parts` in order between the image
-    /// header and its trailer, as a v2 delta on `base` — which must be
-    /// the cached base, older than `generation` — or, with `base` `None`,
-    /// as a v1 full image. Nothing in `parts` is summed again: the
-    /// image's CRC comes from theirs, the delta-base index from their
-    /// framing. Slot, retain rule, delta base, [`CkptStore::bytes_written`]
-    /// and `ckpt.write_bytes` come out as from [`CkptStore::write_plan`]
-    /// with the same sections.
+    /// Commit `parts` in order between an image header and its trailer
+    /// as generation `generation`: a v2 delta on `base` or, with `base`
+    /// `None`, a v1 full image. The image's CRC comes from the parts';
+    /// nothing in them is summed again. Every generation the store
+    /// writes comes through here. On success `index`, the sections the
+    /// parts stand for, makes the generation the store's delta base;
+    /// rank 0 of a coordinated commit, which frames other ranks' sections
+    /// it does not index, passes `None` and leaves the store none.
     pub(crate) fn write_fragments(
         &self,
+        writer: &mut Writer,
         generation: u64,
         base: Option<u64>,
         parts: &[Fragment<'_>],
+        index: Option<SectionIndex>,
     ) -> std::io::Result<PathBuf> {
-        let mut writer = self.writer();
-        if let Some(b) = base {
-            let cached = writer.base.as_ref().map(|c| c.generation);
-            if cached != Some(b) || b >= generation {
-                return Err(std::io::Error::other(format!(
-                    "delta generation {generation} on base {b}, but the store's base is {cached:?}"
-                )));
-            }
-        }
         let format = match base {
             Some(_) => Format::V2 { base },
             None => Format::V1,
         };
-        let mut index = Vec::with_capacity(parts.iter().map(|p| p.sections as usize).sum());
-        for part in parts {
-            part.index_into(format.tagged(), &mut index)
-                .map_err(std::io::Error::other)?;
-        }
         let (head, tail) = fragments_frame(format, parts);
         let mut image = Vec::with_capacity(parts.len() + 2);
         image.push(&head[..]);
         image.extend(parts.iter().map(|p| p.bytes));
         image.push(&tail);
-        self.commit(&mut writer, generation, base, &image, index)
+        let path = self.commit(writer, generation, base, &image)?;
+        writer.base = index.map_or_else(DeltaBase::default, |i| DeltaBase::at(generation, i));
+        Ok(path)
     }
 
     /// The generations the directory holds by the retain rule, sorted
@@ -716,66 +635,93 @@ impl CkptStore {
         }
     }
 
-    /// The newest kept generation, in write order, whose whole chain
-    /// parses and passes every CRC, with `writer` brought up to date
-    /// with the disk: its table is the fresh scan, its delta base the
-    /// generation found.
-    fn restore_newest(&self, writer: &mut Writer) -> Option<(Entry, CkptFile)> {
-        let table = writer.table.insert(scan(&self.dir));
-        for i in kept(&table.entries, self.retain) {
-            let entry = table.entries[i];
-            if let Ok(file) = self.load_in(table, entry.generation) {
-                let index = file
-                    .sections()
-                    .map(|(n, p)| (n.to_string(), crc32(p), p.len() as u32))
-                    .collect();
-                writer.base = Some(BaseCache {
-                    generation: entry.generation,
-                    index,
-                });
-                return Some((entry, file));
-            }
-        }
-        None
-    }
-
     /// Newest generation — in write order — whose whole chain parses and
     /// passes every CRC, walking backwards past torn or corrupt
     /// generations (a torn delta falls back to its base's generation if
     /// that one is intact on its own or via an earlier chain). Bumps the
-    /// `ckpt.restores` observability counter on success and seeds the
-    /// delta-base cache, so a resumed run's next checkpoint can be
-    /// written as a delta. `None` when no valid checkpoint exists.
+    /// `ckpt.restores` observability counter on success and brings the
+    /// writer up to date with the disk: its table is the fresh scan, its
+    /// delta base the generation found, so a resumed run's next
+    /// checkpoint can be written as a delta. `None` when no valid
+    /// checkpoint exists.
     pub fn latest(&self) -> Option<(u64, CkptFile)> {
-        let (entry, file) = self.restore_newest(&mut self.writer())?;
-        qmc_obs::counter_add("ckpt.restores", 1);
-        Some((entry.generation, file))
-    }
-
-    /// Collapse the newest valid generation's delta chain into a fresh
-    /// standalone full snapshot (ROADMAP: checkpoint compaction): the
-    /// chain is materialized and written as a full image under the same
-    /// generation number into a slot the rule does not keep; its higher
-    /// `seq` makes it the one readers take, and the delta it replaces
-    /// and the bases only that delta needed become free space. Returns
-    /// the compacted generation, `None` when the store is empty (or
-    /// holds only corrupt files). A crash mid-compaction leaves the
-    /// original chain untouched, like any other commit.
-    pub fn compact(&self) -> std::io::Result<Option<u64>> {
         let mut writer = self.writer();
-        let Some((entry, file)) = self.restore_newest(&mut writer) else {
-            return Ok(None);
-        };
-        if entry.base.is_some() {
-            self.write_full(&mut writer, entry.generation, &file)?;
+        let writer = &mut *writer;
+        let table = writer.table.insert(scan(&self.dir));
+        for i in kept(&table.entries, self.retain) {
+            let generation = table.entries[i].generation;
+            if let Ok(file) = self.load_in(table, generation) {
+                writer.base = DeltaBase::of(generation, &file);
+                qmc_obs::counter_add("ckpt.restores", 1);
+                return Some((generation, file));
+            }
         }
-        Ok(Some(entry.generation))
+        None
     }
+}
+
+/// The serial writer as it was before every generation went through
+/// [`RankSections`] and `write_fragments`, kept as the oracle the serial
+/// and the coordinated writers are compared with byte for byte: a plan
+/// with a clean section, when `delta`, becomes a [`RawCkpt`] delta on
+/// the store's base, any other plan a [`CkptFile`]; its `to_bytes` image
+/// goes through the shared `commit`, and the base's index is taken from
+/// the plan.
+#[cfg(test)]
+pub(crate) fn reference_write_plan(
+    store: &CkptStore,
+    generation: u64,
+    plan: Vec<(String, SectionPlan)>,
+    delta: bool,
+) -> std::io::Result<PathBuf> {
+    use crate::delta::SectionData;
+    let mut writer = store.writer();
+    let clean = plan.iter().any(|(_, p)| *p == SectionPlan::Clean);
+    let base = match writer.base.generation() {
+        _ if !(delta && clean) => None,
+        Some(b) if b < generation => Some(b),
+        _ => return Err(std::io::Error::other("a delta needs an older base")),
+    };
+    let mut index = Vec::with_capacity(plan.len());
+    let mut sections = Vec::with_capacity(plan.len());
+    for (name, p) in plan {
+        let data = match p {
+            SectionPlan::Payload(b) => SectionData::Payload(b),
+            SectionPlan::Clean => {
+                let Some((crc, len)) = base.and(writer.base.section(&name)) else {
+                    return Err(std::io::Error::other(format!("clean section {name:?}")));
+                };
+                SectionData::BaseRef { crc, len }
+            }
+        };
+        index.push(match &data {
+            SectionData::Payload(b) => (name.clone(), crc32(b), b.len() as u32),
+            SectionData::BaseRef { crc, len } => (name.clone(), *crc, *len),
+        });
+        sections.push((name, data));
+    }
+    let image = match base {
+        Some(_) => RawCkpt { base, sections }.to_bytes(),
+        None => {
+            let mut file = CkptFile::new();
+            for (name, data) in sections {
+                let SectionData::Payload(b) = data else {
+                    unreachable!("a full plan holds payloads")
+                };
+                file.add(&name, b);
+            }
+            file.to_bytes()
+        }
+    };
+    let path = store.commit(&mut writer, generation, base, &[&image])?;
+    writer.base = DeltaBase::at(generation, index);
+    Ok(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::SectionData;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Unique scratch dir per test (no external tempdir crate).
@@ -1045,9 +991,9 @@ mod tests {
         assert_eq!(store.delta_base(), None);
         let p1 = store.write(1, &full_file(1)).unwrap();
         assert_eq!(store.delta_base(), Some(1));
-        store.write_delta(2, delta_plan(2)).unwrap();
+        store.write_plan(2, delta_plan(2), true).unwrap();
         assert_eq!(store.delta_base(), Some(2));
-        let p3 = store.write_delta(3, delta_plan(3)).unwrap();
+        let p3 = store.write_plan(3, delta_plan(3), true).unwrap();
 
         let (g, f) = store.latest().unwrap();
         assert_eq!(g, 3);
@@ -1065,14 +1011,14 @@ mod tests {
     #[test]
     fn write_delta_without_base_is_an_error() {
         let store = CkptStore::new(scratch("delta-nobase"), 3).unwrap();
-        assert!(store.write_delta(1, delta_plan(1)).is_err());
+        assert!(store.write_plan(1, delta_plan(1), true).is_err());
     }
 
     #[test]
     fn all_dirty_delta_degrades_to_full() {
         let store = CkptStore::new(scratch("delta-alldirty"), 3).unwrap();
         let plan = vec![("small".to_string(), SectionPlan::Payload(vec![5; 4]))];
-        store.write_delta(1, plan).unwrap();
+        store.write_plan(1, plan, true).unwrap();
         assert_eq!(base_of(&store, 1), None, "no-clean delta is a full file");
         let (g, f) = store.latest().unwrap();
         assert_eq!(g, 1);
@@ -1083,7 +1029,7 @@ mod tests {
     fn prune_retain_1_keeps_the_base_a_delta_needs() {
         let store = CkptStore::new(scratch("delta-prune1"), 1).unwrap();
         store.write(1, &full_file(1)).unwrap();
-        store.write_delta(2, delta_plan(2)).unwrap();
+        store.write_plan(2, delta_plan(2), true).unwrap();
         // retain=1 keeps only generation 2 — but 2 is a delta against 1,
         // so 1 must survive or the chain is orphaned.
         assert_eq!(store.generations(), vec![1, 2]);
@@ -1099,7 +1045,7 @@ mod tests {
     fn torn_delta_falls_back_to_its_base() {
         let store = CkptStore::new(scratch("delta-torn"), 4).unwrap();
         store.write(1, &full_file(1)).unwrap();
-        let p2 = store.write_delta(2, delta_plan(2)).unwrap();
+        let p2 = store.write_plan(2, delta_plan(2), true).unwrap();
         let bytes = fs::read(&p2).unwrap();
         fs::write(&p2, &bytes[..bytes.len() / 2]).unwrap();
         let (g, f) = store.latest().unwrap();
@@ -1111,7 +1057,7 @@ mod tests {
     fn delta_whose_base_is_missing_is_skipped() {
         let store = CkptStore::new(scratch("delta-orphan"), 4).unwrap();
         let p1 = store.write(1, &full_file(1)).unwrap();
-        store.write_delta(2, delta_plan(2)).unwrap();
+        store.write_plan(2, delta_plan(2), true).unwrap();
         fs::remove_file(p1).unwrap();
         assert!(
             store.latest().is_none(),
@@ -1125,7 +1071,7 @@ mod tests {
         {
             let store = CkptStore::new(&dir, 4).unwrap();
             store.write(1, &full_file(1)).unwrap();
-            store.write_delta(2, delta_plan(2)).unwrap();
+            store.write_plan(2, delta_plan(2), true).unwrap();
         }
         // A fresh store (fresh process) restores, then continues the
         // chain without an intervening full snapshot.
@@ -1134,60 +1080,10 @@ mod tests {
         let (g, _) = store.latest().unwrap();
         assert_eq!(g, 2);
         assert_eq!(store.delta_base(), Some(2), "restore seeds the cache");
-        store.write_delta(3, delta_plan(3)).unwrap();
+        store.write_plan(3, delta_plan(3), true).unwrap();
         let (g, f) = store.latest().unwrap();
         assert_eq!(g, 3);
         assert_eq!(f.get("big"), Some(&[0xABu8; 256][..]));
-    }
-
-    #[test]
-    fn compact_collapses_a_chain_into_a_full_snapshot() {
-        let store = CkptStore::new(scratch("compact"), 1).unwrap();
-        store.write(1, &full_file(1)).unwrap();
-        store.write_delta(2, delta_plan(2)).unwrap();
-        store.write_delta(3, delta_plan(3)).unwrap();
-        assert_eq!(store.generations(), vec![1, 2, 3], "chain pins its bases");
-        assert_eq!(store.compact().unwrap(), Some(3));
-        assert_eq!(base_of(&store, 3), None, "compacted image is standalone");
-        assert_eq!(
-            store.generations(),
-            vec![3],
-            "compaction releases the chain's pinned bases"
-        );
-        let (g, f) = store.latest().unwrap();
-        assert_eq!(g, 3);
-        assert_eq!(f.get("big"), Some(&[0xABu8; 256][..]));
-        assert_eq!(f.get("small"), Some(&[3u8; 4][..]));
-        // Compacting an already-full newest generation is a no-op.
-        assert_eq!(store.compact().unwrap(), Some(3));
-    }
-
-    #[test]
-    fn crash_mid_compaction_leaves_the_chain_intact() {
-        let store = CkptStore::new(scratch("compact-crash"), 2).unwrap();
-        store.write(1, &full_file(1)).unwrap();
-        store.write_delta(2, delta_plan(2)).unwrap();
-        // Simulate the crash: compaction died half-way through writing
-        // the full image of generation 2 into the next slot.
-        let whole = slot_bytes(3, 2, &full_file(2));
-        fs::write(store.dir().join("slot-2.qckpt"), &whole[..whole.len() / 2]).unwrap();
-        // Reopen: the original chain still reads.
-        let store = CkptStore::new(store.dir().to_path_buf(), 2).unwrap();
-        assert_eq!(base_of(&store, 2), Some(1));
-        let (g, f) = store.latest().unwrap();
-        assert_eq!(g, 2);
-        assert_eq!(f.get("big"), Some(&[0xABu8; 256][..]));
-        assert_eq!(f.get("small"), Some(&[2u8; 4][..]));
-        // And a retried compaction completes, into the torn slot.
-        assert_eq!(store.compact().unwrap(), Some(2));
-        assert_eq!(base_of(&store, 2), None);
-        assert_eq!(names(store.dir()).len(), 3);
-    }
-
-    #[test]
-    fn empty_store_compacts_to_none() {
-        let store = CkptStore::new(scratch("compact-empty"), 2).unwrap();
-        assert_eq!(store.compact().unwrap(), None);
     }
 
     // ---- slots ----
@@ -1254,8 +1150,8 @@ mod tests {
         ];
         assert_eq!(kept(&entries, 1), [3]);
         assert_eq!(kept(&entries, 2), [3, 2, 1, 0]);
-        // 9 compacted under a later seq: the delta it replaces and the
-        // bases only that delta needed are dropped.
+        // 9 written again, in full, under a later seq: the delta it
+        // replaces and the bases only that delta needed are dropped.
         let mut entries = entries.to_vec();
         entries.push(e(4, 5, 9, None));
         assert_eq!(kept(&entries, 2), [4, 3]);
@@ -1306,7 +1202,7 @@ mod tests {
         fs::create_dir(&squat).unwrap();
         let before = store.bytes_written();
         assert!(store.write(2, &full_file(2)).is_err());
-        assert!(store.write_delta(2, delta_plan(2)).is_err());
+        assert!(store.write_plan(2, delta_plan(2), true).is_err());
         assert_eq!(store.delta_base(), Some(1), "the base stays where it was");
         assert_eq!(store.bytes_written(), before);
         assert_eq!(store.generations(), vec![1]);
@@ -1315,7 +1211,7 @@ mod tests {
         assert!(fresh.write(2, &full_file(2)).is_err());
         assert_eq!(fresh.generations(), vec![1]);
         fs::remove_dir(&squat).unwrap();
-        store.write_delta(2, delta_plan(2)).unwrap();
+        store.write_plan(2, delta_plan(2), true).unwrap();
         assert_eq!(store.generations(), vec![1, 2]);
         assert_eq!(store.latest().unwrap().0, 2);
     }
@@ -1330,7 +1226,7 @@ mod tests {
             if g.is_multiple_of(4) {
                 store.write(g, &full_file(g as u8)).unwrap();
             } else {
-                store.write_delta(g, delta_plan(g as u8)).unwrap();
+                store.write_plan(g, delta_plan(g as u8), true).unwrap();
             }
         };
         (0..24).for_each(commit);
@@ -1379,7 +1275,7 @@ mod tests {
         let (g, f) = store.latest().unwrap();
         assert_eq!((g, f.get("small")), (2, Some(&[2u8; 4][..])));
         // A delta lands on the newest legacy generation, in a slot.
-        store.write_delta(3, delta_plan(3)).unwrap();
+        store.write_plan(3, delta_plan(3), true).unwrap();
         assert_eq!(base_of(&store, 3), Some(2));
         assert_eq!(store.generations(), vec![1, 2, 3]);
         let f = CkptStore::new(&dir, 2).unwrap().load(3).unwrap();
@@ -1485,7 +1381,9 @@ mod tests {
     /// and loads.
     fn delta_lands(generation: u64) -> impl Fn(&CkptStore) {
         move |store| {
-            store.write_delta(generation, delta_plan(0xEE)).unwrap();
+            store
+                .write_plan(generation, delta_plan(0xEE), true)
+                .unwrap();
             let f = CkptStore::new(store.dir(), 1).unwrap().latest().unwrap();
             assert_eq!(f.0, generation);
             assert_eq!(f.1.get("small"), Some(&[0xEEu8; 4][..]));
@@ -1534,7 +1432,7 @@ mod tests {
             if g.is_multiple_of(3) {
                 s.write(g, &sized_file(g)).unwrap();
             } else {
-                s.write_delta(g, delta_plan(g as u8)).unwrap();
+                s.write_plan(g, delta_plan(g as u8), true).unwrap();
             }
         };
         for retain in [2, 4] {
@@ -1558,26 +1456,9 @@ mod tests {
             "torn-new-slot",
             4,
             |s| (1..=2).for_each(|g| drop(s.write(g, &sized_file(g)).unwrap())),
-            |s| drop(s.write_delta(3, delta_plan(3)).unwrap()),
+            |s| drop(s.write_plan(3, delta_plan(3), true).unwrap()),
             (2, 3),
             delta_lands(4),
         );
-    }
-
-    #[test]
-    fn torn_compaction_keeps_the_chain_it_was_collapsing() {
-        for retain in [1, 2] {
-            torn_at_every_byte(
-                "torn-compact",
-                retain,
-                |s| {
-                    s.write(1, &full_file(1)).unwrap();
-                    (2..=4).for_each(|g| drop(s.write_delta(g, delta_plan(g as u8)).unwrap()));
-                },
-                |s| assert_eq!(s.compact().unwrap(), Some(4)),
-                (4, 4),
-                delta_lands(5),
-            );
-        }
     }
 }

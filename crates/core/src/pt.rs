@@ -339,7 +339,7 @@ pub struct PtCheckpointing<'a> {
 /// [`qmc_ckpt::drive`] is built from; only the collective drain verdict
 /// and the coordinated write — each rank framing its own sections, the
 /// delta decision derived on every rank from its
-/// [`qmc_ckpt::coord::RankBase`] — are this loop's own. `on_sweep` runs
+/// [`qmc_ckpt::coord::DeltaBase`] — are this loop's own. `on_sweep` runs
 /// after the checkpoint write at the top of every iteration: it is the
 /// injection point for [`qmc_comm::FaultyComm::tick_sweep`]-style rank
 /// kills.
@@ -404,10 +404,10 @@ where
 
     // What every rank knows of the store's delta base; the commits and
     // the resume below move it alike on every rank.
-    let mut base = qmc_ckpt::coord::RankBase::default();
+    let mut base = qmc_ckpt::coord::DeltaBase::default();
     if let Some((ck, _)) = ck {
         if ck.resume {
-            use qmc_ckpt::coord::{ElasticRestore, RankBase};
+            use qmc_ckpt::coord::{DeltaBase, ElasticRestore};
             // A checkpoint from another world size degrades to a fresh
             // start on every rank — unless it is from the declared
             // pre-resize ladder, which is remapped by β (bit equality).
@@ -417,7 +417,7 @@ where
                     let same = |b: &f64| old.iter().position(|ob| ob.to_bits() == b.to_bits());
                     Some(betas.iter().map(same).collect())
                 });
-            base = RankBase::restored(&restored);
+            base = DeltaBase::restored(&restored);
             match restored {
                 ElasticRestore::Fresh => {}
                 ElasticRestore::Joined(generation) => {
@@ -431,7 +431,8 @@ where
                     start = generation as usize;
                     step = (generation).div_ceil(exchange_every as u64);
                 }
-                ElasticRestore::Resumed(generation, file) => {
+                ElasticRestore::Resumed(generation, file)
+                | ElasticRestore::Remapped(generation, file) => {
                     let mut step0 = [0u64];
                     let restored = (|| {
                         let s0 = qmc_ckpt::read_meta(&file, generation, &mut step0)?;

@@ -566,11 +566,8 @@ fn worker_loop(shared: Arc<Shared>) {
             }
         };
 
-        let state = shared
-            .sched
-            .lock()
-            .expect("scheduler lock")
-            .settle(id, outcome, MAX_ATTEMPTS);
+        let mut sched = shared.sched.lock().expect("scheduler lock");
+        let state = sched.settle(id, outcome, MAX_ATTEMPTS);
         if state == JobState::Queued {
             // The "respawned" worker is this same thread looping around;
             // wake a sibling in case it is idle.
@@ -579,13 +576,16 @@ fn worker_loop(shared: Arc<Shared>) {
             // Terminal states free the job's namespace: removing the
             // checkpoint directory keeps finished jobs from accumulating
             // on disk without bound, and guarantees a reused name starts
-            // from a clean store instead of a stale generation. (A
-            // paused job's checkpoints are exactly what a restarted
-            // server resumes from; they stay.)
+            // from a clean store instead of a stale generation. It goes
+            // before the scheduler lock does, so no client sees the job
+            // finished, or reuses its name, while the directory is still
+            // there. (A paused job's checkpoints are exactly what a
+            // restarted server resumes from; they stay.)
             if let Ok(store) = &store {
                 let _ = std::fs::remove_dir_all(store.dir());
             }
         }
+        drop(sched);
         shared.update_cv.notify_all();
     }
 }

@@ -11,7 +11,7 @@
 //! | `wall-clock`        | no `Instant::now`/`SystemTime::now` outside the `qmc-obs` crate (waivable where timeouts genuinely need host time) |
 //! | `ckpt-hashmap`      | no `HashMap`/`HashSet` in checkpoint/wire-serialization files — iteration order would break the deterministic format |
 //! | `lib-unwrap`        | no `.unwrap()` in library crates' non-test code       |
-//! | `ckpt-unbounded-chain` | no `.write_delta(`/`.write_plan(` in a file that never mentions a `full_every` cadence knob or `compact` — an unbounded delta chain grows restore cost without limit |
+//! | `ckpt-unbounded-chain` | no `.write_sections(`/`.write_plan(` in a file that never mentions a `full_every` cadence knob — an unbounded delta chain grows restore cost without limit |
 //! | `hot-scalar-spin-loop` | no per-spin `.metropolis(`/`.bernoulli(` decision inside `#[qmc_hot::hot]` functions — the sanctioned shapes compare raw draws with exact integer thresholds (`qmc_rng::threshold`), bit-identical to the per-spin loop: the TFIM colour kernel (`qmc_tfim`'s `colour.rs`, which batches its draws and resolves without a branch) and the world-line corner-move row kernel (`qmc_worldline`'s `Worldline::corner_row`, one draw per proposal that needs one); or code many replicas a word, the multi-spin-coded `qmc_tfim::packed` (bitwise acceptance, 64 replicas a word); scalar per-spin branching in a hot kernel must be a waived reference path |
 //! | `hot-wall-clock`    | no `Instant::now`/`SystemTime::now` inside `#[qmc_hot::hot]` functions, *any* crate — timing belongs in `qmc_obs::span` guards around the kernel, not per-iteration clock reads inside it |
 //! | `net-unbounded-queue` | no `.push(`/`.push_back(` in a network-fed file (`TcpStream`/`TcpListener`/`FrameConn`/`FrameListener`/`recv_frame`) that never mentions a quota — a hostile peer must hit an admission bound, not grow server memory |
@@ -650,12 +650,11 @@ pub fn lint_source(display_path: &str, source: &str) -> Vec<Finding> {
 
     // Delta-chain bounding: a file that writes delta generations must
     // also carry the policy that bounds the chain — a `full_every`
-    // cadence knob or a `compact` call. Without either, every restore
-    // walks an ever-longer base chain and a single torn base strands
-    // every delta behind it.
+    // cadence knob. Without one, every restore walks an ever-longer base
+    // chain and a single torn base strands every delta behind it.
     let chain_bounded = tokens
         .iter()
-        .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "full_every" || s == "compact"));
+        .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "full_every"));
 
     // Network-fed queue bounding: a file that reads from the network
     // (raw TCP or the framed transport) and grows a queue must mention
@@ -807,11 +806,11 @@ pub fn lint_source(display_path: &str, source: &str) -> Vec<Finding> {
         }
 
         if !chain_bounded {
-            if let Some(name) = method_call(tokens, i, &["write_delta", "write_plan"]) {
+            if let Some(name) = method_call(tokens, i, &["write_sections", "write_plan"]) {
                 push(
                     line,
                     Rule::CkptUnboundedChain,
-                    format!("`.{name}()` writes delta checkpoints but this file never bounds the chain (add a `full_every` cadence or a periodic `compact`)"),
+                    format!("`.{name}()` writes delta checkpoints but this file never bounds the chain (add a `full_every` cadence)"),
                 );
             }
         }
@@ -967,7 +966,15 @@ mod tests {
     #[test]
     fn fixture_fires_ckpt_unbounded_chain() {
         let fired = rules_fired("crates/fixture/src/lib.rs", CKPT_CHAIN_BAD);
-        assert!(fired.contains(&Rule::CkptUnboundedChain), "{fired:?}");
+        // Both write entries fire: `write_plan` and `write_sections`.
+        assert_eq!(
+            fired
+                .iter()
+                .filter(|r| **r == Rule::CkptUnboundedChain)
+                .count(),
+            2,
+            "{fired:?}"
+        );
     }
 
     #[test]
@@ -1079,6 +1086,7 @@ mod tests {
         let src = "
             fn drive(store: &CkptStore, full_every: usize, s: u64, plan: Plan, delta: bool) {
                 let _ = store.write_plan(s, plan, delta);
+                let _ = store.write_sections(s, s % full_every == 0, |w| w.plan(plan));
             }
         ";
         assert!(rules_fired("crates/fixture/src/lib.rs", src).is_empty());

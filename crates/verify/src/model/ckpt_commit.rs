@@ -14,7 +14,7 @@
 //!    latest-generation belief and moves its delta base to `g` **only
 //!    if the ack says the write committed** — the gate the real callers
 //!    implement with `if committed { state.mark_clean() }`, and the one
-//!    `RankBase` applies inside the writer.
+//!    each rank's `DeltaBase` applies inside the writer.
 //!
 //! Faults: any rank may crash at any action boundary; a blocked rank
 //! whose awaited peer is dead (and the channel drained) aborts —

@@ -70,8 +70,8 @@ if awk 'FNR == 1 { gc = 0; tests = 0 }
         END { exit !hit }' crates/ckpt/src/*.rs; then exit 1; fi
 
 echo "== one framing: a section's name, tag, payload and CRC are written by frame_section only =="
-# Every image (CkptFile::image, RawCkpt::image) and every rank's fragment
-# of a coordinated commit frames its sections through frame_section in
+# Every image (CkptFile::to_bytes, RawCkpt::to_bytes) and every fragment
+# of a commit, serial or coordinated, frames its sections through frame_section in
 # crates/ckpt/src/file.rs, which folds a payload's CRC into the image's
 # instead of summing the bytes again. A hit here is a second framing
 # growing back: a section tag written, or a length-prefixed payload
@@ -83,6 +83,25 @@ if awk 'FNR == 1 { fr = 0; tests = 0; prev = "" }
         fr || tests || /^[[:space:]]*(\/\/|$)/ { next }
         /\.u8\(TAG_/ || (prev ~ /\.bytes\([^)]/ && /\.u32\([^)]/) { print FILENAME ":" FNR ": " $0; hit = 1 }
         { prev = $0 }
+        END { exit !hit }' crates/ckpt/src/*.rs; then exit 1; fi
+
+echo "== one writer: every generation goes RankSections -> write_fragments -> commit, decided by DeltaBase =="
+# A serial store and every rank of a coordinated commit frame their
+# sections with coord::RankSections; CkptStore::write_fragments puts the
+# image header and trailer around the fragments and is the only caller of
+# CkptStore::commit. Whether a generation is a delta is decided once, in
+# DeltaBase::delta_on, by comparing the base with the generation being
+# written. A hit here is a second writer or a second copy of that rule
+# growing back: a commit called from elsewhere, or a base compared with a
+# generation outside delta_on (load_in's check that a delta it reads is on
+# an older base is a reader's, not a decision).
+if awk 'FNR == 1 { tests = 0; fn = "" }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        tests || /^[[:space:]]*\/\// { next }
+        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        /\.commit\(/ && fn != "write_fragments" { print FILENAME ":" FNR ": " $0; hit = 1 }
+        /[<>]=? *(generation|[a-z_]+ as u64)([^a-z_]|$)|generation *[<>]/ && fn != "delta_on" && fn != "load_in" {
+          print FILENAME ":" FNR ": " $0; hit = 1 }
         END { exit !hit }' crates/ckpt/src/*.rs; then exit 1; fi
 
 echo "== one scheduler: qmc-verify's models restate nothing of qmc_serve::Sched =="

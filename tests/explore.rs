@@ -20,7 +20,7 @@
 //!    the real code misbehaving.
 
 use qmc_bench::sched_model::{End, Misuse, SchedAction, SchedModel, Worker};
-use qmc_ckpt::coord::{write_coordinated_sections, ElasticRestore, RankBase, RankSections};
+use qmc_ckpt::coord::{write_coordinated_sections, DeltaBase, ElasticRestore, RankSections};
 use qmc_ckpt::{CkptFile, CkptStore, SectionPlan};
 use qmc_comm::{run_threads, run_threads_with_timeout, Communicator};
 use qmc_verify::model::{CkptCommitModel, CkptMutation, DrainModel, DrainMutation};
@@ -237,7 +237,7 @@ fn ckpt_two_rounds_with_failed_write(dir: &std::path::Path, gate: bool) -> Vec<u
                 SectionPlan::Payload(vec![rank as u8; 8]),
             )])
         };
-        let base = &mut RankBase::default();
+        let base = &mut DeltaBase::default();
         let (_, committed) = write_coordinated_sections(comm, &store, base, 1, true, build);
         let mut believed = 0u64;
         if committed {
@@ -263,7 +263,7 @@ fn ckpt_two_rounds_with_failed_write(dir: &std::path::Path, gate: bool) -> Vec<u
                 SectionPlan::Payload(vec![rank as u8; 8]),
             )])
         };
-        let base = &mut RankBase::default();
+        let base = &mut DeltaBase::default();
         let (_, committed) = write_coordinated_sections(comm, &store, base, 2, true, build);
         // The gate: only a rank-consistent committed ack may advance
         // the believed generation (and, in the real driver, clear the
@@ -361,7 +361,7 @@ fn base_on_failed_ack_counterexample_replays_on_real_store() {
         let committed = run_threads(2, move |comm| {
             let rank = comm.rank();
             let store = CkptStore::new(&dir2, 4).expect("store");
-            let mut base = RankBase::default();
+            let mut base = DeltaBase::default();
             // Generation 1 needs slot 0, whose name a directory squats.
             let squat = dir2.join("slot-0.qckpt");
             if rank == 0 {
@@ -387,7 +387,7 @@ fn base_on_failed_ack_counterexample_replays_on_real_store() {
                 // for its base, with the sections it tried to write.
                 let mut tried = CkptFile::new();
                 tried.add("spins", spins.clone());
-                base = RankBase::restored(&ElasticRestore::Resumed(1, tried));
+                base = DeltaBase::restored(&ElasticRestore::Resumed(1, tried));
             }
             if rank == 0 {
                 std::fs::remove_dir(&squat).expect("unsquat");
