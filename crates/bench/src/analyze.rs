@@ -1,7 +1,7 @@
 //! `repro analyze` — the causal-tracing and critical-path demo.
 //!
-//! Records a 4-rank thread-backed parallel-tempering run through
-//! [`qmc_obs::TracingComm`] (every user-level send/receive lands in the
+//! Records a 4-rank thread-backed parallel-tempering run observed by
+//! [`qmc_obs::Tracer`] (every user-level send/receive lands in the
 //! per-rank ring with its channel sequence number and enclosing span),
 //! merges the per-rank streams into a cross-rank happens-before DAG,
 //! and walks out the critical path:
@@ -19,11 +19,11 @@
 //! integration tests: injecting an artificial per-sweep stall on one
 //! rank must drag the critical path onto it.
 
-use qmc_comm::{run_threads, Communicator};
+use qmc_comm::{run_threads, Communicator, Observed};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtConfig};
 use qmc_obs::{
     analysis_json, analyze, chrome_trace_json, gather_ranks, render_report, Analysis, CommDir,
-    ObsConfig, RankObs, RunMeta, TracingComm,
+    ObsConfig, RankObs, RunMeta, Tracer,
 };
 use qmc_rng::StreamFactory;
 use std::fmt::Write as _;
@@ -58,10 +58,10 @@ pub const STREAM_SEED: u64 = 41;
 /// Run the traced 4-rank PT demo and return (gathered per-rank records,
 /// rank-0 energy series). `slow_rank` injects a per-sweep stall there.
 ///
-/// Tracing is observation-only: the stall hook and the `TracingComm`
-/// wrapper never touch the RNG streams or message payloads, so the
-/// energy series is bit-identical to an untraced run of the same seeds
-/// (pinned by `tests/observability.rs`).
+/// Tracing is observation-only: the stall hook and the [`Tracer`] never
+/// touch the RNG streams or message payloads, so the energy series is
+/// bit-identical to an untraced run of the same seeds (pinned by
+/// `tests/observability.rs`).
 pub fn run_traced(slow_rank: Option<usize>) -> (Vec<RankObs>, Vec<f64>) {
     let cfg = demo_cfg();
     let obs = ObsConfig::new();
@@ -70,7 +70,7 @@ pub fn run_traced(slow_rank: Option<usize>) -> (Vec<RankObs>, Vec<f64>) {
         let me = comm.rank();
         let mut rng = StreamFactory::new(STREAM_SEED).stream(me);
         let (energies, _rates) = {
-            let mut traced = TracingComm::new(comm);
+            let mut traced = Observed::new(comm, Tracer);
             run_pt_parallel_ckpt(&mut traced, &cfg, &mut rng, None, |_c, _s| {
                 if Some(me) == slow_rank {
                     std::thread::sleep(STALL);

@@ -44,7 +44,7 @@
 //! on any divergence (the `scripts/check.sh elastic` stage).
 //!
 //! `repro analyze` records the same 4-rank parallel-tempering run
-//! through `qmc_obs::TracingComm`, merges the per-rank streams into a
+//! with `qmc_obs::Tracer`, merges the per-rank streams into a
 //! cross-rank happens-before DAG, and prints the critical path with
 //! per-rank compute/wait/send attribution and the straggler/imbalance
 //! summary. Writes `ANALYSIS_run.json` (schema `qmc-analysis/v1`) and a

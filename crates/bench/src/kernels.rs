@@ -22,7 +22,7 @@
 //!   are taken seconds apart, and this host's speed drifts on that scale:
 //!   single runs scatter ±30 % around the median.
 //! * `obs overhead` ≤ 1.02×, `trace overhead` ≤ 1.02×: recorder on vs
-//!   off and `TracingComm` vs bare, paired best-of-N.
+//!   off and `Tracer` vs bare, paired best-of-N.
 //! * `ckpt overhead` ≤ 1.03×: a checkpoint every 100 sweeps, the write
 //!   time taken inside the run it slows.
 //!
@@ -158,7 +158,7 @@ fn obs_overhead(scale: usize) -> f64 {
 
 /// Causal-tracing overhead, same paired best-of-N design: the scalar
 /// sweep plus a halo-like burst of 8 self-messages per sweep through a
-/// `SerialComm`, bare and then wrapped in [`qmc_obs::TracingComm`] with
+/// `SerialComm`, bare and then observed by [`qmc_obs::Tracer`] with
 /// the recorder on (per-sweep span + a ring record and two clock reads
 /// per message). Multi-rank timing on a shared box is noisier than the
 /// 2 % budget, hence one thread.
@@ -182,7 +182,7 @@ fn trace_overhead(scale: usize) -> f64 {
     };
     let run_traced =
         |eng: &mut SerialTfim, rng: &mut SerialRng, comm: &mut qmc_comm::SerialComm| {
-            let mut traced = qmc_obs::TracingComm::new(comm);
+            let mut traced = qmc_comm::Observed::new(comm, qmc_obs::Tracer);
             secs(|| {
                 for _ in 0..sweeps {
                     let _s = qmc_obs::span("bench.sweep");
@@ -278,7 +278,7 @@ pub fn bench_guards(quick: bool) -> (String, bool) {
     );
     let _ = writeln!(
         out,
-        "trace overhead (TracingComm+spans vs bare, paired best-of-{PAIR_REPS}): {trace:.3}x \
+        "trace overhead (Tracer+spans vs bare, paired best-of-{PAIR_REPS}): {trace:.3}x \
          (target <= 1.02x) [{}]",
         mark(trace <= 1.02, "WARN")
     );

@@ -4,8 +4,8 @@
 //!
 //! Four acts:
 //!
-//! 1. Record a real 4-rank thread-backed parallel-tempering run through
-//!    [`qmc_verify::RecordingComm`] and prove the captured traffic
+//! 1. Record a real 4-rank thread-backed parallel-tempering run with a
+//!    [`qmc_verify::Recorder`] and prove the captured traffic
 //!    deadlock-free (send/recv matching, reserved-tag discipline, SPMD
 //!    collective agreement).
 //! 2. Feed the checker a deliberately broken crossed-receive program and

@@ -24,6 +24,7 @@
 //! receive timeout.
 
 use crate::mailbox::Mailbox;
+use std::fmt;
 use std::sync::Mutex;
 
 /// What a rank is doing right now, as visible to the detector.
@@ -38,12 +39,30 @@ pub(crate) enum RankState {
     Done { panicked: bool },
 }
 
+/// One edge of a wait-for graph: `rank` is blocked receiving from `src`
+/// with `tag`. Its `Display` is the wording of every deadlock report, the
+/// runtime detector's and the offline trace checker's alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitEdge {
+    /// The blocked rank.
+    pub rank: usize,
+    /// The rank it waits on.
+    pub src: usize,
+    /// The tag it waits for.
+    pub tag: u32,
+}
+
+impl fmt::Display for WaitEdge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Self { rank, src, tag } = self;
+        write!(f, "rank {rank} waits on rank {src} (tag {tag:#x})")
+    }
+}
+
 /// One wait-for edge with the epoch at which it was observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct WaitLink {
-    pub rank: usize,
-    pub src: usize,
-    pub tag: u32,
+    pub edge: WaitEdge,
     pub epoch: u64,
 }
 
@@ -67,18 +86,15 @@ impl Diagnosis {
             Diagnosis::Cycle(links) => {
                 let chain = links
                     .iter()
-                    .map(|l| format!("rank {} waits on rank {} (tag {:#x})", l.rank, l.src, l.tag))
+                    .map(|l| l.edge.to_string())
                     .collect::<Vec<_>>()
                     .join(" -> ");
                 format!("deadlock detected: {chain}")
             }
             Diagnosis::DeadPeer { link, panicked } => format!(
-                "rank {} waits on rank {} (tag {:#x}) but rank {} has already {} — \
-                 the message can never arrive",
-                link.rank,
-                link.src,
-                link.tag,
-                link.src,
+                "{} but rank {} has already {} — the message can never arrive",
+                link.edge,
+                link.edge.src,
                 if *panicked { "panicked" } else { "finished" },
             ),
         }
@@ -92,18 +108,18 @@ impl Diagnosis {
 /// the same diagnosis — see the module docs for the stability argument.
 pub(crate) fn diagnose(boxes: &[Mailbox], me: usize) -> Option<Diagnosis> {
     let mut chain: Vec<WaitLink> = Vec::new();
-    let mut cur = me;
+    let mut rank = me;
     loop {
-        match boxes[cur].wait_state() {
+        match boxes[rank].wait_state() {
             RankState::Running => return None,
             RankState::Done { panicked } => {
                 // The *previous* link in the chain waits on a finished
-                // rank. (cur == me can't be Done — we are running it.)
+                // rank. (rank == me can't be Done — we are running it.)
                 let link = *chain.last()?;
                 return Some(Diagnosis::DeadPeer { link, panicked });
             }
             RankState::Waiting { src, tag, epoch } => {
-                if let Some(pos) = chain.iter().position(|l| l.rank == cur) {
+                if let Some(pos) = chain.iter().position(|l| l.edge.rank == rank) {
                     // chain[pos..] is the cycle; anything before it is a
                     // stalled tail feeding into it (still doomed, and the
                     // cycle itself is what every detector should report).
@@ -113,19 +129,17 @@ pub(crate) fn diagnose(boxes: &[Mailbox], me: usize) -> Option<Diagnosis> {
                     let min = cycle
                         .iter()
                         .enumerate()
-                        .min_by_key(|(_, l)| l.rank)
+                        .min_by_key(|(_, l)| l.edge.rank)
                         .map(|(i, _)| i)
                         .unwrap_or(0);
                     cycle.rotate_left(min);
                     return Some(Diagnosis::Cycle(cycle));
                 }
                 chain.push(WaitLink {
-                    rank: cur,
-                    src,
-                    tag,
+                    edge: WaitEdge { rank, src, tag },
                     epoch,
                 });
-                cur = src;
+                rank = src;
             }
         }
     }
@@ -213,7 +227,10 @@ mod tests {
         let Diagnosis::Cycle(links) = &d2 else {
             panic!("expected cycle, got {d2:?}");
         };
-        assert_eq!(links.iter().map(|l| l.rank).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(
+            links.iter().map(|l| l.edge.rank).collect::<Vec<_>>(),
+            vec![0, 1]
+        );
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! verbatim: the collectives are the recovery substrate (checkpoint
 //! gathers/broadcasts), so faults are injected below them, not in them.
 
-use crate::{CommStats, Communicator};
-use std::collections::{HashMap, VecDeque};
+use crate::{ChannelSeq, CommStats, Communicator};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// What the schedule decided for one send event.
@@ -158,10 +158,10 @@ fn mix(mut z: u64) -> u64 {
 pub struct FaultyComm<'a, C: Communicator> {
     inner: &'a mut C,
     plan: FaultPlan,
-    /// Next sequence number per outgoing `(dest, tag)` channel.
-    send_seq: HashMap<(usize, u32), u64>,
-    /// Next expected sequence per incoming `(src, tag)` channel.
-    recv_seq: HashMap<(usize, u32), u64>,
+    /// Envelopes numbered so far per outgoing `(dest, tag)` channel.
+    send_seq: ChannelSeq,
+    /// Receives started so far per incoming `(src, tag)` channel.
+    recv_seq: ChannelSeq,
     /// Delayed envelopes, flushed (in order) before any later comm call.
     pending: VecDeque<(usize, u32, Vec<u8>)>,
     /// Monotone send-event index feeding the schedule hash.
@@ -178,8 +178,8 @@ impl<'a, C: Communicator> FaultyComm<'a, C> {
         Self {
             inner,
             plan,
-            send_seq: HashMap::new(),
-            recv_seq: HashMap::new(),
+            send_seq: ChannelSeq::default(),
+            recv_seq: ChannelSeq::default(),
             pending: VecDeque::new(),
             events: 0,
             extra_wait: 0.0,
@@ -248,9 +248,7 @@ impl<C: Communicator> Communicator for FaultyComm<'_, C> {
 
     fn send_bytes(&mut self, dest: usize, tag: u32, data: &[u8]) {
         self.flush_pending();
-        let seq_entry = self.send_seq.entry((dest, tag)).or_insert(0);
-        let seq = *seq_entry;
-        *seq_entry += 1;
+        let seq = self.send_seq.bump(dest, tag);
         let mut env = Vec::with_capacity(8 + data.len());
         env.extend_from_slice(&seq.to_le_bytes());
         env.extend_from_slice(data);
@@ -283,7 +281,9 @@ impl<C: Communicator> Communicator for FaultyComm<'_, C> {
     }
 
     fn recv_bytes(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let expected = *self.recv_seq.get(&(src, tag)).unwrap_or(&0);
+        // Numbered as the receive starts: one that gives up panics the
+        // rank, so only a delivered envelope ever uses the number.
+        let expected = self.recv_seq.bump(src, tag);
         let mut attempt: u32 = 0;
         loop {
             // Our own delayed sends must not starve the peer while we
@@ -327,7 +327,6 @@ impl<C: Communicator> Communicator for FaultyComm<'_, C> {
                          channel violated)",
                         self.inner.rank()
                     );
-                    self.recv_seq.insert((src, tag), expected + 1);
                     return env[8..].to_vec();
                 }
                 None => {

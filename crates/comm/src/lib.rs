@@ -16,6 +16,11 @@
 //! * [`SerialComm`] — the size-1 degenerate communicator, so every solver
 //!   can run single-rank without ceremony.
 //!
+//! Two decorators wrap any of them: [`Observed`] reports every message to
+//! an [`Observer`] (tracing and protocol recording are observers), and
+//! [`FaultyComm`] perturbs delivery. [`ChannelSeq`] is the one
+//! per-channel message counter both number their traffic with.
+//!
 //! # Programming model
 //!
 //! SPMD with explicit-source, explicit-tag messaging: `send` is buffered
@@ -62,12 +67,15 @@ mod thread_world;
 pub mod crc;
 pub mod faulty;
 pub mod model;
+pub mod observe;
 pub mod tcp;
 
 pub mod util;
 
+pub use deadlock::WaitEdge;
 pub use faulty::{FaultPlan, FaultStats, FaultyComm};
 pub use model::{job_seconds, run_model, MachineModel, ModelComm, ModelReport};
+pub use observe::{ChannelSeq, CommDir, Message, Observed, Observer};
 pub use serial::SerialComm;
 pub use thread_world::{
     run_threads, run_threads_elastic, run_threads_with_timeout, ElasticError, ElasticRun,

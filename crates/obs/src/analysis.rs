@@ -2,13 +2,13 @@
 //! events, critical-path extraction, and per-rank time attribution.
 //!
 //! Input is the per-rank [`RankObs`] records gathered at rank 0 from a
-//! run whose communicators were wrapped in
-//! [`TracingComm`](crate::TracingComm). Each traced send and receive
-//! carries the channel key `(src, dst, tag, seq)`; a send and the
-//! receive it satisfied agree on that key, so joining the per-rank
-//! streams on it yields the cross-rank happens-before DAG without any
-//! global clock: within a rank, events are ordered by program order, and
-//! across ranks each matched pair contributes a send → receive edge.
+//! run whose communicators were observed by a [`Tracer`](crate::Tracer).
+//! Each traced send and receive carries the channel key
+//! `(src, dst, tag, seq)`; a send and the receive it satisfied agree on
+//! that key, so joining the per-rank streams on it yields the cross-rank
+//! happens-before DAG without any global clock: within a rank, events
+//! are ordered by program order, and across ranks each matched pair
+//! contributes a send → receive edge.
 //!
 //! The join is sound only under the send/recv matching discipline the
 //! `qmc-verify` trace checker enforces. That crate sits above this one,

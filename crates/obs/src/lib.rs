@@ -79,7 +79,7 @@ pub use span::{
     active_span_id, counter_add, enabled, finish, health_enabled, health_record, hist_record, init,
     metrics_enabled, now_us, span, spans_enabled, ObsConfig, Span,
 };
-pub use trace::TracingComm;
+pub use trace::Tracer;
 
 /// Mirror a rank's [`qmc_comm::FaultStats`] into the thread-local metrics
 /// registry as `comm.retries` / `comm.timeouts`.

@@ -6,6 +6,7 @@
 //! the physics ran on (a byte gather — observability reuses the machine
 //! rather than smuggling data through host shared memory).
 
+pub use qmc_comm::CommDir;
 use qmc_comm::{CommStats, Communicator};
 
 use crate::health::HealthMonitor;
@@ -27,17 +28,7 @@ pub struct OwnedSpan {
     pub depth: u16,
 }
 
-/// Direction of a traced point-to-point message, from the recording
-/// rank's perspective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommDir {
-    /// The recording rank sent the message.
-    Send,
-    /// The recording rank received the message.
-    Recv,
-}
-
-/// One traced point-to-point message event (recorded by `TracingComm`).
+/// One traced point-to-point message event (recorded by [`crate::Tracer`]).
 ///
 /// `seq` counts messages per directed `(self, peer, tag)` channel on the
 /// send side and per `(peer, self, tag)` channel on the receive side, so

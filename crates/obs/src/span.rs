@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use crate::health::HealthMonitor;
 use crate::metrics::Registry;
-use crate::record::{CommDir, CommEvent, HealthSnapshot, OwnedSpan, RankObs};
+use crate::record::{CommEvent, HealthSnapshot, OwnedSpan, RankObs};
 
 const F_SPANS: u8 = 1;
 const F_METRICS: u8 = 2;
@@ -44,7 +44,7 @@ pub struct ObsConfig {
     /// Ring capacity in spans; the oldest spans are overwritten once the
     /// ring is full (the overflow count is reported as `dropped_spans`).
     pub span_capacity: usize,
-    /// Ring capacity in traced comm events (see `TracingComm`); oldest
+    /// Ring capacity in traced comm events (see [`crate::Tracer`]); oldest
     /// events are overwritten, counted as `dropped_comm_events`.
     pub comm_capacity: usize,
     epoch: Instant,
@@ -117,19 +117,6 @@ struct SpanRec {
     depth: u16,
 }
 
-/// One traced comm event in the fixed ring (pushed by `TracingComm`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CommRec {
-    pub(crate) dir: CommDir,
-    pub(crate) peer: u64,
-    pub(crate) tag: u32,
-    pub(crate) seq: u64,
-    pub(crate) bytes: u64,
-    pub(crate) t0_us: f64,
-    pub(crate) t1_us: f64,
-    pub(crate) span_id: u64,
-}
-
 /// Default `min_bins` for the online binning behind [`health_record`]
 /// (same default the offline analyses in this workspace use).
 pub(crate) const HEALTH_MIN_BINS: usize = 16;
@@ -148,7 +135,7 @@ struct Recorder {
     next_span_id: u64,
     /// Ids of currently open spans, innermost last.
     open: Vec<u64>,
-    comm_ring: Vec<CommRec>,
+    comm_ring: Vec<CommEvent>,
     comm_capacity: usize,
     comm_head: usize,
     comm_recorded: u64,
@@ -168,7 +155,7 @@ impl Recorder {
         self.recorded += 1;
     }
 
-    fn push_comm(&mut self, rec: CommRec) {
+    fn push_comm(&mut self, rec: CommEvent) {
         if self.comm_ring.len() < self.comm_capacity {
             self.comm_ring.push(rec);
         } else {
@@ -196,21 +183,11 @@ impl Recorder {
 
     /// Traced comm events, oldest first.
     fn comm_chronological(&self) -> Vec<CommEvent> {
-        let order = self.comm_ring[self.comm_head..]
-            .iter()
-            .chain(&self.comm_ring[..self.comm_head]);
-        order
-            .map(|r| CommEvent {
-                dir: r.dir,
-                peer: r.peer,
-                tag: r.tag,
-                seq: r.seq,
-                bytes: r.bytes,
-                t0_us: r.t0_us,
-                t1_us: r.t1_us,
-                span_id: r.span_id,
-            })
-            .collect()
+        [
+            &self.comm_ring[self.comm_head..],
+            &self.comm_ring[..self.comm_head],
+        ]
+        .concat()
     }
 }
 
@@ -393,8 +370,8 @@ pub fn active_span_id() -> u64 {
 }
 
 /// Microseconds elapsed since this recorder's shared epoch (0.0 when no
-/// recorder is installed). Used by `TracingComm` so comm events share the
-/// span timeline.
+/// recorder is installed). Used by the comm [`Tracer`](crate::Tracer) so
+/// comm events share the span timeline.
 #[inline]
 pub fn now_us() -> f64 {
     RECORDER.with(|r| {
@@ -409,7 +386,7 @@ pub fn now_us() -> f64 {
 /// recorder borrow — the per-message hot path pays one TLS access, not
 /// two.
 #[inline]
-pub(crate) fn comm_event(mut rec: CommRec) {
+pub(crate) fn comm_event(mut rec: CommEvent) {
     if FLAGS.with(|f| f.get()) & F_SPANS == 0 {
         return;
     }

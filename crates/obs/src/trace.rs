@@ -1,181 +1,47 @@
-//! Causal comm tracing: a communicator wrapper stamping every user-level
-//! point-to-point operation into the rank's comm-event ring.
+//! Causal comm tracing: [`Tracer`] is the [`Observer`] that stamps every
+//! user-level point-to-point message into the rank's comm-event ring.
 //!
-//! [`TracingComm`] follows the same opt-in wrapper pattern as
-//! `qmc_verify::RecordingComm` and `qmc_comm::FaultyComm`: production
-//! drivers never construct it, so bare runs carry zero overhead and move
-//! exactly the same bytes; a traced run wraps each rank's communicator
-//! and the physics code is untouched. Compound operations (sendrecv, the
-//! collectives, the `_into` variants) are *not* forwarded wholesale —
-//! the trait's default implementations decompose them through
-//! `send_bytes`/`recv_bytes`/`*_internal` on the wrapper, so the traced
-//! event stream is the exact user-level message pattern.
-//!
-//! Each event carries a per-channel sequence number: the `seq`-th user
-//! message on the directed channel `(src, dst, tag)`. Both end points
-//! count their own channel traffic, so a send and the receive it
-//! satisfied agree on `(src, dst, tag, seq)` with no global clock — the
-//! merger in [`crate::analysis`] pairs them on that key into
-//! happens-before edges. Collective-internal traffic is forwarded
-//! verbatim and untraced (it would swamp the ring and its causality is
-//! already implied by the SPMD collective ordering). The counters are a
-//! linear-scanned `Vec<(peer, tag, count)>` — a rank talks to a handful
-//! of peers over a handful of tags, and the scan keeps the traced hot
-//! path inside the 2 % budget `repro bench` guards — and they advance
-//! even when recording is off: the peer cannot see our flag, and both
-//! ends must agree.
+//! A traced run wraps each rank's communicator as
+//! `Observed::new(comm, Tracer)`; the physics code is untouched, and
+//! [`qmc_comm::observe`] says what the decorator forwards and how it
+//! numbers channels. Each event carries that per-channel sequence
+//! number, so a send and the receive it satisfied agree on
+//! `(src, dst, tag, seq)` with no global clock — the merger in
+//! [`crate::analysis`] pairs them on that key into happens-before edges.
+//! Collective traffic is not traced: it would swamp the ring, and its
+//! causality is already implied by the SPMD collective order. With spans
+//! off (or no recorder installed) a message costs one thread-local flag
+//! check beyond the channel count.
 
-use std::time::Duration;
+use qmc_comm::{Message, Observer};
 
-use qmc_comm::{CommStats, Communicator};
+use crate::record::CommEvent;
+use crate::span::{comm_event, now_us, spans_enabled};
 
-use crate::record::CommDir;
-use crate::span::{comm_event, now_us, spans_enabled, CommRec};
+/// Records user-level sends and receives into the current thread's
+/// recorder (see [`crate::init`]), timed on the span clock and stamped
+/// with the innermost open span.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Tracer;
 
-/// Per-channel message counters. A rank talks to a handful of peers over
-/// a handful of tags, so a linear scan over a tiny table beats hashing
-/// on the per-message hot path (the guarded trace overhead budget is 2%
-/// of a whole halo-exchange sweep).
-#[derive(Default)]
-struct ChannelSeq(Vec<(usize, u32, u64)>);
-
-impl ChannelSeq {
-    /// Post-increment the counter for `(peer, tag)`.
+impl Observer for Tracer {
     #[inline]
-    fn bump(&mut self, peer: usize, tag: u32) -> u64 {
-        for e in &mut self.0 {
-            if e.0 == peer && e.1 == tag {
-                let s = e.2;
-                e.2 += 1;
-                return s;
-            }
-        }
-        self.0.push((peer, tag, 1));
-        0
-    }
-}
-
-/// Communicator wrapper that records user-level sends/receives into the
-/// current thread's recorder (see [`crate::init`]). When no recorder is
-/// installed or spans are disabled, every operation forwards with one
-/// thread-local flag check of overhead.
-pub struct TracingComm<'a, C: Communicator> {
-    inner: &'a mut C,
-    /// Messages sent so far per `(dest, tag)` channel.
-    send_seq: ChannelSeq,
-    /// Messages received so far per `(src, tag)` channel.
-    recv_seq: ChannelSeq,
-}
-
-impl<'a, C: Communicator> TracingComm<'a, C> {
-    /// Wrap `inner`. Channel sequence numbers start at zero, so wrap
-    /// once per run (before the first traced message), not mid-stream.
-    pub fn new(inner: &'a mut C) -> Self {
-        Self {
-            inner,
-            send_seq: ChannelSeq::default(),
-            recv_seq: ChannelSeq::default(),
-        }
-    }
-}
-
-impl<C: Communicator> Communicator for TracingComm<'_, C> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
+    fn start(&mut self, internal: bool) -> Option<f64> {
+        (!internal && spans_enabled()).then(now_us)
     }
 
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn send_bytes(&mut self, dest: usize, tag: u32, data: &[u8]) {
-        // Sequence numbers advance whether or not recording is on: both
-        // endpoints must agree on them, and the peer can't see our flag.
-        let seq = self.send_seq.bump(dest, tag);
-        if !spans_enabled() {
-            return self.inner.send_bytes(dest, tag, data);
-        }
-        let t0 = now_us();
-        self.inner.send_bytes(dest, tag, data);
-        comm_event(CommRec {
-            dir: CommDir::Send,
-            peer: dest as u64,
-            tag,
-            seq,
-            bytes: data.len() as u64,
-            t0_us: t0,
+    #[inline]
+    fn message(&mut self, msg: Message, t0_us: f64) {
+        comm_event(CommEvent {
+            dir: msg.dir,
+            peer: msg.peer as u64,
+            tag: msg.tag,
+            seq: msg.seq,
+            bytes: msg.bytes as u64,
+            t0_us,
             t1_us: now_us(),
             span_id: 0, // stamped by comm_event
         });
-    }
-
-    fn recv_bytes(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let seq = self.recv_seq.bump(src, tag);
-        if !spans_enabled() {
-            return self.inner.recv_bytes(src, tag);
-        }
-        let t0 = now_us();
-        let msg = self.inner.recv_bytes(src, tag);
-        comm_event(CommRec {
-            dir: CommDir::Recv,
-            peer: src as u64,
-            tag,
-            seq,
-            bytes: msg.len() as u64,
-            t0_us: t0,
-            t1_us: now_us(),
-            span_id: 0, // stamped by comm_event
-        });
-        msg
-    }
-
-    fn recv_bytes_timeout(&mut self, src: usize, tag: u32, timeout: Duration) -> Option<Vec<u8>> {
-        if !spans_enabled() {
-            let msg = self.inner.recv_bytes_timeout(src, tag, timeout)?;
-            self.recv_seq.bump(src, tag);
-            return Some(msg);
-        }
-        let t0 = now_us();
-        // A timed-out attempt delivered nothing: the channel count must
-        // only advance on delivery or the key would drift off the
-        // sender's numbering.
-        let msg = self.inner.recv_bytes_timeout(src, tag, timeout)?;
-        let seq = self.recv_seq.bump(src, tag);
-        comm_event(CommRec {
-            dir: CommDir::Recv,
-            peer: src as u64,
-            tag,
-            seq,
-            bytes: msg.len() as u64,
-            t0_us: t0,
-            t1_us: now_us(),
-            span_id: 0, // stamped by comm_event
-        });
-        Some(msg)
-    }
-
-    fn compute(&mut self, units: f64) {
-        self.inner.compute(units);
-    }
-
-    fn now(&self) -> f64 {
-        self.inner.now()
-    }
-
-    fn stats(&self) -> CommStats {
-        self.inner.stats()
-    }
-
-    fn next_collective_seq(&mut self) -> u32 {
-        self.inner.next_collective_seq()
-    }
-
-    fn send_internal(&mut self, dest: usize, tag: u32, data: &[u8]) {
-        self.inner.send_internal(dest, tag, data);
-    }
-
-    fn recv_internal(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        self.inner.recv_internal(src, tag)
     }
 }
 
@@ -184,12 +50,13 @@ mod tests {
     use super::*;
     use crate::record::CommDir;
     use crate::span::{finish, init, span, ObsConfig};
-    use qmc_comm::SerialComm;
+    use qmc_comm::{Communicator, Observed, SerialComm};
+    use std::time::Duration;
 
     #[test]
     fn untraced_when_recorder_absent() {
         let mut comm = SerialComm::new();
-        let mut tc = TracingComm::new(&mut comm);
+        let mut tc = Observed::new(&mut comm, Tracer);
         tc.send_bytes(0, 3, &[1, 2]);
         assert_eq!(tc.recv_bytes(0, 3), vec![1, 2]);
         assert!(finish().is_none());
@@ -199,7 +66,7 @@ mod tests {
     fn events_carry_channel_seq_and_span_id() {
         init(0, &ObsConfig::new());
         let mut comm = SerialComm::new();
-        let mut tc = TracingComm::new(&mut comm);
+        let mut tc = Observed::new(&mut comm, Tracer);
         let sweep_id = {
             let s = span("exchange");
             let id = s.id();
@@ -239,7 +106,7 @@ mod tests {
     fn collective_traffic_is_not_traced() {
         init(0, &ObsConfig::new());
         let mut comm = SerialComm::new();
-        let mut tc = TracingComm::new(&mut comm);
+        let mut tc = Observed::new(&mut comm, Tracer);
         tc.barrier();
         let sum = tc.allreduce_f64(&[2.0], qmc_comm::ReduceOp::Sum);
         assert_eq!(sum, vec![2.0]);
@@ -251,7 +118,7 @@ mod tests {
     fn sendrecv_decomposes_into_traced_send_then_recv() {
         init(0, &ObsConfig::new());
         let mut comm = SerialComm::new();
-        let mut tc = TracingComm::new(&mut comm);
+        let mut tc = Observed::new(&mut comm, Tracer);
         let got = tc.sendrecv_bytes(0, 4, &[9, 9], 0, 4);
         assert_eq!(got, vec![9, 9]);
         let obs = finish().unwrap();
@@ -264,7 +131,7 @@ mod tests {
     fn timeout_recv_counts_only_deliveries() {
         init(0, &ObsConfig::new());
         let mut comm = SerialComm::new();
-        let mut tc = TracingComm::new(&mut comm);
+        let mut tc = Observed::new(&mut comm, Tracer);
         tc.send_bytes(0, 2, &[1]);
         let got = tc.recv_bytes_timeout(0, 2, Duration::from_millis(1));
         assert_eq!(got, Some(vec![1]));

@@ -22,32 +22,10 @@
 //!   or altered messages and the determinism argument is void).
 
 use crate::trace::{Event, WorldTrace};
-use qmc_comm::COLLECTIVE_TAG_BASE;
+use qmc_comm::{WaitEdge, COLLECTIVE_TAG_BASE};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
-
-/// One edge of a wait-for cycle: `rank` is blocked receiving from `src`
-/// with `tag`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WaitEdge {
-    /// The blocked rank.
-    pub rank: usize,
-    /// The rank it waits on.
-    pub src: usize,
-    /// The tag it waits for.
-    pub tag: u32,
-}
-
-impl fmt::Display for WaitEdge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "rank {} waits on rank {} (tag {:#x})",
-            self.rank, self.src, self.tag
-        )
-    }
-}
 
 /// A protocol violation found in a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -101,7 +101,7 @@ pub trait Model {
     /// Wait-for edges of a deadlocked state, rendered through the trace
     /// checker's cycle reporter. Empty means "no cycle structure to
     /// show" and only the textual description is used.
-    fn wait_edges(&self, _s: &Self::State) -> Vec<crate::checker::WaitEdge> {
+    fn wait_edges(&self, _s: &Self::State) -> Vec<qmc_comm::WaitEdge> {
         Vec::new()
     }
     /// Human-readable rendering of an action for counterexample
@@ -609,7 +609,7 @@ fn explore_inner<M: Model>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::WaitEdge;
+    use qmc_comm::WaitEdge;
 
     /// N independent counters, each incremented to `limit` — every pair
     /// of actions from different pids is independent, so DPOR should

@@ -8,8 +8,8 @@
 //! the three mechanical checkers that keep those invariants honest:
 //!
 //! * **Comm-protocol model checker** ([`trace`], [`checker`]):
-//!   [`RecordingComm`] captures per-rank event traces over any
-//!   [`qmc_comm::Communicator`]; [`check`] replays them under the
+//!   a [`Recorder`] observing any [`qmc_comm::Communicator`] captures
+//!   per-rank event traces; [`check`] replays them under the
 //!   deterministic `(source, tag)` matching semantics and proves
 //!   deadlock-freedom, send/recv matching, reserved-tag discipline and
 //!   SPMD collective agreement — or reports the exact wait-for cycle.
@@ -46,9 +46,9 @@ pub mod lint;
 pub mod model;
 pub mod trace;
 
-pub use checker::{check, Report, Violation, WaitEdge};
+pub use checker::{check, Report, Violation};
 pub use explore::{
     explore, explore_naive, explore_states, Budget, CounterExample, ExploreStats, Model, Outcome,
 };
 pub use lint::{lint_source, lint_workspace, workspace_root_from, Finding, Rule};
-pub use trace::{record_threads, Event, RecordingComm, WorldTrace};
+pub use trace::{record_threads, Event, Recorder, WorldTrace};

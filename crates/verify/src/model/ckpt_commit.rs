@@ -41,8 +41,8 @@
 //! regardless of the ack outcome; [`CkptMutation::BaseOnFailedAck`] has
 //! the ranks other than 0 move their delta base on any ack.
 
-use crate::checker::WaitEdge;
 use crate::explore::Model;
+use qmc_comm::WaitEdge;
 
 /// Tag used in rendered wait-for edges for the plan gather.
 pub const TAG_PLAN: u32 = 0x11;

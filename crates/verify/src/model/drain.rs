@@ -20,8 +20,8 @@
 //! verdict — every other rank blocks forever on the verdict receive,
 //! a deadlock rendered through the wait-for-cycle reporter.
 
-use crate::checker::WaitEdge;
 use crate::explore::Model;
+use qmc_comm::WaitEdge;
 
 /// Tag used in rendered wait-for edges for the verdict broadcast.
 pub const TAG_VERDICT: u32 = 0x20;

@@ -28,8 +28,8 @@
 //! rejoined rank run the ordinary resume restore on top of the rejoin
 //! restore.
 
-use crate::checker::WaitEdge;
 use crate::explore::Model;
+use qmc_comm::WaitEdge;
 
 /// Tag used in rendered wait-for edges for the generation broadcast.
 pub const TAG_GEN: u32 = 0x30;

@@ -1,15 +1,15 @@
-//! Per-rank communication event traces and the recording communicator.
+//! Per-rank communication event traces and the protocol [`Recorder`].
 //!
-//! [`RecordingComm`] wraps any [`Communicator`] and captures every
-//! point-to-point operation (user *and* collective-internal) plus a
-//! marker per collective entry. Recording is strictly opt-in: production
-//! drivers never construct the wrapper, so the hot paths carry zero
-//! overhead. The captured [`WorldTrace`] feeds the offline checker in
+//! [`Recorder`] is the [`Observer`] that captures every point-to-point
+//! message an [`Observed`] communicator carries, user *and*
+//! collective-internal, plus a marker per collective entry;
+//! [`qmc_comm::observe`] says what the decorator forwards. Recording is
+//! strictly opt-in: production drivers never construct the decorator.
+//! The captured [`WorldTrace`] feeds the offline checker in
 //! [`crate::checker`].
 
-use qmc_comm::{CommStats, Communicator};
+use qmc_comm::{CommDir, Communicator, Message, Observed, Observer, COLLECTIVE_TAG_BASE};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// One recorded communication event on a single rank.
 ///
@@ -69,117 +69,46 @@ impl WorldTrace {
     }
 }
 
-/// A communicator wrapper that records every operation it forwards.
-///
-/// All compound operations ([`Communicator::sendrecv_bytes`], the
-/// collectives, the `_into` buffer-reuse variants) are *not* forwarded
-/// wholesale: the trait's default implementations decompose them into
-/// `send_bytes`/`recv_bytes`/`*_internal` calls on the wrapper itself,
-/// so the trace contains the exact point-to-point message pattern the
-/// backends would execute.
-pub struct RecordingComm<'a, C: Communicator> {
-    inner: &'a mut C,
+/// Records every message and collective entry it is shown, in program
+/// order.
+#[derive(Debug, Default)]
+pub struct Recorder {
     events: Vec<Event>,
 }
 
-impl<'a, C: Communicator> RecordingComm<'a, C> {
-    /// Wrap `inner`, recording into a fresh event list.
-    pub fn new(inner: &'a mut C) -> Self {
-        Self {
-            inner,
-            events: Vec::new(),
-        }
-    }
-
-    /// Consume the wrapper and return the recorded events.
+impl Recorder {
+    /// Consume the recorder and return the recorded events.
     pub fn into_events(self) -> Vec<Event> {
         self.events
     }
-
-    /// Events recorded so far.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
 }
 
-impl<C: Communicator> Communicator for RecordingComm<'_, C> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
+impl Observer for Recorder {
+    fn start(&mut self, _internal: bool) -> Option<f64> {
+        Some(0.0)
     }
 
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn send_bytes(&mut self, dest: usize, tag: u32, data: &[u8]) {
-        self.events.push(Event::Send {
-            dst: dest,
-            tag,
-            bytes: data.len(),
-            internal: false,
+    fn message(&mut self, msg: Message, _t0: f64) {
+        let (tag, bytes) = (msg.tag, msg.bytes);
+        let internal = tag >= COLLECTIVE_TAG_BASE;
+        self.events.push(match msg.dir {
+            CommDir::Send => Event::Send {
+                dst: msg.peer,
+                tag,
+                bytes,
+                internal,
+            },
+            CommDir::Recv => Event::Recv {
+                src: msg.peer,
+                tag,
+                bytes,
+                internal,
+            },
         });
-        self.inner.send_bytes(dest, tag, data);
     }
 
-    fn recv_bytes(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let msg = self.inner.recv_bytes(src, tag);
-        self.events.push(Event::Recv {
-            src,
-            tag,
-            bytes: msg.len(),
-            internal: false,
-        });
-        msg
-    }
-
-    fn recv_bytes_timeout(&mut self, src: usize, tag: u32, timeout: Duration) -> Option<Vec<u8>> {
-        let msg = self.inner.recv_bytes_timeout(src, tag, timeout)?;
-        self.events.push(Event::Recv {
-            src,
-            tag,
-            bytes: msg.len(),
-            internal: false,
-        });
-        Some(msg)
-    }
-
-    fn compute(&mut self, units: f64) {
-        self.inner.compute(units);
-    }
-
-    fn now(&self) -> f64 {
-        self.inner.now()
-    }
-
-    fn stats(&self) -> CommStats {
-        self.inner.stats()
-    }
-
-    fn next_collective_seq(&mut self) -> u32 {
-        let seq = self.inner.next_collective_seq();
+    fn collective(&mut self, seq: u32) {
         self.events.push(Event::Collective { seq });
-        seq
-    }
-
-    fn send_internal(&mut self, dest: usize, tag: u32, data: &[u8]) {
-        self.events.push(Event::Send {
-            dst: dest,
-            tag,
-            bytes: data.len(),
-            internal: true,
-        });
-        self.inner.send_internal(dest, tag, data);
-    }
-
-    fn recv_internal(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let msg = self.inner.recv_internal(src, tag);
-        self.events.push(Event::Recv {
-            src,
-            tag,
-            bytes: msg.len(),
-            internal: true,
-        });
-        msg
     }
 }
 
@@ -206,15 +135,15 @@ impl<C: Communicator> Communicator for RecordingComm<'_, C> {
 pub fn record_threads<T, F>(nranks: usize, f: F) -> (Vec<T>, WorldTrace)
 where
     T: Send,
-    F: Fn(&mut RecordingComm<'_, qmc_comm::ThreadComm>) -> T + Send + Sync,
+    F: Fn(&mut Observed<'_, qmc_comm::ThreadComm, Recorder>) -> T + Send + Sync,
 {
     let slots: Arc<Mutex<Vec<Vec<Event>>>> = Arc::new(Mutex::new(vec![Vec::new(); nranks]));
     let slots2 = slots.clone();
     let results = qmc_comm::run_threads(nranks, move |comm| {
         let rank = comm.rank();
-        let mut rec = RecordingComm::new(comm);
+        let mut rec = Observed::new(comm, Recorder::default());
         let out = f(&mut rec);
-        let events = rec.into_events();
+        let events = rec.into_observer().into_events();
         slots2.lock().unwrap_or_else(|e| e.into_inner())[rank] = events;
         out
     });
@@ -230,12 +159,12 @@ mod tests {
     #[test]
     fn records_user_send_recv() {
         let mut comm = SerialComm::new();
-        let mut rec = RecordingComm::new(&mut comm);
+        let mut rec = Observed::new(&mut comm, Recorder::default());
         rec.send_bytes(0, 3, &[1, 2]);
         let got = rec.recv_bytes(0, 3);
         assert_eq!(got, vec![1, 2]);
         assert_eq!(
-            rec.into_events(),
+            rec.into_observer().into_events(),
             vec![
                 Event::Send {
                     dst: 0,

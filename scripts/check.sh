@@ -113,6 +113,20 @@ echo "== one scheduler: qmc-verify's models restate nothing of qmc_serve::Sched 
 # time, beside the code it would drift from.
 if grep -rnE --include='*.rs' 'JobSt|Queued|Paused|quota|priorit|requeue|pop_next' crates/verify/src/model; then exit 1; fi
 
+echo "== one observer: only qmc-comm implements Communicator, and one type counts a channel =="
+# Whatever only watches the message stream is an Observer behind
+# qmc_comm::Observed (obs's Tracer, verify's Recorder); FaultyComm, which
+# perturbs delivery, is the only other decorator. Per-channel sequence
+# numbers are counted by qmc_comm::ChannelSeq, which both number their
+# traffic with. A hit here is a whole-trait decorator forwarding every
+# method again, or a second channel counter, growing back.
+if awk 'FNR == 1 { tests = 0 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        tests || /^[[:space:]]*\/\// { next }
+        /Communicator for/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' $(find crates -path '*/src/*' -name '*.rs' -not -path 'crates/comm/src/*'); then exit 1; fi
+if grep -rnE --include='*.rs' 'HashMap<\(usize, u32\), u64>' crates/comm/src; then exit 1; fi
+
 echo "== benchmark: builds against this tree, offline and locked =="
 # benchmark/ is a standalone package with its own frozen lock file: an
 # API or crate-graph break against it must fail here, not in the

@@ -8,17 +8,19 @@
 //! bundled JSON parser with summed totals, and the Chrome trace keeps
 //! per-rank timestamps sorted and `B`/`E` events balanced.
 
-use qmc_comm::{run_threads, Communicator};
+use qmc_comm::{run_threads, CommDir, Communicator, Observed};
 use qmc_lattice::{Chain, Square};
 use qmc_obs::json::Json;
 use qmc_obs::{
     chrome_trace_json, gather_ranks, metrics_json, ObsConfig, OnlineBinning, RunMeta, SegmentKind,
+    Tracer,
 };
 use qmc_rng::{CountingRng, Rng64, StreamFactory, Xoshiro256StarStar};
 use qmc_sse::Sse;
 use qmc_tfim::parallel::DistTfim;
 use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
+use qmc_verify::{Event, Recorder};
 use qmc_worldline::{GenericParams, GenericWorldline, Worldline, WorldlineParams};
 
 /// Exact bit patterns of a float series (equality must be bitwise, not
@@ -256,7 +258,7 @@ fn chrome_trace_is_sorted_and_balanced_per_rank() {
 
 #[test]
 fn pt_bit_identical_traced_vs_bare() {
-    // The analyze demo runs parallel tempering through TracingComm with
+    // The analyze demo runs parallel tempering through a Tracer with
     // spans, comm tracing and per-rank recorders all live. Replaying the
     // exact configuration bare must land on the same trajectory to the
     // last bit: tracing is observation-only.
@@ -273,8 +275,82 @@ fn pt_bit_identical_traced_vs_bare() {
     assert_eq!(
         bits(&bare_energies),
         bits(&traced_energies),
-        "TracingComm perturbed the PT trajectory"
+        "Tracer perturbed the PT trajectory"
     );
+}
+
+#[test]
+fn tracer_and_recorder_agree_on_the_user_traffic() {
+    // The analyze demo's PT run once, a Recorder observing a Tracer
+    // observing each rank. `checked_analyze` rebuilds a verify trace from
+    // the obs events; this is the agreement that rebuild relies on.
+    let cfg = qmc_bench::analyze::demo_cfg();
+    let seed = qmc_bench::analyze::STREAM_SEED;
+    let bare = run_threads(4, {
+        let cfg = cfg.clone();
+        move |comm| {
+            let mut rng = StreamFactory::new(seed).stream(comm.rank());
+            qmc_core::pt::run_pt_parallel_ckpt(comm, &cfg, &mut rng, None, |_c, _s| {}).0
+        }
+    });
+    let stacked = run_threads(4, move |comm| {
+        qmc_obs::init(comm.rank(), &ObsConfig::new());
+        let mut rng = StreamFactory::new(seed).stream(comm.rank());
+        let mut traced = Observed::new(comm, Tracer);
+        let mut recorded = Observed::new(&mut traced, Recorder::default());
+        let (energies, _rates) =
+            qmc_core::pt::run_pt_parallel_ckpt(&mut recorded, &cfg, &mut rng, None, |_c, _s| {});
+        let events = recorded.into_observer().into_events();
+        (
+            energies,
+            events,
+            qmc_obs::finish().expect("recorder installed"),
+        )
+    });
+    for (rank, ((energies, events, obs), bare)) in stacked.into_iter().zip(&bare).enumerate() {
+        assert_eq!(
+            bits(&energies),
+            bits(bare),
+            "rank {rank}: observers perturbed PT"
+        );
+        assert_eq!(obs.dropped_comm_events, 0);
+        let recorded: Vec<_> = events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::Send {
+                    dst,
+                    tag,
+                    bytes,
+                    internal: false,
+                } => Some((CommDir::Send, dst, tag, bytes)),
+                Event::Recv {
+                    src,
+                    tag,
+                    bytes,
+                    internal: false,
+                } => Some((CommDir::Recv, src, tag, bytes)),
+                _ => None,
+            })
+            .collect();
+        let traced: Vec<_> = obs
+            .comm_events
+            .iter()
+            .map(|e| (e.dir, e.peer as usize, e.tag, e.bytes as usize))
+            .collect();
+        assert!(
+            !traced.is_empty(),
+            "rank {rank}: PT exchanges user messages"
+        );
+        assert_eq!(traced, recorded, "rank {rank}: the observers disagree");
+        let mut ordinals = std::collections::HashMap::new();
+        for e in &obs.comm_events {
+            let n = ordinals
+                .entry((e.dir == CommDir::Send, e.peer, e.tag))
+                .or_insert(0);
+            assert_eq!(e.seq, *n, "rank {rank}: {e:?} is not its channel's next");
+            *n += 1;
+        }
+    }
 }
 
 #[test]
