@@ -38,9 +38,9 @@
 //!
 //! `repro elastic` runs the elastic-worlds demo: a 4-rank
 //! parallel-tempering world loses a rank mid-flight and finishes
-//! bit-identical after an in-place respawn, then the same death with a
-//! zero respawn budget shrinks the β ladder and resumes the survivors
-//! deterministically. Writes `VERIFY_elastic.json` and exits non-zero
+//! bit-identical after a fresh world resumes from the store, then the
+//! same death with a zero respawn budget shrinks the β ladder and
+//! resumes the survivors deterministically. Writes `VERIFY_elastic.json` and exits non-zero
 //! on any divergence (the `scripts/check.sh elastic` stage).
 //!
 //! `repro analyze` records the same 4-rank parallel-tempering run

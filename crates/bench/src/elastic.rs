@@ -3,10 +3,11 @@
 //! Two acts, each pinned against an uninterrupted reference run:
 //!
 //! 1. **Respawn**: a 4-rank parallel-tempering world loses a rank
-//!    mid-flight; `run_threads_elastic` spawns a fresh thread into the
-//!    dead slot and every rank rolls back to the newest coordinated
-//!    checkpoint generation. The finished run must be bit-identical —
-//!    observables AND total RNG draw counts — to a run that never died.
+//!    mid-flight ([`respawn_run`]). A fresh world resumes from the
+//!    store: every rank of a new launch restores from the newest
+//!    coordinated checkpoint generation. The finished run must be
+//!    bit-identical — observables AND total RNG draw counts — to a run
+//!    that never died.
 //! 2. **Shrink**: the same death with a zero respawn budget instead
 //!    drops the dead β rung and resumes the survivors on the shrunk
 //!    ladder. Two resumes from copies of the same store must agree
@@ -19,7 +20,7 @@
 //! `scripts/check.sh elastic` stage).
 
 use qmc_ckpt::CkptStore;
-use qmc_comm::{run_threads, run_threads_elastic, Communicator};
+use qmc_comm::{run_threads, try_run_threads, Communicator, ThreadComm, WorldError};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig};
 use qmc_rng::{CountingRng, StreamFactory};
 use std::fmt::Write as _;
@@ -63,15 +64,59 @@ fn cfg(quick: bool) -> PtConfig {
     }
 }
 
-type RankOut = (Vec<f64>, Vec<f64>, u64);
+/// (energy series, acceptance rates, total RNG draws) per rank.
+pub type RankOut = (Vec<f64>, Vec<f64>, u64);
 
-fn reference(cfg: &PtConfig) -> Vec<RankOut> {
+/// The uninterrupted reference run every elastic run is judged against.
+pub fn reference(cfg: &PtConfig) -> Vec<RankOut> {
     let cfg2 = cfg.clone();
     run_threads(cfg.betas.len(), move |comm| {
         let mut rng = CountingRng::new(StreamFactory::new(17).stream(comm.rank()));
         let (e, r) = run_pt_parallel_ckpt(comm, &cfg2, &mut rng, None, |_, _| {});
         (e, r, rng.draws)
     })
+}
+
+/// Act 1's run: rank `victim` dies once, at sweep `kill_sweep`, and a
+/// fresh world resumes from the store in `dir` (every rank restores
+/// from the newest coordinated generation), at most once. Returns the
+/// number of respawns and each rank's output.
+///
+/// The kill is one-shot: the relaunched world replays that boundary and
+/// must not die on it again. The caller silences the expected panic.
+pub fn respawn_run(
+    cfg: &PtConfig,
+    dir: &Path,
+    victim: usize,
+    kill_sweep: usize,
+) -> Result<(usize, Vec<RankOut>), WorldError> {
+    let cfg2 = cfg.clone();
+    let dir2 = dir.to_path_buf();
+    let fired = Arc::new(AtomicBool::new(false));
+    let rank = Arc::new(move |comm: &mut ThreadComm| {
+        let mut rng = CountingRng::new(StreamFactory::new(17).stream(comm.rank()));
+        let store = CkptStore::new(&dir2, 3).expect("store");
+        let ck = PtCheckpointing {
+            store: &store,
+            every: 2,
+            full_every: 2,
+            resume: true,
+            stop: None,
+            elastic_from: None,
+        };
+        let fired = Arc::clone(&fired);
+        let (e, r) = run_pt_parallel_ckpt(comm, &cfg2, &mut rng, Some(&ck), move |c, s| {
+            if s == kill_sweep && c.rank() == victim && !fired.swap(true, Ordering::SeqCst) {
+                panic!("injected kill: rank {victim} at sweep {s}");
+            }
+        });
+        (e, r, rng.draws)
+    });
+    let launch = || try_run_threads(cfg.betas.len(), Duration::from_secs(60), Arc::clone(&rank));
+    match launch() {
+        Err(WorldError::RankDied { .. }) => launch().map(|results| (1, results)),
+        run => run.map(|results| (0, results)),
+    }
 }
 
 /// Run the demo; returns the rendered report and an overall verdict.
@@ -100,44 +145,20 @@ pub fn elastic_acts(quick: bool) -> (String, bool, String) {
     );
     let want = reference(&cfg);
 
-    // Act 1: in-place respawn, bit-identical finish.
+    // Act 1: a fresh world resumes from the store, bit-identical finish.
     let dir = scratch("respawn");
-    let fired = Arc::new(AtomicBool::new(false));
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let run = {
-        let cfg2 = cfg.clone();
-        let dir2 = dir.clone();
-        let fired2 = Arc::clone(&fired);
-        run_threads_elastic(cfg.betas.len(), Duration::from_secs(60), 1, move |comm| {
-            let mut rng = CountingRng::new(StreamFactory::new(17).stream(comm.rank()));
-            let store = CkptStore::new(&dir2, 3).expect("store");
-            let ck = PtCheckpointing {
-                store: &store,
-                every: 2,
-                full_every: 2,
-                resume: true,
-                stop: None,
-                elastic_from: None,
-            };
-            let fired = Arc::clone(&fired2);
-            let (e, r) = run_pt_parallel_ckpt(comm, &cfg2, &mut rng, Some(&ck), move |c, s| {
-                if s == kill_sweep && c.rank() == victim && !fired.swap(true, Ordering::SeqCst) {
-                    panic!("injected kill: rank {victim} at sweep {s}");
-                }
-            });
-            (e, r, rng.draws)
-        })
-    };
+    let run = respawn_run(&cfg, &dir, victim, kill_sweep);
     std::panic::set_hook(hook);
     let _ = std::fs::remove_dir_all(&dir);
 
     let (respawns, respawn_identical) = match run {
-        Ok(run) => {
-            let identical = run.results.iter().zip(&want).all(|(got, exp)| {
+        Ok((respawns, results)) => {
+            let identical = results.iter().zip(&want).all(|(got, exp)| {
                 bits(&got.0) == bits(&exp.0) && bits(&got.1) == bits(&exp.1) && got.2 == exp.2
             });
-            (run.respawned.len(), identical)
+            (respawns, identical)
         }
         Err(e) => {
             let _ = writeln!(out, "  act 1: elastic run FAILED: {e:?}");

@@ -8,8 +8,8 @@
 //!    must show a second attempt, and *every* result — killed or not —
 //!    must be bit-identical to a direct in-process run of the same spec.
 //! 2. **Parallel tempering**: a 4-rank PT job whose world is killed at a
-//!    scheduled sweep; the world respawns the dead rank in place and
-//!    rides through *inside the same attempt* — no requeue — and still
+//!    scheduled sweep; a fresh world resumes from the store and rides
+//!    through *inside the same attempt* — no requeue — and still
 //!    matches the uninterrupted reference bit for bit
 //!    (`serve.respawns` records the event).
 //! 3. **Drain / restart**: a server draining mid-job checkpoints it; a

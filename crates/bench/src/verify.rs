@@ -11,14 +11,16 @@
 //! 2. Feed the checker a deliberately broken crossed-receive program and
 //!    show it reports the exact wait-for cycle.
 //! 3. Run `qmc-lint` over the workspace sources.
-//! 4. Exhaustively explore the checkpoint-commit, drain-verdict and
-//!    respawn-barrier protocol models (sleep sets + DPOR) and the job
-//!    lifecycle of the real `qmc_serve::Sched` (every reachable state,
-//!    [`crate::sched_model`]) at the committed instance sizes: all four
+//! 4. Exhaustively explore the checkpoint-commit and drain-verdict
+//!    protocol models (sleep sets + DPOR) and the job lifecycle of the
+//!    real `qmc_serve::Sched` (every reachable state,
+//!    [`crate::sched_model`]) at the committed instance sizes: all three
 //!    must be invariant-clean under their transition ceilings, DPOR
 //!    must beat the naive enumeration by at least 2×, and a seeded
-//!    drain, respawn and scheduler bug must each yield a minimized,
-//!    rendered counterexample (the gate's teeth). Writes
+//!    drain and scheduler bug must each yield a minimized, rendered
+//!    counterexample (the gate's teeth). Rank respawn has no model: a
+//!    fresh world resumes from the store, so there is no protocol
+//!    between two worlds to explore. Writes
 //!    `VERIFY_explore.json` (schema `qmc-verify-explore/v1`).
 //!
 //! Returns the report text and whether everything passed (the CLI turns
@@ -28,9 +30,7 @@ use crate::sched_model::{Misuse, SchedModel};
 use qmc_comm::Communicator;
 use qmc_core::pt::{run_pt_parallel, PtConfig};
 use qmc_rng::StreamFactory;
-use qmc_verify::model::{
-    CkptCommitModel, DrainModel, DrainMutation, RespawnModel, RespawnMutation,
-};
+use qmc_verify::model::{CkptCommitModel, DrainModel, DrainMutation};
 use qmc_verify::{
     check, explore, explore_naive, lint, record_threads, Budget, Event, ExploreStats, Outcome,
     WorldTrace,
@@ -183,7 +183,6 @@ const DRAIN_CEILING: u64 = 6_000;
 /// states (159 088 transitions measured; it was 320 305 interleavings of
 /// the mirror model under a ceiling of 600 000).
 const SCHED_CEILING: u64 = 300_000;
-const RESPAWN_CEILING: u64 = 4_000;
 /// Minimum acceptable DPOR-vs-naive transition ratio on the committed
 /// reduction instances.
 const MIN_REDUCTION: f64 = 2.0;
@@ -194,7 +193,7 @@ pub fn explore_act(out: &mut String) -> (bool, String) {
     let mut ok = true;
     let mut json = qmc_obs::json::JsonWriter::artifact("qmc-verify-explore/v1");
 
-    // (a) The three protocol models and the real scheduler must be
+    // (a) The two protocol models and the real scheduler must be
     // invariant-clean within their committed ceilings.
     json.key("models").begin_array();
     fn row<A>(name: &str, ceiling: u64, found: Outcome<A>) -> (&str, ExploreStats, bool, u64) {
@@ -216,11 +215,6 @@ pub fn explore_act(out: &mut String) -> (bool, String) {
             "qmc_serve::Sched(2 tenants x 2 jobs, 2 workers, quota 2, 2 faults; every state)",
             SCHED_CEILING,
             SchedModel::new(2, 2, 2, 2).explore(two),
-        ),
-        row(
-            "respawn-barrier(3 ranks, 1 crash)",
-            RESPAWN_CEILING,
-            explore(&RespawnModel::new(3), none),
         ),
     ];
     for (name, stats, clean, ceiling) in &runs {
@@ -306,20 +300,17 @@ pub fn explore_act(out: &mut String) -> (bool, String) {
 
     // (c) Teeth: each seeded bug must produce a minimized, rendered
     // counterexample. Rank 0 stops on a raised flag without broadcasting
-    // the verdict and the world deadlocks on the receive; the mailboxes
-    // are reset while an incarnation-0 thread still runs and stale
-    // residue reaches incarnation 1; a worker leaves on the drain
-    // without asking the scheduler (the rule the deleted scheduler model
-    // had drifted to) and a queued job is stranded.
+    // the verdict and the world deadlocks on the receive; a worker
+    // leaves on the drain without asking the scheduler (the rule the
+    // deleted scheduler model had drifted to) and a queued job is
+    // stranded.
     let drain = DrainModel::new(3, 2).mutated(DrainMutation::SkipFinalBroadcast);
-    let respawn = RespawnModel::new(2).mutated(RespawnMutation::EagerReset);
     let sched = SchedModel {
         misuse: Some(Misuse::ExitOnDrain),
         ..SchedModel::new(1, 1, 1, 1)
     };
     let mutants = [
         flagged(out, "drain SkipFinalBroadcast", explore(&drain, none)),
-        flagged(out, "respawn EagerReset", explore(&respawn, none)),
         flagged(out, "sched ExitOnDrain", sched.explore(none)),
     ];
     ok &= mutants.iter().all(|(_, len)| *len > 0);

@@ -165,16 +165,6 @@ impl Poison {
     pub fn get(&self) -> Option<String> {
         self.msg.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
-
-    /// Clear the poison between elastic respawn rounds.
-    ///
-    /// Only the world supervisor may call this, and only after every
-    /// rank thread of the poisoned round has exited — first-writer-wins
-    /// still holds *within* a round, which is all the detector's
-    /// soundness argument needs.
-    pub fn clear(&self) {
-        *self.msg.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
 }
 
 #[cfg(test)]
@@ -268,15 +258,5 @@ mod tests {
         p.set("first");
         p.set("second");
         assert_eq!(p.get().as_deref(), Some("first"));
-    }
-
-    #[test]
-    fn poison_clear_opens_a_fresh_round() {
-        let p = Poison::new();
-        p.set("round 0 died");
-        p.clear();
-        assert_eq!(p.get(), None);
-        p.set("round 1 died");
-        assert_eq!(p.get().as_deref(), Some("round 1 died"));
     }
 }

@@ -78,8 +78,7 @@ pub use model::{job_seconds, run_model, MachineModel, ModelComm, ModelReport};
 pub use observe::{ChannelSeq, CommDir, Message, Observed, Observer};
 pub use serial::SerialComm;
 pub use thread_world::{
-    run_threads, run_threads_elastic, run_threads_with_timeout, ElasticError, ElasticRun,
-    ThreadComm,
+    run_threads, run_threads_with_timeout, try_run_threads, ThreadComm, WorldError,
 };
 
 use std::time::Duration;

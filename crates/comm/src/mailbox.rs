@@ -203,23 +203,6 @@ impl Mailbox {
     pub fn keys(&self) -> usize {
         self.lock().queues.len()
     }
-
-    /// Reset the mailbox for an elastic respawn round: drop every
-    /// undelivered message, return the owner to `Running`, and bump the
-    /// epoch so a stale diagnosis from the dead round can never compare
-    /// equal against the new one.
-    ///
-    /// Only the world supervisor may call this, and only after every
-    /// rank thread of the failed round has exited — a live waiter would
-    /// otherwise lose its registration.
-    pub fn reset_for_respawn(&self) {
-        let mut inner = self.lock();
-        inner.queues.clear();
-        inner.state = RankState::Running;
-        inner.epoch += 1;
-        drop(inner);
-        self.cond.notify_all();
-    }
 }
 
 #[cfg(test)]
@@ -379,30 +362,6 @@ mod tests {
         assert_eq!(mb.wait_state(), RankState::Running);
         let m = mb.take_slice(1, 4, Duration::from_millis(50)).unwrap();
         assert_eq!(m.bytes, vec![1]);
-    }
-
-    #[test]
-    fn reset_for_respawn_clears_queues_state_and_bumps_epoch() {
-        let mb = Mailbox::new();
-        mb.put(
-            0,
-            1,
-            Msg {
-                bytes: vec![1],
-                depart: 0.0,
-            },
-        );
-        mb.set_done(true);
-        mb.reset_for_respawn();
-        // Residue from the dead round is gone, the slot is live again…
-        assert_eq!(mb.wait_state(), RankState::Running);
-        assert!(mb.try_take(0, 1, Duration::from_millis(5)).is_none());
-        // …and the epoch advanced past anything the dead round issued.
-        assert!(mb.register_waiting(0, 1).is_none());
-        let RankState::Waiting { epoch, .. } = mb.wait_state() else {
-            panic!("expected waiting");
-        };
-        assert!(epoch >= 2, "epoch {epoch} did not advance across reset");
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub struct ThreadComm {
     stats: CommStats,
     coll_seq: u32,
     timeout: Duration,
-    incarnation: u32,
 }
 
 impl ThreadComm {
@@ -40,7 +39,6 @@ impl ThreadComm {
         boxes: Arc<Vec<Mailbox>>,
         poison: Arc<Poison>,
         timeout: Duration,
-        incarnation: u32,
     ) -> Self {
         Self {
             rank,
@@ -51,17 +49,7 @@ impl ThreadComm {
             stats: CommStats::default(),
             coll_seq: 0,
             timeout,
-            incarnation,
         }
-    }
-
-    /// Which elastic round this world is on: 0 for the initial launch,
-    /// +1 for every in-place respawn after a rank death (see
-    /// [`run_threads_elastic`]). Fresh per-round communicators also mean
-    /// fresh collective sequence numbers and per-channel FIFO queues, so
-    /// tracing and deadlock detection stay coherent across respawns.
-    pub fn incarnation(&self) -> u32 {
-        self.incarnation
     }
 
     fn raw_send(&mut self, dest: usize, tag: u32, data: &[u8]) {
@@ -271,7 +259,7 @@ where
                     boxes: boxes.clone(),
                     rank,
                 };
-                let mut comm = ThreadComm::new(rank, nranks, boxes, poison, timeout, 0);
+                let mut comm = ThreadComm::new(rank, nranks, boxes, poison, timeout);
                 f(&mut comm)
             }));
         }
@@ -295,32 +283,17 @@ where
     })
 }
 
-/// A completed elastic run: per-rank results plus which mailbox slots
-/// had to be respawned along the way (in death order; empty means the
-/// run never lost a rank).
-#[derive(Debug)]
-pub struct ElasticRun<T> {
-    /// Each rank's return value from the final (successful) round,
-    /// indexed by rank.
-    pub results: Vec<T>,
-    /// Rank slot respawned before each retry round, in death order.
-    pub respawned: Vec<usize>,
-}
-
-/// Why an elastic run gave up.
-pub enum ElasticError {
-    /// A rank died after the respawn budget was spent. `payload` is the
-    /// fatal rank's original panic payload.
-    Exhausted {
-        /// The rank whose death exhausted the budget.
+/// Why a thread world did not finish.
+pub enum WorldError {
+    /// A rank panicked. Every thread of the world has exited.
+    RankDied {
+        /// The first rank to report its death.
         dead_rank: usize,
-        /// Slots respawned before giving up, in death order.
-        respawned: Vec<usize>,
-        /// The fatal rank's panic payload, for re-raising.
+        /// That rank's panic payload, for re-raising.
         payload: Box<dyn std::any::Any + Send>,
     },
     /// Some ranks neither returned nor panicked within the stall
-    /// backstop; their threads were poisoned and abandoned.
+    /// backstop; the world was poisoned and their threads abandoned.
     Stalled {
         /// Ranks that never finished.
         unfinished: Vec<usize>,
@@ -329,19 +302,25 @@ pub enum ElasticError {
     },
 }
 
-impl std::fmt::Debug for ElasticError {
+impl WorldError {
+    /// Re-raise the failure as a panic: a death with the dead rank's own
+    /// payload, a stall with its report.
+    pub fn raise(self) -> ! {
+        match self {
+            WorldError::RankDied { payload, .. } => std::panic::resume_unwind(payload),
+            WorldError::Stalled { message, .. } => panic!("{message}"),
+        }
+    }
+}
+
+impl std::fmt::Debug for WorldError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ElasticError::Exhausted {
-                dead_rank,
-                respawned,
-                ..
-            } => f
-                .debug_struct("Exhausted")
+            WorldError::RankDied { dead_rank, .. } => f
+                .debug_struct("RankDied")
                 .field("dead_rank", dead_rank)
-                .field("respawned", respawned)
                 .finish_non_exhaustive(),
-            ElasticError::Stalled {
+            WorldError::Stalled {
                 unfinished,
                 message,
             } => f
@@ -353,43 +332,36 @@ impl std::fmt::Debug for ElasticError {
     }
 }
 
-/// One round's verdict, as seen by the supervisor.
-enum RoundOutcome<T> {
-    /// Every rank returned normally; results indexed by rank.
-    Done(Vec<T>),
-    /// At least one rank panicked (all threads did exit).
-    Died {
-        dead_rank: usize,
-        payload: Box<dyn std::any::Any + Send>,
-    },
-    /// Some ranks never reported back within the stall backstop.
-    Stalled {
-        unfinished: Vec<usize>,
-        message: String,
-    },
-}
-
-/// Spawn one round of detached rank threads and collect all verdicts.
+/// Run an SPMD function on `nranks` thread-backed ranks in a world of
+/// its own, and report a rank death or a stall as a value instead of a
+/// panic.
 ///
-/// Every thread reports exactly once over the channel — result or
-/// caught panic payload — *after* its `DoneGuard` has marked the
-/// mailbox `Done`, so by the time the supervisor has `nranks` reports
-/// no rank can still touch the mailboxes and a respawn reset is safe.
-/// Threads are detached: if one stalls past the backstop the supervisor
-/// poisons the world (so blocked survivors fail fast), drains briefly,
-/// and abandons whatever still runs rather than hanging the caller.
-fn run_round<T, F>(
+/// Every call builds new mailboxes and a new poison word, so nothing of
+/// an earlier world reaches this one. That is what makes a respawn a
+/// resume: a caller that relaunches after [`WorldError::RankDied`] gets a
+/// fresh world, and each rank restores from the newest coordinated
+/// checkpoint generation exactly as a first launch resuming through the
+/// store would. A [`WorldError::Stalled`] world must not be relaunched
+/// over the same store: its abandoned threads may still write to it.
+///
+/// Rank threads are detached and supervised. Each reports exactly once
+/// over a channel (result or caught panic payload) after its
+/// `DoneGuard` has marked the mailbox `Done`. If one stalls past
+/// `timeout` plus a grace period, the supervisor poisons the world (so
+/// blocked survivors fail fast), drains briefly, and abandons whatever
+/// still runs rather than hanging the caller.
+pub fn try_run_threads<T, F>(
     nranks: usize,
     timeout: Duration,
-    incarnation: u32,
-    boxes: &Arc<Vec<Mailbox>>,
-    poison: &Arc<Poison>,
-    f: &Arc<F>,
-) -> RoundOutcome<T>
+    f: Arc<F>,
+) -> Result<Vec<T>, WorldError>
 where
     T: Send + 'static,
     F: Fn(&mut ThreadComm) -> T + Send + Sync + 'static,
 {
+    assert!(nranks >= 1, "need at least one rank");
+    let boxes: Arc<Vec<Mailbox>> = Arc::new((0..nranks).map(|_| Mailbox::new()).collect());
+    let poison = Arc::new(Poison::new());
     type Verdict<T> = (usize, Result<T, Box<dyn std::any::Any + Send>>);
     let (tx, rx) = std::sync::mpsc::channel::<Verdict<T>>();
     for rank in 0..nranks {
@@ -401,13 +373,12 @@ where
             let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 // The guard lives *inside* the catch so its Drop (which
                 // records Done{panicked}) runs before the verdict is
-                // sent — the supervisor never resets a mailbox whose
-                // owner hasn't published its exit yet.
+                // sent.
                 let _done = DoneGuard {
                     boxes: boxes.clone(),
                     rank,
                 };
-                let mut comm = ThreadComm::new(rank, nranks, boxes, poison, timeout, incarnation);
+                let mut comm = ThreadComm::new(rank, nranks, boxes, poison, timeout);
                 f(&mut comm)
             }));
             let _ = tx.send((rank, out));
@@ -421,82 +392,55 @@ where
     // see `slow_sender_past_timeout_panics`).
     let grace = (timeout * 2).max(Duration::from_secs(1));
     // lint: allow(wall-clock) — stall backstop needs host time
-    let stall_deadline = Instant::now() + timeout + grace;
+    let mut deadline = Instant::now() + timeout + grace;
     let mut slots: Vec<Option<T>> = (0..nranks).map(|_| None).collect();
     let mut finished = vec![false; nranks];
     let mut got = 0usize;
-    let mut first_death: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-    let collect =
-        |msg: Verdict<T>,
-         slots: &mut Vec<Option<T>>,
-         finished: &mut Vec<bool>,
-         first_death: &mut Option<(usize, Box<dyn std::any::Any + Send>)>| {
-            let (rank, out) = msg;
+    let mut first_death = None;
+    let mut stalled: Option<String> = None;
+    loop {
+        while got < nranks {
+            // lint: allow(wall-clock)
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let Ok((rank, out)) = rx.recv_timeout(remaining) else {
+                break;
+            };
+            got += 1;
             finished[rank] = true;
             match out {
                 Ok(v) => slots[rank] = Some(v),
                 Err(payload) => {
-                    if first_death.is_none() {
-                        *first_death = Some((rank, payload));
-                    }
+                    first_death.get_or_insert((rank, payload));
                 }
             }
-        };
-    while got < nranks {
-        // lint: allow(wall-clock)
-        let remaining = stall_deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
+        }
+        if got == nranks {
             break;
         }
-        match rx.recv_timeout(remaining) {
-            Ok(msg) => {
-                collect(msg, &mut slots, &mut finished, &mut first_death);
-                got += 1;
-            }
-            Err(_) => break,
-        }
-    }
-    if got < nranks {
         let unfinished: Vec<usize> = (0..nranks).filter(|&r| !finished[r]).collect();
+        if let Some(message) = stalled {
+            return Err(WorldError::Stalled {
+                unfinished,
+                message,
+            });
+        }
         let message = format!(
             "run_threads: rank(s) {unfinished:?} neither returned nor panicked within \
              {timeout:?} + {grace:?} grace — poisoning the world and abandoning their threads"
         );
         poison.set(&message);
+        stalled = Some(message);
         // Short drain: poisoned stragglers blocked in a receive notice
         // within a wait slice; give them a few to report in.
         // lint: allow(wall-clock)
-        let drain_deadline = Instant::now() + WAIT_SLICE * 20;
-        while got < nranks {
-            // lint: allow(wall-clock)
-            let remaining = drain_deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match rx.recv_timeout(remaining) {
-                Ok(msg) => {
-                    collect(msg, &mut slots, &mut finished, &mut first_death);
-                    got += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        if got < nranks {
-            let unfinished: Vec<usize> = (0..nranks).filter(|&r| !finished[r]).collect();
-            return RoundOutcome::Stalled {
-                unfinished,
-                message,
-            };
-        }
+        deadline = Instant::now() + WAIT_SLICE * 20;
     }
     match first_death {
-        Some((dead_rank, payload)) => RoundOutcome::Died { dead_rank, payload },
-        None => RoundOutcome::Done(
-            slots
-                .into_iter()
-                .map(|s| s.expect("every finished rank left a result"))
-                .collect(),
-        ),
+        Some((dead_rank, payload)) => Err(WorldError::RankDied { dead_rank, payload }),
+        None => Ok(slots
+            .into_iter()
+            .map(|s| s.expect("every finished rank left a result"))
+            .collect()),
     }
 }
 
@@ -505,92 +449,17 @@ where
 /// peer spinning forever without sending).
 ///
 /// Unlike the plain scope-based [`run_threads`], rank threads here are
-/// detached and supervised: a rank that neither returns nor panics
-/// within `timeout` plus a grace period no longer hangs the caller
-/// while silently holding live mailbox `Arc`s — the world is poisoned
-/// (so blocked survivors fail fast) and the run panics naming the ranks
-/// that never finished.
+/// detached and supervised by [`try_run_threads`]: a rank that neither
+/// returns nor panics within `timeout` plus a grace period no longer
+/// hangs the caller while silently holding live mailbox `Arc`s — the
+/// world is poisoned (so blocked survivors fail fast) and the run panics
+/// naming the ranks that never finished.
 pub fn run_threads_with_timeout<T, F>(nranks: usize, timeout: Duration, f: F) -> Vec<T>
 where
     T: Send + 'static,
     F: Fn(&mut ThreadComm) -> T + Send + Sync + 'static,
 {
-    match run_threads_elastic(nranks, timeout, 0, f) {
-        Ok(run) => run.results,
-        Err(ElasticError::Exhausted { payload, .. }) => std::panic::resume_unwind(payload),
-        Err(ElasticError::Stalled { message, .. }) => panic!("{message}"),
-    }
-}
-
-/// Run an SPMD function on `nranks` thread-backed ranks with in-place
-/// rank respawn: when a rank dies, the supervisor waits for every
-/// thread of the round to exit, resets all mailbox slots and the world
-/// poison, and relaunches the full world with `incarnation + 1` — up to
-/// `max_respawns` times. The rank closure is responsible for recovering
-/// its state on re-entry (the PT driver resumes from the latest
-/// coordinated checkpoint generation; survivors roll back to the same
-/// boundary, so the respawned world is bit-identical to one that never
-/// died).
-///
-/// Respawning the *whole* world rather than just the dead slot is what
-/// makes the rejoin protocol race-free: there is no barrier between a
-/// half-old, half-new world because no such world ever exists — the
-/// model in `qmc_verify::model::respawn` checks exactly this design
-/// against its mutants.
-pub fn run_threads_elastic<T, F>(
-    nranks: usize,
-    timeout: Duration,
-    max_respawns: usize,
-    f: F,
-) -> Result<ElasticRun<T>, ElasticError>
-where
-    T: Send + 'static,
-    F: Fn(&mut ThreadComm) -> T + Send + Sync + 'static,
-{
-    assert!(nranks >= 1, "need at least one rank");
-    let boxes: Arc<Vec<Mailbox>> = Arc::new((0..nranks).map(|_| Mailbox::new()).collect());
-    let poison = Arc::new(Poison::new());
-    let f = Arc::new(f);
-    let mut respawned = Vec::new();
-    loop {
-        let incarnation = respawned.len() as u32;
-        match run_round(nranks, timeout, incarnation, &boxes, &poison, &f) {
-            RoundOutcome::Done(results) => {
-                return Ok(ElasticRun { results, respawned });
-            }
-            RoundOutcome::Stalled {
-                unfinished,
-                message,
-            } => {
-                // Never respawn over a stall: abandoned threads may
-                // still hold mailbox Arcs, so a reset could race them.
-                return Err(ElasticError::Stalled {
-                    unfinished,
-                    message,
-                });
-            }
-            RoundOutcome::Died { dead_rank, payload } => {
-                if respawned.len() >= max_respawns {
-                    return Err(ElasticError::Exhausted {
-                        dead_rank,
-                        respawned,
-                        payload,
-                    });
-                }
-                respawned.push(dead_rank);
-                // Every thread of the failed round has exited (the
-                // round verdict only lands once all n reports are in),
-                // so resetting the shared state cannot race a live
-                // rank. Clear residue messages, wait states, and the
-                // poison; the epoch bump keeps stale diagnoses from
-                // ever comparing equal.
-                for mb in boxes.iter() {
-                    mb.reset_for_respawn();
-                }
-                poison.clear();
-            }
-        }
-    }
+    try_run_threads(nranks, timeout, Arc::new(f)).unwrap_or_else(|e| e.raise())
 }
 
 #[cfg(test)]
@@ -745,52 +614,40 @@ mod tests {
     }
 
     #[test]
-    fn elastic_respawn_restarts_the_world_and_reports_the_slot() {
-        // Rank 1 dies on its first incarnation, succeeds on the second;
-        // the respawned world exchanges cleanly over the reset mailboxes.
-        let run = run_threads_elastic(2, Duration::from_secs(5), 1, |c| {
-            if c.rank() == 1 && c.incarnation() == 0 {
-                // Residue: a message rank 0 will never receive in this
-                // round; the reset must drop it.
-                c.send_bytes(0, 9, &[0xEE]);
-                panic!("injected death on incarnation 0");
-            }
+    fn every_launch_builds_a_fresh_world() {
+        // Rank 0 sends its world's number on (0 -> 1, tag 4); in the
+        // first world rank 1 dies without receiving it. A second launch
+        // over the same closure reads that channel again and must see
+        // only its own byte: a launcher that reused the first world's
+        // mailboxes would hand it the first world's residue.
+        use std::sync::atomic::{AtomicU8, Ordering};
+        let world = Arc::new(AtomicU8::new(0));
+        let w = world.clone();
+        let f = Arc::new(move |c: &mut ThreadComm| {
+            let n = w.load(Ordering::SeqCst);
             if c.rank() == 0 {
-                c.send_bytes(1, 4, &[c.incarnation() as u8]);
+                c.send_bytes(1, 4, &[n]);
                 Vec::new()
+            } else if n == 0 {
+                panic!("injected death in world 0");
             } else {
                 c.recv_bytes(0, 4)
             }
-        })
-        .expect("one respawn is within budget");
-        assert_eq!(run.respawned, vec![1]);
-        assert_eq!(run.results[1], vec![1], "rank 1 sees the respawned round");
-    }
-
-    #[test]
-    fn elastic_budget_zero_reraises_the_original_payload() {
-        let err = std::panic::catch_unwind(|| {
-            run_threads_elastic(2, Duration::from_secs(5), 0, |c| {
-                if c.rank() == 1 {
-                    panic!("fatal rank death");
-                }
-            })
-        })
-        .map(|r| {
-            // No panic escaped: must be an Exhausted error instead.
-            let e = r.expect_err("budget 0 cannot absorb a death");
-            let ElasticError::Exhausted {
-                dead_rank,
-                respawned,
-                ..
-            } = e
-            else {
-                panic!("expected Exhausted, got {e:?}");
-            };
-            assert_eq!(dead_rank, 1);
-            assert!(respawned.is_empty());
         });
-        assert!(err.is_ok(), "run_threads_elastic itself must not panic");
+        let err = try_run_threads(2, Duration::from_secs(5), f.clone())
+            .expect_err("rank 1 dies in the first world");
+        let WorldError::RankDied { dead_rank, payload } = err else {
+            panic!("expected RankDied, got {err:?}");
+        };
+        assert_eq!(dead_rank, 1);
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected death in world 0"),
+            "the dead rank's own payload comes back"
+        );
+        world.store(1, Ordering::SeqCst);
+        let out = try_run_threads(2, Duration::from_secs(5), f).expect("the second world finishes");
+        assert_eq!(out[1], vec![1], "rank 1 sees only its own world's byte");
     }
 
     #[test]

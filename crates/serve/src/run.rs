@@ -4,7 +4,7 @@
 //! loop (restore, checkpoint *before* the sweep whose index the
 //! generation carries, drain/kill at sweep boundaries) that `qmc-bench`'s
 //! `run_*_ckpt` drivers also run through, so a job checkpointed by one
-//! incarnation of a worker — or by the bench driver — resumes
+//! attempt on a worker — or by the bench driver — resumes
 //! bit-identically in the next; a parallel-tempering job hands its policy
 //! to `qmc_core::pt::run_pt_parallel_ckpt`.
 //!
@@ -13,15 +13,15 @@
 //!   exactly as a real mid-run death would (any generation due at that
 //!   boundary is written; nothing newer);
 //! * parallel-tempering jobs die for real: one rank of the job's
-//!   ThreadWorld panics mid-run and the elastic supervisor rides the
-//!   death through *inside the attempt* — in-place respawn from the
-//!   latest coordinated generation first, β-ladder resize when the
+//!   ThreadWorld panics mid-run and the attempt rides the death through
+//!   itself — a fresh world resumes from the store (every rank restores
+//!   the latest coordinated generation) first, β-ladder resize when the
 //!   respawn budget is spent — so the job no longer bounces back to the
 //!   scheduler's requeue path unless both policies are unavailable.
 
 use crate::job::{JobKind, JobObservables, JobSpec};
 use qmc_ckpt::{drive, Cadence, CkptStore, End, Policy};
-use qmc_comm::{run_threads, run_threads_elastic, Communicator, ElasticError};
+use qmc_comm::{run_threads, try_run_threads, Communicator, ThreadComm, WorldError};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig};
 use qmc_obs::Registry;
 use qmc_rng::{StreamFactory, Xoshiro256StarStar};
@@ -42,7 +42,8 @@ pub enum Outcome {
         obs: JobObservables,
         /// Per-tenant engine counters for the metrics namespace.
         metrics: Registry,
-        /// Rank deaths absorbed by in-place respawn during the attempt.
+        /// Rank deaths absorbed by relaunching the world during the
+        /// attempt.
         respawns: u32,
         /// Whether the β ladder was resized (shrunk) to finish.
         resized: bool,
@@ -85,8 +86,8 @@ pub struct RunCtl<'a> {
     pub kill_at: Option<u64>,
     /// Graceful-drain flag, checked at sweep boundaries.
     pub stop: Option<&'a AtomicBool>,
-    /// How many in-place rank respawns a parallel attempt may absorb
-    /// before falling back to a ladder resize (and, failing that, the
+    /// How many rank deaths a parallel attempt may absorb by relaunching
+    /// a fresh world from the store before falling back to a ladder resize (and, failing that, the
     /// scheduler's requeue path). `0` disables respawn, forcing the
     /// resize policy on the first death.
     pub respawn_budget: usize,
@@ -244,12 +245,13 @@ static KILL_HOOK: Mutex<()> = Mutex::new(());
 
 /// Parallel-tempering attempt on a fresh ThreadWorld (one rank per β).
 ///
-/// Elastic ride-through of a rank death: the world is supervised by
-/// [`run_threads_elastic`], so an injected kill is absorbed *inside the
-/// attempt*. First policy is in-place respawn (up to
-/// `ctl.respawn_budget` whole-world relaunches, every rank rehydrating
+/// Elastic ride-through of a rank death: the world runs under
+/// [`try_run_threads`], so an injected kill is absorbed *inside the
+/// attempt*. First policy is respawn: a fresh world resumes from the
+/// store (up to `ctl.respawn_budget` relaunches, every rank rehydrating
 /// from the latest coordinated generation — bit-identical to a run that
-/// never died). When the budget is spent and the job has a checkpoint
+/// never died). A stalled world is never relaunched: its abandoned
+/// threads may still write the store. When the budget is spent and the job has a checkpoint
 /// store with at least three rungs, the second policy resizes the
 /// ladder: the dying rank's β is dropped and the survivors resume
 /// remapped onto the smaller world. Only when neither applies does the
@@ -272,7 +274,7 @@ fn run_pt(cfg: PtConfig, mut ctl: RunCtl<'_>) -> Outcome {
         let guard = KILL_HOOK.lock().expect("kill hook guard");
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let launch = |betas: Vec<f64>, elastic_from: Option<Vec<f64>>, budget: usize| {
+        let launch = |betas: Vec<f64>, elastic_from: Option<Vec<f64>>| {
             let ranks = betas.len();
             let cfg2 = PtConfig {
                 betas,
@@ -280,42 +282,43 @@ fn run_pt(cfg: PtConfig, mut ctl: RunCtl<'_>) -> Outcome {
             };
             let dir2 = dir.clone();
             let fired = fired.clone();
-            run_threads_elastic(ranks, Duration::from_secs(20), budget, move |comm| {
-                let (dir, from) = (dir2.as_deref(), elastic_from.as_deref());
-                pt_rank(comm, &cfg2, dir, cadence, None, from, |c, s| {
-                    if s as u64 == kill_sweep
-                        && c.rank() == 1 % c.size()
-                        && !fired.swap(true, Ordering::SeqCst)
-                    {
-                        panic!("injected rank kill at sweep {s}");
-                    }
-                })
-            })
+            try_run_threads(
+                ranks,
+                Duration::from_secs(20),
+                Arc::new(move |comm: &mut ThreadComm| {
+                    let (dir, from) = (dir2.as_deref(), elastic_from.as_deref());
+                    pt_rank(comm, &cfg2, dir, cadence, None, from, |c, s| {
+                        if s as u64 == kill_sweep
+                            && c.rank() == 1 % c.size()
+                            && !fired.swap(true, Ordering::SeqCst)
+                        {
+                            panic!("injected rank kill at sweep {s}");
+                        }
+                    })
+                }),
+            )
         };
-        let outcome = match launch(cfg.betas.clone(), None, ctl.respawn_budget) {
-            Ok(run) => {
-                let respawns = run.respawned.len() as u32;
-                pt_outcome(run.results, therm, sweeps, snap, respawns, false)
+        // Relaunch after a death, never after a stall: a stalled world's
+        // abandoned threads may still write the store.
+        let mut respawns = 0u32;
+        let run = loop {
+            match launch(cfg.betas.clone(), None) {
+                Err(WorldError::RankDied { .. }) if (respawns as usize) < ctl.respawn_budget => {
+                    respawns += 1
+                }
+                run => break run,
             }
-            Err(ElasticError::Exhausted {
-                dead_rank,
-                respawned,
-                ..
-            }) => {
+        };
+        let outcome = match run {
+            Ok(results) => pt_outcome(results, therm, sweeps, snap, respawns, false),
+            Err(WorldError::RankDied { dead_rank, .. }) => {
                 if cfg.betas.len() > 2 && dir.is_some() {
                     // Resize: drop the dying rank's β, resume survivors
                     // remapped from the pre-resize checkpoints.
                     let mut betas = cfg.betas.clone();
                     betas.remove(dead_rank.min(betas.len() - 1));
-                    match launch(betas, Some(cfg.betas.clone()), 0) {
-                        Ok(run) => pt_outcome(
-                            run.results,
-                            therm,
-                            sweeps,
-                            snap,
-                            respawned.len() as u32,
-                            true,
-                        ),
+                    match launch(betas, Some(cfg.betas.clone())) {
+                        Ok(results) => pt_outcome(results, therm, sweeps, snap, respawns, true),
                         Err(_) => Outcome::Killed {
                             at_sweep: kill_sweep,
                         },
@@ -326,7 +329,7 @@ fn run_pt(cfg: PtConfig, mut ctl: RunCtl<'_>) -> Outcome {
                     }
                 }
             }
-            Err(ElasticError::Stalled { message, .. }) => Outcome::Failed { reason: message },
+            Err(WorldError::Stalled { message, .. }) => Outcome::Failed { reason: message },
         };
         std::panic::set_hook(hook);
         drop(guard);
@@ -519,8 +522,8 @@ mod tests {
         let dir = scratch("pt-kill");
         let store = CkptStore::new(&dir, 3).unwrap();
         let kill = (spec.therm + spec.sweeps) as u64 * 2 / 3;
-        // One rank dies mid-flight; the world respawns it in place, rolls
-        // everyone back to the newest coordinated generation, and finishes
+        // One rank dies mid-flight; a fresh world resumes from the store,
+        // every rank at the newest coordinated generation, and finishes
         // in the SAME run_job call — no external requeue needed.
         let outcome = run_job(
             &spec,

@@ -313,8 +313,8 @@ impl Sched {
                 respawns,
                 resized,
             } => {
-                // A PT attempt that rode through a worker death in place
-                // (rank respawn and/or ladder resize) completes like any
+                // A PT attempt that rode through a worker death itself
+                // (respawn and/or ladder resize) completes like any
                 // other — only the elastic counters record the event.
                 self.note_elastic(respawns, resized);
                 self.complete(id, obs, &metrics);
@@ -423,9 +423,10 @@ impl Sched {
         true
     }
 
-    /// A PT world rode through a worker death in place: record how it
-    /// survived (`respawns` in-place rank respawns and/or one ladder
-    /// `resize`) without the job ever leaving `Running`.
+    /// A PT world rode through a worker death inside the attempt: record
+    /// how it survived (`respawns` fresh worlds resumed from the store
+    /// and/or one ladder `resize`) without the job ever leaving
+    /// `Running`.
     fn note_elastic(&mut self, respawns: u32, resized: bool) {
         if respawns > 0 {
             self.obs.counter_add("serve.respawns", respawns as u64);

@@ -60,8 +60,8 @@ const MAX_FRAME: usize = 1024 * 1024;
 /// transitions to `Failed` with the last error instead of being
 /// requeued forever.
 pub const MAX_ATTEMPTS: u32 = 5;
-/// In-place rank respawns a PT attempt may perform before falling back
-/// to a ladder resize (see [`crate::run::RunCtl`]); deaths the attempt
+/// Rank deaths a PT attempt may absorb by relaunching a fresh world from
+/// the store before falling back to a ladder resize (see [`crate::run::RunCtl`]); deaths the attempt
 /// rides through never reach the requeue path at all.
 const RESPAWN_BUDGET: usize = 1;
 

@@ -5,11 +5,13 @@
 //! schedule; it is sound for deadlock-freedom only because buffered
 //! sends make the greedy replay confluent. The coordination protocols
 //! layered on the comm substrate (coordinated checkpoint commit, the
-//! drain-verdict broadcast, the respawn barrier) and the qmc-serve
-//! scheduler lifecycle make control decisions from message *contents*
-//! and from crash timing, so one schedule proves nothing about the
-//! rest. This module explores **every distinguishable interleaving** of
-//! a protocol expressed as a pure state machine:
+//! drain-verdict broadcast) and the qmc-serve scheduler lifecycle make
+//! control decisions from message *contents* and from crash timing, so
+//! one schedule proves nothing about the rest. (A rank respawn is not
+//! among them: a fresh world resumes from the store, on mailboxes no
+//! earlier world touched.) This module explores **every
+//! distinguishable interleaving** of a protocol expressed as a pure
+//! state machine:
 //!
 //! * A [`Model`] supplies the initial state, the enabled actions of a
 //!   state, a deterministic transition function, a safety invariant

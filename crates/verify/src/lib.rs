@@ -23,8 +23,8 @@
 //!   one fixture per rule under `fixtures/` that the self-tests require
 //!   to fire, so a rule cannot rot into a no-op.
 //! * **Exhaustive protocol explorer** ([`mod@explore`], [`model`]): the
-//!   checkpoint-commit, drain-verdict and respawn-barrier protocols
-//!   modeled as deterministic per-process step functions;
+//!   checkpoint-commit and drain-verdict protocols modeled as
+//!   deterministic per-process step functions;
 //!   [`fn@explore`] enumerates *every* distinguishable interleaving of
 //!   deliveries, crashes, and write failures (sleep sets + dynamic
 //!   partial-order reduction) within a configurable depth/fault
@@ -33,7 +33,9 @@
 //!   schedules against the real `CkptStore`/`ThreadComm`. The job
 //!   server's scheduler needs no model: [`explore_states`] walks every
 //!   reachable state of the real `qmc_serve::Sched`
-//!   (`qmc_bench::sched_model`).
+//!   (`qmc_bench::sched_model`). Rank respawn needs no model either:
+//!   every launch of a thread world gets new mailboxes, so a fresh
+//!   world resumes from the store.
 //!
 //! `repro verify` and `scripts/check.sh` run all three on every gate.
 

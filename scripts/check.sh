@@ -127,6 +127,15 @@ if awk 'FNR == 1 { tests = 0 }
         END { exit !hit }' $(find crates -path '*/src/*' -name '*.rs' -not -path 'crates/comm/src/*'); then exit 1; fi
 if grep -rnE --include='*.rs' 'HashMap<\(usize, u32\), u64>' crates/comm/src; then exit 1; fi
 
+echo "== one world per launch: a respawn is a fresh world resuming from the store =="
+# qmc_comm::try_run_threads builds new mailboxes and a new poison word on
+# every call, and a caller that respawns after a rank death relaunches
+# through it. A hit here is in-place respawn growing back: a mailbox
+# or poison reset between rounds, a round counter on ThreadComm, or the
+# protocol model that mirrored the reset.
+if grep -rnE --include='*.rs' 'reset_for_respawn|fn incarnation|fn clear' crates/comm/src; then exit 1; fi
+if grep -rn --include='*.rs' 'RespawnModel' crates; then exit 1; fi
+
 echo "== benchmark: builds against this tree, offline and locked =="
 # benchmark/ is a standalone package with its own frozen lock file: an
 # API or crate-graph break against it must fail here, not in the

@@ -1,25 +1,26 @@
 //! Elastic-world integration tests.
 //!
-//! The contract of `qmc_comm::run_threads_elastic` plus the rejoin path
-//! of `qmc_ckpt::coord` is that a rank death is *absorbed*: the
-//! supervisor respawns a fresh thread into the dead slot, every rank
-//! rolls back to the newest coordinated generation, and the finished
-//! run is indistinguishable — observables AND RNG draw counts — from
-//! one that never died. The crash matrix below kills each rank of a
-//! 4-rank parallel-tempering world at every sweep boundary and demands
-//! exactly that. The resize tests pin the second policy: when the
-//! world cannot be respawned at full size, the β ladder shrinks (or
-//! re-grows) to fit, survivors are remapped onto the new world by β,
-//! and a re-grown rung joins fresh at the checkpoint boundary.
+//! A rank death is *absorbed*: the world is relaunched, a fresh world
+//! resumes from the store (every rank restores from the newest
+//! coordinated generation through the rejoin path of `qmc_ckpt::coord`),
+//! and the finished run is indistinguishable — observables AND RNG draw
+//! counts — from one that never died. The crash matrix below kills each
+//! rank of a 4-rank parallel-tempering world at every sweep boundary and
+//! demands exactly that, through the same respawn loop `repro elastic`
+//! runs (`qmc_bench::elastic::respawn_run`). The resize tests pin the
+//! second policy: when the world cannot be relaunched at full size, the
+//! β ladder shrinks (or re-grows) to fit, survivors are remapped onto the
+//! new world by β, and a re-grown rung joins fresh at the checkpoint
+//! boundary.
 
+use qmc_bench::elastic::{reference, respawn_run, RankOut};
 use qmc_ckpt::CkptStore;
-use qmc_comm::{run_threads, run_threads_elastic, Communicator};
+use qmc_comm::{run_threads, Communicator};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig, PtLadder};
 use qmc_rng::{CountingRng, StreamFactory};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -60,22 +61,7 @@ fn pt_cfg() -> PtConfig {
     }
 }
 
-/// (energy series, acceptance rates, total RNG draws) per rank.
-type RankOut = (Vec<f64>, Vec<f64>, u64);
-
-/// Uninterrupted reference: checkpointing off is pinned bit-identical
-/// to checkpointing on by the checkpoint suite, so this is the ground
-/// truth for every elastic run below.
-fn reference(cfg: &PtConfig) -> Vec<RankOut> {
-    let cfg2 = cfg.clone();
-    run_threads(cfg.betas.len(), move |comm| {
-        let mut rng = CountingRng::new(StreamFactory::new(17).stream(comm.rank()));
-        let (e, r) = run_pt_parallel_ckpt(comm, &cfg2, &mut rng, None, |_, _| {});
-        (e, r, rng.draws)
-    })
-}
-
-/// Kill each rank at every sweep boundary; the in-place respawn must
+/// Kill each rank at every sweep boundary; the relaunched world must
 /// finish bit-identical to the uninterrupted reference with equal RNG
 /// draw counts on every rank.
 #[test]
@@ -90,44 +76,14 @@ fn respawn_crash_matrix_is_bit_identical_with_equal_draws() {
     for victim in 0..cfg.betas.len() {
         for kill in 1..total {
             let dir = scratch("matrix");
-            let fired = Arc::new(AtomicBool::new(false));
-            let cfg2 = cfg.clone();
-            let dir2 = dir.clone();
-            let fired2 = Arc::clone(&fired);
-            let run =
-                run_threads_elastic(cfg.betas.len(), Duration::from_secs(30), 1, move |comm| {
-                    let mut rng = CountingRng::new(StreamFactory::new(17).stream(comm.rank()));
-                    let store = CkptStore::new(&dir2, 3).expect("store");
-                    let ck = PtCheckpointing {
-                        store: &store,
-                        every: 2,
-                        full_every: 2,
-                        resume: true,
-                        stop: None,
-                        elastic_from: None,
-                    };
-                    let fired = Arc::clone(&fired2);
-                    let (e, r) =
-                        run_pt_parallel_ckpt(comm, &cfg2, &mut rng, Some(&ck), move |c, s| {
-                            // One-shot: the respawned world replays this
-                            // boundary and must not die on it again.
-                            if s == kill
-                                && c.rank() == victim
-                                && !fired.swap(true, Ordering::SeqCst)
-                            {
-                                panic!("injected kill: rank {victim} at sweep {s}");
-                            }
-                        });
-                    (e, r, rng.draws)
-                })
+            let (respawns, results) = respawn_run(&cfg, &dir, victim, kill)
                 .unwrap_or_else(|e| panic!("kill rank {victim} at sweep {kill}: {e:?}"));
 
             assert_eq!(
-                run.respawned.len(),
-                1,
+                respawns, 1,
                 "kill rank {victim} at sweep {kill}: exactly one respawn expected"
             );
-            for (rank, (got, exp)) in run.results.iter().zip(&want).enumerate() {
+            for (rank, (got, exp)) in results.iter().zip(&want).enumerate() {
                 assert_eq!(
                     bits(&got.0),
                     bits(&exp.0),
