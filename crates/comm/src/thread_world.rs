@@ -614,12 +614,13 @@ mod tests {
     }
 
     #[test]
-    fn every_launch_builds_a_fresh_world() {
+    fn elastic_respawn_restarts_the_world_and_reports_the_slot() {
         // Rank 0 sends its world's number on (0 -> 1, tag 4); in the
-        // first world rank 1 dies without receiving it. A second launch
-        // over the same closure reads that channel again and must see
-        // only its own byte: a launcher that reused the first world's
-        // mailboxes would hand it the first world's residue.
+        // first world rank 1 dies without receiving it. The death comes
+        // back naming the slot, and a second launch over the same closure
+        // reads that channel again and must see only its own byte: a
+        // launcher that reused the first world's mailboxes would hand it
+        // the first world's residue.
         use std::sync::atomic::{AtomicU8, Ordering};
         let world = Arc::new(AtomicU8::new(0));
         let w = world.clone();
@@ -648,6 +649,26 @@ mod tests {
         world.store(1, Ordering::SeqCst);
         let out = try_run_threads(2, Duration::from_secs(5), f).expect("the second world finishes");
         assert_eq!(out[1], vec![1], "rank 1 sees only its own world's byte");
+    }
+
+    #[test]
+    fn elastic_budget_zero_reraises_the_original_payload() {
+        // A caller that never relaunches (a respawn budget of zero) is
+        // `run_threads_with_timeout`: the death escapes as the dead
+        // rank's own panic payload, not as a supervisor report.
+        let err = std::panic::catch_unwind(|| {
+            run_threads_with_timeout(2, Duration::from_secs(5), |c| {
+                if c.rank() == 1 {
+                    panic!("fatal rank death");
+                }
+            })
+        })
+        .expect_err("with no relaunch the death must escape");
+        assert_eq!(
+            err.downcast_ref::<&str>(),
+            Some(&"fatal rank death"),
+            "the original payload is re-raised"
+        );
     }
 
     #[test]
