@@ -590,6 +590,18 @@ mod tests {
         assert_eq!(back, obs);
     }
 
+    /// The gather's byte layout: a changed length or CRC-32 of the sample
+    /// record is a moved byte, which every rank of a mixed-build world
+    /// would decode differently.
+    #[test]
+    fn sample_bytes_are_pinned() {
+        let bytes = sample().to_bytes();
+        assert_eq!(
+            (bytes.len(), qmc_comm::crc::crc32(&bytes)),
+            (486, 0x9B662F0F)
+        );
+    }
+
     #[test]
     fn from_bytes_rejects_truncation_and_trailing() {
         let bytes = sample().to_bytes();

@@ -355,6 +355,24 @@ mod tests {
         }
     }
 
+    /// `qmc-serve/v1` byte for byte: the length and CRC-32 of every
+    /// sample message, in `samples()` order. A mismatch is a protocol
+    /// change a deployed peer would not understand.
+    #[test]
+    fn every_message_layout_is_pinned() {
+        let lens = [38, 25, 133, 29, 50, 37, 65, 89, 34, 177, 21, 21, 78];
+        let crcs = [
+            0xEF24D8D2, 0x9A2B9E86, 0xC16F16FE, 0xAF5723B8, 0x9776E8C8, 0x272B9656, 0x3076DE85,
+            0x8DC23665, 0xD62689CA, 0x45B9A235, 0x8BDC8B64, 0x15B81EC7, 0x07395E46,
+        ];
+        let pins: Vec<(usize, u32)> = lens.into_iter().zip(crcs).collect();
+        let got: Vec<(usize, u32)> = samples()
+            .iter()
+            .map(|m| (m.encode().len(), qmc_comm::crc::crc32(&m.encode())))
+            .collect();
+        assert_eq!(got, pins);
+    }
+
     #[test]
     fn wrong_schema_is_rejected() {
         let mut enc = Encoder::new();
