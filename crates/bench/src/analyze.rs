@@ -78,7 +78,7 @@ pub fn run_traced(slow_rank: Option<usize>) -> (Vec<RankObs>, Vec<f64>) {
             })
         };
         let mut mine = qmc_obs::finish().expect("recorder installed by init");
-        mine.set_comm(comm.stats());
+        mine.comm = Some(comm.stats());
         (gather_ranks(comm, &mine), energies)
     });
     let (gathered, energies) = results.swap_remove(0);

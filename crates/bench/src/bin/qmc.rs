@@ -545,7 +545,7 @@ fn run_tfim(flags: &HashMap<String, String>) {
             report(&series);
             if let Some(mut mine) = qmc_obs::finish() {
                 mine.absorb_registry(eng.metrics());
-                mine.set_comm(comm.stats());
+                mine.comm = Some(comm.stats());
                 let meta = qmc_obs::RunMeta::new("qmc-tfim", "dist-tfim", "serial", 1);
                 print!(
                     "{}",
@@ -564,7 +564,7 @@ fn run_tfim(flags: &HashMap<String, String>) {
                 let series = eng.run(comm, &mut rng, therm, sweeps);
                 let gathered = qmc_obs::finish().map(|mut mine| {
                     mine.absorb_registry(eng.metrics());
-                    mine.set_comm(comm.stats());
+                    mine.comm = Some(comm.stats());
                     qmc_obs::gather_ranks(comm, &mine)
                 });
                 (series, gathered)

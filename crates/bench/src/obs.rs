@@ -52,7 +52,7 @@ pub fn run_instrumented(sweeps: usize, config: &ObsConfig) -> Vec<RankObs> {
         }
         let mut mine = qmc_obs::finish().expect("recorder installed by init");
         mine.absorb_registry(eng.metrics());
-        mine.set_comm(comm.stats());
+        mine.comm = Some(comm.stats());
         gather_ranks(comm, &mine)
     });
     results

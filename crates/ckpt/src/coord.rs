@@ -39,8 +39,8 @@
 use crate::crc32::crc32;
 use crate::delta::SectionPlan;
 use crate::file::{frame_section, prefixed, Body, Fragment, SectionIndex};
-use crate::wire::{Decoder, Encoder};
 use crate::{write_section, written_sections, Checkpoint, CkptError, CkptFile, CkptStore};
+use crate::{Decoder, Encoder};
 use qmc_comm::Communicator;
 use std::path::PathBuf;
 

@@ -1,12 +1,6 @@
-//! CRC-32 used by the checkpoint wire format.
-//!
-//! The implementation moved to [`qmc_comm::crc`] (the bottom of the
-//! workspace dependency graph) when the TCP frame transport started
-//! guarding its frames with the same checksum; this module re-exports it
-//! so every existing `crate::crc32::crc32` call site — and the public
-//! `qmc_ckpt::crc32` path — keeps working unchanged. The image writers
-//! also continue a checksum ([`crc32_update`]) and join two
-//! ([`crc32_combine`]), so a payload's bytes are summed once.
+//! CRC-32 of the checkpoint wire format: [`qmc_comm::crc`], re-exported.
+//! The image writers also continue a checksum ([`crc32_update`]) and join
+//! two ([`crc32_combine`]), so a payload's bytes are summed once.
 
 pub use qmc_comm::crc::crc32;
 pub(crate) use qmc_comm::crc::{crc32_combine, crc32_update};

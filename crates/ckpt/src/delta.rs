@@ -27,7 +27,7 @@
 
 use crate::crc32::crc32;
 use crate::file::{envelope_body, image, read_section, CkptFile, Format, Stored, SCHEMA};
-use crate::wire::{CkptError, Decoder};
+use crate::{CkptError, Decoder};
 
 /// Schema identifier for delta-capable checkpoint files.
 pub const SCHEMA_V2: &str = "qmc-ckpt/v2";

@@ -6,8 +6,8 @@
 
 use crate::crc32::{crc32, crc32_combine, crc32_update};
 use crate::delta::SCHEMA_V2;
-use crate::wire::{CkptError, Decoder, Encoder};
 use crate::Checkpoint;
+use crate::{CkptError, Decoder, Encoder};
 
 /// Schema identifier written into every checkpoint file header.
 pub const SCHEMA: &str = "qmc-ckpt/v1";
@@ -114,7 +114,7 @@ pub(crate) fn frame_section(
     name: &str,
     body: Body<'_>,
 ) -> (u32, (u32, u32)) {
-    let start = enc.len();
+    let start = enc.written().len();
     enc.str(name);
     if let Body::BaseRef(base_crc, len) = body {
         assert!(
@@ -129,7 +129,7 @@ pub(crate) fn frame_section(
     if tagged {
         enc.u8(TAG_PAYLOAD);
     }
-    let head = enc.len() + 8;
+    let head = enc.written().len() + 8;
     let mut summed = None;
     enc.prefixed(|enc| match body {
         Body::Payload(bytes, sum) => {

@@ -12,6 +12,10 @@
 //! `rows/k` + `head` protocol, [`chunk`], that every append-only
 //! measurement series is sectioned by.
 //!
+//! The bytes are written with the workspace's one codec,
+//! [`qmc_comm::wire`] ([`Encoder`] / [`Decoder`] here); a codec error
+//! becomes the [`CkptError`] of the same name.
+//!
 //! What the store promises: a process killed anywhere inside a commit
 //! leaves every generation the directory held before it loadable, because
 //! a commit only overwrites a slot the retain rule no longer keeps and a
@@ -28,9 +32,9 @@
 
 mod crc32;
 mod drive;
+mod error;
 mod file;
 mod store;
-mod wire;
 
 pub mod chunk;
 pub mod coord;
@@ -40,9 +44,10 @@ pub mod registry;
 pub use crc32::crc32;
 pub use delta::{RawCkpt, SectionData, SectionPlan, SCHEMA_V2};
 pub use drive::{drive, read_meta, write_meta, Cadence, End, Policy};
+pub use error::CkptError;
 pub use file::{CkptFile, SCHEMA};
+pub use qmc_comm::wire::{Decoder, Encoder};
 pub use store::{namespace_key, CkptStore};
-pub use wire::{CkptError, Decoder, Encoder};
 
 /// Named sections of a [`Checkpoint`] value with a changed-since-last-
 /// snapshot flag per section, in a canonical order the save and restore
@@ -168,7 +173,7 @@ pub trait Checkpoint {
 /// (kind tag + length-prefixed body).
 pub fn save_state(state: &impl Checkpoint) -> Vec<u8> {
     let mut enc = Encoder::new();
-    enc.state(state);
+    write_state(&mut enc, state);
     enc.into_bytes()
 }
 
@@ -176,8 +181,37 @@ pub fn save_state(state: &impl Checkpoint) -> Vec<u8> {
 /// [`save_state`], requiring the payload to be fully consumed.
 pub fn load_state(bytes: &[u8], state: &mut impl Checkpoint) -> Result<(), CkptError> {
     let mut dec = Decoder::new(bytes);
-    dec.load_state(state)?;
-    dec.expect_empty()
+    read_state(&mut dec, state)?;
+    Ok(dec.expect_empty()?)
+}
+
+/// Append a nested [`Checkpoint`] state to `enc`: kind tag +
+/// length-prefixed body, so the reader can verify type and skip on error.
+pub fn write_state(enc: &mut Encoder, state: &impl Checkpoint) {
+    enc.str(state.kind());
+    enc.prefixed(|body| state.save(body));
+}
+
+/// Read a nested state written by [`write_state`]: verifies the kind tag
+/// against `target.kind()`, then hands `target.load` a sub-decoder that
+/// must consume the body exactly.
+pub fn read_state(dec: &mut Decoder, target: &mut impl Checkpoint) -> Result<(), CkptError> {
+    let mut sub = kinded_body(dec, target.kind())?;
+    target.load(&mut sub)?;
+    Ok(sub.expect_empty()?)
+}
+
+/// A reader over the body of a kind tag + length-prefixed body, after
+/// checking that the tag is `kind`.
+fn kinded_body<'a>(dec: &mut Decoder<'a>, kind: &str) -> Result<Decoder<'a>, CkptError> {
+    let found = dec.str()?;
+    if found != kind {
+        return Err(CkptError::KindMismatch {
+            expected: kind.to_string(),
+            found,
+        });
+    }
+    Ok(Decoder::new(dec.bytes()?))
 }
 
 /// Serialize section `name` of `state` as a standalone byte vector:
@@ -218,18 +252,10 @@ pub fn load_section_bytes(
     state: &mut impl Checkpoint,
 ) -> Result<(), CkptError> {
     let mut dec = Decoder::new(bytes);
-    let found = dec.str()?;
-    if found != state.kind() {
-        return Err(CkptError::KindMismatch {
-            expected: state.kind().to_string(),
-            found,
-        });
-    }
-    let body = dec.bytes()?;
+    let mut sub = kinded_body(&mut dec, state.kind())?;
     dec.expect_empty()?;
-    let mut sub = Decoder::new(body);
     state.load_section(name, &mut sub)?;
-    sub.expect_empty()
+    Ok(sub.expect_empty()?)
 }
 
 /// [`Checkpoint::save`] of a value whose whole-blob body is its section

@@ -8,7 +8,7 @@
 //! anything else means the checkpoint belongs to a different engine
 //! build and is rejected as corrupt.
 
-use crate::wire::{CkptError, Decoder, Encoder};
+use crate::{CkptError, Decoder, Encoder};
 use qmc_obs::{Hist, Registry, N_BUCKETS};
 
 /// Append every counter and histogram of `reg` to `enc`.

@@ -61,7 +61,7 @@ use crate::coord::{DeltaBase, RankSections};
 use crate::crc32::crc32;
 use crate::delta::{peek_base, RawCkpt, SectionPlan};
 use crate::file::{fragments_frame, CkptFile, Format, Fragment, SectionIndex};
-use crate::wire::CkptError;
+use crate::CkptError;
 use std::cmp::Reverse;
 use std::fs;
 use std::io::{IoSlice, Write};

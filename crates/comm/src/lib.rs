@@ -21,6 +21,9 @@
 //! [`FaultyComm`] perturbs delivery. [`ChannelSeq`] is the one
 //! per-channel message counter both number their traffic with.
 //!
+//! [`wire`] is the workspace's one byte codec: checkpoint files, the job
+//! protocol and the rank-record gather are all written with it.
+//!
 //! # Programming model
 //!
 //! SPMD with explicit-source, explicit-tag messaging: `send` is buffered
@@ -69,8 +72,7 @@ pub mod faulty;
 pub mod model;
 pub mod observe;
 pub mod tcp;
-
-pub mod util;
+pub mod wire;
 
 pub use deadlock::WaitEdge;
 pub use faulty::{FaultPlan, FaultStats, FaultyComm};
@@ -271,12 +273,12 @@ pub trait Communicator {
 
     /// Send a slice of `f64`s.
     fn send_f64s(&mut self, dest: usize, tag: u32, data: &[f64]) {
-        self.send_bytes(dest, tag, &util::f64s_to_bytes(data));
+        self.send_bytes(dest, tag, &wire::f64s_to_bytes(data));
     }
 
     /// Receive a vector of `f64`s.
     fn recv_f64s(&mut self, src: usize, tag: u32) -> Vec<f64> {
-        util::bytes_to_f64s(&self.recv_bytes(src, tag))
+        wire::bytes_to_f64s(&self.recv_bytes(src, tag))
     }
 
     /// Combined send-then-receive (safe because sends are buffered): the
@@ -408,9 +410,9 @@ pub trait Communicator {
 
         // Phase 1: ranks ≥ p2 fold into their partner (rank − p2).
         if me >= p2 {
-            self.send_internal(me - p2, base, &util::f64s_to_bytes(&acc));
+            self.send_internal(me - p2, base, &wire::f64s_to_bytes(&acc));
         } else if me < extra {
-            let other = util::bytes_to_f64s(&self.recv_internal(me + p2, base));
+            let other = wire::bytes_to_f64s(&self.recv_internal(me + p2, base));
             fold(&mut acc, &other, op);
         }
 
@@ -421,8 +423,8 @@ pub trait Communicator {
             while mask < p2 {
                 let partner = me ^ mask;
                 let tag = base + round;
-                self.send_internal(partner, tag, &util::f64s_to_bytes(&acc));
-                let other = util::bytes_to_f64s(&self.recv_internal(partner, tag));
+                self.send_internal(partner, tag, &wire::f64s_to_bytes(&acc));
+                let other = wire::bytes_to_f64s(&self.recv_internal(partner, tag));
                 fold(&mut acc, &other, op);
                 mask <<= 1;
                 round += 1;
@@ -432,9 +434,9 @@ pub trait Communicator {
         // Phase 3: partners get the result back.
         let final_tag = base + 63;
         if me < extra {
-            self.send_internal(me + p2, final_tag, &util::f64s_to_bytes(&acc));
+            self.send_internal(me + p2, final_tag, &wire::f64s_to_bytes(&acc));
         } else if me >= p2 {
-            acc = util::bytes_to_f64s(&self.recv_internal(me - p2, final_tag));
+            acc = wire::bytes_to_f64s(&self.recv_internal(me - p2, final_tag));
         }
         acc
     }
@@ -464,8 +466,8 @@ pub trait Communicator {
 
     /// Gather `f64` payloads at `root`.
     fn gather_f64s(&mut self, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        self.gather_bytes(root, &util::f64s_to_bytes(data))
-            .map(|v| v.iter().map(|b| util::bytes_to_f64s(b)).collect())
+        self.gather_bytes(root, &wire::f64s_to_bytes(data))
+            .map(|v| v.iter().map(|b| wire::bytes_to_f64s(b)).collect())
     }
 }
 

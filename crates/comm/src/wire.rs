@@ -1,70 +1,46 @@
-//! Length-prefixed little-endian primitives for the checkpoint wire
-//! format. [`Encoder`] is infallible (it grows a `Vec<u8>`); every
-//! [`Decoder`] read is bounds-checked and returns [`CkptError`] instead
-//! of panicking, because a checkpoint file is external input — it may be
-//! torn, truncated, or from a different run entirely.
+//! The one byte codec: little-endian primitives and length-prefixed
+//! slices, for checkpoint files, the job protocol and the rank-record
+//! gather alike. [`Encoder`] is infallible; every [`Decoder`] read is
+//! bounds-checked and returns a [`WireError`] instead of panicking, and
+//! no read reserves room for more items than the bytes left could hold,
+//! because the bytes are external input (a torn file, another protocol
+//! revision, a hostile count). [`f64s_to_bytes`] / [`bytes_to_f64s`] are
+//! the unprefixed `f64` payload the collectives and the tempering swap send.
 
-use crate::Checkpoint;
 use std::fmt;
 
-/// Everything that can go wrong reading a checkpoint or setting up a
-/// checkpointed run.
+/// What can go wrong decoding: the bytes ran out, or they do not hold a
+/// value of the shape being read.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CkptError {
+pub enum WireError {
     /// Ran out of bytes while reading `what`.
-    Truncated { what: &'static str },
-    /// File does not start with the checkpoint magic.
-    BadMagic,
-    /// File magic matched but the schema string is not ours.
-    BadSchema { found: String },
-    /// A section's payload does not match its recorded CRC32.
-    BadCrc { section: String },
-    /// A required section is absent from the file.
-    MissingSection { name: String },
-    /// A state payload's kind tag does not match the target value.
-    KindMismatch { expected: String, found: String },
-    /// Structurally invalid content (size mismatch, bad enum tag, …).
-    Corrupt { detail: String },
-    /// Filesystem error surfaced while reading.
-    Io { detail: String },
-    /// A checkpoint cadence of zero sweeps ("every 0 sweeps") was asked
-    /// for; there is no such schedule.
-    ZeroCadence,
+    Truncated {
+        /// The item being read.
+        what: &'static str,
+    },
+    /// Structurally invalid content (bad enum tag, out-of-range value,
+    /// trailing bytes, …).
+    Corrupt {
+        /// What was wrong.
+        detail: String,
+    },
 }
 
-impl fmt::Display for CkptError {
+impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CkptError::Truncated { what } => write!(f, "checkpoint truncated while reading {what}"),
-            CkptError::BadMagic => write!(f, "not a qmc checkpoint (bad magic)"),
-            CkptError::BadSchema { found } => {
-                write!(f, "unsupported checkpoint schema {found:?}")
-            }
-            CkptError::BadCrc { section } => {
-                write!(f, "checkpoint section {section:?} failed CRC32")
-            }
-            CkptError::MissingSection { name } => {
-                write!(f, "checkpoint is missing section {name:?}")
-            }
-            CkptError::KindMismatch { expected, found } => {
-                write!(
-                    f,
-                    "checkpoint kind mismatch: expected {expected:?}, found {found:?}"
-                )
-            }
-            CkptError::Corrupt { detail } => write!(f, "corrupt checkpoint: {detail}"),
-            CkptError::Io { detail } => write!(f, "checkpoint i/o error: {detail}"),
-            CkptError::ZeroCadence => write!(f, "checkpoint cadence must be at least 1 sweep"),
+            WireError::Truncated { what } => write!(f, "payload truncated while reading {what}"),
+            WireError::Corrupt { detail } => write!(f, "corrupt payload: {detail}"),
         }
     }
 }
 
-impl std::error::Error for CkptError {}
+impl std::error::Error for WireError {}
 
-impl CkptError {
-    /// Shorthand for a [`CkptError::Corrupt`] with a formatted detail.
+impl WireError {
+    /// Shorthand for a [`WireError::Corrupt`] with a formatted detail.
     pub fn corrupt(detail: impl Into<String>) -> Self {
-        CkptError::Corrupt {
+        WireError::Corrupt {
             detail: detail.into(),
         }
     }
@@ -84,7 +60,7 @@ impl Encoder {
 
     /// Encoder that appends to `buf` (whatever it already holds stays
     /// in front).
-    pub(crate) fn appending_to(buf: Vec<u8>) -> Self {
+    pub fn appending_to(buf: Vec<u8>) -> Self {
         Self { buf }
     }
 
@@ -94,22 +70,12 @@ impl Encoder {
     }
 
     /// The bytes written so far.
-    pub(crate) fn written(&self) -> &[u8] {
+    pub fn written(&self) -> &[u8] {
         &self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Append bytes that are already encoded.
-    pub(crate) fn raw(&mut self, bytes: &[u8]) {
+    pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
@@ -154,7 +120,7 @@ impl Encoder {
     /// Write whatever `body` writes, length-prefixed: the layout of
     /// [`Encoder::bytes`] over a separately encoded body, without the
     /// separate buffer.
-    pub(crate) fn prefixed(&mut self, body: impl FnOnce(&mut Self)) {
+    pub fn prefixed(&mut self, body: impl FnOnce(&mut Self)) {
         let at = self.buf.len();
         self.u64(0);
         body(self);
@@ -199,13 +165,6 @@ impl Encoder {
         self.u64(v.len() as u64);
         self.buf.extend(v.iter().map(|&b| b as u8));
     }
-
-    /// Write a nested [`Checkpoint`] state: kind tag + length-prefixed
-    /// body, so the reader can verify type and skip on error.
-    pub fn state(&mut self, s: &impl Checkpoint) {
-        self.str(s.kind());
-        self.prefixed(|body| s.save(body));
-    }
 }
 
 /// Bounds-checked reader over an encoded byte slice.
@@ -226,33 +185,45 @@ impl<'a> Decoder<'a> {
     }
 
     /// Error unless every byte has been consumed.
-    pub fn expect_empty(&self) -> Result<(), CkptError> {
+    pub fn expect_empty(&self) -> Result<(), WireError> {
         if self.remaining() == 0 {
             Ok(())
         } else {
-            Err(CkptError::corrupt(format!(
+            Err(WireError::corrupt(format!(
                 "{} trailing bytes after payload",
                 self.remaining()
             )))
         }
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CkptError> {
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
-            return Err(CkptError::Truncated { what });
+            return Err(WireError::Truncated { what });
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    /// `n` items of at least `item_bytes` each fit in what is left.
+    /// Checked before anything is reserved, so a hostile count costs an
+    /// error, not an allocation.
+    fn fits(&self, n: u64, item_bytes: u64, what: &'static str) -> Result<usize, WireError> {
+        if n.checked_mul(item_bytes)
+            .is_none_or(|b| b > self.remaining() as u64)
+        {
+            return Err(WireError::Truncated { what });
+        }
+        Ok(n as usize)
+    }
+
     /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, CkptError> {
+    pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1, "u8")?[0])
     }
 
     /// Read a `u32`.
-    pub fn u32(&mut self) -> Result<u32, CkptError> {
+    pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(
             self.take(4, "u32")?
                 .try_into()
@@ -261,7 +232,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read a `u64`.
-    pub fn u64(&mut self) -> Result<u64, CkptError> {
+    pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(
             self.take(8, "u64")?
                 .try_into()
@@ -270,7 +241,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read an `i64`.
-    pub fn i64(&mut self) -> Result<i64, CkptError> {
+    pub fn i64(&mut self) -> Result<i64, WireError> {
         Ok(i64::from_le_bytes(
             self.take(8, "i64")?
                 .try_into()
@@ -279,95 +250,103 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read an `f64` bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CkptError> {
+    pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Read a `bool`; any byte other than 0/1 is corrupt.
-    pub fn bool(&mut self) -> Result<bool, CkptError> {
+    pub fn bool(&mut self) -> Result<bool, WireError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            b => Err(CkptError::corrupt(format!("invalid bool byte {b}"))),
+            b => Err(WireError::corrupt(format!("invalid bool byte {b}"))),
         }
     }
 
-    fn len_prefix(&mut self, what: &'static str) -> Result<usize, CkptError> {
+    /// Read a `u64` item count, refusing it as [`WireError::Truncated`]
+    /// when that many items of at least `min_item_bytes` (≥ 1) each
+    /// cannot fit in the bytes left. A caller may then reserve the count.
+    pub fn count(&mut self, min_item_bytes: u64) -> Result<usize, WireError> {
         let n = self.u64()?;
-        if n > self.remaining() as u64 {
-            return Err(CkptError::Truncated { what });
-        }
-        Ok(n as usize)
+        self.fits(n, min_item_bytes, "count")
+    }
+
+    /// [`Decoder::count`] for a count written as a `u32`.
+    pub fn count_u32(&mut self, min_item_bytes: u64) -> Result<usize, WireError> {
+        let n = self.u32()?;
+        self.fits(n.into(), min_item_bytes, "count")
     }
 
     /// Read a length-prefixed byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], CkptError> {
-        let n = self.len_prefix("bytes")?;
+    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let n = self.u64()?;
+        let n = self.fits(n, 1, "bytes")?;
         self.take(n, "bytes")
     }
 
     /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, CkptError> {
+    pub fn str(&mut self) -> Result<String, WireError> {
         let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| CkptError::corrupt("string is not valid UTF-8"))
+        String::from_utf8(raw.to_vec()).map_err(|_| WireError::corrupt("string is not valid UTF-8"))
     }
 
     /// Read a length-prefixed `u64` slice.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, CkptError> {
+    pub fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
         let n = self.u64()?;
-        if n.checked_mul(8).is_none_or(|b| b > self.remaining() as u64) {
-            return Err(CkptError::Truncated { what: "u64 slice" });
-        }
+        let n = self.fits(n, 8, "u64 slice")?;
         (0..n).map(|_| self.u64()).collect()
     }
 
     /// Read a length-prefixed `i64` slice.
-    pub fn i64s(&mut self) -> Result<Vec<i64>, CkptError> {
+    pub fn i64s(&mut self) -> Result<Vec<i64>, WireError> {
         let n = self.u64()?;
-        if n.checked_mul(8).is_none_or(|b| b > self.remaining() as u64) {
-            return Err(CkptError::Truncated { what: "i64 slice" });
-        }
+        let n = self.fits(n, 8, "i64 slice")?;
         (0..n).map(|_| self.i64()).collect()
     }
 
     /// Read a length-prefixed `f64` slice (bit patterns).
-    pub fn f64s(&mut self) -> Result<Vec<f64>, CkptError> {
+    pub fn f64s(&mut self) -> Result<Vec<f64>, WireError> {
         let n = self.u64()?;
-        if n.checked_mul(8).is_none_or(|b| b > self.remaining() as u64) {
-            return Err(CkptError::Truncated { what: "f64 slice" });
-        }
+        let n = self.fits(n, 8, "f64 slice")?;
         (0..n).map(|_| self.f64()).collect()
     }
 
     /// Read a length-prefixed `bool` slice.
-    pub fn bools(&mut self) -> Result<Vec<bool>, CkptError> {
-        let n = self.len_prefix("bool slice")?;
+    pub fn bools(&mut self) -> Result<Vec<bool>, WireError> {
+        let n = self.u64()?;
+        let n = self.fits(n, 1, "bool slice")?;
         self.take(n, "bool slice")?
             .iter()
             .map(|&b| match b {
                 0 => Ok(false),
                 1 => Ok(true),
-                _ => Err(CkptError::corrupt(format!("invalid bool byte {b}"))),
+                _ => Err(WireError::corrupt(format!("invalid bool byte {b}"))),
             })
             .collect()
     }
+}
 
-    /// Read a nested state written by [`Encoder::state`]: verifies the
-    /// kind tag against `target.kind()`, then hands `target.load` a
-    /// sub-decoder that must consume the body exactly.
-    pub fn load_state(&mut self, target: &mut impl Checkpoint) -> Result<(), CkptError> {
-        let found = self.str()?;
-        if found != target.kind() {
-            return Err(CkptError::KindMismatch {
-                expected: target.kind().to_string(),
-                found,
-            });
-        }
-        let body = self.bytes()?;
-        let mut sub = Decoder::new(body);
-        target.load(&mut sub)?;
-        sub.expect_empty()
+/// Encode a `f64` slice as little-endian bytes, unprefixed.
+pub fn f64s_to_bytes(data: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() * 8);
+    for v in data {
+        out.extend_from_slice(&v.to_le_bytes());
     }
+    out
+}
+
+/// Decode unprefixed little-endian bytes into `f64`s (length must be a
+/// multiple of 8).
+pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
+    assert!(
+        bytes.len().is_multiple_of(8),
+        "byte payload length {} is not a multiple of 8",
+        bytes.len()
+    );
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
+        .collect()
 }
 
 #[cfg(test)]
@@ -425,5 +404,62 @@ mod tests {
         let bytes = e.into_bytes();
         assert!(Decoder::new(&bytes).bytes().is_err());
         assert!(Decoder::new(&bytes).f64s().is_err());
+    }
+
+    #[test]
+    fn a_count_must_fit_in_the_bytes_left() {
+        let mut e = Encoder::new();
+        e.u64(2);
+        e.u32(2);
+        e.raw(&[0; 16]);
+        let bytes = e.into_bytes();
+        // 20 bytes follow the u64 count and 16 the u32 one: two 8-byte
+        // items fit after either, two 9- or 16-byte items do not.
+        assert_eq!(Decoder::new(&bytes).count(8), Ok(2));
+        assert_eq!(Decoder::new(&bytes[8..]).count_u32(8), Ok(2));
+        assert!(Decoder::new(&bytes).count(16).is_err());
+        assert!(Decoder::new(&bytes[8..]).count_u32(9).is_err());
+        // A count whose byte total overflows u64 is refused, not wrapped.
+        assert!(Decoder::new(&[0xFF; 8]).count(2).is_err());
+    }
+
+    /// Deterministic 64-bit scrambler (SplitMix64 step) so the roundtrip
+    /// tests cover many bit patterns without an external property-test
+    /// dependency.
+    fn scramble(i: u64) -> u64 {
+        let mut z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn f64_roundtrip() {
+        // Random-ish patterns plus the special values (NaN, ±∞, ±0,
+        // subnormals) whose bit patterns must survive unchanged.
+        for len in [0usize, 1, 2, 7, 63] {
+            let mut xs: Vec<f64> = (0..len as u64)
+                .map(|i| f64::from_bits(scramble(i)))
+                .collect();
+            xs.extend([
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                f64::MIN_POSITIVE / 2.0,
+            ]);
+            let back = bytes_to_f64s(&f64s_to_bytes(&xs));
+            assert_eq!(back.len(), xs.len());
+            for (a, b) in back.iter().zip(&xs) {
+                assert!(a.to_bits() == b.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of 8")]
+    fn rejects_ragged_payload() {
+        bytes_to_f64s(&[1, 2, 3]);
     }
 }

@@ -12,7 +12,7 @@
 //! serial ladder and the one-replica-per-rank parallel driver, where rank
 //! ↔ β never changes and only configuration payloads travel.
 
-use qmc_comm::{util, Communicator, ReduceOp};
+use qmc_comm::{wire, Communicator, ReduceOp};
 use qmc_rng::{Rng64, SplitMix64};
 use qmc_worldline::weights::PlaqWeights;
 use qmc_worldline::{Worldline, WorldlineParams};
@@ -241,7 +241,7 @@ impl qmc_ckpt::Checkpoint for PtLadder {
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
         enc.u64(self.replicas.len() as u64);
         for r in &self.replicas {
-            enc.state(r);
+            qmc_ckpt::write_state(enc, r);
         }
         enc.u64s(&self.stats.accepted);
         enc.u64s(&self.stats.attempted);
@@ -260,7 +260,7 @@ impl qmc_ckpt::Checkpoint for PtLadder {
             )));
         }
         for r in &mut self.replicas {
-            dec.load_state(r)?;
+            qmc_ckpt::read_state(dec, r)?;
         }
         let accepted = dec.u64s()?;
         let attempted = dec.u64s()?;
@@ -498,8 +498,8 @@ where
         // Exchange the two cross log-weights.
         let lw_own = replica.log_weight();
         let lw_cross = replica.log_weight_with(&neighbor_weights[partner]);
-        let payload = util::f64s_to_bytes(&[lw_own, lw_cross]);
-        let other = util::bytes_to_f64s(&comm.sendrecv_bytes(partner, 7, &payload, partner, 7));
+        let payload = wire::f64s_to_bytes(&[lw_own, lw_cross]);
+        let other = wire::bytes_to_f64s(&comm.sendrecv_bytes(partner, 7, &payload, partner, 7));
         let (lw_partner_own, lw_partner_cross) = (other[0], other[1]);
         let log_ratio = lw_cross + lw_partner_cross - lw_own - lw_partner_own;
         // Common random number: both sides derive the same coin.

@@ -6,7 +6,8 @@
 
 use crate::analysis::match_flows;
 use crate::json::JsonWriter;
-use crate::record::{CommSummary, RankObs};
+use crate::record::RankObs;
+use qmc_comm::CommStats;
 
 /// Schema identifier written into every metrics artifact.
 pub const METRICS_SCHEMA: &str = "qmc-metrics/v1";
@@ -45,7 +46,7 @@ impl RunMeta {
     }
 }
 
-fn comm_json(w: &mut JsonWriter, c: Option<&CommSummary>) {
+fn comm_json(w: &mut JsonWriter, c: Option<&CommStats>) {
     let Some(c) = c else {
         w.null();
         return;
@@ -92,36 +93,19 @@ pub fn metrics_json(meta: &RunMeta, ranks: &[RankObs]) -> String {
     w.end_object().end_object();
 
     // Cross-rank totals: summed counters, merged comm stats.
-    let mut totals: Vec<(String, u64)> = Vec::new();
-    for r in ranks {
-        for (name, v) in &r.counters {
-            match totals.iter_mut().find(|(n, _)| n == name) {
-                Some((_, cur)) => *cur += v,
-                None => totals.push((name.clone(), *v)),
-            }
-        }
+    let mut totals = RankObs::default();
+    for (name, v) in ranks.iter().flat_map(|r| &r.counters) {
+        totals.counter_add(name, *v);
     }
-    let comm_total = ranks
+    totals.comm = ranks
         .iter()
         .filter_map(|r| r.comm)
-        .fold(None::<CommSummary>, |acc, c| match acc {
-            None => Some(c),
-            Some(a) => Some(CommSummary {
-                messages_sent: a.messages_sent + c.messages_sent,
-                bytes_sent: a.bytes_sent + c.bytes_sent,
-                messages_recv: a.messages_recv + c.messages_recv,
-                bytes_recv: a.bytes_recv + c.bytes_recv,
-                max_message_bytes: a.max_message_bytes.max(c.max_message_bytes),
-                comm_seconds: a.comm_seconds + c.comm_seconds,
-                compute_seconds: a.compute_seconds + c.compute_seconds,
-                recv_wait_seconds: a.recv_wait_seconds + c.recv_wait_seconds,
-            }),
-        });
+        .reduce(|a, c| a.merged(&c));
     w.key("totals").begin_object();
     w.key("counters");
-    counters_json(&mut w, &totals);
+    counters_json(&mut w, &totals.counters);
     w.key("comm");
-    comm_json(&mut w, comm_total.as_ref());
+    comm_json(&mut w, totals.comm.as_ref());
     w.end_object();
 
     // Per-rank detail.

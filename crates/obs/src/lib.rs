@@ -73,7 +73,7 @@ pub use export::{chrome_trace_json, metrics_json, RunMeta};
 pub use health::{replica_agreement, HealthMonitor, OnlineBinning};
 pub use metrics::{CounterId, Hist, HistId, Registry, N_BUCKETS};
 pub use record::{
-    gather_ranks, CommDir, CommEvent, CommSummary, HealthSnapshot, HistSnapshot, OwnedSpan, RankObs,
+    gather_ranks, CommDir, CommEvent, HealthSnapshot, HistSnapshot, OwnedSpan, RankObs,
 };
 pub use span::{
     active_span_id, counter_add, enabled, finish, health_enabled, health_record, hist_record, init,

@@ -4,13 +4,16 @@
 //! thread or model back-ends those live on different threads, so
 //! [`gather_ranks`] ships them to rank 0 over the same [`Communicator`]
 //! the physics ran on (a byte gather — observability reuses the machine
-//! rather than smuggling data through host shared memory).
+//! rather than smuggling data through host shared memory), encoded with
+//! the one codec, [`qmc_comm::wire`]; the job server's stats reply
+//! carries [`HealthSnapshot::encode`]'s layout too.
 
+use qmc_comm::wire::{Decoder, Encoder, WireError};
 pub use qmc_comm::CommDir;
 use qmc_comm::{CommStats, Communicator};
 
 use crate::health::HealthMonitor;
-use crate::metrics::{Hist, Registry};
+use crate::metrics::Registry;
 
 /// A completed span, owned (names copied out of the ring's `&'static str`).
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +91,33 @@ impl HealthSnapshot {
             drift_z: hm.drift_z(),
         }
     }
+
+    /// Bytes of the smallest encoded snapshot (an empty name).
+    pub const MIN_WIRE_BYTES: u64 = 56;
+
+    /// Append the snapshot: name, count, then the five statistics.
+    pub fn encode(&self, e: &mut Encoder) {
+        e.str(&self.name);
+        e.u64(self.count);
+        e.f64(self.mean);
+        e.f64(self.std_dev);
+        e.f64(self.error);
+        e.f64(self.tau_int);
+        e.f64(self.drift_z);
+    }
+
+    /// Inverse of [`HealthSnapshot::encode`].
+    pub fn decode(d: &mut Decoder) -> Result<Self, WireError> {
+        Ok(Self {
+            name: d.str()?,
+            count: d.u64()?,
+            mean: d.f64()?,
+            std_dev: d.f64()?,
+            error: d.f64()?,
+            tau_int: d.f64()?,
+            drift_z: d.f64()?,
+        })
+    }
 }
 
 /// A histogram flattened for transport/export: only non-empty buckets.
@@ -108,17 +138,6 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    fn from_hist(name: &str, h: &Hist) -> Self {
-        Self {
-            name: name.to_string(),
-            count: h.count,
-            sum: h.sum,
-            min: h.min_or_zero(),
-            max: h.max,
-            buckets: h.nonzero().collect(),
-        }
-    }
-
     fn merge(&mut self, other: &HistSnapshot) {
         if other.count == 0 {
             return;
@@ -136,43 +155,6 @@ impl HistSnapshot {
                 Ok(i) => self.buckets[i].1 += c,
                 Err(i) => self.buckets.insert(i, (lo, c)),
             }
-        }
-    }
-}
-
-/// Communication totals embedded in the metrics artifact — a plain-data
-/// mirror of [`CommStats`] that serializes with the rest of [`RankObs`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CommSummary {
-    /// Point-to-point messages sent.
-    pub messages_sent: u64,
-    /// Payload bytes sent.
-    pub bytes_sent: u64,
-    /// Point-to-point messages received.
-    pub messages_recv: u64,
-    /// Payload bytes received.
-    pub bytes_recv: u64,
-    /// Largest single payload moved in either direction.
-    pub max_message_bytes: u64,
-    /// Seconds attributed to communication.
-    pub comm_seconds: f64,
-    /// Seconds attributed to compute charges.
-    pub compute_seconds: f64,
-    /// Seconds spent blocked in receives (subset of `comm_seconds`).
-    pub recv_wait_seconds: f64,
-}
-
-impl From<CommStats> for CommSummary {
-    fn from(s: CommStats) -> Self {
-        Self {
-            messages_sent: s.messages_sent,
-            bytes_sent: s.bytes_sent,
-            messages_recv: s.messages_recv,
-            bytes_recv: s.bytes_recv,
-            max_message_bytes: s.max_message_bytes,
-            comm_seconds: s.comm_seconds,
-            compute_seconds: s.compute_seconds,
-            recv_wait_seconds: s.recv_wait_seconds,
         }
     }
 }
@@ -197,26 +179,14 @@ pub struct RankObs {
     /// Online convergence health, one snapshot per observable.
     pub health: Vec<HealthSnapshot>,
     /// Communication totals, when the run attached them.
-    pub comm: Option<CommSummary>,
+    pub comm: Option<CommStats>,
 }
 
 impl RankObs {
     /// Sum-merge a registry's counters and histograms into this record
     /// (used to fold an engine-owned registry into the rank's results).
     pub fn absorb_registry(&mut self, reg: &Registry) {
-        for &(name, v) in reg.counters() {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, cur)) => *cur += v,
-                None => self.counters.push((name.to_string(), v)),
-            }
-        }
-        for (name, h) in reg.hists() {
-            let snap = HistSnapshot::from_hist(name, h);
-            match self.hists.iter_mut().find(|s| s.name == *name) {
-                Some(cur) => cur.merge(&snap),
-                None => self.hists.push(snap),
-            }
-        }
+        self.absorb_registry_prefixed(reg, "");
     }
 
     /// [`RankObs::absorb_registry`] with every counter and histogram name
@@ -225,15 +195,17 @@ impl RankObs {
     /// each tenant's engine registry folds in under its own namespace.
     pub fn absorb_registry_prefixed(&mut self, reg: &Registry, prefix: &str) {
         for &(name, v) in reg.counters() {
-            let full = format!("{prefix}{name}");
-            match self.counters.iter_mut().find(|(n, _)| *n == full) {
-                Some((_, cur)) => *cur += v,
-                None => self.counters.push((full, v)),
-            }
+            self.counter_add(&format!("{prefix}{name}"), v);
         }
         for (name, h) in reg.hists() {
-            let mut snap = HistSnapshot::from_hist(name, h);
-            snap.name = format!("{prefix}{name}");
+            let snap = HistSnapshot {
+                name: format!("{prefix}{name}"),
+                count: h.count,
+                sum: h.sum,
+                min: h.min_or_zero(),
+                max: h.max,
+                buckets: h.nonzero().collect(),
+            };
             match self.hists.iter_mut().find(|s| s.name == snap.name) {
                 Some(cur) => cur.merge(&snap),
                 None => self.hists.push(snap),
@@ -251,11 +223,6 @@ impl RankObs {
         }
     }
 
-    /// Attach communication totals from the rank's communicator.
-    pub fn set_comm(&mut self, stats: CommStats) {
-        self.comm = Some(stats.into());
-    }
-
     /// Value of a named counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
@@ -267,186 +234,155 @@ impl RankObs {
 
     /// Serialize for transport over a [`Communicator`] gather.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u64(&mut b, self.rank);
-        put_u64(&mut b, self.dropped_spans);
-        put_u64(&mut b, self.spans.len() as u64);
+        let mut e = Encoder::new();
+        e.u64(self.rank);
+        e.u64(self.dropped_spans);
+        e.u64(self.spans.len() as u64);
         for s in &self.spans {
-            put_str(&mut b, &s.name);
-            put_u64(&mut b, s.id);
-            put_f64(&mut b, s.t0_us);
-            put_f64(&mut b, s.t1_us);
-            put_u64(&mut b, s.depth as u64);
+            e.str(&s.name);
+            e.u64(s.id);
+            e.f64(s.t0_us);
+            e.f64(s.t1_us);
+            e.u64(s.depth.into());
         }
-        put_u64(&mut b, self.dropped_comm_events);
-        put_u64(&mut b, self.comm_events.len() as u64);
-        for e in &self.comm_events {
-            b.push(match e.dir {
+        e.u64(self.dropped_comm_events);
+        e.u64(self.comm_events.len() as u64);
+        for c in &self.comm_events {
+            e.u8(match c.dir {
                 CommDir::Send => 0,
                 CommDir::Recv => 1,
             });
-            put_u64(&mut b, e.peer);
-            put_u64(&mut b, e.tag as u64);
-            put_u64(&mut b, e.seq);
-            put_u64(&mut b, e.bytes);
-            put_f64(&mut b, e.t0_us);
-            put_f64(&mut b, e.t1_us);
-            put_u64(&mut b, e.span_id);
+            for v in [c.peer, c.tag.into(), c.seq, c.bytes] {
+                e.u64(v);
+            }
+            e.f64(c.t0_us);
+            e.f64(c.t1_us);
+            e.u64(c.span_id);
         }
-        put_u64(&mut b, self.counters.len() as u64);
+        e.u64(self.counters.len() as u64);
         for (n, v) in &self.counters {
-            put_str(&mut b, n);
-            put_u64(&mut b, *v);
+            e.str(n);
+            e.u64(*v);
         }
-        put_u64(&mut b, self.hists.len() as u64);
+        e.u64(self.hists.len() as u64);
         for h in &self.hists {
-            put_str(&mut b, &h.name);
-            put_u64(&mut b, h.count);
-            put_u64(&mut b, h.sum);
-            put_u64(&mut b, h.min);
-            put_u64(&mut b, h.max);
-            put_u64(&mut b, h.buckets.len() as u64);
+            e.str(&h.name);
+            for v in [h.count, h.sum, h.min, h.max, h.buckets.len() as u64] {
+                e.u64(v);
+            }
             for &(lo, c) in &h.buckets {
-                put_u64(&mut b, lo);
-                put_u64(&mut b, c);
+                e.u64(lo);
+                e.u64(c);
             }
         }
-        put_u64(&mut b, self.health.len() as u64);
+        e.u64(self.health.len() as u64);
         for h in &self.health {
-            put_str(&mut b, &h.name);
-            put_u64(&mut b, h.count);
-            put_f64(&mut b, h.mean);
-            put_f64(&mut b, h.std_dev);
-            put_f64(&mut b, h.error);
-            put_f64(&mut b, h.tau_int);
-            put_f64(&mut b, h.drift_z);
+            h.encode(&mut e);
         }
         match self.comm {
-            None => b.push(0),
+            None => e.u8(0),
             Some(c) => {
-                b.push(1);
-                put_u64(&mut b, c.messages_sent);
-                put_u64(&mut b, c.bytes_sent);
-                put_u64(&mut b, c.messages_recv);
-                put_u64(&mut b, c.bytes_recv);
-                put_u64(&mut b, c.max_message_bytes);
-                put_f64(&mut b, c.comm_seconds);
-                put_f64(&mut b, c.compute_seconds);
-                put_f64(&mut b, c.recv_wait_seconds);
+                e.u8(1);
+                for v in [c.messages_sent, c.bytes_sent, c.messages_recv, c.bytes_recv] {
+                    e.u64(v);
+                }
+                e.u64(c.max_message_bytes);
+                for v in [c.comm_seconds, c.compute_seconds, c.recv_wait_seconds] {
+                    e.f64(v);
+                }
             }
         }
-        b
+        e.into_bytes()
     }
 
-    /// Inverse of [`Self::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut c = Cursor { b: bytes, pos: 0 };
-        let rank = c.u64()?;
-        let dropped_spans = c.u64()?;
-        let nspans = c.u64()? as usize;
-        let mut spans = Vec::with_capacity(nspans.min(1 << 20));
-        for _ in 0..nspans {
-            spans.push(OwnedSpan {
-                name: c.str()?,
-                id: c.u64()?,
-                t0_us: c.f64()?,
-                t1_us: c.f64()?,
-                depth: c.u64()? as u16,
-            });
-        }
-        let dropped_comm_events = c.u64()?;
-        let nev = c.u64()? as usize;
-        let mut comm_events = Vec::with_capacity(nev.min(1 << 20));
-        for _ in 0..nev {
-            let dir = match c.u8()? {
-                0 => CommDir::Send,
-                1 => CommDir::Recv,
-                t => return Err(format!("bad comm event dir {t}")),
-            };
-            comm_events.push(CommEvent {
-                dir,
-                peer: c.u64()?,
-                tag: c.u64()? as u32,
-                seq: c.u64()?,
-                bytes: c.u64()?,
-                t0_us: c.f64()?,
-                t1_us: c.f64()?,
-                span_id: c.u64()?,
-            });
-        }
-        let nctr = c.u64()? as usize;
-        let mut counters = Vec::with_capacity(nctr.min(1 << 20));
-        for _ in 0..nctr {
-            counters.push((c.str()?, c.u64()?));
-        }
-        let nhist = c.u64()? as usize;
-        let mut hists = Vec::with_capacity(nhist.min(1 << 20));
-        for _ in 0..nhist {
-            let name = c.str()?;
-            let count = c.u64()?;
-            let sum = c.u64()?;
-            let min = c.u64()?;
-            let max = c.u64()?;
-            let nb = c.u64()? as usize;
-            let mut buckets = Vec::with_capacity(nb.min(1 << 20));
-            for _ in 0..nb {
-                buckets.push((c.u64()?, c.u64()?));
-            }
-            hists.push(HistSnapshot {
-                name,
-                count,
-                sum,
-                min,
-                max,
-                buckets,
-            });
-        }
-        let nhealth = c.u64()? as usize;
-        let mut health = Vec::with_capacity(nhealth.min(1 << 20));
-        for _ in 0..nhealth {
-            health.push(HealthSnapshot {
-                name: c.str()?,
-                count: c.u64()?,
-                mean: c.f64()?,
-                std_dev: c.f64()?,
-                error: c.f64()?,
-                tau_int: c.f64()?,
-                drift_z: c.f64()?,
-            });
-        }
-        let comm = match c.u8()? {
-            0 => None,
-            1 => Some(CommSummary {
-                messages_sent: c.u64()?,
-                bytes_sent: c.u64()?,
-                messages_recv: c.u64()?,
-                bytes_recv: c.u64()?,
-                max_message_bytes: c.u64()?,
-                comm_seconds: c.f64()?,
-                compute_seconds: c.f64()?,
-                recv_wait_seconds: c.f64()?,
-            }),
-            t => return Err(format!("bad comm tag {t}")),
+    /// Inverse of [`Self::to_bytes`]. Every count is checked against the
+    /// bytes left before anything is reserved, and a value too wide for
+    /// its field is [`WireError::Corrupt`], never truncated.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut d = Decoder::new(bytes);
+        let obs = Self {
+            rank: d.u64()?,
+            dropped_spans: d.u64()?,
+            spans: list(&mut d, 40, |d| {
+                Ok(OwnedSpan {
+                    name: d.str()?,
+                    id: d.u64()?,
+                    t0_us: d.f64()?,
+                    t1_us: d.f64()?,
+                    depth: narrow(d.u64()?, "span depth")?,
+                })
+            })?,
+            dropped_comm_events: d.u64()?,
+            comm_events: list(&mut d, 57, |d| {
+                let dir = match d.u8()? {
+                    0 => CommDir::Send,
+                    1 => CommDir::Recv,
+                    t => return Err(WireError::corrupt(format!("bad comm event dir {t}"))),
+                };
+                Ok(CommEvent {
+                    dir,
+                    peer: d.u64()?,
+                    tag: narrow(d.u64()?, "comm event tag")?,
+                    seq: d.u64()?,
+                    bytes: d.u64()?,
+                    t0_us: d.f64()?,
+                    t1_us: d.f64()?,
+                    span_id: d.u64()?,
+                })
+            })?,
+            counters: list(&mut d, 16, |d| Ok((d.str()?, d.u64()?)))?,
+            hists: list(&mut d, 48, |d| {
+                Ok(HistSnapshot {
+                    name: d.str()?,
+                    count: d.u64()?,
+                    sum: d.u64()?,
+                    min: d.u64()?,
+                    max: d.u64()?,
+                    buckets: list(d, 16, |d| Ok((d.u64()?, d.u64()?)))?,
+                })
+            })?,
+            health: list(
+                &mut d,
+                HealthSnapshot::MIN_WIRE_BYTES,
+                HealthSnapshot::decode,
+            )?,
+            comm: match d.u8()? {
+                0 => None,
+                1 => Some(CommStats {
+                    messages_sent: d.u64()?,
+                    bytes_sent: d.u64()?,
+                    messages_recv: d.u64()?,
+                    bytes_recv: d.u64()?,
+                    max_message_bytes: d.u64()?,
+                    comm_seconds: d.f64()?,
+                    compute_seconds: d.f64()?,
+                    recv_wait_seconds: d.f64()?,
+                }),
+                t => return Err(WireError::corrupt(format!("bad comm tag {t}"))),
+            },
         };
-        if c.pos != bytes.len() {
-            return Err(format!(
-                "trailing bytes: consumed {} of {}",
-                c.pos,
-                bytes.len()
-            ));
-        }
-        Ok(Self {
-            rank,
-            dropped_spans,
-            spans,
-            dropped_comm_events,
-            comm_events,
-            counters,
-            hists,
-            health,
-            comm,
-        })
+        d.expect_empty()?;
+        Ok(obs)
     }
+}
+
+/// A `u64`-counted list of items, each at least `min_item_bytes` long.
+fn list<'a, T>(
+    d: &mut Decoder<'a>,
+    min_item_bytes: u64,
+    mut item: impl FnMut(&mut Decoder<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = d.count(min_item_bytes)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(item(d)?);
+    }
+    Ok(out)
+}
+
+/// `v` as a narrower field, or [`WireError::Corrupt`] when it does not fit.
+fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, WireError> {
+    T::try_from(v).map_err(|_| WireError::corrupt(format!("{what} {v} out of range")))
 }
 
 /// Gather every rank's record at rank 0 (rank order). Returns `Some` on
@@ -460,63 +396,6 @@ pub fn gather_ranks<C: Communicator>(comm: &mut C, mine: &RankObs) -> Option<Vec
             .map(|b| RankObs::from_bytes(b).expect("malformed RankObs payload in gather"))
             .collect(),
     )
-}
-
-// ---------------------------------------------------------------------
-// Little-endian wire helpers.
-// ---------------------------------------------------------------------
-
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(b: &mut Vec<u8>, v: f64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(b: &mut Vec<u8>, s: &str) {
-    put_u64(b, s.len() as u64);
-    b.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        // `n` comes from an untrusted length prefix: compare against what
-        // is left, never add to `pos`.
-        if n > self.b.len() - self.pos {
-            return Err(format!("truncated at byte {} (need {n} more)", self.pos));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("take returned 8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("take returned 8 bytes"),
-        ))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let n = self.u64()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|e| e.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -574,7 +453,7 @@ mod tests {
             ..Default::default()
         };
         obs.absorb_registry(&reg);
-        obs.set_comm(CommStats {
+        obs.comm = Some(CommStats {
             messages_sent: 7,
             bytes_sent: 1024,
             comm_seconds: 0.25,
@@ -611,11 +490,45 @@ mod tests {
         assert!(RankObs::from_bytes(&extra).is_err());
         // A hostile length prefix (first span name, u64::MAX bytes) is an
         // error, not an overflowed bounds check.
-        let mut hostile = Vec::new();
+        let mut hostile = Encoder::new();
         for v in [0u64, 0, 1, u64::MAX] {
-            put_u64(&mut hostile, v);
+            hostile.u64(v);
         }
-        assert!(RankObs::from_bytes(&hostile).is_err());
+        assert!(RankObs::from_bytes(&hostile.into_bytes()).is_err());
+    }
+
+    /// A tag or depth wider than its field is refused, not wrapped: a
+    /// tag of `1 << 32` would otherwise decode as tag 0.
+    #[test]
+    fn from_bytes_refuses_a_value_too_wide_for_its_field() {
+        let obs = sample();
+        let bytes = obs.to_bytes();
+        // `bytes` with the u64 at `at` replaced by `v`: the first span's
+        // depth sits at byte 61, the first event's tag at byte 94.
+        let patched = |at: usize, v: u64| {
+            let mut e = Encoder::appending_to(bytes[..at].to_vec());
+            e.u64(v);
+            e.raw(&bytes[at + 8..]);
+            RankObs::from_bytes(&e.into_bytes())
+        };
+        assert_eq!(patched(61, 0), Ok(obs.clone()));
+        assert_eq!(patched(94, 7), Ok(obs));
+        assert_eq!(
+            patched(61, u16::MAX.into()).unwrap().spans[0].depth,
+            u16::MAX
+        );
+        assert_eq!(
+            patched(94, u32::MAX.into()).unwrap().comm_events[0].tag,
+            u32::MAX
+        );
+        assert!(matches!(
+            patched(61, 1 << 16),
+            Err(WireError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            patched(94, 1 << 32),
+            Err(WireError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl<R: Rng64 + qmc_ckpt::Checkpoint> qmc_ckpt::Checkpoint for Buffered<R> {
         // would skip `BATCH - pos` draws on resume.
         enc.u64(self.pos as u64);
         enc.u64s(&self.buf);
-        enc.state(&self.inner);
+        qmc_ckpt::write_state(enc, &self.inner);
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
@@ -98,7 +98,7 @@ impl<R: Rng64 + qmc_ckpt::Checkpoint> qmc_ckpt::Checkpoint for Buffered<R> {
         }
         self.pos = pos;
         self.buf.copy_from_slice(&buf);
-        dec.load_state(&mut self.inner)
+        qmc_ckpt::read_state(dec, &mut self.inner)
     }
 }
 

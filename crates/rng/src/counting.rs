@@ -43,11 +43,11 @@ impl<R: qmc_ckpt::Checkpoint> qmc_ckpt::Checkpoint for CountingRng<R> {
 
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
         enc.u64(self.draws);
-        enc.state(&self.inner);
+        qmc_ckpt::write_state(enc, &self.inner);
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
         self.draws = dec.u64()?;
-        dec.load_state(&mut self.inner)
+        qmc_ckpt::read_state(dec, &mut self.inner)
     }
 }

@@ -102,15 +102,15 @@ impl qmc_ckpt::Checkpoint for StreamRng {
         match self {
             StreamRng::Lcg(g) => {
                 enc.u8(0);
-                enc.state(g);
+                qmc_ckpt::write_state(enc, g);
             }
             StreamRng::Xoshiro(g) => {
                 enc.u8(1);
-                enc.state(g);
+                qmc_ckpt::write_state(enc, g);
             }
             StreamRng::LaggedFibonacci(g) => {
                 enc.u8(2);
-                enc.state(g.as_ref());
+                qmc_ckpt::write_state(enc, g.as_ref());
             }
         }
     }
@@ -121,9 +121,9 @@ impl qmc_ckpt::Checkpoint for StreamRng {
         // would splice two unrelated streams.
         let tag = dec.u8()?;
         match (tag, &mut *self) {
-            (0, StreamRng::Lcg(g)) => dec.load_state(g),
-            (1, StreamRng::Xoshiro(g)) => dec.load_state(g),
-            (2, StreamRng::LaggedFibonacci(g)) => dec.load_state(g.as_mut()),
+            (0, StreamRng::Lcg(g)) => qmc_ckpt::read_state(dec, g),
+            (1, StreamRng::Xoshiro(g)) => qmc_ckpt::read_state(dec, g),
+            (2, StreamRng::LaggedFibonacci(g)) => qmc_ckpt::read_state(dec, g.as_mut()),
             _ => Err(qmc_ckpt::CkptError::corrupt(format!(
                 "stream rng variant tag {tag} does not match the configured generator kind"
             ))),

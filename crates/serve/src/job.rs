@@ -1,7 +1,8 @@
 //! Job specifications and observables: what a tenant submits and what
 //! the server streams back.
 
-use qmc_ckpt::{CkptError, Decoder, Encoder};
+use qmc_ckpt::CkptError;
+use qmc_comm::wire::{Decoder, Encoder};
 
 /// What kind of simulation a job runs, with its engine parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -312,11 +313,12 @@ impl JobObservables {
 
     pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<JobObservables, CkptError> {
         let get = |dec: &mut Decoder<'_>| -> Result<Vec<Vec<f64>>, CkptError> {
-            let n = dec.u32()? as usize;
+            // Each series is at least its 8-byte length prefix.
+            let n = dec.count_u32(8)?;
             if n > 4096 {
                 return Err(CkptError::corrupt("implausible series count"));
             }
-            (0..n).map(|_| dec.f64s()).collect()
+            (0..n).map(|_| Ok(dec.f64s()?)).collect()
         };
         Ok(JobObservables {
             energy: get(dec)?,

@@ -2,14 +2,16 @@
 //! frames.
 //!
 //! Transport framing (magic, length, CRC) is [`qmc_comm::tcp`]; this
-//! module is the payload layer, built on the same bounds-checked
-//! [`qmc_ckpt::Encoder`]/[`qmc_ckpt::Decoder`] the checkpoint files use.
+//! module is the payload layer, written with the one bounds-checked codec,
+//! [`qmc_comm::wire`], that checkpoint files and the rank-record gather
+//! use too. A health series travels in [`HealthSnapshot::encode`]'s layout.
 //! Every payload starts with the schema string and a one-byte message
 //! tag, so a peer speaking a different protocol revision is rejected
 //! with a diagnosable error instead of a garbled decode.
 
 use crate::job::{JobObservables, JobSpec};
-use qmc_ckpt::{CkptError, Decoder, Encoder};
+use qmc_ckpt::CkptError;
+use qmc_comm::wire::{Decoder, Encoder};
 use qmc_obs::HealthSnapshot;
 
 /// Protocol schema tag carried by every message.
@@ -170,13 +172,7 @@ impl Msg {
                 }
                 enc.u32(health.len() as u32);
                 for h in health {
-                    enc.str(&h.name);
-                    enc.u64(h.count);
-                    enc.f64(h.mean);
-                    enc.f64(h.std_dev);
-                    enc.f64(h.error);
-                    enc.f64(h.tau_int);
-                    enc.f64(h.drift_z);
+                    h.encode(&mut enc);
                 }
             }
             Msg::Drain | Msg::Draining => {}
@@ -225,31 +221,20 @@ impl Msg {
             },
             9 => Msg::Stats { tenant: dec.str()? },
             10 => {
-                let nc = dec.u32()? as usize;
+                let nc = dec.count_u32(16)?;
                 if nc > 65_536 {
                     return Err(CkptError::corrupt("implausible counter count"));
                 }
-                let mut counters = Vec::with_capacity(nc.min(1024));
-                for _ in 0..nc {
-                    let name = dec.str()?;
-                    counters.push((name, dec.u64()?));
-                }
-                let nh = dec.u32()? as usize;
+                let counters = (0..nc)
+                    .map(|_| Ok((dec.str()?, dec.u64()?)))
+                    .collect::<Result<_, CkptError>>()?;
+                let nh = dec.count_u32(HealthSnapshot::MIN_WIRE_BYTES)?;
                 if nh > 65_536 {
                     return Err(CkptError::corrupt("implausible health count"));
                 }
-                let mut health = Vec::with_capacity(nh.min(1024));
-                for _ in 0..nh {
-                    health.push(HealthSnapshot {
-                        name: dec.str()?,
-                        count: dec.u64()?,
-                        mean: dec.f64()?,
-                        std_dev: dec.f64()?,
-                        error: dec.f64()?,
-                        tau_int: dec.f64()?,
-                        drift_z: dec.f64()?,
-                    });
-                }
+                let health = (0..nh)
+                    .map(|_| HealthSnapshot::decode(&mut dec))
+                    .collect::<Result<_, _>>()?;
                 Msg::StatsReply { counters, health }
             }
             11 => Msg::Drain,

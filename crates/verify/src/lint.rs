@@ -9,7 +9,7 @@
 //! | `hot-transcendental`| no `exp`/`ln`/`powf`/`sqrt`/… inside `#[qmc_hot::hot]` functions — sweep kernels are table-driven |
 //! | `hot-alloc`         | no `Vec::new`/`Box::new`/`collect`/`vec![]`/`to_vec` inside `#[qmc_hot::hot]` functions — steady state is allocation-free |
 //! | `wall-clock`        | no `Instant::now`/`SystemTime::now` outside the `qmc-obs` crate (waivable where timeouts genuinely need host time) |
-//! | `ckpt-hashmap`      | no `HashMap`/`HashSet` in checkpoint/wire-serialization files — iteration order would break the deterministic format |
+//! | `ckpt-hashmap`      | no `HashMap`/`HashSet` in checkpoint/wire-serialization files (qmc-ckpt, a `Checkpoint` impl, or any file naming the `Encoder`/`Decoder` codec) — iteration order would break the deterministic format |
 //! | `lib-unwrap`        | no `.unwrap()` in library crates' non-test code       |
 //! | `ckpt-unbounded-chain` | no `.write_sections(`/`.write_plan(` in a file that never mentions a `full_every` cadence knob — an unbounded delta chain grows restore cost without limit |
 //! | `hot-scalar-spin-loop` | no per-spin `.metropolis(`/`.bernoulli(` decision inside `#[qmc_hot::hot]` functions — the sanctioned shapes compare raw draws with exact integer thresholds (`qmc_rng::threshold`), bit-identical to the per-spin loop: the TFIM colour kernel (`qmc_tfim`'s `colour.rs`, which batches its draws and resolves without a branch) and the world-line corner-move row kernel (`qmc_worldline`'s `Worldline::corner_row`, one draw per proposal that needs one); or code many replicas a word, the multi-spin-coded `qmc_tfim::packed` (bitwise acceptance, 64 replicas a word); scalar per-spin branching in a hot kernel must be a waived reference path |
@@ -640,13 +640,17 @@ pub fn lint_source(display_path: &str, source: &str) -> Vec<Finding> {
 
     let is_obs = class.crate_name.as_deref() == Some("obs");
     let is_lib_crate = matches!(&class.crate_name, Some(c) if c != "bench");
-    // Checkpoint-serialization file: anything in qmc-ckpt, or any file
-    // implementing the `Checkpoint` wire trait.
+    // Wire-serialization file: anything in qmc-ckpt, any file
+    // implementing the `Checkpoint` wire trait, or any file naming the
+    // byte codec (`qmc_comm::wire`'s `Encoder` / `Decoder`).
     let ckpt_file = class.crate_name.as_deref() == Some("ckpt")
         || tokens.windows(2).any(|w| {
             matches!(&w[0].tok, Tok::Ident(a) if a == "Checkpoint")
                 && matches!(&w[1].tok, Tok::Ident(b) if b == "for")
-        });
+        })
+        || tokens
+            .iter()
+            .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "Encoder" || s == "Decoder"));
 
     // Delta-chain bounding: a file that writes delta generations must
     // also carry the policy that bounds the chain — a `full_every`
@@ -921,6 +925,7 @@ mod tests {
     const HOT_BAD_ALLOC: &str = include_str!("../fixtures/hot_alloc.rs");
     const WALL_CLOCK_BAD: &str = include_str!("../fixtures/wall_clock.rs");
     const CKPT_HASHMAP_BAD: &str = include_str!("../fixtures/ckpt_hashmap.rs");
+    const WIRE_HASHMAP_BAD: &str = include_str!("../fixtures/wire_hashmap.rs");
     const LIB_UNWRAP_BAD: &str = include_str!("../fixtures/lib_unwrap.rs");
     const CKPT_CHAIN_BAD: &str = include_str!("../fixtures/ckpt_chain.rs");
     const HOT_SCALAR_SPIN_BAD: &str = include_str!("../fixtures/hot_scalar_spin_loop.rs");
@@ -955,6 +960,12 @@ mod tests {
     fn fixture_fires_ckpt_hashmap() {
         let fired = rules_fired("crates/fixture/src/lib.rs", CKPT_HASHMAP_BAD);
         assert!(fired.contains(&Rule::CkptHashMap), "{fired:?}");
+    }
+
+    #[test]
+    fn fixture_fires_ckpt_hashmap_in_a_codec_file_outside_qmc_ckpt() {
+        let fired = rules_fired("crates/obs/src/record.rs", WIRE_HASHMAP_BAD);
+        assert_eq!(fired, vec![Rule::CkptHashMap]);
     }
 
     #[test]

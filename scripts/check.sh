@@ -136,6 +136,15 @@ echo "== one world per launch: a respawn is a fresh world resuming from the stor
 if grep -rnE --include='*.rs' 'reset_for_respawn|fn incarnation|fn clear' crates/comm/src; then exit 1; fi
 if grep -rn --include='*.rs' 'RespawnModel' crates; then exit 1; fi
 
+echo "== one codec: bytes are written and read by qmc_comm::wire only =="
+# Checkpoint images, every qmc-serve/v1 message and the rank-record
+# gather are encoded by qmc_comm::wire's Encoder / Decoder. A hit here is
+# a second codec growing back: a writer or reader defined elsewhere, or
+# raw little-endian conversions in the observability or job-server code.
+if grep -rnE --include='*.rs' 'struct (Encoder|Decoder|Cursor)\b|fn put_u64\b' crates tests examples |
+   grep -v '^crates/comm/src/wire\.rs:'; then exit 1; fi
+if grep -rnE --include='*.rs' '(to|from)_le_bytes' crates/obs/src crates/serve/src; then exit 1; fi
+
 echo "== benchmark: builds against this tree, offline and locked =="
 # benchmark/ is a standalone package with its own frozen lock file: an
 # API or crate-graph break against it must fail here, not in the

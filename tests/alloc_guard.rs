@@ -6,9 +6,11 @@
 //! proves the *runtime* claim: after warmup, a sweep performs zero heap
 //! allocations — however the calls are spelled or inlined.
 //!
-//! A counting `#[global_allocator]` tallies allocations per thread
-//! (thread-local, so the parallel test harness and unrelated test
-//! threads cannot bleed into each other's counts).
+//! A counting `#[global_allocator]` tallies allocations, and the bytes
+//! they ask for, per thread (thread-local, so the parallel test harness
+//! and unrelated test threads cannot bleed into each other's counts).
+//! The byte tally guards decoders of untrusted input: a hostile count
+//! must cost an error, not a reservation.
 
 use qmc_comm::SerialComm;
 use qmc_lattice::{Chain, Square};
@@ -25,28 +27,35 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Tally one allocation of `bytes` on the current thread. `try_with`
+/// keeps late TLS-teardown allocations from recursing or aborting.
+fn tally(bytes: usize) {
+    let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 /// Forwards to the system allocator, counting every allocation made by
-/// the current thread. `try_with` keeps late TLS-teardown allocations
-/// from recursing or aborting.
+/// the current thread and the bytes it asked for.
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
+        tally(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
+        tally(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow-in-place is still a steady-state allocation as far as
         // the discipline is concerned.
-        let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
+        tally(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -63,6 +72,13 @@ fn allocations_during<F: FnOnce()>(f: F) -> u64 {
     let before = ALLOC_COUNT.with(|c| c.get());
     f();
     ALLOC_COUNT.with(|c| c.get()) - before
+}
+
+/// Bytes this thread's allocations asked for across `f`.
+fn bytes_allocated_during<F: FnOnce()>(f: F) -> u64 {
+    let before = ALLOC_BYTES.with(|c| c.get());
+    f();
+    ALLOC_BYTES.with(|c| c.get()) - before
 }
 
 /// Assert the engine allocates nothing over `sweeps` steady-state sweeps.
@@ -274,4 +290,24 @@ fn worldline_exchange_phase_is_allocation_free() {
         || sum += w.log_weight() + w.log_weight_with(&neighbour) + measure(&w).energy_per_site,
     );
     assert!(sum.is_finite());
+}
+
+/// A 24-byte rank record claiming `u64::MAX` spans is refused before
+/// anything is reserved. Reserving even a capped count up front would
+/// cost tens of MiB (a span is 56 bytes) for a payload that then fails.
+#[test]
+fn hostile_rank_record_count_reserves_nothing() {
+    let payload: Vec<u8> = [0u64, 0, u64::MAX]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let mut refused = false;
+    let bytes = bytes_allocated_during(|| {
+        refused = qmc_obs::RankObs::from_bytes(&payload).is_err();
+    });
+    assert!(refused, "a record claiming u64::MAX spans decoded");
+    assert!(
+        bytes < 4096,
+        "decoding a 24-byte hostile record allocated {bytes} bytes"
+    );
 }

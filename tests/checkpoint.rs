@@ -719,11 +719,11 @@ fn serial_tfim_drains_at_sweep_boundary_and_resumes_bit_identical() {
 
         fn save(&self, enc: &mut qmc_ckpt::Encoder) {
             enc.u64(self.draws);
-            enc.state(&self.inner);
+            qmc_ckpt::write_state(enc, &self.inner);
         }
         fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
             self.draws = dec.u64()?;
-            dec.load_state(&mut self.inner)
+            qmc_ckpt::read_state(dec, &mut self.inner)
         }
     }
 
