@@ -17,7 +17,10 @@
 //! sweep's measurement and log-weight bits, one of the final spins, the
 //! raw draws served and the move counters; the serial and the threaded
 //! parallel-tempering drivers to every rung's energy bits, the swap-rate
-//! bits and the draws.
+//! bits and the draws. The chain rows at `l = 66` and `l = 130` and the
+//! threaded row at `l = 66` were added on commit c30e049, before the
+//! chain engine packed its rows into words, so the multi-word path was
+//! pinned by the bool-row kernel it replaced.
 //!
 //! The SSE rows were recorded on commit 5a8d861, before the sweep walked
 //! an occupied-slot list: `Sse::run` (thermalization with cutoff growth,
@@ -370,6 +373,10 @@ const CHAIN: &[ChainCase] = &[
     ((8, 4, 0.6, 1.0, 1.0), 55, 400, wl(0x89081e2f0283a382, 0x5f6cdb634debc725, 12188, [194, 7904, 2305, 3200])),
     ((16, 8, 1.0, 0.3, 4.0), 56, 300, wl(0xd77deb4386ff43f2, 0xb5d83f186915f325, 24090, [7405, 23363, 853, 4800])),
     ((64, 16, 1.0, 1.0, 1.0), 57, 150, wl(0x445b7fd32974804e, 0xc9261d28c406a325, 110163, [2164, 96280, 6411, 9600])),
+    // Rows past one word: a second word holding two columns, and three
+    // words with the periodic seam inside a partial one.
+    ((66, 8, 1.0, 1.0, 1.0), 58, 150, wl(0xa69a79f14931dede, 0x0917d8395728d525, 63444, [1994, 49404, 6604, 9900])),
+    ((130, 6, 1.0, 0.8, 1.5), 59, 100, wl(0x50c5fd8f31f2a14e, 0xd6a26b984e437665, 64941, [5121, 48661, 7351, 13000])),
 ];
 
 fn run_chain(&((l, m, jx, jz, beta), seed, sweeps, _): &ChainCase) -> WlPin<4> {
@@ -523,6 +530,8 @@ const PT_THREADS: &[PtCase] = &[
     ((16, 8, 1.0, 0.5), 1.0, 4, 83, 20, 80, 1, pt(0x71e62cbe16fc19d9, 0x0c9ab2f8a6d0a7c3, 37988)),
     ((32, 32, 1.0, 1.0), 2.0, 2, 84, 6, 30, 2, pt(0x095f81490cf95f0c, 0xf4077a9635d32b68, 56027)),
     ((32, 32, 1.0, 1.0), 2.0, 4, 85, 6, 30, 2, pt(0xf8355320dd9a3288, 0xc99ac12b1dd6c975, 113516)),
+    // A two-word swap payload.
+    ((66, 8, 1.0, 1.0), 1.0, 2, 86, 10, 40, 2, pt(0xd8daca1a7fe307f0, 0xad70d07ac4c9111a, 43096)),
 ];
 
 fn run_pt_threads(
