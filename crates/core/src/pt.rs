@@ -46,8 +46,10 @@ pub struct PtLadder {
     stats: PtStats,
     /// Walker identity currently occupying each slot.
     walker_at: Vec<usize>,
-    /// Last extreme slot each walker touched: 0 = bottom, 1 = top,
-    /// 2 = none yet. A trip bottom→top→bottom increments `round_trips`.
+    /// Last extreme slot each walker touched: 0 = bottom, 1 = top after
+    /// the bottom, 2 = no bottom yet. A trip bottom→top→bottom increments
+    /// `round_trips`; a walker seen at the top before the bottom stays at
+    /// 2, so its first top→bottom walk is not counted.
     walker_phase: Vec<u8>,
 }
 
@@ -137,15 +139,11 @@ impl PtLadder {
         if self.walker_phase[top_walker] == 0 {
             // was last at the bottom, has now reached the top
             self.walker_phase[top_walker] = 1;
-        } else if self.walker_phase[top_walker] == 2 {
-            self.walker_phase[top_walker] = 1;
         }
         if self.walker_phase[bottom_walker] == 1 {
-            self.walker_phase[bottom_walker] = 0;
             self.stats.round_trips += 1;
-        } else if self.walker_phase[bottom_walker] == 2 {
-            self.walker_phase[bottom_walker] = 0;
         }
+        self.walker_phase[bottom_walker] = 0;
     }
 
     /// Run with `exchange_every` sweeps between exchange phases; returns
@@ -674,6 +672,31 @@ mod tests {
             ladder.stats().round_trips > 0,
             "no walker completed a round trip"
         );
+    }
+
+    /// Serves 0 for every draw: a Metropolis test with a positive ratio
+    /// always accepts.
+    struct AlwaysAccept;
+
+    impl Rng64 for AlwaysAccept {
+        fn next_u64(&mut self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_one_way_trip_is_not_a_round_trip() {
+        let mut ladder = PtLadder::new(4, 1.0, 1.0, 2, vec![0.5, 1.0]);
+        // Phase 1 has no pair on two rungs: it only sees walker 0 at the
+        // bottom and walker 1 at the top.
+        ladder.exchange(&mut AlwaysAccept, 1);
+        ladder.exchange(&mut AlwaysAccept, 0);
+        assert_eq!(ladder.stats().accepted, [1]);
+        // Walker 1 went top → bottom once; walker 0 bottom → top.
+        assert_eq!(ladder.stats().round_trips, 0);
+        ladder.exchange(&mut AlwaysAccept, 0);
+        // Walker 0 is back at the bottom: the first round trip.
+        assert_eq!(ladder.stats().round_trips, 1);
     }
 
     #[test]

@@ -498,10 +498,14 @@ fn ladder(beta0: f64, rungs: usize) -> Vec<f64> {
     (0..rungs).map(|k| beta0 * 1.2f64.powi(k as i32)).collect()
 }
 
+/// `rates` folds in `round_trips`. The first two rows' `rates` were
+/// re-recorded when `PtLadder` stopped counting a walker's first
+/// top→bottom walk as a round trip; their `energies` and `draws` are the
+/// original literals, and the third row completes no round trip either way.
 #[rustfmt::skip]
 const PT_SERIAL: &[PtCase] = &[
-    ((8, 8, 1.0, 1.0), 0.5, 4, 71, 20, 120, 2, pt(0x7d1c6ee6d4f209ba, 0x6fba6c145a96767e, 27752)),
-    ((16, 8, 1.0, 0.5), 1.0, 4, 72, 20, 80, 1, pt(0xd11d982e3038f3e9, 0x88f723262d813475, 38236)),
+    ((8, 8, 1.0, 1.0), 0.5, 4, 71, 20, 120, 2, pt(0x7d1c6ee6d4f209ba, 0xbe038995c18068b0, 27752)),
+    ((16, 8, 1.0, 0.5), 1.0, 4, 72, 20, 80, 1, pt(0xd11d982e3038f3e9, 0x69fc5c1d2291ea54, 38236)),
     ((32, 32, 1.0, 1.0), 2.0, 4, 73, 6, 30, 2, pt(0xa4ebb7e05ef834ce, 0x9b448a0e96633250, 116585)),
 ];
 
