@@ -109,16 +109,12 @@ impl PtLadder {
             let (lo, hi) = self.replicas.split_at_mut(k + 1);
             let a = &mut lo[k];
             let b = &mut hi[0];
-            let wa = *a.weights();
-            let wb = *b.weights();
-            let log_ratio =
-                a.log_weight_with(&wb) + b.log_weight_with(&wa) - a.log_weight() - b.log_weight();
+            let (a_own, a_cross) = a.log_weight_pair(b.weights());
+            let (b_own, b_cross) = b.log_weight_pair(a.weights());
+            let log_ratio = a_cross + b_cross - a_own - b_own;
             if rng.metropolis(log_ratio.exp()) {
                 self.stats.accepted[k] += 1;
-                let sa = a.export_spins();
-                let sb = b.export_spins();
-                a.import_spins(&sb);
-                b.import_spins(&sa);
+                a.swap_spins(b);
                 self.walker_at.swap(k, k + 1);
             }
             k += 2;
@@ -494,8 +490,7 @@ where
         }
         let partner = if pair_k == me { me + 1 } else { me - 1 };
         // Exchange the two cross log-weights.
-        let lw_own = replica.log_weight();
-        let lw_cross = replica.log_weight_with(&neighbor_weights[partner]);
+        let (lw_own, lw_cross) = replica.log_weight_pair(&neighbor_weights[partner]);
         let payload = wire::f64s_to_bytes(&[lw_own, lw_cross]);
         let other = wire::bytes_to_f64s(&comm.sendrecv_bytes(partner, 7, &payload, partner, 7));
         let (lw_partner_own, lw_partner_cross) = (other[0], other[1]);

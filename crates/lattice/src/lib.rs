@@ -40,7 +40,9 @@ pub mod packed;
 
 pub use chain::Chain;
 pub use decomp::{Decomposition, Dir, ProcGrid, Subdomain};
-pub use packed::{parity_mask, transpose64, DoubledRing, LaneCounter, PackedLattice};
+pub use packed::{
+    doubled_mismatches, parity_mask, transpose64, DoubledRing, LaneCounter, PackedLattice,
+};
 pub use square::Square;
 
 /// An undirected bond between two sites, tagged with its checkerboard

@@ -277,23 +277,34 @@ impl DoubledRing {
     }
 
     /// Number of sites `i` whose value differs from site `(i + r) mod n`,
-    /// for any `r ∈ 0..=n`: `Σ_w popcount((x ≫ r) ^ x)` over the ring's
-    /// `⌈n/64⌉` words, the last one masked to the ring length.
+    /// for any `r ∈ 0..=n`: [`doubled_mismatches`] over this scratch.
     pub fn mismatches(&self, r: usize) -> u32 {
-        let n = self.n;
-        assert!(r <= n, "distance {r} exceeds the ring length {n}");
-        let (q, s) = (r / 64, r % 64);
-        let nw = n.div_ceil(64);
-        let tail_mask = !0u64 >> ((64 - n % 64) % 64);
-        let mut count = 0;
-        for w in 0..nw {
-            // Funnel shift: bits r + 64·w .. r + 64·w + 64 of x‖x.
-            let shifted = (self.words[q + w] >> s) | ((self.words[q + w + 1] << 1) << (63 - s));
-            let mask = if w + 1 == nw { tail_mask } else { !0 };
-            count += ((shifted ^ self.words[w]) & mask).count_ones();
-        }
-        count
+        doubled_mismatches(&self.words, self.n, r)
     }
+}
+
+/// Number of sites `i` of a ring of `n` sites, stored doubled (`x‖x` in
+/// bits `0..2n` of `words`, the [`DoubledRing`] layout), whose value
+/// differs from site `(i + r) mod n`, for any `r ∈ 0..=n`:
+/// `Σ_w popcount((x ≫ r) ^ x)` over the ring's `⌈n/64⌉` words, the last one
+/// masked to the ring length.
+///
+/// The reads reach word `r/64 + ⌈n/64⌉`, so `words` must extend that far;
+/// no bit at or past `2n` is counted, whatever it holds, so an engine
+/// that keeps its rows doubled back to back counts them in place.
+pub fn doubled_mismatches(words: &[u64], n: usize, r: usize) -> u32 {
+    assert!(r <= n, "distance {r} exceeds the ring length {n}");
+    let (q, s) = (r / 64, r % 64);
+    let nw = n.div_ceil(64);
+    let tail_mask = !0u64 >> ((64 - n % 64) % 64);
+    let mut count = 0;
+    for w in 0..nw {
+        // Funnel shift: bits r + 64·w .. r + 64·w + 64 of x‖x.
+        let shifted = (words[q + w] >> s) | ((words[q + w + 1] << 1) << (63 - s));
+        let mask = if w + 1 == nw { tail_mask } else { !0 };
+        count += ((shifted ^ words[w]) & mask).count_ones();
+    }
+    count
 }
 
 #[cfg(test)]

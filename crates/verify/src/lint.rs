@@ -12,7 +12,7 @@
 //! | `ckpt-hashmap`      | no `HashMap`/`HashSet` in checkpoint/wire-serialization files (qmc-ckpt, a `Checkpoint` impl, or any file naming the `Encoder`/`Decoder` codec) — iteration order would break the deterministic format |
 //! | `lib-unwrap`        | no `.unwrap()` in library crates' non-test code       |
 //! | `ckpt-unbounded-chain` | no `.write_sections(`/`.write_plan(` in a file that never mentions a `full_every` cadence knob — an unbounded delta chain grows restore cost without limit |
-//! | `hot-scalar-spin-loop` | no per-spin `.metropolis(`/`.bernoulli(` decision inside `#[qmc_hot::hot]` functions — the sanctioned shapes compare raw draws with exact integer thresholds (`qmc_rng::threshold`), bit-identical to the per-spin loop: the TFIM colour kernel (`qmc_tfim`'s `colour.rs`, which batches its draws and resolves without a branch) and the world-line corner-move row kernel (`qmc_worldline`'s `Worldline::corner_row`, one draw per proposal that needs one); or code many replicas a word, the multi-spin-coded `qmc_tfim::packed` (bitwise acceptance, 64 replicas a word); scalar per-spin branching in a hot kernel must be a waived reference path |
+//! | `hot-scalar-spin-loop` | no per-spin `.metropolis(`/`.bernoulli(` decision inside `#[qmc_hot::hot]` functions — the sanctioned shapes compare raw draws with exact integer thresholds (`qmc_rng::threshold`), bit-identical to the per-spin loop: the TFIM colour kernel (`qmc_tfim`'s `colour.rs`, which batches its draws and resolves without a branch) and the world-line chain engine's two walks over its packed rows (`qmc_worldline`'s `Worldline::corner_row`, whose candidate mask marks a row's proposals and which draws once per proposal that needs one, and `Worldline::try_straight_line`, which rejects a kinked column by one mask bit without a draw and decides a straight one on the threshold of its ratio); or code many replicas a word, the multi-spin-coded `qmc_tfim::packed` (bitwise acceptance, 64 replicas a word); scalar per-spin branching in a hot kernel must be a waived reference path |
 //! | `hot-wall-clock`    | no `Instant::now`/`SystemTime::now` inside `#[qmc_hot::hot]` functions, *any* crate — timing belongs in `qmc_obs::span` guards around the kernel, not per-iteration clock reads inside it |
 //! | `net-unbounded-queue` | no `.push(`/`.push_back(` in a network-fed file (`TcpStream`/`TcpListener`/`FrameConn`/`FrameListener`/`recv_frame`) that never mentions a quota — a hostile peer must hit an admission bound, not grow server memory |
 //! | `blocking-recv-no-stop` | no blocking `.recv(`/`.recv_frame(`/`.read(`/`.read_exact(` inside a `loop`/`while` body of a network-fed file that never consults a timeout, stop flag, drain, or deadline — a dead peer parks that loop forever and the thread never re-checks shutdown |
@@ -1238,13 +1238,18 @@ mod tests {
 
     #[test]
     fn lattice_ring_kernel_passes_the_hot_rules() {
-        // `DoubledRing::{load, mismatches}` run once per sweep in every
-        // measuring driver, but qmc-lattice cannot name the attribute: it
-        // has no dependencies, and an edge to qmc-hot would invalidate
+        // `DoubledRing::{load, mismatches}` and `doubled_mismatches` run
+        // once per sweep in every measuring driver, but qmc-lattice cannot
+        // name the attribute: it has no dependencies, and an edge to
+        // qmc-hot would invalidate
         // the frozen benchmark/Cargo.lock (built --locked). The marker is
         // applied here instead, so the same rules still judge the code.
         let mut src = include_str!("../../lattice/src/packed.rs").to_string();
-        for sig in ["pub fn load(&mut self", "pub fn mismatches(&self"] {
+        for sig in [
+            "pub fn load(&mut self",
+            "pub fn mismatches(&self",
+            "pub fn doubled_mismatches(",
+        ] {
             assert_eq!(src.matches(sig).count(), 1, "{sig} moved or was renamed");
             src = src.replace(sig, &format!("#[qmc_hot::hot]\n{sig}"));
         }

@@ -1,6 +1,7 @@
 //! The world-line configuration and its Monte Carlo moves.
 
-use crate::weights::{by_pattern, classify, pattern, PlaqClass, PlaqWeights};
+use crate::weights::{by_pattern, classify, PlaqClass, PlaqWeights};
+use qmc_lattice::parity_mask;
 use qmc_rng::{threshold, Rng64, NO_DRAW};
 
 /// Simulation parameters for the world-line engine.
@@ -32,26 +33,44 @@ impl WorldlineParams {
 /// `(i, i+1)` is active during imaginary-time interval `t → t+1`. Every
 /// site belongs to exactly one active bond per interval, so each spin is a
 /// corner of exactly two shaded cells.
+///
+/// Each spin row is stored bit-packed and twice over, `x‖x` (the layout of
+/// [`qmc_lattice::DoubledRing`], bit 1 ⇔ ↑): site `i` is bit `i` and bit
+/// `i + l` of the row's `2l` bits, so any run of columns starting below
+/// `l` is one contiguous bit field, read with at most a two-word funnel
+/// shift, and the periodic seam needs no wrap case.
 #[derive(Debug, Clone)]
 pub struct Worldline {
     params: WorldlineParams,
     rows: usize,
-    /// Row-major spins: `spins[t * l + i]`, `true` = ↑.
-    spins: Vec<bool>,
+    /// Words per row: `⌈2l/64⌉`, the bits past `2l` zero.
+    row_words: usize,
+    /// Row `t` is `words[t·row_words..(t + 1)·row_words]`; one zero word
+    /// follows the last row, so a two-word read at any row's end stays in
+    /// bounds (what it brings in lies past `2l` and is shifted out).
+    words: Vec<u64>,
     /// Spins changed since the last successful checkpoint snapshot
     /// (conservatively true on construction and after any accepted move
     /// or replica import; cleared only by
     /// [`qmc_ckpt::Checkpoint::mark_clean`]).
     spins_dirty: bool,
     weights: PlaqWeights,
-    /// Sampling weight of a shaded cell by its corner [`pattern`]: what the
-    /// straight-line move multiplies.
-    cell_w: [f64; 16],
+    /// Weight of a diagonal cell, `[parallel, anti-parallel]`: the
+    /// factors a straight-line move multiplies.
+    diag_w: [f64; 2],
+    /// A straight-line move's `(old, new)` products when its column's two
+    /// neighbours are kink-free too, by `first << 1 | second`: each half's
+    /// `m` cells are then all parallel or all anti-parallel (see
+    /// [`Self::try_straight_line`]).
+    straight_pairs: [(f64, f64); 4],
     /// The corner move's acceptance over all 2⁹ neighbourhood spin patterns
     /// (see [`local_move_key`]) as [`threshold`]s on a raw draw: the row
     /// kernel is one table load and one integer compare per proposal, no
     /// classify, divide or float conversion.
     local_thr: Box<[u64; 512]>,
+    /// Bit `i` set when column `i` is not one straight world line (see
+    /// [`Self::mark_kinks`]); rebuilt every sweep after the corner rows.
+    kinks: Vec<u64>,
     /// Local-move acceptance counters (accepted, proposed-with-precondition).
     pub local_accepted: u64,
     /// Local proposals satisfying the flippable precondition.
@@ -69,8 +88,9 @@ pub struct Worldline {
 /// plus the eight surrounding spins: the bottom row of the cell below
 /// (`itd`, `jtd`), the top row of the cell above (`ituu`, `jtuu`), and the
 /// left/right neighbour columns over the two move rows (`imt`, `imtu`,
-/// `jpt`, `jptu`).
-#[inline]
+/// `jpt`, `jptu`). The bit order is the one the row kernel gathers from
+/// its words (see [`Worldline::corner_row`]).
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn local_move_key(
     a0: bool,
@@ -83,15 +103,15 @@ fn local_move_key(
     jpt: bool,
     jptu: bool,
 ) -> usize {
-    (a0 as usize)
-        | (itd as usize) << 1
-        | (jtd as usize) << 2
-        | (ituu as usize) << 3
-        | (jtuu as usize) << 4
-        | (imt as usize) << 5
-        | (imtu as usize) << 6
-        | (jpt as usize) << 7
-        | (jptu as usize) << 8
+    (imt as usize)
+        | (a0 as usize) << 1
+        | (imtu as usize) << 2
+        | (jpt as usize) << 3
+        | (jptu as usize) << 4
+        | (itd as usize) << 5
+        | (jtd as usize) << 6
+        | (ituu as usize) << 7
+        | (jtuu as usize) << 8
 }
 
 /// The corner-move weight ratio of the neighbourhood pattern `key`
@@ -102,7 +122,7 @@ fn local_move_key(
 /// a valid configuration; they get ratio 0.
 fn local_ratio(w: &PlaqWeights, key: usize) -> f64 {
     let bit = |b: usize| (key >> b) & 1 == 1;
-    let (a0, itd, jtd, ituu, jtuu, imt, imtu, jpt, jptu) = (
+    let (imt, a0, imtu, jpt, jptu, itd, jtd, ituu, jtuu) = (
         bit(0),
         bit(1),
         bit(2),
@@ -163,6 +183,98 @@ fn accepts<R: Rng64>(thr: u64, rng: &mut R) -> bool {
     thr == NO_DRAW || (rng.next_u64() >> 11) < thr
 }
 
+/// The 64 bits of the packed row at word `base` that start at bit `p`
+/// (`p < 2l`): a funnel shift over two words. `(x << 1) << (63 − s)` is
+/// `x << (64 − s)` without the overlong shift at `s = 0`, where it is 0.
+#[inline(always)]
+fn bits_at(words: &[u64], base: usize, p: usize) -> u64 {
+    let (q, s) = (base + p / 64, p % 64);
+    (words[q] >> s) | ((words[q + 1] << 1) << (63 - s))
+}
+
+/// Sites `first − 1 .. first + 63` of the packed row at `base` as bits
+/// `0..64`, site `−1` being site `l − 1`: a candidate `first + b` with
+/// `b ≤ 60` finds its four-site field at bit `b`.
+#[inline(always)]
+fn window(words: &[u64], base: usize, l: usize, first: usize) -> u64 {
+    if first == 0 {
+        bits_at(words, base, 0) << 1 | (words[base + (l - 1) / 64] >> ((l - 1) % 64)) & 1
+    } else {
+        bits_at(words, base, first - 1)
+    }
+}
+
+/// Bit `b` set for each non-zero `bytes[b]`, for up to 64 bytes: eight
+/// at a time, gathered by one multiply.
+fn bits_of(bytes: &[u8]) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let chunks = bytes.chunks_exact(8);
+    let (tail, done) = (chunks.remainder(), bytes.len() & !7);
+    let mut x = 0;
+    for (j, chunk) in chunks.enumerate() {
+        let v = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        // Bit 0 of each byte: is the byte non-zero.
+        let nz = ((((v & LOW7) + LOW7) | v) >> 7) & 0x0101_0101_0101_0101;
+        // Byte k's bit lands at bit 56 + k, with no carry into the top byte.
+        x |= (nz.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j);
+    }
+    for (b, &v) in tail.iter().enumerate() {
+        x |= ((v != 0) as u64) << (done + b);
+    }
+    x
+}
+
+/// Byte `k` of `SPREAD[x]` is bit `k` of the byte `x`, as 0 or 1.
+const SPREAD: [u64; 256] = {
+    let mut table = [0; 256];
+    let mut x = 0;
+    while x < 256 {
+        let mut k = 0;
+        while k < 8 {
+            table[x] |= ((x as u64 >> k) & 1) << (8 * k);
+            k += 1;
+        }
+        x += 1;
+    }
+    table
+};
+
+/// Write bits `0..out.len()` of `x` (at most 64) into `out`, one byte
+/// each, as 0 or 1: eight at a time, from [`SPREAD`].
+fn spread_into(x: u64, out: &mut [u8]) {
+    let done = out.len() & !7;
+    let mut chunks = out.chunks_exact_mut(8);
+    for (j, chunk) in chunks.by_ref().enumerate() {
+        chunk.copy_from_slice(&SPREAD[(x >> (8 * j)) as u8 as usize].to_le_bytes());
+    }
+    for (b, v) in chunks.into_remainder().iter_mut().enumerate() {
+        *v = (x >> (done + b)) as u8 & 1;
+    }
+}
+
+/// XOR `mask << p` into the packed row at word `base`; a two-bit `mask`
+/// may straddle a word.
+#[inline(always)]
+fn xor_at(words: &mut [u64], base: usize, p: usize, mask: u64) {
+    let (q, s) = (base + p / 64, p % 64);
+    words[q] ^= mask << s;
+    words[q + 1] ^= (mask >> 1) >> (63 - s);
+}
+
+/// Flip sites `i` and `i + 1` (mod `l`) of the packed row at `base`, in
+/// both copies.
+#[inline(always)]
+fn flip_pair(words: &mut [u64], base: usize, l: usize, i: usize) {
+    // Bits i, i + 1: at i = l − 1 the second is site 0's second copy.
+    xor_at(words, base, i, 0b11);
+    if i + 1 < l {
+        xor_at(words, base, i + l, 0b11);
+    } else {
+        xor_at(words, base, 0, 1);
+        xor_at(words, base, 2 * l - 1, 1);
+    }
+}
+
 impl Worldline {
     /// Create a configuration in the Néel state (a valid, `M = 0`,
     /// zero-winding starting point).
@@ -178,26 +290,47 @@ impl Worldline {
         assert!(params.m >= 2, "need at least two Trotter steps");
         assert!(params.beta > 0.0, "β must be positive");
         let rows = 2 * params.m;
-        let mut spins = vec![false; rows * params.l];
-        for t in 0..rows {
-            for i in (0..params.l).step_by(2) {
-                spins[t * params.l + i] = true;
-            }
-        }
+        let row_words = params.l.div_ceil(32);
         let weights = PlaqWeights::new(params.jx, params.jz, params.dtau());
-        Self {
+        let diag_w = [
+            weights.weight(PlaqClass::DiagonalParallel),
+            weights.weight(PlaqClass::DiagonalAnti),
+        ];
+        let mut w = Self {
             params,
             rows,
-            spins,
+            row_words,
+            words: vec![0; rows * row_words + 1],
             spins_dirty: true,
             weights,
-            cell_w: by_pattern(|class| weights.weight(class)),
+            diag_w,
+            // The general walk's multiplications, in its order, for
+            // halves of constant anti-parallel bit.
+            straight_pairs: std::array::from_fn(|k| {
+                let (mut old, mut new) = (1.0, 1.0);
+                for anti in [k >> 1, k & 1] {
+                    for _ in 0..params.m {
+                        old *= diag_w[anti];
+                        new *= diag_w[anti ^ 1];
+                    }
+                }
+                (old, new)
+            }),
             local_thr: local_thresholds(&weights),
+            kinks: vec![0; params.l.div_ceil(64)],
             local_accepted: 0,
             local_proposed: 0,
             straight_accepted: 0,
             straight_proposed: 0,
+        };
+        // Néel: site i is up for even i, so bit b of a doubled row is
+        // up for even b (l is even).
+        let doubled = 2 * params.l;
+        for (k, word) in w.words[..rows * row_words].iter_mut().enumerate() {
+            let first = 64 * (k % row_words);
+            *word = 0x5555_5555_5555_5555 & (!0 >> (64 - (doubled - first).min(64)));
         }
+        w
     }
 
     /// Parameters.
@@ -218,19 +351,59 @@ impl Worldline {
     /// Spin at site `i`, row `t`.
     #[inline]
     pub fn spin(&self, i: usize, t: usize) -> bool {
-        self.spins[t * self.params.l + i]
+        (self.words[t * self.row_words + i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// The `l` spins of row `t`.
+    /// The packed words from row `t` on: the row's doubled ring (bits
+    /// `0..2l`) followed by further words whose bits are never needed.
     #[inline]
-    pub(crate) fn row(&self, t: usize) -> &[bool] {
-        &self.spins[t * self.params.l..(t + 1) * self.params.l]
+    pub(crate) fn doubled_row(&self, t: usize) -> &[u64] {
+        &self.words[t * self.row_words..]
     }
 
-    #[inline]
+    #[cfg(test)]
     fn flip(&mut self, i: usize, t: usize) {
-        let idx = t * self.params.l + i;
-        self.spins[idx] = !self.spins[idx];
+        let (base, l) = (t * self.row_words, self.params.l);
+        xor_at(&mut self.words, base, i, 1);
+        xor_at(&mut self.words, base, i + l, 1);
+    }
+
+    /// Replace the configuration with `bytes`, one per spin, row-major
+    /// (non-zero = ↑), 64 sites to a word.
+    fn pack(&mut self, bytes: &[u8]) {
+        let (l, nw) = (self.params.l, self.row_words);
+        self.words.fill(0);
+        for (t, row) in bytes.chunks_exact(l).enumerate() {
+            let base = t * nw;
+            for (k, sites) in row.chunks(64).enumerate() {
+                let x = bits_of(sites);
+                self.words[base + k] |= x;
+                // The second copy starts at bit l + 64k; its bits all lie
+                // below 2l, so the second word written is still this row's.
+                let (q, s) = (base + (l + 64 * k) / 64, (l + 64 * k) % 64);
+                self.words[q] |= x << s;
+                self.words[q + 1] |= (x >> 1) >> (63 - s);
+            }
+        }
+    }
+
+    /// Visit the spins row-major as bytes, one per spin (1 = ↑), a few
+    /// hundred at a time: the replica-exchange and checkpoint layout.
+    fn spin_bytes(&self, mut f: impl FnMut(&[u8])) {
+        let (l, nw) = (self.params.l, self.row_words);
+        let (mut buf, mut fill) = ([0; 512], 0);
+        for t in 0..self.rows {
+            for first in (0..l).step_by(64) {
+                let n = (l - first).min(64);
+                if fill + n > buf.len() {
+                    f(&buf[..fill]);
+                    fill = 0;
+                }
+                spread_into(self.words[t * nw + first / 64], &mut buf[fill..fill + n]);
+                fill += n;
+            }
+        }
+        f(&buf[..fill]);
     }
 
     #[inline]
@@ -257,27 +430,35 @@ impl Worldline {
         )
     }
 
-    /// Visit the corner [`pattern`] of every shaded cell in row-major
-    /// order (rows ascending, cells left to right — the order every sum
-    /// over cells is taken in, so part of its bits).
+    /// Visit the corner [`pattern`](crate::weights::pattern) of every
+    /// shaded cell in row-major order (rows ascending, cells left to right
+    /// — the order every sum over cells is taken in, so part of its bits).
+    ///
+    /// The cells of row `t` start at site `t mod 2` and take two sites
+    /// each, so one 64-bit read of the bottom and of the top row from
+    /// there holds the corner pairs of 32 cells, two bits apiece (the seam
+    /// cell's right site is the second copy's site 0).
     ///
     /// Always inlined: the visitor's running sums have to stay in registers,
     /// and through a call they are loaded and stored once per cell.
     #[qmc_hot::hot]
     #[inline(always)]
     pub(crate) fn for_each_pattern<F: FnMut(usize)>(&self, mut f: F) {
-        let l = self.params.l;
+        let (l, nw) = (self.params.l, self.row_words);
         for t in 0..self.rows {
-            let (bottom, top) = (self.row(t), self.row(self.row_up(t)));
-            // The seam cell `(l − 1, 0)` of an odd row is taken out of the
-            // loop: a wrap test per cell costs these walks a quarter.
-            let mut i = t % 2;
-            while i + 1 < l {
-                f(pattern((bottom[i], bottom[i + 1]), (top[i], top[i + 1])));
-                i += 2;
-            }
-            if i < l {
-                f(pattern((bottom[i], bottom[0]), (top[i], top[0])));
+            let (bottom, top) = (t * nw, self.row_up(t) * nw);
+            let (mut left, mut first) = (l / 2, t % 2);
+            while left > 0 {
+                let mut b = bits_at(&self.words, bottom, first);
+                let mut h = bits_at(&self.words, top, first);
+                let cells = left.min(32);
+                for _ in 0..cells {
+                    f((b & 3 | (h & 3) << 2) as usize);
+                    b >>= 2;
+                    h >>= 2;
+                }
+                left -= cells;
+                first += 64;
             }
         }
     }
@@ -302,9 +483,27 @@ impl Worldline {
         s
     }
 
-    /// Export the spin configuration as bytes (replica-exchange payload).
+    /// `(`[`Self::log_weight`]`, `[`Self::log_weight_with`]`(other))` from
+    /// one walk with two accumulators: what a tempering exchange compares.
+    /// Each sum takes the cells in the order of its single-table walk, so
+    /// both have the bits those return.
+    pub fn log_weight_pair(&self, other: &PlaqWeights) -> (f64, f64) {
+        let own_ln = by_pattern(|class| self.weights.ln_weight(class));
+        let other_ln = by_pattern(|class| other.ln_weight(class));
+        let (mut own, mut cross) = (0.0, 0.0);
+        self.for_each_pattern(|p| {
+            own += own_ln[p];
+            cross += other_ln[p];
+        });
+        (own, cross)
+    }
+
+    /// Export the spin configuration as bytes (replica-exchange payload),
+    /// one per spin, row-major.
     pub fn export_spins(&self) -> Vec<u8> {
-        self.spins.iter().map(|&s| s as u8).collect()
+        let mut out = Vec::with_capacity(self.rows * self.params.l);
+        self.spin_bytes(|bytes| out.extend_from_slice(bytes));
+        out
     }
 
     /// Import a spin configuration previously produced by
@@ -312,14 +511,27 @@ impl Worldline {
     pub fn import_spins(&mut self, bytes: &[u8]) {
         assert_eq!(
             bytes.len(),
-            self.spins.len(),
+            self.rows * self.params.l,
             "configuration size mismatch (different l or m?)"
         );
-        for (dst, &b) in self.spins.iter_mut().zip(bytes) {
-            *dst = b != 0;
-        }
+        self.pack(bytes);
         self.spins_dirty = true;
         debug_assert!(self.log_weight().is_finite(), "imported invalid config");
+    }
+
+    /// Exchange configurations with `other`, an engine of the same `(l, m)`:
+    /// what [`Self::export_spins`] and [`Self::import_spins`] do both ways
+    /// for a tempering swap, as two swapped buffers. Both are marked dirty,
+    /// as an import marks them.
+    pub fn swap_spins(&mut self, other: &mut Worldline) {
+        assert_eq!(
+            (self.params.l, self.params.m),
+            (other.params.l, other.params.m),
+            "configuration size mismatch (different l or m?)"
+        );
+        std::mem::swap(&mut self.words, &mut other.words);
+        self.spins_dirty = true;
+        other.spins_dirty = true;
     }
 
     /// Reference weight ratio for the local corner move on unshaded cell
@@ -372,6 +584,7 @@ impl Worldline {
         for t in 0..self.rows {
             self.corner_row(t, rng);
         }
+        self.mark_kinks();
         for _ in 0..l {
             let i = rng.index(l);
             self.try_straight_line(i, rng);
@@ -403,75 +616,129 @@ impl Worldline {
     ///
     /// A cell `(i, t)` with a vertical world-line segment on exactly one
     /// side (`s(i,·) = a0`, `s(j,·) = ¬a0` on rows `t` and `t+1`) is a
-    /// proposal; its nine-spin neighbourhood indexes the threshold table
-    /// and [`accepts`] decides it.
+    /// proposal. One candidate mask per 64 sites,
+    /// `eq & eq≫1 & (lo ⊕ lo≫1) & parity` with `eq = ¬(lo ⊕ hi)`, marks
+    /// them all; it stays exact while the row's moves are made, because a
+    /// cell's test reads only its own two sites and only it flips them.
+    /// Candidates go in ascending order (`trailing_zeros`); each gathers
+    /// its nine-spin key from the live rows — sites `i − 1..i + 2` are one
+    /// four-bit field per row, shifted out of a [`window`] that an accepted
+    /// move reloads, so a neighbour an earlier move flipped is read
+    /// flipped — and [`accepts`] decides it.
     #[qmc_hot::hot]
     fn corner_row<R: Rng64>(&mut self, t: usize, rng: &mut R) {
-        let l = self.params.l;
+        let (l, nw) = (self.params.l, self.row_words);
         let tu = self.row_up(t);
         // Distinct rows because m ≥ 2.
-        let row = |t: usize| t * l..(t + 1) * l;
-        let rows = [row(self.row_down(t)), row(t), row(tu), row(self.row_up(tu))];
-        let [down, lo, hi, up] = self
-            .spins
-            .get_disjoint_mut(rows)
-            .expect("four distinct rows");
+        let (down, lo, hi, up) = (self.row_down(t) * nw, t * nw, tu * nw, self.row_up(tu) * nw);
+        let (words, thr) = (&mut self.words, &self.local_thr);
         let (mut proposed, mut accepted) = (0, 0);
-        let mut i = (t + 1) % 2;
-        while i < l {
-            let j = succ(i, l);
-            let (a0, b0) = (lo[i], lo[j]);
-            if a0 == hi[i] && b0 == hi[j] && a0 != b0 {
-                proposed += 1;
-                let (im, jp) = (pred(i, l), succ(j, l));
-                let thr = self.local_thr[local_move_key(
-                    a0, down[i], down[j], up[i], up[j], lo[im], hi[im], lo[jp], hi[jp],
-                )];
-                if accepts(thr, rng) {
+        for first in (0..l).step_by(64) {
+            let (a, b) = (bits_at(words, lo, first), bits_at(words, hi, first));
+            let (a1, b1) = (bits_at(words, lo, first + 1), bits_at(words, hi, first + 1));
+            let in_row = !0u64 >> (64 - (l - first).min(64));
+            let mut cand = !(a ^ b) & !(a1 ^ b1) & (a ^ a1) & parity_mask(t + 1) & in_row;
+            proposed += cand.count_ones() as u64;
+            let (mut wlo, mut whi) = (window(words, lo, l, first), window(words, hi, l, first));
+            let (wdn, wup) = (window(words, down, l, first), window(words, up, l, first));
+            while cand != 0 {
+                let b = cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                let i = first + b;
+                // Sites i − 1, i, i + 1, i + 2 as bits 0..4.
+                let (lo4, hi4, dn4, up4) = if b <= 60 {
+                    (wlo >> b, whi >> b, wdn >> b, wup >> b)
+                } else {
+                    let field = |base| bits_at(words, base, i - 1);
+                    (field(lo), field(hi), field(down), field(up))
+                };
+                let key = (lo4 & 0b1011)
+                    | (hi4 & 1) << 2
+                    | (hi4 & 8) << 1
+                    | (dn4 & 6) << 4
+                    | (up4 & 6) << 6;
+                if accepts(thr[key as usize], rng) {
                     // Both columns are constant over the two rows and
                     // opposite, so flipping the four corners swaps them.
-                    (lo[i], hi[i]) = (b0, b0);
-                    (lo[j], hi[j]) = (a0, a0);
+                    flip_pair(words, lo, l, i);
+                    flip_pair(words, hi, l, i);
+                    (wlo, whi) = (window(words, lo, l, first), window(words, hi, l, first));
                     accepted += 1;
                 }
             }
-            i += 2;
         }
         self.local_proposed += proposed;
         self.local_accepted += accepted;
     }
 
+    /// Rebuild the kink mask: bit `i` of `OR_t (row_t ⊕ row_0)` is set
+    /// when column `i` is not one straight world line.
+    ///
+    /// In a valid configuration a column changes between rows `t` and
+    /// `t + 1` exactly when its shaded cell of that interval is a
+    /// [`PlaqClass::Flip`] (the only allowed class whose top differs from
+    /// its bottom), so the bit marks a column with a flip cell beside it.
+    /// A straight-line move there is a forbidden cell, a ratio of exactly
+    /// 0; flipping a kink-free column keeps every cell diagonal, so the
+    /// mask holds for all of a sweep's straight-line attempts.
+    #[qmc_hot::hot]
+    fn mark_kinks(&mut self) {
+        let nw = self.row_words;
+        for (k, kinks) in self.kinks.iter_mut().enumerate() {
+            let row0 = self.words[k];
+            *kinks = (1..self.rows).fold(0, |acc, t| acc | (self.words[t * nw + k] ^ row0));
+        }
+    }
+
     /// Attempt the straight-line move: flip site `i` on every row
     /// (changes total magnetization by ±1 world line).
     ///
-    /// Column `i` is a corner of one shaded cell per interval: the cell
-    /// with left site `i` on rows `t ≡ i (mod 2)` (column `i` is its left
-    /// column) and the one with left site `i − 1` on the others (its right
-    /// column). Both products start at 1 and take the cells in ascending
-    /// `(left site, row)` order — for `i = 0` site 0's cells come before
-    /// site `l − 1`'s — which fixes the bits of the ratio.
+    /// A kinked column ([`Self::mark_kinks`]) has ratio 0: rejected
+    /// without a draw. Otherwise column `i` is a corner of one diagonal
+    /// cell per interval: the cell with left site `i` on rows
+    /// `t ≡ i (mod 2)` and the one with left site `i − 1` on the others.
+    /// Each weighs parallel or anti-parallel by its two sites on its
+    /// bottom row, and the flip swaps the two. Both products start at 1 and
+    /// take the cells in ascending `(left site, row)` order — for `i = 0`
+    /// site 0's cells come before site `l − 1`'s — which fixes the bits of
+    /// the ratio. When both neighbours of the column are kink-free too,
+    /// each of the two halves is all parallel or all anti-parallel, and the
+    /// products are [`Self::straight_pairs`], taken in that same order. An
+    /// accepted move is two XORs per row.
     #[qmc_hot::hot]
     fn try_straight_line<R: Rng64>(&mut self, i: usize, rng: &mut R) {
         self.straight_proposed += 1;
-        let l = self.params.l;
-        let own = (i, 0b0101);
-        let left = (pred(i, l), 0b1010);
-        let (mut old, mut new) = (1.0, 1.0);
-        for (c, column) in if i == 0 { [own, left] } else { [left, own] } {
-            let j = succ(c, l);
-            for t in (c % 2..self.rows).step_by(2) {
-                let (bottom, top) = (self.row(t), self.row(self.row_up(t)));
-                let p = pattern((bottom[c], bottom[j]), (top[c], top[j]));
-                old *= self.cell_w[p];
-                new *= self.cell_w[p ^ column];
-            }
+        let kinked = |c: usize| (self.kinks[c / 64] >> (c % 64)) & 1 == 1;
+        if kinked(i) {
+            return;
         }
+        let (l, nw) = (self.params.l, self.row_words);
+        let (left, right) = (pred(i, l), succ(i, l));
+        let halves = if i == 0 { [i, left] } else { [left, i] };
+        let (old, new) = if !kinked(left) && !kinked(right) {
+            let anti = |c: usize| (self.spin(c, 0) ^ self.spin(succ(c, l), 0)) as usize;
+            self.straight_pairs[anti(halves[0]) << 1 | anti(halves[1])]
+        } else {
+            let (mut old, mut new) = (1.0, 1.0);
+            for c in halves {
+                // Sites c and c + 1 (at the seam, the second copy's site
+                // 0) of rows c mod 2, c mod 2 + 2, …
+                let (qc, sc, qd, sd) = (c / 64, c % 64, (c + 1) / 64, (c + 1) % 64);
+                for row in self.words[(c % 2) * nw..self.rows * nw].chunks(2 * nw) {
+                    let anti = (((row[qc] >> sc) ^ (row[qd] >> sd)) & 1) as usize;
+                    old *= self.diag_w[anti];
+                    new *= self.diag_w[anti ^ 1];
+                }
+            }
+            (old, new)
+        };
         debug_assert!(old > 0.0, "current configuration must be valid");
         let ratio = new / old;
-        // lint: allow(hot-scalar-spin-loop) — straight-line move flips a whole column per decision, not one spin
-        if ratio > 0.0 && rng.metropolis(ratio) {
-            for t in 0..self.rows {
-                self.flip(i, t);
+        if ratio > 0.0 && accepts(threshold(ratio), rng) {
+            let (own, copy) = (1u64 << (i % 64), 1u64 << ((i + l) % 64));
+            for row in self.words[..self.rows * nw].chunks_exact_mut(nw) {
+                row[i / 64] ^= own;
+                row[(i + l) / 64] ^= copy;
             }
             self.straight_accepted += 1;
         }
@@ -562,7 +829,9 @@ impl qmc_ckpt::Checkpoint for Worldline {
 
     fn save_section(&self, name: &str, enc: &mut qmc_ckpt::Encoder) {
         match name {
-            "spins" => enc.bools(&self.spins),
+            // One byte per spin, length-prefixed: the layout of
+            // `Encoder::bools`, whose count is its byte length.
+            "spins" => enc.prefixed(|enc| self.spin_bytes(|bytes| enc.raw(bytes))),
             "counters" => {
                 enc.u64(self.local_accepted);
                 enc.u64(self.local_proposed);
@@ -581,18 +850,20 @@ impl qmc_ckpt::Checkpoint for Worldline {
         match name {
             "spins" => {
                 let spins = dec.bools()?;
-                if spins.len() != self.spins.len() {
+                let cells = self.rows * self.params.l;
+                if spins.len() != cells {
                     return Err(qmc_ckpt::CkptError::corrupt(format!(
-                        "worldline spins: engine has {} cells, checkpoint has {}",
-                        self.spins.len(),
+                        "worldline spins: engine has {cells} cells, checkpoint has {}",
                         spins.len()
                     )));
                 }
                 // Judged in place of the current spins, which go back
                 // untouched if the candidate is refused.
-                let current = std::mem::replace(&mut self.spins, spins);
+                let current = self.words.clone();
+                let bytes: Vec<u8> = spins.iter().map(|&s| s as u8).collect();
+                self.pack(&bytes);
                 if !self.log_weight().is_finite() {
-                    self.spins = current;
+                    self.words = current;
                     return Err(qmc_ckpt::CkptError::corrupt(
                         "worldline checkpoint is not a valid configuration",
                     ));
@@ -621,7 +892,8 @@ impl qmc_ckpt::Checkpoint for Worldline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qmc_rng::Xoshiro256StarStar;
+    use crate::weights::pattern;
+    use qmc_rng::{CountingRng, Xoshiro256StarStar};
 
     /// The replica step as it was before the table-driven walks, kept as
     /// the oracle they are compared against: the generic sorted-cell-list
@@ -769,10 +1041,104 @@ mod tests {
         }
     }
 
-    /// `(l, m, jx, jz, β)`: the shapes `tests/trajectory_pins.rs` pins, a
-    /// second `l = 4` chain (every neighbour index wraps) and `Jx = 0`
-    /// (`w_flip = 0`: ratios of exactly 0, which still consume a draw).
-    const SHAPES: [(usize, usize, f64, f64, f64); 9] = [
+    /// The replica step's moves as they were before the rows were packed
+    /// into words, kept as the oracle the packed walks are compared
+    /// against: one `bool` per spin, row-major; the corner moves cell by
+    /// cell over neighbour indices, and the straight-line products over
+    /// every cell of the column by a 16-entry table.
+    #[derive(Clone)]
+    struct BoolRows {
+        l: usize,
+        rows: usize,
+        spins: Vec<bool>,
+        cell_w: [f64; 16],
+        local_thr: Box<[u64; 512]>,
+        counters: [u64; 4],
+    }
+
+    impl BoolRows {
+        fn of(w: &Worldline) -> Self {
+            Self {
+                l: w.params.l,
+                rows: w.rows,
+                spins: w.export_spins().iter().map(|&b| b != 0).collect(),
+                cell_w: by_pattern(|class| w.weights.weight(class)),
+                local_thr: w.local_thr.clone(),
+                counters: w.counters(),
+            }
+        }
+
+        fn row(&self, t: usize) -> &[bool] {
+            &self.spins[t * self.l..(t + 1) * self.l]
+        }
+
+        fn corner_row<R: Rng64>(&mut self, t: usize, rng: &mut R) {
+            let l = self.l;
+            let tu = succ(t, self.rows);
+            let row = |t: usize| t * l..(t + 1) * l;
+            let rows = [
+                row(pred(t, self.rows)),
+                row(t),
+                row(tu),
+                row(succ(tu, self.rows)),
+            ];
+            let [down, lo, hi, up] = self
+                .spins
+                .get_disjoint_mut(rows)
+                .expect("four distinct rows");
+            let (mut proposed, mut accepted) = (0, 0);
+            let mut i = (t + 1) % 2;
+            while i < l {
+                let j = succ(i, l);
+                let (a0, b0) = (lo[i], lo[j]);
+                if a0 == hi[i] && b0 == hi[j] && a0 != b0 {
+                    proposed += 1;
+                    let (im, jp) = (pred(i, l), succ(j, l));
+                    let thr = self.local_thr[local_move_key(
+                        a0, down[i], down[j], up[i], up[j], lo[im], hi[im], lo[jp], hi[jp],
+                    )];
+                    if accepts(thr, rng) {
+                        (lo[i], hi[i]) = (b0, b0);
+                        (lo[j], hi[j]) = (a0, a0);
+                        accepted += 1;
+                    }
+                }
+                i += 2;
+            }
+            self.counters[1] += proposed;
+            self.counters[0] += accepted;
+        }
+
+        fn try_straight_line<R: Rng64>(&mut self, i: usize, rng: &mut R) {
+            self.counters[3] += 1;
+            let l = self.l;
+            let own = (i, 0b0101);
+            let left = (pred(i, l), 0b1010);
+            let (mut old, mut new) = (1.0, 1.0);
+            for (c, column) in if i == 0 { [own, left] } else { [left, own] } {
+                let j = succ(c, l);
+                for t in (c % 2..self.rows).step_by(2) {
+                    let (bottom, top) = (self.row(t), self.row(succ(t, self.rows)));
+                    let p = pattern((bottom[c], bottom[j]), (top[c], top[j]));
+                    old *= self.cell_w[p];
+                    new *= self.cell_w[p ^ column];
+                }
+            }
+            let ratio = new / old;
+            if ratio > 0.0 && rng.metropolis(ratio) {
+                for t in 0..self.rows {
+                    self.spins[t * l + i] ^= true;
+                }
+                self.counters[2] += 1;
+            }
+        }
+    }
+
+    /// `(l, m, jx, jz, β)`: the shapes `tests/trajectory_pins.rs` pins
+    /// (rows of one, two and three words among them), a second `l = 4`
+    /// chain (every neighbour index wraps) and `Jx = 0` (`w_flip = 0`:
+    /// ratios of exactly 0, which still consume a draw).
+    const SHAPES: [(usize, usize, f64, f64, f64); 11] = [
         (32, 32, 1.0, 1.0, 2.0),
         (32, 32, 1.0, 1.0, 2.4),
         (4, 2, 1.0, 0.7, 1.3),
@@ -780,12 +1146,117 @@ mod tests {
         (8, 4, 0.6, 1.0, 1.0),
         (16, 8, 1.0, 0.3, 4.0),
         (64, 16, 1.0, 1.0, 1.0),
+        (66, 8, 1.0, 1.0, 1.0),
+        (130, 6, 1.0, 0.8, 1.5),
         (4, 3, 1.0, 1.0, 2.0),
         (8, 4, 0.0, 1.0, 1.0),
     ];
 
+    /// The packed layout's invariant: each row's bits `l..2l` repeat bits
+    /// `0..l`, and every bit past them, the trailing word included, is 0.
+    fn assert_doubled(w: &Worldline, at: &str) {
+        let (l, nw) = (w.params.l, w.row_words);
+        for t in 0..w.rows {
+            let row = &w.words[t * nw..(t + 1) * nw];
+            let bit = |b: usize| (row[b / 64] >> (b % 64)) & 1;
+            for b in 0..64 * nw {
+                let want = if b < 2 * l { bit(b % l) } else { 0 };
+                assert_eq!(bit(b), want, "l = {l}, row {t}, bit {b} after {at}");
+            }
+        }
+        assert_eq!(w.words[w.rows * nw], 0, "trailing word after {at}");
+    }
+
     fn shape((l, m, jx, jz, beta): (usize, usize, f64, f64, f64)) -> Worldline {
         Worldline::new(WorldlineParams { l, jx, jz, beta, m })
+    }
+
+    #[test]
+    fn packed_walks_follow_the_bool_row_kernel_move_for_move() {
+        // From copies of one generator: after every corner row and every
+        // straight-line attempt the spins, the four counters and the
+        // draws served agree, and both copies of every row still match.
+        for (k, &case) in SHAPES.iter().enumerate() {
+            let mut packed = shape(case);
+            let mut bools = BoolRows::of(&packed);
+            let mut rng = CountingRng::new(Xoshiro256StarStar::new(800 + k as u64));
+            let mut rng_b = rng.clone();
+            let l = case.0;
+            let sweeps = if l > 64 { 60 } else { 150 };
+            for sweep in 0..sweeps {
+                let agree = |p: &Worldline, b: &BoolRows, draws: (u64, u64), at: &str| {
+                    assert!(
+                        p.export_spins()
+                            .iter()
+                            .map(|&s| s != 0)
+                            .eq(b.spins.iter().copied()),
+                        "{case:?}: spins after {at}"
+                    );
+                    assert_eq!(p.counters(), b.counters, "{case:?}: counters after {at}");
+                    assert_eq!(draws.0, draws.1, "{case:?}: draws after {at}");
+                    assert_doubled(p, at);
+                };
+                for t in 0..packed.rows {
+                    packed.corner_row(t, &mut rng);
+                    bools.corner_row(t, &mut rng_b);
+                    let at = format!("sweep {sweep} row {t}");
+                    agree(&packed, &bools, (rng.draws, rng_b.draws), &at);
+                }
+                packed.mark_kinks();
+                for attempt in 0..l {
+                    let i = rng.index(l);
+                    assert_eq!(i, rng_b.index(l));
+                    packed.try_straight_line(i, &mut rng);
+                    bools.try_straight_line(i, &mut rng_b);
+                    let at = format!("sweep {sweep} attempt {attempt}");
+                    agree(&packed, &bools, (rng.draws, rng_b.draws), &at);
+                }
+            }
+            let [local, _, straight, _] = bools.counters;
+            assert!(straight > 0, "{case:?}: no straight-line move accepted");
+            assert!(
+                case.2 == 0.0 || local > 0,
+                "{case:?}: no corner move accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn spins_cross_as_bytes_and_swap_as_buffers_in_both_copies() {
+        for (k, &case) in SHAPES.iter().enumerate() {
+            let (l, neel) = (case.0, shape(case));
+            let mut a = shape(case);
+            assert_doubled(&a, "construction");
+            let mut rng = Xoshiro256StarStar::new(600 + k as u64);
+            for _ in 0..20 {
+                a.sweep(&mut rng);
+            }
+            let bytes = a.export_spins();
+            assert_eq!(bytes.len(), a.rows * l);
+            for (n, &b) in bytes.iter().enumerate() {
+                assert_eq!(b, a.spin(n % l, n / l) as u8, "{case:?}: byte {n}");
+            }
+            // Any non-zero byte is an up spin.
+            let up = 1 + (k * 37 % 255) as u8;
+            let loud: Vec<u8> = bytes.iter().map(|&b| b * up).collect();
+            let mut b = shape(case);
+            b.import_spins(&loud);
+            assert_eq!(b.words, a.words, "{case:?}: import");
+            assert_doubled(&b, "import");
+            let mut c = shape(case);
+            c.spins_dirty = false;
+            b.spins_dirty = false;
+            c.swap_spins(&mut b);
+            assert_eq!(
+                (&c.words, &b.words),
+                (&a.words, &neel.words),
+                "{case:?}: swap"
+            );
+            assert!(
+                b.spins_dirty && c.spins_dirty,
+                "{case:?}: a swap dirties both"
+            );
+        }
     }
 
     #[test]
@@ -798,7 +1269,7 @@ mod tests {
             let start = (shape(case), Xoshiro256StarStar::new(900 + k as u64));
             let (mut new, mut old, mut whole) = (start.clone(), start.clone(), start);
             let agree = |(a, rng_a): &(Worldline, _), (b, rng_b): &(Worldline, _), at: &str| {
-                assert_eq!(a.spins, b.spins, "{case:?}: spins after {at}");
+                assert_eq!(a.words, b.words, "{case:?}: spins after {at}");
                 assert_eq!(a.counters(), b.counters(), "{case:?}: counters after {at}");
                 assert_eq!(rng_a, rng_b, "{case:?}: draws after {at}");
             };
@@ -809,6 +1280,7 @@ mod tests {
                     old.0.corner_row_cell_by_cell(t, &mut old.1);
                     agree(&new, &old, &format!("sweep {sweep} row {t}"));
                 }
+                new.0.mark_kinks();
                 for attempt in 0..l {
                     let i = new.1.index(l);
                     assert_eq!(i, old.1.index(l));
@@ -895,11 +1367,13 @@ mod tests {
             let mut rng = Xoshiro256StarStar::new(950 + k as u64);
             for sweep in 0..60 {
                 w.sweep(&mut rng);
-                for weights in [w.weights, other] {
+                let (own, cross) = w.log_weight_pair(&other);
+                for (weights, paired) in [(w.weights, own), (other, cross)] {
                     let (table, cells) = (
                         w.log_weight_with(&weights),
                         w.log_weight_cell_by_cell(&weights),
                     );
+                    assert_eq!(paired.to_bits(), table.to_bits(), "{case:?} sweep {sweep}");
                     assert!(table.is_finite());
                     assert_eq!(
                         table.to_bits(),

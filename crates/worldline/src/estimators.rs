@@ -7,7 +7,7 @@
 
 use crate::engine::Worldline;
 use crate::weights::by_pattern;
-use qmc_lattice::DoubledRing;
+use qmc_lattice::doubled_mismatches;
 use qmc_stats::jackknife_pair;
 
 /// One sweep's measurements.
@@ -83,9 +83,8 @@ pub struct TimeSeries {
     /// chunks below this mark are immutable and checkpoint as clean.
     clean_rows: usize,
     /// Scratch of [`TimeSeries::record_correlations`], sized once and
-    /// never checkpointed: one bit-packed spin row, and the anti-parallel
-    /// pair count per distance summed over the rows of a configuration.
-    ring: DoubledRing,
+    /// never checkpointed: the anti-parallel pair count per distance
+    /// summed over the rows of a configuration.
     mismatches: Vec<u64>,
 }
 
@@ -110,7 +109,6 @@ impl TimeSeries {
             corr_sum: vec![0.0; l / 2 + 1],
             corr_count: 0,
             clean_rows: 0,
-            ring: DoubledRing::new(l),
             mismatches: vec![0; l / 2 + 1],
         }
     }
@@ -125,8 +123,9 @@ impl TimeSeries {
     /// `Σ_t Σ_i Sᶻ_{i,t} Sᶻ_{i+r,t} = (L·rows − 2·mism(r)) / 4`,
     ///
     /// and each row contributes to `mism(r)` by one shift + XOR +
-    /// popcount per word of the bit-packed row ([`DoubledRing`]). The
-    /// integer count is summed over the rows first and converted once;
+    /// popcount per word of the engine's packed row, which is stored
+    /// doubled and counted in place ([`doubled_mismatches`]). The integer
+    /// count is summed over the rows first and converted once;
     /// the result is exact in f64 (a small integer times ¼, as every
     /// partial sum of the term-by-term loop was, with the same `+0.0`
     /// when the terms cancel), so the accumulated sums are bit-identical
@@ -138,9 +137,9 @@ impl TimeSeries {
         let rows = w.rows();
         self.mismatches.fill(0);
         for t in 0..rows {
-            self.ring.load(w.row(t));
+            let row = w.doubled_row(t);
             for (r, count) in self.mismatches.iter_mut().enumerate() {
-                *count += self.ring.mismatches(r) as u64;
+                *count += doubled_mismatches(row, self.l, r) as u64;
             }
         }
         let pairs = self.l * rows;

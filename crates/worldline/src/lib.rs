@@ -19,35 +19,60 @@
 //!
 //! # What is hot and what is oracle
 //!
-//! A replica step of the chain engine — sweep, log-weights, measurement —
-//! is three table-driven walks over `Vec<bool>` rows, none of which
-//! sorts, allocates, classifies a plaquette or takes a logarithm per cell:
+//! The chain engine stores each spin row bit-packed and twice over,
+//! `x‖x` (the [`qmc_lattice::DoubledRing`] layout, one representation
+//! for every even `l`): any run of sites starting below `l` is one
+//! contiguous bit field, a two-word funnel shift at most, and the
+//! periodic seam is no special case. A replica step — sweep, log-weights,
+//! measurement — is three table-driven walks over those words, none of
+//! which sorts, allocates, classifies a plaquette or takes a logarithm
+//! per cell:
 //!
 //! * **Corner moves** go row by row, cells left to right (neighbouring
-//!   cells share columns, so the order is part of the trajectory). The
-//!   nine spins a move's ratio depends on index 512 integer thresholds
-//!   `⌈ratio·2⁵³⌉` ([`qmc_rng::threshold`], shared with the TFIM colour
-//!   kernel), and a proposal that needs a draw is one
-//!   `next_u64() >> 11 < thr` — the predicate of `metropolis(ratio)` for
-//!   every raw draw, consuming a draw exactly when it does.
-//! * **A straight-line move** touches one shaded cell per interval, on
-//!   alternating sides of its column. Their weights, old and with the
-//!   column's two corner bits flipped, come from one 16-entry table by
-//!   corner pattern and are multiplied in ascending `(left site, row)`
-//!   order — the order a sorted cell list would give — so the ratio has the
-//!   bits it always had.
+//!   cells share columns, so the order is part of the trajectory). One
+//!   candidate mask per 64 sites, `eq & eq≫1 & (lo ⊕ lo≫1) & parity` with
+//!   `eq = ¬(lo ⊕ hi)`, marks every cell whose move is a proposal. It is
+//!   exact for the whole row although moves are made while it is walked:
+//!   a cell's test reads only its own two sites, and only it flips them.
+//!   Candidates are visited in ascending order; each gathers the nine
+//!   spins its ratio depends on from the live rows (four-bit fields, so a
+//!   neighbour an earlier move flipped is read flipped), indexes 512
+//!   integer thresholds `⌈ratio·2⁵³⌉` ([`qmc_rng::threshold`], shared
+//!   with the TFIM colour kernel), and a proposal that needs a draw is
+//!   one `next_u64() >> 11 < thr` — the predicate of `metropolis(ratio)`
+//!   for every raw draw, consuming a draw exactly when it does. An
+//!   accepted move XORs its two sites in both copies of both rows.
+//! * **A straight-line move** first tests one kink mask, `OR_t (row_t ⊕
+//!   row_0)`, built after the corner rows: a set bit is a column that is
+//!   not one straight world line. In a valid configuration a column
+//!   changes between two rows exactly where its shaded cell is a flip
+//!   cell, and flipping a column beside a flip cell makes a forbidden
+//!   cell, a ratio of 0 that is rejected without a draw. Flipping a
+//!   kink-free column keeps every cell diagonal, so the mask holds for
+//!   all `L` attempts of a sweep. A kink-free column's cells weigh
+//!   parallel or anti-parallel; the two products are taken in ascending
+//!   `(left site, row)` order — the order a sorted cell list would give —
+//!   so the ratio has the bits it always had. When both neighbouring
+//!   columns are kink-free too, each half of that product repeats one
+//!   factor, and the pair comes from a four-entry table built by the same
+//!   multiplications. An accepted move is two XORs per row.
 //! * **Log-weight and energy** add `ln w`, `e` and `∂e/∂Δτ` from 16-entry
-//!   tables in row-major cell order; the three logarithms are taken once
-//!   per call, and a forbidden cell still makes the sum −∞.
+//!   tables in row-major cell order, 32 cells' corner pairs per word
+//!   read; the three logarithms are taken once per call, a tempering
+//!   exchange gets its two log-weights from one walk with two
+//!   accumulators, and a forbidden cell still makes the sum −∞.
 //!
-//! The route these replaced — collect the affected cells of an arbitrary
-//! flip list, sort, dedup, multiply, flip, multiply, flip back: *generic*,
-//! with no hand-derived case to get wrong — is how [`generic`]'s window,
-//! ring and straight-line moves are still accepted, and in [`engine`] it
-//! survives as the `cfg(test)` oracle the walks are compared against move
-//! for move, next to the `f64` corner ratio and the cell-by-cell sums.
-//! `tests/trajectory_pins.rs` holds fixed-seed fingerprints of both
-//! engines recorded before the walks existed.
+//! The replica-exchange payload and the checkpoint section stay one byte
+//! per spin. The walks the packed ones replaced — the bool-row kernel,
+//! and before it the route that collects the affected cells of an
+//! arbitrary flip list, sorts, dedups, multiplies, flips, multiplies and
+//! flips back (*generic*, with no hand-derived case to get wrong, and
+//! how [`generic`]'s window, ring and straight-line moves are still
+//! accepted) — survive in [`engine`] as the `cfg(test)` oracles the walks
+//! are compared against move for move, next to the `f64` corner ratio and
+//! the cell-by-cell sums. `tests/trajectory_pins.rs` holds fixed-seed
+//! fingerprints of both engines recorded before the walks existed, and of
+//! rows of two and three words recorded before the rows were packed.
 //!
 //! # Known, documented restrictions (shared with the 1993-era codes)
 //!

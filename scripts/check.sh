@@ -145,6 +145,16 @@ if grep -rnE --include='*.rs' 'struct (Encoder|Decoder|Cursor)\b|fn put_u64\b' c
    grep -v '^crates/comm/src/wire\.rs:'; then exit 1; fi
 if grep -rnE --include='*.rs' '(to|from)_le_bytes' crates/obs/src crates/serve/src; then exit 1; fi
 
+echo "== one spin layout: the world-line chain keeps its rows packed =="
+# Worldline stores each spin row as bits, twice over (x‖x), and every walk
+# reads words; the bool-row kernel it replaced lives on only as the test
+# oracle. A hit here is one-byte-per-spin storage growing back in the
+# engine outside its tests.
+if awk '/^mod tests \{/ { tests = 1 }
+        tests || /^[[:space:]]*\/\// { next }
+        /Vec<bool>/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/worldline/src/engine.rs; then exit 1; fi
+
 echo "== benchmark: builds against this tree, offline and locked =="
 # benchmark/ is a standalone package with its own frozen lock file: an
 # API or crate-graph break against it must fail here, not in the
@@ -207,10 +217,14 @@ echo "== pins: fixed-seed trajectories and checkpoint bytes under the profile th
 # measurement adds up in byte lanes, and an accumulator too narrow
 # panics under dev but wraps without a word under release. qmc-sse's
 # does too: its sweep is compared pass for pass against the full-string
-# scan it replaced, under the inlining the benchmark times.
+# scan it replaced, under the inlining the benchmark times. So do
+# qmc-worldline's (the packed-row walks against the bool-row kernel, move
+# for move: spins, counters and draws) and qmc-core's (the tempering
+# drivers on top of them).
 cargo test -q --release -p qmc-bench --test trajectory_pins --test layout_pins
 cargo test -q --release -p qmc-tfim
 cargo test -q --release -p qmc-sse
+cargo test -q --release -p qmc-worldline -p qmc-core
 
 echo "== analyze: causal trace -> critical-path report =="
 # Records the 4-rank traced PT demo, merges the per-rank streams into

@@ -13,6 +13,7 @@
 //! must cost an error, not a reservation.
 
 use qmc_comm::SerialComm;
+use qmc_core::pt::PtLadder;
 use qmc_lattice::{Chain, Square};
 use qmc_rng::{Buffered, Xoshiro256StarStar};
 use qmc_sse::Sse;
@@ -290,6 +291,31 @@ fn worldline_exchange_phase_is_allocation_free() {
         || sum += w.log_weight() + w.log_weight_with(&neighbour) + measure(&w).energy_per_site,
     );
     assert!(sum.is_finite());
+}
+
+#[test]
+fn pt_ladder_sweep_and_exchange_are_allocation_free() {
+    // A serial ladder's step: every rung swept, then an exchange phase
+    // whose log-weights are stack walks and whose accepted swaps trade
+    // two replicas' row buffers in place.
+    let mut ladder = PtLadder::new(16, 1.0, 1.0, 8, vec![1.0, 1.1, 1.2, 1.3]);
+    let mut rng = Xoshiro256StarStar::new(30);
+    for s in 0..50 {
+        ladder.sweep(&mut rng);
+        ladder.exchange(&mut rng, s % 2);
+    }
+    let swaps = |l: &PtLadder| l.stats().accepted.iter().sum::<u64>();
+    let before = swaps(&ladder);
+    let mut phase = 0;
+    assert_steady_state_clean("PtLadder::sweep + exchange", 100, || {
+        ladder.sweep(&mut rng);
+        ladder.exchange(&mut rng, phase);
+        phase ^= 1;
+    });
+    assert!(
+        swaps(&ladder) > before,
+        "no swap accepted in the guarded sweeps"
+    );
 }
 
 /// A 24-byte rank record claiming `u64::MAX` spans is refused before
