@@ -1239,11 +1239,11 @@ mod tests {
     #[test]
     fn lattice_ring_kernel_passes_the_hot_rules() {
         // `DoubledRing::{load, mismatches}` and `doubled_mismatches` run
-        // once per sweep in every measuring driver, but qmc-lattice cannot
-        // name the attribute: it has no dependencies, and an edge to
-        // qmc-hot would invalidate
-        // the frozen benchmark/Cargo.lock (built --locked). The marker is
-        // applied here instead, so the same rules still judge the code.
+        // once per measured sweep, but qmc-lattice cannot name the
+        // attribute: it has no dependencies, and an edge to qmc-hot would
+        // invalidate the frozen benchmark/Cargo.lock (built --locked). The
+        // marker is applied here instead, so the same rules still judge
+        // the code.
         let mut src = include_str!("../../lattice/src/packed.rs").to_string();
         for sig in [
             "pub fn load(&mut self",

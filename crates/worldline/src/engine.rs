@@ -64,9 +64,9 @@ pub struct Worldline {
     /// [`Self::try_straight_line`]).
     straight_pairs: [(f64, f64); 4],
     /// The corner move's acceptance over all 2⁹ neighbourhood spin patterns
-    /// (see [`local_move_key`]) as [`threshold`]s on a raw draw: the row
-    /// kernel is one table load and one integer compare per proposal, no
-    /// classify, divide or float conversion.
+    /// (keyed as [`Self::corner_row`] gathers them) as [`threshold`]s on a
+    /// raw draw: the row kernel is one table load and one integer compare
+    /// per proposal, no classify, divide or float conversion.
     local_thr: Box<[u64; 512]>,
     /// Bit `i` set when column `i` is not one straight world line (see
     /// [`Self::mark_kinks`]); rebuilt every sweep after the corner rows.

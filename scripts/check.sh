@@ -220,7 +220,7 @@ echo "== pins: fixed-seed trajectories and checkpoint bytes under the profile th
 # scan it replaced, under the inlining the benchmark times. So do
 # qmc-worldline's (the packed-row walks against the bool-row kernel, move
 # for move: spins, counters and draws) and qmc-core's (the tempering
-# drivers on top of them).
+# ladders built on them).
 cargo test -q --release -p qmc-bench --test trajectory_pins --test layout_pins
 cargo test -q --release -p qmc-tfim
 cargo test -q --release -p qmc-sse
