@@ -40,8 +40,9 @@
 //! parallel-tempering world loses a rank mid-flight and finishes
 //! bit-identical after a fresh world resumes from the store, then the
 //! same death with a zero respawn budget shrinks the β ladder and
-//! resumes the survivors deterministically. Writes `VERIFY_elastic.json` and exits non-zero
-//! on any divergence (the `scripts/check.sh elastic` stage).
+//! resumes the survivors deterministically, both through the elastic
+//! policy qmc-serve runs. Writes `VERIFY_elastic.json` and exits
+//! non-zero on any divergence (the `scripts/check.sh elastic` stage).
 //!
 //! `repro analyze` records the same 4-rank parallel-tempering run
 //! with `qmc_obs::Tracer`, merges the per-rank streams into a

@@ -40,6 +40,13 @@ pub(crate) fn write_artifact(out: &mut String, indent: &str, file: &str, text: &
     }
 }
 
+/// A fresh scratch directory path for one drill run.
+pub(crate) fn scratch(label: &str) -> std::path::PathBuf {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!("qmc-drill-{}-{label}-{n}", std::process::id()))
+}
+
 /// Everything, in order — `repro all`.
 pub fn run_all(quick: bool) -> String {
     let mut out = String::new();

@@ -26,8 +26,6 @@ use qmc_serve::{
     Server, TenantQuota,
 };
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const TENANTS: [&str; 4] = ["alice", "bob", "carol", "dave"];
 const FLEET_JOBS: usize = 240;
@@ -35,12 +33,6 @@ const WORKERS: usize = 4;
 
 /// Injected worker deaths for act 1: (submission-order job id, sweep).
 const KILLS: [(u64, u64); 5] = [(7, 6), (58, 9), (123, 5), (199, 8), (233, 7)];
-
-fn scratch(label: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("qmc-serve-demo-{}-{label}-{n}", std::process::id()))
-}
 
 /// The i-th fleet job: a tiny serial TFIM chain with varied sweep
 /// budgets, seeds, and priorities.
@@ -100,7 +92,7 @@ pub fn serve_demo(quick: bool) -> (String, bool) {
     // ---- Act 1: the fleet ------------------------------------------
     let cfg = ServeConfig {
         workers: WORKERS,
-        ckpt_root: scratch("fleet"),
+        ckpt_root: crate::scratch("fleet"),
         ckpt_every: 4,
         quota: TenantQuota { max_active: 64 },
         kills: KILLS
@@ -216,7 +208,7 @@ pub fn serve_demo(quick: bool) -> (String, bool) {
     let kill_sweep = (spec.therm + spec.sweeps / 2) as u64;
     let cfg = ServeConfig {
         workers: 1,
-        ckpt_root: scratch("pt"),
+        ckpt_root: crate::scratch("pt"),
         ckpt_every: 4,
         kills: vec![KillSpec {
             job: 0,
@@ -249,7 +241,7 @@ pub fn serve_demo(quick: bool) -> (String, bool) {
     server.join();
 
     // ---- Act 3: drain, restart, finish -----------------------------
-    let root = scratch("drain");
+    let root = crate::scratch("drain");
     let mut spec = fleet_spec(0);
     spec.name = "long-haul".into();
     spec.sweeps = 400;

@@ -150,6 +150,8 @@ pub(crate) fn diagnose(boxes: &[Mailbox], me: usize) -> Option<Diagnosis> {
 #[derive(Default)]
 pub(crate) struct Poison {
     msg: Mutex<Option<String>>,
+    /// The first rank to die, recorded before its mailbox says `Done`.
+    pub first_death: std::sync::OnceLock<usize>,
 }
 
 impl Poison {

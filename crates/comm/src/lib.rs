@@ -80,7 +80,7 @@ pub use model::{job_seconds, run_model, MachineModel, ModelComm, ModelReport};
 pub use observe::{ChannelSeq, CommDir, Message, Observed, Observer};
 pub use serial::SerialComm;
 pub use thread_world::{
-    run_threads, run_threads_with_timeout, try_run_threads, ThreadComm, WorldError,
+    run_threads, run_threads_with_timeout, try_run_threads, ThreadComm, WorldError, STALL_TIMEOUT,
 };
 
 use std::time::Duration;

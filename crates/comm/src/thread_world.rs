@@ -11,6 +11,10 @@ use std::time::{Duration, Instant}; // lint: allow(wall-clock) — receive timeo
 /// while the wake-ups cost a blocked rank ~40 lock acquisitions/second.
 const WAIT_SLICE: Duration = Duration::from_millis(25);
 
+/// The receive timeout of a [`run_threads`] world and of every world
+/// an elastic run launches.
+pub const STALL_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// A communicator whose ranks are OS threads on the host.
 ///
 /// Obtained inside [`run_threads`]; all correctness tests and the
@@ -221,15 +225,21 @@ impl Communicator for ThreadComm {
 
 /// Marks the rank `Done` in its mailbox when the rank closure exits —
 /// by return or by unwind — so peers blocked on it get a "dead peer"
-/// diagnosis instead of waiting out the receive timeout.
+/// diagnosis instead of waiting out the receive timeout. A dying rank
+/// records its death first, so no peer failing over it is named.
 struct DoneGuard {
     boxes: Arc<Vec<Mailbox>>,
+    poison: Arc<Poison>,
     rank: usize,
 }
 
 impl Drop for DoneGuard {
     fn drop(&mut self) {
-        self.boxes[self.rank].set_done(std::thread::panicking());
+        let panicking = std::thread::panicking();
+        if panicking {
+            let _ = self.poison.first_death.set(self.rank);
+        }
+        self.boxes[self.rank].set_done(panicking);
     }
 }
 
@@ -245,7 +255,7 @@ where
     F: Fn(&mut ThreadComm) -> T + Send + Sync,
 {
     assert!(nranks >= 1, "need at least one rank");
-    let timeout = Duration::from_secs(60);
+    let timeout = STALL_TIMEOUT;
     let boxes: Arc<Vec<Mailbox>> = Arc::new((0..nranks).map(|_| Mailbox::new()).collect());
     let poison = Arc::new(Poison::new());
     std::thread::scope(|scope| {
@@ -257,6 +267,7 @@ where
             handles.push(scope.spawn(move || {
                 let _done = DoneGuard {
                     boxes: boxes.clone(),
+                    poison: poison.clone(),
                     rank,
                 };
                 let mut comm = ThreadComm::new(rank, nranks, boxes, poison, timeout);
@@ -287,7 +298,7 @@ where
 pub enum WorldError {
     /// A rank panicked. Every thread of the world has exited.
     RankDied {
-        /// The first rank to report its death.
+        /// The first rank to die, not a peer that failed over it.
         dead_rank: usize,
         /// That rank's panic payload, for re-raising.
         payload: Box<dyn std::any::Any + Send>,
@@ -362,8 +373,8 @@ where
     assert!(nranks >= 1, "need at least one rank");
     let boxes: Arc<Vec<Mailbox>> = Arc::new((0..nranks).map(|_| Mailbox::new()).collect());
     let poison = Arc::new(Poison::new());
-    type Verdict<T> = (usize, Result<T, Box<dyn std::any::Any + Send>>);
-    let (tx, rx) = std::sync::mpsc::channel::<Verdict<T>>();
+    type Verdict<T> = Result<T, Box<dyn std::any::Any + Send>>;
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Verdict<T>)>();
     for rank in 0..nranks {
         let boxes = boxes.clone();
         let poison = poison.clone();
@@ -376,6 +387,7 @@ where
                 // sent.
                 let _done = DoneGuard {
                     boxes: boxes.clone(),
+                    poison: poison.clone(),
                     rank,
                 };
                 let mut comm = ThreadComm::new(rank, nranks, boxes, poison, timeout);
@@ -393,10 +405,8 @@ where
     let grace = (timeout * 2).max(Duration::from_secs(1));
     // lint: allow(wall-clock) — stall backstop needs host time
     let mut deadline = Instant::now() + timeout + grace;
-    let mut slots: Vec<Option<T>> = (0..nranks).map(|_| None).collect();
-    let mut finished = vec![false; nranks];
+    let mut outs: Vec<Option<Verdict<T>>> = (0..nranks).map(|_| None).collect();
     let mut got = 0usize;
-    let mut first_death = None;
     let mut stalled: Option<String> = None;
     loop {
         while got < nranks {
@@ -406,18 +416,12 @@ where
                 break;
             };
             got += 1;
-            finished[rank] = true;
-            match out {
-                Ok(v) => slots[rank] = Some(v),
-                Err(payload) => {
-                    first_death.get_or_insert((rank, payload));
-                }
-            }
+            outs[rank] = Some(out);
         }
         if got == nranks {
             break;
         }
-        let unfinished: Vec<usize> = (0..nranks).filter(|&r| !finished[r]).collect();
+        let unfinished: Vec<usize> = (0..nranks).filter(|&r| outs[r].is_none()).collect();
         if let Some(message) = stalled {
             return Err(WorldError::Stalled {
                 unfinished,
@@ -435,13 +439,15 @@ where
         // lint: allow(wall-clock)
         deadline = Instant::now() + WAIT_SLICE * 20;
     }
-    match first_death {
-        Some((dead_rank, payload)) => Err(WorldError::RankDied { dead_rank, payload }),
-        None => Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every finished rank left a result"))
-            .collect()),
+    if let Some(&dead_rank) = poison.first_death.get() {
+        let Some(Err(payload)) = outs[dead_rank].take() else {
+            unreachable!("rank {dead_rank} died, so it reported a panic");
+        };
+        return Err(WorldError::RankDied { dead_rank, payload });
     }
+    // No rank died, so every rank returned.
+    let returned = outs.into_iter().map(|out| out.and_then(Result::ok));
+    Ok(returned.map(|v| v.expect("a result")).collect())
 }
 
 /// [`run_threads`] with an explicit receive-timeout (the backstop for

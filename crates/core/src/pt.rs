@@ -12,10 +12,13 @@
 //! serial ladder and the one-replica-per-rank parallel driver, where rank
 //! ↔ β never changes and only configuration payloads travel.
 
-use qmc_comm::{wire, Communicator, ReduceOp};
+use qmc_comm::{try_run_threads, wire, Communicator, ReduceOp, ThreadComm, WorldError};
 use qmc_rng::{Rng64, SplitMix64};
 use qmc_worldline::weights::PlaqWeights;
-use qmc_worldline::{Worldline, WorldlineParams};
+use qmc_worldline::Worldline;
+pub use qmc_worldline::WorldlineParams;
+use std::path::Path;
+use std::sync::Arc;
 
 /// Exchange statistics of a tempering run.
 #[derive(Debug, Clone, Default)]
@@ -593,6 +596,84 @@ where
         .map(|(a, t)| if *t > 0.0 { a / t } else { 0.0 })
         .collect();
     (energies, rates)
+}
+
+/// How an elastic run finished (see [`run_pt_elastic`]).
+#[derive(Debug)]
+pub struct ElasticRun<T> {
+    /// Each rank's output, on the ladder the run finished on.
+    pub results: Vec<T>,
+    /// Rank deaths absorbed by relaunching a full-size world.
+    pub respawns: u32,
+    /// Whether the dead rank's β was dropped to finish.
+    pub resized: bool,
+}
+
+/// The elastic parallel-tempering policy: launch, respawn, resize.
+///
+/// Every rank of a fresh [`try_run_threads`] world (one per β) runs
+/// `rank(comm, cfg, ck)`: its own RNG and sweep hook around
+/// [`run_pt_parallel_ckpt`], checkpointing into `store` (if any) at
+/// `(every, full_every)`. A rank death relaunches the world, resuming
+/// from the store, `respawn_budget` times; then a run with a store and
+/// ≥ 3 rungs drops the dead rank's β and relaunches once, remapped by β
+/// ([`PtCheckpointing::elastic_from`]). A stalled world is never
+/// relaunched: its abandoned threads may still write the store.
+pub fn run_pt_elastic<T, F>(
+    cfg: &PtConfig,
+    store: Option<&Path>,
+    (every, full_every): (usize, usize),
+    respawn_budget: usize,
+    rank: F,
+) -> Result<ElasticRun<T>, WorldError>
+where
+    T: Send + 'static,
+    F: Fn(&mut ThreadComm, &PtConfig, Option<&PtCheckpointing<'_>>) -> T + Send + Sync + 'static,
+{
+    let rank = Arc::new(rank);
+    let launch = |betas: Vec<f64>, elastic_from: Option<Vec<f64>>| {
+        let (n, rank, dir) = (betas.len(), Arc::clone(&rank), store.map(Path::to_path_buf));
+        let cfg = PtConfig {
+            betas,
+            ..cfg.clone()
+        };
+        let world = move |comm: &mut ThreadComm| {
+            let store = dir
+                .as_ref()
+                .map(|d| qmc_ckpt::CkptStore::new(d, 3).expect("run store"));
+            let ck = store.as_ref().map(|store| PtCheckpointing {
+                store,
+                every,
+                full_every,
+                resume: true,
+                stop: None,
+                elastic_from: elastic_from.as_deref(),
+            });
+            rank(comm, &cfg, ck.as_ref())
+        };
+        try_run_threads(n, qmc_comm::STALL_TIMEOUT, Arc::new(world))
+    };
+    let mut respawns = 0;
+    let (results, resized) = loop {
+        match launch(cfg.betas.clone(), None) {
+            Ok(results) => break (results, false),
+            Err(WorldError::RankDied { .. }) if respawns < respawn_budget => respawns += 1,
+            Err(WorldError::RankDied { dead_rank, .. })
+                if store.is_some() && cfg.betas.len() > 2 =>
+            {
+                let mut betas = cfg.betas.clone();
+                betas.remove(dead_rank);
+                break (launch(betas, Some(cfg.betas.clone()))?, true);
+            }
+            Err(e) => return Err(e),
+        }
+    };
+    let respawns = respawns as u32;
+    Ok(ElasticRun {
+        results,
+        respawns,
+        resized,
+    })
 }
 
 /// Build a geometric β ladder from `beta_min` to `beta_max` with `n`

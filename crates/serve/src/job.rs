@@ -3,6 +3,8 @@
 
 use qmc_ckpt::CkptError;
 use qmc_comm::wire::{Decoder, Encoder};
+use qmc_core::pt::WorldlineParams;
+use qmc_tfim::TfimModel;
 
 /// What kind of simulation a job runs, with its engine parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,20 +139,15 @@ impl JobSpec {
                 if self.betas.len() != 1 {
                     return Err("serial TFIM jobs take exactly one beta".into());
                 }
-                // Mirror TfimModel::validated so a bad spec is rejected
-                // at admission instead of panicking a worker.
-                if !(j.is_finite() && *j > 0.0 && h.is_finite() && *h > 0.0) {
-                    return Err("TFIM couplings j and h must be finite and positive".into());
-                }
-                if *lx < 4 || *lx % 2 != 0 {
-                    return Err("TFIM lattice needs even lx >= 4".into());
-                }
-                if !(*ly == 1 || (*ly >= 4 && *ly % 2 == 0)) {
-                    return Err("TFIM ly must be 1 (chain) or even >= 4".into());
-                }
-                if *m < 2 || *m % 2 != 0 {
-                    return Err("TFIM Trotter slices m must be even >= 2".into());
-                }
+                let model = TfimModel {
+                    lx: *lx,
+                    ly: *ly,
+                    j: *j,
+                    h: *h,
+                    beta: self.betas[0],
+                    m: *m,
+                };
+                model.check().map_err(|e| format!("TFIM {e}"))?;
                 if *lx > MAX_EXTENT || *ly > MAX_EXTENT {
                     return Err(format!("TFIM lattice extent limit is {MAX_EXTENT}"));
                 }
@@ -180,12 +177,13 @@ impl JobSpec {
                 if *m > MAX_SLICES {
                     return Err(format!("PT XXZ Trotter slice limit is {MAX_SLICES}"));
                 }
-                // Mirror Worldline::new, which every rank runs.
-                if *l < 4 || *l % 2 != 0 || *m < 2 || *exchange_every == 0 {
-                    return Err("PT XXZ needs even l >= 4, m >= 2, exchange_every >= 1".into());
+                if *exchange_every == 0 {
+                    return Err("PT XXZ needs exchange_every >= 1".into());
                 }
-                if !(jx.is_finite() && jz.is_finite()) {
-                    return Err("PT XXZ couplings jx and jz must be finite".into());
+                for &beta in &self.betas {
+                    let (l, jx, jz, m) = (*l, *jx, *jz, *m);
+                    let params = WorldlineParams { l, jx, jz, beta, m };
+                    params.check().map_err(|e| format!("PT XXZ: {e}"))?;
                 }
             }
         }
@@ -449,6 +447,8 @@ mod tests {
             ("PT l = 3", pt(3, 1.0, 1.0, 8), "even l >= 4"),
             ("PT m = 1", pt(8, 1.0, 1.0, 1), "m >= 2"),
             ("PT jz = NaN", pt(8, 1.0, f64::NAN, 8), "jx and jz"),
+            // e^{Δτ·jz/4}·cosh k is finite at β = 0.5 and +∞ at β = 1.
+            ("PT jz = 1e4 overflows", pt(8, 1.0, 1e4, 2), "weights"),
         ] {
             let err = spec.validate().expect_err(what);
             assert!(err.contains(says), "{what}: {err}");

@@ -14,23 +14,22 @@
 //!   boundary is written; nothing newer);
 //! * parallel-tempering jobs die for real: one rank of the job's
 //!   ThreadWorld panics mid-run and the attempt rides the death through
-//!   itself — a fresh world resumes from the store (every rank restores
-//!   the latest coordinated generation) first, β-ladder resize when the
-//!   respawn budget is spent — so the job no longer bounces back to the
-//!   scheduler's requeue path unless both policies are unavailable.
+//!   itself under `qmc_core::pt::run_pt_elastic` — a fresh world resumes
+//!   from the store (every rank restores the latest coordinated
+//!   generation) first, β-ladder resize when the respawn budget is
+//!   spent — so the job no longer bounces back to the scheduler's
+//!   requeue path unless both policies are unavailable.
 
 use crate::job::{JobKind, JobObservables, JobSpec};
 use qmc_ckpt::{drive, Cadence, CkptStore, End, Policy};
-use qmc_comm::{run_threads, try_run_threads, Communicator, ThreadComm, WorldError};
-use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig};
+use qmc_comm::{run_threads, Communicator, WorldError};
+use qmc_core::pt::{run_pt_elastic, run_pt_parallel_ckpt, PtCheckpointing, PtConfig};
 use qmc_obs::Registry;
 use qmc_rng::{StreamFactory, Xoshiro256StarStar};
 use qmc_tfim::serial::{SerialTfim, TfimSeries};
 use qmc_tfim::TfimModel;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// How a single attempt at a job ended.
 #[derive(Debug)]
@@ -245,22 +244,18 @@ static KILL_HOOK: Mutex<()> = Mutex::new(());
 
 /// Parallel-tempering attempt on a fresh ThreadWorld (one rank per β).
 ///
-/// Elastic ride-through of a rank death: the world runs under
-/// [`try_run_threads`], so an injected kill is absorbed *inside the
-/// attempt*. First policy is respawn: a fresh world resumes from the
-/// store (up to `ctl.respawn_budget` relaunches, every rank rehydrating
-/// from the latest coordinated generation — bit-identical to a run that
-/// never died). A stalled world is never relaunched: its abandoned
-/// threads may still write the store. When the budget is spent and the job has a checkpoint
-/// store with at least three rungs, the second policy resizes the
-/// ladder: the dying rank's β is dropped and the survivors resume
-/// remapped onto the smaller world. Only when neither applies does the
-/// attempt report `Killed` for the scheduler's requeue path.
+/// A kill-armed attempt runs under [`run_pt_elastic`], the elastic
+/// policy: a rank death is absorbed *inside the attempt* by a fresh
+/// world resuming from the store (up to `ctl.respawn_budget`
+/// relaunches, bit-identical to a run that never died), then by a
+/// ladder resize. Only when neither applies does the attempt report
+/// `Killed` for the scheduler's requeue path; a stalled world fails the
+/// job. An unarmed attempt runs one world and honours the drain flag.
 fn run_pt(cfg: PtConfig, mut ctl: RunCtl<'_>) -> Outcome {
     let cadence = (ctl.every, ctl.full_every);
     let dir = ctl.store.map(|s| s.dir().to_path_buf());
-    let therm = cfg.therm;
-    let sweeps = cfg.sweeps;
+    let (sweeps, total) = (cfg.sweeps, (cfg.therm + cfg.sweeps) as u64);
+    let snap = ctl.snapshot.take();
 
     if let Some(kill_sweep) = ctl.kill_at {
         // One-shot injected death: rank `1 % size` panics at the
@@ -269,132 +264,71 @@ fn run_pt(cfg: PtConfig, mut ctl: RunCtl<'_>) -> Outcome {
         // respawn loop could never converge. The hook swap silences the
         // expected panic spam and is serialized so concurrent killed
         // jobs don't race it.
-        let fired = Arc::new(AtomicBool::new(false));
-        let snap = ctl.snapshot.take();
+        let fired = AtomicBool::new(false);
         let guard = KILL_HOOK.lock().expect("kill hook guard");
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let launch = |betas: Vec<f64>, elastic_from: Option<Vec<f64>>| {
-            let ranks = betas.len();
-            let cfg2 = PtConfig {
-                betas,
-                ..cfg.clone()
-            };
-            let dir2 = dir.clone();
-            let fired = fired.clone();
-            try_run_threads(
-                ranks,
-                Duration::from_secs(20),
-                Arc::new(move |comm: &mut ThreadComm| {
-                    let (dir, from) = (dir2.as_deref(), elastic_from.as_deref());
-                    pt_rank(comm, &cfg2, dir, cadence, None, from, |c, s| {
-                        if s as u64 == kill_sweep
-                            && c.rank() == 1 % c.size()
-                            && !fired.swap(true, Ordering::SeqCst)
-                        {
-                            panic!("injected rank kill at sweep {s}");
-                        }
-                    })
-                }),
-            )
-        };
-        // Relaunch after a death, never after a stall: a stalled world's
-        // abandoned threads may still write the store.
-        let mut respawns = 0u32;
-        let run = loop {
-            match launch(cfg.betas.clone(), None) {
-                Err(WorldError::RankDied { .. }) if (respawns as usize) < ctl.respawn_budget => {
-                    respawns += 1
-                }
-                run => break run,
-            }
-        };
-        let outcome = match run {
-            Ok(results) => pt_outcome(results, therm, sweeps, snap, respawns, false),
-            Err(WorldError::RankDied { dead_rank, .. }) => {
-                if cfg.betas.len() > 2 && dir.is_some() {
-                    // Resize: drop the dying rank's β, resume survivors
-                    // remapped from the pre-resize checkpoints.
-                    let mut betas = cfg.betas.clone();
-                    betas.remove(dead_rank.min(betas.len() - 1));
-                    match launch(betas, Some(cfg.betas.clone())) {
-                        Ok(results) => pt_outcome(results, therm, sweeps, snap, respawns, true),
-                        Err(_) => Outcome::Killed {
-                            at_sweep: kill_sweep,
-                        },
+        let run = run_pt_elastic(
+            &cfg,
+            dir.as_deref(),
+            cadence,
+            ctl.respawn_budget,
+            move |comm, cfg, ck| {
+                let mut rng = StreamFactory::new(cfg.seed).stream(comm.rank());
+                run_pt_parallel_ckpt(comm, cfg, &mut rng, ck, |c, s| {
+                    if s as u64 == kill_sweep
+                        && c.rank() == 1 % c.size()
+                        && !fired.swap(true, Ordering::SeqCst)
+                    {
+                        panic!("injected rank kill at sweep {s}");
                     }
-                } else {
-                    Outcome::Killed {
-                        at_sweep: kill_sweep,
-                    }
-                }
-            }
-            Err(WorldError::Stalled { message, .. }) => Outcome::Failed { reason: message },
-        };
+                })
+            },
+        );
         std::panic::set_hook(hook);
         drop(guard);
-        return outcome;
+        return match run {
+            Ok(run) => pt_outcome(run.results, total, snap, run.respawns, run.resized),
+            Err(WorldError::RankDied { .. }) => Outcome::Killed {
+                at_sweep: kill_sweep,
+            },
+            Err(WorldError::Stalled { message, .. }) => Outcome::Failed { reason: message },
+        };
     }
 
-    let ranks = cfg.betas.len();
-    let dir2 = dir.clone();
-    let cfg2 = cfg.clone();
     // Every rank shares the same drain flag; the PT driver reads it only
     // on rank 0 and broadcasts the verdict, so this is rank-consistent.
-    let stop_outer = ctl.stop;
-    let results = run_threads(ranks, move |comm| {
-        pt_rank(
-            comm,
-            &cfg2,
-            dir2.as_deref(),
-            cadence,
-            stop_outer,
-            None,
-            |_, _| {},
-        )
+    let results = run_threads(cfg.betas.len(), |comm| {
+        let mut rng = StreamFactory::new(cfg.seed).stream(comm.rank());
+        let store = dir
+            .as_ref()
+            .map(|d| CkptStore::new(d, 3).expect("job store"));
+        let ck = store.as_ref().map(|store| PtCheckpointing {
+            store,
+            every: cadence.0,
+            full_every: cadence.1,
+            resume: true,
+            stop: ctl.stop,
+            elastic_from: None,
+        });
+        run_pt_parallel_ckpt(comm, &cfg, &mut rng, ck.as_ref(), |_, _| {})
     });
-    let mut snap = ctl.snapshot.take();
-    let drained = results
-        .first()
-        .is_some_and(|(energies, _)| energies.len() < sweeps);
-    if drained {
-        let at = therm as u64 + results[0].0.len() as u64;
-        if let Some(s) = snap.as_deref_mut() {
-            s(at, (therm + sweeps) as u64, f64::NAN);
+    if results[0].0.len() < sweeps {
+        // Drained: the drain checkpoint, the store's newest generation,
+        // carries the boundary, even where no energy was recorded yet.
+        let newest = ctl.store.and_then(|s| s.generations().last().copied());
+        let at = newest.unwrap_or(0);
+        if let Some(s) = snap {
+            s(at, total, f64::NAN);
         }
         return Outcome::Drained { at_sweep: at };
     }
-    pt_outcome(results, therm, sweeps, snap, 0, false)
-}
-
-/// One rank of a PT job: its stream of the job's seed, the job's store
-/// (when it has one) as the coordinated checkpoint policy, and the run.
-fn pt_rank<C: Communicator>(
-    comm: &mut C,
-    cfg: &PtConfig,
-    dir: Option<&Path>,
-    (every, full_every): (usize, usize),
-    stop: Option<&AtomicBool>,
-    elastic_from: Option<&[f64]>,
-    on_sweep: impl FnMut(&mut C, usize),
-) -> (Vec<f64>, Vec<f64>) {
-    let mut rng = StreamFactory::new(cfg.seed).stream(comm.rank());
-    let store = dir.map(|d| CkptStore::new(d, 3).expect("job store"));
-    let ck = store.as_ref().map(|s| PtCheckpointing {
-        store: s,
-        every,
-        full_every,
-        resume: true,
-        stop,
-        elastic_from,
-    });
-    run_pt_parallel_ckpt(comm, cfg, &mut rng, ck.as_ref(), on_sweep)
+    pt_outcome(results, total, snap, 0, false)
 }
 
 fn pt_outcome(
     results: Vec<(Vec<f64>, Vec<f64>)>,
-    therm: usize,
-    sweeps: usize,
+    total: u64,
     snapshot: Option<&mut dyn FnMut(u64, u64, f64)>,
     respawns: u32,
     resized: bool,
@@ -407,7 +341,7 @@ fn pt_outcome(
             .filter(|e| !e.is_empty())
             .map(|e| e.iter().sum::<f64>() / e.len() as f64)
             .unwrap_or(f64::NAN);
-        snap((therm + sweeps) as u64, (therm + sweeps) as u64, mean);
+        snap(total, total, mean);
     }
     Outcome::Done {
         obs: JobObservables {
@@ -630,6 +564,27 @@ mod tests {
             Outcome::Done { obs, .. } => assert!(obs.bits_eq(&want), "drain resume diverged"),
             other => panic!("resume must complete, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pt_drain_during_thermalization_reports_its_boundary() {
+        let dir = scratch("pt-drain");
+        let store = CkptStore::new(&dir, 3).unwrap();
+        // Raised before the run: the drain comes at boundary 0, inside
+        // therm = 8, with no measurement recorded yet.
+        let flag = AtomicBool::new(true);
+        let ctl = RunCtl {
+            store: Some(&store),
+            stop: Some(&flag),
+            ..Default::default()
+        };
+        let drained = run_job(&pt_spec(), ctl);
+        assert!(
+            matches!(drained, Outcome::Drained { at_sweep: 0 }),
+            "{drained:?}"
+        );
+        assert_eq!(store.generations(), [0]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -138,26 +138,32 @@ pub struct TfimModel {
 }
 
 impl TfimModel {
-    /// Validate and return self (panics on unusable parameters).
-    pub fn validated(self) -> Self {
+    /// Whether the engines can run these parameters; [`Self::validated`]
+    /// panics with the reason, and a job server refuses a spec with it.
+    pub fn check(&self) -> Result<(), String> {
         // ≥ 4 in each periodic direction so a neighbour never coincides
         // with the site's other neighbour (the L = 2 double-bond corner
         // case is excluded; the exact-diagonalization oracle covers it).
-        assert!(
-            self.lx >= 4 && self.lx.is_multiple_of(2),
-            "lx must be even ≥ 4"
-        );
-        assert!(
-            self.ly == 1 || (self.ly >= 4 && self.ly.is_multiple_of(2)),
-            "ly must be 1 (chain) or even ≥ 4"
-        );
-        assert!(self.j > 0.0, "J must be positive");
-        assert!(self.h > 0.0, "h must be positive (ST mapping)");
-        assert!(self.beta > 0.0, "β must be positive");
-        assert!(
-            self.m >= 2 && self.m.is_multiple_of(2),
-            "m must be even ≥ 2"
-        );
+        let why = if self.lx < 4 || !self.lx.is_multiple_of(2) {
+            "lattice needs even lx >= 4"
+        } else if !(self.ly == 1 || (self.ly >= 4 && self.ly.is_multiple_of(2))) {
+            "ly must be 1 (chain) or even >= 4"
+        } else if !(self.j.is_finite() && self.j > 0.0 && self.h.is_finite() && self.h > 0.0) {
+            // h > 0: the Suzuki-Trotter mapping takes ln tanh(Δτ h).
+            "couplings j and h must be finite and positive"
+        } else if !(self.beta.is_finite() && self.beta > 0.0) {
+            "β must be finite and positive"
+        } else if self.m < 2 || !self.m.is_multiple_of(2) {
+            "Trotter slices m must be even >= 2"
+        } else {
+            return Ok(());
+        };
+        Err(format!("{why}: {self:?}"))
+    }
+
+    /// Validate and return self (panics on unusable parameters).
+    pub fn validated(self) -> Self {
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         self
     }
 

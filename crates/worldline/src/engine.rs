@@ -24,6 +24,33 @@ impl WorldlineParams {
     pub fn dtau(&self) -> f64 {
         self.beta / self.m as f64
     }
+
+    /// Whether the engine can run these parameters; [`Worldline::new`]
+    /// panics with the reason, and a job server refuses a spec with it.
+    pub fn check(&self) -> Result<(), String> {
+        let why = if self.l < 4 || !self.l.is_multiple_of(2) {
+            "world-line chain length must be even ≥ 4 (need even l >= 4)"
+        } else if self.m < 2 {
+            // m ≥ 2 keeps the four shaded cells around any unshaded cell
+            // distinct (at m = 1 the two temporal neighbours coincide,
+            // which the specialized local-move kernel does not handle).
+            "need at least two Trotter steps (m >= 2)"
+        } else if !(self.beta.is_finite() && self.beta > 0.0) {
+            "β must be finite and positive"
+        } else if !(self.jx.is_finite() && self.jz.is_finite()) {
+            "couplings jx and jz must be finite"
+        } else {
+            // Every configuration has diagonal plaquettes: a weight that
+            // overflows or underflows makes every log-weight infinite.
+            let w = PlaqWeights::new(self.jx, self.jz, self.dtau());
+            let diag = [PlaqClass::DiagonalParallel, PlaqClass::DiagonalAnti].map(|c| w.weight(c));
+            if diag.iter().all(|w| w.is_finite() && *w > 0.0) {
+                return Ok(());
+            }
+            "diagonal plaquette weights must be finite and positive"
+        };
+        Err(format!("{why}: {self:?}"))
+    }
 }
 
 /// A world-line configuration on the `L × 2m` space-time lattice plus the
@@ -279,16 +306,7 @@ impl Worldline {
     /// Create a configuration in the Néel state (a valid, `M = 0`,
     /// zero-winding starting point).
     pub fn new(params: WorldlineParams) -> Self {
-        assert!(
-            params.l >= 4 && params.l.is_multiple_of(2),
-            "world-line chain length must be even ≥ 4, got {}",
-            params.l
-        );
-        // m ≥ 2 keeps the four shaded cells around any unshaded cell
-        // distinct (at m = 1 the two temporal neighbours coincide, which
-        // the specialized local-move kernel does not handle).
-        assert!(params.m >= 2, "need at least two Trotter steps");
-        assert!(params.beta > 0.0, "β must be positive");
+        params.check().unwrap_or_else(|e| panic!("{e}"));
         let rows = 2 * params.m;
         let row_words = params.l.div_ceil(32);
         let weights = PlaqWeights::new(params.jx, params.jz, params.dtau());

@@ -136,6 +136,22 @@ echo "== one world per launch: a respawn is a fresh world resuming from the stor
 if grep -rnE --include='*.rs' 'reset_for_respawn|fn incarnation|fn clear' crates/comm/src; then exit 1; fi
 if grep -rn --include='*.rs' 'RespawnModel' crates; then exit 1; fi
 
+echo "== one elastic policy: launch, respawn and resize live in qmc_core::pt =="
+# qmc_core::pt::run_pt_elastic is the one loop that relaunches a world
+# after a rank death and drops the dead rank's β once the respawn budget
+# is spent; qmc-serve, `repro elastic` and the crash matrices hand it
+# only their per-rank body. A hit here is a second copy of that loop
+# growing back: a world launched through try_run_threads in non-test
+# code outside qmc-comm and the policy's module.
+if awk 'FNR == 1 { tests = 0 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        tests || /^[[:space:]]*\/\// { next }
+        /try_run_threads\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' $(find crates examples -name '*.rs' -not -path '*/tests/*' \
+          -not -path '*/fixtures/*' -not -path 'crates/comm/src/*' -not -path 'crates/core/src/pt.rs'); then
+  exit 1
+fi
+
 echo "== one codec: bytes are written and read by qmc_comm::wire only =="
 # Checkpoint images, every qmc-serve/v1 message and the rank-record
 # gather are encoded by qmc_comm::wire's Encoder / Decoder. A hit here is
@@ -158,10 +174,13 @@ if awk '/^mod tests \{/ { tests = 1 }
 echo "== benchmark: builds against this tree, offline and locked =="
 # benchmark/ is a standalone package with its own frozen lock file: an
 # API or crate-graph break against it must fail here, not in the
-# pipeline. The rule for the crates it reaches: a dependency edge may be
-# removed (a leftover lock entry still resolves under --locked), never
-# added — a new edge or crate needs a lock update, and benchmark/ changes
-# only in a [benchmark] PR.
+# pipeline. The rule for the crates it reaches: a dependency edge is
+# neither added nor removed. The lock lists each package's dependencies,
+# so either change needs a lock update, which --locked refuses (measured:
+# dropping qmc-stats -> qmc-ckpt, qmc-sse -> qmc-hot or qmc-obs ->
+# qmc-comm fails here). Only a removed edge whose target then leaves the
+# benchmark's graph altogether still resolves, as qmc-obs -> qmc-verify
+# did. benchmark/ changes only in a [benchmark] PR.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== benchmark: every workload runs correct at a tenth of its size =="
@@ -195,13 +214,15 @@ echo "== serve: multi-tenant job server fault drill =="
 cargo run -q --release -p qmc-bench --bin repro -- serve-demo --quick
 
 echo "== elastic: rank respawn + ladder resize drill =="
-# A 4-rank PT world loses a rank mid-flight and must finish
-# bit-identical (observables + RNG draw counts) after an in-place
-# respawn; the same death with a zero budget shrinks the β ladder and
-# resumes the survivors deterministically. The crash matrix behind it
-# is pinned as the `elastic` integration test, run here a second time
-# under the release profile the drill binary uses; the binary
-# regenerates VERIFY_elastic.json.
+# Both acts run the elastic policy qmc-serve runs. A 4-rank PT world
+# loses a rank mid-flight and must finish bit-identical (observables +
+# RNG draw counts) after a fresh world resumes from the store; the same
+# death with a zero budget makes the policy shrink the β ladder and
+# resume the survivors deterministically. The two crash matrices behind
+# them (respawn, resize) are pinned as the `elastic` integration test,
+# run here a second time under the release profile the drill binary
+# uses; the binary regenerates VERIFY_elastic.json with the respawns
+# and resizes the policy counted.
 cargo test -q --release -p qmc-bench --test elastic
 cargo run -q --release -p qmc-bench --bin repro -- elastic --quick
 

@@ -1,22 +1,24 @@
 //! Elastic-world integration tests.
 //!
-//! A rank death is *absorbed*: the world is relaunched, a fresh world
-//! resumes from the store (every rank restores from the newest
-//! coordinated generation through the rejoin path of `qmc_ckpt::coord`),
-//! and the finished run is indistinguishable — observables AND RNG draw
-//! counts — from one that never died. The crash matrix below kills each
-//! rank of a 4-rank parallel-tempering world at every sweep boundary and
-//! demands exactly that, through the same respawn loop `repro elastic`
-//! runs (`qmc_bench::elastic::respawn_run`). The resize tests pin the
-//! second policy: when the world cannot be relaunched at full size, the
-//! β ladder shrinks (or re-grows) to fit, survivors are remapped onto the
-//! new world by β, and a re-grown rung joins fresh at the checkpoint
-//! boundary.
+//! A rank death is *absorbed* by the elastic policy
+//! (`qmc_core::pt::run_pt_elastic`, the one qmc-serve and `repro
+//! elastic` run; here through `qmc_bench::elastic::kill_run`). First a
+//! fresh world resumes from the store (every rank restores from the
+//! newest coordinated generation through the rejoin path of
+//! `qmc_ckpt::coord`), and the finished run is indistinguishable —
+//! observables AND RNG draw counts — from one that never died. With no
+//! respawn budget the policy drops the dead rank's β instead and the
+//! survivors resume remapped onto the smaller world. The two crash
+//! matrices below kill each rank of a 4-rank parallel-tempering world
+//! at every sweep boundary, one per policy. The resize tests pin the
+//! remap itself: the β ladder shrinks (or re-grows) to fit, survivors
+//! are remapped onto the new world by β, and a re-grown rung joins
+//! fresh at the checkpoint boundary.
 
-use qmc_bench::elastic::{reference, respawn_run, RankOut};
+use qmc_bench::elastic::{kill_run, reference, same_bits, RankOut};
 use qmc_ckpt::CkptStore;
 use qmc_comm::{run_threads, Communicator};
-use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig, PtLadder};
+use qmc_core::pt::{run_pt_parallel_ckpt, ElasticRun, PtCheckpointing, PtConfig, PtLadder};
 use qmc_rng::{CountingRng, StreamFactory};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,7 +45,7 @@ fn copy_store(src: &Path, dst: &Path) {
     }
 }
 
-/// Serializes panic-hook swaps: the crash matrix unwinds whole worlds
+/// Serializes panic-hook swaps: the crash matrices unwind whole worlds
 /// on purpose, and silencing that spam must not race another test.
 static HOOK: Mutex<()> = Mutex::new(());
 
@@ -61,6 +63,34 @@ fn pt_cfg() -> PtConfig {
     }
 }
 
+/// Run `kill_run` once per `(victim, kill)` in `kills`, each in a store
+/// of its own, with the injected panics silenced; then `check` each run
+/// with the hook restored, so a failed assertion prints its message.
+fn crash_matrix(
+    cfg: &PtConfig,
+    kills: impl Iterator<Item = (usize, usize)>,
+    respawn_budget: usize,
+    mut check: impl FnMut(usize, usize, ElasticRun<RankOut>),
+) {
+    let guard = HOOK.lock().expect("hook guard");
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let runs: Vec<_> = kills
+        .map(|(victim, kill)| {
+            let dir = scratch("matrix");
+            let run = kill_run(cfg, &dir, victim, kill, respawn_budget);
+            let _ = std::fs::remove_dir_all(&dir);
+            (victim, kill, run)
+        })
+        .collect();
+    std::panic::set_hook(hook);
+    drop(guard);
+    for (victim, kill, run) in runs {
+        let run = run.unwrap_or_else(|e| panic!("kill rank {victim} at sweep {kill}: {e:?}"));
+        check(victim, kill, run);
+    }
+}
+
 /// Kill each rank at every sweep boundary; the relaunched world must
 /// finish bit-identical to the uninterrupted reference with equal RNG
 /// draw counts on every rank.
@@ -69,41 +99,66 @@ fn respawn_crash_matrix_is_bit_identical_with_equal_draws() {
     let cfg = pt_cfg();
     let want = reference(&cfg);
     let total = cfg.therm + cfg.sweeps;
-
-    let guard = HOOK.lock().expect("hook guard");
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    for victim in 0..cfg.betas.len() {
-        for kill in 1..total {
-            let dir = scratch("matrix");
-            let (respawns, results) = respawn_run(&cfg, &dir, victim, kill)
-                .unwrap_or_else(|e| panic!("kill rank {victim} at sweep {kill}: {e:?}"));
-
+    let kills = (0..cfg.betas.len()).flat_map(|v| (1..total).map(move |k| (v, k)));
+    crash_matrix(&cfg, kills, 1, |victim, kill, run| {
+        assert_eq!(
+            run.respawns, 1,
+            "kill rank {victim} at sweep {kill}: exactly one respawn expected"
+        );
+        for (rank, (got, exp)) in run.results.iter().zip(&want).enumerate() {
             assert_eq!(
-                respawns, 1,
-                "kill rank {victim} at sweep {kill}: exactly one respawn expected"
+                bits(&got.0),
+                bits(&exp.0),
+                "kill rank {victim} at sweep {kill}: rank {rank} energy series diverged"
             );
-            for (rank, (got, exp)) in results.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    bits(&got.0),
-                    bits(&exp.0),
-                    "kill rank {victim} at sweep {kill}: rank {rank} energy series diverged"
-                );
-                assert_eq!(
-                    bits(&got.1),
-                    bits(&exp.1),
-                    "kill rank {victim} at sweep {kill}: rank {rank} rates diverged"
-                );
-                assert_eq!(
-                    got.2, exp.2,
-                    "kill rank {victim} at sweep {kill}: rank {rank} RNG draw count diverged"
-                );
-            }
-            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(
+                bits(&got.1),
+                bits(&exp.1),
+                "kill rank {victim} at sweep {kill}: rank {rank} rates diverged"
+            );
+            assert_eq!(
+                got.2, exp.2,
+                "kill rank {victim} at sweep {kill}: rank {rank} RNG draw count diverged"
+            );
         }
-    }
-    std::panic::set_hook(hook);
-    drop(guard);
+    });
+}
+
+/// With no respawn budget the policy drops the dead rank's β. Kill each
+/// rank at every boundary, twice: each run must finish on 3 rungs with
+/// full survivor series, the survivors must be the other three βs (each
+/// series opens with the reference's own up to the resumed generation),
+/// and the two runs must agree bit for bit.
+#[test]
+fn resize_crash_matrix_drops_the_dead_rung_deterministically() {
+    let cfg = pt_cfg();
+    let want = reference(&cfg);
+    let total = cfg.therm + cfg.sweeps;
+    let kills = (0..cfg.betas.len()).flat_map(|v| (0..total).flat_map(move |k| [(v, k), (v, k)]));
+    let mut first: Option<Vec<RankOut>> = None;
+    crash_matrix(&cfg, kills, 0, |victim, kill, run| {
+        let at = format!("kill rank {victim} at sweep {kill}");
+        assert_eq!(run.respawns, 0, "{at}: no respawn budget");
+        assert!(run.resized, "{at}: the ladder must be resized");
+        assert_eq!(run.results.len(), cfg.betas.len() - 1, "{at}: 3 rungs");
+        // kill_run writes a generation every 2 sweeps, before the sweep.
+        let restored = (kill - kill % 2).saturating_sub(cfg.therm);
+        let survivors = (0..cfg.betas.len()).filter(|&r| r != victim);
+        for (got, old) in run.results.iter().zip(survivors) {
+            assert_eq!(got.0.len(), cfg.sweeps, "{at}: full survivor series");
+            assert_eq!(got.1.len(), cfg.betas.len() - 2, "{at}: one rate per pair");
+            assert_eq!(
+                bits(&got.0[..restored]),
+                bits(&want[old].0[..restored]),
+                "{at}: the survivor at β = {} kept its history",
+                cfg.betas[old]
+            );
+        }
+        match first.take() {
+            None => first = Some(run.results),
+            Some(a) => assert!(same_bits(&a, &run.results), "{at}: two runs diverged"),
+        }
+    });
 }
 
 /// Seed a full-ladder checkpointed run with one mid-run generation, so
