@@ -18,6 +18,7 @@ use qmc_worldline::weights::PlaqWeights;
 use qmc_worldline::Worldline;
 pub use qmc_worldline::WorldlineParams;
 use std::path::Path;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Exchange statistics of a tempering run.
@@ -372,14 +373,8 @@ where
         "one rank per temperature required"
     );
     assert!(betas.windows(2).all(|w| w[0] < w[1]));
-    let me = comm.rank();
-    let mut replica = Worldline::new(WorldlineParams {
-        l,
-        jx,
-        jz,
-        beta: betas[me],
-        m,
-    });
+    let (me, beta) = (comm.rank(), betas[comm.rank()]);
+    let mut replica = Worldline::new(WorldlineParams { l, jx, jz, beta, m });
     let neighbor_weights: Vec<PlaqWeights> = betas
         .iter()
         .map(|&b| PlaqWeights::new(jx, jz, b / m as f64))
@@ -614,7 +609,7 @@ pub struct ElasticRun<T> {
 /// Every rank of a fresh [`try_run_threads`] world (one per β) runs
 /// `rank(comm, cfg, ck)`: its own RNG and sweep hook around
 /// [`run_pt_parallel_ckpt`], checkpointing into `store` (if any) at
-/// `(every, full_every)`. A rank death relaunches the world, resuming
+/// `cadence = (every, full_every)`. A rank death relaunches the world, resuming
 /// from the store, `respawn_budget` times; then a run with a store and
 /// ≥ 3 rungs drops the dead rank's β and relaunches once, remapped by β
 /// ([`PtCheckpointing::elastic_from`]). A stalled world is never
@@ -622,7 +617,7 @@ pub struct ElasticRun<T> {
 pub fn run_pt_elastic<T, F>(
     cfg: &PtConfig,
     store: Option<&Path>,
-    (every, full_every): (usize, usize),
+    cadence: (usize, usize),
     respawn_budget: usize,
     rank: F,
 ) -> Result<ElasticRun<T>, WorldError>
@@ -638,18 +633,8 @@ where
             ..cfg.clone()
         };
         let world = move |comm: &mut ThreadComm| {
-            let store = dir
-                .as_ref()
-                .map(|d| qmc_ckpt::CkptStore::new(d, 3).expect("run store"));
-            let ck = store.as_ref().map(|store| PtCheckpointing {
-                store,
-                every,
-                full_every,
-                resume: true,
-                stop: None,
-                elastic_from: elastic_from.as_deref(),
-            });
-            rank(comm, &cfg, ck.as_ref())
+            let (dir, from) = (dir.as_deref(), elastic_from.as_deref());
+            with_run_store(dir, cadence, None, from, |ck| rank(comm, &cfg, ck))
         };
         try_run_threads(n, qmc_comm::STALL_TIMEOUT, Arc::new(world))
     };
@@ -668,12 +653,32 @@ where
             Err(e) => return Err(e),
         }
     };
-    let respawns = respawns as u32;
     Ok(ElasticRun {
         results,
-        respawns,
+        respawns: respawns as u32,
         resized,
     })
+}
+
+/// Run `body` with the [`PtCheckpointing`] of the store in `dir` (if
+/// any): three generations retained, every rank resuming its newest.
+pub fn with_run_store<T>(
+    dir: Option<&Path>,
+    (every, full_every): (usize, usize),
+    stop: Option<&AtomicBool>,
+    elastic_from: Option<&[f64]>,
+    body: impl FnOnce(Option<&PtCheckpointing<'_>>) -> T,
+) -> T {
+    let store = dir.map(|d| qmc_ckpt::CkptStore::new(d, 3).expect("run store"));
+    let ck = store.as_ref().map(|store| PtCheckpointing {
+        store,
+        every,
+        full_every,
+        resume: true,
+        stop,
+        elastic_from,
+    });
+    body(ck.as_ref())
 }
 
 /// Build a geometric β ladder from `beta_min` to `beta_max` with `n`

@@ -439,6 +439,10 @@ mod tests {
             betas: vec![0.5, 1.0],
             ..tfim_spec()
         };
+        let at = |spec, b: &[f64]| JobSpec {
+            betas: b.to_vec(),
+            ..spec
+        };
         assert!(tfim(1.0, 2.0).validate().is_ok());
         assert!(pt(4, 1.0, 1.0, 2).validate().is_ok());
         for (what, spec, says) in [
@@ -449,6 +453,9 @@ mod tests {
             ("PT jz = NaN", pt(8, 1.0, f64::NAN, 8), "jx and jz"),
             // e^{Δτ·jz/4}·cosh k is finite at β = 0.5 and +∞ at β = 1.
             ("PT jz = 1e4 overflows", pt(8, 1.0, 1e4, 2), "weights"),
+            // A subnormal β passes the β checks but β/m rounds to zero.
+            ("TFIM β/m = 0", at(tfim(1.0, 2.0), &[5e-324]), "Δτ"),
+            ("PT β/m = 0", at(pt(8, 1.0, 1.0, 8), &[5e-324, 1.0]), "Δτ"),
         ] {
             let err = spec.validate().expect_err(what);
             assert!(err.contains(says), "{what}: {err}");

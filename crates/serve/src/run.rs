@@ -13,17 +13,13 @@
 //!   exactly as a real mid-run death would (any generation due at that
 //!   boundary is written; nothing newer);
 //! * parallel-tempering jobs die for real: one rank of the job's
-//!   ThreadWorld panics mid-run and the attempt rides the death through
-//!   itself under `qmc_core::pt::run_pt_elastic` — a fresh world resumes
-//!   from the store (every rank restores the latest coordinated
-//!   generation) first, β-ladder resize when the respawn budget is
-//!   spent — so the job no longer bounces back to the scheduler's
-//!   requeue path unless both policies are unavailable.
+//!   ThreadWorld panics mid-run, and the attempt rides the death through
+//!   under `qmc_core::pt::run_pt_elastic` (see `run_pt`).
 
 use crate::job::{JobKind, JobObservables, JobSpec};
 use qmc_ckpt::{drive, Cadence, CkptStore, End, Policy};
 use qmc_comm::{run_threads, Communicator, WorldError};
-use qmc_core::pt::{run_pt_elastic, run_pt_parallel_ckpt, PtCheckpointing, PtConfig};
+use qmc_core::pt::{run_pt_elastic, run_pt_parallel_ckpt, with_run_store, PtConfig};
 use qmc_obs::Registry;
 use qmc_rng::{StreamFactory, Xoshiro256StarStar};
 use qmc_tfim::serial::{SerialTfim, TfimSeries};
@@ -86,9 +82,8 @@ pub struct RunCtl<'a> {
     /// Graceful-drain flag, checked at sweep boundaries.
     pub stop: Option<&'a AtomicBool>,
     /// How many rank deaths a parallel attempt may absorb by relaunching
-    /// a fresh world from the store before falling back to a ladder resize (and, failing that, the
-    /// scheduler's requeue path). `0` disables respawn, forcing the
-    /// resize policy on the first death.
+    /// a fresh world from the store before it resizes the ladder (and,
+    /// failing that, requeues). `0` resizes on the first death.
     pub respawn_budget: usize,
     /// Progress callback: `(sweep, total, mean_energy)` at every
     /// checkpoint boundary.
@@ -260,10 +255,7 @@ fn run_pt(cfg: PtConfig, mut ctl: RunCtl<'_>) -> Outcome {
     if let Some(kill_sweep) = ctl.kill_at {
         // One-shot injected death: rank `1 % size` panics at the
         // scheduled sweep on its first pass only — a respawned world
-        // replaying the same boundary must not die again, or the
-        // respawn loop could never converge. The hook swap silences the
-        // expected panic spam and is serialized so concurrent killed
-        // jobs don't race it.
+        // replaying that boundary must not die again (see `KILL_HOOK`).
         let fired = AtomicBool::new(false);
         let guard = KILL_HOOK.lock().expect("kill hook guard");
         let hook = std::panic::take_hook();
@@ -300,18 +292,9 @@ fn run_pt(cfg: PtConfig, mut ctl: RunCtl<'_>) -> Outcome {
     // on rank 0 and broadcasts the verdict, so this is rank-consistent.
     let results = run_threads(cfg.betas.len(), |comm| {
         let mut rng = StreamFactory::new(cfg.seed).stream(comm.rank());
-        let store = dir
-            .as_ref()
-            .map(|d| CkptStore::new(d, 3).expect("job store"));
-        let ck = store.as_ref().map(|store| PtCheckpointing {
-            store,
-            every: cadence.0,
-            full_every: cadence.1,
-            resume: true,
-            stop: ctl.stop,
-            elastic_from: None,
-        });
-        run_pt_parallel_ckpt(comm, &cfg, &mut rng, ck.as_ref(), |_, _| {})
+        with_run_store(dir.as_deref(), cadence, ctl.stop, None, |ck| {
+            run_pt_parallel_ckpt(comm, &cfg, &mut rng, ck, |_, _| {})
+        })
     });
     if results[0].0.len() < sweeps {
         // Drained: the drain checkpoint, the store's newest generation,

@@ -155,6 +155,9 @@ impl TfimModel {
             "β must be finite and positive"
         } else if self.m < 2 || !self.m.is_multiple_of(2) {
             "Trotter slices m must be even >= 2"
+        } else if self.dtau() == 0.0 {
+            // β is positive, but a subnormal β over m rounds to zero.
+            "Δτ = β/m must be positive"
         } else {
             return Ok(());
         };

@@ -37,6 +37,9 @@ impl WorldlineParams {
             "need at least two Trotter steps (m >= 2)"
         } else if !(self.beta.is_finite() && self.beta > 0.0) {
             "β must be finite and positive"
+        } else if self.dtau() == 0.0 {
+            // β is positive, but a subnormal β over m rounds to zero.
+            "Δτ = β/m must be positive"
         } else if !(self.jx.is_finite() && self.jz.is_finite()) {
             "couplings jx and jz must be finite"
         } else {

@@ -18,7 +18,9 @@
 use qmc_bench::elastic::{kill_run, reference, same_bits, RankOut};
 use qmc_ckpt::CkptStore;
 use qmc_comm::{run_threads, Communicator};
-use qmc_core::pt::{run_pt_parallel_ckpt, ElasticRun, PtCheckpointing, PtConfig, PtLadder};
+use qmc_core::pt::{
+    run_pt_parallel_ckpt, with_run_store, ElasticRun, PtCheckpointing, PtConfig, PtLadder,
+};
 use qmc_rng::{CountingRng, StreamFactory};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,16 +191,9 @@ fn resized_run(cfg: &PtConfig, old_betas: &[f64], dir: &Path, every: usize) -> V
     let old: Vec<f64> = old_betas.to_vec();
     run_threads(cfg.betas.len(), move |comm| {
         let mut rng = CountingRng::new(StreamFactory::new(17).stream(comm.rank()));
-        let store = CkptStore::new(&dir2, 3).expect("resize store");
-        let ck = PtCheckpointing {
-            store: &store,
-            every,
-            full_every: 0,
-            resume: true,
-            stop: None,
-            elastic_from: Some(&old),
-        };
-        let (e, r) = run_pt_parallel_ckpt(comm, &cfg2, &mut rng, Some(&ck), |_, _| {});
+        let (e, r) = with_run_store(Some(&dir2), (every, 0), None, Some(&old), |ck| {
+            run_pt_parallel_ckpt(comm, &cfg2, &mut rng, ck, |_, _| {})
+        });
         (e, r, rng.draws)
     })
 }
