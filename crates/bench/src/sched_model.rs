@@ -2,31 +2,33 @@
 //! state *is* a [`qmc_serve::Sched`] and whose actions are the calls
 //! `qmc_serve::server` makes on it under the scheduler lock.
 //!
-//! Nothing here restates admission, dispatch order, requeue or the retry
-//! cap. A transition clones the scheduler and calls `submit`,
-//! `next_work`, `settle` or sets `draining`, as a connection handler, a
-//! worker or the admin does; the model adds what the server keeps
-//! outside the scheduler (which worker holds which job, which workers
-//! have left) and the processes that make the calls: one submitting
-//! client per tenant, one process per worker, the admin. Fault actions
-//! are an attempt ending `Killed` or `Failed`. A seeded bug is a way of
+//! Nothing here restates admission, dispatch order, requeue, the retry
+//! cap or delivery. A transition clones the scheduler and calls
+//! `submit`, `next_work`, `settle`, `claim` or sets `draining`, as a
+//! connection handler, a worker or the admin does; the model adds what
+//! the server keeps outside the scheduler (which worker holds which job,
+//! which workers have left, which replies were delivered) and the
+//! processes that make the calls: one client per tenant, which submits
+//! and awaits, one process per worker, the admin. Fault actions are an
+//! attempt ending `Killed` or `Failed`. A seeded bug is a way of
 //! *misusing* the one implementation ([`Misuse`]).
 //!
 //! Invariants, read off the real records in every reached state:
-//! per-tenant active jobs within the quota; namespace keys unique among
-//! live jobs; `Running` records ↔ busy workers one to one (a `Running`
-//! job no worker holds is lost); the pending queue holds exactly the
-//! `Queued` jobs, once each; once every worker has left, no job is still
-//! `Queued` or `Running`.
+//! per-tenant slot-holding jobs (active, or terminal and undelivered)
+//! within the quota; namespace keys unique among live jobs; `Running`
+//! records ↔ busy workers one to one (a `Running` job no worker holds is
+//! lost); the pending queue holds exactly the `Queued` jobs, once each;
+//! once every worker has left, no job is still `Queued` or `Running`; a
+//! record leaves the table only when its terminal reply is delivered, and
+//! every accepted id is either still held or was delivered exactly once.
 //!
 //! The search is every reachable state once ([`explore_states`]), not
 //! the partial-order reduction: these actions share one lock, nothing is
 //! claimed to commute (`dependent` says so), and with 2 tenants × 2 jobs,
 //! 2 workers and 2 faults the interleavings pass 20 million transitions
-//! unfinished where the states need 159 088.
+//! unfinished where the states need 266 598.
 
 use qmc_obs::Registry;
-use qmc_serve::sched::JobRec;
 use qmc_serve::{JobKind, JobObservables, JobSpec, JobState, Next, Outcome, Sched, TenantQuota};
 use qmc_verify::{explore_states, Budget, Model, Outcome as Explored};
 use std::hash::{Hash, Hasher};
@@ -43,6 +45,9 @@ pub enum Misuse {
     /// A worker that finds the drain begun leaves without asking for
     /// work, so jobs accepted before the drain stay `Queued` for ever.
     ExitOnDrain,
+    /// The handler delivers and claims a job before it is terminal: the
+    /// client hears its job is over while the record stays held.
+    ClaimUnfinished,
 }
 
 /// One explored instance of the lifecycle.
@@ -135,34 +140,54 @@ pub struct SchedState {
     pub submitted: Vec<usize>,
     /// The worker table.
     pub workers: Vec<Worker>,
+    /// Per accepted id, in id order, how many terminal replies its
+    /// tenant's handler has delivered (and claimed the record after).
+    pub delivered: Vec<u8>,
 }
 
 impl SchedState {
-    /// Every accepted job's record, by scheduler id.
-    fn jobs(&self) -> impl Iterator<Item = (u64, &JobRec)> + Clone + '_ {
-        (0..).map_while(|id| self.sched.job(id).map(|rec| (id, rec)))
+    /// The job tenant `t`'s handler delivers next. The client awaits its
+    /// jobs in the order it submitted them, so that is its oldest held
+    /// job, once its terminal reply is ready — or, misused, at once.
+    fn deliverable(&self, t: usize, misuse: Option<Misuse>) -> Option<u64> {
+        let tenant = format!("t{t}");
+        let (id, rec) = self
+            .sched
+            .jobs()
+            .find(|(_, rec)| rec.spec.tenant == tenant)?;
+        (rec.state.is_terminal() || misuse == Some(Misuse::ClaimUnfinished)).then_some(id)
     }
 
     /// Everything that decides what a state can still do, and nothing
     /// else, as bytes (an instance is small: each count fits one): the
-    /// submissions made per tenant; per accepted job which one it is,
-    /// its state, its attempts and how often the pending queue lists it;
-    /// the drain flag; the worker table sorted. Left out: counters and
-    /// timestamps; the order of the pending vector (dispatch picks by
-    /// priority then id, unique per job); and which worker is which —
-    /// the pool's threads run one loop and no invariant names one, so
-    /// the table is compared as a multiset.
+    /// submissions made per tenant; how many accepted ids are gone from
+    /// the table without having been delivered exactly once; per held job
+    /// which one it is, its state, its attempts, how often the pending
+    /// queue lists it and how often it was delivered; the drain flag; the
+    /// worker table sorted, a busy worker naming its job by rank among
+    /// the held ones. Left out: counters and timestamps; the order of the
+    /// pending vector (dispatch picks by priority then id, unique per
+    /// job); the ids themselves — only their order among held jobs
+    /// decides anything, so whether an earlier submission was delivered
+    /// or refused no longer matters once it is gone; and which worker is
+    /// which — the pool's threads run one loop and no invariant names
+    /// one, so the table is compared as a multiset.
     pub fn key(&self) -> Vec<u8> {
         let byte = |n: u64| u8::try_from(n).expect("an explored instance is small");
         let mut key: Vec<u8> = self.submitted.iter().map(|n| byte(*n as u64)).collect();
-        for (id, rec) in self.jobs() {
-            let queued = self.sched.pending().iter().filter(|p| **p == id).count();
+        let gone_wrong = (self.delivered.iter().enumerate())
+            .filter(|(id, n)| self.sched.job(*id as u64).is_none() && **n != 1)
+            .count();
+        key.push(byte(gone_wrong as u64));
+        for (id, rec) in self.sched.jobs() {
+            let queued = self.sched.pending().filter(|p| *p == id).count();
             let attempts = byte(rec.attempts.into());
             key.extend([
                 byte(rec.spec.seed),
                 rec.state as u8,
                 attempts,
                 byte(queued as u64),
+                self.delivered[id as usize],
             ]);
         }
         key.push(self.sched.draining.into());
@@ -170,7 +195,10 @@ impl SchedState {
         key.extend(self.workers.iter().map(|w| match w {
             Worker::Idle => 0,
             Worker::Exited => 1,
-            Worker::Busy(id) => 2 + byte(*id),
+            Worker::Busy(id) => match self.sched.jobs().position(|(held, _)| held == *id) {
+                Some(rank) => 2 + byte(rank as u64),
+                None => u8::MAX,
+            },
         }));
         key[at..].sort_unstable();
         key
@@ -233,6 +261,9 @@ pub enum SchedAction {
     Next(usize),
     /// Worker `.0`'s attempt ended, and how.
     Settle(usize, End),
+    /// Tenant `.0`'s handler delivers the terminal reply of its oldest
+    /// held job, once finished, and claims the record.
+    Claim(usize),
     /// The admin begins a graceful drain.
     Drain,
 }
@@ -246,6 +277,7 @@ impl Model for SchedModel {
             sched: Sched::default(),
             submitted: vec![0; self.tenants],
             workers: vec![Worker::Idle; self.workers],
+            delivered: Vec::new(),
         }
     }
 
@@ -255,12 +287,15 @@ impl Model for SchedModel {
             if *n < self.jobs_per_tenant {
                 acts.push(SchedAction::Submit(t));
             }
+            if s.deliverable(t, self.misuse).is_some() {
+                acts.push(SchedAction::Claim(t));
+            }
         }
         for (w, slot) in s.workers.iter().enumerate() {
             match slot {
                 // A worker told to wait sleeps on the condvar: asking
                 // again only changes anything once one of these holds.
-                Worker::Idle if !s.sched.pending().is_empty() || s.sched.draining => {
+                Worker::Idle if s.sched.pending_len() > 0 || s.sched.draining => {
                     acts.push(SchedAction::Next(w));
                 }
                 Worker::Busy(_) => {
@@ -290,9 +325,12 @@ impl Model for SchedModel {
                     _ => self.quota,
                 };
                 // A refusal (quota, namespace, draining) leaves no record.
-                let _ = t
+                let accepted = t
                     .sched
                     .submit(self.spec(job), &TenantQuota { max_active }, &[]);
+                if accepted.is_ok() {
+                    t.delivered.push(0);
+                }
             }
             SchedAction::Next(w) => {
                 let exits_unasked = self.misuse == Some(Misuse::ExitOnDrain) && t.sched.draining;
@@ -316,25 +354,43 @@ impl Model for SchedModel {
                     t.sched.settle(id, end.outcome(), self.max_attempts);
                 }
             }
+            SchedAction::Claim(tenant) => {
+                let id = s.deliverable(tenant, self.misuse).expect("enabled");
+                t.delivered[id as usize] += 1;
+                t.sched.claim(id);
+            }
             SchedAction::Drain => t.sched.draining = true,
         }
         t
     }
 
     fn invariant(&self, s: &SchedState) -> Result<(), String> {
-        for (a, ra) in s.jobs() {
+        for (id, delivered) in s.delivered.iter().enumerate() {
+            let held = s.sched.job(id as u64);
+            match (held, delivered) {
+                (None, 1) | (Some(_), 0) => {}
+                (None, 0) => return Err(format!("job {id} left the table undelivered")),
+                (Some(rec), _) => {
+                    return Err(format!(
+                        "job {id} was delivered while {:?}, and its record is still held",
+                        rec.state
+                    ))
+                }
+                (None, n) => return Err(format!("job {id} was delivered {n} times")),
+            }
+        }
+        for (a, ra) in s.sched.jobs() {
             let tenant = &ra.spec.tenant;
-            let active = s
-                .jobs()
-                .filter(|(_, r)| r.spec.tenant == *tenant && r.state.is_active())
+            let held = (s.sched.jobs())
+                .filter(|(_, r)| r.spec.tenant == *tenant && r.state.holds_slot())
                 .count();
-            if active > self.quota {
+            if held > self.quota {
                 return Err(format!(
-                    "tenant {tenant} has {active} active jobs, quota is {}",
+                    "tenant {tenant} has {held} undelivered or active jobs, quota is {}",
                     self.quota
                 ));
             }
-            if let Some((b, _)) = s.jobs().find(|(b, rb)| {
+            if let Some((b, _)) = s.sched.jobs().find(|(b, rb)| {
                 *b > a && ra.state.is_live() && rb.state.is_live() && ra.ns_key == rb.ns_key
             }) {
                 return Err(format!(
@@ -354,7 +410,7 @@ impl Model for SchedModel {
                     ra.state
                 ));
             }
-            let queued = s.sched.pending().iter().filter(|id| **id == a).count();
+            let queued = s.sched.pending().filter(|id| *id == a).count();
             if queued != usize::from(ra.state == JobState::Queued) {
                 return Err(format!(
                     "job {a} is {:?} and appears {queued} time(s) in the pending queue",
@@ -373,7 +429,7 @@ impl Model for SchedModel {
 
     fn pid(&self, a: &SchedAction) -> usize {
         match *a {
-            SchedAction::Submit(tenant) => tenant,
+            SchedAction::Submit(tenant) | SchedAction::Claim(tenant) => tenant,
             SchedAction::Next(w) | SchedAction::Settle(w, _) => self.tenants + w,
             SchedAction::Drain => self.tenants + self.workers,
         }
@@ -391,7 +447,9 @@ impl Model for SchedModel {
         // A drain is always on offer until taken, and a draining idle
         // worker can always ask and leave: a run is over when every
         // client has heard back and the pool is empty. That no job was
-        // left behind is the invariant's last clause.
+        // left behind is the invariant's last clause, and no finished
+        // result is left undelivered in a quiescent state: its claim
+        // would still be enabled.
         s.submitted.iter().all(|n| *n == self.jobs_per_tenant)
             && s.workers.iter().all(|w| *w == Worker::Exited)
     }

@@ -1,27 +1,36 @@
 //! Scheduler state machine: admission (validation + tenant quota),
-//! priority dispatch, requeue-on-kill, and per-tenant metrics.
+//! priority dispatch, requeue-on-kill, delivery, and per-tenant metrics.
 //!
 //! This module is pure bookkeeping — no sockets, no threads — so every
 //! transition is unit-testable. The server wraps one [`Sched`] in a
 //! mutex and drives it from the acceptor, the connection handlers, and
 //! the worker pool; each lock-held decision of a worker is one method
-//! here ([`Sched::next_work`], [`Sched::settle`]), and the state-space
-//! explorer (`qmc_bench::sched_model`) calls the same methods on a clone
-//! per transition, so what is explored is what runs.
+//! here ([`Sched::next_work`], [`Sched::settle`]), a handler that has
+//! written a job's terminal reply calls [`Sched::claim`], and the
+//! state-space explorer (`qmc_bench::sched_model`) calls the same methods
+//! on a clone per transition, so what is explored is what runs.
+//!
+//! The table holds only what a client can still claim: a record is
+//! dropped once its result (or failure) has been delivered, and a
+//! tenant's undelivered results count against its quota beside its
+//! queued and running jobs. Memory is therefore bounded by the quotas,
+//! not by how many jobs the server has ever accepted, and admission
+//! reads two indexes kept in step with the table instead of walking it.
 
 use crate::job::{JobObservables, JobSpec};
 use crate::run::Outcome;
 use qmc_obs::{HealthMonitor, HealthSnapshot, RankObs, Registry};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Per-tenant admission limits.
 #[derive(Debug, Clone, Copy)]
 pub struct TenantQuota {
-    /// Maximum unfinished (queued + running) jobs a tenant may hold;
-    /// submissions beyond it are rejected, which is what keeps every
-    /// server-side queue bounded against a hostile client.
+    /// Maximum jobs a tenant may hold a slot with: queued, running, or
+    /// finished with a result not yet delivered. Submissions beyond it
+    /// are rejected, which is what keeps every server-side queue and the
+    /// job table bounded against a hostile client — one that submits and
+    /// never awaits is refused instead of growing the table.
     pub max_active: usize,
 }
 
@@ -48,19 +57,32 @@ pub enum JobState {
     Queued,
     /// A worker is sweeping it.
     Running,
-    /// Finished; result retained for `Await`.
+    /// Finished; the result is held until an `Await` delivers it.
     Done,
-    /// Checkpointed and parked by a server drain.
+    /// Checkpointed and parked by a server drain. Never claimed: the
+    /// record is what a restarted server resumes.
     Paused,
     /// An attempt died in a way a retry cannot fix (restore error,
-    /// worker panic); the reason is retained for `Await`.
+    /// worker panic); the reason is held until an `Await` delivers it.
     Failed,
 }
 
 impl JobState {
-    /// Holds a slot of its tenant's quota (queued or running).
+    /// Queued or running: a worker still owes the job an attempt.
     pub fn is_active(self) -> bool {
         matches!(self, JobState::Queued | JobState::Running)
+    }
+
+    /// Done or Failed: the job's terminal reply is ready, and once it is
+    /// delivered the record is claimed ([`Sched::claim`]).
+    pub fn is_terminal(self) -> bool {
+        matches!(self, JobState::Done | JobState::Failed)
+    }
+
+    /// Holds a slot of its tenant's quota: active, or terminal and not
+    /// yet claimed (a claimed record is gone). A parked job holds none.
+    pub fn holds_slot(self) -> bool {
+        self != JobState::Paused
     }
 
     /// Holds its checkpoint namespace: active, or parked by a drain with
@@ -120,9 +142,6 @@ pub struct JobRec {
     pub result: Option<(JobObservables, u32)>,
     /// Why the job failed, once [`JobState::Failed`].
     pub error: Option<String>,
-    /// When the job reached a terminal state (Done/Failed) — the clock
-    /// the result-retention TTL runs against.
-    pub finished: Option<Instant>,
 }
 
 /// How many snapshots a job retains for late-joining `Await` streams.
@@ -131,15 +150,29 @@ const SNAPSHOT_RING: usize = 64;
 /// The scheduler: job table, pending queue, counters, tenant health.
 #[derive(Default, Clone)]
 pub struct Sched {
-    /// All accepted jobs, indexed by id. `None` marks a terminal job
-    /// whose record was evicted after its result-retention TTL expired
-    /// (ids are never reused, so the slot stays). Behind `Arc` so that a
-    /// clone of the scheduler — the explorer takes one per transition —
-    /// shares the records and copies only the one it changes; the server
-    /// never clones, so there `make_mut` never copies.
-    jobs: Vec<Option<Arc<JobRec>>>,
-    /// Ids awaiting a worker.
-    pending: Vec<u64>,
+    /// Held records by id: every accepted job a client can still claim.
+    /// A delivered result's record is dropped ([`Sched::claim`]); ids are
+    /// never reused. Ordered, so that whoever walks the records (the
+    /// explorer builds its state key that way) sees them in id order
+    /// whatever the run. Behind `Arc` so that a clone of the scheduler —
+    /// the explorer takes one per transition — shares the records and
+    /// copies only the one it changes; the server never clones, so there
+    /// `make_mut` never copies.
+    jobs: BTreeMap<u64, Arc<JobRec>>,
+    /// The id the next accepted job gets.
+    next_id: u64,
+    /// Per tenant, how many held records take a slot of its quota
+    /// ([`JobState::holds_slot`]); a tenant holding none has no entry.
+    slots: BTreeMap<String, usize>,
+    /// Checkpoint namespace keys of the live jobs
+    /// ([`JobState::is_live`]). Only ever probed, never walked, so its
+    /// order cannot reach the explorer; hashed rather than ordered
+    /// because an ordered probe chases a string per level, which doubles
+    /// a submission's cost with 10 000 jobs held.
+    live_ns: HashSet<String>,
+    /// `(priority, id)` of each job awaiting a worker: dispatch picks
+    /// from this alone, without a lookup in the table per candidate.
+    pending: Vec<(u8, u64)>,
     /// Set once a drain begins; rejects new submissions.
     pub draining: bool,
     /// Server counters (`serve.*`) and absorbed per-tenant registries.
@@ -149,55 +182,53 @@ pub struct Sched {
 }
 
 impl Sched {
-    /// The record for `id`, if it exists and has not been evicted.
+    /// The record for `id`, if it is held: accepted and not yet claimed.
     pub fn job(&self, id: u64) -> Option<&JobRec> {
-        self.jobs.get(id as usize).and_then(Option::as_deref)
+        self.jobs.get(&id).map(|rec| &**rec)
     }
 
-    /// True when `id` was a real job whose terminal record has since
-    /// been evicted by the retention TTL (distinguishes "evicted" from
-    /// "never existed" in client-facing errors).
-    pub fn was_evicted(&self, id: u64) -> bool {
-        matches!(self.jobs.get(id as usize), Some(None))
+    /// Every held record, in id order.
+    pub fn jobs(&self) -> impl Iterator<Item = (u64, &JobRec)> + Clone + '_ {
+        self.jobs.iter().map(|(id, rec)| (*id, &**rec))
     }
 
-    /// A live (non-evicted) record, by internal invariant: only
-    /// terminal jobs are ever evicted, so any id the scheduler still
-    /// acts on must have its record.
+    /// A held record, by internal invariant: only a terminal job is ever
+    /// claimed, so any id the scheduler still acts on is held.
     fn rec(&self, id: u64) -> &JobRec {
-        self.jobs[id as usize]
-            .as_deref()
-            .expect("only terminal jobs are evicted; a live id keeps its record")
+        self.job(id)
+            .expect("only terminal jobs are claimed; a live id keeps its record")
     }
 
     fn rec_mut(&mut self, id: u64) -> &mut JobRec {
         Arc::make_mut(
-            self.jobs[id as usize]
-                .as_mut()
-                .expect("only terminal jobs are evicted; a live id keeps its record"),
+            self.jobs
+                .get_mut(&id)
+                .expect("only terminal jobs are claimed; a live id keeps its record"),
         )
     }
 
-    /// Evict terminal (Done/Failed) records older than `ttl`, freeing
-    /// their snapshots and results. Paused jobs are never evicted — a
-    /// drained job's record is what a restarted server resumes from.
-    /// Returns how many records were dropped.
-    pub fn evict_expired(&mut self, ttl: Duration) -> usize {
-        let mut evicted = 0u64;
-        for slot in &mut self.jobs {
-            let expired = slot.as_ref().is_some_and(|rec| {
-                matches!(rec.state, JobState::Done | JobState::Failed)
-                    && rec.finished.is_some_and(|at| at.elapsed() >= ttl)
-            });
-            if expired {
-                *slot = None;
-                evicted += 1;
-            }
+    /// Drop a delivered job's record: the connection handler calls this
+    /// once it has written the job's terminal reply (the `Result` of a
+    /// Done job, the `Error` of a Failed one). Frees the tenant's quota
+    /// slot. A record that is not terminal — queued, running, or parked
+    /// by a drain for a restarted server to resume — is left alone.
+    /// Returns whether a record was dropped.
+    pub fn claim(&mut self, id: u64) -> bool {
+        if !self.job(id).is_some_and(|rec| rec.state.is_terminal()) {
+            return false;
         }
-        if evicted > 0 {
-            self.obs.counter_add("serve.jobs_evicted", evicted);
+        let rec = self.jobs.remove(&id).expect("held");
+        self.release_slot(&rec.spec.tenant);
+        true
+    }
+
+    /// Give back one of `tenant`'s quota slots.
+    fn release_slot(&mut self, tenant: &str) {
+        let held = self.slots.get_mut(tenant).expect("a held job has a slot");
+        *held -= 1;
+        if *held == 0 {
+            self.slots.remove(tenant);
         }
-        evicted as usize
     }
 
     /// Admission: validation, drain check, tenant quota. On success the
@@ -217,16 +248,11 @@ impl Sched {
             self.obs.counter_add("serve.jobs_rejected", 1);
             return Err(reason);
         }
-        let active = self
-            .jobs
-            .iter()
-            .flatten()
-            .filter(|j| j.spec.tenant == spec.tenant && j.state.is_active())
-            .count();
-        if active >= quota.max_active {
+        let held = self.slots.get(&spec.tenant).copied().unwrap_or(0);
+        if held >= quota.max_active {
             self.obs.counter_add("serve.jobs_rejected", 1);
             return Err(format!(
-                "tenant {} quota exceeded ({active} active, limit {})",
+                "tenant {} quota exceeded ({held} active or undelivered, limit {})",
                 spec.tenant, quota.max_active
             ));
         }
@@ -238,12 +264,7 @@ impl Sched {
         // Failed jobs release the name — the worker removes their
         // checkpoint directory, so reuse starts from a clean store.)
         let ns_key = qmc_ckpt::namespace_key(&spec.namespace());
-        let live_collision = self
-            .jobs
-            .iter()
-            .flatten()
-            .any(|j| j.ns_key == ns_key && j.state.is_live());
-        if live_collision {
+        if self.live_ns.contains(&ns_key) {
             self.obs.counter_add("serve.jobs_rejected", 1);
             return Err(format!(
                 "job namespace '{}' collides with a live job's checkpoint \
@@ -251,23 +272,28 @@ impl Sched {
                 spec.namespace()
             ));
         }
-        let id = self.jobs.len() as u64;
+        let (id, priority) = (self.next_id, spec.priority);
+        self.next_id += 1;
         let kill_at = kills.iter().find(|k| k.job == id).map(|k| k.at_sweep);
-        self.jobs.push(Some(Arc::new(JobRec {
-            spec,
-            ns_key,
-            state: JobState::Queued,
-            attempts: 0,
-            kill_at,
-            snapshots: VecDeque::new(),
-            next_seq: 1,
-            result: None,
-            error: None,
-            finished: None,
-        })));
+        *self.slots.entry(spec.tenant.clone()).or_default() += 1;
+        self.live_ns.insert(ns_key.clone());
+        self.jobs.insert(
+            id,
+            Arc::new(JobRec {
+                spec,
+                ns_key,
+                state: JobState::Queued,
+                attempts: 0,
+                kill_at,
+                snapshots: VecDeque::new(),
+                next_seq: 1,
+                result: None,
+                error: None,
+            }),
+        );
         // Bounded by construction: admission above enforces the tenant
         // quota before anything is queued.
-        self.pending.push(id);
+        self.pending.push((priority, id));
         Ok(id)
     }
 
@@ -279,9 +305,9 @@ impl Sched {
             .pending
             .iter()
             .enumerate()
-            .max_by_key(|(_, &id)| (self.rec(id).spec.priority, std::cmp::Reverse(id)))?
+            .max_by_key(|(_, &(priority, id))| (priority, std::cmp::Reverse(id)))?
             .0;
-        let id = self.pending.swap_remove(best);
+        let (_, id) = self.pending.swap_remove(best);
         let rec = self.rec_mut(id);
         rec.state = JobState::Running;
         rec.attempts += 1;
@@ -333,8 +359,8 @@ impl Sched {
     }
 
     /// Ids awaiting a worker, in no particular order.
-    pub fn pending(&self) -> &[u64] {
-        &self.pending
+    pub fn pending(&self) -> impl Iterator<Item = u64> + '_ {
+        self.pending.iter().map(|&(_, id)| id)
     }
 
     /// Number of jobs awaiting a worker.
@@ -363,10 +389,9 @@ impl Sched {
     /// A worker finished the job: store the result, fold the engine's
     /// registry into the tenant namespace, feed tenant health.
     fn complete(&mut self, id: u64, obs: JobObservables, engine_metrics: &Registry) {
+        self.release_name(id);
         let rec = self.rec_mut(id);
         rec.state = JobState::Done;
-        // lint: allow(wall-clock) — the result-retention TTL is wall time
-        rec.finished = Some(Instant::now());
         let attempts = rec.attempts;
         let tenant = rec.spec.tenant.clone();
         let mean = obs
@@ -398,10 +423,11 @@ impl Sched {
         let rec = self.rec_mut(id);
         rec.state = JobState::Queued;
         rec.kill_at = None;
+        let priority = rec.spec.priority;
         // Re-admission is not re-checked against the quota: the job
         // already holds its admission slot (it never left Queued|Running
         // from the tenant's accounting perspective).
-        self.pending.push(id);
+        self.pending.push((priority, id));
         self.obs.counter_add("serve.requeues", 1);
         self.obs.counter_add("serve.worker_kills", 1);
     }
@@ -436,22 +462,33 @@ impl Sched {
         }
     }
 
-    /// A drain checkpointed the job mid-run and parked it.
+    /// A drain checkpointed the job mid-run and parked it: it keeps its
+    /// namespace for a restarted server to resume from, but not its
+    /// quota slot.
     fn pause(&mut self, id: u64) {
-        self.rec_mut(id).state = JobState::Paused;
+        let rec = self.rec_mut(id);
+        rec.state = JobState::Paused;
+        let tenant = rec.spec.tenant.clone();
+        self.release_slot(&tenant);
         self.obs.counter_add("serve.jobs_drained", 1);
     }
 
     /// An attempt died in a way a retry cannot fix (restore error,
     /// worker panic): park the job as Failed with the reason, releasing
-    /// its quota slot and namespace instead of looping the failure.
+    /// its namespace instead of looping the failure. The quota slot is
+    /// freed when the reason is delivered.
     fn fail(&mut self, id: u64, reason: String) {
+        self.release_name(id);
         let rec = self.rec_mut(id);
         rec.state = JobState::Failed;
         rec.error = Some(reason);
-        // lint: allow(wall-clock) — the result-retention TTL is wall time
-        rec.finished = Some(Instant::now());
         self.obs.counter_add("serve.jobs_failed", 1);
+    }
+
+    /// A job leaving [`JobState::is_live`] gives its namespace back.
+    fn release_name(&mut self, id: u64) {
+        let released = self.live_ns.remove(&self.jobs[&id].ns_key);
+        debug_assert!(released, "a live job holds its namespace");
     }
 
     /// Counters and health snapshots, optionally filtered to one
@@ -632,8 +669,9 @@ mod tests {
         assert_eq!(rec.state, JobState::Failed);
         assert!(rec.error.as_deref().unwrap().contains("restore"));
         assert_eq!(sched.obs.counter("serve.jobs_failed"), 1);
-        // The failed job no longer occupies the tenant's quota slot or
-        // its checkpoint namespace.
+        // Once the reason is delivered, the failed job no longer occupies
+        // the tenant's quota slot or its checkpoint namespace.
+        assert!(sched.claim(id));
         assert!(sched.submit(spec("a", "j1", 0), &quota, &[]).is_ok());
     }
 
@@ -712,9 +750,10 @@ mod tests {
         let err = sched.job(ids[2]).unwrap().error.as_deref();
         assert_eq!(err, Some("restore error"));
 
-        // Done and Failed gave their names back; the parked job keeps
-        // its namespace (a restarted server resumes from it) but not its
-        // quota slot.
+        // Done and Failed gave their names back, and their slots once
+        // delivered; the parked job keeps its namespace (a restarted
+        // server resumes from it) but not its quota slot.
+        assert!(sched.claim(ids[0]) && sched.claim(ids[2]));
         assert!(submit(&mut sched, "done").is_ok());
         assert!(submit(&mut sched, "broken").is_ok());
         let err = submit(&mut sched, "parked").unwrap_err();
@@ -731,7 +770,7 @@ mod tests {
 
         assert_eq!(sched.next_work(), Next::Run(id));
         assert_eq!(sched.settle(id, killed(), 2), JobState::Queued);
-        assert_eq!(sched.pending(), [id]);
+        assert!(sched.pending().eq([id]));
         let full = sched.submit(spec("a", "other", 0), &quota, &[]);
         assert!(
             full.unwrap_err().contains("quota"),
@@ -740,12 +779,14 @@ mod tests {
 
         assert_eq!(sched.next_work(), Next::Run(id));
         assert_eq!(sched.settle(id, killed(), 2), JobState::Failed);
-        assert!(sched.pending().is_empty(), "a capped job is not queued");
+        assert_eq!(sched.pending_len(), 0, "a capped job is not queued");
         let err = sched.job(id).unwrap().error.clone().unwrap();
         assert!(err.contains("retry cap reached (2 attempts)") && err.contains("sweep 7"));
         assert_eq!(sched.obs.counter("serve.requeues"), 1);
         assert_eq!(sched.obs.counter("serve.worker_kills"), 2);
-        // The quota slot and the namespace are both free again.
+        // Once the failure is delivered, the quota slot and the namespace
+        // are both free again.
+        assert!(sched.claim(id));
         assert!(sched.submit(spec("a", "crashy", 0), &quota, &[]).is_ok());
     }
 
@@ -760,49 +801,91 @@ mod tests {
     }
 
     #[test]
-    fn ttl_evicts_terminal_jobs_only() {
+    fn claim_drops_terminal_records_only() {
         let mut sched = Sched::default();
         let quota = TenantQuota::default();
-        let done = sched.submit(spec("a", "done", 0), &quota, &[]).unwrap();
-        let failed = sched.submit(spec("a", "failed", 0), &quota, &[]).unwrap();
-        let queued = sched.submit(spec("a", "queued", 0), &quota, &[]).unwrap();
-        let running = sched.submit(spec("a", "running", 0), &quota, &[]).unwrap();
-        assert_eq!(sched.pop_next(), Some(done));
+        let names = ["done", "failed", "queued", "running", "parked"];
+        let [done, failed, queued, running, parked] =
+            names.map(|n| sched.submit(spec("a", n, 0), &quota, &[]).unwrap());
+        for id in [done, failed, queued, running, parked] {
+            assert_eq!(sched.pop_next(), Some(id));
+        }
         sched.complete(done, JobObservables::default(), &Registry::new());
-        assert_eq!(sched.pop_next(), Some(failed));
         sched.fail(failed, "injected".into());
-        assert_eq!(sched.pop_next(), Some(queued));
-        assert_eq!(sched.pop_next(), Some(running));
-        // Requeue one so a job sits in each non-terminal state
-        // alongside the two terminal ones.
+        sched.pause(parked);
+        // Requeue one so a job sits in each non-terminal state alongside
+        // the two terminal ones.
         sched.requeue(queued);
 
-        assert_eq!(sched.evict_expired(Duration::ZERO), 2);
-        assert!(sched.was_evicted(done) && sched.job(done).is_none());
-        assert!(sched.was_evicted(failed));
-        assert!(sched.job(queued).is_some(), "queued jobs are never evicted");
-        assert!(
-            sched.job(running).is_some(),
-            "running jobs are never evicted"
-        );
-        assert_eq!(sched.obs.counter("serve.jobs_evicted"), 2);
-        // An id that never existed is not "evicted".
-        assert!(!sched.was_evicted(99));
-        // The pending queue and dispatch survive eviction untouched.
-        assert_eq!(sched.pending_len(), 1);
+        assert!(sched.claim(done) && sched.job(done).is_none());
+        assert!(sched.claim(failed) && sched.job(failed).is_none());
+        for id in [queued, running, parked] {
+            let before = sched.job(id).unwrap().state;
+            assert!(!sched.claim(id), "{before:?} must not be claimed");
+            assert_eq!(sched.job(id).unwrap().state, before);
+        }
+        // A claimed id, and one never accepted, claim nothing.
+        assert!(!sched.claim(done) && !sched.claim(99));
+        let held: Vec<u64> = sched.jobs().map(|(id, _)| id).collect();
+        assert_eq!(held, [queued, running, parked]);
+        // The pending queue and dispatch are untouched.
+        assert!(sched.pending().eq([queued]));
         assert_eq!(sched.pop_next(), Some(queued));
     }
 
     #[test]
-    fn ttl_retains_fresh_results() {
+    fn an_unclaimed_result_holds_its_quota_slot_until_claimed() {
         let mut sched = Sched::default();
-        let quota = TenantQuota::default();
+        let quota = TenantQuota { max_active: 1 };
         let id = sched.submit(spec("a", "j", 0), &quota, &[]).unwrap();
         sched.pop_next();
         sched.complete(id, JobObservables::default(), &Registry::new());
-        assert_eq!(sched.evict_expired(Duration::from_secs(3600)), 0);
-        assert!(sched.job(id).is_some(), "a fresh result must be retained");
-        assert!(!sched.was_evicted(id));
+        // Done, and its name is free, but the result is not delivered:
+        // the tenant's one slot is still taken.
+        let err = sched.submit(spec("a", "k", 0), &quota, &[]).unwrap_err();
+        assert!(err.contains("quota") && err.contains("1 active or undelivered"));
+        assert!(sched.job(id).is_some(), "an undelivered result is held");
+        // Another tenant is unaffected.
+        assert!(sched.submit(spec("b", "k", 0), &quota, &[]).is_ok());
+        assert!(sched.claim(id));
+        assert!(sched.submit(spec("a", "k", 0), &quota, &[]).is_ok());
+    }
+
+    #[test]
+    fn the_namespace_index_frees_a_name_on_settle() {
+        let mut sched = Sched::default();
+        let quota = TenantQuota::default();
+        let done = Outcome::Done {
+            obs: JobObservables::default(),
+            metrics: Registry::new(),
+            respawns: 0,
+            resized: false,
+        };
+        let failed = Outcome::Failed {
+            reason: "injected".into(),
+        };
+        for (n, outcome) in [done, failed].into_iter().enumerate() {
+            let name = format!("job {n}");
+            let id = sched.submit(spec("a", &name, 0), &quota, &[]).unwrap();
+            assert_eq!(sched.next_work(), Next::Run(id));
+            let twin = sched.submit(spec("a", &name, 0), &quota, &[]);
+            assert!(twin.unwrap_err().contains("collides"), "live while running");
+            // Settling frees the name at once, before any delivery.
+            assert!(sched.settle(id, outcome, 5).is_terminal());
+            assert!(sched.job(id).is_some());
+            let again = sched.submit(spec("a", &name, 0), &quota, &[]).unwrap();
+            assert_eq!(sched.next_work(), Next::Run(again));
+        }
+        // A requeue keeps the name; a drain's park keeps it too.
+        let id = sched.submit(spec("a", "kept", 0), &quota, &[]).unwrap();
+        assert_eq!(sched.next_work(), Next::Run(id));
+        let killed = Outcome::Killed { at_sweep: 1 };
+        assert_eq!(sched.settle(id, killed, 5), JobState::Queued);
+        assert!(sched.submit(spec("a", "kept", 0), &quota, &[]).is_err());
+        assert_eq!(sched.next_work(), Next::Run(id));
+        let drained = Outcome::Drained { at_sweep: 1 };
+        assert_eq!(sched.settle(id, drained, 5), JobState::Paused);
+        assert!(sched.submit(spec("a", "kept", 0), &quota, &[]).is_err());
     }
 
     #[test]

@@ -47,11 +47,6 @@ pub struct ServeConfig {
     /// other session sees only its own tenant's counters and cannot
     /// drain the server.
     pub admin: String,
-    /// Result-retention TTL: terminal (Done/Failed) job records older
-    /// than this are evicted on the worker tick, bounding server memory
-    /// against tenants that never `Await` their results. `None` retains
-    /// every record for the server's lifetime.
-    pub ttl: Option<Duration>,
 }
 
 /// Per-frame payload cap for client connections.
@@ -74,7 +69,6 @@ impl Default for ServeConfig {
             quota: TenantQuota::default(),
             kills: Vec::new(),
             admin: "admin".into(),
-            ttl: None,
         }
     }
 }
@@ -275,6 +269,14 @@ fn handle_conn(mut conn: FrameConn, shared: Arc<Shared>) {
         }
     };
     let is_admin = tenant == shared.cfg.admin;
+    // One reply for an id this session cannot await: never accepted,
+    // another tenant's, or already delivered.
+    let unknown = |job: u64| Msg::Error {
+        detail: format!(
+            "peer {peer} tenant {tenant}: unknown job {job} (never accepted for this \
+             tenant, or its result was already delivered)"
+        ),
+    };
 
     loop {
         let msg = match recv_msg(&mut conn, &shared, &peer, &tenant) {
@@ -289,11 +291,16 @@ fn handle_conn(mut conn: FrameConn, shared: Arc<Shared>) {
             Err(()) => return,
         };
         match msg {
-            Msg::Submit { spec } => {
+            Msg::Submit { mut spec } => {
+                // Every job is admitted, billed and owned under the
+                // session's tenant, the admin's included: a spoofed tenant
+                // field bills the spoofer, and only the submitting tenant
+                // can await the result.
+                spec.tenant.clone_from(&tenant);
                 let reply = {
                     let mut sched = shared.sched.lock().expect("scheduler lock");
                     // Admission enforces the tenant quota before anything
-                    // is queued; a spoofed tenant field bills the spoofer.
+                    // is queued.
                     let quota = shared.cfg.quota;
                     match sched.submit(spec, &quota, &shared.cfg.kills) {
                         Ok(job) => Msg::Accepted { job },
@@ -312,21 +319,20 @@ fn handle_conn(mut conn: FrameConn, shared: Arc<Shared>) {
                 loop {
                     enum Step {
                         Send(Vec<Msg>),
+                        /// The job's terminal reply: once it is written,
+                        /// the result is delivered and the record claimed.
+                        Deliver(Msg),
                         Finished(Msg),
                         Wait,
                     }
                     let step = {
                         let sched = shared.sched.lock().expect("scheduler lock");
                         match sched.job(job) {
-                            None if sched.was_evicted(job) => Step::Finished(Msg::Error {
-                                detail: format!(
-                                    "peer {peer} tenant {tenant}: job {job} was evicted \
-                                     after its result-retention TTL expired"
-                                ),
-                            }),
-                            None => Step::Finished(Msg::Error {
-                                detail: format!("peer {peer} tenant {tenant}: unknown job {job}"),
-                            }),
+                            // Another tenant's job is answered exactly as a
+                            // job that does not exist, so the reply does not
+                            // reveal that it does.
+                            Some(rec) if rec.spec.tenant != tenant => Step::Finished(unknown(job)),
+                            None => Step::Finished(unknown(job)),
                             Some(rec) => {
                                 let fresh: Vec<Msg> = rec
                                     .snapshots
@@ -344,7 +350,7 @@ fn handle_conn(mut conn: FrameConn, shared: Arc<Shared>) {
                                 if !fresh.is_empty() {
                                     Step::Send(fresh)
                                 } else if let Some((obs, attempts)) = &rec.result {
-                                    Step::Finished(Msg::Result {
+                                    Step::Deliver(Msg::Result {
                                         job,
                                         obs: obs.clone(),
                                         attempts: *attempts,
@@ -352,7 +358,7 @@ fn handle_conn(mut conn: FrameConn, shared: Arc<Shared>) {
                                 } else if rec.state == JobState::Paused {
                                     Step::Finished(Msg::Draining)
                                 } else if rec.state == JobState::Failed {
-                                    Step::Finished(Msg::Error {
+                                    Step::Deliver(Msg::Error {
                                         detail: format!(
                                             "job {job} failed: {}",
                                             rec.error.as_deref().unwrap_or("unknown")
@@ -374,6 +380,15 @@ fn handle_conn(mut conn: FrameConn, shared: Arc<Shared>) {
                                     return;
                                 }
                             }
+                        }
+                        Step::Deliver(m) => {
+                            // A reply that did not reach the socket is not
+                            // delivered: the record stays for a retry.
+                            if send_msg(&mut conn, &m).is_err() {
+                                return;
+                            }
+                            shared.sched.lock().expect("scheduler lock").claim(job);
+                            break;
                         }
                         Step::Finished(m) => {
                             let _ = send_msg(&mut conn, &m);
@@ -495,12 +510,6 @@ fn worker_loop(shared: Arc<Shared>) {
         let (id, spec, kill_at) = {
             let mut sched = shared.sched.lock().expect("scheduler lock");
             let id = loop {
-                // Retention sweep rides the worker tick (the 100 ms
-                // condvar timeout below), so eviction needs no thread of
-                // its own.
-                if let Some(ttl) = shared.cfg.ttl {
-                    sched.evict_expired(ttl);
-                }
                 match sched.next_work() {
                     Next::Run(id) => break id,
                     Next::Exit => return,
@@ -513,7 +522,7 @@ fn worker_loop(shared: Arc<Shared>) {
                     }
                 }
             };
-            let rec = sched.job(id).expect("a dispatched job is never evicted");
+            let rec = sched.job(id).expect("a running job is never claimed");
             (id, rec.spec.clone(), rec.kill_at)
         };
         let every = if spec.ckpt_every > 0 {

@@ -240,50 +240,43 @@ fn live_namespace_collisions_are_rejected_and_done_jobs_release_disk() {
     server.join();
 }
 
+/// A result is delivered once: the `Await` that receives it claims the
+/// record, so a second `Await` of the same id gets the same clean error
+/// as an id that never existed.
 #[test]
-fn evicted_results_return_a_clean_error() {
+fn delivered_results_return_a_clean_error() {
     let cfg = ServeConfig {
         workers: 1,
-        ckpt_root: scratch("ttl"),
-        // Results expire on the tick after they land.
-        ttl: Some(std::time::Duration::ZERO),
+        ckpt_root: scratch("delivered"),
         ..ServeConfig::default()
     };
     let server = Server::start(cfg, "127.0.0.1:0").expect("server start");
     let mut client = Client::connect(server.addr(), "fay").expect("connect");
 
-    let id = client
-        .submit(&tfim_spec("fay", "short", 11))
-        .expect("submit");
+    let spec = tfim_spec("fay", "short", 11);
+    let id = client.submit(&spec).expect("submit");
+    let (obs, _) = client.await_result(id, |_, _, _, _| {}).expect("result");
+    assert!(obs.bits_eq(&reference(&spec)));
 
-    // The job finishes, then the worker's next retention sweep evicts
-    // the record. Poll until Await flips from a result to the eviction
-    // error; a successful Await just means the sweep hasn't run yet.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30); // lint: allow(wall-clock) — test polls a retention sweep
-    let detail = loop {
-        match client.await_result(id, |_, _, _, _| {}) {
-            Ok(_) => {
-                assert!(
-                    std::time::Instant::now() < deadline, // lint: allow(wall-clock) — test polls a retention sweep
-                    "record was never evicted"
-                );
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-            Err(err) => break err.to_string(),
-        }
-    };
+    let again = client
+        .await_result(id, |_, _, _, _| {})
+        .expect_err("a delivered result is not held");
     assert!(
-        detail.contains("evicted") && detail.contains("TTL"),
-        "eviction error must say so, got: {detail}"
+        again.to_string().contains("already delivered"),
+        "the error must say so, got: {again}"
     );
 
-    // An id that never existed is reported as unknown, not evicted.
+    // An id that never existed is reported as unknown, by the same text.
     let unknown = client
         .await_result(9_999, |_, _, _, _| {})
         .expect_err("unknown id");
     assert!(
         unknown.to_string().contains("unknown job"),
         "got: {unknown}"
+    );
+    assert_eq!(
+        unknown.to_string().replace("9999", &id.to_string()),
+        again.to_string()
     );
 
     let mut admin = Client::connect(server.addr(), "admin").expect("admin connects");

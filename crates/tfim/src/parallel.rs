@@ -21,7 +21,7 @@
 //! tables are produced.
 
 use crate::colour::{Layout, Scratch, Thresholds};
-use crate::serial::{TfimMeasurement, TfimSeries};
+use crate::serial::{dot, sum, TfimMeasurement, TfimSeries};
 use crate::{AcceptTable, StCouplings, TfimModel};
 use qmc_comm::{Communicator, ReduceOp};
 use qmc_lattice::{Decomposition, Dir, ProcGrid, Subdomain};
@@ -361,38 +361,45 @@ impl DistTfim {
     }
 
     /// Local contributions `(ΣSP, ΣT, Σs)` over owned sites (each site
-    /// owns its +x/+y bonds; edge partners come from current ghosts): per
-    /// row, the dot products of the row with its east, north and up
-    /// neighbour rows and its own sum, in one pass over four slices —
-    /// `i32` within a row, `i64` across rows, so the sums are the integers
-    /// a site-by-site loop reaches.
+    /// owns its +x/+y bonds; edge partners come from current ghosts). A
+    /// slice's owned cells are walked as one run, from the first to the
+    /// last, against the runs one cell east, one row north and one slice
+    /// up, by the serial engine's byte-lane kernels; between two rows the
+    /// run crosses the right ghost of one and the left ghost of the next,
+    /// whose terms are taken back out. Every term is a ±1 product, so the
+    /// sums are the integers a site-by-site loop reaches.
     #[qmc_hot::hot]
-    #[allow(clippy::needless_range_loop)] // `k` walks four equally long slices
     fn local_sums(&self) -> (f64, f64, f64) {
-        let (w, w2) = (self.sub.w, self.sub.w + 2);
+        let (w, h, m) = (self.sub.w, self.sub.h, self.model.m);
+        let row = w + 2;
+        // A chain owns no +y bond.
         let square = self.model.ly > 1;
+        let (first, len) = (self.sub.local(0, 0), (h - 1) * row + w);
+        let crossed = (1..h as isize)
+            .flat_map(|iy| [self.sub.local(w as isize, iy - 1), self.sub.local(-1, iy)]);
         let (mut sp, mut tt, mut tot) = (0i64, 0i64, 0i64);
-        for t in 0..self.model.m {
-            let up = if t + 1 == self.model.m { 0 } else { t + 1 };
-            for iy in 0..self.sub.h {
-                let in_slice = self.sub.local(0, iy as isize);
-                let at = t * self.slice_stride + in_slice;
-                let run = |start: usize| &self.spins[start..start + w];
-                let (row, east, above) =
-                    (run(at), run(at + 1), run(up * self.slice_stride + in_slice));
-                // A chain owns no +y bond; its `north` is never read.
-                let north = if square { run(at + w2) } else { east };
-                let (mut row_sp, mut row_tt, mut row_tot) = (0i32, 0i32, 0i32);
-                for k in 0..w {
-                    let s = row[k];
-                    let bonds = if square { east[k] + north[k] } else { east[k] };
-                    row_sp += i32::from(s * bonds);
-                    row_tt += i32::from(s * above[k]);
-                    row_tot += i32::from(s);
-                }
-                sp += i64::from(row_sp);
-                tt += i64::from(row_tt);
-                tot += i64::from(row_tot);
+        for t in 0..m {
+            let up = if t + 1 == m { 0 } else { t + 1 };
+            let (at, above) = (t * self.slice_stride, up * self.slice_stride);
+            let run = |start: usize| &self.spins[start..start + len];
+            let own = run(at + first);
+            sp += dot(own, run(at + first + 1));
+            if square {
+                sp += dot(own, run(at + first + row));
+            }
+            tt += dot(own, run(above + first));
+            tot += sum(own);
+            for g in crossed.clone() {
+                let s = i64::from(self.spins[at + g]);
+                let east = i64::from(self.spins[at + g + 1]);
+                let north = if square {
+                    i64::from(self.spins[at + g + row])
+                } else {
+                    0
+                };
+                sp -= s * (east + north);
+                tt -= s * i64::from(self.spins[above + g]);
+                tot -= s;
             }
         }
         (sp as f64, tt as f64, tot as f64)

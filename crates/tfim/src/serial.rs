@@ -598,7 +598,7 @@ const NARROW: usize = 63 * LANES;
 /// lane loop is one load, one `term` and one byte add per register.
 #[qmc_hot::hot]
 #[inline(always)]
-fn sum_by(a: &[i8], b: &[i8], term: impl Fn(i8, i8) -> i8) -> i64 {
+pub(crate) fn sum_by(a: &[i8], b: &[i8], term: impl Fn(i8, i8) -> i8) -> i64 {
     debug_assert_eq!(a.len(), b.len());
     let mut total = 0;
     for (a, b) in a.chunks(NARROW).zip(b.chunks(NARROW)) {
@@ -622,7 +622,7 @@ fn sum_by(a: &[i8], b: &[i8], term: impl Fn(i8, i8) -> i8) -> i64 {
 /// `x·y = 1 + (x ^ y)` and the product costs an exclusive or.
 #[qmc_hot::hot]
 #[inline]
-fn dot(a: &[i8], b: &[i8]) -> i64 {
+pub(crate) fn dot(a: &[i8], b: &[i8]) -> i64 {
     a.len() as i64 + sum_by(a, b, |x, y| x ^ y)
 }
 
@@ -651,7 +651,7 @@ fn ring_dot(a: &[i8], period: usize, step: usize) -> i64 {
 /// `Σ a[k]` over a run of ±1 spins.
 #[qmc_hot::hot]
 #[inline]
-fn sum(a: &[i8]) -> i64 {
+pub(crate) fn sum(a: &[i8]) -> i64 {
     sum_by(a, a, |x, _| x)
 }
 

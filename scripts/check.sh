@@ -106,8 +106,8 @@ if awk 'FNR == 1 { tests = 0; fn = "" }
 
 echo "== one scheduler: qmc-verify's models restate nothing of qmc_serve::Sched =="
 # The job lifecycle is explored on the scheduler that ships:
-# crates/bench/src/sched_model.rs calls Sched::{submit, next_work, settle} on a
-# clone per transition. The models under crates/verify/src/model mirror
+# crates/bench/src/sched_model.rs calls Sched::{submit, next_work, settle,
+# claim} on a clone per transition. The models under crates/verify/src/model mirror
 # message protocols only. A hit here is the scheduler mirror growing
 # back: a job state, a quota, a priority or a requeue written a second
 # time, beside the code it would drift from.
@@ -170,6 +170,26 @@ if awk '/^mod tests \{/ { tests = 1 }
         tests || /^[[:space:]]*\/\// { next }
         /Vec<bool>/ { print FILENAME ":" FNR ": " $0; hit = 1 }
         END { exit !hit }' crates/worldline/src/engine.rs; then exit 1; fi
+
+echo "== bounded scheduler: qmc_serve::Sched never walks its job table =="
+# The job table holds only what a client can still claim, and admission
+# reads two indexes kept in step with it (tenant slots, live namespaces),
+# so a submission costs O(log held), not O(every job ever accepted). A hit
+# here is a walk over the table growing back in non-test code: a quota or
+# namespace scan, a retention sweep. A method chain split over lines is
+# joined before matching; `Sched::jobs`, the one accessor the explorer
+# reads records through, is exempt.
+if awk 'FNR == 1 { tests = 0 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        tests || /^[[:space:]]*\/\// { next }
+        match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        { line = $0; sub(/^[[:space:]]+/, "", line) }
+        line ~ /^\./ { stmt = stmt line }
+        line !~ /^\./ { stmt = line; at = FNR; seen = 0 }
+        fn != "jobs" && !seen && (stmt ~ /\.jobs\.(iter|iter_mut|values|values_mut|keys|into_iter|retain|range)\(/ ||
+                                  stmt ~ /in &(mut )?self\.jobs/) {
+          print FILENAME ":" at ": " stmt; hit = 1; seen = 1 }
+        END { exit !hit }' crates/serve/src/sched.rs; then exit 1; fi
 
 echo "== benchmark: builds against this tree, offline and locked =="
 # benchmark/ is a standalone package with its own frozen lock file: an

@@ -10,12 +10,17 @@
 //! they ask for, per thread (thread-local, so the parallel test harness
 //! and unrelated test threads cannot bleed into each other's counts).
 //! The byte tally guards decoders of untrusted input: a hostile count
-//! must cost an error, not a reservation.
+//! must cost an error, not a reservation. A third tally nets frees
+//! against allocations, the bytes a thread holds: it bounds the job
+//! server's scheduler, whose table must not grow with the number of jobs
+//! it has delivered.
 
 use qmc_comm::SerialComm;
 use qmc_core::pt::PtLadder;
 use qmc_lattice::{Chain, Square};
+use qmc_obs::Registry;
 use qmc_rng::{Buffered, Xoshiro256StarStar};
+use qmc_serve::{JobKind, JobObservables, JobSpec, Next, Outcome, Sched, TenantQuota};
 use qmc_sse::Sse;
 use qmc_tfim::parallel::DistTfim;
 use qmc_tfim::serial::SerialTfim;
@@ -29,6 +34,7 @@ use std::cell::Cell;
 thread_local! {
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    static HELD_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Tally one allocation of `bytes` on the current thread. `try_with`
@@ -38,6 +44,14 @@ fn tally(bytes: usize) {
     let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
+/// Move the current thread's held-bytes tally by `delta`: up by what an
+/// allocation takes, down by what a free gives back. A block freed on
+/// another thread than the one that took it moves two tallies apart,
+/// which is why only a single-threaded body is measured this way.
+fn hold(delta: i64) {
+    let _ = HELD_BYTES.try_with(|c| c.set(c.get() + delta));
+}
+
 /// Forwards to the system allocator, counting every allocation made by
 /// the current thread and the bytes it asked for.
 struct CountingAlloc;
@@ -45,11 +59,13 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         tally(layout.size());
+        hold(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         tally(layout.size());
+        hold(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -57,10 +73,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // A grow-in-place is still a steady-state allocation as far as
         // the discipline is concerned.
         tally(new_size);
+        hold(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -335,5 +353,66 @@ fn hostile_rank_record_count_reserves_nothing() {
     assert!(
         bytes < 4096,
         "decoding a 24-byte hostile record allocated {bytes} bytes"
+    );
+}
+
+/// The job server's scheduler holds what a client can still claim and
+/// nothing more: a long run of jobs, each submitted, run, settled with a
+/// full observable series and then delivered, leaves it holding what it
+/// held after the first hundred. Without the claim every record stays,
+/// ≈ 6.4 KB of series per job.
+#[test]
+fn scheduler_memory_is_bounded_by_what_it_holds() {
+    const SAMPLES: usize = 400;
+    let spec = |i: u64| JobSpec {
+        tenant: format!("t{}", i % 4),
+        name: format!("job-{i}"),
+        kind: JobKind::Tfim {
+            lx: 8,
+            ly: 1,
+            j: 1.0,
+            h: 1.0,
+            m: 16,
+            wolff: 1,
+        },
+        betas: vec![2.0],
+        therm: 1,
+        sweeps: SAMPLES as u32,
+        seed: i,
+        priority: 0,
+        ckpt_every: 0,
+    };
+    let quota = TenantQuota::default();
+    let mut sched = Sched::default();
+    let mut cycle = |i: u64| {
+        let id = sched.submit(spec(i), &quota, &[]).expect("admitted");
+        assert_eq!(sched.next_work(), Next::Run(id));
+        let done = Outcome::Done {
+            obs: JobObservables {
+                energy: vec![vec![-1.0; SAMPLES]],
+                extra: vec![vec![0.5; SAMPLES]],
+            },
+            metrics: Registry::new(),
+            respawns: 0,
+            resized: false,
+        };
+        sched.settle(id, done, 5);
+        assert!(sched.claim(id), "a delivered result is claimed");
+    };
+    let held = || HELD_BYTES.with(|c| c.get());
+    let start = held();
+    for i in 0..100 {
+        cycle(i);
+    }
+    let after_100 = held();
+    for i in 100..10_000 {
+        cycle(i);
+    }
+    let after_10000 = held();
+    assert!(
+        (after_10000 - after_100).abs() <= 4096,
+        "the scheduler held {} bytes after 100 jobs and {} after 10 000",
+        after_100 - start,
+        after_10000 - start
     );
 }

@@ -105,16 +105,20 @@ fn scheduler_small_instances_and_a_reachable_retry_cap_explore_clean() {
     use qmc_verify::Model;
     let (submit, next) = (SchedAction::Submit(0), SchedAction::Next(0));
     let settle = |end| SchedAction::Settle(0, end);
-    let walk = |acts: &[SchedAction]| {
-        acts.iter().fold(m.init(), |s, a| {
+    let walk_from = |s, acts: &[SchedAction]| {
+        acts.iter().fold(s, |s, a| {
             assert!(m.actions(&s).contains(a), "{a:?} is not enabled");
             m.apply(&s, a)
         })
     };
-    // Cap reached: Failed, and the quota-1 tenant is admitted again.
+    let walk = |acts: &[SchedAction]| walk_from(m.init(), acts);
+    // Cap reached: Failed, and once the failure is delivered the quota-1
+    // tenant is admitted again.
     let killed = settle(End::Killed);
-    let s = walk(&[submit, next, killed, next, killed, submit]);
+    let s = walk(&[submit, next, killed, next, killed]);
     assert_eq!(s.sched.job(0).expect("kept").state, JobState::Failed);
+    let s = walk_from(s, &[SchedAction::Claim(0), submit]);
+    assert!(s.sched.job(0).is_none(), "a delivered record is dropped");
     assert_eq!(s.sched.job(1).expect("admitted").state, JobState::Queued);
     // Dispatch while draining: queued before the drain, parked after it.
     let s = walk(&[submit, SchedAction::Drain, next, settle(End::Drained), next]);
@@ -210,6 +214,20 @@ fn exit_on_drain_counterexample_strands_a_queued_job() {
         SchedAction::Next(0),
     ];
     assert_eq!(ce.schedule, want);
+}
+
+/// A handler that claims a job before it is terminal tells its client
+/// the job is over while the real scheduler, which refuses to drop an
+/// unfinished record, keeps holding it.
+#[test]
+fn claim_unfinished_counterexample_keeps_a_delivered_record() {
+    let ce = sched_counterexample(1, Misuse::ClaimUnfinished);
+    assert!(
+        ce.message.contains("delivered while Queued"),
+        "message: {}",
+        ce.message
+    );
+    assert_eq!(ce.schedule, [SchedAction::Submit(0), SchedAction::Claim(0)]);
 }
 
 // ---------------------------------------------------------------------------

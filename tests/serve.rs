@@ -1,10 +1,46 @@
 //! Pins the `repro serve-demo` fault drill: a multi-tenant job server
 //! under injected worker deaths must lose zero jobs and resume every
 //! killed or drained job bit-identically; the handshake refuses the
-//! one tenant name that would read every tenant's counters; and a spec
-//! its engine would refuse is refused at submit.
+//! one tenant name that would read every tenant's counters; a spec
+//! its engine would refuse is refused at submit; and a job belongs to
+//! the session that submitted it, whatever tenant its spec names.
 
 use qmc_serve::{Client, JobKind, JobSpec, ServeConfig, ServeError, Server};
+use std::path::PathBuf;
+
+/// A small TFIM job for `tenant`.
+fn tfim(tenant: &str, name: &str, seed: u64) -> JobSpec {
+    JobSpec {
+        tenant: tenant.into(),
+        name: name.into(),
+        kind: JobKind::Tfim {
+            lx: 4,
+            ly: 1,
+            j: 1.0,
+            h: 2.0,
+            m: 4,
+            wolff: 1,
+        },
+        betas: vec![1.0],
+        therm: 5,
+        sweeps: 15,
+        seed,
+        priority: 0,
+        ckpt_every: 4,
+    }
+}
+
+/// A one-worker server on a fresh checkpoint root.
+fn one_worker_server(label: &str) -> (Server, PathBuf) {
+    let ckpt_root = std::env::temp_dir().join(format!("qmc-serve-{label}-{}", std::process::id()));
+    let cfg = ServeConfig {
+        workers: 1,
+        ckpt_root: ckpt_root.clone(),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg, "127.0.0.1:0").expect("server start");
+    (server, ckpt_root)
+}
 
 #[test]
 fn serve_demo_loses_nothing_and_resumes_bit_identical() {
@@ -138,6 +174,68 @@ fn a_spec_its_engine_refuses_comes_back_rejected() {
         }
         other => panic!("h = 0 must be rejected at submit, got {other:?}"),
     }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(ckpt_root);
+}
+
+#[test]
+fn a_session_cannot_await_another_tenants_job() {
+    // The owner check compared nothing: bob, awaiting alice's job id,
+    // received her result. Now that delivery claims the record, that
+    // would take the result from her.
+    let (server, ckpt_root) = one_worker_server("await-owner");
+    let mut alice = Client::connect(server.addr(), "alice").expect("alice connects");
+    let mut bob = Client::connect(server.addr(), "bob").expect("bob connects");
+    let job = alice
+        .submit(&tfim("alice", "mine", 5))
+        .expect("alice submits");
+
+    let nosy = bob
+        .await_result(job, |_, _, _, _| {})
+        .expect_err("bob must not receive alice's result");
+    // Answered exactly as an id that was never accepted.
+    let never = bob
+        .await_result(9_999, |_, _, _, _| {})
+        .expect_err("unknown id");
+    assert!(nosy.to_string().contains("unknown job"), "{nosy}");
+    assert_eq!(
+        nosy.to_string(),
+        never.to_string().replace("9999", &job.to_string())
+    );
+
+    let (obs, attempts) = alice
+        .await_result(job, |_, _, _, _| {})
+        .expect("alice still gets her result");
+    assert_eq!((obs.energy[0].len(), attempts), (15, 1));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(ckpt_root);
+}
+
+#[test]
+fn a_job_is_billed_to_the_session_that_submitted_it() {
+    // Admission used the spec's tenant field as sent: bob submitting a
+    // spec that names alice was charged to alice's quota, ran under
+    // `alice/…`, and bumped alice's counters.
+    let (server, ckpt_root) = one_worker_server("billing");
+    let mut alice = Client::connect(server.addr(), "alice").expect("alice connects");
+    let mut bob = Client::connect(server.addr(), "bob").expect("bob connects");
+    let own = alice
+        .submit(&tfim("alice", "job", 1))
+        .expect("alice submits");
+    alice
+        .await_result(own, |_, _, _, _| {})
+        .expect("alice's result");
+    let spoofed = bob.submit(&tfim("alice", "job", 2)).expect("bob submits");
+    bob.await_result(spoofed, |_, _, _, _| {})
+        .expect("the submitter owns the job");
+
+    let completed = |client: &mut Client, tenant: &str| {
+        let (counters, _) = client.stats(tenant).expect("stats");
+        let name = format!("tenant.{tenant}.jobs_completed");
+        counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+    };
+    assert_eq!(completed(&mut alice, "alice"), Some(1));
+    assert_eq!(completed(&mut bob, "bob"), Some(1));
     server.shutdown();
     let _ = std::fs::remove_dir_all(ckpt_root);
 }
