@@ -205,11 +205,170 @@ fn sse_resumes_bit_identical_at_every_boundary() {
     });
 }
 
-/// The checkpointed drivers must be draw-for-draw identical to the plain
-/// `run()` methods when checkpointing is off.
+/// The four checkpointed drivers `qmc-bench` carried before one engine
+/// loop replaced them, kept verbatim: the oracle that loop is compared
+/// against, sweep sequence, draw count and every byte of the result.
+mod oracle {
+    use qmc_ckpt::{drive, Checkpoint, CkptError, End, Policy};
+    use qmc_lattice::Lattice;
+    use qmc_rng::Rng64;
+    use qmc_sse::{Sse, SseSeries};
+    use qmc_tfim::serial::{SerialTfim, TfimSeries};
+    use qmc_tfim::TfimModel;
+    use qmc_worldline::estimators::TimeSeries;
+    use qmc_worldline::{GenericParams, GenericWorldline, Worldline, WorldlineParams};
+
+    /// `true` when every sweep ran. A store that does not restore is a
+    /// caller error here (wrong directory, wrong engine), not tenant input.
+    fn finished(end: Result<End, CkptError>) -> bool {
+        end.expect("restore from checkpoint") == End::Finished
+    }
+
+    /// Checkpointed serial TFIM run; draw-for-draw identical to
+    /// [`SerialTfim::run`]. Returns the final engine alongside the series;
+    /// `None` = simulated crash at `kill_at`.
+    pub fn run_serial_tfim_ckpt<R: Rng64 + Checkpoint>(
+        model: TfimModel,
+        rng: &mut R,
+        therm: usize,
+        sweeps: usize,
+        wolff_per_sweep: usize,
+        ck: Option<&Policy<'_>>,
+        kill_at: Option<usize>,
+    ) -> Option<(SerialTfim, TfimSeries)> {
+        let mut eng = SerialTfim::new(model);
+        let mut series = TfimSeries::default();
+        let done = drive(
+            (&mut eng, rng, &mut series),
+            therm + sweeps,
+            ck,
+            kill_at,
+            |eng, rng, series, s| {
+                eng.metropolis_sweep(rng);
+                for _ in 0..wolff_per_sweep {
+                    eng.wolff_update(rng);
+                }
+                if s >= therm {
+                    series.record(&eng.measure());
+                }
+            },
+            |_, _| {},
+        );
+        finished(done).then_some((eng, series))
+    }
+
+    /// Checkpointed world-line chain run; draw-for-draw identical to
+    /// [`Worldline::run`].
+    pub fn run_worldline_ckpt<R: Rng64 + Checkpoint>(
+        params: WorldlineParams,
+        rng: &mut R,
+        therm: usize,
+        sweeps: usize,
+        ck: Option<&Policy<'_>>,
+        kill_at: Option<usize>,
+    ) -> Option<(Worldline, TimeSeries)> {
+        let mut eng = Worldline::new(params);
+        let mut series = TimeSeries::with_capacity(params.l, sweeps);
+        series.set_beta(params.beta);
+        let done = drive(
+            (&mut eng, rng, &mut series),
+            therm + sweeps,
+            ck,
+            kill_at,
+            |eng, rng, series, s| {
+                eng.sweep(rng);
+                if s >= therm {
+                    series.record(&qmc_worldline::estimators::measure(eng));
+                    series.record_correlations(eng);
+                }
+            },
+            |_, _| {},
+        );
+        finished(done).then_some((eng, series))
+    }
+
+    /// Checkpointed generic world-line run; draw-for-draw identical to
+    /// [`GenericWorldline::run`].
+    pub fn run_generic_worldline_ckpt<L: Lattice, R: Rng64 + Checkpoint>(
+        lattice: L,
+        params: GenericParams,
+        rng: &mut R,
+        therm: usize,
+        sweeps: usize,
+        ck: Option<&Policy<'_>>,
+        kill_at: Option<usize>,
+    ) -> Option<(GenericWorldline<L>, TimeSeries)> {
+        let n_sites = lattice.num_sites();
+        let mut eng = GenericWorldline::new(lattice, params);
+        let mut series = TimeSeries::with_capacity(n_sites, sweeps);
+        series.set_beta(params.beta);
+        let done = drive(
+            (&mut eng, rng, &mut series),
+            therm + sweeps,
+            ck,
+            kill_at,
+            |eng, rng, series, s| {
+                eng.sweep(rng);
+                if s >= therm {
+                    series.record(&eng.measure());
+                }
+            },
+            |_, _| {},
+        );
+        finished(done).then_some((eng, series))
+    }
+
+    /// Checkpointed SSE run; draw-for-draw identical to [`Sse::run`]
+    /// (thermalization sweeps adapt the cutoff, measured sweeps do not).
+    ///
+    /// `Sse::new` itself consumes RNG draws for the random initial state, so
+    /// the caller must pass a freshly seeded RNG on resume too — the restore
+    /// then rewinds both engine and RNG to the checkpointed state.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_sse_ckpt<L: Lattice, R: Rng64 + Checkpoint>(
+        lattice: &L,
+        j: f64,
+        beta: f64,
+        rng: &mut R,
+        therm: usize,
+        sweeps: usize,
+        ck: Option<&Policy<'_>>,
+        kill_at: Option<usize>,
+    ) -> Option<(Sse, SseSeries)> {
+        let mut eng = Sse::new(lattice, j, beta, rng);
+        let mut series = eng.begin_series(sweeps);
+        let done = drive(
+            (&mut eng, rng, &mut series),
+            therm + sweeps,
+            ck,
+            kill_at,
+            |eng, rng, series, s| {
+                eng.sweep(rng);
+                if s < therm {
+                    eng.adjust_cutoff();
+                } else {
+                    eng.record_measurement(series);
+                }
+            },
+            |_, _| {},
+        );
+        finished(done).then_some((eng, series))
+    }
+}
+
+/// What a finished run leaves behind: the engine's and the series' whole
+/// checkpoint images (every column, bit for bit) and the draw count.
+fn print(eng: &impl Checkpoint, series: &impl Checkpoint, draws: u64) -> (Vec<u8>, Vec<u8>, u64) {
+    (save_state(eng), save_state(series), draws)
+}
+
+/// The plain `run()` of every serial engine replays the oracle driver's
+/// sequence exactly, including a run that only measures (`therm = 0`)
+/// and one that only thermalises (`sweeps = 0`, where SSE adapts its
+/// cutoff).
 #[test]
 fn ckpt_drivers_match_plain_runs() {
-    // Serial TFIM.
+    let rng = |seed| CountingRng::new(Xoshiro256StarStar::new(seed));
     let model = TfimModel {
         lx: 8,
         ly: 8,
@@ -218,14 +377,6 @@ fn ckpt_drivers_match_plain_runs() {
         beta: 1.0,
         m: 4,
     };
-    let mut rng = Xoshiro256StarStar::new(7);
-    let plain = SerialTfim::new(model).run(&mut rng, 10, 30, 1);
-    let mut rng = Xoshiro256StarStar::new(7);
-    let (_, drv) = run_serial_tfim_ckpt(model, &mut rng, 10, 30, 1, None, None).unwrap();
-    assert_eq!(bits(&plain.energy), bits(&drv.energy));
-    assert_eq!(bits(&plain.sigma_x), bits(&drv.sigma_x));
-
-    // World-line chain.
     let params = WorldlineParams {
         l: 8,
         jx: 1.0,
@@ -233,36 +384,60 @@ fn ckpt_drivers_match_plain_runs() {
         beta: 1.0,
         m: 8,
     };
-    let mut rng = Xoshiro256StarStar::new(11);
-    let plain = Worldline::new(params).run(&mut rng, 10, 30);
-    let mut rng = Xoshiro256StarStar::new(11);
-    let (_, drv) = run_worldline_ckpt(params, &mut rng, 10, 30, None, None).unwrap();
-    assert_eq!(bits(&plain.energy), bits(&drv.energy));
-    assert_eq!(bits(&plain.correlations()), bits(&drv.correlations()));
-
-    // Generic world-line.
-    let params = GenericParams {
+    let generic = GenericParams {
         jx: 1.0,
         jz: 1.0,
         beta: 1.0,
         m: 8,
     };
-    let mut rng = Xoshiro256StarStar::new(13);
-    let plain = GenericWorldline::new(Square::new(4, 4), params).run(&mut rng, 10, 30);
-    let mut rng = Xoshiro256StarStar::new(13);
-    let (_, drv) =
-        run_generic_worldline_ckpt(Square::new(4, 4), params, &mut rng, 10, 30, None, None)
-            .unwrap();
-    assert_eq!(bits(&plain.energy), bits(&drv.energy));
-
-    // SSE.
     let lat = Chain::new(8);
-    let mut rng = Xoshiro256StarStar::new(17);
-    let plain = Sse::new(&lat, 1.0, 2.0, &mut rng).run(&mut rng, 20, 40);
-    let mut rng = Xoshiro256StarStar::new(17);
-    let (_, drv) = run_sse_ckpt(&lat, 1.0, 2.0, &mut rng, 20, 40, None, None).unwrap();
-    assert_eq!(bits(&plain.n_ops), bits(&drv.n_ops));
-    assert_eq!(bits(&plain.magnetization), bits(&drv.magnetization));
+    for (therm, sweeps) in [(10, 30), (0, 30), (25, 0)] {
+        let case = format!("therm {therm}, sweeps {sweeps}");
+
+        let mut r = rng(7);
+        let (eng, series) =
+            oracle::run_serial_tfim_ckpt(model, &mut r, therm, sweeps, 2, None, None).unwrap();
+        let want = print(&eng, &series, r.draws);
+        let mut r = rng(7);
+        let mut eng = SerialTfim::new(model);
+        let series = eng.run(&mut r, therm, sweeps, 2);
+        assert_eq!(want, print(&eng, &series, r.draws), "serial TFIM, {case}");
+
+        let mut r = rng(11);
+        let (eng, series) =
+            oracle::run_worldline_ckpt(params, &mut r, therm, sweeps, None, None).unwrap();
+        let want = print(&eng, &series, r.draws);
+        let mut r = rng(11);
+        let mut eng = Worldline::new(params);
+        let series = eng.run(&mut r, therm, sweeps);
+        assert_eq!(want, print(&eng, &series, r.draws), "world-line chain, {case}");
+
+        let mut r = rng(13);
+        let (eng, series) = oracle::run_generic_worldline_ckpt(
+            Square::new(4, 4),
+            generic,
+            &mut r,
+            therm,
+            sweeps,
+            None,
+            None,
+        )
+        .unwrap();
+        let want = print(&eng, &series, r.draws);
+        let mut r = rng(13);
+        let mut eng = GenericWorldline::new(Square::new(4, 4), generic);
+        let series = eng.run(&mut r, therm, sweeps);
+        assert_eq!(want, print(&eng, &series, r.draws), "generic world-line, {case}");
+
+        let mut r = rng(17);
+        let (eng, series) =
+            oracle::run_sse_ckpt(&lat, 1.0, 2.0, &mut r, therm, sweeps, None, None).unwrap();
+        let want = print(&eng, &series, r.draws);
+        let mut r = rng(17);
+        let mut eng = Sse::new(&lat, 1.0, 2.0, &mut r);
+        let series = eng.run(&mut r, therm, sweeps);
+        assert_eq!(want, print(&eng, &series, r.draws), "SSE, {case}");
+    }
 }
 
 fn pt_cfg() -> PtConfig {
