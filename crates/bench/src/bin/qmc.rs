@@ -33,14 +33,16 @@
 
 // CLI entry point: exiting with a status code is this file's job.
 #![allow(clippy::disallowed_methods)]
-use qmc_bench::ckpt_driver::{run_serial_tfim_ckpt, run_sse_ckpt, run_worldline_ckpt};
+use qmc_ckpt::{run_engine, Checkpoint, End, Engine};
 use qmc_comm::{job_seconds, run_model, run_threads, Communicator, MachineModel, SerialComm};
 use qmc_lattice::{Chain, Square};
 use qmc_rng::{Buffered, StreamFactory, Xoshiro256StarStar};
+use qmc_sse::Sse;
 use qmc_stats::BinningAnalysis;
 use qmc_tfim::parallel::DistTfim;
+use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
-use qmc_worldline::WorldlineParams;
+use qmc_worldline::{Worldline, WorldlineParams};
 use std::collections::HashMap;
 
 fn main() {
@@ -169,6 +171,30 @@ fn ckpt_request(flags: &HashMap<String, String>, engine: &str) -> Option<CkptReq
         cadence: qmc_ckpt::Cadence::new(every, full_every).expect("cadence is nonzero here"),
         resume,
     })
+}
+
+/// Run `eng` to the end through the one engine loop, checkpointed as the
+/// flags ask ([`ckpt_request`]; none: the plain run). Nothing here arms a
+/// kill or raises a stop flag, so the run ends early only when the store
+/// does not restore (another engine's, or another run's physics), and
+/// that exits 2.
+fn run_to_end<R: Checkpoint, E: Engine<R>>(
+    eng: &mut E,
+    rng: &mut R,
+    (therm, sweeps): (usize, usize),
+    flags: &HashMap<String, String>,
+    engine: &str,
+) -> E::Series {
+    let req = ckpt_request(flags, engine);
+    let policy = req.as_ref().map(CkptRequest::policy);
+    match run_engine(eng, rng, therm, sweeps, policy.as_ref(), None, |_, _| {}) {
+        Ok((End::Finished, series)) => series,
+        Ok((end, _)) => unreachable!("nothing stops this run, yet it ended {end:?}"),
+        Err(e) => {
+            eprintln!("restore from checkpoint: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// `qmc serve --addr H:P --workers N --ckpt-dir D --ckpt-every N
@@ -375,10 +401,8 @@ fn run_worldline(flags: &HashMap<String, String>) {
     };
     let therm: usize = get(flags, "therm", sweeps / 5);
     let mut rng = Buffered::new(Xoshiro256StarStar::new(get(flags, "seed", 1)));
-    let req = ckpt_request(flags, "worldline");
-    let ck = req.as_ref().map(CkptRequest::policy);
-    let (sim, series) = run_worldline_ckpt(params, &mut rng, therm, sweeps, ck.as_ref(), None)
-        .expect("no simulated crash requested");
+    let mut sim = Worldline::new(params);
+    let series = run_to_end(&mut sim, &mut rng, (therm, sweeps), flags, "worldline");
 
     let be = BinningAnalysis::new(&series.energy, 16);
     let (chi, chi_err) = series.susceptibility();
@@ -432,24 +456,16 @@ fn run_sse(flags: &HashMap<String, String>) {
     let l: usize = get(flags, "l", 16);
     let lattice = flags.get("lattice").map(|s| s.as_str()).unwrap_or("chain");
     let mut rng = Buffered::new(Xoshiro256StarStar::new(get(flags, "seed", 1)));
-
-    let req = ckpt_request(flags, "sse");
-    let ck = req.as_ref().map(CkptRequest::policy);
-    let ck = ck.as_ref();
-    // `ck = None` is the plain run: no "checkpointing on?" fork.
-    let series = match lattice {
-        "chain" => run_sse_ckpt(&Chain::new(l), j, beta, &mut rng, therm, sweeps, ck, None),
-        "square" => {
-            let lat = Square::new(l, get(flags, "ly", l));
-            run_sse_ckpt(&lat, j, beta, &mut rng, therm, sweeps, ck, None)
-        }
+    // Built from the freshly seeded `rng` it then runs with, resumed or not.
+    let mut eng = match lattice {
+        "chain" => Sse::new(&Chain::new(l), j, beta, &mut rng),
+        "square" => Sse::new(&Square::new(l, get(flags, "ly", l)), j, beta, &mut rng),
         other => {
             eprintln!("unknown --lattice '{other}' (chain|square)");
             std::process::exit(2);
         }
-    }
-    .expect("no simulated crash requested")
-    .1;
+    };
+    let series = run_to_end(&mut eng, &mut rng, (therm, sweeps), flags, "sse");
 
     let be = BinningAnalysis::new(&series.energy_samples(), 16);
     let (c, c_err) = series.specific_heat();
@@ -518,12 +534,9 @@ fn run_tfim(flags: &HashMap<String, String>) {
                 qmc_obs::init(0, cfg);
             }
             let mut rng = Buffered::new(Xoshiro256StarStar::new(seed));
-            let wolff = get(flags, "wolff", 1);
-            let req = ckpt_request(flags, "tfim");
-            let ck = req.as_ref().map(CkptRequest::policy);
-            let (eng, series) =
-                run_serial_tfim_ckpt(model, &mut rng, therm, sweeps, wolff, ck.as_ref(), None)
-                    .expect("no simulated crash requested");
+            let mut eng = SerialTfim::new(model);
+            eng.wolff_per_sweep = get(flags, "wolff", 1);
+            let series = run_to_end(&mut eng, &mut rng, (therm, sweeps), flags, "tfim");
             report(&series);
             if let Some(mut mine) = qmc_obs::finish() {
                 mine.absorb_registry(eng.metrics());

@@ -11,7 +11,6 @@
 use std::fmt::Write as _;
 
 pub mod analyze;
-pub mod ckpt_driver;
 pub mod elastic;
 pub mod faults;
 pub mod figures;

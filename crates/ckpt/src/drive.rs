@@ -4,10 +4,11 @@
 //! `g` is the state *entering* sweep `g`), honour a drain request with one
 //! final full generation, honour an injected kill, and only then step.
 //! Resuming generation `g` therefore replays sweeps `g..` on the identical
-//! fixed-seed trajectory. [`drive`] is that loop for the serial engines:
-//! `qmc-bench`'s `run_*_ckpt` step closures and `qmc-serve`'s TFIM jobs
-//! both run through it, against one `engine` / `rng` / `series` section
-//! layout, so a store written by one resumes under the other.
+//! fixed-seed trajectory. [`drive`] is that loop; [`run_engine`] runs any
+//! [`Engine`] through it, and is how every serial engine runs: its own
+//! `run()`, the `qmc` CLI and `qmc-serve`'s TFIM jobs, against one
+//! `engine` / `rng` / `series` section layout, so a store written by one
+//! resumes under another.
 //!
 //! The parallel-tempering loop in `qmc_core::pt` keeps its own body — its
 //! drain verdict is a broadcast and its writes are rank-0-coordinated —
@@ -111,6 +112,59 @@ pub fn read_meta(file: &CkptFile, generation: u64, extra: &mut [u64]) -> Result<
     Ok(sweep as usize)
 }
 
+/// A serial engine, as the one run loop sees it: one sweep at a time,
+/// each either thermalising or recorded into the engine's series.
+///
+/// `R` is the random source the engine draws from (this crate cannot name
+/// `qmc_rng::Rng64`, which depends on it).
+pub trait Engine<R>: Checkpoint {
+    /// The measurement series a run records.
+    type Series: Checkpoint;
+
+    /// The empty series of a run of `sweeps` recorded sweeps, carrying
+    /// what the engine was built with that a restore must match.
+    fn begin_series(&self, sweeps: usize) -> Self::Series;
+
+    /// One sweep, recorded into `record`; `None` while thermalising,
+    /// where an engine may still tune itself (SSE grows its cutoff).
+    fn advance(&mut self, rng: &mut R, record: Option<&mut Self::Series>);
+}
+
+/// Thermalise `eng` for `therm` sweeps, then record `sweeps` more, through
+/// [`drive`] under `policy`: the run ends as [`drive`]'s does, and
+/// `kill_at` and `at_checkpoint` mean what they mean there.
+///
+/// A resume needs a fresh engine built exactly as the interrupted one
+/// was, with the same parameters and from the same freshly seeded `rng`
+/// (an engine whose construction draws, SSE's, is built from the very
+/// `rng` passed here); the restore then rewinds engine, `rng` and series
+/// to the generation together. With `policy = None` this is the plain
+/// run and cannot fail.
+pub fn run_engine<R, E>(
+    eng: &mut E,
+    rng: &mut R,
+    therm: usize,
+    sweeps: usize,
+    policy: Option<&Policy<'_>>,
+    kill_at: Option<usize>,
+    at_checkpoint: impl FnMut(&E::Series, usize),
+) -> Result<(End, E::Series), CkptError>
+where
+    R: Checkpoint,
+    E: Engine<R>,
+{
+    let mut series = eng.begin_series(sweeps);
+    let end = drive(
+        (eng, rng, &mut series),
+        therm + sweeps,
+        policy,
+        kill_at,
+        |eng, rng, series, s| eng.advance(rng, (s >= therm).then_some(series)),
+        at_checkpoint,
+    )?;
+    Ok((end, series))
+}
+
 /// Run sweeps `0..total` of a serial engine under `policy`.
 ///
 /// With `policy.resume`, state is first restored from the store's newest
@@ -122,7 +176,7 @@ pub fn read_meta(file: &CkptFile, generation: u64, extra: &mut [u64]) -> Result<
 /// s)` runs; a raised `policy.stop` ends the run as [`End::Drained`];
 /// `kill_at == Some(s)` ends it as [`End::Killed`]; otherwise `step`
 /// runs sweep `s`. With `policy = None` this is a plain `for` loop over
-/// `step`, draw-for-draw identical to the engines' own `run()` methods.
+/// `step`.
 pub fn drive<E, R, S>(
     (eng, rng, series): (&mut E, &mut R, &mut S),
     total: usize,

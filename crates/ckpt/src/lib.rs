@@ -8,7 +8,9 @@
 //! recycled slot file, retain last K, fall back past torn or CRC-bad
 //! generations), rank-0-coordinated [`coord`] write/restore over any
 //! [`qmc_comm::Communicator`], the one sweep-boundary run loop,
-//! [`drive`], that every checkpointed driver shares, and the one
+//! [`drive`], that every checkpointed driver shares, the one serial
+//! engine interface, [`Engine`], with the one loop that runs it,
+//! [`run_engine`], and the one
 //! `rows/k` + `head` protocol, [`chunk`], that every append-only
 //! measurement series is sectioned by.
 //!
@@ -43,7 +45,7 @@ pub mod registry;
 
 pub use crc32::crc32;
 pub use delta::{RawCkpt, SectionData, SectionPlan, SCHEMA_V2};
-pub use drive::{drive, read_meta, write_meta, Cadence, End, Policy};
+pub use drive::{drive, read_meta, run_engine, write_meta, Cadence, End, Engine, Policy};
 pub use error::CkptError;
 pub use file::{CkptFile, SCHEMA};
 pub use qmc_comm::wire::{Decoder, Encoder};

@@ -1,12 +1,12 @@
-//! Job execution: engine set-up, the step closure, and outcome mapping
-//! for each job kind. Neither kind owns a run loop: a serial TFIM job is
-//! a step closure over [`qmc_ckpt::drive`] — the single sweep-boundary
-//! loop (restore, checkpoint *before* the sweep whose index the
-//! generation carries, drain/kill at sweep boundaries) that `qmc-bench`'s
-//! `run_*_ckpt` drivers also run through, so a job checkpointed by one
-//! attempt on a worker — or by the bench driver — resumes
-//! bit-identically in the next; a parallel-tempering job hands its policy
-//! to `qmc_core::pt::run_pt_parallel_ckpt`.
+//! Job execution: engine set-up and outcome mapping for each job kind.
+//! Neither kind owns a run loop: a serial TFIM job runs its engine through
+//! [`qmc_ckpt::run_engine`] — the single sweep-boundary loop (restore,
+//! checkpoint *before* the sweep whose index the generation carries,
+//! drain/kill at sweep boundaries) that `SerialTfim::run` and the `qmc`
+//! CLI also run through, so a job checkpointed by one attempt on a worker
+//! — or by the CLI — resumes bit-identically in the next; a
+//! parallel-tempering job hands its policy to
+//! `qmc_core::pt::run_pt_parallel_ckpt`.
 //!
 //! Kills come in two flavors, both deterministic:
 //! * serial jobs abort at a chosen sweep boundary, leaving the store
@@ -17,12 +17,12 @@
 //!   under `qmc_core::pt::run_pt_elastic` (see `run_pt`).
 
 use crate::job::{JobKind, JobObservables, JobSpec};
-use qmc_ckpt::{drive, Cadence, CkptStore, End, Policy};
+use qmc_ckpt::{run_engine, Cadence, CkptStore, End, Policy};
 use qmc_comm::{run_threads, Communicator, WorldError};
 use qmc_core::pt::{run_pt_elastic, run_pt_parallel_ckpt, with_run_store, PtConfig};
 use qmc_obs::Registry;
 use qmc_rng::{StreamFactory, Xoshiro256StarStar};
-use qmc_tfim::serial::{SerialTfim, TfimSeries};
+use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -159,7 +159,7 @@ pub fn run_job(spec: &JobSpec, ctl: RunCtl<'_>) -> Outcome {
     }
 }
 
-/// Serial TFIM attempt: a step closure over the shared [`drive`] loop.
+/// Serial TFIM attempt: the engine through the shared [`run_engine`] loop.
 fn run_tfim(
     model: TfimModel,
     wolff: usize,
@@ -167,10 +167,10 @@ fn run_tfim(
     mut ctl: RunCtl<'_>,
     cadence: Cadence,
 ) -> Outcome {
-    let therm = spec.therm as usize;
-    let total = therm + spec.sweeps as usize;
+    let (therm, sweeps) = (spec.therm as usize, spec.sweeps as usize);
+    let total = therm + sweeps;
     let mut eng = SerialTfim::new(model);
-    let mut series = TfimSeries::default();
+    eng.wolff_per_sweep = wolff;
     let mut rng = Xoshiro256StarStar::new(spec.seed);
 
     let policy = ctl.store.map(|store| Policy {
@@ -179,20 +179,13 @@ fn run_tfim(
         resume: ctl.resume,
         stop: ctl.stop,
     });
-    let end = drive(
-        (&mut eng, &mut rng, &mut series),
-        total,
+    let run = run_engine(
+        &mut eng,
+        &mut rng,
+        therm,
+        sweeps,
         policy.as_ref(),
         ctl.kill_at.map(|k| k as usize),
-        |eng, rng, series, s| {
-            eng.metropolis_sweep(rng);
-            for _ in 0..wolff {
-                eng.wolff_update(rng);
-            }
-            if s >= therm {
-                series.record(&eng.measure());
-            }
-        },
         |series, s| {
             if let Some(snap) = ctl.snapshot.as_deref_mut() {
                 let e = &series.energy;
@@ -205,8 +198,8 @@ fn run_tfim(
             }
         },
     );
-    match end {
-        Ok(End::Finished) => Outcome::Done {
+    match run {
+        Ok((End::Finished, series)) => Outcome::Done {
             obs: JobObservables {
                 // Cloned, not moved: the server retains results, and a
                 // clone drops the series' spare growth capacity.
@@ -217,10 +210,10 @@ fn run_tfim(
             respawns: 0,
             resized: false,
         },
-        Ok(End::Drained { at }) => Outcome::Drained {
+        Ok((End::Drained { at }, _)) => Outcome::Drained {
             at_sweep: at as u64,
         },
-        Ok(End::Killed { at }) => Outcome::Killed {
+        Ok((End::Killed { at }, _)) => Outcome::Killed {
             at_sweep: at as u64,
         },
         // A restore failure (corrupt generation, or a checkpoint written

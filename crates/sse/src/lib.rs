@@ -565,9 +565,9 @@ impl Sse {
         }
     }
 
-    /// Empty series matching this engine (the stepwise counterpart of
-    /// [`Sse::run`]; checkpointed drivers build one, record into it sweep
-    /// by sweep, and carry it across restarts).
+    /// Empty series matching this engine, with room for `capacity` rows
+    /// (what [`Sse::run`] records into; a caller stepping the engine
+    /// itself builds one and records into it sweep by sweep).
     pub fn begin_series(&self, capacity: usize) -> SseSeries {
         SseSeries {
             beta: self.beta,
@@ -620,17 +620,15 @@ impl Sse {
 
     /// Thermalize (`therm` sweeps with cutoff adaptation) then record
     /// `sweeps` measurements.
-    pub fn run<R: Rng64>(&mut self, rng: &mut R, therm: usize, sweeps: usize) -> SseSeries {
-        for _ in 0..therm {
-            self.sweep(rng);
-            self.adjust_cutoff();
-        }
-        let mut series = self.begin_series(sweeps);
-        for _ in 0..sweeps {
-            self.sweep(rng);
-            self.record_measurement(&mut series);
-        }
-        series
+    pub fn run<R: Rng64 + qmc_ckpt::Checkpoint>(
+        &mut self,
+        rng: &mut R,
+        therm: usize,
+        sweeps: usize,
+    ) -> SseSeries {
+        qmc_ckpt::run_engine(self, rng, therm, sweeps, None, None, |_, _| {})
+            .expect("a run without a store cannot fail")
+            .1
     }
 
     /// Validate internal consistency: propagating `|α⟩` through the whole
@@ -714,6 +712,23 @@ impl Sse {
         self.ops_dirty = true;
         self.n_ops = self.ops.iter().filter(|&&o| o != IDENTITY).count();
         self.fit_to_cutoff();
+    }
+}
+
+impl<R: Rng64> qmc_ckpt::Engine<R> for Sse {
+    type Series = SseSeries;
+
+    fn begin_series(&self, sweeps: usize) -> SseSeries {
+        Sse::begin_series(self, sweeps)
+    }
+
+    /// A thermalising sweep adapts the cutoff; a recorded one does not.
+    fn advance(&mut self, rng: &mut R, record: Option<&mut SseSeries>) {
+        self.sweep(rng);
+        match record {
+            None => self.adjust_cutoff(),
+            Some(series) => self.record_measurement(series),
+        }
     }
 }
 

@@ -40,6 +40,10 @@ pub struct SerialTfim {
     /// the lattice up front it would more than double the heap footprint
     /// of a cache-resident engine.
     stack: Vec<Member>,
+    /// Wolff cluster updates after each Metropolis sweep (1 on
+    /// construction). Not checkpointed: a resume sets it as the
+    /// interrupted run did, like the model itself.
+    pub wolff_per_sweep: usize,
 }
 
 /// A cluster site on the Wolff stack, eight bytes: its index and its
@@ -165,6 +169,7 @@ impl SerialTfim {
             wolff_thr_space: always_draw_threshold(1.0 - (-2.0 * c.k_space).exp()),
             wolff_thr_time: always_draw_threshold(1.0 - (-2.0 * c.k_time).exp()),
             stack: vec![Member::default(); STACK_START],
+            wolff_per_sweep: 1,
         }
     }
 
@@ -557,29 +562,37 @@ impl SerialTfim {
     }
 
     /// Thermalize then record `sweeps` measurements. Each "sweep" is one
-    /// Metropolis sweep plus `wolff_per_sweep` cluster updates.
-    pub fn run<R: Rng64>(
+    /// Metropolis sweep plus `wolff_per_sweep` cluster updates (which
+    /// becomes [`SerialTfim::wolff_per_sweep`]).
+    pub fn run<R: Rng64 + qmc_ckpt::Checkpoint>(
         &mut self,
         rng: &mut R,
         therm: usize,
         sweeps: usize,
         wolff_per_sweep: usize,
     ) -> TfimSeries {
-        for _ in 0..therm {
-            self.metropolis_sweep(rng);
-            for _ in 0..wolff_per_sweep {
-                self.wolff_update(rng);
-            }
+        self.wolff_per_sweep = wolff_per_sweep;
+        qmc_ckpt::run_engine(self, rng, therm, sweeps, None, None, |_, _| {})
+            .expect("a run without a store cannot fail")
+            .1
+    }
+}
+
+impl<R: Rng64> qmc_ckpt::Engine<R> for SerialTfim {
+    type Series = TfimSeries;
+
+    fn begin_series(&self, _sweeps: usize) -> TfimSeries {
+        TfimSeries::default()
+    }
+
+    fn advance(&mut self, rng: &mut R, record: Option<&mut TfimSeries>) {
+        self.metropolis_sweep(rng);
+        for _ in 0..self.wolff_per_sweep {
+            self.wolff_update(rng);
         }
-        let mut series = TfimSeries::default();
-        for _ in 0..sweeps {
-            self.metropolis_sweep(rng);
-            for _ in 0..wolff_per_sweep {
-                self.wolff_update(rng);
-            }
+        if let Some(series) = record {
             series.record(&self.measure());
         }
-        series
     }
 }
 

@@ -1,5 +1,6 @@
 //! The world-line configuration and its Monte Carlo moves.
 
+use crate::estimators::TimeSeries;
 use crate::weights::{by_pattern, classify, PlaqClass, PlaqWeights};
 use qmc_lattice::parity_mask;
 use qmc_rng::{threshold, Rng64, NO_DRAW};
@@ -807,23 +808,33 @@ impl Worldline {
 
     /// Run `therm` thermalization sweeps then `sweeps` measured sweeps,
     /// returning the measurement time series.
-    pub fn run<R: Rng64>(
+    pub fn run<R: Rng64 + qmc_ckpt::Checkpoint>(
         &mut self,
         rng: &mut R,
         therm: usize,
         sweeps: usize,
-    ) -> crate::estimators::TimeSeries {
-        for _ in 0..therm {
-            self.sweep(rng);
-        }
-        let mut series = crate::estimators::TimeSeries::with_capacity(self.params.l, sweeps);
+    ) -> TimeSeries {
+        qmc_ckpt::run_engine(self, rng, therm, sweeps, None, None, |_, _| {})
+            .expect("a run without a store cannot fail")
+            .1
+    }
+}
+
+impl<R: Rng64> qmc_ckpt::Engine<R> for Worldline {
+    type Series = TimeSeries;
+
+    fn begin_series(&self, sweeps: usize) -> TimeSeries {
+        let mut series = TimeSeries::with_capacity(self.params.l, sweeps);
         series.set_beta(self.params.beta);
-        for _ in 0..sweeps {
-            self.sweep(rng);
+        series
+    }
+
+    fn advance(&mut self, rng: &mut R, record: Option<&mut TimeSeries>) {
+        self.sweep(rng);
+        if let Some(series) = record {
             series.record(&crate::estimators::measure(self));
             series.record_correlations(self);
         }
-        series
     }
 }
 

@@ -35,6 +35,7 @@
 //! Trotter error carry over from the 1-D engine (see crate docs); both
 //! are quantified against the SSE and Lanczos oracles in the tests.
 
+use crate::estimators::TimeSeries;
 use crate::weights::{by_pattern, classify, pattern, PlaqWeights};
 use qmc_lattice::{Bond, Lattice};
 use qmc_rng::Rng64;
@@ -547,25 +548,34 @@ impl<L: Lattice> GenericWorldline<L> {
         }
     }
 
-    /// Thermalize then record a [`crate::estimators::TimeSeries`] (the
-    /// `l` field holds `n_sites`).
-    pub fn run<R: Rng64>(
+    /// Thermalize then record a [`TimeSeries`] (the `l` field holds
+    /// `n_sites`).
+    pub fn run<R: Rng64 + qmc_ckpt::Checkpoint>(
         &mut self,
         rng: &mut R,
         therm: usize,
         sweeps: usize,
-    ) -> crate::estimators::TimeSeries {
-        for _ in 0..therm {
-            self.sweep(rng);
-        }
-        let mut series =
-            crate::estimators::TimeSeries::with_capacity(self.lattice.num_sites(), sweeps);
+    ) -> TimeSeries {
+        qmc_ckpt::run_engine(self, rng, therm, sweeps, None, None, |_, _| {})
+            .expect("a run without a store cannot fail")
+            .1
+    }
+}
+
+impl<L: Lattice, R: Rng64> qmc_ckpt::Engine<R> for GenericWorldline<L> {
+    type Series = TimeSeries;
+
+    fn begin_series(&self, sweeps: usize) -> TimeSeries {
+        let mut series = TimeSeries::with_capacity(self.lattice.num_sites(), sweeps);
         series.set_beta(self.params.beta);
-        for _ in 0..sweeps {
-            self.sweep(rng);
+        series
+    }
+
+    fn advance(&mut self, rng: &mut R, record: Option<&mut TimeSeries>) {
+        self.sweep(rng);
+        if let Some(series) = record {
             series.record(&self.measure());
         }
-        series
     }
 }
 

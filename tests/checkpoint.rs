@@ -9,10 +9,9 @@
 //! fault-injection layer and recovers a 4-rank ThreadWorld run from the
 //! coordinated checkpoint.
 
-use qmc_bench::ckpt_driver::{
-    run_generic_worldline_ckpt, run_serial_tfim_ckpt, run_sse_ckpt, run_worldline_ckpt,
+use qmc_ckpt::{
+    load_state, run_engine, save_state, Cadence, Checkpoint, CkptStore, End, Engine, Policy,
 };
-use qmc_ckpt::{load_state, save_state, Cadence, Checkpoint, CkptStore, Policy};
 use qmc_comm::{run_threads, run_threads_with_timeout, Communicator, FaultPlan, FaultyComm};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig, PtLadder};
 use qmc_lattice::{Chain, Square};
@@ -34,6 +33,22 @@ fn scratch(label: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("qmc-ckpt-it-{}-{label}-{n}", std::process::id()))
+}
+
+/// `eng` from sweep 0 through `qmc_ckpt::run_engine`: `None` when the run
+/// ended early (killed or drained). A store that does not restore fails
+/// the test.
+fn ckpt_run<R: Checkpoint, E: Engine<R>>(
+    mut eng: E,
+    rng: &mut R,
+    therm: usize,
+    sweeps: usize,
+    ck: Option<&Policy<'_>>,
+    kill_at: Option<usize>,
+) -> Option<(E, E::Series)> {
+    let (end, series) = run_engine(&mut eng, rng, therm, sweeps, ck, kill_at, |_, _| {})
+        .expect("restore from checkpoint");
+    (end == End::Finished).then_some((eng, series))
 }
 
 /// Crash-at-every-boundary matrix: `run(ck, kill_at, rng)` executes one
@@ -92,7 +107,7 @@ fn serial_tfim_resumes_bit_identical_at_every_boundary() {
             m: 4,
         };
         let mut rng = CountingRng::new(Xoshiro256StarStar::new(7));
-        let (eng, series) = run_serial_tfim_ckpt(model, &mut rng, therm, sweeps, 1, ck, kill)?;
+        let (eng, series) = ckpt_run(SerialTfim::new(model), &mut rng, therm, sweeps, ck, kill)?;
         let mut b = bits(&series.energy);
         b.extend(bits(&series.abs_m));
         b.extend(bits(&series.sigma_x));
@@ -126,7 +141,7 @@ fn serial_tfim_delta_checkpoints_stay_under_half_full_size() {
         };
         let mut rng = Buffered::new(Xoshiro256StarStar::new(21));
         assert!(
-            run_serial_tfim_ckpt(model, &mut rng, 0, sweeps, 1, Some(&ck), None).is_some(),
+            ckpt_run(SerialTfim::new(model), &mut rng, 0, sweeps, Some(&ck), None).is_some(),
             "run completes"
         );
         let written = store.bytes_written();
@@ -158,7 +173,7 @@ fn worldline_resumes_bit_identical_at_every_boundary() {
             m: 8,
         };
         let mut rng = CountingRng::new(Xoshiro256StarStar::new(11));
-        let (eng, series) = run_worldline_ckpt(params, &mut rng, therm, sweeps, ck, kill)?;
+        let (eng, series) = ckpt_run(Worldline::new(params), &mut rng, therm, sweeps, ck, kill)?;
         let mut b = bits(&series.energy);
         b.extend(bits(&series.magnetization));
         b.extend(bits(&series.correlations()));
@@ -177,9 +192,8 @@ fn generic_worldline_resumes_bit_identical_at_every_boundary() {
             m: 8,
         };
         let mut rng = CountingRng::new(Xoshiro256StarStar::new(13));
-        let (_eng, series) = run_generic_worldline_ckpt(
-            Square::new(4, 4),
-            params,
+        let (_eng, series) = ckpt_run(
+            GenericWorldline::new(Square::new(4, 4), params),
             &mut rng,
             therm,
             sweeps,
@@ -198,7 +212,14 @@ fn sse_resumes_bit_identical_at_every_boundary() {
     crash_matrix("sse", therm + sweeps, every, |ck, kill| {
         let lat = Chain::new(8);
         let mut rng = CountingRng::new(Xoshiro256StarStar::new(17));
-        let (eng, series) = run_sse_ckpt(&lat, 1.0, 2.0, &mut rng, therm, sweeps, ck, kill)?;
+        let (eng, series) = ckpt_run(
+            Sse::new(&lat, 1.0, 2.0, &mut rng),
+            &mut rng,
+            therm,
+            sweeps,
+            ck,
+            kill,
+        )?;
         let mut b = bits(&series.n_ops);
         b.extend(bits(&series.magnetization));
         Some(((b, eng.cutoff()), rng.draws))
@@ -362,10 +383,10 @@ fn print(eng: &impl Checkpoint, series: &impl Checkpoint, draws: u64) -> (Vec<u8
     (save_state(eng), save_state(series), draws)
 }
 
-/// The plain `run()` of every serial engine replays the oracle driver's
-/// sequence exactly, including a run that only measures (`therm = 0`)
-/// and one that only thermalises (`sweeps = 0`, where SSE adapts its
-/// cutoff).
+/// `run_engine`, and the plain `run()` of every serial engine that
+/// delegates to it, replay the oracle driver's sequence exactly,
+/// including a run that only measures (`therm = 0`) and one that only
+/// thermalises (`sweeps = 0`, where SSE adapts its cutoff).
 #[test]
 fn ckpt_drivers_match_plain_runs() {
     let rng = |seed| CountingRng::new(Xoshiro256StarStar::new(seed));
@@ -402,6 +423,15 @@ fn ckpt_drivers_match_plain_runs() {
         let mut eng = SerialTfim::new(model);
         let series = eng.run(&mut r, therm, sweeps, 2);
         assert_eq!(want, print(&eng, &series, r.draws), "serial TFIM, {case}");
+        let mut r = rng(7);
+        let mut eng = SerialTfim::new(model);
+        eng.wolff_per_sweep = 2;
+        let (eng, series) = ckpt_run(eng, &mut r, therm, sweeps, None, None).unwrap();
+        assert_eq!(
+            want,
+            print(&eng, &series, r.draws),
+            "serial TFIM loop, {case}"
+        );
 
         let mut r = rng(11);
         let (eng, series) =
@@ -410,7 +440,19 @@ fn ckpt_drivers_match_plain_runs() {
         let mut r = rng(11);
         let mut eng = Worldline::new(params);
         let series = eng.run(&mut r, therm, sweeps);
-        assert_eq!(want, print(&eng, &series, r.draws), "world-line chain, {case}");
+        assert_eq!(
+            want,
+            print(&eng, &series, r.draws),
+            "world-line chain, {case}"
+        );
+        let mut r = rng(11);
+        let (eng, series) =
+            ckpt_run(Worldline::new(params), &mut r, therm, sweeps, None, None).unwrap();
+        assert_eq!(
+            want,
+            print(&eng, &series, r.draws),
+            "world-line chain loop, {case}"
+        );
 
         let mut r = rng(13);
         let (eng, series) = oracle::run_generic_worldline_ckpt(
@@ -427,7 +469,19 @@ fn ckpt_drivers_match_plain_runs() {
         let mut r = rng(13);
         let mut eng = GenericWorldline::new(Square::new(4, 4), generic);
         let series = eng.run(&mut r, therm, sweeps);
-        assert_eq!(want, print(&eng, &series, r.draws), "generic world-line, {case}");
+        assert_eq!(
+            want,
+            print(&eng, &series, r.draws),
+            "generic world-line, {case}"
+        );
+        let mut r = rng(13);
+        let eng = GenericWorldline::new(Square::new(4, 4), generic);
+        let (eng, series) = ckpt_run(eng, &mut r, therm, sweeps, None, None).unwrap();
+        assert_eq!(
+            want,
+            print(&eng, &series, r.draws),
+            "generic world-line loop, {case}"
+        );
 
         let mut r = rng(17);
         let (eng, series) =
@@ -437,7 +491,51 @@ fn ckpt_drivers_match_plain_runs() {
         let mut eng = Sse::new(&lat, 1.0, 2.0, &mut r);
         let series = eng.run(&mut r, therm, sweeps);
         assert_eq!(want, print(&eng, &series, r.draws), "SSE, {case}");
+        let mut r = rng(17);
+        let eng = Sse::new(&lat, 1.0, 2.0, &mut r);
+        let (eng, series) = ckpt_run(eng, &mut r, therm, sweeps, None, None).unwrap();
+        assert_eq!(want, print(&eng, &series, r.draws), "SSE loop, {case}");
     }
+}
+
+/// `run_engine` shows `at_checkpoint` the series as each generation is
+/// written: at boundary `s`, the rows of the measured sweeps before `s`.
+/// qmc-serve's progress snapshots read the series there.
+#[test]
+fn run_engine_shows_each_written_generation_its_series() {
+    let model = TfimModel {
+        lx: 8,
+        ly: 1,
+        j: 1.0,
+        h: 2.0,
+        beta: 1.0,
+        m: 4,
+    };
+    let dir = scratch("at-checkpoint");
+    let store = CkptStore::new(&dir, 2).expect("scratch store");
+    let policy = Policy {
+        store: &store,
+        cadence: Cadence::new(5, 3).unwrap(),
+        resume: false,
+        stop: None,
+    };
+    let mut seen = Vec::new();
+    let mut eng = SerialTfim::new(model);
+    let mut rng = Xoshiro256StarStar::new(7);
+    let (end, series) = run_engine(
+        &mut eng,
+        &mut rng,
+        6,
+        12,
+        Some(&policy),
+        None,
+        |series, s| seen.push((s, series.len())),
+    )
+    .expect("a fresh store restores nothing");
+    assert_eq!(end, End::Finished);
+    assert_eq!(seen, [(0, 0), (5, 0), (10, 4), (15, 9)]);
+    assert_eq!(series.len(), 12);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn pt_cfg() -> PtConfig {
@@ -700,7 +798,7 @@ fn v1_monolithic_checkpoints_resume_under_the_delta_driver() {
     };
     let (therm, sweeps) = (6, 12);
     let mut rng = CountingRng::new(Xoshiro256StarStar::new(7));
-    let (_, reference) = run_serial_tfim_ckpt(model, &mut rng, therm, sweeps, 1, None, None)
+    let (_, reference) = ckpt_run(SerialTfim::new(model), &mut rng, therm, sweeps, None, None)
         .expect("reference run completes");
     let (ref_bits, ref_draws) = (bits(&reference.energy), rng.draws);
 
@@ -740,8 +838,15 @@ fn v1_monolithic_checkpoints_resume_under_the_delta_driver() {
         stop: None,
     };
     let mut rng = CountingRng::new(Xoshiro256StarStar::new(7));
-    let (_, resumed) = run_serial_tfim_ckpt(model, &mut rng, therm, sweeps, 1, Some(&ck), None)
-        .expect("resume from v1 completes");
+    let (_, resumed) = ckpt_run(
+        SerialTfim::new(model),
+        &mut rng,
+        therm,
+        sweeps,
+        Some(&ck),
+        None,
+    )
+    .expect("resume from v1 completes");
     assert_eq!(ref_bits, bits(&resumed.energy), "v1 resume diverged");
     assert_eq!(ref_draws, rng.draws, "v1 resume drew a different count");
     assert!(
@@ -787,7 +892,7 @@ fn bench_and_serve_resume_each_others_tfim_stores() {
     // Each side returns (energy, |m|) bit patterns, `None` when killed.
     let bench = |ck: Option<&Policy<'_>>, kill: Option<usize>| {
         let mut rng = Xoshiro256StarStar::new(seed);
-        run_serial_tfim_ckpt(model, &mut rng, therm, sweeps, 1, ck, kill)
+        ckpt_run(SerialTfim::new(model), &mut rng, therm, sweeps, ck, kill)
             .map(|(_, s)| (bits(&s.energy), bits(&s.abs_m)))
     };
     let serve = |store: &CkptStore, kill: Option<usize>| {
@@ -913,7 +1018,7 @@ fn serial_tfim_drains_at_sweep_boundary_and_resumes_bit_identical() {
     let (therm, sweeps, every) = (6usize, 12usize, 5usize);
 
     let mut rng = CountingRng::new(Xoshiro256StarStar::new(7));
-    let (_, reference) = run_serial_tfim_ckpt(model, &mut rng, therm, sweeps, 1, None, None)
+    let (_, reference) = ckpt_run(SerialTfim::new(model), &mut rng, therm, sweeps, None, None)
         .expect("reference run completes");
     let (ref_bits, ref_draws) = (bits(&reference.energy), rng.draws);
 
@@ -935,7 +1040,15 @@ fn serial_tfim_drains_at_sweep_boundary_and_resumes_bit_identical() {
         after: ref_draws / 2,
     };
     assert!(
-        run_serial_tfim_ckpt(model, &mut rng, therm, sweeps, 1, Some(&ck), None).is_none(),
+        ckpt_run(
+            SerialTfim::new(model),
+            &mut rng,
+            therm,
+            sweeps,
+            Some(&ck),
+            None
+        )
+        .is_none(),
         "a drained run must end early"
     );
     let drained_at = *store
@@ -956,8 +1069,15 @@ fn serial_tfim_drains_at_sweep_boundary_and_resumes_bit_identical() {
         stop: None,
     };
     let mut rng = CountingRng::new(Xoshiro256StarStar::new(7));
-    let (_, resumed) = run_serial_tfim_ckpt(model, &mut rng, therm, sweeps, 1, Some(&ck), None)
-        .expect("resumed run completes");
+    let (_, resumed) = ckpt_run(
+        SerialTfim::new(model),
+        &mut rng,
+        therm,
+        sweeps,
+        Some(&ck),
+        None,
+    )
+    .expect("resumed run completes");
     assert_eq!(ref_bits, bits(&resumed.energy), "drained resume diverged");
     assert_eq!(ref_draws, rng.draws, "draw count diverged across the drain");
     let _ = std::fs::remove_dir_all(&dir);

@@ -3,8 +3,8 @@
 //! Every row is one serialized body reduced to its byte length and its
 //! `qmc_ckpt::crc32`: `save_state` (the whole-blob form a v1 file holds)
 //! and each `save_section_bytes` body in `dirty_sections` order (what
-//! `plan_sections` writes), taken after a fixed-seed
-//! `run_*_ckpt(.., None, None)` of 20 thermalization and 150 measured
+//! `plan_sections` writes), taken after a fixed-seed plain
+//! `qmc_ckpt::run_engine` (no store, no kill) of 20 thermalization and 150 measured
 //! sweeps — two full 64-row chunks and a partial one. The literals were
 //! recorded on commit 9d8f370, where each type still hand-wrote its
 //! whole-blob and its sectioned form separately, so a PR that derives
@@ -13,17 +13,34 @@
 //! diff. A literal is never edited to make such a change pass: a
 //! mismatch means a byte on disk moved.
 
-use qmc_bench::ckpt_driver::{
-    run_generic_worldline_ckpt, run_serial_tfim_ckpt, run_sse_ckpt, run_worldline_ckpt,
+use qmc_ckpt::{
+    crc32, run_engine, save_section_bytes, save_state, Checkpoint, End, Engine, Policy,
 };
-use qmc_ckpt::{crc32, save_section_bytes, save_state, Checkpoint};
 use qmc_lattice::{Chain, Square};
 use qmc_rng::Xoshiro256StarStar;
+use qmc_sse::Sse;
+use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
-use qmc_worldline::{GenericParams, WorldlineParams};
+use qmc_worldline::{GenericParams, GenericWorldline, Worldline, WorldlineParams};
 
 const THERM: usize = 20;
 const SWEEPS: usize = 150;
+
+/// `eng` from sweep 0 through `qmc_ckpt::run_engine`: `None` when the run
+/// ended early (killed or drained). A store that does not restore fails
+/// the test.
+fn ckpt_run<R: Checkpoint, E: Engine<R>>(
+    mut eng: E,
+    rng: &mut R,
+    therm: usize,
+    sweeps: usize,
+    ck: Option<&Policy<'_>>,
+    kill_at: Option<usize>,
+) -> Option<(E, E::Series)> {
+    let (end, series) = run_engine(&mut eng, rng, therm, sweeps, ck, kill_at, |_, _| {})
+        .expect("restore from checkpoint");
+    (end == End::Finished).then_some((eng, series))
+}
 
 /// `(body, byte length, CRC32)`: `body` is `<value>` for `save_state` and
 /// `<value>:<section>` for `save_section_bytes`.
@@ -85,8 +102,15 @@ const SERIAL_TFIM: &[Pin] = &[
 #[test]
 fn serial_tfim_bodies_match_their_pins() {
     let mut rng = Xoshiro256StarStar::new(101);
-    let (eng, series) =
-        run_serial_tfim_ckpt(CHAIN_MODEL, &mut rng, THERM, SWEEPS, 1, None, None).unwrap();
+    let (eng, series) = ckpt_run(
+        SerialTfim::new(CHAIN_MODEL),
+        &mut rng,
+        THERM,
+        SWEEPS,
+        None,
+        None,
+    )
+    .unwrap();
     assert_eq!(series.len(), SWEEPS);
     check(&eng, &series, &rng, SERIAL_TFIM);
 }
@@ -115,7 +139,8 @@ fn worldline_chain_bodies_match_their_pins() {
         m: 8,
     };
     let mut rng = Xoshiro256StarStar::new(103);
-    let (eng, series) = run_worldline_ckpt(params, &mut rng, THERM, SWEEPS, None, None).unwrap();
+    let (eng, series) =
+        ckpt_run(Worldline::new(params), &mut rng, THERM, SWEEPS, None, None).unwrap();
     assert_eq!(series.len(), SWEEPS);
     check(&eng, &series, &rng, WORLDLINE_CHAIN);
 }
@@ -143,9 +168,8 @@ fn generic_worldline_bodies_match_their_pins() {
         m: 4,
     };
     let mut rng = Xoshiro256StarStar::new(104);
-    let (eng, series) = run_generic_worldline_ckpt(
-        Square::new(4, 4),
-        params,
+    let (eng, series) = ckpt_run(
+        GenericWorldline::new(Square::new(4, 4), params),
         &mut rng,
         THERM,
         SWEEPS,
@@ -174,10 +198,8 @@ const SSE: &[Pin] = &[
 #[test]
 fn sse_bodies_match_their_pins() {
     let mut rng = Xoshiro256StarStar::new(105);
-    let (eng, series) = run_sse_ckpt(
-        &Chain::new(8),
-        1.0,
-        2.0,
+    let (eng, series) = ckpt_run(
+        Sse::new(&Chain::new(8), 1.0, 2.0, &mut rng),
         &mut rng,
         THERM,
         SWEEPS,
@@ -382,7 +404,7 @@ fn serial_pin_store(dir: &std::path::Path) {
         m: 8,
     };
     let mut rng = Xoshiro256StarStar::new(106);
-    run_worldline_ckpt(params, &mut rng, 10, 150, Some(&ck), None).expect("run completes");
+    ckpt_run(Worldline::new(params), &mut rng, 10, 150, Some(&ck), None).expect("run completes");
 }
 
 #[rustfmt::skip]
