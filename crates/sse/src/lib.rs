@@ -815,18 +815,27 @@ impl SseSeries {
         ]
     }
 
-    /// Refuse head fields of either layout that belong to another
-    /// lattice, or that count another number of correlation samples than
+    /// Refuse head fields of either layout that belong to another β or J
+    /// (a resume under changed physics would otherwise report one run's
+    /// samples under the other's parameters), to another lattice, or
+    /// that count another number of correlation samples than
     /// `rows`: [`Sse::record_measurement`] is the only writer of both and
     /// advances them together, so a series where they differ would
     /// average its correlations over the wrong number of samples.
     fn check_head(
         &self,
+        (beta, j): (f64, f64),
         (n_sites, n_bonds): (usize, usize),
         corr_sum: &[f64],
         corr_count: u64,
         rows: usize,
     ) -> Result<(), qmc_ckpt::CkptError> {
+        if beta.to_bits() != self.beta.to_bits() || j.to_bits() != self.j.to_bits() {
+            return Err(qmc_ckpt::CkptError::corrupt(format!(
+                "sse series is for β={} J={}, checkpoint has β={beta} J={j}",
+                self.beta, self.j
+            )));
+        }
         if n_sites != self.n_sites || n_bonds != self.n_bonds {
             return Err(qmc_ckpt::CkptError::corrupt(format!(
                 "sse series is for {n_sites} sites / {n_bonds} bonds, engine has {} / {}",
@@ -871,10 +880,8 @@ impl qmc_ckpt::Checkpoint for SseSeries {
         let cols = [dec.f64s()?, dec.f64s()?, dec.f64s()?];
         let corr_sum = dec.f64s()?;
         let corr_count = dec.u64()?;
-        self.check_head(shape, &corr_sum, corr_count, cols[0].len())?;
+        self.check_head((beta, j), shape, &corr_sum, corr_count, cols[0].len())?;
         qmc_ckpt::chunk::check_columns("sse", &cols)?;
-        self.beta = beta;
-        self.j = j;
         for (col, restored) in self.columns_mut().into_iter().zip(cols) {
             *col = restored;
         }
@@ -922,10 +929,8 @@ impl qmc_ckpt::Checkpoint for SseSeries {
                 let shape = (dec.u64()? as usize, dec.u64()? as usize);
                 let corr_sum = dec.f64s()?;
                 let corr_count = dec.u64()?;
-                self.check_head(shape, &corr_sum, corr_count, self.n_ops.len())?;
+                self.check_head((beta, j), shape, &corr_sum, corr_count, self.n_ops.len())?;
                 chunk::check_rows("sse", dec.u64()? as usize, self.n_ops.len())?;
-                self.beta = beta;
-                self.j = j;
                 self.corr_sum = corr_sum;
                 self.corr_count = corr_count;
                 Ok(())

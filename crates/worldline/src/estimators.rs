@@ -253,12 +253,19 @@ impl TimeSeries {
     }
 
     /// Refuse head fields of either layout that belong to another chain
-    /// length.
-    fn check_head(&self, l: usize, corr_sum: &[f64]) -> Result<(), qmc_ckpt::CkptError> {
+    /// length or to another β: a resume under changed physics would
+    /// otherwise report one run's samples under the other's parameters.
+    fn check_head(&self, l: usize, beta: f64, corr_sum: &[f64]) -> Result<(), qmc_ckpt::CkptError> {
         if l != self.l {
             return Err(qmc_ckpt::CkptError::corrupt(format!(
                 "worldline series is for l={}, checkpoint has l={l}",
                 self.l
+            )));
+        }
+        if beta.to_bits() != self.beta.to_bits() {
+            return Err(qmc_ckpt::CkptError::corrupt(format!(
+                "worldline series is for β={}, checkpoint has β={beta}",
+                self.beta
             )));
         }
         if corr_sum.len() != self.corr_sum.len() {
@@ -297,9 +304,8 @@ impl qmc_ckpt::Checkpoint for TimeSeries {
         ];
         let corr_sum = dec.f64s()?;
         let corr_count = dec.u64()?;
-        self.check_head(l, &corr_sum)?;
+        self.check_head(l, beta, &corr_sum)?;
         qmc_ckpt::chunk::check_columns("worldline", &cols)?;
-        self.beta = beta;
         for (col, restored) in self.columns_mut().into_iter().zip(cols) {
             *col = restored;
         }
@@ -346,9 +352,8 @@ impl qmc_ckpt::Checkpoint for TimeSeries {
                 let beta = dec.f64()?;
                 let corr_sum = dec.f64s()?;
                 let corr_count = dec.u64()?;
-                self.check_head(l, &corr_sum)?;
+                self.check_head(l, beta, &corr_sum)?;
                 chunk::check_rows("worldline", dec.u64()? as usize, self.len())?;
-                self.beta = beta;
                 self.corr_sum = corr_sum;
                 self.corr_count = corr_count;
                 Ok(())

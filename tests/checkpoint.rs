@@ -10,7 +10,8 @@
 //! coordinated checkpoint.
 
 use qmc_ckpt::{
-    load_state, run_engine, save_state, Cadence, Checkpoint, CkptStore, End, Engine, Policy,
+    load_state, run_engine, save_state, Cadence, Checkpoint, CkptError, CkptStore, End, Engine,
+    Policy,
 };
 use qmc_comm::{run_threads, run_threads_with_timeout, Communicator, FaultPlan, FaultyComm};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig, PtLadder};
@@ -496,6 +497,167 @@ fn ckpt_drivers_match_plain_runs() {
         let (eng, series) = ckpt_run(eng, &mut r, therm, sweeps, None, None).unwrap();
         assert_eq!(want, print(&eng, &series, r.draws), "SSE loop, {case}");
     }
+}
+
+/// Run `args` under the `qmc` CLI; its exit code and standard error.
+fn qmc(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_qmc"))
+        .args(args)
+        .output()
+        .expect("qmc runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `qmc <engine> --resume` at another β than the store was written at
+/// prints the restore error and exits 2. It used to restore the old run
+/// and print its energy under the new β's header.
+fn assert_cli_refuses_resume_at_another_beta(engine: &str, args: &[&str]) {
+    let dir = scratch(&format!("cli-{engine}"));
+    let dir_arg = dir.to_str().expect("utf-8 scratch path");
+    let run = |beta: &str, resume: bool| {
+        let mut all = vec![engine, "--beta", beta, "--sweeps", "40", "--therm", "10"];
+        all.extend_from_slice(args);
+        all.extend(["--checkpoint-every", "10", "--checkpoint-dir", dir_arg]);
+        if resume {
+            all.push("--resume");
+        }
+        qmc(&all)
+    };
+    let (code, err) = run("1.0", false);
+    assert_eq!(code, Some(0), "{engine} at β = 1: {err}");
+    let (code, err) = run("4.0", true);
+    assert_eq!(code, Some(2), "{engine} resumed at β = 4: {err}");
+    assert!(
+        err.contains("restore from checkpoint") && err.contains("β"),
+        "{engine} resumed at β = 4: stderr {err:?}"
+    );
+    let (code, err) = run("1.0", true);
+    assert_eq!(code, Some(0), "{engine} resumed at β = 1: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn qmc_worldline_refuses_a_resume_at_another_beta() {
+    assert_cli_refuses_resume_at_another_beta("worldline", &["--l", "8", "--m", "8"]);
+}
+
+#[test]
+fn qmc_sse_refuses_a_resume_at_another_beta() {
+    assert_cli_refuses_resume_at_another_beta("sse", &["--l", "8"]);
+}
+
+/// Resume `eng` from `store`, expecting the restore to be refused as
+/// corrupt before any generation is written or any sweep runs.
+fn assert_resume_refused<R: Checkpoint, E: Engine<R>>(
+    label: &str,
+    store: &CkptStore,
+    mut eng: E,
+    rng: &mut R,
+) {
+    let before = store.generations();
+    let policy = Policy {
+        store,
+        cadence: Cadence::new(5, 3).unwrap(),
+        resume: true,
+        stop: None,
+    };
+    let refused = run_engine(&mut eng, rng, 6, 12, Some(&policy), None, |_, s| {
+        panic!("{label}: generation {s} written after a refused restore")
+    });
+    assert!(
+        matches!(refused, Err(CkptError::Corrupt { .. })),
+        "{label}: {:?}",
+        refused.map(|(end, _)| end)
+    );
+    assert_eq!(store.generations(), before, "{label}: the store changed");
+}
+
+/// A world-line store (chain or generic lattice) written at one β does
+/// not resume a run at another: the series carries β and refuses it.
+#[test]
+fn run_engine_refuses_a_worldline_store_at_another_beta() {
+    let params = WorldlineParams {
+        l: 8,
+        jx: 1.0,
+        jz: 1.0,
+        beta: 1.0,
+        m: 8,
+    };
+    let generic = GenericParams {
+        jx: 1.0,
+        jz: 1.0,
+        beta: 1.0,
+        m: 8,
+    };
+    let written = |label| {
+        let store = CkptStore::new(scratch(label), 2).expect("scratch store");
+        let policy = Policy {
+            store: &store,
+            cadence: Cadence::new(5, 3).unwrap(),
+            resume: false,
+            stop: None,
+        };
+        let mut rng = Xoshiro256StarStar::new(11);
+        let ok = match label {
+            "wl-beta" => {
+                ckpt_run(Worldline::new(params), &mut rng, 6, 12, Some(&policy), None).is_some()
+            }
+            _ => ckpt_run(
+                GenericWorldline::new(Square::new(4, 4), generic),
+                &mut rng,
+                6,
+                12,
+                Some(&policy),
+                None,
+            )
+            .is_some(),
+        };
+        assert!(ok, "{label}: the first run completes");
+        store
+    };
+    let store = written("wl-beta");
+    let eng = Worldline::new(WorldlineParams {
+        beta: 4.0,
+        ..params
+    });
+    assert_resume_refused("chain", &store, eng, &mut Xoshiro256StarStar::new(11));
+    let _ = std::fs::remove_dir_all(store.dir());
+    let store = written("generic-beta");
+    let eng = GenericWorldline::new(
+        Square::new(4, 4),
+        GenericParams {
+            beta: 4.0,
+            ..generic
+        },
+    );
+    assert_resume_refused("generic", &store, eng, &mut Xoshiro256StarStar::new(11));
+    let _ = std::fs::remove_dir_all(store.dir());
+}
+
+/// An SSE store written at one (β, J) resumes a run at neither another β
+/// nor another J.
+#[test]
+fn run_engine_refuses_an_sse_store_at_another_beta_or_j() {
+    let lat = Chain::new(8);
+    let store = CkptStore::new(scratch("sse-beta"), 2).expect("scratch store");
+    let policy = Policy {
+        store: &store,
+        cadence: Cadence::new(5, 3).unwrap(),
+        resume: false,
+        stop: None,
+    };
+    let mut rng = Xoshiro256StarStar::new(17);
+    let eng = Sse::new(&lat, 1.0, 2.0, &mut rng);
+    assert!(ckpt_run(eng, &mut rng, 6, 12, Some(&policy), None).is_some());
+    for (label, j, beta) in [("β = 4", 1.0, 4.0), ("J = 0.5", 0.5, 2.0)] {
+        let mut rng = Xoshiro256StarStar::new(17);
+        let eng = Sse::new(&lat, j, beta, &mut rng);
+        assert_resume_refused(label, &store, eng, &mut rng);
+    }
+    let _ = std::fs::remove_dir_all(store.dir());
 }
 
 /// `run_engine` shows `at_checkpoint` the series as each generation is

@@ -8,6 +8,11 @@
 //! the correlation sums before it reached the row count, chunk 0 emptied
 //! every column before it looked at its own, and the whole blob assigned
 //! columns before it compared them.
+//!
+//! The world-line and SSE series carry their run's β (SSE also J), and
+//! are offered the head and the whole blob of a run at another β too.
+//! Those restored once, so a resume under changed physics printed a
+//! mixture of the two runs.
 
 use qmc_ckpt::{
     load_section_bytes, load_state, save_section_bytes, save_state, Checkpoint, CkptError, Encoder,
@@ -42,12 +47,14 @@ fn observe<S: Checkpoint>(
 
 /// `series(seed)` records [`ROWS`] rows; `columns` lists the columns in
 /// checkpoint order, then `correlations()` where the series has one;
-/// `shorten` drops the last row of the last column.
+/// `shorten` drops the last row of the last column; `other_beta`, where
+/// the series carries β, is [`ROWS`] rows recorded at another β.
 fn assert_refusals_change_nothing<S: Checkpoint>(
     n_columns: usize,
     series: impl Fn(u64) -> S,
     columns: impl Fn(&S) -> Vec<Vec<f64>>,
     shorten: impl Fn(&mut S),
+    other_beta: Option<S>,
 ) {
     let snapshotted = || {
         let mut target = series(1);
@@ -79,11 +86,19 @@ fn assert_refusals_change_nothing<S: Checkpoint>(
     chunk.bytes(&body.into_bytes());
 
     shorten(&mut donor);
-    let offers = [
+    let mut offers = vec![
         ("head", Some("head"), head),
         ("chunk 0", Some("rows/0"), chunk.into_bytes()),
         ("whole blob", None, save_state(&donor)),
     ];
+    if let Some(foreign) = &other_beta {
+        offers.push((
+            "head at another β",
+            Some("head"),
+            save_section_bytes(foreign, "head"),
+        ));
+        offers.push(("whole blob at another β", None, save_state(foreign)));
+    }
     let mut wrong = String::new();
     for (what, section, blob) in offers {
         let mut target = snapshotted();
@@ -123,6 +138,7 @@ fn refused_sections_leave_a_tfim_series_as_it_was() {
             ]
         },
         |s| s.sigma_x.truncate(ROWS - 1),
+        None,
     );
 }
 
@@ -149,6 +165,13 @@ fn refused_sections_leave_a_worldline_series_as_it_was() {
             ]
         },
         |s| s.chi.truncate(ROWS - 1),
+        Some(
+            Worldline::new(WorldlineParams {
+                beta: 4.0,
+                ..params
+            })
+            .run(&mut Xoshiro256StarStar::new(3), 20, ROWS),
+        ),
     );
 }
 
@@ -169,5 +192,9 @@ fn refused_sections_leave_an_sse_series_as_it_was() {
             ]
         },
         |s| s.staggered.truncate(ROWS - 1),
+        Some({
+            let mut rng = Xoshiro256StarStar::new(3);
+            Sse::new(&Chain::new(8), 1.0, 4.0, &mut rng).run(&mut rng, 20, ROWS)
+        }),
     );
 }
