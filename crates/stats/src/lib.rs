@@ -11,8 +11,6 @@
 //!   function of bin size converges to the true error of correlated data.
 //! * [`mod@jackknife`] — bias-corrected errors for arbitrary nonlinear
 //!   functions of time-series means (specific heat, Binder cumulants…).
-//! * [`autocorr`] — integrated autocorrelation time with Sokal's automatic
-//!   windowing.
 //! * [`logsumexp`] — the log-space sum the exact-diagonalization
 //!   partition functions in `qmc-ed` go through.
 //!
@@ -30,14 +28,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autocorr;
 pub mod binning;
 pub mod jackknife;
 
 mod accum;
 
 pub use accum::Accumulator;
-pub use autocorr::integrated_autocorrelation_time;
 pub use binning::BinningAnalysis;
 pub use jackknife::{jackknife, jackknife_pair, JackknifeEstimate};
 

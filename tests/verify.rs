@@ -125,3 +125,21 @@ fn lost_message_shows_up_as_orphan_or_stall() {
         "both the unreceivable recv and the orphan send should surface: {violations:?}"
     );
 }
+
+/// The workspace lints clean: every rule `qmc-lint` (and `repro verify`)
+/// applies holds on the sources under `crates/`, `tests/` and
+/// `examples/`, so a violation fails the test suite, not only the
+/// scripted gate.
+#[test]
+fn workspace_lints_clean() {
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = qmc_verify::workspace_root_from(manifest).expect("a workspace root above the crate");
+    let findings = qmc_verify::lint_workspace(&root).expect("workspace sources are readable");
+    let report: Vec<String> = findings.iter().map(ToString::to_string).collect();
+    assert!(
+        findings.is_empty(),
+        "{} lint finding(s):\n{}",
+        findings.len(),
+        report.join("\n")
+    );
+}
