@@ -18,7 +18,9 @@
 //! atomic generation every N sweeps into `--checkpoint-dir D` (default
 //! `ckpt/qmc-<engine>` at the repository root, gitignored); `--resume`
 //! restores the newest valid generation and continues the identical
-//! fixed-seed trajectory bit for bit.
+//! fixed-seed trajectory bit for bit. A resume must repeat the first
+//! run's parameters: `worldline` and `sse` refuse a store written at
+//! another β (SSE: or J) and exit 2; `tfim` cannot tell yet.
 //!
 //! Observability: `--metrics` writes `METRICS_run.json` and `--trace`
 //! writes a Chrome trace-event `trace.json` (both at the repository

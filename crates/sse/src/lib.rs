@@ -516,7 +516,8 @@ impl Sse {
 
     /// Grow the cutoff when the string gets crowded (thermalization aid;
     /// appending identities is exact because the weight is independent of
-    /// identity placement). Public so stepwise checkpointed drivers can
+    /// identity placement). Public so a caller that steps the engine
+    /// itself (the verbatim oracle in `tests/checkpoint.rs`) can
     /// reproduce [`Sse::run`]'s thermalization schedule exactly.
     pub fn adjust_cutoff(&mut self) {
         let n = self.n_ops;

@@ -575,6 +575,22 @@ fn assert_resume_refused<R: Checkpoint, E: Engine<R>>(
     assert_eq!(store.generations(), before, "{label}: the store changed");
 }
 
+/// A fresh store holding the generations of `eng`'s 6 + 12 sweep run.
+fn store_written_by<R: Checkpoint, E: Engine<R>>(label: &str, eng: E, rng: &mut R) -> CkptStore {
+    let store = CkptStore::new(scratch(label), 2).expect("scratch store");
+    let policy = Policy {
+        store: &store,
+        cadence: Cadence::new(5, 3).unwrap(),
+        resume: false,
+        stop: None,
+    };
+    assert!(
+        ckpt_run(eng, rng, 6, 12, Some(&policy), None).is_some(),
+        "{label}: the first run completes"
+    );
+    store
+}
+
 /// A world-line store (chain or generic lattice) written at one β does
 /// not resume a run at another: the series carries β and refuses it.
 #[test]
@@ -586,46 +602,23 @@ fn run_engine_refuses_a_worldline_store_at_another_beta() {
         beta: 1.0,
         m: 8,
     };
+    let rng = || Xoshiro256StarStar::new(11);
+    let store = store_written_by("wl-beta", Worldline::new(params), &mut rng());
+    let eng = Worldline::new(WorldlineParams {
+        beta: 4.0,
+        ..params
+    });
+    assert_resume_refused("chain", &store, eng, &mut rng());
+    let _ = std::fs::remove_dir_all(store.dir());
+
     let generic = GenericParams {
         jx: 1.0,
         jz: 1.0,
         beta: 1.0,
         m: 8,
     };
-    let written = |label| {
-        let store = CkptStore::new(scratch(label), 2).expect("scratch store");
-        let policy = Policy {
-            store: &store,
-            cadence: Cadence::new(5, 3).unwrap(),
-            resume: false,
-            stop: None,
-        };
-        let mut rng = Xoshiro256StarStar::new(11);
-        let ok = match label {
-            "wl-beta" => {
-                ckpt_run(Worldline::new(params), &mut rng, 6, 12, Some(&policy), None).is_some()
-            }
-            _ => ckpt_run(
-                GenericWorldline::new(Square::new(4, 4), generic),
-                &mut rng,
-                6,
-                12,
-                Some(&policy),
-                None,
-            )
-            .is_some(),
-        };
-        assert!(ok, "{label}: the first run completes");
-        store
-    };
-    let store = written("wl-beta");
-    let eng = Worldline::new(WorldlineParams {
-        beta: 4.0,
-        ..params
-    });
-    assert_resume_refused("chain", &store, eng, &mut Xoshiro256StarStar::new(11));
-    let _ = std::fs::remove_dir_all(store.dir());
-    let store = written("generic-beta");
+    let eng = GenericWorldline::new(Square::new(4, 4), generic);
+    let store = store_written_by("generic-beta", eng, &mut rng());
     let eng = GenericWorldline::new(
         Square::new(4, 4),
         GenericParams {
@@ -633,7 +626,7 @@ fn run_engine_refuses_a_worldline_store_at_another_beta() {
             ..generic
         },
     );
-    assert_resume_refused("generic", &store, eng, &mut Xoshiro256StarStar::new(11));
+    assert_resume_refused("generic", &store, eng, &mut rng());
     let _ = std::fs::remove_dir_all(store.dir());
 }
 
@@ -642,16 +635,9 @@ fn run_engine_refuses_a_worldline_store_at_another_beta() {
 #[test]
 fn run_engine_refuses_an_sse_store_at_another_beta_or_j() {
     let lat = Chain::new(8);
-    let store = CkptStore::new(scratch("sse-beta"), 2).expect("scratch store");
-    let policy = Policy {
-        store: &store,
-        cadence: Cadence::new(5, 3).unwrap(),
-        resume: false,
-        stop: None,
-    };
     let mut rng = Xoshiro256StarStar::new(17);
     let eng = Sse::new(&lat, 1.0, 2.0, &mut rng);
-    assert!(ckpt_run(eng, &mut rng, 6, 12, Some(&policy), None).is_some());
+    let store = store_written_by("sse-beta", eng, &mut rng);
     for (label, j, beta) in [("β = 4", 1.0, 4.0), ("J = 0.5", 0.5, 2.0)] {
         let mut rng = Xoshiro256StarStar::new(17);
         let eng = Sse::new(&lat, j, beta, &mut rng);
@@ -1018,8 +1004,8 @@ fn v1_monolithic_checkpoints_resume_under_the_delta_driver() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One loop, one section layout: a serial TFIM store written by the
-/// bench driver and killed at sweep k resumes under `qmc_serve::run_job`
+/// One loop, one section layout: a serial TFIM store written by
+/// `run_engine` directly and killed at sweep k resumes under `qmc_serve::run_job`
 /// to the bit-identical series, and the other way round.
 #[test]
 fn bench_and_serve_resume_each_others_tfim_stores() {
