@@ -20,7 +20,8 @@
 //! restores the newest valid generation and continues the identical
 //! fixed-seed trajectory bit for bit. A resume must repeat the first
 //! run's parameters: `worldline` and `sse` refuse a store written at
-//! another β (SSE: or J) and exit 2; `tfim` cannot tell yet.
+//! another β (SSE: or J), `tfim` one written at another J, h or β, and
+//! exit 2.
 //!
 //! Observability: `--metrics` writes `METRICS_run.json` and `--trace`
 //! writes a Chrome trace-event `trace.json` (both at the repository

@@ -167,7 +167,9 @@ impl Encoder {
     }
 }
 
-/// Bounds-checked reader over an encoded byte slice.
+/// Bounds-checked reader over an encoded byte slice. A clone reads on
+/// from the same position without moving the original: a peek.
+#[derive(Clone)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,

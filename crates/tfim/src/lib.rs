@@ -186,6 +186,45 @@ impl TfimModel {
     }
 }
 
+/// J, h and β: what a TFIM checkpoint must have been written under to be
+/// resumed by an engine or series of `model`.
+fn stated_couplings(model: &TfimModel) -> [f64; 3] {
+    [model.j, model.h, model.beta]
+}
+
+/// Append [`stated_couplings`] as one `f64s` of three.
+pub(crate) fn save_couplings(enc: &mut qmc_ckpt::Encoder, model: &TfimModel) {
+    enc.f64s(&stated_couplings(model));
+}
+
+/// Refuse couplings a checkpoint states unless they are `model`'s, bit for
+/// bit: resumed under another J, h or β, a run would report one set of
+/// parameters' samples under the other's.
+pub(crate) fn check_couplings(
+    stated: &[f64],
+    model: &TfimModel,
+    what: &str,
+) -> Result<(), qmc_ckpt::CkptError> {
+    let want = stated_couplings(model);
+    if stated
+        .iter()
+        .map(|x| x.to_bits())
+        .eq(want.map(f64::to_bits))
+    {
+        return Ok(());
+    }
+    Err(qmc_ckpt::CkptError::corrupt(match stated {
+        &[j, h, beta] => format!(
+            "{what} is for J={} h={} β={}, checkpoint has J={j} h={h} β={beta}",
+            model.j, model.h, model.beta
+        ),
+        _ => format!(
+            "{what} checkpoint states {} couplings, not J, h and β",
+            stated.len()
+        ),
+    }))
+}
+
 /// Suzuki-Trotter couplings and estimator coefficients.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StCouplings {

@@ -435,7 +435,7 @@ impl DistTfim {
         for _ in 0..therm {
             self.sweep(comm, rng);
         }
-        let mut series = TfimSeries::default();
+        let mut series = TfimSeries::new(&self.model);
         for _ in 0..sweeps {
             self.sweep(comm, rng);
             series.record(&self.measure(comm));

@@ -100,9 +100,32 @@ pub struct TfimSeries {
     /// Rows captured by the last successful snapshot: completed row
     /// chunks below this mark are immutable and checkpoint as clean.
     clean_rows: usize,
+    /// The model a series begun by [`Self::new`] belongs to, stated in its
+    /// checkpoint; `None` for a [`Default`] one, which states nothing.
+    model: Option<TfimModel>,
 }
 
 impl TfimSeries {
+    /// An empty series of `model`'s run: its checkpoint states J, h and β,
+    /// and it refuses to restore one that states others.
+    pub fn new(model: &TfimModel) -> Self {
+        Self {
+            model: Some(*model),
+            ..Self::default()
+        }
+    }
+
+    /// Refuse `stated` couplings unless both this series and the
+    /// checkpoint name a model and they agree (or either names none: a
+    /// checkpoint written before series stated their model, a series
+    /// begun without one).
+    fn check_couplings(&self, stated: Option<Vec<f64>>) -> Result<(), qmc_ckpt::CkptError> {
+        match (&self.model, stated) {
+            (Some(model), Some(stated)) => crate::check_couplings(&stated, model, "tfim series"),
+            _ => Ok(()),
+        }
+    }
+
     /// Record one measurement.
     pub fn record(&mut self, m: &TfimMeasurement) {
         qmc_obs::health_record("energy", m.energy_per_site);
@@ -582,7 +605,7 @@ impl<R: Rng64> qmc_ckpt::Engine<R> for SerialTfim {
     type Series = TfimSeries;
 
     fn begin_series(&self, _sweeps: usize) -> TfimSeries {
-        TfimSeries::default()
+        TfimSeries::new(&self.model)
     }
 
     fn advance(&mut self, rng: &mut R, record: Option<&mut TfimSeries>) {
@@ -678,11 +701,22 @@ impl qmc_ckpt::Checkpoint for SerialTfim {
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        qmc_ckpt::load_sections_in_order(self, dec)
+        // A blob written before the model section starts with the spins,
+        // whose count (`lx·ly·m ≥ 8`) is never the model's three.
+        if dec.clone().u64()? == 3 {
+            qmc_ckpt::load_sections_in_order(self, dec)
+        } else {
+            self.load_section("spins", dec)?;
+            self.load_section("metrics", dec)
+        }
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
         let mut s = qmc_ckpt::DirtySections::new();
+        // First, so a restore is judged before a spin lands. Always
+        // written (24 bytes): a delta on a store that predates the section
+        // has no copy of it to refer back to.
+        s.push("model", true);
         s.push("spins", self.spins_dirty);
         // Counters advance every sweep whether or not a flip landed.
         s.push("metrics", true);
@@ -691,6 +725,7 @@ impl qmc_ckpt::Checkpoint for SerialTfim {
 
     fn save_section(&self, name: &str, enc: &mut qmc_ckpt::Encoder) {
         match name {
+            "model" => crate::save_couplings(enc, &self.model),
             "spins" => {
                 let raw: Vec<u8> = self.spins.iter().map(|&s| s as u8).collect();
                 enc.bytes(&raw);
@@ -708,7 +743,9 @@ impl qmc_ckpt::Checkpoint for SerialTfim {
         match name {
             // The engine must already be constructed with the same model:
             // the configuration is restored, the derived tables are not
-            // re-read.
+            // re-read. J, h and β are checked; a store written before
+            // they were has no `model` section, and is taken on trust.
+            "model" => crate::check_couplings(&dec.f64s()?, &self.model, "tfim"),
             "spins" => {
                 crate::colour::restore_spins(&mut self.spins, dec.bytes()?, "tfim")?;
                 self.spins_dirty = true;
@@ -751,10 +788,20 @@ impl qmc_ckpt::Checkpoint for TfimSeries {
         for col in self.columns() {
             enc.f64s(col);
         }
+        // After the columns, where a blob of an older build simply ends.
+        if let Some(model) = &self.model {
+            crate::save_couplings(enc, model);
+        }
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
         let cols = [dec.f64s()?, dec.f64s()?, dec.f64s()?, dec.f64s()?];
+        let stated = if dec.remaining() > 0 {
+            Some(dec.f64s()?)
+        } else {
+            None
+        };
+        self.check_couplings(stated)?;
         qmc_ckpt::chunk::check_columns("tfim", &cols)?;
         for (col, restored) in self.columns_mut().into_iter().zip(cols) {
             *col = restored;
@@ -770,7 +817,12 @@ impl qmc_ckpt::Checkpoint for TfimSeries {
     fn save_section(&self, name: &str, enc: &mut qmc_ckpt::Encoder) {
         match qmc_ckpt::chunk::parse(name) {
             Some(k) => qmc_ckpt::chunk::save_rows(k, &self.columns(), enc),
-            None if name == "head" => enc.u64(self.len() as u64),
+            None if name == "head" => {
+                if let Some(model) = &self.model {
+                    crate::save_couplings(enc, model);
+                }
+                enc.u64(self.len() as u64);
+            }
             None => panic!("series.tfim has no checkpoint section {name:?}"),
         }
     }
@@ -787,7 +839,16 @@ impl qmc_ckpt::Checkpoint for TfimSeries {
                 self.clean_rows = self.clean_rows.min(k * chunk::ROWS);
                 Ok(())
             }
-            None if name == "head" => chunk::check_rows("tfim", dec.u64()? as usize, self.len()),
+            None if name == "head" => {
+                // The row count alone: a head of an older build.
+                let stated = if dec.remaining() > 8 {
+                    Some(dec.f64s()?)
+                } else {
+                    None
+                };
+                self.check_couplings(stated)?;
+                chunk::check_rows("tfim", dec.u64()? as usize, self.len())
+            }
             None => Err(qmc_ckpt::CkptError::MissingSection {
                 name: name.to_string(),
             }),
@@ -1263,12 +1324,17 @@ mod tests {
                 }
             };
         use qmc_ckpt::Checkpoint as _;
-        // kind tag (length-prefixed), body length, spin count, spins.
+        // kind tag (length-prefixed), body length, spin count, spins; the
+        // whole blob has the model section (J, h, β as `f64s`) first.
         let last_spin = 8 + donor.kind().len() + 8 + 8 + donor.spins.len() - 1;
-        let whole = (qmc_ckpt::save_state(&donor), None);
-        let section = (qmc_ckpt::save_section_bytes(&donor, "spins"), Some("spins"));
+        let whole = (qmc_ckpt::save_state(&donor), last_spin + 32, None);
+        let section = (
+            qmc_ckpt::save_section_bytes(&donor, "spins"),
+            last_spin,
+            Some("spins"),
+        );
         assert_eq!(section.0.len(), last_spin + 1);
-        for (blob, section) in [whole, section] {
+        for (blob, last_spin, section) in [whole, section] {
             let (mut eng, mut rng) = engine_after(20);
             let (mut twin, mut twin_rng) = engine_after(20);
             assert!(donor.spins != eng.spins);
@@ -1289,5 +1355,67 @@ mod tests {
             assert_eq!(eng.accepted(), twin.accepted());
             assert_eq!(rng.next_u64(), twin_rng.next_u64());
         }
+    }
+
+    #[test]
+    fn other_couplings_are_refused_and_the_old_layout_loads() {
+        use qmc_ckpt::Checkpoint as _;
+        let ours = model(8, 1.3, 1.7, 8);
+        let engine_after = |model: TfimModel, seed: u64| {
+            let mut eng = SerialTfim::new(model);
+            let _ = eng.run(&mut Xoshiro256StarStar::new(seed), 20, 0, 1);
+            eng
+        };
+        let seen = |eng: &SerialTfim| (eng.spins.clone(), eng.accepted(), eng.proposed());
+        let before = seen(&engine_after(ours, 1));
+        for other in [
+            TfimModel { beta: 4.0, ..ours },
+            TfimModel { h: 1.0, ..ours },
+            TfimModel { j: 0.5, ..ours },
+        ] {
+            let donor = engine_after(other, 2);
+            let offers = [
+                (None, qmc_ckpt::save_state(&donor)),
+                (Some("model"), qmc_ckpt::save_section_bytes(&donor, "model")),
+            ];
+            for (section, blob) in offers {
+                let mut target = engine_after(ours, 1);
+                let refused = match section {
+                    Some(name) => qmc_ckpt::load_section_bytes(&blob, name, &mut target),
+                    None => qmc_ckpt::load_state(&blob, &mut target),
+                };
+                assert!(
+                    matches!(&refused, Err(qmc_ckpt::CkptError::Corrupt { detail }) if detail.contains('β')),
+                    "{other:?} {section:?}: {refused:?}"
+                );
+                assert!(
+                    seen(&target) == before,
+                    "{other:?} {section:?}: something landed"
+                );
+            }
+        }
+
+        // What an older build wrote: no model section, as a whole blob
+        // (spins, then metrics) and as a sectioned image.
+        let donor = engine_after(ours, 2);
+        let mut body = qmc_ckpt::Encoder::new();
+        donor.save_section("spins", &mut body);
+        donor.save_section("metrics", &mut body);
+        let mut blob = qmc_ckpt::Encoder::new();
+        blob.str(donor.kind());
+        blob.bytes(&body.into_bytes());
+        let mut target = engine_after(ours, 1);
+        qmc_ckpt::load_state(&blob.into_bytes(), &mut target).expect("an old whole blob");
+        assert!(seen(&target) == seen(&donor));
+        let mut file = qmc_ckpt::CkptFile::new();
+        for name in ["spins", "metrics"] {
+            file.add(
+                &format!("engine/{name}"),
+                qmc_ckpt::save_section_bytes(&donor, name),
+            );
+        }
+        let mut target = engine_after(ours, 1);
+        qmc_ckpt::restore_sections(&file, "engine", &mut target).expect("an old image");
+        assert!(seen(&target) == seen(&donor));
     }
 }

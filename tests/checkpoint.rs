@@ -259,7 +259,9 @@ mod oracle {
         kill_at: Option<usize>,
     ) -> Option<(SerialTfim, TfimSeries)> {
         let mut eng = SerialTfim::new(model);
-        let mut series = TfimSeries::default();
+        // The one edit to the old driver: a series states its model in
+        // its checkpoint since J, h and β are checked on restore.
+        let mut series = TfimSeries::new(&model);
         let done = drive(
             (&mut eng, rng, &mut series),
             therm + sweeps,
@@ -511,16 +513,17 @@ fn qmc(args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
-/// `qmc <engine> --resume` at another β than the store was written at
-/// prints the restore error and exits 2. It used to restore the old run
-/// and print its energy under the new β's header.
+/// `qmc <engine> <args>` checkpointing into a fresh store, then the same
+/// with `--resume` at another β, prints the restore error and exits 2. It
+/// used to restore the old run and print its energy under the new β's
+/// header.
 fn assert_cli_refuses_resume_at_another_beta(engine: &str, args: &[&str]) {
     let dir = scratch(&format!("cli-{engine}"));
     let dir_arg = dir.to_str().expect("utf-8 scratch path");
     let run = |beta: &str, resume: bool| {
-        let mut all = vec![engine, "--beta", beta, "--sweeps", "40", "--therm", "10"];
+        let mut all = vec![engine, "--beta", beta];
         all.extend_from_slice(args);
-        all.extend(["--checkpoint-every", "10", "--checkpoint-dir", dir_arg]);
+        all.extend(["--checkpoint-dir", dir_arg]);
         if resume {
             all.push("--resume");
         }
@@ -539,14 +542,43 @@ fn assert_cli_refuses_resume_at_another_beta(engine: &str, args: &[&str]) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Forty sweeps after ten of thermalization, a generation every ten.
+const SHORT_RUN: [&str; 6] = [
+    "--sweeps",
+    "40",
+    "--therm",
+    "10",
+    "--checkpoint-every",
+    "10",
+];
+
 #[test]
 fn qmc_worldline_refuses_a_resume_at_another_beta() {
-    assert_cli_refuses_resume_at_another_beta("worldline", &["--l", "8", "--m", "8"]);
+    let args = [&["--l", "8", "--m", "8"][..], &SHORT_RUN].concat();
+    assert_cli_refuses_resume_at_another_beta("worldline", &args);
 }
 
 #[test]
 fn qmc_sse_refuses_a_resume_at_another_beta() {
-    assert_cli_refuses_resume_at_another_beta("sse", &["--l", "8"]);
+    let args = [&["--l", "8"][..], &SHORT_RUN].concat();
+    assert_cli_refuses_resume_at_another_beta("sse", &args);
+}
+
+#[test]
+fn qmc_tfim_refuses_a_resume_at_another_beta() {
+    let args = [
+        "--lx",
+        "8",
+        "--m",
+        "8",
+        "--sweeps",
+        "200",
+        "--therm",
+        "0",
+        "--checkpoint-every",
+        "50",
+    ];
+    assert_cli_refuses_resume_at_another_beta("tfim", &args);
 }
 
 /// Resume `eng` from `store`, expecting the restore to be refused as

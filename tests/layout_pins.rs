@@ -85,16 +85,21 @@ const CHAIN_MODEL: TfimModel = TfimModel {
     m: 8,
 };
 
+/// Moved on purpose, and only here, when TFIM checkpoints began to state
+/// J, h and β: the `engine:model` row is new, and the `engine`, `series`
+/// and `series:head` rows grew by those three numbers. Every other row is
+/// the one recorded on 9d8f370.
 #[rustfmt::skip]
 const SERIAL_TFIM: &[Pin] = &[
-    ("engine", 766, 0x10c4aa87),
+    ("engine", 798, 0x953fc17e),
+    ("engine:model", 66, 0x5c96b93d),
     ("engine:spins", 106, 0xec141597),
     ("engine:metrics", 694, 0x732cfffc),
-    ("series", 4859, 0x127d2c78),
+    ("series", 4891, 0xd4f8103e),
     ("series:rows/0", 2115, 0xc798b1d5),
     ("series:rows/1", 2115, 0x98c9460d),
     ("series:rows/2", 771, 0x84a56917),
-    ("series:head", 35, 0xec5bdbcd),
+    ("series:head", 67, 0x50210d80),
     ("rng", 64, 0x4bb7770c),
     ("rng:state", 64, 0x4bb7770c),
 ];

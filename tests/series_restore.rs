@@ -10,9 +10,9 @@
 //! columns before it compared them.
 //!
 //! The world-line and SSE series carry their run's β (SSE also J), and
-//! are offered the head and the whole blob of a run at another β too.
-//! Those restored once, so a resume under changed physics printed a
-//! mixture of the two runs.
+//! the TFIM series its J, h and β; each is offered the head and the whole
+//! blob of a run at another β too. Those restored once, so a resume under
+//! changed physics printed a mixture of the two runs.
 
 use qmc_ckpt::{
     load_section_bytes, load_state, save_section_bytes, save_state, Checkpoint, CkptError, Encoder,
@@ -138,7 +138,12 @@ fn refused_sections_leave_a_tfim_series_as_it_was() {
             ]
         },
         |s| s.sigma_x.truncate(ROWS - 1),
-        None,
+        Some(SerialTfim::new(TfimModel { beta: 4.0, ..model }).run(
+            &mut Xoshiro256StarStar::new(3),
+            20,
+            ROWS,
+            1,
+        )),
     );
 }
 
