@@ -7,7 +7,9 @@
 //! generators such codes used (and their modern, better-understood
 //! relatives), all with explicit stream-splitting support:
 //!
-//! * [`SplitMix64`] — a seed expander / fast scrambling generator.
+//! * [`SplitMix64`] — a seed expander / fast scrambling generator, and a
+//!   counter-based one: [`SplitMix64::at`] is any output of any keyed
+//!   stream in O(1).
 //! * [`Lcg64`] — 64-bit linear congruential generator with *O(log n)*
 //!   jump-ahead, enabling leapfrog and block splitting across ranks.
 //! * [`Xoshiro256StarStar`] — high-quality general-purpose generator with a

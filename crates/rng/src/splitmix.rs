@@ -2,6 +2,17 @@
 
 use crate::Rng64;
 
+/// The golden-ratio increment SplitMix64 adds to its state per output.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The output function: Stafford's "Mix13" finaliser of a state.
+#[inline(always)]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64 generator.
 ///
 /// Period 2^64; every 64-bit seed gives a distinct full-period sequence.
@@ -19,13 +30,27 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
+    /// Output number `index` (from 0) of the stream `SplitMix64::new(key)`,
+    /// in O(1): what its `index + 1`-th [`Rng64::next_u64`] returns.
+    ///
+    /// SplitMix64 is counter-based by construction — its state after `i`
+    /// outputs is `key + i·γ` — so any output is one multiply and one mix
+    /// away, and a draw can be named by `(key, index)` instead of by its
+    /// place in a sequence. The distributed TFIM engine draws for every
+    /// site this way, so its trajectory does not depend on which rank
+    /// owns the site.
+    #[inline(always)]
+    pub fn at(key: u64, index: u64) -> u64 {
+        mix(key.wrapping_add(index.wrapping_add(1).wrapping_mul(GAMMA)))
+    }
+
     /// Derive an independent, well-scrambled seed for stream `index`.
     ///
     /// Uses the golden-gamma increment to decorrelate nearby indices; the
     /// returned value is suitable as the seed of any generator in this
     /// crate.
     pub fn derive_stream_seed(master_seed: u64, index: u64) -> u64 {
-        let mut g = SplitMix64::new(master_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut g = SplitMix64::new(master_seed ^ index.wrapping_mul(GAMMA));
         // Burn a few outputs so that even adversarial (seed, index) pairs
         // are fully mixed.
         g.next_u64();
@@ -37,11 +62,8 @@ impl SplitMix64 {
 impl Rng64 for SplitMix64 {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
     }
 }
 
@@ -72,6 +94,23 @@ mod tests {
         assert_eq!(g.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(g.next_u64(), 0x6E78_9E6A_A1B9_65F4);
         assert_eq!(g.next_u64(), 0x06C4_5D18_8009_454F);
+    }
+
+    #[test]
+    fn keyed_outputs_are_the_stream_outputs() {
+        // Keys at both ends of the range and in between, and indices up to
+        // where `index + 1` wraps: `at` must be the sequence itself.
+        for key in [0, 1, 42, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
+            let mut g = SplitMix64::new(key);
+            for index in 0..1000 {
+                assert_eq!(SplitMix64::at(key, index), g.next_u64(), "{key} {index}");
+            }
+            let mut g = SplitMix64::new(key.wrapping_add(GAMMA.wrapping_mul(u64::MAX - 2)));
+            for index in u64::MAX - 2..=u64::MAX {
+                assert_eq!(SplitMix64::at(key, index), g.next_u64(), "{key} {index}");
+            }
+        }
+        assert_eq!(SplitMix64::at(0, 0), 0xE220_A839_7B1D_CDAF);
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! The checkerboard colour kernel: one Metropolis pass over every site of
 //! one colour, for both engines. The crate docs ("Colour kernel") say why
-//! the three passes are legal and why the thresholds are exact
-//! ([`qmc_rng::threshold`] is their one constructor); this module is the
-//! only place the table index and the resolve loop are written down, and
-//! it holds the one restore check ([`restore_spins`], not a sweep-rate
-//! function) that keeps the ±1 invariant its byte arithmetic needs.
+//! the three passes are legal, why the thresholds are exact
+//! ([`qmc_rng::threshold`] is their one constructor) and which engine
+//! takes its draws from which [`Draws`] source; this module is the only
+//! place the table index, the resolve loop and the two sources are
+//! written down, and it holds the one restore check ([`restore_spins`],
+//! not a sweep-rate function) that keeps the ±1 invariant its byte
+//! arithmetic needs.
 
 use crate::AcceptTable;
-use qmc_rng::{threshold, Rng64, NO_DRAW};
+use qmc_rng::{threshold, Rng64, SplitMix64, NO_DRAW};
 
-/// Sites of scratch a block of rows may fill. 1 024 index bytes plus 513
-/// raw draws are 5 KB, which stays in L1 next to the seven spin rows a
-/// block streams through, and is small enough to be a local of the
-/// caller's sweep: on the heap it would double `tfim_chain_crit`'s whole
-/// 39 KB footprint, and as an array inside the engine it would be copied
-/// with every move of one.
+/// Sites of scratch a block of rows may fill. 1 024 index bytes (plus, on
+/// the stream path, 513 raw draws) are at most 5 KB, which stays in L1
+/// next to the seven spin rows a block streams through, and is small
+/// enough to be a local of the caller's sweep: on the heap it would
+/// double `tfim_chain_crit`'s whole 39 KB footprint, and as an array
+/// inside the engine it would be copied with every move of one.
 const BLOCK: usize = 1024;
 
 /// Flat [`AcceptTable`] index `((s+1)/2)·27 + (sp+4)·3 + (tp+2)/2` of a
@@ -27,23 +29,39 @@ fn flat_index(s: i8, sp: i8, tp: i8) -> u8 {
     (((s + 1) >> 1) * 27 + (sp + 4) * 3 + ((tp + 2) >> 1)) as u8
 }
 
-/// [`threshold`] of every [`AcceptTable`] entry, by [`flat_index`].
+/// [`threshold`] of every [`AcceptTable`] entry, by [`flat_index`], and
+/// the entries that consume a draw (those not [`NO_DRAW`]) as bits of one
+/// mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Thresholds([u64; 54]);
+pub(crate) struct Thresholds {
+    /// 64 entries, the last ten never read, so that a masked index needs
+    /// no bounds check.
+    by_index: [u64; 64],
+    draws: u64,
+}
 
 impl Thresholds {
     #[qmc_hot::hot]
     pub(crate) fn new(table: &AcceptTable) -> Self {
-        let mut thr = [0; 54];
+        let mut by_index = [0; 64];
         for s in [-1i8, 1] {
             for sp in -4i8..=4 {
                 for tp in [-2i8, 0, 2] {
-                    thr[flat_index(s, sp, tp) as usize] =
+                    by_index[flat_index(s, sp, tp) as usize] =
                         threshold(table.ratio(s, sp.into(), tp.into()));
                 }
             }
         }
-        Self(thr)
+        let draws = (0..54).fold(0, |mask, k| mask | u64::from(by_index[k] != NO_DRAW) << k);
+        Self { by_index, draws }
+    }
+
+    /// The threshold at index `k`, which is below 54 while every stored
+    /// spin is ±1.
+    #[inline(always)]
+    fn get(&self, k: u8) -> u64 {
+        debug_assert!(k < 54, "a stored spin is not ±1");
+        self.by_index[usize::from(k & 63)]
     }
 }
 
@@ -77,22 +95,142 @@ pub(crate) fn restore_spins(
 
 /// A block's scratch: the table index of every cell of its rows (both
 /// colours, and the ghost or wrap cells between rows — the index pass
-/// tests neither parity nor position) and the raw draws its colour sites
-/// consume, plus one slot the resolve loop may read but never uses when
-/// the last sites of a full block consume nothing. A local of the sweep
-/// that owns it, so it is zeroed once per sweep.
+/// tests neither parity nor position). A local of the sweep that owns it,
+/// so it is zeroed once per sweep.
 pub(crate) struct Scratch {
     idx: [u8; BLOCK],
-    draws: [u64; BLOCK / 2 + 1],
 }
 
 impl Scratch {
     #[qmc_hot::hot]
     pub(crate) fn new() -> Self {
+        Self { idx: [0; BLOCK] }
+    }
+}
+
+/// Where pass 3 takes the raw draw of each colour site it resolves: a
+/// type parameter of the one block loop, so the two engines share every
+/// pass and differ only here. The loop carries a [`Draws::Cursor`] in a
+/// local, so the source itself is read-only while a block resolves.
+pub(crate) trait Draws {
+    /// Where the next draw comes from.
+    type Cursor;
+
+    /// Ready the draws of one block, whose rows pass 1 has indexed into
+    /// `idx`; the cursor of its first colour site.
+    fn block(
+        &mut self,
+        layout: &Layout,
+        thr: &Thresholds,
+        idx: &[u8],
+        block: &Block,
+    ) -> Self::Cursor;
+
+    /// Move `at` to `row`'s colour sites from column `x` on, every second
+    /// column.
+    fn row(&self, at: &mut Self::Cursor, row: &Row, x: usize);
+
+    /// The raw draw of the colour site at `at`, whose threshold is `thr`;
+    /// `at` moves to the next one along the row.
+    fn next(&self, at: &mut Self::Cursor, thr: u64) -> u64;
+}
+
+/// The in-order stream (`SerialTfim`): the colour sites whose ratio is
+/// below 1 take consecutive outputs of one generator, in site order —
+/// counted per block after pass 1 and fetched with one
+/// [`fill_u64`](Rng64::fill_u64), plus one slot the resolve loop may read
+/// but never uses when the last sites of a full block consume nothing.
+pub(crate) struct Stream<'r, R> {
+    rng: &'r mut R,
+    draws: [u64; BLOCK / 2 + 1],
+}
+
+impl<'r, R: Rng64> Stream<'r, R> {
+    #[qmc_hot::hot]
+    pub(crate) fn new(rng: &'r mut R) -> Self {
         Self {
-            idx: [0; BLOCK],
+            rng,
             draws: [0; BLOCK / 2 + 1],
         }
+    }
+}
+
+impl<R: Rng64> Draws for Stream<'_, R> {
+    /// The slot of the next draw; it moves on only past a site that
+    /// consumes one.
+    type Cursor = usize;
+
+    #[qmc_hot::hot]
+    fn block(&mut self, layout: &Layout, thr: &Thresholds, idx: &[u8], block: &Block) -> usize {
+        let mut need = 0;
+        for (_, first, idx) in layout.block_rows(block, idx) {
+            for &k in idx[first..].iter().step_by(2) {
+                debug_assert!(k < 54, "a stored spin is not ±1");
+                need += (thr.draws >> k) & 1;
+            }
+        }
+        self.rng.fill_u64(&mut self.draws[..need as usize]);
+        0
+    }
+
+    #[inline(always)]
+    fn row(&self, _: &mut usize, _: &Row, _: usize) {}
+
+    #[inline(always)]
+    fn next(&self, at: &mut usize, thr: u64) -> u64 {
+        let raw = self.draws[*at];
+        *at += usize::from(thr != NO_DRAW);
+        raw
+    }
+}
+
+/// Keyed draws (`DistTfim`): the site at layout column `x`, row `y`, slice
+/// `t` takes output `origin + t·slice + y·row + x` of the SplitMix64
+/// stream seeded by `key` ([`SplitMix64::at`]), whether or not it
+/// consumes it — a number fixed by the site and the sweep alone, however
+/// the lattice is split and in whatever order it is swept.
+pub(crate) struct Keyed {
+    key: u64,
+    origin: u64,
+    row: u64,
+    slice: u64,
+}
+
+impl Keyed {
+    /// `origin` is the output index of the layout's column 0, row 0,
+    /// slice 0; `row` and `slice` are the index steps between rows and
+    /// between slices.
+    pub(crate) fn new(key: u64, origin: u64, row: u64, slice: u64) -> Self {
+        Self {
+            key,
+            origin,
+            row,
+            slice,
+        }
+    }
+}
+
+impl Draws for Keyed {
+    /// The output index of the next site.
+    type Cursor = u64;
+
+    #[inline(always)]
+    fn block(&mut self, _: &Layout, _: &Thresholds, _: &[u8], _: &Block) -> u64 {
+        0
+    }
+
+    #[inline(always)]
+    fn row(&self, at: &mut u64, row: &Row, x: usize) {
+        *at = self
+            .origin
+            .wrapping_add(row.t as u64 * self.slice + row.y as u64 * self.row + x as u64);
+    }
+
+    #[inline(always)]
+    fn next(&self, at: &mut u64, _: u64) -> u64 {
+        let raw = SplitMix64::at(self.key, *at);
+        *at = at.wrapping_add(2);
+        raw
     }
 }
 
@@ -123,7 +261,7 @@ pub(crate) struct Layout {
 
 /// One block of a colour pass: columns `a..a + n` of the `rows` rows from
 /// `r0` on, row `i` of them indexed at `idx[i·pitch..][..n]`.
-struct Block {
+pub(crate) struct Block {
     r0: usize,
     rows: usize,
     a: usize,
@@ -132,9 +270,12 @@ struct Block {
     colour: usize,
 }
 
-/// Where a row and its north, south, up and down neighbour rows start,
-/// and the column (0 or 1) of its first site of the colour being swept.
-struct Row {
+/// Row `y` of slice `t`: where it and its north, south, up and down
+/// neighbour rows start, and the column (0 or 1) of its first site of the
+/// colour being swept.
+pub(crate) struct Row {
+    t: usize,
+    y: usize,
     cur: usize,
     north: usize,
     south: usize,
@@ -186,6 +327,8 @@ impl Layout {
         let t_up = if t + 1 == self.slices { 0 } else { t + 1 };
         let t_down = if t == 0 { self.slices } else { t } - 1;
         Row {
+            t,
+            y,
             cur,
             north,
             south,
@@ -234,17 +377,36 @@ impl Layout {
         }
     }
 
-    /// One Metropolis pass over every site of `colour`, in the order and
-    /// with the draws of a site-by-site loop over slices, rows and
-    /// columns. Returns `(proposed, accepted)`.
+    /// The rows of `block` in sweep order, each with the column (0 or 1,
+    /// from the block's first) of its first site of the colour and the
+    /// index bytes of the block's columns.
     #[qmc_hot::hot]
-    pub(crate) fn half_sweep<R: Rng64>(
+    #[inline]
+    fn block_rows<'a>(
+        &'a self,
+        block: &'a Block,
+        idx: &'a [u8],
+    ) -> impl Iterator<Item = (Row, usize, &'a [u8])> + 'a {
+        self.rows_from(block.r0, block.colour)
+            .zip(idx.chunks(block.pitch))
+            .take(block.rows)
+            .map(|(row, idx)| {
+                let first = (row.first + block.a) % 2;
+                (row, first, &idx[..block.n])
+            })
+    }
+
+    /// One Metropolis pass over every site of `colour`, in the order of a
+    /// site-by-site loop over slices, rows and columns, each site deciding
+    /// on the draw `draws` gives it. Returns `(proposed, accepted)`.
+    #[qmc_hot::hot]
+    pub(crate) fn half_sweep<D: Draws>(
         &self,
         spins: &mut [i8],
         thr: &Thresholds,
         colour: usize,
         scratch: &mut Scratch,
-        rng: &mut R,
+        draws: &mut D,
     ) -> (u64, u64) {
         debug_assert!(
             !self.wraps || self.width.is_multiple_of(2),
@@ -253,7 +415,7 @@ impl Layout {
         // A block is whole rows, `pitch` index bytes apart as they are
         // `row_stride` spins apart, or one segment of a row too wide for
         // that. A row counts at its pitch rounded up to even, so a block's
-        // colour sites never outnumber its draw slots.
+        // colour sites never outnumber the stream's draw slots.
         let (seg, pitch) = if self.row_stride.next_multiple_of(2) <= BLOCK {
             (self.width, self.row_stride)
         } else {
@@ -272,11 +434,11 @@ impl Layout {
                     pitch,
                     colour,
                 };
-                let (sites, need) = self.index(&mut scratch.idx, spins, thr, &block);
-                // Pass 2 — exactly the draws the block consumes, in one batch.
-                rng.fill_u64(&mut scratch.draws[..need]);
-                proposed += sites;
-                accepted += self.resolve(spins, thr, scratch, need, &block);
+                proposed += self.index(&mut scratch.idx, spins, &block);
+                // Pass 2 — whatever the source needs before the block
+                // resolves (the stream fetches its draws in one batch).
+                let at = draws.block(self, thr, &scratch.idx, &block);
+                accepted += self.resolve(spins, thr, &scratch.idx, draws, at, &block);
             }
         }
         (proposed, accepted)
@@ -284,10 +446,10 @@ impl Layout {
 
     /// Pass 1 — index every site of the block's rows, a uniform run of
     /// rows at a time (the ghost or wrap cells between the rows of a run
-    /// are indexed along and never read). Returns the block's colour sites
-    /// and how many of them will consume a draw.
+    /// are indexed along and never read). Returns the block's colour
+    /// sites.
     #[qmc_hot::hot]
-    fn index(&self, idx: &mut [u8], spins: &[i8], thr: &Thresholds, block: &Block) -> (u64, usize) {
+    fn index(&self, idx: &mut [u8], spins: &[i8], block: &Block) -> u64 {
         let &Block {
             r0,
             a,
@@ -304,7 +466,7 @@ impl Layout {
         } else {
             (a, a + n)
         };
-        let (mut sites, mut need) = (0, 0);
+        let mut sites = 0;
         let mut rows = self.rows_from(r0, colour);
         let mut i = 0;
         while i < block.rows {
@@ -347,57 +509,49 @@ impl Layout {
                     idx[x - a] = flat_index(spins[row.cur + x], sp, tp);
                 }
                 let first = (row.first + a) % 2;
-                for &k in idx[first..n].iter().step_by(2) {
-                    debug_assert!(k < 54, "a stored spin is not ±1");
-                    need += usize::from(thr.0[usize::from(k)] != NO_DRAW);
-                }
                 sites += ((n + 1 - first) / 2) as u64;
             }
             i += run;
         }
-        (sites, need)
+        sites
     }
 
     /// Pass 3 — resolve the block's colour sites in site order, without a
-    /// branch, on the `need` draws pass 2 fetched. Returns the flips.
+    /// branch, each on the draw `draws` gives it. Returns the flips.
     #[qmc_hot::hot]
-    fn resolve(
+    fn resolve<D: Draws>(
         &self,
         spins: &mut [i8],
         thr: &Thresholds,
-        scratch: &Scratch,
-        need: usize,
+        idx: &[u8],
+        draws: &D,
+        mut at: D::Cursor,
         block: &Block,
     ) -> u64 {
-        let &Block {
-            r0,
-            a,
-            n,
-            pitch,
-            colour,
-            ..
-        } = block;
-        let (mut j, mut accepted) = (0, 0);
-        for (row, idx) in self
-            .rows_from(r0, colour)
-            .zip(scratch.idx.chunks(pitch))
-            .take(block.rows)
-        {
-            let first = (row.first + a) % 2;
-            let (cur, idx) = (&mut spins[row.cur + a..][..n], &idx[..n]);
+        let mut accepted = 0;
+        for (row, first, idx) in self.block_rows(block, idx) {
+            let cur = &mut spins[row.cur + block.a..][..block.n];
+            draws.row(&mut at, &row, block.a + first);
             // Counted per row: a counter that lives across rows gets
             // spilled, and an add to memory per site costs the loop 12 %.
             let mut flips = 0;
-            for (s, k) in cur[first..].chunks_mut(2).zip(idx[first..].chunks(2)) {
-                let t = thr.0[usize::from(k[0])];
-                let accept = (scratch.draws[j] >> 11) < t;
-                j += usize::from(t != NO_DRAW);
-                s[0] = if accept { -s[0] } else { s[0] };
+            let mut decide = |s: &mut i8, k: u8| {
+                let t = thr.get(k);
+                let accept = (draws.next(&mut at, t) >> 11) < t;
+                *s = if accept { -*s } else { *s };
                 flips += u64::from(accept);
+            };
+            // Pairs of columns, then the colour site of an odd tail.
+            let mut cur = cur[first..].chunks_exact_mut(2);
+            let mut idx = idx[first..].chunks_exact(2);
+            for (s, k) in cur.by_ref().zip(idx.by_ref()) {
+                decide(&mut s[0], k[0]);
+            }
+            if let ([s], &[k]) = (cur.into_remainder(), idx.remainder()) {
+                decide(s, k);
             }
             accepted += flips;
         }
-        debug_assert_eq!(j, need, "pass 1 counted the draws pass 3 consumes");
         accepted
     }
 }
@@ -475,11 +629,12 @@ mod tests {
         for table in tables() {
             let thr = Thresholds::new(&table);
             for (s, sp, tp) in domain() {
-                assert_eq!(
-                    thr.0[usize::from(flat_index(s, sp, tp))],
-                    threshold(table.ratio(s, sp.into(), tp.into()))
-                );
+                let k = flat_index(s, sp, tp);
+                let want = threshold(table.ratio(s, sp.into(), tp.into()));
+                assert_eq!(thr.get(k), want);
+                assert_eq!((thr.draws >> k) & 1 == 1, want != NO_DRAW);
             }
+            assert_eq!(thr.draws >> 54, 0);
         }
     }
 

@@ -16,11 +16,20 @@
 //! checkerboard sweep — the serial/parallel agreement test below is a
 //! distribution-level check of that claim.
 //!
+//! Every site decides on a keyed draw: global site `g = (t·ly + y)·lx + x`
+//! in the engine's sweep `s` (counted from its first) takes output
+//! `s·(lx·ly·m) + g` of the SplitMix64 stream seeded by `key`
+//! ([`qmc_rng::SplitMix64::at`]), and `key` is the first draw of the
+//! rank's own generator at that first sweep — no message carries it. A
+//! caller that hands every rank the same stream therefore gets the same
+//! trajectory, series and spins bit for bit, on every `P` and every
+//! processor grid.
+//!
 //! Virtual-machine runs ([`qmc_comm::ModelComm`]) charge
 //! [`FLOPS_PER_UPDATE`] per site update, which is how the T1/T2/T3 scaling
 //! tables are produced.
 
-use crate::colour::{Layout, Scratch, Thresholds};
+use crate::colour::{Keyed, Layout, Scratch, Thresholds};
 use crate::serial::{dot, sum, TfimMeasurement, TfimSeries};
 use crate::{AcceptTable, StCouplings, TfimModel};
 use qmc_comm::{Communicator, ReduceOp};
@@ -63,6 +72,11 @@ pub struct DistTfim {
     slice_stride: usize,
     /// Exact integer acceptance thresholds of the shared [`AcceptTable`].
     thr: Thresholds,
+    /// Seed of the keyed draws: taken from the caller's generator at the
+    /// first sweep.
+    key: Option<u64>,
+    /// Sweeps done, the first included: the keyed draws' sweep counter.
+    sweeps: u64,
     /// Engine-owned metrics: acceptance counters plus per-direction halo
     /// byte counts. Always live, so reported acceptance rates are the
     /// same whether or not the observability layer is enabled.
@@ -175,6 +189,8 @@ impl DistTfim {
             spins,
             slice_stride,
             thr: Thresholds::new(&AcceptTable::new(&c)),
+            key: None,
+            sweeps: 0,
             metrics,
             id_accepted,
             id_proposed,
@@ -289,27 +305,51 @@ impl DistTfim {
         }
     }
 
+    /// Output index of this rank's block origin (global `(x0, y0)`, slice
+    /// 0) in the current sweep's keyed draws.
+    fn draw_origin(&self) -> u64 {
+        let m = self.model;
+        let n = (m.lx * m.ly * m.m) as u64;
+        self.sweeps
+            .wrapping_mul(n)
+            .wrapping_add((self.sub.y0 * m.lx + self.sub.x0) as u64)
+    }
+
+    /// The current sweep's keyed draws; the first sweep takes the key from
+    /// `rng`.
+    fn draws<R: Rng64>(&mut self, rng: &mut R) -> Keyed {
+        let key = *self.key.get_or_insert_with(|| rng.next_u64());
+        let m = self.model;
+        Keyed::new(key, self.draw_origin(), m.lx as u64, (m.lx * m.ly) as u64)
+    }
+
     /// Update every interior site of global parity `color` with the colour
     /// kernel (see the crate docs); returns the number of proposals
     /// (== sites of that parity).
     #[qmc_hot::hot]
-    fn half_sweep<R: Rng64>(&mut self, color: usize, scratch: &mut Scratch, rng: &mut R) -> u64 {
+    fn half_sweep(&mut self, color: usize, scratch: &mut Scratch, draws: &mut Keyed) -> u64 {
         let (proposals, accepted) =
             self.layout()
-                .half_sweep(&mut self.spins, &self.thr, color, scratch, rng);
+                .half_sweep(&mut self.spins, &self.thr, color, scratch, draws);
         self.metrics.add(self.id_proposed, proposals);
         self.metrics.add(self.id_accepted, accepted);
         proposals
     }
 
-    /// The site-by-site half-sweep [`Self::half_sweep`] replaced, kept as
-    /// the oracle it is compared against after every half-sweep.
+    /// A site-by-site half-sweep over the keyed draws, the oracle
+    /// [`Self::half_sweep`] is compared against after every half-sweep:
+    /// each site of the colour takes its draw from [`SplitMix64::at`] at
+    /// its own global index and decides as `rng.metropolis(ratio)` would.
+    ///
+    /// [`SplitMix64::at`]: qmc_rng::SplitMix64::at
     #[cfg(test)]
     fn half_sweep_scalar<R: Rng64>(&mut self, color: usize, rng: &mut R) -> u64 {
         let m = self.model;
         let sub = self.sub;
         let w2 = sub.w + 2;
         let accept = AcceptTable::new(&self.c);
+        let key = *self.key.get_or_insert_with(|| rng.next_u64());
+        let sweep = self.sweeps.wrapping_mul((m.lx * m.ly * m.m) as u64);
         let mut proposals = 0u64;
         let mut accepted = 0u64;
         for t in 0..m.m {
@@ -332,7 +372,10 @@ impl DistTfim {
                     }
                     let tp = self.spins[up + li] as i32 + self.spins[down + li] as i32;
                     proposals += 1;
-                    if rng.metropolis(accept.ratio(s, sp, tp)) {
+                    let g = ((t * m.ly + gy) * m.lx + gx) as u64;
+                    let raw = qmc_rng::SplitMix64::at(key, sweep.wrapping_add(g));
+                    let ratio = accept.ratio(s, sp, tp);
+                    if ratio >= 1.0 || qmc_rng::unit_f64(raw) < ratio {
                         self.spins[base + li] = -s;
                         accepted += 1;
                     }
@@ -345,19 +388,23 @@ impl DistTfim {
     }
 
     /// One full sweep: two parity halves, each followed by a halo
-    /// exchange; compute time is charged to the communicator's clock.
+    /// exchange; compute time is charged to the communicator's clock. The
+    /// engine's first sweep takes one draw from `rng`, the key of its
+    /// keyed draws (see the module docs); no other sweep draws from it.
     #[qmc_hot::hot]
     pub fn sweep<C: Communicator, R: Rng64>(&mut self, comm: &mut C, rng: &mut R) {
         let _span = qmc_obs::span("tfim.sweep");
         let mut scratch = Scratch::new();
+        let mut draws = self.draws(rng);
         for color in 0..2 {
             let proposals = {
                 let _half = qmc_obs::span("tfim.half_sweep");
-                self.half_sweep(color, &mut scratch, rng)
+                self.half_sweep(color, &mut scratch, &mut draws)
             };
             comm.compute(proposals as f64 * FLOPS_PER_UPDATE);
             self.halo_exchange(comm);
         }
+        self.sweeps += 1;
     }
 
     /// Local contributions `(ΣSP, ΣT, Σs)` over owned sites (each site
@@ -488,17 +535,48 @@ impl qmc_ckpt::Checkpoint for DistTfim {
     }
 
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
+        crate::save_couplings(enc, &self.model);
         // The full ghost-padded block: restoring ghosts too means a
         // resumed rank needs no extra halo exchange to be sweep-ready,
         // and the very next half-sweep reads exactly what it would have.
         let raw: Vec<u8> = self.spins.iter().map(|&s| s as u8).collect();
         enc.bytes(&raw);
+        enc.bool(self.key.is_some());
+        enc.u64(self.key.unwrap_or(0));
+        enc.u64(self.sweeps);
         qmc_ckpt::registry::save_registry(enc, &self.metrics);
     }
 
+    /// Everything is read and judged before anything is assigned, so a
+    /// refused checkpoint leaves the engine as it was.
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        crate::colour::restore_spins(&mut self.spins, dec.bytes()?, "dist tfim")?;
-        qmc_ckpt::registry::load_registry(dec, &mut self.metrics)
+        crate::check_couplings(&dec.f64s()?, &self.model, "dist tfim")?;
+        let raw = dec.bytes()?;
+        let (keyed, key, sweeps) = (dec.bool()?, dec.u64()?, dec.u64()?);
+        // The key is drawn at the first sweep, so it exists exactly when a
+        // sweep has run.
+        if keyed != (sweeps > 0) || !keyed && key != 0 {
+            return Err(qmc_ckpt::CkptError::corrupt(format!(
+                "dist tfim key (present: {keyed}, {key:#x}) does not fit {sweeps} sweeps"
+            )));
+        }
+        let per_sweep = (self.model.lx * self.model.ly * self.model.m) as u64;
+        if sweeps
+            .checked_add(1)
+            .and_then(|s| s.checked_mul(per_sweep))
+            .is_none()
+        {
+            return Err(qmc_ckpt::CkptError::corrupt(format!(
+                "dist tfim sweep counter {sweeps} is past the draw index range"
+            )));
+        }
+        let mut metrics = self.metrics.clone();
+        qmc_ckpt::registry::load_registry(dec, &mut metrics)?;
+        crate::colour::restore_spins(&mut self.spins, raw, "dist tfim")?;
+        self.key = keyed.then_some(key);
+        self.sweeps = sweeps;
+        self.metrics = metrics;
+        Ok(())
     }
 }
 
@@ -882,9 +960,10 @@ mod tests {
                 slow.halo_exchange(comm);
                 let mut scratch = Scratch::new();
                 for sweep in 0..sweeps {
+                    let mut draws = fast.draws(&mut rng_fast);
                     for color in 0..2 {
                         let at = format!("{model:?} rank {rank} sweep {sweep} colour {color}");
-                        let proposals = fast.half_sweep(color, &mut scratch, &mut rng_fast);
+                        let proposals = fast.half_sweep(color, &mut scratch, &mut draws);
                         assert_eq!(
                             proposals,
                             slow.half_sweep_scalar(color, &mut rng_slow),
@@ -897,7 +976,10 @@ mod tests {
                         fast.halo_exchange(comm);
                         slow.halo_exchange(comm);
                     }
+                    fast.sweeps += 1;
+                    slow.sweeps += 1;
                 }
+                assert_eq!(rng_fast.draws, 1, "the key is the only draw");
                 assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
                 fast.accepted()
             });
@@ -906,6 +988,95 @@ mod tests {
                 "{model:?}: nothing flipped"
             );
         }
+    }
+
+    /// What a run on `ranks` ranks that hands every rank the same stream
+    /// leaves behind: the series bits, the gathered spins, and the
+    /// accepted / proposed counters summed over ranks.
+    fn one_stream_run(
+        model: TfimModel,
+        ranks: usize,
+        therm: usize,
+        sweeps: usize,
+    ) -> (Vec<u64>, Vec<i8>, u64, u64) {
+        let mut out = run_threads(ranks, move |comm| {
+            let mut eng = DistTfim::new(model, comm);
+            let mut rng = StreamFactory::new(61).stream(0);
+            let series = eng.run(comm, &mut rng, therm, sweeps);
+            let counts = comm.allreduce_f64(
+                &[eng.accepted() as f64, eng.proposed() as f64],
+                ReduceOp::Sum,
+            );
+            let bits = [&series.energy, &series.abs_m, &series.m2, &series.sigma_x]
+                .iter()
+                .flat_map(|col| col.iter().map(|x| x.to_bits()))
+                .collect();
+            (
+                bits,
+                eng.gather_global(comm),
+                counts[0] as u64,
+                counts[1] as u64,
+            )
+        });
+        let (bits, spins, accepted, proposed) = out.swap_remove(0);
+        (bits, spins.expect("rank 0 gathers"), accepted, proposed)
+    }
+
+    #[test]
+    fn one_stream_gives_one_trajectory_on_every_p() {
+        // Chains split along x, squares on every `grid_for` shape: P = 2
+        // and 3 are `P × 1` grids, 4 is 2 × 2, 8 is 4 × 2; uneven blocks
+        // (10 over 3 and 4 ranks), and the benchmark's model.
+        let cases = [
+            (chain_model(24, 1.0, 1.0, 8), &[1, 2, 3, 4, 8][..], 10, 30),
+            (chain_model(10, 1.2, 1.5, 4), &[1, 2, 3, 4][..], 10, 30),
+            (square_model(8, 8, 2.0, 1.0, 4), &[1, 2, 4, 8][..], 5, 20),
+            (
+                square_model(12, 12, 3.044, 2.0, 6),
+                &[1, 2, 3, 4, 8][..],
+                5,
+                20,
+            ),
+            (square_model(10, 6, 3.0, 1.5, 4), &[1, 2, 3, 4][..], 5, 20),
+            (square_model(64, 64, 3.044, 2.0, 32), &[1, 2, 4][..], 2, 3),
+        ];
+        for (model, ps, therm, sweeps) in cases {
+            let want = one_stream_run(model, 1, therm, sweeps);
+            assert!(want.2 > 0, "{model:?}: nothing flipped");
+            for &p in &ps[1..] {
+                let got = one_stream_run(model, p, therm, sweeps);
+                assert!(got == want, "{model:?}: P = {p} left another trajectory");
+            }
+        }
+    }
+
+    #[test]
+    fn a_restored_engine_continues_bit_for_bit() {
+        // P = 2 with each rank on its own stream: checkpoint every rank
+        // after 15 sweeps, restore into fresh engines, and run on. The
+        // restored engines are handed other generators — after the first
+        // sweep a rank's generator is never drawn from again, so the
+        // checkpoint's key and sweep counter are its whole draw state.
+        let model = square_model(8, 8, 2.5, 1.0, 4);
+        let results = run_threads(2, move |comm| {
+            let mut eng = DistTfim::new(model, comm);
+            let mut rng = StreamFactory::new(29).stream(comm.rank());
+            let _ = eng.run(comm, &mut rng, 15, 0);
+            let blob = qmc_ckpt::save_state(&eng);
+            let straight = eng.run(comm, &mut rng, 0, 25);
+
+            let mut resumed = DistTfim::new(model, comm);
+            qmc_ckpt::load_state(&blob, &mut resumed).expect("own checkpoint");
+            let mut other = StreamFactory::new(30).stream(comm.rank() + 7);
+            let after = resumed.run(comm, &mut other, 0, 25);
+            assert_eq!(straight.energy, after.energy);
+            assert_eq!(straight.m2, after.m2);
+            assert!(eng.spins == resumed.spins);
+            assert_eq!(eng.accepted(), resumed.accepted());
+            assert_eq!(eng.sweeps, 40);
+            straight.len()
+        });
+        assert_eq!(results, [25, 25]);
     }
 
     #[test]
@@ -942,40 +1113,65 @@ mod tests {
 
     #[test]
     fn refused_checkpoint_leaves_the_engine_untouched() {
-        // A blob every CRC accepts, whose last spin byte is 0: `load`
+        // Blobs every CRC accepts: one whose last spin byte is 0 (`load`
         // used to copy spin by spin and stop there, leaving all but one
-        // cell of the block replaced. It must be refused before anything
-        // lands, so the engine goes on exactly like one that never saw it.
+        // cell of the block replaced), one of a run at another β, and
+        // three whose key or sweep counter cannot be. Each must be refused
+        // before anything lands, so the engine goes on exactly like one
+        // that never saw it.
         let model = square_model(6, 6, 2.5, 1.0, 4);
-        let engine_after = |sweeps: usize| {
+        let engine_after = |model: TfimModel, sweeps: usize| {
             let mut comm = SerialComm::new();
             let mut eng = DistTfim::new(model, &comm);
             let mut rng = Xoshiro256StarStar::new(19);
             let _ = eng.run(&mut comm, &mut rng, sweeps, 0);
             (eng, rng, comm)
         };
-        let (mut eng, mut rng, mut comm) = engine_after(20);
-        let (mut twin, mut twin_rng, mut twin_comm) = engine_after(20);
-        let (donor, ..) = engine_after(30);
+        let (mut eng, mut rng, mut comm) = engine_after(model, 20);
+        let (mut twin, mut twin_rng, mut twin_comm) = engine_after(model, 20);
+        let (donor, ..) = engine_after(model, 30);
         assert!(donor.spins != eng.spins);
+        let (foreign, ..) = engine_after(TfimModel { beta: 4.0, ..model }, 30);
 
-        let mut blob = qmc_ckpt::save_state(&donor);
-        // kind tag (length-prefixed), body length, spin count, spins.
-        let last_spin = 8 + donor.kind().len() + 8 + 8 + donor.spins.len() - 1;
-        assert_eq!(blob[last_spin] as i8, *donor.spins.last().unwrap());
-        blob[last_spin] = 0;
-        let mut file = qmc_ckpt::CkptFile::new();
-        file.add("engine", blob);
-        let file = qmc_ckpt::CkptFile::from_bytes(&file.to_bytes()).expect("CRC-valid file");
-        let refused = file.restore("engine", &mut eng);
-        assert!(
-            matches!(refused, Err(qmc_ckpt::CkptError::Corrupt { .. })),
-            "{refused:?}"
-        );
-
-        assert!(eng.spins == twin.spins, "a refused load replaced spins");
-        assert_eq!(eng.accepted(), twin.accepted());
-        assert_eq!(eng.proposed(), twin.proposed());
+        let blob = qmc_ckpt::save_state(&donor);
+        // kind tag (length-prefixed), body length, J/h/β, spin count,
+        // spins, then the key flag, the key and the sweep counter.
+        let spins_at = 8 + donor.kind().len() + 8 + 32 + 8;
+        let flag_at = spins_at + donor.spins.len();
+        assert_eq!(blob[flag_at - 1] as i8, *donor.spins.last().unwrap());
+        assert_eq!(blob[flag_at], 1);
+        let tampered = |at: usize, bytes: &[u8]| {
+            let mut blob = blob.clone();
+            blob[at..at + bytes.len()].copy_from_slice(bytes);
+            blob
+        };
+        let offers = [
+            ("a spin of 0", tampered(flag_at - 1, &[0])),
+            ("another β", qmc_ckpt::save_state(&foreign)),
+            ("a key flag of 2", tampered(flag_at, &[2])),
+            ("no key after 30 sweeps", tampered(flag_at, &[0])),
+            (
+                "a counter past the index range",
+                tampered(flag_at + 9, &[0xff; 8]),
+            ),
+        ];
+        for (what, blob) in offers {
+            let mut file = qmc_ckpt::CkptFile::new();
+            file.add("engine", blob);
+            let file = qmc_ckpt::CkptFile::from_bytes(&file.to_bytes()).expect("CRC-valid file");
+            let refused = file.restore("engine", &mut eng);
+            assert!(
+                matches!(refused, Err(qmc_ckpt::CkptError::Corrupt { .. })),
+                "{what}: {refused:?}"
+            );
+            assert!(
+                eng.spins == twin.spins,
+                "{what}: a refused load replaced spins"
+            );
+            assert_eq!((eng.key, eng.sweeps), (twin.key, twin.sweeps), "{what}");
+            assert_eq!(eng.accepted(), twin.accepted(), "{what}");
+            assert_eq!(eng.proposed(), twin.proposed(), "{what}");
+        }
         for _ in 0..10 {
             eng.sweep(&mut comm, &mut rng);
             twin.sweep(&mut twin_comm, &mut twin_rng);

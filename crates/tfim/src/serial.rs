@@ -1,6 +1,6 @@
 //! Single-memory TFIM path-integral engine (Metropolis + Wolff).
 
-use crate::colour::{Layout, Scratch, Thresholds};
+use crate::colour::{Layout, Scratch, Stream, Thresholds};
 use crate::{AcceptTable, StCouplings, TfimModel};
 use qmc_obs::{CounterId, HistId, Registry};
 use qmc_rng::{threshold, Rng64};
@@ -312,11 +312,13 @@ impl SerialTfim {
         let _span = qmc_obs::span("tfim.metropolis_sweep");
         let layout = self.layout();
         let mut scratch = Scratch::new();
+        let mut draws = Stream::new(rng);
         // Counters accumulate in locals and flush once per sweep: the hot
         // loop stays free of registry indexing (2% overhead budget).
         let (mut proposed, mut accepted) = (0u64, 0u64);
         for colour in 0..2 {
-            let (p, a) = layout.half_sweep(&mut self.spins, &self.thr, colour, &mut scratch, rng);
+            let (p, a) =
+                layout.half_sweep(&mut self.spins, &self.thr, colour, &mut scratch, &mut draws);
             proposed += p;
             accepted += a;
         }
