@@ -28,6 +28,13 @@
 //! correlation means, the final basis state and operator string as their
 //! checkpoint sections hold them, the cutoff and the raw draws served.
 //!
+//! The `DistTfim` rows were replaced on purpose when the engine moved to
+//! keyed draws (every site decides on `SplitMix64::at` at its own global
+//! index), so its old trajectories are gone: same cases, every rank handed
+//! the same stream, literals recorded from the site-by-site keyed oracle
+//! (`half_sweep_scalar`) running the engine in place of the kernel. The
+//! draws column counts one key per rank.
+//!
 //! The `PackedReplicas` row was recorded on commit 9114e64, where the
 //! only fix on that trajectory was the packed checkpoint layout pin: it
 //! is that pin's run, through `PackedReplicas::run` instead of the
@@ -202,27 +209,28 @@ type DistCase = (TfimModel, usize, u64, usize, usize, Pin);
 #[rustfmt::skip]
 const DIST: &[DistCase] = &[
     // Chains: self-wrap, even, odd (4, 3, 3) and 3-wide blocks.
-    (model(10, 1, 1.0, 1.0, 4), 1, 31, 10, 40, pin(0x6b6829ff2992e51e, 0x1813f27702026a65, 1863, 225, 2000)),
-    (model(8, 1, 1.0, 1.0, 8), 2, 32, 10, 40, pin(0x58782f7d165718ce, 0xf01331e3107e6925, 2901, 434, 3200)),
-    (model(10, 1, 1.2, 1.5, 4), 3, 33, 10, 40, pin(0x82a58b9a127af143, 0x4fed04a24303279b, 1703, 459, 2000)),
-    (model(12, 1, 0.8, 2.0, 6), 4, 34, 10, 40, pin(0xdc1945532e3b0b20, 0x154c2a79d5449465, 3509, 175, 3600)),
-    (model(4, 1, 1.0, 1.0, 4), 4, 35, 10, 40, pin(0x57d5415c8e75bfb7, 0xa66a1fdce6bfeb5b, 749, 97, 800)),
+    (model(10, 1, 1.0, 1.0, 4), 1, 31, 10, 40, pin(0x46b5933cf85c073b, 0x3348a644676f4ce5, 1, 227, 2000)),
+    (model(8, 1, 1.0, 1.0, 8), 2, 32, 10, 40, pin(0xf07dfed76bea9b71, 0x49cae0751ab2d725, 2, 312, 3200)),
+    (model(10, 1, 1.2, 1.5, 4), 3, 33, 10, 40, pin(0x1a920e274a5bf756, 0xbd2e218ac73eb5db, 3, 567, 2000)),
+    (model(12, 1, 0.8, 2.0, 6), 4, 34, 10, 40, pin(0xc10b97a53f2f85c5, 0xdb27eefff824631b, 4, 251, 3600)),
+    (model(4, 1, 1.0, 1.0, 4), 4, 35, 10, 40, pin(0x586b4c989493a511, 0xd2becd257bdb6425, 4, 98, 800)),
     // Squares: both directions self-wrapped, 3 × 6 blocks (odd width),
     // 2-wide blocks, 8 × 8 / 6 × 6 / 2 × 2 blocks on a 2 × 2 grid.
-    (model(8, 8, 2.0, 1.0, 4), 1, 36, 5, 20, pin(0x6bfe9071944a492e, 0xe1f955aef262d7a5, 6072, 631, 6400)),
-    (model(6, 6, 2.5, 1.0, 4), 2, 37, 10, 40, pin(0x010b67c77cea8a2d, 0x86be38c602fa77e5, 6427, 1421, 7200)),
-    (model(6, 10, 3.0, 1.5, 4), 3, 38, 10, 40, pin(0xebd0e2d6e7680d3d, 0x06da10f0ebcb38e5, 11171, 1615, 12000)),
-    (model(16, 16, 2.0, 1.0, 8), 4, 39, 5, 20, pin(0x27ec4f7537345c61, 0xccf2ef6e9da90b9b, 48236, 5733, 51200)),
-    (model(12, 12, 3.044, 2.0, 6), 4, 40, 5, 20, pin(0x2f4b10a3479deae4, 0x708586936d805065, 19752, 3574, 21600)),
-    (model(4, 4, 2.0, 1.0, 8), 4, 41, 10, 40, pin(0xd9357a25898c721c, 0x9704060ddefe7fdb, 5973, 789, 6400)),
+    (model(8, 8, 2.0, 1.0, 4), 1, 36, 5, 20, pin(0x5644b7fd04bccd67, 0xc4277efe40849e1b, 1, 596, 6400)),
+    (model(6, 6, 2.5, 1.0, 4), 2, 37, 10, 40, pin(0x4c56e328771d1d68, 0xe271de221f143a25, 2, 1274, 7200)),
+    (model(6, 10, 3.0, 1.5, 4), 3, 38, 10, 40, pin(0xa0f9c8865fbd6f5f, 0x86458f8aac013725, 3, 1920, 12000)),
+    (model(16, 16, 2.0, 1.0, 8), 4, 39, 5, 20, pin(0x02a62c13732ff040, 0x1001a3d35e4c461b, 4, 5828, 51200)),
+    (model(12, 12, 3.044, 2.0, 6), 4, 40, 5, 20, pin(0x3c18d07dac31e112, 0x154759b25b80815b, 4, 3605, 21600)),
+    (model(4, 4, 2.0, 1.0, 8), 4, 41, 10, 40, pin(0xce3ccf7b0795686d, 0x8e40343d21e07b25, 4, 738, 6400)),
     // The benchmark's `tfim2d_halo` model on two ranks.
-    (model(64, 64, 3.044, 2.0, 32), 2, 42, 2, 6, pin(0x34645d048ff7b188, 0xb5ff187b8d82eae5, 972230, 155724, 1048576)),
+    (model(64, 64, 3.044, 2.0, 32), 2, 42, 2, 6, pin(0x99241889660f098e, 0xc06618be69f483db, 2, 156327, 1048576)),
 ];
 
 fn run_dist(&(model, ranks, seed, therm, sweeps, _): &DistCase) -> Pin {
     let per_rank = run_threads(ranks, move |comm| {
         let mut eng = DistTfim::new(model, comm);
-        let mut rng = CountingRng::new(StreamFactory::new(seed).stream(comm.rank()));
+        // One stream on every rank: each takes the same key from it.
+        let mut rng = CountingRng::new(StreamFactory::new(seed).stream(0));
         let series = eng.run(comm, &mut rng, therm, sweeps);
         let sub = eng.subdomain();
         let mut block = Vec::with_capacity(sub.padded_len() * model.m);
