@@ -14,6 +14,11 @@
 //!
 //! Common flags: `--seed N` (default 1), `--therm N` (default sweeps/5).
 //!
+//! `tfim --machine threads|mesh1993 --ranks P` runs the distributed engine
+//! with stream 0 of the seed's factory on every rank: its keyed draws then
+//! make the run the same on every `P` and on both machines (and on
+//! `--machine serial --ranks P`, which runs it on one rank).
+//!
 //! Checkpoint/restart (serial engines): `--checkpoint-every N` writes an
 //! atomic generation every N sweeps into `--checkpoint-dir D` (default
 //! `ckpt/qmc-<engine>` at the repository root, gitignored); `--resume`
@@ -47,6 +52,34 @@ use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
 use qmc_worldline::{Worldline, WorldlineParams};
 use std::collections::HashMap;
+
+/// `print!` that ends the process quietly, with status 0, once the reader
+/// of standard output has gone (`qmc tfim … | head -2`), where the std
+/// macro panics with "failed printing to stdout: Broken pipe".
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` over the [`print!`] above.
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -576,7 +609,7 @@ fn run_tfim(flags: &HashMap<String, String>) {
                     qmc_obs::init(comm.rank(), cfg);
                 }
                 let mut eng = DistTfim::new(model, comm);
-                let mut rng = StreamFactory::new(seed).stream(comm.rank());
+                let mut rng = StreamFactory::new(seed).stream(0);
                 let series = eng.run(comm, &mut rng, therm, sweeps);
                 let gathered = qmc_obs::finish().map(|mut mine| {
                     mine.absorb_registry(eng.metrics());
@@ -598,7 +631,7 @@ fn run_tfim(flags: &HashMap<String, String>) {
         ("mesh1993", p) => {
             let reports = run_model(p, MachineModel::mesh_1993(p), move |comm| {
                 let mut eng = DistTfim::new(model, comm);
-                let mut rng = StreamFactory::new(seed).stream(comm.rank());
+                let mut rng = StreamFactory::new(seed).stream(0);
                 eng.run(comm, &mut rng, therm, sweeps)
             });
             report(&reports[0].result);
