@@ -4,7 +4,7 @@ use qmc_core::pt::{geometric_ladder, PtLadder};
 use qmc_core::table::{pm, Table};
 use qmc_ed::xxz::{full_spectrum, XxzParams};
 use qmc_lattice::Chain;
-use qmc_rng::{Rng64, StreamFactory, StreamKind, Xoshiro256StarStar};
+use qmc_rng::{Rng64, SplitMix64, StreamFactory, StreamKind, Xoshiro256StarStar};
 use qmc_stats::BinningAnalysis;
 use qmc_worldline::{Worldline, WorldlineParams};
 
@@ -150,7 +150,8 @@ pub fn t5_cross_validation(quick: bool) -> String {
 }
 
 /// T6: per-stream RNG quality across 1024 parallel streams of each
-/// generator family.
+/// generator family, and of keyed SplitMix64 read at counter indices (the
+/// draws of the distributed TFIM engine).
 pub fn t6_rng_quality(quick: bool) -> String {
     let n_streams = if quick { 128 } else { 1024 };
     let draws = if quick { 4_000 } else { 20_000 };
@@ -163,23 +164,31 @@ pub fn t6_rng_quality(quick: bool) -> String {
             "max |corr(r, r+1)|·√n",
         ],
     );
+    // `None`: keyed SplitMix64, as `DistTfim` draws — stream r is read at
+    // counter indices 0, 1, … under a key that is one draw of the xoshiro
+    // factory's stream r.
     for (name, kind) in [
-        ("LCG64 (jump-ahead)", StreamKind::Lcg),
-        ("xoshiro256** (jump)", StreamKind::Xoshiro),
-        ("lagged Fibonacci(55,24)", StreamKind::LaggedFibonacci),
+        ("LCG64 (jump-ahead)", Some(StreamKind::Lcg)),
+        ("xoshiro256** (jump)", Some(StreamKind::Xoshiro)),
+        ("lagged Fibonacci(55,24)", Some(StreamKind::LaggedFibonacci)),
+        ("keyed SplitMix64 (counter)", None),
     ] {
-        let factory = StreamFactory::with_kind(987, kind);
+        let factory = StreamFactory::with_kind(987, kind.unwrap_or(StreamKind::Xoshiro));
         let mut worst_mean = 0.0f64;
         let mut worst_chi = 0.0f64;
         let mut worst_corr = 0.0f64;
         let mut prev: Option<Vec<f64>> = None;
         for r in 0..n_streams {
             let mut g = factory.stream(r);
+            let key = if kind.is_none() { g.next_u64() } else { 0 };
             let mut sum = 0.0;
             let mut counts = [0u32; 256];
             let mut vals = Vec::with_capacity(draws);
-            for _ in 0..draws {
-                let u = g.next_u64();
+            for i in 0..draws as u64 {
+                let u = match kind {
+                    Some(_) => g.next_u64(),
+                    None => SplitMix64::at(key, i),
+                };
                 counts[(u >> 56) as usize] += 1;
                 let x = (u >> 11) as f64 / (1u64 << 53) as f64;
                 sum += x;
