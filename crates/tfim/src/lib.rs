@@ -35,13 +35,35 @@
 //! # Colour kernel
 //!
 //! Both engines sweep a colour with one private kernel (`colour.rs`),
-//! which reproduces, decision for decision and draw for draw, the loop
-//! "for every site of the colour, slice by slice, row by row, column by
-//! column: `if rng.metropolis(table.ratio(s, sp, tp)) { flip }`". Within a
-//! colour nothing a site reads is written: its six neighbours — ghosts
-//! included — have the other colour, and its own spin is read by no other
-//! site. So the order of evaluation is free as long as the *draws* are
-//! handed out in site order, and a block of rows is done in three passes:
+//! which reproduces, decision for decision, the loop "for every site of
+//! the colour, slice by slice, row by row, column by column: `if
+//! metropolis(table.ratio(s, sp, tp), draw) { flip }`". Within a colour
+//! nothing a site reads is written: its six neighbours — ghosts included —
+//! have the other colour, and its own spin is read by no other site. So
+//! the order of evaluation is free as long as each site gets the draw the
+//! loop would give it. Where that draw comes from is the kernel's one type
+//! parameter, its *draw source*:
+//!
+//! * **The stream** ([`serial::SerialTfim`]): `draw` is the generator's
+//!   next output, consumed only where the ratio is below 1 — the loop
+//!   above with `rng.metropolis`. A site's draw depends on every site
+//!   before it, so they are handed out in site order. This is the textbook
+//!   trajectory the serial engine has always had, and it keeps its pins,
+//!   `tfim_chain_crit` and every checkpoint a job server has written.
+//! * **Keyed draws** ([`parallel::DistTfim`]): global site `g = (t·ly +
+//!   y)·lx + x` in the engine's sweep `s` takes output `s·(lx·ly·m) + g` of
+//!   the SplitMix64 stream seeded by `key`
+//!   ([`qmc_rng::SplitMix64::at`], O(1) per draw), whether or not it
+//!   consumes it; `key` is the first draw of the rank's own generator at
+//!   the first sweep. A site's draw then depends on nothing but the site
+//!   and the sweep — not on which rank owns it nor on what the sites
+//!   before it did — so a distributed run that hands every rank the same
+//!   stream is the same trajectory on every `P` and every processor grid
+//!   (Salmon et al., SC'11, "Parallel random numbers: as easy as 1, 2,
+//!   3"). It also spares the per-block count and batch fetch below, which
+//!   were a third of a distributed sweep.
+//!
+//! A block of rows is done in three passes:
 //!
 //! 1. **Index.** For every site of the rows — both colours, because
 //!    testing parity costs more than the arithmetic — the flat
@@ -58,13 +80,16 @@
 //!    chain, the slices) that touch no wrap form the spans, a row whose
 //!    north or south wraps goes alone, and of the two wrap columns of a
 //!    row the one that has the colour is indexed by itself.
-//! 2. **Draw.** Count the colour sites of the block whose ratio is below
-//!    1 and fetch exactly that many raw outputs with one
-//!    [`fill_u64`](qmc_rng::Rng64::fill_u64) — by that method's contract
-//!    the outputs repeated `next_u64` calls would have produced.
-//! 3. **Resolve**, in site order and without a branch: `accept =
-//!    (draw[j] >> 11) < thr[k]; j += (thr[k] != u64::MAX); spin = if
-//!    accept { −spin } else { spin }`.
+//! 2. **Draw** (the stream only). Count the colour sites of the block
+//!    whose ratio is below 1 — a 54-bit mask of the table entries that
+//!    consume a draw, read at each site's index — and fetch exactly that
+//!    many raw outputs with one [`fill_u64`](qmc_rng::Rng64::fill_u64): by
+//!    that method's contract the outputs repeated `next_u64` calls would
+//!    have produced.
+//! 3. **Resolve**, in site order and without a branch: `accept = (x >>
+//!    11) < thr[k]; spin = if accept { −spin } else { spin }`, where `x`
+//!    is `draw[j]` and `j += (thr[k] != u64::MAX)` for the stream, and
+//!    `SplitMix64::at(key, i)` with `i += 2` along a row for keyed draws.
 //!
 //! `thr[k]` is an *exact* integer threshold ([`qmc_rng::threshold`], which
 //! the world-line corner moves share): `u64::MAX` where `ratio ≥ 1`
@@ -77,9 +102,9 @@
 //! included), not an approximation of it like the `u32` thresholds of
 //! [`packed`].
 //!
-//! The scratch of a block — 1 024 index bytes and 513 draws, 5 KB — is a
-//! local of the sweep that calls the kernel, not a field and not a heap
-//! buffer: it stays in L1 next to the rows it describes, and it leaves
+//! The scratch of a block — 1 024 index bytes, and for the stream 513
+//! draws, 5 KB — is a local of the sweep that calls the kernel, not a
+//! field and not a heap buffer: it stays in L1 next to the rows it describes, and it leaves
 //! the heap footprint of an engine (39 KB for a 64 × 128 chain) where it
 //! was. A block is whole rows; a row too wide for one is split into
 //! segments. The byte arithmetic of pass 1 is why "every stored spin,
