@@ -305,22 +305,17 @@ impl DistTfim {
         }
     }
 
-    /// Output index of this rank's block origin (global `(x0, y0)`, slice
-    /// 0) in the current sweep's keyed draws.
-    fn draw_origin(&self) -> u64 {
-        let m = self.model;
-        let n = (m.lx * m.ly * m.m) as u64;
-        self.sweeps
-            .wrapping_mul(n)
-            .wrapping_add((self.sub.y0 * m.lx + self.sub.x0) as u64)
-    }
-
-    /// The current sweep's keyed draws; the first sweep takes the key from
-    /// `rng`.
+    /// The current sweep's keyed draws, from the output index of this
+    /// rank's block origin (global `(x0, y0)`, slice 0) on; the first sweep
+    /// takes the key from `rng`.
     fn draws<R: Rng64>(&mut self, rng: &mut R) -> Keyed {
         let key = *self.key.get_or_insert_with(|| rng.next_u64());
-        let m = self.model;
-        Keyed::new(key, self.draw_origin(), m.lx as u64, (m.lx * m.ly) as u64)
+        let (m, sub) = (self.model, self.sub);
+        let origin = self
+            .sweeps
+            .wrapping_mul((m.lx * m.ly * m.m) as u64)
+            .wrapping_add((sub.y0 * m.lx + sub.x0) as u64);
+        Keyed::new(key, origin, m.lx as u64, (m.lx * m.ly) as u64)
     }
 
     /// Update every interior site of global parity `color` with the colour
