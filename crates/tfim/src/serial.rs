@@ -115,14 +115,22 @@ impl TfimSeries {
         }
     }
 
-    /// Refuse `stated` couplings unless both this series and the
-    /// checkpoint name a model and they agree (or either names none: a
-    /// checkpoint written before series stated their model, a series
-    /// begun without one).
-    fn check_couplings(&self, stated: Option<Vec<f64>>) -> Result<(), qmc_ckpt::CkptError> {
-        match (&self.model, stated) {
-            (Some(model), Some(stated)) => crate::check_couplings(&stated, model, "tfim series"),
-            _ => Ok(()),
+    /// Read the couplings a checkpoint states where more than `rest`
+    /// bytes remain — a layout of an older build has exactly `rest` left
+    /// here and states none — and refuse them unless they are this
+    /// series' model (a series begun without one takes any).
+    fn check_stated(
+        &self,
+        dec: &mut qmc_ckpt::Decoder,
+        rest: usize,
+    ) -> Result<(), qmc_ckpt::CkptError> {
+        if dec.remaining() <= rest {
+            return Ok(());
+        }
+        let stated = dec.f64s()?;
+        match &self.model {
+            Some(model) => crate::check_couplings(&stated, model, "tfim series"),
+            None => Ok(()),
         }
     }
 
@@ -798,12 +806,7 @@ impl qmc_ckpt::Checkpoint for TfimSeries {
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
         let cols = [dec.f64s()?, dec.f64s()?, dec.f64s()?, dec.f64s()?];
-        let stated = if dec.remaining() > 0 {
-            Some(dec.f64s()?)
-        } else {
-            None
-        };
-        self.check_couplings(stated)?;
+        self.check_stated(dec, 0)?;
         qmc_ckpt::chunk::check_columns("tfim", &cols)?;
         for (col, restored) in self.columns_mut().into_iter().zip(cols) {
             *col = restored;
@@ -842,13 +845,8 @@ impl qmc_ckpt::Checkpoint for TfimSeries {
                 Ok(())
             }
             None if name == "head" => {
-                // The row count alone: a head of an older build.
-                let stated = if dec.remaining() > 8 {
-                    Some(dec.f64s()?)
-                } else {
-                    None
-                };
-                self.check_couplings(stated)?;
+                // The row count is the last field.
+                self.check_stated(dec, 8)?;
                 chunk::check_rows("tfim", dec.u64()? as usize, self.len())
             }
             None => Err(qmc_ckpt::CkptError::MissingSection {
