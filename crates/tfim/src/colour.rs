@@ -1,22 +1,21 @@
 //! The checkerboard colour kernel: one Metropolis pass over every site of
-//! one colour, for both engines. The crate docs ("Colour kernel") say why
-//! the three passes are legal, why the thresholds are exact
-//! ([`qmc_rng::threshold`] is their one constructor) and which engine
-//! takes its draws from which [`Draws`] source; this module is the only
-//! place the table index, the resolve loop and the two sources are
-//! written down, and it holds the one restore check ([`restore_spins`],
-//! not a sweep-rate function) that keeps the ±1 invariant its byte
-//! arithmetic needs.
+//! one colour, for both engines, each site deciding on its keyed draw. The
+//! crate docs ("Colour kernel") say why the passes are legal, why the
+//! thresholds are exact ([`qmc_rng::threshold`] is their one constructor)
+//! and which draw each site takes; this module is the only place the
+//! table index, the resolve loop and the draw index ([`SweepKey`], the one
+//! reader of its checkpointed state) are written down, and it holds the
+//! one restore check ([`restore_spins`], not a sweep-rate function) that
+//! keeps the ±1 invariant its byte arithmetic needs.
 
-use crate::AcceptTable;
-use qmc_rng::{threshold, Rng64, SplitMix64, NO_DRAW};
+use crate::{AcceptTable, TfimModel};
+use qmc_rng::{threshold, Rng64, SplitMix64};
 
-/// Sites of scratch a block of rows may fill. 1 024 index bytes (plus, on
-/// the stream path, 513 raw draws) are at most 5 KB, which stays in L1
-/// next to the seven spin rows a block streams through, and is small
-/// enough to be a local of the caller's sweep: on the heap it would
-/// double `tfim_chain_crit`'s whole 39 KB footprint, and as an array
-/// inside the engine it would be copied with every move of one.
+/// Sites of scratch a block of rows may fill. 1 024 index bytes stay in
+/// L1 next to the seven spin rows a block streams through, and are small
+/// enough to be a local of the caller's sweep: on the heap they would
+/// grow `tfim_chain_crit`'s whole 39 KB footprint, and as an array inside
+/// the engine they would be copied with every move of one.
 const BLOCK: usize = 1024;
 
 /// Flat [`AcceptTable`] index `((s+1)/2)·27 + (sp+4)·3 + (tp+2)/2` of a
@@ -29,16 +28,11 @@ fn flat_index(s: i8, sp: i8, tp: i8) -> u8 {
     (((s + 1) >> 1) * 27 + (sp + 4) * 3 + ((tp + 2) >> 1)) as u8
 }
 
-/// [`threshold`] of every [`AcceptTable`] entry, by [`flat_index`], and
-/// the entries that consume a draw (those not [`NO_DRAW`]) as bits of one
-/// mask.
+/// [`threshold`] of every [`AcceptTable`] entry, by [`flat_index`]: 64
+/// entries, the last ten never read, so that a masked index needs no
+/// bounds check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Thresholds {
-    /// 64 entries, the last ten never read, so that a masked index needs
-    /// no bounds check.
-    by_index: [u64; 64],
-    draws: u64,
-}
+pub(crate) struct Thresholds([u64; 64]);
 
 impl Thresholds {
     #[qmc_hot::hot]
@@ -52,8 +46,7 @@ impl Thresholds {
                 }
             }
         }
-        let draws = (0..54).fold(0, |mask, k| mask | u64::from(by_index[k] != NO_DRAW) << k);
-        Self { by_index, draws }
+        Self(by_index)
     }
 
     /// The threshold at index `k`, which is below 54 while every stored
@@ -61,7 +54,7 @@ impl Thresholds {
     #[inline(always)]
     fn get(&self, k: u8) -> u64 {
         debug_assert!(k < 54, "a stored spin is not ±1");
-        self.by_index[usize::from(k & 63)]
+        self.0[usize::from(k & 63)]
     }
 }
 
@@ -108,87 +101,11 @@ impl Scratch {
     }
 }
 
-/// Where pass 3 takes the raw draw of each colour site it resolves: a
-/// type parameter of the one block loop, so the two engines share every
-/// pass and differ only here. The loop carries a [`Draws::Cursor`] in a
-/// local, so the source itself is read-only while a block resolves.
-pub(crate) trait Draws {
-    /// Where the next draw comes from.
-    type Cursor;
-
-    /// Ready the draws of one block, whose rows pass 1 has indexed into
-    /// `idx`; the cursor of its first colour site.
-    fn block(
-        &mut self,
-        layout: &Layout,
-        thr: &Thresholds,
-        idx: &[u8],
-        block: &Block,
-    ) -> Self::Cursor;
-
-    /// Move `at` to `row`'s colour sites from column `x` on, every second
-    /// column.
-    fn row(&self, at: &mut Self::Cursor, row: &Row, x: usize);
-
-    /// The raw draw of the colour site at `at`, whose threshold is `thr`;
-    /// `at` moves to the next one along the row.
-    fn next(&self, at: &mut Self::Cursor, thr: u64) -> u64;
-}
-
-/// The in-order stream (`SerialTfim`): the colour sites whose ratio is
-/// below 1 take consecutive outputs of one generator, in site order —
-/// counted per block after pass 1 and fetched with one
-/// [`fill_u64`](Rng64::fill_u64), plus one slot the resolve loop may read
-/// but never uses when the last sites of a full block consume nothing.
-pub(crate) struct Stream<'r, R> {
-    rng: &'r mut R,
-    draws: [u64; BLOCK / 2 + 1],
-}
-
-impl<'r, R: Rng64> Stream<'r, R> {
-    #[qmc_hot::hot]
-    pub(crate) fn new(rng: &'r mut R) -> Self {
-        Self {
-            rng,
-            draws: [0; BLOCK / 2 + 1],
-        }
-    }
-}
-
-impl<R: Rng64> Draws for Stream<'_, R> {
-    /// The slot of the next draw; it moves on only past a site that
-    /// consumes one.
-    type Cursor = usize;
-
-    #[qmc_hot::hot]
-    fn block(&mut self, layout: &Layout, thr: &Thresholds, idx: &[u8], block: &Block) -> usize {
-        let mut need = 0;
-        for (_, first, idx) in layout.block_rows(block, idx) {
-            for &k in idx[first..].iter().step_by(2) {
-                debug_assert!(k < 54, "a stored spin is not ±1");
-                need += (thr.draws >> k) & 1;
-            }
-        }
-        self.rng.fill_u64(&mut self.draws[..need as usize]);
-        0
-    }
-
-    #[inline(always)]
-    fn row(&self, _: &mut usize, _: &Row, _: usize) {}
-
-    #[inline(always)]
-    fn next(&self, at: &mut usize, thr: u64) -> u64 {
-        let raw = self.draws[*at];
-        *at += usize::from(thr != NO_DRAW);
-        raw
-    }
-}
-
-/// Keyed draws (`DistTfim`): the site at layout column `x`, row `y`, slice
-/// `t` takes output `origin + t·slice + y·row + x` of the SplitMix64
-/// stream seeded by `key` ([`SplitMix64::at`]), whether or not it
-/// consumes it — a number fixed by the site and the sweep alone, however
-/// the lattice is split and in whatever order it is swept.
+/// The keyed draws of one sweep: the site at layout column `x`, row `y`,
+/// slice `t` takes output `origin + t·slice + y·row + x` of the SplitMix64
+/// stream seeded by `key` ([`SplitMix64::at`]), whether or not it consumes
+/// it — a number fixed by the site and the sweep alone, however the
+/// lattice is split and in whatever order it is swept.
 pub(crate) struct Keyed {
     key: u64,
     origin: u64,
@@ -197,40 +114,90 @@ pub(crate) struct Keyed {
 }
 
 impl Keyed {
-    /// `origin` is the output index of the layout's column 0, row 0,
-    /// slice 0; `row` and `slice` are the index steps between rows and
-    /// between slices.
-    pub(crate) fn new(key: u64, origin: u64, row: u64, slice: u64) -> Self {
-        Self {
-            key,
-            origin,
-            row,
-            slice,
-        }
+    /// The output index of `row`'s column `x`.
+    #[inline(always)]
+    fn at(&self, row: &Row, x: usize) -> u64 {
+        self.origin
+            .wrapping_add(row.t as u64 * self.slice + row.y as u64 * self.row + x as u64)
     }
 }
 
-impl Draws for Keyed {
-    /// The output index of the next site.
-    type Cursor = u64;
+/// An engine's whole Metropolis draw state: the key of its keyed draws,
+/// taken from its generator at its first sweep, and the sweeps begun since.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SweepKey {
+    key: Option<u64>,
+    sweeps: u64,
+}
 
-    #[inline(always)]
-    fn block(&mut self, _: &Layout, _: &Thresholds, _: &[u8], _: &Block) -> u64 {
-        0
+impl SweepKey {
+    /// The key and the number of the sweep about to run, which this counts;
+    /// the first sweep takes the key from `rng`.
+    pub(crate) fn next<R: Rng64>(&mut self, rng: &mut R) -> (u64, u64) {
+        let key = *self.key.get_or_insert_with(|| rng.next_u64());
+        let sweep = self.sweeps;
+        self.sweeps += 1;
+        (key, sweep)
     }
 
-    #[inline(always)]
-    fn row(&self, at: &mut u64, row: &Row, x: usize) {
-        *at = self
-            .origin
-            .wrapping_add(row.t as u64 * self.slice + row.y as u64 * self.row + x as u64);
+    /// The keyed draws of the sweep about to run (see [`Self::next`]):
+    /// global site `g = (t·ly + y)·lx + x` of `model` in sweep `s` takes
+    /// output `s·(lx·ly·m) + g`, and the layout's column 0, row 0, slice 0
+    /// is global site `first`.
+    pub(crate) fn keyed<R: Rng64>(
+        &mut self,
+        rng: &mut R,
+        model: &TfimModel,
+        first: usize,
+    ) -> Keyed {
+        let (key, sweep) = self.next(rng);
+        let slice = (model.lx * model.ly) as u64;
+        Keyed {
+            key,
+            origin: sweep
+                .wrapping_mul(slice * model.m as u64)
+                .wrapping_add(first as u64),
+            row: model.lx as u64,
+            slice,
+        }
     }
 
-    #[inline(always)]
-    fn next(&self, at: &mut u64, _: u64) -> u64 {
-        let raw = SplitMix64::at(self.key, *at);
-        *at = at.wrapping_add(2);
-        raw
+    /// Write whether the key is drawn, the key (0 if not) and the counter.
+    pub(crate) fn save(&self, enc: &mut qmc_ckpt::Encoder) {
+        enc.bool(self.key.is_some());
+        enc.u64(self.key.unwrap_or(0));
+        enc.u64(self.sweeps);
+    }
+
+    /// Read what [`Self::save`] wrote, refusing a state no run of `model`
+    /// can reach: the key is drawn at the first sweep, so it exists
+    /// exactly when a sweep has run, and the next sweep's draw indices
+    /// must fit in a `u64`.
+    pub(crate) fn load(
+        dec: &mut qmc_ckpt::Decoder,
+        model: &TfimModel,
+        engine: &str,
+    ) -> Result<Self, qmc_ckpt::CkptError> {
+        let (keyed, key, sweeps) = (dec.bool()?, dec.u64()?, dec.u64()?);
+        if keyed != (sweeps > 0) || !keyed && key != 0 {
+            return Err(qmc_ckpt::CkptError::corrupt(format!(
+                "{engine} key (present: {keyed}, {key:#x}) does not fit {sweeps} sweeps"
+            )));
+        }
+        let per_sweep = (model.lx * model.ly * model.m) as u64;
+        if sweeps
+            .checked_add(1)
+            .and_then(|s| s.checked_mul(per_sweep))
+            .is_none()
+        {
+            return Err(qmc_ckpt::CkptError::corrupt(format!(
+                "{engine} sweep counter {sweeps} is past the draw index range"
+            )));
+        }
+        Ok(Self {
+            key: keyed.then_some(key),
+            sweeps,
+        })
     }
 }
 
@@ -261,7 +228,7 @@ pub(crate) struct Layout {
 
 /// One block of a colour pass: columns `a..a + n` of the `rows` rows from
 /// `r0` on, row `i` of them indexed at `idx[i·pitch..][..n]`.
-pub(crate) struct Block {
+struct Block {
     r0: usize,
     rows: usize,
     a: usize,
@@ -273,7 +240,7 @@ pub(crate) struct Block {
 /// Row `y` of slice `t`: where it and its north, south, up and down
 /// neighbour rows start, and the column (0 or 1) of its first site of the
 /// colour being swept.
-pub(crate) struct Row {
+struct Row {
     t: usize,
     y: usize,
     cur: usize,
@@ -398,15 +365,15 @@ impl Layout {
 
     /// One Metropolis pass over every site of `colour`, in the order of a
     /// site-by-site loop over slices, rows and columns, each site deciding
-    /// on the draw `draws` gives it. Returns `(proposed, accepted)`.
+    /// on its draw of `draws`. Returns `(proposed, accepted)`.
     #[qmc_hot::hot]
-    pub(crate) fn half_sweep<D: Draws>(
+    pub(crate) fn half_sweep(
         &self,
         spins: &mut [i8],
         thr: &Thresholds,
         colour: usize,
         scratch: &mut Scratch,
-        draws: &mut D,
+        draws: &Keyed,
     ) -> (u64, u64) {
         debug_assert!(
             !self.wraps || self.width.is_multiple_of(2),
@@ -414,14 +381,13 @@ impl Layout {
         );
         // A block is whole rows, `pitch` index bytes apart as they are
         // `row_stride` spins apart, or one segment of a row too wide for
-        // that. A row counts at its pitch rounded up to even, so a block's
-        // colour sites never outnumber the stream's draw slots.
-        let (seg, pitch) = if self.row_stride.next_multiple_of(2) <= BLOCK {
+        // that.
+        let (seg, pitch) = if self.row_stride <= BLOCK {
             (self.width, self.row_stride)
         } else {
             (BLOCK, BLOCK)
         };
-        let block_rows = BLOCK / pitch.next_multiple_of(2);
+        let block_rows = BLOCK / pitch;
         let all_rows = self.slices * self.rows;
         let (mut proposed, mut accepted) = (0, 0);
         for r0 in (0..all_rows).step_by(block_rows) {
@@ -435,10 +401,7 @@ impl Layout {
                     colour,
                 };
                 proposed += self.index(&mut scratch.idx, spins, &block);
-                // Pass 2 — whatever the source needs before the block
-                // resolves (the stream fetches its draws in one batch).
-                let at = draws.block(self, thr, &scratch.idx, &block);
-                accepted += self.resolve(spins, thr, &scratch.idx, draws, at, &block);
+                accepted += self.resolve(spins, thr, &scratch.idx, draws, &block);
             }
         }
         (proposed, accepted)
@@ -516,28 +479,28 @@ impl Layout {
         sites
     }
 
-    /// Pass 3 — resolve the block's colour sites in site order, without a
-    /// branch, each on the draw `draws` gives it. Returns the flips.
+    /// Pass 2 — resolve the block's colour sites in site order, without a
+    /// branch, each on its draw of `draws`. Returns the flips.
     #[qmc_hot::hot]
-    fn resolve<D: Draws>(
+    fn resolve(
         &self,
         spins: &mut [i8],
         thr: &Thresholds,
         idx: &[u8],
-        draws: &D,
-        mut at: D::Cursor,
+        draws: &Keyed,
         block: &Block,
     ) -> u64 {
         let mut accepted = 0;
         for (row, first, idx) in self.block_rows(block, idx) {
             let cur = &mut spins[row.cur + block.a..][..block.n];
-            draws.row(&mut at, &row, block.a + first);
+            let mut at = draws.at(&row, block.a + first);
             // Counted per row: a counter that lives across rows gets
             // spilled, and an add to memory per site costs the loop 12 %.
             let mut flips = 0;
             let mut decide = |s: &mut i8, k: u8| {
                 let t = thr.get(k);
-                let accept = (draws.next(&mut at, t) >> 11) < t;
+                let accept = (SplitMix64::at(draws.key, at) >> 11) < t;
+                at = at.wrapping_add(2);
                 *s = if accept { -*s } else { *s };
                 flips += u64::from(accept);
             };
@@ -590,7 +553,7 @@ fn index_span(out: &mut [u8], spins: &[i8], row: &Row, lo: usize, square: bool) 
 mod tests {
     use super::*;
     use crate::StCouplings;
-    use qmc_rng::unit_f64;
+    use qmc_rng::{unit_f64, NO_DRAW};
 
     /// `(J, h, β, m)`: the `tfim2d_halo` and `tfim_chain_crit` models of
     /// the benchmark, three generic sets, and one whose `K_τ ≈ 196` makes
@@ -632,9 +595,7 @@ mod tests {
                 let k = flat_index(s, sp, tp);
                 let want = threshold(table.ratio(s, sp.into(), tp.into()));
                 assert_eq!(thr.get(k), want);
-                assert_eq!((thr.draws >> k) & 1 == 1, want != NO_DRAW);
             }
-            assert_eq!(thr.draws >> 54, 0);
         }
     }
 

@@ -36,34 +36,34 @@
 //!
 //! Both engines sweep a colour with one private kernel (`colour.rs`),
 //! which reproduces, decision for decision, the loop "for every site of
-//! the colour, slice by slice, row by row, column by column: `if
-//! metropolis(table.ratio(s, sp, tp), draw) { flip }`". Within a colour
-//! nothing a site reads is written: its six neighbours — ghosts included —
-//! have the other colour, and its own spin is read by no other site. So
-//! the order of evaluation is free as long as each site gets the draw the
-//! loop would give it. Where that draw comes from is the kernel's one type
-//! parameter, its *draw source*:
+//! the colour, slice by slice, row by row, column by column: `if ratio >=
+//! 1 || unit_f64(draw) < ratio { flip }`" with `ratio = table.ratio(s, sp,
+//! tp)`. Within a colour nothing a site reads is written: its six
+//! neighbours — ghosts included — have the other colour, and its own spin
+//! is read by no other site. So the order of evaluation is free as long as
+//! each site gets the draw the loop would give it.
 //!
-//! * **The stream** ([`serial::SerialTfim`]): `draw` is the generator's
-//!   next output, consumed only where the ratio is below 1 — the loop
-//!   above with `rng.metropolis`. A site's draw depends on every site
-//!   before it, so they are handed out in site order. This is the textbook
-//!   trajectory the serial engine has always had, and it keeps its pins,
-//!   `tfim_chain_crit` and every checkpoint a job server has written.
-//! * **Keyed draws** ([`parallel::DistTfim`]): global site `g = (t·ly +
-//!   y)·lx + x` in the engine's sweep `s` takes output `s·(lx·ly·m) + g` of
-//!   the SplitMix64 stream seeded by `key`
-//!   ([`qmc_rng::SplitMix64::at`], O(1) per draw), whether or not it
-//!   consumes it; `key` is the first draw of the rank's own generator at
-//!   the first sweep. A site's draw then depends on nothing but the site
-//!   and the sweep — not on which rank owns it nor on what the sites
-//!   before it did — so a distributed run that hands every rank the same
-//!   stream is the same trajectory on every `P` and every processor grid
-//!   (Salmon et al., SC'11, "Parallel random numbers: as easy as 1, 2,
-//!   3"). It also spares the per-block count and batch fetch below, which
-//!   were a third of a distributed sweep.
+//! That draw is *keyed*: global site `g = (t·ly + y)·lx + x` in the
+//! engine's Metropolis sweep `s` takes output `s·(lx·ly·m) + g` of the
+//! SplitMix64 stream seeded by `key` ([`qmc_rng::SplitMix64::at`], O(1)
+//! per draw), whether or not it consumes it; `key` is the first draw of
+//! the engine's (for [`parallel::DistTfim`], the rank's) own generator at
+//! its first sweep, and no other Metropolis sweep draws from it. A site's
+//! draw then depends on nothing but the site and the sweep — not on which
+//! rank owns it nor on what the sites before it did — so a distributed run
+//! that hands every rank the same stream is the same trajectory on every
+//! `P` and every processor grid (Salmon et al., SC'11, "Parallel random
+//! numbers: as easy as 1, 2, 3"), and a Metropolis-only
+//! [`serial::SerialTfim`] run on that stream is that trajectory too, bit
+//! for bit. The key and the sweep counter are an engine's whole Metropolis
+//! draw state, and both engines checkpoint them. A `SerialTfim` store
+//! written before its Metropolis sweeps were keyed holds neither: the
+//! fresh engine a resume builds draws its key at its first sweep and
+//! counts from 0 — a correct continuation in distribution, not the
+//! trajectory the interrupted build would have run. Its Wolff updates
+//! draw in order from the same generator (see below).
 //!
-//! A block of rows is done in three passes:
+//! A block of rows is done in two passes:
 //!
 //! 1. **Index.** For every site of the rows — both colours, because
 //!    testing parity costs more than the arithmetic — the flat
@@ -80,35 +80,28 @@
 //!    chain, the slices) that touch no wrap form the spans, a row whose
 //!    north or south wraps goes alone, and of the two wrap columns of a
 //!    row the one that has the colour is indexed by itself.
-//! 2. **Draw** (the stream only). Count the colour sites of the block
-//!    whose ratio is below 1 — a 54-bit mask of the table entries that
-//!    consume a draw, read at each site's index — and fetch exactly that
-//!    many raw outputs with one [`fill_u64`](qmc_rng::Rng64::fill_u64): by
-//!    that method's contract the outputs repeated `next_u64` calls would
-//!    have produced.
-//! 3. **Resolve**, in site order and without a branch: `accept = (x >>
+//! 2. **Resolve**, in site order and without a branch: `accept = (x >>
 //!    11) < thr[k]; spin = if accept { −spin } else { spin }`, where `x`
-//!    is `draw[j]` and `j += (thr[k] != u64::MAX)` for the stream, and
-//!    `SplitMix64::at(key, i)` with `i += 2` along a row for keyed draws.
+//!    is `SplitMix64::at(key, i)` with `i += 2` along a row.
 //!
 //! `thr[k]` is an *exact* integer threshold ([`qmc_rng::threshold`], which
 //! the world-line corner moves share): `u64::MAX` where `ratio ≥ 1`
-//! (always accepted, no draw consumed) and `⌈ratio·2⁵³⌉` otherwise.
+//! (always accepted) and `⌈ratio·2⁵³⌉` otherwise.
 //! [`qmc_rng::unit_f64`] — the one definition behind `next_f64` — maps a
 //! raw draw `x` to `(x >> 11)·2⁻⁵³` exactly; scaling an `f64` below 1 by
 //! 2⁵³ is exact; and an integer `n` is below `y` exactly when it is below
-//! `⌈y⌉`. So `(x >> 11) < thr` *is* `ratio >= 1.0 || next_f64() < ratio`
+//! `⌈y⌉`. So `(x >> 11) < thr` *is* `ratio >= 1.0 || unit_f64(x) < ratio`
 //! for every `x` and every table entry (0, subnormals and `1 − 2⁻⁵³`
 //! included), not an approximation of it like the `u32` thresholds of
 //! [`packed`].
 //!
-//! The scratch of a block — 1 024 index bytes, and for the stream 513
-//! draws, 5 KB — is a local of the sweep that calls the kernel, not a
-//! field and not a heap buffer: it stays in L1 next to the rows it describes, and it leaves
-//! the heap footprint of an engine (39 KB for a 64 × 128 chain) where it
-//! was. A block is whole rows; a row too wide for one is split into
-//! segments. The byte arithmetic of pass 1 is why "every stored spin,
-//! ghosts included, is ±1" is an invariant of both engines.
+//! The scratch of a block — 1 024 index bytes — is a local of the sweep
+//! that calls the kernel, not a field and not a heap buffer: it stays in
+//! L1 next to the rows it describes, and it leaves the heap footprint of
+//! an engine (39 KB for a 64 × 128 chain) where it was. A block is whole
+//! rows; a row too wide for one is split into segments. The byte
+//! arithmetic of pass 1 is why "every stored spin, ghosts included, is ±1"
+//! is an invariant of both engines.
 //!
 //! # Wolff update
 //!

@@ -12,9 +12,7 @@
 //! 3. same for parity 1; 4. halo exchange.
 //!
 //! Because same-parity sites are conditionally independent, this parallel
-//! schedule samples exactly the same distribution as a sequential
-//! checkerboard sweep — the serial/parallel agreement test below is a
-//! distribution-level check of that claim.
+//! schedule is exactly a sequential checkerboard sweep in another order.
 //!
 //! Every site decides on a keyed draw: global site `g = (t·ly + y)·lx + x`
 //! in the engine's sweep `s` (counted from its first) takes output
@@ -23,13 +21,14 @@
 //! rank's own generator at that first sweep — no message carries it. A
 //! caller that hands every rank the same stream therefore gets the same
 //! trajectory, series and spins bit for bit, on every `P` and every
-//! processor grid.
+//! processor grid, and the same as a Metropolis-only
+//! [`SerialTfim`](crate::serial::SerialTfim) on that stream.
 //!
 //! Virtual-machine runs ([`qmc_comm::ModelComm`]) charge
 //! [`FLOPS_PER_UPDATE`] per site update, which is how the T1/T2/T3 scaling
 //! tables are produced.
 
-use crate::colour::{Keyed, Layout, Scratch, Thresholds};
+use crate::colour::{Keyed, Layout, Scratch, SweepKey, Thresholds};
 use crate::serial::{dot, sum, TfimMeasurement, TfimSeries};
 use crate::{AcceptTable, StCouplings, TfimModel};
 use qmc_comm::{Communicator, ReduceOp};
@@ -72,11 +71,8 @@ pub struct DistTfim {
     slice_stride: usize,
     /// Exact integer acceptance thresholds of the shared [`AcceptTable`].
     thr: Thresholds,
-    /// Seed of the keyed draws: taken from the caller's generator at the
-    /// first sweep.
-    key: Option<u64>,
-    /// Sweeps done, the first included: the keyed draws' sweep counter.
-    sweeps: u64,
+    /// The keyed draws' key and sweep counter.
+    sweep_key: SweepKey,
     /// Engine-owned metrics: acceptance counters plus per-direction halo
     /// byte counts. Always live, so reported acceptance rates are the
     /// same whether or not the observability layer is enabled.
@@ -189,8 +185,7 @@ impl DistTfim {
             spins,
             slice_stride,
             thr: Thresholds::new(&AcceptTable::new(&c)),
-            key: None,
-            sweeps: 0,
+            sweep_key: SweepKey::default(),
             metrics,
             id_accepted,
             id_proposed,
@@ -305,24 +300,19 @@ impl DistTfim {
         }
     }
 
-    /// The current sweep's keyed draws, from the output index of this
-    /// rank's block origin (global `(x0, y0)`, slice 0) on; the first sweep
-    /// takes the key from `rng`.
+    /// The keyed draws of the sweep about to run, this rank's block
+    /// origin being global `(x0, y0)`; the first sweep takes the key from
+    /// `rng`.
     fn draws<R: Rng64>(&mut self, rng: &mut R) -> Keyed {
-        let key = *self.key.get_or_insert_with(|| rng.next_u64());
-        let (m, sub) = (self.model, self.sub);
-        let origin = self
-            .sweeps
-            .wrapping_mul((m.lx * m.ly * m.m) as u64)
-            .wrapping_add((sub.y0 * m.lx + sub.x0) as u64);
-        Keyed::new(key, origin, m.lx as u64, (m.lx * m.ly) as u64)
+        let first = self.sub.y0 * self.model.lx + self.sub.x0;
+        self.sweep_key.keyed(rng, &self.model, first)
     }
 
     /// Update every interior site of global parity `color` with the colour
     /// kernel (see the crate docs); returns the number of proposals
     /// (== sites of that parity).
     #[qmc_hot::hot]
-    fn half_sweep(&mut self, color: usize, scratch: &mut Scratch, draws: &mut Keyed) -> u64 {
+    fn half_sweep(&mut self, color: usize, scratch: &mut Scratch, draws: &Keyed) -> u64 {
         let (proposals, accepted) =
             self.layout()
                 .half_sweep(&mut self.spins, &self.thr, color, scratch, draws);
@@ -331,20 +321,20 @@ impl DistTfim {
         proposals
     }
 
-    /// A site-by-site half-sweep over the keyed draws, the oracle
-    /// [`Self::half_sweep`] is compared against after every half-sweep:
-    /// each site of the colour takes its draw from [`SplitMix64::at`] at
-    /// its own global index and decides as `rng.metropolis(ratio)` would.
+    /// A site-by-site half-sweep of sweep `sweep` over the draws keyed by
+    /// `key`, the oracle [`Self::half_sweep`] is compared against after
+    /// every half-sweep: each site of the colour takes its draw from
+    /// [`SplitMix64::at`] at its own global index and decides as
+    /// `rng.metropolis(ratio)` would.
     ///
     /// [`SplitMix64::at`]: qmc_rng::SplitMix64::at
     #[cfg(test)]
-    fn half_sweep_scalar<R: Rng64>(&mut self, color: usize, rng: &mut R) -> u64 {
+    fn half_sweep_scalar(&mut self, color: usize, key: u64, sweep: u64) -> u64 {
         let m = self.model;
         let sub = self.sub;
         let w2 = sub.w + 2;
         let accept = AcceptTable::new(&self.c);
-        let key = *self.key.get_or_insert_with(|| rng.next_u64());
-        let sweep = self.sweeps.wrapping_mul((m.lx * m.ly * m.m) as u64);
+        let sweep = sweep * (m.lx * m.ly * m.m) as u64;
         let mut proposals = 0u64;
         let mut accepted = 0u64;
         for t in 0..m.m {
@@ -390,16 +380,15 @@ impl DistTfim {
     pub fn sweep<C: Communicator, R: Rng64>(&mut self, comm: &mut C, rng: &mut R) {
         let _span = qmc_obs::span("tfim.sweep");
         let mut scratch = Scratch::new();
-        let mut draws = self.draws(rng);
+        let draws = self.draws(rng);
         for color in 0..2 {
             let proposals = {
                 let _half = qmc_obs::span("tfim.half_sweep");
-                self.half_sweep(color, &mut scratch, &mut draws)
+                self.half_sweep(color, &mut scratch, &draws)
             };
             comm.compute(proposals as f64 * FLOPS_PER_UPDATE);
             self.halo_exchange(comm);
         }
-        self.sweeps += 1;
     }
 
     /// Local contributions `(ΣSP, ΣT, Σs)` over owned sites (each site
@@ -536,9 +525,7 @@ impl qmc_ckpt::Checkpoint for DistTfim {
         // and the very next half-sweep reads exactly what it would have.
         let raw: Vec<u8> = self.spins.iter().map(|&s| s as u8).collect();
         enc.bytes(&raw);
-        enc.bool(self.key.is_some());
-        enc.u64(self.key.unwrap_or(0));
-        enc.u64(self.sweeps);
+        self.sweep_key.save(enc);
         qmc_ckpt::registry::save_registry(enc, &self.metrics);
     }
 
@@ -547,29 +534,11 @@ impl qmc_ckpt::Checkpoint for DistTfim {
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
         crate::check_couplings(&dec.f64s()?, &self.model, "dist tfim")?;
         let raw = dec.bytes()?;
-        let (keyed, key, sweeps) = (dec.bool()?, dec.u64()?, dec.u64()?);
-        // The key is drawn at the first sweep, so it exists exactly when a
-        // sweep has run.
-        if keyed != (sweeps > 0) || !keyed && key != 0 {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "dist tfim key (present: {keyed}, {key:#x}) does not fit {sweeps} sweeps"
-            )));
-        }
-        let per_sweep = (self.model.lx * self.model.ly * self.model.m) as u64;
-        if sweeps
-            .checked_add(1)
-            .and_then(|s| s.checked_mul(per_sweep))
-            .is_none()
-        {
-            return Err(qmc_ckpt::CkptError::corrupt(format!(
-                "dist tfim sweep counter {sweeps} is past the draw index range"
-            )));
-        }
+        let sweep_key = SweepKey::load(dec, &self.model, "dist tfim")?;
         let mut metrics = self.metrics.clone();
         qmc_ckpt::registry::load_registry(dec, &mut metrics)?;
         crate::colour::restore_spins(&mut self.spins, raw, "dist tfim")?;
-        self.key = keyed.then_some(key);
-        self.sweeps = sweeps;
+        self.sweep_key = sweep_key;
         self.metrics = metrics;
         Ok(())
     }
@@ -706,32 +675,6 @@ mod tests {
         for r in &results[1..] {
             assert_eq!(r.energy, results[0].energy, "series differ across ranks");
         }
-    }
-
-    #[test]
-    fn parallel_and_serial_engines_agree() {
-        // Distribution-level check: P=4 distributed vs the serial engine.
-        let model = chain_model(16, 1.2, 1.5, 16);
-        let par = run_threads(4, move |comm| {
-            let mut eng = DistTfim::new(model, comm);
-            let mut rng = StreamFactory::new(9).stream(comm.rank());
-            eng.run(comm, &mut rng, 1500, 15_000)
-        });
-        let mut ser_eng = crate::serial::SerialTfim::new(model);
-        let mut rng = Xoshiro256StarStar::new(10);
-        let ser = ser_eng.run(&mut rng, 1500, 15_000, 0);
-
-        let bp = BinningAnalysis::new(&par[0].energy, 16);
-        let bs = BinningAnalysis::new(&ser.energy, 16);
-        let err = (bp.error().powi(2) + bs.error().powi(2)).sqrt().max(5e-4);
-        assert!(
-            (bp.mean - bs.mean).abs() < 5.0 * err,
-            "parallel {} ± {} vs serial {} ± {}",
-            bp.mean,
-            bp.error(),
-            bs.mean,
-            bs.error()
-        );
     }
 
     #[test]
@@ -955,13 +898,14 @@ mod tests {
                 slow.halo_exchange(comm);
                 let mut scratch = Scratch::new();
                 for sweep in 0..sweeps {
-                    let mut draws = fast.draws(&mut rng_fast);
+                    let draws = fast.draws(&mut rng_fast);
+                    let (key, number) = slow.sweep_key.next(&mut rng_slow);
                     for color in 0..2 {
                         let at = format!("{model:?} rank {rank} sweep {sweep} colour {color}");
-                        let proposals = fast.half_sweep(color, &mut scratch, &mut draws);
+                        let proposals = fast.half_sweep(color, &mut scratch, &draws);
                         assert_eq!(
                             proposals,
-                            slow.half_sweep_scalar(color, &mut rng_slow),
+                            slow.half_sweep_scalar(color, key, number),
                             "{at}"
                         );
                         assert!(fast.spins == slow.spins, "spins differ: {at}");
@@ -971,8 +915,6 @@ mod tests {
                         fast.halo_exchange(comm);
                         slow.halo_exchange(comm);
                     }
-                    fast.sweeps += 1;
-                    slow.sweeps += 1;
                 }
                 assert_eq!(rng_fast.draws, 1, "the key is the only draw");
                 assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
@@ -1017,11 +959,30 @@ mod tests {
         (bits, spins.expect("rank 0 gathers"), accepted, proposed)
     }
 
+    /// What a Metropolis-only [`SerialTfim`](crate::serial::SerialTfim)
+    /// run on the stream [`one_stream_run`] hands every rank leaves behind.
+    fn serial_run(model: TfimModel, therm: usize, sweeps: usize) -> (Vec<u64>, Vec<i8>, u64, u64) {
+        let mut eng = crate::serial::SerialTfim::new(model);
+        let mut rng = StreamFactory::new(61).stream(0);
+        let series = eng.run(&mut rng, therm, sweeps, 0);
+        let bits = [&series.energy, &series.abs_m, &series.m2, &series.sigma_x]
+            .iter()
+            .flat_map(|col| col.iter().map(|x| x.to_bits()))
+            .collect();
+        (
+            bits,
+            eng.export_spins().to_vec(),
+            eng.accepted(),
+            eng.proposed(),
+        )
+    }
+
     #[test]
     fn one_stream_gives_one_trajectory_on_every_p() {
-        // Chains split along x, squares on every `grid_for` shape: P = 2
-        // and 3 are `P × 1` grids, 4 is 2 × 2, 8 is 4 × 2; uneven blocks
-        // (10 over 3 and 4 ranks), and the benchmark's model.
+        // The serial engine's Metropolis sweep is the reference. Chains
+        // split along x, squares on every `grid_for` shape: P = 2 and 3
+        // are `P × 1` grids, 4 is 2 × 2, 8 is 4 × 2; uneven blocks (10
+        // over 3 and 4 ranks), and the benchmark's model.
         let cases = [
             (chain_model(24, 1.0, 1.0, 8), &[1, 2, 3, 4, 8][..], 10, 30),
             (chain_model(10, 1.2, 1.5, 4), &[1, 2, 3, 4][..], 10, 30),
@@ -1036,9 +997,9 @@ mod tests {
             (square_model(64, 64, 3.044, 2.0, 32), &[1, 2, 4][..], 2, 3),
         ];
         for (model, ps, therm, sweeps) in cases {
-            let want = one_stream_run(model, 1, therm, sweeps);
+            let want = serial_run(model, therm, sweeps);
             assert!(want.2 > 0, "{model:?}: nothing flipped");
-            for &p in &ps[1..] {
+            for &p in ps {
                 let got = one_stream_run(model, p, therm, sweeps);
                 assert!(got == want, "{model:?}: P = {p} left another trajectory");
             }
@@ -1068,7 +1029,7 @@ mod tests {
             assert_eq!(straight.m2, after.m2);
             assert!(eng.spins == resumed.spins);
             assert_eq!(eng.accepted(), resumed.accepted());
-            assert_eq!(eng.sweeps, 40);
+            assert_eq!(eng.sweep_key, resumed.sweep_key);
             straight.len()
         });
         assert_eq!(results, [25, 25]);
@@ -1163,7 +1124,7 @@ mod tests {
                 eng.spins == twin.spins,
                 "{what}: a refused load replaced spins"
             );
-            assert_eq!((eng.key, eng.sweeps), (twin.key, twin.sweeps), "{what}");
+            assert_eq!(eng.sweep_key, twin.sweep_key, "{what}");
             assert_eq!(eng.accepted(), twin.accepted(), "{what}");
             assert_eq!(eng.proposed(), twin.proposed(), "{what}");
         }

@@ -1,6 +1,6 @@
 //! Single-memory TFIM path-integral engine (Metropolis + Wolff).
 
-use crate::colour::{Layout, Scratch, Stream, Thresholds};
+use crate::colour::{Layout, Scratch, SweepKey, Thresholds};
 use crate::{AcceptTable, StCouplings, TfimModel};
 use qmc_obs::{CounterId, HistId, Registry};
 use qmc_rng::{threshold, Rng64};
@@ -31,6 +31,8 @@ pub struct SerialTfim {
     /// Exact integer acceptance thresholds of the [`AcceptTable`] (no
     /// `exp`, no float compare in the sweep loop).
     thr: Thresholds,
+    /// The Metropolis sweeps' keyed draws: key and sweep counter.
+    sweep_key: SweepKey,
     /// Wolff add probabilities `1 − e^{−2K}` per bond type, as thresholds
     /// on `raw >> 11` ([`always_draw_threshold`]).
     wolff_thr_space: u64,
@@ -197,6 +199,7 @@ impl SerialTfim {
             id_proposed,
             id_cluster,
             thr: Thresholds::new(&AcceptTable::new(&c)),
+            sweep_key: SweepKey::default(),
             wolff_thr_space: always_draw_threshold(1.0 - (-2.0 * c.k_space).exp()),
             wolff_thr_time: always_draw_threshold(1.0 - (-2.0 * c.k_time).exp()),
             stack: vec![Member::default(); STACK_START],
@@ -312,21 +315,21 @@ impl SerialTfim {
 
     /// One full Metropolis sweep in checkerboard order (the exact update
     /// schedule the parallel engine uses): the colour kernel, once per
-    /// colour (see the crate docs). Proposal order, decisions and the
-    /// random-number stream are those of a site-by-site loop over colour,
-    /// slice, row and column calling `rng.metropolis(ratio)`.
+    /// colour, every site deciding on its keyed draw (see the crate docs).
+    /// The engine's first sweep takes one draw from `rng`, the key; no
+    /// other sweep draws from it.
     #[qmc_hot::hot]
     pub fn metropolis_sweep<R: Rng64>(&mut self, rng: &mut R) {
         let _span = qmc_obs::span("tfim.metropolis_sweep");
         let layout = self.layout();
         let mut scratch = Scratch::new();
-        let mut draws = Stream::new(rng);
+        let draws = self.sweep_key.keyed(rng, &self.model, 0);
         // Counters accumulate in locals and flush once per sweep: the hot
         // loop stays free of registry indexing (2% overhead budget).
         let (mut proposed, mut accepted) = (0u64, 0u64);
         for colour in 0..2 {
             let (p, a) =
-                layout.half_sweep(&mut self.spins, &self.thr, colour, &mut scratch, &mut draws);
+                layout.half_sweep(&mut self.spins, &self.thr, colour, &mut scratch, &draws);
             proposed += p;
             accepted += a;
         }
@@ -337,14 +340,20 @@ impl SerialTfim {
         }
     }
 
-    /// The site-by-site sweep [`Self::metropolis_sweep`] replaced, kept as
-    /// the oracle its trajectory is compared against.
+    /// A site-by-site sweep over the keyed draws, the oracle
+    /// [`Self::metropolis_sweep`] is compared against: each site of a
+    /// colour takes its draw from [`SplitMix64::at`] at its own index in
+    /// the sweep and decides as `rng.metropolis(ratio)` would.
+    ///
+    /// [`SplitMix64::at`]: qmc_rng::SplitMix64::at
     #[cfg(test)]
     fn metropolis_sweep_scalar<R: Rng64>(&mut self, rng: &mut R) {
         let m = self.model;
         let (lx, ly, mm) = (m.lx, m.ly, m.m);
         let slice = lx * ly;
         let accept = AcceptTable::new(&self.c);
+        let (key, sweep) = self.sweep_key.next(rng);
+        let sweep = sweep * (slice * mm) as u64;
         let mut accepted = 0u64;
         let mut proposed = 0u64;
         for color in 0..2usize {
@@ -375,7 +384,9 @@ impl SerialTfim {
                         let tp = self.spins[up + y * lx + x] as i32
                             + self.spins[down + y * lx + x] as i32;
                         proposed += 1;
-                        if rng.metropolis(accept.ratio(s, sp, tp)) {
+                        let raw = qmc_rng::SplitMix64::at(key, sweep + i as u64);
+                        let ratio = accept.ratio(s, sp, tp);
+                        if ratio >= 1.0 || qmc_rng::unit_f64(raw) < ratio {
                             self.spins[i] = -s;
                             accepted += 1;
                         }
@@ -714,11 +725,15 @@ impl qmc_ckpt::Checkpoint for SerialTfim {
         // A blob written before the model section starts with the spins,
         // whose count (`lx·ly·m ≥ 8`) is never the model's three.
         if dec.clone().u64()? == 3 {
-            qmc_ckpt::load_sections_in_order(self, dec)
+            self.load_section("model", dec)?;
+            // Assigned once the spins are, so a refused blob lands nothing.
+            let sweep_key = SweepKey::load(dec, &self.model, "tfim")?;
+            self.load_section("spins", dec)?;
+            self.sweep_key = sweep_key;
         } else {
             self.load_section("spins", dec)?;
-            self.load_section("metrics", dec)
         }
+        self.load_section("metrics", dec)
     }
 
     fn dirty_sections(&self) -> qmc_ckpt::DirtySections {
@@ -727,6 +742,9 @@ impl qmc_ckpt::Checkpoint for SerialTfim {
         // written (24 bytes): a delta on a store that predates the section
         // has no copy of it to refer back to.
         s.push("model", true);
+        // Before the spins, so a refused key lands nothing either. The
+        // counter moves every sweep.
+        s.push("key", true);
         s.push("spins", self.spins_dirty);
         // Counters advance every sweep whether or not a flip landed.
         s.push("metrics", true);
@@ -736,6 +754,7 @@ impl qmc_ckpt::Checkpoint for SerialTfim {
     fn save_section(&self, name: &str, enc: &mut qmc_ckpt::Encoder) {
         match name {
             "model" => crate::save_couplings(enc, &self.model),
+            "key" => self.sweep_key.save(enc),
             "spins" => {
                 let raw: Vec<u8> = self.spins.iter().map(|&s| s as u8).collect();
                 enc.bytes(&raw);
@@ -756,6 +775,12 @@ impl qmc_ckpt::Checkpoint for SerialTfim {
             // re-read. J, h and β are checked; a store written before
             // they were has no `model` section, and is taken on trust.
             "model" => crate::check_couplings(&dec.f64s()?, &self.model, "tfim"),
+            // A store written before the key was has no `key` section: the
+            // fresh engine a resume builds draws its key at its first sweep.
+            "key" => {
+                self.sweep_key = SweepKey::load(dec, &self.model, "tfim")?;
+                Ok(())
+            }
             "spins" => {
                 crate::colour::restore_spins(&mut self.spins, dec.bytes()?, "tfim")?;
                 self.spins_dirty = true;
@@ -1031,6 +1056,7 @@ mod tests {
         // which proves the optimization perturbs no random-number draw.
         let reference_sweep = |eng: &mut SerialTfim, rng: &mut Xoshiro256StarStar| {
             let m = eng.model;
+            let (key, sweep) = eng.sweep_key.next(rng);
             for color in 0..2usize {
                 for t in 0..m.m {
                     for y in 0..m.ly {
@@ -1039,8 +1065,11 @@ mod tests {
                                 continue;
                             }
                             let cost = eng.flip_cost(x, y, t);
-                            if rng.metropolis((-cost).exp()) {
-                                let i = eng.idx(x, y, t);
+                            let i = eng.idx(x, y, t);
+                            let at = sweep * eng.spins.len() as u64 + i as u64;
+                            let draw = qmc_rng::unit_f64(qmc_rng::SplitMix64::at(key, at));
+                            let ratio = (-cost).exp();
+                            if ratio >= 1.0 || draw < ratio {
                                 eng.spins[i] = -eng.spins[i];
                             }
                         }
@@ -1297,11 +1326,13 @@ mod tests {
 
     #[test]
     fn refused_checkpoint_leaves_the_engine_untouched() {
-        // Blobs every CRC accepts, whose last spin byte is 0, through
-        // the whole-blob and the sectioned path: `load_spins` used to
-        // copy spin by spin and stop there, leaving all but one site
-        // replaced. They must be refused before anything lands, so the
-        // engine goes on exactly like one that never saw them.
+        // Blobs every CRC accepts, through the whole-blob and the sectioned
+        // path: one whose last spin byte is 0 (`load_spins` used to copy
+        // spin by spin and stop there, leaving all but one site replaced),
+        // and two whose key or sweep counter cannot be — no key after 30
+        // sweeps, a counter past the draw index range. Each must be
+        // refused before anything lands, so the engine goes on exactly
+        // like one that never saw it.
         let engine_after = |sweeps: usize| {
             let mut eng = SerialTfim::new(model(8, 1.3, 1.7, 8));
             let mut rng = Xoshiro256StarStar::new(23);
@@ -1309,51 +1340,73 @@ mod tests {
             (eng, rng)
         };
         let (donor, _) = engine_after(30);
-        let restore_tampered =
-            |eng: &mut SerialTfim, mut blob: Vec<u8>, last_spin: usize, section| {
-                assert_eq!(blob[last_spin] as i8, *donor.spins.last().unwrap());
-                blob[last_spin] = 0;
-                let mut file = qmc_ckpt::CkptFile::new();
-                file.add("engine", blob);
-                let file =
-                    qmc_ckpt::CkptFile::from_bytes(&file.to_bytes()).expect("CRC-valid file");
-                let blob = file.require("engine").unwrap();
-                match section {
-                    Some(name) => qmc_ckpt::load_section_bytes(blob, name, eng),
-                    None => qmc_ckpt::load_state(blob, eng),
-                }
-            };
         use qmc_ckpt::Checkpoint as _;
-        // kind tag (length-prefixed), body length, spin count, spins; the
-        // whole blob has the model section (J, h, β as `f64s`) first.
-        let last_spin = 8 + donor.kind().len() + 8 + 8 + donor.spins.len() - 1;
-        let whole = (qmc_ckpt::save_state(&donor), last_spin + 32, None);
-        let section = (
-            qmc_ckpt::save_section_bytes(&donor, "spins"),
-            last_spin,
-            Some("spins"),
-        );
-        assert_eq!(section.0.len(), last_spin + 1);
-        for (blob, last_spin, section) in [whole, section] {
+        // kind tag (length-prefixed) and body length; the whole blob has
+        // the model section (J, h, β as `f64s`) and the key section (flag,
+        // key, counter) before the spin count and the spins.
+        let head = 8 + donor.kind().len() + 8;
+        let key_at = head + 32;
+        let last_spin = key_at + 17 + 8 + donor.spins.len() - 1;
+        let whole = qmc_ckpt::save_state(&donor);
+        let section = |name| qmc_ckpt::save_section_bytes(&donor, name);
+        assert_eq!(whole[last_spin] as i8, *donor.spins.last().unwrap());
+        assert_eq!(section("spins").len(), head + 8 + donor.spins.len());
+        assert_eq!((whole[key_at], section("key")[head]), (1, 1));
+        let tampered = |mut blob: Vec<u8>, at: usize, bytes: &[u8]| {
+            blob[at..at + bytes.len()].copy_from_slice(bytes);
+            blob
+        };
+        // (what, its section, where it is in the whole blob and in the
+        // section, the bytes written there)
+        let last_in_section = head + 7 + donor.spins.len();
+        let cases = [
+            ("a spin of 0", "spins", last_spin, last_in_section, &[0][..]),
+            ("no key after 30 sweeps", "key", key_at, head, &[0]),
+            (
+                "a counter past the index range",
+                "key",
+                key_at + 9,
+                head + 9,
+                &[0xff; 8],
+            ),
+        ];
+        let offers = cases
+            .into_iter()
+            .flat_map(|(what, name, in_whole, at, bytes)| {
+                [
+                    (what, None, tampered(whole.clone(), in_whole, bytes)),
+                    (what, Some(name), tampered(section(name), at, bytes)),
+                ]
+            });
+        for (what, section, blob) in offers {
             let (mut eng, mut rng) = engine_after(20);
             let (mut twin, mut twin_rng) = engine_after(20);
             assert!(donor.spins != eng.spins);
-            let refused = restore_tampered(&mut eng, blob, last_spin, section);
+            let mut file = qmc_ckpt::CkptFile::new();
+            file.add("engine", blob);
+            let file = qmc_ckpt::CkptFile::from_bytes(&file.to_bytes()).expect("CRC-valid file");
+            let blob = file.require("engine").unwrap();
+            let refused = match section {
+                Some(name) => qmc_ckpt::load_section_bytes(blob, name, &mut eng),
+                None => qmc_ckpt::load_state(blob, &mut eng),
+            };
+            let at = format!("{what} ({section:?})");
             assert!(
                 matches!(refused, Err(qmc_ckpt::CkptError::Corrupt { .. })),
-                "{section:?}: {refused:?}"
+                "{at}: {refused:?}"
             );
             assert!(
                 eng.spins == twin.spins,
-                "{section:?}: a refused load replaced spins"
+                "{at}: a refused load replaced spins"
             );
-            assert_eq!(eng.accepted(), twin.accepted());
-            assert_eq!(eng.proposed(), twin.proposed());
+            assert_eq!(eng.sweep_key, twin.sweep_key, "{at}");
+            assert_eq!(eng.accepted(), twin.accepted(), "{at}");
+            assert_eq!(eng.proposed(), twin.proposed(), "{at}");
             let _ = eng.run(&mut rng, 10, 0, 1);
             let _ = twin.run(&mut twin_rng, 10, 0, 1);
-            assert!(eng.spins == twin.spins);
-            assert_eq!(eng.accepted(), twin.accepted());
-            assert_eq!(rng.next_u64(), twin_rng.next_u64());
+            assert!(eng.spins == twin.spins, "{at}");
+            assert_eq!(eng.accepted(), twin.accepted(), "{at}");
+            assert_eq!(rng.next_u64(), twin_rng.next_u64(), "{at}");
         }
     }
 
