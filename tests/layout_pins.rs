@@ -85,23 +85,29 @@ const CHAIN_MODEL: TfimModel = TfimModel {
     m: 8,
 };
 
-/// Moved on purpose, and only here, when TFIM checkpoints began to state
-/// J, h and β: the `engine:model` row is new, and the `engine`, `series`
-/// and `series:head` rows grew by those three numbers. Every other row is
-/// the one recorded on 9d8f370.
+/// Moved on purpose twice. When TFIM checkpoints began to state J, h and
+/// β, the `engine:model` row was new, and the `engine`, `series` and
+/// `series:head` rows grew by those three numbers. On commit ccaf36f,
+/// when `SerialTfim`'s Metropolis sweeps moved to keyed draws, the
+/// `engine:key` row (key flag, key, sweep counter) was new and every row
+/// but `engine:model` and `series:head` was recorded again, on a run of
+/// the site-by-site keyed oracle in place of the kernel: the trajectory,
+/// and with it the spins, counters, series and generator state, is
+/// another one.
 #[rustfmt::skip]
 const SERIAL_TFIM: &[Pin] = &[
-    ("engine", 798, 0x953fc17e),
+    ("engine", 815, 0x2ae8a388),
     ("engine:model", 66, 0x5c96b93d),
-    ("engine:spins", 106, 0xec141597),
-    ("engine:metrics", 694, 0x732cfffc),
-    ("series", 4891, 0xd4f8103e),
-    ("series:rows/0", 2115, 0xc798b1d5),
-    ("series:rows/1", 2115, 0x98c9460d),
-    ("series:rows/2", 771, 0x84a56917),
+    ("engine:key", 51, 0xcdbf3580),
+    ("engine:spins", 106, 0x80cd2c02),
+    ("engine:metrics", 694, 0xac140ef6),
+    ("series", 4891, 0xf9764d7e),
+    ("series:rows/0", 2115, 0x98938a98),
+    ("series:rows/1", 2115, 0x96ba80a8),
+    ("series:rows/2", 771, 0x3828c209),
     ("series:head", 67, 0x50210d80),
-    ("rng", 64, 0x4bb7770c),
-    ("rng:state", 64, 0x4bb7770c),
+    ("rng", 64, 0xbb620e43),
+    ("rng:state", 64, 0xbb620e43),
 ];
 
 #[test]

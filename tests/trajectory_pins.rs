@@ -35,6 +35,13 @@
 //! (`half_sweep_scalar`) running the engine in place of the kernel. The
 //! draws column counts one key per rank.
 //!
+//! The `SerialTfim` rows were replaced the same way, on commit ccaf36f,
+//! when its Metropolis sweeps moved to the same keyed draws: same cases
+//! and seeds, literals recorded from the site-by-site keyed oracle
+//! (`metropolis_sweep_scalar`) running the engine in place of the kernel.
+//! The draws column counts the key and every Wolff draw; a Metropolis-only
+//! row reads 1.
+//!
 //! The `PackedReplicas` row was recorded on commit 9114e64, where the
 //! only fix on that trajectory was the packed checkpoint layout pin: it
 //! is that pin's run, through `PackedReplicas::run` instead of the
@@ -152,37 +159,37 @@ type SerialCase = (TfimModel, u64, usize, usize, usize, Pin);
 
 #[rustfmt::skip]
 const SERIAL: &[SerialCase] = &[
-    (model(4, 1, 1.0, 1.0, 8), 11, 10, 40, 0, pin(0x2ae7cef9dc965b73, 0x2b9870e7cd4c7ea5, 1492, 168, 1600)),
-    (model(4, 1, 0.7, 2.0, 16), 12, 10, 40, 2, pin(0xf83ae52f64d094e5, 0xf4e50de5975ac45b, 12748, 155, 3200)),
-    (model(6, 1, 1.3, 1.7, 6), 13, 10, 40, 1, pin(0x1cc3a5debe5f063a, 0xfd823e0606b022e5, 3303, 433, 1800)),
-    (model(64, 1, 1.0, 16.0, 128), 14, 5, 20, 1, pin(0x490d161422f6bdfb, 0xad4605eae713191b, 342008, 21394, 204800)),
-    (model(64, 1, 1.0, 4.0, 16), 15, 5, 20, 0, pin(0x4c81d2432d7d222e, 0x0f12d1a2472cb81b, 23311, 3561, 25600)),
-    (model(64, 1, 0.4, 2.0, 8), 16, 5, 20, 2, pin(0x1e589ea872cb780a, 0xfee5d8716048c0e5, 39129, 250, 12800)),
-    (model(4, 4, 2.0, 1.0, 8), 17, 10, 40, 0, pin(0x4c795263d51363f3, 0xeb326e7ac01781e5, 6028, 734, 6400)),
-    (model(6, 4, 3.0, 1.5, 6), 18, 10, 40, 1, pin(0xf56ae76b50c0a293, 0xbc7827d0378bcedb, 14179, 2076, 7200)),
-    (model(6, 6, 2.5, 1.0, 4), 19, 10, 40, 2, pin(0x9c97675b88b79d60, 0xd486ab794f18149b, 29009, 1369, 7200)),
-    (model(64, 4, 3.044, 2.0, 8), 20, 3, 12, 1, pin(0x400e9bccf44d89a5, 0x7be22d60cdf747db, 49040, 9026, 30720)),
-    (model(64, 64, 3.044, 2.0, 32), 21, 2, 6, 0, pin(0x17f555d49edab53d, 0xadf3e2eb2794189b, 974020, 153027, 1048576)),
-    // Wolff-heavy rows, recorded on commit 7b1396d, before the cluster
-    // move stepped by index arithmetic: two slices (a site's up and down
-    // neighbours are one site), the narrowest chain, widths that are no
-    // power of two, squares with ly != lx at three clusters a sweep, an
-    // ordered point (the cluster is nearly the lattice: deepest stack) and
-    // a disordered one (nearly every cluster is its seed).
-    (model(4, 1, 1.0, 0.5, 2), 22, 10, 40, 3, pin(0x5080eb438fd90d1b, 0x77ddf87b1260f95b, 1587, 30, 400)),
-    (model(8, 1, 0.6, 1.0, 2), 23, 10, 40, 2, pin(0x65c9ab10ebf84a1f, 0xe7bd443d38499225, 2358, 57, 800)),
-    (model(4, 4, 1.5, 0.5, 2), 24, 10, 40, 2, pin(0xd5cf90733b746729, 0xa26a269578cf0125, 6201, 164, 1600)),
-    (model(4, 1, 1.0, 4.0, 32), 25, 10, 40, 2, pin(0x514c3ea3404b1008, 0x9b2ef2213b3742e5, 20985, 642, 6400)),
-    (model(6, 1, 1.0, 3.0, 12), 26, 10, 40, 2, pin(0xf3495733cf5a95a8, 0xb93230ce5b0f319b, 11071, 511, 3600)),
-    (model(10, 1, 0.9, 2.5, 10), 27, 10, 40, 2, pin(0x8e3f2e5f2a7997f1, 0xae664003989d921b, 15951, 571, 5000)),
-    (model(10, 4, 2.5, 1.5, 6), 28, 10, 40, 3, pin(0x086b1df95b5be37d, 0xe5421eadce3fb6e5, 73496, 2027, 12000)),
-    (model(4, 6, 2.0, 2.0, 8), 29, 10, 40, 3, pin(0x4a007872d6137a9a, 0xd4f33d08ab02f4db, 60464, 986, 9600)),
-    (model(6, 10, 3.044, 1.0, 4), 30, 10, 40, 3, pin(0x34d16e77aecec91d, 0x7aeadf1b80f1cd25, 54532, 3423, 12000)),
-    (model(16, 1, 0.1, 4.0, 16), 31, 10, 40, 2, pin(0xd832d85847876813, 0xf3686360e9e9b325, 51284, 7, 12800)),
-    (model(64, 1, 0.2, 8.0, 32), 32, 5, 20, 1, pin(0x703779a7cd3d4567, 0x0d22dac57879efa5, 129583, 159, 51200)),
-    (model(6, 6, 0.5, 2.0, 8), 33, 10, 40, 2, pin(0xd007fb7d7633441d, 0x62fe7ce4d8a6a525, 67184, 90, 14400)),
-    (model(16, 1, 100.0, 0.2, 8), 34, 10, 40, 2, pin(0x5e1b65b63dcabca0, 0x008b9eb6be74d35b, 2932, 6187, 6400)),
-    (model(8, 4, 60.0, 0.3, 6), 35, 10, 40, 3, pin(0x73cf453fb85117f6, 0x25e0a511e61c77e5, 5182, 8819, 9600)),
+    (model(4, 1, 1.0, 1.0, 8), 11, 10, 40, 0, pin(0x1d083e1f8928f797, 0x3eb5d26ee300f1a5, 1, 172, 1600)),
+    (model(4, 1, 0.7, 2.0, 16), 12, 10, 40, 2, pin(0xa34d6c7ceded4dbe, 0x94dd72ca88227f5b, 9404, 138, 3200)),
+    (model(6, 1, 1.3, 1.7, 6), 13, 10, 40, 1, pin(0xf58978343b5d6578, 0x5ee0060ee8c7bbdb, 1386, 428, 1800)),
+    (model(64, 1, 1.0, 16.0, 128), 14, 5, 20, 1, pin(0xcc9e0ba1221d5cc3, 0xaca0dc216ac07c9b, 189308, 21418, 204800)),
+    (model(64, 1, 1.0, 4.0, 16), 15, 5, 20, 0, pin(0x7a9e5d2801a1dca4, 0xd100c16ab94d3665, 1, 3292, 25600)),
+    (model(64, 1, 0.4, 2.0, 8), 16, 5, 20, 2, pin(0xe104a5d122654119, 0x05f4d1c4ae6b6ddb, 20890, 279, 12800)),
+    (model(4, 4, 2.0, 1.0, 8), 17, 10, 40, 0, pin(0xe142c35138cbbc24, 0x33063f568748c4db, 1, 645, 6400)),
+    (model(6, 4, 3.0, 1.5, 6), 18, 10, 40, 1, pin(0x47e8d6071e3b2df0, 0x9057302ca2f95a25, 10595, 1732, 7200)),
+    (model(6, 6, 2.5, 1.0, 4), 19, 10, 40, 2, pin(0x445222423961d791, 0x43538d42f61f7465, 22816, 1273, 7200)),
+    (model(64, 4, 3.044, 2.0, 8), 20, 3, 12, 1, pin(0x3b374ebaebf15366, 0x759741a44e547fdb, 36344, 8392, 30720)),
+    (model(64, 64, 3.044, 2.0, 32), 21, 2, 6, 0, pin(0x03e2e7b227d0d59a, 0x8ca2736ec2e2eedb, 1, 157905, 1048576)),
+    // Wolff-heavy rows, first recorded on commit 7b1396d, before the
+    // cluster move stepped by index arithmetic: two slices (a site's up
+    // and down neighbours are one site), the narrowest chain, widths that
+    // are no power of two, squares with ly != lx at three clusters a
+    // sweep, an ordered point (the cluster is nearly the lattice: deepest
+    // stack) and a disordered one (nearly every cluster is its seed).
+    (model(4, 1, 1.0, 0.5, 2), 22, 10, 40, 3, pin(0x649d5adbc95c0921, 0xfc57d0b03a67dc25, 1273, 32, 400)),
+    (model(8, 1, 0.6, 1.0, 2), 23, 10, 40, 2, pin(0x9afd25288e83e614, 0xd1f80a32f7f5f75b, 1542, 66, 800)),
+    (model(4, 4, 1.5, 0.5, 2), 24, 10, 40, 2, pin(0xb3ac29c2a00cf125, 0x4bb6ebdb56fb3e1b, 5111, 126, 1600)),
+    (model(4, 1, 1.0, 4.0, 32), 25, 10, 40, 2, pin(0xec3fdbade0205fc6, 0xc0397599665b219b, 14452, 685, 6400)),
+    (model(6, 1, 1.0, 3.0, 12), 26, 10, 40, 2, pin(0xf87c76d903166d2b, 0xec503b07069816a5, 7975, 542, 3600)),
+    (model(10, 1, 0.9, 2.5, 10), 27, 10, 40, 2, pin(0xed10a78c68527ebe, 0x8fe0a4597cb65f65, 12496, 560, 5000)),
+    (model(10, 4, 2.5, 1.5, 6), 28, 10, 40, 3, pin(0xaa74e57acfec7e86, 0x74e52915914711db, 60308, 1919, 12000)),
+    (model(4, 6, 2.0, 2.0, 8), 29, 10, 40, 3, pin(0x179ed3fee77b54a4, 0x9af441b3ce8a739b, 49580, 1025, 9600)),
+    (model(6, 10, 3.044, 1.0, 4), 30, 10, 40, 3, pin(0x7a272733b3c52219, 0x4f9602cf81f54525, 49524, 3491, 12000)),
+    (model(16, 1, 0.1, 4.0, 16), 31, 10, 40, 2, pin(0x00ea03c21c625332, 0xf3686360e9e9b325, 38493, 15, 12800)),
+    (model(64, 1, 0.2, 8.0, 32), 32, 5, 20, 1, pin(0xc5040b548ed8313d, 0x449bbcb4bf1112a5, 78233, 171, 51200)),
+    (model(6, 6, 0.5, 2.0, 8), 33, 10, 40, 2, pin(0xe3f1bd06134a84ad, 0xee5c7d235315f125, 52515, 99, 14400)),
+    (model(16, 1, 100.0, 0.2, 8), 34, 10, 40, 2, pin(0x40a12d94f5f86e90, 0x6f502ba2e077b865, 332, 6157, 6400)),
+    (model(8, 4, 60.0, 0.3, 6), 35, 10, 40, 3, pin(0x1f63c68808d759f5, 0x33ff1a2625613725, 670, 8866, 9600)),
 ];
 
 fn run_serial(&(model, seed, therm, sweeps, wolff, _): &SerialCase) -> Pin {
