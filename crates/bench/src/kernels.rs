@@ -20,7 +20,14 @@
 //!   branchy". 1.6 is 0.8 × 2.1 rounded down, the margin 4.0 had against
 //!   5.0; 1.2 only asks that packed still beats scalar. The two medians
 //!   are taken seconds apart, and this host's speed drifts on that scale:
-//!   single runs scatter ±30 % around the median.
+//!   single runs scatter ±30 % around the median. Keyed draws made the
+//!   denominator faster again (one `SplitMix64::at` per site, where the
+//!   in-order stream counted each block's draws and fetched them in a
+//!   batch): on one 2-core host, alternating with the build before, the
+//!   unchanged `PackedReplicas` read 1.92–2.42× → 1.25–1.45× under
+//!   `--quick` and 1.69–2.96× → 1.17–1.41× on full runs, which misses
+//!   1.6×. The floors stay until ROADMAP item 13(ii) settles
+//!   whether 64-lane packing still pays.
 //! * `obs overhead` ≤ 1.02×, `trace overhead` ≤ 1.02×: recorder on vs
 //!   off and `Tracer` vs bare, paired best-of-N.
 //! * `ckpt overhead` ≤ 1.03×: a checkpoint every 100 sweeps, the write
@@ -28,11 +35,11 @@
 //!
 //! The three overhead lines warn instead of failing: on a shared box
 //! percent-level ratios are reported, not enforced. They divide fixed
-//! costs by the scalar sweep, which the colour kernel halved, so each
-//! excess over 1 weighs twice what it did: on one host `ckpt overhead`
-//! read 1.016–1.017 before and 1.033–1.034 after with the write itself
-//! unchanged, `trace overhead` 1.013–1.014 and 1.019–1.035. The targets
-//! were not moved with it.
+//! costs by the scalar sweep, which the colour kernel halved and keyed
+//! draws cut again, so each excess over 1 weighs more than it did: on
+//! one host `ckpt overhead` read 1.016–1.017 before the colour kernel and
+//! 1.033–1.034 after with the write itself unchanged, `trace overhead`
+//! 1.013–1.014 and 1.019–1.035. The targets were not moved with it.
 
 use qmc_comm::Communicator;
 use qmc_rng::{Buffered, Xoshiro256StarStar};

@@ -280,8 +280,10 @@ echo "== bench-quick: packed-kernel speedup guard =="
 # latency stays in seconds) or the run exits non-zero; the obs / trace /
 # ckpt overhead lines are printed and warn. The floors were 2x / 4x while
 # the scalar kernel was the site-by-site loop: the colour kernel made the
-# denominator 2.1x faster, so an unchanged packed engine reads ~2.1x
-# (--quick: 2.0-2.5x) where it read ~5x.
+# denominator 2.1x faster, so an unchanged packed engine read ~2.1x
+# (--quick: 2.0-2.5x) where it read ~5x. Keyed draws in the scalar
+# kernel cut it again: 1.25-1.45x under --quick, and 1.17-1.41x on full
+# runs, under their 1.6x target (ROADMAP item 13(ii)).
 cargo run -q --release -p qmc-bench --bin repro -- bench --quick
 
 if [ "$FULL" = "1" ]; then
