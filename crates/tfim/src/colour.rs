@@ -114,11 +114,11 @@ pub(crate) struct Keyed {
 }
 
 impl Keyed {
-    /// The output index of `row`'s column `x`.
+    /// The output index of column `x` of row `y` of slice `t`.
     #[inline(always)]
-    fn at(&self, row: &Row, x: usize) -> u64 {
+    fn at(&self, t: usize, y: usize, x: usize) -> u64 {
         self.origin
-            .wrapping_add(row.t as u64 * self.slice + row.y as u64 * self.row + x as u64)
+            .wrapping_add(t as u64 * self.slice + y as u64 * self.row + x as u64)
     }
 }
 
@@ -241,8 +241,6 @@ struct Block {
 /// neighbour rows start, and the column (0 or 1) of its first site of the
 /// colour being swept.
 struct Row {
-    t: usize,
-    y: usize,
     cur: usize,
     north: usize,
     south: usize,
@@ -251,27 +249,15 @@ struct Row {
     first: usize,
 }
 
-/// Walks a layout's rows in sweep order; `(t, y)` is the row `next` yields.
-struct Rows<'a> {
-    layout: &'a Layout,
-    t: usize,
-    y: usize,
-    colour: usize,
-}
-
-impl Iterator for Rows<'_> {
-    type Item = Row;
-
-    #[qmc_hot::hot]
-    #[inline]
-    fn next(&mut self) -> Option<Row> {
-        let row = self.layout.row(self.t, self.y, self.colour);
-        self.y += 1;
-        if self.y == self.layout.rows {
-            (self.t, self.y) = (self.t + 1, 0);
-        }
-        Some(row)
-    }
+/// `len` rows of a block from its row `i` on that lie one `pitch` apart,
+/// each with its neighbour rows at the distances `head`'s are (see
+/// [`Layout::uniform_rows`]): row `k` of a run is `head` moved `k·pitch`
+/// spins on, and its first site of the colour is in column
+/// `(head.first + k) mod 2`.
+struct Run {
+    i: usize,
+    len: usize,
+    head: Row,
 }
 
 impl Layout {
@@ -294,26 +280,12 @@ impl Layout {
         let t_up = if t + 1 == self.slices { 0 } else { t + 1 };
         let t_down = if t == 0 { self.slices } else { t } - 1;
         Row {
-            t,
-            y,
             cur,
             north,
             south,
             up: t_up * self.slice_stride + in_slice,
             down: t_down * self.slice_stride + in_slice,
             first: (colour + self.parity + y + t) % 2,
-        }
-    }
-
-    /// The rows `r0..`, in sweep order (slice by slice, row by row).
-    #[qmc_hot::hot]
-    #[inline]
-    fn rows_from(&self, r0: usize, colour: usize) -> Rows<'_> {
-        Rows {
-            layout: self,
-            t: r0 / self.rows,
-            y: r0 % self.rows,
-            colour,
         }
     }
 
@@ -344,23 +316,35 @@ impl Layout {
         }
     }
 
-    /// The rows of `block` in sweep order, each with the column (0 or 1,
-    /// from the block's first) of its first site of the colour and the
-    /// index bytes of the block's columns.
+    /// The uniform runs of `block`'s rows, in sweep order: one
+    /// [`Self::row`] per run, none per row.
     #[qmc_hot::hot]
     #[inline]
-    fn block_rows<'a>(
-        &'a self,
-        block: &'a Block,
-        idx: &'a [u8],
-    ) -> impl Iterator<Item = (Row, usize, &'a [u8])> + 'a {
-        self.rows_from(block.r0, block.colour)
-            .zip(idx.chunks(block.pitch))
-            .take(block.rows)
-            .map(|(row, idx)| {
-                let first = (row.first + block.a) % 2;
-                (row, first, &idx[..block.n])
-            })
+    fn runs<'a>(&'a self, block: &'a Block) -> impl Iterator<Item = Run> + 'a {
+        let (mut t, mut y) = (block.r0 / self.rows, block.r0 % self.rows);
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            if i == block.rows {
+                return None;
+            }
+            let len = self.uniform_rows(t, y).min(block.rows - i);
+            let run = Run {
+                i,
+                len,
+                head: self.row(t, y, block.colour),
+            };
+            i += len;
+            // A run ends within its slice, unless the slice is one row.
+            if self.rows == 1 {
+                t += len;
+            } else {
+                y += len;
+                if y == self.rows {
+                    (t, y) = (t + 1, 0);
+                }
+            }
+            Some(run)
+        })
     }
 
     /// One Metropolis pass over every site of `colour`, in the order of a
@@ -409,18 +393,12 @@ impl Layout {
 
     /// Pass 1 — index every site of the block's rows, a uniform run of
     /// rows at a time (the ghost or wrap cells between the rows of a run
-    /// are indexed along and never read). Returns the block's colour
-    /// sites.
+    /// are indexed along and never read), then the wrap column of each
+    /// periodic row of the run at the head's distances. Returns the
+    /// block's colour sites.
     #[qmc_hot::hot]
     fn index(&self, idx: &mut [u8], spins: &[i8], block: &Block) -> u64 {
-        let &Block {
-            r0,
-            a,
-            n,
-            pitch,
-            colour,
-            ..
-        } = block;
+        let &Block { a, n, pitch, .. } = block;
         let last = self.width - 1;
         // Columns indexed by slices: all of them between ghosts, all but
         // the wrap columns of a periodic row.
@@ -430,57 +408,43 @@ impl Layout {
             (a, a + n)
         };
         let mut sites = 0;
-        let mut rows = self.rows_from(r0, colour);
-        let mut i = 0;
-        while i < block.rows {
-            let run = self.uniform_rows(rows.t, rows.y).min(block.rows - i);
-            let head = self.row(rows.t, rows.y, colour);
+        for Run { i, len, head } in self.runs(block) {
             if lo < hi {
-                let cells = (run - 1) * pitch + (hi - lo);
+                let cells = (len - 1) * pitch + (hi - lo);
                 let out = &mut idx[i * pitch + (lo - a)..][..cells];
                 index_span(out, spins, &head, lo, self.square);
             }
-            for (k, (row, idx)) in rows
-                .by_ref()
-                .zip(idx[i * pitch..].chunks_mut(pitch))
-                .take(run)
-                .enumerate()
-            {
-                debug_assert!(
-                    row.cur == head.cur + k * pitch
-                        && [row.north, row.south, row.up, row.down]
-                            .map(|o| o.wrapping_sub(row.cur))
-                            == [head.north, head.south, head.up, head.down]
-                                .map(|o| o.wrapping_sub(head.cur)),
-                    "row {k} of a run of {run} is not uniform with its head"
-                );
+            for k in 0..len {
+                let first = (head.first + k) % 2;
                 // A periodic row's wrap column of the colour being swept
                 // (the other one is never read), one site at a time: its
                 // west / east is the row's other end.
-                if self.wraps && (row.first == 0 && a == 0 || row.first == last % 2 && a + n > last)
-                {
-                    let (x, west, east) = if row.first == 0 {
+                if self.wraps && (first == 0 && a == 0 || first == last % 2 && a + n > last) {
+                    let (x, west, east) = if first == 0 {
                         (0, last, 1)
                     } else {
                         (last, last - 1, 0)
                     };
-                    let mut sp = spins[row.cur + west] + spins[row.cur + east];
+                    let (cur, on) = (head.cur + k * pitch, k * pitch + x);
+                    let mut sp = spins[cur + west] + spins[cur + east];
                     if self.square {
-                        sp += spins[row.north + x] + spins[row.south + x];
+                        sp += spins[head.north + on] + spins[head.south + on];
                     }
-                    let tp = spins[row.up + x] + spins[row.down + x];
-                    idx[x - a] = flat_index(spins[row.cur + x], sp, tp);
+                    let tp = spins[head.up + on] + spins[head.down + on];
+                    idx[(i + k) * pitch + x - a] = flat_index(spins[cur + x], sp, tp);
                 }
-                let first = (row.first + a) % 2;
-                sites += ((n + 1 - first) / 2) as u64;
+                sites += ((n + 1 - (first + a) % 2) / 2) as u64;
             }
-            i += run;
         }
         sites
     }
 
     /// Pass 2 — resolve the block's colour sites in site order, without a
-    /// branch, each on its draw of `draws`. Returns the flips.
+    /// branch, each on its draw of `draws`. Row by row the spin offset
+    /// steps by `row_stride` and the draw index by `lx`, the first colour site
+    /// changes column, and a new slice is placed afresh (its first row may
+    /// lie past a ghost frame, and its colour need not alternate). Returns
+    /// the flips.
     #[qmc_hot::hot]
     fn resolve(
         &self,
@@ -490,10 +454,19 @@ impl Layout {
         draws: &Keyed,
         block: &Block,
     ) -> u64 {
+        let &Block { a, n, pitch, .. } = block;
+        // Where row `y` of slice `t` starts, the draw index of its column
+        // `a`, and the column (0 or 1, from `a`) of its first colour site.
+        let place = |t: usize, y: usize| {
+            let cur = t * self.slice_stride + self.origin + y * self.row_stride + a;
+            let at = draws.at(t, y, a);
+            (cur, at, (block.colour + self.parity + y + t + a) % 2)
+        };
+        let (mut t, mut y) = (block.r0 / self.rows, block.r0 % self.rows);
+        let (mut cur, mut row_at, mut first) = place(t, y);
         let mut accepted = 0;
-        for (row, first, idx) in self.block_rows(block, idx) {
-            let cur = &mut spins[row.cur + block.a..][..block.n];
-            let mut at = draws.at(&row, block.a + first);
+        for idx in idx.chunks(pitch).take(block.rows) {
+            let mut at = row_at.wrapping_add(first as u64);
             // Counted per row: a counter that lives across rows gets
             // spilled, and an add to memory per site costs the loop 12 %.
             let mut flips = 0;
@@ -505,15 +478,24 @@ impl Layout {
                 flips += u64::from(accept);
             };
             // Pairs of columns, then the colour site of an odd tail.
-            let mut cur = cur[first..].chunks_exact_mut(2);
-            let mut idx = idx[first..].chunks_exact(2);
-            for (s, k) in cur.by_ref().zip(idx.by_ref()) {
+            let mut row = spins[cur + first..cur + n].chunks_exact_mut(2);
+            let mut idx = idx[first..n].chunks_exact(2);
+            for (s, k) in row.by_ref().zip(idx.by_ref()) {
                 decide(&mut s[0], k[0]);
             }
-            if let ([s], &[k]) = (cur.into_remainder(), idx.remainder()) {
+            if let ([s], &[k]) = (row.into_remainder(), idx.remainder()) {
                 decide(s, k);
             }
             accepted += flips;
+            y += 1;
+            if y == self.rows {
+                (t, y) = (t + 1, 0);
+                (cur, row_at, first) = place(t, y);
+            } else {
+                cur += self.row_stride;
+                row_at = row_at.wrapping_add(draws.row);
+                first ^= 1;
+            }
         }
         accepted
     }
