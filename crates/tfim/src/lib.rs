@@ -61,7 +61,7 @@
 //! fresh engine a resume builds draws its key at its first sweep and
 //! counts from 0 — a correct continuation in distribution, not the
 //! trajectory the interrupted build would have run. Its Wolff updates
-//! draw in order from the same generator (see below).
+//! take two draws each from the same generator, in order (see below).
 //!
 //! A block of rows is done in two passes:
 //!
@@ -105,30 +105,45 @@
 //!
 //! # Wolff update
 //!
-//! [`serial::SerialTfim::wolff_update`] reproduces, draw for draw, the
-//! textbook loop: "mark a random seed and push it; pop a site, and for
-//! each neighbour in the order +x, −x, +y, −y, +t, −t that is unmarked and
-//! reads the site's spin `s`: `if rng.bernoulli(p) { mark, push }`; flip
-//! the popped site" — with `p = 1 − e^{−2K}` of the bond's kind. It keeps
-//! no marks. A site is flipped when it is *pushed*, so every member of the
-//! cluster reads `−s` from the moment it joins, whereas in the loop above
-//! a member reads `s` while it waits on the stack and `−s` once popped;
-//! everything outside the cluster reads what it read before in both. The
-//! loop's test "unmarked and equal to `s`" is therefore the one compare
-//! `spin == s`: the same bonds consume a draw, in the same order, and the
-//! same sites join, last in, first out. That holds for `m = 2` too, where
-//! +t and −t are one site: a hit on the first bond flips it and the second
-//! finds `−s`; a miss leaves `s` and the second bond draws again, as it
-//! did.
+//! [`serial::SerialTfim::wolff_update`] takes two draws from the engine's
+//! generator, in order: the seed, `rng.index(n)`, then a key,
+//! `rng.next_u64()`. Every bond has a name. Site `o` owns its +x, (+y,)
+//! +t bonds, `dir` = 0, (1,) `d` (`d` = 1 on a chain, 2 on a square), and
+//! bond `dir` of `o` is output `(d + 1)·o + dir` of the stream keyed by
+//! `key`; a −x, −y or −t bond is the neighbour's that owns it. A bond
+//! between two equal spins is open when `(SplitMix64::at(key, bond) >>
+//! 11) < ⌈p·2⁵³⌉` — `bernoulli(p)` on that draw, by the identity above —
+//! with `p = 1 − e^{−2K}` of its kind, and the update flips the seed's
+//! component over the open bonds. A cluster is thus a function of (seed,
+//! key, spins) alone: any walk over the bonds — breadth-first,
+//! depth-first, a union-find, a merge of rank-local pieces — builds the
+//! same one (Weigel, arXiv:1709.04394). For `m = 2` a site's +t and −t
+//! neighbour is one site, joined to it by two bonds with two names, each
+//! deciding on its own draw.
 //!
-//! Neighbours are reached by index arithmetic against wrap tests (`± 1`,
-//! `± lx`, `± lx·ly`), the column and row travelling with the site on the
-//! stack, so the only divisions of an update place its seed. A bond is
-//! decided on the raw draw, `(x >> 11) < ⌈p·2⁵³⌉` — the identity above.
-//! But `bernoulli` draws whatever `p` is, where `metropolis` skips the
-//! draw at `ratio ≥ 1`: `p = 1` (`K_τ` large enough that `e^{−2K}` rounds
-//! away) is the threshold 2⁵³, above every `x >> 11`, and not
+//! The kernel walks breadth-first through a ring of cluster sites, a power
+//! of two long, doubled from 16 entries when a site's pushes might not fit
+//! and never sized to the lattice. A site is flipped when it joins, so a
+//! member reads `−s` from then on and a bond is live exactly when the
+//! neighbour reads `s`. Every neighbour's bond is decided whether or not
+//! it is live, `hit = live & (draw < thr)`; the neighbour's spin and the
+//! ring slot past the tail are written either way, and the tail moves on
+//! by `hit`: no branch waits on a draw, and a site's pushes do not wait on
+//! the site popped before it, as they would last in, first out.
+//! Neighbours are reached by index arithmetic against wrap tests, the
+//! column and row travelling with the site in its ring word, so the only
+//! divisions of an update place its seed. An owner's bonds are outputs
+//! `0..=d` of `key` moved on `(d + 1)·o` ([`qmc_rng::SplitMix64::advance`]),
+//! one multiply per site, and a backward neighbour's are that key moved on
+//! by a constant. `p = 1` (`K_τ` large enough that `e^{−2K}` rounds away)
+//! is the threshold 2⁵³, above every `x >> 11`, and not
 //! [`qmc_rng::NO_DRAW`].
+//!
+//! No state is added to a checkpoint: the two draws come from the
+//! generator, which is saved. A store written while the Wolff update
+//! still drew one number per live bond resumes under this build as a
+//! correct continuation in distribution, not bit for bit: the generator
+//! state is the same, but the draws it yields are spent differently.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 use crate::colour::{Layout, Scratch, SweepKey, Thresholds};
 use crate::{AcceptTable, StCouplings, TfimModel};
 use qmc_obs::{CounterId, HistId, Registry};
-use qmc_rng::{threshold, Rng64};
+use qmc_rng::{threshold, Rng64, SplitMix64};
 
 /// Spacetime spin configuration of the mapped classical model plus update
 /// kernels. Spins are indexed `(t·ly + y)·lx + x`.
@@ -37,33 +37,53 @@ pub struct SerialTfim {
     /// on `raw >> 11` ([`always_draw_threshold`]).
     wolff_thr_space: u64,
     wolff_thr_time: u64,
-    /// Wolff scratch: the cluster sites whose bonds are still to be tried.
-    /// It grows to the deepest stack a run has met, by doubling; sized to
-    /// the lattice up front it would more than double the heap footprint
-    /// of a cache-resident engine.
-    stack: Vec<Member>,
+    /// Wolff scratch: a ring of the cluster sites whose bonds are still to
+    /// be tried, a power of two long. It doubles when a site's pushes
+    /// might not fit; sized to the lattice up front it would more than
+    /// double the heap footprint of a cache-resident engine.
+    ring: Vec<u64>,
     /// Wolff cluster updates after each Metropolis sweep (1 on
     /// construction). Not checkpointed: a resume sets it as the
     /// interrupted run did, like the model itself.
     pub wolff_per_sweep: usize,
 }
 
-/// A cluster site on the Wolff stack, eight bytes: its index and its
-/// column and row, carried along so that no neighbour costs a division.
-#[derive(Debug, Clone, Copy, Default)]
-struct Member {
-    site: u32,
-    x: u16,
-    y: u16,
+/// A cluster site on the Wolff ring as one word: its index in bits 0–31,
+/// its column in bits 32–47 and its row in bits 48–63, carried along so
+/// that no neighbour costs a division.
+fn member(site: usize, x: usize, y: usize) -> u64 {
+    site as u64 | (x as u64) << 32 | (y as u64) << 48
 }
 
-/// Slots the Wolff stack keeps free above its top: one site pushes at most
-/// its six neighbours.
+/// What a step of `site`, `x` and `y` adds to a [`member`] word: a
+/// two's-complement sum that carries no field into the next, as long as
+/// the step leads to a site of the lattice.
+fn step(site: isize, x: isize, y: isize) -> u64 {
+    (site as u64)
+        .wrapping_add((x as u64) << 32)
+        .wrapping_add((y as u64) << 48)
+}
+
+/// Slots the Wolff ring keeps free past its tail: one site writes a slot
+/// for each of its six neighbours.
 const PUSHES: usize = 6;
 
-/// Entries the Wolff stack starts with: room for a seed's pushes, and a
+/// Entries the Wolff ring starts with: room for a seed's pushes, and a
 /// power of two, as is then every size doubling reaches from it.
 const STACK_START: usize = 16;
+
+/// Doubles the Wolff ring, moving its entries `head..tail` (positions
+/// that count up from the cluster's first push) to where the longer
+/// mask puts them.
+#[cold]
+fn grow(ring: &mut Vec<u64>, head: usize, tail: usize) {
+    let mut longer = vec![0; 2 * ring.len()];
+    let (old, new) = (ring.len() - 1, longer.len() - 1);
+    for i in head..tail {
+        longer[i & new] = ring[i & old];
+    }
+    *ring = longer;
+}
 
 /// [`Rng64::bernoulli`]`(p)` as an integer threshold on `raw >> 11`:
 /// [`threshold`]'s `⌈p·2⁵³⌉`, by the same identity. But `bernoulli` draws
@@ -202,7 +222,7 @@ impl SerialTfim {
             sweep_key: SweepKey::default(),
             wolff_thr_space: always_draw_threshold(1.0 - (-2.0 * c.k_space).exp()),
             wolff_thr_time: always_draw_threshold(1.0 - (-2.0 * c.k_time).exp()),
-            stack: vec![Member::default(); STACK_START],
+            ring: vec![0; STACK_START],
             wolff_per_sweep: 1,
         }
     }
@@ -403,15 +423,17 @@ impl SerialTfim {
 
     /// One Wolff cluster update (grows a single cluster and always flips
     /// it; bond-type-dependent add probabilities `1 − e^{−2K}`). Returns
-    /// the cluster size. Draw for draw the update of the crate docs
-    /// ("Wolff update").
+    /// the cluster size. Takes two draws from `rng`, the seed and the key
+    /// its bonds decide on (see the crate docs, "Wolff update").
     #[qmc_hot::hot]
     pub fn wolff_update<R: Rng64>(&mut self, rng: &mut R) -> usize {
         let _span = qmc_obs::span("tfim.wolff");
+        let seed = rng.index(self.spins.len());
+        let key = rng.next_u64();
         let size = if self.model.ly > 1 {
-            self.flip_cluster::<true, R>(rng)
+            self.flip_cluster::<true>(seed, key)
         } else {
-            self.flip_cluster::<false, R>(rng)
+            self.flip_cluster::<false>(seed, key)
         };
         // A Wolff update always flips its (≥ 1 site) cluster.
         self.spins_dirty = true;
@@ -419,124 +441,152 @@ impl SerialTfim {
         size
     }
 
-    /// Grows a cluster from a random seed, flipping every site as it is
-    /// pushed, and returns its size. A site's bonds are tried in the order
-    /// +x, −x, (+y, −y,) +t, −t and sites are taken last in, first out.
+    /// Grows the cluster of `seed` over the bonds keyed by `key`, flipping
+    /// every site as it joins, and returns its size. Sites are taken first
+    /// in, first out, and every neighbour's bond is decided whether or not
+    /// it is live: the neighbour joins on `live & (draw < thr)`, its spin
+    /// and the ring slot past the tail are written either way, and the
+    /// tail moves on a hit.
     #[qmc_hot::hot]
-    fn flip_cluster<const SQUARE: bool, R: Rng64>(&mut self, rng: &mut R) -> usize {
+    fn flip_cluster<const SQUARE: bool>(&mut self, seed: usize, key: u64) -> usize {
         let (lx, ly) = (self.model.lx, self.model.ly);
         let (slice, n) = (lx * ly, self.spins.len());
         let (thr_s, thr_t) = (self.wolff_thr_space, self.wolff_thr_time);
-        let (spins, stack) = (&mut self.spins[..], &mut self.stack);
+        let per_site: u64 = if SQUARE { 3 } else { 2 };
+        // Each direction's step of a member word, within the lattice and
+        // across its wrap.
+        let (lx, ly, slice, n) = (lx as isize, ly as isize, slice as isize, n as isize);
+        let east = (step(1, 1, 0), step(1 - lx, 1 - lx, 0));
+        let west = (step(-1, -1, 0), step(lx - 1, lx - 1, 0));
+        let north = (step(lx, 0, 1), step(lx - slice, 0, 1 - ly));
+        let south = (step(-lx, 0, -1), step(slice - lx, 0, ly - 1));
+        let up = (step(slice, 0, 0), step(slice - n, 0, 0));
+        let down = (step(-slice, 0, 0), step(n - slice, 0, 0));
+        // The bonds of owner `o` are outputs 0..=d of `key` moved on
+        // `(d + 1)·o` ([`SplitMix64::advance`]), one multiply per site; a
+        // backward neighbour owns the bond to it, and its key is the
+        // site's moved on by the same step.
+        let moved = |sites: isize| SplitMix64::advance(0, per_site.wrapping_mul(sites as u64));
+        let west_key = (moved(-1), moved(lx - 1));
+        let south_key = (moved(-lx), moved(slice - lx));
+        let down_key = (moved(-slice), moved(n - slice));
+        let (lx, ly, slice, n) = (lx as usize, ly as usize, slice as usize, n as usize);
+        let (spins, ring) = (&mut self.spins[..], &mut self.ring);
 
-        let seed = rng.index(n);
         // The only divisions of an update; every later coordinate is a
         // neighbour's, one step from a known one.
         let in_slice = seed % slice;
         let s = spins[seed];
         spins[seed] = -s;
-        stack[0] = Member {
-            site: seed as u32,
-            x: (in_slice % lx) as u16,
-            y: (in_slice / lx) as u16,
-        };
-        let (mut top, mut size) = (1, 0);
-        while top > 0 {
-            top -= 1;
-            size += 1;
-            let Member { site, x, y } = stack[top];
-            if stack.len() < top + PUSHES {
-                stack.resize(2 * stack.len(), Member::default());
+        ring[0] = member(seed, in_slice % lx, in_slice / lx);
+        let (mut head, mut tail) = (0, 1);
+        while head < tail {
+            if tail - head + PUSHES > ring.len() {
+                grow(ring, head, tail);
             }
-            let at = site as usize;
-            // A neighbour that still reads `s` is outside the cluster (a
-            // member was flipped when it was pushed): its bond is live and
-            // consumes one draw. The slot above the top is written either
-            // way; the top moves only on a hit.
-            let mut try_bond = |to: usize, x: u16, y: u16, thr: u64| {
-                if spins[to] == s {
-                    let hit = (rng.next_u64() >> 11) < thr;
-                    spins[to] = if hit { -s } else { s };
-                    stack[top] = Member {
-                        site: to as u32,
-                        x,
-                        y,
-                    };
-                    top += usize::from(hit);
-                }
+            let ring = &mut ring[..];
+            let mask = ring.len() - 1;
+            let w = ring[head & mask];
+            head += 1;
+            let (at, x, y) = (w as u32 as usize, (w >> 32) as u16, (w >> 48) as u16);
+            let own = SplitMix64::advance(key, per_site * at as u64);
+            let owner = |wrap: bool, (inside, across): (u64, u64)| {
+                own.wrapping_add(if wrap { across } else { inside })
             };
-            if usize::from(x) + 1 == lx {
-                try_bond(at + 1 - lx, 0, y, thr_s);
-            } else {
-                try_bond(at + 1, x + 1, y, thr_s);
-            }
-            if x == 0 {
-                try_bond(at + lx - 1, (lx - 1) as u16, y, thr_s);
-            } else {
-                try_bond(at - 1, x - 1, y, thr_s);
-            }
+            let mut try_bond = |wrap: bool, (inside, across): (u64, u64), key, dir, thr| {
+                let to = w.wrapping_add(if wrap { across } else { inside });
+                let v = spins[to as u32 as usize];
+                let hit = (v == s) & ((SplitMix64::at(key, dir) >> 11) < thr);
+                spins[to as u32 as usize] = if hit { -s } else { v };
+                ring[tail & mask] = to;
+                tail += usize::from(hit);
+            };
+            let (east_end, west_end) = (usize::from(x) + 1 == lx, x == 0);
+            try_bond(east_end, east, own, 0, thr_s);
+            try_bond(west_end, west, owner(west_end, west_key), 0, thr_s);
             if SQUARE {
-                if usize::from(y) + 1 == ly {
-                    try_bond(at + lx - slice, x, 0, thr_s);
-                } else {
-                    try_bond(at + lx, x, y + 1, thr_s);
-                }
-                if y == 0 {
-                    try_bond(at + slice - lx, x, (ly - 1) as u16, thr_s);
-                } else {
-                    try_bond(at - lx, x, y - 1, thr_s);
-                }
+                let (north_end, south_end) = (usize::from(y) + 1 == ly, y == 0);
+                try_bond(north_end, north, own, 1, thr_s);
+                try_bond(south_end, south, owner(south_end, south_key), 1, thr_s);
             }
-            let up = if at + slice >= n {
-                at + slice - n
-            } else {
-                at + slice
-            };
-            try_bond(up, x, y, thr_t);
-            let down = if at < slice {
-                at + n - slice
-            } else {
-                at - slice
-            };
-            try_bond(down, x, y, thr_t);
+            let (top, bottom) = (at + slice >= n, at < slice);
+            try_bond(top, up, own, per_site - 1, thr_t);
+            try_bond(bottom, down, owner(bottom, down_key), per_site - 1, thr_t);
         }
-        size
+        tail
     }
 
-    /// The update [`Self::wolff_update`] replaced — a membership array,
-    /// coordinates by division, `bernoulli` per bond, sites flipped as
-    /// they are popped — kept as the oracle it is compared against.
+    /// The keyed update decided bond by bond, the oracle
+    /// [`Self::wolff_update`] is compared against: the same two draws,
+    /// then every bond between two equal spins decided as `bernoulli`
+    /// would decide it on its keyed draw, and the seed's component over
+    /// the open bonds — found by union-find, marked in a membership array
+    /// — flipped.
     #[cfg(test)]
     fn wolff_update_scalar<R: Rng64>(&mut self, rng: &mut R) -> usize {
+        fn root(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
         let n = self.spins.len();
         let seed = rng.index(n);
-        let p_s = 1.0 - (-2.0 * self.c.k_space).exp();
-        let p_t = 1.0 - (-2.0 * self.c.k_time).exp();
-
-        let mut in_cluster = vec![false; n];
-        let mut stack = vec![seed];
-        in_cluster[seed] = true;
-        let mut size = 0usize;
-
-        while let Some(site) = stack.pop() {
-            size += 1;
-            let (x, y, t) = self.coords(site);
-            let s = self.spins[site];
-            for (nb, is_t) in self.neighbors(x, y, t) {
-                if nb == usize::MAX || in_cluster[nb] || self.spins[nb] != s {
-                    continue;
-                }
-                let p = if is_t { p_t } else { p_s };
-                if rng.bernoulli(p) {
-                    in_cluster[nb] = true;
-                    stack.push(nb);
+        let key = rng.next_u64();
+        let mut parent: Vec<usize> = (0..n).collect();
+        for owner in 0..n {
+            for (dir, to) in self.forward(owner).into_iter().enumerate() {
+                if self.spins[to] == self.spins[owner] && self.bond_open(key, owner, dir) {
+                    let (a, b) = (root(&mut parent, owner), root(&mut parent, to));
+                    parent[a] = b;
                 }
             }
-            self.spins[site] = -s;
+        }
+        let cluster = root(&mut parent, seed);
+        let in_cluster: Vec<bool> = (0..n).map(|i| root(&mut parent, i) == cluster).collect();
+        let mut size = 0;
+        for (s, _) in self
+            .spins
+            .iter_mut()
+            .zip(&in_cluster)
+            .filter(|(_, &hit)| hit)
+        {
+            *s = -*s;
+            size += 1;
         }
         self.spins_dirty = true;
         self.metrics.record_named("tfim.wolff_cluster", size as u64);
         size
+    }
+
+    /// The neighbours across the bonds `site` owns, by `dir`: +x, (+y,)
+    /// +t.
+    #[cfg(test)]
+    fn forward(&self, site: usize) -> Vec<usize> {
+        let m = &self.model;
+        let (x, y, t) = self.coords(site);
+        let mut to = vec![self.idx((x + 1) % m.lx, y, t)];
+        if m.ly > 1 {
+            to.push(self.idx(x, (y + 1) % m.ly, t));
+        }
+        to.push(self.idx(x, y, (t + 1) % m.m));
+        to
+    }
+
+    /// Whether bond `dir` of `owner` opens on the draws keyed by `key`:
+    /// `bernoulli(1 − e^{−2K})` of the bond's kind on output
+    /// `(d + 1)·owner + dir`, whatever the spins it joins.
+    #[cfg(test)]
+    fn bond_open(&self, key: u64, owner: usize, dir: usize) -> bool {
+        let per_site = if self.model.ly > 1 { 3 } else { 2 };
+        let k = if dir + 1 == per_site {
+            self.c.k_time
+        } else {
+            self.c.k_space
+        };
+        let draw = SplitMix64::at(key, (per_site * owner + dir) as u64);
+        qmc_rng::unit_f64(draw) < 1.0 - (-2.0 * k).exp()
     }
 
     /// The raw spacetime configuration, indexed `(t·ly + y)·lx + x`.
@@ -1249,6 +1299,65 @@ mod tests {
                 let hist = |eng: &SerialTfim| format!("{:?}", eng.metrics.hists());
                 assert_eq!(hist(&fast), hist(&slow), "{m:?} seed {seed}");
                 assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
+            }
+        }
+    }
+
+    /// The cluster a depth-first walk over the keyed bonds grows from
+    /// `seed`: a membership array, sites taken last in, first out, and
+    /// each site's bonds tried in the reverse of the kernel's order — the
+    /// ones other sites own towards it (−t, (−y,) −x), then its own.
+    fn depth_first_cluster(eng: &SerialTfim, seed: usize, key: u64) -> Vec<bool> {
+        let m = &eng.model;
+        let s = eng.spins[seed];
+        let mut in_cluster = vec![false; eng.spins.len()];
+        in_cluster[seed] = true;
+        let mut stack = vec![seed];
+        while let Some(site) = stack.pop() {
+            let (x, y, t) = eng.coords(site);
+            let mut backward = vec![eng.idx((x + m.lx - 1) % m.lx, y, t)];
+            if m.ly > 1 {
+                backward.push(eng.idx(x, (y + m.ly - 1) % m.ly, t));
+            }
+            backward.push(eng.idx(x, y, (t + m.m - 1) % m.m));
+            let theirs = backward.into_iter().enumerate().map(|(dir, o)| (o, o, dir));
+            let ours = eng.forward(site).into_iter().enumerate();
+            let bonds: Vec<_> = theirs
+                .chain(ours.map(|(dir, to)| (to, site, dir)))
+                .collect();
+            for (to, owner, dir) in bonds.into_iter().rev() {
+                if !in_cluster[to] && eng.spins[to] == s && eng.bond_open(key, owner, dir) {
+                    in_cluster[to] = true;
+                    stack.push(to);
+                }
+            }
+        }
+        in_cluster
+    }
+
+    #[test]
+    fn a_depth_first_walk_over_the_keyed_bonds_builds_the_same_cluster() {
+        // The bonds decide on their own draws, so the cluster is one of
+        // (seed, key, spins) whatever order a walk takes them in.
+        for m in wolff_models() {
+            let mut eng = SerialTfim::new(m);
+            let mut rng = Xoshiro256StarStar::new(71);
+            for sweep in 0..6 {
+                eng.metropolis_sweep(&mut rng);
+                for _ in 0..3 {
+                    let mut peek = rng.clone();
+                    let (seed, key) = (peek.index(eng.spins.len()), peek.next_u64());
+                    let in_cluster = depth_first_cluster(&eng, seed, key);
+                    let want: Vec<i8> = eng
+                        .spins
+                        .iter()
+                        .zip(&in_cluster)
+                        .map(|(&s, &hit)| if hit { -s } else { s })
+                        .collect();
+                    let size = eng.wolff_update(&mut rng);
+                    assert!(eng.spins == want, "{m:?} sweep {sweep}");
+                    assert_eq!(size, in_cluster.iter().filter(|&&hit| hit).count());
+                }
             }
         }
     }
