@@ -85,29 +85,33 @@ const CHAIN_MODEL: TfimModel = TfimModel {
     m: 8,
 };
 
-/// Moved on purpose twice. When TFIM checkpoints began to state J, h and
-/// β, the `engine:model` row was new, and the `engine`, `series` and
+/// Moved on purpose three times. When TFIM checkpoints began to state J,
+/// h and β, the `engine:model` row was new, and the `engine`, `series` and
 /// `series:head` rows grew by those three numbers. On commit ccaf36f,
 /// when `SerialTfim`'s Metropolis sweeps moved to keyed draws, the
 /// `engine:key` row (key flag, key, sweep counter) was new and every row
 /// but `engine:model` and `series:head` was recorded again, on a run of
 /// the site-by-site keyed oracle in place of the kernel: the trajectory,
 /// and with it the spins, counters, series and generator state, is
-/// another one.
+/// another one. On commit dc390cc, when its Wolff updates moved to keyed
+/// bonds (a seed and a key per update), every row but `engine:model`,
+/// `engine:key` and `series:head` was recorded again the same way, on a
+/// run of the union-find oracle (`wolff_update_scalar`) in place of the
+/// cluster kernel; no length moved.
 #[rustfmt::skip]
 const SERIAL_TFIM: &[Pin] = &[
-    ("engine", 815, 0x2ae8a388),
+    ("engine", 815, 0x6dae659f),
     ("engine:model", 66, 0x5c96b93d),
     ("engine:key", 51, 0xcdbf3580),
-    ("engine:spins", 106, 0x80cd2c02),
-    ("engine:metrics", 694, 0xac140ef6),
-    ("series", 4891, 0xf9764d7e),
-    ("series:rows/0", 2115, 0x98938a98),
-    ("series:rows/1", 2115, 0x96ba80a8),
-    ("series:rows/2", 771, 0x3828c209),
+    ("engine:spins", 106, 0x2f9fc6bd),
+    ("engine:metrics", 694, 0x8bfaec56),
+    ("series", 4891, 0x20b78620),
+    ("series:rows/0", 2115, 0x0e055b30),
+    ("series:rows/1", 2115, 0x30bad1c7),
+    ("series:rows/2", 771, 0xb9bfc2f7),
     ("series:head", 67, 0x50210d80),
-    ("rng", 64, 0xbb620e43),
-    ("rng:state", 64, 0xbb620e43),
+    ("rng", 64, 0x9f18dae7),
+    ("rng:state", 64, 0x9f18dae7),
 ];
 
 #[test]

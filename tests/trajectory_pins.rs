@@ -39,7 +39,13 @@
 //! when its Metropolis sweeps moved to the same keyed draws: same cases
 //! and seeds, literals recorded from the site-by-site keyed oracle
 //! (`metropolis_sweep_scalar`) running the engine in place of the kernel.
-//! The draws column counts the key and every Wolff draw; a Metropolis-only
+//! Its rows that run Wolff updates were replaced again, on commit
+//! dc390cc, when every bond of a cluster began to decide on its
+//! own keyed draw: same cases and seeds, literals recorded from the
+//! union-find oracle (`wolff_update_scalar`, which decides every bond and
+//! flips the seed's component) running the engine in place of the cluster
+//! kernel. The Metropolis-only rows held. The draws column counts the key
+//! plus two per Wolff update (its seed and its key); a Metropolis-only
 //! row reads 1.
 //!
 //! The `PackedReplicas` row was recorded on commit 9114e64, where the
@@ -160,15 +166,15 @@ type SerialCase = (TfimModel, u64, usize, usize, usize, Pin);
 #[rustfmt::skip]
 const SERIAL: &[SerialCase] = &[
     (model(4, 1, 1.0, 1.0, 8), 11, 10, 40, 0, pin(0x1d083e1f8928f797, 0x3eb5d26ee300f1a5, 1, 172, 1600)),
-    (model(4, 1, 0.7, 2.0, 16), 12, 10, 40, 2, pin(0xa34d6c7ceded4dbe, 0x94dd72ca88227f5b, 9404, 138, 3200)),
-    (model(6, 1, 1.3, 1.7, 6), 13, 10, 40, 1, pin(0xf58978343b5d6578, 0x5ee0060ee8c7bbdb, 1386, 428, 1800)),
-    (model(64, 1, 1.0, 16.0, 128), 14, 5, 20, 1, pin(0xcc9e0ba1221d5cc3, 0xaca0dc216ac07c9b, 189308, 21418, 204800)),
+    (model(4, 1, 0.7, 2.0, 16), 12, 10, 40, 2, pin(0xb7911c17e171b46b, 0xba2d04c70870a7a5, 201, 204, 3200)),
+    (model(6, 1, 1.3, 1.7, 6), 13, 10, 40, 1, pin(0x5266aab9f7d74373, 0x894e4daf4e0380db, 101, 443, 1800)),
+    (model(64, 1, 1.0, 16.0, 128), 14, 5, 20, 1, pin(0x4bc770bca475ccce, 0x4ca7d2314e3af525, 51, 20306, 204800)),
     (model(64, 1, 1.0, 4.0, 16), 15, 5, 20, 0, pin(0x7a9e5d2801a1dca4, 0xd100c16ab94d3665, 1, 3292, 25600)),
-    (model(64, 1, 0.4, 2.0, 8), 16, 5, 20, 2, pin(0xe104a5d122654119, 0x05f4d1c4ae6b6ddb, 20890, 279, 12800)),
+    (model(64, 1, 0.4, 2.0, 8), 16, 5, 20, 2, pin(0x057c698c4dfe0d2c, 0xe775b1170c4dbe5b, 101, 368, 12800)),
     (model(4, 4, 2.0, 1.0, 8), 17, 10, 40, 0, pin(0xe142c35138cbbc24, 0x33063f568748c4db, 1, 645, 6400)),
-    (model(6, 4, 3.0, 1.5, 6), 18, 10, 40, 1, pin(0x47e8d6071e3b2df0, 0x9057302ca2f95a25, 10595, 1732, 7200)),
-    (model(6, 6, 2.5, 1.0, 4), 19, 10, 40, 2, pin(0x445222423961d791, 0x43538d42f61f7465, 22816, 1273, 7200)),
-    (model(64, 4, 3.044, 2.0, 8), 20, 3, 12, 1, pin(0x3b374ebaebf15366, 0x759741a44e547fdb, 36344, 8392, 30720)),
+    (model(6, 4, 3.0, 1.5, 6), 18, 10, 40, 1, pin(0x94df0844e138e029, 0x20b8d2fc8b639e5b, 101, 2062, 7200)),
+    (model(6, 6, 2.5, 1.0, 4), 19, 10, 40, 2, pin(0x41badfee7bddb809, 0xaa65fb1cb463e2e5, 201, 1279, 7200)),
+    (model(64, 4, 3.044, 2.0, 8), 20, 3, 12, 1, pin(0xc1f25cf3b9e8507f, 0xea6ead59d0418de5, 31, 8943, 30720)),
     (model(64, 64, 3.044, 2.0, 32), 21, 2, 6, 0, pin(0x03e2e7b227d0d59a, 0x8ca2736ec2e2eedb, 1, 157905, 1048576)),
     // Wolff-heavy rows, first recorded on commit 7b1396d, before the
     // cluster move stepped by index arithmetic: two slices (a site's up
@@ -176,20 +182,20 @@ const SERIAL: &[SerialCase] = &[
     // are no power of two, squares with ly != lx at three clusters a
     // sweep, an ordered point (the cluster is nearly the lattice: deepest
     // stack) and a disordered one (nearly every cluster is its seed).
-    (model(4, 1, 1.0, 0.5, 2), 22, 10, 40, 3, pin(0x649d5adbc95c0921, 0xfc57d0b03a67dc25, 1273, 32, 400)),
-    (model(8, 1, 0.6, 1.0, 2), 23, 10, 40, 2, pin(0x9afd25288e83e614, 0xd1f80a32f7f5f75b, 1542, 66, 800)),
-    (model(4, 4, 1.5, 0.5, 2), 24, 10, 40, 2, pin(0xb3ac29c2a00cf125, 0x4bb6ebdb56fb3e1b, 5111, 126, 1600)),
-    (model(4, 1, 1.0, 4.0, 32), 25, 10, 40, 2, pin(0xec3fdbade0205fc6, 0xc0397599665b219b, 14452, 685, 6400)),
-    (model(6, 1, 1.0, 3.0, 12), 26, 10, 40, 2, pin(0xf87c76d903166d2b, 0xec503b07069816a5, 7975, 542, 3600)),
-    (model(10, 1, 0.9, 2.5, 10), 27, 10, 40, 2, pin(0xed10a78c68527ebe, 0x8fe0a4597cb65f65, 12496, 560, 5000)),
-    (model(10, 4, 2.5, 1.5, 6), 28, 10, 40, 3, pin(0xaa74e57acfec7e86, 0x74e52915914711db, 60308, 1919, 12000)),
-    (model(4, 6, 2.0, 2.0, 8), 29, 10, 40, 3, pin(0x179ed3fee77b54a4, 0x9af441b3ce8a739b, 49580, 1025, 9600)),
-    (model(6, 10, 3.044, 1.0, 4), 30, 10, 40, 3, pin(0x7a272733b3c52219, 0x4f9602cf81f54525, 49524, 3491, 12000)),
-    (model(16, 1, 0.1, 4.0, 16), 31, 10, 40, 2, pin(0x00ea03c21c625332, 0xf3686360e9e9b325, 38493, 15, 12800)),
-    (model(64, 1, 0.2, 8.0, 32), 32, 5, 20, 1, pin(0xc5040b548ed8313d, 0x449bbcb4bf1112a5, 78233, 171, 51200)),
-    (model(6, 6, 0.5, 2.0, 8), 33, 10, 40, 2, pin(0xe3f1bd06134a84ad, 0xee5c7d235315f125, 52515, 99, 14400)),
-    (model(16, 1, 100.0, 0.2, 8), 34, 10, 40, 2, pin(0x40a12d94f5f86e90, 0x6f502ba2e077b865, 332, 6157, 6400)),
-    (model(8, 4, 60.0, 0.3, 6), 35, 10, 40, 3, pin(0x1f63c68808d759f5, 0x33ff1a2625613725, 670, 8866, 9600)),
+    (model(4, 1, 1.0, 0.5, 2), 22, 10, 40, 3, pin(0xf733e2d85716689a, 0x01d65ddb8d0a5aa5, 301, 32, 400)),
+    (model(8, 1, 0.6, 1.0, 2), 23, 10, 40, 2, pin(0xbf43b36f8e3bca51, 0x5a6690d53d77f9db, 201, 58, 800)),
+    (model(4, 4, 1.5, 0.5, 2), 24, 10, 40, 2, pin(0xda9d31d93392c799, 0x077aa3b5c2f80125, 201, 131, 1600)),
+    (model(4, 1, 1.0, 4.0, 32), 25, 10, 40, 2, pin(0x50fd1905c8f5c3f4, 0x0884b37ae756011b, 201, 615, 6400)),
+    (model(6, 1, 1.0, 3.0, 12), 26, 10, 40, 2, pin(0xd86e5e66617984ca, 0x9b638aa7db83d5db, 201, 676, 3600)),
+    (model(10, 1, 0.9, 2.5, 10), 27, 10, 40, 2, pin(0x5d1d0e8a76ab9479, 0xcaf7cbe0242fa2a5, 201, 543, 5000)),
+    (model(10, 4, 2.5, 1.5, 6), 28, 10, 40, 3, pin(0x6a8d713314287915, 0x9350c356bb0652e5, 301, 2281, 12000)),
+    (model(4, 6, 2.0, 2.0, 8), 29, 10, 40, 3, pin(0x13c023635791a3ea, 0x42400fbad6559125, 301, 949, 9600)),
+    (model(6, 10, 3.044, 1.0, 4), 30, 10, 40, 3, pin(0xd3714a44a09d59c5, 0x9cfc983ce189025b, 301, 3736, 12000)),
+    (model(16, 1, 0.1, 4.0, 16), 31, 10, 40, 2, pin(0x612449c056c1e695, 0xf3686360e9e9b325, 201, 12, 12800)),
+    (model(64, 1, 0.2, 8.0, 32), 32, 5, 20, 1, pin(0x0a60c731cae0a1e3, 0x1c4237b14059a325, 51, 228, 51200)),
+    (model(6, 6, 0.5, 2.0, 8), 33, 10, 40, 2, pin(0xa9931b43f66a010a, 0xcfdd142e57fb87a5, 201, 78, 14400)),
+    (model(16, 1, 100.0, 0.2, 8), 34, 10, 40, 2, pin(0xb59eba102c1c0ca5, 0x51ad851187a86325, 201, 6163, 6400)),
+    (model(8, 4, 60.0, 0.3, 6), 35, 10, 40, 3, pin(0xc38bee0b91e944ab, 0xb1a6535b67ff09e5, 301, 8812, 9600)),
 ];
 
 fn run_serial(&(model, seed, therm, sweeps, wolff, _): &SerialCase) -> Pin {
