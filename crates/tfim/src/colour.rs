@@ -455,12 +455,12 @@ impl Layout {
         block: &Block,
     ) -> u64 {
         let &Block { a, n, pitch, .. } = block;
-        // Where row `y` of slice `t` starts, the draw index of its column
-        // `a`, and the column (0 or 1, from `a`) of its first colour site.
+        // Where row `y` of slice `t` starts at column `a`, that column's
+        // draw index, and the column (0 or 1, from `a`) of its first
+        // colour site.
         let place = |t: usize, y: usize| {
-            let cur = t * self.slice_stride + self.origin + y * self.row_stride + a;
-            let at = draws.at(t, y, a);
-            (cur, at, (block.colour + self.parity + y + t + a) % 2)
+            let row = self.row(t, y, block.colour);
+            (row.cur + a, draws.at(t, y, a), (row.first + a) % 2)
         };
         let (mut t, mut y) = (block.r0 / self.rows, block.r0 % self.rows);
         let (mut cur, mut row_at, mut first) = place(t, y);

@@ -545,16 +545,12 @@ impl SerialTfim {
         }
         let cluster = root(&mut parent, seed);
         let in_cluster: Vec<bool> = (0..n).map(|i| root(&mut parent, i) == cluster).collect();
-        let mut size = 0;
-        for (s, _) in self
-            .spins
-            .iter_mut()
-            .zip(&in_cluster)
-            .filter(|(_, &hit)| hit)
-        {
-            *s = -*s;
-            size += 1;
+        for (s, &hit) in self.spins.iter_mut().zip(&in_cluster) {
+            if hit {
+                *s = -*s;
+            }
         }
+        let size = in_cluster.iter().filter(|&&hit| hit).count();
         self.spins_dirty = true;
         self.metrics.record_named("tfim.wolff_cluster", size as u64);
         size
@@ -1305,8 +1301,8 @@ mod tests {
 
     /// The cluster a depth-first walk over the keyed bonds grows from
     /// `seed`: a membership array, sites taken last in, first out, and
-    /// each site's bonds tried in the reverse of the kernel's order — the
-    /// ones other sites own towards it (−t, (−y,) −x), then its own.
+    /// each site's bonds tried in the order +t, (+y,) +x, then −t, (−y,)
+    /// −x, the ones its neighbours own — not the kernel's order.
     fn depth_first_cluster(eng: &SerialTfim, seed: usize, key: u64) -> Vec<bool> {
         let m = &eng.model;
         let s = eng.spins[seed];
@@ -1320,12 +1316,12 @@ mod tests {
                 backward.push(eng.idx(x, (y + m.ly - 1) % m.ly, t));
             }
             backward.push(eng.idx(x, y, (t + m.m - 1) % m.m));
-            let theirs = backward.into_iter().enumerate().map(|(dir, o)| (o, o, dir));
-            let ours = eng.forward(site).into_iter().enumerate();
-            let bonds: Vec<_> = theirs
-                .chain(ours.map(|(dir, to)| (to, site, dir)))
-                .collect();
-            for (to, owner, dir) in bonds.into_iter().rev() {
+            let ours = eng.forward(site).into_iter().enumerate().rev();
+            let theirs = backward.into_iter().enumerate().rev();
+            let bonds = ours
+                .map(|(dir, to)| (to, site, dir))
+                .chain(theirs.map(|(dir, owner)| (owner, owner, dir)));
+            for (to, owner, dir) in bonds {
                 if !in_cluster[to] && eng.spins[to] == s && eng.bond_open(key, owner, dir) {
                     in_cluster[to] = true;
                     stack.push(to);
@@ -1345,7 +1341,7 @@ mod tests {
             for sweep in 0..6 {
                 eng.metropolis_sweep(&mut rng);
                 for _ in 0..3 {
-                    let mut peek = rng.clone();
+                    let mut peek = rng;
                     let (seed, key) = (peek.index(eng.spins.len()), peek.next_u64());
                     let in_cluster = depth_first_cluster(&eng, seed, key);
                     let want: Vec<i8> = eng

@@ -137,9 +137,10 @@ fn serial_tfim_sweep_is_allocation_free() {
 #[test]
 fn serial_tfim_recorded_sweep_is_allocation_free() {
     // What `SerialTfim::run` does per sweep, at the benchmark's critical
-    // chain, where a cluster is a third of the lattice. The Wolff stack is
-    // not sized to the lattice: it doubles up to the deepest cluster a run
-    // has met, so the warm-up (fixed seed) is what brings it to size.
+    // chain, where a cluster is a third of the lattice. The Wolff ring is
+    // not sized to the lattice: it doubles up to the longest queue of
+    // cluster sites a run has met, so the warm-up (fixed seed) is what
+    // brings it to size.
     let model = TfimModel {
         lx: 64,
         ly: 1,
@@ -157,6 +158,35 @@ fn serial_tfim_recorded_sweep_is_allocation_free() {
         eng.wolff_update(&mut rng);
         energy += eng.measure().energy_per_site;
     });
+    assert!(energy.is_finite());
+}
+
+#[test]
+fn serial_tfim_square_recorded_sweep_is_allocation_free() {
+    // The same per-sweep work on a square near its critical field, where
+    // the cluster walk takes the `±y` steps a chain never does and its
+    // queue of sites is a cluster's surface, not a chain's two ends.
+    let model = TfimModel {
+        lx: 16,
+        ly: 16,
+        j: 1.0,
+        h: 3.044,
+        beta: 2.0,
+        m: 16,
+    };
+    let mut eng = SerialTfim::new(model);
+    let mut rng = Xoshiro256StarStar::new(31);
+    let _ = eng.run(&mut rng, 400, 0, 1);
+    let mut energy = 0.0;
+    assert_steady_state_clean(
+        "SerialTfim 16x16: Metropolis + Wolff + measure",
+        200,
+        || {
+            eng.metropolis_sweep(&mut rng);
+            eng.wolff_update(&mut rng);
+            energy += eng.measure().energy_per_site;
+        },
+    );
     assert!(energy.is_finite());
 }
 
