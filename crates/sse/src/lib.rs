@@ -34,6 +34,45 @@
 //! loop start knows the leg is taken, and what the free-spin pass reads
 //! to tell whether a site's spin flipped.
 //!
+//! # Draws
+//!
+//! A sweep takes one draw from its generator, its key
+//! `key = rng.next_u64()`, and every decision in it reads its own output
+//! of the SplitMix64 stream that key seeds,
+//! [`qmc_rng::SplitMix64::at`]`(key, index)`. With `M` the cutoff and `N`
+//! the site count, the indices are:
+//!
+//! | index                 | decision                                          |
+//! |-----------------------|---------------------------------------------------|
+//! | `2p`                  | slot `p`'s bond                                   |
+//! | `2p + 1`              | slot `p`'s insert or remove                       |
+//! | `2M + v`              | the coin of the loop whose smallest leg is `v`    |
+//! | `6M + s`              | free site `s`'s coin                              |
+//! | `6M + N + t·M + p`    | slot `p`'s bond, `t`-th retry (`t = 0, 1, …`)     |
+//!
+//! A bond is the high word of `raw · N_b` (Lemire's multiply-high), and
+//! its low word is checked so the choice is exactly uniform: a draw whose
+//! low word falls below `2⁶⁴ mod N_b` (probability below `N_b·2⁻⁶⁴`, and
+//! never for a power-of-two `N_b`) retries on the reserved range. An
+//! insert or remove compares `raw >> 11` with an integer threshold
+//! ([`qmc_rng::threshold`]), the predicate `metropolis` evaluates on
+//! `raw`; a coin is heads when `raw >> 11 < 2⁵²` (`bernoulli(0.5)`).
+//!
+//! Because no draw depends on an earlier outcome, the diagonal pass and
+//! the free-spin pass resolve without a branch: every slot computes its
+//! bond, reads its acceptance and writes its operator, the operator
+//! count, both state flips and its occupied-list entry from masks. And a
+//! loop is a function of `(key, string)`, whatever order builds it: the
+//! loop pass scans legs in increasing order, so the leg it starts a loop
+//! from is that loop's smallest, and a union-find over the legs (the
+//! test module's) flips the same loops.
+//!
+//! Checkpoints hold no draw state beyond the generator's. A store written
+//! before sweeps took keyed draws (whose in-order draws depended on each
+//! slot's outcome) resumes into a correct chain from the same
+//! configuration, so it is right in distribution, but its continuation
+//! is not the one the older build would have produced bit for bit.
+//!
 //! Estimators: `⟨H⟩ = −⟨n⟩/β + N_b J/4`,
 //! `C = ⟨n²⟩ − ⟨n⟩² − ⟨n⟩`, uniform χ from the conserved magnetization,
 //! and the staggered structure factor from `|α⟩`.
@@ -54,7 +93,7 @@
 #![warn(missing_docs)]
 
 use qmc_lattice::{DoubledRing, Lattice};
-use qmc_rng::Rng64;
+use qmc_rng::{threshold, Rng64, SplitMix64};
 
 /// Encoded operator: `-1` = identity, else `2·bond + (0 diag | 1 offdiag)`.
 type Op = i64;
@@ -67,6 +106,41 @@ const IDENTITY: Op = -1;
 /// marks its legs `KEEP − flip`.
 const KEEP: i64 = -1;
 const FLIP: i64 = -2;
+
+/// `if c { a } else { b }` from a mask, so the choice takes no branch.
+#[inline(always)]
+fn select(c: bool, a: Op, b: Op) -> Op {
+    b ^ ((a ^ b) & -Op::from(c))
+}
+
+/// A coin on a raw draw, as `bernoulli(0.5)` decides it: heads when
+/// `raw >> 11 < 2⁵²`, which is the top bit clear.
+#[inline(always)]
+fn heads(raw: u64) -> bool {
+    raw >> 63 == 0
+}
+
+/// The first output of a sweep's key past its slots' `2M`, its loops'
+/// `4M` and its free sites' `N`: where the bond retries begin.
+fn bond_retries(m: usize, n_sites: usize) -> u64 {
+    (6 * m + n_sites) as u64
+}
+
+/// Slot `p`'s bond after its own draw was rejected: the first of outputs
+/// `retries + t·M + p` (`t = 0, 1, …`) whose low word of `raw · nb` is not
+/// below `reject = 2⁶⁴ mod nb`, taken by its high word. Each retry is
+/// rejected with probability below `nb·2⁻⁶⁴`.
+#[cold]
+fn retry_bond(key: u64, retries: u64, m: usize, p: usize, nb: u64, reject: u64) -> usize {
+    let mut index = retries + p as u64;
+    loop {
+        let wide = u128::from(SplitMix64::at(key, index)) * u128::from(nb);
+        if wide as u64 >= reject {
+            return (wide >> 64) as usize;
+        }
+        index += m as u64;
+    }
+}
 
 /// SSE engine for the isotropic Heisenberg antiferromagnet (`J > 0`).
 #[derive(Debug, Clone)]
@@ -82,12 +156,12 @@ pub struct Sse {
     ops: Vec<Op>,
     /// Non-identity operator count.
     n_ops: usize,
-    /// `prob_insert[k] = β·N_b·(J/2)/k`, indexed by the free-slot count
-    /// `k = M − n` — the diagonal-insert acceptance probability with the
-    /// division taken out of the sweep loop.
-    prob_insert: Vec<f64>,
-    /// `prob_remove[k] = k/(β·N_b·(J/2))`, indexed by `k = M − n + 1`.
-    prob_remove: Vec<f64>,
+    /// Diagonal acceptance thresholds on `raw >> 11`, `2(M + 1)` entries
+    /// indexed `(k << 1) | is_identity` by the free-slot count `k = M − n`:
+    /// `thresholds[2k + 1] = threshold(β·N_b·(J/2)/k)` inserts an operator
+    /// into an identity slot, `thresholds[2k] = threshold((k + 1)/(β·N_b·(J/2)))`
+    /// removes a diagonal one.
+    thresholds: Vec<u64>,
     /// `M` entries; after a diagonal pass the first `n` are the slots that
     /// hold an operator, in increasing order — all the link and loop
     /// passes walk.
@@ -230,8 +304,7 @@ impl Sse {
             state,
             ops: vec![IDENTITY; cutoff],
             n_ops: 0,
-            prob_insert: Vec::new(),
-            prob_remove: Vec::new(),
+            thresholds: Vec::new(),
             occupied: Vec::new(),
             links: Vec::new(),
             vfirst: vec![-1; n_sites],
@@ -244,26 +317,26 @@ impl Sse {
     }
 
     /// Size what the cutoff `M` sizes; called whenever it changes, so a
-    /// sweep never allocates. The per-free-slot-count diagonal probability
-    /// tables are rebuilt, each entry with exactly the f64 expression the
-    /// sweep loop previously evaluated in place, so fixed-seed trajectories
-    /// are bit-identical. The occupied list takes `M` entries and the link
-    /// table grows to `4M` legs (it never shrinks: legs past `4M` are
-    /// identity legs of no slot, and nothing reads those).
+    /// sweep never allocates. The diagonal thresholds are rebuilt, each the
+    /// [`threshold`] of the acceptance ratio's f64 expression, so an
+    /// integer comparison decides exactly as `metropolis` of that ratio
+    /// would. The occupied list takes `M` entries and the link table grows
+    /// to `4M` legs (it never shrinks: legs past `4M` are identity legs of
+    /// no slot, and nothing reads those).
     fn fit_to_cutoff(&mut self) {
         let m = self.ops.len();
         assert!(
             u32::try_from(m).is_ok(),
             "an operator string of {m} slots does not fit the u32 occupied list"
         );
-        let nb = self.bonds.len() as f64;
-        let half_j = self.j / 2.0;
-        self.prob_insert.clear();
-        self.prob_insert
-            .extend((0..=m).map(|k| self.beta * nb * half_j / k as f64));
-        self.prob_remove.clear();
-        self.prob_remove
-            .extend((0..=m).map(|k| k as f64 / (self.beta * nb * half_j)));
+        let weight = self.beta * self.bonds.len() as f64 * (self.j / 2.0);
+        self.thresholds.clear();
+        self.thresholds.extend((0..=m).flat_map(|k| {
+            [
+                threshold((k + 1) as f64 / weight),
+                threshold(weight / k as f64),
+            ]
+        }));
         self.occupied.resize(m, 0);
         if self.links.len() < 4 * m {
             self.links.resize(4 * m, KEEP);
@@ -283,55 +356,67 @@ impl Sse {
     /// Diagonal update: insert/remove diagonal operators at fixed state
     /// propagation, flipping through off-diagonal vertices. Lists the
     /// slots that end the pass holding an operator in `occupied[..n]`.
+    ///
+    /// Every slot reads its bond (output `2p` of the sweep's `key`) and its
+    /// acceptance (`2p + 1`) whatever it holds, and resolves without a
+    /// branch: an identity slot takes the bond on `anti & accept`, a
+    /// diagonal operator leaves on `accept`, an off-diagonal one flips its
+    /// two sites, and the operator, the count, both sites and the list
+    /// entry are written either way.
     #[qmc_hot::hot]
-    fn diagonal_update<R: Rng64>(&mut self, rng: &mut R) {
+    fn diagonal_update(&mut self, key: u64) {
         let m = self.ops.len();
-        debug_assert!(self.prob_insert.len() == m + 1, "stale probability tables");
+        debug_assert!(
+            self.thresholds.len() == 2 * (m + 1),
+            "stale threshold table"
+        );
         debug_assert!(
             self.occupied.len() == m,
             "occupied list not fitted to the cutoff"
         );
-        let mut listed = 0;
-        for p in 0..m {
-            let occupied = match self.ops[p] {
-                IDENTITY => {
-                    let b = rng.index(self.bonds.len());
-                    let (i, jj) = self.bonds[b];
-                    let anti = self.state[i as usize] != self.state[jj as usize];
-                    // lint: allow(hot-scalar-spin-loop) — reference SSE diagonal update (operator-string algorithm, not spin-parallel)
-                    let insert = anti && rng.metropolis(self.prob_insert[m - self.n_ops]);
-                    if insert {
-                        self.ops[p] = 2 * b as Op;
-                        self.n_ops += 1;
-                        self.ops_dirty = true;
-                    }
-                    insert
-                }
-                op if op % 2 == 0 => {
-                    let prob = self.prob_remove[m - self.n_ops + 1];
-                    // lint: allow(hot-scalar-spin-loop) — reference SSE diagonal update (operator-string algorithm, not spin-parallel)
-                    let remove = rng.metropolis(prob);
-                    if remove {
-                        self.ops[p] = IDENTITY;
-                        self.n_ops -= 1;
-                        self.ops_dirty = true;
-                    }
-                    !remove
-                }
-                op => {
-                    // Off-diagonal: propagate the state.
-                    let b = (op / 2) as usize;
-                    let (i, jj) = self.bonds[b];
-                    self.state[i as usize] = !self.state[i as usize];
-                    self.state[jj as usize] = !self.state[jj as usize];
-                    true
-                }
+        let nb = self.bonds.len() as u64;
+        let reject = nb.wrapping_neg() % nb;
+        let retries = bond_retries(m, self.n_sites);
+        let (bonds, thresholds) = (&self.bonds[..], &self.thresholds[..]);
+        let (ops, state, occupied) = (&mut self.ops, &mut self.state, &mut self.occupied);
+        let (mut n, mut listed, mut moved) = (self.n_ops, 0, false);
+        // Slot `p`'s two outputs are outputs 0 and 1 of the key moved on
+        // `2p`: one add per slot, no multiply.
+        let mut slot_key = key;
+        for (p, slot) in ops.iter_mut().enumerate() {
+            let op = *slot;
+            let (bond_raw, accept_raw) = (SplitMix64::at(slot_key, 0), SplitMix64::at(slot_key, 1));
+            slot_key = SplitMix64::advance(slot_key, 2);
+            let wide = u128::from(bond_raw) * u128::from(nb);
+            let b = if (wide as u64) < reject {
+                retry_bond(key, retries, m, p, nb, reject)
+            } else {
+                (wide >> 64) as usize
             };
+            let (i, j) = bonds[b];
+            let anti = state[i as usize] != state[j as usize];
+            let identity = op == IDENTITY;
+            let thr = thresholds[((m - n) << 1) | usize::from(identity)];
+            let accept = (accept_raw >> 11) < thr;
+            // `IDENTITY` is odd, so an even code is a diagonal operator.
+            let insert = identity & anti & accept;
+            let remove = (op & 1 == 0) & accept;
+            let off_diagonal = !identity & (op & 1 == 1);
+            let now = select(insert, 2 * b as Op, select(remove, IDENTITY, op));
+            *slot = now;
+            n = n + usize::from(insert) - usize::from(remove);
+            moved |= insert | remove;
+            // An identity names bond 0, which it leaves as it is.
+            let (oi, oj) = bonds[(op >> 1).max(0) as usize];
+            state[oi as usize] ^= off_diagonal;
+            state[oj as usize] ^= off_diagonal;
             // Written every slot, kept by moving past it: `listed ≤ p`.
-            self.occupied[listed] = p as u32;
-            listed += usize::from(occupied);
+            occupied[listed] = p as u32;
+            listed += usize::from(now != IDENTITY);
         }
-        debug_assert_eq!(listed, self.n_ops);
+        debug_assert_eq!(listed, n);
+        self.n_ops = n;
+        self.ops_dirty |= moved;
     }
 
     /// Build the doubly linked vertex-leg list over the occupied slots:
@@ -369,13 +454,22 @@ impl Sse {
     /// with probability ½).
     ///
     /// Loops are started from the legs of the occupied slots in increasing
-    /// order, so each draws its coin where a scan of all `4M` legs would.
-    /// A visited leg's link is overwritten with its loop's mark, which is
-    /// also how a later start knows the leg is taken. A walk that reaches
-    /// a marked leg other than its start is a corrupt table — and with
-    /// finitely many legs, a walk that never closes must reach one.
+    /// order, so the leg a loop starts from is its smallest, `v`, and its
+    /// coin is output `2M + v` of the sweep's `key`. A visited leg's link
+    /// is overwritten with its loop's mark, which is also how a later
+    /// start knows the leg is taken. A walk that reaches a marked leg
+    /// other than its start is a corrupt table — and with finitely many
+    /// legs, a walk that never closes must reach one. A free site's spin
+    /// flips on its coin, output `6M + s`, and a site an operator acts on
+    /// flips with the loop through its first leg; both are read, and the
+    /// spin written, whichever the site is.
     #[qmc_hot::hot]
-    fn loop_update<R: Rng64>(&mut self, rng: &mut R) {
+    fn loop_update(&mut self, key: u64) {
+        let m = self.ops.len() as u64;
+        let (loop_coins, site_coins) = (
+            SplitMix64::advance(key, 2 * m),
+            SplitMix64::advance(key, 6 * m),
+        );
         let (ops, links) = (&mut self.ops, &mut self.links);
         let mut flipped_any = 0;
         for &p in &self.occupied[..self.n_ops] {
@@ -384,8 +478,7 @@ impl Sse {
                 if links[v0] < 0 {
                     continue;
                 }
-                // lint: allow(hot-scalar-spin-loop) — loop-flip seed draw of the directed-loop update (branchy by construction)
-                let flip = Op::from(rng.bernoulli(0.5));
+                let flip = Op::from(heads(SplitMix64::at(loop_coins, v0 as u64)));
                 let mark = KEEP - flip;
                 flipped_any |= flip;
                 let mut v = v0;
@@ -408,17 +501,56 @@ impl Sse {
         }
         self.ops_dirty |= flipped_any != 0;
 
-        for site in 0..self.n_sites {
-            let first = self.vfirst[site];
-            if first < 0 {
-                // lint: allow(hot-scalar-spin-loop) — free-site flip: one draw per unconstrained site, no packed SSE path
-                if rng.bernoulli(0.5) {
-                    self.state[site] = !self.state[site];
-                    self.state_dirty = true;
+        let mut flipped_any = false;
+        for (site, (spin, &first)) in self.state.iter_mut().zip(&self.vfirst).enumerate() {
+            let free = first < 0;
+            let coin = heads(SplitMix64::at(site_coins, site as u64));
+            // A free site reads leg 0, whose mark it then ignores.
+            let looped = links[first.max(0) as usize] == FLIP;
+            let flip = (free & coin) | (!free & looped);
+            *spin ^= flip;
+            flipped_any |= flip;
+        }
+        self.state_dirty |= flipped_any;
+    }
+
+    /// The in-order diagonal pass [`Self::diagonal_update`] replaced, its
+    /// branches kept, reading the same keyed draws — the oracle the
+    /// branch-free pass is compared against. An identity slot draws its
+    /// bond by rejection (`tests::keyed_bond`) and inserts on
+    /// `metropolis` of the f64 ratio, a diagonal operator is removed on
+    /// it, an off-diagonal one propagates the state.
+    #[cfg(test)]
+    fn diagonal_update_scalar(&mut self, key: u64) {
+        let m = self.ops.len();
+        let weight = self.beta * self.bonds.len() as f64 * (self.j / 2.0);
+        let metropolis =
+            |p: usize, ratio: f64| ratio >= 1.0 || tests::uniform(key, 2 * p + 1) < ratio;
+        for p in 0..m {
+            match self.ops[p] {
+                IDENTITY => {
+                    let b = tests::keyed_bond(key, m, self.n_sites, p, self.bonds.len());
+                    let (i, jj) = self.bonds[b];
+                    let anti = self.state[i as usize] != self.state[jj as usize];
+                    if anti && metropolis(p, weight / (m - self.n_ops) as f64) {
+                        self.ops[p] = 2 * b as Op;
+                        self.n_ops += 1;
+                        self.ops_dirty = true;
+                    }
                 }
-            } else if self.links[first as usize] == FLIP {
-                self.state[site] = !self.state[site];
-                self.state_dirty = true;
+                op if op % 2 == 0 => {
+                    if metropolis(p, (m - self.n_ops + 1) as f64 / weight) {
+                        self.ops[p] = IDENTITY;
+                        self.n_ops -= 1;
+                        self.ops_dirty = true;
+                    }
+                }
+                op => {
+                    // Off-diagonal: propagate the state.
+                    let (i, jj) = self.bonds[(op / 2) as usize];
+                    self.state[i as usize] = !self.state[i as usize];
+                    self.state[jj as usize] = !self.state[jj as usize];
+                }
             }
         }
     }
@@ -464,9 +596,11 @@ impl Sse {
     /// The loop pass [`Self::loop_update`] replaced — every leg of the
     /// string scanned, visits and flips in two per-leg arrays, a step
     /// counter as the closure guard — kept as the oracle it is compared
-    /// against, over [`Self::build_links_scalar`]'s tables.
+    /// against, over [`Self::build_links_scalar`]'s tables. A loop's coin
+    /// is `bernoulli(0.5)` on output `2M + v0` of `key`, `v0` the leg the
+    /// scan starts it from; a free site's on output `6M + s`.
     #[cfg(test)]
-    fn loop_update_scalar<R: Rng64>(&mut self, links: &[i64], vfirst: &[i64], rng: &mut R) {
+    fn loop_update_scalar(&mut self, links: &[i64], vfirst: &[i64], key: u64) {
         let m = self.ops.len();
         let mut visited = vec![false; 4 * m];
         let mut flipped = vec![false; 4 * m];
@@ -475,7 +609,7 @@ impl Sse {
             if links[v0] < 0 || visited[v0] {
                 continue;
             }
-            let flip = rng.bernoulli(0.5);
+            let flip = tests::coin(key, 2 * m + v0);
             let mut v = v0;
             let mut guard = 0usize;
             loop {
@@ -503,7 +637,7 @@ impl Sse {
 
         for site in 0..self.n_sites {
             if vfirst[site] < 0 {
-                if rng.bernoulli(0.5) {
+                if tests::coin(key, 6 * m + site) {
                     self.state[site] = !self.state[site];
                     self.state_dirty = true;
                 }
@@ -529,13 +663,16 @@ impl Sse {
         }
     }
 
-    /// One Monte Carlo sweep (diagonal update + loop update).
+    /// One Monte Carlo sweep (diagonal update + loop update): one draw
+    /// from `rng`, the key every decision of the sweep reads its own output
+    /// of (the crate docs give the layout).
     #[qmc_hot::hot]
     pub fn sweep<R: Rng64>(&mut self, rng: &mut R) {
         let _span = qmc_obs::span("sse.sweep");
+        let key = rng.next_u64();
         {
             let _s = qmc_obs::span("sse.diagonal");
-            self.diagonal_update(rng);
+            self.diagonal_update(key);
         }
         {
             let _s = qmc_obs::span("sse.links");
@@ -543,7 +680,7 @@ impl Sse {
         }
         {
             let _s = qmc_obs::span("sse.loop");
-            self.loop_update(rng);
+            self.loop_update(key);
         }
         // Expansion-order trajectory (the SSE energy estimator is −⟨n⟩/β
         // up to a constant, so this histogram is the run's energy story).
@@ -551,18 +688,25 @@ impl Sse {
     }
 
     /// Measure the current configuration.
+    ///
+    /// Counts, as integers, the up spins and the sites whose spin is
+    /// `+½` times their sublattice sign (up on sublattice 0, down on the
+    /// other), and converts each count `c` once, to `(2c − N)·½`. Every
+    /// partial sum of the per-site `±½` loop is a half-integer, exact in
+    /// f64, so the values are that loop's bit for bit (`+0.0` where the
+    /// terms cancel).
+    #[qmc_hot::hot]
     pub fn measure(&self) -> SseMeasurement {
-        let mut mag = 0.0;
-        let mut stag = 0.0;
-        for s in 0..self.n_sites {
-            let sz = if self.state[s] { 0.5 } else { -0.5 };
-            mag += sz;
-            stag += if self.sublattice[s] == 0 { sz } else { -sz };
+        let (mut up, mut along) = (0, 0);
+        for (&spin, &sub) in self.state.iter().zip(&self.sublattice) {
+            up += usize::from(spin);
+            along += usize::from(spin == (sub == 0));
         }
+        let half_sum = |count: usize| (2 * count as i64 - self.n_sites as i64) as f64 * 0.5;
         SseMeasurement {
             n_ops: self.n_ops as f64,
-            magnetization: mag,
-            staggered: stag,
+            magnetization: half_sum(up),
+            staggered: half_sum(along),
         }
     }
 
@@ -1328,32 +1472,60 @@ mod tests {
 
     #[test]
     fn diag_prob_tables_match_direct_formula() {
-        // Table entries must equal the previous in-loop expressions
-        // bit-for-bit, including after cutoff growth.
+        // Every entry must be the threshold of the ratio's f64 expression,
+        // bit for bit, including after cutoff growth.
         let lat = Chain::new(8);
         let mut rng = Xoshiro256StarStar::new(21);
         let mut sse = Sse::new(&lat, 1.3, 2.7, &mut rng);
+        let m0 = sse.cutoff();
         for _ in 0..300 {
             sse.sweep(&mut rng);
             sse.adjust_cutoff();
         }
         let m = sse.cutoff();
+        assert!(m > m0, "the cutoff grew: {m0} → {m}");
         let nb = sse.bonds.len() as f64;
         let half_j = sse.j / 2.0;
-        assert_eq!(sse.prob_insert.len(), m + 1);
-        for k in 1..=m {
+        assert_eq!(sse.thresholds.len(), 2 * (m + 1));
+        for k in 0..=m {
             let insert = sse.beta * nb * half_j / k as f64;
-            let remove = k as f64 / (sse.beta * nb * half_j);
-            assert_eq!(sse.prob_insert[k].to_bits(), insert.to_bits(), "k={k}");
-            assert_eq!(sse.prob_remove[k].to_bits(), remove.to_bits(), "k={k}");
+            let remove = (k + 1) as f64 / (sse.beta * nb * half_j);
+            assert_eq!(sse.thresholds[2 * k + 1], threshold(insert), "insert k={k}");
+            assert_eq!(sse.thresholds[2 * k], threshold(remove), "remove k={k}");
         }
+        assert_eq!(sse.thresholds[1], qmc_rng::NO_DRAW, "no free slot: ratio ∞");
     }
 
-    /// One sweep by the passes the occupied-slot list replaced.
+    /// Output `index` of the sweep keyed by `key` as a `[0, 1)` uniform.
+    pub(super) fn uniform(key: u64, index: usize) -> f64 {
+        qmc_rng::unit_f64(SplitMix64::at(key, index as u64))
+    }
+
+    /// `bernoulli(0.5)` on output `index` of the sweep keyed by `key`.
+    pub(super) fn coin(key: u64, index: usize) -> bool {
+        uniform(key, index) < 0.5
+    }
+
+    /// Slot `p`'s bond among `nb` by rejection over its outputs: `2p`,
+    /// then `6M + N + t·M + p` for `t = 0, 1, …`, the first whose low word
+    /// of `raw · nb` is at least `2⁶⁴ mod nb` chosen by its high word.
+    pub(super) fn keyed_bond(key: u64, m: usize, n_sites: usize, p: usize, nb: usize) -> usize {
+        let reject = (1u128 << 64) % nb as u128;
+        let indices = std::iter::once(2 * p).chain((0..).map(|t| 6 * m + n_sites + t * m + p));
+        indices
+            .map(|at| u128::from(SplitMix64::at(key, at as u64)) * nb as u128)
+            .find(|wide| wide % (1u128 << 64) >= reject)
+            .map(|wide| (wide >> 64) as usize)
+            .expect("an unbounded search")
+    }
+
+    /// One sweep by the oracles: the in-order diagonal pass and the
+    /// full-string link and loop passes, on the same key.
     fn sweep_scalar<R: Rng64>(sse: &mut Sse, rng: &mut R) {
-        sse.diagonal_update(rng);
+        let key = rng.next_u64();
+        sse.diagonal_update_scalar(key);
         let (links, vfirst) = sse.build_links_scalar();
-        sse.loop_update_scalar(&links, &vfirst, rng);
+        sse.loop_update_scalar(&links, &vfirst, key);
     }
 
     /// Steps the new passes and the oracle side by side from one engine and
@@ -1426,6 +1598,185 @@ mod tests {
         }
     }
 
+    /// The loop pass as a union-find over the legs of the operators: each
+    /// leg joined to its same-side partner `v ^ 1` and to its link, each
+    /// component flipped on the coin of its smallest leg, and a vertex
+    /// toggled once for each flipped component through one of its two leg
+    /// pairs. Free sites flip on their own coins.
+    fn loop_update_union_find(sse: &mut Sse, links: &[i64], vfirst: &[i64], key: u64) {
+        fn root(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
+        let m = sse.ops.len();
+        let legs: Vec<usize> = (0..4 * m).filter(|&v| links[v] >= 0).collect();
+        let mut parent: Vec<usize> = (0..4 * m).collect();
+        for &v in &legs {
+            for w in [v ^ 1, links[v] as usize] {
+                let (a, b) = (root(&mut parent, v), root(&mut parent, w));
+                parent[a] = b;
+            }
+        }
+        let mut smallest = vec![usize::MAX; 4 * m];
+        for &v in &legs {
+            let r = root(&mut parent, v);
+            smallest[r] = smallest[r].min(v);
+        }
+        let mut flipped = |v: usize| coin(key, 2 * m + smallest[root(&mut parent, v)]);
+        for p in 0..m {
+            if sse.ops[p] != IDENTITY {
+                sse.ops[p] ^= Op::from(flipped(4 * p) ^ flipped(4 * p + 2));
+            }
+        }
+        sse.ops_dirty |= legs.iter().any(|&v| flipped(v));
+        for (site, &first) in vfirst.iter().enumerate() {
+            let flip = if first < 0 {
+                coin(key, 6 * m + site)
+            } else {
+                flipped(first as usize)
+            };
+            sse.state[site] ^= flip;
+            sse.state_dirty |= flip;
+        }
+    }
+
+    fn assert_union_find_tracks_the_kernel<L: Lattice>(lat: &L, beta: f64, seed: u64, what: &str) {
+        use qmc_ckpt::Checkpoint;
+        let mut rng = Xoshiro256StarStar::new(seed);
+        let mut new = Sse::new(lat, 1.0, beta, &mut rng);
+        let (mut uf, mut uf_rng) = (new.clone(), rng);
+        for sweep in 0..100 {
+            new.mark_clean();
+            uf.mark_clean();
+            new.sweep(&mut rng);
+            let key = uf_rng.next_u64();
+            uf.diagonal_update_scalar(key);
+            let (links, vfirst) = uf.build_links_scalar();
+            loop_update_union_find(&mut uf, &links, &vfirst, key);
+            let at = format!("{what} β = {beta}, sweep {sweep}");
+            assert_eq!(new.ops, uf.ops, "{at}: ops");
+            assert_eq!(new.state, uf.state, "{at}: state");
+            assert_eq!(
+                (new.state_dirty, new.ops_dirty),
+                (uf.state_dirty, uf.ops_dirty),
+                "{at}: dirty flags"
+            );
+            if sweep < 50 {
+                new.adjust_cutoff();
+                uf.adjust_cutoff();
+            }
+        }
+    }
+
+    #[test]
+    fn a_union_find_over_legs_builds_the_same_loops() {
+        for (l, beta) in [(4, 0.05), (6, 2.0), (16, 4.0), (64, 8.0), (66, 3.0)] {
+            assert_union_find_tracks_the_kernel(&Chain::new(l), beta, 110 + l as u64, "chain");
+        }
+        for (lx, ly, beta) in [(4, 4, 2.0), (8, 6, 4.0)] {
+            let what = format!("square {lx}x{ly}");
+            assert_union_find_tracks_the_kernel(&Square::new(lx, ly), beta, 120 + lx as u64, &what);
+        }
+    }
+
+    #[test]
+    fn a_sweep_takes_one_draw() {
+        for (l, beta) in [(6, 2.0), (64, 16.0)] {
+            let mut rng = qmc_rng::CountingRng::new(Xoshiro256StarStar::new(130 + l as u64));
+            let mut sse = Sse::new(&Chain::new(l), 1.0, beta, &mut rng);
+            let built = rng.draws;
+            for sweep in 1..=200 {
+                sse.sweep(&mut rng);
+                sse.adjust_cutoff();
+                assert_eq!(rng.draws - built, sweep, "chain {l} β = {beta}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_bond_draw_retries_on_its_reserved_outputs() {
+        // Output 2p of this key is 0 (SplitMix64's mix fixes 0), whose low
+        // word of 0 · N_b is 0: below 2⁶⁴ mod 6 = 4, so on the 6-site chain
+        // slot p's bond is retried, while 2⁶⁴ mod 4 = 0 never rejects.
+        let p = 3;
+        let key = SplitMix64::advance(0, 2 * p as u64 + 1).wrapping_neg();
+        assert_eq!(SplitMix64::at(key, 2 * p as u64), 0);
+        for l in [6, 4] {
+            let mut rng = Xoshiro256StarStar::new(140);
+            // β high enough that every insert on an anti-parallel bond is
+            // accepted, on a Néel state where every bond is one.
+            let mut new = Sse::new(&Chain::new(l), 1.0, 16.0, &mut rng);
+            new.state = (0..l).map(|s| s % 2 == 0).collect();
+            let mut old = new.clone();
+            new.diagonal_update(key);
+            old.diagonal_update_scalar(key);
+            assert_eq!(new.ops, old.ops, "chain {l}");
+            assert_eq!(new.n_ops, old.n_ops, "chain {l}");
+            let bond = keyed_bond(key, new.cutoff(), l, p, l);
+            assert_eq!(
+                new.ops[p],
+                2 * bond as Op,
+                "chain {l}: slot {p} holds the bond"
+            );
+            if l == 4 {
+                assert_eq!(bond, 0, "a power of two takes the high word of 0");
+            }
+        }
+    }
+
+    /// The per-site loop [`Sse::measure`] replaced.
+    fn measure_scalar(sse: &Sse) -> SseMeasurement {
+        let mut mag = 0.0;
+        let mut stag = 0.0;
+        for s in 0..sse.n_sites {
+            let sz = if sse.state[s] { 0.5 } else { -0.5 };
+            mag += sz;
+            stag += if sse.sublattice[s] == 0 { sz } else { -sz };
+        }
+        SseMeasurement {
+            n_ops: sse.n_ops as f64,
+            magnetization: mag,
+            staggered: stag,
+        }
+    }
+
+    #[test]
+    fn integer_counts_measure_as_the_per_site_loop_bit_for_bit() {
+        let fields = |m: SseMeasurement| bits(&[m.n_ops, m.magnetization, m.staggered]);
+        let mut rng = Xoshiro256StarStar::new(150);
+        let mut zeros = 0;
+        for (lx, ly) in [(4, 1), (6, 1), (8, 1), (64, 1), (66, 1), (4, 4), (6, 4)] {
+            let mut sse = if ly == 1 {
+                Sse::new(&Chain::new(lx), 1.0, 1.0, &mut rng)
+            } else {
+                Sse::new(&Square::new(lx, ly), 1.0, 1.0, &mut rng)
+            };
+            let n = sse.n_sites;
+            let mut states: Vec<Vec<bool>> = vec![
+                vec![true; n],
+                vec![false; n],
+                (0..n).map(|s| sse.sublattice[s] == 0).collect(),
+                (0..n).map(|s| s < n / 2).collect(),
+            ];
+            states.extend((0..40).map(|_| (0..n).map(|_| rng.bernoulli(0.5)).collect()));
+            for state in states {
+                sse.state = state;
+                let (got, want) = (sse.measure(), measure_scalar(&sse));
+                assert_eq!(fields(got), fields(want), "{lx}x{ly}: {:?}", sse.state);
+                for x in [got.magnetization, got.staggered] {
+                    if x == 0.0 {
+                        assert_eq!(x.to_bits(), 0.0f64.to_bits(), "a cancelling sum is +0.0");
+                        zeros += 1;
+                    }
+                }
+            }
+        }
+        assert!(zeros > 10, "zero-sum states were measured: {zeros}");
+    }
+
     #[test]
     fn restored_string_keeps_tracking_the_oracle() {
         // A restore changes the cutoff under a link table that is not reset
@@ -1462,14 +1813,15 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(81);
         let mut sse = Sse::new(&Chain::new(8), 1.0, 2.0, &mut rng);
         let _ = sse.run(&mut rng, 20, 0);
-        sse.diagonal_update(&mut rng);
+        let key = rng.next_u64();
+        sse.diagonal_update(key);
         sse.build_links();
         assert!(sse.n_ops > 0);
         // The first loop's exit leg links to itself: its first step lands
         // on a leg that walk has just marked.
         let exit = 4 * sse.occupied[0] as usize + 1;
         sse.links[exit] = exit as i64;
-        sse.loop_update(&mut rng);
+        sse.loop_update(key);
     }
 
     #[test]

@@ -257,8 +257,10 @@ echo "== pins: fixed-seed trajectories and checkpoint bytes under the profile th
 # qmc-tfim's unit suite rides along for its oracle comparisons: the
 # measurement adds up in byte lanes, and an accumulator too narrow
 # panics under dev but wraps without a word under release. qmc-sse's
-# does too: its sweep is compared pass for pass against the full-string
-# scan it replaced, under the inlining the benchmark times. So do
+# does too: its branch-free keyed sweep is compared sweep for sweep
+# against the keyed scalar oracle (the branchy in-order passes reading
+# the same keyed draws) and a union-find over the legs, under the
+# inlining the benchmark times. So do
 # qmc-worldline's (the packed-row walks against the bool-row kernel, move
 # for move: spins, counters and draws) and qmc-core's (the tempering
 # ladders built on them).
