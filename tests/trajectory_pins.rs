@@ -27,6 +27,13 @@
 //! then recorded sweeps) reduced to every sweep's measurement bits, the
 //! correlation means, the final basis state and operator string as their
 //! checkpoint sections hold them, the cutoff and the raw draws served.
+//! They were replaced on purpose on commit f3116eb, when every decision
+//! of a sweep began to read its own output of the sweep's key: same
+//! cases and seeds, literals recorded from the keyed scalar oracle (the
+//! in-order diagonal pass and the full-string link and loop passes,
+//! reading the same keyed draws) running the engine in place of the
+//! branch-free kernel. The draws column counts the construction draws
+//! (one per site) plus one key per sweep.
 //!
 //! The `DistTfim` rows were replaced on purpose when the engine moved to
 //! keyed draws (every site decides on `SplitMix64::at` at its own global
@@ -662,23 +669,23 @@ type SseCase = ((f64, u64, usize, usize), SsePin);
 #[rustfmt::skip]
 const SSE_CHAIN_64: &[SseCase] = &[
     // The benchmark's `heis_sse_scan` chain at both ends of its β scan.
-    ((1.0, 91, 200, 200), sse(0x9cdad9b13b6c4d8a, 0xcaa9bb8b82e12344, 0x9c59dc55405feb05, 0xc10e0a64768d4998, 64, 44913)),
-    ((16.0, 92, 200, 100), sse(0x3d8688b143844f4d, 0x181fe250dfbe4a60, 0xd08eeab54c7f6d01, 0x50df719ba8edd113, 1039, 327365)),
+    ((1.0, 91, 200, 200), sse(0xf0b7e9492020e801, 0x3e9288d065712311, 0x4cfff35a29500c28, 0x53cfd83b6cadf4a2, 64, 464)),
+    ((16.0, 92, 200, 100), sse(0x9f0a45362bfecb85, 0x7fd4d17d4760f14b, 0x38d384adef841334, 0x6b0f254c5cf4c71f, 1060, 364)),
 ];
 
 #[rustfmt::skip]
 const SSE_CHAIN_6: &[SseCase] = &[
-    ((2.0, 93, 300, 300), sse(0x06183ec27cfd14ed, 0xe04394e8ce29af43, 0x7649e2493e68fb8d, 0x86ac9736d38bad6c, 31, 27689)),
+    ((2.0, 93, 300, 300), sse(0x75a0487a91775d9e, 0xbb570923dc93108c, 0x4659a64923f9776c, 0x73d78d6c6dc5187a, 31, 606)),
 ];
 
 #[rustfmt::skip]
 const SSE_SQUARE_4X4: &[SseCase] = &[
-    ((2.0, 94, 300, 300), sse(0x50d2747fa9e79ca5, 0x7a18e47571cb2f1e, 0x7f413b7eae12db24, 0xc2285760a4150ed6, 84, 56021)),
+    ((2.0, 94, 300, 300), sse(0x5037de814cb353ea, 0x12ae5a2ccb2ee982, 0x34494c6ca5300b97, 0x36b607423533d1ab, 75, 616)),
 ];
 
 #[rustfmt::skip]
 const SSE_SQUARE_8X6: &[SseCase] = &[
-    ((4.0, 95, 200, 200), sse(0xbf21d2ff10ba676b, 0x21068907db9afc8b, 0xa82e6f84d85c51e6, 0x2d44f3a1cb263c7d, 363, 131393)),
+    ((4.0, 95, 200, 200), sse(0x6646b45b8b7dc3cf, 0xe3dac276797297fa, 0xeb52b692369cef80, 0x195a1b5717d9a764, 360, 448)),
 ];
 
 fn run_sse<L: Lattice>(lattice: L, &((beta, seed, therm, sweeps), _): &SseCase) -> SsePin {
