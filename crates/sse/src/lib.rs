@@ -120,12 +120,6 @@ fn heads(raw: u64) -> bool {
     raw >> 63 == 0
 }
 
-/// The first output of a sweep's key past its slots' `2M`, its loops'
-/// `4M` and its free sites' `N`: where the bond retries begin.
-fn bond_retries(m: usize, n_sites: usize) -> u64 {
-    (6 * m + n_sites) as u64
-}
-
 /// Slot `p`'s bond after its own draw was rejected: the first of outputs
 /// `retries + t·M + p` (`t = 0, 1, …`) whose low word of `raw · nb` is not
 /// below `reject = 2⁶⁴ mod nb`, taken by its high word. Each retry is
@@ -376,7 +370,8 @@ impl Sse {
         );
         let nb = self.bonds.len() as u64;
         let reject = nb.wrapping_neg() % nb;
-        let retries = bond_retries(m, self.n_sites);
+        // Past the slots' 2M outputs, the loops' 4M and the free sites' N.
+        let retries = (6 * m + self.n_sites) as u64;
         let (bonds, thresholds) = (&self.bonds[..], &self.thresholds[..]);
         let (ops, state, occupied) = (&mut self.ops, &mut self.state, &mut self.occupied);
         let (mut n, mut listed, mut moved) = (self.n_ops, 0, false);
@@ -501,7 +496,7 @@ impl Sse {
         }
         self.ops_dirty |= flipped_any != 0;
 
-        let mut flipped_any = false;
+        let mut spin_flipped = false;
         for (site, (spin, &first)) in self.state.iter_mut().zip(&self.vfirst).enumerate() {
             let free = first < 0;
             let coin = heads(SplitMix64::at(site_coins, site as u64));
@@ -509,9 +504,9 @@ impl Sse {
             let looped = links[first.max(0) as usize] == FLIP;
             let flip = (free & coin) | (!free & looped);
             *spin ^= flip;
-            flipped_any |= flip;
+            spin_flipped |= flip;
         }
-        self.state_dirty |= flipped_any;
+        self.state_dirty |= spin_flipped;
     }
 
     /// The in-order diagonal pass [`Self::diagonal_update`] replaced, its
