@@ -44,7 +44,7 @@
 use qmc_ckpt::{run_engine, Checkpoint, End, Engine};
 use qmc_comm::{job_seconds, run_model, run_threads, Communicator, MachineModel, SerialComm};
 use qmc_lattice::{Chain, Square};
-use qmc_rng::{Buffered, StreamFactory, Xoshiro256StarStar};
+use qmc_rng::{StreamFactory, Xoshiro256StarStar};
 use qmc_sse::Sse;
 use qmc_stats::BinningAnalysis;
 use qmc_tfim::parallel::DistTfim;
@@ -436,7 +436,7 @@ fn run_worldline(flags: &HashMap<String, String>) {
         m: get(flags, "m", 16),
     };
     let therm: usize = get(flags, "therm", sweeps / 5);
-    let mut rng = Buffered::new(Xoshiro256StarStar::new(get(flags, "seed", 1)));
+    let mut rng = Xoshiro256StarStar::new(get(flags, "seed", 1));
     let mut sim = Worldline::new(params);
     let series = run_to_end(&mut sim, &mut rng, (therm, sweeps), flags, "worldline");
 
@@ -491,7 +491,7 @@ fn run_sse(flags: &HashMap<String, String>) {
     let j: f64 = get(flags, "j", 1.0);
     let l: usize = get(flags, "l", 16);
     let lattice = flags.get("lattice").map(|s| s.as_str()).unwrap_or("chain");
-    let mut rng = Buffered::new(Xoshiro256StarStar::new(get(flags, "seed", 1)));
+    let mut rng = Xoshiro256StarStar::new(get(flags, "seed", 1));
     // Built from the freshly seeded `rng` it then runs with, resumed or not.
     let mut eng = match lattice {
         "chain" => Sse::new(&Chain::new(l), j, beta, &mut rng),
@@ -569,7 +569,7 @@ fn run_tfim(flags: &HashMap<String, String>) {
             if let Some(cfg) = &obs_cfg {
                 qmc_obs::init(0, cfg);
             }
-            let mut rng = Buffered::new(Xoshiro256StarStar::new(seed));
+            let mut rng = Xoshiro256StarStar::new(seed);
             let mut eng = SerialTfim::new(model);
             eng.wolff_per_sweep = get(flags, "wolff", 1);
             let series = run_to_end(&mut eng, &mut rng, (therm, sweeps), flags, "tfim");

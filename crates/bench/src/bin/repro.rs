@@ -12,7 +12,7 @@
 //! `repro bench` prints the four in-window ratio guards of the hot
 //! kernels (packed-vs-scalar speedup; obs, trace and checkpoint
 //! overhead) and exits non-zero when the packed speedup misses its
-//! target (≥ 4x full, ≥ 2x relaxed under `--quick`) — the
+//! target (≥ 1.6x full, ≥ 1.2x relaxed under `--quick`) — the
 //! `scripts/check.sh bench-quick` stage. Absolute per-layer timings
 //! live in `benchmark/`.
 //!

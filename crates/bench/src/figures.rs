@@ -267,8 +267,8 @@ pub fn f5_heisenberg_2d(quick: bool) -> String {
             ));
         } else {
             out.push_str(
-                "8×8 reference: bulk 2-D Heisenberg E0/N = −0.66944 (QMC literature); \
-                 finite-size 8×8 value is slightly below\n",
+                "8×8 ground state: E0/N = −0.673487 (Sandvik, PRB 56, 11678 (1997)), a \
+                 variational bound: E/N at every T must lie above it\n",
             );
         }
         out.push('\n');

@@ -42,7 +42,7 @@
 //! 1.013–1.014 and 1.019–1.035. The targets were not moved with it.
 
 use qmc_comm::Communicator;
-use qmc_rng::{Buffered, Xoshiro256StarStar};
+use qmc_rng::Xoshiro256StarStar;
 use qmc_tfim::packed::PackedReplicas;
 use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
@@ -58,7 +58,7 @@ const REPS: usize = 5;
 /// more chances at a contention-free bare/instrumented pair.
 const PAIR_REPS: usize = 9;
 
-type SerialRng = Buffered<Xoshiro256StarStar>;
+type SerialRng = Xoshiro256StarStar;
 
 fn tfim_model() -> TfimModel {
     TfimModel {
@@ -73,10 +73,7 @@ fn tfim_model() -> TfimModel {
 
 /// The scalar engine and its draw source as the drivers configure them.
 fn serial_tfim() -> (SerialTfim, SerialRng) {
-    (
-        SerialTfim::new(tfim_model()),
-        Buffered::new(Xoshiro256StarStar::new(12)),
-    )
+    (SerialTfim::new(tfim_model()), Xoshiro256StarStar::new(12))
 }
 
 fn secs(f: impl FnOnce()) -> f64 {

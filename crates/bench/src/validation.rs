@@ -4,7 +4,7 @@ use qmc_core::pt::{geometric_ladder, PtLadder};
 use qmc_core::table::{pm, Table};
 use qmc_ed::xxz::{full_spectrum, XxzParams};
 use qmc_lattice::Chain;
-use qmc_rng::{Rng64, SplitMix64, StreamFactory, StreamKind, Xoshiro256StarStar};
+use qmc_rng::{LaggedFibonacci55, Lcg64, Rng64, SplitMix64, StreamFactory, Xoshiro256StarStar};
 use qmc_stats::BinningAnalysis;
 use qmc_worldline::{Worldline, WorldlineParams};
 
@@ -164,72 +164,113 @@ pub fn t6_rng_quality(quick: bool) -> String {
             "max |corr(r, r+1)|·√n",
         ],
     );
-    // `None`: keyed SplitMix64, as `DistTfim` draws — stream r is read at
-    // counter indices 0, 1, … under a key that is one draw of the xoshiro
-    // factory's stream r.
-    for (name, kind) in [
-        ("LCG64 (jump-ahead)", Some(StreamKind::Lcg)),
-        ("xoshiro256** (jump)", Some(StreamKind::Xoshiro)),
-        ("lagged Fibonacci(55,24)", Some(StreamKind::LaggedFibonacci)),
-        ("keyed SplitMix64 (counter)", None),
-    ] {
-        let factory = StreamFactory::with_kind(987, kind.unwrap_or(StreamKind::Xoshiro));
-        let mut worst_mean = 0.0f64;
-        let mut worst_chi = 0.0f64;
-        let mut worst_corr = 0.0f64;
-        let mut prev: Option<Vec<f64>> = None;
-        for r in 0..n_streams {
+    // Each family's own per-rank rule, from master seed 987.
+    let factory = StreamFactory::new(987);
+    t.row(&stream_quality(
+        "LCG64 (jump-ahead)",
+        n_streams,
+        draws,
+        |r| {
+            let mut g = Lcg64::block_stream(987, r);
+            move || g.next_u64()
+        },
+    ));
+    t.row(&stream_quality(
+        "xoshiro256** (jump)",
+        n_streams,
+        draws,
+        |r| {
             let mut g = factory.stream(r);
-            let key = if kind.is_none() { g.next_u64() } else { 0 };
-            let mut sum = 0.0;
-            let mut counts = [0u32; 256];
-            let mut vals = Vec::with_capacity(draws);
-            for i in 0..draws as u64 {
-                let u = match kind {
-                    Some(_) => g.next_u64(),
-                    None => SplitMix64::at(key, i),
-                };
-                counts[(u >> 56) as usize] += 1;
-                let x = (u >> 11) as f64 / (1u64 << 53) as f64;
-                sum += x;
-                vals.push(x);
+            move || g.next_u64()
+        },
+    ));
+    t.row(&stream_quality(
+        "lagged Fibonacci(55,24)",
+        n_streams,
+        draws,
+        |r| {
+            let mut g = LaggedFibonacci55::param_stream(987, r);
+            move || g.next_u64()
+        },
+    ));
+    // As `DistTfim` draws: stream r is read at counter indices 0, 1, …
+    // under a key that is one draw of the factory's stream r.
+    t.row(&stream_quality(
+        "keyed SplitMix64 (counter)",
+        n_streams,
+        draws,
+        |r| {
+            let key = factory.stream(r).next_u64();
+            let mut i = 0;
+            move || {
+                let u = SplitMix64::at(key, i);
+                i += 1;
+                u
             }
-            let n = draws as f64;
-            worst_mean = worst_mean.max((sum / n - 0.5).abs() * (12.0 * n).sqrt());
-            let expected = n / 256.0;
-            let chi: f64 = counts
-                .iter()
-                .map(|&c| {
-                    let d = c as f64 - expected;
-                    d * d / expected
-                })
-                .sum();
-            worst_chi = worst_chi.max((chi - 255.0).abs() / (2.0f64 * 255.0).sqrt());
-            if let Some(p) = &prev {
-                let corr: f64 = p
-                    .iter()
-                    .zip(&vals)
-                    .map(|(a, b)| (a - 0.5) * (b - 0.5))
-                    .sum::<f64>()
-                    / n
-                    / (1.0 / 12.0);
-                worst_corr = worst_corr.max(corr.abs() * n.sqrt());
-            }
-            prev = Some(vals);
-        }
-        t.row(&[
-            name.to_string(),
-            format!("{worst_mean:.2}"),
-            format!("{worst_chi:.2}"),
-            format!("{worst_corr:.2}"),
-        ]);
-    }
+        },
+    ));
     let mut out = t.render();
     out.push_str(
         "all columns are in units of σ under the null hypothesis; values ≲ 4–5 \
          across 1024 streams indicate healthy, uncorrelated streams\n",
     );
     out
+}
+
+/// T6's row for `name`: the worst mean, χ² and neighbour-correlation
+/// deviations, in σ, over `n_streams` streams of `draws` outputs each;
+/// `stream(r)` yields rank `r`'s raw outputs in order.
+fn stream_quality<S: FnMut() -> u64>(
+    name: &str,
+    n_streams: usize,
+    draws: usize,
+    stream: impl Fn(usize) -> S,
+) -> [String; 4] {
+    let mut worst_mean = 0.0f64;
+    let mut worst_chi = 0.0f64;
+    let mut worst_corr = 0.0f64;
+    let mut prev: Option<Vec<f64>> = None;
+    for r in 0..n_streams {
+        let mut next = stream(r);
+        let mut sum = 0.0;
+        let mut counts = [0u32; 256];
+        let mut vals = Vec::with_capacity(draws);
+        for _ in 0..draws {
+            let u = next();
+            counts[(u >> 56) as usize] += 1;
+            let x = (u >> 11) as f64 / (1u64 << 53) as f64;
+            sum += x;
+            vals.push(x);
+        }
+        let n = draws as f64;
+        worst_mean = worst_mean.max((sum / n - 0.5).abs() * (12.0 * n).sqrt());
+        let expected = n / 256.0;
+        let chi: f64 = counts
+            .iter()
+            .map(|&c| {
+                let d = c as f64 - expected;
+                d * d / expected
+            })
+            .sum();
+        worst_chi = worst_chi.max((chi - 255.0).abs() / (2.0f64 * 255.0).sqrt());
+        if let Some(p) = &prev {
+            let corr: f64 = p
+                .iter()
+                .zip(&vals)
+                .map(|(a, b)| (a - 0.5) * (b - 0.5))
+                .sum::<f64>()
+                / n
+                / (1.0 / 12.0);
+            worst_corr = worst_corr.max(corr.abs() * n.sqrt());
+        }
+        prev = Some(vals);
+    }
+    [
+        name.to_string(),
+        format!("{worst_mean:.2}"),
+        format!("{worst_chi:.2}"),
+        format!("{worst_corr:.2}"),
+    ]
 }
 
 #[cfg(test)]

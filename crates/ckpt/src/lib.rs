@@ -28,9 +28,8 @@
 //! The contract every implementor must honor: after `save` → `load` into
 //! a freshly constructed value, the resumed object continues the
 //! *identical* fixed-seed trajectory, bit for bit, as one that was never
-//! interrupted. RNG state (including undrained buffers), engine spins,
-//! operator strings, accumulated series, and acceptance counters all
-//! therefore round-trip exactly.
+//! interrupted. RNG state, engine spins, operator strings, accumulated
+//! series, and acceptance counters all therefore round-trip exactly.
 
 mod crc32;
 mod drive;

@@ -3,7 +3,7 @@
 use crate::Rng64;
 
 /// Counts raw draws while forwarding to the wrapped generator. Both the
-/// scalar and the bulk path count, so buffered streams are covered too.
+/// scalar and the bulk path count, so batched draws are covered too.
 ///
 /// The count is checkpointed alongside the generator state, so a run
 /// that was killed and resumed — or a rank that rolled back to an older

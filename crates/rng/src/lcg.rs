@@ -86,20 +86,6 @@ impl Rng64 for Lcg64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-
-    fn fill_u64(&mut self, out: &mut [u64]) {
-        // State in a local for the batch; identical sequence to repeated
-        // `next_u64`.
-        let mut s = self.state;
-        for slot in out.iter_mut() {
-            s = s.wrapping_mul(MULT).wrapping_add(INC);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            *slot = z ^ (z >> 31);
-        }
-        self.state = s;
-    }
 }
 
 impl qmc_ckpt::Checkpoint for Lcg64 {

@@ -19,19 +19,23 @@
 //!
 //! All generators implement the [`Rng64`] trait, which supplies the
 //! distributions Monte Carlo kernels need (uniform `f64`, ranges,
-//! Bernoulli, Gaussian, exponential) on top of a raw `u64` source.
+//! Bernoulli, Gaussian) on top of a raw `u64` source.
 //!
 //! # Stream splitting
 //!
-//! [`StreamFactory`] hands out per-rank generators. Two strategies are
-//! offered, matching the two classic approaches:
+//! [`StreamFactory`] hands out per-rank generators by one rule: rank *r*
+//! gets a [`Xoshiro256StarStar`] seeded from a [`SplitMix64`] re-keying of
+//! `(seed, r)` and then jumped 2^128 steps, so building any rank's stream
+//! is O(1) and does not depend on how many ranks exist. Most engines take
+//! one draw per sweep from it as a key and read every decision of the
+//! sweep at a counter index of [`SplitMix64::at`].
 //!
-//! * **Block splitting** (jump-ahead): rank *r* starts at position
-//!   `r * 2^40` of a single master sequence ([`Lcg64`]) or after `r`
-//!   applications of the 2^128 jump ([`Xoshiro256StarStar`]).
-//! * **Parameterization**: each rank derives an independent seed via
-//!   [`SplitMix64`] (used for [`LaggedFibonacci55`], whose lag table is
-//!   filled from a rank-keyed SplitMix sequence).
+//! The two classic per-rank rules remain with their families, for the
+//! `repro t6` stream-quality table that sets them beside the factory:
+//! block splitting by jump-ahead ([`Lcg64::block_stream`], rank *r* at
+//! position `r * 2^40` of one master sequence) and parameterization
+//! ([`LaggedFibonacci55::param_stream`], a lag table filled from a
+//! rank-keyed SplitMix sequence).
 //!
 //! ```
 //! use qmc_rng::{Rng64, StreamFactory};
@@ -52,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffered;
 mod counting;
 mod lcg;
 mod lfg;
@@ -60,12 +63,11 @@ mod splitmix;
 mod stream;
 mod xoshiro;
 
-pub use buffered::Buffered;
 pub use counting::CountingRng;
 pub use lcg::Lcg64;
 pub use lfg::LaggedFibonacci55;
 pub use splitmix::SplitMix64;
-pub use stream::{StreamFactory, StreamKind};
+pub use stream::StreamFactory;
 pub use xoshiro::Xoshiro256StarStar;
 
 /// The raw → unit-interval map behind [`Rng64::next_f64`]: the top 53 bits
@@ -117,10 +119,11 @@ pub trait Rng64 {
     fn next_u64(&mut self) -> u64;
 
     /// Fill `out` with consecutive raw outputs — exactly the sequence
-    /// repeated [`Self::next_u64`] calls would produce (so buffering draws
-    /// through [`Buffered`] never changes a trajectory). Generators
-    /// override this to keep their state in registers across the whole
-    /// batch, amortizing per-draw dispatch in the Metropolis kernels.
+    /// repeated [`Self::next_u64`] calls would produce, so a kernel that
+    /// draws a batch at once follows the same trajectory as one that
+    /// draws one at a time. [`Xoshiro256StarStar`] overrides this to keep
+    /// its state in registers across the whole batch, which the packed
+    /// TFIM replicas draw their lanes through.
     fn fill_u64(&mut self, out: &mut [u64]) {
         for slot in out.iter_mut() {
             *slot = self.next_u64();
@@ -131,13 +134,6 @@ pub trait Rng64 {
     #[inline]
     fn next_f64(&mut self) -> f64 {
         unit_f64(self.next_u64())
-    }
-
-    /// Uniform `f64` in `(0, 1]` — convenient when a logarithm follows.
-    #[inline]
-    fn next_f64_open_zero(&mut self) -> f64 {
-        const SCALE: f64 = 1.0 / ((1u64 << 53) as f64);
-        (((self.next_u64() >> 11) + 1) as f64) * SCALE
     }
 
     /// Uniform integer in `[0, bound)` using Lemire's multiply-shift
@@ -190,12 +186,6 @@ pub trait Rng64 {
                 return u * (-2.0 * s.ln() / s).sqrt();
             }
         }
-    }
-
-    /// Exponential deviate with unit mean.
-    #[inline]
-    fn exponential(&mut self) -> f64 {
-        -self.next_f64_open_zero().ln()
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -258,8 +248,6 @@ mod tests {
         for _ in 0..10_000 {
             let x = rng.next_f64();
             assert!((0.0..1.0).contains(&x));
-            let y = rng.next_f64_open_zero();
-            assert!(y > 0.0 && y <= 1.0);
         }
     }
 
@@ -352,11 +340,27 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut rng = LaggedFibonacci55::new(77);
-        let n = 200_000;
-        let mean: f64 = (0..n).map(|_| rng.exponential()).sum::<f64>() / n as f64;
-        assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
+    fn fill_u64_matches_repeated_next_u64_all_generators() {
+        // Xoshiro's batched override, the forwarding of the factory's
+        // stream and of `CountingRng`, and the trait default behind the
+        // rest must all serve the `next_u64` sequence.
+        fn check<R: Rng64 + Clone>(rng: R) {
+            for len in [0usize, 1, 7, 256, 1000] {
+                let mut a = rng.clone();
+                let mut b = rng.clone();
+                let mut bulk = vec![0u64; len];
+                a.fill_u64(&mut bulk);
+                let single: Vec<u64> = (0..len).map(|_| b.next_u64()).collect();
+                assert_eq!(bulk, single, "len = {len}");
+                assert_eq!(a.next_u64(), b.next_u64(), "state after len = {len}");
+            }
+        }
+        check(SplitMix64::new(9));
+        check(Lcg64::new(9));
+        check(Xoshiro256StarStar::new(9));
+        check(LaggedFibonacci55::new(9));
+        check(StreamFactory::new(9).stream(3));
+        check(CountingRng::new(Xoshiro256StarStar::new(9)));
     }
 
     #[test]

@@ -1,95 +1,54 @@
 //! Per-rank stream management.
 
-use crate::{LaggedFibonacci55, Lcg64, Rng64, Xoshiro256StarStar};
-
-/// Which generator family a [`StreamFactory`] hands out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StreamKind {
-    /// LCG64 with block splitting by jump-ahead (2^40 draws per rank).
-    Lcg,
-    /// xoshiro256** with 2^128 jump separation (workspace default).
-    #[default]
-    Xoshiro,
-    /// Lagged-Fibonacci r(55,24) with parameterized per-rank tables.
-    LaggedFibonacci,
-}
+use crate::{Rng64, Xoshiro256StarStar};
 
 /// Factory producing one independent, reproducible generator per rank.
 ///
 /// The invariant every parallel Monte Carlo code needs: for a fixed
-/// `(seed, kind)`, rank `r` receives the same stream on every run and on
-/// every machine, regardless of how many other ranks exist.
+/// `seed`, rank `r` receives the same stream on every run and on every
+/// machine, regardless of how many other ranks exist.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamFactory {
     seed: u64,
-    kind: StreamKind,
 }
 
-/// A generator handed out by [`StreamFactory`] — closed enum dispatch so
-/// hot loops avoid virtual calls.
+/// The xoshiro256** generator handed out by [`StreamFactory`].
 #[derive(Debug, Clone)]
-pub enum StreamRng {
-    /// Block-split LCG stream.
-    Lcg(Lcg64),
-    /// Jumped xoshiro stream.
-    Xoshiro(Xoshiro256StarStar),
-    /// Parameterized lagged-Fibonacci stream (boxed: its 55-word lag
-    /// table would otherwise dominate the enum size).
-    LaggedFibonacci(Box<LaggedFibonacci55>),
-}
+pub struct StreamRng(Xoshiro256StarStar);
+
+/// The byte a saved [`StreamRng`] opens with: the xoshiro variant's tag
+/// from when the factory could also hand out LCG (`0`) and
+/// lagged-Fibonacci (`2`) streams. It stays `1` so PT and qmc-serve
+/// stores written then load unchanged.
+const XOSHIRO_TAG: u8 = 1;
 
 impl StreamFactory {
-    /// Create a factory for a master seed with the default generator.
+    /// Create a factory for a master seed.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            kind: StreamKind::default(),
-        }
-    }
-
-    /// Create a factory with an explicit generator family.
-    pub fn with_kind(seed: u64, kind: StreamKind) -> Self {
-        Self { seed, kind }
-    }
-
-    /// The master seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The generator family.
-    pub fn kind(&self) -> StreamKind {
-        self.kind
+        Self { seed }
     }
 
     /// The stream for `rank`.
     pub fn stream(&self, rank: usize) -> StreamRng {
-        match self.kind {
-            StreamKind::Lcg => StreamRng::Lcg(Lcg64::block_stream(self.seed, rank)),
-            StreamKind::Xoshiro => {
-                // For large rank counts, repeated polynomial jumps are
-                // O(rank); re-key through SplitMix instead and jump once so
-                // stream creation is O(1) while seeds stay decorrelated.
-                let seed = crate::SplitMix64::derive_stream_seed(self.seed, rank as u64);
-                let mut g = Xoshiro256StarStar::new(seed);
-                g.jump();
-                StreamRng::Xoshiro(g)
-            }
-            StreamKind::LaggedFibonacci => StreamRng::LaggedFibonacci(Box::new(
-                LaggedFibonacci55::param_stream(self.seed, rank),
-            )),
-        }
+        // Repeated polynomial jumps would make rank `r`'s stream O(r) to
+        // build; re-key through SplitMix instead and jump once so stream
+        // creation is O(1) while seeds stay decorrelated.
+        let seed = crate::SplitMix64::derive_stream_seed(self.seed, rank as u64);
+        let mut g = Xoshiro256StarStar::new(seed);
+        g.jump();
+        StreamRng(g)
     }
 }
 
 impl Rng64 for StreamRng {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        match self {
-            StreamRng::Lcg(g) => g.next_u64(),
-            StreamRng::Xoshiro(g) => g.next_u64(),
-            StreamRng::LaggedFibonacci(g) => g.next_u64(),
-        }
+        self.0.next_u64()
+    }
+
+    #[inline]
+    fn fill_u64(&mut self, out: &mut [u64]) {
+        self.0.fill_u64(out)
     }
 }
 
@@ -99,75 +58,45 @@ impl qmc_ckpt::Checkpoint for StreamRng {
     }
 
     fn save(&self, enc: &mut qmc_ckpt::Encoder) {
-        match self {
-            StreamRng::Lcg(g) => {
-                enc.u8(0);
-                qmc_ckpt::write_state(enc, g);
-            }
-            StreamRng::Xoshiro(g) => {
-                enc.u8(1);
-                qmc_ckpt::write_state(enc, g);
-            }
-            StreamRng::LaggedFibonacci(g) => {
-                enc.u8(2);
-                qmc_ckpt::write_state(enc, g.as_ref());
-            }
-        }
+        enc.u8(XOSHIRO_TAG);
+        qmc_ckpt::write_state(enc, &self.0);
     }
 
     fn load(&mut self, dec: &mut qmc_ckpt::Decoder) -> Result<(), qmc_ckpt::CkptError> {
-        // The variant must match the value the factory already built —
-        // resuming with a different `StreamKind` than the original run
-        // would splice two unrelated streams.
         let tag = dec.u8()?;
-        match (tag, &mut *self) {
-            (0, StreamRng::Lcg(g)) => qmc_ckpt::read_state(dec, g),
-            (1, StreamRng::Xoshiro(g)) => qmc_ckpt::read_state(dec, g),
-            (2, StreamRng::LaggedFibonacci(g)) => qmc_ckpt::read_state(dec, g.as_mut()),
-            _ => Err(qmc_ckpt::CkptError::corrupt(format!(
-                "stream rng variant tag {tag} does not match the configured generator kind"
-            ))),
+        if tag != XOSHIRO_TAG {
+            return Err(qmc_ckpt::CkptError::corrupt(format!(
+                "stream rng variant tag {tag} is not the xoshiro256** stream"
+            )));
         }
+        qmc_ckpt::read_state(dec, &mut self.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LaggedFibonacci55, Lcg64};
 
-    fn first_outputs(kind: StreamKind, rank: usize, n: usize) -> Vec<u64> {
-        let mut g = StreamFactory::with_kind(2024, kind).stream(rank);
+    fn first_outputs(rank: usize, n: usize) -> Vec<u64> {
+        let mut g = StreamFactory::new(2024).stream(rank);
         (0..n).map(|_| g.next_u64()).collect()
     }
 
     #[test]
     fn streams_reproducible() {
-        for kind in [
-            StreamKind::Lcg,
-            StreamKind::Xoshiro,
-            StreamKind::LaggedFibonacci,
-        ] {
-            assert_eq!(first_outputs(kind, 3, 16), first_outputs(kind, 3, 16));
-        }
+        assert_eq!(first_outputs(3, 16), first_outputs(3, 16));
     }
 
     #[test]
     fn streams_distinct_across_ranks() {
-        for kind in [
-            StreamKind::Lcg,
-            StreamKind::Xoshiro,
-            StreamKind::LaggedFibonacci,
-        ] {
-            let a = first_outputs(kind, 0, 16);
-            let b = first_outputs(kind, 1, 16);
-            assert_ne!(a, b, "{kind:?}");
-        }
+        assert_ne!(first_outputs(0, 16), first_outputs(1, 16));
     }
 
     #[test]
     fn stream_independent_of_total_rank_count() {
         // Rank r's stream must not depend on how many ranks exist — only
-        // on (seed, kind, r). This is what makes P-varying runs comparable.
+        // on (seed, r). This is what makes P-varying runs comparable.
         let f = StreamFactory::new(7);
         let mut a = f.stream(5);
         let mut b = f.stream(5);
@@ -184,11 +113,6 @@ mod tests {
             let mut g = f.stream(r);
             assert!(outs.insert(g.next_u64()), "collision at rank {r}");
         }
-    }
-
-    #[test]
-    fn default_kind_is_xoshiro() {
-        assert_eq!(StreamKind::default(), StreamKind::Xoshiro);
     }
 
     /// Save mid-stream, restore into a freshly constructed generator,
@@ -218,16 +142,29 @@ mod tests {
         assert_resume_continues_stream(|| Lcg64::new(21));
         assert_resume_continues_stream(|| Xoshiro256StarStar::new(21));
         assert_resume_continues_stream(|| LaggedFibonacci55::new(21));
-        for kind in [
-            StreamKind::Lcg,
-            StreamKind::Xoshiro,
-            StreamKind::LaggedFibonacci,
-        ] {
-            assert_resume_continues_stream(|| StreamFactory::with_kind(21, kind).stream(2));
+        assert_resume_continues_stream(|| StreamFactory::new(21).stream(2));
+        assert_resume_continues_stream(|| {
+            crate::CountingRng::new(StreamFactory::new(21).stream(2))
+        });
+    }
+
+    #[test]
+    fn retired_stream_variant_tags_are_refused() {
+        use qmc_ckpt::{Checkpoint, Decoder, Encoder};
+        // Bodies as the retired LCG (tag 0) and lagged-Fibonacci (tag 2)
+        // streams saved them: the tag, then the generator's own state.
+        let mut lcg = Encoder::new();
+        lcg.u8(0);
+        qmc_ckpt::write_state(&mut lcg, &Lcg64::block_stream(21, 2));
+        let mut lfg = Encoder::new();
+        lfg.u8(2);
+        qmc_ckpt::write_state(&mut lfg, &LaggedFibonacci55::param_stream(21, 2));
+        for (tag, body) in [(0, lcg.into_bytes()), (2, lfg.into_bytes())] {
+            let mut g = StreamFactory::new(21).stream(2);
+            let err = g
+                .load(&mut Decoder::new(&body))
+                .expect_err("a retired variant must not load");
+            assert!(err.to_string().contains(&format!("tag {tag}")), "{err}");
         }
-        // Buffered wrappers must carry the undrained buffer across the
-        // checkpoint (777 % 256 != 0, so the buffer is mid-drain here).
-        assert_resume_continues_stream(|| crate::Buffered::new(Xoshiro256StarStar::new(21)));
-        assert_resume_continues_stream(|| crate::Buffered::new(Lcg64::new(21)));
     }
 }

@@ -5,9 +5,8 @@ use crate::{Rng64, SplitMix64};
 /// xoshiro256** generator (period 2^256 − 1) with a 2^128-step jump for
 /// stream separation.
 ///
-/// This is the workspace's default high-quality generator: fast, passes
-/// BigCrush, and `jump()` partitions the period into 2^128 non-overlapping
-/// sub-sequences — one per parallel rank.
+/// This is the generator [`crate::StreamFactory`] hands every rank: fast,
+/// passes BigCrush, and `jump()` moves it 2^128 steps along its period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
@@ -43,15 +42,6 @@ impl Xoshiro256StarStar {
             }
         }
         self.s = t;
-    }
-
-    /// Stream for `rank`: seed, then `rank` jumps of 2^128 steps each.
-    pub fn block_stream(seed: u64, rank: usize) -> Self {
-        let mut g = Self::new(seed);
-        for _ in 0..rank {
-            g.jump();
-        }
-        g
     }
 }
 
@@ -139,16 +129,6 @@ mod tests {
         let va: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
         let vb: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
         assert!(va.iter().zip(&vb).all(|(x, y)| x != y));
-    }
-
-    #[test]
-    fn block_streams_distinct() {
-        let g0 = Xoshiro256StarStar::block_stream(7, 0);
-        let g1 = Xoshiro256StarStar::block_stream(7, 1);
-        let g2 = Xoshiro256StarStar::block_stream(7, 2);
-        assert_ne!(g0, g1);
-        assert_ne!(g1, g2);
-        assert_ne!(g0, g2);
     }
 
     #[test]

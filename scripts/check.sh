@@ -38,7 +38,7 @@ echo "== tier-1: cargo test -q =="
 # drive loop, qmc-verify trace checker, qmc-bench `faults`), the comm
 # conformance and deadlock-detector suites, and the integration suites —
 # observability (determinism + artifact schema), checkpoint (crash-at-
-# every-boundary matrix, drain, v1 resume, bench<->serve cross-resume),
+# every-boundary matrix, drain, v1 resume, bench/CLI <-> serve cross-resume),
 # alloc_guard (zero steady-state allocations), explore (DPOR and
 # state-search budgets + mutant replays on the real code), serve,
 # elastic. The stages below only add what `cargo test` does not run:
@@ -262,12 +262,13 @@ echo "== pins: fixed-seed trajectories and checkpoint bytes under the profile th
 # the same keyed draws) and a union-find over the legs, under the
 # inlining the benchmark times. So do
 # qmc-worldline's (the packed-row walks against the bool-row kernel, move
-# for move: spins, counters and draws) and qmc-core's (the tempering
-# ladders built on them).
+# for move: spins, counters and draws), qmc-core's (the tempering
+# ladders built on them) and qmc-rng's (a batched fill serves the
+# `next_u64` sequence, and every generator resumes bit for bit).
 cargo test -q --release -p qmc-bench --test trajectory_pins --test layout_pins
 cargo test -q --release -p qmc-tfim
 cargo test -q --release -p qmc-sse
-cargo test -q --release -p qmc-worldline -p qmc-core
+cargo test -q --release -p qmc-worldline -p qmc-core -p qmc-rng
 
 echo "== analyze: causal trace -> critical-path report =="
 # Records the 4-rank traced PT demo, merges the per-rank streams into

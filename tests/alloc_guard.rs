@@ -19,7 +19,7 @@ use qmc_comm::SerialComm;
 use qmc_core::pt::PtLadder;
 use qmc_lattice::{Chain, Square};
 use qmc_obs::Registry;
-use qmc_rng::{Buffered, Xoshiro256StarStar};
+use qmc_rng::Xoshiro256StarStar;
 use qmc_serve::{JobKind, JobObservables, JobSpec, Next, Outcome, Sched, TenantQuota};
 use qmc_sse::Sse;
 use qmc_tfim::parallel::DistTfim;
@@ -125,9 +125,9 @@ fn serial_tfim_sweep_is_allocation_free() {
         m: 8,
     };
     let mut eng = SerialTfim::new(model);
-    let mut rng = Buffered::new(Xoshiro256StarStar::new(21));
+    let mut rng = Xoshiro256StarStar::new(21);
     for _ in 0..20 {
-        eng.metropolis_sweep(&mut rng); // warmup: tables, RNG buffer
+        eng.metropolis_sweep(&mut rng); // warmup: tables
     }
     assert_steady_state_clean("SerialTfim::metropolis_sweep", 100, || {
         eng.metropolis_sweep(&mut rng)
@@ -205,8 +205,8 @@ fn dist_tfim_sweep_is_allocation_free() {
     };
     let mut comm = SerialComm::new();
     let mut eng = DistTfim::new(model, &comm);
-    let mut rng = Buffered::new(Xoshiro256StarStar::new(27));
-    let _ = eng.run(&mut comm, &mut rng, 20, 0); // warmup: ghosts, RNG buffer
+    let mut rng = Xoshiro256StarStar::new(27);
+    let _ = eng.run(&mut comm, &mut rng, 20, 0); // warmup: ghosts
     assert_steady_state_clean("DistTfim::sweep", 100, || eng.sweep(&mut comm, &mut rng));
 }
 

@@ -16,7 +16,7 @@ use qmc_ckpt::{
 use qmc_comm::{run_threads, run_threads_with_timeout, Communicator, FaultPlan, FaultyComm};
 use qmc_core::pt::{run_pt_parallel_ckpt, PtCheckpointing, PtConfig, PtLadder};
 use qmc_lattice::{Chain, Square};
-use qmc_rng::{Buffered, CountingRng, Rng64, StreamFactory, Xoshiro256StarStar};
+use qmc_rng::{CountingRng, Rng64, StreamFactory, Xoshiro256StarStar};
 use qmc_sse::Sse;
 use qmc_tfim::serial::SerialTfim;
 use qmc_tfim::TfimModel;
@@ -140,7 +140,7 @@ fn serial_tfim_delta_checkpoints_stay_under_half_full_size() {
             resume: false,
             stop: None,
         };
-        let mut rng = Buffered::new(Xoshiro256StarStar::new(21));
+        let mut rng = Xoshiro256StarStar::new(21);
         assert!(
             ckpt_run(SerialTfim::new(model), &mut rng, 0, sweeps, Some(&ck), None).is_some(),
             "run completes"
@@ -501,14 +501,16 @@ fn ckpt_drivers_match_plain_runs() {
     }
 }
 
-/// Run `args` under the `qmc` CLI; its exit code and standard error.
-fn qmc(args: &[&str]) -> (Option<i32>, String) {
+/// Run `args` under the `qmc` CLI; its exit code, standard output and
+/// standard error.
+fn qmc(args: &[&str]) -> (Option<i32>, String, String) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_qmc"))
         .args(args)
         .output()
         .expect("qmc runs");
     (
         out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
@@ -529,15 +531,15 @@ fn assert_cli_refuses_resume_at_another_beta(engine: &str, args: &[&str]) {
         }
         qmc(&all)
     };
-    let (code, err) = run("1.0", false);
+    let (code, _, err) = run("1.0", false);
     assert_eq!(code, Some(0), "{engine} at β = 1: {err}");
-    let (code, err) = run("4.0", true);
+    let (code, _, err) = run("4.0", true);
     assert_eq!(code, Some(2), "{engine} resumed at β = 4: {err}");
     assert!(
         err.contains("restore from checkpoint") && err.contains("β"),
         "{engine} resumed at β = 4: stderr {err:?}"
     );
-    let (code, err) = run("1.0", true);
+    let (code, _, err) = run("1.0", true);
     assert_eq!(code, Some(0), "{engine} resumed at β = 1: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1036,25 +1038,27 @@ fn v1_monolithic_checkpoints_resume_under_the_delta_driver() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One loop, one section layout: a serial TFIM store written by
-/// `run_engine` directly and killed at sweep k resumes under `qmc_serve::run_job`
-/// to the bit-identical series, and the other way round.
-#[test]
-fn bench_and_serve_resume_each_others_tfim_stores() {
-    use qmc_serve::{run_job, JobKind, JobSpec, Outcome, RunCtl};
-    let (therm, sweeps, every, seed) = (6usize, 12usize, 5usize, 7u64);
-    let model = TfimModel {
-        lx: 8,
-        ly: 1,
-        j: 1.0,
-        h: 2.0,
-        beta: 1.0,
-        m: 4,
-    };
-    let spec = JobSpec {
+/// Six thermalization sweeps, twelve measured, a generation every five.
+const CROSS_RUN: (usize, usize, usize, u64) = (6, 12, 5, 7);
+
+/// The TFIM model of the cross-resume tests.
+const CROSS_MODEL: TfimModel = TfimModel {
+    lx: 8,
+    ly: 1,
+    j: 1.0,
+    h: 2.0,
+    beta: 1.0,
+    m: 4,
+};
+
+/// [`CROSS_MODEL`] and [`CROSS_RUN`] as a qmc-serve job.
+fn cross_spec() -> qmc_serve::JobSpec {
+    let (therm, sweeps, every, seed) = CROSS_RUN;
+    let model = CROSS_MODEL;
+    qmc_serve::JobSpec {
         tenant: "alice".into(),
         name: "cross".into(),
-        kind: JobKind::Tfim {
+        kind: qmc_serve::JobKind::Tfim {
             lx: model.lx,
             ly: model.ly,
             j: model.j,
@@ -1068,25 +1072,45 @@ fn bench_and_serve_resume_each_others_tfim_stores() {
         seed,
         priority: 0,
         ckpt_every: every as u32,
+    }
+}
+
+/// [`cross_spec`] under `qmc_serve::run_job`, resuming from `store` when
+/// it holds a generation: the (energy, |m|) bit patterns, `None` when
+/// killed at sweep `kill`.
+fn serve_cross(store: Option<&CkptStore>, kill: Option<usize>) -> Option<(Vec<u64>, Vec<u64>)> {
+    use qmc_serve::{run_job, Outcome, RunCtl};
+    let spec = cross_spec();
+    let ctl = RunCtl {
+        store,
+        every: spec.ckpt_every as usize,
+        kill_at: kill.map(|k| k as u64),
+        ..Default::default()
     };
-    // Each side returns (energy, |m|) bit patterns, `None` when killed.
+    match run_job(&spec, ctl) {
+        Outcome::Done { obs, .. } => Some((bits(&obs.energy[0]), bits(&obs.extra[0]))),
+        Outcome::Killed { .. } => None,
+        other => panic!("unexpected outcome {other:?}"),
+    }
+}
+
+/// One loop, one section layout: a serial TFIM store written by
+/// `run_engine` directly and killed at sweep k resumes under `qmc_serve::run_job`
+/// to the bit-identical series, and the other way round.
+#[test]
+fn bench_and_serve_resume_each_others_tfim_stores() {
+    let (therm, sweeps, every, seed) = CROSS_RUN;
     let bench = |ck: Option<&Policy<'_>>, kill: Option<usize>| {
         let mut rng = Xoshiro256StarStar::new(seed);
-        ckpt_run(SerialTfim::new(model), &mut rng, therm, sweeps, ck, kill)
-            .map(|(_, s)| (bits(&s.energy), bits(&s.abs_m)))
-    };
-    let serve = |store: &CkptStore, kill: Option<usize>| {
-        let ctl = RunCtl {
-            store: Some(store),
-            every,
-            kill_at: kill.map(|k| k as u64),
-            ..Default::default()
-        };
-        match run_job(&spec, ctl) {
-            Outcome::Done { obs, .. } => Some((bits(&obs.energy[0]), bits(&obs.extra[0]))),
-            Outcome::Killed { .. } => None,
-            other => panic!("unexpected outcome {other:?}"),
-        }
+        ckpt_run(
+            SerialTfim::new(CROSS_MODEL),
+            &mut rng,
+            therm,
+            sweeps,
+            ck,
+            kill,
+        )
+        .map(|(_, s)| (bits(&s.energy), bits(&s.abs_m)))
     };
     let reference = bench(None, None);
     assert!(reference.is_some());
@@ -1100,15 +1124,74 @@ fn bench_and_serve_resume_each_others_tfim_stores() {
             stop: None,
         };
         assert!(bench(Some(&policy(false)), Some(k)).is_none());
-        assert_eq!(serve(&store, None), reference, "bench → serve, kill at {k}");
+        assert_eq!(
+            serve_cross(Some(&store), None),
+            reference,
+            "bench → serve, kill at {k}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
 
         let store = CkptStore::new(&dir, 2).expect("scratch store");
-        assert!(serve(&store, Some(k)).is_none());
+        assert!(serve_cross(Some(&store), Some(k)).is_none());
         assert_eq!(
             bench(Some(&policy(true)), None),
             reference,
             "serve → bench, kill at {k}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The `qmc tfim` CLI is on the same layout: a store it wrote resumes
+/// under `qmc_serve::run_job` to the uninterrupted series, and a `run_job`
+/// store killed at sweep k resumes under `qmc tfim --resume` to what an
+/// uninterrupted `qmc tfim` prints.
+#[test]
+fn cli_and_serve_resume_each_others_tfim_stores() {
+    let (therm, sweeps, every, seed) = CROSS_RUN;
+    let m = CROSS_MODEL;
+    let cli = |store: Option<(&std::path::Path, bool)>| {
+        let mut args = format!(
+            "tfim --lx {} --ly {} --j {} --h {} --beta {} --m {} \
+             --therm {therm} --sweeps {sweeps} --seed {seed}",
+            m.lx, m.ly, m.j, m.h, m.beta, m.m
+        );
+        if let Some((dir, resume)) = store {
+            let dir = dir.to_str().expect("utf-8 scratch path");
+            args += &format!(" --checkpoint-every {every} --checkpoint-dir {dir}");
+            if resume {
+                args += " --resume";
+            }
+        }
+        let args: Vec<&str> = args.split_whitespace().collect();
+        let (code, out, err) = qmc(&args);
+        assert_eq!(code, Some(0), "qmc {args:?}: {err}");
+        out
+    };
+    let reference = serve_cross(None, None);
+    assert!(reference.is_some());
+    let printed = cli(None);
+
+    // The CLI's newest generation is the one entering sweep 15 of 18.
+    let dir = scratch("cli-cross");
+    assert_eq!(cli(Some((&dir, false))), printed);
+    let store = CkptStore::new(&dir, 3).expect("scratch store");
+    assert_eq!(
+        serve_cross(Some(&store), None),
+        reference,
+        "qmc tfim → serve"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for k in [1, 5, 9, 17] {
+        let dir = scratch("cli-cross");
+        let store = CkptStore::new(&dir, 3).expect("scratch store");
+        assert!(serve_cross(Some(&store), Some(k)).is_none());
+        drop(store);
+        assert_eq!(
+            cli(Some((&dir, true))),
+            printed,
+            "serve → qmc tfim, kill at {k}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
