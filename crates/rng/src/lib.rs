@@ -341,9 +341,9 @@ mod tests {
 
     #[test]
     fn fill_u64_matches_repeated_next_u64_all_generators() {
-        // Xoshiro's batched override, the forwarding of the factory's
-        // stream and of `CountingRng`, and the trait default behind the
-        // rest must all serve the `next_u64` sequence.
+        // Xoshiro's batched override, `CountingRng`'s forwarding and the
+        // trait default behind the rest (the factory's stream included)
+        // must all serve the `next_u64` sequence.
         fn check<R: Rng64 + Clone>(rng: R) {
             for len in [0usize, 1, 7, 256, 1000] {
                 let mut a = rng.clone();

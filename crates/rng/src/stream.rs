@@ -45,11 +45,6 @@ impl Rng64 for StreamRng {
     fn next_u64(&mut self) -> u64 {
         self.0.next_u64()
     }
-
-    #[inline]
-    fn fill_u64(&mut self, out: &mut [u64]) {
-        self.0.fill_u64(out)
-    }
 }
 
 impl qmc_ckpt::Checkpoint for StreamRng {
