@@ -3,7 +3,7 @@
 use crate::estimators::TimeSeries;
 use crate::weights::{by_pattern, classify, PlaqClass, PlaqWeights};
 use qmc_lattice::parity_mask;
-use qmc_rng::{threshold, Rng64, NO_DRAW};
+use qmc_rng::{threshold, Rng64, SplitMix64};
 
 /// Simulation parameters for the world-line engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,22 +86,28 @@ pub struct Worldline {
     /// [`qmc_ckpt::Checkpoint::mark_clean`]).
     spins_dirty: bool,
     weights: PlaqWeights,
-    /// Weight of a diagonal cell, `[parallel, anti-parallel]`: the
-    /// factors a straight-line move multiplies.
-    diag_w: [f64; 2],
-    /// A straight-line move's `(old, new)` products when its column's two
-    /// neighbours are kink-free too, by `first << 1 | second`: each half's
-    /// `m` cells are then all parallel or all anti-parallel (see
-    /// [`Self::try_straight_line`]).
-    straight_pairs: [(f64, f64); 4],
     /// The corner move's acceptance over all 2⁹ neighbourhood spin patterns
     /// (keyed as [`Self::corner_row`] gathers them) as [`threshold`]s on a
     /// raw draw: the row kernel is one table load and one integer compare
     /// per proposal, no classify, divide or float conversion.
     local_thr: Box<[u64; 512]>,
+    /// The straight-line move's acceptance, `m + 1` [`threshold`]s by how
+    /// far its column's anti-parallel cell count lies on the losing side
+    /// of `m` ([`straight_index`]); the other side always accepts.
+    straight_thr: Box<[u64]>,
+    /// Whether an anti-parallel diagonal cell weighs at least a parallel
+    /// one, which decides the losing side of `m`.
+    anti_heavier: bool,
     /// Bit `i` set when column `i` is not one straight world line (see
     /// [`Self::mark_kinks`]); rebuilt every sweep after the corner rows.
     kinks: Vec<u64>,
+    /// `n_c`: how many of pair `(c, c + 1)`'s `m` shaded cells are
+    /// anti-parallel (see [`Self::count_anti`]); rebuilt every sweep after
+    /// the kink mask and kept exact through the straight-line attempts.
+    pair_anti: Vec<u32>,
+    /// The columns this sweep's accepted straight-line moves flip, laid
+    /// out as one doubled row; XORed into every row after the attempts.
+    flips: Vec<u64>,
     /// Local-move acceptance counters (accepted, proposed-with-precondition).
     pub local_accepted: u64,
     /// Local proposals satisfying the flippable precondition.
@@ -206,12 +212,40 @@ fn pred(i: usize, n: usize) -> usize {
     }
 }
 
-/// `rng.metropolis(ratio)` for `thr = threshold(ratio)`: the same verdict
-/// for every raw draw, and a draw consumed exactly when it consumes one.
-#[qmc_hot::hot]
+/// The ratio of a straight-line move whose column's cells lie `k` anti-
+/// parallel cells on the losing side of `m`: `r^{2k}`, with `r ≤ 1` the
+/// lighter diagonal weight over the heavier.
+fn straight_ratio(r: f64, k: usize) -> f64 {
+    r.powf((2 * k) as f64)
+}
+
+/// Index into a straight-line threshold table ([`straight_ratio`]) of a
+/// column whose `2m` cells hold `anti` anti-parallel ones: `anti − m`
+/// when anti-parallel cells are the heavier, `m − anti` otherwise, and 0
+/// (always accepted) on the winning side.
 #[inline(always)]
-fn accepts<R: Rng64>(thr: u64, rng: &mut R) -> bool {
-    thr == NO_DRAW || (rng.next_u64() >> 11) < thr
+fn straight_index(anti_heavier: bool, m: usize, anti: usize) -> usize {
+    if anti_heavier {
+        anti.saturating_sub(m)
+    } else {
+        m.saturating_sub(anti)
+    }
+}
+
+/// Attempt `a`'s column after its own draw was rejected: the first of
+/// outputs `retries + r·l + a` (`r = 0, 1, …`) whose low word of
+/// `raw · l` is not below `reject = 2⁶⁴ mod l`, taken by its high word.
+/// Each retry is rejected with probability below `l·2⁻⁶⁴`.
+#[cold]
+fn retry_column(key: u64, retries: u64, l: usize, a: usize, reject: u64) -> usize {
+    let mut index = retries + a as u64;
+    loop {
+        let wide = u128::from(SplitMix64::at(key, index)) * l as u128;
+        if wide as u64 >= reject {
+            return (wide >> 64) as usize;
+        }
+        index += l as u64;
+    }
 }
 
 /// The 64 bits of the packed row at word `base` that start at bit `p`
@@ -314,10 +348,14 @@ impl Worldline {
         let rows = 2 * params.m;
         let row_words = params.l.div_ceil(32);
         let weights = PlaqWeights::new(params.jx, params.jz, params.dtau());
-        let diag_w = [
-            weights.weight(PlaqClass::DiagonalParallel),
-            weights.weight(PlaqClass::DiagonalAnti),
-        ];
+        let [w_par, w_anti] =
+            [PlaqClass::DiagonalParallel, PlaqClass::DiagonalAnti].map(|c| weights.weight(c));
+        let anti_heavier = w_anti >= w_par;
+        let r = if anti_heavier {
+            w_par / w_anti
+        } else {
+            w_anti / w_par
+        };
         let mut w = Self {
             params,
             rows,
@@ -325,21 +363,14 @@ impl Worldline {
             words: vec![0; rows * row_words + 1],
             spins_dirty: true,
             weights,
-            diag_w,
-            // The general walk's multiplications, in its order, for
-            // halves of constant anti-parallel bit.
-            straight_pairs: std::array::from_fn(|k| {
-                let (mut old, mut new) = (1.0, 1.0);
-                for anti in [k >> 1, k & 1] {
-                    for _ in 0..params.m {
-                        old *= diag_w[anti];
-                        new *= diag_w[anti ^ 1];
-                    }
-                }
-                (old, new)
-            }),
             local_thr: local_thresholds(&weights),
+            straight_thr: (0..=params.m)
+                .map(|k| threshold(straight_ratio(r, k)))
+                .collect(),
+            anti_heavier,
             kinks: vec![0; params.l.div_ceil(64)],
+            pair_anti: vec![0; params.l],
+            flips: vec![0; row_words],
             local_accepted: 0,
             local_proposed: 0,
             straight_accepted: 0,
@@ -592,7 +623,9 @@ impl Worldline {
     }
 
     /// One full sweep: every unshaded cell is offered a corner move, then
-    /// `L` random straight-line attempts.
+    /// `L` straight-line attempts at random columns. The sweep takes one
+    /// draw, its key, and every decision reads its own output of the
+    /// stream that key seeds (the crate docs' "Draws").
     #[qmc_hot::hot]
     pub fn sweep<R: Rng64>(&mut self, rng: &mut R) {
         let _span = qmc_obs::span("worldline.sweep");
@@ -602,15 +635,17 @@ impl Worldline {
             self.straight_accepted,
             self.straight_proposed,
         );
-        let l = self.params.l;
+        let key = rng.next_u64();
         for t in 0..self.rows {
-            self.corner_row(t, rng);
+            self.corner_row(t, key);
         }
         self.mark_kinks();
-        for _ in 0..l {
-            let i = rng.index(l);
-            self.try_straight_line(i, rng);
+        self.count_anti();
+        let reject = (self.params.l as u64).wrapping_neg() % self.params.l as u64;
+        for a in 0..self.params.l {
+            self.straight_attempt(a, key, reject);
         }
+        self.apply_flips();
         // Only accepted moves mutate spins; proposal counts alone leave
         // the configuration (and its checkpoint section) untouched.
         if self.local_accepted != before.0 || self.straight_accepted != before.2 {
@@ -646,14 +681,17 @@ impl Worldline {
     /// its nine-spin key from the live rows — sites `i − 1..i + 2` are one
     /// four-bit field per row, shifted out of a [`window`] that an accepted
     /// move reloads, so a neighbour an earlier move flipped is read
-    /// flipped — and [`accepts`] decides it.
+    /// flipped — and accepts when output `t·L + i` of the sweep's `key`,
+    /// shifted right by 11, is below its threshold (a ratio ≥ 1 is
+    /// `u64::MAX`, above every such draw).
     #[qmc_hot::hot]
-    fn corner_row<R: Rng64>(&mut self, t: usize, rng: &mut R) {
+    fn corner_row(&mut self, t: usize, key: u64) {
         let (l, nw) = (self.params.l, self.row_words);
         let tu = self.row_up(t);
         // Distinct rows because m ≥ 2.
         let (down, lo, hi, up) = (self.row_down(t) * nw, t * nw, tu * nw, self.row_up(tu) * nw);
         let (words, thr) = (&mut self.words, &self.local_thr);
+        let row_key = SplitMix64::advance(key, (t * l) as u64);
         let (mut proposed, mut accepted) = (0, 0);
         for first in (0..l).step_by(64) {
             let (a, b) = (bits_at(words, lo, first), bits_at(words, hi, first));
@@ -674,12 +712,12 @@ impl Worldline {
                     let field = |base| bits_at(words, base, i - 1);
                     (field(lo), field(hi), field(down), field(up))
                 };
-                let key = (lo4 & 0b1011)
+                let hood = (lo4 & 0b1011)
                     | (hi4 & 1) << 2
                     | (hi4 & 8) << 1
                     | (dn4 & 6) << 4
                     | (up4 & 6) << 6;
-                if accepts(thr[key as usize], rng) {
+                if (SplitMix64::at(row_key, i as u64) >> 11) < thr[hood as usize] {
                     // Both columns are constant over the two rows and
                     // opposite, so flipping the four corners swaps them.
                     flip_pair(words, lo, l, i);
@@ -712,58 +750,101 @@ impl Worldline {
         }
     }
 
-    /// Attempt the straight-line move: flip site `i` on every row
-    /// (changes total magnetization by ±1 world line).
+    /// Count every pair's anti-parallel cells: `n_c` sums, over the rows
+    /// `t ≡ c (mod 2)` where pair `(c, c + 1)` has its shaded cells, bit
+    /// `c` of `row_t ⊕ row_t≫1` (the seam pair's right site is the
+    /// second copy's site 0).
     ///
-    /// A kinked column ([`Self::mark_kinks`]) has ratio 0: rejected
-    /// without a draw. Otherwise column `i` is a corner of one diagonal
-    /// cell per interval: the cell with left site `i` on rows
-    /// `t ≡ i (mod 2)` and the one with left site `i − 1` on the others.
-    /// Each weighs parallel or anti-parallel by its two sites on its
-    /// bottom row, and the flip swaps the two. Both products start at 1 and
-    /// take the cells in ascending `(left site, row)` order — for `i = 0`
-    /// site 0's cells come before site `l − 1`'s — which fixes the bits of
-    /// the ratio. When both neighbours of the column are kink-free too,
-    /// each of the two halves is all parallel or all anti-parallel, and the
-    /// products are [`Self::straight_pairs`], taken in that same order. An
-    /// accepted move is two XORs per row.
+    /// A row pair `(2p, 2p + 1)` contributes `x = (row_2p ⊕ row_2p≫1) &
+    /// parity(0) | (row_2p+1 ⊕ row_2p+1≫1) & parity(1)`, one bit per pair,
+    /// and [`SPREAD`] adds it to eight byte lanes per 8 columns. A lane
+    /// takes at most one per row pair, so every 255 row pairs the lanes
+    /// are emptied into the counts before they could carry.
     #[qmc_hot::hot]
-    fn try_straight_line<R: Rng64>(&mut self, i: usize, rng: &mut R) {
-        self.straight_proposed += 1;
-        let kinked = |c: usize| (self.kinks[c / 64] >> (c % 64)) & 1 == 1;
-        if kinked(i) {
-            return;
-        }
-        let (l, nw) = (self.params.l, self.row_words);
-        let (left, right) = (pred(i, l), succ(i, l));
-        let halves = if i == 0 { [i, left] } else { [left, i] };
-        let (old, new) = if !kinked(left) && !kinked(right) {
-            let anti = |c: usize| (self.spin(c, 0) ^ self.spin(succ(c, l), 0)) as usize;
-            self.straight_pairs[anti(halves[0]) << 1 | anti(halves[1])]
-        } else {
-            let (mut old, mut new) = (1.0, 1.0);
-            for c in halves {
-                // Sites c and c + 1 (at the seam, the second copy's site
-                // 0) of rows c mod 2, c mod 2 + 2, …
-                let (qc, sc, qd, sd) = (c / 64, c % 64, (c + 1) / 64, (c + 1) % 64);
-                for row in self.words[(c % 2) * nw..self.rows * nw].chunks(2 * nw) {
-                    let anti = (((row[qc] >> sc) ^ (row[qd] >> sd)) & 1) as usize;
-                    old *= self.diag_w[anti];
-                    new *= self.diag_w[anti ^ 1];
+    fn count_anti(&mut self) {
+        let (l, m, nw) = (self.params.l, self.params.m, self.row_words);
+        let words = &self.words;
+        for first in (0..l).step_by(64) {
+            let counts = &mut self.pair_anti[first..l.min(first + 64)];
+            counts.fill(0);
+            let lanes = counts.len().div_ceil(8);
+            for block in (0..m).step_by(255) {
+                let mut acc = [0u64; 8];
+                for p in block..m.min(block + 255) {
+                    let (even, odd) = (2 * p * nw, (2 * p + 1) * nw);
+                    let anti = |base| bits_at(words, base, first) ^ bits_at(words, base, first + 1);
+                    let x = anti(even) & parity_mask(0) | anti(odd) & parity_mask(1);
+                    for (j, lane) in acc[..lanes].iter_mut().enumerate() {
+                        *lane += SPREAD[(x >> (8 * j)) as u8 as usize];
+                    }
+                }
+                for (c, n) in counts.iter_mut().enumerate() {
+                    *n += u32::from((acc[c / 8] >> (8 * (c % 8))) as u8);
                 }
             }
-            (old, new)
+        }
+    }
+
+    /// Straight-line attempt `a`: flip a random column on every row
+    /// (changes total magnetization by ±1 world line).
+    ///
+    /// The column is the high word of `raw · l` for output `2mL + 2a` of
+    /// the sweep's `key` (retried on `2mL + 2L + r·L + a` in the rare case
+    /// its low word says the choice would not be exactly uniform). A
+    /// kinked column ([`Self::mark_kinks`]) has ratio 0 and is rejected.
+    /// Beside a kink-free column every cell is diagonal — `m` of pair
+    /// `(i − 1, i)` and `m` of pair `(i, i + 1)` — and the flip swaps
+    /// parallel and anti-parallel in each, so with `n` of the `2m`
+    /// anti-parallel the ratio is `(w_anti / w_par)^(2m − 2n)`, one load
+    /// from [`Self::straight_thr`] compared with output `2mL + 2a + 1`.
+    ///
+    /// An accepted move swaps both pairs' counts to `m − n` and toggles
+    /// the column in [`Self::flips`]; the rows change only in
+    /// [`Self::apply_flips`]. Later attempts read only the kink mask and
+    /// the counts, and both stay exact: a kink-free column stays kink-free
+    /// when flipped, and no other column changes.
+    #[qmc_hot::hot]
+    #[inline(always)]
+    fn straight_attempt(&mut self, a: usize, key: u64, reject: u64) {
+        let (l, m) = (self.params.l, self.params.m);
+        let base = (self.rows * l + 2 * a) as u64;
+        self.straight_proposed += 1;
+        let wide = u128::from(SplitMix64::at(key, base)) * l as u128;
+        let i = if (wide as u64) < reject {
+            retry_column(key, (self.rows * l + 2 * l) as u64, l, a, reject)
+        } else {
+            (wide >> 64) as usize
         };
-        debug_assert!(old > 0.0, "current configuration must be valid");
-        let ratio = new / old;
-        if ratio > 0.0 && accepts(threshold(ratio), rng) {
-            let (own, copy) = (1u64 << (i % 64), 1u64 << ((i + l) % 64));
-            for row in self.words[..self.rows * nw].chunks_exact_mut(nw) {
-                row[i / 64] ^= own;
-                row[(i + l) / 64] ^= copy;
+        if (self.kinks[i / 64] >> (i % 64)) & 1 == 1 {
+            return;
+        }
+        let left = pred(i, l);
+        let anti = (self.pair_anti[left] + self.pair_anti[i]) as usize;
+        let thr = self.straight_thr[straight_index(self.anti_heavier, m, anti)];
+        if (SplitMix64::at(key, base + 1) >> 11) < thr {
+            for c in [left, i] {
+                self.pair_anti[c] = m as u32 - self.pair_anti[c];
             }
+            self.flips[i / 64] ^= 1 << (i % 64);
+            self.flips[(i + l) / 64] ^= 1 << ((i + l) % 64);
             self.straight_accepted += 1;
         }
+    }
+
+    /// XOR the sweep's accepted straight-line columns into every row, in
+    /// both copies, and clear them.
+    #[qmc_hot::hot]
+    fn apply_flips(&mut self) {
+        if self.flips.iter().all(|&f| f == 0) {
+            return;
+        }
+        let nw = self.row_words;
+        for row in self.words[..self.rows * nw].chunks_exact_mut(nw) {
+            for (word, flip) in row.iter_mut().zip(&self.flips) {
+                *word ^= flip;
+            }
+        }
+        self.flips.fill(0);
     }
 
     /// Total magnetization `Σ (s − ½)` of row `t` (conserved across rows
@@ -924,13 +1005,73 @@ impl qmc_ckpt::Checkpoint for Worldline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weights::pattern;
-    use qmc_rng::{CountingRng, Xoshiro256StarStar};
+    use qmc_rng::{CountingRng, Xoshiro256StarStar, NO_DRAW};
 
-    /// The replica step as it was before the table-driven walks, kept as
-    /// the oracle they are compared against: the generic sorted-cell-list
-    /// ratio, the corner move cell by cell on the `f64` ratio, the
-    /// straight-line move through a flip list, the log-weight with one
+    /// Where a sweep's decisions read their draws (the crate docs'
+    /// "Draws"): which output of the sweep's key. The kernel steps keys by
+    /// `SplitMix64::advance` instead; the oracles read through this.
+    struct Draws {
+        l: usize,
+        rows: usize,
+    }
+
+    impl Draws {
+        fn of(w: &Worldline) -> Self {
+            Self {
+                l: w.params.l,
+                rows: w.rows,
+            }
+        }
+
+        /// The corner move on unshaded cell `(i, t)`.
+        fn corner(&self, i: usize, t: usize) -> u64 {
+            (t * self.l + i) as u64
+        }
+
+        /// Straight-line attempt `a`'s column.
+        fn column(&self, a: usize) -> u64 {
+            (self.rows * self.l + 2 * a) as u64
+        }
+
+        /// Straight-line attempt `a`'s acceptance.
+        fn straight(&self, a: usize) -> u64 {
+            self.column(a) + 1
+        }
+
+        /// Attempt `a`'s column, `r`-th retry.
+        fn column_retry(&self, r: usize, a: usize) -> u64 {
+            ((self.rows + 2 + r) * self.l + a) as u64
+        }
+
+        /// Attempt `a`'s column by rejection over its outputs: the first
+        /// whose low word of `raw · l` is at least `reject`, by its high
+        /// word (`reject = 2⁶⁴ mod l` makes the choice exactly uniform).
+        fn pick_column(&self, key: u64, a: usize, reject: u64) -> usize {
+            let tries =
+                std::iter::once(self.column(a)).chain((0..).map(|r| self.column_retry(r, a)));
+            tries
+                .map(|at| u128::from(SplitMix64::at(key, at)) * self.l as u128)
+                .find(|wide| *wide as u64 >= reject)
+                .map(|wide| (wide >> 64) as usize)
+                .expect("an unbounded search")
+        }
+
+        /// `metropolis` on output `index` of the sweep keyed by `key`.
+        fn metropolis(key: u64, index: u64, ratio: f64) -> bool {
+            ratio >= 1.0 || qmc_rng::unit_f64(SplitMix64::at(key, index)) < ratio
+        }
+    }
+
+    /// `2⁶⁴ mod l`.
+    fn reject_of(l: usize) -> u64 {
+        ((1u128 << 64) % l as u128) as u64
+    }
+
+    /// The replica step as it was before the table-driven walks, reading
+    /// the keyed draws, kept as the keyed scalar oracle they are compared
+    /// against: the corner move cell by cell on the `f64` ratio, the
+    /// straight-line move through the generic sorted-cell-list route that
+    /// collects, classifies and counts its cells, the log-weight with one
     /// `ln` per cell.
     impl Worldline {
         /// The shaded cell (left site index) containing site `i` during
@@ -943,9 +1084,9 @@ mod tests {
             }
         }
 
-        /// Weight ratio (new/old) for flipping the given `(site, row)`
-        /// spins, computed generically over the affected shaded cells.
-        fn ratio_for_flips(&mut self, flips: &[(usize, usize)]) -> f64 {
+        /// The shaded cells `(left site, row)` that flipping the given
+        /// `(site, row)` spins touches, sorted and deduplicated.
+        fn cells_of_flips(&self, flips: &[(usize, usize)]) -> Vec<(usize, usize)> {
             let mut cells = Vec::new();
             for &(i, t) in flips {
                 let t_down = self.row_down(t);
@@ -954,7 +1095,13 @@ mod tests {
             }
             cells.sort_unstable();
             cells.dedup();
+            cells
+        }
 
+        /// Weight ratio (new/old) for flipping the given `(site, row)`
+        /// spins, computed generically over the affected shaded cells.
+        fn ratio_for_flips(&mut self, flips: &[(usize, usize)]) -> f64 {
+            let cells = self.cells_of_flips(flips);
             let mut old = 1.0;
             for &(c, t) in &cells {
                 old *= self.weights.weight(self.cell_class(c, t));
@@ -997,7 +1144,7 @@ mod tests {
         }
 
         /// Attempt the corner move on the unshaded cell `(i, t)`.
-        fn try_local<R: Rng64>(&mut self, i: usize, t: usize, rng: &mut R) {
+        fn try_local(&mut self, i: usize, t: usize, key: u64) {
             let l = self.params.l;
             let j = (i + 1) % l;
             let tu = self.row_up(t);
@@ -1008,7 +1155,7 @@ mod tests {
             }
             self.local_proposed += 1;
             let ratio = local_ratio(&self.weights, self.local_key(i, t));
-            if rng.metropolis(ratio) {
+            if Draws::metropolis(key, Draws::of(self).corner(i, t), ratio) {
                 for (s, r) in [(i, t), (i, tu), (j, t), (j, tu)] {
                     self.flip(s, r);
                 }
@@ -1017,23 +1164,59 @@ mod tests {
         }
 
         /// The corner moves of interval `t`, cell by cell.
-        fn corner_row_cell_by_cell<R: Rng64>(&mut self, t: usize, rng: &mut R) {
+        fn corner_row_cell_by_cell(&mut self, t: usize, key: u64) {
             for i in ((t + 1) % 2..self.params.l).step_by(2) {
-                self.try_local(i, t, rng);
+                self.try_local(i, t, key);
             }
         }
 
-        /// Attempt the straight-line move through its flip list.
-        fn try_straight_line_sorted<R: Rng64>(&mut self, i: usize, rng: &mut R) {
+        /// Straight-line attempt `a` through its flip list: a column whose
+        /// flip makes a forbidden cell (ratio 0) is rejected, and
+        /// otherwise the anti-parallel cells of the sorted list index the
+        /// engine's threshold table.
+        fn try_straight_line_sorted(&mut self, a: usize, key: u64) {
             self.straight_proposed += 1;
+            let draws = Draws::of(self);
+            let i = draws.pick_column(key, a, reject_of(self.params.l));
             let flips: Vec<_> = (0..self.rows).map(|t| (i, t)).collect();
-            let ratio = self.ratio_for_flips(&flips);
-            if ratio > 0.0 && rng.metropolis(ratio) {
+            if self.ratio_for_flips(&flips) == 0.0 {
+                return;
+            }
+            let cells = self.cells_of_flips(&flips);
+            assert_eq!(cells.len(), self.rows, "two cells per interval");
+            let anti = cells
+                .iter()
+                .filter(|&&(c, t)| self.cell_class(c, t) == PlaqClass::DiagonalAnti)
+                .count();
+            let thr = self.straight_thr[straight_index(self.anti_heavier, self.params.m, anti)];
+            if (SplitMix64::at(key, draws.straight(a)) >> 11) < thr {
                 for &(s, r) in &flips {
                     self.flip(s, r);
                 }
                 self.straight_accepted += 1;
             }
+        }
+
+        /// One sweep by the keyed scalar oracle, on the same one draw.
+        fn sweep_scalar<R: Rng64>(&mut self, rng: &mut R) {
+            let key = rng.next_u64();
+            for t in 0..self.rows {
+                self.corner_row_cell_by_cell(t, key);
+            }
+            for a in 0..self.params.l {
+                self.try_straight_line_sorted(a, key);
+            }
+        }
+
+        /// The rows as they will be once [`Self::apply_flips`] has run.
+        fn words_after_flips(&self) -> Vec<u64> {
+            let mut words = self.words.clone();
+            for row in words[..self.rows * self.row_words].chunks_exact_mut(self.row_words) {
+                for (word, flip) in row.iter_mut().zip(&self.flips) {
+                    *word ^= flip;
+                }
+            }
+            words
         }
 
         /// Log-weight with one classify, one match and one `ln` per cell.
@@ -1074,17 +1257,20 @@ mod tests {
     }
 
     /// The replica step's moves as they were before the rows were packed
-    /// into words, kept as the oracle the packed walks are compared
-    /// against: one `bool` per spin, row-major; the corner moves cell by
-    /// cell over neighbour indices, and the straight-line products over
-    /// every cell of the column by a 16-entry table.
+    /// into words, reading the keyed draws, kept as the oracle the packed
+    /// walks are compared against: one `bool` per spin, row-major; the
+    /// corner moves cell by cell over neighbour indices, and the
+    /// straight-line move testing its column row by row and counting the
+    /// anti-parallel cells beside it, flipped at once.
     #[derive(Clone)]
     struct BoolRows {
         l: usize,
+        m: usize,
         rows: usize,
         spins: Vec<bool>,
-        cell_w: [f64; 16],
         local_thr: Box<[u64; 512]>,
+        straight_thr: Box<[u64]>,
+        anti_heavier: bool,
         counters: [u64; 4],
     }
 
@@ -1092,11 +1278,20 @@ mod tests {
         fn of(w: &Worldline) -> Self {
             Self {
                 l: w.params.l,
+                m: w.params.m,
                 rows: w.rows,
                 spins: w.export_spins().iter().map(|&b| b != 0).collect(),
-                cell_w: by_pattern(|class| w.weights.weight(class)),
                 local_thr: w.local_thr.clone(),
+                straight_thr: w.straight_thr.clone(),
+                anti_heavier: w.anti_heavier,
                 counters: w.counters(),
+            }
+        }
+
+        fn draws(&self) -> Draws {
+            Draws {
+                l: self.l,
+                rows: self.rows,
             }
         }
 
@@ -1104,8 +1299,8 @@ mod tests {
             &self.spins[t * self.l..(t + 1) * self.l]
         }
 
-        fn corner_row<R: Rng64>(&mut self, t: usize, rng: &mut R) {
-            let l = self.l;
+        fn corner_row(&mut self, t: usize, key: u64) {
+            let (l, draws) = (self.l, self.draws());
             let tu = succ(t, self.rows);
             let row = |t: usize| t * l..(t + 1) * l;
             let rows = [
@@ -1129,7 +1324,7 @@ mod tests {
                     let thr = self.local_thr[local_move_key(
                         a0, down[i], down[j], up[i], up[j], lo[im], hi[im], lo[jp], hi[jp],
                     )];
-                    if accepts(thr, rng) {
+                    if (SplitMix64::at(key, draws.corner(i, t)) >> 11) < thr {
                         (lo[i], hi[i]) = (b0, b0);
                         (lo[j], hi[j]) = (a0, a0);
                         accepted += 1;
@@ -1141,23 +1336,22 @@ mod tests {
             self.counters[0] += accepted;
         }
 
-        fn try_straight_line<R: Rng64>(&mut self, i: usize, rng: &mut R) {
+        fn straight_attempt(&mut self, a: usize, key: u64) {
             self.counters[3] += 1;
-            let l = self.l;
-            let own = (i, 0b0101);
-            let left = (pred(i, l), 0b1010);
-            let (mut old, mut new) = (1.0, 1.0);
-            for (c, column) in if i == 0 { [own, left] } else { [left, own] } {
-                let j = succ(c, l);
+            let (l, draws) = (self.l, self.draws());
+            let i = draws.pick_column(key, a, reject_of(l));
+            if (0..self.rows).any(|t| self.row(t)[i] != self.row(0)[i]) {
+                return;
+            }
+            // Pair (c, c + 1) has its cells on rows t ≡ c (mod 2).
+            let mut anti = 0;
+            for c in [pred(i, l), i] {
                 for t in (c % 2..self.rows).step_by(2) {
-                    let (bottom, top) = (self.row(t), self.row(succ(t, self.rows)));
-                    let p = pattern((bottom[c], bottom[j]), (top[c], top[j]));
-                    old *= self.cell_w[p];
-                    new *= self.cell_w[p ^ column];
+                    anti += (self.row(t)[c] != self.row(t)[succ(c, l)]) as usize;
                 }
             }
-            let ratio = new / old;
-            if ratio > 0.0 && rng.metropolis(ratio) {
+            let thr = self.straight_thr[straight_index(self.anti_heavier, self.m, anti)];
+            if (SplitMix64::at(key, draws.straight(a)) >> 11) < thr {
                 for t in 0..self.rows {
                     self.spins[t * l + i] ^= true;
                 }
@@ -1168,9 +1362,10 @@ mod tests {
 
     /// `(l, m, jx, jz, β)`: the shapes `tests/trajectory_pins.rs` pins
     /// (rows of one, two and three words among them), a second `l = 4`
-    /// chain (every neighbour index wraps) and `Jx = 0` (`w_flip = 0`:
-    /// ratios of exactly 0, which still consume a draw).
-    const SHAPES: [(usize, usize, f64, f64, f64); 11] = [
+    /// chain (every neighbour index wraps), `Jx = 0` (`w_flip = 0`:
+    /// corner ratios of exactly 0), and `m = 300`, whose anti-parallel
+    /// counts pass what one byte lane holds.
+    const SHAPES: [(usize, usize, f64, f64, f64); 12] = [
         (32, 32, 1.0, 1.0, 2.0),
         (32, 32, 1.0, 1.0, 2.4),
         (4, 2, 1.0, 0.7, 1.3),
@@ -1182,6 +1377,7 @@ mod tests {
         (130, 6, 1.0, 0.8, 1.5),
         (4, 3, 1.0, 1.0, 2.0),
         (8, 4, 0.0, 1.0, 1.0),
+        (8, 300, 1.0, 1.0, 4.0),
     ];
 
     /// The packed layout's invariant: each row's bits `l..2l` repeat bits
@@ -1203,20 +1399,83 @@ mod tests {
         Worldline::new(WorldlineParams { l, jx, jz, beta, m })
     }
 
+    /// Sweeps a move-for-move comparison runs on `case`.
+    fn sweeps_for((l, m, ..): (usize, usize, f64, f64, f64), most: usize) -> usize {
+        (most * 1024 / (l * m).max(1024)).max(6)
+    }
+
+    /// Runs `oracle` beside the kernel's passes from one engine and one
+    /// key per sweep, and calls `agree` after every corner row, every
+    /// straight-line attempt (the kernel's rows read with its pending
+    /// flips applied) and the flips' application.
+    fn move_for_move<O>(
+        case: (usize, usize, f64, f64, f64),
+        seed: u64,
+        sweeps: usize,
+        oracle: &mut O,
+        corner: impl Fn(&mut O, usize, u64),
+        straight: impl Fn(&mut O, usize, u64),
+        agree: impl Fn(&Worldline, &[u64], &O, &str),
+    ) -> Worldline {
+        let mut packed = shape(case);
+        let mut rng = Xoshiro256StarStar::new(seed);
+        let l = case.0;
+        let reject = reject_of(l);
+        for sweep in 0..sweeps {
+            let key = rng.next_u64();
+            for t in 0..packed.rows {
+                packed.corner_row(t, key);
+                corner(oracle, t, key);
+                agree(
+                    &packed,
+                    &packed.words,
+                    oracle,
+                    &format!("sweep {sweep} row {t}"),
+                );
+            }
+            packed.mark_kinks();
+            packed.count_anti();
+            for a in 0..l {
+                packed.straight_attempt(a, key, reject);
+                straight(oracle, a, key);
+                let at = format!("sweep {sweep} attempt {a}");
+                agree(&packed, &packed.words_after_flips(), oracle, &at);
+            }
+            packed.apply_flips();
+            assert!(packed.flips.iter().all(|&f| f == 0));
+            agree(
+                &packed,
+                &packed.words,
+                oracle,
+                &format!("sweep {sweep} flips"),
+            );
+            assert_doubled(&packed, &format!("sweep {sweep}"));
+        }
+        let [local, _, straight, _] = packed.counters();
+        assert!(straight > 0, "{case:?}: no straight-line move accepted");
+        assert!(
+            case.2 == 0.0 || local > 0,
+            "{case:?}: no corner move accepted"
+        );
+        packed
+    }
+
     #[test]
     fn packed_walks_follow_the_bool_row_kernel_move_for_move() {
-        // From copies of one generator: after every corner row and every
-        // straight-line attempt the spins, the four counters and the
-        // draws served agree, and both copies of every row still match.
+        // After every corner row and every straight-line attempt the
+        // spins and the four counters agree.
         for (k, &case) in SHAPES.iter().enumerate() {
-            let mut packed = shape(case);
-            let mut bools = BoolRows::of(&packed);
-            let mut rng = CountingRng::new(Xoshiro256StarStar::new(800 + k as u64));
-            let mut rng_b = rng.clone();
-            let l = case.0;
-            let sweeps = if l > 64 { 60 } else { 150 };
-            for sweep in 0..sweeps {
-                let agree = |p: &Worldline, b: &BoolRows, draws: (u64, u64), at: &str| {
+            let mut bools = BoolRows::of(&shape(case));
+            move_for_move(
+                case,
+                800 + k as u64,
+                sweeps_for(case, 150),
+                &mut bools,
+                |b, t, key| b.corner_row(t, key),
+                |b, a, key| b.straight_attempt(a, key),
+                |p, words, b, at| {
+                    let mut p = p.clone();
+                    p.words = words.to_vec();
                     assert!(
                         p.export_spins()
                             .iter()
@@ -1225,122 +1484,280 @@ mod tests {
                         "{case:?}: spins after {at}"
                     );
                     assert_eq!(p.counters(), b.counters, "{case:?}: counters after {at}");
-                    assert_eq!(draws.0, draws.1, "{case:?}: draws after {at}");
-                    assert_doubled(p, at);
-                };
-                for t in 0..packed.rows {
-                    packed.corner_row(t, &mut rng);
-                    bools.corner_row(t, &mut rng_b);
-                    let at = format!("sweep {sweep} row {t}");
-                    agree(&packed, &bools, (rng.draws, rng_b.draws), &at);
-                }
-                packed.mark_kinks();
-                for attempt in 0..l {
-                    let i = rng.index(l);
-                    assert_eq!(i, rng_b.index(l));
-                    packed.try_straight_line(i, &mut rng);
-                    bools.try_straight_line(i, &mut rng_b);
-                    let at = format!("sweep {sweep} attempt {attempt}");
-                    agree(&packed, &bools, (rng.draws, rng_b.draws), &at);
-                }
-            }
-            let [local, _, straight, _] = bools.counters;
-            assert!(straight > 0, "{case:?}: no straight-line move accepted");
-            assert!(
-                case.2 == 0.0 || local > 0,
-                "{case:?}: no corner move accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn spins_cross_as_bytes_and_swap_as_buffers_in_both_copies() {
-        for (k, &case) in SHAPES.iter().enumerate() {
-            let (l, neel) = (case.0, shape(case));
-            let mut a = shape(case);
-            assert_doubled(&a, "construction");
-            let mut rng = Xoshiro256StarStar::new(600 + k as u64);
-            for _ in 0..20 {
-                a.sweep(&mut rng);
-            }
-            let bytes = a.export_spins();
-            assert_eq!(bytes.len(), a.rows * l);
-            for (n, &b) in bytes.iter().enumerate() {
-                assert_eq!(b, a.spin(n % l, n / l) as u8, "{case:?}: byte {n}");
-            }
-            // Any non-zero byte is an up spin.
-            let up = 1 + (k * 37 % 255) as u8;
-            let loud: Vec<u8> = bytes.iter().map(|&b| b * up).collect();
-            let mut b = shape(case);
-            b.import_spins(&loud);
-            assert_eq!(b.words, a.words, "{case:?}: import");
-            assert_doubled(&b, "import");
-            let mut c = shape(case);
-            c.spins_dirty = false;
-            b.spins_dirty = false;
-            c.swap_spins(&mut b);
-            assert_eq!(
-                (&c.words, &b.words),
-                (&a.words, &neel.words),
-                "{case:?}: swap"
-            );
-            assert!(
-                b.spins_dirty && c.spins_dirty,
-                "{case:?}: a swap dirties both"
+                },
             );
         }
     }
 
     #[test]
     fn table_walks_follow_the_oracle_move_for_move() {
-        // Old and new paths from copies of one generator: after every row
-        // pass and every straight-line attempt the spins, the counters and
-        // the generator's state agree; a third engine checks that `sweep`
-        // is those passes in that order.
+        // The cell-by-cell corner moves and the sorted-flip-list
+        // straight-line attempts from the same engine, compared after
+        // every pass; a third engine checks that `sweep` is those passes
+        // in that order and takes one draw.
         for (k, &case) in SHAPES.iter().enumerate() {
-            let start = (shape(case), Xoshiro256StarStar::new(900 + k as u64));
-            let (mut new, mut old, mut whole) = (start.clone(), start.clone(), start);
-            let agree = |(a, rng_a): &(Worldline, _), (b, rng_b): &(Worldline, _), at: &str| {
-                assert_eq!(a.words, b.words, "{case:?}: spins after {at}");
-                assert_eq!(a.counters(), b.counters(), "{case:?}: counters after {at}");
-                assert_eq!(rng_a, rng_b, "{case:?}: draws after {at}");
-            };
-            let l = case.0;
-            for sweep in 0..200 {
-                for t in 0..new.0.rows {
-                    new.0.corner_row(t, &mut new.1);
-                    old.0.corner_row_cell_by_cell(t, &mut old.1);
-                    agree(&new, &old, &format!("sweep {sweep} row {t}"));
-                }
-                new.0.mark_kinks();
-                for attempt in 0..l {
-                    let i = new.1.index(l);
-                    assert_eq!(i, old.1.index(l));
-                    new.0.try_straight_line(i, &mut new.1);
-                    old.0.try_straight_line_sorted(i, &mut old.1);
-                    agree(&new, &old, &format!("sweep {sweep} attempt {attempt}"));
-                }
-                whole.0.sweep(&mut whole.1);
-                agree(&whole, &old, &format!("sweep {sweep}"));
-            }
-            let [local, _, straight, _] = old.0.counters();
-            assert!(straight > 0, "{case:?}: no straight-line move accepted");
-            assert!(
-                case.2 == 0.0 || local > 0,
-                "{case:?}: no corner move accepted"
+            let (seed, sweeps) = (900 + k as u64, sweeps_for(case, 200));
+            let mut old = shape(case);
+            move_for_move(
+                case,
+                seed,
+                sweeps,
+                &mut old,
+                |o, t, key| o.corner_row_cell_by_cell(t, key),
+                |o, a, key| o.try_straight_line_sorted(a, key),
+                |p, words, o, at| {
+                    assert_eq!(words, o.words, "{case:?}: spins after {at}");
+                    assert_eq!(p.counters(), o.counters(), "{case:?}: counters after {at}");
+                },
             );
+            let (mut whole, mut scalar) = (shape(case), shape(case));
+            let mut rng = CountingRng::new(Xoshiro256StarStar::new(seed));
+            let mut rng_s = rng.clone();
+            for sweep in 0..sweeps {
+                whole.sweep(&mut rng);
+                scalar.sweep_scalar(&mut rng_s);
+                assert_eq!(
+                    whole.words, scalar.words,
+                    "{case:?}: spins after sweep {sweep}"
+                );
+                assert_eq!(
+                    whole.counters(),
+                    scalar.counters(),
+                    "{case:?}: sweep {sweep}"
+                );
+            }
+            assert_eq!(
+                (whole.words, rng.draws),
+                (old.words, sweeps as u64),
+                "{case:?}"
+            );
+            assert_eq!(rng_s.draws, sweeps as u64);
         }
     }
 
-    /// Serves one scripted raw output, counting how often it is asked.
+    #[test]
+    fn a_sweep_takes_one_draw() {
+        for (k, &case) in SHAPES.iter().enumerate() {
+            let mut w = shape(case);
+            let mut rng = CountingRng::new(Xoshiro256StarStar::new(700 + k as u64));
+            for sweep in 1..=20 {
+                w.sweep(&mut rng);
+                assert_eq!(rng.draws, sweep, "{case:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_draw_ranges_are_disjoint_and_in_range() {
+        // Every decision of a sweep reads its own output: the corner
+        // cells below 2mL, the straight-line columns and acceptances in
+        // [2mL, 2mL + 2L), the column retries past them.
+        for &case in &SHAPES {
+            let w = shape(case);
+            let (l, rows, draws) = (case.0, w.rows, Draws::of(&w));
+            let (corners, straights) = ((rows * l) as u64, (rows * l + 2 * l) as u64);
+            let mut seen = std::collections::HashSet::new();
+            for t in 0..rows {
+                for i in ((t + 1) % 2..l).step_by(2) {
+                    let at = draws.corner(i, t);
+                    assert!(at < corners && seen.insert(at), "{case:?}: cell ({i}, {t})");
+                }
+            }
+            for a in 0..l {
+                for at in [draws.column(a), draws.straight(a)] {
+                    assert!((corners..straights).contains(&at), "{case:?}: attempt {a}");
+                    assert!(seen.insert(at), "{case:?}: attempt {a} reads {at} twice");
+                }
+                for r in 0..4 {
+                    let at = draws.column_retry(r, a);
+                    assert!(
+                        at >= straights && seen.insert(at),
+                        "{case:?}: retry {r} of {a}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_column_draw_retries_on_its_layout() {
+        // `2⁶⁴ mod l` is far too small to be met by chance; a large
+        // `reject` sends most draws to the retry range.
+        for &case in &SHAPES {
+            let w = shape(case);
+            let (l, draws) = (case.0, Draws::of(&w));
+            let retries = draws.column_retry(0, 0);
+            for (k, reject) in [0, reject_of(l), 1 << 63, u64::MAX - (1 << 60)]
+                .into_iter()
+                .enumerate()
+            {
+                for a in 0..l {
+                    let key = SplitMix64::at(99, (k * 1000 + a) as u64);
+                    let wide = u128::from(SplitMix64::at(key, draws.column(a))) * l as u128;
+                    let kernel = if (wide as u64) < reject {
+                        retry_column(key, retries, l, a, reject)
+                    } else {
+                        (wide >> 64) as usize
+                    };
+                    assert_eq!(
+                        kernel,
+                        draws.pick_column(key, a, reject),
+                        "{case:?} attempt {a}"
+                    );
+                    assert!(kernel < l);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_straight_table_ratio_equals_the_generic_ratio() {
+        // For every kink-free column the count-indexed table holds the
+        // ratio the sorted cell list multiplies out, and a column the mask
+        // calls kinked has ratio 0.
+        let mut kinked = 0;
+        for (k, &case) in SHAPES.iter().enumerate() {
+            let mut w = shape(case);
+            let (l, m) = (case.0, case.1);
+            let [w_par, w_anti] =
+                [PlaqClass::DiagonalParallel, PlaqClass::DiagonalAnti].map(|c| w.weights.weight(c));
+            let rho = w_anti / w_par;
+            let mut rng = Xoshiro256StarStar::new(1100 + k as u64);
+            let mut straight = 0;
+            for _ in 0..sweeps_for(case, 30) {
+                w.sweep(&mut rng);
+                w.mark_kinks();
+                w.count_anti();
+                for i in 0..l {
+                    let flips: Vec<_> = (0..w.rows).map(|t| (i, t)).collect();
+                    let generic = w.ratio_for_flips(&flips);
+                    if (w.kinks[i / 64] >> (i % 64)) & 1 == 1 {
+                        assert_eq!(generic, 0.0, "{case:?}: kinked column {i}");
+                        kinked += 1;
+                        continue;
+                    }
+                    let anti = (w.pair_anti[pred(i, l)] + w.pair_anti[i]) as usize;
+                    let index = straight_index(w.anti_heavier, m, anti);
+                    let table = rho.powf(2.0 * m as f64 - 2.0 * anti as f64);
+                    assert!(
+                        (generic - table).abs() <= 1e-12 * table,
+                        "{case:?} column {i}: generic {generic} vs table {table}"
+                    );
+                    let thr = w.straight_thr[index];
+                    if index == 0 {
+                        assert!(
+                            generic > 1.0 - 1e-12 && thr == NO_DRAW,
+                            "{case:?}: {generic}"
+                        );
+                    } else {
+                        let r = if w.anti_heavier { w_par / w_anti } else { rho };
+                        let lost = straight_ratio(r, index);
+                        assert!(
+                            (generic - lost).abs() <= 1e-12 * lost,
+                            "{case:?}: {generic} vs {lost}"
+                        );
+                        assert_eq!(thr, threshold(lost));
+                    }
+                    straight += 1;
+                }
+            }
+            assert!(straight > 0, "{case:?}: no kink-free column");
+        }
+        assert!(kinked > 0, "no kinked column");
+    }
+
+    /// The chain world-line pins of `tests/trajectory_pins.rs`, run by the
+    /// keyed scalar oracle in place of the kernel.
+    mod pins {
+        use super::*;
+        use crate::estimators::measure;
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct Pin {
+            series: u64,
+            spins: u64,
+            draws: u64,
+            counters: [u64; 4],
+        }
+
+        const fn wl(series: u64, spins: u64, draws: u64, counters: [u64; 4]) -> Pin {
+            Pin {
+                series,
+                spins,
+                draws,
+                counters,
+            }
+        }
+
+        type ChainCase = ((usize, usize, f64, f64, f64), u64, usize, Pin);
+
+        include!("../../../tests/pins/chain_worldline.rs");
+
+        /// FNV-1a over 64-bit words, as `tests/trajectory_pins.rs` folds them.
+        struct Fnv(u64);
+
+        impl Fnv {
+            fn word(&mut self, w: u64) {
+                for b in w.to_le_bytes() {
+                    self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+
+        fn run_oracle(&((l, m, jx, jz, beta), seed, sweeps, _): &ChainCase) -> Pin {
+            let mut eng = Worldline::new(WorldlineParams { l, jx, jz, beta, m });
+            let other = PlaqWeights::new(jx, jz, 1.2 * beta / m as f64);
+            let mut rng = CountingRng::new(Xoshiro256StarStar::new(seed));
+            let (mut series, mut spins) = (Fnv(0xcbf2_9ce4_8422_2325), Fnv(0xcbf2_9ce4_8422_2325));
+            for _ in 0..sweeps {
+                eng.sweep_scalar(&mut rng);
+                let m = measure(&eng);
+                for x in [
+                    m.energy_per_site,
+                    m.denergy_per_site,
+                    m.magnetization,
+                    m.staggered,
+                    eng.log_weight_cell_by_cell(&eng.weights),
+                    eng.log_weight_cell_by_cell(&other),
+                ] {
+                    series.word(x.to_bits());
+                }
+            }
+            for s in eng.export_spins() {
+                spins.word(s as u64);
+            }
+            wl(series.0, spins.0, rng.draws, eng.counters())
+        }
+
+        #[test]
+        fn the_keyed_scalar_oracle_reproduces_the_chain_pins() {
+            let mut bad = Vec::new();
+            for case in CHAIN {
+                let got = run_oracle(case);
+                if got != case.3 {
+                    let Pin {
+                        series,
+                        spins,
+                        draws,
+                        counters,
+                    } = got;
+                    bad.push(format!(
+                        "{:?}, {}, {}: wl({series:#018x}, {spins:#018x}, {draws}, {counters:?})",
+                        case.0, case.1, case.2
+                    ));
+                }
+            }
+            assert!(bad.is_empty(), "the oracle's rows:\n{}", bad.join("\n"));
+        }
+    }
+
+    /// Serves one scripted raw output.
     struct Scripted {
         raw: u64,
-        draws: u32,
     }
 
     impl Rng64 for Scripted {
         fn next_u64(&mut self) -> u64 {
-            self.draws += 1;
             self.raw
         }
     }
@@ -1348,7 +1765,7 @@ mod tests {
     #[test]
     fn every_corner_threshold_decides_as_metropolis_does() {
         let top = (1u64 << 53) - 1;
-        let mut met = (false, false); // a ratio of exactly 0, one consuming no draw
+        let mut met = (false, false); // a ratio of exactly 0, one of at least 1
         for (jx, jz, dtau) in [
             (1.0, 1.0, 0.0625),
             (1.0, 0.7, 0.65),
@@ -1369,16 +1786,10 @@ mod tests {
                     .flat_map(|n| [n << 11, n << 11 | 0x7ff])
                     .chain([0, u64::MAX]);
                 for raw in raws {
-                    let (mut by_thr, mut by_f64) =
-                        (Scripted { raw, draws: 0 }, Scripted { raw, draws: 0 });
                     assert_eq!(
-                        accepts(thr, &mut by_thr),
-                        by_f64.metropolis(ratio),
+                        (raw >> 11) < thr,
+                        Scripted { raw }.metropolis(ratio),
                         "({jx}, {jz}, {dtau}) key {key:#05x}: ratio {ratio:e} (threshold {thr}) at raw {raw:#x}"
-                    );
-                    assert_eq!(
-                        by_thr.draws, by_f64.draws,
-                        "key {key:#05x}: draws for ratio {ratio:e}"
                     );
                 }
             }
