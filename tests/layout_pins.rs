@@ -132,16 +132,16 @@ fn serial_tfim_bodies_match_their_pins() {
 
 #[rustfmt::skip]
 const WORLDLINE_CHAIN: &[Pin] = &[
-    ("engine", 206, 0x24df8613),
-    ("engine:spins", 174, 0x196a26b0),
-    ("engine:counters", 70, 0xc2411f81),
-    ("series", 6144, 0xc1245c45),
-    ("series:rows/0", 2640, 0xd43eabb6),
-    ("series:rows/1", 2640, 0xab99dff6),
-    ("series:rows/2", 960, 0xca1926ae),
-    ("series:head", 112, 0xf9ea1c74),
-    ("rng", 64, 0xd863ada2),
-    ("rng:state", 64, 0xd863ada2),
+    ("engine", 206, 0x647c0ee6),
+    ("engine:spins", 174, 0xae5a7291),
+    ("engine:counters", 70, 0x4d6bf8c1),
+    ("series", 6144, 0xbf3eafe4),
+    ("series:rows/0", 2640, 0x57d5139d),
+    ("series:rows/1", 2640, 0x4dc93fa4),
+    ("series:rows/2", 960, 0xbdaa03ff),
+    ("series:head", 112, 0xdf673bd8),
+    ("rng", 64, 0xdcd872e6),
+    ("rng:state", 64, 0xdcd872e6),
 ];
 
 #[test]
@@ -441,13 +441,13 @@ const SERIAL_IMAGES: &[ImagePin] = &[
 
 #[rustfmt::skip]
 const SERIAL_SLOTS: &[SlotPin] = &[
-    ("slot-0.qckpt", 3688, 0x257a59a9),
-    ("slot-1.qckpt", 2375, 0x2d6eb2d2),
-    ("slot-2.qckpt", 2775, 0x15bb7824),
-    ("slot-3.qckpt", 3175, 0x95012c77),
+    ("slot-0.qckpt", 3688, 0x13ef0234),
+    ("slot-1.qckpt", 2375, 0xf5650541),
+    ("slot-2.qckpt", 2775, 0x532342df),
+    ("slot-3.qckpt", 3175, 0x096e3329),
     ("slot-4.qckpt", 5288, 0xc866629f),
-    ("slot-5.qckpt", 3060, 0xa9b623e2),
-    ("slot-6.qckpt", 3574, 0x67ce7192),
+    ("slot-5.qckpt", 3060, 0x224f8dec),
+    ("slot-6.qckpt", 3574, 0x8d269cf9),
 ];
 
 #[test]

@@ -22,6 +22,19 @@
 //! chain engine packed its rows into words, so the multi-word path was
 //! pinned by the bool-row kernel it replaced.
 //!
+//! The chain and both tempering drivers' rows were replaced on purpose
+//! on commit 27324c6, when every decision of a `Worldline` sweep began to
+//! read its own output of the sweep's key (corner cells, straight-line
+//! columns and their acceptances): same cases and seeds, literals
+//! recorded from the keyed scalar oracle (the cell-by-cell corner moves
+//! and the sorted-flip-list straight-line attempts reading the same
+//! keyed draws and the same threshold table) running the engine in place
+//! of the kernel. The chain cases live in `pins/chain_worldline.rs`,
+//! which `qmc-worldline`'s oracle test includes too, so that step is a
+//! committed test. A chain row's draws column counts one key per sweep;
+//! a tempering row's adds the exchange phases' draws. The
+//! `GenericWorldline` rows held.
+//!
 //! The SSE rows were recorded on commit 5a8d861, before the sweep walked
 //! an occupied-slot list: `Sse::run` (thermalization with cutoff growth,
 //! then recorded sweeps) reduced to every sweep's measurement bits, the
@@ -511,15 +524,12 @@ fn ladder(beta0: f64, rungs: usize) -> Vec<f64> {
     (0..rungs).map(|k| beta0 * 1.2f64.powi(k as i32)).collect()
 }
 
-/// `rates` folds in `round_trips`. The first two rows' `rates` were
-/// re-recorded when `PtLadder` stopped counting a walker's first
-/// top→bottom walk as a round trip; their `energies` and `draws` are the
-/// original literals, and the third row completes no round trip either way.
+/// `rates` folds in `round_trips`.
 #[rustfmt::skip]
 const PT_SERIAL: &[PtCase] = &[
-    ((8, 8, 1.0, 1.0), 0.5, 4, 71, 20, 120, 2, pt(0x7d1c6ee6d4f209ba, 0xbe038995c18068b0, 27752)),
-    ((16, 8, 1.0, 0.5), 1.0, 4, 72, 20, 80, 1, pt(0xd11d982e3038f3e9, 0x69fc5c1d2291ea54, 38236)),
-    ((32, 32, 1.0, 1.0), 2.0, 4, 73, 6, 30, 2, pt(0xa4ebb7e05ef834ce, 0x9b448a0e96633250, 116585)),
+    ((8, 8, 1.0, 1.0), 0.5, 4, 71, 20, 120, 2, pt(0x8fdb5ebbee7f95f7, 0x109c309e499f1827, 607)),
+    ((16, 8, 1.0, 0.5), 1.0, 4, 72, 20, 80, 1, pt(0xf04755f42b223ff2, 0x870422696bdeb2a5, 492)),
+    ((32, 32, 1.0, 1.0), 2.0, 4, 73, 6, 30, 2, pt(0xb99e426940be36d8, 0x1b0a60c0378d5298, 162)),
 ];
 
 fn run_pt_serial(&((l, m, jx, jz), beta0, rungs, seed, therm, sweeps, every, _): &PtCase) -> PtPin {
@@ -542,13 +552,13 @@ fn run_pt_serial(&((l, m, jx, jz), beta0, rungs, seed, therm, sweeps, every, _):
 
 #[rustfmt::skip]
 const PT_THREADS: &[PtCase] = &[
-    ((8, 8, 1.0, 1.0), 0.5, 2, 81, 20, 120, 2, pt(0x50f058eac9458aa6, 0x2db6bfa576c71655, 13293)),
-    ((8, 8, 1.0, 1.0), 0.5, 4, 82, 20, 120, 2, pt(0xbf2f3a38ad0523a9, 0x471f654e7c838ed8, 27540)),
-    ((16, 8, 1.0, 0.5), 1.0, 4, 83, 20, 80, 1, pt(0x71e62cbe16fc19d9, 0x0c9ab2f8a6d0a7c3, 37988)),
-    ((32, 32, 1.0, 1.0), 2.0, 2, 84, 6, 30, 2, pt(0x095f81490cf95f0c, 0xf4077a9635d32b68, 56027)),
-    ((32, 32, 1.0, 1.0), 2.0, 4, 85, 6, 30, 2, pt(0xf8355320dd9a3288, 0xc99ac12b1dd6c975, 113516)),
+    ((8, 8, 1.0, 1.0), 0.5, 2, 81, 20, 120, 2, pt(0x8bb7e5ffd86fc49f, 0xcba3702cad2f7934, 280)),
+    ((8, 8, 1.0, 1.0), 0.5, 4, 82, 20, 120, 2, pt(0xd060ace75a969367, 0x4093b63af9647f64, 560)),
+    ((16, 8, 1.0, 0.5), 1.0, 4, 83, 20, 80, 1, pt(0xe6e02175a274af9e, 0x1676992aef4356e9, 400)),
+    ((32, 32, 1.0, 1.0), 2.0, 2, 84, 6, 30, 2, pt(0x553cd74b4058379c, 0xb4e76c4af14d124f, 72)),
+    ((32, 32, 1.0, 1.0), 2.0, 4, 85, 6, 30, 2, pt(0xced6508b59aa982b, 0x5e7439ef5ce690fe, 144)),
     // A two-word swap payload.
-    ((66, 8, 1.0, 1.0), 1.0, 2, 86, 10, 40, 2, pt(0xd8daca1a7fe307f0, 0xad70d07ac4c9111a, 43096)),
+    ((66, 8, 1.0, 1.0), 1.0, 2, 86, 10, 40, 2, pt(0x466f7ca4ab3b826f, 0xe0e15d762bd92c1f, 100)),
 ];
 
 fn run_pt_threads(
