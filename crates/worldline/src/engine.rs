@@ -1490,6 +1490,44 @@ mod tests {
     }
 
     #[test]
+    fn spins_cross_as_bytes_and_swap_as_buffers_in_both_copies() {
+        for (k, &case) in SHAPES.iter().enumerate() {
+            let (l, neel) = (case.0, shape(case));
+            let mut a = shape(case);
+            assert_doubled(&a, "construction");
+            let mut rng = Xoshiro256StarStar::new(600 + k as u64);
+            for _ in 0..20 {
+                a.sweep(&mut rng);
+            }
+            let bytes = a.export_spins();
+            assert_eq!(bytes.len(), a.rows * l);
+            for (n, &b) in bytes.iter().enumerate() {
+                assert_eq!(b, a.spin(n % l, n / l) as u8, "{case:?}: byte {n}");
+            }
+            // Any non-zero byte is an up spin.
+            let up = 1 + (k * 37 % 255) as u8;
+            let loud: Vec<u8> = bytes.iter().map(|&b| b * up).collect();
+            let mut b = shape(case);
+            b.import_spins(&loud);
+            assert_eq!(b.words, a.words, "{case:?}: import");
+            assert_doubled(&b, "import");
+            let mut c = shape(case);
+            c.spins_dirty = false;
+            b.spins_dirty = false;
+            c.swap_spins(&mut b);
+            assert_eq!(
+                (&c.words, &b.words),
+                (&a.words, &neel.words),
+                "{case:?}: swap"
+            );
+            assert!(
+                b.spins_dirty && c.spins_dirty,
+                "{case:?}: a swap dirties both"
+            );
+        }
+    }
+
+    #[test]
     fn table_walks_follow_the_oracle_move_for_move() {
         // The cell-by-cell corner moves and the sorted-flip-list
         // straight-line attempts from the same engine, compared after
