@@ -12,7 +12,7 @@
 //! | `ckpt-hashmap`      | no `HashMap`/`HashSet` in checkpoint/wire-serialization files (qmc-ckpt, a `Checkpoint` impl, or any file naming the `Encoder`/`Decoder` codec) — iteration order would break the deterministic format |
 //! | `lib-unwrap`        | no `.unwrap()` in library crates' non-test code       |
 //! | `ckpt-unbounded-chain` | no `.write_sections(`/`.write_plan(` in a file that never mentions a `full_every` cadence knob — an unbounded delta chain grows restore cost without limit |
-//! | `hot-scalar-spin-loop` | no per-spin `.metropolis(`/`.bernoulli(` decision inside `#[qmc_hot::hot]` functions — the sanctioned shapes compare raw draws with exact integer thresholds (`qmc_rng::threshold`), bit-identical to the per-spin loop: the TFIM colour kernel (`qmc_tfim`'s `colour.rs`, which decides every site on its keyed draw and resolves without a branch) and `SerialTfim`'s Wolff walk (which decides every bond on its keyed draw and joins without a branch) and `qmc_sse`'s keyed passes (`Sse::diagonal_update`, which decides every slot's bond and insert or remove on its keyed draws and writes the slot without a branch, and `Sse::loop_update`, which flips a loop on the keyed coin of its smallest leg and a free spin on its site's) and the world-line chain engine's two walks over its packed rows (`qmc_worldline`'s `Worldline::corner_row`, whose candidate mask marks a row's proposals and which draws once per proposal that needs one, and `Worldline::try_straight_line`, which rejects a kinked column by one mask bit without a draw and decides a straight one on the threshold of its ratio); or code many replicas a word, the multi-spin-coded `qmc_tfim::packed` (bitwise acceptance, 64 replicas a word); scalar per-spin branching in a hot kernel must be a waived reference path |
+//! | `hot-scalar-spin-loop` | no per-spin `.metropolis(`/`.bernoulli(` decision inside `#[qmc_hot::hot]` functions — the sanctioned shapes compare raw draws with exact integer thresholds (`qmc_rng::threshold`), bit-identical to the per-spin loop: the TFIM colour kernel (`qmc_tfim`'s `colour.rs`, which decides every site on its keyed draw and resolves without a branch) and `SerialTfim`'s Wolff walk (which decides every bond on its keyed draw and joins without a branch) and `qmc_sse`'s keyed passes (`Sse::diagonal_update`, which decides every slot's bond and insert or remove on its keyed draws and writes the slot without a branch, and `Sse::loop_update`, which flips a loop on the keyed coin of its smallest leg and a free spin on its site's) and the world-line chain engine's keyed walks over its packed rows (`qmc_worldline`'s `Worldline::corner_row`, whose candidate mask marks a row's proposals and which decides each on its keyed draw, and `Worldline::straight_attempt`, which reads its column by multiply-high, rejects a kinked one by one mask bit and decides a straight one on the threshold its two anti-parallel counts index); or code many replicas a word, the multi-spin-coded `qmc_tfim::packed` (bitwise acceptance, 64 replicas a word); scalar per-spin branching in a hot kernel must be a waived reference path |
 //! | `hot-wall-clock`    | no `Instant::now`/`SystemTime::now` inside `#[qmc_hot::hot]` functions, *any* crate — timing belongs in `qmc_obs::span` guards around the kernel, not per-iteration clock reads inside it |
 //! | `net-unbounded-queue` | no `.push(`/`.push_back(` in a network-fed file (`TcpStream`/`TcpListener`/`FrameConn`/`FrameListener`/`recv_frame`) that never mentions a quota — a hostile peer must hit an admission bound, not grow server memory |
 //! | `blocking-recv-no-stop` | no blocking `.recv(`/`.recv_frame(`/`.read(`/`.read_exact(` inside a `loop`/`while` body of a network-fed file that never consults a timeout, stop flag, drain, or deadline — a dead peer parks that loop forever and the thread never re-checks shutdown |

@@ -212,8 +212,8 @@ fn pred(i: usize, n: usize) -> usize {
     }
 }
 
-/// The ratio of a straight-line move whose column's cells lie `k` anti-
-/// parallel cells on the losing side of `m`: `r^{2k}`, with `r ≤ 1` the
+/// The ratio of a straight-line move whose column's anti-parallel cell
+/// count lies `k` past `m` on the losing side: `r^{2k}`, with `r ≤ 1` the
 /// lighter diagonal weight over the heavier.
 fn straight_ratio(r: f64, k: usize) -> f64 {
     r.powf((2 * k) as f64)
@@ -819,7 +819,7 @@ impl Worldline {
             return;
         }
         let left = pred(i, l);
-        let anti = (self.pair_anti[left] + self.pair_anti[i]) as usize;
+        let anti = self.pair_anti[left] as usize + self.pair_anti[i] as usize;
         let thr = self.straight_thr[straight_index(self.anti_heavier, m, anti)];
         if (SplitMix64::at(key, base + 1) >> 11) < thr {
             for c in [left, i] {

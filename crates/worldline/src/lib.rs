@@ -38,24 +38,31 @@
 //!   spins its ratio depends on from the live rows (four-bit fields, so a
 //!   neighbour an earlier move flipped is read flipped), indexes 512
 //!   integer thresholds `⌈ratio·2⁵³⌉` ([`qmc_rng::threshold`], shared
-//!   with the TFIM colour kernel), and a proposal that needs a draw is
-//!   one `next_u64() >> 11 < thr` — the predicate of `metropolis(ratio)`
-//!   for every raw draw, consuming a draw exactly when it does. An
-//!   accepted move XORs its two sites in both copies of both rows.
+//!   with the TFIM colour kernel), and compares its own keyed draw
+//!   shifted right by 11 — the predicate of `metropolis(ratio)` for every
+//!   raw draw; a ratio ≥ 1 is `u64::MAX`, above every draw, so no
+//!   proposal branches on whether to draw. An accepted move XORs its two
+//!   sites in both copies of both rows.
 //! * **A straight-line move** first tests one kink mask, `OR_t (row_t ⊕
 //!   row_0)`, built after the corner rows: a set bit is a column that is
 //!   not one straight world line. In a valid configuration a column
 //!   changes between two rows exactly where its shaded cell is a flip
 //!   cell, and flipping a column beside a flip cell makes a forbidden
-//!   cell, a ratio of 0 that is rejected without a draw. Flipping a
-//!   kink-free column keeps every cell diagonal, so the mask holds for
-//!   all `L` attempts of a sweep. A kink-free column's cells weigh
-//!   parallel or anti-parallel; the two products are taken in ascending
-//!   `(left site, row)` order — the order a sorted cell list would give —
-//!   so the ratio has the bits it always had. When both neighbouring
-//!   columns are kink-free too, each half of that product repeats one
-//!   factor, and the pair comes from a four-entry table built by the same
-//!   multiplications. An accepted move is two XORs per row.
+//!   cell, a ratio of 0 that is rejected. Beside a kink-free column every
+//!   cell is diagonal, and the flip swaps parallel and anti-parallel in
+//!   each, so with `n` of its `2m` cells anti-parallel the ratio is
+//!   `(w_anti / w_par)^(2m − 2n)`: a count, not a product. One pass after
+//!   the kink mask counts every pair's anti-parallel cells, `(row ⊕
+//!   row≫1) & parity` summed in byte lanes that are emptied every 255 row
+//!   pairs, and an attempt reads two counts and one of `m + 1` thresholds
+//!   built in `new` (the other side of `n = m` always accepts). An
+//!   accepted move sets both counts to `m − n` and toggles its column in
+//!   a flip mask that is XORed into every row once, after all `L`
+//!   attempts: later attempts read only the kink mask and the counts,
+//!   and both stay exact, because a flipped kink-free column stays
+//!   kink-free and no other column changes. The ratio is the product a
+//!   sorted cell list multiplies out to within rounding (`1e-12`
+//!   relative, tested on every kink-free column), not bit for bit.
 //! * **Log-weight and energy** add `ln w`, `e` and `∂e/∂Δτ` from 16-entry
 //!   tables in row-major cell order, 32 cells' corner pairs per word
 //!   read; the three logarithms are taken once per call, a tempering
@@ -68,11 +75,47 @@
 //! arbitrary flip list, sorts, dedups, multiplies, flips, multiplies and
 //! flips back (*generic*, with no hand-derived case to get wrong, and
 //! how [`generic`]'s window, ring and straight-line moves are still
-//! accepted) — survive in [`engine`] as the `cfg(test)` oracles the walks
-//! are compared against move for move, next to the `f64` corner ratio and
-//! the cell-by-cell sums. `tests/trajectory_pins.rs` holds fixed-seed
-//! fingerprints of both engines recorded before the walks existed, and of
-//! rows of two and three words recorded before the rows were packed.
+//! accepted) — survive in [`engine`] as the `cfg(test)` keyed scalar
+//! oracles the walks are compared against after every corner row and
+//! every straight-line attempt, reading the same draws and the same
+//! straight-line thresholds (the bool rows count a column's anti-parallel
+//! cells row by row, the sorted list classifies its cells), next to the
+//! `f64` corner ratio and the cell-by-cell sums.
+//! `tests/trajectory_pins.rs` holds fixed-seed fingerprints of both
+//! engines; the chain engine's rows, and the tempering rows built on it,
+//! were recorded from the keyed scalar oracle running in place of the
+//! kernel, and the chain cases live in `tests/pins/chain_worldline.rs`,
+//! which the oracle test in [`engine`] runs too.
+//!
+//! # Draws
+//!
+//! A chain sweep takes one draw from its generator, its key
+//! `key = rng.next_u64()`, and every decision in it reads its own output
+//! of the SplitMix64 stream that key seeds,
+//! [`qmc_rng::SplitMix64::at`]`(key, index)`. With `L` the chain length
+//! and `2m` the rows, the indices are:
+//!
+//! | index                   | decision                                        |
+//! |-------------------------|-------------------------------------------------|
+//! | `t·L + i`               | the corner move on unshaded cell `(i, t)`       |
+//! | `2mL + 2a`              | straight-line attempt `a`'s column              |
+//! | `2mL + 2a + 1`          | straight-line attempt `a`'s acceptance          |
+//! | `2mL + 2L + r·L + a`    | attempt `a`'s column, `r`-th retry (`r = 0, 1, …`) |
+//!
+//! A column is the high word of `raw · L` (Lemire's multiply-high), and
+//! its low word is checked so the choice is exactly uniform: a draw whose
+//! low word falls below `2⁶⁴ mod L` (probability below `L·2⁻⁶⁴`, and
+//! never for a power-of-two `L`) retries on the reserved range. An
+//! acceptance compares `raw >> 11` with an integer threshold
+//! ([`qmc_rng::threshold`]). Corner moves still go in ascending order on
+//! the live rows, so a cell's neighbourhood depends on the moves before
+//! it; what no longer depends on them is which draw it reads.
+//!
+//! Checkpoints hold no draw state beyond the generator's. A store written
+//! before sweeps took keyed draws resumes into a correct chain from the
+//! same configuration, but its continuation is not the one the older
+//! build would have produced bit for bit. [`generic`] still draws in call
+//! order.
 //!
 //! # Known, documented restrictions (shared with the 1993-era codes)
 //!

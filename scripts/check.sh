@@ -261,10 +261,13 @@ echo "== pins: fixed-seed trajectories and checkpoint bytes under the profile th
 # against the keyed scalar oracle (the branchy in-order passes reading
 # the same keyed draws) and a union-find over the legs, under the
 # inlining the benchmark times. So do
-# qmc-worldline's (the packed-row walks against the bool-row kernel, move
-# for move: spins, counters and draws), qmc-core's (the tempering
-# ladders built on them) and qmc-rng's (a batched fill serves the
-# `next_u64` sequence, and every generator resumes bit for bit).
+# qmc-worldline's (the keyed packed-row walks against the keyed scalar
+# oracles after every corner row and straight-line attempt: spins and
+# counters; the straight-line counts sit in byte lanes that must be
+# emptied before they carry; and the oracle reproduces the chain pins),
+# qmc-core's (the tempering ladders built on them) and qmc-rng's (a
+# batched fill serves the `next_u64` sequence, and every generator
+# resumes bit for bit).
 cargo test -q --release -p qmc-bench --test trajectory_pins --test layout_pins
 cargo test -q --release -p qmc-tfim
 cargo test -q --release -p qmc-sse
